@@ -593,18 +593,16 @@ func (f *Framework) WorkerPool() *parallel.Pool {
 }
 
 // prepareForExecution applies the morsel-driven parallel rewrite when the
-// configuration calls for it (batch mode, parallelism > 1). Under memory
-// governance joins stay on the serial spill-capable (Grace) hash join —
-// one partition in memory at a time — while the scans, sorts and partial
-// aggregations below them still fan out across workers, each charging the
-// shared query budget.
+// configuration calls for it (batch mode, parallelism > 1). The plan shape
+// does not depend on memory governance: every worker charges the shared
+// query budget through the same spill-capable operators the serial plan
+// uses.
 func (f *Framework) prepareForExecution(physical rel.Node) rel.Node {
 	if f.RowMode {
 		return physical
 	}
 	if p := f.EffectiveParallelism(); p > 1 {
-		return parallel.ParallelizeWith(physical, f.WorkerPool(), p,
-			parallel.Options{SerialJoins: f.memoryGoverned()})
+		return parallel.Parallelize(physical, f.WorkerPool(), p)
 	}
 	return physical
 }

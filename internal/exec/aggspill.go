@@ -1,48 +1,31 @@
 package exec
 
-// Spillable hash aggregation: the memory-governed aggregate path. Groups
-// accumulate in a hash table charged against the query grant; when a grant
-// fails, every group's accumulators are dehydrated (rex.DehydrateAccumulator)
-// into plain value rows [key…, state…] and flushed to hash-partitioned spill
-// runs, and the table restarts empty. After the input is drained, a query
-// that never flushed emits straight from memory (bit-identical to the
-// ungoverned path, same first-seen group order); a query that flushed also
-// flushes its tail and then re-reads one partition at a time, folding
-// duplicate groups with rex.MergeAccumulators. Partitions that still exceed
-// the grant recurse under a new hash seed, mirroring the Grace join.
+// Spilling for the hash aggregation engine (GroupedAgg, groupkey.go). When a
+// grant fails, every group's accumulators are dehydrated
+// (rex.DehydrateAccumulator) into plain value rows [key…, state…, (position)]
+// and flushed to hash-partitioned spill runs, and the table restarts empty.
+// After the input is drained, an engine that never flushed emits straight
+// from memory (same first-seen group order as an ungoverned run); one that
+// flushed also flushes its tail and then re-reads one partition at a time,
+// folding duplicate groups with rex.MergeAccumulators through a nested engine
+// in partial-row mode. Partitions that still exceed the grant flush again
+// under the next hash seed, mirroring the Grace join.
 
 import (
 	"calcite/internal/memory"
-	"calcite/internal/rel"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
 	"calcite/internal/types"
 )
 
-const (
-	// aggPartitions is the spill fan-out of one flush pass.
-	aggPartitions = 8
-	// aggMaxDepth bounds recursive re-partitioning of oversized partitions.
-	aggMaxDepth = 3
-	// aggGroupOverhead approximates the fixed footprint of one group: map
-	// entry, key string, accumulator headers.
-	aggGroupOverhead = 96
-)
+// aggGroupOverhead approximates the fixed footprint of one group: map entry,
+// key string, accumulator headers.
+const aggGroupOverhead = 96
 
-type aggGroup struct {
-	key  []any
-	accs []rex.Accumulator
-	// typed holds the fast-path handle of each accumulator eligible for
-	// pre-unboxed adds (nil entry otherwise); only the in-memory aggregation
-	// engine (groupkey.go) populates it.
-	typed []rex.TypedAccumulator
-}
-
-// AggRetainedBytes estimates the bytes a row permanently adds to its
+// aggRetainedBytes estimates the bytes a row permanently adds to its
 // group's accumulators: value-retaining aggregates (COLLECT, SINGLE_VALUE,
 // DISTINCT) hold their argument, everything else only mutates fixed state.
-// Shared with the parallel partial-aggregation stage.
-func AggRetainedBytes(calls []rex.AggCall, row []any) int64 {
+func aggRetainedBytes(calls []rex.AggCall, row []any) int64 {
 	var n int64
 	for _, c := range calls {
 		if len(c.Args) == 0 {
@@ -55,11 +38,10 @@ func AggRetainedBytes(calls []rex.AggCall, row []any) int64 {
 	return n
 }
 
-// AggGroupCharge estimates the fixed footprint of creating one group for
+// aggGroupCharge estimates the fixed footprint of creating one group for
 // the given row: map entry, canonical key string (keyLen), key values and
-// accumulator headers. Shared with the parallel partial-aggregation stage
-// so the serial and parallel charge models cannot drift apart.
-func AggGroupCharge(keys []int, calls []rex.AggCall, row []any, keyLen int) int64 {
+// accumulator headers.
+func aggGroupCharge(keys []int, calls []rex.AggCall, row []any, keyLen int) int64 {
 	charge := aggGroupOverhead + int64(keyLen) + int64(96*len(calls))
 	for _, gk := range keys {
 		charge += types.SizeOfValue(row[gk])
@@ -67,267 +49,131 @@ func AggGroupCharge(keys []int, calls []rex.AggCall, row []any, keyLen int) int6
 	return charge
 }
 
-// spillAgg is the running state of one spillable aggregation pass.
-type spillAgg struct {
-	ctx    *Context
-	calls  []rex.AggCall
-	keys   []int
-	res    *memory.Reservation
-	groups map[string]*aggGroup
-	order  []string
-	flushW *partitionedAggWriter // nil until the first flush
-}
-
-// partitionedAggWriter holds the open spill writers of one flush target.
-type partitionedAggWriter struct {
-	writers []*memory.RunWriter
-	seed    int
-	width   int
-}
-
-func newPartitionedAggWriter(alloc *memory.Allocator, seed, width int) (*partitionedAggWriter, error) {
-	w := &partitionedAggWriter{writers: make([]*memory.RunWriter, aggPartitions), seed: seed, width: width}
-	for i := range w.writers {
-		rw, err := alloc.NewRun("Aggregate")
-		if err != nil {
-			w.abandon()
-			return nil, err
-		}
-		w.writers[i] = rw
-	}
-	return w, nil
-}
-
-func (w *partitionedAggWriter) abandon() {
-	for _, rw := range w.writers {
-		if rw != nil {
-			rw.Abandon()
-		}
-	}
-}
-
-func (w *partitionedAggWriter) finish() ([]*memory.Run, error) {
-	runs := make([]*memory.Run, aggPartitions)
-	for i, rw := range w.writers {
-		run, err := rw.Finish()
-		w.writers[i] = nil
-		if err != nil {
-			w.abandon()
-			return nil, err
-		}
-		runs[i] = run
-	}
-	return runs, nil
-}
-
-// dehydratedRow flattens one group into a spillable row [key…, state…].
-func dehydratedRow(g *aggGroup) ([]any, error) {
-	row := make([]any, 0, len(g.key)+len(g.accs))
-	row = append(row, g.key...)
-	for _, acc := range g.accs {
-		st, err := rex.DehydrateAccumulator(acc)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, st)
-	}
-	return row, nil
-}
-
 // flush dehydrates every in-memory group into the spill partitions and
 // resets the table.
-func (s *spillAgg) flush() error {
-	if s.flushW == nil {
-		w, err := newPartitionedAggWriter(s.ctx.Alloc, 0, len(s.keys)+len(s.calls))
+func (g *GroupedAgg) flush() error {
+	width := g.outWidth()
+	if g.flushW == nil {
+		w, err := newPartitionWriter(g.ctx.Alloc, g.op, g.ident, g.depth, width)
 		if err != nil {
 			return err
 		}
-		s.flushW = w
-		s.res.NoteSpillEvent()
+		g.flushW = w
+		g.res.NoteSpillEvent()
 	}
-	bufs := make([][][]any, aggPartitions)
-	for _, k := range s.order {
-		g := s.groups[k]
-		row, err := dehydratedRow(g)
-		if err != nil {
-			return err
-		}
-		p := memory.Partition(k, aggPartitions, 0)
-		bufs[p] = append(bufs[p], row)
-		if len(bufs[p]) >= spillWriteChunk {
-			if err := s.flushW.writers[p].WriteRows(bufs[p], s.flushW.width); err != nil {
+	for _, gr := range g.groups {
+		row := make([]any, 0, width)
+		row = append(row, gr.key...)
+		for _, acc := range gr.accs {
+			st, err := rex.DehydrateAccumulator(acc)
+			if err != nil {
 				return err
 			}
-			bufs[p] = bufs[p][:0]
+			row = append(row, st)
 		}
-	}
-	for p, rows := range bufs {
-		if len(rows) > 0 {
-			if err := s.flushW.writers[p].WriteRows(rows, s.flushW.width); err != nil {
-				return err
-			}
+		if g.pos {
+			row = append(row, gr.fsSeq, gr.fsIdx)
 		}
-	}
-	s.groups = map[string]*aggGroup{}
-	s.order = s.order[:0]
-	s.res.Shrink(s.res.Held())
-	return nil
-}
-
-// newGroup creates and registers the group for key k (callers handle the
-// memory charge).
-func (s *spillAgg) newGroup(k string, row []any) *aggGroup {
-	key := make([]any, len(s.keys))
-	for i, gk := range s.keys {
-		key[i] = row[gk]
-	}
-	accs := make([]rex.Accumulator, len(s.calls))
-	for i, c := range s.calls {
-		accs[i] = rex.NewAccumulator(c)
-	}
-	g := &aggGroup{key: key, accs: accs}
-	s.groups[k] = g
-	s.order = append(s.order, k)
-	return g
-}
-
-// add folds one input row into its group, flushing first when a grant
-// fails. Flushing always makes progress — accumulator states move to disk
-// and restart empty — so the flow is strictly flush-then-proceed: after a
-// flush the charges are best-effort (concurrent workers may hold the rest
-// of the budget; starving a worker forever deadlocks progress, it does not
-// save memory), and nothing recurses.
-func (s *spillAgg) add(row []any) error {
-	k := types.HashRowKey(row, s.keys)
-	g, ok := s.groups[k]
-	if !ok {
-		charge := AggGroupCharge(s.keys, s.calls, row, len(k))
-		if err := s.res.Grow(charge); err != nil {
-			if !s.res.SpillAllowed() {
-				return err
-			}
-			if len(s.order) > 0 {
-				if err := s.flush(); err != nil {
-					return err
-				}
-			}
-			_ = s.res.Grow(charge) // post-flush best effort
-		}
-		g = s.newGroup(k, row)
-	}
-	if retained := AggRetainedBytes(s.calls, row); retained > 0 {
-		if err := s.res.Grow(retained); err != nil {
-			if !s.res.SpillAllowed() {
-				return err
-			}
-			// Flush: every group's retained values (including this row's
-			// group) move to disk and its accumulators restart empty, so
-			// memory genuinely drops. Recreate the group and proceed with
-			// best-effort charges — no recursion (a retained charge larger
-			// than the whole budget would otherwise flush/re-add forever).
-			if err := s.flush(); err != nil {
-				return err
-			}
-			g = s.newGroup(k, row)
-			_ = s.res.Grow(retained) // post-flush best effort
-		}
-	}
-	for _, acc := range g.accs {
-		if err := acc.Add(row); err != nil {
+		if err := g.flushW.add(row); err != nil {
 			return err
 		}
 	}
+	g.resetTable()
+	g.res.Shrink(g.res.Held())
 	return nil
 }
 
-// bindSpillableAggregate is the governed Aggregate.BindBatch body.
-func bindSpillableAggregate(ctx *Context, a *Aggregate, in schema.BatchCursor) (schema.BatchCursor, error) {
+// Abandon releases the reservation and the open spill writers (error paths).
+func (g *GroupedAgg) Abandon() {
+	if g.flushW != nil {
+		g.flushW.abandon()
+		g.flushW = nil
+	}
+	g.res.Free()
+}
+
+// Drain folds every batch of in (closing it) and returns the finished output.
+// stop, when non-nil, is polled between batches so a failed sibling worker
+// ends this one early.
+func (g *GroupedAgg) Drain(in schema.BatchCursor, stop func() error) (schema.BatchCursor, error) {
 	defer in.Close()
-	s := &spillAgg{
-		ctx:    ctx,
-		calls:  a.Calls,
-		keys:   a.GroupKeys,
-		res:    memory.Reserve(ctx.Alloc, "Aggregate"),
-		groups: map[string]*aggGroup{},
-	}
-	width := rel.FieldCount(a.Inputs()[0])
-	scratch := make([]any, width)
-	var dense []int32
 	fail := func(err error) (schema.BatchCursor, error) {
-		if s.flushW != nil {
-			s.flushW.abandon()
-		}
-		s.res.Free()
+		g.Abandon()
 		return nil, err
 	}
 	for {
+		if stop != nil {
+			if err := stop(); err != nil {
+				return fail(err)
+			}
+		}
 		b, err := in.NextBatch()
 		if err == schema.Done {
-			break
+			return g.Finish()
 		}
 		if err != nil {
 			return fail(err)
 		}
-		var sel []int32
-		sel, dense = liveSel(b, dense)
-		cols := b.BoxedCols()
-		for _, ri := range sel {
-			r := int(ri)
-			for c := range scratch {
-				scratch[c] = cols[c][r]
-			}
-			if err := s.add(scratch); err != nil {
-				return fail(err)
-			}
+		if err := g.AddBatch(b); err != nil {
+			return fail(err)
 		}
 	}
-	outWidth := rel.FieldCount(a)
-	if s.flushW == nil {
-		// Never spilled: emit from memory in first-seen order, exactly like
-		// the ungoverned path.
-		if len(s.keys) == 0 && len(s.order) == 0 {
-			accs := make([]rex.Accumulator, len(s.calls))
-			for i, c := range s.calls {
-				accs[i] = rex.NewAccumulator(c)
-			}
-			s.groups[""] = &aggGroup{accs: accs}
-			s.order = append(s.order, "")
+}
+
+// Finish returns the aggregated output. An engine that never flushed emits
+// from memory; a global aggregate over empty input still yields its one row.
+// One that flushed spills its tail too and merges partition by partition.
+func (g *GroupedAgg) Finish() (schema.BatchCursor, error) {
+	if g.flushW == nil {
+		if len(g.keys) == 0 && len(g.groups) == 0 {
+			g.newGroup(nil, nil)
 		}
-		out := make([][]any, 0, len(s.order))
-		for _, k := range s.order {
-			g := s.groups[k]
-			row := make([]any, 0, outWidth)
-			row = append(row, g.key...)
-			for _, acc := range g.accs {
-				row = append(row, acc.Result())
-			}
-			out = append(out, row)
+		out := batchesFromRows(g.rows(), g.outWidth(), g.ctx.batchSize())
+		if g.emitStates {
+			// The rows carry the live accumulators: stay charged until the
+			// next stage has taken them over.
+			return &closingBatchCursor{BatchCursor: out, close: g.res.Free}, nil
 		}
-		s.res.Free()
-		return batchesFromRows(out, outWidth, ctx.batchSize()), nil
+		g.res.Free()
+		return out, nil
 	}
-	// Spilled: flush the tail, then merge and emit partition by partition.
-	if err := s.flush(); err != nil {
-		return fail(err)
-	}
-	runs, err := s.flushW.finish()
+	parts, err := g.finishFlush()
 	if err != nil {
-		s.res.Free()
+		g.Abandon()
 		return nil, err
 	}
-	parts := make([]aggPartition, 0, len(runs))
-	for _, r := range runs {
-		parts = append(parts, aggPartition{run: r, depth: 1})
+	return &spillAggCursor{agg: g, parts: parts}, nil
+}
+
+// remerge returns a nested engine that folds the partial rows this engine
+// flushed, at the given spill depth, into this engine's output; it shares the
+// reservation.
+func (g *GroupedAgg) remerge(depth int) *GroupedAgg {
+	m := &GroupedAgg{
+		ctx: g.ctx, op: g.op, calls: g.calls, keys: g.ident, ident: g.ident,
+		fromStates: true, emitStates: g.emitStates, pos: g.pos, depth: depth,
+		res: g.res, retains: g.retains,
 	}
-	return &spillAggCursor{
-		ctx:      ctx,
-		calls:    a.Calls,
-		nKeys:    len(a.GroupKeys),
-		outWidth: outWidth,
-		res:      s.res,
-		parts:    parts,
-		batch:    ctx.batchSize(),
-	}, nil
+	m.resetTable()
+	return m
+}
+
+// finishFlush spills the tail of a flushed engine and closes its writers,
+// returning the partitions to re-merge one level down.
+func (g *GroupedAgg) finishFlush() ([]aggPartition, error) {
+	if err := g.flush(); err != nil {
+		return nil, err
+	}
+	runs, err := g.flushW.finish()
+	g.flushW = nil
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]aggPartition, len(runs))
+	for i, r := range runs {
+		parts[i] = aggPartition{run: r, depth: g.depth + 1}
+	}
+	return parts, nil
 }
 
 // aggPartition is one pending spilled partition.
@@ -336,224 +182,91 @@ type aggPartition struct {
 	depth int
 }
 
-// spillAggCursor re-reads spilled partial states one partition at a time,
-// merging duplicate groups and emitting finished rows.
+// spillAggCursor re-reads the partitions a flushed engine spilled, one at a
+// time, merging duplicate groups and emitting the engine's output rows.
 type spillAggCursor struct {
-	ctx      *Context
-	calls    []rex.AggCall
-	nKeys    int
-	outWidth int
-	res      *memory.Reservation
-	parts    []aggPartition
-	pending  [][]any // finished rows of the current partition
-	pos      int
-	batch    int
-	seq      int64
-	done     bool
+	agg   *GroupedAgg // the flushed engine: configuration and reservation
+	parts []aggPartition
+	out   schema.BatchCursor // finished rows of the current partition
+	seq   int64
+	done  bool
 }
 
 func (c *spillAggCursor) NextBatch() (*schema.Batch, error) {
-	for {
-		if c.done {
-			return nil, schema.Done
-		}
-		if c.pos < len(c.pending) {
-			end := c.pos + c.batch
-			if end > len(c.pending) {
-				end = len(c.pending)
+	for !c.done {
+		if c.out != nil {
+			b, err := c.out.NextBatch()
+			if err == nil {
+				b.Seq = c.seq
+				c.seq++
+				return b, nil
 			}
-			b := schema.BatchFromRows(c.pending[c.pos:end], c.outWidth)
-			b.Seq = c.seq
-			c.seq++
-			c.pos = end
-			return b, nil
-		}
-		if c.pending != nil {
-			c.pending, c.pos = nil, 0
-			c.res.Shrink(c.res.Held())
+			c.out = nil
+			c.agg.res.Shrink(c.agg.res.Held())
 		}
 		if len(c.parts) == 0 {
-			c.Close()
-			return nil, schema.Done
+			break
 		}
 		part := c.parts[0]
 		c.parts = c.parts[1:]
 		if err := c.mergePartition(part); err != nil {
-			c.fail()
+			c.Close()
 			return nil, err
 		}
 	}
+	c.Close()
+	return nil, schema.Done
 }
 
-// mergePartition loads one partition's partial rows, folds duplicates, and
-// stages the finished rows; oversized partitions re-partition under the
-// next seed.
+// mergePartition folds one partition's partial rows through a nested engine
+// and stages the finished rows; a partition that outgrows the grant is
+// re-split under the next seed and queued ahead of the remaining work.
 func (c *spillAggCursor) mergePartition(part aggPartition) error {
+	defer part.run.Remove()
 	if part.run.Rows() == 0 {
-		part.run.Remove()
 		return nil
 	}
+	merge := c.agg.remerge(part.depth)
 	rr, err := part.run.Open()
 	if err != nil {
 		return err
 	}
-	keyOrds := make([]int, c.nKeys)
-	for i := range keyOrds {
-		keyOrds[i] = i
-	}
-	groups := map[string]*aggGroup{}
-	var order []string
-	overflowed := false
+	defer rr.Close()
 	for {
 		b, err := rr.NextBatch()
 		if err == schema.Done {
 			break
 		}
-		if err != nil {
-			rr.Close()
-			return err
-		}
-		n := b.NumRows()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			k := types.HashRowKey(row, keyOrds)
-			g, ok := groups[k]
-			if !ok {
-				if !overflowed {
-					charge := aggGroupOverhead + int64(len(k)) + types.SizeOfRow(row)
-					if gerr := c.res.Grow(charge); gerr != nil {
-						if part.depth < aggMaxDepth {
-							// Re-read the run from disk and subdivide it
-							// under the next hash seed.
-							rr.Close()
-							return c.repartition(part)
-						}
-						// Max depth (one giant group set that will not
-						// subdivide): proceed in memory, best-effort.
-						overflowed = true
-					}
-				}
-				g = &aggGroup{key: row[:c.nKeys], accs: make([]rex.Accumulator, len(c.calls))}
-				for ci, call := range c.calls {
-					acc, err := rex.HydrateAccumulator(call, row[c.nKeys+ci])
-					if err != nil {
-						rr.Close()
-						return err
-					}
-					g.accs[ci] = acc
-				}
-				groups[k] = g
-				order = append(order, k)
-				continue
-			}
-			for ci, call := range c.calls {
-				src, err := rex.HydrateAccumulator(call, row[c.nKeys+ci])
-				if err != nil {
-					rr.Close()
-					return err
-				}
-				if err := rex.MergeAccumulators(g.accs[ci], src); err != nil {
-					rr.Close()
-					return err
-				}
-			}
-		}
-	}
-	rr.Close()
-	part.run.Remove()
-	rows := make([][]any, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
-		row := make([]any, 0, c.outWidth)
-		row = append(row, g.key...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		rows = append(rows, row)
-	}
-	c.pending, c.pos = rows, 0
-	return nil
-}
-
-// repartition splits an oversized partition under the next hash seed by
-// replaying its run from disk.
-func (c *spillAggCursor) repartition(part aggPartition) error {
-	c.res.Shrink(c.res.Held())
-	c.res.NoteSpillEvent()
-	w, err := newPartitionedAggWriter(c.ctx.Alloc, part.depth, c.nKeys+len(c.calls))
-	if err != nil {
-		return err
-	}
-	keyOrds := make([]int, c.nKeys)
-	for i := range keyOrds {
-		keyOrds[i] = i
-	}
-	rr, err := part.run.Open()
-	if err != nil {
-		w.abandon()
-		return err
-	}
-	bufs := make([][][]any, aggPartitions)
-	for {
-		b, err := rr.NextBatch()
-		if err == schema.Done {
-			break
+		if err == nil {
+			err = merge.AddBatch(b)
 		}
 		if err != nil {
-			rr.Close()
-			w.abandon()
+			merge.Abandon()
 			return err
 		}
-		n := b.NumRows()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			p := memory.Partition(types.HashRowKey(row, keyOrds), aggPartitions, part.depth)
-			bufs[p] = append(bufs[p], row)
-			if len(bufs[p]) >= spillWriteChunk {
-				if err := w.writers[p].WriteRows(bufs[p], c.nKeys+len(c.calls)); err != nil {
-					rr.Close()
-					w.abandon()
-					return err
-				}
-				bufs[p] = bufs[p][:0]
-			}
-		}
 	}
-	rr.Close()
-	for p, rows := range bufs {
-		if len(rows) > 0 {
-			if err := w.writers[p].WriteRows(rows, c.nKeys+len(c.calls)); err != nil {
-				w.abandon()
-				return err
-			}
-		}
+	if merge.flushW == nil {
+		c.out = batchesFromRows(merge.rows(), merge.outWidth(), c.agg.ctx.batchSize())
+		return nil
 	}
-	part.run.Remove()
-	runs, err := w.finish()
+	sub, err := merge.finishFlush()
 	if err != nil {
+		merge.Abandon()
 		return err
-	}
-	sub := make([]aggPartition, 0, len(runs))
-	for _, r := range runs {
-		sub = append(sub, aggPartition{run: r, depth: part.depth + 1})
 	}
 	c.parts = append(sub, c.parts...)
 	return nil
 }
 
-func (c *spillAggCursor) fail() {
+func (c *spillAggCursor) Close() error {
+	if c.done {
+		return nil
+	}
 	c.done = true
 	for _, p := range c.parts {
 		p.run.Remove()
 	}
-	c.parts = nil
-	c.pending = nil
-	c.res.Free()
-}
-
-func (c *spillAggCursor) Close() error {
-	if !c.done {
-		c.fail()
-	}
+	c.parts, c.out = nil, nil
+	c.agg.res.Free()
 	return nil
 }

@@ -11,7 +11,6 @@ package exec
 // with identical results.
 
 import (
-	"sort"
 	"time"
 
 	"calcite/internal/rel"
@@ -471,11 +470,11 @@ func (c *limitBatchCursor) NextBatch() (*schema.Batch, error) {
 
 func (c *limitBatchCursor) Close() error { return c.in.Close() }
 
-// BindBatch sorts by materializing the batched input; a pure limit streams
-// batches, trimming selection vectors. Under a memory allocator the
-// materialization runs as an external merge sort: the input accumulates
-// within the query's grant and overflows to sorted on-disk runs that are
-// k-way-merged back, reproducing the stable in-memory order exactly.
+// BindBatch sorts by materializing the batched input through the external
+// merge sorter (sortspill.go): the input accumulates within the query's grant
+// and overflows to sorted on-disk runs that are k-way-merged back, reproducing
+// the stable in-memory order exactly; ungoverned, the sorter never spills. A
+// pure limit streams batches, trimming selection vectors.
 func (s *Sort) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	in, err := BindBatch(ctx, s.Inputs()[0])
 	if err != nil {
@@ -484,83 +483,42 @@ func (s *Sort) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	if len(s.Collation) == 0 {
 		return &limitBatchCursor{in: in, offset: s.Offset, fetch: s.Fetch}, nil
 	}
-	if ctx.Alloc != nil {
-		sorter := NewExternalSorter(ctx, "Sort",
-			func(a, b []any) int { return CompareRows(a, b, s.Collation) },
-			rel.FieldCount(s))
-		defer in.Close()
-		for {
-			b, err := in.NextBatch()
-			if err == schema.Done {
-				break
-			}
-			if err != nil {
-				sorter.Abandon()
-				return nil, err
-			}
-			n := b.NumRows()
-			for i := 0; i < n; i++ {
-				if err := sorter.Add(b.Row(i)); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return sorter.Finish(s.Offset, s.Fetch, ctx.batchSize())
-	}
-	rows, err := drainBatches(in)
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return CompareRows(rows[i], rows[j], s.Collation) < 0
-	})
-	if s.Offset > 0 {
-		if s.Offset >= int64(len(rows)) {
-			rows = nil
-		} else {
-			rows = rows[s.Offset:]
-		}
-	}
-	if s.Fetch >= 0 && s.Fetch < int64(len(rows)) {
-		rows = rows[:s.Fetch]
-	}
-	return batchesFromRows(rows, rel.FieldCount(s), ctx.batchSize()), nil
-}
-
-// --- Aggregate ---
-
-// BindBatch aggregates the batched input through the groupedAgg engine
-// (groupkey.go): typed single-column grouping and pre-unboxed accumulator
-// adds when batches carry vectors, the boxed scratch-row path otherwise.
-// Under a memory allocator the aggregation is spillable (see aggspill.go):
-// partial accumulator states flush to hash partitions on disk and re-merge
-// through rex.MergeAccumulators.
-func (a *Aggregate) BindBatch(ctx *Context) (schema.BatchCursor, error) {
-	in, err := BindBatch(ctx, a.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Alloc != nil {
-		return bindSpillableAggregate(ctx, a, in)
-	}
 	defer in.Close()
-	agg := newGroupedAgg(a.GroupKeys, a.Calls, rel.FieldCount(a.Inputs()[0]))
-	var dense []int32
+	sorter := NewExternalSorter(ctx, "Sort",
+		func(a, b []any) int { return CompareRows(a, b, s.Collation) },
+		rel.FieldCount(s))
+	var rows [][]any // per-batch staging, reused
 	for {
 		b, err := in.NextBatch()
 		if err == schema.Done {
 			break
 		}
 		if err != nil {
+			sorter.Abandon()
 			return nil, err
 		}
-		var sel []int32
-		sel, dense = liveSel(b, dense)
-		if err := agg.addBatch(b, sel); err != nil {
-			return nil, err
+		rows = b.AppendRows(rows[:0])
+		for _, row := range rows {
+			if err := sorter.Add(row); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return batchesFromRows(agg.finish(), rel.FieldCount(a), ctx.batchSize()), nil
+	return sorter.Finish(s.Offset, s.Fetch, ctx.batchSize())
+}
+
+// --- Aggregate ---
+
+// BindBatch aggregates the batched input through the GroupedAgg engine
+// (groupkey.go): typed grouping and pre-unboxed accumulator adds when batches
+// carry vectors, the boxed scratch-row path otherwise, spilling partial
+// accumulator states to hash partitions when a memory grant is denied.
+func (a *Aggregate) BindBatch(ctx *Context) (schema.BatchCursor, error) {
+	in, err := BindBatch(ctx, a.Inputs()[0])
+	if err != nil {
+		return nil, err
+	}
+	return NewGroupedAgg(ctx, "Aggregate", a, AggComplete).Drain(in, nil)
 }
 
 // --- HashJoin ---

@@ -101,10 +101,12 @@ func TestBatchJoinAggregateSortParity(t *testing.T) {
 		runBoth(t, exec.NewHashJoin(kind, scanOf(left), scanOf(right), cond))
 	}
 
-	// Join with a residual (non-equi) condition.
+	// Joins with a residual (non-equi) condition.
 	residual := rex.And(cond, rex.NewCall(rex.OpLess,
 		rex.NewInputRef(1, types.Varchar), rex.NewInputRef(3, types.Varchar)))
-	runBoth(t, exec.NewHashJoin(rel.InnerJoin, scanOf(left), scanOf(right), residual))
+	for _, kind := range []rel.JoinKind{rel.InnerJoin, rel.LeftJoin, rel.SemiJoin, rel.AntiJoin} {
+		runBoth(t, exec.NewHashJoin(kind, scanOf(left), scanOf(right), residual))
+	}
 
 	// Aggregate: grouped and global, over a batched subtree.
 	agg := exec.NewAggregate(scanOf(left), []int{0}, []rex.AggCall{

@@ -16,8 +16,11 @@ package exec
 
 import (
 	"math"
+	"sort"
 	"strings"
 
+	"calcite/internal/memory"
+	"calcite/internal/rel"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
 	"calcite/internal/types"
@@ -99,6 +102,25 @@ func (ki *keyIndex) ordVal(v any) (int32, bool) {
 	return ki.ordKey(types.HashKey(v))
 }
 
+// ordVec returns the ordinal of row r of key column kv, inserting it if new,
+// without boxing the key.
+func (ki *keyIndex) ordVec(kv *schema.Vector, r int) (int32, bool) {
+	switch {
+	case kv.Nulls != nil && kv.Nulls[r]:
+		return ki.ordKey(types.HashKey(nil))
+	case kv.Kind == schema.VecInt64:
+		return ki.ordInt(kv.I64[r])
+	case kv.Kind == schema.VecFloat64:
+		if i, ok := intKeyOfFloat(kv.F64[r]); ok {
+			return ki.ordInt(i)
+		}
+		return ki.ordKey(types.HashKey(kv.F64[r]))
+	case kv.Kind == schema.VecString:
+		return ki.ordStr(kv.S[r])
+	}
+	return ki.ordVal(kv.Get(r))
+}
+
 // findInt looks an int64 key up without inserting.
 func (ki *keyIndex) findInt(k int64) (int32, bool) {
 	ord, ok := ki.byInt[k]
@@ -139,127 +161,303 @@ func hashVecRowKey(vecs []*schema.Vector, r int, cols []int) string {
 	return b.String()
 }
 
-// groupedAgg is the in-memory hash aggregation engine shared by the serial
-// batch operator: typed single-column grouping through a keyIndex, typed
-// per-column accumulator adds when a batch carries vectors of the right
-// kinds, and the boxed scratch-row path for everything else. Groups are kept
-// in first-seen order.
-type groupedAgg struct {
-	keys  []int
+// AggMode selects what a GroupedAgg consumes and what it emits.
+type AggMode uint8
+
+const (
+	// AggComplete folds input rows into result rows [keys…, results…]: the
+	// serial Aggregate.
+	AggComplete AggMode = iota
+	// AggPartial folds input rows into partial rows [keys…, accumulator
+	// states…, first-seen seq, first-seen idx]: one engine per worker of the
+	// parallel aggregate.
+	AggPartial
+	// AggFinal merges partial rows into [keys…, results…]. A keyed aggregate
+	// appends each group's smallest first-seen position and sorts on it, so a
+	// merge-gather over the workers restores the serial group order; a global
+	// aggregate has one group and no order to restore.
+	AggFinal
+)
+
+type aggGroup struct {
+	key  []any
+	accs []rex.Accumulator
+	// typed holds the fast-path handle of each accumulator eligible for
+	// pre-unboxed adds (nil entry otherwise).
+	typed []rex.TypedAccumulator
+	// fsSeq/fsIdx are the batch Seq and in-batch row of the group's first
+	// row (position-tracking modes only).
+	fsSeq, fsIdx int64
+}
+
+// GroupedAgg is the hash aggregation engine behind every aggregate operator:
+// the serial Aggregate and the per-worker partial and final stages of the
+// parallel one. Grouping goes through a typed keyIndex for single-column
+// keys, accumulators take pre-unboxed adds when a batch carries vectors of
+// the right kinds, and everything else runs the boxed scratch-row path.
+// Groups are kept in first-seen order. The table is charged to a nil-safe
+// reservation; when a grant is denied every group is dehydrated into hash
+// partitions on disk (aggspill.go) and the table restarts empty.
+type GroupedAgg struct {
+	ctx   *Context
+	op    string // reservation and spill-run tag
 	calls []rex.AggCall
+	keys  []int // key ordinals in the input rows
+	ident []int // 0..len(keys)-1: key ordinals in group keys and state rows
+
+	fromStates bool // input rows are [keys…, states…, (position)], not raw rows
+	emitStates bool // output rows carry the accumulators, not their results
+	pos        bool // groups carry their first-seen position
+	depth      int  // spill recursion depth; doubles as the flush hash seed
+
+	res       *memory.Reservation
+	unbounded bool // denied at max depth: stop charging, finish in memory
+	flushW    *partitionWriter
 
 	index    *keyIndex        // single-column keys
 	multiKey map[string]int32 // zero- or multi-column keys, HashRowKey-encoded
+	groups   []*aggGroup
 
-	groups    []*aggGroup
 	callTyped []bool // calls[i] is eligible for typed adds
 	anyTyped  bool
+	retains   bool // some call holds on to its argument values
 	scratch   []any
+	dense     []int32
 }
 
-func newGroupedAgg(keys []int, calls []rex.AggCall, width int) *groupedAgg {
-	g := &groupedAgg{keys: keys, calls: calls, scratch: make([]any, width)}
-	if len(keys) == 1 {
+// NewGroupedAgg opens an aggregation engine for a in the given mode, charging
+// the context's allocator under the operator tag op.
+func NewGroupedAgg(ctx *Context, op string, a *Aggregate, mode AggMode) *GroupedAgg {
+	g := &GroupedAgg{
+		ctx: ctx, op: op, calls: a.Calls, keys: a.GroupKeys,
+		res:        memory.Reserve(ctx.Alloc, op),
+		fromStates: mode == AggFinal,
+		emitStates: mode == AggPartial,
+		pos:        mode == AggPartial || (mode == AggFinal && len(a.GroupKeys) > 0),
+	}
+	g.ident = make([]int, len(g.keys))
+	for i := range g.ident {
+		g.ident[i] = i
+	}
+	if g.fromStates {
+		g.keys = g.ident
+	} else {
+		g.scratch = make([]any, rel.FieldCount(a.Inputs()[0]))
+	}
+	g.callTyped = make([]bool, len(g.calls))
+	for i, c := range g.calls {
+		g.callTyped[i] = rex.AsTyped(rex.NewAccumulator(c)) != nil
+		g.anyTyped = g.anyTyped || g.callTyped[i]
+		g.retains = g.retains || c.Distinct || c.Func == rex.AggCollect || c.Func == rex.AggSingleValue
+	}
+	g.resetTable()
+	return g
+}
+
+func (g *GroupedAgg) resetTable() {
+	g.index, g.multiKey = nil, nil
+	if len(g.keys) == 1 {
 		g.index = newKeyIndex()
 	} else {
 		g.multiKey = map[string]int32{}
 	}
-	g.callTyped = make([]bool, len(calls))
-	for i, c := range calls {
-		g.callTyped[i] = rex.AsTyped(rex.NewAccumulator(c)) != nil
-		g.anyTyped = g.anyTyped || g.callTyped[i]
-	}
-	return g
+	clear(g.groups) // flushed groups must not stay reachable through the backing array
+	g.groups = g.groups[:0]
 }
 
-func (g *groupedAgg) newGroup(key []any) *aggGroup {
-	accs := make([]rex.Accumulator, len(g.calls))
-	var typed []rex.TypedAccumulator
-	if g.anyTyped {
-		typed = make([]rex.TypedAccumulator, len(g.calls))
+// outWidth is the width of the rows the engine emits.
+func (g *GroupedAgg) outWidth() int {
+	w := len(g.keys) + len(g.calls)
+	if g.pos {
+		w += 2
 	}
-	for i, c := range g.calls {
-		accs[i] = rex.NewAccumulator(c)
-		if g.callTyped[i] {
-			typed[i] = rex.AsTyped(accs[i])
+	return w
+}
+
+// charge grows the reservation by n. A denied grant flushes the table to
+// disk and proceeds best-effort: flushing always makes progress — the states
+// restart empty — and concurrent workers may hold the rest of the budget, so
+// starving this one would deadlock progress, not save memory. At the maximum
+// spill depth (a key range that will not subdivide) the engine finishes in
+// memory uncharged.
+func (g *GroupedAgg) charge(n int64) (flushed bool, err error) {
+	if g.res == nil || g.unbounded {
+		return false, nil
+	}
+	if err := g.res.Grow(n); err == nil {
+		return false, nil
+	} else if !g.res.SpillAllowed() {
+		return false, err
+	}
+	if g.depth >= spillMaxDepth {
+		g.unbounded = true
+		return false, nil
+	}
+	if len(g.groups) > 0 {
+		if err := g.flush(); err != nil {
+			return false, err
+		}
+		flushed = true
+	}
+	_ = g.res.Grow(n) // post-flush best effort
+	return flushed, nil
+}
+
+// admit registers the group of a key the index just reported new, charging
+// its footprint (plus extra, what adopted accumulators already retain) first.
+// accs is nil for a fresh group.
+func (g *GroupedAgg) admit(key []any, accs []rex.Accumulator, extra int64) (*aggGroup, error) {
+	flushed, err := g.charge(aggGroupCharge(g.ident, g.calls, key, 16*len(key)) + extra)
+	if err != nil {
+		return nil, err
+	}
+	if flushed {
+		g.reindex(key) // the flush emptied the index the key was entered in
+	}
+	return g.newGroup(key, accs), nil
+}
+
+// reindex enters key into the (freshly reset) table at the next ordinal.
+func (g *GroupedAgg) reindex(key []any) {
+	if g.index != nil {
+		g.index.ordVal(key[0])
+	} else {
+		g.multiKey[types.HashRowKey(key, g.ident)] = int32(len(g.groups))
+	}
+}
+
+func (g *GroupedAgg) newGroup(key []any, accs []rex.Accumulator) *aggGroup {
+	gr := &aggGroup{key: key, accs: accs}
+	if accs == nil {
+		gr.accs = make([]rex.Accumulator, len(g.calls))
+		if g.anyTyped {
+			gr.typed = make([]rex.TypedAccumulator, len(g.calls))
+		}
+		for i, c := range g.calls {
+			gr.accs[i] = rex.NewAccumulator(c)
+			if g.callTyped[i] {
+				gr.typed[i] = rex.AsTyped(gr.accs[i])
+			}
 		}
 	}
-	gr := &aggGroup{key: key, accs: accs, typed: typed}
 	g.groups = append(g.groups, gr)
 	return gr
 }
 
-// groupForRow finds or creates the group of a boxed row.
-func (g *groupedAgg) groupForRow(row []any) *aggGroup {
+// lookup returns the group ordinal of row r of b, whose boxed columns (nil
+// on a vector-only batch) are cols. A key seen for the first time is entered
+// at ordinal len(groups) and reported new; the caller admits its group. A
+// single-column key reads the typed vector when there is one; composite keys
+// encode from the boxed windows when the batch carries them (no re-boxing).
+func (g *GroupedAgg) lookup(b *schema.Batch, cols [][]any, r int) (ord int32, isNew bool) {
 	if g.index != nil {
-		ord, isNew := g.index.ordVal(row[g.keys[0]])
-		if isNew {
-			return g.newGroup([]any{row[g.keys[0]]})
+		if b.Vecs != nil {
+			return g.index.ordVec(b.Vecs[g.keys[0]], r)
 		}
-		return g.groups[ord]
+		return g.index.ordVal(cols[g.keys[0]][r])
 	}
-	k := types.HashRowKey(row, g.keys)
+	var k string
+	if cols != nil {
+		k = types.HashColsKey(cols, r, g.keys)
+	} else {
+		k = hashVecRowKey(b.Vecs, r, g.keys)
+	}
 	if ord, ok := g.multiKey[k]; ok {
-		return g.groups[ord]
+		return ord, false
 	}
-	g.multiKey[k] = int32(len(g.groups))
+	ord = int32(len(g.groups))
+	g.multiKey[k] = ord
+	return ord, true
+}
+
+// keyAt boxes the group key of row r.
+func (g *GroupedAgg) keyAt(b *schema.Batch, cols [][]any, r int) []any {
 	key := make([]any, len(g.keys))
 	for i, gk := range g.keys {
-		key[i] = row[gk]
-	}
-	return g.newGroup(key)
-}
-
-// groupForVecKey finds or creates the group of row r keyed by the single
-// grouping column kv, without boxing the key except on first sight.
-func (g *groupedAgg) groupForVecKey(kv *schema.Vector, r int) *aggGroup {
-	var ord int32
-	var isNew bool
-	isNull := kv.Nulls != nil && kv.Nulls[r]
-	switch {
-	case isNull:
-		ord, isNew = g.index.ordKey(types.HashKey(nil))
-	case kv.Kind == schema.VecInt64:
-		ord, isNew = g.index.ordInt(kv.I64[r])
-	case kv.Kind == schema.VecFloat64:
-		if i, ok := intKeyOfFloat(kv.F64[r]); ok {
-			ord, isNew = g.index.ordInt(i)
+		if cols != nil {
+			key[i] = cols[gk][r]
 		} else {
-			ord, isNew = g.index.ordKey(types.HashKey(kv.F64[r]))
+			key[i] = b.Vecs[gk].Get(r)
 		}
-	case kv.Kind == schema.VecString:
-		ord, isNew = g.index.ordStr(kv.S[r])
-	default:
-		ord, isNew = g.index.ordVal(kv.Get(r))
 	}
-	if isNew {
-		return g.newGroup([]any{kv.Get(r)})
-	}
-	return g.groups[ord]
+	return key
 }
 
-// addBatch folds the live rows of one batch into the group table.
-func (g *groupedAgg) addBatch(b *schema.Batch, sel []int32) error {
-	if b.Vecs != nil {
-		return g.addBatchVec(b, sel)
+// AddBatch folds the live rows of one batch into the group table.
+func (g *GroupedAgg) AddBatch(b *schema.Batch) error {
+	var sel []int32
+	sel, g.dense = liveSel(b, g.dense)
+	if g.fromStates {
+		return g.addStates(b, sel)
 	}
-	cols := b.BoxedCols()
+	modes, argVec, needScratch := g.planBatch(b)
+	cols := b.Cols // nil on a vector-only batch
 	for _, ri := range sel {
 		r := int(ri)
-		for c := range g.scratch {
-			g.scratch[c] = cols[c][r]
+		ord, isNew := g.lookup(b, cols, r)
+		if needScratch {
+			for c := range g.scratch {
+				if cols != nil {
+					g.scratch[c] = cols[c][r]
+				} else {
+					g.scratch[c] = b.Vecs[c].Get(r)
+				}
+			}
 		}
-		gr := g.groupForRow(g.scratch)
-		for _, acc := range gr.accs {
-			if err := acc.Add(g.scratch); err != nil {
+		var gr *aggGroup
+		if isNew {
+			var err error
+			if gr, err = g.admit(g.keyAt(b, cols, r), nil, 0); err != nil {
 				return err
+			}
+			gr.fsSeq, gr.fsIdx = b.Seq, int64(r)
+		} else {
+			gr = g.groups[ord]
+		}
+		if g.retains && g.res != nil {
+			// The flush moves every group's retained values (this row's group
+			// included) to disk, so memory genuinely drops even when no new
+			// group will ever be created again (a global COLLECT); the group
+			// restarts empty.
+			flushed, err := g.charge(aggRetainedBytes(g.calls, g.scratch))
+			if err != nil {
+				return err
+			}
+			if flushed {
+				g.reindex(gr.key)
+				gr = g.newGroup(gr.key, nil)
+				gr.fsSeq, gr.fsIdx = b.Seq, int64(r)
+			}
+		}
+		for i, m := range modes {
+			switch m {
+			case modeCountStar:
+				gr.typed[i].AddCountStar(1)
+			case modeI64:
+				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
+					gr.typed[i].AddNonNullInt64(v.I64[r])
+				}
+			case modeF64:
+				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
+					gr.typed[i].AddNonNullFloat64(v.F64[r])
+				}
+			case modeStr:
+				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
+					if err := gr.typed[i].AddNonNullString(v.S[r]); err != nil {
+						return err
+					}
+				}
+			default:
+				if err := gr.accs[i].Add(g.scratch); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// Per-batch add plan of one call over typed vectors.
+// Per-batch add plan of one call.
 type callMode uint8
 
 const (
@@ -270,13 +468,15 @@ const (
 	modeStr
 )
 
-func (g *groupedAgg) addBatchVec(b *schema.Batch, sel []int32) error {
-	// Resolve each call against this batch's vector kinds.
-	modes := make([]callMode, len(g.calls))
-	argVec := make([]*schema.Vector, len(g.calls))
-	needScratch := false
+// planBatch resolves each call against this batch's representation: typed
+// adds where the batch carries a vector of a native kind, boxed otherwise.
+func (g *GroupedAgg) planBatch(b *schema.Batch) (modes []callMode, argVec []*schema.Vector, needScratch bool) {
+	modes = make([]callMode, len(g.calls))
+	if b.Vecs == nil {
+		return modes, nil, len(modes) > 0
+	}
+	argVec = make([]*schema.Vector, len(g.calls))
 	for i, c := range g.calls {
-		modes[i] = modeBoxed
 		if g.callTyped[i] {
 			if len(c.Args) == 0 {
 				modes[i] = modeCountStar
@@ -293,82 +493,110 @@ func (g *groupedAgg) addBatchVec(b *schema.Batch, sel []int32) error {
 				}
 			}
 		}
-		if modes[i] == modeBoxed {
-			needScratch = true
-		}
+		needScratch = needScratch || modes[i] == modeBoxed
 	}
-	var kv *schema.Vector
-	if g.index != nil {
-		kv = b.Vecs[g.keys[0]]
+	return modes, argVec, needScratch
+}
+
+// stateAcc reads one accumulator column of a partial row: the live
+// accumulator an in-memory partial stage handed over, or the dehydrated
+// state a spill run carried.
+func stateAcc(call rex.AggCall, v any) (rex.Accumulator, error) {
+	if acc, ok := v.(rex.Accumulator); ok {
+		return acc, nil
 	}
+	return rex.HydrateAccumulator(call, v)
+}
+
+// addStates merges the live partial rows [keys…, states…, (position)] of b
+// into the table, keeping each group's smallest first-seen position.
+func (g *GroupedAgg) addStates(b *schema.Batch, sel []int32) error {
+	nKeys, nCalls := len(g.keys), len(g.calls)
+	cols := b.BoxedCols()
 	for _, ri := range sel {
 		r := int(ri)
-		var gr *aggGroup
-		if kv != nil {
-			gr = g.groupForVecKey(kv, r)
-		} else {
-			k := hashVecRowKey(b.Vecs, r, g.keys)
-			if ord, ok := g.multiKey[k]; ok {
-				gr = g.groups[ord]
-			} else {
-				g.multiKey[k] = int32(len(g.groups))
-				key := make([]any, len(g.keys))
-				for i, gk := range g.keys {
-					key[i] = b.Vecs[gk].Get(r)
-				}
-				gr = g.newGroup(key)
+		var fsSeq, fsIdx int64
+		if g.pos {
+			fsSeq, _ = cols[nKeys+nCalls][r].(int64)
+			fsIdx, _ = cols[nKeys+nCalls+1][r].(int64)
+		}
+		accs := make([]rex.Accumulator, nCalls)
+		var retained int64
+		for ci, call := range g.calls {
+			acc, err := stateAcc(call, cols[nKeys+ci][r])
+			if err != nil {
+				return err
+			}
+			accs[ci] = acc
+			if g.retains && g.res != nil {
+				retained += rex.AccumulatorMemSize(acc)
 			}
 		}
-		if needScratch {
-			for c, v := range b.Vecs {
-				g.scratch[c] = v.Get(r)
+		ord, isNew := g.lookup(b, cols, r)
+		if isNew {
+			gr, err := g.admit(g.keyAt(b, cols, r), accs, retained)
+			if err != nil {
+				return err
+			}
+			gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
+			continue
+		}
+		gr := g.groups[ord]
+		if retained > 0 {
+			// Merging grows the group by what the incoming states retain; a
+			// flush here moved the group to disk, so the states restart it.
+			flushed, err := g.charge(retained)
+			if err != nil {
+				return err
+			}
+			if flushed {
+				g.reindex(gr.key)
+				gr = g.newGroup(gr.key, accs)
+				gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
+				continue
 			}
 		}
-		for i, m := range modes {
-			switch m {
-			case modeCountStar:
-				gr.typed[i].AddCountStar(1)
-			case modeI64:
-				v := argVec[i]
-				if v.Nulls == nil || !v.Nulls[r] {
-					gr.typed[i].AddNonNullInt64(v.I64[r])
-				}
-			case modeF64:
-				v := argVec[i]
-				if v.Nulls == nil || !v.Nulls[r] {
-					gr.typed[i].AddNonNullFloat64(v.F64[r])
-				}
-			case modeStr:
-				v := argVec[i]
-				if v.Nulls == nil || !v.Nulls[r] {
-					if err := gr.typed[i].AddNonNullString(v.S[r]); err != nil {
-						return err
-					}
-				}
-			default:
-				if err := gr.accs[i].Add(g.scratch); err != nil {
-					return err
-				}
+		for ci := range accs {
+			if err := rex.MergeAccumulators(gr.accs[ci], accs[ci]); err != nil {
+				return err
 			}
+		}
+		if fsSeq < gr.fsSeq || (fsSeq == gr.fsSeq && fsIdx < gr.fsIdx) {
+			gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
 		}
 	}
 	return nil
 }
 
-// finish materializes the result rows in group order. A global aggregate
-// over empty input still yields one row.
-func (g *groupedAgg) finish() [][]any {
-	if len(g.keys) == 0 && len(g.groups) == 0 {
-		g.newGroup(nil)
+// rows materializes the table as output rows: first-seen order, or sorted on
+// the tracked position when the rows carry results (the final stage).
+func (g *GroupedAgg) rows() [][]any {
+	if g.pos && !g.emitStates {
+		sort.SliceStable(g.groups, func(i, j int) bool {
+			a, b := g.groups[i], g.groups[j]
+			if a.fsSeq != b.fsSeq {
+				return a.fsSeq < b.fsSeq
+			}
+			return a.fsIdx < b.fsIdx
+		})
 	}
-	out := make([][]any, 0, len(g.groups))
-	for _, gr := range g.groups {
-		row := make([]any, 0, len(gr.key)+len(gr.accs))
-		row = append(row, gr.key...)
+	w := g.outWidth()
+	flat := make([]any, 0, len(g.groups)*w)
+	out := make([][]any, len(g.groups))
+	for i, gr := range g.groups {
+		start := len(flat)
+		flat = append(flat, gr.key...)
 		for _, acc := range gr.accs {
-			row = append(row, acc.Result())
+			if g.emitStates {
+				flat = append(flat, acc)
+			} else {
+				flat = append(flat, acc.Result())
+			}
 		}
-		out = append(out, row)
+		if g.pos {
+			flat = append(flat, gr.fsSeq, gr.fsIdx)
+		}
+		out[i] = flat[start:len(flat):len(flat)]
 	}
 	return out
 }

@@ -12,6 +12,10 @@ package exec
 // exactly once.
 
 import (
+	"sort"
+	"sync"
+	"sync/atomic"
+
 	"calcite/internal/memory"
 	"calcite/internal/rel"
 	"calcite/internal/rex"
@@ -20,14 +24,15 @@ import (
 )
 
 const (
-	// gracePartitions is the fan-out of one partitioning pass.
-	gracePartitions = 8
-	// graceMaxDepth bounds recursive re-partitioning. A partition that still
+	// spillFanOut is the fan-out of one hash-partitioning pass (Grace join
+	// and spilled aggregation alike).
+	spillFanOut = 8
+	// spillMaxDepth bounds recursive re-partitioning. A partition that still
 	// exceeds the grant at max depth (pathological key skew: one giant key
 	// group) is processed in memory anyway — the budget is a governance
 	// target, and proceeding degraded beats failing a query that spilling
 	// was meant to save.
-	graceMaxDepth = 3
+	spillMaxDepth = 3
 	// joinRowOverhead approximates the hash-table cost of one build row
 	// beyond the row itself (map entry, candidate-list slot, key string).
 	joinRowOverhead = 64
@@ -77,63 +82,151 @@ func (s *joinSpec) outWidth() int {
 // emitting one output batch per probe batch. Unmatched build rows
 // (right/full joins) follow after the probe is exhausted.
 func (j *HashJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
-	spec := newJoinSpec(ctx, j)
-	res := memory.Reserve(ctx.Alloc, "HashJoin")
-
 	buildBC, err := BindBatch(ctx, j.Right())
 	if err != nil {
 		return nil, err
 	}
-	var buildRows [][]any
-	overflow := false
-drain:
-	for {
-		b, err := buildBC.NextBatch()
-		if err == schema.Done {
-			break
-		}
-		if err != nil {
-			buildBC.Close()
-			res.Free()
-			return nil, err
-		}
-		n := b.NumRows()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if err := res.Grow(types.SizeOfRow(row) + joinRowOverhead); err != nil {
-				if !res.SpillAllowed() {
-					buildBC.Close()
-					res.Free()
-					return nil, err
-				}
-				// Keep the whole current batch: the Grace path takes over
-				// from the *next* batch of the build cursor.
-				for ; i < n; i++ {
-					buildRows = append(buildRows, b.Row(i))
-				}
-				overflow = true
-				break drain
-			}
-			buildRows = append(buildRows, row)
-		}
-	}
-	if !overflow {
+	b := NewJoinBuild(ctx, j, "HashJoin")
+	exhausted, err := b.Drain(buildBC, 0)
+	if err != nil {
 		buildBC.Close()
-		j.noteBuildOvershoot(ctx)
-		probeBC, err := BindBatch(ctx, j.Left())
-		if err != nil {
-			res.Free()
-			return nil, err
+		b.Abandon()
+		return nil, err
+	}
+	bindProbe := func() (schema.BatchCursor, error) { return BindBatch(ctx, j.Left()) }
+	if !exhausted {
+		cur, err := b.Grace(buildBC, bindProbe)
+		if err == nil {
+			// The Grace path drains the rest of the build stream into partitions
+			// at bind time, so the build child's span rows are complete here too.
+			j.noteBuildOvershoot(ctx)
 		}
-		return newHashProbeCursor(spec, buildRows, probeBC, res.Free), nil
+		return cur, err
 	}
-	cur, err := bindGraceJoin(ctx, j, spec, res, buildRows, buildBC)
-	if err == nil {
-		// The Grace path drains the rest of the build stream into partitions
-		// at bind time, so the build child's span rows are complete here too.
-		j.noteBuildOvershoot(ctx)
+	j.noteBuildOvershoot(ctx)
+	probeBC, err := bindProbe()
+	if err != nil {
+		b.Abandon()
+		return nil, err
 	}
-	return cur, err
+	return b.Probes([]schema.BatchCursor{probeBC})[0], nil
+}
+
+// JoinBuild is the build phase of one hash join execution, shared by the
+// serial join (one build partition, one probe) and the parallel one (a Drain
+// per build partition on its own worker, a probe cursor per probe partition).
+// Build rows are charged batch-wise to one reservation; the first denied
+// grant halts every Drain and the join finishes on the Grace path.
+type JoinBuild struct {
+	ctx  *Context
+	op   string // reservation and spill-run tag
+	spec *joinSpec
+
+	halt atomic.Bool // a grant was denied or a Drain failed: stop draining
+
+	mu     sync.Mutex // guards res and chunks across concurrent Drains
+	res    *memory.Reservation
+	chunks []buildChunk
+
+	open atomic.Int32 // probe cursors still reading the table
+}
+
+// buildChunk is the materialized rows of one build batch, tagged with the
+// position a gather of the build partitions would have delivered it at.
+type buildChunk struct {
+	seq  int64
+	part int
+	rows [][]any
+}
+
+// NewJoinBuild opens the build phase of j, charging the context's allocator
+// under the operator tag op.
+func NewJoinBuild(ctx *Context, j *HashJoin, op string) *JoinBuild {
+	return &JoinBuild{ctx: ctx, op: op, spec: newJoinSpec(ctx, j), res: memory.Reserve(ctx.Alloc, op)}
+}
+
+// Drain buffers the batches of build partition idx until it is exhausted —
+// the only case in which Drain closes it — or the build halts: a denied grant
+// or an error, here or in a concurrent Drain. A halted partition stays open
+// for the Grace path (or the caller's cleanup).
+func (b *JoinBuild) Drain(part schema.BatchCursor, idx int) (exhausted bool, err error) {
+	for !b.halt.Load() {
+		batch, err := part.NextBatch()
+		if err == schema.Done {
+			return true, part.Close()
+		}
+		if err != nil {
+			b.halt.Store(true)
+			return false, err
+		}
+		rows := batch.AppendRows(make([][]any, 0, batch.NumRows()))
+		var size int64
+		if b.res != nil {
+			for _, row := range rows {
+				size += types.SizeOfRow(row) + joinRowOverhead
+			}
+		}
+		b.mu.Lock()
+		err = b.res.Grow(size)
+		// A denied batch stays buffered: the Grace path takes over from the
+		// next batch of the build cursor.
+		b.chunks = append(b.chunks, buildChunk{seq: batch.Seq, part: idx, rows: rows})
+		b.mu.Unlock()
+		if err != nil {
+			b.halt.Store(true)
+			if !b.res.SpillAllowed() {
+				return false, err
+			}
+		}
+	}
+	return false, nil
+}
+
+// buildRows returns the buffered rows in the order a gather of the build
+// partitions would have delivered them — batch Seq, ties to the lower
+// partition, then arrival — so candidate lists match a serial build exactly.
+// (A single partition arrives in Seq order already: the sort is the identity.)
+func (b *JoinBuild) buildRows() [][]any {
+	sort.SliceStable(b.chunks, func(i, k int) bool {
+		if b.chunks[i].seq != b.chunks[k].seq {
+			return b.chunks[i].seq < b.chunks[k].seq
+		}
+		return b.chunks[i].part < b.chunks[k].part
+	})
+	n := 0
+	for _, c := range b.chunks {
+		n += len(c.rows)
+	}
+	rows := make([][]any, 0, n)
+	for _, c := range b.chunks {
+		rows = append(rows, c.rows...)
+	}
+	b.chunks = nil
+	return rows
+}
+
+// Probes completes the in-memory build and returns one cursor per probe
+// partition over the shared, read-only table. The build's memory is released
+// when the last of them finishes.
+func (b *JoinBuild) Probes(probes []schema.BatchCursor) []schema.BatchCursor {
+	side := newBuildSide(b.spec, b.buildRows())
+	b.open.Store(int32(len(probes)))
+	release := func() {
+		if b.open.Add(-1) == 0 {
+			b.res.Free()
+		}
+	}
+	out := make([]schema.BatchCursor, len(probes))
+	for i, probe := range probes {
+		out[i] = newHashProbeCursor(b.spec, side, probe, release)
+	}
+	return out
+}
+
+// Abandon releases the build's memory (error paths).
+func (b *JoinBuild) Abandon() {
+	b.chunks = nil
+	b.res.Free()
 }
 
 // noteBuildOvershoot reports the build side's actual vs estimated rows to
@@ -157,31 +250,45 @@ func (j *HashJoin) noteBuildOvershoot(ctx *Context) {
 
 // --- in-memory probe ---
 
-// hashProbeCursor probes a completed build table with streaming input
-// batches. done (optional) runs exactly once when the cursor finishes or
-// closes.
-type hashProbeCursor struct {
-	spec      *joinSpec
-	rows      [][]any
-	table     *joinTable
-	buildCols [][]any          // lazy columnar transpose of rows (boxed output)
-	buildVecs []*schema.Vector // same transpose, typed (kernel output)
-	matched   []bool           // build rows matched so far (right/full)
-	probe     schema.BatchCursor
-	dense     []int32
-	gatherL   []int32 // scratch: probe row per output row
-	gatherR   []int32 // scratch: build ordinal per output row (-1 = NULL pad)
-	combined  []any
-	seq       int64
-	tailSent  bool
-	closed    bool
-	done      func()
+// buildSide is a completed hash-join build: the rows, their key index and
+// their columnar transpose for gather-based output. It is read-only, so any
+// number of probe cursors share one.
+type buildSide struct {
+	rows  [][]any
+	table *joinTable
+	cols  [][]any          // boxed transpose of rows (boxed output)
+	vecs  []*schema.Vector // same transpose, typed (kernel output)
 }
 
-func newHashProbeCursor(spec *joinSpec, buildRows [][]any, probe schema.BatchCursor, done func()) *hashProbeCursor {
-	c := &hashProbeCursor{spec: spec, rows: buildRows, table: buildJoinTable(buildRows, spec.info.RightKeys), probe: probe, done: done}
+func newBuildSide(spec *joinSpec, rows [][]any) *buildSide {
+	s := &buildSide{rows: rows, table: buildJoinTable(rows, spec.info.RightKeys)}
+	if spec.emitRight {
+		s.cols, s.vecs = transposeBuild(rows, spec.rightWidth)
+	}
+	return s
+}
+
+// hashProbeCursor probes a completed build with streaming input batches.
+// done (optional) runs exactly once when the cursor finishes or closes.
+type hashProbeCursor struct {
+	spec     *joinSpec
+	build    *buildSide
+	matched  []bool // build rows matched so far (right/full)
+	probe    schema.BatchCursor
+	dense    []int32
+	gatherL  []int32 // scratch: probe row per output row
+	gatherR  []int32 // scratch: build ordinal per output row (-1 = NULL pad)
+	combined []any
+	seq      int64 // sequence number of the unmatched-build tail batch
+	tailSent bool
+	closed   bool
+	done     func()
+}
+
+func newHashProbeCursor(spec *joinSpec, build *buildSide, probe schema.BatchCursor, done func()) *hashProbeCursor {
+	c := &hashProbeCursor{spec: spec, build: build, probe: probe, done: done}
 	if spec.kind == rel.RightJoin || spec.kind == rel.FullJoin {
-		c.matched = make([]bool, len(buildRows))
+		c.matched = make([]bool, len(build.rows))
 	}
 	return c
 }
@@ -227,7 +334,7 @@ func (c *hashProbeCursor) NextBatch() (*schema.Batch, error) {
 		outCols := make([][]any, spec.outWidth())
 		nRows := 0
 		nullLeft := make([]any, spec.leftWidth)
-		for ri, row := range c.rows {
+		for ri, row := range c.build.rows {
 			if c.matched[ri] {
 				continue
 			}
@@ -240,9 +347,7 @@ func (c *hashProbeCursor) NextBatch() (*schema.Batch, error) {
 			nRows++
 		}
 		if nRows > 0 {
-			b := &schema.Batch{Len: nRows, Cols: outCols, Seq: c.seq}
-			c.seq++
-			return b, nil
+			return &schema.Batch{Len: nRows, Cols: outCols, Seq: c.seq}, nil
 		}
 	}
 	c.finish()
@@ -273,16 +378,16 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 	var sel []int32
 	sel, c.dense = liveSel(b, c.dense)
 	var keyVec *schema.Vector
-	if c.table.single != nil && b.Vecs != nil {
+	if c.build.table.single != nil && b.Vecs != nil {
 		keyVec = b.Vecs[spec.info.LeftKeys[0]]
 	}
 	for _, li := range sel {
 		l := int(li)
 		var candidates []int32
 		if keyVec != nil {
-			candidates = c.table.probeVec(keyVec, l)
+			candidates = c.build.table.probeVec(keyVec, l)
 		} else if !colsHaveNullAt(boxed(), l, spec.info.LeftKeys) {
-			candidates = c.table.probeCols(cols, l, spec.info.LeftKeys)
+			candidates = c.build.table.probeCols(cols, l, spec.info.LeftKeys)
 		}
 		matched := false
 		for _, ri := range candidates {
@@ -291,7 +396,7 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 				for col := 0; col < spec.leftWidth; col++ {
 					c.combined[col] = bc[col][l]
 				}
-				copy(c.combined[spec.leftWidth:], c.rows[ri])
+				copy(c.combined[spec.leftWidth:], c.build.rows[ri])
 				ok, err := spec.residual(c.combined)
 				if err != nil {
 					return nil, err
@@ -333,16 +438,16 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 	if nRows == 0 {
 		return nil, nil
 	}
-	out := &schema.Batch{Len: nRows, Seq: c.seq}
-	c.seq++
-	// Pass 2: typed probe batches gather straight into typed output vectors
-	// (the build rows transpose into columns once, on first use). When the
-	// probe batch also carries boxed windows, gather those too: the boxed
-	// copies are shared interface values — no re-boxing for row-at-a-time
-	// consumers downstream. Boxed-only probes keep boxed output columns.
-	if spec.emitRight && c.buildCols == nil {
-		c.buildCols, c.buildVecs = transposeBuild(c.rows, spec.rightWidth)
-	}
+	// The output keeps the probe batch's sequence number (a streaming probe
+	// is a per-batch operator), which is what lets a gather over partitioned
+	// probes restore the serial output order.
+	out := &schema.Batch{Len: nRows, Seq: b.Seq}
+	c.seq = b.Seq + 1
+	// Pass 2: typed probe batches gather straight into typed output vectors.
+	// When the probe batch also carries boxed windows, gather those too: the
+	// boxed copies are shared interface values — no re-boxing for
+	// row-at-a-time consumers downstream. Boxed-only probes keep boxed output
+	// columns.
 	if b.Vecs != nil {
 		vecs := make([]*schema.Vector, spec.outWidth())
 		var outCols [][]any
@@ -357,9 +462,9 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 		}
 		if spec.emitRight {
 			for col := 0; col < spec.rightWidth; col++ {
-				vecs[spec.leftWidth+col] = c.buildVecs[col].GatherOrd(gr)
+				vecs[spec.leftWidth+col] = c.build.vecs[col].GatherOrd(gr)
 				if outCols != nil {
-					outCols[spec.leftWidth+col] = gatherAnyOrd(c.buildCols[col], gr)
+					outCols[spec.leftWidth+col] = gatherAnyOrd(c.build.cols[col], gr)
 				}
 			}
 		}
@@ -374,13 +479,7 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 	}
 	if spec.emitRight {
 		for col := 0; col < spec.rightWidth; col++ {
-			dst := make([]any, nRows)
-			for i, ri := range gr {
-				if ri >= 0 {
-					dst[i] = c.rows[ri][col]
-				}
-			}
-			outCols[spec.leftWidth+col] = dst
+			outCols[spec.leftWidth+col] = gatherAnyOrd(c.build.cols[col], gr)
 		}
 	}
 	out.Cols = outCols
@@ -443,8 +542,8 @@ type partitionWriter struct {
 
 func newPartitionWriter(alloc *memory.Allocator, op string, keys []int, seed, width int) (*partitionWriter, error) {
 	pw := &partitionWriter{
-		writers: make([]*memory.RunWriter, gracePartitions),
-		bufs:    make([][][]any, gracePartitions),
+		writers: make([]*memory.RunWriter, spillFanOut),
+		bufs:    make([][][]any, spillFanOut),
 		keys:    keys,
 		seed:    seed,
 		width:   width,
@@ -463,7 +562,7 @@ func newPartitionWriter(alloc *memory.Allocator, op string, keys []int, seed, wi
 func (pw *partitionWriter) add(row []any) error {
 	// NULL-inclusive routing: unlike a join's match key, partitioning must
 	// place NULL-key rows too (they are emitted by outer joins).
-	p := memory.Partition(types.HashRowKey(row, pw.keys), gracePartitions, pw.seed)
+	p := memory.Partition(types.HashRowKey(row, pw.keys), spillFanOut, pw.seed)
 	pw.bufs[p] = append(pw.bufs[p], row)
 	if len(pw.bufs[p]) >= spillWriteChunk {
 		return pw.flush(p)
@@ -482,7 +581,7 @@ func (pw *partitionWriter) flush(p int) error {
 
 // finish flushes all buffers and returns the finished runs.
 func (pw *partitionWriter) finish() ([]*memory.Run, error) {
-	runs := make([]*memory.Run, gracePartitions)
+	runs := make([]*memory.Run, spillFanOut)
 	for p := range pw.writers {
 		if err := pw.flush(p); err != nil {
 			pw.abandon()
@@ -507,21 +606,25 @@ func (pw *partitionWriter) abandon() {
 	}
 }
 
-// drainToPartitions routes every remaining row of a batch cursor into pw.
-func drainToPartitions(pw *partitionWriter, bc schema.BatchCursor) error {
+// drainToPartitions routes every remaining row of a batch cursor (closing it)
+// into pw and finishes its runs; on error the writer is abandoned.
+func drainToPartitions(pw *partitionWriter, bc schema.BatchCursor) ([]*memory.Run, error) {
 	defer bc.Close()
+	var rows [][]any // per-batch staging, reused
 	for {
 		b, err := bc.NextBatch()
 		if err == schema.Done {
-			return nil
+			return pw.finish()
 		}
 		if err != nil {
-			return err
+			pw.abandon()
+			return nil, err
 		}
-		n := b.NumRows()
-		for i := 0; i < n; i++ {
-			if err := pw.add(b.Row(i)); err != nil {
-				return err
+		rows = b.AppendRows(rows[:0])
+		for _, row := range rows {
+			if err := pw.add(row); err != nil {
+				pw.abandon()
+				return nil, err
 			}
 		}
 	}
@@ -534,72 +637,61 @@ type joinPartition struct {
 	depth        int
 }
 
-// bindGraceJoin partitions both sides to disk and returns a cursor that
-// joins the partitions one at a time.
-func bindGraceJoin(ctx *Context, j *HashJoin, spec *joinSpec, res *memory.Reservation,
-	buffered [][]any, buildBC schema.BatchCursor) (schema.BatchCursor, error) {
-	fail := func(err error) (schema.BatchCursor, error) {
-		buildBC.Close()
-		res.Free()
+// Grace finishes a halted build on the Grace path: the buffered rows, then
+// rest — the remainder of the build stream — are partitioned to disk, then
+// the probe side, and the returned cursor joins the partitions one at a time.
+func (b *JoinBuild) Grace(rest schema.BatchCursor, bindProbe func() (schema.BatchCursor, error)) (schema.BatchCursor, error) {
+	ctx, spec, res := b.ctx, b.spec, b.res
+	res.NoteSpillEvent()
+	buildPW, err := newPartitionWriter(ctx.Alloc, b.op, spec.info.RightKeys, 0, spec.rightWidth)
+	if err != nil {
+		rest.Close()
+		b.Abandon()
 		return nil, err
 	}
-	res.NoteSpillEvent()
-	// Build side: flush the rows drained so far, then the rest of the
-	// stream.
-	buildPW, err := newPartitionWriter(ctx.Alloc, "HashJoin", spec.info.RightKeys, 0, spec.rightWidth)
-	if err != nil {
-		return fail(err)
-	}
-	for _, row := range buffered {
+	for _, row := range b.buildRows() {
 		if err := buildPW.add(row); err != nil {
 			buildPW.abandon()
-			return fail(err)
+			rest.Close()
+			res.Free()
+			return nil, err
 		}
 	}
 	res.Shrink(res.Held())
-	if err := drainToPartitions(buildPW, buildBC); err != nil {
-		buildPW.abandon()
-		res.Free()
-		return nil, err
-	}
-	buildRuns, err := buildPW.finish()
+	buildRuns, err := drainToPartitions(buildPW, rest)
 	if err != nil {
 		res.Free()
 		return nil, err
 	}
 	// Probe side: fully partitioned to disk before any partition is joined.
-	probeBC, err := BindBatch(ctx, j.Left())
+	probeBC, err := bindProbe()
 	if err != nil {
 		res.Free()
 		return nil, err
 	}
-	probePW, err := newPartitionWriter(ctx.Alloc, "HashJoin", spec.info.LeftKeys, 0, spec.leftWidth)
+	probePW, err := newPartitionWriter(ctx.Alloc, b.op, spec.info.LeftKeys, 0, spec.leftWidth)
 	if err != nil {
 		probeBC.Close()
 		res.Free()
 		return nil, err
 	}
-	if err := drainToPartitions(probePW, probeBC); err != nil {
-		probePW.abandon()
-		res.Free()
-		return nil, err
-	}
-	probeRuns, err := probePW.finish()
+	probeRuns, err := drainToPartitions(probePW, probeBC)
 	if err != nil {
 		res.Free()
 		return nil, err
 	}
-	parts := make([]joinPartition, 0, gracePartitions)
-	for p := 0; p < gracePartitions; p++ {
+	parts := make([]joinPartition, 0, spillFanOut)
+	for p := 0; p < spillFanOut; p++ {
 		parts = append(parts, joinPartition{build: buildRuns[p], probe: probeRuns[p], depth: 1})
 	}
-	return &graceJoinCursor{ctx: ctx, spec: spec, res: res, parts: parts}, nil
+	return &graceJoinCursor{ctx: ctx, op: b.op, spec: spec, res: res, parts: parts}, nil
 }
 
 // graceJoinCursor joins spilled partitions one at a time, re-partitioning
 // any whose build side still exceeds the grant.
 type graceJoinCursor struct {
 	ctx   *Context
+	op    string
 	spec  *joinSpec
 	res   *memory.Reservation
 	parts []joinPartition
@@ -666,9 +758,9 @@ func (g *graceJoinCursor) startPartition(part joinPartition) error {
 			row := b.Row(i)
 			if !overflowed {
 				if gerr := g.res.Grow(types.SizeOfRow(row) + joinRowOverhead); gerr != nil {
-					if part.depth < graceMaxDepth {
+					if part.depth < spillMaxDepth {
 						rr.Close()
-						return g.repartition(part, rows)
+						return g.repartition(part)
 					}
 					// Max depth: this key range will not subdivide (skewed
 					// keys). Proceed in memory; the planner's budget becomes
@@ -686,7 +778,7 @@ func (g *graceJoinCursor) startPartition(part joinPartition) error {
 	}
 	held := g.res.Held()
 	res := g.res
-	g.cur = newHashProbeCursor(g.spec, rows, probeReader, func() {
+	g.cur = newHashProbeCursor(g.spec, newBuildSide(g.spec, rows), probeReader, func() {
 		res.Shrink(held)
 		part.build.Remove()
 		part.probe.Remove()
@@ -695,87 +787,38 @@ func (g *graceJoinCursor) startPartition(part joinPartition) error {
 }
 
 // repartition splits an oversized partition into sub-partitions under the
-// next hash seed and queues them ahead of the remaining work.
-func (g *graceJoinCursor) repartition(part joinPartition, loaded [][]any) error {
+// next hash seed, replaying both of its runs from disk, and queues them ahead
+// of the remaining work.
+func (g *graceJoinCursor) repartition(part joinPartition) error {
 	g.res.Shrink(g.res.Held())
 	g.res.NoteSpillEvent()
-	seed := part.depth
-	buildPW, err := newPartitionWriter(g.ctx.Alloc, "HashJoin", g.spec.info.RightKeys, seed, g.spec.rightWidth)
-	if err != nil {
-		return err
-	}
-	for _, row := range loaded {
-		if err := buildPW.add(row); err != nil {
-			buildPW.abandon()
-			return err
+	split := func(run *memory.Run, keys []int, width int) ([]*memory.Run, error) {
+		pw, err := newPartitionWriter(g.ctx.Alloc, g.op, keys, part.depth, width)
+		if err != nil {
+			return nil, err
 		}
+		rr, err := run.Open()
+		if err != nil {
+			pw.abandon()
+			return nil, err
+		}
+		return drainToPartitions(pw, rr)
 	}
-	rr, err := part.build.Open()
-	if err != nil {
-		buildPW.abandon()
-		return err
-	}
-	// Skip the rows already loaded (they were re-added above); the reader
-	// replays the run from the start, so skip loaded-count rows.
-	if err := skipThenPartition(rr, int64(len(loaded)), buildPW); err != nil {
-		buildPW.abandon()
-		return err
-	}
-	buildRuns, err := buildPW.finish()
+	buildRuns, err := split(part.build, g.spec.info.RightKeys, g.spec.rightWidth)
 	if err != nil {
 		return err
 	}
-	probePW, err := newPartitionWriter(g.ctx.Alloc, "HashJoin", g.spec.info.LeftKeys, seed, g.spec.leftWidth)
+	probeRuns, err := split(part.probe, g.spec.info.LeftKeys, g.spec.leftWidth)
 	if err != nil {
 		return err
 	}
-	pr, err := part.probe.Open()
-	if err != nil {
-		probePW.abandon()
-		return err
-	}
-	if err := skipThenPartition(pr, 0, probePW); err != nil {
-		probePW.abandon()
-		return err
-	}
-	probeRuns, err := probePW.finish()
-	if err != nil {
-		return err
-	}
-	part.build.Remove()
-	part.probe.Remove()
-	sub := make([]joinPartition, 0, gracePartitions)
-	for p := 0; p < gracePartitions; p++ {
+	g.removePart(part)
+	sub := make([]joinPartition, 0, spillFanOut)
+	for p := 0; p < spillFanOut; p++ {
 		sub = append(sub, joinPartition{build: buildRuns[p], probe: probeRuns[p], depth: part.depth + 1})
 	}
 	g.parts = append(sub, g.parts...)
 	return nil
-}
-
-// skipThenPartition replays a run reader into a partition writer, skipping
-// the first skip rows.
-func skipThenPartition(rr *memory.RunReader, skip int64, pw *partitionWriter) error {
-	defer rr.Close()
-	var seen int64
-	for {
-		b, err := rr.NextBatch()
-		if err == schema.Done {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		n := b.NumRows()
-		for i := 0; i < n; i++ {
-			if seen < skip {
-				seen++
-				continue
-			}
-			if err := pw.add(b.Row(i)); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 func (g *graceJoinCursor) removePart(part joinPartition) {

@@ -275,14 +275,14 @@ func (s *streamState) addPane(ts int64, row []any) error {
 	k := types.HashRowKey(row, s.sa.GroupKeys)
 	g := s.panes[p][k]
 	if g == nil {
-		charge := AggGroupCharge(s.sa.GroupKeys, s.sa.Calls, row, len(k))
+		charge := aggGroupCharge(s.sa.GroupKeys, s.sa.Calls, row, len(k))
 		if _, err := s.growOrFlush(charge); err != nil {
 			return err
 		}
 		g = s.newPaneGroup(p, k, row)
 		s.paneCharge[p] += charge
 	}
-	if retained := AggRetainedBytes(s.sa.Calls, row); retained > 0 {
+	if retained := aggRetainedBytes(s.sa.Calls, row); retained > 0 {
 		flushed, err := s.growOrFlush(retained)
 		if err != nil {
 			return err
@@ -330,13 +330,13 @@ func (s *streamState) addSession(ts int64, row []any) error {
 	gap := s.sa.Window.GapMs
 	g := s.findSession(k, ts, gap)
 	if g == nil {
-		charge := AggGroupCharge(s.sa.GroupKeys, s.sa.Calls, row, len(k)) + sessionOverhead
+		charge := aggGroupCharge(s.sa.GroupKeys, s.sa.Calls, row, len(k)) + sessionOverhead
 		if _, err := s.growOrFlush(charge); err != nil {
 			return err
 		}
 		g = s.newSession(k, ts, row, charge)
 	}
-	if retained := AggRetainedBytes(s.sa.Calls, row); retained > 0 {
+	if retained := aggRetainedBytes(s.sa.Calls, row); retained > 0 {
 		flushed, err := s.growOrFlush(retained)
 		if err != nil {
 			return err

@@ -12,12 +12,23 @@
 //
 //   - batch-scannable scans become MorselScan (random distribution);
 //   - filters and projections run partition-local, preserving distribution;
-//   - hash joins build partitioned hash tables (right/full joins gather to
-//     a single stream and run serially);
+//   - hash joins drain their build partitions in parallel and probe each
+//     partition against the shared table (right/full joins gather to a
+//     single stream and run serially);
 //   - aggregates split into thread-local partial aggregation, a hash
 //     exchange on the group keys, and a partitioned merge of accumulator
 //     states (rex.MergeAccumulators);
 //   - sorts run per-partition and merge-gather into one ordered stream.
+//
+// # Division of labour with package exec
+//
+// This package moves batches; tables, charging and spill live in exec. The
+// blocking operators here own no group table, build table or sort buffer:
+// HashJoinPar drains into an exec.JoinBuild, PartialAgg and FinalAgg run one
+// exec.GroupedAgg per partition (partial-state modes), SortPar feeds one
+// exec.ExternalSorter per partition — the engines the serial operators use.
+// Memory governance therefore never changes the plan shape: every worker
+// charges the query's allocator through the same spill-capable code.
 //
 // # Batch ownership at exchange boundaries
 //
@@ -43,7 +54,9 @@
 // # Cancellation
 //
 // Pipelines run under a context; the first error cancels it, tearing down
-// every exchange (producers unblock on channel sends via ctx.Done) so no
-// goroutine leaks. Workers are shared per Framework through Pool, which
+// every exchange (producers unblock on channel sends, consumers on receives,
+// via ctx.Done) so no goroutine leaks. A consumer handle closed before its
+// partition was drained cancels the exchange it reads from as well, which is
+// how a failure above a scatter reaches the producers parked below it. Workers are shared per Framework through Pool, which
 // keeps them resident across queries and sheds them after an idle timeout.
 package parallel

@@ -14,13 +14,17 @@ package parallel
 //     (partitioned aggregation/join builds) or round-robin (parallelizing a
 //     serial source).
 //
-// Every exchange is context-driven: the first error (or a Close from the
-// consumer) cancels the exchange context, producers observe it on their next
-// channel operation and unwind, and the error surfaces at the consuming
-// cursor. A failing worker therefore tears the whole pipeline down cleanly.
+// Every exchange is context-driven: the first error (or a Close from a
+// consumer that has not drained its partition) cancels the exchange context,
+// producers and consumers observe it on their next channel operation and
+// unwind, and the error surfaces at the consuming cursor as soon as it is
+// recorded. A failing worker therefore tears the whole pipeline down cleanly,
+// upstream exchanges included: a gather's producer closes the partition it
+// was draining, which cancels the scatter that partition reads from.
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"calcite/internal/schema"
@@ -65,14 +69,26 @@ func (s *exchState) firstErr() error {
 	return s.err
 }
 
-// closeOne releases one consumer handle; the last one cancels the exchange
-// so producers blocked on sends unwind.
-func (s *exchState) closeOne() {
+// errTornDown is what the surviving consumers of an exchange read after a
+// sibling closed its partition undrained without recording an error of its
+// own: their streams are truncated, which must never look like end-of-stream.
+var errTornDown = errors.New("parallel: exchange torn down before its partitions were drained")
+
+// closeOne releases one consumer handle. The last one cancels the exchange so
+// producers blocked on sends unwind — and so does any handle closed before
+// its partition was drained: that consumer failed or was torn down, nobody
+// will read its channel again, and producers parked on it would otherwise
+// starve the surviving partitions forever. The consumer's own error reaches
+// the query through whatever was reading from it (pump records it before it
+// closes the partition); the siblings read errTornDown.
+func (s *exchState) closeOne(drained bool) {
 	s.mu.Lock()
 	s.open--
 	last := s.open <= 0
 	s.mu.Unlock()
-	if last {
+	if !drained {
+		s.fail(errTornDown)
+	} else if last {
 		s.cancel()
 	}
 }
@@ -85,6 +101,23 @@ func send(st *exchState, ch chan<- *schema.Batch, b *schema.Batch) bool {
 	case <-st.ctx.Done():
 		return false
 	}
+}
+
+// recv takes the next batch of one partition channel. ok is false when the
+// partition has ended or the exchange was torn down; err is the exchange's
+// first error, reported as soon as it is recorded rather than after every
+// partition has ended.
+func recv(st *exchState, ch <-chan *schema.Batch) (b *schema.Batch, ok bool, err error) {
+	if st.ctx.Err() == nil {
+		select {
+		case b, ok = <-ch:
+		case <-st.ctx.Done():
+		}
+	}
+	if !ok {
+		err = st.firstErr()
+	}
+	return b, ok, err
 }
 
 // pump is the producer loop shared by the gathering exchanges: it drains
@@ -155,7 +188,11 @@ func (g *gatherCursor) NextBatch() (*schema.Batch, error) {
 			continue
 		}
 		if g.heads[i] == nil {
-			b, ok := <-g.chans[i]
+			b, ok, err := recv(g.st, g.chans[i])
+			if err != nil {
+				g.done = true
+				return nil, err
+			}
 			if !ok {
 				g.live[i] = false
 				continue
@@ -168,9 +205,6 @@ func (g *gatherCursor) NextBatch() (*schema.Batch, error) {
 	}
 	if best < 0 {
 		g.done = true
-		if err := g.st.firstErr(); err != nil {
-			return nil, err
-		}
 		return nil, schema.Done
 	}
 	b := g.heads[best]
@@ -179,10 +213,8 @@ func (g *gatherCursor) NextBatch() (*schema.Batch, error) {
 }
 
 func (g *gatherCursor) Close() error {
-	if !g.done {
-		g.done = true
-	}
-	g.st.closeOne()
+	g.done = true
+	g.st.closeOne(true)
 	return nil
 }
 
@@ -242,14 +274,14 @@ func MergeGather(pool *Pool, parts []schema.BatchCursor, cmp func(a, b []any) in
 }
 
 // next returns the globally smallest pending row, or nil when exhausted.
-func (m *mergeGatherCursor) next() []any {
+func (m *mergeGatherCursor) next() ([]any, error) {
 	best := -1
 	for i := range m.chans {
-		if !m.live[i] {
-			continue
-		}
-		for m.pos[i] >= len(m.rows[i]) {
-			b, ok := <-m.chans[i]
+		for m.live[i] && m.pos[i] >= len(m.rows[i]) {
+			b, ok, err := recv(m.st, m.chans[i])
+			if err != nil {
+				return nil, err
+			}
 			if !ok {
 				m.live[i] = false
 				break
@@ -265,11 +297,11 @@ func (m *mergeGatherCursor) next() []any {
 		}
 	}
 	if best < 0 {
-		return nil
+		return nil, nil
 	}
 	row := m.rows[best][m.pos[best]]
 	m.pos[best]++
-	return row
+	return row, nil
 }
 
 func (m *mergeGatherCursor) NextBatch() (*schema.Batch, error) {
@@ -281,7 +313,11 @@ func (m *mergeGatherCursor) NextBatch() (*schema.Batch, error) {
 		if m.fetch >= 0 && m.emitted >= m.fetch {
 			break
 		}
-		row := m.next()
+		row, err := m.next()
+		if err != nil {
+			m.done = true
+			return nil, err
+		}
 		if row == nil {
 			break
 		}
@@ -294,9 +330,6 @@ func (m *mergeGatherCursor) NextBatch() (*schema.Batch, error) {
 	}
 	if len(out) == 0 {
 		m.done = true
-		if err := m.st.firstErr(); err != nil {
-			return nil, err
-		}
 		return nil, schema.Done
 	}
 	b := schema.BatchFromRows(out, m.width)
@@ -307,7 +340,7 @@ func (m *mergeGatherCursor) NextBatch() (*schema.Batch, error) {
 
 func (m *mergeGatherCursor) Close() error {
 	m.done = true
-	m.st.closeOne()
+	m.st.closeOne(true)
 	return nil
 }
 
@@ -324,10 +357,10 @@ func (c *chanCursor) NextBatch() (*schema.Batch, error) {
 	if c.done {
 		return nil, schema.Done
 	}
-	b, ok := <-c.ch
+	b, ok, err := recv(c.st, c.ch)
 	if !ok {
 		c.done = true
-		if err := c.st.firstErr(); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		return nil, schema.Done
@@ -336,10 +369,8 @@ func (c *chanCursor) NextBatch() (*schema.Batch, error) {
 }
 
 func (c *chanCursor) Close() error {
-	if !c.done {
-		c.done = true
-	}
-	c.st.closeOne()
+	c.st.closeOne(c.done)
+	c.done = true
 	return nil
 }
 
@@ -348,6 +379,16 @@ func (c *chanCursor) Close() error {
 // too, so all NULLs of a key land in one partition like any other group.
 func routeKey(cols [][]any, r int, keys []int) string {
 	return types.HashColsKey(cols, r, keys)
+}
+
+func shardOfKey(key string, p int) int {
+	// FNV-1a inlined over the canonical key encoding.
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(p))
 }
 
 // Scatter repartitions the input partitions into p output partitions.

@@ -16,13 +16,10 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"calcite/internal/exec"
-	"calcite/internal/memory"
 	"calcite/internal/rel"
-	"calcite/internal/rex"
 	"calcite/internal/schema"
 	"calcite/internal/trait"
 	"calcite/internal/types"
@@ -352,12 +349,13 @@ func batchSize(ctx *exec.Context) int {
 
 // --- partitioned hash join ---
 
-// HashJoinPar is the partitioned hash join: the build side is drained in
-// parallel into p hash-table shards (rows routed by key hash), then each
-// probe partition streams against the completed shards, which are read-only
-// during the probe phase. Probe-local emission preserves the probe side's
-// partitioning and batch order, so the join output stays deterministic.
-// Right/full joins need cross-partition unmatched tracking and stay serial.
+// HashJoinPar is the partitioned hash join: the build partitions are drained
+// in parallel into one exec.JoinBuild — the serial join's table, charging and
+// spill logic — then each probe partition streams against the completed
+// table, which is read-only during the probe phase. Probe-local emission
+// preserves the probe side's partitioning and batch order, so the join output
+// stays deterministic. Right/full joins need cross-partition unmatched
+// tracking and stay serial.
 type HashJoinPar struct {
 	*exec.HashJoin
 	pool *Pool
@@ -380,255 +378,54 @@ func (j *HashJoinPar) WithNewInputs(inputs []rel.Node) rel.Node {
 	return NewHashJoinPar(inner, j.pool, j.p)
 }
 
-// buildRow is one build-side row plus its hash key and global input
-// position, which orders candidate lists the way the serial build
-// (sequential drain) would.
-type buildRow struct {
-	row []any
-	key string
-	seq int64
-	idx int
-}
-
-// keyOfCols is the join's match key: the shared canonical encoding, with
-// NULL keys rejected (SQL equi-join: NULL never matches).
-func keyOfCols(cols [][]any, r int, keys []int) (string, bool) {
-	for _, c := range keys {
-		if cols[c][r] == nil {
-			return "", false
-		}
-	}
-	return types.HashColsKey(cols, r, keys), true
-}
-
-func shardOfKey(key string, p int) int {
-	// FNV-1a inlined over the canonical key encoding.
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % uint32(p))
-}
-
+// BindPartitions drains the build side across the pool and returns one probe
+// cursor per probe partition. When the build outgrows its memory grant, the
+// join continues on the serial Grace path over the gathered remainder of both
+// sides (still produced in parallel below the gathers) and yields a single
+// partition.
 func (j *HashJoinPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
-	info := j.Info
-	// Build phase 1: drain the build partitions in parallel, each worker
-	// routing its rows into per-worker shard buckets (no shared writes).
 	buildParts, err := BindPartitions(ctx, j.Right())
 	if err != nil {
 		return nil, err
 	}
-	nb := len(buildParts)
-	locals := make([][][]buildRow, nb)
-	err = j.pool.Run(nil, nb, func(rctx ctxT, w int) error {
-		part := buildParts[w]
-		defer part.Close()
-		shards := make([][]buildRow, j.p)
-		for {
-			if rctx.Err() != nil {
-				return rctx.Err()
-			}
-			b, err := part.NextBatch()
-			if err == schema.Done {
-				break
-			}
+	build := exec.NewJoinBuild(ctx, j.HashJoin, "ParallelHashJoin")
+	exhausted := make([]bool, len(buildParts))
+	err = j.pool.Run(nil, len(buildParts), func(_ ctxT, w int) error {
+		var err error
+		exhausted[w], err = build.Drain(buildParts[w], w)
+		return err
+	})
+	var rest []schema.BatchCursor // Drain closes only the partitions it exhausts
+	for w, part := range buildParts {
+		if !exhausted[w] {
+			rest = append(rest, part)
+		}
+	}
+	if err != nil {
+		closeAll(rest)
+		build.Abandon()
+		return nil, err
+	}
+	if len(rest) > 0 {
+		cur, err := build.Grace(Gather(j.pool, rest), func() (schema.BatchCursor, error) {
+			probeParts, err := BindPartitions(ctx, j.Left())
 			if err != nil {
-				return err
+				return nil, err
 			}
-			n := b.NumRows()
-			for i := 0; i < n; i++ {
-				row := b.Row(i)
-				ok := true
-				for _, c := range info.RightKeys {
-					if row[c] == nil {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				key := types.HashRowKey(row, info.RightKeys)
-				s := shardOfKey(key, j.p)
-				shards[s] = append(shards[s], buildRow{row: row, key: key, seq: b.Seq, idx: i})
-			}
-		}
-		locals[w] = shards
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Build phase 2: one worker per shard merges the per-worker buckets
-	// into that shard's hash table, in global input order so candidate
-	// lists match the serial build exactly.
-	tables := make([]map[string][]buildRow, j.p)
-	err = j.pool.Run(nil, j.p, func(_ ctxT, s int) error {
-		var all []buildRow
-		for w := 0; w < nb; w++ {
-			all = append(all, locals[w][s]...)
-		}
-		sort.Slice(all, func(a, b int) bool {
-			if all[a].seq != all[b].seq {
-				return all[a].seq < all[b].seq
-			}
-			return all[a].idx < all[b].idx
+			return Gather(j.pool, probeParts), nil
 		})
-		m := make(map[string][]buildRow)
-		for _, br := range all {
-			m[br.key] = append(m[br.key], br)
-		}
-		tables[s] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Probe phase: each probe partition streams against the shards.
-	probeParts, err := BindPartitions(ctx, j.Left())
-	if err != nil {
-		return nil, err
-	}
-	leftWidth := rel.FieldCount(j.Left())
-	rightWidth := rel.FieldCount(j.Right())
-	out := make([]schema.BatchCursor, len(probeParts))
-	for i, part := range probeParts {
-		pc := &probeCursor{
-			in:         part,
-			tables:     tables,
-			p:          j.p,
-			kind:       j.Kind,
-			info:       info,
-			leftWidth:  leftWidth,
-			rightWidth: rightWidth,
-			emitRight:  j.Kind != rel.SemiJoin && j.Kind != rel.AntiJoin,
-		}
-		if info.Residual != nil {
-			if fn, err := rex.CompileBool(info.Residual); err == nil {
-				pc.residual = fn
-			} else {
-				ev := ctx.Evaluator
-				cond := info.Residual
-				pc.residual = func(row []any) (bool, error) { return ev.EvalBool(cond, row) }
-			}
-		}
-		out[i] = pc
-	}
-	return out, nil
-}
-
-// probeCursor probes one probe partition against the shared (read-only)
-// build shards, emitting one columnar output batch per probe batch with the
-// probe batch's sequence number — which is what keeps the gathered join
-// output in serial order.
-type probeCursor struct {
-	in         schema.BatchCursor
-	tables     []map[string][]buildRow
-	p          int
-	kind       rel.JoinKind
-	info       exec.JoinInfo
-	leftWidth  int
-	rightWidth int
-	emitRight  bool
-	residual   func(row []any) (bool, error)
-	combined   []any
-	dense      []int32
-}
-
-func (c *probeCursor) NextBatch() (*schema.Batch, error) {
-	for {
-		b, err := c.in.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		outWidth := c.leftWidth
-		if c.emitRight {
-			outWidth += c.rightWidth
-		}
-		cols := b.BoxedCols()
-		outCols := make([][]any, outWidth)
-		nRows := 0
-		emit := func(l int, rrow []any) {
-			for col := 0; col < c.leftWidth; col++ {
-				outCols[col] = append(outCols[col], cols[col][l])
-			}
-			if c.emitRight {
-				for col := 0; col < c.rightWidth; col++ {
-					if rrow == nil {
-						outCols[c.leftWidth+col] = append(outCols[c.leftWidth+col], nil)
-					} else {
-						outCols[c.leftWidth+col] = append(outCols[c.leftWidth+col], rrow[col])
-					}
-				}
-			}
-			nRows++
-		}
-		if c.combined == nil {
-			c.combined = make([]any, c.leftWidth+c.rightWidth)
-		}
-		sel := b.Sel
-		if sel == nil {
-			if cap(c.dense) < b.Len {
-				c.dense = make([]int32, b.Len)
-			}
-			c.dense = c.dense[:b.Len]
-			for i := range c.dense {
-				c.dense[i] = int32(i)
-			}
-			sel = c.dense
-		}
-		for _, li := range sel {
-			l := int(li)
-			var candidates []buildRow
-			if key, ok := keyOfCols(cols, l, c.info.LeftKeys); ok {
-				candidates = c.tables[shardOfKey(key, c.p)][key]
-			}
-			matched := false
-			for _, br := range candidates {
-				if c.residual != nil {
-					for col := 0; col < c.leftWidth; col++ {
-						c.combined[col] = cols[col][l]
-					}
-					copy(c.combined[c.leftWidth:], br.row)
-					ok, err := c.residual(c.combined)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				matched = true
-				if c.kind == rel.SemiJoin || c.kind == rel.AntiJoin {
-					break
-				}
-				emit(l, br.row)
-			}
-			switch c.kind {
-			case rel.SemiJoin:
-				if matched {
-					emit(l, nil)
-				}
-			case rel.AntiJoin:
-				if !matched {
-					emit(l, nil)
-				}
-			case rel.LeftJoin:
-				if !matched {
-					emit(l, nil)
-				}
-			}
-		}
-		if nRows == 0 {
-			continue
-		}
-		return &schema.Batch{Len: nRows, Cols: outCols, Seq: b.Seq}, nil
+		return []schema.BatchCursor{cur}, nil
 	}
+	probeParts, err := BindPartitions(ctx, j.Left())
+	if err != nil {
+		build.Abandon()
+		return nil, err
+	}
+	return build.Probes(probeParts), nil
 }
-
-func (c *probeCursor) Close() error { return c.in.Close() }
 
 // --- partitioned aggregate ---
 
@@ -698,282 +495,39 @@ func (a *PartialAgg) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	return Gather(a.pool, parts), nil
 }
 
-// partialGroup is one thread-local group of the pre-aggregation stage.
-type partialGroup struct {
-	key   []any
-	accs  []rex.Accumulator
-	fsSeq int64
-	fsIdx int64
-}
-
 // BindPartitions runs the pre-aggregation eagerly across the pool (the
-// aggregate is a pipeline breaker) and returns the partial batches, one
-// partition per worker. Under a memory allocator every worker charges its
-// group table against the shared query budget and, when a grant fails,
-// flushes the dehydrated partial states to a spill run; the flushed rows
-// are re-hydrated when the partition is read, and the final stage's
-// MergeAccumulators folds the duplicate groups the flushes introduced.
+// aggregate is a pipeline breaker): one exec.GroupedAgg per worker, each
+// charging its group table against the shared query budget and spilling
+// dehydrated partial states when a grant fails. The final stage's merge folds
+// the duplicate groups the workers (and their flushes) produce.
 func (a *PartialAgg) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
 	parts, err := BindPartitions(ctx, a.inner.Inputs()[0])
 	if err != nil {
 		return nil, err
 	}
-	keys := a.inner.GroupKeys
-	calls := a.inner.Calls
-	width := len(keys) + len(calls) + 2
+	return eachPartition(a.pool, parts, func(rctx ctxT, part schema.BatchCursor) (schema.BatchCursor, error) {
+		agg := exec.NewGroupedAgg(ctx, "ParallelPartialAggregate", a.inner, exec.AggPartial)
+		return agg.Drain(part, rctx.Err)
+	})
+}
+
+// eachPartition runs fn over every partition on the pool — the eager half of
+// a pipeline-breaking operator — and returns the per-partition outputs. fn
+// owns its input partition; if any worker fails, the outputs already produced
+// are closed.
+func eachPartition(pool *Pool, parts []schema.BatchCursor,
+	fn func(rctx ctxT, part schema.BatchCursor) (schema.BatchCursor, error)) ([]schema.BatchCursor, error) {
 	results := make([]schema.BatchCursor, len(parts))
-	err = a.pool.Run(nil, len(parts), func(rctx ctxT, w int) error {
-		part := parts[w]
-		defer part.Close()
-		res := memory.Reserve(ctx.Alloc, "ParallelPartialAggregate")
-		var spillW *memory.RunWriter
-		groups := map[string]*partialGroup{}
-		var order []*partialGroup
-		// flush dehydrates every group into the worker's spill run and
-		// resets the table (duplicate groups across flushes are merged by
-		// the final stage).
-		flush := func() error {
-			if spillW == nil {
-				sw, err := ctx.Alloc.NewRun("ParallelPartialAggregate")
-				if err != nil {
-					return err
-				}
-				spillW = sw
-				res.NoteSpillEvent()
-			}
-			buf := make([][]any, 0, spillFlushChunk)
-			for _, g := range order {
-				row := make([]any, 0, width)
-				row = append(row, g.key...)
-				for _, acc := range g.accs {
-					st, err := rex.DehydrateAccumulator(acc)
-					if err != nil {
-						return err
-					}
-					row = append(row, st)
-				}
-				row = append(row, g.fsSeq, g.fsIdx)
-				buf = append(buf, row)
-				if len(buf) >= spillFlushChunk {
-					if err := spillW.WriteRows(buf, width); err != nil {
-						return err
-					}
-					buf = buf[:0]
-				}
-			}
-			if err := spillW.WriteRows(buf, width); err != nil {
-				return err
-			}
-			groups = map[string]*partialGroup{}
-			order = order[:0]
-			res.Shrink(res.Held())
-			return nil
-		}
-		scratch := []any(nil)
-		for {
-			if rctx.Err() != nil {
-				res.Free()
-				return rctx.Err()
-			}
-			b, err := part.NextBatch()
-			if err == schema.Done {
-				break
-			}
-			if err != nil {
-				res.Free()
-				return err
-			}
-			n := b.NumRows()
-			if scratch == nil {
-				scratch = make([]any, b.Width())
-			}
-			cols := b.BoxedCols()
-			for i := 0; i < n; i++ {
-				r := i
-				if b.Sel != nil {
-					r = int(b.Sel[i])
-				}
-				for c := range scratch {
-					scratch[c] = cols[c][r]
-				}
-				k := types.HashRowKey(scratch, keys)
-				newGroup := func() *partialGroup {
-					key := make([]any, len(keys))
-					for ki, gk := range keys {
-						key[ki] = scratch[gk]
-					}
-					accs := make([]rex.Accumulator, len(calls))
-					for ci, call := range calls {
-						accs[ci] = rex.NewAccumulator(call)
-					}
-					g := &partialGroup{key: key, accs: accs, fsSeq: b.Seq, fsIdx: int64(i)}
-					groups[k] = g
-					order = append(order, g)
-					return g
-				}
-				g, ok := groups[k]
-				if !ok {
-					charge := exec.AggGroupCharge(keys, calls, scratch, len(k))
-					if err := res.Grow(charge); err != nil {
-						if !res.SpillAllowed() {
-							res.Free()
-							return err
-						}
-						if len(order) > 0 {
-							if err := flush(); err != nil {
-								res.Free()
-								return err
-							}
-						}
-						// Post-flush best effort: siblings may hold the rest
-						// of the budget; proceed untracked rather than starve.
-						_ = res.Grow(charge)
-					}
-					g = newGroup()
-				}
-				if retained := exec.AggRetainedBytes(calls, scratch); retained > 0 {
-					if err := res.Grow(retained); err != nil {
-						if !res.SpillAllowed() {
-							res.Free()
-							return err
-						}
-						// Flush-then-proceed, exactly like the serial
-						// spillable aggregate: the flush moves every group's
-						// retained values to disk (accumulators restart
-						// empty), so memory genuinely drops even when no new
-						// group will ever be created again (e.g. a global
-						// COLLECT). Never ignore the failure — that is
-						// unbounded untracked growth.
-						if err := flush(); err != nil {
-							res.Free()
-							return err
-						}
-						g = newGroup()
-						_ = res.Grow(retained) // post-flush best effort
-					}
-				}
-				for _, acc := range g.accs {
-					if err := acc.Add(scratch); err != nil {
-						res.Free()
-						return err
-					}
-				}
-			}
-		}
-		// A global aggregate emits its single group even over empty input,
-		// mirroring the serial engine.
-		if len(keys) == 0 && len(order) == 0 && spillW == nil {
-			accs := make([]rex.Accumulator, len(calls))
-			for ci, call := range calls {
-				accs[ci] = rex.NewAccumulator(call)
-			}
-			order = append(order, &partialGroup{accs: accs})
-		}
-		if spillW != nil {
-			// Spill the tail too and serve the whole partition from disk.
-			if err := flush(); err != nil {
-				res.Free()
-				spillW.Abandon()
-				return err
-			}
-			run, err := spillW.Finish()
-			if err != nil {
-				res.Free()
-				return err
-			}
-			res.Free()
-			rr, err := run.Open()
-			if err != nil {
-				run.Remove()
-				return err
-			}
-			results[w] = &hydratingCursor{rr: rr, run: run, calls: calls, nKeys: len(keys)}
-			return nil
-		}
-		rows := make([][]any, len(order))
-		for gi, g := range order {
-			row := make([]any, 0, width)
-			row = append(row, g.key...)
-			for _, acc := range g.accs {
-				row = append(row, acc)
-			}
-			row = append(row, g.fsSeq, g.fsIdx)
-			rows[gi] = row
-		}
-		b := schema.BatchFromRows(rows, width)
-		b.Seq = int64(w)
-		results[w] = &reservedSliceCursor{
-			SliceBatchCursor: schema.NewSliceBatchCursor([]*schema.Batch{b}),
-			res:              res,
-		}
-		return nil
+	err := pool.Run(nil, len(parts), func(rctx ctxT, w int) error {
+		var err error
+		results[w], err = fn(rctx, parts[w])
+		return err
 	})
 	if err != nil {
-		for _, bc := range results {
-			if bc != nil {
-				bc.Close()
-			}
-		}
+		closeAll(results)
 		return nil, err
 	}
 	return results, nil
-}
-
-// spillFlushChunk is how many dehydrated rows a flush encodes per batch.
-const spillFlushChunk = 512
-
-// reservedSliceCursor frees its reservation when the partial batch has been
-// handed off.
-type reservedSliceCursor struct {
-	*schema.SliceBatchCursor
-	res *memory.Reservation
-}
-
-func (c *reservedSliceCursor) Close() error {
-	c.res.Free()
-	return c.SliceBatchCursor.Close()
-}
-
-// hydratingCursor replays a spilled partial-aggregation run, rebuilding the
-// accumulator objects of each row so downstream stages see exactly what an
-// in-memory partial batch would have carried.
-type hydratingCursor struct {
-	rr    *memory.RunReader
-	run   *memory.Run
-	calls []rex.AggCall
-	nKeys int
-	seq   int64
-}
-
-func (c *hydratingCursor) NextBatch() (*schema.Batch, error) {
-	b, err := c.rr.NextBatch()
-	if err != nil {
-		return nil, err
-	}
-	// The spill codec may hand back vector-backed batches; hydration mutates
-	// the accumulator columns in place, so pin the boxed representation and
-	// drop the vectors to keep the two in sync.
-	b.BoxedCols()
-	b.Vecs = nil
-	for ci, call := range c.calls {
-		col := b.Cols[c.nKeys+ci]
-		for i, st := range col {
-			acc, err := rex.HydrateAccumulator(call, st)
-			if err != nil {
-				return nil, err
-			}
-			col[i] = acc
-		}
-	}
-	b.Seq = c.seq
-	c.seq++
-	return b, nil
-}
-
-func (c *hydratingCursor) Close() error {
-	err := c.rr.Close()
-	c.run.Remove()
-	return err
 }
 
 // FinalAgg merges partial rows into final groups. With group keys it is
@@ -1034,105 +588,8 @@ func (a *FinalAgg) Bind(ctx *exec.Context) (schema.Cursor, error) {
 	return schema.RowCursorFromBatches(bc), nil
 }
 
-// mergeRows folds partial rows (keys…, accumulators…, first-seen) into
-// final groups, preserving the smallest first-seen position per group.
-type finalGroup struct {
-	key   []any
-	accs  []rex.Accumulator
-	fsSeq int64
-	fsIdx int64
-}
-
-func (a *FinalAgg) mergeRows(in schema.BatchCursor, rctx ctxT, res *memory.Reservation) ([]*finalGroup, error) {
-	nKeys := len(a.inner.GroupKeys)
-	nCalls := len(a.inner.Calls)
-	keyOrds := make([]int, nKeys)
-	for i := range keyOrds {
-		keyOrds[i] = i
-	}
-	groups := map[string]*finalGroup{}
-	var order []*finalGroup
-	for {
-		if rctx != nil && rctx.Err() != nil {
-			return nil, rctx.Err()
-		}
-		b, err := in.NextBatch()
-		if err == schema.Done {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		n := b.NumRows()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			fsSeq, _ := row[nKeys+nCalls].(int64)
-			fsIdx, _ := row[nKeys+nCalls+1].(int64)
-			k := types.HashRowKey(row, keyOrds)
-			g, ok := groups[k]
-			if !ok {
-				// The merged group set is the post-aggregation result of this
-				// key range — orders of magnitude below the input. It is
-				// charged but not spillable: a budget too small for the
-				// result itself fails here with a clean error.
-				if err := res.Grow(int64(96+len(k)) + types.SizeOfRow(row)); err != nil {
-					return nil, err
-				}
-				g = &finalGroup{
-					key:   row[:nKeys],
-					accs:  make([]rex.Accumulator, nCalls),
-					fsSeq: fsSeq,
-					fsIdx: fsIdx,
-				}
-				for ci := range g.accs {
-					g.accs[ci] = row[nKeys+ci].(rex.Accumulator)
-				}
-				groups[k] = g
-				order = append(order, g)
-				continue
-			}
-			for ci := range g.accs {
-				src := row[nKeys+ci].(rex.Accumulator)
-				if err := rex.MergeAccumulators(g.accs[ci], src); err != nil {
-					return nil, err
-				}
-			}
-			if fsSeq < g.fsSeq || (fsSeq == g.fsSeq && fsIdx < g.fsIdx) {
-				g.fsSeq, g.fsIdx = fsSeq, fsIdx
-			}
-		}
-	}
-	return order, nil
-}
-
-// emitGroups sorts merged groups into first-seen (serial) order and
-// materializes the result rows, optionally keeping the hidden first-seen
-// columns for an upstream merge-gather.
-func (a *FinalAgg) emitGroups(order []*finalGroup, hidden bool) *schema.Batch {
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].fsSeq != order[j].fsSeq {
-			return order[i].fsSeq < order[j].fsSeq
-		}
-		return order[i].fsIdx < order[j].fsIdx
-	})
-	nKeys := len(a.inner.GroupKeys)
-	width := len(a.inner.RowType().Fields)
-	if hidden {
-		width += 2
-	}
-	rows := make([][]any, len(order))
-	for i, g := range order {
-		row := make([]any, 0, width)
-		row = append(row, g.key[:nKeys]...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		if hidden {
-			row = append(row, g.fsSeq, g.fsIdx)
-		}
-		rows[i] = row
-	}
-	return schema.BatchFromRows(rows, width)
+func (a *FinalAgg) engine(ctx *exec.Context) *exec.GroupedAgg {
+	return exec.NewGroupedAgg(ctx, "ParallelFinalAggregate", a.inner, exec.AggFinal)
 }
 
 // BindBatch is the singleton path: merge every partial row of the gathered
@@ -1143,16 +600,7 @@ func (a *FinalAgg) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer in.Close()
-	res := memory.Reserve(ctx.Alloc, "ParallelFinalAggregate")
-	order, err := a.mergeRows(in, nil, res)
-	if err != nil {
-		res.Free()
-		return nil, err
-	}
-	out := a.emitGroups(order, !a.global())
-	res.Free()
-	return schema.NewSliceBatchCursor([]*schema.Batch{out}), nil
+	return a.engine(ctx).Drain(in, nil)
 }
 
 // BindPartitions merges each hash-exchanged partition independently.
@@ -1170,7 +618,7 @@ func (a *FinalAgg) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, erro
 	}
 	out := make([]schema.BatchCursor, len(parts))
 	for i, part := range parts {
-		out[i] = &finalAggCursor{agg: a, in: part, alloc: ctx.Alloc}
+		out[i] = &finalAggCursor{agg: a.engine(ctx), in: part}
 	}
 	return out, nil
 }
@@ -1178,35 +626,36 @@ func (a *FinalAgg) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, erro
 // finalAggCursor lazily merges one partition's partials when first pulled,
 // so the merge work runs on whichever worker drives this partition.
 type finalAggCursor struct {
-	agg   *FinalAgg
-	in    schema.BatchCursor
-	alloc *memory.Allocator
-	out   *schema.Batch
-	done  bool
+	agg *exec.GroupedAgg
+	in  schema.BatchCursor // nil once drained into out
+	out schema.BatchCursor
 }
 
 func (c *finalAggCursor) NextBatch() (*schema.Batch, error) {
-	if c.done {
-		return nil, schema.Done
-	}
-	if c.out == nil {
-		res := memory.Reserve(c.alloc, "ParallelFinalAggregate")
-		order, err := c.agg.mergeRows(c.in, nil, res)
+	if c.in != nil {
+		in := c.in
+		c.in = nil
+		out, err := c.agg.Drain(in, nil)
 		if err != nil {
-			res.Free()
 			return nil, err
 		}
-		c.out = c.agg.emitGroups(order, true)
-		res.Free()
+		c.out = out
 	}
-	c.done = true
-	if c.out.Len == 0 {
+	if c.out == nil {
 		return nil, schema.Done
 	}
-	return c.out, nil
+	return c.out.NextBatch()
 }
 
-func (c *finalAggCursor) Close() error { return c.in.Close() }
+func (c *finalAggCursor) Close() error {
+	if c.in != nil {
+		return c.in.Close()
+	}
+	if c.out != nil {
+		return c.out.Close()
+	}
+	return nil
+}
 
 // --- partitioned sort ---
 
@@ -1285,11 +734,11 @@ func (s *SortPar) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 }
 
 // BindPartitions sorts every partition eagerly across the pool (sort is a
-// pipeline breaker) and returns the sorted runs. Under a memory allocator
-// each worker runs an external merge sort: its rows accumulate against the
-// shared query budget and overflow to sorted on-disk runs that the returned
-// cursor k-way-merges back (the per-worker half of the parallel external
-// sort; the merge-gather above combines the workers).
+// pipeline breaker) and returns the sorted runs. Each worker feeds an
+// exec.ExternalSorter: its rows accumulate against the shared query budget and
+// overflow to sorted on-disk runs that the returned cursor k-way-merges back
+// (the per-worker half of the parallel external sort; the merge-gather above
+// combines the workers).
 func (s *SortPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
 	parts, err := BindPartitions(ctx, s.inner.Inputs()[0])
 	if err != nil {
@@ -1297,6 +746,7 @@ func (s *SortPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error
 	}
 	coll := s.inner.Collation
 	width := len(s.RowType().Fields)
+	// Rows beyond OFFSET+FETCH can never be emitted by the merge.
 	keep := int64(-1)
 	if s.inner.Fetch >= 0 {
 		keep = s.inner.Offset + s.inner.Fetch
@@ -1322,77 +772,29 @@ func (s *SortPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error
 		}
 		return 0
 	}
-	results := make([]schema.BatchCursor, len(parts))
-	err = s.pool.Run(nil, len(parts), func(rctx ctxT, w int) error {
-		part := parts[w]
+	return eachPartition(s.pool, parts, func(rctx ctxT, part schema.BatchCursor) (schema.BatchCursor, error) {
 		defer part.Close()
-		if ctx.Alloc != nil {
-			sorter := exec.NewExternalSorter(ctx, "ParallelSort", cmp, width)
-			for {
-				if rctx.Err() != nil {
-					sorter.Abandon()
-					return rctx.Err()
-				}
-				b, err := part.NextBatch()
-				if err == schema.Done {
-					break
-				}
-				if err != nil {
-					sorter.Abandon()
-					return err
-				}
-				n := b.NumRows()
-				for i := 0; i < n; i++ {
-					row := b.Row(i)
-					row = append(row, b.Seq, int64(i))
-					if err := sorter.Add(row); err != nil {
-						return err
-					}
-				}
-			}
-			bc, err := sorter.Finish(0, keep, batchSize(ctx))
-			if err != nil {
-				return err
-			}
-			results[w] = bc
-			return nil
-		}
-		var rows [][]any
+		sorter := exec.NewExternalSorter(ctx, "ParallelSort", cmp, width)
+		sorter.Total = true
 		for {
-			if rctx.Err() != nil {
-				return rctx.Err()
+			if err := rctx.Err(); err != nil {
+				sorter.Abandon()
+				return nil, err
 			}
 			b, err := part.NextBatch()
 			if err == schema.Done {
-				break
+				return sorter.Finish(0, keep, batchSize(ctx))
 			}
 			if err != nil {
-				return err
+				sorter.Abandon()
+				return nil, err
 			}
 			n := b.NumRows()
 			for i := 0; i < n; i++ {
-				row := b.Row(i)
-				row = append(row, b.Seq, int64(i))
-				rows = append(rows, row)
+				if err := sorter.Add(append(b.Row(i), b.Seq, int64(i))); err != nil {
+					return nil, err
+				}
 			}
 		}
-		sort.Slice(rows, func(a, b int) bool { return cmp(rows[a], rows[b]) < 0 })
-		// Rows beyond OFFSET+FETCH can never be emitted by the merge.
-		if keep >= 0 && int64(len(rows)) > keep {
-			rows = rows[:keep]
-		}
-		b := schema.BatchFromRows(rows, width)
-		b.Seq = int64(w)
-		results[w] = schema.NewSliceBatchCursor([]*schema.Batch{b})
-		return nil
 	})
-	if err != nil {
-		for _, bc := range results {
-			if bc != nil {
-				bc.Close()
-			}
-		}
-		return nil, err
-	}
-	return results, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"calcite/internal/exec"
 	"calcite/internal/rel"
@@ -182,6 +183,84 @@ func TestGatherPropagatesWorkerError(t *testing.T) {
 	}
 	if err != boom {
 		t.Fatalf("gather error = %v, want %v", err, boom)
+	}
+}
+
+// failAfterCursor passes n batches of in through, then fails.
+type failAfterCursor struct {
+	in  schema.BatchCursor
+	n   int
+	err error
+}
+
+func (c *failAfterCursor) NextBatch() (*schema.Batch, error) {
+	if c.n == 0 {
+		return nil, c.err
+	}
+	c.n--
+	return c.in.NextBatch()
+}
+
+func (c *failAfterCursor) Close() error { return c.in.Close() }
+
+// TestFailingGatherPartitionCancelsScatter: when one partition between a
+// scatter and a gather dies, the gather's producer closes it undrained. That
+// must cancel the scatter — its senders would otherwise park forever on the
+// dead partition's channel and starve the surviving partitions — and the
+// gather must report the failure without waiting for the other partitions.
+func TestFailingGatherPartitionCancelsScatter(t *testing.T) {
+	boom := errors.New("partition failed")
+	for _, merge := range []bool{false, true} {
+		parts := Scatter([]schema.BatchCursor{schema.NewSliceBatchCursor(seqBatches(400))}, 4, []int{0})
+		parts[2] = &failAfterCursor{in: parts[2], n: 1, err: boom}
+		var g schema.BatchCursor
+		if merge {
+			cmp := func(a, b []any) int { return types.Compare(a[0], b[0]) }
+			g = MergeGather(NewPool(4), parts, cmp, 0, -1, 0, 1, 16)
+		} else {
+			g = Gather(NewPool(4), parts)
+		}
+		done := make(chan error, 1)
+		go func() {
+			for {
+				if _, err := g.NextBatch(); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		select {
+		case err := <-done:
+			if err != boom {
+				t.Fatalf("merge=%v: gather error = %v, want %v", merge, err, boom)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("merge=%v: gather over a dead partition never returned", merge)
+		}
+		g.Close()
+	}
+}
+
+// TestEarlyClosedScatterPartitionIsNotEndOfStream: a scatter consumer that
+// closes undrained without an error of its own tears the exchange down; its
+// siblings' truncated streams must end in an error, never in Done.
+func TestEarlyClosedScatterPartitionIsNotEndOfStream(t *testing.T) {
+	parts := Scatter([]schema.BatchCursor{schema.NewSliceBatchCursor(seqBatches(400))}, 4, []int{0})
+	if _, err := parts[1].NextBatch(); err != nil {
+		t.Fatal(err)
+	}
+	parts[1].Close()
+	for {
+		_, err := parts[0].NextBatch()
+		if err == schema.Done {
+			t.Fatal("truncated sibling partition reported end-of-stream")
+		}
+		if err != nil {
+			break
+		}
+	}
+	for _, i := range []int{0, 2, 3} {
+		parts[i].Close()
 	}
 }
 
@@ -417,13 +496,25 @@ func TestParallelBareFilterMatchesSerial(t *testing.T) {
 	checkAgainstSerial(t, filter)
 }
 
+// joinConds are the condition shapes the parallel join shares with the serial
+// one: a single equi-key, a composite key, and an equi-key with a residual.
+func joinConds() []rex.Node {
+	key := rex.Eq(rex.NewInputRef(1, types.BigInt), rex.NewInputRef(2, types.BigInt))
+	return []rex.Node{
+		key,
+		rex.And(rex.Eq(rex.NewInputRef(0, types.BigInt), rex.NewInputRef(2, types.BigInt)),
+			rex.Eq(rex.NewInputRef(1, types.BigInt), rex.NewInputRef(3, types.BigInt))),
+		rex.And(key, rex.NewCall(rex.OpLess, rex.NewInputRef(0, types.BigInt), rex.NewInputRef(3, types.BigInt))),
+	}
+}
+
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	for _, kind := range []rel.JoinKind{rel.InnerJoin, rel.LeftJoin, rel.SemiJoin, rel.AntiJoin} {
-		l := memScan(t, "l", 2000)
-		r := memScan(t, "r", 300)
-		cond := rex.Eq(rex.NewInputRef(1, types.BigInt), rex.NewInputRef(2, types.BigInt))
-		join := exec.NewHashJoin(kind, l, r, cond)
-		checkAgainstSerial(t, join)
+		for _, cond := range joinConds() {
+			l := memScan(t, "l", 2000)
+			r := memScan(t, "r", 300)
+			checkAgainstSerial(t, exec.NewHashJoin(kind, l, r, cond))
+		}
 	}
 }
 

@@ -25,6 +25,12 @@ package parallel
 // Volcano search: plans stay backend-agnostic until the host system decides
 // how many workers to spend, which is the paper's "execution left to the
 // host" stance applied to parallelism.
+//
+// Division of labour: parallel moves batches; tables, charging and spill live
+// in exec. The blocking operators placed here (HashJoinPar, PartialAgg,
+// FinalAgg, SortPar) only schedule exec's JoinBuild, GroupedAgg and
+// ExternalSorter across partitions, so a memory-governed plan has the same
+// shape as an ungoverned one.
 
 import (
 	"calcite/internal/exec"
@@ -33,30 +39,14 @@ import (
 	"calcite/internal/trait"
 )
 
-// Options configures the parallel rewrite.
-type Options struct {
-	// SerialJoins keeps hash joins on the serial engine (partitioned inputs
-	// gather in front of them). The memory-governed execution mode sets it:
-	// the serial hash join is the spill-capable (Grace) one, and a
-	// memory-bounded join wants one partition in memory at a time rather
-	// than p shard tables at once. The subtrees below the join still run
-	// parallel, each worker charging the shared query budget.
-	SerialJoins bool
-}
-
 // Parallelize rewrites an optimized physical plan for execution across p
 // workers sharing pool. p <= 1 returns the plan unchanged. The returned root
 // always produces a single (singleton-distribution) stream.
 func Parallelize(root rel.Node, pool *Pool, p int) rel.Node {
-	return ParallelizeWith(root, pool, p, Options{})
-}
-
-// ParallelizeWith is Parallelize with explicit options.
-func ParallelizeWith(root rel.Node, pool *Pool, p int, opts Options) rel.Node {
 	if p <= 1 || pool == nil {
 		return root
 	}
-	r := &rewriter{pool: pool, p: p, opts: opts}
+	r := &rewriter{pool: pool, p: p}
 	n, dist := r.rewrite(root)
 	if dist.Partitioned() {
 		n = NewGatherExchange(n, pool, p)
@@ -67,7 +57,6 @@ func ParallelizeWith(root rel.Node, pool *Pool, p int, opts Options) rel.Node {
 type rewriter struct {
 	pool *Pool
 	p    int
-	opts Options
 }
 
 // singleton wraps n with a gather exchange when it is partitioned.
@@ -112,9 +101,8 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 	case *exec.HashJoin:
 		probe, pd := r.rewrite(x.Left())
 		build, bd := r.rewrite(x.Right())
-		parallelizable := !r.opts.SerialJoins &&
-			(x.Kind == rel.InnerJoin || x.Kind == rel.LeftJoin ||
-				x.Kind == rel.SemiJoin || x.Kind == rel.AntiJoin)
+		parallelizable := x.Kind == rel.InnerJoin || x.Kind == rel.LeftJoin ||
+			x.Kind == rel.SemiJoin || x.Kind == rel.AntiJoin
 		if !parallelizable {
 			return x.WithNewInputs([]rel.Node{
 				r.singleton(probe, pd), r.singleton(build, bd),

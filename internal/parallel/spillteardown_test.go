@@ -8,11 +8,16 @@ package parallel
 import (
 	"errors"
 	"os"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"calcite/internal/exec"
 	"calcite/internal/memory"
 	"calcite/internal/rel"
+	"calcite/internal/rex"
 	"calcite/internal/schema"
 	"calcite/internal/trait"
 	"calcite/internal/types"
@@ -130,6 +135,115 @@ func TestSpillParallelSortMatchesSerial(t *testing.T) {
 			t.Fatalf("p=%d: parallel sort under a 24KiB budget did not spill", p)
 		}
 		alloc.Close()
+	}
+}
+
+// TestSpillParallelJoinAndAggregateMatchSerial: the governed parallel hash
+// join (parallel build, Grace continuation on a denied grant) and aggregate
+// (per-worker spillable engines) return the serial rows — as multisets, since
+// spilled output is emitted partition by partition — for every parallel join
+// kind and condition shape.
+func TestSpillParallelJoinAndAggregateMatchSerial(t *testing.T) {
+	plans := []rel.Node{
+		exec.NewAggregate(memScan(t, "t", 6000), []int{0}, []rex.AggCall{
+			rex.NewAggCall(rex.AggCount, nil, false, "c"),
+			rex.NewAggCall(rex.AggSum, []int{1}, false, "s"),
+			rex.NewAggCall(rex.AggCount, []int{1}, true, "cd"),
+		}),
+	}
+	for _, kind := range []rel.JoinKind{rel.InnerJoin, rel.LeftJoin, rel.SemiJoin, rel.AntiJoin} {
+		for _, cond := range joinConds() {
+			plans = append(plans, exec.NewHashJoin(kind, memScan(t, "l", 3000), memScan(t, "r", 3000), cond))
+		}
+	}
+	for _, plan := range plans {
+		want := renderRows(runPlan(t, plan))
+		sort.Strings(want)
+		alloc := memory.NewAllocator(memory.NewPool(48<<10), 0, true)
+		ctx := exec.NewContext()
+		ctx.Alloc = alloc
+		rows, err := exec.Execute(ctx, Parallelize(plan, NewPool(4), 4))
+		if err != nil {
+			t.Fatalf("%v\n%s", err, rel.Explain(plan))
+		}
+		got := renderRows(rows)
+		sort.Strings(got)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("governed parallel rows differ from serial (%d vs %d rows)\n%s", len(got), len(want), rel.Explain(plan))
+		}
+		if alloc.Spilled() == 0 {
+			t.Fatalf("a 48KiB budget did not spill\n%s", rel.Explain(plan))
+		}
+		alloc.Close()
+	}
+}
+
+// TestGovernedParallelAggregateTeardown is the plan-level regression test for
+// the governed parallel aggregate that used to hang: 20 000 groups under a
+// 300 KiB budget at 4 workers. With spilling enabled every stage (partial
+// workers, hash exchange, final merge) must complete; with spilling disabled
+// the budget error must surface at the root. Either way the query returns
+// within the deadline, and afterwards no goroutine and no spill file is left
+// behind. (TestFailingGatherPartitionCancelsScatter pins the exchange
+// mechanism itself.)
+func TestGovernedParallelAggregateTeardown(t *testing.T) {
+	rows := make([][]any, 20000)
+	for i := range rows {
+		rows[i] = []any{int64(i), "group-key-" + strings.Repeat("x", i%7)}
+	}
+	tbl := schema.NewMemTable("t", types.Row(
+		types.Field{Name: "id", Type: types.BigInt},
+		types.Field{Name: "pad", Type: types.Varchar},
+	), rows)
+	agg := exec.NewAggregate(exec.NewScan(tbl, []string{"t"}), []int{0}, []rex.AggCall{
+		rex.NewAggCall(rex.AggCount, nil, false, "c"),
+		rex.NewAggCall(rex.AggMin, []int{1}, false, "m"),
+	})
+	baseline := runtime.NumGoroutine()
+	for _, spill := range []bool{false, true} {
+		pool := NewPool(4)
+		alloc := memory.NewAllocator(memory.NewPool(300<<10), 0, spill)
+		ctx := exec.NewContext()
+		ctx.Alloc = alloc
+		type outcome struct {
+			rows [][]any
+			err  error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			rows, err := exec.Execute(ctx, Parallelize(agg, pool, 4))
+			done <- outcome{rows, err}
+		}()
+		var out outcome
+		select {
+		case out = <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("spill=%v: governed parallel aggregate did not return", spill)
+		}
+		switch {
+		case spill && (out.err != nil || len(out.rows) != len(rows)):
+			t.Fatalf("spill enabled: %d rows, err %v; want %d rows", len(out.rows), out.err, len(rows))
+		case !spill && !errors.Is(out.err, memory.ErrBudgetExceeded):
+			t.Fatalf("spill disabled: err = %v, want the budget error", out.err)
+		}
+		dir := alloc.SpillDir()
+		if err := alloc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if dir != "" {
+			if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+				t.Fatalf("spill=%v: spill dir %s survived teardown", spill, dir)
+			}
+		}
+	}
+	// Producers unwind asynchronously once their exchange is cancelled, and
+	// resident pool workers linger for poolIdleTimeout.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines alive after teardown, baseline %d", n, baseline)
 	}
 }
 

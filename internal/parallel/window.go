@@ -92,26 +92,11 @@ func (w *WindowPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, err
 	if err != nil {
 		return nil, err
 	}
-	results := make([]schema.BatchCursor, len(parts))
-	err = w.pool.Run(nil, len(parts), func(rctx ctxT, i int) error {
-		if rctx.Err() != nil {
-			parts[i].Close()
-			return rctx.Err()
+	return eachPartition(w.pool, parts, func(rctx ctxT, part schema.BatchCursor) (schema.BatchCursor, error) {
+		if err := rctx.Err(); err != nil {
+			part.Close()
+			return nil, err
 		}
-		bc, err := w.inner.BindOverPartition(ctx, parts[i])
-		if err != nil {
-			return err
-		}
-		results[i] = bc
-		return nil
+		return w.inner.BindOverPartition(ctx, part)
 	})
-	if err != nil {
-		for _, bc := range results {
-			if bc != nil {
-				bc.Close()
-			}
-		}
-		return nil, err
-	}
-	return results, nil
 }

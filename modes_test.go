@@ -55,6 +55,19 @@ func diffConn() *calcite.Connection {
 		{Name: "productId", Type: calcite.BigIntType},
 		{Name: "name", Type: calcite.VarcharType},
 	}, products)
+	// events: near-unique string tags (one group per row, almost), a DOUBLE
+	// column of integral values (folds onto BIGINT join/group keys) and a
+	// low-cardinality group column.
+	events := make([][]any, 2000)
+	for i := range events {
+		events[i] = []any{int64(i), fmt.Sprintf("t-%04d", i%1900), float64(i % 50), int64(i % 7)}
+	}
+	conn.AddTable("events", calcite.Columns{
+		{Name: "id", Type: calcite.BigIntType},
+		{Name: "tag", Type: calcite.VarcharType},
+		{Name: "fkey", Type: calcite.DoubleType},
+		{Name: "grp", Type: calcite.BigIntType},
+	}, events)
 	return conn
 }
 
@@ -65,6 +78,11 @@ func diffConn() *calcite.Connection {
 var diffQueries = []struct {
 	sql    string
 	params []any
+	// spillUnordered marks an input whose aggregate state can exceed the CI
+	// low-memory budget (whether it does depends on how the workers' grants
+	// interleave): a spilled aggregate emits partition by partition, so the
+	// order-exact parallel suites compare it as a multiset when it spilled.
+	spillUnordered bool
 }{
 	{sql: "SELECT * FROM emps"},
 	{sql: "SELECT name FROM emps WHERE empid = 1"},
@@ -91,6 +109,20 @@ var diffQueries = []struct {
 	{sql: "SELECT productId, COUNT(*) OVER (PARTITION BY productId ORDER BY productId ROWS 10 PRECEDING) AS c FROM sales WHERE productId < 5"},
 	{sql: "SELECT productId, COUNT(discount) OVER (PARTITION BY productId ORDER BY discount DESC ROWS BETWEEN 3 PRECEDING AND 1 PRECEDING) AS c FROM sales WHERE productId < 6"},
 	{sql: "SELECT productId, ROW_NUMBER() OVER (PARTITION BY productId ORDER BY discount DESC) AS rn, LAG(discount) OVER (PARTITION BY productId ORDER BY discount DESC) AS lg FROM sales WHERE productId < 4"},
+	// Blocking operators at scale — the inputs the one-engine-per-operator
+	// kernels must agree on across row/batch, serial/parallel (group and join
+	// output order included) and unlimited/spilling: near one group per row,
+	// value-retaining aggregates (every COLLECT element of a group is equal,
+	// so the multiset order caveat does not apply), a global aggregate over
+	// empty input, composite and int/float-folding join keys, and an outer
+	// join with a residual.
+	{sql: "SELECT tag, SUM(id), COUNT(*) FROM events GROUP BY tag", spillUnordered: true},
+	{sql: "SELECT grp, COUNT(DISTINCT fkey), COUNT(DISTINCT tag) FROM events GROUP BY grp", spillUnordered: true},
+	{sql: "SELECT productId, COLLECT(productId) FROM sales GROUP BY productId", spillUnordered: true},
+	{sql: "SELECT COUNT(*), SUM(id), MIN(tag), COUNT(DISTINCT grp) FROM events WHERE id < 0"},
+	{sql: "SELECT a.id, b.id FROM events a JOIN events b ON a.grp = b.grp AND a.fkey = b.fkey WHERE a.id < 40 AND b.id < 400"},
+	{sql: "SELECT e.id, p.name FROM events e JOIN products p ON e.fkey = p.productId WHERE e.id < 300"},
+	{sql: "SELECT s.productId, s.discount, p.name FROM sales s LEFT JOIN products p ON s.productId = p.productId AND s.discount > 0.05 WHERE s.productId < 20"},
 	{sql: "SELECT empid, name FROM emps WHERE sal > ? ORDER BY empid", params: []any{120.0}},
 	{sql: "SELECT name FROM emps WHERE empid = ? AND deptno = ?", params: []any{int64(3), int64(10)}},
 }
@@ -169,8 +201,9 @@ func TestParallelModesAgree(t *testing.T) {
 	// Serial baselines computed once; each parallelism level compares
 	// against the cached rows.
 	type baseline struct {
-		rows []string
-		err  error
+		rows    []string
+		err     error
+		spilled bool
 	}
 	baselines := make([]baseline, len(diffQueries))
 	for i, q := range diffQueries {
@@ -179,7 +212,7 @@ func TestParallelModesAgree(t *testing.T) {
 			baselines[i] = baseline{err: serr}
 			continue
 		}
-		baselines[i] = baseline{rows: renderRows(sr.Rows)}
+		baselines[i] = baseline{rows: renderRows(sr.Rows), spilled: spilled(serial)}
 	}
 	for _, p := range []int{1, 4, 8} {
 		par := diffConn()
@@ -193,9 +226,12 @@ func TestParallelModesAgree(t *testing.T) {
 			if perr != nil {
 				continue
 			}
-			a := renderRows(pr.Rows)
-			if !reflect.DeepEqual(a, baselines[i].rows) {
-				t.Errorf("p=%d %s\n  parallel: %v\n  serial:   %v", p, q.sql, a, baselines[i].rows)
+			a, b := renderRows(pr.Rows), baselines[i].rows
+			if q.spillUnordered && (spilled(par) || baselines[i].spilled) {
+				a, b = sortedCopy(a), sortedCopy(b)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("p=%d %s\n  parallel: %v\n  serial:   %v", p, q.sql, a, b)
 			}
 		}
 	}
@@ -223,10 +259,27 @@ func TestParallelSmallBatches(t *testing.T) {
 			continue
 		}
 		a, b := renderRows(pr.Rows), renderRows(rr.Rows)
+		if q.spillUnordered && (spilled(par) || spilled(ref)) {
+			sort.Strings(a)
+			sort.Strings(b)
+		}
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s (parallel=4, batchSize=3)\n  parallel: %v\n  serial:   %v", q.sql, a, b)
 		}
 	}
+}
+
+// spilled reports whether the connection's most recent query wrote spill
+// files.
+func spilled(c *calcite.Connection) bool {
+	tr := c.LastTraces(1)
+	return len(tr) > 0 && tr[0].Spilled > 0
+}
+
+func sortedCopy(rows []string) []string {
+	out := append([]string(nil), rows...)
+	sort.Strings(out)
+	return out
 }
 
 func renderRows(rows [][]any) []string {

@@ -13,8 +13,12 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"calcite"
+	"calcite/internal/core"
+	"calcite/internal/memory"
+	"calcite/internal/obs"
 )
 
 // spillBudget is far below the diffConn working set (the sales table alone
@@ -31,26 +35,29 @@ func TestSpillAndInMemoryAgree(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		ref := diffConn()
 		ref.SetParallelism(par)
-		limited := diffConn()
-		limited.SetParallelism(par)
-		limited.SetMemoryLimit(spillBudget)
-		for _, q := range diffQueries {
-			rr, rerr := ref.Query(q.sql, q.params...)
-			lr, lerr := limited.Query(q.sql, q.params...)
-			if (rerr == nil) != (lerr == nil) {
-				t.Errorf("p=%d %s\n  unlimited err=%v limited err=%v", par, q.sql, rerr, lerr)
-				continue
-			}
-			if rerr != nil {
-				continue
-			}
-			a, b := renderRows(lr.Rows), renderRows(rr.Rows)
-			if !strings.Contains(strings.ToUpper(q.sql), "ORDER BY") {
-				sort.Strings(a)
-				sort.Strings(b)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("p=%d (budget=%d) %s\n  limited:   %v\n  unlimited: %v", par, spillBudget, q.sql, a, b)
+		// A quarter of the working set, and the CI low-memory job's 256 KB.
+		for _, budget := range []int64{spillBudget, 256 << 10} {
+			limited := diffConn()
+			limited.SetParallelism(par)
+			limited.SetMemoryLimit(budget)
+			for _, q := range diffQueries {
+				rr, rerr := ref.Query(q.sql, q.params...)
+				lr, lerr := limited.Query(q.sql, q.params...)
+				if (rerr == nil) != (lerr == nil) {
+					t.Errorf("p=%d %s\n  unlimited err=%v limited err=%v", par, q.sql, rerr, lerr)
+					continue
+				}
+				if rerr != nil {
+					continue
+				}
+				a, b := renderRows(lr.Rows), renderRows(rr.Rows)
+				if !strings.Contains(strings.ToUpper(q.sql), "ORDER BY") {
+					sort.Strings(a)
+					sort.Strings(b)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("p=%d (budget=%d) %s\n  limited:   %v\n  unlimited: %v", par, budget, q.sql, a, b)
+				}
 			}
 		}
 	}
@@ -296,5 +303,131 @@ func TestManySpillRunsCascade(t *testing.T) {
 		if row[0] != int64(i) {
 			t.Fatalf("row %d = %v, want %d", i, row[0], i)
 		}
+	}
+}
+
+// queryWithin runs sql on conn and fails the test if it has not returned by
+// the deadline — a hung exchange would otherwise stall the whole suite.
+func queryWithin(t *testing.T, conn *calcite.Connection, d time.Duration, sql string) (*calcite.Result, error) {
+	t.Helper()
+	type outcome struct {
+		res *calcite.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := conn.Query(sql)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		return o.res, o.err
+	case <-time.After(d):
+		t.Fatalf("query did not return within %v: %s", d, sql)
+		return nil, nil
+	}
+}
+
+// TestGovernedParallelAggregateReturns is the regression test for the
+// exchange-teardown hang: 20 000 distinct VARCHAR groups at parallelism 4
+// under a 300 KiB query budget. Every stage of the parallel aggregate must
+// spill and the rows must match the serial unlimited run; with spilling
+// disabled the partitions that fail their grant must tear the hash exchange
+// below them down, so the clean budget error surfaces instead of the
+// surviving partitions waiting forever on senders parked on a dead channel.
+func TestGovernedParallelAggregateReturns(t *testing.T) {
+	const sql = "SELECT k, SUM(v), COUNT(*) FROM f GROUP BY k"
+	open := func() *calcite.Connection {
+		conn := calcite.Open()
+		rows := make([][]any, 20000)
+		for i := range rows {
+			rows[i] = []any{fmt.Sprintf("key-%06d", i), int64(i)}
+		}
+		conn.AddTable("f", calcite.Columns{
+			{Name: "k", Type: calcite.VarcharType},
+			{Name: "v", Type: calcite.BigIntType},
+		}, rows)
+		return conn
+	}
+	ref := open()
+	ref.SetParallelism(1)
+	want, err := ref.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := renderRows(want.Rows)
+	sort.Strings(wantRows)
+
+	const deadline = 60 * time.Second
+	limited := open()
+	limited.SetParallelism(4)
+	limited.SetQueryMemoryLimit(300 << 10)
+	got, err := queryWithin(t, limited, deadline, sql)
+	if err != nil {
+		t.Fatalf("governed parallel aggregate: %v", err)
+	}
+	gotRows := renderRows(got.Rows)
+	sort.Strings(gotRows)
+	if !reflect.DeepEqual(gotRows, wantRows) {
+		t.Fatalf("governed parallel aggregate returned %d rows differing from the serial unlimited run (%d rows)",
+			len(gotRows), len(wantRows))
+	}
+	if tr := limited.LastTraces(1); len(tr) == 0 || tr[0].Spilled == 0 {
+		t.Fatalf("a 20000-group aggregate under 300KiB did not spill: %+v", tr)
+	}
+
+	limited.EnableSpill(false)
+	_, err = queryWithin(t, limited, deadline, sql)
+	if err == nil || !strings.Contains(err.Error(), "memory budget exceeded") {
+		t.Fatalf("spill disabled: err = %v, want the memory budget error", err)
+	}
+}
+
+// TestTenantPoolGovernsParallelJoin closes the governance hole of the
+// serving tier: a query executed with a tenant pool (core.ExecOptions.Pool)
+// at the default plan shape — the parallel hash join — must charge its build
+// side to that pool (a nonzero peak on the join's span) and, when the pool is
+// smaller than the build side, spill instead of silently exceeding it.
+func TestTenantPoolGovernsParallelJoin(t *testing.T) {
+	const sql = "SELECT f.id, c.custname FROM customers c JOIN fact f ON f.custkey = c.custkey"
+	conn := memStarConn()
+	conn.SetParallelism(4)
+	want, err := conn.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := renderRows(want.Rows)
+	sort.Strings(wantRows)
+
+	run := func(limit int64) *obs.TraceSnapshot {
+		t.Helper()
+		pool := memory.NewChildPool(conn.Framework.MemoryPool(), limit)
+		res, err := conn.Framework.ExecuteOpts(sql, core.ExecOptions{Pool: pool})
+		if err != nil {
+			t.Fatalf("tenant pool %d: %v", limit, err)
+		}
+		rows := renderRows(res.Rows)
+		sort.Strings(rows)
+		if !reflect.DeepEqual(rows, wantRows) {
+			t.Fatalf("tenant pool %d: %d rows differ from the ungoverned run (%d rows)", limit, len(rows), len(wantRows))
+		}
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("tenant pool %d: %d bytes still reserved after the query", limit, used)
+		}
+		return conn.LastTraces(1)[0]
+	}
+
+	roomy := run(64 << 20)
+	join := findSpan(roomy.Spans, "ParallelHashJoin")
+	if join == nil {
+		t.Fatalf("no parallel hash join in the executed plan:\n%s", obs.RenderSpans(roomy.Spans))
+	}
+	if join.PeakBytes == 0 {
+		t.Fatalf("parallel hash join charged nothing to the tenant pool:\n%s", obs.RenderSpans(roomy.Spans))
+	}
+	// The 20000-row build side needs ~2 MiB; a 256 KiB tenant must spill.
+	if tight := run(256 << 10); tight.Spilled == 0 || tight.PeakBytes > 256<<10 {
+		t.Fatalf("256KiB tenant pool: spilled=%d peak=%d, want a spill and a peak within the pool",
+			tight.Spilled, tight.PeakBytes)
 	}
 }

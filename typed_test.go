@@ -32,6 +32,7 @@ var typedDiffConfigs = []struct {
 	{name: "parallel4", parallelism: 4},
 	{name: "serial/batch3", parallelism: 1, batchSize: 3},
 	{name: "serial/mem256k", parallelism: 1, memLimit: 256 << 10},
+	{name: "parallel4/mem64k", parallelism: 4, memLimit: 64 << 10},
 	{name: "parallel4/batch3/mem256k", parallelism: 4, batchSize: 3, memLimit: 256 << 10},
 }
 
