@@ -334,7 +334,11 @@ func (c *toEnumerable) WithNewInputs(inputs []rel.Node) rel.Node {
 func (c *toEnumerable) Unwrap() rel.Node { return c.Converter }
 
 func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	cql, err := ToCQL(c.Inputs()[0])
+	bound, err := exec.BindPlanParams(ctx, c.Inputs()[0])
+	if err != nil {
+		return nil, err
+	}
+	cql, err := ToCQL(bound)
 	if err != nil {
 		return nil, err
 	}

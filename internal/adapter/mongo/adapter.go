@@ -209,7 +209,11 @@ func (c *toEnumerable) WithNewInputs(inputs []rel.Node) rel.Node {
 func (c *toEnumerable) Unwrap() rel.Node { return c.Converter }
 
 func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	collection, filterJSON, err := ToFind(c.Inputs()[0])
+	bound, err := exec.BindPlanParams(ctx, c.Inputs()[0])
+	if err != nil {
+		return nil, err
+	}
+	collection, filterJSON, err := ToFind(bound)
 	if err != nil {
 		return nil, err
 	}

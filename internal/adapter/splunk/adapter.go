@@ -289,7 +289,11 @@ func (c *toEnumerable) WithNewInputs(inputs []rel.Node) rel.Node {
 func (c *toEnumerable) Unwrap() rel.Node { return c.Converter }
 
 func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	spl, err := ToSPL(c.Inputs()[0])
+	bound, err := exec.BindPlanParams(ctx, c.Inputs()[0])
+	if err != nil {
+		return nil, err
+	}
+	spl, err := ToSPL(bound)
 	if err != nil {
 		return nil, err
 	}

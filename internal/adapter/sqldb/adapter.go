@@ -203,7 +203,11 @@ func (c *toEnumerable) WithNewInputs(inputs []rel.Node) rel.Node {
 }
 
 func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	sql, err := c.SQL()
+	bound, err := exec.BindPlanParams(ctx, c.Inputs()[0])
+	if err != nil {
+		return nil, err
+	}
+	sql, err := c.adapter.PushedSQL(bound)
 	if err != nil {
 		return nil, err
 	}
@@ -212,12 +216,6 @@ func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
 		return nil, err
 	}
 	return schema.NewSliceCursor(rows), nil
-}
-
-// SQL returns the dialect SQL generated for the remote subtree (exposed for
-// EXPLAIN, tests and the Table 2 harness).
-func (c *toEnumerable) SQL() (string, error) {
-	return rel2sql.Unparse(c.Inputs()[0], c.adapter.Dialect)
 }
 
 // PushedSQL unparses a jdbc-convention subtree without executing it.

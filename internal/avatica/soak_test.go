@@ -36,16 +36,20 @@ func TestServingSoak(t *testing.T) {
 		{Name: "grp", Type: calcite.BigIntType},
 		{Name: "name", Type: calcite.VarcharType},
 	}, rows)
+	const (
+		workers    = 32
+		iterations = 15
+	)
 	srv := avatica.NewServer(conn.Framework)
+	// Admission has its own tests; here every worker must get a turn, and on
+	// two cores the default queue (a multiple of the slot count) is shorter
+	// than the worker count.
+	srv.MaxQueue = workers
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const (
-		workers    = 32
-		iterations = 15
-	)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {

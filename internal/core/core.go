@@ -163,8 +163,10 @@ type Framework struct {
 	Views *mv.Registry
 
 	// LastPlanner exposes statistics of the most recent physical planning
-	// run (for tests and benchmarks).
-	LastPlanner *plan.VolcanoPlanner
+	// run (for tests and benchmarks). Concurrent statements each publish
+	// theirs under lastPlannerMu; read it only once planning is quiescent.
+	LastPlanner   *plan.VolcanoPlanner
+	lastPlannerMu sync.Mutex
 }
 
 // New returns a framework with the default rule sets, the enumerable
@@ -354,7 +356,9 @@ func (f *Framework) Optimize(logical rel.Node) (rel.Node, error) {
 	for _, c := range f.Converters {
 		vp.AddConverter(c.From, c.To, c.Factory)
 	}
+	f.lastPlannerMu.Lock()
 	f.LastPlanner = vp
+	f.lastPlannerMu.Unlock()
 	return vp.Optimize(node, trait.Enumerable)
 }
 

@@ -3,12 +3,18 @@ package exec
 // Batch-mode binding: the vectorized execution path of the enumerable
 // convention. Scan, Filter, Project, HashJoin, Aggregate and Sort process
 // column-major schema.Batch values — filters narrow selection vectors,
-// projections evaluate compiled closures (or typed kernels) per column, and
-// the hash join probes a batch at a time. Operators without a batch
+// projections evaluate typed vector kernels or compiled closures per column,
+// and the hash join probes a batch at a time. Operators without a batch
 // implementation (window, set ops, nested-loop join, adapters' backend
 // cursors) keep their row contract and are bridged through the batch/row
 // shims in package schema, so any plan executes end-to-end in either mode
 // with identical results.
+//
+// Expressions reach the kernel matcher and the compiler with the statement's
+// parameters already substituted as literals (Context.bindParams), so a batch
+// expression takes exactly one of two paths, chosen per batch from its vector
+// kinds: typed vector kernel, else compiled closure. There is no interpreter
+// fallback; an expression that does not compile fails the bind.
 
 import (
 	"time"
@@ -106,23 +112,6 @@ func liveSel(b *schema.Batch, buf []int32) ([]int32, []int32) {
 	return buf, buf
 }
 
-// colPredicate compiles a predicate for column-major evaluation, falling
-// back to the tree-walking Evaluator (through a scratch row) when the
-// expression needs per-execution state (dynamic parameters, correlations).
-func colPredicate(ctx *Context, cond rex.Node, width int) func(cols [][]any, r int) (bool, error) {
-	if fn, err := rex.CompileColsBool(cond); err == nil {
-		return fn
-	}
-	scratch := make([]any, width)
-	ev := ctx.Evaluator
-	return func(cols [][]any, r int) (bool, error) {
-		for c := range scratch {
-			scratch[c] = cols[c][r]
-		}
-		return ev.EvalBool(cond, scratch)
-	}
-}
-
 // --- Scan ---
 
 // BindBatch scans batch-capable tables column-major and lifts everything
@@ -142,31 +131,32 @@ func (s *Scan) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 
 type filterBatchCursor struct {
 	in        schema.BatchCursor
-	vecKernel rex.VecSelKernel // monomorphic kernel over typed vectors
-	kernel    rex.SelKernel    // boxed-column kernel
+	vecKernel rex.VecSelKernel // nil when the predicate has no kernel shape
 	pred      func(cols [][]any, r int) (bool, error)
 	selBuf    []int32 // output selection storage, reused batch-over-batch
 	dense     []int32 // dense-iota scratch
 }
 
-// BindBatch filters by narrowing each batch's selection vector: a
-// monomorphic vector kernel when the batch carries typed columns of the
-// right kinds, a boxed kernel when the predicate has a recognized hot shape,
-// otherwise a compiled closure per live row. Columns are never copied.
+// BindBatch filters by narrowing each batch's selection vector. The
+// condition, parameters bound, takes one of two paths per batch: a
+// monomorphic vector kernel when it has a kernel shape and the batch carries
+// typed columns of the matching kinds, else the compiled closure per live
+// row. Columns are never copied.
 func (f *Filter) BindBatch(ctx *Context) (schema.BatchCursor, error) {
+	cond, err := ctx.bindParams(f.Condition)
+	if err != nil {
+		return nil, err
+	}
+	pred, err := rex.CompileColsBool(cond)
+	if err != nil {
+		return nil, err
+	}
 	in, err := BindBatch(ctx, f.Inputs()[0])
 	if err != nil {
 		return nil, err
 	}
-	c := &filterBatchCursor{in: in}
-	if vk, ok := rex.FilterKernelVec(f.Condition); ok {
-		c.vecKernel = vk
-	}
-	if k, ok := rex.FilterKernel(f.Condition); ok {
-		c.kernel = k
-	} else {
-		c.pred = colPredicate(ctx, f.Condition, rel.FieldCount(f.Inputs()[0]))
-	}
+	c := &filterBatchCursor{in: in, pred: pred}
+	c.vecKernel, _ = rex.FilterKernelVec(cond)
 	return c, nil
 }
 
@@ -187,20 +177,13 @@ func (c *filterBatchCursor) NextBatch() (*schema.Batch, error) {
 		}
 		if !done {
 			cols := b.BoxedCols()
-			if c.kernel != nil {
-				out, err = c.kernel(cols, sel, out)
+			for _, r := range sel {
+				keep, err := c.pred(cols, int(r))
 				if err != nil {
 					return nil, err
 				}
-			} else {
-				for _, r := range sel {
-					keep, err := c.pred(cols, int(r))
-					if err != nil {
-						return nil, err
-					}
-					if keep {
-						out = append(out, r)
-					}
+				if keep {
+					out = append(out, r)
 				}
 			}
 		}
@@ -217,77 +200,55 @@ func (c *filterBatchCursor) Close() error { return c.in.Close() }
 // --- Project ---
 
 type projExpr struct {
-	passthrough int // input ordinal for plain $i, else -1
-	vecKernel   rex.VecColKernel
-	kernel      rex.ColKernel
+	passthrough int              // input ordinal for plain $i, else -1
+	vecKernel   rex.VecColKernel // nil when the expression has no kernel shape
 	colFn       rex.ColFn
 }
 
 type projectBatchCursor struct {
 	in    schema.BatchCursor
 	exprs []projExpr
-	// allVec reports every expression has a vector kernel (or is a
-	// pass-through), enabling the typed all-columns output path.
+	// allVec reports every expression has a vector kernel, enabling the typed
+	// all-columns output path.
 	allVec bool
 	// pure reports every expression is a plain input reference: the
 	// projection only prunes/permutes columns and forwards the input batch's
 	// representations and selection vector zero-copy.
-	pure bool
-	// evalAll, when set, handles expressions needing the Evaluator: a scratch
-	// row is assembled once per live row and every expression interprets it.
-	evalAll []rex.Node
-	ev      *rex.Evaluator
-	inWidth int
-	dense   []int32
+	pure  bool
+	dense []int32
 }
 
-// BindBatch projects each batch column-wise: when the input carries typed
-// vectors and every expression compiles to a monomorphic kernel, the output
-// batch is vector-backed (pass-throughs are zero-copy on dense batches);
-// otherwise recognized arithmetic shapes run as boxed kernels and everything
-// else evaluates a compiled closure per live row.
+// BindBatch projects each batch column-wise. Every expression, parameters
+// bound, compiles to a closure; those with a kernel shape also get a
+// monomorphic vector kernel. A batch whose typed vectors satisfy every kernel
+// produces a vector-backed batch (pass-throughs are zero-copy on dense
+// batches); any other batch evaluates the closures per live row.
 func (p *Project) BindBatch(ctx *Context) (schema.BatchCursor, error) {
+	c := &projectBatchCursor{exprs: make([]projExpr, len(p.Exprs)), allVec: true, pure: true}
+	for i, e := range p.Exprs {
+		e, err := ctx.bindParams(e)
+		if err != nil {
+			return nil, err
+		}
+		pe := projExpr{passthrough: -1}
+		if ref, ok := e.(*rex.InputRef); ok {
+			pe.passthrough = ref.Index
+		} else {
+			c.pure = false
+		}
+		if pe.colFn, err = rex.CompileCols(e); err != nil {
+			return nil, err
+		}
+		if pe.vecKernel, _ = rex.ArithKernelVec(e); pe.vecKernel == nil {
+			c.allVec = false
+		}
+		c.exprs[i] = pe
+	}
 	in, err := BindBatch(ctx, p.Inputs()[0])
 	if err != nil {
 		return nil, err
 	}
-	c := &projectBatchCursor{in: in, inWidth: rel.FieldCount(p.Inputs()[0])}
-	exprs := make([]projExpr, len(p.Exprs))
-	c.allVec = true
-	for i, e := range p.Exprs {
-		pe := projExpr{passthrough: -1}
-		if ref, ok := e.(*rex.InputRef); ok {
-			pe.passthrough = ref.Index
-		}
-		if vk, ok := rex.ArithKernelVec(e); ok {
-			pe.vecKernel = vk
-		} else if pe.passthrough < 0 {
-			c.allVec = false
-		}
-		if k, ok := rex.ArithKernel(e); ok {
-			pe.kernel = k
-		} else if fn, err := rex.CompileCols(e); err == nil {
-			pe.colFn = fn
-		} else {
-			// Dynamic state somewhere in the projection: run the whole batch
-			// through the interpreter on assembled rows.
-			c.evalAll = p.Exprs
-			c.ev = ctx.Evaluator
-			c.allVec = false
-			break
-		}
-		exprs[i] = pe
-	}
-	c.exprs = exprs
-	if c.evalAll == nil {
-		c.pure = true
-		for _, pe := range exprs {
-			if pe.passthrough < 0 {
-				c.pure = false
-				break
-			}
-		}
-	}
+	c.in = in
 	return c, nil
 }
 
@@ -295,9 +256,6 @@ func (c *projectBatchCursor) NextBatch() (*schema.Batch, error) {
 	b, err := c.in.NextBatch()
 	if err != nil {
 		return nil, err
-	}
-	if c.evalAll != nil {
-		return c.projectInterpreted(b)
 	}
 	if c.pure {
 		// Column pruning/permutation only: forward whichever representations
@@ -335,19 +293,12 @@ func (c *projectBatchCursor) NextBatch() (*schema.Batch, error) {
 			continue
 		}
 		col := make([]any, n)
-		switch {
-		case pe.kernel != nil:
-			if err := pe.kernel(boxed, sel, col); err != nil {
+		for k, r := range sel {
+			v, err := pe.colFn(boxed, int(r))
+			if err != nil {
 				return nil, err
 			}
-		default:
-			for k, r := range sel {
-				v, err := pe.colFn(boxed, int(r))
-				if err != nil {
-					return nil, err
-				}
-				col[k] = v
-			}
+			col[k] = v
 		}
 		cols[j] = col
 	}
@@ -394,32 +345,6 @@ func (c *projectBatchCursor) projectVec(b *schema.Batch, sel []int32, n int) (*s
 		}
 	}
 	return &schema.Batch{Len: n, Cols: cols, Vecs: vecs, Seq: b.Seq}, true, nil
-}
-
-func (c *projectBatchCursor) projectInterpreted(b *schema.Batch) (*schema.Batch, error) {
-	var sel []int32
-	sel, c.dense = liveSel(b, c.dense)
-	n := len(sel)
-	cols := make([][]any, len(c.evalAll))
-	for j := range cols {
-		cols[j] = make([]any, n)
-	}
-	boxed := b.BoxedCols()
-	scratch := make([]any, c.inWidth)
-	for k, ri := range sel {
-		r := int(ri)
-		for cc := range scratch {
-			scratch[cc] = boxed[cc][r]
-		}
-		for j, e := range c.evalAll {
-			v, err := c.ev.Eval(e, scratch)
-			if err != nil {
-				return nil, err
-			}
-			cols[j][k] = v
-		}
-	}
-	return &schema.Batch{Len: n, Cols: cols, Seq: b.Seq}, nil
 }
 
 func (c *projectBatchCursor) Close() error { return c.in.Close() }

@@ -81,6 +81,53 @@ func NewContext() *Context { return &Context{Evaluator: &rex.Evaluator{}, BatchM
 // NewRowContext returns a context that forces the row-at-a-time path.
 func NewRowContext() *Context { return &Context{Evaluator: &rex.Evaluator{}} }
 
+// bindParams substitutes the statement's parameter values into e as literals.
+// Batch operators call it on every expression before matching a kernel or
+// compiling, so a prepared statement takes the same path as its literal twin.
+func (ctx *Context) bindParams(e rex.Node) (rex.Node, error) {
+	return rex.BindParams(e, ctx.Evaluator.Params)
+}
+
+// BindPlanParams returns the subtree an adapter is about to render into its
+// backend's language with the statement's parameters substituted as literals.
+// Adapter-convention nodes are the core rel.Filter/Project/Join structs under
+// the adapter's traits, so one rewrite serves every adapter. The cached plan
+// is not modified: nodes that hold a parameter are rebuilt, the rest shared.
+func BindPlanParams(ctx *Context, n rel.Node) (rel.Node, error) {
+	var firstErr error
+	bind := func(e rex.Node) rex.Node {
+		bound, err := ctx.bindParams(e)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		return bound
+	}
+	bound := rel.TransformUp(n, func(n rel.Node) rel.Node {
+		switch x := n.(type) {
+		case *rel.Filter:
+			if cond := bind(x.Condition); cond != x.Condition {
+				return rel.NewFilterTraits(x.Op(), x.Traits(), x.Inputs()[0], cond)
+			}
+		case *rel.Join:
+			if cond := bind(x.Condition); cond != x.Condition {
+				return rel.NewJoinTraits(x.Op(), x.Traits(), x.Kind, x.Left(), x.Right(), cond)
+			}
+		case *rel.Project:
+			exprs := make([]rex.Node, len(x.Exprs))
+			changed := false
+			for i, e := range x.Exprs {
+				exprs[i] = bind(e)
+				changed = changed || exprs[i] != e
+			}
+			if changed {
+				return rel.NewProjectTraits(x.Op(), x.Traits(), x.Inputs()[0], exprs, x.FieldNames())
+			}
+		}
+		return n
+	})
+	return bound, firstErr
+}
+
 func (ctx *Context) batchSize() int {
 	if ctx.BatchSize > 0 {
 		return ctx.BatchSize

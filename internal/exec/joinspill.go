@@ -49,7 +49,7 @@ type joinSpec struct {
 	residual   func(row []any) (bool, error)
 }
 
-func newJoinSpec(ctx *Context, j *HashJoin) *joinSpec {
+func newJoinSpec(ctx *Context, j *HashJoin) (*joinSpec, error) {
 	spec := &joinSpec{
 		kind:       j.Kind,
 		info:       j.Info,
@@ -58,15 +58,15 @@ func newJoinSpec(ctx *Context, j *HashJoin) *joinSpec {
 		emitRight:  j.Kind != rel.SemiJoin && j.Kind != rel.AntiJoin,
 	}
 	if j.Info.Residual != nil {
-		if fn, err := rex.CompileBool(j.Info.Residual); err == nil {
-			spec.residual = fn
-		} else {
-			ev := ctx.Evaluator
-			cond := j.Info.Residual
-			spec.residual = func(row []any) (bool, error) { return ev.EvalBool(cond, row) }
+		cond, err := ctx.bindParams(j.Info.Residual)
+		if err != nil {
+			return nil, err
+		}
+		if spec.residual, err = rex.CompileBool(cond); err != nil {
+			return nil, err
 		}
 	}
-	return spec
+	return spec, nil
 }
 
 func (s *joinSpec) outWidth() int {
@@ -86,7 +86,11 @@ func (j *HashJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := NewJoinBuild(ctx, j, "HashJoin")
+	b, err := NewJoinBuild(ctx, j, "HashJoin")
+	if err != nil {
+		buildBC.Close()
+		return nil, err
+	}
 	exhausted, err := b.Drain(buildBC, 0)
 	if err != nil {
 		buildBC.Close()
@@ -141,8 +145,12 @@ type buildChunk struct {
 
 // NewJoinBuild opens the build phase of j, charging the context's allocator
 // under the operator tag op.
-func NewJoinBuild(ctx *Context, j *HashJoin, op string) *JoinBuild {
-	return &JoinBuild{ctx: ctx, op: op, spec: newJoinSpec(ctx, j), res: memory.Reserve(ctx.Alloc, op)}
+func NewJoinBuild(ctx *Context, j *HashJoin, op string) (*JoinBuild, error) {
+	spec, err := newJoinSpec(ctx, j)
+	if err != nil {
+		return nil, err
+	}
+	return &JoinBuild{ctx: ctx, op: op, spec: spec, res: memory.Reserve(ctx.Alloc, op)}, nil
 }
 
 // Drain buffers the batches of build partition idx until it is exhausted —

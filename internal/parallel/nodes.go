@@ -388,7 +388,11 @@ func (j *HashJoinPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, e
 	if err != nil {
 		return nil, err
 	}
-	build := exec.NewJoinBuild(ctx, j.HashJoin, "ParallelHashJoin")
+	build, err := exec.NewJoinBuild(ctx, j.HashJoin, "ParallelHashJoin")
+	if err != nil {
+		closeAll(buildParts)
+		return nil, err
+	}
 	exhausted := make([]bool, len(buildParts))
 	err = j.pool.Run(nil, len(buildParts), func(_ ctxT, w int) error {
 		var err error

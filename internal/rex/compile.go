@@ -9,9 +9,10 @@ package rex
 // per-row path. Strict NULL propagation and three-valued logic are preserved
 // exactly.
 //
-// Expressions containing dynamic parameters or correlation variables are not
-// compilable (their values arrive per execution); callers fall back to
-// Evaluator.Eval for those.
+// Compile never sees a placeholder: the batch operators substitute the
+// statement's parameters as literals (BindParams) before they match a kernel
+// or compile, so a prepared statement runs the same closures as its literal
+// twin. An expression that still fails to compile is a bind-time error.
 
 import (
 	"fmt"
@@ -31,8 +32,8 @@ type ColFn func(cols [][]any, r int) (any, error)
 type evalFn func(row []any, cols [][]any, r int) (any, error)
 
 // Compile lowers n into a closure over row-major rows. It returns an error
-// if n contains constructs that need per-execution state (dynamic
-// parameters, correlation variables) or an operator with no implementation.
+// if n contains an unbound dynamic parameter or an operator with no
+// implementation.
 func Compile(n Node) (RowFn, error) {
 	f, err := lower(n)
 	if err != nil {
@@ -116,9 +117,7 @@ func lower(n Node) (evalFn, error) {
 			return row[i], nil
 		}, nil
 	case *DynamicParam:
-		return nil, fmt.Errorf("rex: dynamic parameter ?%d is not compilable", x.Index)
-	case *CorrelVariable:
-		return nil, fmt.Errorf("rex: correlation variable %s is not compilable", x.Name)
+		return nil, fmt.Errorf("rex: unbound parameter ?%d", x.Index)
 	case *Call:
 		return lowerCall(x)
 	}

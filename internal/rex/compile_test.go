@@ -87,119 +87,35 @@ func TestCompileMatchesEvaluator(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsDynamicState: params and correlation variables must fall
-// back to the Evaluator.
-func TestCompileRejectsDynamicState(t *testing.T) {
-	if _, err := Compile(&DynamicParam{Index: 0, T: types.BigInt}); err == nil {
-		t.Error("dynamic param should not compile")
+// TestBindParamsThenCompile: a placeholder never compiles, its bound form
+// does, and binding leaves the shared expression untouched.
+func TestBindParamsThenCompile(t *testing.T) {
+	e := NewCall(OpGreater, NewInputRef(0, types.BigInt), &DynamicParam{Index: 0, T: types.Any})
+	if _, err := Compile(e); err == nil {
+		t.Error("an unbound parameter should not compile")
 	}
-	if _, err := Compile(NewCall(OpEquals,
-		NewInputRef(0, types.BigInt),
-		&CorrelVariable{Name: "c0", T: types.BigInt})); err == nil {
-		t.Error("correlation variable should not compile")
+	if _, err := BindParams(e, nil); err == nil {
+		t.Error("binding ?0 with no values should fail")
 	}
-}
-
-// TestFilterKernelMatchesEvaluator: every kernel-recognized predicate must
-// select exactly the rows the interpreter keeps.
-func TestFilterKernelMatchesEvaluator(t *testing.T) {
-	rows := compileFixtureRows()
-	cols := make([][]any, 4)
-	for c := range cols {
-		cols[c] = make([]any, len(rows))
-		for r, row := range rows {
-			cols[c][r] = row[c]
-		}
-	}
-	sel := make([]int32, len(rows))
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	i0 := NewInputRef(0, types.BigInt)
-	f1 := NewInputRef(1, types.Double)
-	s2 := NewInputRef(2, types.Varchar)
-	preds := []Node{
-		NewCall(OpGreater, i0, Int(0)),
-		NewCall(OpLess, Int(0), i0),
-		NewCall(OpEquals, s2, Str("bob")),
-		NewCall(OpGreaterEqual, f1, Float(2.0)),
-		NewCall(OpNotEquals, i0, Int(2)),
-		NewCall(OpIsNull, f1),
-		NewCall(OpIsNotNull, i0),
-		NewCall(OpLess, i0, f1),
-		NewCall(OpEquals, i0, Null()),
-		And(NewCall(OpGreater, i0, Int(-10)), NewCall(OpIsNotNull, f1), NewCall(OpLess, f1, Float(11))),
-	}
-	ev := &Evaluator{}
-	for _, p := range preds {
-		kernel, ok := FilterKernel(p)
-		if !ok {
-			t.Fatalf("no kernel for %s", p)
-		}
-		got, err := kernel(cols, sel, nil)
+	digest := e.String()
+	for _, k := range []int64{1, 4} {
+		bound, err := BindParams(e, []any{k})
 		if err != nil {
-			t.Fatalf("kernel %s: %v", p, err)
+			t.Fatal(err)
 		}
-		var want []int32
-		for r, row := range rows {
-			keep, err := ev.EvalBool(p, row)
-			if err != nil {
-				t.Fatalf("eval %s: %v", p, err)
-			}
-			if keep {
-				want = append(want, int32(r))
-			}
+		fn, err := CompileBool(bound)
+		if err != nil {
+			t.Fatalf("Compile(%s): %v", bound, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: kernel %v vs interp %v", p, got, want)
+		if keep, err := fn([]any{int64(3)}); err != nil || keep != (3 > k) {
+			t.Errorf("%s on 3: got (%v, %v)", bound, keep, err)
 		}
 	}
-	// Unrecognized shapes must decline, not misfire.
-	if _, ok := FilterKernel(NewCall(OpLike, s2, Str("%a%"))); ok {
-		t.Error("LIKE should have no kernel")
+	if e.String() != digest {
+		t.Errorf("BindParams modified its input: %s, was %s", e, digest)
 	}
-}
-
-// TestArithKernelMatchesEvaluator checks the projection kernels.
-func TestArithKernelMatchesEvaluator(t *testing.T) {
-	rows := compileFixtureRows()
-	cols := make([][]any, 4)
-	for c := range cols {
-		cols[c] = make([]any, len(rows))
-		for r, row := range rows {
-			cols[c][r] = row[c]
-		}
-	}
-	sel := []int32{0, 2, 4}
-	i0 := NewInputRef(0, types.BigInt)
-	f1 := NewInputRef(1, types.Double)
-	exprs := []Node{
-		i0,
-		Str("k"),
-		NewCall(OpPlus, i0, Int(100)),
-		NewCall(OpTimes, f1, Float(3)),
-		NewCall(OpMinus, i0, i0),
-		NewCall(OpDivide, f1, Float(4)),
-		NewCall(OpPlus, Int(1), f1),
-	}
-	ev := &Evaluator{}
-	for _, e := range exprs {
-		kernel, ok := ArithKernel(e)
-		if !ok {
-			t.Fatalf("no arith kernel for %s", e)
-		}
-		out := make([]any, len(sel))
-		if err := kernel(cols, sel, out); err != nil {
-			t.Fatalf("kernel %s: %v", e, err)
-		}
-		for k, r := range sel {
-			want, err := ev.Eval(e, rows[r])
-			if err != nil {
-				t.Fatalf("eval %s: %v", e, err)
-			}
-			if !reflect.DeepEqual(out[k], want) {
-				t.Errorf("%s row %d: kernel %v vs interp %v", e, r, out[k], want)
-			}
-		}
+	lit := Int(7)
+	if bound, err := BindParams(lit, nil); err != nil || bound != Node(lit) {
+		t.Errorf("an expression without parameters should come back as is: (%v, %v)", bound, err)
 	}
 }

@@ -8,12 +8,10 @@ import (
 
 // Evaluator evaluates row expressions against input rows. A single Evaluator
 // may be shared by operators of one query; it carries the dynamic parameter
-// values of a prepared statement and the correlation environment.
+// values of a prepared statement.
 type Evaluator struct {
 	// Params holds values for DynamicParam references.
 	Params []any
-	// Correl maps correlation variable names to their current rows.
-	Correl map[string][]any
 }
 
 // Eval evaluates expression n against row. NULL propagates per SQL
@@ -32,15 +30,6 @@ func (ev *Evaluator) Eval(n Node, row []any) (any, error) {
 			return nil, fmt.Errorf("rex: unbound parameter ?%d", x.Index)
 		}
 		return ev.Params[x.Index], nil
-	case *CorrelVariable:
-		if ev == nil || ev.Correl == nil {
-			return nil, fmt.Errorf("rex: unbound correlation variable %s", x.Name)
-		}
-		r, ok := ev.Correl[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("rex: unbound correlation variable %s", x.Name)
-		}
-		return r, nil
 	case *Call:
 		return ev.evalCall(x, row)
 	}

@@ -113,15 +113,25 @@ type DynamicParam struct {
 func (p *DynamicParam) Type() *types.Type { return p.T }
 func (p *DynamicParam) String() string    { return fmt.Sprintf("?%d", p.Index) }
 
-// CorrelVariable references the row of an enclosing query (used by
-// correlated subqueries; kept minimal in this reproduction).
-type CorrelVariable struct {
-	Name string
-	T    *types.Type
+// BindParams returns n with every DynamicParam replaced by a Literal carrying
+// the bound value unchanged; n itself is not modified, so a cached plan stays
+// shareable across executions. Kernel matching, compilation and the adapters'
+// query renderers all run on the result and never see a placeholder.
+func BindParams(n Node, params []any) (Node, error) {
+	var err error
+	bound := Transform(n, func(x Node) Node {
+		p, ok := x.(*DynamicParam)
+		if !ok {
+			return x
+		}
+		if p.Index >= len(params) {
+			err = fmt.Errorf("rex: unbound parameter ?%d", p.Index)
+			return x
+		}
+		return NewLiteral(params[p.Index], p.T)
+	})
+	return bound, err
 }
-
-func (v *CorrelVariable) Type() *types.Type { return v.T }
-func (v *CorrelVariable) String() string    { return "$cor." + v.Name }
 
 // Walk visits n and every sub-expression in pre-order; the visit function
 // returns false to prune descent.
@@ -286,13 +296,12 @@ func IsAlwaysFalse(n Node) bool {
 	return ok && !b
 }
 
-// IsConstant reports whether n contains no input references, parameters or
-// correlation variables.
+// IsConstant reports whether n contains no input references or parameters.
 func IsConstant(n Node) bool {
 	ok := true
 	Walk(n, func(x Node) bool {
 		switch x.(type) {
-		case *InputRef, *DynamicParam, *CorrelVariable:
+		case *InputRef, *DynamicParam:
 			ok = false
 			return false
 		}

@@ -1,17 +1,19 @@
 package rex
 
 // Vector kernels: monomorphic loops over typed columnar storage
-// (schema.Vector). Where kernels.go removes the per-row closure dispatch but
-// still pays an interface load and a type assertion per boxed value, a
-// vector kernel reads machine-typed slices directly — the compiler emits a
-// tight compare/arith loop with the null branch hoisted when the column has
-// no NULL mask.
+// (schema.Vector). Where the compiled closure form (compile.go) removes
+// tree-walking but still pays a closure call, an interface load and a type
+// assertion per boxed value, a vector kernel reads machine-typed slices
+// directly in one loop per column — the compiler emits a tight compare/arith
+// loop with the null branch hoisted when the column has no NULL mask.
 //
 // Vector kernels are best-effort twice over: FilterKernelVec/ArithKernelVec
-// return ok=false at compile time for unrecognized shapes, and the compiled
+// return ok=false at match time for unrecognized shapes, and the matched
 // kernel itself reports ok=false at run time when a batch's vectors do not
 // carry the expected kinds (mixed-type columns degrade to VecAny). Callers
-// hold both the vector kernel and the boxed fallback and pick per batch.
+// hold both the vector kernel and the compiled closure and pick per batch.
+// Operands are input references and literals only: callers bind parameters
+// (BindParams) before matching.
 
 import (
 	"cmp"
@@ -23,12 +25,13 @@ import (
 // VecSelKernel narrows a selection over typed vectors: it appends to out the
 // indices of sel whose rows satisfy the predicate. ok=false means the
 // batch's vector kinds do not match the compiled shape and the caller must
-// use its boxed fallback. NULL comparisons drop rows (SQL filter semantics).
+// use its compiled closure. NULL comparisons drop rows (SQL filter semantics).
 type VecSelKernel func(vecs []*schema.Vector, sel []int32, out []int32) ([]int32, bool)
 
-// FilterKernelVec compiles a predicate into a typed selection kernel for the
-// same hot shapes FilterKernel recognizes: column ⋈ literal, column ⋈
-// column, IS [NOT] NULL, and ANDs thereof, over int64/float64/string
+// FilterKernelVec compiles a predicate into a typed selection kernel if it
+// has one of the recognized hot shapes: column ⋈ literal, literal ⋈ column,
+// column ⋈ column (⋈ a comparison), IS [NOT] NULL, and ANDs thereof
+// (conjuncts narrow the selection in turn), over int64/float64/string/bool
 // columns.
 func FilterKernelVec(n Node) (VecSelKernel, bool) {
 	c, ok := n.(*Call)
@@ -44,6 +47,11 @@ func FilterKernelVec(n Node) (VecSelKernel, bool) {
 			}
 			kernels[i] = k
 		}
+		// The ping-pong scratch buffers live in the kernel's captured state
+		// so they reach steady size once and stay zero-alloc across batches
+		// (kernels are built per bind and used single-threaded). Each
+		// conjunct filters the previous one's survivors; a kernel never
+		// appends to the slice it is reading, and the last appends to out.
 		var bufs [2][]int32
 		return func(vecs []*schema.Vector, sel []int32, out []int32) ([]int32, bool) {
 			cur := sel
@@ -279,7 +287,7 @@ func cmpLiteralKernelVec(idx int, lit any, pred func(int) bool) (VecSelKernel, b
 
 // VecColKernel materializes one output vector over the selected rows.
 // ok=false at run time means the input vector kinds do not match and the
-// caller must use its boxed fallback.
+// caller must use its compiled closure.
 type VecColKernel func(vecs []*schema.Vector, sel []int32) (*schema.Vector, bool, error)
 
 // ArithKernelVec compiles the hot projection shapes into a typed column

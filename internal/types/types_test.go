@@ -129,6 +129,23 @@ func TestHashKeyConsistentWithCompare(t *testing.T) {
 	}
 }
 
+// An integer against a non-integral float compares numerically from either
+// side (the integer side used to truncate the float first).
+func TestCompareIntFloatAntisymmetric(t *testing.T) {
+	for _, c := range []struct {
+		i    int64
+		f    float64
+		want int
+	}{{2, 2.5, -1}, {3, 2.5, 1}, {-2, -2.5, 1}, {2, 2.0, 0}} {
+		if got := Compare(c.i, c.f); got != c.want {
+			t.Errorf("Compare(%d, %v) = %d, want %d", c.i, c.f, got, c.want)
+		}
+		if got := Compare(c.f, c.i); got != -c.want {
+			t.Errorf("Compare(%v, %d) = %d, want %d", c.f, c.i, got, -c.want)
+		}
+	}
+}
+
 func TestCompareNulls(t *testing.T) {
 	if Compare(nil, int64(1)) != -1 || Compare(int64(1), nil) != 1 || Compare(nil, nil) != 0 {
 		t.Error("NULL should sort first")

@@ -81,14 +81,19 @@ func Compare(a, b any) int {
 	}
 	switch x := a.(type) {
 	case int64:
-		if y, ok := AsInt(b); ok {
-			switch {
-			case x < y:
-				return -1
-			case x > y:
-				return 1
+		// Integer against integer only: a float operand compares in float64
+		// below (AsInt would truncate it, making 2 < 2.5 false here while
+		// Compare(2.5, 2) and the typed vector kernels say otherwise).
+		if _, isFloat := b.(float64); !isFloat {
+			if y, ok := AsInt(b); ok {
+				switch {
+				case x < y:
+					return -1
+				case x > y:
+					return 1
+				}
+				return 0
 			}
-			return 0
 		}
 		if y, ok := AsFloat(b); ok {
 			return compareFloat(float64(x), y)

@@ -125,6 +125,19 @@ var diffQueries = []struct {
 	{sql: "SELECT s.productId, s.discount, p.name FROM sales s LEFT JOIN products p ON s.productId = p.productId AND s.discount > 0.05 WHERE s.productId < 20"},
 	{sql: "SELECT empid, name FROM emps WHERE sal > ? ORDER BY empid", params: []any{120.0}},
 	{sql: "SELECT name FROM emps WHERE empid = ? AND deptno = ?", params: []any{int64(3), int64(10)}},
+	// Parameters are literals by the time anything compiles: every shape a
+	// literal can take, bound per execution — projections, a hash-join
+	// residual, NULL, int/float crossings that are not integral, a string,
+	// and one placeholder reaching two sites of a merged expression.
+	{sql: "SELECT ? + empid, sal * ?, ? FROM emps", params: []any{int64(10), 2.0, "k"}},
+	{sql: "SELECT name, CASE WHEN sal > ? THEN 'high' WHEN sal IS NULL THEN ? ELSE 'low' END FROM emps", params: []any{120.0, "unknown"}},
+	{sql: "SELECT s.productId, s.discount, p.name FROM sales s LEFT JOIN products p ON s.productId = p.productId AND s.discount > ? WHERE s.productId < ?", params: []any{0.05, int64(20)}},
+	{sql: "SELECT name FROM emps WHERE deptno = ?", params: []any{nil}},
+	{sql: "SELECT empid, empid < ? FROM emps WHERE empid < ?", params: []any{2.5, 2.5}},
+	{sql: "SELECT empid FROM emps WHERE sal >= ? AND ? < sal", params: []any{int64(150), int64(100)}},
+	{sql: "SELECT empid FROM emps WHERE name = ?", params: []any{"Eric"}},
+	{sql: "SELECT a + a FROM (SELECT empid + ? AS a FROM emps) t WHERE a > ?", params: []any{int64(5), int64(7)}},
+	{sql: "SELECT productId FROM sales WHERE ? BETWEEN productId AND discount * 1000", params: []any{int64(40)}},
 }
 
 // TestRowAndBatchModesAgree runs every suite query through the vectorized

@@ -8,6 +8,8 @@ package calcite_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -246,5 +248,58 @@ func TestRowModeTracing(t *testing.T) {
 	if root.Rows != int64(len(res.Rows)) {
 		t.Fatalf("row-mode root span rows = %d, result rows = %d\n%s",
 			root.Rows, len(res.Rows), obs.RenderSpans(root))
+	}
+}
+
+// spanShape renders a span tree's operators with their row and batch counts,
+// leaving out timings and the attribute text (where "?0" and a literal differ).
+func spanShape(s *obs.SpanStats, depth int, b *strings.Builder) {
+	fmt.Fprintf(b, "%*s%s rows=%d batches=%d\n", 2*depth, "", s.Name, s.Rows, s.Batches)
+	for _, c := range s.Children {
+		spanShape(c, depth+1, b)
+	}
+}
+
+// TestPreparedAndLiteralFormsExecuteAlike: a statement's `?` form and its
+// literal twin execute the same operator tree over the same batches and
+// return the same rows — parameters are literals before anything compiles, so
+// there is no second evaluator for prepared statements to fall into.
+func TestPreparedAndLiteralFormsExecuteAlike(t *testing.T) {
+	conn := diffConn()
+	conn.SetParallelism(1)
+	run := func(sql string, params ...any) ([]string, string) {
+		t.Helper()
+		res, err := conn.Query(sql, params...)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		traces := conn.LastTraces(1)
+		if len(traces) == 0 || traces[0].Spans == nil {
+			t.Fatalf("%s: no trace", sql)
+		}
+		var b strings.Builder
+		spanShape(traces[0].Spans, 0, &b)
+		return renderRows(res.Rows), b.String()
+	}
+	for _, c := range []struct {
+		prepared string
+		params   []any
+		literal  string
+	}{
+		{"SELECT productId, discount * ? FROM sales WHERE productId < ? AND discount IS NOT NULL", []any{2.0, int64(7)},
+			"SELECT productId, discount * 2.0 FROM sales WHERE productId < 7 AND discount IS NOT NULL"},
+		{"SELECT id, tag FROM events WHERE tag = ?", []any{"t-0042"},
+			"SELECT id, tag FROM events WHERE tag = 't-0042'"},
+		{"SELECT e.id, p.name FROM events e LEFT JOIN products p ON e.fkey = p.productId AND e.id > ? WHERE e.grp = ?", []any{int64(500), int64(3)},
+			"SELECT e.id, p.name FROM events e LEFT JOIN products p ON e.fkey = p.productId AND e.id > 500 WHERE e.grp = 3"},
+	} {
+		gotRows, gotShape := run(c.prepared, c.params...)
+		wantRows, wantShape := run(c.literal)
+		if !reflect.DeepEqual(gotRows, wantRows) {
+			t.Errorf("%s %v\n  got  %v\n  want %v", c.prepared, c.params, gotRows, wantRows)
+		}
+		if gotShape != wantShape {
+			t.Errorf("%s %v\nprepared:\n%sliteral:\n%s", c.prepared, c.params, gotShape, wantShape)
+		}
 	}
 }
