@@ -1,0 +1,198 @@
+package calcite_test
+
+// Tables that grow by appends: the differential corpus over a catalog built
+// by INSERTs instead of by NewMemTable, and read-your-writes through the
+// wire. A MemTable keeps one column-major store that Insert appends to in
+// place and a cached plan survives the writes, so every engine configuration
+// must return, after the appends, exactly what the row-mode reference returns
+// over the same rows loaded up front.
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"calcite"
+	"calcite/internal/avatica"
+)
+
+// sqlRunner executes one statement, embedded or over the wire.
+type sqlRunner func(sql string, params ...any) ([][]any, error)
+
+func embeddedRunner(conn *calcite.Connection) sqlRunner {
+	return func(sql string, params ...any) ([][]any, error) {
+		res, err := conn.Query(sql, params...)
+		if err != nil {
+			return nil, err
+		}
+		return res.Rows, nil
+	}
+}
+
+func wireRunner(client *avatica.Client) sqlRunner {
+	return func(sql string, params ...any) ([][]any, error) {
+		resp, err := client.Query(sql, params...)
+		if err != nil {
+			return nil, err
+		}
+		return resp.Rows, nil
+	}
+}
+
+// runCorpus renders every corpus query's result (nil for an error), sorted
+// unless the query orders its output.
+func runCorpus(run sqlRunner) [][]string {
+	out := make([][]string, len(diffQueries))
+	for i, q := range diffQueries {
+		rows, err := run(q.sql, q.params...)
+		if err != nil {
+			continue
+		}
+		out[i] = renderRows(rows)
+		if !strings.Contains(strings.ToUpper(q.sql), "ORDER BY") {
+			sort.Strings(out[i])
+		}
+	}
+	return out
+}
+
+// TestAppendBuiltTablesAgree: serial, parallel 4, a 64 KB budget, row mode
+// and the wire all agree with the reference on tables built by appends.
+func TestAppendBuiltTablesAgree(t *testing.T) {
+	ref := diffConn()
+	ref.ForceRowMode(true)
+	want := runCorpus(embeddedRunner(ref))
+
+	for _, cfg := range []struct {
+		name      string
+		configure func(*calcite.Connection)
+		wire      bool
+	}{
+		{name: "serial", configure: func(c *calcite.Connection) { c.SetParallelism(1) }},
+		{name: "parallel4", configure: func(c *calcite.Connection) { c.SetParallelism(4) }},
+		{name: "mem64k", configure: func(c *calcite.Connection) { c.SetMemoryLimit(64 << 10) }},
+		{name: "rowmode", configure: func(c *calcite.Connection) { c.ForceRowMode(true) }},
+		{name: "wire", configure: func(*calcite.Connection) {}, wire: true},
+	} {
+		cfg := cfg
+		t.Run(cfg.name, func(t *testing.T) {
+			conn := calcite.Open()
+			tables := diffTables()
+			for _, tb := range tables {
+				conn.AddTable(tb.name, tb.cols, tb.rows[:len(tb.rows)/2])
+			}
+			cfg.configure(conn)
+			run := embeddedRunner(conn)
+			if cfg.wire {
+				srv := avatica.NewServer(conn.Framework)
+				addr, err := srv.Start("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Stop()
+				run = wireRunner(avatica.NewClient(addr))
+			}
+
+			// Three rounds: run the corpus (plans get cached, harvested and
+			// re-used while the tables under them grow), then append the next
+			// third of every table's second half, one single-row parameterized
+			// INSERT at a time, interleaved across the tables.
+			const rounds = 3
+			next := make([]int, len(tables))
+			for i, tb := range tables {
+				next[i] = len(tb.rows) / 2
+			}
+			for r := 1; r <= rounds; r++ {
+				runCorpus(run)
+				for more := true; more; {
+					more = false
+					for i, tb := range tables {
+						half := len(tb.rows) / 2
+						if next[i] >= half+(len(tb.rows)-half)*r/rounds {
+							continue
+						}
+						more = true
+						marks := strings.TrimSuffix(strings.Repeat("?, ", len(tb.cols)), ", ")
+						insert := fmt.Sprintf("INSERT INTO %s VALUES (%s)", tb.name, marks)
+						if _, err := run(insert, tb.rows[next[i]]...); err != nil {
+							t.Fatalf("%s row %d: %v", tb.name, next[i], err)
+						}
+						next[i]++
+					}
+				}
+			}
+
+			got := runCorpus(run)
+			for i, q := range diffQueries {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s\n  appended:  %v\n  reference: %v", q.sql, got[i], want[i])
+				}
+			}
+			c := conn.Framework.PlanCache().Counters()
+			if c.Invalidations != 0 {
+				t.Errorf("INSERTs flushed the whole plan cache %d times", c.Invalidations)
+			}
+			if c.TableEvictions == 0 {
+				t.Error("no plan was evicted although every table doubled")
+			}
+		})
+	}
+}
+
+// TestReadYourWritesOverTheWire: a row inserted by one client is visible to
+// its next statement and to a second client's, through the plans both had
+// cached before the write, and nothing is invalidated on the way.
+func TestReadYourWritesOverTheWire(t *testing.T) {
+	conn := diffConn()
+	srv := avatica.NewServer(conn.Framework)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	writer, other := avatica.NewClient(addr), avatica.NewClient(addr)
+
+	const count, lookup = "SELECT COUNT(*) FROM products", "SELECT name FROM products WHERE productId = ?"
+	for _, c := range []*avatica.Client{writer, other} {
+		resp, err := c.Query(count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Rows[0][0] != int64(50) {
+			t.Fatalf("count before the write = %v", resp.Rows[0][0])
+		}
+		if resp, err = c.Query(lookup, int64(50)); err != nil || len(resp.Rows) != 0 {
+			t.Fatalf("lookup before the write = %v, %v", resp, err)
+		}
+	}
+	before := conn.Framework.PlanCache().Counters()
+
+	if _, err := writer.Query("INSERT INTO products VALUES (?, ?)", int64(50), "product-50"); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []*avatica.Client{writer, other} {
+		resp, err := c.Query(count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Rows[0][0] != int64(51) {
+			t.Errorf("client %d: count after the write = %v, want 51", i, resp.Rows[0][0])
+		}
+		resp, err = c.Query(lookup, int64(50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Rows) != 1 || resp.Rows[0][0] != "product-50" {
+			t.Errorf("client %d: lookup after the write = %v", i, resp.Rows)
+		}
+	}
+	after := conn.Framework.PlanCache().Counters()
+	if after.Invalidations != before.Invalidations || after.TableEvictions != before.TableEvictions {
+		t.Errorf("the write invalidated plans: before %+v, after %+v", before, after)
+	}
+	if after.Hits != before.Hits+4 || after.Misses != before.Misses+1 {
+		t.Errorf("want the four reads to hit and only the INSERT to plan: before %+v, after %+v", before, after)
+	}
+}

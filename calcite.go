@@ -135,8 +135,10 @@ func MapType(key, value *types.Type) *types.Type { return types.Map(key, value) 
 // ArrayType builds an ARRAY column type.
 func ArrayType(elem *types.Type) *types.Type { return types.Array(elem) }
 
-// AddTable registers an in-memory table in the root schema and returns it
-// (rows may be appended later via INSERT or the returned handle).
+// AddTable registers an in-memory table in the root schema and returns it.
+// The rows are copied into the table's columns; more may be appended later
+// via INSERT or the returned handle's Insert, without disturbing concurrent
+// readers or cached plans. Registration itself flushes the plan cache.
 func (c *Connection) AddTable(name string, cols Columns, rows [][]any) *schema.MemTable {
 	fields := make([]types.Field, len(cols))
 	for i, col := range cols {
@@ -178,8 +180,9 @@ func (c *Connection) RegisterLattice(l *mv.Lattice) {
 
 // EnablePlanCache toggles the prepared-plan cache (default on): repeated
 // byte-identical statements reuse their optimized physical plan and skip
-// parse+optimize. The cache is invalidated by DDL, ANALYZE, INSERT and
-// adapter/table registration.
+// parse+optimize. DDL and adapter/table/lattice registration flush it;
+// ANALYZE of a table (or the table doubling under INSERTs) evicts only the
+// plans that scan that table; an INSERT evicts nothing.
 func (c *Connection) EnablePlanCache(on bool) { c.Framework.DisablePlanCache = !on }
 
 // SetPlanCacheSize bounds the prepared-plan cache's entry count (<= 0
@@ -191,8 +194,9 @@ func (c *Connection) SetPlanCacheSize(n int) { c.Framework.PlanCacheSize = n }
 // the optimizer's estimates, repeated executions of a statement whose
 // estimates drifted re-plan with bounded, exponentially-smoothed corrections,
 // and hash joins whose build side overshot its estimate swap build/probe
-// sides on the next planning. Corrections are invalidated by ANALYZE, DDL
-// and INSERT alongside the plan cache.
+// sides on the next planning. The store invalidates alongside the plan cache:
+// DDL empties it, ANALYZE of a table resets the records and replan budget of
+// the statements scanning it, INSERT touches nothing.
 func (c *Connection) EnableFeedback(on bool) { c.Framework.DisableFeedback = !on }
 
 // FeedbackReport returns the feedback store's per-statement plan-quality

@@ -13,36 +13,67 @@ import (
 	"calcite/internal/obs"
 )
 
-// TestFeedbackSharedInvalidation: the feedback store must flush through the
-// same DDL/ANALYZE funnel as the plan cache — after ANALYZE, both are empty
-// together.
+// TestFeedbackSharedInvalidation: the feedback store invalidates through the
+// same funnel as the plan cache — INSERT touches neither, ANALYZE of one
+// table forgets the statements that scan it in both, DDL empties both.
 func TestFeedbackSharedInvalidation(t *testing.T) {
 	conn := starConn(2000)
 	conn.SetParallelism(1)
+	const onSales, onD1 = "SELECT COUNT(*) AS n FROM sales WHERE amt < 50", "SELECT COUNT(*) AS n FROM d1 WHERE v1 < 10"
 	for i := 0; i < 2; i++ {
-		if _, err := conn.Query("SELECT COUNT(*) AS n FROM sales WHERE amt < 50"); err != nil {
-			t.Fatal(err)
+		for _, q := range []string{onSales, onD1} {
+			if _, err := conn.Query(q); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if conn.Framework.PlanCache().Len() == 0 {
-		t.Fatal("plan cache empty after repeated query")
+	cache, fb := conn.Framework.PlanCache(), conn.Framework.Feedback()
+	if fps, _ := fb.Size(); cache.Len() != 2 || fps != 2 {
+		t.Fatalf("after repeated queries: %d cached plans, %d feedback fingerprints, want 2 and 2", cache.Len(), fps)
 	}
-	if fps, _ := conn.Framework.Feedback().Size(); fps == 0 {
-		t.Fatal("feedback store empty after traced executions")
+
+	before := cache.Counters()
+	if _, err := conn.Exec("INSERT INTO sales VALUES (1, 1, 1, 1, 1.0)"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := conn.Query(onSales)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0]; got != int64(1051) { // 1050 of the 2000 seed rows have amt < 50
+		t.Fatalf("count after INSERT = %v, want 1051", got)
+	}
+	after := cache.Counters()
+	if after.Hits != before.Hits+1 || after.Invalidations != before.Invalidations || after.TableEvictions != 0 {
+		t.Fatalf("INSERT must leave the cached plans alone and the next read must hit: before %+v, after %+v", before, after)
+	}
+	if fps, _ := fb.Size(); fps != 3 || fb.Counters().Invalidations != 0 { // the INSERT is a statement too
+		t.Fatalf("INSERT touched the feedback store: %d fingerprints, %+v", fps, fb.Counters())
 	}
 
 	if _, err := conn.Exec("ANALYZE TABLE sales"); err != nil {
 		t.Fatal(err)
 	}
-	if n := conn.Framework.PlanCache().Len(); n != 0 {
-		t.Fatalf("plan cache not flushed by ANALYZE: %d entries", n)
+	if c := cache.Counters(); c.TableEvictions != 1 || c.Invalidations != before.Invalidations {
+		t.Fatalf("ANALYZE sales: %+v, want the one plan on sales evicted and no flush", c)
 	}
-	fps, ops := conn.Framework.Feedback().Size()
-	if fps != 0 || ops != 0 {
-		t.Fatalf("feedback store not flushed by ANALYZE: %d fingerprints, %d corrections", fps, ops)
+	for _, r := range fb.Report() {
+		if r.SQL == onSales {
+			t.Fatal("feedback record of the statement on sales survived ANALYZE sales")
+		}
 	}
-	if c := conn.Framework.Feedback().Counters(); c.Invalidations == 0 {
-		t.Fatal("feedback invalidation not counted")
+	if fps, ops := fb.Size(); fps != 2 || ops == 0 {
+		t.Fatalf("ANALYZE sales left %d fingerprints, %d corrections; the statement on d1 must keep its", fps, ops)
+	}
+
+	if _, err := conn.Exec("CREATE TABLE scratch (x BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	if fps, ops := fb.Size(); cache.Len() != 0 || fps != 0 || ops != 0 {
+		t.Fatalf("DDL left %d plans, %d fingerprints, %d corrections", cache.Len(), fps, ops)
+	}
+	if fb.Counters().Invalidations != 1 || cache.Counters().Invalidations != before.Invalidations+1 {
+		t.Fatal("DDL flush not counted once in both")
 	}
 }
 

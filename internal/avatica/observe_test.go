@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +81,43 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q\n%s", want, out)
 		}
 	}
+
+	// A write appends rows without evicting the cached plan; ANALYZE evicts
+	// it through the per-table funnel, not the whole-cache flush.
+	appended := metricValue(t, out, "calcite_memtable_rows_appended_total")
+	for _, sql := range []string{"INSERT INTO nums VALUES (500, 1.5)", "ANALYZE TABLE nums"} {
+		if _, err := client.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, out = get(t, "http://"+addr+"/metrics")
+	// The append counter is process-wide; other tests may insert meanwhile.
+	if got := metricValue(t, out, "calcite_memtable_rows_appended_total"); got < appended+1 {
+		t.Errorf("calcite_memtable_rows_appended_total = %v after an INSERT, was %v", got, appended)
+	}
+	if got := metricValue(t, out, "calcite_plan_cache_table_invalidations_total"); got != 1 {
+		t.Errorf("calcite_plan_cache_table_invalidations_total = %v after ANALYZE, want 1", got)
+	}
+	if got := metricValue(t, out, "calcite_plan_cache_invalidations_total"); got != 0 {
+		t.Errorf("calcite_plan_cache_invalidations_total = %v, want 0: neither INSERT nor ANALYZE flushes the cache", got)
+	}
+}
+
+// metricValue returns the value of an unlabelled sample in a Prometheus text
+// exposition.
+func metricValue(t *testing.T, exposition, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("metrics missing %s\n%s", name, exposition)
+	return 0
 }
 
 func TestDebugQueriesEndpoint(t *testing.T) {

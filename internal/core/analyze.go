@@ -75,6 +75,8 @@ func (f *Framework) analyzeTable(s *parser.AnalyzeStmt) (*Result, error) {
 	newStats.Columns = cols
 	newStats.Analyzed = true
 	setter.SetStats(newStats)
+	// New statistics change join orders: plans over this table are stale.
+	f.InvalidateTable(table)
 	return &Result{
 		Columns: []string{"TABLE", "ROWS"},
 		Rows:    [][]any{{strings.Join(path, "."), int64(rows)}},

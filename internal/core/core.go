@@ -282,24 +282,48 @@ func (f *Framework) planCacheIfEnabled() *PlanCache {
 }
 
 // InvalidatePlans flushes the prepared-plan cache and the cardinality-
-// feedback store together. Called on every statement that changes what plans
-// mean — DDL, ANALYZE, INSERT, adapter or table registration — and available
-// to embedders that mutate the catalog directly. The two invalidate through
-// the one funnel deliberately: corrections harvested against superseded
-// statistics are as stale as the plans optimized with them.
+// feedback store together: the catalog-wide half of the invalidation funnel,
+// for what changes the meaning of every plan — DDL, adapter, table, view or
+// lattice registration, a planner switch — and for embedders that mutate the
+// catalog directly. Data changes do not come here: INSERT invalidates
+// nothing, and new statistics for one table go through InvalidateTable. The
+// plan cache and the feedback store always invalidate together: after a
+// catalog change, corrections are as stale as the plans optimized with them.
 func (f *Framework) InvalidatePlans() {
-	f.planCacheMu.Lock()
-	c := f.planCache
-	f.planCacheMu.Unlock()
+	c, fb := f.planState()
 	if c != nil {
 		c.Invalidate()
 	}
-	f.fbMu.Lock()
-	fb := f.fbStore
-	f.fbMu.Unlock()
 	if fb != nil {
 		fb.Invalidate()
 	}
+}
+
+// InvalidateTable is the per-table half of the funnel: t has new statistics
+// (ANALYZE, or it has doubled since they were taken and dropped them), so
+// the cached plans that scan t are evicted and the feedback store forgets
+// the statements that scan t — their q-error records and their spent replan
+// budget. Plans and records over other tables are untouched, and so are the
+// learned corrections, which are observations of the data.
+func (f *Framework) InvalidateTable(t schema.Table) {
+	c, fb := f.planState()
+	if c != nil {
+		c.EvictTable(t)
+	}
+	if fb != nil {
+		fb.InvalidateTable(t)
+	}
+}
+
+// planState returns the plan cache and feedback store if they exist yet.
+func (f *Framework) planState() (*PlanCache, *feedback.Store) {
+	f.planCacheMu.Lock()
+	c := f.planCache
+	f.planCacheMu.Unlock()
+	f.fbMu.Lock()
+	fb := f.fbStore
+	f.fbMu.Unlock()
+	return c, fb
 }
 
 // NewMetaQuery builds a metadata session with all registered providers. The
@@ -471,26 +495,37 @@ func (f *Framework) ExecuteOpts(sql string, opts ExecOptions) (*Result, error) {
 		f.InvalidatePlans()
 		return f.createView(s, sql)
 	case *parser.AnalyzeStmt:
-		// New statistics change join orders: cached plans are stale.
-		f.InvalidatePlans()
 		return f.analyzeTable(s)
-	case *parser.InsertStmt:
-		// INSERT invalidates the target table's column statistics, so
-		// cached plans optimized against them are stale too.
-		f.InvalidatePlans()
 	}
 	return f.executeQuery(sql, stmt, opts)
 }
 
 // cacheableStmt reports whether a statement's optimized plan may be reused
-// by later byte-identical statements: pure queries only — DML re-plans (and
-// flushes) every time, DDL never reaches the query path.
+// by later byte-identical statements: queries and INSERT (its plan resolves
+// the target once and binds parameters per execution, like any other). DDL
+// never reaches the query path.
 func cacheableStmt(stmt parser.Statement) bool {
 	switch stmt.(type) {
-	case *parser.SelectStmt, *parser.SetOpStmt, *parser.ValuesStmt:
+	case *parser.SelectStmt, *parser.SetOpStmt, *parser.ValuesStmt, *parser.InsertStmt:
 		return true
 	}
 	return false
+}
+
+// run executes a prepared plan. For DML it is also where data growth reaches
+// the invalidation funnel: a target whose statistics turned over under the
+// statement (a MemTable drops them once it has doubled) gets its plans
+// invalidated; any other insert invalidates nothing.
+func (f *Framework) run(ctx *exec.Context, prepared rel.Node, target schema.Table) ([][]any, error) {
+	if target == nil {
+		return exec.Execute(ctx, prepared)
+	}
+	before := target.Stats().Version
+	rows, err := exec.Execute(ctx, prepared)
+	if target.Stats().Version != before {
+		f.InvalidateTable(target)
+	}
+	return rows, err
 }
 
 // executeQuery runs a converted query/DML statement under tracing and, on
@@ -525,7 +560,7 @@ func (f *Framework) executeCachedPlan(sql string, ent *planEntry, opts ExecOptio
 	ctx.Evaluator.Params = opts.Params
 	prepared := f.attachTrace(ctx, tr, ent.plan, ent.est)
 	t := time.Now()
-	rows, err := exec.Execute(ctx, prepared)
+	rows, err := f.run(ctx, prepared, modifyTarget(ent.plan))
 	tr.ExecNs = int64(time.Since(t))
 	f.mergeMemStats(tr, ctx)
 	if err != nil {
@@ -566,7 +601,7 @@ func (f *Framework) runTraced(tr *obs.QueryTrace, stmt parser.Statement, opts Ex
 	ctx.Evaluator.Params = opts.Params
 	prepared := f.attachTrace(ctx, tr, physical, est)
 	t2 := time.Now()
-	rows, err := exec.Execute(ctx, prepared)
+	rows, err := f.run(ctx, prepared, modifyTarget(physical))
 	tr.ExecNs = int64(time.Since(t2))
 	f.mergeMemStats(tr, ctx)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"calcite/internal/feedback"
 	"calcite/internal/obs"
 	"calcite/internal/rel"
+	"calcite/internal/schema"
 )
 
 // Obs returns the framework's observability engine, creating it on first
@@ -87,8 +88,14 @@ func (f *Framework) registerSubsystemMetrics(r *obs.Registry) {
 		"Cached plans evicted by the LRU size cap.",
 		func() int64 { return pc.Counters().Evictions })
 	r.CounterFunc("calcite_plan_cache_invalidations_total",
-		"Whole-cache flushes (DDL, ANALYZE, INSERT, adapter registration).",
+		"Whole-cache flushes (DDL, adapter/table/lattice registration, planner switches).",
 		func() int64 { return pc.Counters().Invalidations })
+	r.CounterFunc("calcite_plan_cache_table_invalidations_total",
+		"Cached plans evicted because a table they scan got new statistics (ANALYZE, or it doubled).",
+		func() int64 { return pc.Counters().TableEvictions })
+	r.CounterFunc("calcite_memtable_rows_appended_total",
+		"Rows appended to in-memory tables (process-wide).",
+		schema.MemTableRowsAppended)
 	r.CounterFunc("calcite_plan_cache_feedback_evictions_total",
 		"Targeted evictions requested by the cardinality-feedback loop.",
 		func() int64 { return pc.Counters().FeedbackEvictions })
@@ -125,7 +132,7 @@ func (f *Framework) registerSubsystemMetrics(r *obs.Registry) {
 		"Build/probe swaps applied by the adaptive re-planner.",
 		func() int64 { return fb.Counters().SwapsApplied })
 	r.CounterFunc("calcite_feedback_invalidations_total",
-		"Feedback-store flushes (shared with the plan cache's DDL/ANALYZE funnel).",
+		"Feedback-store flushes (shared with the plan cache's whole-cache flushes).",
 		func() int64 { return fb.Counters().Invalidations })
 
 	wp := f.WorkerPool()

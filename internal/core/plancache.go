@@ -15,19 +15,27 @@ package core
 // rewrite wraps (never mutates) the tree per execution — so one cached plan
 // may execute on any number of concurrent queries.
 //
-// Any statement that changes what plans mean — DDL, ANALYZE (statistics
-// drive join order), INSERT (invalidates column stats), adapter or view
-// registration — flushes the whole cache: invalidation is rare and cheap,
-// staleness is not.
+// Invalidation says which table and why. A cached plan reads its tables when
+// it executes, so rows inserted after it was optimized never make it wrong,
+// only possibly mis-costed, and the feedback loop already evicts a statement
+// whose estimates drift (EvictFingerprint). INSERT therefore touches nothing
+// here. New statistics for one table — ANALYZE, or the table having doubled
+// since its statistics were taken — evict the plans that scan that table
+// (EvictTable). Only what changes the meaning of every plan — DDL, adapter,
+// table, view or lattice registration, a planner switch — flushes the whole
+// cache (Invalidate).
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"calcite/internal/exec"
 	"calcite/internal/feedback"
 	"calcite/internal/obs"
 	"calcite/internal/rel"
+	"calcite/internal/schema"
 )
 
 // DefaultPlanCacheSize bounds the plan cache's entry count.
@@ -44,6 +52,14 @@ type planEntry struct {
 	est     *feedback.PlanEstimates
 }
 
+// modifyTarget returns the table a DML plan writes, nil for a query.
+func modifyTarget(physical rel.Node) schema.Table {
+	if m, ok := physical.(*exec.TableModify); ok {
+		return m.Table
+	}
+	return nil
+}
+
 // PlanCache is a concurrency-safe LRU of optimized plans with hit/miss/
 // eviction/invalidation counters, sampled by the metrics registry through
 // function-backed instruments.
@@ -58,6 +74,7 @@ type PlanCache struct {
 	evictions         atomic.Int64
 	invalidations     atomic.Int64
 	feedbackEvictions atomic.Int64
+	tableEvictions    atomic.Int64
 }
 
 type planElem struct {
@@ -132,7 +149,29 @@ func (c *PlanCache) EvictFingerprint(key string) bool {
 	return ok
 }
 
-// Invalidate drops every entry (DDL, ANALYZE, DML, adapter registration).
+// EvictTable drops every entry whose plan scans t — the targeted invalidation
+// for new statistics on one table — and returns how many it dropped. Plans
+// over other tables, and DML plans that only write t, stay cached. The plans
+// are walked here, on the rare path, rather than tagged on every Put.
+func (c *PlanCache) EvictTable(t schema.Table) int {
+	c.mu.Lock()
+	n := 0
+	for el := c.order.Front(); el != nil; {
+		next := el.Next()
+		if pe := el.Value.(*planElem); slices.Contains(rel.ScannedTables(pe.ent.plan), t) {
+			c.order.Remove(el)
+			delete(c.byKey, pe.key)
+			n++
+		}
+		el = next
+	}
+	c.mu.Unlock()
+	c.tableEvictions.Add(int64(n))
+	return n
+}
+
+// Invalidate drops every entry (DDL, adapter/table/lattice registration,
+// planner switches).
 func (c *PlanCache) Invalidate() {
 	c.mu.Lock()
 	if c.order.Len() > 0 {
@@ -156,6 +195,9 @@ type PlanCacheCounters struct {
 	// FeedbackEvictions counts targeted evictions requested by the
 	// cardinality-feedback loop (EvictFingerprint).
 	FeedbackEvictions int64
+	// TableEvictions counts entries dropped because a table they scan got
+	// new statistics (EvictTable).
+	TableEvictions int64
 }
 
 // Counters returns the cumulative hit/miss/eviction/invalidation counts.
@@ -166,5 +208,6 @@ func (c *PlanCache) Counters() PlanCacheCounters {
 		Evictions:         c.evictions.Load(),
 		Invalidations:     c.invalidations.Load(),
 		FeedbackEvictions: c.feedbackEvictions.Load(),
+		TableEvictions:    c.tableEvictions.Load(),
 	}
 }

@@ -99,44 +99,158 @@ func TestPlanCacheLiteralsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidation checks every statement class that must flush:
-// DDL, ANALYZE and INSERT.
-func TestPlanCacheInvalidation(t *testing.T) {
-	f := cacheTestFramework(t)
-	const q = "SELECT COUNT(*) FROM t"
-	if _, err := f.Execute(q); err != nil {
-		t.Fatal(err)
-	}
-	if f.PlanCache().Len() != 1 {
-		t.Fatalf("plan not cached")
-	}
-	// INSERT flushes and the re-run sees the new row.
-	if _, err := f.Execute("INSERT INTO t VALUES (4, 4.5)"); err != nil {
-		t.Fatal(err)
-	}
-	if f.PlanCache().Len() != 0 {
-		t.Fatal("INSERT did not invalidate the plan cache")
-	}
+// countRows runs a SELECT COUNT(*) statement and returns the count.
+func countRows(t *testing.T, f *Framework, q string) int64 {
+	t.Helper()
 	res, err := f.Execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := res.Rows[0][0].(int64); got != 4 {
-		t.Fatalf("count after insert = %v, want 4", res.Rows[0][0])
+	n, _ := res.Rows[0][0].(int64)
+	return n
+}
+
+// TestPlanCacheInvalidation pins what invalidates what: INSERT nothing,
+// ANALYZE the plans that scan the analyzed table, DDL everything.
+func TestPlanCacheInvalidation(t *testing.T) {
+	f := cacheTestFramework(t)
+	f.Catalog.AddTable(schema.NewMemTable("u",
+		types.Row(types.Field{Name: "id", Type: types.BigInt.WithNullable(true)}),
+		[][]any{{int64(1)}, {int64(2)}}))
+	const (
+		onT  = "SELECT COUNT(*) FROM t"
+		onU  = "SELECT COUNT(*) FROM u"
+		onTU = "SELECT COUNT(*) FROM t JOIN u ON t.id = u.id"
+	)
+	for _, q := range []string{onT, onU, onTU} {
+		countRows(t, f, q)
 	}
-	for _, ddl := range []string{"ANALYZE TABLE t", "CREATE TABLE t2 (x BIGINT)"} {
-		if _, err := f.Execute(q); err != nil { // repopulate
+	if f.PlanCache().Len() != 3 {
+		t.Fatalf("plans not cached: %d entries", f.PlanCache().Len())
+	}
+
+	// INSERT evicts nothing, and the next read is a hit that sees the row.
+	before := f.PlanCache().Counters()
+	if _, err := f.Execute("INSERT INTO t VALUES (4, 4.5)"); err != nil {
+		t.Fatal(err)
+	}
+	if got := countRows(t, f, onT); got != 4 {
+		t.Fatalf("count after insert = %d, want 4", got)
+	}
+	after := f.PlanCache().Counters()
+	if after.Invalidations != before.Invalidations || after.TableEvictions != 0 {
+		t.Fatalf("INSERT invalidated plans: before %+v, after %+v", before, after)
+	}
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses+1 {
+		t.Fatalf("want the INSERT to miss once and the read to hit: before %+v, after %+v", before, after)
+	}
+	if f.PlanCache().Len() != 4 { // the three reads and the INSERT itself
+		t.Fatalf("cache holds %d entries after INSERT, want 4", f.PlanCache().Len())
+	}
+
+	// ANALYZE t evicts the plans that scan t, not the plan on u alone.
+	if _, err := f.Execute("ANALYZE TABLE t"); err != nil {
+		t.Fatal(err)
+	}
+	c := f.PlanCache().Counters()
+	if c.TableEvictions != 2 || c.Invalidations != before.Invalidations {
+		t.Fatalf("ANALYZE t: %+v, want 2 table evictions and no whole-cache flush", c)
+	}
+	hits := c.Hits
+	countRows(t, f, onU)
+	if got := f.PlanCache().Counters().Hits; got != hits+1 {
+		t.Fatal("ANALYZE t evicted the plan on u")
+	}
+	countRows(t, f, onT)
+	countRows(t, f, onTU)
+	if got := f.PlanCache().Counters().Hits; got != hits+1 {
+		t.Fatal("plans on t survived ANALYZE t")
+	}
+
+	// DDL still flushes everything.
+	if _, err := f.Execute("CREATE TABLE t2 (x BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	if f.PlanCache().Len() != 0 {
+		t.Fatal("DDL did not flush the plan cache")
+	}
+	if got := f.PlanCache().Counters().Invalidations; got != before.Invalidations+1 {
+		t.Fatalf("invalidations = %d, want %d", got, before.Invalidations+1)
+	}
+}
+
+// TestPlanCacheInsertIsCached: a parameterized INSERT plans once; every later
+// execution is a hit that binds its own values.
+func TestPlanCacheInsertIsCached(t *testing.T) {
+	f := cacheTestFramework(t)
+	for i := 0; i < 100; i++ {
+		if _, err := f.Execute("INSERT INTO t VALUES (?, ?)", int64(100+i), float64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if f.PlanCache().Len() == 0 {
-			t.Fatalf("cache empty before %q", ddl)
+	}
+	if c := f.PlanCache().Counters(); c.Misses != 1 || c.Hits != 99 {
+		t.Fatalf("counters = %+v, want 1 miss / 99 hits", c)
+	}
+	res, err := f.Execute("SELECT COUNT(*), COUNT(DISTINCT id) FROM t WHERE id >= 100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][0] != int64(100) || res.Rows[0][1] != int64(100) {
+		t.Fatalf("inserted rows = %v, want 100 distinct", res.Rows[0])
+	}
+}
+
+// TestPlanCacheTableDoubling: a table that doubles under INSERTs has its
+// plans evicted once, at the doubling, and the statements that scan it get
+// their spent replan budget back.
+func TestPlanCacheTableDoubling(t *testing.T) {
+	f := cacheTestFramework(t)
+	rows := make([][]any, 64)
+	for i := range rows {
+		rows[i] = []any{int64(i)}
+	}
+	f.Catalog.AddTable(schema.NewMemTable("big",
+		types.Row(types.Field{Name: "v", Type: types.BigInt.WithNullable(true)}), rows))
+	// The binding alternates between matching every row and none, so each
+	// execution misses the previous one's corrected estimate by far.
+	drift := func() {
+		for i := 0; i < 20; i++ {
+			if _, err := f.Execute("SELECT COUNT(*) FROM big WHERE v < ?", int64(i%2*1000)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := f.Execute(ddl); err != nil {
+	}
+	drift()
+	budget := f.Feedback().Counters().Replans
+	if budget == 0 {
+		t.Fatal("drifting statement never re-planned")
+	}
+	drift()
+	if got := f.Feedback().Counters().Replans; got != budget {
+		t.Fatalf("replans grew past the budget: %d → %d", budget, got)
+	}
+	countRows(t, f, "SELECT COUNT(*) FROM t")
+
+	for i := 64; i < 128; i++ {
+		if got := f.PlanCache().Counters().TableEvictions; got != 0 {
+			t.Fatalf("plans evicted at %d rows, before the table doubled", i)
+		}
+		if _, err := f.Execute("INSERT INTO big VALUES (?)", int64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if f.PlanCache().Len() != 0 {
-			t.Fatalf("%q did not invalidate the plan cache", ddl)
-		}
+	}
+	c := f.PlanCache().Counters()
+	if c.TableEvictions != 1 || c.Invalidations != 0 {
+		t.Fatalf("doubling: %+v, want exactly the one plan on big evicted", c)
+	}
+	hits := c.Hits
+	countRows(t, f, "SELECT COUNT(*) FROM t")
+	if got := f.PlanCache().Counters().Hits; got != hits+1 {
+		t.Fatal("doubling big evicted the plan on t")
+	}
+	drift()
+	if got := f.Feedback().Counters().Replans; got != 2*budget {
+		t.Fatalf("replans after doubling = %d, want %d (budget restored once)", got, 2*budget)
 	}
 }
 

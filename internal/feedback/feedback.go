@@ -8,8 +8,10 @@
 // as a meta.Provider so repeated executions of the same statement converge
 // toward observed cardinalities, and (3) records hash-join build-side
 // overshoots so the next planning of the statement can swap build and probe
-// sides. Corrections are invalidated alongside the plan cache on ANALYZE,
-// DDL and INSERT: fresh statistics supersede stale observations.
+// sides. The store invalidates alongside the plan cache: everything on DDL
+// (Invalidate); when one table gets fresh statistics, the records and replan
+// budgets of the statements scanning it (InvalidateTable). INSERT invalidates
+// nothing; the smoothed corrections follow a growing table on their own.
 //
 // Corrections are keyed by the canonical logical digest of the operator
 // subtree (NodeKey), not by path: the join-order enumeration explores plan
@@ -20,6 +22,7 @@ package feedback
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,6 +33,7 @@ import (
 	"calcite/internal/obs"
 	"calcite/internal/rel"
 	"calcite/internal/rex"
+	"calcite/internal/schema"
 )
 
 // Options tune the store's smoothing, bounding and reaction thresholds.
@@ -88,13 +92,15 @@ type OpEstimate struct {
 type PlanEstimates struct {
 	Fingerprint string
 	ByPath      map[string]OpEstimate
+	// Tables are the tables the plan scans (what InvalidateTable matches).
+	Tables []schema.Table
 }
 
 // EstimatePlan walks an optimized physical plan assigning stable path ids
 // ("0" for the root, parent+"."+childIndex below) and records each
 // operator's estimated row count and correction key.
 func EstimatePlan(fingerprint string, root rel.Node, rowCount func(rel.Node) float64) *PlanEstimates {
-	pe := &PlanEstimates{Fingerprint: fingerprint, ByPath: map[string]OpEstimate{}}
+	pe := &PlanEstimates{Fingerprint: fingerprint, ByPath: map[string]OpEstimate{}, Tables: rel.ScannedTables(root)}
 	var walk func(n rel.Node, path string)
 	walk = func(n rel.Node, path string) {
 		e := OpEstimate{Path: path, Op: n.Op(), Key: NodeKey(n), Rows: rowCount(n)}
@@ -290,6 +296,7 @@ type planState struct {
 	replans       int64
 	pendingReplan bool
 	ops           map[string]*opState // by path
+	tables        []schema.Table      // scanned by the latest harvested plan
 }
 
 // swapState is a recorded build/probe swap preference for one join shape.
@@ -402,6 +409,7 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 		s.plans[snap.Fingerprint] = ps
 	}
 	ps.executions++
+	ps.tables = est.Tables
 	maxQ := 0.0
 	var walk func(sp *obs.SpanStats)
 	walk = func(sp *obs.SpanStats) {
@@ -594,8 +602,24 @@ func (s *Store) SwapCount() int64 { return s.swapCount.Load() }
 // NoteSwapApplied counts one applied build/probe swap.
 func (s *Store) NoteSwapApplied() { s.swapsApplied.Add(1) }
 
-// Invalidate drops all corrections, plan records and swap preferences —
-// called from the same DDL/ANALYZE/INSERT path that flushes the plan cache.
+// InvalidateTable forgets the statements whose plans scan t — their q-error
+// history and spent replan budget — called with the plan cache's EvictTable
+// when t gets new statistics. Row-count corrections, join selectivities and
+// swap preferences stay: they are smoothed observations of the data, which
+// new statistics do not falsify, and they keep following it on their own.
+func (s *Store) InvalidateTable(t schema.Table) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for fp, ps := range s.plans {
+		if slices.Contains(ps.tables, t) {
+			delete(s.plans, fp)
+		}
+	}
+}
+
+// Invalidate drops all corrections, plan records and swap preferences — the
+// catalog-wide flush (DDL, registration, planner switches) shared with the
+// plan cache.
 func (s *Store) Invalidate() {
 	s.mu.Lock()
 	empty := len(s.corrections) == 0 && len(s.plans) == 0 && len(s.swaps) == 0

@@ -254,7 +254,53 @@ func TestReplanCap(t *testing.T) {
 	}
 }
 
-// TestInvalidateClears: the DDL/ANALYZE funnel resets every map and the
+// TestInvalidateTable: new statistics for one table forget the statements
+// that scan it — record and spent replan budget — and leave a statement over
+// another table alone. Corrections are observations of the data and stay.
+func TestInvalidateTable(t *testing.T) {
+	tb, ub := testTable("t", 10), testTable("u", 10)
+	scanT := exec.NewScan(tb, []string{"t"})
+	scanU := exec.NewScan(ub, []string{"u"})
+	join := exec.NewHashJoin(rel.InnerJoin, scanT, exec.NewScan(ub, []string{"u2"}),
+		rex.NewCall(rex.OpEquals, rex.NewInputRef(0, types.BigInt), rex.NewInputRef(2, types.BigInt)))
+	est := func(rel.Node) float64 { return 100 }
+	peT := EstimatePlan("fpT", scanT, est)
+	peU := EstimatePlan("fpU", scanU, est)
+	peTU := EstimatePlan("fpTU", join, est)
+	s := NewStore(Options{MaxReplans: 1})
+	for _, pe := range []*PlanEstimates{peT, peU} {
+		fp := pe.Fingerprint
+		if !s.Harvest(scanSnapshot(fp, 1000, 100), pe) {
+			t.Fatalf("%s: first drift not re-planned", fp)
+		}
+		if s.Harvest(scanSnapshot(fp, 1000, 100), pe) {
+			t.Fatalf("%s: re-planned past MaxReplans", fp)
+		}
+	}
+	s.Harvest(&obs.TraceSnapshot{Fingerprint: "fpTU", Spans: &obs.SpanStats{Path: "0", Rows: 1000, Children: []*obs.SpanStats{
+		{Path: "0.0", Rows: 10}, {Path: "0.1", Rows: 10}}}}, peTU)
+
+	s.InvalidateTable(tb)
+	if fps, _ := s.Size(); fps != 1 {
+		t.Fatalf("fingerprints after InvalidateTable(t) = %d, want only the one on u", fps)
+	}
+	for _, n := range []rel.Node{scanT, scanU, join} {
+		if _, ok := s.CorrectedRowCount(n); !ok {
+			t.Fatalf("correction on %s dropped by InvalidateTable", n.Op())
+		}
+	}
+	if !s.Harvest(scanSnapshot("fpT", 1000, 100), peT) {
+		t.Fatal("replan budget of the statement on t not restored")
+	}
+	if s.Harvest(scanSnapshot("fpU", 1000, 100), peU) {
+		t.Fatal("replan budget of the statement on u restored by InvalidateTable(t)")
+	}
+	if c := s.Counters(); c.Invalidations != 0 {
+		t.Fatalf("InvalidateTable counted as a whole-store flush: %+v", c)
+	}
+}
+
+// TestInvalidateClears: the catalog-wide flush resets every map and the
 // worst-q gauge.
 func TestInvalidateClears(t *testing.T) {
 	tb := testTable("t", 10)

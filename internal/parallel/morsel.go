@@ -15,7 +15,7 @@ import (
 )
 
 // dispenser hands the batches of one shared cursor to competing workers.
-// MemTable batches are zero-copy slice windows over the columnar snapshot,
+// MemTable batches are zero-copy slice windows over the pinned columns,
 // so the critical section is a few slice-header writes per morsel.
 type dispenser struct {
 	mu     sync.Mutex

@@ -10,8 +10,10 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"calcite/internal/schema"
 	"calcite/internal/trait"
 	"calcite/internal/types"
 )
@@ -136,6 +138,30 @@ func Walk(n Node, visit func(Node) bool) {
 	for _, in := range n.Inputs() {
 		Walk(in, visit)
 	}
+}
+
+// ScannedTables returns the distinct tables the plan rooted at n scans, in
+// whatever convention (physical scans are unwrapped to their logical
+// prototype) — the index table-keyed plan invalidation is built on.
+func ScannedTables(n Node) []schema.Table {
+	var out []schema.Table
+	Walk(n, func(n Node) bool {
+		if len(n.Inputs()) > 0 {
+			return true
+		}
+		for {
+			w, ok := n.(Wrapped)
+			if !ok {
+				break
+			}
+			n = w.Unwrap()
+		}
+		if scan, ok := n.(*TableScan); ok && !slices.Contains(out, scan.Table) {
+			out = append(out, scan.Table)
+		}
+		return true
+	})
+	return out
 }
 
 // Count returns the number of nodes in the subtree.

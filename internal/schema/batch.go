@@ -13,8 +13,8 @@ package schema
 // vectors (Vecs — monomorphic storage, see vector.go) and boxed columns
 // (Cols — []any). Typed operators read Vecs; everything else calls
 // BoxedCols(), which returns Cols, materializing and caching it from the
-// vectors on first use. Sources that have both on hand (MemTable's cached
-// snapshot) attach both zero-copy, so compatibility costs nothing on scans.
+// vectors on first use. Sources that have both on hand (MemTable's columns)
+// attach both zero-copy, so compatibility costs nothing on scans.
 //
 // Both conventions interoperate: BatchCursorFromCursor lifts any row cursor
 // into batches, and RowCursorFromBatches flattens batches back into rows, so
@@ -330,87 +330,3 @@ func (c *batchRowCursor) Next() ([]any, error) {
 }
 
 func (c *batchRowCursor) Close() error { return c.bc.Close() }
-
-// memBatchCursor serves batches as zero-copy slices of a MemTable's
-// columnar snapshot — both the typed vectors and the boxed columns, so
-// typed kernels and boxed fallbacks alike start from free representations.
-type memBatchCursor struct {
-	cols      [][]any
-	vecs      []*Vector
-	n         int
-	batchSize int
-	pos       int
-	seq       int64
-}
-
-func (c *memBatchCursor) NextBatch() (*Batch, error) {
-	if c.pos >= c.n {
-		return nil, Done
-	}
-	end := c.pos + c.batchSize
-	if end > c.n {
-		end = c.n
-	}
-	cols := make([][]any, len(c.cols))
-	for i, col := range c.cols {
-		cols[i] = col[c.pos:end]
-	}
-	b := &Batch{Len: end - c.pos, Cols: cols, Seq: c.seq}
-	if c.vecs != nil {
-		vecs := make([]*Vector, len(c.vecs))
-		for i, v := range c.vecs {
-			vecs[i] = v.Slice(c.pos, end)
-		}
-		b.Vecs = vecs
-	}
-	c.pos = end
-	c.seq++
-	return b, nil
-}
-
-func (c *memBatchCursor) Close() error { return nil }
-
-// columns returns the columnar snapshot (boxed columns plus typed vectors),
-// building (and caching) it on first use. The snapshot is immutable: Insert
-// replaces it rather than appending. Vector kinds come from the declared
-// column types, falling back per column when the stored values disagree.
-func (t *MemTable) columns() ([][]any, []*Vector, int) {
-	t.mu.RLock()
-	cols, vecs, n := t.cols, t.vecs, len(t.rows)
-	t.mu.RUnlock()
-	if cols != nil {
-		return cols, vecs, n
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cols == nil {
-		width := len(t.rowType.Fields)
-		cols = make([][]any, width)
-		for c := range cols {
-			col := make([]any, len(t.rows))
-			for r, row := range t.rows {
-				col[r] = row[c]
-			}
-			cols[c] = col
-		}
-		t.cols = cols
-		if !ForceBoxed() {
-			vecs = make([]*Vector, width)
-			for c := range vecs {
-				vecs[c] = BuildVector(cols[c], VecKindForType(t.rowType.Fields[c].Type))
-			}
-			t.vecs = vecs
-		}
-	}
-	return t.cols, t.vecs, len(t.rows)
-}
-
-// ScanBatches implements BatchScannableTable: batches are zero-copy windows
-// over the table's columnar snapshot.
-func (t *MemTable) ScanBatches(batchSize int) (BatchCursor, error) {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	cols, vecs, n := t.columns()
-	return &memBatchCursor{cols: cols, vecs: vecs, n: n, batchSize: batchSize}, nil
-}

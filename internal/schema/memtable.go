@@ -1,0 +1,238 @@
+package schema
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"calcite/internal/types"
+)
+
+// MemTable is an in-memory table with statistics: the workhorse of tests and
+// the mem adapter, and the storage behind CREATE TABLE (§9 DDL support).
+//
+// Its rows live in exactly one representation, the column-major one batches
+// are served from: a boxed column and (unless the table was built under
+// ForceBoxed) a typed vector per field, transposed once from the rows
+// NewMemTable is given. The store is append-only. Insert appends each value
+// to its column and vector in amortised O(1); a scan pins the column headers
+// and the row count n under the read lock and from then on reads only
+// indices below n of the arrays it pinned. A writer only ever writes indices
+// at or above n of a shared array, or moves the column to a fresh one, so a
+// cursor opened at n rows yields exactly those n rows however many inserts
+// follow, with no copy-on-write and no snapshot to rebuild.
+type MemTable struct {
+	name    string
+	rowType *types.Type
+
+	mu sync.RWMutex
+	// n is the row count; every column and vector holds exactly n values.
+	n    int
+	cols [][]any
+	vecs []*Vector // nil when built under ForceBoxed
+	// stats are the declared or collected statistics, statsRows the row count
+	// they describe (see Insert).
+	stats     Statistics
+	statsRows int
+}
+
+// checkWidth reports the first row that does not have one value per field.
+func checkWidth(table string, width int, rows [][]any) error {
+	for i, row := range rows {
+		if len(row) != width {
+			return fmt.Errorf("schema: table %s: row %d has %d values, want %d", table, i, len(row), width)
+		}
+	}
+	return nil
+}
+
+// NewMemTable creates an in-memory table holding rows, each of which must
+// have one value per field of rowType; a row of another width is a
+// programming error and panics here, at the caller, rather than under a later
+// reader. The rows are transposed into the table's columns; the slice is not
+// retained.
+func NewMemTable(name string, rowType *types.Type, rows [][]any) *MemTable {
+	if err := checkWidth(name, len(rowType.Fields), rows); err != nil {
+		panic(err)
+	}
+	cols := BatchFromRows(rows, len(rowType.Fields)).Cols
+	t := &MemTable{
+		name:      name,
+		rowType:   rowType,
+		n:         len(rows),
+		cols:      cols,
+		stats:     Statistics{RowCount: float64(len(rows))},
+		statsRows: len(rows),
+	}
+	if !ForceBoxed() {
+		t.vecs = make([]*Vector, len(cols))
+		for c := range cols {
+			t.vecs[c] = BuildVector(cols[c], VecKindForType(rowType.Fields[c].Type))
+		}
+	}
+	return t
+}
+
+// SetStats replaces the table statistics (ANALYZE, tests and benchmarks).
+func (t *MemTable) SetStats(s Statistics) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s.Version = t.stats.Version + 1
+	t.stats = s
+	t.statsRows = t.n
+}
+
+func (t *MemTable) Name() string         { return t.name }
+func (t *MemTable) RowType() *types.Type { return t.rowType }
+
+func (t *MemTable) Stats() Statistics {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.stats.RowCount <= 0 {
+		return Statistics{RowCount: float64(t.n), UniqueColumns: t.stats.UniqueColumns, Version: t.stats.Version}
+	}
+	return t.stats
+}
+
+// pin returns a cursor over the rows present now: the column headers and row
+// count are copied under the read lock, which is all the isolation a reader
+// of an append-only store needs.
+func (t *MemTable) pin(batchSize int, typed bool) *memBatchCursor {
+	if batchSize <= 0 {
+		batchSize = DefaultBatchSize
+	}
+	c := &memBatchCursor{batchSize: batchSize}
+	t.mu.RLock()
+	c.n = t.n
+	c.cols = append([][]any(nil), t.cols...)
+	if typed && t.vecs != nil {
+		c.vecs = make([]Vector, len(t.vecs))
+		for i, v := range t.vecs {
+			c.vecs[i] = *v
+		}
+	}
+	t.mu.RUnlock()
+	return c
+}
+
+// ScanBatches implements BatchScannableTable: batches are zero-copy windows
+// over the table's columns as of this call.
+func (t *MemTable) ScanBatches(batchSize int) (BatchCursor, error) {
+	return t.pin(batchSize, !ForceBoxed()), nil
+}
+
+// Scan enumerates the rows present now, materializing them from the columns
+// one batch at a time (the row-mode reference path).
+func (t *MemTable) Scan() (Cursor, error) {
+	return RowCursorFromBatches(t.pin(0, false)), nil
+}
+
+// Rows materializes the table contents as of this call.
+func (t *MemTable) Rows() [][]any {
+	c := t.pin(0, false)
+	return (&Batch{Len: c.n, Cols: c.cols}).AppendRows(make([][]any, 0, c.n))
+}
+
+// memTableRowsAppended counts rows appended by MemTable.Insert process-wide
+// (the calcite_memtable_rows_appended_total metric).
+var memTableRowsAppended atomic.Int64
+
+// MemTableRowsAppended returns the number of rows MemTable.Insert has
+// appended in this process.
+func MemTableRowsAppended() int64 { return memTableRowsAppended.Load() }
+
+// Insert appends rows, all or none: a row whose width differs from the row
+// type is an error and leaves the table and its statistics untouched. Each
+// value is appended to its boxed column and typed vector; a value that does
+// not fit its vector's kind demotes that one column to VecAny (as
+// BuildVector would have), and a column's first NULL allocates its mask.
+//
+// Statistics stay live: a declared or collected row count advances by the
+// inserted count, and collected column statistics are kept — they are
+// fractions and distinct counts of a table that has grown a little. Once the
+// table has doubled since they were taken they are dropped (a histogram of
+// half the table is worse than the estimator's fallback; re-run ANALYZE) and
+// Statistics.Version advances, so statistics turn over O(log n) times in a
+// table's life.
+func (t *MemTable) Insert(rows [][]any) error {
+	if err := checkWidth(t.name, len(t.rowType.Fields), rows); err != nil {
+		return err
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for c := range t.cols {
+		for _, row := range rows {
+			t.cols[c] = append(t.cols[c], row[c])
+		}
+		if t.vecs == nil {
+			continue
+		}
+		v := t.vecs[c]
+		if v.Kind != VecAny {
+			for _, row := range rows {
+				if !v.appendValue(row[c]) {
+					// Readers that pinned the typed vector keep its arrays.
+					v = &Vector{Kind: VecAny}
+					t.vecs[c] = v
+					break
+				}
+			}
+		}
+		if v.Kind == VecAny {
+			v.A = t.cols[c] // the boxed column doubles as the VecAny payload
+		}
+	}
+	t.n += len(rows)
+	memTableRowsAppended.Add(int64(len(rows)))
+	if t.stats.RowCount > 0 {
+		t.stats.RowCount += float64(len(rows))
+	}
+	if t.n >= 2*t.statsRows {
+		t.stats.Columns, t.stats.Analyzed = nil, false
+		t.stats.Version++
+		t.statsRows = t.n
+	}
+	return nil
+}
+
+// memBatchCursor serves batches as zero-copy windows of the column headers a
+// scan pinned — the boxed columns and, on typed scans, the vectors, so typed
+// kernels and boxed fallbacks alike start from free representations.
+type memBatchCursor struct {
+	cols      [][]any
+	vecs      []Vector
+	n         int
+	batchSize int
+	pos       int
+	seq       int64
+}
+
+func (c *memBatchCursor) NextBatch() (*Batch, error) {
+	if c.pos >= c.n {
+		return nil, Done
+	}
+	end := c.pos + c.batchSize
+	if end > c.n {
+		end = c.n
+	}
+	cols := make([][]any, len(c.cols))
+	for i, col := range c.cols {
+		cols[i] = col[c.pos:end]
+	}
+	b := &Batch{Len: end - c.pos, Cols: cols, Seq: c.seq}
+	if c.vecs != nil {
+		vecs := make([]*Vector, len(c.vecs))
+		for i := range c.vecs {
+			vecs[i] = c.vecs[i].Slice(c.pos, end)
+		}
+		b.Vecs = vecs
+	}
+	c.pos = end
+	c.seq++
+	return b, nil
+}
+
+func (c *memBatchCursor) Close() error { return nil }

@@ -1,0 +1,283 @@
+package schema
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"calcite/internal/types"
+)
+
+func twoColTable(rows [][]any) *MemTable {
+	return NewMemTable("t", types.Row(
+		types.Field{Name: "a", Type: types.BigInt},
+		types.Field{Name: "b", Type: types.Double},
+	), rows)
+}
+
+// drainTyped reads a cursor through the typed vectors only, drainBoxed
+// through the boxed columns only, so the two representations are checked
+// against each other rather than one against itself.
+func drainTyped(t *testing.T, cur BatchCursor) [][]any {
+	t.Helper()
+	return drainWith(t, cur, func(b *Batch) *Batch {
+		if b.Vecs == nil {
+			t.Fatal("typed scan served no vectors")
+		}
+		return &Batch{Len: b.Len, Vecs: b.Vecs}
+	})
+}
+
+func drainBoxed(t *testing.T, cur BatchCursor) [][]any {
+	t.Helper()
+	return drainWith(t, cur, func(b *Batch) *Batch { return &Batch{Len: b.Len, Cols: b.Cols} })
+}
+
+func drainWith(t *testing.T, cur BatchCursor, view func(*Batch) *Batch) [][]any {
+	t.Helper()
+	defer cur.Close()
+	var rows [][]any
+	for {
+		b, err := cur.NextBatch()
+		if err == Done {
+			return rows
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = view(b).AppendRows(rows)
+	}
+}
+
+// scanBothWays returns the table's rows read typed and with the boxed
+// fallback forced, failing if they differ.
+func scanBothWays(t *testing.T, mt *MemTable, batchSize int) [][]any {
+	t.Helper()
+	cur, _ := mt.ScanBatches(batchSize)
+	typed := drainTyped(t, cur)
+	prev := SetForceBoxed(true)
+	cur, _ = mt.ScanBatches(batchSize)
+	SetForceBoxed(prev)
+	boxed := drainBoxed(t, cur)
+	if !reflect.DeepEqual(typed, boxed) {
+		t.Fatalf("typed and boxed scans differ:\n typed %v\n boxed %v", typed, boxed)
+	}
+	return typed
+}
+
+// TestMemTableInsertRejectsMalformedRows: a row of the wrong width fails the
+// whole insert at the writer instead of panicking a later reader.
+func TestMemTableInsertRejectsMalformedRows(t *testing.T) {
+	mt := twoColTable([][]any{{int64(1), 1.5}})
+	before := mt.Stats()
+	for _, bad := range [][][]any{
+		{{int64(2), 2.5}, {int64(3)}},
+		{{int64(2), 2.5, "extra"}},
+	} {
+		if err := mt.Insert(bad); err == nil {
+			t.Fatalf("insert of %v succeeded", bad)
+		}
+	}
+	if got := mt.Rows(); !reflect.DeepEqual(got, [][]any{{int64(1), 1.5}}) {
+		t.Fatalf("failed insert appended rows: %v", got)
+	}
+	if after := mt.Stats(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed insert touched statistics: %+v → %+v", before, after)
+	}
+	if got := scanBothWays(t, mt, 0); len(got) != 1 {
+		t.Fatalf("scan after failed insert: %v", got)
+	}
+}
+
+// TestNewMemTableRejectsMalformedRows: construction checks width with the
+// same helper as Insert; having no error to return, it panics with that
+// message at the caller.
+func TestNewMemTableRejectsMalformedRows(t *testing.T) {
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || !strings.Contains(err.Error(), "row 1 has 1 values, want 2") {
+			t.Fatalf("NewMemTable with a short row: recovered %v", err)
+		}
+	}()
+	twoColTable([][]any{{int64(1), 1.5}, {int64(2)}})
+}
+
+// TestMemTableInsertKindDemotion: a value that does not fit its column's
+// vector demotes that column alone, a first NULL allocates the mask, and
+// typed and boxed scans agree before and after.
+func TestMemTableInsertKindDemotion(t *testing.T) {
+	if ForceBoxed() {
+		t.Skip("CALCITE_FORCE_BOXED set")
+	}
+	kinds := func(mt *MemTable) [2]VecKind {
+		cur, _ := mt.ScanBatches(0)
+		b, err := cur.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]VecKind{b.Vecs[0].Kind, b.Vecs[1].Kind}
+	}
+	for _, tc := range []struct {
+		name string
+		row  []any
+		want [2]VecKind
+	}{
+		{"float into BIGINT", []any{2.5, 2.5}, [2]VecKind{VecAny, VecFloat64}},
+		{"string into BIGINT", []any{"x", 2.5}, [2]VecKind{VecAny, VecFloat64}},
+		{"int64 into DOUBLE", []any{int64(2), int64(2)}, [2]VecKind{VecInt64, VecAny}},
+		{"first NULL", []any{nil, nil}, [2]VecKind{VecInt64, VecFloat64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := [][]any{{int64(1), 1.5}}
+			mt := twoColTable(append([][]any(nil), seed...))
+			if got := scanBothWays(t, mt, 0); !reflect.DeepEqual(got, seed) {
+				t.Fatalf("before insert: %v", got)
+			}
+			pinned, _ := mt.ScanBatches(0)
+			// A conforming row after the odd one checks the column keeps
+			// accepting appends in its new shape.
+			tail := []any{int64(3), 3.5}
+			if err := mt.Insert([][]any{tc.row, tail}); err != nil {
+				t.Fatal(err)
+			}
+			want := [][]any{seed[0], tc.row, tail}
+			if got := scanBothWays(t, mt, 2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after insert: %v, want %v", got, want)
+			}
+			if got := kinds(mt); got != tc.want {
+				t.Fatalf("vector kinds = %v, want %v", got, tc.want)
+			}
+			if got := drainTyped(t, pinned); !reflect.DeepEqual(got, seed) {
+				t.Fatalf("cursor pinned before the insert saw %v", got)
+			}
+		})
+	}
+}
+
+// TestMemTablePinnedReader: a cursor opened at n rows yields exactly those n
+// however many appends (and reallocations, a first NULL, a demotion) follow;
+// a cursor opened afterwards sees them all.
+func TestMemTablePinnedReader(t *testing.T) {
+	const n, more = 3000, 10000
+	seed := make([][]any, n)
+	for i := range seed {
+		seed[i] = []any{int64(i), float64(i)}
+	}
+	mt := twoColTable(append([][]any(nil), seed...))
+	pinned, _ := mt.ScanBatches(7)
+	pinnedRows, _ := mt.Scan()
+
+	want := append([][]any(nil), seed...)
+	for i := n; i < n+more; i++ {
+		row := []any{int64(i), float64(i)}
+		switch i {
+		case n + 100:
+			row[0] = nil
+		case n + 5000:
+			row[1] = "demoted"
+		}
+		want = append(want, row)
+		if err := mt.Insert([][]any{row}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got := drainTyped(t, pinned); !reflect.DeepEqual(got, seed) {
+		t.Fatalf("pinned cursor yielded %d rows, want the first %d unchanged", len(got), n)
+	}
+	var viaRows [][]any
+	for {
+		row, err := pinnedRows.Next()
+		if err == Done {
+			break
+		}
+		viaRows = append(viaRows, row)
+	}
+	if !reflect.DeepEqual(viaRows, seed) {
+		t.Fatalf("pinned row cursor yielded %d rows, want the first %d unchanged", len(viaRows), n)
+	}
+	if got := scanBothWays(t, mt, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cursor opened after the appends yielded %d rows, want %d", len(got), n+more)
+	}
+	if got := mt.Rows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Rows() yielded %d rows, want %d", len(got), n+more)
+	}
+	if got := mt.Stats().RowCount; got != n+more {
+		t.Fatalf("row count = %v, want %d", got, n+more)
+	}
+}
+
+// TestMemTablePinnedReaderConcurrentInserts races scanners against one
+// appender (for -race): every scan must see a whole prefix of the inserts —
+// row i holds (i, i) — of a length between the counts before and after it.
+func TestMemTablePinnedReaderConcurrentInserts(t *testing.T) {
+	const n, more = 500, 4000
+	seed := make([][]any, n)
+	for i := range seed {
+		seed[i] = []any{int64(i), float64(i)}
+	}
+	mt := twoColTable(seed)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := n; i < n+more; i++ {
+			var b any = float64(i)
+			if i == n+more/2 {
+				b = nil
+			}
+			if err := mt.Insert([][]any{{int64(i), b}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		batchSize := []int{3, 0}[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				lo := int(mt.Stats().RowCount)
+				cur, _ := mt.ScanBatches(batchSize)
+				rows, err := scanPrefix(cur)
+				hi := int(mt.Stats().RowCount)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rows < lo || rows > hi {
+					t.Errorf("scan saw %d rows, outside [%d, %d]", rows, lo, hi)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// scanPrefix drains cur checking that row i is (i, i or NULL) in both
+// representations, and returns the row count.
+func scanPrefix(cur BatchCursor) (int, error) {
+	defer cur.Close()
+	i := 0
+	for {
+		b, err := cur.NextBatch()
+		if err == Done {
+			return i, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+		for r := 0; r < b.Len; r, i = r+1, i+1 {
+			if b.Cols[0][r] != int64(i) || (b.Vecs != nil && b.Vecs[0].Get(r) != int64(i)) {
+				return 0, fmt.Errorf("row %d holds %v", i, b.Cols[0][r])
+			}
+			if bv := b.Cols[1][r]; bv != nil && bv != float64(i) || (b.Vecs != nil && b.Vecs[1].Get(r) != bv) {
+				return 0, fmt.Errorf("row %d column b holds %v", i, bv)
+			}
+		}
+	}
+}

@@ -68,6 +68,12 @@ type Statistics struct {
 	// Analyzed reports whether RowCount/Columns come from an ANALYZE scan
 	// rather than a declaration.
 	Analyzed bool
+	// Version counts how often the table has replaced or dropped these
+	// statistics (SetStats; growth past twice the rows they describe). A
+	// plain row-count advance does not change it, so comparing two reads
+	// tells a plan cache when estimates derived from the earlier one are
+	// superseded. Tables that never change their statistics leave it zero.
+	Version uint64
 }
 
 // ColStats returns the collected statistics of column col, or nil.
@@ -246,81 +252,6 @@ func Resolve(root Schema, path []string) (Table, []string, error) {
 		}
 	}
 	return nil, nil, fmt.Errorf("schema: table %q not found", strings.Join(path, "."))
-}
-
-// MemTable is a trivially scannable in-memory table with statistics. It is
-// the workhorse of tests and the mem adapter, and doubles as the storage for
-// CREATE TABLE (§9 DDL support).
-type MemTable struct {
-	name    string
-	rowType *types.Type
-
-	mu    sync.RWMutex
-	rows  [][]any
-	stats Statistics
-	// cols/vecs are the lazily built column-major snapshot of rows (boxed
-	// columns plus typed vectors) serving ScanBatches zero-copy; Insert
-	// invalidates both.
-	cols [][]any
-	vecs []*Vector
-}
-
-// NewMemTable creates an in-memory table.
-func NewMemTable(name string, rowType *types.Type, rows [][]any) *MemTable {
-	return &MemTable{
-		name:    name,
-		rowType: rowType,
-		rows:    rows,
-		stats:   Statistics{RowCount: float64(len(rows))},
-	}
-}
-
-// SetStats overrides the table statistics (for tests and benchmarks).
-func (t *MemTable) SetStats(s Statistics) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stats = s
-}
-
-func (t *MemTable) Name() string         { return t.name }
-func (t *MemTable) RowType() *types.Type { return t.rowType }
-
-func (t *MemTable) Stats() Statistics {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.stats.RowCount <= 0 {
-		return Statistics{RowCount: float64(len(t.rows)), UniqueColumns: t.stats.UniqueColumns}
-	}
-	return t.stats
-}
-
-// Rows returns a snapshot of the table contents.
-func (t *MemTable) Rows() [][]any {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return append([][]any(nil), t.rows...)
-}
-
-func (t *MemTable) Scan() (Cursor, error) {
-	return NewSliceCursor(t.Rows()), nil
-}
-
-// Insert appends rows. Statistics stay live under inserts: a declared or
-// collected row count is advanced by the inserted count, while collected
-// per-column statistics (histograms, NDV sketches) are invalidated — they
-// describe the analyzed snapshot, and a stale histogram is worse than the
-// estimator's fallback. Re-run ANALYZE to refresh them.
-func (t *MemTable) Insert(rows [][]any) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rows = append(t.rows, rows...)
-	t.cols, t.vecs = nil, nil // invalidate the columnar snapshot
-	if t.stats.RowCount > 0 {
-		t.stats.RowCount += float64(len(rows))
-	}
-	t.stats.Columns = nil
-	t.stats.Analyzed = false
-	return nil
 }
 
 // ViewTable is a named view: a stored SQL text expanded by the validator.

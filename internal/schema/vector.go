@@ -410,6 +410,54 @@ func BuildVector(vals []any, hint VecKind) *Vector {
 	return v
 }
 
+// appendValue appends x (nil for NULL) to a typed vector, allocating the
+// null mask at the first NULL. It reports false, leaving the vector as it
+// was, when x is not of the vector's kind.
+func (v *Vector) appendValue(x any) bool {
+	n := v.Len()
+	switch v.Kind {
+	case VecInt64:
+		d, ok := x.(int64)
+		if !ok && x != nil {
+			return false
+		}
+		v.I64 = append(v.I64, d)
+	case VecFloat64:
+		d, ok := x.(float64)
+		if !ok && x != nil {
+			return false
+		}
+		v.F64 = append(v.F64, d)
+	case VecBool:
+		d, ok := x.(bool)
+		if !ok && x != nil {
+			return false
+		}
+		v.B = append(v.B, d)
+	case VecString:
+		d, ok := x.(string)
+		if !ok && x != nil {
+			return false
+		}
+		v.S = append(v.S, d)
+	case VecTime:
+		d, ok := x.(time.Time)
+		if !ok && x != nil {
+			return false
+		}
+		v.T = append(v.T, d)
+	default:
+		return false
+	}
+	if x == nil && v.Nulls == nil {
+		v.Nulls = make([]bool, n, n+1)
+	}
+	if v.Nulls != nil {
+		v.Nulls = append(v.Nulls, x == nil)
+	}
+	return true
+}
+
 // valuesConform reports whether every non-nil value matches kind.
 func valuesConform(vals []any, kind VecKind) bool {
 	for _, x := range vals {

@@ -10,31 +10,18 @@ import (
 	"calcite"
 )
 
-// diffConn builds the differential-test catalog: the tables used by the SQL
-// suite in calcite_test.go (emps/depts style data) plus the bench fixture's
-// sales/products shape, with NULLs, strings, floats and duplicate keys.
-func diffConn() *calcite.Connection {
-	conn := calcite.Open()
-	conn.AddTable("emps", calcite.Columns{
-		{Name: "empid", Type: calcite.BigIntType},
-		{Name: "deptno", Type: calcite.BigIntType},
-		{Name: "name", Type: calcite.VarcharType},
-		{Name: "sal", Type: calcite.DoubleType},
-	}, [][]any{
-		{int64(1), int64(10), "Bill", 100.0},
-		{int64(2), int64(20), "Eric", 200.0},
-		{int64(3), int64(10), "Sebastian", 150.0},
-		{int64(4), int64(30), "Hongze", nil},
-		{int64(5), nil, "Nomad", 50.0},
-	})
-	conn.AddTable("depts", calcite.Columns{
-		{Name: "deptno", Type: calcite.BigIntType},
-		{Name: "dname", Type: calcite.VarcharType},
-	}, [][]any{
-		{int64(10), "Eng"},
-		{int64(20), "Sales"},
-		{int64(40), "Empty"},
-	})
+// diffTable is one table of the differential-test catalog.
+type diffTable struct {
+	name string
+	cols calcite.Columns
+	rows [][]any
+}
+
+// diffTables returns the differential-test catalog: the tables used by the
+// SQL suite in calcite_test.go (emps/depts style data) plus the bench
+// fixture's sales/products shape, with NULLs, strings, floats and duplicate
+// keys.
+func diffTables() []diffTable {
 	sales := make([][]any, 3000)
 	for i := range sales {
 		var discount any
@@ -43,18 +30,10 @@ func diffConn() *calcite.Connection {
 		}
 		sales[i] = []any{int64(i % 50), discount}
 	}
-	conn.AddTable("sales", calcite.Columns{
-		{Name: "productId", Type: calcite.BigIntType},
-		{Name: "discount", Type: calcite.DoubleType},
-	}, sales)
 	products := make([][]any, 50)
 	for i := range products {
 		products[i] = []any{int64(i), fmt.Sprintf("product-%d", i)}
 	}
-	conn.AddTable("products", calcite.Columns{
-		{Name: "productId", Type: calcite.BigIntType},
-		{Name: "name", Type: calcite.VarcharType},
-	}, products)
 	// events: near-unique string tags (one group per row, almost), a DOUBLE
 	// column of integral values (folds onto BIGINT join/group keys) and a
 	// low-cardinality group column.
@@ -62,12 +41,50 @@ func diffConn() *calcite.Connection {
 	for i := range events {
 		events[i] = []any{int64(i), fmt.Sprintf("t-%04d", i%1900), float64(i % 50), int64(i % 7)}
 	}
-	conn.AddTable("events", calcite.Columns{
-		{Name: "id", Type: calcite.BigIntType},
-		{Name: "tag", Type: calcite.VarcharType},
-		{Name: "fkey", Type: calcite.DoubleType},
-		{Name: "grp", Type: calcite.BigIntType},
-	}, events)
+	return []diffTable{
+		{"emps", calcite.Columns{
+			{Name: "empid", Type: calcite.BigIntType},
+			{Name: "deptno", Type: calcite.BigIntType},
+			{Name: "name", Type: calcite.VarcharType},
+			{Name: "sal", Type: calcite.DoubleType},
+		}, [][]any{
+			{int64(1), int64(10), "Bill", 100.0},
+			{int64(2), int64(20), "Eric", 200.0},
+			{int64(3), int64(10), "Sebastian", 150.0},
+			{int64(4), int64(30), "Hongze", nil},
+			{int64(5), nil, "Nomad", 50.0},
+		}},
+		{"depts", calcite.Columns{
+			{Name: "deptno", Type: calcite.BigIntType},
+			{Name: "dname", Type: calcite.VarcharType},
+		}, [][]any{
+			{int64(10), "Eng"},
+			{int64(20), "Sales"},
+			{int64(40), "Empty"},
+		}},
+		{"sales", calcite.Columns{
+			{Name: "productId", Type: calcite.BigIntType},
+			{Name: "discount", Type: calcite.DoubleType},
+		}, sales},
+		{"products", calcite.Columns{
+			{Name: "productId", Type: calcite.BigIntType},
+			{Name: "name", Type: calcite.VarcharType},
+		}, products},
+		{"events", calcite.Columns{
+			{Name: "id", Type: calcite.BigIntType},
+			{Name: "tag", Type: calcite.VarcharType},
+			{Name: "fkey", Type: calcite.DoubleType},
+			{Name: "grp", Type: calcite.BigIntType},
+		}, events},
+	}
+}
+
+// diffConn builds a connection over the differential-test catalog.
+func diffConn() *calcite.Connection {
+	conn := calcite.Open()
+	for _, tb := range diffTables() {
+		conn.AddTable(tb.name, tb.cols, tb.rows)
+	}
 	return conn
 }
 

@@ -9,57 +9,76 @@ import (
 	"calcite"
 )
 
-// TestParallelScanWithConcurrentInserts races morsel workers scanning a
-// MemTable against a writer appending rows. It exists for `go test -race`:
-// the table's columnar-snapshot cache must serve concurrent readers while
-// inserts invalidate it, without data races. Result contents are inherently
-// racy (a query sees some prefix of the inserts); the invariants checked are
-// "no error" and "at least the initial rows, in multiples of full inserts".
+// TestParallelScanWithConcurrentInserts races four scanning connections
+// (parallelism 1 and 4, batch size 3 and default) over one MemTable against a
+// writer appending rows to it. It exists for `go test -race`: scans pin the
+// table's columns at a length while inserts append past it in place. Which
+// length a query sees is inherently racy; that it sees exactly one — row i
+// holds id i, so COUNT(*) = n must come with SUM(id) = n(n-1)/2 — between
+// the table's length before and after it is not.
 func TestParallelScanWithConcurrentInserts(t *testing.T) {
-	conn := calcite.Open()
-	conn.SetParallelism(4)
-	const initial = 5000
+	const initial = 2000
 	rows := make([][]any, initial)
 	for i := range rows {
 		rows[i] = []any{int64(i), fmt.Sprintf("r%d", i)}
 	}
-	tbl := conn.AddTable("hot", calcite.Columns{
+	cols := calcite.Columns{
 		{Name: "id", Type: calcite.BigIntType},
 		{Name: "name", Type: calcite.VarcharType},
-	}, rows)
+	}
+	tbl := calcite.Open().AddTable("hot", cols, rows)
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	// Each query asks the writer for a burst of single-row inserts first, so
+	// the appends overlap the scans and the table grows by a bounded 10 000
+	// rows (several reallocations of every column).
+	grow := make(chan struct{})
+	var writer, scanners sync.WaitGroup
+	writer.Add(1)
 	go func() {
-		defer wg.Done()
+		defer writer.Done()
 		n := initial
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+		for range grow {
+			for end := n + 100; n < end; n++ {
+				if err := tbl.Insert([][]any{{int64(n), fmt.Sprintf("r%d", n)}}); err != nil {
+					t.Error(err)
+				}
 			}
-			if err := tbl.Insert([][]any{{int64(n), fmt.Sprintf("r%d", n)}}); err != nil {
-				t.Error(err)
-				return
-			}
-			n++
 		}
 	}()
 
-	for i := 0; i < 25; i++ {
-		res, err := conn.Query("SELECT COUNT(*), MAX(id) FROM hot WHERE id >= 0")
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		count := res.Rows[0][0].(int64)
-		if count < initial {
-			t.Fatalf("query %d: saw %d rows, want >= %d", i, count, initial)
-		}
+	for _, cfg := range []struct{ parallelism, batchSize int }{{1, 0}, {1, 3}, {4, 0}, {4, 3}} {
+		conn := calcite.Open()
+		conn.Framework.Catalog.AddTable(tbl)
+		conn.SetParallelism(cfg.parallelism)
+		conn.SetBatchSize(cfg.batchSize)
+		scanners.Add(1)
+		go func() {
+			defer scanners.Done()
+			for i := 0; i < 25; i++ {
+				grow <- struct{}{}
+				lo := int64(tbl.Stats().RowCount)
+				res, err := conn.Query("SELECT COUNT(*), SUM(id) FROM hot WHERE id >= 0")
+				hi := int64(tbl.Stats().RowCount)
+				if err != nil {
+					t.Errorf("query %d: %v", i, err)
+					return
+				}
+				count, sum := res.Rows[0][0].(int64), res.Rows[0][1].(int64)
+				if count < lo || count > hi {
+					t.Errorf("query %d: saw %d rows, outside [%d, %d]", i, count, lo, hi)
+				}
+				if sum != count*(count-1)/2 {
+					t.Errorf("query %d: COUNT(*) = %d but SUM(id) = %d: not a prefix of the inserts", i, count, sum)
+				}
+			}
+		}()
 	}
-	close(stop)
-	wg.Wait()
+	scanners.Wait()
+	close(grow)
+	writer.Wait()
+	if got := tbl.Stats().RowCount; got != initial+10000 {
+		t.Errorf("table ended at %v rows, want %d", got, initial+10000)
+	}
 }
 
 // TestConcurrentBindingsShareOneCachedPlan executes a single cached prepared
