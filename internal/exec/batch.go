@@ -395,11 +395,11 @@ func (c *limitBatchCursor) NextBatch() (*schema.Batch, error) {
 
 func (c *limitBatchCursor) Close() error { return c.in.Close() }
 
-// BindBatch sorts by materializing the batched input through the external
-// merge sorter (sortspill.go): the input accumulates within the query's grant
-// and overflows to sorted on-disk runs that are k-way-merged back, reproducing
-// the stable in-memory order exactly; ungoverned, the sorter never spills. A
-// pure limit streams batches, trimming selection vectors.
+// BindBatch sorts the batched input through the columnar sort kernel
+// (sortspill.go): typed vectors in, a permutation sort on the key columns,
+// typed batches out; under a memory budget the buffer overflows to sorted runs
+// that merge back in the same order, and a LIMIT keeps only the rows that can
+// still be returned. A pure limit streams batches, trimming selection vectors.
 func (s *Sort) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	in, err := BindBatch(ctx, s.Inputs()[0])
 	if err != nil {
@@ -408,28 +408,11 @@ func (s *Sort) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	if len(s.Collation) == 0 {
 		return &limitBatchCursor{in: in, offset: s.Offset, fetch: s.Fetch}, nil
 	}
-	defer in.Close()
-	sorter := NewExternalSorter(ctx, "Sort",
-		func(a, b []any) int { return CompareRows(a, b, s.Collation) },
-		rel.FieldCount(s))
-	var rows [][]any // per-batch staging, reused
-	for {
-		b, err := in.NextBatch()
-		if err == schema.Done {
-			break
-		}
-		if err != nil {
-			sorter.Abandon()
-			return nil, err
-		}
-		rows = b.AppendRows(rows[:0])
-		for _, row := range rows {
-			if err := sorter.Add(row); err != nil {
-				return nil, err
-			}
-		}
+	limit := int64(-1)
+	if s.Fetch >= 0 && s.Offset+s.Fetch >= 0 {
+		limit = s.Offset + s.Fetch
 	}
-	return sorter.Finish(s.Offset, s.Fetch, ctx.batchSize())
+	return SortCursor(ctx, "Sort", in, s.Collation, limit, s.Offset, 0)
 }
 
 // --- Aggregate ---

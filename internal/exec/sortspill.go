@@ -1,18 +1,36 @@
 package exec
 
-// External merge sort: the memory-governed sort path. Rows accumulate under
-// a reservation; when a grant fails the buffered rows are stable-sorted and
-// written out as one sorted run, and at the end the in-memory tail is
-// k-way-merged with the on-disk runs. The merge breaks comparator ties by
-// run index (runs are cut in arrival order, the in-memory tail is last), so
-// the merged output is exactly the stable sort of the full input — spilling
-// never changes row order.
+// The sort kernel: one columnar external merge sort under ORDER BY, top-N, the
+// window pipeline and the parallel engine's per-partition sorts and merges.
+//
+// Input batches are appended to typed column vectors (a column whose kind
+// changes between batches demotes to VecAny, as MemTable does) and charged
+// what those vectors hold. Sorting orders an []int32 permutation of row
+// ordinals by the collation's key vectors — compareAt has a fast path per
+// vector kind and falls back to types.Compare for VecAny and mixed kinds, so
+// NULLs, directions and int/float ties order exactly as CompareRows orders
+// boxed rows — with the arrival ordinal as the last key. That makes the order
+// total: the output is the stable sort of the input whatever algorithm runs.
+//
+// With a row limit (OFFSET+FETCH) the buffer is cut back to the limit through
+// the same sort whenever it has doubled, and the limit'th row becomes a cutoff
+// that later rows must beat to be buffered at all; the buffer, and so the
+// reservation, stays O(limit + one batch) and a top-N does not spill rows it
+// will discard. When a grant is denied the sorted buffer is written out as one
+// run of typed pages, and Finish merges the runs and the in-memory tail batch
+// to batch on the key vectors (MergeCursor; ties go to the lowest source, and
+// runs are cut in arrival order, so spilling never changes row order). Output
+// batches carry Vecs of the kinds that came in.
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
+	"strings"
 
 	"calcite/internal/memory"
 	"calcite/internal/schema"
+	"calcite/internal/trait"
 	"calcite/internal/types"
 )
 
@@ -26,83 +44,403 @@ const spillWriteChunk = 512
 // final merge fits.
 const mergeFanIn = 64
 
-// ExternalSorter accumulates rows within a memory reservation, overflowing
-// to sorted runs on disk.
+// batchVecs returns the batch's columns as vectors, building them from the
+// boxed columns of a Cols-only batch (VecAny views when typed vectors are
+// disabled engine-wide).
+func batchVecs(b *schema.Batch) []*schema.Vector {
+	if b.Vecs != nil {
+		return b.Vecs
+	}
+	vecs := make([]*schema.Vector, len(b.Cols))
+	for c, col := range b.Cols {
+		if schema.ForceBoxed() {
+			vecs[c] = &schema.Vector{Kind: schema.VecAny, A: col}
+		} else {
+			vecs[c] = schema.BuildVector(col, schema.VecAny)
+		}
+	}
+	return vecs
+}
+
+// vecsBytes estimates what the rows at sel (all n when nil) of vecs retain.
+func vecsBytes(vecs []*schema.Vector, sel []int32, n int) int64 {
+	if sel != nil {
+		n = len(sel)
+	}
+	at := func(i int) int {
+		if sel != nil {
+			return int(sel[i])
+		}
+		return i
+	}
+	var sz int64
+	for _, v := range vecs {
+		if v.Nulls != nil {
+			sz += int64(n)
+		}
+		switch v.Kind {
+		case schema.VecInt64, schema.VecFloat64:
+			sz += 8 * int64(n)
+		case schema.VecBool:
+			sz += int64(n)
+		case schema.VecTime:
+			sz += 24 * int64(n)
+		case schema.VecString:
+			sz += 16 * int64(n)
+			for i := 0; i < n; i++ {
+				sz += int64(len(v.S[at(i)]))
+			}
+		default:
+			for i := 0; i < n; i++ {
+				sz += types.SizeOfValue(v.A[at(i)])
+			}
+		}
+	}
+	return sz
+}
+
+// compareAt orders row i of a against row j of b, NULLs lowest: a typed fast
+// path when both vectors have the same kind, types.Compare on the boxed values
+// otherwise (VecAny, and int against float keys).
+func compareAt(a *schema.Vector, i int, b *schema.Vector, j int) int {
+	if a.Kind != b.Kind || a.Kind == schema.VecAny {
+		return types.Compare(a.Get(i), b.Get(j))
+	}
+	an, bn := a.Nulls != nil && a.Nulls[i], b.Nulls != nil && b.Nulls[j]
+	if an || bn {
+		switch {
+		case an && bn:
+			return 0
+		case an:
+			return -1
+		}
+		return 1
+	}
+	switch a.Kind {
+	case schema.VecInt64:
+		return cmp.Compare(a.I64[i], b.I64[j])
+	case schema.VecFloat64:
+		return cmp.Compare(a.F64[i], b.F64[j])
+	case schema.VecString:
+		return strings.Compare(a.S[i], b.S[j])
+	case schema.VecBool:
+		switch x, y := a.B[i], b.B[j]; {
+		case x == y:
+			return 0
+		case y:
+			return -1
+		}
+		return 1
+	}
+	return a.T[i].Compare(b.T[j])
+}
+
+// compareKeys orders row i of av against row j of bv under a collation.
+func compareKeys(coll trait.Collation, av []*schema.Vector, i int, bv []*schema.Vector, j int) int {
+	for _, fc := range coll {
+		if c := compareAt(av[fc.Field], i, bv[fc.Field], j); c != 0 {
+			if fc.Direction == trait.Descending {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// ExternalSorter buffers batches column-wise within a memory reservation,
+// overflowing to sorted runs on disk.
 type ExternalSorter struct {
-	ctx   *Context
-	op    string
-	res   *memory.Reservation
-	cmp   func(a, b []any) int
-	width int
-	rows  [][]any
-	runs  []*memory.Run
-	// Total declares cmp a total order (no two distinct rows compare equal),
-	// allowing the cheaper non-stable in-memory sort; the output is identical
-	// because a total order leaves stability nothing to decide. The window
-	// pipeline sets it — its comparators tie-break on unique row positions.
-	Total bool
+	ctx  *Context
+	op   string
+	res  *memory.Reservation
+	coll trait.Collation
+	// limit is how many leading rows of the sorted order can ever be emitted
+	// (OFFSET+FETCH); negative = all of them.
+	limit int64
+	// The buffered rows: n in all, those of pending not yet copied behind the
+	// others in cols. Batches are held by reference (column storage is
+	// immutable once emitted) and concatenated when the buffer is next
+	// sorted, into columns sized once.
+	cols    []*schema.Vector
+	pending []pendingRows
+	n       int
+	// cutoff is a one-row copy of the limit'th buffered row: limit rows are
+	// known to sort before any later row that does not beat it.
+	cutoff        []*schema.Vector
+	selBuf, dense []int32
+	runs          []*memory.Run
 }
 
-// sortBuf sorts the in-memory buffer.
-func (s *ExternalSorter) sortBuf() {
-	if s.Total {
-		sort.Slice(s.rows, func(i, j int) bool { return s.cmp(s.rows[i], s.rows[j]) < 0 })
-		return
+// pendingRows are the rows at sel (all when nil) of a batch's vectors.
+type pendingRows struct {
+	vecs []*schema.Vector
+	sel  []int32
+}
+
+// NewExternalSorter opens a sorter on coll charging the context's allocator
+// under the given operator tag.
+func NewExternalSorter(ctx *Context, op string, coll trait.Collation, limit int64) *ExternalSorter {
+	return &ExternalSorter{ctx: ctx, op: op, res: memory.Reserve(ctx.Alloc, op), coll: coll, limit: limit}
+}
+
+// SortCursor drains in through an ExternalSorter on coll and returns the
+// sorted rows [offset, limit) without their last dropTail columns; in is
+// closed.
+func SortCursor(ctx *Context, op string, in schema.BatchCursor, coll trait.Collation,
+	limit, offset int64, dropTail int) (schema.BatchCursor, error) {
+	defer in.Close()
+	sorter := NewExternalSorter(ctx, op, coll, limit)
+	for {
+		b, err := in.NextBatch()
+		if err == schema.Done {
+			return sorter.Finish(offset, dropTail, ctx.batchSize())
+		}
+		if err != nil {
+			sorter.Abandon()
+			return nil, err
+		}
+		if err := sorter.AddBatch(b); err != nil {
+			return nil, err
+		}
 	}
-	sort.SliceStable(s.rows, func(i, j int) bool { return s.cmp(s.rows[i], s.rows[j]) < 0 })
 }
 
-// NewExternalSorter opens a sorter charging the context's allocator under
-// the given operator tag. cmp must be a total order for the merge to be
-// deterministic across spills (callers append position tiebreak columns
-// when the collation alone is not total).
-func NewExternalSorter(ctx *Context, op string, cmp func(a, b []any) int, width int) *ExternalSorter {
-	return &ExternalSorter{
-		ctx: ctx, op: op, res: memory.Reserve(ctx.Alloc, op), cmp: cmp, width: width,
+// AddBatch buffers the batch's live rows — under a limit, those that beat the
+// cutoff.
+func (s *ExternalSorter) AddBatch(b *schema.Batch) error {
+	vecs, sel := batchVecs(b), b.Sel
+	if s.cutoff != nil {
+		var live []int32
+		live, s.dense = liveSel(b, s.dense)
+		s.selBuf = s.selBuf[:0]
+		for _, r := range live {
+			if compareKeys(s.coll, vecs, int(r), s.cutoff, 0) < 0 {
+				s.selBuf = append(s.selBuf, r)
+			}
+		}
+		if sel = s.selBuf; len(sel) == 0 {
+			return nil
+		}
 	}
-}
-
-// Add buffers one row, spilling the buffer as a sorted run if the row's
-// grant fails. If the grant fails again right after a spill (concurrent
-// workers hold the rest of the budget), the row is accepted untracked: the
-// debt is bounded — the next failing grant spills it — and starving one
-// worker forever would deadlock progress, not save memory.
-func (s *ExternalSorter) Add(row []any) error {
-	if s.res == nil { // ungoverned: nothing to charge, nothing to spill
-		s.rows = append(s.rows, row)
+	if s.limit == 0 {
 		return nil
 	}
-	sz := types.SizeOfRow(row)
-	if err := s.res.Grow(sz); err != nil {
-		if !s.res.SpillAllowed() {
+	return s.add(vecs, sel, b.Len)
+}
+
+// add appends the rows of vecs at sel (all n when nil), charging what they
+// hold. Rows that find no room are halved and each half added on its own; only
+// a single row that still finds none (concurrent workers hold the rest of the
+// budget) is accepted untracked: the debt is bounded — the next failing grant
+// spills it — and starving one worker forever would deadlock progress, not
+// save memory.
+func (s *ExternalSorter) add(vecs []*schema.Vector, sel []int32, n int) error {
+	if sel != nil {
+		n = len(sel)
+	}
+	if n == 0 {
+		return nil
+	}
+	if s.res != nil {
+		granted, err := s.grant(vecsBytes(vecs, sel, n) + 4*int64(n))
+		if err != nil {
 			s.Abandon()
 			return err
 		}
-		if len(s.rows) > 0 {
-			if err := s.spill(); err != nil {
-				s.Abandon()
+		if !granted && n > 1 {
+			if sel == nil {
+				sel = iotaSel(nil, n)
+			}
+			if err := s.add(vecs, sel[:n/2], 0); err != nil {
 				return err
 			}
+			return s.add(vecs, sel[n/2:], 0)
 		}
-		_ = s.res.Grow(sz) // best effort post-spill; proceed either way
 	}
-	s.rows = append(s.rows, row)
+	switch {
+	case sel == nil:
+	case 2*n < vecs[0].Len():
+		// A sparse selection is copied out now: holding the whole batch for
+		// a few of its rows would retain far more than was charged.
+		dense := make([]*schema.Vector, len(vecs))
+		for c, v := range vecs {
+			dense[c] = v.Gather(sel)
+		}
+		vecs, sel = dense, nil
+	default:
+		sel = slices.Clone(sel) // the producer and AddBatch recycle theirs
+	}
+	s.pending = append(s.pending, pendingRows{vecs, sel})
+	s.n += n
+	if s.limit > 0 && int64(s.n)/2 >= s.limit {
+		s.truncate()
+	}
 	return nil
 }
 
-// spill sorts the buffered rows and writes them out as one run.
+// grant charges sz bytes for rows about to be buffered. A denied grant first
+// cuts a top-N buffer back to its limit, then spills the buffer as a sorted
+// run; false means there is still no room.
+func (s *ExternalSorter) grant(sz int64) (bool, error) {
+	err := s.res.Grow(sz)
+	if err == nil {
+		return true, nil
+	}
+	if !s.res.SpillAllowed() {
+		return false, err
+	}
+	if s.limit > 0 && int64(s.n) > s.limit {
+		s.truncate()
+		if s.res.Grow(sz) == nil {
+			return true, nil
+		}
+	}
+	if s.n > 0 {
+		if err := s.spill(); err != nil {
+			return false, err
+		}
+	}
+	return s.res.Grow(sz) == nil, nil
+}
+
+// sortKey is a buffered row's ordinal beside an int64 image of one of its
+// sort keys.
+type sortKey struct {
+	k   int64
+	ord int32
+}
+
+// imageKeys sets each key's k to an int64 that orders, and ties, exactly as
+// compareAt orders v's rows in the given direction (NaNs equal and lowest, -0
+// equal to +0). Only int64 and float64 columns, over rows without a NULL,
+// have such an image; for anything else it reports false.
+func imageKeys(keys []sortKey, v *schema.Vector, desc bool) bool {
+	if v.Kind != schema.VecInt64 && v.Kind != schema.VecFloat64 {
+		return false
+	}
+	for i := range keys {
+		if v.Nulls != nil && v.Nulls[keys[i].ord] {
+			return false
+		}
+		k := int64(math.MinInt64)
+		if v.Kind == schema.VecInt64 {
+			k = v.I64[keys[i].ord]
+		} else if f := v.F64[keys[i].ord]; f == f {
+			if k = int64(math.Float64bits(f + 0)); k < 0 {
+				k ^= math.MaxInt64
+			}
+		}
+		if desc {
+			k = ^k
+		}
+		keys[i].k = k
+	}
+	return true
+}
+
+// sortKeys orders keys — row ordinals, ascending on entry — by coll and then
+// ordinal, one key column at a time: where the leading column has an int64
+// image the range is sorted on (image, ordinal) pairs — sequential memory, an
+// inlined comparison — and each run of equal images by the remaining columns;
+// at any other column the range is sorted by comparing rows on everything
+// that remains.
+func (s *ExternalSorter) sortKeys(keys []sortKey, coll trait.Collation) {
+	if len(keys) < 2 || len(coll) == 0 {
+		return
+	}
+	if !imageKeys(keys, s.cols[coll[0].Field], coll[0].Direction == trait.Descending) {
+		slices.SortFunc(keys, func(a, b sortKey) int {
+			if c := compareKeys(coll, s.cols, int(a.ord), s.cols, int(b.ord)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ord, b.ord)
+		})
+		return
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if c := cmp.Compare(a.k, b.k); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ord, b.ord)
+	})
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		for hi = lo + 1; hi < len(keys) && keys[hi].k == keys[lo].k; hi++ {
+		}
+		s.sortKeys(keys[lo:hi], coll[1:])
+	}
+}
+
+// sorted concatenates the pending batches behind the buffered columns and
+// returns the buffer's row ordinals in output order, cut at the limit.
+func (s *ExternalSorter) sorted() []int32 {
+	if s.cols == nil && len(s.pending) > 0 {
+		s.cols = make([]*schema.Vector, len(s.pending[0].vecs))
+		for c, v := range s.pending[0].vecs {
+			s.cols[c] = &schema.Vector{Kind: v.Kind}
+		}
+	}
+	for c, col := range s.cols {
+		col.Grow(s.n - col.Len())
+		for _, p := range s.pending {
+			col.Append(p.vecs[c], p.sel)
+		}
+	}
+	s.pending = nil
+	keys := make([]sortKey, s.n)
+	for i := range keys {
+		keys[i].ord = int32(i)
+	}
+	s.sortKeys(keys, s.coll)
+	if s.limit >= 0 && int64(len(keys)) > s.limit {
+		keys = keys[:s.limit]
+	}
+	perm := make([]int32, len(keys))
+	for i, k := range keys {
+		perm[i] = k.ord
+	}
+	return perm
+}
+
+// truncate compacts a top-N buffer to its first limit rows, in sorted order
+// (so later arrivals still sort after equal buffered rows), and takes the last
+// of them as the cutoff.
+func (s *ExternalSorter) truncate() {
+	perm := s.sorted()
+	for c, v := range s.cols {
+		s.cols[c] = v.Gather(perm)
+	}
+	s.n = len(perm)
+	if int64(s.n) == s.limit {
+		last := []int32{int32(s.n - 1)}
+		s.cutoff = make([]*schema.Vector, len(s.cols))
+		for c, v := range s.cols {
+			s.cutoff[c] = v.Gather(last)
+		}
+	}
+	if s.res != nil {
+		// Settle the charge on what is left; a batch that was accepted
+		// untracked is tracked from here on if the budget now allows.
+		if over := s.res.Held() - vecsBytes(s.cols, nil, s.n) - 4*int64(s.n); over > 0 {
+			s.res.Shrink(over)
+		} else {
+			_ = s.res.Grow(-over)
+		}
+	}
+}
+
+// spill sorts the buffer and writes it out as one run, reading the columns
+// through the permutation (the page encoder applies a selection vector in the
+// order given).
 func (s *ExternalSorter) spill() error {
-	s.sortBuf()
+	perm := s.sorted()
 	w, err := s.ctx.Alloc.NewRun(s.op)
 	if err != nil {
 		return err
 	}
-	for start := 0; start < len(s.rows); start += spillWriteChunk {
-		end := start + spillWriteChunk
-		if end > len(s.rows) {
-			end = len(s.rows)
-		}
-		if err := w.WriteRows(s.rows[start:end], s.width); err != nil {
+	for start := 0; start < len(perm); start += spillWriteChunk {
+		end := min(start+spillWriteChunk, len(perm))
+		if err := w.WriteBatch(&schema.Batch{Len: s.n, Vecs: s.cols, Sel: perm[start:end]}); err != nil {
 			w.Abandon()
 			return err
 		}
@@ -113,7 +451,7 @@ func (s *ExternalSorter) spill() error {
 	}
 	s.runs = append(s.runs, run)
 	s.res.NoteSpillEvent()
-	s.rows = s.rows[:0]
+	s.cols, s.n = nil, 0
 	s.res.Shrink(s.res.Held())
 	return nil
 }
@@ -124,41 +462,37 @@ func (s *ExternalSorter) Abandon() {
 	for _, r := range s.runs {
 		r.Remove()
 	}
-	s.runs = nil
-	s.rows = nil
+	s.runs, s.cols, s.pending, s.n = nil, nil, nil, 0
 	s.res.Free()
 }
 
-// mergeRunsToRun merges a bounded group of sorted runs into one longer
-// sorted run on disk (one cascade step). Ties break to the lowest run
-// index, preserving global stability. The source runs are removed.
-func (s *ExternalSorter) mergeRunsToRun(runs []*memory.Run) (*memory.Run, error) {
-	readers := make([]*memory.RunReader, 0, len(runs))
-	closeReaders := func() {
-		for _, r := range readers {
-			r.Close()
-		}
-	}
-	sources := make([]rowSource, 0, len(runs))
+// openRuns opens a reader per run as merge sources.
+func openRuns(runs []*memory.Run) ([]schema.BatchCursor, error) {
+	srcs := make([]schema.BatchCursor, 0, len(runs)+1)
 	for _, run := range runs {
 		rr, err := run.Open()
 		if err != nil {
-			closeReaders()
+			for _, r := range srcs {
+				r.Close()
+			}
 			return nil, err
 		}
-		readers = append(readers, rr)
-		sources = append(sources, &cursorRowSource{cur: schema.RowCursorFromBatches(rr)})
+		srcs = append(srcs, rr)
 	}
-	m := &mergeRunsCursor{
-		sources:   sources,
-		cmp:       s.cmp,
-		fetch:     -1,
-		width:     s.width,
-		batchSize: spillWriteChunk,
+	return srcs, nil
+}
+
+// mergeRunsToRun merges a bounded group of sorted runs into one longer
+// sorted run on disk (one cascade step). The source runs are removed.
+func (s *ExternalSorter) mergeRunsToRun(runs []*memory.Run) (*memory.Run, error) {
+	srcs, err := openRuns(runs)
+	if err != nil {
+		return nil, err
 	}
+	m := NewMergeCursor(srcs, s.coll, 0, s.limit, 0, spillWriteChunk, nil)
+	defer m.Close()
 	w, err := s.ctx.Alloc.NewRun(s.op)
 	if err != nil {
-		closeReaders()
 		return nil, err
 	}
 	for {
@@ -166,18 +500,14 @@ func (s *ExternalSorter) mergeRunsToRun(runs []*memory.Run) (*memory.Run, error)
 		if err == schema.Done {
 			break
 		}
+		if err == nil {
+			err = w.WriteBatch(b)
+		}
 		if err != nil {
-			closeReaders()
 			w.Abandon()
 			return nil, err
 		}
-		if werr := w.WriteBatch(b); werr != nil {
-			closeReaders()
-			w.Abandon()
-			return nil, werr
-		}
 	}
-	closeReaders()
 	merged, err := w.Finish()
 	if err != nil {
 		return nil, err
@@ -190,16 +520,12 @@ func (s *ExternalSorter) mergeRunsToRun(runs []*memory.Run) (*memory.Run, error)
 
 // cascadeRuns merges oversized run sets down to at most mergeFanIn runs, so
 // the final k-way merge opens a bounded number of files. Merging
-// left-to-right in groups keeps run order (and therefore stability). On
-// error the sorter is abandoned.
+// left-to-right in groups keeps run order (and therefore stability).
 func (s *ExternalSorter) cascadeRuns() error {
 	for len(s.runs) > mergeFanIn {
 		next := make([]*memory.Run, 0, (len(s.runs)+mergeFanIn-1)/mergeFanIn)
 		for start := 0; start < len(s.runs); start += mergeFanIn {
-			end := start + mergeFanIn
-			if end > len(s.runs) {
-				end = len(s.runs)
-			}
+			end := min(start+mergeFanIn, len(s.runs))
 			if end-start == 1 {
 				next = append(next, s.runs[start])
 				continue
@@ -207,7 +533,6 @@ func (s *ExternalSorter) cascadeRuns() error {
 			merged, err := s.mergeRunsToRun(s.runs[start:end])
 			if err != nil {
 				s.runs = append(next, s.runs[start:]...)
-				s.Abandon()
 				return err
 			}
 			next = append(next, merged)
@@ -217,252 +542,239 @@ func (s *ExternalSorter) cascadeRuns() error {
 	return nil
 }
 
-// Finish sorts whatever remains in memory and returns the merged, sorted
-// output with offset/fetch applied (fetch < 0 = unlimited).
-func (s *ExternalSorter) Finish(offset, fetch int64, batchSize int) (schema.BatchCursor, error) {
-	s.sortBuf()
-	if err := s.cascadeRuns(); err != nil {
+// Finish returns the sorted output from row offset up to the limit, without
+// the last dropTail columns. Closing the cursor releases the reservation and
+// removes any runs. On error the sorter is abandoned.
+func (s *ExternalSorter) Finish(offset int64, dropTail, batchSize int) (schema.BatchCursor, error) {
+	perm := s.sorted() // concatenates s.cols first
+	tail := &sortedCursor{perm: perm, cols: s.cols, batchSize: batchSize}
+	if len(s.runs) == 0 {
+		tail.perm = tail.perm[min(offset, int64(len(tail.perm))):]
+		tail.cols = tail.cols[:max(len(tail.cols)-dropTail, 0)]
+		return &closingBatchCursor{BatchCursor: tail, close: s.res.Free}, nil
+	}
+	err := s.cascadeRuns()
+	var srcs []schema.BatchCursor
+	if err == nil {
+		srcs, err = openRuns(s.runs)
+	}
+	if err != nil {
+		s.Abandon()
 		return nil, err
 	}
-	if len(s.runs) == 0 {
-		rows := s.rows
-		if offset > 0 {
-			if offset >= int64(len(rows)) {
-				rows = nil
-			} else {
-				rows = rows[offset:]
-			}
-		}
-		if fetch >= 0 && fetch < int64(len(rows)) {
-			rows = rows[:fetch]
-		}
-		return &closingBatchCursor{
-			BatchCursor: batchesFromRows(rows, s.width, batchSize),
-			close:       s.res.Free,
-		}, nil
+	fetch := s.limit
+	if fetch >= 0 {
+		fetch = max(fetch-offset, 0)
 	}
-	// Open every run plus the in-memory tail as sorted sources.
-	sources := make([]rowSource, 0, len(s.runs)+1)
-	readers := make([]*memory.RunReader, 0, len(s.runs))
-	for _, run := range s.runs {
-		rr, err := run.Open()
-		if err != nil {
-			for _, r := range readers {
-				r.Close()
-			}
-			s.Abandon()
-			return nil, err
-		}
-		readers = append(readers, rr)
-		sources = append(sources, &cursorRowSource{cur: schema.RowCursorFromBatches(rr)})
-	}
-	sources = append(sources, &sliceRowSource{rows: s.rows})
-	runs, res := s.runs, s.res
-	return &mergeRunsCursor{
-		sources:   sources,
-		cmp:       s.cmp,
-		offset:    offset,
-		fetch:     fetch,
-		width:     s.width,
-		batchSize: batchSize,
-		close: func() {
-			for _, r := range readers {
-				r.Close()
-			}
-			for _, r := range runs {
-				r.Remove()
-			}
-			res.Free()
-		},
-	}, nil
+	// The in-memory tail arrived last: it is the highest-numbered source.
+	return NewMergeCursor(append(srcs, tail), s.coll, offset, fetch, dropTail, batchSize, s.Abandon), nil
 }
 
-// FinishStream is Finish for row-at-a-time consumers (the window pipeline's
-// stages feed each other rows): it returns the merged sorted output as a row
-// iterator — next yields nil at the end — skipping the batch round-trip.
-// close releases the reservation and removes any runs; it must be called on
-// every path once FinishStream succeeds.
-func (s *ExternalSorter) FinishStream() (next func() ([]any, error), close func(), err error) {
-	s.sortBuf()
-	if err := s.cascadeRuns(); err != nil {
-		return nil, nil, err
-	}
-	if len(s.runs) == 0 {
-		rows := s.rows
-		pos := 0
-		res := s.res
-		return func() ([]any, error) {
-			if pos >= len(rows) {
-				return nil, nil
-			}
-			row := rows[pos]
-			rows[pos] = nil
-			pos++
-			// Hand the charge off with the row: the downstream stage charges
-			// it as it arrives, so the pipeline's peak stays ~one copy of the
-			// input instead of two (which would spill at half the budget).
-			if res != nil {
-				res.Shrink(types.SizeOfRow(row))
-			}
-			return row, nil
-		}, res.Free, nil
-	}
-	sources := make([]rowSource, 0, len(s.runs)+1)
-	readers := make([]*memory.RunReader, 0, len(s.runs))
-	for _, run := range s.runs {
-		rr, err := run.Open()
-		if err != nil {
-			for _, r := range readers {
-				r.Close()
-			}
-			s.Abandon()
-			return nil, nil, err
-		}
-		readers = append(readers, rr)
-		sources = append(sources, &cursorRowSource{cur: schema.RowCursorFromBatches(rr)})
-	}
-	sources = append(sources, &sliceRowSource{rows: s.rows})
-	m := &mergeRunsCursor{sources: sources, cmp: s.cmp, fetch: -1, width: s.width}
-	runs, res := s.runs, s.res
-	return m.next, func() {
-		for _, r := range readers {
-			r.Close()
-		}
-		for _, r := range runs {
-			r.Remove()
-		}
-		res.Free()
-	}, nil
+// sortedCursor emits buffered columns in permutation order.
+type sortedCursor struct {
+	cols      []*schema.Vector
+	perm      []int32
+	batchSize int
+	seq       int64
 }
 
-// rowSource is one sorted input of the merge.
-type rowSource interface {
-	next() ([]any, error) // nil row at end
-}
-
-type sliceRowSource struct {
-	rows [][]any
-	pos  int
-}
-
-func (s *sliceRowSource) next() ([]any, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
+func (c *sortedCursor) NextBatch() (*schema.Batch, error) {
+	if len(c.perm) == 0 {
+		return nil, schema.Done
 	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, nil
-}
-
-type cursorRowSource struct{ cur schema.Cursor }
-
-func (s *cursorRowSource) next() ([]any, error) {
-	row, err := s.cur.Next()
-	if err == schema.Done {
-		return nil, nil
+	sel := c.perm[:min(c.batchSize, len(c.perm))]
+	c.perm = c.perm[len(sel):]
+	vecs := make([]*schema.Vector, len(c.cols))
+	for i, v := range c.cols {
+		vecs[i] = v.Gather(sel)
 	}
-	return row, err
+	c.seq++
+	return &schema.Batch{Len: len(sel), Vecs: vecs, Seq: c.seq - 1}, nil
 }
 
-// mergeRunsCursor k-way-merges sorted sources (ties to the lowest source
-// index, which preserves global stability) into batches, applying
-// offset/fetch.
-type mergeRunsCursor struct {
-	sources []rowSource
-	heads   [][]any
-	primed  bool
-	cmp     func(a, b []any) int
+func (c *sortedCursor) Close() error {
+	c.perm, c.cols = nil, nil
+	return nil
+}
 
-	offset, fetch int64
+// mergeHead is a merge source's current batch and position in it.
+type mergeHead struct {
+	vecs   []*schema.Vector
+	sel    []int32
+	pos, n int
+	// ref is the index of vecs among the batches the output under
+	// construction gathers from, -1 until a row of it is picked.
+	ref int32
+}
+
+func (h *mergeHead) row() int {
+	if h.sel != nil {
+		return int(h.sel[h.pos])
+	}
+	return h.pos
+}
+
+// MergeCursor k-way-merges sorted batch streams on their key vectors, batch
+// to batch: a heap of the sources' head rows picks the next output row (ties
+// to the lowest source index), and each output column is gathered from the
+// source batches' vectors, so typed columns stay typed.
+type MergeCursor struct {
+	srcs  []schema.BatchCursor
+	coll  trait.Collation
+	heads []mergeHead
+	heap  []int32 // live source indices, least head row first
+	picks []schema.Pick
+
+	offset, fetch int64 // fetch < 0 = unlimited
 	skipped       int64
 	emitted       int64
-	width         int
+	dropTail      int
 	batchSize     int
 	seq           int64
-	done          bool
-	close         func()
+	primed, done  bool
+	onClose       func()
 }
 
-func (m *mergeRunsCursor) next() ([]any, error) {
-	if !m.primed {
-		m.heads = make([][]any, len(m.sources))
-		for i, src := range m.sources {
-			row, err := src.next()
-			if err != nil {
-				return nil, err
-			}
-			m.heads[i] = row
-		}
-		m.primed = true
+// NewMergeCursor merges srcs, each sorted on coll, skipping offset rows,
+// emitting at most fetch (negative = all) and dropping the last dropTail
+// columns. Close closes every source and then runs onClose.
+func NewMergeCursor(srcs []schema.BatchCursor, coll trait.Collation, offset, fetch int64,
+	dropTail, batchSize int, onClose func()) *MergeCursor {
+	if batchSize <= 0 {
+		batchSize = schema.DefaultBatchSize
 	}
-	best := -1
-	for i, h := range m.heads {
-		if h == nil {
-			continue
-		}
-		if best < 0 || m.cmp(h, m.heads[best]) < 0 {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil, nil
-	}
-	row := m.heads[best]
-	nxt, err := m.sources[best].next()
-	if err != nil {
-		return nil, err
-	}
-	m.heads[best] = nxt
-	return row, nil
+	return &MergeCursor{srcs: srcs, coll: coll, heads: make([]mergeHead, len(srcs)),
+		offset: offset, fetch: fetch, dropTail: dropTail, batchSize: batchSize, onClose: onClose}
 }
 
-func (m *mergeRunsCursor) NextBatch() (*schema.Batch, error) {
+// load makes source i's head its next row, pulling batches as needed; false
+// means the source has ended.
+func (m *MergeCursor) load(i int32) (bool, error) {
+	h := &m.heads[i]
+	for h.pos >= h.n {
+		b, err := m.srcs[i].NextBatch()
+		if err == schema.Done {
+			return false, nil
+		}
+		if err != nil {
+			return false, err
+		}
+		*h = mergeHead{vecs: batchVecs(b), sel: b.Sel, n: b.NumRows(), ref: -1}
+	}
+	return true, nil
+}
+
+func (m *MergeCursor) less(a, b int32) bool {
+	ha, hb := &m.heads[a], &m.heads[b]
+	c := compareKeys(m.coll, ha.vecs, ha.row(), hb.vecs, hb.row())
+	return c < 0 || c == 0 && a < b
+}
+
+func (m *MergeCursor) siftDown(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(m.heap) {
+			return
+		}
+		if l+1 < len(m.heap) && m.less(m.heap[l+1], m.heap[l]) {
+			l++
+		}
+		if !m.less(m.heap[l], m.heap[i]) {
+			return
+		}
+		m.heap[i], m.heap[l] = m.heap[l], m.heap[i]
+		i = l
+	}
+}
+
+func (m *MergeCursor) NextBatch() (*schema.Batch, error) {
 	if m.done {
 		return nil, schema.Done
 	}
-	var out [][]any
-	for len(out) < m.batchSize {
-		if m.fetch >= 0 && m.emitted >= m.fetch {
-			break
-		}
-		row, err := m.next()
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		if row == nil {
-			break
-		}
-		if m.skipped < m.offset {
-			m.skipped++
-			continue
-		}
-		out = append(out, row)
-		m.emitted++
-	}
-	if len(out) == 0 {
+	b, err := m.next()
+	if err != nil {
 		m.Close()
-		return nil, schema.Done
 	}
-	b := schema.BatchFromRows(out, m.width)
-	b.Seq = m.seq
-	m.seq++
-	return b, nil
+	return b, err
 }
 
-func (m *mergeRunsCursor) Close() error {
+func (m *MergeCursor) next() (*schema.Batch, error) {
+	if !m.primed {
+		m.primed = true
+		for i := range m.srcs {
+			ok, err := m.load(int32(i))
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				m.heap = append(m.heap, int32(i))
+			}
+		}
+		for i := len(m.heap)/2 - 1; i >= 0; i-- {
+			m.siftDown(i)
+		}
+	}
+	var refs [][]*schema.Vector
+	m.picks = m.picks[:0]
+	for len(m.picks) < m.batchSize && len(m.heap) > 0 && (m.fetch < 0 || m.emitted < m.fetch) {
+		src := m.heap[0]
+		h := &m.heads[src]
+		if m.skipped < m.offset {
+			m.skipped++
+		} else {
+			if h.ref < 0 {
+				h.ref = int32(len(refs))
+				refs = append(refs, h.vecs)
+			}
+			m.picks = append(m.picks, schema.Pick{Src: h.ref, Row: int32(h.row())})
+			m.emitted++
+		}
+		h.pos++
+		ok, err := m.load(src)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			last := len(m.heap) - 1
+			m.heap[0] = m.heap[last]
+			m.heap = m.heap[:last]
+		}
+		m.siftDown(0)
+	}
+	if len(m.picks) == 0 {
+		return nil, schema.Done
+	}
+	for i := range m.heads {
+		m.heads[i].ref = -1
+	}
+	vecs := make([]*schema.Vector, len(refs[0])-m.dropTail)
+	col := make([]*schema.Vector, len(refs))
+	for c := range vecs {
+		for i, r := range refs {
+			col[i] = r[c]
+		}
+		vecs[c] = schema.GatherPicks(col, m.picks)
+	}
+	m.seq++
+	return &schema.Batch{Len: len(m.picks), Vecs: vecs, Seq: m.seq - 1}, nil
+}
+
+func (m *MergeCursor) Close() error {
 	if m.done {
 		return nil
 	}
 	m.done = true
-	if m.close != nil {
-		m.close()
+	for _, s := range m.srcs {
+		s.Close()
+	}
+	if m.onClose != nil {
+		m.onClose()
 	}
 	return nil
 }
 
 // closingBatchCursor runs a hook when the cursor closes (reservation
-// release, run removal).
+// release).
 type closingBatchCursor struct {
 	schema.BatchCursor
 	close func()

@@ -14,15 +14,17 @@ import (
 
 // Window is the enumerable window operator (§4's window operator: partition,
 // order, frame bounds, and the functions to execute on each window). It runs
-// as a pipeline of memory-governed sort stages: rows are tagged with their
-// global position, then for each window group sorted by (partition keys,
-// order keys, position) — through the external sorter, so oversized inputs
-// spill instead of blowing the query budget — and evaluated one partition at
-// a time with incremental frame maintenance (retractable accumulators for
-// SUM/COUNT/AVG, a monotonic deque for MIN/MAX, O(n·frame) recompute only
-// for the rest). A final position sort restores the input row order, so the
-// operator's output order is identical across the row, batch and parallel
-// engines.
+// columnar, as a chain of sorts through the sort kernel (sortspill.go), so
+// oversized inputs spill instead of blowing the query budget: batches are
+// tagged with their rows' input position, then for each window group sorted
+// on (partition keys, order keys, position) and evaluated one partition at a
+// time with incremental frame maintenance (retractable accumulators for
+// SUM/COUNT/AVG, a monotonic deque for MIN/MAX, O(n·frame) recompute only for
+// the rest). The evaluator sees boxed rows of just the columns the group's
+// order keys and calls read; every other column travels as the typed vector
+// it arrived in, and the results come back as new vectors beside them. A last
+// sort on the position restores the input row order, so the operator's output
+// order is identical across the row, batch and parallel engines.
 type Window struct {
 	*rel.Window
 }
@@ -44,7 +46,7 @@ func (w *Window) Bind(ctx *Context) (schema.Cursor, error) {
 		return nil, err
 	}
 	width := rel.FieldCount(w.Inputs()[0])
-	bc, err := w.pipe(ctx, schema.BatchCursorFromCursor(in, width, ctx.batchSize()), tagCounter, false)
+	bc, err := w.pipe(ctx, schema.BatchCursorFromCursor(in, width, ctx.batchSize()), false)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +60,7 @@ func (w *Window) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return w.pipe(ctx, in, tagCounter, false)
+	return w.pipe(ctx, in, false)
 }
 
 // BindOverPartition runs the window pipeline over one worker's partition
@@ -67,398 +69,317 @@ func (w *Window) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 // columns — the parallel merge-gather above interleaves the workers'
 // position-sorted streams on them and strips them itself.
 func (w *Window) BindOverPartition(ctx *Context, in schema.BatchCursor) (schema.BatchCursor, error) {
-	return w.pipe(ctx, in, tagSeq, true)
+	return w.pipe(ctx, in, true)
 }
 
-// tagMode selects how input rows get their two position columns.
-type tagMode int
+// withColumns returns b with extra (physically indexed) columns appended.
+func withColumns(b *schema.Batch, extra ...*schema.Vector) *schema.Batch {
+	vecs := batchVecs(b)
+	return &schema.Batch{Len: b.Len, Vecs: append(vecs[:len(vecs):len(vecs)], extra...), Sel: b.Sel, Seq: b.Seq}
+}
 
-const (
-	// tagCounter tags a serial stream with a running row counter.
-	tagCounter tagMode = iota
-	// tagSeq tags with (batch Seq, physical row index): Seqs are globally
-	// unique and ordered by the serial drain order, and a selection vector's
-	// entries are the physical indices of the surviving rows, so the pair
-	// sorts back to exactly the serial row order even after hash exchanges
-	// split batches across workers.
-	tagSeq
-)
+// WithPositions returns b with its rows' global input position appended as
+// two int64 columns, (batch Seq, physical row index): Seqs are globally unique
+// and ordered by the serial drain order, and a selection vector's entries are
+// the physical indices of the surviving rows, so the pair sorts back to
+// exactly the serial row order even after hash exchanges split batches across
+// workers.
+func WithPositions(b *schema.Batch) *schema.Batch {
+	seq, idx := make([]int64, b.Len), make([]int64, b.Len)
+	for r := range idx {
+		seq[r], idx[r] = b.Seq, int64(r)
+	}
+	return withColumns(b, &schema.Vector{Kind: schema.VecInt64, I64: seq}, &schema.Vector{Kind: schema.VecInt64, I64: idx})
+}
 
-// rowStream is the pull row stream connecting pipeline stages: next returns
-// a nil row at the end; close releases resources.
-type rowStream struct {
-	next  func() ([]any, error)
-	close func()
+// tagCursor appends the position columns to each input batch: WithPositions
+// under a parallel worker, else one running row counter (a serial stream's
+// batches need not carry distinct Seqs).
+type tagCursor struct {
+	in      schema.BatchCursor
+	bySeq   bool
+	counter int64
+	dense   []int32
+}
+
+func (c *tagCursor) NextBatch() (*schema.Batch, error) {
+	b, err := c.in.NextBatch()
+	if err != nil {
+		return nil, err
+	}
+	if c.bySeq {
+		return WithPositions(b), nil
+	}
+	var live []int32
+	live, c.dense = liveSel(b, c.dense)
+	ord := make([]int64, b.Len)
+	for _, r := range live {
+		ord[r] = c.counter
+		c.counter++
+	}
+	return withColumns(b, &schema.Vector{Kind: schema.VecInt64, I64: ord}), nil
+}
+
+func (c *tagCursor) Close() error { return c.in.Close() }
+
+// ascending is the collation sorting the given columns in ascending order.
+func ascending(fields ...int) trait.Collation {
+	coll := make(trait.Collation, len(fields))
+	for i, f := range fields {
+		coll[i] = trait.FieldCollation{Field: f, Direction: trait.Ascending}
+	}
+	return coll
+}
+
+// positionOrder sorts on the npos trailing position columns of width columns.
+func positionOrder(width, npos int) trait.Collation {
+	if npos == 1 {
+		return ascending(width - 1)
+	}
+	return ascending(width-2, width-1)
 }
 
 // pipe chains the per-group sort+evaluate stages and the final position
-// sort. Stages exchange rows directly — no batch round-trips — and every
-// sort runs through the memory-governed external sorter, so oversized
-// inputs spill instead of blowing the query budget. The final sort restores
-// position order; a worker's partitions hold position ranges that interleave
-// with other workers', so the parallel path needs it too — the merge-gather
-// above can only interleave streams that are each position-sorted. keepPos
-// keeps the two hidden position columns in the output.
-func (w *Window) pipe(ctx *Context, in schema.BatchCursor, tag tagMode, keepPos bool) (schema.BatchCursor, error) {
-	base := rel.FieldCount(w.Inputs()[0])
-	outW := len(w.RowType().Fields)
-	rows := batchRows(in, tag, outW-base)
-	done := 0
-	for gi := range w.Groups {
-		g := w.Groups[gi]
-		inW := base + done + 2
-		sorter := NewExternalSorter(ctx, "Window", groupCmp(g, inW), inW)
-		sorter.Total = true
-		if err := drainInto(sorter, rows); err != nil {
-			return nil, err
-		}
-		next, closeFn, err := sorter.FinishStream()
+// sort, every sort through the memory-governed kernel. The final sort
+// restores position order; a worker's partitions hold position ranges that
+// interleave with other workers', so the parallel path needs it too — the
+// merge-gather above can only interleave streams that are each
+// position-sorted — and keeps the position columns in its output.
+func (w *Window) pipe(ctx *Context, in schema.BatchCursor, parallel bool) (schema.BatchCursor, error) {
+	npos, dropTail := 1, 1
+	if parallel {
+		npos, dropTail = 2, 0
+	}
+	width := rel.FieldCount(w.Inputs()[0]) + npos
+	var cur schema.BatchCursor = &tagCursor{in: in, bySeq: parallel}
+	fields := w.RowType().Fields
+	for _, g := range w.Groups {
+		sorted, err := SortCursor(ctx, "Window", cur, groupCollation(g, width, npos), -1, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		rows = evalStream(next, closeFn, g, inW, ctx.WindowRecompute,
-			memory.Reserve(ctx.Alloc, "Window"))
-		done += len(g.Calls)
+		cur = newWindowEval(ctx, sorted, g, fields[width-npos:], npos)
+		width += len(g.Calls)
 	}
-	width := outW
-	if keepPos {
-		width = outW + 2
-	}
-	if ctx.Alloc == nil && tag == tagCounter {
-		// Ungoverned serial stream: the counter positions are dense, so the
-		// restore is an O(n) scatter into position slots — no comparison
-		// sort. (Governed runs keep the sorter: a scatter would materialize
-		// the whole output outside the budget.)
-		next, err := scatterByPos(rows, outW+2)
-		if err != nil {
-			return nil, err
-		}
-		return &packCursor{next: next, close: func() {}, width: width, batchSize: ctx.batchSize()}, nil
-	}
-	sorter := NewExternalSorter(ctx, "Window", func(a, b []any) int {
-		return comparePos(a, b, outW+2)
-	}, outW+2)
-	sorter.Total = true
-	if err := drainInto(sorter, rows); err != nil {
-		return nil, err
-	}
-	next, closeFn, err := sorter.FinishStream()
-	if err != nil {
-		return nil, err
-	}
-	return &packCursor{next: next, close: closeFn, width: width, batchSize: ctx.batchSize()}, nil
+	return SortCursor(ctx, "Window", cur, positionOrder(width, npos), -1, 0, dropTail)
 }
 
-// scatterByPos drains the stream into a slice indexed by the dense counter
-// position and returns an iterator over it.
-func scatterByPos(rs rowStream, width int) (func() ([]any, error), error) {
-	var out [][]any
-	for {
-		row, err := rs.next()
-		if err != nil {
-			rs.close()
-			return nil, err
-		}
-		if row == nil {
-			rs.close()
-			break
-		}
-		i, _ := row[width-1].(int64)
-		for int64(len(out)) <= i {
-			out = append(out, nil)
-		}
-		out[i] = row
-	}
-	pos := 0
-	return func() ([]any, error) {
-		if pos >= len(out) {
-			return nil, nil
-		}
-		row := out[pos]
-		pos++
-		return row, nil
-	}, nil
+// groupCollation orders rows for one window group: partition keys, then the
+// group's collation, then the npos trailing position columns — a total order
+// on the input, so spilled runs merge back deterministically.
+func groupCollation(g rel.WindowGroup, width, npos int) trait.Collation {
+	coll := append(ascending(g.PartitionKeys...), g.OrderKeys...)
+	return append(coll, positionOrder(width, npos)...)
 }
 
-// batchRows adapts a batch cursor to a row stream, tagging each row with its
-// position columns. Rows are allocated with spare capacity for the call
-// results of every group, so the evaluators can extend them in place.
-func batchRows(in schema.BatchCursor, tag tagMode, extraCap int) rowStream {
-	var b *schema.Batch
-	pos := 0
-	counter := int64(0)
-	closed := false
-	closeIn := func() {
-		if !closed {
-			closed = true
-			in.Close()
-		}
-	}
-	return rowStream{
-		next: func() ([]any, error) {
-			for {
-				if closed {
-					return nil, nil
-				}
-				if b == nil || pos >= b.NumRows() {
-					nb, err := in.NextBatch()
-					if err == schema.Done {
-						closeIn()
-						return nil, nil
-					}
-					if err != nil {
-						closeIn()
-						return nil, err
-					}
-					b, pos = nb, 0
-					continue
-				}
-				w := b.Width()
-				row := make([]any, w+2, w+2+extraCap)
-				r := pos
-				if b.Sel != nil {
-					r = int(b.Sel[pos])
-				}
-				cols := b.BoxedCols()
-				for c := 0; c < w; c++ {
-					row[c] = cols[c][r]
-				}
-				if tag == tagCounter {
-					row[w] = int64(0)
-					row[w+1] = counter
-					counter++
-				} else {
-					row[w] = b.Seq
-					row[w+1] = int64(r)
-				}
-				pos++
-				return row, nil
-			}
-		},
-		close: closeIn,
-	}
+// evalBatch is one sorted input batch waiting for its call results.
+type evalBatch struct {
+	vecs    []*schema.Vector
+	n       int
+	results []*schema.Vector // one per call, grown to n as partitions close
+	done    int
+	bytes   int64
 }
 
-// drainInto feeds a whole row stream into a sorter, closing the stream.
-func drainInto(sorter *ExternalSorter, rs rowStream) error {
-	defer rs.close()
-	for {
-		row, err := rs.next()
-		if err != nil {
-			sorter.Abandon()
-			return err
-		}
-		if row == nil {
-			return nil
-		}
-		if err := sorter.Add(row); err != nil {
-			return err // Add abandons the sorter itself
-		}
-	}
+// partPiece is a row range of a queued batch belonging to the open partition.
+type partPiece struct {
+	eb     *evalBatch
+	lo, hi int
 }
 
-// packCursor re-batches the final row stream, dropping the hidden position
-// columns by reslicing when width says so.
-type packCursor struct {
-	next      func() ([]any, error)
-	close     func()
-	width     int
-	batchSize int
-	buf       [][]any
-	seq       int64
-	done      bool
-}
-
-func (c *packCursor) NextBatch() (*schema.Batch, error) {
-	if c.done {
-		return nil, schema.Done
-	}
-	c.buf = c.buf[:0]
-	for len(c.buf) < c.batchSize {
-		row, err := c.next()
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		if row == nil {
-			break
-		}
-		c.buf = append(c.buf, row[:c.width])
-	}
-	if len(c.buf) == 0 {
-		c.Close()
-		return nil, schema.Done
-	}
-	b := schema.BatchFromRows(c.buf, c.width)
-	b.Seq = c.seq
-	c.seq++
-	return b, nil
-}
-
-func (c *packCursor) Close() error {
-	if !c.done {
-		c.done = true
-		c.close()
-	}
-	return nil
-}
-
-// groupCmp orders rows for one window group: partition keys, then the
-// group's collation, then global position — a total order, so spilled runs
-// merge back deterministically.
-func groupCmp(g rel.WindowGroup, width int) func(a, b []any) int {
-	return func(a, b []any) int {
-		for _, k := range g.PartitionKeys {
-			if c := types.Compare(a[k], b[k]); c != 0 {
-				return c
-			}
-		}
-		if c := CompareRows(a, b, g.OrderKeys); c != 0 {
-			return c
-		}
-		return comparePos(a, b, width)
-	}
-}
-
-// comparePos orders rows by the two trailing position columns.
-func comparePos(a, b []any, width int) int {
-	as, _ := a[width-2].(int64)
-	bs, _ := b[width-2].(int64)
-	if as != bs {
-		if as < bs {
-			return -1
-		}
-		return 1
-	}
-	ai, _ := a[width-1].(int64)
-	bi, _ := b[width-1].(int64)
-	switch {
-	case ai < bi:
-		return -1
-	case ai > bi:
-		return 1
-	}
-	return 0
-}
-
-// evalStream wraps a sorted row stream with the partition evaluator: it
-// buffers one partition at a time — charged to the query allocator; a
-// partition is the operator's irreducible working set — and emits rows
-// extended with the group's call results (inserted before the trailing
-// position columns).
-func evalStream(upstream func() ([]any, error), upClose func(), g rel.WindowGroup,
-	inW int, recompute bool, res *memory.Reservation) rowStream {
-	e := &windowEval{
-		upstream:  upstream,
-		g:         g,
-		inW:       inW,
-		recompute: recompute,
-		res:       res,
-	}
-	return rowStream{
-		next: e.nextRow,
-		close: func() {
-			res.Free()
-			upClose()
-		},
-	}
-}
-
+// windowEval evaluates one window group over a stream sorted on the group's
+// collation. Partitions are found on the key vectors; a closing partition is
+// boxed into rows of only the columns its order keys and calls read, evaluated,
+// and its results appended to the result vectors of the batches it spans. A
+// batch is emitted — input vectors untouched, result vectors inserted before
+// the position tail — once all its rows have results.
 type windowEval struct {
-	upstream  func() ([]any, error)
-	g         rel.WindowGroup
-	inW       int
+	in        schema.BatchCursor
+	partKeys  trait.Collation
+	g         rel.WindowGroup // order keys and calls re-addressed onto the boxed rows
+	need      []int           // input column behind each boxed-row slot
+	kinds     []schema.VecKind
+	tail      int
 	recompute bool
 	res       *memory.Reservation
 
-	pending [][]any // evaluated rows of the current partition
-	ppos    int
-	ahead   []any // lookahead row belonging to the next partition
-	inDone  bool
+	queue  []*evalBatch // oldest first; results incomplete from queue[0] on
+	open   []partPiece
+	inDone bool
+	seq    int64
 }
 
-func (e *windowEval) nextRow() ([]any, error) {
-	for e.ppos >= len(e.pending) {
-		ok, err := e.loadPartition()
+// newWindowEval wraps the sorted stream; resFields are the output fields of
+// the group's calls and tail the number of trailing position columns.
+func newWindowEval(ctx *Context, sorted schema.BatchCursor, g rel.WindowGroup,
+	resFields []types.Field, tail int) *windowEval {
+	e := &windowEval{in: sorted, partKeys: ascending(g.PartitionKeys...), g: g, tail: tail,
+		recompute: ctx.WindowRecompute, res: memory.Reserve(ctx.Alloc, "Window")}
+	slots := map[int]int{}
+	slot := func(c int) int {
+		if _, ok := slots[c]; !ok {
+			slots[c] = len(e.need)
+			e.need = append(e.need, c)
+		}
+		return slots[c]
+	}
+	e.g.OrderKeys = make(trait.Collation, len(g.OrderKeys))
+	for i, fc := range g.OrderKeys {
+		e.g.OrderKeys[i] = trait.FieldCollation{Field: slot(fc.Field), Direction: fc.Direction}
+	}
+	e.g.Calls = make([]rex.AggCall, len(g.Calls))
+	for i, call := range g.Calls {
+		args := make([]int, len(call.Args))
+		for j, a := range call.Args {
+			args[j] = slot(a)
+		}
+		call.Args = args
+		if call.FilterArg >= 0 {
+			call.FilterArg = slot(call.FilterArg)
+		}
+		e.g.Calls[i] = call
+		kind := schema.VecAny
+		if !schema.ForceBoxed() {
+			kind = schema.VecKindForType(resFields[i].Type)
+		}
+		e.kinds = append(e.kinds, kind)
+	}
+	return e
+}
+
+func (e *windowEval) NextBatch() (*schema.Batch, error) {
+	for {
+		if len(e.queue) > 0 && e.queue[0].done == e.queue[0].n {
+			eb := e.queue[0]
+			e.queue = e.queue[1:]
+			e.res.Shrink(eb.bytes)
+			split := len(eb.vecs) - e.tail
+			vecs := append(append(eb.vecs[:split:split], eb.results...), eb.vecs[split:]...)
+			e.seq++
+			return &schema.Batch{Len: eb.n, Vecs: vecs, Seq: e.seq - 1}, nil
+		}
+		if e.inDone {
+			if len(e.open) == 0 {
+				return nil, schema.Done
+			}
+			if err := e.closePartition(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		b, err := e.in.NextBatch()
+		if err == schema.Done {
+			e.inDone = true
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			return nil, nil
+		if err := e.enqueue(b.Compact()); err != nil {
+			return nil, err
 		}
 	}
-	row := e.pending[e.ppos]
-	e.ppos++
-	return row, nil
 }
 
-// loadPartition buffers the next partition's rows and evaluates the group
-// over it. Returns false when the input is exhausted.
-func (e *windowEval) loadPartition() (bool, error) {
-	e.res.Shrink(e.res.Held())
-	e.pending, e.ppos = nil, 0
-	var part [][]any
-	if e.ahead != nil {
-		part = append(part, e.ahead)
-		e.ahead = nil
-	} else {
-		if e.inDone {
-			return false, nil
-		}
-		row, err := e.upstream()
-		if err != nil {
-			return false, err
-		}
-		if row == nil {
-			e.inDone = true
-			return false, nil
-		}
-		part = append(part, row)
+// enqueue queues a sorted batch and cuts it into partitions.
+func (e *windowEval) enqueue(b *schema.Batch) error {
+	eb := &evalBatch{vecs: batchVecs(b), n: b.Len, results: make([]*schema.Vector, len(e.kinds))}
+	for i, k := range e.kinds {
+		eb.results[i] = &schema.Vector{Kind: k}
 	}
-	for !e.inDone {
-		row, err := e.upstream()
-		if err != nil {
-			return false, err
+	if e.res != nil {
+		// The batches a partition spans are its irreducible working set: a
+		// partition cannot be evaluated piecewise (frames may span it
+		// entirely), so a failing grant only errors when spilling is
+		// forbidden; otherwise the batch is accepted untracked.
+		eb.bytes = vecsBytes(eb.vecs, nil, eb.n)
+		if err := e.res.Grow(eb.bytes); err != nil {
+			if !e.res.SpillAllowed() {
+				return err
+			}
+			eb.bytes = 0
 		}
-		if row == nil {
-			e.inDone = true
-			break
-		}
-		if !samePartition(row, part[0], e.g.PartitionKeys) {
-			e.ahead = row
-			break
-		}
-		// A single partition cannot be evaluated piecewise (frames may span
-		// it entirely), so a failing grant only errors when spilling is
-		// forbidden; otherwise the partition is accepted untracked.
-		if err := e.res.Grow(types.SizeOfRow(row)); err != nil && !e.res.SpillAllowed() {
-			return false, err
-		}
-		part = append(part, row)
 	}
-	pending, err := evalPartition(part, e.g, e.inW, e.recompute)
+	e.queue = append(e.queue, eb)
+	start := 0
+	for r := 0; r < eb.n; r++ {
+		prev, prow := eb.vecs, r-1
+		if r == 0 {
+			if len(e.open) == 0 {
+				continue
+			}
+			last := e.open[len(e.open)-1]
+			prev, prow = last.eb.vecs, last.hi-1
+		}
+		if compareKeys(e.partKeys, prev, prow, eb.vecs, r) != 0 {
+			if r > start {
+				e.open = append(e.open, partPiece{eb, start, r})
+			}
+			if err := e.closePartition(); err != nil {
+				return err
+			}
+			start = r
+		}
+	}
+	e.open = append(e.open, partPiece{eb, start, eb.n})
+	return nil
+}
+
+// closePartition evaluates the open partition and hands each piece's results
+// to its batch.
+func (e *windowEval) closePartition() error {
+	n, w := 0, len(e.need)
+	for _, p := range e.open {
+		n += p.hi - p.lo
+	}
+	flat := make([]any, n*w)
+	part := make([][]any, n)
+	at := 0
+	for _, p := range e.open {
+		for k, c := range e.need {
+			v := p.eb.vecs[c]
+			for r := p.lo; r < p.hi; r++ {
+				flat[(at+r-p.lo)*w+k] = v.Get(r)
+			}
+		}
+		at += p.hi - p.lo
+	}
+	for i := range part {
+		part[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	results, err := evalPartition(part, e.g, e.recompute)
 	if err != nil {
-		return false, err
+		return err
 	}
-	e.pending = pending
-	return true, nil
+	at = 0
+	for _, p := range e.open {
+		for ci, vals := range results {
+			v := p.eb.results[ci]
+			for _, x := range vals[at : at+p.hi-p.lo] {
+				if !v.AppendValue(x) {
+					v.Demote()
+					v.AppendValue(x)
+				}
+			}
+		}
+		p.eb.done += p.hi - p.lo
+		at += p.hi - p.lo
+	}
+	e.open = e.open[:0]
+	return nil
 }
 
-func samePartition(a, b []any, keys []int) bool {
-	for _, k := range keys {
-		if types.Compare(a[k], b[k]) != 0 {
-			return false
-		}
-	}
-	return true
+func (e *windowEval) Close() error {
+	e.queue, e.open = nil, nil
+	e.res.Free()
+	return e.in.Close()
 }
 
 // --- partition evaluation ---
 
 // evalPartition computes every call of one window group over one ordered
-// partition, returning the output rows: input prefix ++ call results ++
-// position tail.
-func evalPartition(part [][]any, g rel.WindowGroup, inW int, recompute bool) ([][]any, error) {
+// partition, returning one value per row for each call.
+func evalPartition(part [][]any, g rel.WindowGroup, recompute bool) ([][]any, error) {
 	needBounds := false
 	for _, call := range g.Calls {
 		if !call.Func.WindowOnly() {
@@ -481,27 +402,7 @@ func evalPartition(part [][]any, g rel.WindowGroup, inW int, recompute bool) ([]
 		}
 		results[ci] = vals
 	}
-	// Extend each row with the results, inserted before the position tail —
-	// in place when the row has spare capacity (batchRows reserves it), else
-	// reallocating (rows rehydrated from spill runs arrive at exact size).
-	nc := len(g.Calls)
-	for i := range part {
-		row := part[i]
-		if cap(row) >= inW+nc {
-			row = row[:inW+nc]
-			copy(row[inW-2+nc:], row[inW-2:inW])
-		} else {
-			grown := make([]any, inW+nc)
-			copy(grown, row[:inW-2])
-			copy(grown[inW-2+nc:], row[inW-2:inW])
-			row = grown
-		}
-		for ci := range results {
-			row[inW-2+ci] = results[ci][i]
-		}
-		part[i] = row
-	}
-	return part, nil
+	return results, nil
 }
 
 // evalCall computes one call's value for every row of the partition.

@@ -201,9 +201,9 @@ func TestSlidingMatchesRecompute(t *testing.T) {
 
 // sortPartition orders test rows the way the window pipeline would.
 func sortPartition(rows [][]any, g rel.WindowGroup) {
-	cmp := groupCmp(g, len(rows[0]))
+	coll := groupCollation(g, len(rows[0]), 2)
 	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && cmp(rows[j], rows[j-1]) < 0; j-- {
+		for j := i; j > 0 && CompareRows(rows[j], rows[j-1], coll) < 0; j-- {
 			rows[j], rows[j-1] = rows[j-1], rows[j]
 		}
 	}

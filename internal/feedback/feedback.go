@@ -17,7 +17,10 @@
 // subtree (NodeKey), not by path: the join-order enumeration explores plan
 // shapes that have no runtime path, while a scan or pushed-down filter keeps
 // the same digest across every join order — exactly the operators whose
-// corrected cardinality steers the enumeration.
+// corrected cardinality steers the enumeration. An operator over a dynamic
+// parameter is the exception: its digest is the same for every binding (and
+// every statement with that placeholder text) while its row count is not, so
+// it is measured and reported but neither corrected nor re-planned on.
 package feedback
 
 import (
@@ -77,13 +80,17 @@ func DefaultOptions() Options {
 // id in the plan tree, its operator name, its canonical logical digest (the
 // correction key), the estimated row count and — for joins whose condition
 // resolves to base columns — the plan-shape-independent condition signature
-// used to learn join selectivities.
+// used to learn join selectivities. Bound marks an operator with a dynamic
+// parameter somewhere in its subtree: its row count is a function of the
+// values bound at execution, so it is measured and reported but teaches
+// nothing (see Harvest).
 type OpEstimate struct {
 	Path    string
 	Op      string
 	Key     string
 	Rows    float64
 	JoinSig string
+	Bound   bool
 }
 
 // PlanEstimates is the estimate table of one optimized plan, computed once
@@ -103,7 +110,8 @@ func EstimatePlan(fingerprint string, root rel.Node, rowCount func(rel.Node) flo
 	pe := &PlanEstimates{Fingerprint: fingerprint, ByPath: map[string]OpEstimate{}, Tables: rel.ScannedTables(root)}
 	var walk func(n rel.Node, path string)
 	walk = func(n rel.Node, path string) {
-		e := OpEstimate{Path: path, Op: n.Op(), Key: NodeKey(n), Rows: rowCount(n)}
+		e := OpEstimate{Path: path, Op: n.Op(), Rows: rowCount(n)}
+		e.Key, e.Bound = nodeKey(n)
 		if j, ok := unwrap(n).(*rel.Join); ok {
 			e.JoinSig = conditionSignature(n, j.Condition)
 		}
@@ -136,12 +144,33 @@ func (pe *PlanEstimates) PathRows() map[string]float64 {
 // convention prefix stripped, so a logical join explored by the join-order
 // enumeration and the enumerable hash join that executed it hash alike.
 func NodeKey(n rel.Node) string {
-	h := uint64(14695981039346656037)
-	writeNodeKey(n, &h)
-	return strconv.FormatUint(h, 16)
+	key, _ := nodeKey(n)
+	return key
 }
 
-func writeNodeKey(n rel.Node, h *uint64) {
+// nodeKey is NodeKey plus whether the subtree references a dynamic parameter.
+func nodeKey(n rel.Node) (key string, bound bool) {
+	h := uint64(14695981039346656037)
+	bound = writeNodeKey(n, &h)
+	return strconv.FormatUint(h, 16), bound
+}
+
+// refersToParam reports whether an operator's attribute text contains a
+// dynamic parameter ("?n" outside a quoted literal).
+func refersToParam(attrs string) bool {
+	quoted := false
+	for i := 0; i+1 < len(attrs); i++ {
+		switch c := attrs[i]; {
+		case c == '\'':
+			quoted = !quoted
+		case c == '?' && !quoted && attrs[i+1] >= '0' && attrs[i+1] <= '9':
+			return true
+		}
+	}
+	return false
+}
+
+func writeNodeKey(n rel.Node, h *uint64) (bound bool) {
 	u := n
 	for {
 		w, ok := u.(rel.Wrapped)
@@ -157,6 +186,7 @@ func writeNodeKey(n rel.Node, h *uint64) {
 		hashString(h, "{")
 		hashString(h, a)
 		hashString(h, "}")
+		bound = refersToParam(a)
 	}
 	// Children come from the original node: Unwrap preserves inputs, and the
 	// wrappers' own input lists are authoritative for the executed tree.
@@ -166,10 +196,13 @@ func writeNodeKey(n rel.Node, h *uint64) {
 			if i > 0 {
 				hashString(h, ",")
 			}
-			writeNodeKey(in, h)
+			if writeNodeKey(in, h) {
+				bound = true
+			}
 		}
 		hashString(h, ")")
 	}
+	return bound
 }
 
 func hashString(h *uint64, s string) {
@@ -392,9 +425,10 @@ func (s *Store) SetObserver(fn func(float64)) {
 
 // Harvest folds one finished trace into the store: every span carrying a
 // path id is matched to the plan's estimate table, its q-error observed and
-// its operator's correction updated. Returns true when the statement should
-// be re-planned — the worst q-error reached ReplanQError, or a build
-// overshoot was recorded during this execution.
+// its operator's correction updated — unless the operator is bound to
+// parameter values (OpEstimate.Bound). Returns true when the statement should
+// be re-planned — the worst q-error of an unbound operator reached
+// ReplanQError, or a build overshoot was recorded during this execution.
 func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 	if snap == nil || est == nil || snap.Spans == nil || snap.Error != "" {
 		return false
@@ -410,7 +444,7 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 	}
 	ps.executions++
 	ps.tables = est.Tables
-	maxQ := 0.0
+	maxQ, driftQ := 0.0, 0.0 // worst q-error of all operators / of the unbound ones
 	var walk func(sp *obs.SpanStats)
 	walk = func(sp *obs.SpanStats) {
 		if sp == nil {
@@ -426,20 +460,6 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 			if observe != nil {
 				(*observe)(q)
 			}
-			c := s.corrections[e.Key]
-			if c == nil {
-				c = &correction{op: e.Op, actual: actual}
-				s.corrections[e.Key] = c
-				s.correctionCount.Add(1)
-			} else {
-				c.actual = s.opts.Alpha*actual + (1-s.opts.Alpha)*c.actual
-			}
-			c.estRows = e.Rows
-			c.samples++
-			c.lastQ = q
-			if q > c.maxQ {
-				c.maxQ = q
-			}
 			os := ps.ops[sp.Path]
 			if os == nil {
 				os = &opState{}
@@ -451,22 +471,16 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 			os.lastQ = q
 			os.samples++
 
-			// Joins additionally teach their condition's selectivity: the
-			// observed output over the product of the observed inputs. The
-			// signature survives reordering, so this is the correction that
-			// prices join orders the optimizer has never executed.
-			if e.JoinSig != "" && len(sp.Children) == 2 {
-				aL := math.Max(float64(sp.Children[0].Rows), 1)
-				aR := math.Max(float64(sp.Children[1].Rows), 1)
-				implied := math.Min(math.Max(actual, 1)/(aL*aR), 1)
-				sc := s.sels[e.JoinSig]
-				if sc == nil {
-					s.sels[e.JoinSig] = &selCorrection{sel: implied, samples: 1}
-					s.selCount.Add(1)
-				} else {
-					sc.sel = s.opts.Alpha*implied + (1-s.opts.Alpha)*sc.sel
-					sc.samples++
+			// What a bound operator returned says how these parameter values
+			// select, not how the next ones will, and every statement with
+			// the same placeholder text shares its key: folded into a
+			// correction it would make each plan depend on which bindings
+			// happened to run last. It is measured and teaches nothing.
+			if !e.Bound {
+				if q > driftQ {
+					driftQ = q
 				}
+				s.learn(e, sp, actual, q)
 			}
 		}
 		for _, c := range sp.Children {
@@ -481,7 +495,7 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 	if maxQ > s.worstQ {
 		s.worstQ = maxQ
 	}
-	replan := (maxQ >= s.opts.ReplanQError || ps.pendingReplan) &&
+	replan := (driftQ >= s.opts.ReplanQError || ps.pendingReplan) &&
 		ps.replans < int64(s.opts.MaxReplans)
 	ps.pendingReplan = false
 	if replan {
@@ -493,6 +507,43 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 		s.replans.Add(1)
 	}
 	return replan
+}
+
+// learn folds one operator's observed row count into its correction and, for
+// a join, into its condition's selectivity. The caller holds s.mu.
+func (s *Store) learn(e OpEstimate, sp *obs.SpanStats, actual, q float64) {
+	c := s.corrections[e.Key]
+	if c == nil {
+		c = &correction{op: e.Op, actual: actual}
+		s.corrections[e.Key] = c
+		s.correctionCount.Add(1)
+	} else {
+		c.actual = s.opts.Alpha*actual + (1-s.opts.Alpha)*c.actual
+	}
+	c.estRows = e.Rows
+	c.samples++
+	c.lastQ = q
+	if q > c.maxQ {
+		c.maxQ = q
+	}
+
+	// Joins additionally teach their condition's selectivity: the
+	// observed output over the product of the observed inputs. The
+	// signature survives reordering, so this is the correction that
+	// prices join orders the optimizer has never executed.
+	if e.JoinSig != "" && len(sp.Children) == 2 {
+		aL := math.Max(float64(sp.Children[0].Rows), 1)
+		aR := math.Max(float64(sp.Children[1].Rows), 1)
+		implied := math.Min(math.Max(actual, 1)/(aL*aR), 1)
+		sc := s.sels[e.JoinSig]
+		if sc == nil {
+			s.sels[e.JoinSig] = &selCorrection{sel: implied, samples: 1}
+			s.selCount.Add(1)
+		} else {
+			sc.sel = s.opts.Alpha*implied + (1-s.opts.Alpha)*sc.sel
+			sc.samples++
+		}
+	}
 }
 
 // CorrectedRowCount returns the feedback-corrected row estimate for n when

@@ -254,6 +254,45 @@ func TestReplanCap(t *testing.T) {
 	}
 }
 
+// TestBoundOperatorsTeachNothing: what an operator over a "?" returned is a
+// fact about one binding. However far off, it is reported and neither
+// corrected nor re-planned on — nor is anything above it — while the scan
+// below still learns; a "?1" inside a string literal is no parameter.
+func TestBoundOperatorsTeachNothing(t *testing.T) {
+	tb := testTable("t", 10)
+	scan := exec.NewScan(tb, []string{"t"})
+	v := rex.NewInputRef(1, types.BigInt)
+	bound := exec.NewFilter(scan, rex.NewCall(rex.OpLess, v, &rex.DynamicParam{Index: 0, T: types.BigInt}))
+	top := exec.NewFilter(bound, rex.NewCall(rex.OpEquals, v, rex.NewLiteral(int64(3), types.BigInt)))
+	pe := EstimatePlan("fp", top, func(rel.Node) float64 { return 10 })
+	if !pe.ByPath["0"].Bound || !pe.ByPath["0.0"].Bound || pe.ByPath["0.0.0"].Bound {
+		t.Fatalf("bound marks = %+v", pe.ByPath)
+	}
+	quoted := exec.NewFilter(scan, rex.NewCall(rex.OpEquals, v, rex.NewLiteral("it's ?1", types.Varchar)))
+	if EstimatePlan("fp", quoted, func(rel.Node) float64 { return 10 }).ByPath["0"].Bound {
+		t.Fatal("a question mark in a literal counted as a parameter")
+	}
+
+	s := NewStore(Options{})
+	snap := &obs.TraceSnapshot{Fingerprint: "fp", SQL: "q", Spans: &obs.SpanStats{Path: "0", Rows: 1000,
+		Children: []*obs.SpanStats{{Path: "0.0", Rows: 1000,
+			Children: []*obs.SpanStats{{Path: "0.0.0", Rows: 12}}}}}}
+	if s.Harvest(snap, pe) {
+		t.Fatal("a binding's row count requested a re-plan")
+	}
+	for _, n := range []rel.Node{top, bound} {
+		if got, ok := s.CorrectedRowCount(n); ok {
+			t.Fatalf("bound operator corrected to %v", got)
+		}
+	}
+	if got, ok := s.CorrectedRowCount(scan); !ok || got != 12 {
+		t.Fatalf("scan under a bound filter: %v ok=%v, want 12", got, ok)
+	}
+	if r := s.Report(); len(r) != 1 || r[0].MaxQError != 100 {
+		t.Fatalf("report = %+v, want the q-error of 100 on record", r)
+	}
+}
+
 // TestInvalidateTable: new statistics for one table forget the statements
 // that scan it — record and spent replan budget — and leave a statement over
 // another table alone. Corrections are observations of the data and stay.

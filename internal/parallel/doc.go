@@ -18,17 +18,26 @@
 //   - aggregates split into thread-local partial aggregation, a hash
 //     exchange on the group keys, and a partitioned merge of accumulator
 //     states (rex.MergeAccumulators);
-//   - sorts run per-partition and merge-gather into one ordered stream.
+//   - sorts run per-partition and merge-gather into one ordered stream;
+//   - single-group windows with PARTITION BY hash-exchange on the partition
+//     keys, window per worker and merge-gather on the input position.
 //
 // # Division of labour with package exec
 //
 // This package moves batches; tables, charging and spill live in exec. The
 // blocking operators here own no group table, build table or sort buffer:
 // HashJoinPar drains into an exec.JoinBuild, PartialAgg and FinalAgg run one
-// exec.GroupedAgg per partition (partial-state modes), SortPar feeds one
-// exec.ExternalSorter per partition — the engines the serial operators use.
-// Memory governance therefore never changes the plan shape: every worker
-// charges the query's allocator through the same spill-capable code.
+// exec.GroupedAgg per partition (partial-state modes), SortPar runs the sort
+// kernel (exec.SortCursor) once per partition and WindowPar the window
+// pipeline — the engines the serial operators use. Memory governance
+// therefore never changes the plan shape: every worker charges the query's
+// allocator through the same spill-capable code.
+//
+// SortPar returns, per partition, typed batches sorted on (the sort's keys,
+// batch Seq, row index) — the two position columns appended by
+// exec.WithPositions — already cut to the OFFSET+FETCH rows a LIMIT could
+// emit; MergeGather merges the partitions with exec.MergeCursor, the merge
+// that also reads back spilled runs, and strips the position columns.
 //
 // # Batch ownership at exchange boundaries
 //
@@ -39,7 +48,10 @@
 // boundary is therefore Detach()ed first: the selection vector (the one
 // buffer operators recycle) is copied, while column storage — immutable
 // once emitted — stays shared. Downstream of an exchange, a batch is owned
-// by the receiving partition until it is itself emitted or dropped.
+// by the receiving partition until it is itself emitted or dropped. At a
+// MergeGather the merge holds each received batch until the output batch
+// that gathers rows from it has been built; its output batches are fresh
+// vectors owned by the consumer.
 //
 // # Determinism
 //

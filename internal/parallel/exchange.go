@@ -8,8 +8,8 @@ package parallel
 //     (Seq) order, so a parallel pipeline drains into exactly the row order
 //     the serial engine would have produced;
 //   - merge-gather: p sorted partition streams → one sorted stream (k-way
-//     merge by a row comparator), the back end of the parallel sort and of
-//     the parallel aggregate's deterministic group ordering;
+//     merge on the collation's key vectors), the back end of the parallel
+//     sort and of the parallel aggregate's deterministic group ordering;
 //   - scatter: input partitions → p output partitions, either hash-by-key
 //     (partitioned aggregation/join builds) or round-robin (parallelizing a
 //     serial source).
@@ -27,7 +27,9 @@ import (
 	"errors"
 	"sync"
 
+	"calcite/internal/exec"
 	"calcite/internal/schema"
+	"calcite/internal/trait"
 	"calcite/internal/types"
 )
 
@@ -220,128 +222,23 @@ func (g *gatherCursor) Close() error {
 
 // --- merge-gather ---
 
-// mergeGatherCursor k-way-merges p sorted partition streams at row
-// granularity, optionally applying OFFSET/FETCH and stripping trailing
-// hidden ordering columns, and re-batches the merged rows.
-type mergeGatherCursor struct {
-	st    *exchState
-	chans []chan *schema.Batch
-	rows  [][][]any // buffered rows of the current batch per partition
-	pos   []int
-	live  []bool
-	cmp   func(a, b []any) int
-
-	offset, fetch int64 // fetch < 0 = unlimited
-	skipped       int64
-	emitted       int64
-	dropTail      int
-	width         int // output width (after dropTail)
-	batchSize     int
-	seq           int64
-	done          bool
-}
-
-// MergeGather drains p sorted partitions concurrently and merges them into
-// one sorted stream by cmp. dropTail trailing columns (hidden ordering
-// keys) are stripped from the output; offset/fetch apply after the merge.
-func MergeGather(pool *Pool, parts []schema.BatchCursor, cmp func(a, b []any) int,
-	offset, fetch int64, dropTail, width, batchSize int) schema.BatchCursor {
-	st := newExchState(1)
-	m := &mergeGatherCursor{
-		st:        st,
-		chans:     make([]chan *schema.Batch, len(parts)),
-		rows:      make([][][]any, len(parts)),
-		pos:       make([]int, len(parts)),
-		live:      make([]bool, len(parts)),
-		cmp:       cmp,
-		offset:    offset,
-		fetch:     fetch,
-		dropTail:  dropTail,
-		width:     width,
-		batchSize: batchSize,
-	}
-	if m.batchSize <= 0 {
-		m.batchSize = schema.DefaultBatchSize
-	}
-	for i := range parts {
+// MergeGather drains p partitions, each sorted on coll, concurrently and
+// merges them into one sorted stream with the engine's one merge
+// (exec.MergeCursor: batch to batch on the key vectors, ties to the lowest
+// partition, typed columns stay typed). dropTail trailing columns (hidden
+// ordering keys) are stripped from the output; offset/fetch apply after the
+// merge. The merge owns each received batch until the output batch that
+// gathers from it has been built.
+func MergeGather(pool *Pool, parts []schema.BatchCursor, coll trait.Collation,
+	offset, fetch int64, dropTail, batchSize int) schema.BatchCursor {
+	st := newExchState(len(parts))
+	srcs := make([]schema.BatchCursor, len(parts))
+	for i, part := range parts {
 		ch := make(chan *schema.Batch, exchChanBuf)
-		m.chans[i] = ch
-		m.live[i] = true
-		part := parts[i]
+		srcs[i] = &chanCursor{st: st, ch: ch}
 		pool.Go(func() { pump(st, ch, part) })
 	}
-	return m
-}
-
-// next returns the globally smallest pending row, or nil when exhausted.
-func (m *mergeGatherCursor) next() ([]any, error) {
-	best := -1
-	for i := range m.chans {
-		for m.live[i] && m.pos[i] >= len(m.rows[i]) {
-			b, ok, err := recv(m.st, m.chans[i])
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				m.live[i] = false
-				break
-			}
-			m.rows[i] = b.AppendRows(m.rows[i][:0])
-			m.pos[i] = 0
-		}
-		if !m.live[i] {
-			continue
-		}
-		if best < 0 || m.cmp(m.rows[i][m.pos[i]], m.rows[best][m.pos[best]]) < 0 {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil, nil
-	}
-	row := m.rows[best][m.pos[best]]
-	m.pos[best]++
-	return row, nil
-}
-
-func (m *mergeGatherCursor) NextBatch() (*schema.Batch, error) {
-	if m.done {
-		return nil, schema.Done
-	}
-	var out [][]any
-	for len(out) < m.batchSize {
-		if m.fetch >= 0 && m.emitted >= m.fetch {
-			break
-		}
-		row, err := m.next()
-		if err != nil {
-			m.done = true
-			return nil, err
-		}
-		if row == nil {
-			break
-		}
-		if m.skipped < m.offset {
-			m.skipped++
-			continue
-		}
-		out = append(out, row[:len(row)-m.dropTail])
-		m.emitted++
-	}
-	if len(out) == 0 {
-		m.done = true
-		return nil, schema.Done
-	}
-	b := schema.BatchFromRows(out, m.width)
-	b.Seq = m.seq
-	m.seq++
-	return b, nil
-}
-
-func (m *mergeGatherCursor) Close() error {
-	m.done = true
-	m.st.closeOne(true)
-	return nil
+	return exec.NewMergeCursor(srcs, coll, offset, fetch, dropTail, batchSize, nil)
 }
 
 // --- scatter ---

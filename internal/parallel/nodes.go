@@ -308,10 +308,7 @@ func (e *Exchange) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		coll := e.Collation
-		cmp := func(a, b []any) int { return exec.CompareRows(a, b, coll) }
-		width := len(e.RowType().Fields)
-		return MergeGather(e.pool, parts, cmp, e.Offset, e.Fetch, e.DropTail, width, batchSize(ctx)), nil
+		return MergeGather(e.pool, parts, e.Collation, e.Offset, e.Fetch, e.DropTail, batchSize(ctx)), nil
 	}
 	return exec.BindBatch(ctx, e.input)
 }
@@ -732,73 +729,49 @@ func (s *SortPar) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	coll := s.MergeCollation()
-	cmp := func(a, b []any) int { return exec.CompareRows(a, b, coll) }
-	return MergeGather(s.pool, parts, cmp, 0, -1, 0, len(s.RowType().Fields), batchSize(ctx)), nil
+	return MergeGather(s.pool, parts, s.MergeCollation(), 0, -1, 0, batchSize(ctx)), nil
 }
 
 // BindPartitions sorts every partition eagerly across the pool (sort is a
-// pipeline breaker) and returns the sorted runs. Each worker feeds an
-// exec.ExternalSorter: its rows accumulate against the shared query budget and
-// overflow to sorted on-disk runs that the returned cursor k-way-merges back
-// (the per-worker half of the parallel external sort; the merge-gather above
+// pipeline breaker) and returns the sorted runs. Each worker tags its batches
+// with their rows' global input position and feeds the sort kernel
+// (exec.SortCursor) on the merge collation — the sort's keys, then position,
+// a total order over all partitions — keeping only the OFFSET+FETCH rows the
+// merge could emit; its rows accumulate against the shared query budget and
+// overflow to sorted on-disk runs that the returned cursor merges back (the
+// per-worker half of the parallel external sort; the merge-gather above
 // combines the workers).
 func (s *SortPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
 	parts, err := BindPartitions(ctx, s.inner.Inputs()[0])
 	if err != nil {
 		return nil, err
 	}
-	coll := s.inner.Collation
-	width := len(s.RowType().Fields)
-	// Rows beyond OFFSET+FETCH can never be emitted by the merge.
 	keep := int64(-1)
-	if s.inner.Fetch >= 0 {
+	if s.inner.Fetch >= 0 && s.inner.Offset+s.inner.Fetch >= 0 {
 		keep = s.inner.Offset + s.inner.Fetch
 	}
-	// The per-worker sort order: collation, then global input position —
-	// a total order, so spilled runs merge deterministically.
-	cmp := func(a, b []any) int {
-		if c := exec.CompareRows(a, b, coll); c != 0 {
-			return c
-		}
-		if sa, sb := a[width-2].(int64), b[width-2].(int64); sa != sb {
-			if sa < sb {
-				return -1
-			}
-			return 1
-		}
-		ia, ib := a[width-1].(int64), b[width-1].(int64)
-		switch {
-		case ia < ib:
-			return -1
-		case ia > ib:
-			return 1
-		}
-		return 0
-	}
+	coll := s.MergeCollation()
 	return eachPartition(s.pool, parts, func(rctx ctxT, part schema.BatchCursor) (schema.BatchCursor, error) {
-		defer part.Close()
-		sorter := exec.NewExternalSorter(ctx, "ParallelSort", cmp, width)
-		sorter.Total = true
-		for {
-			if err := rctx.Err(); err != nil {
-				sorter.Abandon()
-				return nil, err
-			}
-			b, err := part.NextBatch()
-			if err == schema.Done {
-				return sorter.Finish(0, keep, batchSize(ctx))
-			}
-			if err != nil {
-				sorter.Abandon()
-				return nil, err
-			}
-			n := b.NumRows()
-			for i := 0; i < n; i++ {
-				if err := sorter.Add(append(b.Row(i), b.Seq, int64(i))); err != nil {
-					return nil, err
-				}
-			}
-		}
+		return exec.SortCursor(ctx, "ParallelSort", &positionedCursor{in: part, rctx: rctx}, coll, keep, 0, 0)
 	})
 }
+
+// positionedCursor tags a partition's batches with their rows' global input
+// position and stops at the first batch after the run was cancelled.
+type positionedCursor struct {
+	in   schema.BatchCursor
+	rctx ctxT
+}
+
+func (c *positionedCursor) NextBatch() (*schema.Batch, error) {
+	if err := c.rctx.Err(); err != nil {
+		return nil, err
+	}
+	b, err := c.in.NextBatch()
+	if err != nil {
+		return nil, err
+	}
+	return exec.WithPositions(b), nil
+}
+
+func (c *positionedCursor) Close() error { return c.in.Close() }

@@ -17,15 +17,20 @@ const poolIdleTimeout = 250 * time.Millisecond
 // connection schedules its pipeline-driver tasks here, so concurrent queries
 // share one set of resident workers instead of each spawning its own.
 //
-// Submission never blocks: a task is handed to an idle resident worker when
-// one is available and started on a fresh goroutine otherwise (the worker
-// then lingers briefly as a resident). Bounding residency instead of
-// concurrency keeps the pool deadlock-free by construction — a task blocked
-// on an exchange channel can never prevent the task that would unblock it
-// from starting.
+// Submission never waits for a running task: a task is handed to an idle
+// resident worker when one has reported itself idle and started on a fresh
+// goroutine otherwise (the worker then lingers briefly as a resident).
+// Bounding residency instead of concurrency keeps the pool deadlock-free by
+// construction — a task blocked on an exchange channel can never prevent the
+// task that would unblock it from starting.
 type Pool struct {
 	parallelism int
 	tasks       chan func() // unbuffered hand-off to idle resident workers
+	// idle counts the resident workers that have finished their task and not
+	// been claimed since. Go claims one by decrementing it, which obliges some
+	// parked (or about to park) worker to receive the task; a worker whose
+	// idle window ends leaves only by taking its own count back.
+	idle atomic.Int64
 
 	// spawned and handoffs count goroutine starts and resident reuses, for
 	// tests and introspection.
@@ -93,13 +98,26 @@ func (p *Pool) noteMorsel() {
 	p.morsels.Add(1)
 }
 
-// Go schedules fn without blocking the caller.
+// Idle returns the number of resident workers waiting for a task.
+func (p *Pool) Idle() int64 { return p.idle.Load() }
+
+// claimIdle takes one idle worker's count, reporting false when there is none.
+func (p *Pool) claimIdle() bool {
+	for n := p.idle.Load(); n > 0; n = p.idle.Load() {
+		if p.idle.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+	return false
+}
+
+// Go schedules fn without waiting for any running task: an idle resident
+// worker takes it, else a fresh goroutine.
 func (p *Pool) Go(fn func()) {
-	select {
-	case p.tasks <- fn:
+	if p.claimIdle() {
+		p.tasks <- fn // the claimed worker is at, or a few instructions from, its receive
 		p.handoffs.Add(1)
 		return
-	default:
 	}
 	p.spawned.Add(1)
 	go p.worker(fn)
@@ -112,12 +130,18 @@ func (p *Pool) worker(fn func()) {
 		fn()
 		p.busy.Add(-1)
 		p.tasksDone.Add(1)
+		p.idle.Add(1)
 		timer := time.NewTimer(poolIdleTimeout)
 		select {
 		case fn = <-p.tasks:
 			timer.Stop()
 		case <-timer.C:
-			return
+			if p.claimIdle() {
+				return
+			}
+			// Every idle count is claimed, this worker's included: a task is
+			// on its way.
+			fn = <-p.tasks
 		}
 	}
 }

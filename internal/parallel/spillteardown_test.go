@@ -247,4 +247,111 @@ func TestGovernedParallelAggregateTeardown(t *testing.T) {
 	}
 }
 
+// settled waits for a torn-down query to give everything back — producers
+// unwind asynchronously once their exchange is cancelled — and reports what
+// is still held: reserved bytes, files in the spill directory (removed by the
+// operators themselves, before the allocator closes), goroutines above the
+// baseline (resident pool workers linger for poolIdleTimeout).
+func settled(t *testing.T, name string, alloc *memory.Allocator, baseline int) {
+	t.Helper()
+	files := func() int {
+		ents, _ := os.ReadDir(alloc.SpillDir())
+		return len(ents)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for (alloc.Used() != 0 || files() != 0 || runtime.NumGoroutine() > baseline) && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if used, left, n := alloc.Used(), files(), runtime.NumGoroutine(); used != 0 || left != 0 || n > baseline {
+		t.Errorf("%s: %d bytes reserved, %d spill files, %d goroutines (baseline %d) after teardown",
+			name, used, left, n, baseline)
+	}
+	if err := alloc.Close(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestParallelSortAndWindowTeardown: the failure paths of the sort kernel
+// under SortPar and WindowPar. A denied grant with spilling disabled, a source
+// that fails while the other partitions are mid-sort (the pool cancels them
+// between batches), and a consumer that closes the merge-gather after its
+// first batch of a spilled run each return promptly, with a clean error or
+// nothing, and leave no reservation, no run file and no goroutine.
+func TestParallelSortAndWindowTeardown(t *testing.T) {
+	boom := errors.New("backend failed mid-query")
+	rowType := types.Row(
+		types.Field{Name: "id", Type: types.BigInt},
+		types.Field{Name: "payload", Type: types.Varchar},
+	)
+	failing := exec.NewScan(&failingTable{MemTable: schema.NewMemTable("t", rowType, nil), batches: 40, err: boom}, []string{"t"})
+	plans := func(scan rel.Node) map[string]rel.Node {
+		return map[string]rel.Node{
+			"sort": exec.NewSort(scan, trait.Collation{{Field: 1}, {Field: 0, Direction: trait.Descending}}, 0, -1),
+			"window": exec.NewWindow(scan, []rel.WindowGroup{{
+				PartitionKeys: []int{1},
+				OrderKeys:     trait.Collation{{Field: 0}},
+				Frame:         rel.WindowFrame{Rows: true, Lo: -2},
+				Calls:         []rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")},
+			}}),
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	within := func(name string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); fn() }()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%s did not return", name)
+		}
+	}
+	for op, plan := range plans(memScan(t, "t", 6000)) {
+		par := Parallelize(plan, NewPool(4), 4)
+		if text := rel.Explain(par); !strings.Contains(text, "Parallel") || !strings.Contains(text, "MergeGatherExchange") {
+			t.Fatalf("%s did not parallelize:\n%s", op, text)
+		}
+
+		ctx := exec.NewContext()
+		ctx.Alloc = memory.NewAllocator(memory.NewPool(24<<10), 0, false)
+		within(op+" without spill", func() {
+			if _, err := exec.Execute(ctx, par); !errors.Is(err, memory.ErrBudgetExceeded) {
+				t.Errorf("%s, spill disabled: err = %v, want the budget error", op, err)
+			}
+		})
+		settled(t, op+" without spill", ctx.Alloc, baseline)
+
+		ctx = exec.NewContext()
+		ctx.Alloc = memory.NewAllocator(memory.NewPool(24<<10), 0, true)
+		within(op+" closed early", func() {
+			bc, err := exec.BindBatch(ctx, par)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := bc.NextBatch(); err != nil {
+				t.Error(err)
+			}
+			bc.Close()
+		})
+		if ctx.Alloc.Spilled() == 0 {
+			t.Errorf("%s: a 24 KiB budget did not spill", op)
+		}
+		settled(t, op+" closed early", ctx.Alloc, baseline)
+	}
+	for op, plan := range plans(failing) {
+		ctx := exec.NewContext()
+		ctx.Alloc = memory.NewAllocator(memory.NewPool(32<<10), 0, true)
+		within(op+" over a failing source", func() {
+			if _, err := exec.Execute(ctx, Parallelize(plan, NewPool(4), 4)); !errors.Is(err, boom) {
+				t.Errorf("%s over a failing source: err = %v, want %v", op, err, boom)
+			}
+		})
+		if ctx.Alloc.Spilled() == 0 {
+			t.Errorf("%s over a failing source never spilled; the teardown path was not exercised", op)
+		}
+		settled(t, op+" over a failing source", ctx.Alloc, baseline)
+	}
+}
+
 var _ rel.Node = (*MorselScan)(nil)

@@ -173,7 +173,7 @@ func (t *MemTable) Insert(rows [][]any) error {
 		v := t.vecs[c]
 		if v.Kind != VecAny {
 			for _, row := range rows {
-				if !v.appendValue(row[c]) {
+				if !v.AppendValue(row[c]) {
 					// Readers that pinned the typed vector keep its arrays.
 					v = &Vector{Kind: VecAny}
 					t.vecs[c] = v

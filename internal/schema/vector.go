@@ -18,6 +18,7 @@ package schema
 
 import (
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -410,10 +411,10 @@ func BuildVector(vals []any, hint VecKind) *Vector {
 	return v
 }
 
-// appendValue appends x (nil for NULL) to a typed vector, allocating the
-// null mask at the first NULL. It reports false, leaving the vector as it
-// was, when x is not of the vector's kind.
-func (v *Vector) appendValue(x any) bool {
+// AppendValue appends x (nil for NULL), allocating the null mask at the first
+// NULL. It reports false, leaving the vector as it was, when x is not of the
+// vector's kind; a VecAny vector takes any value.
+func (v *Vector) AppendValue(x any) bool {
 	n := v.Len()
 	switch v.Kind {
 	case VecInt64:
@@ -447,7 +448,8 @@ func (v *Vector) appendValue(x any) bool {
 		}
 		v.T = append(v.T, d)
 	default:
-		return false
+		v.A = append(v.A, x)
+		return true
 	}
 	if x == nil && v.Nulls == nil {
 		v.Nulls = make([]bool, n, n+1)
@@ -456,6 +458,146 @@ func (v *Vector) appendValue(x any) bool {
 		v.Nulls = append(v.Nulls, x == nil)
 	}
 	return true
+}
+
+// Demote re-kinds the vector to VecAny in place, boxing the values it holds:
+// what a column does when a value of another kind arrives (MemTable.Insert,
+// Append).
+func (v *Vector) Demote() {
+	if v.Kind != VecAny {
+		*v = Vector{Kind: VecAny, A: v.Boxed()}
+	}
+}
+
+// appendSel appends src's rows at sel (all of src when sel is nil) to dst.
+func appendSel[T any](dst, src []T, sel []int32) []T {
+	if sel == nil {
+		return append(dst, src...)
+	}
+	for _, r := range sel {
+		dst = append(dst, src[r])
+	}
+	return dst
+}
+
+// Grow reserves room for n more rows, so a known number of Appends copies
+// each value once.
+func (v *Vector) Grow(n int) {
+	switch v.Kind {
+	case VecInt64:
+		v.I64 = slices.Grow(v.I64, n)
+	case VecFloat64:
+		v.F64 = slices.Grow(v.F64, n)
+	case VecBool:
+		v.B = slices.Grow(v.B, n)
+	case VecString:
+		v.S = slices.Grow(v.S, n)
+	case VecTime:
+		v.T = slices.Grow(v.T, n)
+	default:
+		v.A = slices.Grow(v.A, n)
+	}
+}
+
+// Append appends the rows of src selected by sel (every row when sel is nil),
+// the concatenation step of a columnar buffer. An empty v adopts src's kind;
+// a src of another kind demotes v to VecAny first, as MemTable.Insert does.
+func (v *Vector) Append(src *Vector, sel []int32) {
+	n, m := v.Len(), len(sel)
+	if sel == nil {
+		m = src.Len()
+	}
+	if n == 0 && v.Kind != src.Kind {
+		*v = Vector{Kind: src.Kind}
+	}
+	if v.Kind != src.Kind {
+		v.Demote()
+	}
+	if v.Kind != VecAny && (v.Nulls != nil || src.Nulls != nil) {
+		if v.Nulls == nil {
+			v.Nulls = make([]bool, n, n+m)
+		}
+		if src.Nulls == nil {
+			v.Nulls = append(v.Nulls, make([]bool, m)...)
+		} else {
+			v.Nulls = appendSel(v.Nulls, src.Nulls, sel)
+		}
+	}
+	switch v.Kind {
+	case VecInt64:
+		v.I64 = appendSel(v.I64, src.I64, sel)
+	case VecFloat64:
+		v.F64 = appendSel(v.F64, src.F64, sel)
+	case VecBool:
+		v.B = appendSel(v.B, src.B, sel)
+	case VecString:
+		v.S = appendSel(v.S, src.S, sel)
+	case VecTime:
+		v.T = appendSel(v.T, src.T, sel)
+	default:
+		if src.Kind == VecAny {
+			v.A = appendSel(v.A, src.A, sel)
+		} else if sel == nil {
+			v.A = append(v.A, src.Boxed()...)
+		} else {
+			for _, r := range sel {
+				v.A = append(v.A, src.Get(int(r)))
+			}
+		}
+	}
+}
+
+// Pick addresses one row of one of several source vectors.
+type Pick struct{ Src, Row int32 }
+
+// pickFrom gathers picks out of the per-source payload slices col extracts.
+func pickFrom[T any](srcs []*Vector, picks []Pick, col func(*Vector) []T) []T {
+	cols := make([][]T, len(srcs))
+	for i, s := range srcs {
+		cols[i] = col(s)
+	}
+	out := make([]T, len(picks))
+	for i, p := range picks {
+		if c := cols[p.Src]; c != nil {
+			out[i] = c[p.Row]
+		}
+	}
+	return out
+}
+
+// GatherPicks is Gather across several source vectors of one column — the
+// output step of a k-way merge: the result holds srcs[p.Src] row p.Row for
+// each pick, typed when every source has the same kind and VecAny otherwise.
+func GatherPicks(srcs []*Vector, picks []Pick) *Vector {
+	out := &Vector{Kind: srcs[0].Kind}
+	nulls := false
+	for _, s := range srcs {
+		if s.Kind != out.Kind {
+			out.Kind = VecAny
+		}
+		nulls = nulls || s.Nulls != nil
+	}
+	if out.Kind != VecAny && nulls {
+		out.Nulls = pickFrom(srcs, picks, func(v *Vector) []bool { return v.Nulls })
+	}
+	switch out.Kind {
+	case VecInt64:
+		out.I64 = pickFrom(srcs, picks, func(v *Vector) []int64 { return v.I64 })
+	case VecFloat64:
+		out.F64 = pickFrom(srcs, picks, func(v *Vector) []float64 { return v.F64 })
+	case VecBool:
+		out.B = pickFrom(srcs, picks, func(v *Vector) []bool { return v.B })
+	case VecString:
+		out.S = pickFrom(srcs, picks, func(v *Vector) []string { return v.S })
+	case VecTime:
+		out.T = pickFrom(srcs, picks, func(v *Vector) []time.Time { return v.T })
+	default:
+		out.A = make([]any, len(picks))
+		for i, p := range picks {
+			out.A[i] = srcs[p.Src].Get(int(p.Row))
+		}
+	}
+	return out
 }
 
 // valuesConform reports whether every non-nil value matches kind.

@@ -41,7 +41,26 @@ func diffTables() []diffTable {
 	for i := range events {
 		events[i] = []any{int64(i), fmt.Sprintf("t-%04d", i%1900), float64(i % 50), int64(i % 7)}
 	}
+	// mixed: a DOUBLE column whose second half holds int64 values and NULLs
+	// beside the float64s, so the column is VecAny — built that way by
+	// AddTable, demoted by an INSERT in the append suites — and orders int
+	// against float.
+	mixed := make([][]any, 600)
+	for i := range mixed {
+		var v any = float64(i%40) / 2
+		if i >= 300 && i%3 == 0 {
+			v = int64(i % 20)
+		} else if i >= 300 && i%3 == 2 {
+			v = nil
+		}
+		mixed[i] = []any{int64(i), v, fmt.Sprintf("m%02d", i%17)}
+	}
 	return []diffTable{
+		{"mixed", calcite.Columns{
+			{Name: "k", Type: calcite.BigIntType},
+			{Name: "v", Type: calcite.DoubleType},
+			{Name: "s", Type: calcite.VarcharType},
+		}, mixed},
 		{"emps", calcite.Columns{
 			{Name: "empid", Type: calcite.BigIntType},
 			{Name: "deptno", Type: calcite.BigIntType},
@@ -155,6 +174,23 @@ var diffQueries = []struct {
 	{sql: "SELECT empid FROM emps WHERE name = ?", params: []any{"Eric"}},
 	{sql: "SELECT a + a FROM (SELECT empid + ? AS a FROM emps) t WHERE a > ?", params: []any{int64(5), int64(7)}},
 	{sql: "SELECT productId FROM sales WHERE ? BETWEEN productId AND discount * 1000", params: []any{int64(40)}},
+	// The shapes that reach the columnar sort kernel: mixed directions over
+	// NULLs, a VARCHAR key, a float key with integral ties, empty and
+	// past-the-end limits, a key column that is VecAny (int against float,
+	// NULLs), top-N over it; and the window pipeline's: two groups with
+	// different partitions, no PARTITION BY, RANK over ties, a RANGE frame.
+	{sql: "SELECT empid, deptno, sal FROM emps ORDER BY deptno DESC, sal, empid"},
+	{sql: "SELECT tag, id FROM events ORDER BY tag DESC, id"},
+	{sql: "SELECT id, fkey, grp FROM events ORDER BY fkey DESC, grp, id DESC"},
+	{sql: "SELECT name FROM emps ORDER BY name LIMIT 0"},
+	{sql: "SELECT name FROM emps ORDER BY name LIMIT 5 OFFSET 100"},
+	{sql: "SELECT k, v FROM mixed ORDER BY v DESC, k"},
+	{sql: "SELECT k, v, s FROM mixed ORDER BY v, s DESC, k LIMIT 40 OFFSET 7"},
+	{sql: "SELECT id, SUM(fkey) OVER (PARTITION BY grp ORDER BY id ROWS 2 PRECEDING) AS a, COUNT(*) OVER (PARTITION BY tag ORDER BY id) AS b FROM events WHERE id < 500"},
+	{sql: "SELECT id, SUM(id) OVER (ORDER BY id ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS s FROM events WHERE id < 300"},
+	{sql: "SELECT id, grp, RANK() OVER (PARTITION BY grp ORDER BY fkey) AS r, DENSE_RANK() OVER (PARTITION BY grp ORDER BY fkey) AS d FROM events WHERE id < 400"},
+	{sql: "SELECT id, SUM(fkey) OVER (PARTITION BY grp ORDER BY fkey RANGE BETWEEN 2 PRECEDING AND CURRENT ROW) AS s FROM events WHERE id < 400"},
+	{sql: "SELECT k, MAX(v) OVER (PARTITION BY s ORDER BY k ROWS 3 PRECEDING) AS m FROM mixed"},
 }
 
 // TestRowAndBatchModesAgree runs every suite query through the vectorized

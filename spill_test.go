@@ -431,3 +431,94 @@ func TestTenantPoolGovernsParallelJoin(t *testing.T) {
 			tight.Spilled, tight.PeakBytes)
 	}
 }
+
+// topNSales is a wide fact table: a top-N over it buffers whole rows.
+func topNSales(n int) *calcite.Connection {
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = []any{int64(i), int64(i % 977), int64(i % 31), int64(i % 7), int64(i % 360), int64(i % 10),
+			int64(1 + i%10), float64((i*7919)%4000) / 4, int64(i % 31), fmt.Sprintf("st%d", i%5)}
+	}
+	conn := calcite.Open()
+	cols := calcite.Columns{{Name: "id", Type: calcite.BigIntType}}
+	for _, name := range []string{"cust_id", "prod_id", "store_id", "date_id", "promo_id", "qty"} {
+		cols = append(cols, calcite.Column{Name: name, Type: calcite.BigIntType})
+	}
+	cols = append(cols, calcite.Column{Name: "amount", Type: calcite.DoubleType},
+		calcite.Column{Name: "disc", Type: calcite.BigIntType}, calcite.Column{Name: "status", Type: calcite.VarcharType})
+	conn.AddTable("sales", cols, rows)
+	return conn
+}
+
+// spillEvents sums the spill decisions over a span tree.
+func spillEvents(s *obs.SpanStats) int {
+	if s == nil {
+		return 0
+	}
+	n := s.SpillEvents
+	for _, c := range s.Children {
+		n += spillEvents(c)
+	}
+	return n
+}
+
+// TestGovernedTopNDoesNotSpill: ORDER BY … LIMIT 100 over 50 000 rows keeps
+// only the rows that can still be returned, so under a 256 KB and a 64 KB query
+// limit it cuts no run and reserves no more than limit + one batch of rows —
+// it used to buffer, and spill, all 50 000. A limit too deep to hold (OFFSET
+// 40000) still spills, and every variant returns the ungoverned rows.
+func TestGovernedTopNDoesNotSpill(t *testing.T) {
+	const n = 50000
+	topN := "SELECT id, amount FROM sales WHERE promo_id <> 3 ORDER BY amount DESC, id LIMIT 100"
+	deep := "SELECT id, amount FROM sales WHERE promo_id <> 3 ORDER BY amount DESC, id LIMIT 10 OFFSET 40000"
+	ref := topNSales(n)
+	ref.SetParallelism(1)
+	want := map[string][]string{}
+	for _, sql := range []string{topN, deep} {
+		res, err := ref.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[sql] = renderRows(res.Rows)
+	}
+	if len(want[topN]) != 100 || len(want[deep]) != 10 {
+		t.Fatalf("reference returned %d and %d rows", len(want[topN]), len(want[deep]))
+	}
+	// 8 int64 + 1 float64 + a short string + the sort permutation, per row.
+	const rowBytes = 9*8 + 16 + 8 + 4
+	for _, par := range []int{1, 4} {
+		for _, budget := range []int64{256 << 10, 64 << 10} {
+			conn := topNSales(n)
+			conn.SetParallelism(par)
+			conn.SetQueryMemoryLimit(budget)
+			for _, sql := range []string{topN, deep} {
+				res, err := conn.Query(sql)
+				if err != nil {
+					t.Fatalf("p=%d budget=%d %s: %v", par, budget, sql, err)
+				}
+				if !reflect.DeepEqual(renderRows(res.Rows), want[sql]) {
+					t.Errorf("p=%d budget=%d %s: rows differ from the ungoverned run", par, budget, sql)
+				}
+				tr := conn.LastTraces(1)[0]
+				if sql == deep {
+					if tr.Spilled == 0 {
+						t.Errorf("p=%d budget=%d: a 40 010-row limit did not spill", par, budget)
+					}
+					continue
+				}
+				// Four workers sharing 64 KB can deny each other a grant
+				// while one holds its first batch; the no-spill guarantee is
+				// for budgets that hold limit + batch rows per worker.
+				if par == 4 && budget < 256<<10 {
+					continue
+				}
+				if ev := spillEvents(tr.Spans); ev != 0 || tr.Spilled != 0 {
+					t.Errorf("p=%d budget=%d: top-N spilled (%d events, %d bytes)", par, budget, ev, tr.Spilled)
+				}
+				if bound := int64(par * (100 + 1024) * rowBytes); tr.PeakBytes == 0 || tr.PeakBytes >= bound {
+					t.Errorf("p=%d budget=%d: peak reservation %d, want within (0, %d)", par, budget, tr.PeakBytes, bound)
+				}
+			}
+		}
+	}
+}
