@@ -16,6 +16,7 @@ import (
 
 	"calcite"
 	"calcite/internal/avatica"
+	"calcite/internal/schema"
 )
 
 // sqlRunner executes one statement, embedded or over the wire.
@@ -194,5 +195,77 @@ func TestReadYourWritesOverTheWire(t *testing.T) {
 	}
 	if after.Hits != before.Hits+4 || after.Misses != before.Misses+1 {
 		t.Errorf("want the four reads to hit and only the INSERT to plan: before %+v, after %+v", before, after)
+	}
+}
+
+// TestInsertAssignsDeclaredTypes: SQL INSERT assigns each value to its
+// column's declared type, so a BIGINT / DOUBLE table keeps its typed vectors
+// whatever Go or literal form the value arrives in — an integer literal into
+// DOUBLE, a Go int (or the wire's JSON number) into BIGINT — and a value with
+// no conversion fails the statement without inserting anything. Literal and
+// prepared, embedded and over the wire.
+func TestInsertAssignsDeclaredTypes(t *testing.T) {
+	for _, wire := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wire=%v", wire), func(t *testing.T) {
+			conn := calcite.Open()
+			tb := conn.AddTable("t", calcite.Columns{
+				{Name: "k", Type: calcite.BigIntType},
+				{Name: "v", Type: calcite.DoubleType},
+			}, [][]any{{int64(1), 1.5}})
+			run := embeddedRunner(conn)
+			if wire {
+				srv := avatica.NewServer(conn.Framework)
+				addr, err := srv.Start("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Stop()
+				run = wireRunner(avatica.NewClient(addr))
+			}
+			kinds := func() [2]schema.VecKind {
+				cur, _ := tb.ScanBatches(0)
+				b, err := cur.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return [2]schema.VecKind{b.Vecs[0].Kind, b.Vecs[1].Kind}
+			}
+			typed := [2]schema.VecKind{schema.VecInt64, schema.VecFloat64}
+
+			for _, ins := range []struct {
+				sql    string
+				params []any
+			}{
+				{sql: "INSERT INTO t VALUES (100, 5)"},
+				{sql: "INSERT INTO t VALUES (?, ?)", params: []any{101, 6}},
+				{sql: "INSERT INTO t VALUES (?, ?)", params: []any{int64(102), nil}},
+			} {
+				if _, err := run(ins.sql, ins.params...); err != nil {
+					t.Fatalf("%s %v: %v", ins.sql, ins.params, err)
+				}
+				if got := kinds(); got != typed {
+					t.Fatalf("%s %v: vector kinds = %v, want %v", ins.sql, ins.params, got, typed)
+				}
+			}
+			for _, ins := range []struct {
+				sql    string
+				params []any
+			}{
+				{sql: "INSERT INTO t VALUES ('x', 'y')"},
+				{sql: "INSERT INTO t VALUES (?, ?)", params: []any{"x", "y"}},
+				{sql: "INSERT INTO t VALUES (200, 1.5), (201, 'y')"},
+			} {
+				if _, err := run(ins.sql, ins.params...); err == nil {
+					t.Errorf("%s %v: accepted", ins.sql, ins.params)
+				}
+			}
+			want := [][]any{{int64(1), 1.5}, {int64(100), 5.0}, {int64(101), 6.0}, {int64(102), nil}}
+			if got := tb.Rows(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("table holds %#v, want %#v", got, want)
+			}
+			if got := kinds(); got != typed {
+				t.Fatalf("after the rejected inserts: vector kinds = %v, want %v", got, typed)
+			}
+		})
 	}
 }

@@ -74,7 +74,7 @@ func TestLoadTableTypedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, err := bc.NextBatch()
-	if err != nil || b.NumRows() != 2 || b.Cols[0][1] != int64(2) {
+	if err != nil || b.NumRows() != 2 || b.Vecs[0].Get(1) != int64(2) {
 		t.Fatalf("batch scan: %v %v", b, err)
 	}
 }

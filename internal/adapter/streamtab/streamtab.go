@@ -46,12 +46,11 @@ type Table struct {
 	replaySkew int64
 	replaySeed int64
 
-	// cols/vecs are the lazily built column-major snapshot of the arrival-
-	// ordered events (boxed columns plus typed vectors), serving
-	// StreamScanBatches zero-copy; Append and SetReplaySkew invalidate both.
-	cols  [][]any
+	// vecs is the lazily built column-major snapshot of the vecsN arrival-
+	// ordered events, serving StreamScanBatches zero-copy; Append and
+	// SetReplaySkew invalidate it.
 	vecs  []*schema.Vector
-	colsN int
+	vecsN int
 }
 
 // NewTable creates a stream table; rowtimeCol is the ordinal of the
@@ -80,7 +79,7 @@ func (t *Table) SetReplaySkew(seed, ms int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.replaySeed, t.replaySkew = seed, ms
-	t.cols, t.vecs, t.colsN = nil, nil, 0
+	t.vecs, t.vecsN = nil, 0
 }
 
 // rowtimeMillis coerces a rowtime value to epoch milliseconds.
@@ -115,7 +114,7 @@ func (t *Table) Append(rows ...[]any) error {
 		}
 		t.events = append(t.events, row)
 	}
-	t.cols, t.vecs, t.colsN = nil, nil, 0
+	t.vecs, t.vecsN = nil, 0
 	return nil
 }
 
@@ -197,8 +196,7 @@ func (t *Table) ScanBatches(batchSize int) (schema.BatchCursor, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	rows := t.history()
-	cols, vecs := buildColumnar(rows, t.rowType)
-	return newBatchCursor(cols, vecs, len(rows), batchSize), nil
+	return schema.NewVectorCursor(schema.VectorsFromRows(rows, t.rowType.Fields), len(rows), batchSize), nil
 }
 
 // StreamScan returns all buffered events in arrival order — the incoming
@@ -213,90 +211,20 @@ func (t *Table) StreamScan() (schema.Cursor, error) {
 // StreamScanBatches enumerates the incoming records as zero-copy windows
 // over a cached columnar snapshot of the arrival order.
 func (t *Table) StreamScanBatches(batchSize int) (schema.BatchCursor, error) {
-	if batchSize <= 0 {
-		batchSize = schema.DefaultBatchSize
-	}
 	t.mu.RLock()
-	cols, vecs, n := t.cols, t.vecs, t.colsN
+	vecs, n := t.vecs, t.vecsN
 	t.mu.RUnlock()
-	if cols == nil {
+	if vecs == nil {
 		t.mu.Lock()
-		if t.cols == nil {
+		if t.vecs == nil {
 			rows := t.arrivalLocked()
-			t.cols, t.vecs = buildColumnar(rows, t.rowType)
-			t.colsN = len(rows)
+			t.vecs, t.vecsN = schema.VectorsFromRows(rows, t.rowType.Fields), len(rows)
 		}
-		cols, vecs, n = t.cols, t.vecs, t.colsN
+		vecs, n = t.vecs, t.vecsN
 		t.mu.Unlock()
 	}
-	return newBatchCursor(cols, vecs, n, batchSize), nil
+	return schema.NewVectorCursor(vecs, n, batchSize), nil
 }
-
-// buildColumnar transposes rows into boxed columns plus typed vectors
-// (vector kinds from the declared column types).
-func buildColumnar(rows [][]any, rowType *types.Type) ([][]any, []*schema.Vector) {
-	w := len(rowType.Fields)
-	cols := make([][]any, w)
-	for c := 0; c < w; c++ {
-		col := make([]any, len(rows))
-		for r, row := range rows {
-			col[r] = row[c]
-		}
-		cols[c] = col
-	}
-	var vecs []*schema.Vector
-	if !schema.ForceBoxed() {
-		vecs = make([]*schema.Vector, w)
-		for c := 0; c < w; c++ {
-			vecs[c] = schema.BuildVector(cols[c], schema.VecKindForType(rowType.Fields[c].Type))
-		}
-	}
-	return cols, vecs
-}
-
-// batchCursor serves batches as zero-copy slices of a columnar snapshot.
-type batchCursor struct {
-	cols      [][]any
-	vecs      []*schema.Vector
-	n         int
-	batchSize int
-	pos       int
-	seq       int64
-}
-
-func newBatchCursor(cols [][]any, vecs []*schema.Vector, n, batchSize int) *batchCursor {
-	if batchSize <= 0 {
-		batchSize = schema.DefaultBatchSize
-	}
-	return &batchCursor{cols: cols, vecs: vecs, n: n, batchSize: batchSize}
-}
-
-func (c *batchCursor) NextBatch() (*schema.Batch, error) {
-	if c.pos >= c.n {
-		return nil, schema.Done
-	}
-	end := c.pos + c.batchSize
-	if end > c.n {
-		end = c.n
-	}
-	cols := make([][]any, len(c.cols))
-	for i := range cols {
-		cols[i] = c.cols[i][c.pos:end]
-	}
-	var vecs []*schema.Vector
-	if c.vecs != nil {
-		vecs = make([]*schema.Vector, len(c.vecs))
-		for i, v := range c.vecs {
-			vecs[i] = v.Slice(c.pos, end)
-		}
-	}
-	b := &schema.Batch{Len: end - c.pos, Cols: cols, Vecs: vecs, Seq: c.seq}
-	c.seq++
-	c.pos = end
-	return b, nil
-}
-
-func (c *batchCursor) Close() error { return nil }
 
 // Adapter groups stream tables in a schema.
 type Adapter struct {

@@ -43,9 +43,17 @@ func (f *Framework) analyzeTable(s *parser.AnalyzeStmt) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			cols := b.BoxedCols()
+			b = b.Compact()
 			for c := 0; c < b.Width() && c < width; c++ {
-				collector.AddCol(c, cols[c], b.Sel)
+				// Numeric vectors fold unboxed; other kinds box per batch.
+				switch v := b.Vecs[c]; v.Kind {
+				case schema.VecInt64:
+					stats.AddNumbers(collector, c, v.I64, v.Nulls)
+				case schema.VecFloat64:
+					stats.AddNumbers(collector, c, v.F64, v.Nulls)
+				default:
+					collector.AddCol(c, v.Boxed(), nil)
+				}
 			}
 			collector.AddRows(b.NumRows())
 		}

@@ -132,16 +132,16 @@ func (s *Scan) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 type filterBatchCursor struct {
 	in        schema.BatchCursor
 	vecKernel rex.VecSelKernel // nil when the predicate has no kernel shape
-	pred      func(cols [][]any, r int) (bool, error)
+	pred      func(vecs []*schema.Vector, r int) (bool, error)
 	selBuf    []int32 // output selection storage, reused batch-over-batch
 	dense     []int32 // dense-iota scratch
 }
 
 // BindBatch filters by narrowing each batch's selection vector. The
 // condition, parameters bound, takes one of two paths per batch: a
-// monomorphic vector kernel when it has a kernel shape and the batch carries
-// typed columns of the matching kinds, else the compiled closure per live
-// row. Columns are never copied.
+// monomorphic vector kernel when it has a kernel shape and the batch's
+// vectors are of the matching kinds, else the compiled closure per live row
+// over the same vectors. Columns are never copied.
 func (f *Filter) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	cond, err := ctx.bindParams(f.Condition)
 	if err != nil {
@@ -170,15 +170,14 @@ func (c *filterBatchCursor) NextBatch() (*schema.Batch, error) {
 		sel, c.dense = liveSel(b, c.dense)
 		out := c.selBuf[:0]
 		done := false
-		if c.vecKernel != nil && b.Vecs != nil {
+		if c.vecKernel != nil {
 			if res, ok := c.vecKernel(b.Vecs, sel, out); ok {
 				out, done = res, true
 			}
 		}
 		if !done {
-			cols := b.BoxedCols()
 			for _, r := range sel {
-				keep, err := c.pred(cols, int(r))
+				keep, err := c.pred(b.Vecs, int(r))
 				if err != nil {
 					return nil, err
 				}
@@ -191,7 +190,7 @@ func (c *filterBatchCursor) NextBatch() (*schema.Batch, error) {
 		if len(out) == 0 {
 			continue
 		}
-		return &schema.Batch{Len: b.Len, Cols: b.Cols, Vecs: b.Vecs, Sel: out, Seq: b.Seq}, nil
+		return &schema.Batch{Len: b.Len, Vecs: b.Vecs, Sel: out, Seq: b.Seq}, nil
 	}
 }
 
@@ -208,23 +207,20 @@ type projExpr struct {
 type projectBatchCursor struct {
 	in    schema.BatchCursor
 	exprs []projExpr
-	// allVec reports every expression has a vector kernel, enabling the typed
-	// all-columns output path.
-	allVec bool
 	// pure reports every expression is a plain input reference: the
 	// projection only prunes/permutes columns and forwards the input batch's
-	// representations and selection vector zero-copy.
+	// vectors and selection vector zero-copy.
 	pure  bool
 	dense []int32
 }
 
 // BindBatch projects each batch column-wise. Every expression, parameters
 // bound, compiles to a closure; those with a kernel shape also get a
-// monomorphic vector kernel. A batch whose typed vectors satisfy every kernel
-// produces a vector-backed batch (pass-throughs are zero-copy on dense
-// batches); any other batch evaluates the closures per live row.
+// monomorphic vector kernel. Per batch and column, a kernel whose input
+// vectors are of the kinds it expects produces a typed vector; otherwise the
+// closure runs per live row and its values form a VecAny column.
 func (p *Project) BindBatch(ctx *Context) (schema.BatchCursor, error) {
-	c := &projectBatchCursor{exprs: make([]projExpr, len(p.Exprs)), allVec: true, pure: true}
+	c := &projectBatchCursor{exprs: make([]projExpr, len(p.Exprs)), pure: true}
 	for i, e := range p.Exprs {
 		e, err := ctx.bindParams(e)
 		if err != nil {
@@ -239,9 +235,7 @@ func (p *Project) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 		if pe.colFn, err = rex.CompileCols(e); err != nil {
 			return nil, err
 		}
-		if pe.vecKernel, _ = rex.ArithKernelVec(e); pe.vecKernel == nil {
-			c.allVec = false
-		}
+		pe.vecKernel, _ = rex.ArithKernelVec(e)
 		c.exprs[i] = pe
 	}
 	in, err := BindBatch(ctx, p.Inputs()[0])
@@ -257,94 +251,45 @@ func (c *projectBatchCursor) NextBatch() (*schema.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
+	vecs := make([]*schema.Vector, len(c.exprs))
 	if c.pure {
-		// Column pruning/permutation only: forward whichever representations
-		// the input carries, selection vector included — no gather, no copy.
-		out := &schema.Batch{Len: b.Len, Sel: b.Sel, Seq: b.Seq}
-		if b.Vecs != nil {
-			out.Vecs = make([]*schema.Vector, len(c.exprs))
-			for j, pe := range c.exprs {
-				out.Vecs[j] = b.Vecs[pe.passthrough]
-			}
+		// Column pruning/permutation only: forward the input vectors,
+		// selection vector included — no gather, no copy.
+		for j, pe := range c.exprs {
+			vecs[j] = b.Vecs[pe.passthrough]
 		}
-		if b.Cols != nil {
-			out.Cols = make([][]any, len(c.exprs))
-			for j, pe := range c.exprs {
-				out.Cols[j] = b.Cols[pe.passthrough]
-			}
-		}
-		return out, nil
+		return &schema.Batch{Len: b.Len, Vecs: vecs, Sel: b.Sel, Seq: b.Seq}, nil
 	}
 	var sel []int32
 	sel, c.dense = liveSel(b, c.dense)
 	n := len(sel)
-	if c.allVec && b.Vecs != nil {
-		if out, ok, err := c.projectVec(b, sel, n); err != nil {
-			return nil, err
-		} else if ok {
-			return out, nil
-		}
-	}
-	cols := make([][]any, len(c.exprs))
-	boxed := b.BoxedCols()
 	for j, pe := range c.exprs {
-		if pe.passthrough >= 0 && b.Sel == nil {
-			cols[j] = boxed[pe.passthrough]
+		if pe.passthrough >= 0 {
+			vecs[j] = b.Vecs[pe.passthrough] // zero-copy when dense
+			if b.Sel != nil {
+				vecs[j] = vecs[j].Gather(sel)
+			}
 			continue
 		}
-		col := make([]any, n)
-		for k, r := range sel {
-			v, err := pe.colFn(boxed, int(r))
+		if pe.vecKernel != nil {
+			v, ok, err := pe.vecKernel(b.Vecs, sel)
 			if err != nil {
 				return nil, err
 			}
-			col[k] = v
-		}
-		cols[j] = col
-	}
-	return &schema.Batch{Len: n, Cols: cols, Seq: b.Seq}, nil
-}
-
-// projectVec evaluates every projection as a typed vector over the batch.
-// ok=false (some kernel met a VecAny column) sends the whole batch down the
-// boxed path so the output batch is uniformly represented.
-func (c *projectBatchCursor) projectVec(b *schema.Batch, sel []int32, n int) (*schema.Batch, bool, error) {
-	vecs := make([]*schema.Vector, len(c.exprs))
-	var cols [][]any // boxed pass-through windows, when free
-	for j, pe := range c.exprs {
-		if pe.passthrough >= 0 && b.Sel == nil {
-			// Dense pass-through: reuse the input vector zero-copy, along
-			// with its boxed window when the input batch carries one.
-			vecs[j] = b.Vecs[pe.passthrough]
-			if b.Cols != nil {
-				if cols == nil {
-					cols = make([][]any, len(c.exprs))
-				}
-				cols[j] = b.Cols[pe.passthrough]
-			}
-			continue
-		}
-		v, ok, err := pe.vecKernel(b.Vecs, sel)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-		vecs[j] = v
-		cols = nil // a computed column breaks the all-boxed invariant
-	}
-	// Attach the boxed representation only when every column has a window
-	// (pure pass-through projection over a dense, dual-representation batch).
-	if cols != nil {
-		for _, col := range cols {
-			if col == nil {
-				cols = nil
-				break
+			if ok {
+				vecs[j] = v
+				continue
 			}
 		}
+		col := make([]any, n)
+		for k, r := range sel {
+			if col[k], err = pe.colFn(b.Vecs, int(r)); err != nil {
+				return nil, err
+			}
+		}
+		vecs[j] = &schema.Vector{Kind: schema.VecAny, A: col}
 	}
-	return &schema.Batch{Len: n, Cols: cols, Vecs: vecs, Seq: b.Seq}, true, nil
+	return &schema.Batch{Len: n, Vecs: vecs, Seq: b.Seq}, nil
 }
 
 func (c *projectBatchCursor) Close() error { return c.in.Close() }
@@ -389,7 +334,7 @@ func (c *limitBatchCursor) NextBatch() (*schema.Batch, error) {
 		}
 		c.returned += int64(len(sel))
 		out := append([]int32(nil), sel...)
-		return &schema.Batch{Len: b.Len, Cols: b.Cols, Vecs: b.Vecs, Sel: out, Seq: b.Seq}, nil
+		return &schema.Batch{Len: b.Len, Vecs: b.Vecs, Sel: out, Seq: b.Seq}, nil
 	}
 }
 
@@ -418,8 +363,8 @@ func (s *Sort) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 // --- Aggregate ---
 
 // BindBatch aggregates the batched input through the GroupedAgg engine
-// (groupkey.go): typed grouping and pre-unboxed accumulator adds when batches
-// carry vectors, the boxed scratch-row path otherwise, spilling partial
+// (groupkey.go): typed grouping and pre-unboxed accumulator adds on vectors of
+// a native kind, the boxed scratch-row path otherwise, spilling partial
 // accumulator states to hash partitions when a memory grant is denied.
 func (a *Aggregate) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	in, err := BindBatch(ctx, a.Inputs()[0])
@@ -427,17 +372,6 @@ func (a *Aggregate) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 		return nil, err
 	}
 	return NewGroupedAgg(ctx, "Aggregate", a, AggComplete).Drain(in, nil)
-}
-
-// --- HashJoin ---
-
-func colsHaveNullAt(cols [][]any, r int, keys []int) bool {
-	for _, c := range keys {
-		if cols[c][r] == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // HashJoin.BindBatch lives in joinspill.go: the streaming probe plus the

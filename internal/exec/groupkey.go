@@ -1,23 +1,22 @@
 package exec
 
-// Typed key index for hash aggregation and hash joins. The boxed engine
-// identifies grouping/join keys by formatting every value into a
-// types.HashKey string — one strconv call plus one string allocation per row
-// probed. For single-column keys of the core runtime types the index instead
-// keys native maps on the machine value, assigning each distinct key a dense
-// ordinal (insertion order) that callers use to address per-group state.
+// Typed key index for hash aggregation and hash joins. Row mode identifies
+// grouping/join keys by formatting every value into a types.HashKey string —
+// one strconv call plus one string allocation per row probed. For
+// single-column keys of the core runtime types the index instead keys native
+// maps on the machine value, assigning each distinct key a dense ordinal
+// (insertion order) that callers use to address per-group state.
 //
-// Equivalence must match types.HashKey exactly or typed and boxed execution
+// Equivalence must match types.HashKey exactly or batch and row execution
 // would group differently: HashKey folds integral float64s onto the int64
 // key space, so the index normalizes them the same way, and everything
 // outside int64/float64/string (bools, NULLs, composites) drops to the
 // HashKey-string fallback tier. A column that arrives as VecInt64 in one
-// batch and boxed in the next therefore still lands in the same map.
+// batch and VecAny in the next therefore still lands in the same map.
 
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"calcite/internal/memory"
 	"calcite/internal/rel"
@@ -149,18 +148,6 @@ func (ki *keyIndex) findVal(v any) (int32, bool) {
 	return ord, ok
 }
 
-// hashVecRowKey is types.HashRowKey over vector-backed columns: the
-// multi-column grouping key of row r, byte-for-byte identical to HashRowKey
-// over the materialized row.
-func hashVecRowKey(vecs []*schema.Vector, r int, cols []int) string {
-	var b strings.Builder
-	for _, c := range cols {
-		b.WriteString(types.HashKey(vecs[c].Get(r)))
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
 // AggMode selects what a GroupedAgg consumes and what it emits.
 type AggMode uint8
 
@@ -193,8 +180,8 @@ type aggGroup struct {
 // GroupedAgg is the hash aggregation engine behind every aggregate operator:
 // the serial Aggregate and the per-worker partial and final stages of the
 // parallel one. Grouping goes through a typed keyIndex for single-column
-// keys, accumulators take pre-unboxed adds when a batch carries vectors of
-// the right kinds, and everything else runs the boxed scratch-row path.
+// keys, accumulators take pre-unboxed adds from vectors of a native kind, and
+// everything else runs the boxed scratch-row path.
 // Groups are kept in first-seen order. The table is charged to a nil-safe
 // reservation; when a grant is denied every group is dehydrated into hash
 // partitions on disk (aggspill.go) and the table restarts empty.
@@ -222,6 +209,7 @@ type GroupedAgg struct {
 	anyTyped  bool
 	retains   bool // some call holds on to its argument values
 	scratch   []any
+	keyBuf    []byte // composite key encoding, reused row over row
 	dense     []int32
 }
 
@@ -344,41 +332,27 @@ func (g *GroupedAgg) newGroup(key []any, accs []rex.Accumulator) *aggGroup {
 	return gr
 }
 
-// lookup returns the group ordinal of row r of b, whose boxed columns (nil
-// on a vector-only batch) are cols. A key seen for the first time is entered
-// at ordinal len(groups) and reported new; the caller admits its group. A
-// single-column key reads the typed vector when there is one; composite keys
-// encode from the boxed windows when the batch carries them (no re-boxing).
-func (g *GroupedAgg) lookup(b *schema.Batch, cols [][]any, r int) (ord int32, isNew bool) {
+// lookup returns the group ordinal of row r of b. A key seen for the first
+// time is entered at ordinal len(groups) and reported new; the caller admits
+// its group.
+func (g *GroupedAgg) lookup(b *schema.Batch, r int) (ord int32, isNew bool) {
 	if g.index != nil {
-		if b.Vecs != nil {
-			return g.index.ordVec(b.Vecs[g.keys[0]], r)
-		}
-		return g.index.ordVal(cols[g.keys[0]][r])
+		return g.index.ordVec(b.Vecs[g.keys[0]], r)
 	}
-	var k string
-	if cols != nil {
-		k = types.HashColsKey(cols, r, g.keys)
-	} else {
-		k = hashVecRowKey(b.Vecs, r, g.keys)
-	}
-	if ord, ok := g.multiKey[k]; ok {
+	g.keyBuf = schema.RowKey(g.keyBuf[:0], b.Vecs, r, g.keys)
+	if ord, ok := g.multiKey[string(g.keyBuf)]; ok {
 		return ord, false
 	}
 	ord = int32(len(g.groups))
-	g.multiKey[k] = ord
+	g.multiKey[string(g.keyBuf)] = ord
 	return ord, true
 }
 
 // keyAt boxes the group key of row r.
-func (g *GroupedAgg) keyAt(b *schema.Batch, cols [][]any, r int) []any {
+func (g *GroupedAgg) keyAt(b *schema.Batch, r int) []any {
 	key := make([]any, len(g.keys))
 	for i, gk := range g.keys {
-		if cols != nil {
-			key[i] = cols[gk][r]
-		} else {
-			key[i] = b.Vecs[gk].Get(r)
-		}
+		key[i] = b.Vecs[gk].Get(r)
 	}
 	return key
 }
@@ -391,23 +365,18 @@ func (g *GroupedAgg) AddBatch(b *schema.Batch) error {
 		return g.addStates(b, sel)
 	}
 	modes, argVec, needScratch := g.planBatch(b)
-	cols := b.Cols // nil on a vector-only batch
 	for _, ri := range sel {
 		r := int(ri)
-		ord, isNew := g.lookup(b, cols, r)
+		ord, isNew := g.lookup(b, r)
 		if needScratch {
 			for c := range g.scratch {
-				if cols != nil {
-					g.scratch[c] = cols[c][r]
-				} else {
-					g.scratch[c] = b.Vecs[c].Get(r)
-				}
+				g.scratch[c] = b.Vecs[c].Get(r)
 			}
 		}
 		var gr *aggGroup
 		if isNew {
 			var err error
-			if gr, err = g.admit(g.keyAt(b, cols, r), nil, 0); err != nil {
+			if gr, err = g.admit(g.keyAt(b, r), nil, 0); err != nil {
 				return err
 			}
 			gr.fsSeq, gr.fsIdx = b.Seq, int64(r)
@@ -468,13 +437,10 @@ const (
 	modeStr
 )
 
-// planBatch resolves each call against this batch's representation: typed
-// adds where the batch carries a vector of a native kind, boxed otherwise.
+// planBatch resolves each call against this batch's vector kinds: typed adds
+// where the argument vector is of a native kind, boxed otherwise.
 func (g *GroupedAgg) planBatch(b *schema.Batch) (modes []callMode, argVec []*schema.Vector, needScratch bool) {
 	modes = make([]callMode, len(g.calls))
-	if b.Vecs == nil {
-		return modes, nil, len(modes) > 0
-	}
 	argVec = make([]*schema.Vector, len(g.calls))
 	for i, c := range g.calls {
 		if g.callTyped[i] {
@@ -512,18 +478,17 @@ func stateAcc(call rex.AggCall, v any) (rex.Accumulator, error) {
 // into the table, keeping each group's smallest first-seen position.
 func (g *GroupedAgg) addStates(b *schema.Batch, sel []int32) error {
 	nKeys, nCalls := len(g.keys), len(g.calls)
-	cols := b.BoxedCols()
 	for _, ri := range sel {
 		r := int(ri)
 		var fsSeq, fsIdx int64
 		if g.pos {
-			fsSeq, _ = cols[nKeys+nCalls][r].(int64)
-			fsIdx, _ = cols[nKeys+nCalls+1][r].(int64)
+			fsSeq, _ = b.Vecs[nKeys+nCalls].Get(r).(int64)
+			fsIdx, _ = b.Vecs[nKeys+nCalls+1].Get(r).(int64)
 		}
 		accs := make([]rex.Accumulator, nCalls)
 		var retained int64
 		for ci, call := range g.calls {
-			acc, err := stateAcc(call, cols[nKeys+ci][r])
+			acc, err := stateAcc(call, b.Vecs[nKeys+ci].Get(r))
 			if err != nil {
 				return err
 			}
@@ -532,9 +497,9 @@ func (g *GroupedAgg) addStates(b *schema.Batch, sel []int32) error {
 				retained += rex.AccumulatorMemSize(acc)
 			}
 		}
-		ord, isNew := g.lookup(b, cols, r)
+		ord, isNew := g.lookup(b, r)
 		if isNew {
-			gr, err := g.admit(g.keyAt(b, cols, r), accs, retained)
+			gr, err := g.admit(g.keyAt(b, r), accs, retained)
 			if err != nil {
 				return err
 			}
@@ -681,15 +646,18 @@ func (t *joinTable) probeVec(kv *schema.Vector, r int) []int32 {
 	return t.byOrd[ord]
 }
 
-// probeCols returns the candidate build rows matching probe row r over boxed
-// columns (the caller has already screened NULL keys).
-func (t *joinTable) probeCols(cols [][]any, r int, keys []int) []int32 {
+// probe returns the candidate build rows matching row r of the probe vectors
+// on key columns keys — none when a key is NULL. buf is key-encoding scratch,
+// returned for reuse.
+func (t *joinTable) probe(vecs []*schema.Vector, r int, keys []int, buf []byte) ([]int32, []byte) {
 	if t.single != nil {
-		ord, ok := t.single.findVal(cols[keys[0]][r])
-		if !ok {
-			return nil
-		}
-		return t.byOrd[ord]
+		return t.probeVec(vecs[keys[0]], r), buf
 	}
-	return t.multi[types.HashColsKey(cols, r, keys)]
+	for _, k := range keys {
+		if vecs[k].IsNull(r) {
+			return nil, buf
+		}
+	}
+	buf = schema.RowKey(buf[:0], vecs, r, keys)
+	return t.multi[string(buf)], buf
 }

@@ -45,6 +45,7 @@ type joinSpec struct {
 	info       JoinInfo
 	leftWidth  int
 	rightWidth int
+	rightType  *types.Type // build-side row type: the kinds its output vectors are built in
 	emitRight  bool
 	residual   func(row []any) (bool, error)
 }
@@ -55,6 +56,7 @@ func newJoinSpec(ctx *Context, j *HashJoin) (*joinSpec, error) {
 		info:       j.Info,
 		leftWidth:  rel.FieldCount(j.Left()),
 		rightWidth: rel.FieldCount(j.Right()),
+		rightType:  j.Right().RowType(),
 		emitRight:  j.Kind != rel.SemiJoin && j.Kind != rel.AntiJoin,
 	}
 	if j.Info.Residual != nil {
@@ -264,14 +266,13 @@ func (j *HashJoin) noteBuildOvershoot(ctx *Context) {
 type buildSide struct {
 	rows  [][]any
 	table *joinTable
-	cols  [][]any          // boxed transpose of rows (boxed output)
-	vecs  []*schema.Vector // same transpose, typed (kernel output)
+	vecs  []*schema.Vector // transpose of rows; nil when the join emits no build columns
 }
 
 func newBuildSide(spec *joinSpec, rows [][]any) *buildSide {
 	s := &buildSide{rows: rows, table: buildJoinTable(rows, spec.info.RightKeys)}
 	if spec.emitRight {
-		s.cols, s.vecs = transposeBuild(rows, spec.rightWidth)
+		s.vecs = schema.VectorsFromRows(rows, spec.rightType.Fields)
 	}
 	return s
 }
@@ -287,7 +288,8 @@ type hashProbeCursor struct {
 	gatherL  []int32 // scratch: probe row per output row
 	gatherR  []int32 // scratch: build ordinal per output row (-1 = NULL pad)
 	combined []any
-	seq      int64 // sequence number of the unmatched-build tail batch
+	keyBuf   []byte // composite probe-key encoding scratch
+	seq      int64  // sequence number of the unmatched-build tail batch
 	tailSent bool
 	closed   bool
 	done     func()
@@ -336,26 +338,25 @@ func (c *hashProbeCursor) NextBatch() (*schema.Batch, error) {
 			return out, nil
 		}
 	}
-	// Probe exhausted: emit unmatched build rows for right/full joins.
+	// Probe exhausted: emit unmatched build rows for right/full joins, the
+	// probe columns all NULL.
 	if c.matched != nil && !c.tailSent {
 		c.tailSent = true
-		outCols := make([][]any, spec.outWidth())
-		nRows := 0
-		nullLeft := make([]any, spec.leftWidth)
-		for ri, row := range c.build.rows {
-			if c.matched[ri] {
-				continue
+		var ords []int32
+		for ri, m := range c.matched {
+			if !m {
+				ords = append(ords, int32(ri))
 			}
+		}
+		if len(ords) > 0 {
+			vecs := make([]*schema.Vector, spec.outWidth())
 			for col := 0; col < spec.leftWidth; col++ {
-				outCols[col] = append(outCols[col], nullLeft[col])
+				vecs[col] = &schema.Vector{Kind: schema.VecAny, A: make([]any, len(ords))}
 			}
 			for col := 0; col < spec.rightWidth; col++ {
-				outCols[spec.leftWidth+col] = append(outCols[spec.leftWidth+col], row[col])
+				vecs[spec.leftWidth+col] = c.build.vecs[col].Gather(ords)
 			}
-			nRows++
-		}
-		if nRows > 0 {
-			return &schema.Batch{Len: nRows, Cols: outCols, Seq: c.seq}, nil
+			return &schema.Batch{Len: len(ords), Vecs: vecs, Seq: c.seq}, nil
 		}
 	}
 	c.finish()
@@ -366,15 +367,6 @@ func (c *hashProbeCursor) NextBatch() (*schema.Batch, error) {
 // output rows (caller keeps pulling).
 func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 	spec := c.spec
-	// BoxedCols is deferred: a typed probe batch with a typed single-column
-	// key never needs the boxed windows unless a residual runs.
-	var cols [][]any
-	boxed := func() [][]any {
-		if cols == nil {
-			cols = b.BoxedCols()
-		}
-		return cols
-	}
 	// Pass 1 records the output as (probe row, build ordinal) pairs — a
 	// build ordinal of -1 is the outer-join NULL pad — so pass 2 can gather
 	// whole columns at once instead of appending boxed values row by row.
@@ -385,24 +377,15 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 	}
 	var sel []int32
 	sel, c.dense = liveSel(b, c.dense)
-	var keyVec *schema.Vector
-	if c.build.table.single != nil && b.Vecs != nil {
-		keyVec = b.Vecs[spec.info.LeftKeys[0]]
-	}
 	for _, li := range sel {
 		l := int(li)
 		var candidates []int32
-		if keyVec != nil {
-			candidates = c.build.table.probeVec(keyVec, l)
-		} else if !colsHaveNullAt(boxed(), l, spec.info.LeftKeys) {
-			candidates = c.build.table.probeCols(cols, l, spec.info.LeftKeys)
-		}
+		candidates, c.keyBuf = c.build.table.probe(b.Vecs, l, spec.info.LeftKeys, c.keyBuf)
 		matched := false
 		for _, ri := range candidates {
 			if spec.residual != nil {
-				bc := boxed()
 				for col := 0; col < spec.leftWidth; col++ {
-					c.combined[col] = bc[col][l]
+					c.combined[col] = b.Vecs[col].Get(l)
 				}
 				copy(c.combined[spec.leftWidth:], c.build.rows[ri])
 				ok, err := spec.residual(c.combined)
@@ -451,84 +434,18 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 	// probes restore the serial output order.
 	out := &schema.Batch{Len: nRows, Seq: b.Seq}
 	c.seq = b.Seq + 1
-	// Pass 2: typed probe batches gather straight into typed output vectors.
-	// When the probe batch also carries boxed windows, gather those too: the
-	// boxed copies are shared interface values — no re-boxing for
-	// row-at-a-time consumers downstream. Boxed-only probes keep boxed output
-	// columns.
-	if b.Vecs != nil {
-		vecs := make([]*schema.Vector, spec.outWidth())
-		var outCols [][]any
-		if b.Cols != nil {
-			outCols = make([][]any, spec.outWidth())
-		}
-		for col := 0; col < spec.leftWidth; col++ {
-			vecs[col] = b.Vecs[col].Gather(gl)
-			if outCols != nil {
-				outCols[col] = gatherAny(b.Cols[col], gl)
-			}
-		}
-		if spec.emitRight {
-			for col := 0; col < spec.rightWidth; col++ {
-				vecs[spec.leftWidth+col] = c.build.vecs[col].GatherOrd(gr)
-				if outCols != nil {
-					outCols[spec.leftWidth+col] = gatherAnyOrd(c.build.cols[col], gr)
-				}
-			}
-		}
-		out.Vecs = vecs
-		out.Cols = outCols
-		return out, nil
-	}
-	bc := boxed()
-	outCols := make([][]any, spec.outWidth())
+	// Pass 2: gather whole columns, each in the kind its source vector has.
+	vecs := make([]*schema.Vector, spec.outWidth())
 	for col := 0; col < spec.leftWidth; col++ {
-		outCols[col] = gatherAny(bc[col], gl)
+		vecs[col] = b.Vecs[col].Gather(gl)
 	}
 	if spec.emitRight {
 		for col := 0; col < spec.rightWidth; col++ {
-			outCols[spec.leftWidth+col] = gatherAnyOrd(c.build.cols[col], gr)
+			vecs[spec.leftWidth+col] = c.build.vecs[col].GatherOrd(gr)
 		}
 	}
-	out.Cols = outCols
+	out.Vecs = vecs
 	return out, nil
-}
-
-// transposeBuild pivots the row-major build side into columnar form for
-// gather-based join output: boxed columns (sharing the build rows' values)
-// plus their typed vectors.
-func transposeBuild(rows [][]any, width int) ([][]any, []*schema.Vector) {
-	cols := make([][]any, width)
-	vecs := make([]*schema.Vector, width)
-	for c := 0; c < width; c++ {
-		col := make([]any, len(rows))
-		for i, row := range rows {
-			col[i] = row[c]
-		}
-		cols[c] = col
-		vecs[c] = schema.BuildVector(col, schema.VecAny)
-	}
-	return cols, vecs
-}
-
-// gatherAny gathers boxed values by row index.
-func gatherAny(src []any, sel []int32) []any {
-	dst := make([]any, len(sel))
-	for i, r := range sel {
-		dst[i] = src[r]
-	}
-	return dst
-}
-
-// gatherAnyOrd is gatherAny with NULL injection for negative ordinals.
-func gatherAnyOrd(src []any, ords []int32) []any {
-	dst := make([]any, len(ords))
-	for i, r := range ords {
-		if r >= 0 {
-			dst[i] = src[r]
-		}
-	}
-	return dst
 }
 
 func (c *hashProbeCursor) Close() error {

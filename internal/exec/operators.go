@@ -438,6 +438,12 @@ func (m *TableModify) Op() string { return "EnumerableTableModify" }
 
 func (m *TableModify) Traits() trait.Set { return enumerableTraits() }
 
+// Bind is the one place SQL writes enter a table: every value is assigned to
+// its column's declared type with CAST semantics (an integer widens into a
+// DOUBLE column, every integral Go kind becomes int64, NULL passes), so a
+// typed column stays typed however the statement spelled the value. A value
+// with no such conversion fails the statement and nothing is inserted. The
+// input rows may belong to a cached plan and are not written to.
 func (m *TableModify) Bind(ctx *Context) (schema.Cursor, error) {
 	in, err := BindNode(ctx, m.Inputs()[0])
 	if err != nil {
@@ -446,6 +452,20 @@ func (m *TableModify) Bind(ctx *Context) (schema.Cursor, error) {
 	rows, err := drain(in)
 	if err != nil {
 		return nil, err
+	}
+	fields := m.Table.RowType().Fields
+	for i, row := range rows {
+		if len(row) != len(fields) {
+			continue // Insert reports the width
+		}
+		assigned := make([]any, len(row))
+		for c, v := range row {
+			if assigned[c], err = types.CoerceTo(v, fields[c].Type); err != nil {
+				return nil, fmt.Errorf("exec: INSERT INTO %s: row %d, column %s: %w",
+					m.Table.Name(), i, fields[c].Name, err)
+			}
+		}
+		rows[i] = assigned
 	}
 	if err := m.Table.Insert(rows); err != nil {
 		return nil, err

@@ -46,12 +46,12 @@ func TestParameterizedExpressionsRunVectorKernels(t *testing.T) {
 		}
 		pc := bc.(*projectBatchCursor)
 		for i := range pc.exprs {
-			pc.exprs[i].colFn = func([][]any, int) (any, error) {
+			pc.exprs[i].colFn = func([]*schema.Vector, int) (any, error) {
 				t.Error("projection closure ran over a typed batch")
 				return nil, nil
 			}
 		}
-		pc.in.(*filterBatchCursor).pred = func([][]any, int) (bool, error) {
+		pc.in.(*filterBatchCursor).pred = func([]*schema.Vector, int) (bool, error) {
 			t.Error("filter closure ran over a typed batch")
 			return false, nil
 		}

@@ -44,19 +44,22 @@ const spillWriteChunk = 512
 // final merge fits.
 const mergeFanIn = 64
 
-// batchVecs returns the batch's columns as vectors, building them from the
-// boxed columns of a Cols-only batch (VecAny views when typed vectors are
-// disabled engine-wide).
+// batchVecs returns the batch's columns with every VecAny one re-built as a
+// typed vector where its values are of one core kind — rows lifted from an
+// adapter's row cursor arrive VecAny and sort on the typed paths from here on.
+// The batch's own Vecs slice may be shared with other consumers and is left
+// alone.
 func batchVecs(b *schema.Batch) []*schema.Vector {
-	if b.Vecs != nil {
-		return b.Vecs
-	}
-	vecs := make([]*schema.Vector, len(b.Cols))
-	for c, col := range b.Cols {
-		if schema.ForceBoxed() {
-			vecs[c] = &schema.Vector{Kind: schema.VecAny, A: col}
-		} else {
-			vecs[c] = schema.BuildVector(col, schema.VecAny)
+	vecs, shared := b.Vecs, true
+	for c, v := range b.Vecs {
+		if v.Kind != schema.VecAny {
+			continue
+		}
+		if typed := schema.BuildVector(v.A); typed.Kind != schema.VecAny {
+			if shared {
+				vecs, shared = slices.Clone(b.Vecs), false
+			}
+			vecs[c] = typed
 		}
 	}
 	return vecs

@@ -74,7 +74,7 @@ func genInput(rng *rand.Rand, kinds []string, n, batch, domain int, nullP float6
 		b := &schema.Batch{Len: phys, Seq: int64(len(batches))}
 		b.Vecs = make([]*schema.Vector, len(cols))
 		for c := range cols {
-			b.Vecs[c] = schema.BuildVector(cols[c], schema.VecAny)
+			b.Vecs[c] = schema.BuildVector(cols[c])
 		}
 		if withSel {
 			b.Sel = []int32{}

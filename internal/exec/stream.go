@@ -25,6 +25,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -116,10 +117,21 @@ func (a *StreamAgg) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 // BindStreamAggOver runs the streaming aggregation over an already-bound
 // input; the parallel rewrite uses it to wrap each hash partition.
 func BindStreamAggOver(ctx *Context, sa *rel.StreamAggregate, in schema.BatchCursor) (schema.BatchCursor, error) {
+	// The state reads a row's rowtime, group keys and call arguments; only
+	// those columns are boxed out of each input batch.
+	need := append([]int{sa.Window.RowtimeCol}, sa.GroupKeys...)
+	for _, call := range sa.Calls {
+		need = append(need, call.Args...)
+		if call.FilterArg >= 0 {
+			need = append(need, call.FilterArg)
+		}
+	}
+	slices.Sort(need)
 	return &streamAggCursor{
 		st:        newStreamState(ctx, sa),
 		in:        in,
 		width:     rel.FieldCount(sa.Inputs()[0]),
+		need:      slices.Compact(need),
 		batch:     ctx.batchSize(),
 		interrupt: ctx.Interrupt,
 	}, nil
@@ -754,6 +766,7 @@ type streamAggCursor struct {
 	st        *streamState
 	in        schema.BatchCursor
 	width     int
+	need      []int // input columns the state reads
 	batch     int
 	pending   [][]any
 	pos       int
@@ -814,11 +827,10 @@ func (c *streamAggCursor) NextBatch() (*schema.Batch, error) {
 		}
 		var sel []int32
 		sel, c.dense = liveSel(b, c.dense)
-		cols := b.BoxedCols()
 		for _, ri := range sel {
 			r := int(ri)
-			for col := range c.scratch {
-				c.scratch[col] = cols[col][r]
+			for _, col := range c.need {
+				c.scratch[col] = b.Vecs[col].Get(r)
 			}
 			if err := c.st.add(c.scratch); err != nil {
 				c.release()

@@ -238,11 +238,7 @@ func newWindowEval(ctx *Context, sorted schema.BatchCursor, g rel.WindowGroup,
 			call.FilterArg = slot(call.FilterArg)
 		}
 		e.g.Calls[i] = call
-		kind := schema.VecAny
-		if !schema.ForceBoxed() {
-			kind = schema.VecKindForType(resFields[i].Type)
-		}
-		e.kinds = append(e.kinds, kind)
+		e.kinds = append(e.kinds, schema.VecKindForType(resFields[i].Type))
 	}
 	return e
 }

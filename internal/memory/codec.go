@@ -6,11 +6,12 @@ package memory
 // carries one kind byte and (when any live row is NULL) one packed null
 // bitmap — one bit per row, the on-disk counterpart of the in-memory
 // byte-per-row mask — followed by a monomorphic payload (varint int64s, raw
-// 8-byte float64s, bit-packed bools, length-prefixed strings). Columns
-// outside the core kinds, and every column when the boxed fallback is forced
-// (schema.ForceBoxed), ride an "any" page that tags each value with its
-// runtime kind; the closed set of runtime value types (internal/types) keeps
-// the codec total without reflection. Decoded batches are vector-backed, so
+// 8-byte float64s, bit-packed bools, length-prefixed strings). A VecAny
+// column whose live values are of one core kind is written as that kind's
+// page; one that mixes kinds or holds a non-core type rides an "any" page that
+// tags each value with its runtime kind; the closed set of runtime value
+// types (internal/types) keeps the codec total without reflection. Decoded
+// batches come back in the kinds their pages were written in, so
 // a spill round-trip re-enters the typed kernels directly. The format is
 // private to one process run — spill files never outlive the query that
 // wrote them — so there is no versioning beyond a magic byte per batch.
@@ -416,97 +417,81 @@ func encodeTypedPage(w *bufio.Writer, kind schema.VecKind, n int, get func(i int
 	return nil
 }
 
-// encodeColumn writes column c of the batch as one typed page, preferring
-// the vector representation when present (and the boxed fallback is not
-// forced).
+// encodeColumn writes column c of the batch as one typed page.
 func encodeColumn(w *bufio.Writer, b *schema.Batch, c, n int, sel []int32) error {
-	forced := schema.ForceBoxed()
-	if b.Vecs != nil && !forced {
-		v := b.Vecs[c]
-		if v.Kind != schema.VecAny {
-			// Typed vector: page out the payload slices directly.
-			if err := w.WriteByte(byte(v.Kind)); err != nil {
+	v := b.Vecs[c]
+	if v.Kind == schema.VecAny {
+		// Detect the page kind over the live rows.
+		col := v.A
+		return encodeTypedPage(w, pageKindOf(col, n, sel), n, func(i int) any { return col[rowAt(sel, i)] })
+	}
+	// Typed vector: page out the payload slices directly.
+	if err := w.WriteByte(byte(v.Kind)); err != nil {
+		return err
+	}
+	isNull := func(i int) bool { return v.Nulls != nil && v.Nulls[rowAt(sel, i)] }
+	if err := writeNullBitmap(w, n, isNull); err != nil {
+		return err
+	}
+	switch v.Kind {
+	case schema.VecInt64:
+		for i := 0; i < n; i++ {
+			if err := writeVarint(w, v.I64[rowAt(sel, i)]); err != nil {
 				return err
 			}
-			isNull := func(i int) bool { return v.Nulls != nil && v.Nulls[rowAt(sel, i)] }
-			if err := writeNullBitmap(w, n, isNull); err != nil {
+		}
+	case schema.VecFloat64:
+		var buf [8]byte
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F64[rowAt(sel, i)]))
+			if _, err := w.Write(buf[:]); err != nil {
 				return err
 			}
-			switch v.Kind {
-			case schema.VecInt64:
-				for i := 0; i < n; i++ {
-					if err := writeVarint(w, v.I64[rowAt(sel, i)]); err != nil {
-						return err
-					}
-				}
-			case schema.VecFloat64:
-				var buf [8]byte
-				for i := 0; i < n; i++ {
-					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F64[rowAt(sel, i)]))
-					if _, err := w.Write(buf[:]); err != nil {
-						return err
-					}
-				}
-			case schema.VecBool:
-				bits := make([]byte, (n+7)/8)
-				for i := 0; i < n; i++ {
-					if v.B[rowAt(sel, i)] {
-						bits[i/8] |= 1 << (i % 8)
-					}
-				}
-				if _, err := w.Write(bits); err != nil {
+		}
+	case schema.VecBool:
+		bits := make([]byte, (n+7)/8)
+		for i := 0; i < n; i++ {
+			if v.B[rowAt(sel, i)] {
+				bits[i/8] |= 1 << (i % 8)
+			}
+		}
+		if _, err := w.Write(bits); err != nil {
+			return err
+		}
+	case schema.VecString:
+		for i := 0; i < n; i++ {
+			s := v.S[rowAt(sel, i)]
+			if isNull(i) {
+				s = ""
+			}
+			if err := writeUvarint(w, uint64(len(s))); err != nil {
+				return err
+			}
+			if _, err := w.WriteString(s); err != nil {
+				return err
+			}
+		}
+	case schema.VecTime:
+		for i := 0; i < n; i++ {
+			if isNull(i) {
+				if err := writeUvarint(w, 0); err != nil {
 					return err
 				}
-			case schema.VecString:
-				for i := 0; i < n; i++ {
-					s := v.S[rowAt(sel, i)]
-					if isNull(i) {
-						s = ""
-					}
-					if err := writeUvarint(w, uint64(len(s))); err != nil {
-						return err
-					}
-					if _, err := w.WriteString(s); err != nil {
-						return err
-					}
-				}
-			case schema.VecTime:
-				for i := 0; i < n; i++ {
-					if isNull(i) {
-						if err := writeUvarint(w, 0); err != nil {
-							return err
-						}
-						continue
-					}
-					mb, err := v.T[rowAt(sel, i)].MarshalBinary()
-					if err != nil {
-						return err
-					}
-					if err := writeUvarint(w, uint64(len(mb))); err != nil {
-						return err
-					}
-					if _, err := w.Write(mb); err != nil {
-						return err
-					}
-				}
+				continue
 			}
-			return nil
+			mb, err := v.T[rowAt(sel, i)].MarshalBinary()
+			if err != nil {
+				return err
+			}
+			if err := writeUvarint(w, uint64(len(mb))); err != nil {
+				return err
+			}
+			if _, err := w.Write(mb); err != nil {
+				return err
+			}
 		}
 	}
-	// Boxed column (or VecAny vector): detect the page kind over live rows;
-	// the forced-boxed knob pins it to an any-page so the differential suites
-	// also cover the per-value encoding.
-	var col []any
-	if b.Cols != nil {
-		col = b.Cols[c]
-	} else {
-		col = b.Vecs[c].Boxed()
-	}
-	kind := schema.VecAny
-	if !forced {
-		kind = pageKindOf(col, n, sel)
-	}
-	return encodeTypedPage(w, kind, n, func(i int) any { return col[rowAt(sel, i)] })
+	return nil
 }
 
 // EncodeBatch writes one batch to the stream. The selection vector is

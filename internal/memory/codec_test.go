@@ -54,14 +54,8 @@ func TestCodecRoundTripAllTypes(t *testing.T) {
 // TestCodecAppliesSelectionVector: a batch with a selection vector decodes
 // as the compacted batch — only live rows, in selection order.
 func TestCodecAppliesSelectionVector(t *testing.T) {
-	b := &schema.Batch{
-		Len: 4,
-		Cols: [][]any{
-			{int64(0), int64(1), int64(2), int64(3)},
-			{"a", "b", "c", "d"},
-		},
-		Sel: []int32{3, 1},
-	}
+	b := schema.BatchFromRows([][]any{{int64(0), "a"}, {int64(1), "b"}, {int64(2), "c"}, {int64(3), "d"}}, 2)
+	b.Sel = []int32{3, 1}
 	got := roundTrip(t, b)
 	if got.Sel != nil {
 		t.Fatal("decoded batch should be dense")
@@ -146,7 +140,7 @@ func TestCodecRejectsUnspillable(t *testing.T) {
 
 // TestCodecZeroWidthAndEmpty round-trips degenerate shapes.
 func TestCodecZeroWidthAndEmpty(t *testing.T) {
-	got := roundTrip(t, &schema.Batch{Len: 0, Cols: [][]any{{}, {}}})
+	got := roundTrip(t, schema.BatchFromRows(nil, 2))
 	if got.NumRows() != 0 || got.Width() != 2 {
 		t.Fatalf("empty batch shape = %dx%d", got.NumRows(), got.Width())
 	}
@@ -168,7 +162,7 @@ func typedPageBatch(t *testing.T) (*schema.Batch, [][]any) {
 	}
 	b := &schema.Batch{Len: 3, Vecs: make([]*schema.Vector, len(cols))}
 	for c, col := range cols {
-		b.Vecs[c] = schema.BuildVector(col, schema.VecAny)
+		b.Vecs[c] = schema.BuildVector(col)
 	}
 	wantKinds := []schema.VecKind{
 		schema.VecInt64, schema.VecFloat64, schema.VecBool,
@@ -185,14 +179,8 @@ func typedPageBatch(t *testing.T) (*schema.Batch, [][]any) {
 // TestCodecTypedPagesRoundTrip spills a vector-backed batch and requires
 // the decoded batch to come back typed: same kinds, same values, same NULLs.
 func TestCodecTypedPagesRoundTrip(t *testing.T) {
-	if schema.ForceBoxed() {
-		t.Skip("CALCITE_FORCE_BOXED set")
-	}
 	b, cols := typedPageBatch(t)
 	got := roundTrip(t, b)
-	if got.Vecs == nil {
-		t.Fatal("decode did not produce typed vectors")
-	}
 	for c := range cols {
 		if got.Vecs[c].Kind != b.Vecs[c].Kind {
 			t.Errorf("col %d decoded as %v, want %v", c, got.Vecs[c].Kind, b.Vecs[c].Kind)
@@ -211,9 +199,6 @@ func TestCodecTypedPagesRoundTrip(t *testing.T) {
 // file at batchSize=3 and checks the reassembled rows, exercising page
 // framing across many tiny batches.
 func TestCodecTypedPagesStreamBatchSize3(t *testing.T) {
-	if schema.ForceBoxed() {
-		t.Skip("CALCITE_FORCE_BOXED set")
-	}
 	a := NewAllocator(nil, 0, true)
 	defer a.Close()
 	w, err := a.NewRun("Sort")
@@ -238,7 +223,7 @@ func TestCodecTypedPagesStreamBatchSize3(t *testing.T) {
 		}
 		b := &schema.Batch{Len: 3, Vecs: make([]*schema.Vector, len(cols))}
 		for c, col := range cols {
-			b.Vecs[c] = schema.BuildVector(col, schema.VecAny)
+			b.Vecs[c] = schema.BuildVector(col)
 		}
 		if err := w.WriteBatch(b); err != nil {
 			t.Fatal(err)
@@ -262,9 +247,6 @@ func TestCodecTypedPagesStreamBatchSize3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Vecs == nil {
-			t.Fatal("spilled typed run decoded without vectors")
-		}
 		got = b.AppendRows(got)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -272,27 +254,35 @@ func TestCodecTypedPagesStreamBatchSize3(t *testing.T) {
 	}
 }
 
-// TestCodecForceBoxedWritesAnyPages pins the escape hatch: under the boxed
-// fallback the codec must not emit typed pages, and the round-trip must
-// still be exact.
-func TestCodecForceBoxedWritesAnyPages(t *testing.T) {
-	prev := schema.SetForceBoxed(true)
-	defer schema.SetForceBoxed(prev)
-	b, cols := typedPageBatch(t)
-	got := roundTrip(t, b)
-	if got.Vecs != nil {
-		for c, v := range got.Vecs {
-			if v.Kind != schema.VecAny {
-				t.Errorf("forced-boxed decode produced typed col %d (%v)", c, v.Kind)
+// TestCodecAnyPages round-trips the columns that need the per-value
+// encoding — a genuinely mixed numeric column (float64 / int64 / NULL), a
+// time.Time among other kinds, and values of non-core types — plus a VecAny
+// column of nothing but time.Time, which the codec writes as a typed page;
+// dense and under a selection vector.
+func TestCodecAnyPages(t *testing.T) {
+	ts := time.Date(2026, 9, 27, 8, 0, 0, 0, time.UTC)
+	rows := [][]any{
+		{1.5, ts, int(7), ts},
+		{int64(2), int64(3), []any{int64(1), nil}, nil},
+		{nil, nil, map[string]any{"k": 2.5}, ts.Add(time.Second)},
+		{2.5, "x", nil, ts.Add(time.Minute)},
+	}
+	wantKinds := []schema.VecKind{schema.VecAny, schema.VecAny, schema.VecAny, schema.VecTime}
+	for _, sel := range [][]int32{nil, {3, 1, 2}} {
+		b := schema.BatchFromRows(rows, 4)
+		b.Sel = sel
+		want := b.AppendRows(nil)
+		got := roundTrip(t, b)
+		if got.Sel != nil || got.NumRows() != len(want) {
+			t.Fatalf("sel %v: decoded %d rows (sel %v), want %d dense", sel, got.NumRows(), got.Sel, len(want))
+		}
+		for c, k := range wantKinds {
+			if got.Vecs[c].Kind != k {
+				t.Errorf("sel %v: col %d decoded as %v, want %v", sel, c, got.Vecs[c].Kind, k)
 			}
 		}
-	}
-	for r := range cols[0] {
-		row := got.Row(r)
-		for c := range cols {
-			if !reflect.DeepEqual(row[c], cols[c][r]) {
-				t.Errorf("col %d row %d: got %#v want %#v", c, r, row[c], cols[c][r])
-			}
+		if rows := got.AppendRows(nil); !reflect.DeepEqual(rows, want) {
+			t.Errorf("sel %v:\n got %#v\nwant %#v", sel, rows, want)
 		}
 	}
 }
@@ -300,12 +290,9 @@ func TestCodecForceBoxedWritesAnyPages(t *testing.T) {
 // TestCodecTypedPageWithSelection spills a typed batch through a selection
 // vector: only live rows survive, in selection order, still typed.
 func TestCodecTypedPageWithSelection(t *testing.T) {
-	if schema.ForceBoxed() {
-		t.Skip("CALCITE_FORCE_BOXED set")
-	}
 	b := &schema.Batch{Len: 4, Vecs: []*schema.Vector{
-		schema.BuildVector([]any{int64(0), int64(1), nil, int64(3)}, schema.VecAny),
-		schema.BuildVector([]any{"a", "b", "c", "d"}, schema.VecAny),
+		schema.BuildVector([]any{int64(0), int64(1), nil, int64(3)}),
+		schema.BuildVector([]any{"a", "b", "c", "d"}),
 	}}
 	b.Sel = []int32{3, 2, 0}
 	got := roundTrip(t, b)
@@ -318,7 +305,7 @@ func TestCodecTypedPageWithSelection(t *testing.T) {
 			t.Errorf("row %d: got %#v want %#v", i, got.Row(i), want[i])
 		}
 	}
-	if got.Vecs == nil || got.Vecs[0].Kind != schema.VecInt64 {
+	if got.Vecs[0].Kind != schema.VecInt64 {
 		t.Fatal("selection round-trip lost typed representation")
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"calcite/internal/exec"
 	"calcite/internal/schema"
 	"calcite/internal/trait"
-	"calcite/internal/types"
 )
 
 // exchChanBuf is the per-partition channel depth: enough to decouple
@@ -271,14 +270,11 @@ func (c *chanCursor) Close() error {
 	return nil
 }
 
-// routeKey is the exchange routing key: the shared canonical encoding,
-// NULL-inclusive — unlike a join's match key, routing must place NULL keys
-// too, so all NULLs of a key land in one partition like any other group.
-func routeKey(cols [][]any, r int, keys []int) string {
-	return types.HashColsKey(cols, r, keys)
-}
-
-func shardOfKey(key string, p int) int {
+// shardOfKey maps an exchange routing key — the shared canonical encoding
+// (schema.RowKey), NULL-inclusive: unlike a join's match key, routing must
+// place NULL keys too, so all NULLs of a key land in one partition like any
+// other group — to one of p partitions.
+func shardOfKey(key []byte, p int) int {
 	// FNV-1a inlined over the canonical key encoding.
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
@@ -309,6 +305,7 @@ func Scatter(inParts []schema.BatchCursor, p int, keys []int) []schema.BatchCurs
 		go func() {
 			defer wg.Done()
 			defer part.Close()
+			var key []byte // routing-key scratch: only the key vectors are read
 			for {
 				b, err := part.NextBatch()
 				if err == schema.Done {
@@ -330,24 +327,26 @@ func Scatter(inParts []schema.BatchCursor, p int, keys []int) []schema.BatchCurs
 				}
 				// Hash split: one selection vector per target partition
 				// over the shared columns.
-				cols := b.BoxedCols()
 				sels := make([][]int32, p)
+				route := func(r int32) {
+					key = schema.RowKey(key[:0], b.Vecs, int(r), keys)
+					k := shardOfKey(key, p)
+					sels[k] = append(sels[k], r)
+				}
 				if b.Sel != nil {
 					for _, r := range b.Sel {
-						k := shardOfKey(routeKey(cols, int(r), keys), p)
-						sels[k] = append(sels[k], r)
+						route(r)
 					}
 				} else {
 					for r := 0; r < b.Len; r++ {
-						k := shardOfKey(routeKey(cols, r, keys), p)
-						sels[k] = append(sels[k], int32(r))
+						route(int32(r))
 					}
 				}
 				for i, sel := range sels {
 					if len(sel) == 0 {
 						continue
 					}
-					sub := &schema.Batch{Len: b.Len, Cols: b.Cols, Vecs: b.Vecs, Sel: sel, Seq: b.Seq}
+					sub := &schema.Batch{Len: b.Len, Vecs: b.Vecs, Sel: sel, Seq: b.Seq}
 					if !send(st, outs[i], sub) {
 						return
 					}

@@ -64,7 +64,7 @@ func TestPoolReusesResidentWorkers(t *testing.T) {
 func seqBatches(n int) []*schema.Batch {
 	out := make([]*schema.Batch, n)
 	for i := range out {
-		out[i] = &schema.Batch{Len: 1, Cols: [][]any{{int64(i)}}}
+		out[i] = schema.BatchFromRows([][]any{{int64(i)}}, 1)
 	}
 	return out
 }
@@ -114,7 +114,7 @@ func TestGatherRestoresSeqOrder(t *testing.T) {
 	mk := func(seqs ...int64) schema.BatchCursor {
 		var bs []*schema.Batch
 		for _, s := range seqs {
-			b := &schema.Batch{Len: 1, Cols: [][]any{{s}}}
+			b := schema.BatchFromRows([][]any{{s}}, 1)
 			bs = append(bs, b)
 		}
 		cur := schema.NewSliceBatchCursor(bs)
@@ -301,6 +301,44 @@ func TestScatterHashColocatesKeys(t *testing.T) {
 	}
 	if len(keyHome) != 7 {
 		t.Fatalf("saw %d keys, want 7", len(keyHome))
+	}
+}
+
+// TestScatterHashRoutingReadsKeyVectorsOnly: routing a typed batch encodes
+// the key from its key vector alone — no column is boxed to hash a row. A
+// boxed copy of this batch would be ten slices and ten thousand boxed int64s;
+// the whole exchange (channels, goroutines, four selection vectors) stays two
+// orders of magnitude under that.
+func TestScatterHashRoutingReadsKeyVectorsOnly(t *testing.T) {
+	const n, width, p = 1024, 10, 4
+	vecs := make([]*schema.Vector, width)
+	for c := range vecs {
+		d := make([]int64, n)
+		for r := range d {
+			d[r] = int64(1_000_000 + r*width + c) // beyond the runtime's small-int boxes
+		}
+		vecs[c] = &schema.Vector{Kind: schema.VecInt64, I64: d}
+	}
+	batch := &schema.Batch{Len: n, Vecs: vecs}
+	rows := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		in := schema.NewSliceBatchCursor([]*schema.Batch{batch})
+		for _, out := range Scatter([]schema.BatchCursor{in}, p, []int{3}) {
+			for {
+				b, err := out.NextBatch()
+				if err != nil {
+					break
+				}
+				rows += b.NumRows()
+			}
+			out.Close()
+		}
+	})
+	if rows != 11*n {
+		t.Fatalf("scattered %d rows over 11 runs, want %d", rows, 11*n)
+	}
+	if allocs > 100 {
+		t.Fatalf("hash-routing one typed %d×%d batch allocated %.0f objects", n, width, allocs)
 	}
 }
 

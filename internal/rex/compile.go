@@ -17,19 +17,20 @@ package rex
 import (
 	"fmt"
 
+	"calcite/internal/schema"
 	"calcite/internal/types"
 )
 
 // RowFn is a compiled expression evaluated against a row-major row.
 type RowFn func(row []any) (any, error)
 
-// ColFn is a compiled expression evaluated against column-major data at
+// ColFn is a compiled expression evaluated against a batch's vectors at
 // physical row r (the form batch operators use: no row assembly needed).
-type ColFn func(cols [][]any, r int) (any, error)
+type ColFn func(vecs []*schema.Vector, r int) (any, error)
 
 // evalFn is the internal compiled form, usable against either layout: when
-// cols is non-nil it reads cols[i][r], otherwise row[i].
-type evalFn func(row []any, cols [][]any, r int) (any, error)
+// cols is non-nil it reads row r of cols[i], otherwise row[i].
+type evalFn func(row []any, cols []*schema.Vector, r int) (any, error)
 
 // Compile lowers n into a closure over row-major rows. It returns an error
 // if n contains an unbound dynamic parameter or an operator with no
@@ -42,13 +43,13 @@ func Compile(n Node) (RowFn, error) {
 	return func(row []any) (any, error) { return f(row, nil, 0) }, nil
 }
 
-// CompileCols lowers n into a closure over column-major batches.
+// CompileCols lowers n into a closure over a batch's vectors.
 func CompileCols(n Node) (ColFn, error) {
 	f, err := lower(n)
 	if err != nil {
 		return nil, err
 	}
-	return func(cols [][]any, r int) (any, error) { return f(nil, cols, r) }, nil
+	return func(vecs []*schema.Vector, r int) (any, error) { return f(nil, vecs, r) }, nil
 }
 
 // CompileBool lowers a predicate with filter semantics: NULL and non-boolean
@@ -74,14 +75,14 @@ func CompileBool(n Node) (func(row []any) (bool, error), error) {
 	}, nil
 }
 
-// CompileColsBool is CompileBool over column-major data.
-func CompileColsBool(n Node) (func(cols [][]any, r int) (bool, error), error) {
+// CompileColsBool is CompileBool over a batch's vectors.
+func CompileColsBool(n Node) (func(vecs []*schema.Vector, r int) (bool, error), error) {
 	f, err := lower(n)
 	if err != nil {
 		return nil, err
 	}
-	return func(cols [][]any, r int) (bool, error) {
-		v, err := f(nil, cols, r)
+	return func(vecs []*schema.Vector, r int) (bool, error) {
+		v, err := f(nil, vecs, r)
 		if err != nil {
 			return false, err
 		}
@@ -101,15 +102,19 @@ func lower(n Node) (evalFn, error) {
 	switch x := n.(type) {
 	case *Literal:
 		v := x.Value
-		return func([]any, [][]any, int) (any, error) { return v, nil }, nil
+		return func([]any, []*schema.Vector, int) (any, error) { return v, nil }, nil
 	case *InputRef:
 		i := x.Index
-		return func(row []any, cols [][]any, r int) (any, error) {
+		return func(row []any, cols []*schema.Vector, r int) (any, error) {
 			if cols != nil {
 				if i < 0 || i >= len(cols) {
 					return nil, fmt.Errorf("rex: input reference $%d out of range (width %d)", i, len(cols))
 				}
-				return cols[i][r], nil
+				v := cols[i]
+				if v.Kind == schema.VecAny {
+					return v.A[r], nil
+				}
+				return v.Get(r), nil
 			}
 			if i < 0 || i >= len(row) {
 				return nil, fmt.Errorf("rex: input reference $%d out of range (row width %d)", i, len(row))
@@ -143,7 +148,7 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols [][]any, r int) (any, error) {
+		return func(row []any, cols []*schema.Vector, r int) (any, error) {
 			sawNull := false
 			for _, f := range fns {
 				v, err := f(row, cols, r)
@@ -172,7 +177,7 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols [][]any, r int) (any, error) {
+		return func(row []any, cols []*schema.Vector, r int) (any, error) {
 			sawNull := false
 			for _, f := range fns {
 				v, err := f(row, cols, r)
@@ -201,7 +206,7 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols [][]any, r int) (any, error) {
+		return func(row []any, cols []*schema.Vector, r int) (any, error) {
 			n := len(fns)
 			for i := 0; i+1 < n; i += 2 {
 				cond, err := fns[i](row, cols, r)
@@ -222,7 +227,7 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols [][]any, r int) (any, error) {
+		return func(row []any, cols []*schema.Vector, r int) (any, error) {
 			for _, f := range fns {
 				v, err := f(row, cols, r)
 				if err != nil {
@@ -240,7 +245,7 @@ func lowerCall(c *Call) (evalFn, error) {
 			return nil, err
 		}
 		t := c.T
-		return func(row []any, cols [][]any, r int) (any, error) {
+		return func(row []any, cols []*schema.Vector, r int) (any, error) {
 			v, err := f(row, cols, r)
 			if err != nil {
 				return nil, err
@@ -252,7 +257,7 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols [][]any, r int) (any, error) {
+		return func(row []any, cols []*schema.Vector, r int) (any, error) {
 			v, err := f(row, cols, r)
 			if err != nil {
 				return nil, err
@@ -271,7 +276,7 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols [][]any, r int) (any, error) {
+		return func(row []any, cols []*schema.Vector, r int) (any, error) {
 			v, err := f(row, cols, r)
 			if err != nil {
 				return nil, err
@@ -283,7 +288,7 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols [][]any, r int) (any, error) {
+		return func(row []any, cols []*schema.Vector, r int) (any, error) {
 			v, err := f(row, cols, r)
 			if err != nil {
 				return nil, err
@@ -312,7 +317,7 @@ func lowerCall(c *Call) (evalFn, error) {
 		return nil, fmt.Errorf("rex: operator %s has no implementation", c.Op.Name)
 	}
 	op := c.Op
-	return func(row []any, cols [][]any, r int) (any, error) {
+	return func(row []any, cols []*schema.Vector, r int) (any, error) {
 		args := make([]any, len(fns))
 		for i, f := range fns {
 			v, err := f(row, cols, r)
@@ -357,7 +362,7 @@ func lowerCompare(c *Call, pred func(int) bool) (evalFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(row []any, cols [][]any, r int) (any, error) {
+	return func(row []any, cols []*schema.Vector, r int) (any, error) {
 		av, err := a(row, cols, r)
 		if err != nil {
 			return nil, err
@@ -409,7 +414,7 @@ func lowerArith(c *Call) (evalFn, error) {
 	case OpDivide:
 		sym = '/'
 	}
-	return func(row []any, cols [][]any, r int) (any, error) {
+	return func(row []any, cols []*schema.Vector, r int) (any, error) {
 		av, err := a(row, cols, r)
 		if err != nil {
 			return nil, err

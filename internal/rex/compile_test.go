@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"calcite/internal/schema"
 	"calcite/internal/types"
 )
 
@@ -56,12 +57,12 @@ func compileFixtureExprs() []Node {
 // row-major and column-major forms.
 func TestCompileMatchesEvaluator(t *testing.T) {
 	rows := compileFixtureRows()
-	cols := make([][]any, 4)
-	for c := range cols {
-		cols[c] = make([]any, len(rows))
-		for r, row := range rows {
-			cols[c][r] = row[c]
-		}
+	// Column-major twice: as lifted from rows (all VecAny) and as a typed
+	// source would hold them.
+	lifted := schema.BatchFromRows(rows, 4).Vecs
+	typed := make([]*schema.Vector, len(lifted))
+	for c, v := range lifted {
+		typed[c] = schema.BuildVector(v.A)
 	}
 	ev := &Evaluator{}
 	for _, e := range compileFixtureExprs() {
@@ -79,9 +80,11 @@ func TestCompileMatchesEvaluator(t *testing.T) {
 			if (werr == nil) != (gerr == nil) || !reflect.DeepEqual(want, got) {
 				t.Errorf("%s row %d: interp (%v, %v) vs compiled (%v, %v)", e, r, want, werr, got, gerr)
 			}
-			cgot, cerr := colFn(cols, r)
-			if (werr == nil) != (cerr == nil) || !reflect.DeepEqual(want, cgot) {
-				t.Errorf("%s row %d: interp (%v, %v) vs col-compiled (%v, %v)", e, r, want, werr, cgot, cerr)
+			for _, cols := range [][]*schema.Vector{lifted, typed} {
+				cgot, cerr := colFn(cols, r)
+				if (werr == nil) != (cerr == nil) || !reflect.DeepEqual(want, cgot) {
+					t.Errorf("%s row %d: interp (%v, %v) vs col-compiled (%v, %v)", e, r, want, werr, cgot, cerr)
+				}
 			}
 		}
 	}

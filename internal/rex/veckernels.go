@@ -12,7 +12,7 @@ package rex
 // kernel itself reports ok=false at run time when a batch's vectors do not
 // carry the expected kinds (mixed-type columns degrade to VecAny). Callers
 // hold both the vector kernel and the compiled closure and pick per batch.
-// Operands are input references and literals only: callers bind parameters
+// Leaves are input references and literals only: callers bind parameters
 // (BindParams) before matching.
 
 import (
@@ -291,10 +291,11 @@ func cmpLiteralKernelVec(idx int, lit any, pred func(int) bool) (VecSelKernel, b
 type VecColKernel func(vecs []*schema.Vector, sel []int32) (*schema.Vector, bool, error)
 
 // ArithKernelVec compiles the hot projection shapes into a typed column
-// kernel: $i (gather), literal (broadcast), $i ⊕ literal, literal ⊕ $i and
-// $i ⊕ $j for ⊕ ∈ {+, -, *, /} over int64/float64 with strict NULL
-// propagation, and the same operand shapes under a comparison producing a
-// bool vector.
+// kernel: $i (gather), literal (broadcast), and a ⊕ b for ⊕ ∈ {+, -, *, /}
+// over int64/float64 with strict NULL propagation, where each operand is a
+// column, a literal or itself an arithmetic sub-expression (evaluated by its
+// own kernel first); and the same operand shapes under a comparison producing
+// a bool vector.
 func ArithKernelVec(n Node) (VecColKernel, bool) {
 	switch x := n.(type) {
 	case *InputRef:
@@ -368,11 +369,12 @@ func ArithKernelVec(n Node) (VecColKernel, bool) {
 	return nil, false
 }
 
-// vecOperand describes one side of a binary kernel: either a column ordinal
-// or a literal value.
+// vecOperand describes one side of a binary kernel: a column ordinal, a
+// literal value, or the kernel of an arithmetic sub-expression.
 type vecOperand struct {
-	col int // -1 for literal
+	col int // -1 for a literal or a sub-expression
 	lit any
+	sub VecColKernel
 }
 
 func vecOperandOf(n Node) (vecOperand, bool) {
@@ -381,13 +383,21 @@ func vecOperandOf(n Node) (vecOperand, bool) {
 		return vecOperand{col: x.Index}, true
 	case *Literal:
 		return vecOperand{col: -1, lit: x.Value}, true
+	case *Call:
+		switch x.Op {
+		case OpPlus, OpMinus, OpTimes, OpDivide:
+			if sub, ok := ArithKernelVec(x); ok {
+				return vecOperand{col: -1, sub: sub}, true
+			}
+		}
 	}
 	return vecOperand{}, false
 }
 
 // numSide resolves one operand against a batch into either an int64 slice, a
-// float64 slice, or a constant. ok=false when the operand is not numeric
-// int64/float64 for this batch.
+// float64 slice, or a constant. A column's slices are indexed by physical row;
+// a sub-expression's result holds one value per selected row, so it is
+// indexed by position in the selection (dense).
 type numSide struct {
 	i64   []int64
 	f64   []float64
@@ -395,17 +405,30 @@ type numSide struct {
 	ci64  int64
 	cf64  float64
 	// mode: 0 int64 col, 1 float64 col, 2 int64 const, 3 float64 const
-	mode uint8
+	mode  uint8
+	dense bool
 }
 
-func resolveNumSide(op vecOperand, vecs []*schema.Vector) (numSide, bool) {
-	if op.col >= 0 {
-		v := vecs[op.col]
+// resolveNumSide reports ok=false when the operand is not numeric
+// int64/float64 for this batch. A sub-expression that fails — division by
+// zero — is also ok=false, not an error: the closure evaluates operands left
+// to right and stops at the first NULL, so it alone knows whether that
+// division is ever reached.
+func resolveNumSide(op vecOperand, vecs []*schema.Vector, sel []int32) (numSide, bool) {
+	if op.col >= 0 || op.sub != nil {
+		var v *schema.Vector
+		if op.sub == nil {
+			v = vecs[op.col]
+		} else if res, ok, err := op.sub(vecs, sel); ok && err == nil {
+			v = res
+		} else {
+			return numSide{}, false
+		}
 		switch v.Kind {
 		case schema.VecInt64:
-			return numSide{i64: v.I64, nulls: v.Nulls, mode: 0}, true
+			return numSide{i64: v.I64, nulls: v.Nulls, mode: 0, dense: op.sub != nil}, true
 		case schema.VecFloat64:
-			return numSide{f64: v.F64, nulls: v.Nulls, mode: 1}, true
+			return numSide{f64: v.F64, nulls: v.Nulls, mode: 1, dense: op.sub != nil}, true
 		}
 		return numSide{}, false
 	}
@@ -421,24 +444,32 @@ func resolveNumSide(op vecOperand, vecs []*schema.Vector) (numSide, bool) {
 func (s *numSide) isInt() bool   { return s.mode == 0 || s.mode == 2 }
 func (s *numSide) isConst() bool { return s.mode >= 2 }
 
-func (s *numSide) intAt(r int32) int64 {
+// at picks the index of the i'th selected row, physical row r.
+func (s *numSide) at(i int, r int32) int {
+	if s.dense {
+		return i
+	}
+	return int(r)
+}
+
+func (s *numSide) intAt(i int, r int32) int64 {
 	if s.mode == 2 {
 		return s.ci64
 	}
-	return s.i64[r]
+	return s.i64[s.at(i, r)]
 }
 
-func (s *numSide) floatAt(r int32) float64 {
+func (s *numSide) floatAt(i int, r int32) float64 {
 	switch s.mode {
 	case 0:
-		return float64(s.i64[r])
+		return float64(s.i64[s.at(i, r)])
 	case 1:
-		return s.f64[r]
+		return s.f64[s.at(i, r)]
 	}
 	return s.cf64
 }
 
-func (s *numSide) nullAt(r int32) bool { return s.nulls != nil && s.nulls[r] }
+func (s *numSide) nullAt(i int, r int32) bool { return s.nulls != nil && s.nulls[s.at(i, r)] }
 
 // mergeNulls builds the output null mask of a strict binary kernel over the
 // selection (nil when no row is NULL).
@@ -448,7 +479,7 @@ func mergeNulls(a, b *numSide, sel []int32) []bool {
 	}
 	var out []bool
 	for i, r := range sel {
-		if a.nullAt(r) || b.nullAt(r) {
+		if a.nullAt(i, r) || b.nullAt(i, r) {
 			if out == nil {
 				out = make([]bool, len(sel))
 			}
@@ -463,11 +494,11 @@ func mergeNulls(a, b *numSide, sel []int32) []bool {
 // division-by-zero error).
 func arithKernelVec(l, r vecOperand, sym byte) VecColKernel {
 	return func(vecs []*schema.Vector, sel []int32) (*schema.Vector, bool, error) {
-		a, ok := resolveNumSide(l, vecs)
+		a, ok := resolveNumSide(l, vecs, sel)
 		if !ok {
 			return nil, false, nil
 		}
-		b, ok := resolveNumSide(r, vecs)
+		b, ok := resolveNumSide(r, vecs, sel)
 		if !ok {
 			return nil, false, nil
 		}
@@ -479,7 +510,7 @@ func arithKernelVec(l, r vecOperand, sym byte) VecColKernel {
 				if nulls != nil && nulls[i] {
 					continue
 				}
-				x, y := a.intAt(row), b.intAt(row)
+				x, y := a.intAt(i, row), b.intAt(i, row)
 				switch sym {
 				case '+':
 					d[i] = x + y
@@ -501,7 +532,7 @@ func arithKernelVec(l, r vecOperand, sym byte) VecColKernel {
 			if nulls != nil && nulls[i] {
 				continue
 			}
-			x, y := a.floatAt(row), b.floatAt(row)
+			x, y := a.floatAt(i, row), b.floatAt(i, row)
 			switch sym {
 			case '+':
 				d[i] = x + y
@@ -529,11 +560,11 @@ func cmpKernelVec(l, r vecOperand, pred func(int) bool) VecColKernel {
 		if out, ok := stringCmpVec(l, r, vecs, sel, pred); ok {
 			return out, true, nil
 		}
-		a, ok := resolveNumSide(l, vecs)
+		a, ok := resolveNumSide(l, vecs, sel)
 		if !ok {
 			return nil, false, nil
 		}
-		b, ok := resolveNumSide(r, vecs)
+		b, ok := resolveNumSide(r, vecs, sel)
 		if !ok {
 			return nil, false, nil
 		}
@@ -546,7 +577,7 @@ func cmpKernelVec(l, r vecOperand, pred func(int) bool) VecColKernel {
 				if nulls != nil && nulls[i] {
 					continue
 				}
-				x, y := a.intAt(row), b.intAt(row)
+				x, y := a.intAt(i, row), b.intAt(i, row)
 				d[i] = (x < y && lt) || (x == y && eq) || (x > y && gt)
 			}
 		} else {
@@ -554,7 +585,7 @@ func cmpKernelVec(l, r vecOperand, pred func(int) bool) VecColKernel {
 				if nulls != nil && nulls[i] {
 					continue
 				}
-				x, y := a.floatAt(row), b.floatAt(row)
+				x, y := a.floatAt(i, row), b.floatAt(i, row)
 				d[i] = (x < y && lt) || (x == y && eq) || (x > y && gt)
 			}
 		}

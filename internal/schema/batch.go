@@ -9,35 +9,34 @@ package schema
 // groups of up to a few thousand rows with an optional selection vector — so
 // per-row work collapses into tight loops over slices.
 //
-// A batch carries its columns in one or both of two representations: typed
-// vectors (Vecs — monomorphic storage, see vector.go) and boxed columns
-// (Cols — []any). Typed operators read Vecs; everything else calls
-// BoxedCols(), which returns Cols, materializing and caching it from the
-// vectors on first use. Sources that have both on hand (MemTable's columns)
-// attach both zero-copy, so compatibility costs nothing on scans.
+// A batch has one representation: a typed vector per column (Vecs, see
+// vector.go). A column of one of the core runtime types is stored
+// monomorphically; a column of anything else — mixed dynamic types, a
+// non-core type, values lifted from a row cursor that nobody has looked at
+// yet — is a VecAny vector, whose payload A is the only place a boxed value
+// lives inside the batch engine. Operators read Vecs: a typed kernel where
+// the kinds match, else a compiled closure over the same vectors. Values are
+// boxed only where rows leave the batch convention (Row, AppendRows,
+// RowCursorFromBatches) or enter a VecAny payload.
 //
 // Both conventions interoperate: BatchCursorFromCursor lifts any row cursor
-// into batches, and RowCursorFromBatches flattens batches back into rows, so
-// every adapter written against Cursor keeps working unmodified while the
-// engine's hot path runs vectorized.
+// into batches of VecAny columns, and RowCursorFromBatches flattens batches
+// back into rows, so every adapter written against Cursor keeps working
+// unmodified while the engine's hot path runs vectorized.
 
 // DefaultBatchSize is the number of rows an operator processes per batch. It
 // is chosen so a batch of a few wide columns stays comfortably inside L2.
 const DefaultBatchSize = 1024
 
-// Batch is a column-major group of rows. Column c of physical row r is
-// Vecs[c] row r (typed) and/or Cols[c][r] (boxed); every column has Len
-// entries. Sel, when non-nil, is a selection vector: the ordered physical
-// row indices that are logically present (filters narrow batches by
-// replacing Sel instead of copying columns). A nil Sel means all Len rows
-// are live.
+// Batch is a column-major group of rows. Column c of physical row r is row r
+// of Vecs[c]; every vector has Len entries. Sel, when non-nil, is a selection
+// vector: the ordered physical row indices that are logically present
+// (filters narrow batches by replacing Sel instead of copying columns). A nil
+// Sel means all Len rows are live.
 type Batch struct {
 	// Len is the number of physical rows held by each column.
 	Len int
-	// Cols holds the boxed column vectors; may be nil when Vecs is set
-	// (BoxedCols materializes it on demand).
-	Cols [][]any
-	// Vecs holds the typed column vectors; nil on boxed-only batches.
+	// Vecs holds the column vectors (empty on a zero-column batch).
 	Vecs []*Vector
 	// Sel selects the live subset of rows, in order; nil selects all.
 	Sel []int32
@@ -58,26 +57,7 @@ func (b *Batch) NumRows() int {
 }
 
 // Width returns the number of columns.
-func (b *Batch) Width() int {
-	if b.Cols != nil {
-		return len(b.Cols)
-	}
-	return len(b.Vecs)
-}
-
-// BoxedCols returns the boxed column representation, materializing (and
-// caching) it from the typed vectors when the batch is vector-only. The
-// batch must be owned by a single goroutine (the Cursor contract).
-func (b *Batch) BoxedCols() [][]any {
-	if b.Cols == nil && b.Vecs != nil {
-		cols := make([][]any, len(b.Vecs))
-		for c, v := range b.Vecs {
-			cols[c] = v.Boxed()
-		}
-		b.Cols = cols
-	}
-	return b.Cols
-}
+func (b *Batch) Width() int { return len(b.Vecs) }
 
 // Row materializes the i'th live row (0 ≤ i < NumRows) as a fresh []any.
 func (b *Batch) Row(i int) []any {
@@ -85,14 +65,7 @@ func (b *Batch) Row(i int) []any {
 	if b.Sel != nil {
 		r = int(b.Sel[i])
 	}
-	w := b.Width()
-	row := make([]any, w)
-	if b.Cols != nil {
-		for c, col := range b.Cols {
-			row[c] = col[r]
-		}
-		return row
-	}
+	row := make([]any, len(b.Vecs))
 	for c, v := range b.Vecs {
 		row[c] = v.Get(r)
 	}
@@ -101,7 +74,8 @@ func (b *Batch) Row(i int) []any {
 
 // AppendRows materializes every live row onto dst and returns it. Row
 // storage comes from one arena allocation per batch (full slice expressions
-// keep the rows append-safe).
+// keep the rows append-safe); values are boxed column-at-a-time (one Kind
+// dispatch per column, not per value).
 func (b *Batch) AppendRows(dst [][]any) [][]any {
 	n := b.NumRows()
 	w := b.Width()
@@ -115,40 +89,11 @@ func (b *Batch) AppendRows(dst [][]any) [][]any {
 		return dst
 	}
 	flat := make([]any, n*w)
-	if b.Cols == nil {
-		// Vector-only batch: box column-at-a-time (one Kind dispatch per
-		// column, not per value).
-		for c, v := range b.Vecs {
-			if b.Sel == nil && v.Kind == VecAny && v.Nulls == nil {
-				col := v.A
-				for i := 0; i < n; i++ {
-					flat[i*w+c] = col[i]
-				}
-				continue
-			}
-			for i := 0; i < n; i++ {
-				r := i
-				if b.Sel != nil {
-					r = int(b.Sel[i])
-				}
-				flat[i*w+c] = v.Get(r)
-			}
-		}
-		for i := 0; i < n; i++ {
-			dst = append(dst, flat[i*w:(i+1)*w:(i+1)*w])
-		}
-		return dst
+	for c, v := range b.Vecs {
+		v.boxInto(flat[c:], w, b.Sel, n)
 	}
 	for i := 0; i < n; i++ {
-		r := i
-		if b.Sel != nil {
-			r = int(b.Sel[i])
-		}
-		row := flat[i*w : (i+1)*w : (i+1)*w]
-		for c, col := range b.Cols {
-			row[c] = col[r]
-		}
-		dst = append(dst, row)
+		dst = append(dst, flat[i*w:(i+1)*w:(i+1)*w])
 	}
 	return dst
 }
@@ -164,51 +109,41 @@ func (b *Batch) Detach() *Batch {
 	if b.Sel == nil {
 		return b
 	}
-	return &Batch{Len: b.Len, Cols: b.Cols, Vecs: b.Vecs, Sel: append([]int32(nil), b.Sel...), Seq: b.Seq}
+	// Not append([]int32(nil), …): an empty selection must stay non-nil, or
+	// the batch with no live rows turns into one with all of them.
+	sel := make([]int32, len(b.Sel))
+	copy(sel, b.Sel)
+	return &Batch{Len: b.Len, Vecs: b.Vecs, Sel: sel, Seq: b.Seq}
 }
 
 // Compact returns a batch with no selection vector: if b already is dense it
 // is returned unchanged, otherwise the selected rows are gathered into fresh
-// columns (in whichever representations the batch carries).
+// vectors.
 func (b *Batch) Compact() *Batch {
 	if b.Sel == nil {
 		return b
 	}
-	n := len(b.Sel)
-	out := &Batch{Len: n, Seq: b.Seq}
-	if b.Vecs != nil {
-		vecs := make([]*Vector, len(b.Vecs))
-		for c, v := range b.Vecs {
-			vecs[c] = v.Gather(b.Sel)
-		}
-		out.Vecs = vecs
+	vecs := make([]*Vector, len(b.Vecs))
+	for c, v := range b.Vecs {
+		vecs[c] = v.Gather(b.Sel)
 	}
-	if b.Cols != nil {
-		cols := make([][]any, len(b.Cols))
-		for c, col := range b.Cols {
-			dense := make([]any, n)
-			for i, r := range b.Sel {
-				dense[i] = col[r]
-			}
-			cols[c] = dense
-		}
-		out.Cols = cols
-	}
-	return out
+	return &Batch{Len: len(b.Sel), Vecs: vecs, Seq: b.Seq}
 }
 
 // BatchFromRows transposes row-major rows into a dense batch of the given
-// width (width matters when rows is empty or rows are zero-width).
+// width (width matters when rows is empty or rows are zero-width). The
+// columns are VecAny: nothing inspects the values here; consumers that want
+// typed storage (sort intake, spill codec, join build) detect it themselves.
 func BatchFromRows(rows [][]any, width int) *Batch {
-	cols := make([][]any, width)
-	for c := range cols {
+	vecs := make([]*Vector, width)
+	for c := range vecs {
 		col := make([]any, len(rows))
 		for r, row := range rows {
 			col[r] = row[c]
 		}
-		cols[c] = col
+		vecs[c] = &Vector{Kind: VecAny, A: col}
 	}
-	return &Batch{Len: len(rows), Cols: cols}
+	return &Batch{Len: len(rows), Vecs: vecs}
 }
 
 // BatchCursor iterates over batches. NextBatch returns (nil, Done) when
@@ -248,6 +183,49 @@ func (c *SliceBatchCursor) NextBatch() (*Batch, error) {
 
 func (c *SliceBatchCursor) Close() error { return nil }
 
+// VectorCursor serves the first n rows of a set of column vectors as
+// zero-copy windows of up to batchSize rows: the scan of a table that keeps
+// its rows column-major.
+type VectorCursor struct {
+	vecs      []*Vector
+	n         int
+	batchSize int
+	pos       int
+	seq       int64
+}
+
+// NewVectorCursor returns a cursor over rows [0, n) of vecs. The vectors must
+// not change under it; an append-only owner hands over copies of the headers.
+func NewVectorCursor(vecs []*Vector, n, batchSize int) *VectorCursor {
+	if batchSize <= 0 {
+		batchSize = DefaultBatchSize
+	}
+	return &VectorCursor{vecs: vecs, n: n, batchSize: batchSize}
+}
+
+// window returns rows [lo, hi) as a batch.
+func (c *VectorCursor) window(lo, hi int) *Batch {
+	vecs := make([]*Vector, len(c.vecs))
+	for i, v := range c.vecs {
+		vecs[i] = v.Slice(lo, hi)
+	}
+	return &Batch{Len: hi - lo, Vecs: vecs}
+}
+
+func (c *VectorCursor) NextBatch() (*Batch, error) {
+	if c.pos >= c.n {
+		return nil, Done
+	}
+	end := min(c.pos+c.batchSize, c.n)
+	b := c.window(c.pos, end)
+	b.Seq = c.seq
+	c.pos = end
+	c.seq++
+	return b, nil
+}
+
+func (c *VectorCursor) Close() error { return nil }
+
 // rowBatchCursor adapts a row Cursor to batches.
 type rowBatchCursor struct {
 	cur       Cursor
@@ -258,8 +236,9 @@ type rowBatchCursor struct {
 }
 
 // BatchCursorFromCursor lifts a row cursor into a batch cursor producing
-// dense batches of up to batchSize rows of the given width. It is the shim
-// that lets unconverted operators and adapters feed the vectorized path.
+// dense batches of up to batchSize rows of the given width, each column a
+// VecAny vector. It is the shim that lets unconverted operators and adapters
+// feed the vectorized path.
 func BatchCursorFromCursor(cur Cursor, width, batchSize int) BatchCursor {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
@@ -271,9 +250,9 @@ func (c *rowBatchCursor) NextBatch() (*Batch, error) {
 	if c.done {
 		return nil, Done
 	}
-	cols := make([][]any, c.width)
-	for i := range cols {
-		cols[i] = make([]any, 0, c.batchSize)
+	vecs := make([]*Vector, c.width)
+	for i := range vecs {
+		vecs[i] = &Vector{Kind: VecAny, A: make([]any, 0, c.batchSize)}
 	}
 	n := 0
 	for n < c.batchSize {
@@ -285,8 +264,8 @@ func (c *rowBatchCursor) NextBatch() (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i := range cols {
-			cols[i] = append(cols[i], row[i])
+		for i, v := range vecs {
+			v.A = append(v.A, row[i])
 		}
 		n++
 	}
@@ -295,7 +274,7 @@ func (c *rowBatchCursor) NextBatch() (*Batch, error) {
 	}
 	seq := c.seq
 	c.seq++
-	return &Batch{Len: n, Cols: cols, Seq: seq}, nil
+	return &Batch{Len: n, Vecs: vecs, Seq: seq}, nil
 }
 
 func (c *rowBatchCursor) Close() error { return c.cur.Close() }

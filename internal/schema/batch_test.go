@@ -37,7 +37,7 @@ func TestBatchSelectionAndCompact(t *testing.T) {
 		t.Fatalf("Row(1): %v", got)
 	}
 	c := b.Compact()
-	if c.Sel != nil || c.Len != 3 || c.Cols[0][2] != int64(5) {
+	if c.Sel != nil || c.Len != 3 || c.Vecs[0].Get(2) != int64(5) {
 		t.Fatalf("compact: %+v", c)
 	}
 	// Dense batches compact to themselves.

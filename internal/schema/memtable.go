@@ -11,25 +11,25 @@ import (
 // MemTable is an in-memory table with statistics: the workhorse of tests and
 // the mem adapter, and the storage behind CREATE TABLE (§9 DDL support).
 //
-// Its rows live in exactly one representation, the column-major one batches
-// are served from: a boxed column and (unless the table was built under
-// ForceBoxed) a typed vector per field, transposed once from the rows
-// NewMemTable is given. The store is append-only. Insert appends each value
-// to its column and vector in amortised O(1); a scan pins the column headers
-// and the row count n under the read lock and from then on reads only
-// indices below n of the arrays it pinned. A writer only ever writes indices
-// at or above n of a shared array, or moves the column to a fresh one, so a
-// cursor opened at n rows yields exactly those n rows however many inserts
-// follow, with no copy-on-write and no snapshot to rebuild.
+// Its rows live in exactly one place, the vectors batches are served from:
+// one per field, transposed once from the rows NewMemTable is given. A
+// column whose values are all of the declared type's runtime kind is stored
+// monomorphically; a column whose declared type has no typed kind, or that
+// holds a value of another kind, is VecAny. The store is append-only. Insert
+// appends each value to its vector in amortised O(1); a scan pins the vector
+// headers and the row count n under the read lock and from then on reads
+// only indices below n of the arrays it pinned. A writer only ever writes
+// indices at or above n of a shared array, or moves the column to a fresh
+// one, so a cursor opened at n rows yields exactly those n rows however many
+// inserts follow, with no copy-on-write and no snapshot to rebuild.
 type MemTable struct {
 	name    string
 	rowType *types.Type
 
 	mu sync.RWMutex
-	// n is the row count; every column and vector holds exactly n values.
+	// n is the row count; every vector holds exactly n values.
 	n    int
-	cols [][]any
-	vecs []*Vector // nil when built under ForceBoxed
+	vecs []*Vector
 	// stats are the declared or collected statistics, statsRows the row count
 	// they describe (see Insert).
 	stats     Statistics
@@ -49,28 +49,20 @@ func checkWidth(table string, width int, rows [][]any) error {
 // NewMemTable creates an in-memory table holding rows, each of which must
 // have one value per field of rowType; a row of another width is a
 // programming error and panics here, at the caller, rather than under a later
-// reader. The rows are transposed into the table's columns; the slice is not
+// reader. The rows are transposed into the table's vectors; the slice is not
 // retained.
 func NewMemTable(name string, rowType *types.Type, rows [][]any) *MemTable {
 	if err := checkWidth(name, len(rowType.Fields), rows); err != nil {
 		panic(err)
 	}
-	cols := BatchFromRows(rows, len(rowType.Fields)).Cols
-	t := &MemTable{
+	return &MemTable{
 		name:      name,
 		rowType:   rowType,
 		n:         len(rows),
-		cols:      cols,
+		vecs:      VectorsFromRows(rows, rowType.Fields),
 		stats:     Statistics{RowCount: float64(len(rows))},
 		statsRows: len(rows),
 	}
-	if !ForceBoxed() {
-		t.vecs = make([]*Vector, len(cols))
-		for c := range cols {
-			t.vecs[c] = BuildVector(cols[c], VecKindForType(rowType.Fields[c].Type))
-		}
-	}
-	return t
 }
 
 // SetStats replaces the table statistics (ANALYZE, tests and benchmarks).
@@ -94,43 +86,37 @@ func (t *MemTable) Stats() Statistics {
 	return t.stats
 }
 
-// pin returns a cursor over the rows present now: the column headers and row
+// pin returns a cursor over the rows present now: the vector headers and row
 // count are copied under the read lock, which is all the isolation a reader
 // of an append-only store needs.
-func (t *MemTable) pin(batchSize int, typed bool) *memBatchCursor {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	c := &memBatchCursor{batchSize: batchSize}
+func (t *MemTable) pin(batchSize int) *VectorCursor {
 	t.mu.RLock()
-	c.n = t.n
-	c.cols = append([][]any(nil), t.cols...)
-	if typed && t.vecs != nil {
-		c.vecs = make([]Vector, len(t.vecs))
-		for i, v := range t.vecs {
-			c.vecs[i] = *v
-		}
+	defer t.mu.RUnlock()
+	headers := make([]Vector, len(t.vecs))
+	vecs := make([]*Vector, len(t.vecs))
+	for i, v := range t.vecs {
+		headers[i] = *v
+		vecs[i] = &headers[i]
 	}
-	t.mu.RUnlock()
-	return c
+	return NewVectorCursor(vecs, t.n, batchSize)
 }
 
 // ScanBatches implements BatchScannableTable: batches are zero-copy windows
-// over the table's columns as of this call.
+// over the table's vectors as of this call.
 func (t *MemTable) ScanBatches(batchSize int) (BatchCursor, error) {
-	return t.pin(batchSize, !ForceBoxed()), nil
+	return t.pin(batchSize), nil
 }
 
-// Scan enumerates the rows present now, materializing them from the columns
+// Scan enumerates the rows present now, materializing them from the vectors
 // one batch at a time (the row-mode reference path).
 func (t *MemTable) Scan() (Cursor, error) {
-	return RowCursorFromBatches(t.pin(0, false)), nil
+	return RowCursorFromBatches(t.pin(0)), nil
 }
 
 // Rows materializes the table contents as of this call.
 func (t *MemTable) Rows() [][]any {
-	c := t.pin(0, false)
-	return (&Batch{Len: c.n, Cols: c.cols}).AppendRows(make([][]any, 0, c.n))
+	c := t.pin(0)
+	return c.window(0, c.n).AppendRows(make([][]any, 0, c.n))
 }
 
 // memTableRowsAppended counts rows appended by MemTable.Insert process-wide
@@ -143,9 +129,10 @@ func MemTableRowsAppended() int64 { return memTableRowsAppended.Load() }
 
 // Insert appends rows, all or none: a row whose width differs from the row
 // type is an error and leaves the table and its statistics untouched. Each
-// value is appended to its boxed column and typed vector; a value that does
-// not fit its vector's kind demotes that one column to VecAny (as
-// BuildVector would have), and a column's first NULL allocates its mask.
+// value is appended to its vector; a value that does not fit the vector's
+// kind demotes that one column to VecAny, re-boxing what it holds (as
+// BuildVector would have stored it; readers that pinned the typed arrays keep
+// them), and a column's first NULL allocates its mask.
 //
 // Statistics stay live: a declared or collected row count advances by the
 // inserted count, and collected column statistics are kept — they are
@@ -163,26 +150,12 @@ func (t *MemTable) Insert(rows [][]any) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for c := range t.cols {
+	for c, v := range t.vecs {
 		for _, row := range rows {
-			t.cols[c] = append(t.cols[c], row[c])
-		}
-		if t.vecs == nil {
-			continue
-		}
-		v := t.vecs[c]
-		if v.Kind != VecAny {
-			for _, row := range rows {
-				if !v.AppendValue(row[c]) {
-					// Readers that pinned the typed vector keep its arrays.
-					v = &Vector{Kind: VecAny}
-					t.vecs[c] = v
-					break
-				}
+			if !v.AppendValue(row[c]) {
+				v.Demote()
+				v.AppendValue(row[c])
 			}
-		}
-		if v.Kind == VecAny {
-			v.A = t.cols[c] // the boxed column doubles as the VecAny payload
 		}
 	}
 	t.n += len(rows)
@@ -197,42 +170,3 @@ func (t *MemTable) Insert(rows [][]any) error {
 	}
 	return nil
 }
-
-// memBatchCursor serves batches as zero-copy windows of the column headers a
-// scan pinned — the boxed columns and, on typed scans, the vectors, so typed
-// kernels and boxed fallbacks alike start from free representations.
-type memBatchCursor struct {
-	cols      [][]any
-	vecs      []Vector
-	n         int
-	batchSize int
-	pos       int
-	seq       int64
-}
-
-func (c *memBatchCursor) NextBatch() (*Batch, error) {
-	if c.pos >= c.n {
-		return nil, Done
-	}
-	end := c.pos + c.batchSize
-	if end > c.n {
-		end = c.n
-	}
-	cols := make([][]any, len(c.cols))
-	for i, col := range c.cols {
-		cols[i] = col[c.pos:end]
-	}
-	b := &Batch{Len: end - c.pos, Cols: cols, Seq: c.seq}
-	if c.vecs != nil {
-		vecs := make([]*Vector, len(c.vecs))
-		for i := range c.vecs {
-			vecs[i] = c.vecs[i].Slice(c.pos, end)
-		}
-		b.Vecs = vecs
-	}
-	c.pos = end
-	c.seq++
-	return b, nil
-}
-
-func (c *memBatchCursor) Close() error { return nil }

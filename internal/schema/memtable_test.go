@@ -17,25 +17,7 @@ func twoColTable(rows [][]any) *MemTable {
 	), rows)
 }
 
-// drainTyped reads a cursor through the typed vectors only, drainBoxed
-// through the boxed columns only, so the two representations are checked
-// against each other rather than one against itself.
-func drainTyped(t *testing.T, cur BatchCursor) [][]any {
-	t.Helper()
-	return drainWith(t, cur, func(b *Batch) *Batch {
-		if b.Vecs == nil {
-			t.Fatal("typed scan served no vectors")
-		}
-		return &Batch{Len: b.Len, Vecs: b.Vecs}
-	})
-}
-
-func drainBoxed(t *testing.T, cur BatchCursor) [][]any {
-	t.Helper()
-	return drainWith(t, cur, func(b *Batch) *Batch { return &Batch{Len: b.Len, Cols: b.Cols} })
-}
-
-func drainWith(t *testing.T, cur BatchCursor, view func(*Batch) *Batch) [][]any {
+func drainBatches(t *testing.T, cur BatchCursor) [][]any {
 	t.Helper()
 	defer cur.Close()
 	var rows [][]any
@@ -47,24 +29,37 @@ func drainWith(t *testing.T, cur BatchCursor, view func(*Batch) *Batch) [][]any 
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = view(b).AppendRows(rows)
+		rows = b.AppendRows(rows)
 	}
 }
 
-// scanBothWays returns the table's rows read typed and with the boxed
-// fallback forced, failing if they differ.
+func drainRows(t *testing.T, cur Cursor) [][]any {
+	t.Helper()
+	defer cur.Close()
+	var rows [][]any
+	for {
+		row, err := cur.Next()
+		if err == Done {
+			return rows
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+}
+
+// scanBothWays returns the table's rows read as batches and through the row
+// cursor, failing if they differ.
 func scanBothWays(t *testing.T, mt *MemTable, batchSize int) [][]any {
 	t.Helper()
 	cur, _ := mt.ScanBatches(batchSize)
-	typed := drainTyped(t, cur)
-	prev := SetForceBoxed(true)
-	cur, _ = mt.ScanBatches(batchSize)
-	SetForceBoxed(prev)
-	boxed := drainBoxed(t, cur)
-	if !reflect.DeepEqual(typed, boxed) {
-		t.Fatalf("typed and boxed scans differ:\n typed %v\n boxed %v", typed, boxed)
+	batched := drainBatches(t, cur)
+	rc, _ := mt.Scan()
+	if rows := drainRows(t, rc); !reflect.DeepEqual(batched, rows) {
+		t.Fatalf("batch and row scans differ:\n batches %v\n rows    %v", batched, rows)
 	}
-	return typed
+	return batched
 }
 
 // TestMemTableInsertRejectsMalformedRows: a row of the wrong width fails the
@@ -105,14 +100,11 @@ func TestNewMemTableRejectsMalformedRows(t *testing.T) {
 }
 
 // TestMemTableInsertKindDemotion: a value that does not fit its column's
-// vector demotes that column alone, a first NULL allocates the mask, and
-// typed and boxed scans agree before and after.
+// vector demotes that column alone, a first NULL allocates the mask, batch
+// and row scans agree before and after, and a cursor pinned before the insert
+// keeps reading the typed arrays it pinned.
 func TestMemTableInsertKindDemotion(t *testing.T) {
-	if ForceBoxed() {
-		t.Skip("CALCITE_FORCE_BOXED set")
-	}
-	kinds := func(mt *MemTable) [2]VecKind {
-		cur, _ := mt.ScanBatches(0)
+	kinds := func(cur BatchCursor) [2]VecKind {
 		b, err := cur.NextBatch()
 		if err != nil {
 			t.Fatal(err)
@@ -136,6 +128,7 @@ func TestMemTableInsertKindDemotion(t *testing.T) {
 				t.Fatalf("before insert: %v", got)
 			}
 			pinned, _ := mt.ScanBatches(0)
+			pinnedKinds, _ := mt.ScanBatches(0)
 			// A conforming row after the odd one checks the column keeps
 			// accepting appends in its new shape.
 			tail := []any{int64(3), 3.5}
@@ -146,19 +139,24 @@ func TestMemTableInsertKindDemotion(t *testing.T) {
 			if got := scanBothWays(t, mt, 2); !reflect.DeepEqual(got, want) {
 				t.Fatalf("after insert: %v, want %v", got, want)
 			}
-			if got := kinds(mt); got != tc.want {
+			after, _ := mt.ScanBatches(0)
+			if got := kinds(after); got != tc.want {
 				t.Fatalf("vector kinds = %v, want %v", got, tc.want)
 			}
-			if got := drainTyped(t, pinned); !reflect.DeepEqual(got, seed) {
+			if got := drainBatches(t, pinned); !reflect.DeepEqual(got, seed) {
 				t.Fatalf("cursor pinned before the insert saw %v", got)
+			}
+			if got := kinds(pinnedKinds); got != [2]VecKind{VecInt64, VecFloat64} {
+				t.Fatalf("cursor pinned before the insert reads kinds %v", got)
 			}
 		})
 	}
 }
 
 // TestMemTablePinnedReader: a cursor opened at n rows yields exactly those n
-// however many appends (and reallocations, a first NULL, a demotion) follow;
-// a cursor opened afterwards sees them all.
+// however many appends (and reallocations, a first NULL, a demotion) follow,
+// still from the typed arrays it pinned; a cursor opened afterwards sees them
+// all.
 func TestMemTablePinnedReader(t *testing.T) {
 	const n, more = 3000, 10000
 	seed := make([][]any, n)
@@ -184,18 +182,22 @@ func TestMemTablePinnedReader(t *testing.T) {
 		}
 	}
 
-	if got := drainTyped(t, pinned); !reflect.DeepEqual(got, seed) {
-		t.Fatalf("pinned cursor yielded %d rows, want the first %d unchanged", len(got), n)
-	}
-	var viaRows [][]any
+	var got [][]any
 	for {
-		row, err := pinnedRows.Next()
+		b, err := pinned.NextBatch()
 		if err == Done {
 			break
 		}
-		viaRows = append(viaRows, row)
+		if b.Vecs[0].Kind != VecInt64 || b.Vecs[1].Kind != VecFloat64 || b.Vecs[0].Nulls != nil {
+			t.Fatalf("pinned cursor serves kinds %v/%v (nulls %v) after the demotion",
+				b.Vecs[0].Kind, b.Vecs[1].Kind, b.Vecs[0].Nulls != nil)
+		}
+		got = b.AppendRows(got)
 	}
-	if !reflect.DeepEqual(viaRows, seed) {
+	if !reflect.DeepEqual(got, seed) {
+		t.Fatalf("pinned cursor yielded %d rows, want the first %d unchanged", len(got), n)
+	}
+	if viaRows := drainRows(t, pinnedRows); !reflect.DeepEqual(viaRows, seed) {
 		t.Fatalf("pinned row cursor yielded %d rows, want the first %d unchanged", len(viaRows), n)
 	}
 	if got := scanBothWays(t, mt, 0); !reflect.DeepEqual(got, want) {
@@ -212,54 +214,67 @@ func TestMemTablePinnedReader(t *testing.T) {
 // TestMemTablePinnedReaderConcurrentInserts races scanners against one
 // appender (for -race): every scan must see a whole prefix of the inserts —
 // row i holds (i, i) — of a length between the counts before and after it.
+// The appender puts a first NULL into b half way and, in the demotion run, a
+// value of another kind into a at three quarters, re-boxing the column under
+// the scanners' feet.
 func TestMemTablePinnedReaderConcurrentInserts(t *testing.T) {
-	const n, more = 500, 4000
-	seed := make([][]any, n)
-	for i := range seed {
-		seed[i] = []any{int64(i), float64(i)}
-	}
-	mt := twoColTable(seed)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := n; i < n+more; i++ {
-			var b any = float64(i)
-			if i == n+more/2 {
-				b = nil
+	for _, demote := range []bool{false, true} {
+		t.Run(fmt.Sprintf("demote=%v", demote), func(t *testing.T) {
+			const n, more = 500, 4000
+			seed := make([][]any, n)
+			for i := range seed {
+				seed[i] = []any{int64(i), float64(i)}
 			}
-			if err := mt.Insert([][]any{{int64(i), b}}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for g := 0; g < 4; g++ {
-		batchSize := []int{3, 0}[g%2]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 20; round++ {
-				lo := int(mt.Stats().RowCount)
-				cur, _ := mt.ScanBatches(batchSize)
-				rows, err := scanPrefix(cur)
-				hi := int(mt.Stats().RowCount)
-				if err != nil {
-					t.Error(err)
-					return
+			mt := twoColTable(seed)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := n; i < n+more; i++ {
+					var a, b any = int64(i), float64(i)
+					if i == n+more/2 {
+						b = nil
+					}
+					if demote && i == n+3*more/4 {
+						a = float64(i) // Compare-equal to int64(i), another kind
+					}
+					if err := mt.Insert([][]any{{a, b}}); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-				if rows < lo || rows > hi {
-					t.Errorf("scan saw %d rows, outside [%d, %d]", rows, lo, hi)
-					return
-				}
+			}()
+			for g := 0; g < 4; g++ {
+				batchSize := []int{3, 0}[g%2]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for round := 0; round < 20; round++ {
+						lo := int(mt.Stats().RowCount)
+						cur, _ := mt.ScanBatches(batchSize)
+						rows, err := scanPrefix(cur)
+						hi := int(mt.Stats().RowCount)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if rows < lo || rows > hi {
+							t.Errorf("scan saw %d rows, outside [%d, %d]", rows, lo, hi)
+							return
+						}
+					}
+				}()
 			}
-		}()
+			wg.Wait()
+			if kind := mt.vecs[0].Kind; demote != (kind == VecAny) {
+				t.Fatalf("column a ended as %v", kind)
+			}
+		})
 	}
-	wg.Wait()
 }
 
-// scanPrefix drains cur checking that row i is (i, i or NULL) in both
-// representations, and returns the row count.
+// scanPrefix drains cur checking that row i is (i, i or NULL), and returns
+// the row count.
 func scanPrefix(cur BatchCursor) (int, error) {
 	defer cur.Close()
 	i := 0
@@ -272,10 +287,10 @@ func scanPrefix(cur BatchCursor) (int, error) {
 			return 0, err
 		}
 		for r := 0; r < b.Len; r, i = r+1, i+1 {
-			if b.Cols[0][r] != int64(i) || (b.Vecs != nil && b.Vecs[0].Get(r) != int64(i)) {
-				return 0, fmt.Errorf("row %d holds %v", i, b.Cols[0][r])
+			if a := b.Vecs[0].Get(r); types.Compare(a, int64(i)) != 0 {
+				return 0, fmt.Errorf("row %d holds %v", i, a)
 			}
-			if bv := b.Cols[1][r]; bv != nil && bv != float64(i) || (b.Vecs != nil && b.Vecs[1].Get(r) != bv) {
+			if bv := b.Vecs[1].Get(r); bv != nil && bv != float64(i) {
 				return 0, fmt.Errorf("row %d column b holds %v", i, bv)
 			}
 		}

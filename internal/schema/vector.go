@@ -17,9 +17,9 @@ package schema
 // loop entirely.
 
 import (
-	"os"
+	"math"
 	"slices"
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"calcite/internal/types"
@@ -288,18 +288,93 @@ func (v *Vector) GatherOrd(ords []int32) *Vector {
 	return out
 }
 
+// boxInto boxes n rows — those at sel, or the first n when sel is nil — into
+// dst[0], dst[stride], dst[2*stride], …: one Kind dispatch per column, then a
+// monomorphic loop. It is how rows leave the batch convention.
+func (v *Vector) boxInto(dst []any, stride int, sel []int32, n int) {
+	at := func(i int) int {
+		if sel != nil {
+			return int(sel[i])
+		}
+		return i
+	}
+	switch v.Kind {
+	case VecInt64:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = v.I64[at(i)]
+		}
+	case VecFloat64:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = v.F64[at(i)]
+		}
+	case VecBool:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = v.B[at(i)]
+		}
+	case VecString:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = v.S[at(i)]
+		}
+	case VecTime:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = v.T[at(i)]
+		}
+	default:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = v.A[at(i)]
+		}
+	}
+	if v.Nulls != nil {
+		for i := 0; i < n; i++ {
+			if v.Nulls[at(i)] {
+				dst[i*stride] = nil
+			}
+		}
+	}
+}
+
 // Boxed materializes the whole vector as a boxed column. VecAny vectors
 // return their payload slice directly (zero-copy).
 func (v *Vector) Boxed() []any {
 	if v.Kind == VecAny && v.Nulls == nil {
 		return v.A
 	}
-	n := v.Len()
-	out := make([]any, n)
-	for r := 0; r < n; r++ {
-		out[r] = v.Get(r)
-	}
+	out := make([]any, v.Len())
+	v.boxInto(out, 1, nil, len(out))
 	return out
+}
+
+// AppendKey appends the canonical grouping key of row r to dst: byte for byte
+// types.HashKey of the boxed value, without boxing a core-kind value. Hash
+// join and aggregate tables, spill partitioning and exchange routing all key
+// rows on this one encoding, so a value lands in the same group whichever
+// kind of vector carries it.
+func (v *Vector) AppendKey(dst []byte, r int) []byte {
+	if v.Nulls != nil && v.Nulls[r] {
+		return append(dst, "\x00N"...)
+	}
+	switch v.Kind {
+	case VecInt64:
+		return strconv.AppendInt(append(dst, "\x00i"...), v.I64[r], 10)
+	case VecFloat64:
+		x := v.F64[r]
+		if x == math.Trunc(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e15 {
+			return strconv.AppendInt(append(dst, "\x00i"...), int64(x), 10)
+		}
+		return strconv.AppendFloat(append(dst, "\x00f"...), x, 'g', -1, 64)
+	case VecString:
+		return append(append(dst, "\x00s"...), v.S[r]...)
+	}
+	return append(dst, types.HashKey(v.Get(r))...)
+}
+
+// RowKey appends the composite key of row r over the given columns of vecs —
+// types.HashRowKey of the materialized row, byte for byte.
+func RowKey(dst []byte, vecs []*Vector, r int, cols []int) []byte {
+	for _, c := range cols {
+		dst = append(vecs[c].AppendKey(dst, r), '|')
+	}
+	return dst
 }
 
 // detectVecKind returns the uniform monomorphic kind of the non-NULL values,
@@ -334,15 +409,42 @@ func detectVecKind(vals []any) VecKind {
 	return kind
 }
 
-// BuildVector converts a boxed column into a typed vector. hint (from the
-// declared column type) short-circuits detection when the values conform;
-// columns with mixed or non-core runtime types fall back to VecAny, sharing
-// the input slice.
-func BuildVector(vals []any, hint VecKind) *Vector {
-	kind := hint
-	if kind == VecAny || !valuesConform(vals, kind) {
-		kind = detectVecKind(vals)
+// VectorsFromRows transposes row-major rows into one vector per field. A
+// column whose values are all of its declared type's runtime kind (or NULL)
+// is stored directly in that kind; any other column — no typed kind declared,
+// a value of another kind — is transposed boxed and left to BuildVector's
+// detection.
+func VectorsFromRows(rows [][]any, fields []types.Field) []*Vector {
+	vecs := make([]*Vector, len(fields))
+	for c, f := range fields {
+		if kind := VecKindForType(f.Type); kind != VecAny {
+			v := &Vector{Kind: kind}
+			v.Grow(len(rows))
+			conforms := true
+			for _, row := range rows {
+				if conforms = v.AppendValue(row[c]); !conforms {
+					break
+				}
+			}
+			if conforms {
+				vecs[c] = v
+				continue
+			}
+		}
+		col := make([]any, len(rows))
+		for r, row := range rows {
+			col[r] = row[c]
+		}
+		vecs[c] = BuildVector(col)
 	}
+	return vecs
+}
+
+// BuildVector converts a boxed column into a typed vector of the uniform kind
+// of its non-NULL values; columns with mixed or non-core runtime types fall
+// back to VecAny, sharing the input slice.
+func BuildVector(vals []any) *Vector {
+	kind := detectVecKind(vals)
 	if kind == VecAny {
 		return &Vector{Kind: VecAny, A: vals}
 	}
@@ -599,49 +701,3 @@ func GatherPicks(srcs []*Vector, picks []Pick) *Vector {
 	}
 	return out
 }
-
-// valuesConform reports whether every non-nil value matches kind.
-func valuesConform(vals []any, kind VecKind) bool {
-	for _, x := range vals {
-		if x == nil {
-			continue
-		}
-		ok := false
-		switch kind {
-		case VecInt64:
-			_, ok = x.(int64)
-		case VecFloat64:
-			_, ok = x.(float64)
-		case VecBool:
-			_, ok = x.(bool)
-		case VecString:
-			_, ok = x.(string)
-		case VecTime:
-			_, ok = x.(time.Time)
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// forceBoxed is the framework knob disabling typed vectors engine-wide:
-// sources stop attaching Vecs to batches and the spill codec writes boxed
-// pages, so every operator takes its boxed fallback path. It exists for the
-// differential suites (typed vs boxed results must be identical) and as an
-// escape hatch; CALCITE_FORCE_BOXED=1 sets it at startup.
-var forceBoxed atomic.Bool
-
-func init() {
-	if v := os.Getenv("CALCITE_FORCE_BOXED"); v == "1" || v == "true" {
-		forceBoxed.Store(true)
-	}
-}
-
-// SetForceBoxed toggles the boxed-fallback knob (tests restore the previous
-// value).
-func SetForceBoxed(on bool) (prev bool) { return forceBoxed.Swap(on) }
-
-// ForceBoxed reports whether typed vectors are disabled engine-wide.
-func ForceBoxed() bool { return forceBoxed.Load() }

@@ -24,7 +24,7 @@ func TestBuildVectorDetectsKinds(t *testing.T) {
 		{"non-core", []any{[]any{int64(1)}}, VecAny},
 	}
 	for _, tc := range cases {
-		v := BuildVector(tc.vals, VecAny)
+		v := BuildVector(tc.vals)
 		if v.Kind != tc.want {
 			t.Errorf("%s: kind = %v, want %v", tc.name, v.Kind, tc.want)
 		}
@@ -42,20 +42,37 @@ func TestBuildVectorDetectsKinds(t *testing.T) {
 	}
 }
 
-func TestBuildVectorHintShortCircuitsAndFallsBack(t *testing.T) {
-	// A conforming hint is taken at face value.
-	v := BuildVector([]any{int64(1), nil}, VecInt64)
-	if v.Kind != VecInt64 || !v.IsNull(1) || v.Get(0) != int64(1) {
-		t.Fatalf("conforming hint mishandled: %+v", v)
+func TestVectorsFromRowsDeclaredKindsAndFallback(t *testing.T) {
+	fields := []types.Field{
+		{Name: "a", Type: types.BigInt},  // conforming, with a NULL
+		{Name: "b", Type: types.BigInt},  // contradicted: strings
+		{Name: "c", Type: types.Double},  // contradicted: int among floats
+		{Name: "d", Type: types.Any},     // no typed kind declared: detection
+		{Name: "e", Type: types.Varchar}, // all NULL keeps the declared kind
 	}
-	// A hint the values contradict falls back to detection, not a panic.
-	v = BuildVector([]any{"a", "b"}, VecInt64)
-	if v.Kind != VecString {
-		t.Fatalf("contradicted hint: kind = %v, want VecString", v.Kind)
+	rows := [][]any{
+		{int64(1), "a", 1.5, true, nil},
+		{nil, "b", int64(2), false, nil},
 	}
+	vecs := VectorsFromRows(rows, fields)
+	want := []VecKind{VecInt64, VecString, VecAny, VecBool, VecString}
+	for c, k := range want {
+		if vecs[c].Kind != k {
+			t.Errorf("column %s: kind = %v, want %v", fields[c].Name, vecs[c].Kind, k)
+		}
+	}
+	if got := (&Batch{Len: 2, Vecs: vecs}).AppendRows(nil); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("rows back = %v, want %v", got, rows)
+	}
+	if empty := VectorsFromRows(nil, fields); len(empty) != len(fields) || empty[0].Len() != 0 {
+		t.Fatalf("no rows: %v", empty)
+	}
+}
+
+func TestBuildVectorSharesMixedColumn(t *testing.T) {
 	// VecAny keeps the input slice (zero-copy fallback).
 	vals := []any{int64(1), "x"}
-	v = BuildVector(vals, VecAny)
+	v := BuildVector(vals)
 	if v.Kind != VecAny || &v.A[0] != &vals[0] {
 		t.Fatal("VecAny fallback should share the input slice")
 	}
@@ -81,7 +98,7 @@ func TestVecKindForType(t *testing.T) {
 }
 
 func TestVectorSliceIsZeroCopyWindow(t *testing.T) {
-	v := BuildVector([]any{int64(0), nil, int64(2), int64(3)}, VecInt64)
+	v := BuildVector([]any{int64(0), nil, int64(2), int64(3)})
 	w := v.Slice(1, 3)
 	if w.Len() != 2 {
 		t.Fatalf("window len = %d, want 2", w.Len())
@@ -97,7 +114,7 @@ func TestVectorSliceIsZeroCopyWindow(t *testing.T) {
 }
 
 func TestVectorGatherAndGatherOrd(t *testing.T) {
-	v := BuildVector([]any{"a", nil, "c", "d"}, VecString)
+	v := BuildVector([]any{"a", nil, "c", "d"})
 	g := v.Gather([]int32{3, 1, 0})
 	want := []any{"d", nil, "a"}
 	for i, x := range want {
@@ -117,7 +134,7 @@ func TestVectorGatherAndGatherOrd(t *testing.T) {
 		}
 	}
 	// Dense gather of a null-free vector carries no null mask.
-	nf := BuildVector([]any{int64(1), int64(2)}, VecInt64)
+	nf := BuildVector([]any{int64(1), int64(2)})
 	if g := nf.Gather([]int32{1, 0}); g.Nulls != nil {
 		t.Fatal("gather of null-free vector should not allocate a mask")
 	}
@@ -128,7 +145,7 @@ func vecBatch(colVals ...[]any) *Batch {
 	b := &Batch{Len: len(colVals[0])}
 	b.Vecs = make([]*Vector, len(colVals))
 	for c, vals := range colVals {
-		b.Vecs[c] = BuildVector(vals, VecAny)
+		b.Vecs[c] = BuildVector(vals)
 	}
 	return b
 }
@@ -176,21 +193,6 @@ func TestBatchDetachAndCompactPropagateVectors(t *testing.T) {
 	}
 }
 
-func TestBoxedColsCachesAndMatchesVectors(t *testing.T) {
-	b := vecBatch([]any{1.5, nil, 2.5}, []any{true, false, nil})
-	cols := b.BoxedCols()
-	if len(cols) != 2 {
-		t.Fatalf("width = %d", len(cols))
-	}
-	if !reflect.DeepEqual(cols[0], []any{1.5, nil, 2.5}) {
-		t.Fatalf("boxed col 0 = %#v", cols[0])
-	}
-	// Second call returns the cached slice.
-	if again := b.BoxedCols(); &again[0] != &cols[0] {
-		t.Fatal("BoxedCols did not cache")
-	}
-}
-
 func TestMixedTypedAndFallbackBatch(t *testing.T) {
 	// One typed column, one dynamic (VecAny) column in the same batch.
 	b := vecBatch(
@@ -210,9 +212,6 @@ func TestMixedTypedAndFallbackBatch(t *testing.T) {
 }
 
 func TestMemTableSnapshotBuildsTypedVectors(t *testing.T) {
-	if ForceBoxed() {
-		t.Skip("CALCITE_FORCE_BOXED set")
-	}
 	mt := NewMemTable("t", types.Row(
 		types.Field{Name: "a", Type: types.BigInt},
 		types.Field{Name: "b", Type: types.Varchar},

@@ -101,18 +101,58 @@ func (c *Collector) AddCol(i int, col []any, sel []int32) {
 // AddRows advances the row count by n (used with AddCol).
 func (c *Collector) AddRows(n int) { c.rows += float64(n) }
 
+// AddNumbers folds one batch's numeric column, held unboxed, into column i:
+// vals[r] is NULL where nulls[r] (a nil mask means no NULLs). Only the
+// batch's two extremes are boxed. The caller bumps the row count via AddRows.
+func AddNumbers[T int64 | float64](c *Collector, i int, vals []T, nulls []bool) {
+	a := c.cols[i]
+	var lo, hi T
+	seen := false
+	for r, x := range vals {
+		switch {
+		case nulls != nil && nulls[r]:
+			a.nulls++
+			continue
+		case x != x: // NaN orders by types.Compare, not by <
+			a.bound(x)
+		case !seen:
+			lo, hi, seen = x, x, true
+		case x < lo:
+			lo = x
+		case x > hi:
+			hi = x
+		}
+		a.fold(hashNumber(float64(x)), float64(x), true)
+	}
+	if seen {
+		a.bound(lo)
+		a.bound(hi)
+	}
+}
+
 func (a *colAcc) add(v any) {
 	if v == nil {
 		a.nulls++
 		return
 	}
+	a.bound(v)
+	f, numeric := types.AsFloat(v)
+	a.fold(HashValue(v), f, numeric)
+}
+
+// bound widens the column's [min, max] to include v.
+func (a *colAcc) bound(v any) {
 	if a.min == nil || types.Compare(v, a.min) < 0 {
 		a.min = v
 	}
 	if a.max == nil || types.Compare(v, a.max) > 0 {
 		a.max = v
 	}
-	h := HashValue(v)
+}
+
+// fold counts one non-NULL value of hash h toward the distinct-value sketches
+// and, while the column is numeric, samples its float form f.
+func (a *colAcc) fold(h uint64, f float64, numeric bool) {
 	a.hll.AddHash(h)
 	if a.exact != nil {
 		a.exact[h] = struct{}{}
@@ -120,19 +160,22 @@ func (a *colAcc) add(v any) {
 			a.exact = nil
 		}
 	}
-	if a.numeric {
-		f, ok := types.AsFloat(v)
-		if !ok {
-			a.numeric = false
-			a.sample = nil
-		} else {
-			a.seen++
-			if len(a.sample) < sampleLimit {
-				a.sample = append(a.sample, f)
-			} else if j := a.rng.Int63n(int64(a.seen)); j < sampleLimit {
-				a.sample[int(j)] = f
-			}
-		}
+	if !a.numeric {
+		return
+	}
+	if !numeric {
+		a.numeric = false
+		a.sample = nil
+		return
+	}
+	if f != f {
+		return // NaN has no place on the histogram's axis (NewHistogram's run scan never ends on one)
+	}
+	a.seen++
+	if len(a.sample) < sampleLimit {
+		a.sample = append(a.sample, f)
+	} else if j := a.rng.Int63n(int64(a.seen)); j < sampleLimit {
+		a.sample[int(j)] = f
 	}
 }
 

@@ -66,63 +66,72 @@ func (h *HLL) Estimate() float64 {
 	return est
 }
 
-// HashValue hashes a runtime value (the []any representation of package
-// types) for the sketch. Numeric types that compare equal hash equal
-// (int64(3) and float64(3) count as one distinct value, matching the
-// engine's comparison semantics).
-func HashValue(v any) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	step := func(b byte) { h ^= uint64(b); h *= prime64 }
-	write64 := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			step(byte(u >> (8 * i)))
-		}
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvStep(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+func fnvWrite64(h, u uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvStep(h, byte(u>>(8*i)))
 	}
-	switch x := v.(type) {
-	case nil:
-		step(0)
-	case int64:
-		step(1)
-		write64(math.Float64bits(float64(x)))
-	case int:
-		step(1)
-		write64(math.Float64bits(float64(x)))
-	case float64:
-		step(1)
-		write64(math.Float64bits(x))
-	case bool:
-		step(2)
-		if x {
-			step(1)
-		} else {
-			step(0)
-		}
-	case string:
-		step(3)
-		for i := 0; i < len(x); i++ {
-			step(x[i])
-		}
-	case time.Time:
-		step(4)
-		write64(uint64(x.UnixNano()))
-	default:
-		step(5)
-		// Fall back to the formatted form for composite values.
-		s := formatFallback(x)
-		for i := 0; i < len(s); i++ {
-			step(s[i])
-		}
-	}
-	// Finalize with a 64-bit mixer so low-entropy inputs still spread
-	// across registers (FNV alone leaves the high bits poorly mixed).
+	return h
+}
+
+// mix64 finalizes an FNV state with a 64-bit mixer so low-entropy inputs
+// still spread across registers (FNV alone leaves the high bits poorly
+// mixed).
+func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
+}
+
+// hashNumber is HashValue of an int64 or float64 equal to f.
+func hashNumber(f float64) uint64 {
+	return mix64(fnvWrite64(fnvStep(fnvOffset64, 1), math.Float64bits(f)))
+}
+
+// HashValue hashes a runtime value (the []any representation of package
+// types) for the sketch. Numeric types that compare equal hash equal
+// (int64(3) and float64(3) count as one distinct value, matching the
+// engine's comparison semantics).
+func HashValue(v any) uint64 {
+	h := uint64(fnvOffset64)
+	hashString := func(tag byte, s string) {
+		h = fnvStep(h, tag)
+		for i := 0; i < len(s); i++ {
+			h = fnvStep(h, s[i])
+		}
+	}
+	switch x := v.(type) {
+	case nil:
+		h = fnvStep(h, 0)
+	case int64:
+		return hashNumber(float64(x))
+	case int:
+		return hashNumber(float64(x))
+	case float64:
+		return hashNumber(x)
+	case bool:
+		h = fnvStep(h, 2)
+		if x {
+			h = fnvStep(h, 1)
+		} else {
+			h = fnvStep(h, 0)
+		}
+	case string:
+		hashString(3, x)
+	case time.Time:
+		h = fnvWrite64(fnvStep(h, 4), uint64(x.UnixNano()))
+	default:
+		// Fall back to the formatted form for composite values.
+		hashString(5, formatFallback(x))
+	}
+	return mix64(h)
 }

@@ -3,7 +3,10 @@ package stats
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+
+	"calcite/internal/types"
 )
 
 // TestHLLAccuracy: the sketch must stay within a few percent of the true
@@ -213,5 +216,41 @@ func TestCollectorBatchPath(t *testing.T) {
 	}
 	if cols[0].NDV != 4 {
 		t.Errorf("ndv = %v", cols[0].NDV)
+	}
+}
+
+// TestCollectorAddNumbersMatchesRows: the unboxed numeric intake yields the
+// statistics the boxed row path does — NULLs, an int64 and a float64 batch
+// of one column (they share a key space), a NaN.
+func TestCollectorAddNumbersMatchesRows(t *testing.T) {
+	ints := []int64{7, -3, 0, 7, 1 << 40}
+	intNulls := []bool{false, false, true, false, false}
+	floats := []float64{2.5, math.NaN(), 7, -1e9}
+	byRows, typed := NewCollector(1), NewCollector(1)
+	for r, x := range ints {
+		if intNulls[r] {
+			byRows.AddRow([]any{nil})
+		} else {
+			byRows.AddRow([]any{x})
+		}
+	}
+	for _, x := range floats {
+		byRows.AddRow([]any{x})
+	}
+	AddNumbers(typed, 0, ints, intNulls)
+	AddNumbers(typed, 0, floats, nil)
+	typed.AddRows(len(ints) + len(floats))
+	want, wantRows := byRows.Finish()
+	got, gotRows := typed.Finish()
+	if gotRows != wantRows {
+		t.Fatalf("rows = %v, want %v", gotRows, wantRows)
+	}
+	// NaN != NaN under DeepEqual; the extremes are compared by types.Compare.
+	if types.Compare(got[0].Min, want[0].Min) != 0 || types.Compare(got[0].Max, want[0].Max) != 0 {
+		t.Errorf("min/max = %v/%v, want %v/%v", got[0].Min, got[0].Max, want[0].Min, want[0].Max)
+	}
+	got[0].Min, got[0].Max, want[0].Min, want[0].Max = nil, nil, nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("typed intake: %+v\nrow intake:   %+v", got[0], want[0])
 	}
 }

@@ -224,19 +224,6 @@ func HashRowKey(row []any, cols []int) string {
 	return b.String()
 }
 
-// HashColsKey is HashRowKey over column-major data: the key of row r built
-// from the given columns, byte-for-byte identical to HashRowKey over the
-// materialized row. Join probes, exchanges and aggregates over batches all
-// share this one encoding.
-func HashColsKey(colData [][]any, r int, cols []int) string {
-	var b strings.Builder
-	for _, c := range cols {
-		b.WriteString(HashKey(colData[c][r]))
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
 // FormatValue renders a runtime value for display (EXPLAIN output, the SQL
 // shell, and literal digests).
 func FormatValue(v any) string {

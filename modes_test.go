@@ -119,6 +119,8 @@ var diffQueries = []struct {
 	// interleave): a spilled aggregate emits partition by partition, so the
 	// order-exact parallel suites compare it as a multiset when it spilled.
 	spillUnordered bool
+	// wantErr marks an input every mode must reject.
+	wantErr bool
 }{
 	{sql: "SELECT * FROM emps"},
 	{sql: "SELECT name FROM emps WHERE empid = 1"},
@@ -191,6 +193,21 @@ var diffQueries = []struct {
 	{sql: "SELECT id, grp, RANK() OVER (PARTITION BY grp ORDER BY fkey) AS r, DENSE_RANK() OVER (PARTITION BY grp ORDER BY fkey) AS d FROM events WHERE id < 400"},
 	{sql: "SELECT id, SUM(fkey) OVER (PARTITION BY grp ORDER BY fkey RANGE BETWEEN 2 PRECEDING AND CURRENT ROW) AS s FROM events WHERE id < 400"},
 	{sql: "SELECT k, MAX(v) OVER (PARTITION BY s ORDER BY k ROWS 3 PRECEDING) AS m FROM mixed"},
+	// The shapes that cross column kinds now that a batch is vectors only:
+	// nested arithmetic over NULLs with int/float mixing (kernel feeding
+	// kernel) and a division by zero behind a sub-expression, which must fail
+	// in every mode; arithmetic, IN, a join and a GROUP BY on the VecAny
+	// column; zero-column batches; a typed and a VecAny branch under one
+	// UNION ALL.
+	{sql: "SELECT empid, (empid * sal) + 1.5, (empid + 2) * (deptno - 2) FROM emps"},
+	{sql: "SELECT sal / (deptno - 10) FROM emps", wantErr: true},
+	{sql: "SELECT k, v + 1, v * k FROM mixed"},
+	{sql: "SELECT k FROM mixed WHERE v IN (1, 2.5, 3)"},
+	{sql: "SELECT m.k, e.id FROM mixed m JOIN events e ON m.v = e.fkey WHERE m.k < 340 AND e.id < 60"},
+	{sql: "SELECT v, COUNT(*), SUM(k) FROM mixed GROUP BY v"},
+	{sql: "SELECT 1 FROM emps"},
+	{sql: "SELECT COUNT(*) FROM (SELECT 1 AS one FROM mixed) t"},
+	{sql: "SELECT sal FROM emps UNION ALL SELECT v FROM mixed WHERE k < 320"},
 }
 
 // TestRowAndBatchModesAgree runs every suite query through the vectorized
@@ -206,8 +223,10 @@ func TestRowAndBatchModesAgree(t *testing.T) {
 			t.Errorf("%s\n  batch err=%v row err=%v", q.sql, berr, rerr)
 			continue
 		}
+		if (berr != nil) != q.wantErr {
+			t.Errorf("%s\n  both modes: err=%v, want an error: %v", q.sql, berr, q.wantErr)
+		}
 		if berr != nil {
-			t.Errorf("%s\n  both modes failed: %v", q.sql, berr)
 			continue
 		}
 		if !reflect.DeepEqual(br.Columns, rr.Columns) {
