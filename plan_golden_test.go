@@ -1,0 +1,258 @@
+// The plan golden file: the optimizer's chosen plans, estimates and costs for
+// three query corpora, pinned byte for byte in testdata/plans.golden. Every
+// plan is captured with the feedback loop on, after the statement has run
+// twice, so the corrections keyed by operator shape (feedback.NodeKey) and the
+// learned join selectivities take part in the plans the file records. A
+// change to planning machinery that must not change plans — digests, metadata
+// cache keys, feedback keys — leaves this file unchanged.
+//
+// Regenerate with: go test -run TestPlanGolden -update .
+package calcite_test
+
+import (
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"calcite"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden")
+
+const planGoldenPath = "testdata/plans.golden"
+
+// goldenRecorder runs statements on one connection and appends their plans.
+type goldenRecorder struct {
+	b    strings.Builder
+	conn *calcite.Connection
+}
+
+// record runs sql twice (errors are part of some corpora and are ignored:
+// the plan is what is pinned) and then appends the EXPLAIN text the next
+// execution would plan against.
+func (r *goldenRecorder) record(label, sql string, params ...any) {
+	for i := 0; i < 2; i++ {
+		_, _ = r.conn.Query(sql, params...)
+	}
+	plan, err := r.conn.Explain(sql)
+	if err != nil {
+		plan = "error: " + err.Error() + "\n"
+	}
+	fmt.Fprintf(&r.b, "== %s: %s\n%s", label, strings.Join(strings.Fields(sql), " "), plan)
+}
+
+func TestPlanGolden(t *testing.T) {
+	var out strings.Builder
+
+	diff := &goldenRecorder{conn: diffConn()}
+	diff.conn.SetParallelism(1)
+	for i, q := range diffQueries {
+		diff.record(fmt.Sprintf("diff/%d", i), q.sql, q.params...)
+	}
+	out.WriteString(diff.b.String())
+
+	star := &goldenRecorder{conn: starConn(8000)}
+	star.conn.SetParallelism(1)
+	for _, phase := range []string{"unanalyzed", "analyzed"} {
+		if phase == "analyzed" {
+			analyzeStar(t, star.conn)
+		}
+		for i, sql := range differentialQueries {
+			star.record(fmt.Sprintf("star/%s/%d", phase, i), sql)
+		}
+	}
+	out.WriteString(star.b.String())
+
+	snow := &goldenRecorder{conn: snowflakeConn(t)}
+	snow.conn.SetParallelism(1)
+	for i, sql := range snowflakeStatements(rand.New(rand.NewSource(23)), 200) {
+		snow.record(fmt.Sprintf("snowflake/%d", i), sql)
+	}
+	out.WriteString(snow.b.String())
+
+	got := out.String()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(planGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(planGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(planGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("plans differ from %s at line %d:\n got: %s\nwant: %s", planGoldenPath, i+1, g, w)
+		}
+	}
+}
+
+// snowflakeTable is one table of the golden snowflake schema: a fact table,
+// four dimensions and two sub-dimensions, each key an int64 row ordinal.
+type snowflakeTable struct {
+	name string
+	cols []string // all BIGINT; "id" first
+	rows int
+	// ref maps a foreign-key column to the table it references.
+	ref map[string]string
+	// preds are the non-key columns predicates draw on, with their domain
+	// [0, dom).
+	preds map[string]int64
+}
+
+var snowflakeSchema = []snowflakeTable{
+	{name: "fact", cols: []string{"id", "cust", "prod", "store", "day", "qty", "amt"}, rows: 600,
+		ref:   map[string]string{"cust": "cust", "prod": "prod", "store": "store", "day": "day"},
+		preds: map[string]int64{"qty": 10, "amt": 200}},
+	{name: "cust", cols: []string{"id", "region", "age", "seg"}, rows: 80,
+		ref: map[string]string{"region": "region"}, preds: map[string]int64{"age": 60, "seg": 5}},
+	{name: "prod", cols: []string{"id", "cat", "price"}, rows: 120,
+		ref: map[string]string{"cat": "cat"}, preds: map[string]int64{"price": 300}},
+	{name: "store", cols: []string{"id", "region", "sqft"}, rows: 25,
+		ref: map[string]string{"region": "region"}, preds: map[string]int64{"sqft": 90}},
+	{name: "day", cols: []string{"id", "month", "dow"}, rows: 90, preds: map[string]int64{"month": 12, "dow": 7}},
+	{name: "region", cols: []string{"id", "zone"}, rows: 8, preds: map[string]int64{"zone": 4}},
+	{name: "cat", cols: []string{"id", "dept"}, rows: 15, preds: map[string]int64{"dept": 6}},
+}
+
+func snowflakeByName(name string) snowflakeTable {
+	for _, t := range snowflakeSchema {
+		if t.name == name {
+			return t
+		}
+	}
+	panic("no snowflake table " + name)
+}
+
+// snowflakeConn loads the schema with deterministic rows and analyzes two of
+// the dimensions, so the corpus plans over both collected statistics and the
+// textbook defaults.
+func snowflakeConn(t *testing.T) *calcite.Connection {
+	t.Helper()
+	conn := calcite.Open()
+	for _, tb := range snowflakeSchema {
+		cols := make(calcite.Columns, len(tb.cols))
+		for i, c := range tb.cols {
+			cols[i] = calcite.Column{Name: c, Type: calcite.BigIntType}
+		}
+		rows := make([][]any, tb.rows)
+		for r := range rows {
+			row := make([]any, len(tb.cols))
+			row[0] = int64(r)
+			for i, c := range tb.cols[1:] {
+				if parent, ok := tb.ref[c]; ok {
+					row[i+1] = int64((r*7 + i) % snowflakeByName(parent).rows)
+				} else {
+					row[i+1] = int64((r*13 + i*5) % int(tb.preds[c]))
+				}
+			}
+			rows[r] = row
+		}
+		conn.AddTable(tb.name, cols, rows)
+	}
+	for _, name := range []string{"cust", "store"} {
+		if _, err := conn.Exec("ANALYZE TABLE " + name); err != nil {
+			t.Fatalf("ANALYZE %s: %v", name, err)
+		}
+	}
+	return conn
+}
+
+// snowflakeStatements draws n distinct statements: a 2–6-way join grown from
+// the fact table along foreign keys, 1–4 predicates on the joined tables'
+// non-key columns, and one of three heads (global aggregate, GROUP BY with
+// ORDER BY, ORDER BY with LIMIT).
+func snowflakeStatements(rng *rand.Rand, n int) []string {
+	seen := map[string]bool{}
+	var out []string
+	for len(out) < n {
+		type joined struct{ table, alias string }
+		from := []joined{{"fact", "t0"}}
+		var joins []string
+		used := map[string]bool{} // alias.fk already joined
+		for want := 1 + rng.Intn(5); len(from) <= want; {
+			type edge struct{ child, fk, target string }
+			var open []edge
+			for _, j := range from {
+				tb := snowflakeByName(j.table)
+				for _, c := range tb.cols {
+					if target, ok := tb.ref[c]; ok && !used[j.alias+"."+c] {
+						open = append(open, edge{j.alias, c, target})
+					}
+				}
+			}
+			if len(open) == 0 {
+				break
+			}
+			e := open[rng.Intn(len(open))]
+			used[e.child+"."+e.fk] = true
+			alias := fmt.Sprintf("t%d", len(from))
+			joins = append(joins, fmt.Sprintf("JOIN %s %s ON %s.%s = %s.id", e.target, alias, e.child, e.fk, alias))
+			from = append(from, joined{e.target, alias})
+		}
+
+		var preds []string
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			j := from[rng.Intn(len(from))]
+			tb := snowflakeByName(j.table)
+			var cols []string
+			for _, c := range tb.cols {
+				if _, ok := tb.preds[c]; ok {
+					cols = append(cols, c)
+				}
+			}
+			c := cols[rng.Intn(len(cols))]
+			dom := tb.preds[c]
+			ref := j.alias + "." + c
+			switch rng.Intn(4) {
+			case 0:
+				lo := rng.Int63n(dom)
+				preds = append(preds, fmt.Sprintf("%s BETWEEN %d AND %d", ref, lo, lo+rng.Int63n(dom-lo)+1))
+			case 1:
+				preds = append(preds, fmt.Sprintf("%s IN (%d, %d)", ref, rng.Int63n(dom), rng.Int63n(dom)))
+			default:
+				op := []string{"<", "<=", ">", ">=", "=", "<>"}[rng.Intn(6)]
+				preds = append(preds, fmt.Sprintf("%s %s %d", ref, op, rng.Int63n(dom)))
+			}
+		}
+
+		last := from[len(from)-1]
+		lastCol := snowflakeByName(last.table).cols[1]
+		var head, tail string
+		switch rng.Intn(3) {
+		case 0:
+			head = "SELECT COUNT(*) AS n, SUM(t0.qty) AS q"
+		case 1:
+			head = fmt.Sprintf("SELECT %s.%s AS g, COUNT(*) AS n, MAX(t0.amt) AS m", last.alias, lastCol)
+			tail = fmt.Sprintf(" GROUP BY %s.%s ORDER BY g", last.alias, lastCol)
+		default:
+			head = fmt.Sprintf("SELECT t0.id, t0.amt, %s.%s AS x", last.alias, lastCol)
+			tail = fmt.Sprintf(" ORDER BY t0.amt DESC, t0.id LIMIT %d", 3+rng.Intn(20))
+		}
+		sql := head + " FROM fact t0 " + strings.Join(joins, " ") + " WHERE " + strings.Join(preds, " AND ") + tail
+		if !seen[sql] {
+			seen[sql] = true
+			out = append(out, sql)
+		}
+	}
+	return out
+}
