@@ -6,6 +6,7 @@ package avatica_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -15,6 +16,7 @@ import (
 
 	"calcite"
 	"calcite/internal/avatica"
+	"calcite/internal/feedback"
 	"calcite/internal/obs"
 )
 
@@ -166,6 +168,35 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 	}
 	if code, _ = get(t, "http://"+addr+"/debug/queries?limit=potato"); code != http.StatusBadRequest {
 		t.Fatalf("bad limit status = %d, want 400", code)
+	}
+}
+
+// TestDebugPlansBoundedByFeedbackStore: after more distinct statements than
+// the feedback store keeps, /debug/plans lists at most its cap, the newest
+// statement among them.
+func TestDebugPlansBoundedByFeedbackStore(t *testing.T) {
+	addr, _ := startObsServer(t, false)
+	client := avatica.NewClient(addr)
+	n := feedback.StatementCap + 40
+	for i := 0; i < n; i++ {
+		if _, err := client.Query(fmt.Sprintf("SELECT id AS c%d FROM nums WHERE id < 3", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	code, body := get(t, "http://"+addr+"/debug/plans")
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	var resp avatica.DebugPlansResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	newest := false
+	for _, p := range resp.Plans {
+		newest = newest || strings.Contains(p.SQL, fmt.Sprintf("c%d ", n-1))
+	}
+	if len(resp.Plans) > feedback.StatementCap || !newest {
+		t.Fatalf("/debug/plans lists %d statements (cap %d), newest present: %v", len(resp.Plans), feedback.StatementCap, newest)
 	}
 }
 

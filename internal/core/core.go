@@ -352,13 +352,24 @@ func (f *Framework) ParseAndConvert(sql string) (rel.Node, error) {
 // logical rewrites to fix point (Hep), then physical implementation with
 // the selected engine and the materialized-view rewriting rules (§6).
 func (f *Framework) Optimize(logical rel.Node) (rel.Node, error) {
+	return f.optimize(logical, &obs.OptimizerPhases{})
+}
+
+// optimize is Optimize, recording each phase's time and the join-order
+// candidate count in ph. One metadata session — one digest memo — serves
+// every phase.
+func (f *Framework) optimize(logical rel.Node, ph *obs.OptimizerPhases) (rel.Node, error) {
 	mq := f.NewMetaQuery()
+	start := time.Now()
+	defer func() { ph.PhysicalNs = int64(time.Since(start)) - ph.RewriteNs - ph.JoinOrderNs }()
 
 	node := logical
 	if !f.DisableLogicalPhase {
 		node = f.logicalOptimize(node, mq)
 		mq.InvalidateCache()
-		node = f.reorderJoins(node, mq)
+		ph.RewriteNs = int64(time.Since(start))
+		node, ph.JoinCandidates = f.reorderJoins(node, mq)
+		ph.JoinOrderNs = int64(time.Since(start)) - ph.RewriteNs
 	}
 
 	physRules := append([]plan.Rule(nil), f.PhysicalRules...)
@@ -408,11 +419,8 @@ func (f *Framework) substitutionRules(mq *meta.Query) []plan.Rule {
 	}
 	session := mv.NewRegistry()
 	for _, v := range views {
-		session.Register(&mv.MaterializedView{
-			Name:  v.Name,
-			Plan:  f.reorderJoins(v.Plan, mq),
-			Table: v.Table,
-		})
+		ordered, _ := f.reorderJoins(v.Plan, mq)
+		session.Register(&mv.MaterializedView{Name: v.Name, Plan: ordered, Table: v.Table})
 	}
 	for _, l := range lattices {
 		session.RegisterLattice(l)
@@ -425,12 +433,13 @@ func (f *Framework) substitutionRules(mq *meta.Query) []plan.Rule {
 // expands into binary join trees ordered by the cardinality estimates of the
 // metadata providers (histogram/NDV-driven once tables are ANALYZEd). The
 // phases are separate Hep passes because the expansion's output joins must
-// not re-trigger the collapse.
-func (f *Framework) reorderJoins(node rel.Node, mq *meta.Query) rel.Node {
+// not re-trigger the collapse. It also returns how many binary joins the
+// enumeration costed.
+func (f *Framework) reorderJoins(node rel.Node, mq *meta.Query) (rel.Node, int64) {
 	if f.DisableJoinReorder {
-		return node
+		return node, 0
 	}
-	collapse, order := rules.JoinOrderRules()
+	collapse, order, candidates := rules.JoinOrderRules()
 	hepCollapse := plan.NewHepPlanner(collapse...)
 	hepCollapse.Meta = mq
 	node = hepCollapse.Optimize(node)
@@ -438,7 +447,7 @@ func (f *Framework) reorderJoins(node rel.Node, mq *meta.Query) rel.Node {
 	hepOrder.Meta = mq
 	node = hepOrder.Optimize(node)
 	mq.InvalidateCache()
-	return node
+	return node, int64(*candidates)
 }
 
 // Result is the outcome of executing a statement.
@@ -581,7 +590,7 @@ func (f *Framework) runTraced(tr *obs.QueryTrace, stmt parser.Statement, opts Ex
 	}
 	tr.PlanNs = int64(time.Since(t0))
 	t1 := time.Now()
-	physical, err := f.Optimize(logical)
+	physical, err := f.optimize(logical, &tr.Phases)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -665,8 +674,9 @@ func (f *Framework) explain(s *parser.ExplainStmt, sql string) (*Result, error) 
 	// EXPLAIN shows the estimates (feedback corrections included) the plan
 	// was actually judged by.
 	mq := f.NewMetaQuery()
+	var phases obs.OptimizerPhases
 	if !s.Logical {
-		physical, err := f.Optimize(logical)
+		physical, err := f.optimize(logical, &phases)
 		if err != nil {
 			return nil, err
 		}
@@ -678,7 +688,7 @@ func (f *Framework) explain(s *parser.ExplainStmt, sql string) (*Result, error) 
 		return fmt.Sprintf("rows=%.4g, cost=%.4g", mq.RowCount(n), mq.CumulativeCost(n).Scalar())
 	})
 	if s.Analyze {
-		statsText, err := f.explainAnalyze(node, sql, mq)
+		statsText, err := f.explainAnalyze(node, sql, mq, phases)
 		if err != nil {
 			return nil, err
 		}
@@ -695,9 +705,10 @@ func (f *Framework) explain(s *parser.ExplainStmt, sql string) (*Result, error) 
 // allocator) and renders the run statistics from the finished trace
 // snapshot — the same span tree /debug/queries serves as JSON, so the text
 // and the JSON can never disagree.
-func (f *Framework) explainAnalyze(physical rel.Node, sql string, mq *meta.Query) (string, error) {
+func (f *Framework) explainAnalyze(physical rel.Node, sql string, mq *meta.Query, phases obs.OptimizerPhases) (string, error) {
 	eng := f.Obs()
 	tr := eng.Begin(sql)
+	tr.Phases = phases
 	est := f.planEstimates(tr.Fingerprint, physical, mq)
 	ctx := f.newExecContext(ExecOptions{})
 	if ctx.Alloc == nil {
@@ -732,6 +743,9 @@ func (f *Framework) explainAnalyze(physical rel.Node, sql string, mq *meta.Query
 	}
 	fmt.Fprintf(&b, "memory: budget=%s, peak=%s, spilled=%s\n",
 		budget, memory.FormatBytes(snap.PeakBytes), memory.FormatBytes(snap.Spilled))
+	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+	fmt.Fprintf(&b, "optimize: rewrite=%s, join-order=%s (%d candidates), physical=%s\n", us(phases.RewriteNs),
+		us(phases.JoinOrderNs), phases.JoinCandidates, us(phases.PhysicalNs))
 	b.WriteString(obs.RenderSpans(snap.Spans))
 	return b.String(), nil
 }

@@ -38,8 +38,9 @@ import (
 	"calcite/internal/schema"
 )
 
-// DefaultPlanCacheSize bounds the plan cache's entry count.
-const DefaultPlanCacheSize = 256
+// DefaultPlanCacheSize bounds the plan cache's entry count; the feedback
+// store keeps records of as many statements.
+const DefaultPlanCacheSize = feedback.StatementCap
 
 // planEntry is one cached statement: the exact SQL (collision/literal guard),
 // the optimized physical plan, its output column names, and the plan's

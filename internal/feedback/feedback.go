@@ -21,6 +21,18 @@
 // parameter is the exception: its digest is the same for every binding (and
 // every statement with that placeholder text) while its row count is not, so
 // it is measured and reported but neither corrected nor re-planned on.
+//
+// The two maps that grow with every new statement are bounded, so a stream
+// of ad-hoc statements holds memory set by the caps, not by its history: the
+// per-statement records (one per fingerprint, the /debug/plans rows) keep
+// StatementCap = 256 statements, the plan cache's capacity
+// (core.DefaultPlanCacheSize is defined as StatementCap), and the row-count
+// corrections (one per operator shape) CorrectionCap = 16 × StatementCap.
+// Past its cap a map drops its least recently touched entries — touched
+// meaning harvested, or for a statement also a recorded build overshoot —
+// down to three quarters of the cap; reads do not touch. Swap preferences and
+// join selectivities grow with the schema's join shapes, not the statement
+// stream, and are not bounded.
 package feedback
 
 import (
@@ -37,6 +49,12 @@ import (
 	"calcite/internal/rel"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
+)
+
+// Capacities of the store's statement records and row-count corrections.
+const (
+	StatementCap  = 256
+	CorrectionCap = 16 * StatementCap
 )
 
 // Options tune the store's smoothing, bounding and reaction thresholds.
@@ -87,7 +105,7 @@ func DefaultOptions() Options {
 type OpEstimate struct {
 	Path    string
 	Op      string
-	Key     string
+	Key     uint64
 	Rows    float64
 	JoinSig string
 	Bound   bool
@@ -108,11 +126,13 @@ type PlanEstimates struct {
 // operator's estimated row count and correction key.
 func EstimatePlan(fingerprint string, root rel.Node, rowCount func(rel.Node) float64) *PlanEstimates {
 	pe := &PlanEstimates{Fingerprint: fingerprint, ByPath: map[string]OpEstimate{}, Tables: rel.ScannedTables(root)}
+	keys := keyMemo{}
 	var walk func(n rel.Node, path string)
 	walk = func(n rel.Node, path string) {
 		e := OpEstimate{Path: path, Op: n.Op(), Rows: rowCount(n)}
-		e.Key, e.Bound = nodeKey(n)
-		if j, ok := unwrap(n).(*rel.Join); ok {
+		k := keys.of(n, nil)
+		e.Key, e.Bound = k.key, k.bound
+		if j, ok := rel.Unwrap(n).(*rel.Join); ok {
 			e.JoinSig = conditionSignature(n, j.Condition)
 		}
 		pe.ByPath[path] = e
@@ -139,20 +159,60 @@ func (pe *PlanEstimates) PathRows() map[string]float64 {
 	return out
 }
 
-// NodeKey returns the canonical logical digest hash of the subtree rooted at
-// n: each node is unwrapped to its logical prototype (rel.Wrapped) and its
-// convention prefix stripped, so a logical join explored by the join-order
-// enumeration and the enumerable hash join that executed it hash alike.
-func NodeKey(n rel.Node) string {
-	key, _ := nodeKey(n)
-	return key
+// NodeKey returns the canonical logical hash of the subtree rooted at n: each
+// node is unwrapped to its logical prototype (rel.Wrapped) and its convention
+// prefix stripped, so a logical join explored by the join-order enumeration
+// and the enumerable hash join that executed it hash alike. A node's key
+// hashes its operator and attributes with its inputs' keys.
+func NodeKey(n rel.Node) uint64 {
+	return keyMemo{}.of(n, nil).key
 }
 
-// nodeKey is NodeKey plus whether the subtree references a dynamic parameter.
-func nodeKey(n rel.Node) (key string, bound bool) {
+// opKey is a subtree's NodeKey and whether the subtree references a dynamic
+// parameter.
+type opKey struct {
+	key   uint64
+	bound bool
+}
+
+// keyMemo memoizes NodeKey for one plan walk, or for one planning session in
+// the provider NewMetaQuery installs. A node's key hashes its own operator and
+// attributes with its inputs' keys, so it costs the node, not its subtree.
+type keyMemo map[rel.Node]opKey
+
+// of returns n's key. d, when not nil, is the session's digest memo: it
+// renders the attributes, and a key over a rel.Digests.Volatile subtree is
+// not stored.
+func (m keyMemo) of(n rel.Node, d *rel.Digests) opKey {
+	if k, ok := m[n]; ok {
+		return k
+	}
+	u, a := rel.Unwrap(n), ""
+	if u == n && d != nil {
+		a = d.Attrs(n)
+	} else {
+		a = u.Attrs()
+	}
 	h := uint64(14695981039346656037)
-	bound = writeNodeKey(n, &h)
-	return strconv.FormatUint(h, 16), bound
+	hashString(&h, strings.TrimPrefix(strings.TrimPrefix(u.Op(), "Logical"), "Enumerable"))
+	hashString(&h, "{")
+	hashString(&h, a)
+	k := opKey{bound: refersToParam(a)}
+	// Children come from the original node: Unwrap preserves inputs, and the
+	// wrappers' own input lists are authoritative for the executed tree.
+	for _, in := range n.Inputs() {
+		ck := m.of(in, d)
+		hashString(&h, "(")
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ ck.key>>i&0xff) * 1099511628211
+		}
+		k.bound = k.bound || ck.bound
+	}
+	k.key = h
+	if d == nil || !d.Volatile(n) {
+		m[n] = k
+	}
+	return k
 }
 
 // refersToParam reports whether an operator's attribute text contains a
@@ -170,55 +230,10 @@ func refersToParam(attrs string) bool {
 	return false
 }
 
-func writeNodeKey(n rel.Node, h *uint64) (bound bool) {
-	u := n
-	for {
-		w, ok := u.(rel.Wrapped)
-		if !ok {
-			break
-		}
-		u = w.Unwrap()
-	}
-	op := strings.TrimPrefix(u.Op(), "Logical")
-	op = strings.TrimPrefix(op, "Enumerable")
-	hashString(h, op)
-	if a := u.Attrs(); a != "" {
-		hashString(h, "{")
-		hashString(h, a)
-		hashString(h, "}")
-		bound = refersToParam(a)
-	}
-	// Children come from the original node: Unwrap preserves inputs, and the
-	// wrappers' own input lists are authoritative for the executed tree.
-	if ins := n.Inputs(); len(ins) > 0 {
-		hashString(h, "(")
-		for i, in := range ins {
-			if i > 0 {
-				hashString(h, ",")
-			}
-			if writeNodeKey(in, h) {
-				bound = true
-			}
-		}
-		hashString(h, ")")
-	}
-	return bound
-}
-
 func hashString(h *uint64, s string) {
 	for i := 0; i < len(s); i++ {
 		*h ^= uint64(s[i])
 		*h *= 1099511628211
-	}
-}
-
-func unwrap(n rel.Node) rel.Node {
-	for {
-		w, ok := n.(rel.Wrapped)
-		if !ok {
-			return n
-		}
-		n = w.Unwrap()
 	}
 }
 
@@ -229,7 +244,7 @@ func unwrap(n rel.Node) rel.Node {
 // instead of a statistics handle.
 func columnOriginName(n rel.Node, col int) (string, bool) {
 	for {
-		n = unwrap(n)
+		n = rel.Unwrap(n)
 		switch x := n.(type) {
 		case *rel.TableScan:
 			return strings.Join(x.QualifiedName, ".") + "#" + strconv.Itoa(col), true
@@ -301,6 +316,7 @@ func conditionSignature(n rel.Node, condition rex.Node) string {
 
 // correction is the smoothed observation history of one operator shape.
 type correction struct {
+	touched uint64 // store clock at the last harvest that taught it
 	op      string
 	estRows float64 // optimizer estimate at last harvest (bounding anchor)
 	actual  float64 // EWMA of observed row counts
@@ -321,6 +337,7 @@ type opState struct {
 
 // planState aggregates everything observed about one statement fingerprint.
 type planState struct {
+	touched       uint64 // store clock at the last harvest or overshoot
 	sql           string
 	executions    int64
 	lastMaxQ      float64
@@ -355,11 +372,12 @@ type Store struct {
 	opts Options
 
 	mu          sync.RWMutex
-	corrections map[string]*correction    // by NodeKey
-	plans       map[string]*planState     // by fingerprint
-	swaps       map[string]*swapState     // by join NodeKey
+	corrections map[uint64]*correction    // by NodeKey, at most CorrectionCap
+	plans       map[string]*planState     // by fingerprint, at most StatementCap
+	swaps       map[uint64]*swapState     // by join NodeKey
 	sels        map[string]*selCorrection // by join condition signature
 	worstQ      float64
+	clock       uint64 // advances on every touch of a bounded entry
 
 	// correctionCount mirrors len(corrections) so the planner's hot path can
 	// skip digest computation entirely while the store is empty.
@@ -405,9 +423,9 @@ func NewStore(opts Options) *Store {
 }
 
 func (s *Store) reset() {
-	s.corrections = map[string]*correction{}
+	s.corrections = map[uint64]*correction{}
 	s.plans = map[string]*planState{}
-	s.swaps = map[string]*swapState{}
+	s.swaps = map[uint64]*swapState{}
 	s.sels = map[string]*selCorrection{}
 	s.correctionCount.Store(0)
 	s.swapCount.Store(0)
@@ -437,10 +455,9 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 	observe := s.observeQ.Load()
 
 	s.mu.Lock()
-	ps := s.plans[snap.Fingerprint]
-	if ps == nil {
-		ps = &planState{sql: snap.SQL, ops: map[string]*opState{}}
-		s.plans[snap.Fingerprint] = ps
+	ps := s.plan(snap.Fingerprint)
+	if ps.sql == "" {
+		ps.sql = snap.SQL
 	}
 	ps.executions++
 	ps.tables = est.Tables
@@ -488,6 +505,8 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 		}
 	}
 	walk(snap.Spans)
+	evictLRU(s.corrections, CorrectionCap)
+	s.correctionCount.Store(int64(len(s.corrections)))
 	ps.lastMaxQ = maxQ
 	if maxQ > ps.maxQ {
 		ps.maxQ = maxQ
@@ -516,10 +535,11 @@ func (s *Store) learn(e OpEstimate, sp *obs.SpanStats, actual, q float64) {
 	if c == nil {
 		c = &correction{op: e.Op, actual: actual}
 		s.corrections[e.Key] = c
-		s.correctionCount.Add(1)
 	} else {
 		c.actual = s.opts.Alpha*actual + (1-s.opts.Alpha)*c.actual
 	}
+	s.clock++
+	c.touched = s.clock
 	c.estRows = e.Rows
 	c.samples++
 	c.lastQ = q
@@ -550,10 +570,14 @@ func (s *Store) learn(e OpEstimate, sp *obs.SpanStats, actual, q float64) {
 // an operator with the same canonical shape has been observed, bounded to
 // within MaxRatio of the optimizer's own estimate at last harvest.
 func (s *Store) CorrectedRowCount(n rel.Node) (float64, bool) {
+	return s.correctedRowCount(n, keyMemo{}, nil)
+}
+
+func (s *Store) correctedRowCount(n rel.Node, keys keyMemo, d *rel.Digests) (float64, bool) {
 	if s.correctionCount.Load() == 0 {
 		return 0, false
 	}
-	key := NodeKey(n)
+	key := keys.of(n, d).key
 	s.mu.RLock()
 	c, ok := s.corrections[key]
 	if !ok {
@@ -593,12 +617,14 @@ func (s *Store) CorrectedSelectivity(n rel.Node, predicate rex.Node) (float64, b
 
 // MetaProvider adapts the store into the metadata provider chain: RowCount
 // answers from observed cardinalities, Selectivity from observed join
-// selectivities, everything else falls through.
+// selectivities, everything else falls through. The provider belongs to one
+// metadata session and memoizes NodeKey for it.
 func (s *Store) MetaProvider() meta.Provider {
+	keys := keyMemo{}
 	return meta.Provider{
 		Name: "feedback",
 		RowCount: func(q *meta.Query, n rel.Node) (float64, bool) {
-			return s.CorrectedRowCount(n)
+			return s.correctedRowCount(n, keys, q.Digests())
 		},
 		Selectivity: func(q *meta.Query, n rel.Node, predicate rex.Node) (float64, bool) {
 			return s.CorrectedSelectivity(n, predicate)
@@ -610,7 +636,7 @@ func (s *Store) MetaProvider() meta.Provider {
 // rows against an estimate of est. Past the configured factor (and noise
 // floor) the join shape gains a swap preference and the statement is marked
 // for re-planning at its next harvest.
-func (s *Store) RecordBuildOvershoot(fingerprint, joinKey string, est, actual float64) {
+func (s *Store) RecordBuildOvershoot(fingerprint string, joinKey uint64, est, actual float64) {
 	if est <= 0 || actual < s.opts.OvershootMinRows || actual <= est*s.opts.OvershootFactor {
 		return
 	}
@@ -624,11 +650,7 @@ func (s *Store) RecordBuildOvershoot(fingerprint, joinKey string, est, actual fl
 	}
 	sw.estRows, sw.actualRows = est, actual
 	sw.count++
-	ps := s.plans[fingerprint]
-	if ps == nil {
-		ps = &planState{ops: map[string]*opState{}}
-		s.plans[fingerprint] = ps
-	}
+	ps := s.plan(fingerprint)
 	ps.overshoots++
 	ps.pendingReplan = true
 	s.mu.Unlock()
@@ -636,7 +658,7 @@ func (s *Store) RecordBuildOvershoot(fingerprint, joinKey string, est, actual fl
 
 // PreferSwap reports whether the join shape has a recorded build-overshoot
 // swap preference.
-func (s *Store) PreferSwap(joinKey string) bool {
+func (s *Store) PreferSwap(joinKey uint64) bool {
 	if s.swapCount.Load() == 0 {
 		return false
 	}
@@ -652,6 +674,43 @@ func (s *Store) SwapCount() int64 { return s.swapCount.Load() }
 
 // NoteSwapApplied counts one applied build/probe swap.
 func (s *Store) NoteSwapApplied() { s.swapsApplied.Add(1) }
+
+// plan returns the record of fingerprint, created if needed, as the most
+// recently used one. The caller holds s.mu.
+func (s *Store) plan(fingerprint string) *planState {
+	s.clock++
+	ps := s.plans[fingerprint]
+	if ps == nil {
+		ps = &planState{touched: s.clock, ops: map[string]*opState{}}
+		s.plans[fingerprint] = ps
+		evictLRU(s.plans, StatementCap)
+	}
+	ps.touched = s.clock
+	return ps
+}
+
+// evictLRU drops m's least recently touched entries down to three quarters of
+// max once m holds more than max: eviction runs once per max/4 new entries
+// and each run is a sort of max ages.
+func evictLRU[K comparable, V interface{ lastTouch() uint64 }](m map[K]V, max int) {
+	if len(m) <= max {
+		return
+	}
+	ages := make([]uint64, 0, len(m))
+	for _, v := range m {
+		ages = append(ages, v.lastTouch())
+	}
+	slices.Sort(ages)
+	cut := ages[len(ages)-max*3/4]
+	for k, v := range m {
+		if v.lastTouch() < cut {
+			delete(m, k)
+		}
+	}
+}
+
+func (c *correction) lastTouch() uint64 { return c.touched }
+func (p *planState) lastTouch() uint64  { return p.touched }
 
 // InvalidateTable forgets the statements whose plans scan t — their q-error
 // history and spent replan budget — called with the plan cache's EvictTable

@@ -34,7 +34,7 @@ func TestNodeKeyLogicalPhysicalStable(t *testing.T) {
 	logical := rel.NewTableScan(trait.Logical, tb, []string{"t"})
 	physical := exec.NewScan(tb, []string{"t"})
 	if NodeKey(logical) != NodeKey(physical) {
-		t.Fatalf("scan keys differ: logical=%s physical=%s", NodeKey(logical), NodeKey(physical))
+		t.Fatalf("scan keys differ: logical=%x physical=%x", NodeKey(logical), NodeKey(physical))
 	}
 
 	other := testTable("u", 10)
@@ -46,7 +46,7 @@ func TestNodeKeyLogicalPhysicalStable(t *testing.T) {
 	pj := exec.NewHashJoin(rel.InnerJoin,
 		exec.NewScan(tb, []string{"t"}), exec.NewScan(other, []string{"u"}), cond)
 	if NodeKey(lj) != NodeKey(pj) {
-		t.Fatalf("join keys differ: logical=%s physical=%s", NodeKey(lj), NodeKey(pj))
+		t.Fatalf("join keys differ: logical=%x physical=%x", NodeKey(lj), NodeKey(pj))
 	}
 
 	// Different tables must not collide.
@@ -184,7 +184,7 @@ func TestHarvestSkipsErroredAndUnestimated(t *testing.T) {
 // pending-replan handoff to the next harvest.
 func TestBuildOvershootAndSwap(t *testing.T) {
 	s := NewStore(Options{})
-	const key = "joinkey"
+	const key = uint64(0x10c4)
 
 	// Below the noise floor: ignored.
 	s.RecordBuildOvershoot("fp", key, 10, 100)
@@ -238,7 +238,7 @@ func TestReplanCap(t *testing.T) {
 		t.Fatal("replan past MaxReplans requested")
 	}
 	// Even a pending overshoot no longer evicts past the cap.
-	s.RecordBuildOvershoot("fp", "jk", 100, 1000)
+	s.RecordBuildOvershoot("fp", 0x7a, 100, 1000)
 	if s.Harvest(scanSnapshot("fp", 1000, 100), pe) {
 		t.Fatal("overshoot bypassed the replan cap")
 	}
@@ -347,7 +347,7 @@ func TestInvalidateClears(t *testing.T) {
 	pe := EstimatePlan("fp", scan, func(rel.Node) float64 { return 100 })
 	s := NewStore(Options{})
 	s.Harvest(scanSnapshot("fp", 1000, 100), pe)
-	s.RecordBuildOvershoot("fp", "jk", 100, 1000)
+	s.RecordBuildOvershoot("fp", 0x7a, 100, 1000)
 
 	s.Invalidate()
 	if fps, ops := s.Size(); fps != 0 || ops != 0 {
@@ -356,7 +356,7 @@ func TestInvalidateClears(t *testing.T) {
 	if _, ok := s.CorrectedRowCount(scan); ok {
 		t.Fatal("correction survived Invalidate")
 	}
-	if s.PreferSwap("jk") {
+	if s.PreferSwap(0x7a) {
 		t.Fatal("swap preference survived Invalidate")
 	}
 	if s.WorstQError() != 0 {

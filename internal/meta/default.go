@@ -26,20 +26,8 @@ func DefaultProvider() Provider {
 	}
 }
 
-// unwrap sees through physical wrappers to their logical prototypes so the
-// estimators below need only handle the core operator types.
-func unwrap(n rel.Node) rel.Node {
-	for {
-		w, ok := n.(rel.Wrapped)
-		if !ok {
-			return n
-		}
-		n = w.Unwrap()
-	}
-}
-
 func defaultRowCount(q *Query, n rel.Node) (float64, bool) {
-	n = unwrap(n)
+	n = rel.Unwrap(n)
 	switch x := n.(type) {
 	case *rel.TableScan:
 		rc := x.Table.Stats().RowCount
@@ -159,7 +147,7 @@ func termSelectivity(term rex.Node) float64 {
 }
 
 func defaultDistinct(q *Query, n rel.Node, cols []int) (float64, bool) {
-	n = unwrap(n)
+	n = rel.Unwrap(n)
 	switch x := n.(type) {
 	case *rel.TableScan:
 		rc := q.RowCount(n)
@@ -222,7 +210,7 @@ func defaultDistinct(q *Query, n rel.Node, cols []int) (float64, bool) {
 }
 
 func defaultUnique(q *Query, n rel.Node, cols []int) (bool, bool) {
-	n = unwrap(n)
+	n = rel.Unwrap(n)
 	switch x := n.(type) {
 	case *rel.TableScan:
 		return x.Table.Stats().IsKey(cols), true
@@ -270,7 +258,7 @@ func defaultCollations(q *Query, n rel.Node) (trait.Collation, bool) {
 	if c := n.Traits().Collation; len(c) > 0 {
 		return c, true
 	}
-	n = unwrap(n)
+	n = rel.Unwrap(n)
 	switch x := n.(type) {
 	case *rel.Sort:
 		return x.Collation, true
@@ -307,7 +295,7 @@ func defaultCollations(q *Query, n rel.Node) (trait.Collation, bool) {
 
 // defaultSelfCost is the CPU/IO/memory cost model.
 func defaultSelfCost(q *Query, n rel.Node) (cost.Cost, bool) {
-	n = unwrap(n)
+	n = rel.Unwrap(n)
 	switch x := n.(type) {
 	case *rel.TableScan:
 		rc := q.RowCount(n)

@@ -17,11 +17,17 @@
 // metadata results, which yields significant performance improvements";
 // Query memoizes every metadata call by (metric, plan digest, args) and the
 // cache can be disabled to measure its effect (experiment E8).
+// The key holds the digest's interned id, from a rel.Digests memo the Query
+// owns for its whole session and that every planner phase shares: a node's
+// digest is built from its own attributes and its inputs' digests, once, so
+// a join-order candidate over known subtrees costs its own condition. A
+// subtree over a Volcano set reference (rel.Unstable) is never memoized; its
+// digest changes when sets merge.
 package meta
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"calcite/internal/cost"
 	"calcite/internal/rel"
@@ -58,8 +64,8 @@ type Provider struct {
 // is not safe for concurrent use; each planning session owns one.
 type Query struct {
 	providers []Provider
-	cache     map[string]any
-	digests   map[rel.Node]string
+	cache     map[cacheKey]any
+	digests   *rel.Digests
 	// CacheEnabled toggles memoization (for experiment E8).
 	CacheEnabled bool
 	// Calls counts provider invocations (cache misses), exposed for tests
@@ -72,8 +78,8 @@ type Query struct {
 func NewQuery(providers ...Provider) *Query {
 	q := &Query{
 		providers:    append(append([]Provider(nil), providers...), DefaultProvider()),
-		cache:        map[string]any{},
-		digests:      map[rel.Node]string{},
+		cache:        map[cacheKey]any{},
+		digests:      rel.NewDigests(),
 		CacheEnabled: true,
 	}
 	return q
@@ -87,20 +93,20 @@ func (q *Query) Prepend(p Provider) {
 	q.providers = append([]Provider{p}, q.providers...)
 }
 
-func (q *Query) cacheKey(metric string, n rel.Node, extra string) string {
-	// Digests walk the whole subtree; memoize by node identity (plan nodes
-	// are immutable) so cache lookups stay cheaper than re-computation.
-	d, ok := q.digests[n]
-	if !ok {
-		d = rel.Digest(n)
-		q.digests[n] = d
-	}
-	return metric + "\x00" + d + "\x00" + extra
+// Digests returns the session's digest memo.
+func (q *Query) Digests() *rel.Digests { return q.digests }
+
+// cacheKey names one memoized result: the metric, the interned digest of the
+// node, and the metric's arguments.
+type cacheKey struct {
+	metric string
+	node   int32
+	extra  string
 }
 
 func lookup[T any](q *Query, metric string, n rel.Node, extra string, compute func() T) T {
 	if q.CacheEnabled {
-		key := q.cacheKey(metric, n, extra)
+		key := cacheKey{metric, q.digests.ID(n), extra}
 		if v, ok := q.cache[key]; ok {
 			return v.(T)
 		}
@@ -130,7 +136,7 @@ func (q *Query) RowCount(n rel.Node) float64 {
 func (q *Query) Selectivity(n rel.Node, predicate rex.Node) float64 {
 	extra := ""
 	if predicate != nil {
-		extra = predicate.String()
+		extra = q.digests.Expr(predicate)
 	}
 	return lookup(q, "selectivity", n, extra, func() float64 {
 		q.Calls++
@@ -147,7 +153,7 @@ func (q *Query) Selectivity(n rel.Node, predicate rex.Node) float64 {
 
 // DistinctRowCount estimates distinct combinations of cols in n's output.
 func (q *Query) DistinctRowCount(n rel.Node, cols []int) float64 {
-	return lookup(q, "distinct", n, fmt.Sprint(cols), func() float64 {
+	return lookup(q, "distinct", n, colsKey(cols), func() float64 {
 		q.Calls++
 		for _, p := range q.providers {
 			if p.DistinctRowCount != nil {
@@ -162,7 +168,7 @@ func (q *Query) DistinctRowCount(n rel.Node, cols []int) float64 {
 
 // ColumnsUnique reports whether cols form a unique key of n's output.
 func (q *Query) ColumnsUnique(n rel.Node, cols []int) bool {
-	return lookup(q, "unique", n, fmt.Sprint(cols), func() bool {
+	return lookup(q, "unique", n, colsKey(cols), func() bool {
 		q.Calls++
 		for _, p := range q.providers {
 			if p.ColumnsUnique != nil {
@@ -252,7 +258,15 @@ func (q *Query) MaxParallelism(n rel.Node) int {
 // InvalidateCache clears memoized results (used after the plan graph
 // mutates between planner phases).
 func (q *Query) InvalidateCache() {
-	q.cache = map[string]any{}
+	q.cache = map[cacheKey]any{}
+}
+
+func colsKey(cols []int) string {
+	var b []byte
+	for _, c := range cols {
+		b = strconv.AppendInt(append(b, ','), int64(c), 10)
+	}
+	return string(b)
 }
 
 func clamp01(v float64) float64 {

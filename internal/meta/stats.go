@@ -22,7 +22,7 @@ import (
 // wrappers, identity projections and join input concatenation.
 func columnOrigin(n rel.Node, col int) (schema.Statistics, int, bool) {
 	for {
-		n = unwrap(n)
+		n = rel.Unwrap(n)
 		switch x := n.(type) {
 		case *rel.TableScan:
 			return x.Table.Stats(), col, true
@@ -125,7 +125,7 @@ func joinEquiSelectivity(q *Query, n rel.Node, c *rex.Call) (float64, bool) {
 	if c.Op != rex.OpEquals {
 		return 0, false
 	}
-	j, ok := unwrap(n).(*rel.Join)
+	j, ok := rel.Unwrap(n).(*rel.Join)
 	if !ok {
 		return 0, false
 	}

@@ -113,6 +113,7 @@ type QueryTrace struct {
 	// Stage latencies, filled by the framework's execute path.
 	PlanNs     int64
 	OptimizeNs int64
+	Phases     OptimizerPhases
 	ExecNs     int64
 	TotalNs    int64
 	Rows       int64
@@ -127,6 +128,17 @@ type QueryTrace struct {
 	SpilledBytes int64
 
 	Root *Span
+}
+
+// OptimizerPhases splits the optimize stage into the optimizer's phases —
+// logical rewrite, join-order enumeration, physical planning — which run
+// inside it, so they sum to at most OptimizeNs; JoinCandidates counts the
+// binary joins the enumeration costed.
+type OptimizerPhases struct {
+	RewriteNs      int64 `json:"rewrite_ns"`
+	JoinOrderNs    int64 `json:"join_order_ns"`
+	PhysicalNs     int64 `json:"physical_ns"`
+	JoinCandidates int64 `json:"join_candidates"`
 }
 
 // NewSpan creates a span under parent (nil parent makes it the root).
@@ -258,6 +270,10 @@ type TraceSnapshot struct {
 	// (see SpanStats.QError); 0 when no operator carried an estimate.
 	MaxQError float64    `json:"max_qerror,omitempty"`
 	Spans     *SpanStats `json:"spans,omitempty"`
+
+	// Phases splits OptimizeNs by optimizer phase (zero on a plan-cache
+	// hit).
+	Phases OptimizerPhases `json:"optimizer_phases"`
 }
 
 func maxQError(s *SpanStats) float64 {
@@ -284,6 +300,7 @@ func (t *QueryTrace) Snapshot() *TraceSnapshot {
 		Start:       t.Start,
 		PlanNs:      t.PlanNs,
 		OptimizeNs:  t.OptimizeNs,
+		Phases:      t.Phases,
 		ExecNs:      t.ExecNs,
 		TotalNs:     t.TotalNs,
 		Rows:        t.Rows,

@@ -109,8 +109,8 @@ func (p *HepPlanner) applyRulesAt(n rel.Node) rel.Node {
 		}
 		sink := &hepSink{}
 		call := &Call{Rels: binding, Meta: p.Meta, planner: sink}
-		ruleFire(r, call)
-		if sink.result != nil && rel.Digest(sink.result) != rel.Digest(n) {
+		r.OnMatch(call)
+		if sink.result != nil && p.Meta.Digests().ID(sink.result) != p.Meta.Digests().ID(n) {
 			p.Fired++
 			return sink.result
 		}

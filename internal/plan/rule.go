@@ -48,9 +48,6 @@ func (r *FuncRule) OnMatch(call *Call) {
 	r.Fire(call)
 }
 
-// ruleFire dispatches a rule firing.
-func ruleFire(r Rule, call *Call) { r.OnMatch(call) }
-
 // Operand is a node pattern: a predicate on a relational expression plus
 // patterns for its inputs. A nil Children slice matches any inputs; an empty
 // non-nil slice requires a leaf.
@@ -84,15 +81,6 @@ func MatchType[T rel.Node](children ...*Operand) *Operand {
 // AnyNode matches any node, any inputs.
 func AnyNode() *Operand { return MatchNode(func(rel.Node) bool { return true }) }
 
-// countOperands returns the number of operands in the pattern (pre-order).
-func countOperands(o *Operand) int {
-	n := 1
-	for _, c := range o.Children {
-		n += countOperands(c)
-	}
-	return n
-}
-
 // Call is the context passed to a firing rule: the matched nodes (pre-order
 // over the operand pattern), the metadata session, and the transform sink.
 type Call struct {
@@ -104,8 +92,6 @@ type Call struct {
 	Meta *meta.Query
 
 	planner transformSink
-	// fired records whether Transform was called (for statistics).
-	transformed []rel.Node
 }
 
 // Rel returns the i-th bound node (0 = pattern root).
@@ -113,7 +99,6 @@ func (c *Call) Rel(i int) rel.Node { return c.Rels[i] }
 
 // Transform registers an expression equivalent to the matched root.
 func (c *Call) Transform(n rel.Node) {
-	c.transformed = append(c.transformed, n)
 	if c.planner != nil {
 		c.planner.transform(c, n)
 	}

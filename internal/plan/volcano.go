@@ -1,10 +1,11 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"calcite/internal/cost"
 	"calcite/internal/meta"
@@ -52,7 +53,7 @@ type VolcanoPlanner struct {
 
 	sets     []*eqSet
 	parent   []int           // union-find over set ids
-	byDigest map[string]int  // digest -> set id
+	byID     map[int32]int   // interned digest id -> set id
 	firedKey map[string]bool // (rule, binding digests) already fired
 	nRels    int
 
@@ -78,7 +79,7 @@ type eqSet struct {
 func NewVolcanoPlanner(rules ...Rule) *VolcanoPlanner {
 	return &VolcanoPlanner{
 		rules:              rules,
-		byDigest:           map[string]int{},
+		byID:               map[int32]int{},
 		firedKey:           map[string]bool{},
 		converterFactories: map[string][]converterFactory{},
 		Delta:              0.01,
@@ -114,9 +115,13 @@ func (s *SubsetRef) Inputs() []rel.Node   { return nil }
 func (s *SubsetRef) RowType() *types.Type { return s.rowType }
 func (s *SubsetRef) Traits() trait.Set    { return trait.NewSet(s.conv) }
 func (s *SubsetRef) Attrs() string {
-	return fmt.Sprintf("set=%d, conv=%s", s.planner.find(s.setID), s.conv.ConventionName())
+	return "set=" + strconv.Itoa(s.planner.find(s.setID)) + ", conv=" + s.conv.ConventionName()
 }
 func (s *SubsetRef) WithNewInputs(inputs []rel.Node) rel.Node { return s }
+
+// UnstableDigest marks the reference rel.Unstable: its set id is renumbered
+// when sets merge, so no digest over it may be memoized.
+func (s *SubsetRef) UnstableDigest() {}
 
 // representative returns a non-subset member of the set, preferring logical
 // expressions (stable metadata).
@@ -208,14 +213,14 @@ func (p *VolcanoPlanner) register(n rel.Node) int {
 	for _, in := range n.Inputs() {
 		p.register(in)
 	}
-	d := rel.Digest(n)
-	if id, ok := p.byDigest[d]; ok {
+	d := p.Meta.Digests().ID(n)
+	if id, ok := p.byID[d]; ok {
 		return p.find(id)
 	}
 	id := len(p.sets)
 	p.sets = append(p.sets, &eqSet{id: id, rels: []rel.Node{n}})
 	p.parent = append(p.parent, id)
-	p.byDigest[d] = id
+	p.byID[d] = id
 	p.nRels++
 	p.materializeConverters(id, n)
 	return id
@@ -228,14 +233,14 @@ func (p *VolcanoPlanner) addToSet(id int, n rel.Node) {
 	for _, in := range n.Inputs() {
 		p.register(in)
 	}
-	d := rel.Digest(n)
-	if other, ok := p.byDigest[d]; ok {
+	d := p.Meta.Digests().ID(n)
+	if other, ok := p.byID[d]; ok {
 		p.merge(id, other)
 		return
 	}
 	set := p.sets[id]
 	set.rels = append(set.rels, n)
-	p.byDigest[d] = id
+	p.byID[d] = id
 	p.nRels++
 	p.materializeConverters(id, n)
 }
@@ -250,13 +255,13 @@ func (p *VolcanoPlanner) materializeConverters(setID int, n rel.Node) {
 	for _, cf := range p.converterFactories[conv.ConventionName()] {
 		sub := &SubsetRef{planner: p, setID: p.find(setID), conv: conv, rowType: n.RowType()}
 		converted := cf.factory(sub)
-		d := rel.Digest(converted)
-		if _, ok := p.byDigest[d]; ok {
+		d := p.Meta.Digests().ID(converted)
+		if _, ok := p.byID[d]; ok {
 			continue
 		}
 		set := p.sets[p.find(setID)]
 		set.rels = append(set.rels, converted)
-		p.byDigest[d] = p.find(setID)
+		p.byID[d] = p.find(setID)
 		p.nRels++
 	}
 }
@@ -269,10 +274,10 @@ func (p *VolcanoPlanner) merge(a, b int) {
 		return
 	}
 	p.parent[rb] = ra
-	seen := map[string]bool{}
+	seen := map[int32]bool{}
 	var merged []rel.Node
 	for _, r := range append(p.sets[ra].rels, p.sets[rb].rels...) {
-		d := rel.Digest(r)
+		d := p.Meta.Digests().ID(r)
 		if !seen[d] {
 			seen[d] = true
 			merged = append(merged, r)
@@ -286,21 +291,21 @@ func (p *VolcanoPlanner) merge(a, b int) {
 // reindex rebuilds the digest index (digests of SubsetRefs change when sets
 // merge).
 func (p *VolcanoPlanner) reindex() {
-	p.byDigest = map[string]int{}
+	p.byID = map[int32]int{}
 	for id, set := range p.sets {
 		if p.find(id) != id {
 			continue
 		}
-		seen := map[string]bool{}
+		seen := map[int32]bool{}
 		var kept []rel.Node
 		for _, r := range set.rels {
-			d := rel.Digest(r)
+			d := p.Meta.Digests().ID(r)
 			if seen[d] {
 				continue
 			}
 			seen[d] = true
 			kept = append(kept, r)
-			p.byDigest[d] = id
+			p.byID[d] = id
 		}
 		set.rels = kept
 	}
@@ -401,14 +406,14 @@ func (p *VolcanoPlanner) fireRound() int {
 	for _, it := range worklist {
 		for _, r := range p.rules {
 			for _, binding := range p.matchOperand(r.Operand(), it.n, 0) {
-				key := bindingKey(r, binding)
+				key := p.bindingKey(r, binding)
 				if p.firedKey[key] {
 					continue
 				}
 				p.firedKey[key] = true
 				before := p.nRels
 				call := &Call{Rels: binding, Meta: p.Meta, planner: p}
-				ruleFire(r, call)
+				r.OnMatch(call)
 				p.Fired++
 				if p.nRels > before {
 					fired++
@@ -422,14 +427,13 @@ func (p *VolcanoPlanner) fireRound() int {
 	return fired
 }
 
-func bindingKey(r Rule, binding []rel.Node) string {
-	var b strings.Builder
-	b.WriteString(r.RuleName())
+// bindingKey names a firing by rule and the interned digests of its binding.
+func (p *VolcanoPlanner) bindingKey(r Rule, binding []rel.Node) string {
+	b := append([]byte(r.RuleName()), 0)
 	for _, n := range binding {
-		b.WriteByte('\x00')
-		b.WriteString(rel.Digest(n))
+		b = binary.LittleEndian.AppendUint32(b, uint32(p.Meta.Digests().ID(n)))
 	}
-	return b.String()
+	return string(b)
 }
 
 // matchOperand enumerates bindings of the pattern rooted at o against node n,
@@ -492,8 +496,8 @@ func (p *VolcanoPlanner) membersOf(in rel.Node) []rel.Node {
 	if s, ok := in.(*SubsetRef); ok {
 		id = s.setID
 	} else {
-		d := rel.Digest(in)
-		known, ok := p.byDigest[d]
+		d := p.Meta.Digests().ID(in)
+		known, ok := p.byID[d]
 		if !ok {
 			return []rel.Node{in}
 		}
@@ -546,10 +550,10 @@ func (p *VolcanoPlanner) best(setID int, conv trait.Convention, memo map[bestKey
 	entry := &bestEntry{inProg: true, cost: cost.Infinite}
 	memo[key] = entry
 
-	set := p.sets[setID]
 	// Deterministic order for stable plans.
-	rels := append([]rel.Node(nil), set.rels...)
-	sort.Slice(rels, func(i, j int) bool { return rel.Digest(rels[i]) < rel.Digest(rels[j]) })
+	d := p.Meta.Digests()
+	rels := append([]rel.Node(nil), p.sets[setID].rels...)
+	sort.Slice(rels, func(i, j int) bool { return d.Digest(rels[i]) < d.Digest(rels[j]) })
 
 	for _, r := range rels {
 		if _, ok := r.(*SubsetRef); ok {
@@ -568,7 +572,7 @@ func (p *VolcanoPlanner) best(setID int, conv trait.Convention, memo map[bestKey
 			if s, ok := in.(*SubsetRef); ok {
 				childNode, childCost = p.best(s.setID, s.conv, memo)
 			} else {
-				cid, ok := p.byDigest[rel.Digest(in)]
+				cid, ok := p.byID[p.Meta.Digests().ID(in)]
 				if !ok {
 					childNode, childCost = in, p.Meta.CumulativeCost(in)
 				} else {

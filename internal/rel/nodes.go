@@ -3,6 +3,7 @@ package rel
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"calcite/internal/rex"
 	"calcite/internal/schema"
@@ -80,7 +81,9 @@ func newFilter(op string, ts trait.Set, input Node, condition rex.Node) *Filter 
 	}
 }
 
-func (f *Filter) Attrs() string { return "condition=[" + f.Condition.String() + "]" }
+func (f *Filter) Attrs() string { return filterAttrs(f.Condition.String()) }
+
+func filterAttrs(condition string) string { return "condition=[" + condition + "]" }
 
 func (f *Filter) WithNewInputs(inputs []Node) Node {
 	checkInputs(f.op, len(inputs), 1)
@@ -177,6 +180,15 @@ type Join struct {
 	base
 	Kind      JoinKind
 	Condition rex.Node
+	// rowTypeOnce fills base.rowType on first use: most joins the join-order
+	// enumeration costs never need it.
+	rowTypeOnce sync.Once
+}
+
+// RowType returns JoinRowType of the join's kind and inputs.
+func (j *Join) RowType() *types.Type {
+	j.rowTypeOnce.Do(func() { j.rowType = JoinRowType(j.Kind, j.Left(), j.Right()) })
+	return j.rowType
 }
 
 // JoinRowType computes the output type of a join.
@@ -214,14 +226,16 @@ func NewJoinTraits(op string, ts trait.Set, kind JoinKind, left, right Node, con
 		condition = rex.Bool(true)
 	}
 	return &Join{
-		base:      newBase(op, ts, JoinRowType(kind, left, right), left, right),
+		base:      newBase(op, ts, nil, left, right),
 		Kind:      kind,
 		Condition: condition,
 	}
 }
 
-func (j *Join) Attrs() string {
-	return fmt.Sprintf("condition=[%s], joinType=[%s]", j.Condition.String(), j.Kind)
+func (j *Join) Attrs() string { return joinAttrs(j.Condition.String(), j.Kind) }
+
+func joinAttrs(condition string, kind JoinKind) string {
+	return "condition=[" + condition + "], joinType=[" + kind.String() + "]"
 }
 
 func (j *Join) Left() Node  { return j.inputs[0] }

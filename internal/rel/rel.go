@@ -9,10 +9,12 @@
 package rel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
 
+	"calcite/internal/rex"
 	"calcite/internal/schema"
 	"calcite/internal/trait"
 	"calcite/internal/types"
@@ -45,6 +47,17 @@ type Wrapped interface {
 	Unwrap() Node
 }
 
+// Unwrap returns n's logical prototype: n itself unless it is Wrapped.
+func Unwrap(n Node) Node {
+	for {
+		w, ok := n.(Wrapped)
+		if !ok {
+			return n
+		}
+		n = w.Unwrap()
+	}
+}
+
 // Synthetic marks physical operators materialized after optimization —
 // exchanges, partition sources, partial-aggregation stages inserted by the
 // parallel rewrite. They have no counterpart in the optimized plan, so the
@@ -55,37 +68,139 @@ type Synthetic interface {
 	SyntheticNode()
 }
 
+// Unstable marks a node whose attributes can change after construction: the
+// Volcano planner's equivalence-set reference, renumbered when sets merge.
+type Unstable interface {
+	UnstableDigest()
+}
+
 // Digest returns the canonical digest of the subtree rooted at n. Two nodes
 // with equal digests produce the same multiset of rows.
 func Digest(n Node) string {
-	var b strings.Builder
-	writeDigest(n, &b)
-	return b.String()
+	return NewDigests().Digest(n)
 }
 
-func writeDigest(n Node, b *strings.Builder) {
-	b.WriteString(n.Op())
-	conv := n.Traits().Convention
-	if conv != nil && !trait.SameConvention(conv, trait.Logical) {
-		b.WriteByte('.')
-		b.WriteString(conv.ConventionName())
+// Digests is one planning session's memo of node digests. A node's own part
+// (operator, convention, attributes) is rendered once; its digest is built
+// from that and its inputs' digests, its id — equal ids, equal digests —
+// interns that part with its inputs' ids, so a new node over known inputs
+// costs its own attributes, not its subtree. Entries are keyed by the node
+// interface value: a physical wrapper and the node it embeds never share one.
+// Nothing over an Unstable node is stored. Not safe for concurrent use.
+type Digests struct {
+	nodes map[Node]nodeDigest
+	ids   map[string]int32
+	exprs map[rex.Node]string
+}
+
+// nodeDigest is one node's entry; volatile: its subtree holds an Unstable.
+type nodeDigest struct {
+	attrs, self, digest string
+	id                  int32
+	hasID, volatile     bool
+}
+
+// NewDigests returns an empty memo.
+func NewDigests() *Digests {
+	return &Digests{nodes: map[Node]nodeDigest{}, ids: map[string]int32{}, exprs: map[rex.Node]string{}}
+}
+
+// Expr returns e.String(), memoized by expression identity.
+func (d *Digests) Expr(e rex.Node) string {
+	s, ok := d.exprs[e]
+	if !ok {
+		s = e.String()
+		d.exprs[e] = s
 	}
-	if a := n.Attrs(); a != "" {
-		b.WriteByte('{')
-		b.WriteString(a)
-		b.WriteByte('}')
+	return s
+}
+
+// Attrs returns n.Attrs(), rendering a join's or filter's condition through
+// Expr: the digest and the metadata keys naming it share one rendering.
+func (d *Digests) Attrs(n Node) string { return d.entry(n).attrs }
+
+// Volatile reports whether n's subtree holds an Unstable node.
+func (d *Digests) Volatile(n Node) bool { return d.entry(n).volatile }
+
+func (d *Digests) entry(n Node) nodeDigest {
+	e, ok := d.nodes[n]
+	if ok {
+		return e
 	}
-	inputs := n.Inputs()
-	if len(inputs) > 0 {
-		b.WriteByte('(')
+	switch x := n.(type) {
+	case *Join:
+		e.attrs = joinAttrs(d.Expr(x.Condition), x.Kind)
+	case *Filter:
+		e.attrs = filterAttrs(d.Expr(x.Condition))
+	default:
+		e.attrs = n.Attrs()
+	}
+	e.self = selfDigest(n, e.attrs)
+	_, unstable := n.(Unstable)
+	e.volatile = unstable
+	for _, in := range n.Inputs() {
+		e.volatile = e.volatile || d.entry(in).volatile
+	}
+	if !unstable {
+		d.nodes[n] = e
+	}
+	return e
+}
+
+// Digest returns Digest(n).
+func (d *Digests) Digest(n Node) string {
+	e := d.entry(n)
+	if e.digest != "" {
+		return e.digest
+	}
+	s := e.self
+	if inputs := n.Inputs(); len(inputs) > 0 {
+		parts := make([]string, len(inputs))
 		for i, in := range inputs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			writeDigest(in, b)
+			parts[i] = d.Digest(in)
 		}
-		b.WriteByte(')')
+		s += "(" + strings.Join(parts, ",") + ")"
 	}
+	if !e.volatile {
+		e.digest = s
+		d.nodes[n] = e
+	}
+	return s
+}
+
+// ID returns n's interned id.
+func (d *Digests) ID(n Node) int32 {
+	e := d.entry(n)
+	if e.hasID {
+		return e.id
+	}
+	key := append(binary.AppendUvarint(nil, uint64(len(e.self))), e.self...)
+	for _, in := range n.Inputs() {
+		key = binary.LittleEndian.AppendUint32(key, uint32(d.ID(in)))
+	}
+	id, ok := d.ids[string(key)]
+	if !ok {
+		id = int32(len(d.ids))
+		d.ids[string(key)] = id
+	}
+	if !e.volatile {
+		e.id, e.hasID = id, true
+		d.nodes[n] = e
+	}
+	return id
+}
+
+// selfDigest is the part of n's digest that is n's own: operator, a
+// non-logical convention, attributes.
+func selfDigest(n Node, attrs string) string {
+	s := n.Op()
+	if conv := n.Traits().Convention; conv != nil && !trait.SameConvention(conv, trait.Logical) {
+		s += "." + conv.ConventionName()
+	}
+	if attrs != "" {
+		s += "{" + attrs + "}"
+	}
+	return s
 }
 
 // Explain renders the subtree as an indented multi-line plan, the format
@@ -149,14 +264,7 @@ func ScannedTables(n Node) []schema.Table {
 		if len(n.Inputs()) > 0 {
 			return true
 		}
-		for {
-			w, ok := n.(Wrapped)
-			if !ok {
-				break
-			}
-			n = w.Unwrap()
-		}
-		if scan, ok := n.(*TableScan); ok && !slices.Contains(out, scan.Table) {
+		if scan, ok := Unwrap(n).(*TableScan); ok && !slices.Contains(out, scan.Table) {
 			out = append(out, scan.Table)
 		}
 		return true

@@ -107,14 +107,15 @@ func flattenable(n rel.Node) bool {
 // LoptOptimizeJoinRule. Conjuncts referencing a single factor are pushed
 // onto that factor as filters before enumeration; factor-free conjuncts end
 // up in a filter above the tree; a projection restores the original column
-// order when the chosen factor order differs from the input order.
-func LoptOptimizeJoinRule() plan.Rule {
+// order when the chosen factor order differs from the input order. Each
+// binary join the enumeration costs adds one to *candidates.
+func LoptOptimizeJoinRule(candidates *int) plan.Rule {
 	return &plan.FuncRule{
 		Name: "LoptOptimizeJoinRule",
 		Op:   plan.MatchType[*rel.MultiJoin](),
 		Fire: func(call *plan.Call) {
 			mj := call.Rel(0).(*rel.MultiJoin)
-			if ordered := orderMultiJoin(call.Meta, mj); ordered != nil {
+			if ordered := orderMultiJoin(call.Meta, mj, candidates); ordered != nil {
 				call.Transform(ordered)
 			}
 		},
@@ -141,7 +142,7 @@ type joinTree struct {
 
 // orderMultiJoin plans a binary join tree for the MultiJoin, or returns nil
 // when no reordering is possible (e.g. too many factors for the bitmask).
-func orderMultiJoin(mq *meta.Query, mj *rel.MultiJoin) rel.Node {
+func orderMultiJoin(mq *meta.Query, mj *rel.MultiJoin, candidates *int) rel.Node {
 	factors := mj.Inputs()
 	k := len(factors)
 	if k < 2 || k > 63 {
@@ -215,27 +216,31 @@ func orderMultiJoin(mq *meta.Query, mj *rel.MultiJoin) rel.Node {
 
 	// combine joins L and R (L as the streamed/probe side, R as the build
 	// side), applying every not-yet-applied conjunct contained in the union.
-	combine := func(l, r *joinTree) *joinTree {
-		union := l.mask | r.mask
-		layout := append(append([]int(nil), l.order...), r.order...)
-		// layoutOffset[f] = column offset of factor f in the new output.
-		layoutOffset := map[int]int{}
+	layoutOffset := make([]int, k) // factor → column offset in the tree placed last
+	place := func(order []int) {
 		at := 0
-		for _, f := range layout {
+		for _, f := range order {
 			layoutOffset[f] = at
 			at += vertices[f].width
 		}
+	}
+	moveRef := func(x rex.Node) rex.Node {
+		if ref, ok := x.(*rex.InputRef); ok {
+			f := factorOf(ref.Index)
+			return rex.NewInputRef(layoutOffset[f]+ref.Index-vertices[f].offset, ref.T)
+		}
+		return x
+	}
+	combine := func(l, r *joinTree) *joinTree {
+		*candidates++
+		union := l.mask | r.mask
+		layout := append(append(make([]int, 0, len(l.order)+len(r.order)), l.order...), r.order...)
+		place(layout)
 		var conds []rex.Node
 		for _, e := range edges {
-			if e.support&^union != 0 || e.support&l.mask == 0 || e.support&r.mask == 0 {
-				continue
+			if e.support&^union == 0 && e.support&l.mask != 0 && e.support&r.mask != 0 {
+				conds = append(conds, rex.Transform(e.cond, moveRef))
 			}
-			mapping := map[int]int{}
-			for col := range rex.InputBitmap(e.cond) {
-				f := factorOf(col)
-				mapping[col] = layoutOffset[f] + (col - vertices[f].offset)
-			}
-			conds = append(conds, rex.Remap(e.cond, mapping))
 		}
 		node := rel.NewJoin(rel.InnerJoin, l.node, r.node, rex.And(conds...))
 		rows := mq.RowCount(node)
@@ -272,12 +277,7 @@ func orderMultiJoin(mq *meta.Query, mj *rel.MultiJoin) rel.Node {
 		}
 	}
 	if !identity {
-		layoutOffset := map[int]int{}
-		at := 0
-		for _, f := range result.order {
-			layoutOffset[f] = at
-			at += vertices[f].width
-		}
+		place(result.order)
 		fields := mj.RowType().Fields
 		exprs := make([]rex.Node, len(fields))
 		names := make([]string, len(fields))
@@ -373,7 +373,8 @@ func greedyOrder(k int, base func(int) *joinTree, connected func(a, b uint64) bo
 // phase one collapses inner-join trees into MultiJoins, phase two expands
 // them into cardinality-ordered binary join trees. The phases must run in
 // separate Hep passes (the expansion's output would otherwise re-trigger
-// the collapse).
-func JoinOrderRules() (collapse, order []plan.Rule) {
-	return []plan.Rule{JoinToMultiJoinRule()}, []plan.Rule{LoptOptimizeJoinRule()}
+// the collapse). candidates counts the binary joins phase two costs.
+func JoinOrderRules() (collapse, order []plan.Rule, candidates *int) {
+	candidates = new(int)
+	return []plan.Rule{JoinToMultiJoinRule()}, []plan.Rule{LoptOptimizeJoinRule(candidates)}, candidates
 }

@@ -93,7 +93,7 @@ func TestOuterJoinStopsFlattening(t *testing.T) {
 func TestLoptOrdersBySelectivity(t *testing.T) {
 	root := chain3(mjScan("big", 10000), mjScan("mid", 1000), mjScan("tiny", 10))
 	mq := meta.NewQuery()
-	collapse, order := JoinOrderRules()
+	collapse, order, _ := JoinOrderRules()
 	hep1 := plan.NewHepPlanner(collapse...)
 	hep1.Meta = mq
 	hep2 := plan.NewHepPlanner(order...)
@@ -131,7 +131,7 @@ func TestLoptCrossProductOnlyWhenForced(t *testing.T) {
 	// a and c are connected through b; all splits are connected.
 	root := chain3(mjScan("a", 100), mjScan("b", 100), mjScan("c", 100))
 	mq := meta.NewQuery()
-	collapse, order := JoinOrderRules()
+	collapse, order, _ := JoinOrderRules()
 	hep1 := plan.NewHepPlanner(collapse...)
 	hep1.Meta = mq
 	hep2 := plan.NewHepPlanner(order...)

@@ -10,6 +10,7 @@ package types
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -358,27 +359,23 @@ func LeastRestrictive(a, b *Type) *Type {
 }
 
 // ConcatFields returns a new slice of fields combining left and right,
-// renaming duplicates with a numeric suffix (mirroring join output naming).
+// renaming duplicates with a numeric suffix (mirroring join output naming):
+// the n-th repeat of a name, compared case-insensitively, gets suffix n.
+// Join rows are narrow, so the pairwise scan beats building a map.
 func ConcatFields(left, right []Field) []Field {
-	out := make([]Field, 0, len(left)+len(right))
-	seen := map[string]int{}
-	add := func(f Field) {
-		name := f.Name
-		lower := strings.ToLower(name)
-		if n, ok := seen[lower]; ok {
-			n++
-			seen[lower] = n
-			name = fmt.Sprintf("%s%d", f.Name, n-1)
-		} else {
-			seen[lower] = 1
+	out := append(append(make([]Field, 0, len(left)+len(right)), left...), right...)
+	lower := make([]string, len(out))
+	for i, f := range out {
+		lower[i] = strings.ToLower(f.Name)
+		n := 0
+		for _, l := range lower[:i] {
+			if l == lower[i] {
+				n++
+			}
 		}
-		out = append(out, Field{Name: name, Type: f.Type})
-	}
-	for _, f := range left {
-		add(f)
-	}
-	for _, f := range right {
-		add(f)
+		if n > 0 {
+			out[i].Name += strconv.Itoa(n)
+		}
 	}
 	return out
 }

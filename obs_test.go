@@ -303,3 +303,39 @@ func TestPreparedAndLiteralFormsExecuteAlike(t *testing.T) {
 		}
 	}
 }
+
+// TestOptimizerPhasesOnTrace: a plan-cache miss carries the optimizer's
+// phase split on its own trace — the phases fit inside the optimize stage,
+// and a 3-factor chain costs exactly 12 join-order candidates (2 per pair of
+// factors, the cross product of the unconnected pair included, and 6 splits
+// of the full set) — and EXPLAIN ANALYZE and the /debug/queries JSON show it.
+func TestOptimizerPhasesOnTrace(t *testing.T) {
+	conn := diffConn()
+	const chain = "SELECT e.name, m.name FROM emps e JOIN depts d ON e.deptno = d.deptno JOIN emps m ON m.deptno = d.deptno"
+	if _, err := conn.Query(chain); err != nil {
+		t.Fatal(err)
+	}
+	snap := conn.LastTraces(1)[0]
+	ph := snap.Phases
+	if ph.JoinCandidates != 12 {
+		t.Fatalf("3-factor chain: %d join-order candidates, want 12", ph.JoinCandidates)
+	}
+	if ph.RewriteNs <= 0 || ph.JoinOrderNs <= 0 || ph.PhysicalNs <= 0 ||
+		ph.RewriteNs+ph.JoinOrderNs+ph.PhysicalNs > snap.OptimizeNs {
+		t.Fatalf("phases %+v do not fit in optimize=%d", ph, snap.OptimizeNs)
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"join_candidates":12`) {
+		t.Fatalf("/debug/queries JSON lacks the phases: %s", raw)
+	}
+	res, err := conn.Query("EXPLAIN ANALYZE " + chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Plan, "join-order=") || !strings.Contains(res.Plan, "(12 candidates)") {
+		t.Fatalf("EXPLAIN ANALYZE lacks the optimizer phases:\n%s", res.Plan)
+	}
+}

@@ -143,7 +143,9 @@ func TestConcurrentBindingsShareOneCachedPlan(t *testing.T) {
 
 // TestConcurrentAdHocStatementsPublishLastPlanner runs distinct statements —
 // each a plan-cache miss that plans and publishes Framework.LastPlanner — from
-// four goroutines; the writes used to race.
+// four goroutines; the writes used to race. Each is a 3-way join, so the
+// sessions' digest and feedback-key memos run beside harvests into the one
+// bounded feedback store.
 func TestConcurrentAdHocStatementsPublishLastPlanner(t *testing.T) {
 	conn := diffConn()
 	var wg sync.WaitGroup
@@ -153,7 +155,8 @@ func TestConcurrentAdHocStatementsPublishLastPlanner(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				sql := fmt.Sprintf("SELECT name FROM emps WHERE empid > %d", 10*g+i)
+				sql := fmt.Sprintf("SELECT e.name FROM emps e JOIN depts d ON e.deptno = d.deptno "+
+					"JOIN emps m ON m.deptno = d.deptno WHERE e.empid > %d", 10*g+i)
 				if _, err := conn.Query(sql); err != nil {
 					t.Errorf("%s: %v", sql, err)
 					return
