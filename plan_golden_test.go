@@ -1,10 +1,12 @@
-// The plan golden file: the optimizer's chosen plans, estimates and costs for
-// three query corpora, pinned byte for byte in testdata/plans.golden. Every
-// plan is captured with the feedback loop on, after the statement has run
-// twice, so the corrections keyed by operator shape (feedback.NodeKey) and the
-// learned join selectivities take part in the plans the file records. A
-// change to planning machinery that must not change plans — digests, metadata
-// cache keys, feedback keys — leaves this file unchanged.
+// The plan golden files: the optimizer's chosen plans, estimates and costs for
+// three query corpora, pinned byte for byte in testdata/plans.golden, and the
+// federated corpus with the query text each backend received, pinned in
+// testdata/federated.golden. Every plan is captured with the feedback loop on,
+// after the statement has run twice, so the corrections keyed by operator
+// shape (feedback.NodeKey) and the learned join selectivities take part in the
+// plans the files record. A change to planning machinery that must not change
+// plans — digests, metadata cache keys, feedback keys, the adapters' pushdown
+// contract — leaves these files unchanged.
 //
 // Regenerate with: go test -run TestPlanGolden -update .
 package calcite_test
@@ -15,20 +17,23 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"calcite"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden")
-
-const planGoldenPath = "testdata/plans.golden"
+var updateGolden = flag.Bool("update", false, "rewrite the plan golden files in testdata")
 
 // goldenRecorder runs statements on one connection and appends their plans.
 type goldenRecorder struct {
 	b    strings.Builder
 	conn *calcite.Connection
+	// logs, when set, returns each backend's request log by backend name:
+	// record then runs the statement once more and appends the requests
+	// that execution sent, sorted per backend.
+	logs func() map[string][]string
 }
 
 // record runs sql twice (errors are part of some corpora and are ignored:
@@ -43,6 +48,19 @@ func (r *goldenRecorder) record(label, sql string, params ...any) {
 		plan = "error: " + err.Error() + "\n"
 	}
 	fmt.Fprintf(&r.b, "== %s: %s\n%s", label, strings.Join(strings.Fields(sql), " "), plan)
+	if r.logs == nil {
+		return
+	}
+	before := r.logs()
+	_, _ = r.conn.Query(sql, params...)
+	after := r.logs()
+	for _, name := range sortedKeys(after) {
+		sent := append([]string(nil), after[name][len(before[name]):]...)
+		sort.Strings(sent)
+		for _, q := range sent {
+			fmt.Fprintf(&r.b, "-> %s: %s\n", name, q)
+		}
+	}
 }
 
 func TestPlanGolden(t *testing.T) {
@@ -74,17 +92,38 @@ func TestPlanGolden(t *testing.T) {
 	}
 	out.WriteString(snow.b.String())
 
-	got := out.String()
+	checkGolden(t, "testdata/plans.golden", out.String())
+}
+
+// TestPlanGoldenFederated pins the federated corpus: each statement's plan on
+// the four backend adapters and the query text each backend received.
+func TestPlanGoldenFederated(t *testing.T) {
+	conn := newFedData().federated(t)
+	fed := &goldenRecorder{conn: conn.Connection, logs: conn.logs}
+	for i, s := range fedCorpus {
+		label := fmt.Sprintf("fed/%d", i)
+		if len(s.params) > 0 {
+			label += fmt.Sprintf(" %v", s.params)
+		}
+		fed.record(label, s.sql, s.params...)
+	}
+	checkGolden(t, "testdata/federated.golden", fed.b.String())
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(planGoldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(planGoldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(planGoldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (generate it with -update)", err)
 	}
@@ -101,7 +140,7 @@ func TestPlanGolden(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("plans differ from %s at line %d:\n got: %s\nwant: %s", planGoldenPath, i+1, g, w)
+			t.Fatalf("plans differ from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
 		}
 	}
 }
