@@ -2,13 +2,12 @@ package cassandra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"calcite/internal/core"
+	"calcite/internal/adapter"
 	"calcite/internal/cost"
-	"calcite/internal/exec"
 	"calcite/internal/meta"
-	"calcite/internal/plan"
 	"calcite/internal/rel"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
@@ -16,230 +15,92 @@ import (
 	"calcite/internal/types"
 )
 
-// cassTable is the adapter's handle for a store table.
-type cassTable struct {
-	def   TableDef
-	store *Store
-}
-
-func (t *cassTable) Name() string         { return t.def.Name }
-func (t *cassTable) RowType() *types.Type { return types.Row(t.def.Fields...) }
-func (t *cassTable) Stats() schema.Statistics {
-	return schema.Statistics{RowCount: 1000}
-}
-
-// TransferCostFactor implements schema.RemoteTable.
-func (t *cassTable) TransferCostFactor() float64 { return 1 }
-
-// Scan falls back to a full CQL scan.
-func (t *cassTable) Scan() (schema.Cursor, error) {
-	_, rows, err := t.store.Execute("SELECT * FROM " + t.def.Name)
-	if err != nil {
-		return nil, err
-	}
-	return schema.NewSliceCursor(rows), nil
-}
-
-// Adapter connects a Store under the "cassandra" calling convention.
+// Adapter connects a Store under the cassandra calling convention: the
+// key-restricted CassandraFilter, column projections, limits and the
+// two-precondition CassandraSort rule of §6, rendered as CQL.
 type Adapter struct {
-	SchemaName string
-	Store      *Store
-	Conv       trait.Convention
-
-	schema *schema.BaseSchema
-	tables map[string]*cassTable
+	*adapter.Adapter
+	defs map[string]TableDef
 }
 
 // New builds the adapter from the store's table definitions.
 func New(schemaName string, store *Store) *Adapter {
-	a := &Adapter{
-		SchemaName: schemaName,
-		Store:      store,
-		Conv:       trait.NewConvention("cassandra"),
-		schema:     schema.NewBaseSchema(schemaName),
-		tables:     map[string]*cassTable{},
-	}
+	a := &Adapter{defs: map[string]TableDef{}}
+	a.Adapter = adapter.New(schemaName, adapter.Backend{
+		Kind:    "cassandra",
+		Prefix:  "Cassandra",
+		Filter:  a.keyFilter,
+		Project: adapter.ColumnsOnly,
+		Sort:    a.clusteringSort,
+		Limit:   true,
+		Run: func(n rel.Node) ([][]any, error) {
+			cql, err := ToCQL(n)
+			if err != nil {
+				return nil, err
+			}
+			_, rows, err := store.Execute(cql)
+			return rows, err
+		},
+	})
 	for _, def := range store.Tables() {
-		t := &cassTable{def: def, store: store}
-		a.schema.AddTable(t)
-		a.tables[strings.ToLower(def.Name)] = t
+		a.defs[def.Name] = def
+		a.AddTable(def.Name, types.Row(def.Fields...), schema.Statistics{RowCount: 1000})
 	}
 	return a
 }
 
-// AdapterSchema implements core.Adapter.
-func (a *Adapter) AdapterSchema() schema.Schema { return a.schema }
-
-func (a *Adapter) inConv(n rel.Node) bool {
-	return trait.SameConvention(n.Traits().Convention, a.Conv)
+// keyFilter pushes the key conditions of a filter on a table scan, and only
+// when they bind the full partition key: "This requires that a LogicalFilter
+// has been rewritten to a CassandraFilter to ensure the partition filter is
+// pushed down to the database" (§6). Cassandra rejects other filters (no
+// ALLOW FILTERING in this adapter).
+func (a *Adapter) keyFilter(cond rex.Node, input rel.Node) (pushed, residual []rex.Node) {
+	scan, ok := input.(*rel.TableScan)
+	if !ok {
+		return nil, nil
+	}
+	pushed, residual, singlePartition := splitKeys(cond, a.defs[scan.Table.Name()])
+	if !singlePartition {
+		return nil, nil
+	}
+	return pushed, residual
 }
 
-func isLogical(n rel.Node) bool {
-	return trait.SameConvention(n.Traits().Convention, trait.Logical)
+// clusteringSort is the §6 sort rule's two preconditions: (1) the sort's
+// input is a CassandraFilter restricting a scan to a single partition, and
+// (2) the required order shares a prefix with the clustering order.
+func (a *Adapter) clusteringSort(s *rel.Sort, input rel.Node) bool {
+	f, ok := input.(*rel.Filter)
+	if !ok || len(s.Collation) == 0 {
+		return false
+	}
+	scan, ok := f.Inputs()[0].(*rel.TableScan)
+	if !ok {
+		return false
+	}
+	def := a.defs[scan.Table.Name()]
+	_, _, singlePartition := splitKeys(f.Condition, def)
+	return singlePartition && clusteringPrefix(s.Collation, def)
 }
 
-// Rules implements core.Adapter: scan conversion, the key-restricted
-// CassandraFilter rule, and the two-precondition CassandraSort rule of §6.
-func (a *Adapter) Rules() []plan.Rule {
-	ts := trait.NewSet(a.Conv)
-	return []plan.Rule{
-		&plan.FuncRule{
-			Name: "CassandraScanRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				s, ok := n.(*rel.TableScan)
-				if !ok || !isLogical(n) {
-					return false
-				}
-				ct, mine := s.Table.(*cassTable)
-				return mine && ct.store == a.Store
-			}),
-			Fire: func(call *plan.Call) {
-				s := call.Rel(0).(*rel.TableScan)
-				call.Transform(rel.NewTableScan(a.Conv, s.Table, []string{s.Table.Name()}))
-			},
-		},
-		// "This requires that a LogicalFilter has been rewritten to a
-		// CassandraFilter to ensure the partition filter is pushed down to
-		// the database" (§6).
-		&plan.FuncRule{
-			Name: "CassandraFilterRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				_, ok := n.(*rel.Filter)
-				return ok && isLogical(n)
-			}, plan.MatchNode(func(n rel.Node) bool {
-				s, ok := n.(*rel.TableScan)
-				return ok && a.inConv(n) && s != nil
-			})),
-			Fire: func(call *plan.Call) {
-				f := call.Rel(0).(*rel.Filter)
-				scan := call.Rel(1).(*rel.TableScan)
-				def := scan.Table.(*cassTable).def
-				pushable, residual, singlePartition := splitCassandraConds(f.Condition, def)
-				if len(pushable) == 0 || !singlePartition {
-					// Cassandra rejects filters that do not bind the full
-					// partition key (no ALLOW FILTERING in this adapter).
-					return
-				}
-				var node rel.Node = rel.NewFilterTraits("CassandraFilter", ts, scan, rex.And(pushable...))
-				if len(residual) > 0 {
-					node = rel.NewFilter(node, rex.And(residual...))
-				}
-				call.Transform(node)
-			},
-		},
-		// Projection pushdown: CQL selects named columns.
-		&plan.FuncRule{
-			Name: "CassandraProjectRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				_, ok := n.(*rel.Project)
-				return ok && isLogical(n)
-			}, plan.MatchNode(a.inConv)),
-			Fire: func(call *plan.Call) {
-				p := call.Rel(0).(*rel.Project)
-				for _, e := range p.Exprs {
-					if _, ok := e.(*rex.InputRef); !ok {
-						return
-					}
-				}
-				call.Transform(rel.NewProjectTraits("CassandraProject", ts, call.Rel(1), p.Exprs, p.FieldNames()))
-			},
-		},
-		// The §6 sort-pushdown rule with its two preconditions.
-		&plan.FuncRule{
-			Name: "CassandraSortRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				s, ok := n.(*rel.Sort)
-				return ok && isLogical(n) && len(s.Collation) > 0
-			}, plan.MatchNode(func(n rel.Node) bool {
-				f, ok := n.(*rel.Filter)
-				return ok && a.inConv(n) && f.Op() == "CassandraFilter"
-			})),
-			Fire: func(call *plan.Call) {
-				sortNode := call.Rel(0).(*rel.Sort)
-				filter := call.Rel(1).(*rel.Filter)
-				scan, ok := filter.Inputs()[0].(*rel.TableScan)
-				if !ok {
-					return
-				}
-				def := scan.Table.(*cassTable).def
-				// Precondition 1: the filter restricts to a single
-				// partition (equality on every partition key column).
-				if !bindsFullPartition(filter.Condition, def) {
-					return
-				}
-				// Precondition 2: the required sort shares a prefix with
-				// the clustering order (all ascending, matching storage).
-				if !clusteringPrefix(sortNode.Collation, def) {
-					return
-				}
-				call.Transform(rel.NewSortTraits("CassandraSort",
-					ts.WithCollation(sortNode.Collation),
-					filter, sortNode.Collation, sortNode.Offset, sortNode.Fetch))
-			},
-		},
-		// Limit pushdown onto an already-pushed sort or filter.
-		&plan.FuncRule{
-			Name: "CassandraLimitRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				s, ok := n.(*rel.Sort)
-				return ok && isLogical(n) && len(s.Collation) == 0 && s.Fetch >= 0 && s.Offset == 0
-			}, plan.MatchNode(a.inConv)),
-			Fire: func(call *plan.Call) {
-				s := call.Rel(0).(*rel.Sort)
-				call.Transform(rel.NewSortTraits("CassandraLimit", ts, call.Rel(1), nil, 0, s.Fetch))
-			},
-		},
-	}
-}
-
-// splitCassandraConds separates pushable key conditions from residual ones
-// and reports whether the partition key is fully bound by equality.
-func splitCassandraConds(cond rex.Node, def TableDef) (pushable, residual []rex.Node, singlePartition bool) {
-	isPartition := map[int]bool{}
-	for _, c := range def.PartitionKeys {
-		isPartition[c] = true
-	}
-	isClustering := map[int]bool{}
-	for _, c := range def.ClusteringKeys {
-		isClustering[c] = true
-	}
+// splitKeys separates the conjuncts CQL evaluates — equality on a partition
+// key column, a comparison on a clustering column — from the rest, and
+// reports whether they bind every partition key column.
+func splitKeys(cond rex.Node, def TableDef) (pushed, residual []rex.Node, singlePartition bool) {
 	bound := map[int]bool{}
-	for _, term := range rex.Conjuncts(cond) {
-		col, op, _, ok := simpleComparison(term)
-		switch {
-		case ok && isPartition[col] && op == "=":
+	pushed, residual = adapter.Split(cond, func(term rex.Node) bool {
+		col, op, _, ok := adapter.ColumnComparison(term, cqlOps)
+		if ok && slices.Contains(def.PartitionKeys, col) && op == "=" {
 			bound[col] = true
-			pushable = append(pushable, term)
-		case ok && isClustering[col]:
-			pushable = append(pushable, term)
-		default:
-			residual = append(residual, term)
+			return true
 		}
-	}
+		return ok && slices.Contains(def.ClusteringKeys, col)
+	})
 	singlePartition = len(def.PartitionKeys) > 0
 	for _, c := range def.PartitionKeys {
-		if !bound[c] {
-			singlePartition = false
-		}
+		singlePartition = singlePartition && bound[c]
 	}
-	return pushable, residual, singlePartition
-}
-
-// bindsFullPartition reports whether cond binds every partition key column
-// with equality.
-func bindsFullPartition(cond rex.Node, def TableDef) bool {
-	bound := map[int]bool{}
-	for _, term := range rex.Conjuncts(cond) {
-		if col, op, _, ok := simpleComparison(term); ok && op == "=" {
-			bound[col] = true
-		}
-	}
-	for _, c := range def.PartitionKeys {
-		if !bound[c] {
-			return false
-		}
-	}
-	return len(def.PartitionKeys) > 0
+	return pushed, residual, singlePartition
 }
 
 // clusteringPrefix reports whether the collation is an ascending prefix of
@@ -257,35 +118,10 @@ func clusteringPrefix(collation trait.Collation, def TableDef) bool {
 	return true
 }
 
-// simpleComparison decomposes "col OP literal".
-func simpleComparison(term rex.Node) (col int, op string, val any, ok bool) {
-	c, isCall := term.(*rex.Call)
-	if !isCall || len(c.Operands) != 2 {
-		return 0, "", nil, false
-	}
-	opName := map[*rex.Operator]string{
-		rex.OpEquals: "=", rex.OpGreater: ">", rex.OpGreaterEqual: ">=",
-		rex.OpLess: "<", rex.OpLessEqual: "<=",
-	}[c.Op]
-	if opName == "" {
-		return 0, "", nil, false
-	}
-	if ref, rok := c.Operands[0].(*rex.InputRef); rok {
-		if lit, lok := c.Operands[1].(*rex.Literal); lok && lit.Value != nil {
-			return ref.Index, opName, lit.Value, true
-		}
-	}
-	if lit, lok := c.Operands[0].(*rex.Literal); lok && lit.Value != nil {
-		if ref, rok := c.Operands[1].(*rex.InputRef); rok {
-			if m := rex.Mirror(c.Op); m != nil {
-				return ref.Index, map[*rex.Operator]string{
-					rex.OpEquals: "=", rex.OpGreater: ">", rex.OpGreaterEqual: ">=",
-					rex.OpLess: "<", rex.OpLessEqual: "<=",
-				}[m], lit.Value, true
-			}
-		}
-	}
-	return 0, "", nil, false
+// cqlOps are the comparison operators CQL carries.
+var cqlOps = map[*rex.Operator]string{
+	rex.OpEquals: "=", rex.OpGreater: ">", rex.OpGreaterEqual: ">=",
+	rex.OpLess: "<", rex.OpLessEqual: "<=",
 }
 
 // MetaProviders implements core.MetaAdapter: a CassandraSort is free — rows
@@ -303,50 +139,6 @@ func (a *Adapter) MetaProviders() []meta.Provider {
 			return cost.Zero, false
 		},
 	}}
-}
-
-// Converters implements core.Adapter.
-func (a *Adapter) Converters() []core.ConverterReg {
-	return []core.ConverterReg{{
-		From: a.Conv,
-		To:   trait.Enumerable,
-		Factory: func(input rel.Node) rel.Node {
-			return &toEnumerable{
-				Converter: rel.NewConverter("CassandraToEnumerable", trait.Enumerable, input),
-				adapter:   a,
-			}
-		},
-	}}
-}
-
-type toEnumerable struct {
-	*rel.Converter
-	adapter *Adapter
-}
-
-func (c *toEnumerable) WithNewInputs(inputs []rel.Node) rel.Node {
-	return &toEnumerable{
-		Converter: rel.NewConverter("CassandraToEnumerable", trait.Enumerable, inputs[0]),
-		adapter:   c.adapter,
-	}
-}
-
-func (c *toEnumerable) Unwrap() rel.Node { return c.Converter }
-
-func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	bound, err := exec.BindPlanParams(ctx, c.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	cql, err := ToCQL(bound)
-	if err != nil {
-		return nil, err
-	}
-	_, rows, err := c.adapter.Store.Execute(cql)
-	if err != nil {
-		return nil, err
-	}
-	return schema.NewSliceCursor(rows), nil
 }
 
 // ToCQL renders a cassandra-convention subtree as CQL text.
@@ -387,11 +179,11 @@ func collect(n rel.Node) (sel []string, table string, where, order []string, lim
 		}
 		fields := x.Inputs()[0].RowType().Fields
 		for _, term := range rex.Conjuncts(x.Condition) {
-			col, op, val, ok := simpleComparison(term)
+			col, op, v, ok := adapter.ColumnComparison(term, cqlOps)
 			if !ok {
 				return nil, "", nil, nil, -1, fmt.Errorf("cassandra: condition %s not translatable to CQL", term)
 			}
-			where = append(where, fmt.Sprintf("%s %s %s", fields[col].Name, op, cqlLit(val)))
+			where = append(where, fmt.Sprintf("%s %s %s", fields[col].Name, op, cqlLit(v.Value)))
 		}
 		return
 	case *rel.Sort:

@@ -6,152 +6,73 @@ import (
 	"sort"
 	"strings"
 
-	"calcite/internal/core"
-	"calcite/internal/exec"
-	"calcite/internal/plan"
+	"calcite/internal/adapter"
 	"calcite/internal/rel"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
-	"calcite/internal/trait"
 	"calcite/internal/types"
 )
 
-// mongoTable exposes a collection as a single-column table: "a table is
-// created for each document collection with a single column named _MAP: a
-// map from document identifiers to their data" (§7.1).
-type mongoTable struct {
-	name  string
-	store *Store
-}
+// Adapter connects a Store under the mongo calling convention: filters over
+// _MAP['field'] comparisons push down as JSON find documents.
+type Adapter = adapter.Adapter
 
+// mapRowType is every collection's row type: "a table is created for each
+// document collection with a single column named _MAP: a map from document
+// identifiers to their data" (§7.1).
 var mapRowType = types.Row(types.Field{
 	Name: "_MAP",
 	Type: types.Map(types.Varchar, types.Any),
 })
 
-func (t *mongoTable) Name() string             { return t.name }
-func (t *mongoTable) RowType() *types.Type     { return mapRowType }
-func (t *mongoTable) Stats() schema.Statistics { return schema.Statistics{RowCount: 500} }
-
-// TransferCostFactor implements schema.RemoteTable.
-func (t *mongoTable) TransferCostFactor() float64 { return 1 }
-
-func (t *mongoTable) Scan() (schema.Cursor, error) {
-	docs, err := t.store.Find(t.name, "{}")
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]any, len(docs))
-	for i, d := range docs {
-		rows[i] = []any{map[string]any(d)}
-	}
-	return schema.NewSliceCursor(rows), nil
-}
-
-// Adapter connects a Store under the "mongo" calling convention.
-type Adapter struct {
-	SchemaName string
-	Store      *Store
-	Conv       trait.Convention
-
-	schema *schema.BaseSchema
-}
-
 // New builds the adapter from the store's collections.
 func New(schemaName string, store *Store) *Adapter {
-	a := &Adapter{
-		SchemaName: schemaName,
-		Store:      store,
-		Conv:       trait.NewConvention("mongo"),
-		schema:     schema.NewBaseSchema(schemaName),
-	}
+	a := adapter.New(schemaName, adapter.Backend{
+		Kind:   "mongo",
+		Prefix: "Mongo",
+		Filter: func(cond rex.Node, _ rel.Node) ([]rex.Node, []rex.Node) {
+			return adapter.Split(cond, func(term rex.Node) bool {
+				_, _, _, ok := mapFieldComparison(term)
+				return ok
+			})
+		},
+		Run: func(n rel.Node) ([][]any, error) {
+			collection, filterJSON, err := ToFind(n)
+			if err != nil {
+				return nil, err
+			}
+			docs, err := store.Find(collection, filterJSON)
+			if err != nil {
+				return nil, err
+			}
+			rows := make([][]any, len(docs))
+			for i, d := range docs {
+				rows[i] = []any{d}
+			}
+			return rows, nil
+		},
+	})
 	for _, name := range store.CollectionNames() {
-		a.schema.AddTable(&mongoTable{name: name, store: store})
+		a.AddTable(name, mapRowType, schema.Statistics{RowCount: 500})
 	}
 	return a
 }
 
-// AdapterSchema implements core.Adapter.
-func (a *Adapter) AdapterSchema() schema.Schema { return a.schema }
-
-func (a *Adapter) inConv(n rel.Node) bool {
-	return trait.SameConvention(n.Traits().Convention, a.Conv)
-}
-
-func isLogical(n rel.Node) bool {
-	return trait.SameConvention(n.Traits().Convention, trait.Logical)
-}
-
-// Rules implements core.Adapter: scans convert to the mongo convention and
-// filters over _MAP['field'] expressions push down as JSON find documents.
-func (a *Adapter) Rules() []plan.Rule {
-	ts := trait.NewSet(a.Conv)
-	return []plan.Rule{
-		&plan.FuncRule{
-			Name: "MongoScanRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				s, ok := n.(*rel.TableScan)
-				if !ok || !isLogical(n) {
-					return false
-				}
-				mt, mine := s.Table.(*mongoTable)
-				return mine && mt.store == a.Store
-			}),
-			Fire: func(call *plan.Call) {
-				s := call.Rel(0).(*rel.TableScan)
-				call.Transform(rel.NewTableScan(a.Conv, s.Table, []string{s.Table.Name()}))
-			},
-		},
-		&plan.FuncRule{
-			Name: "MongoFilterRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				_, ok := n.(*rel.Filter)
-				return ok && isLogical(n)
-			}, plan.MatchNode(a.inConv)),
-			Fire: func(call *plan.Call) {
-				f := call.Rel(0).(*rel.Filter)
-				var pushable, residual []rex.Node
-				for _, term := range rex.Conjuncts(f.Condition) {
-					if _, _, _, ok := mapFieldComparison(term); ok {
-						pushable = append(pushable, term)
-					} else {
-						residual = append(residual, term)
-					}
-				}
-				if len(pushable) == 0 {
-					return
-				}
-				var node rel.Node = rel.NewFilterTraits("MongoFilter", ts, call.Rel(1), rex.And(pushable...))
-				if len(residual) > 0 {
-					node = rel.NewFilter(node, rex.And(residual...))
-				}
-				call.Transform(node)
-			},
-		},
-	}
+// findOps are the comparison operators a find document carries.
+var findOps = map[*rex.Operator]string{
+	rex.OpEquals: "$eq", rex.OpNotEquals: "$ne",
+	rex.OpGreater: "$gt", rex.OpGreaterEqual: "$gte",
+	rex.OpLess: "$lt", rex.OpLessEqual: "$lte",
 }
 
 // mapFieldComparison decomposes a pushable condition of the form
 // [CAST](_MAP['field']) OP literal.
-func mapFieldComparison(term rex.Node) (field string, op string, val any, ok bool) {
-	c, isCall := term.(*rex.Call)
-	if !isCall || len(c.Operands) != 2 {
-		return "", "", nil, false
+func mapFieldComparison(term rex.Node) (field string, op string, v *rex.Literal, ok bool) {
+	x, op, v, ok := adapter.Comparison(term, findOps)
+	if ok {
+		field, ok = mapFieldAccess(x)
 	}
-	opName := map[*rex.Operator]string{
-		rex.OpEquals: "$eq", rex.OpNotEquals: "$ne",
-		rex.OpGreater: "$gt", rex.OpGreaterEqual: "$gte",
-		rex.OpLess: "$lt", rex.OpLessEqual: "$lte",
-	}[c.Op]
-	if opName == "" {
-		return "", "", nil, false
-	}
-	fieldName, fok := mapFieldAccess(c.Operands[0])
-	lit, lok := c.Operands[1].(*rex.Literal)
-	if fok && lok && lit.Value != nil {
-		return fieldName, opName, lit.Value, true
-	}
-	return "", "", nil, false
+	return field, op, v, ok
 }
 
 // mapFieldAccess recognizes ITEM($0, 'field'), possibly wrapped in CASTs.
@@ -180,54 +101,6 @@ func mapFieldAccess(e rex.Node) (string, bool) {
 	}
 }
 
-// Converters implements core.Adapter.
-func (a *Adapter) Converters() []core.ConverterReg {
-	return []core.ConverterReg{{
-		From: a.Conv,
-		To:   trait.Enumerable,
-		Factory: func(input rel.Node) rel.Node {
-			return &toEnumerable{
-				Converter: rel.NewConverter("MongoToEnumerable", trait.Enumerable, input),
-				adapter:   a,
-			}
-		},
-	}}
-}
-
-type toEnumerable struct {
-	*rel.Converter
-	adapter *Adapter
-}
-
-func (c *toEnumerable) WithNewInputs(inputs []rel.Node) rel.Node {
-	return &toEnumerable{
-		Converter: rel.NewConverter("MongoToEnumerable", trait.Enumerable, inputs[0]),
-		adapter:   c.adapter,
-	}
-}
-
-func (c *toEnumerable) Unwrap() rel.Node { return c.Converter }
-
-func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	bound, err := exec.BindPlanParams(ctx, c.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	collection, filterJSON, err := ToFind(bound)
-	if err != nil {
-		return nil, err
-	}
-	docs, err := c.adapter.Store.Find(collection, filterJSON)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]any, len(docs))
-	for i, d := range docs {
-		rows[i] = []any{map[string]any(d)}
-	}
-	return schema.NewSliceCursor(rows), nil
-}
-
 // ToFind renders a mongo-convention subtree as (collection, find JSON) —
 // the adapter's query-language translator.
 func ToFind(n rel.Node) (string, string, error) {
@@ -241,7 +114,7 @@ func ToFind(n rel.Node) (string, string, error) {
 		}
 		filter := map[string]any{}
 		for _, term := range rex.Conjuncts(x.Condition) {
-			field, op, val, ok := mapFieldComparison(term)
+			field, op, v, ok := mapFieldComparison(term)
 			if !ok {
 				return "", "", fmt.Errorf("mongo: condition %s not translatable", term)
 			}
@@ -249,7 +122,7 @@ func ToFind(n rel.Node) (string, string, error) {
 			if cond == nil {
 				cond = map[string]any{}
 			}
-			cond[op] = val
+			cond[op] = v.Value
 			filter[field] = cond
 		}
 		buf, err := marshalSorted(filter)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"calcite/internal/core"
+	"calcite/internal/adapter"
 	"calcite/internal/cost"
 	"calcite/internal/exec"
 	"calcite/internal/meta"
@@ -16,75 +16,40 @@ import (
 	"calcite/internal/types"
 )
 
-// splunkTable is the adapter's handle for an engine index.
-type splunkTable struct {
-	name    string
-	rowType *types.Type
-	engine  *Engine
-	rows    float64
-}
-
-func (t *splunkTable) Name() string         { return t.name }
-func (t *splunkTable) RowType() *types.Type { return t.rowType }
-func (t *splunkTable) Stats() schema.Statistics {
-	return schema.Statistics{RowCount: t.rows}
-}
-
-// TransferCostFactor implements schema.RemoteTable.
-func (t *splunkTable) TransferCostFactor() float64 { return 1 }
-
-// Scan falls back to an unfiltered search (enumerable full scan).
-func (t *splunkTable) Scan() (schema.Cursor, error) {
-	_, rows, err := t.engine.Search("search index=" + t.name)
-	if err != nil {
-		return nil, err
-	}
-	return schema.NewSliceCursor(rows), nil
-}
-
-// Adapter connects a Splunk Engine to the framework under the "splunk"
-// calling convention of Figure 2.
+// Adapter connects a Splunk Engine to the framework under the splunk
+// calling convention of Figure 2: search-term filters, field projections,
+// head limits and the lookup join into a SQL backend, rendered as SPL.
 type Adapter struct {
-	SchemaName string
-	Engine     *Engine
-	Conv       trait.Convention
-
-	schema *schema.BaseSchema
+	*adapter.Adapter
 }
 
 // New builds the adapter, reading index metadata from the engine.
 func New(schemaName string, engine *Engine) *Adapter {
-	a := &Adapter{
-		SchemaName: schemaName,
-		Engine:     engine,
-		Conv:       trait.NewConvention("splunk"),
-		schema:     schema.NewBaseSchema(schemaName),
-	}
+	a := &Adapter{adapter.New(schemaName, adapter.Backend{
+		Kind:   "splunk",
+		Prefix: "Splunk",
+		// "An adapter which can perform filtering on the backend can
+		// implement a rule which matches a LogicalFilter and converts it to
+		// the adapter's calling convention" (§5).
+		Filter: func(cond rex.Node, _ rel.Node) ([]rex.Node, []rex.Node) {
+			return adapter.Split(cond, isSearchTerm)
+		},
+		Project: adapter.ColumnsOnly,
+		Limit:   true,
+		Run: func(n rel.Node) ([][]any, error) {
+			spl, err := ToSPL(n)
+			if err != nil {
+				return nil, err
+			}
+			_, rows, err := engine.Search(spl)
+			return rows, err
+		},
+	})}
 	for _, name := range engine.IndexNames() {
-		fields, _ := engine.IndexFields(name)
-		rowCount := 100.0
-		if idx, ok := engine.indexes[strings.ToLower(name)]; ok {
-			rowCount = float64(len(idx.Events))
-		}
-		a.schema.AddTable(&splunkTable{
-			name:    name,
-			rowType: types.Row(fields...),
-			engine:  engine,
-			rows:    rowCount,
-		})
+		idx := engine.indexes[strings.ToLower(name)]
+		a.AddTable(idx.Name, types.Row(idx.Fields...), schema.Statistics{RowCount: float64(len(idx.Events))})
 	}
 	return a
-}
-
-// AdapterSchema implements core.Adapter.
-func (a *Adapter) AdapterSchema() schema.Schema { return a.schema }
-
-func (a *Adapter) inConv(n rel.Node) bool {
-	return trait.SameConvention(n.Traits().Convention, a.Conv)
-}
-
-func isLogical(n rel.Node) bool {
-	return trait.SameConvention(n.Traits().Convention, trait.Logical)
 }
 
 // LookupJoin is the join pushed into the Splunk engine (Figure 2: "a
@@ -98,11 +63,11 @@ type LookupJoin struct {
 	RemoteKey   string
 	LocalField  string
 	RemoteCols  []string
-	adapter     *Adapter
+	conv        trait.Convention
 }
 
-// NewLookupJoin builds a lookup join node.
-func NewLookupJoin(a *Adapter, left rel.Node, rowType *types.Type, remoteTable, remoteKey, localField string, remoteCols []string) *LookupJoin {
+// NewLookupJoin builds a lookup join node in the splunk convention conv.
+func NewLookupJoin(conv trait.Convention, left rel.Node, rowType *types.Type, remoteTable, remoteKey, localField string, remoteCols []string) *LookupJoin {
 	return &LookupJoin{
 		base:        left,
 		rowType:     rowType,
@@ -110,144 +75,50 @@ func NewLookupJoin(a *Adapter, left rel.Node, rowType *types.Type, remoteTable, 
 		RemoteKey:   remoteKey,
 		LocalField:  localField,
 		RemoteCols:  remoteCols,
-		adapter:     a,
+		conv:        conv,
 	}
 }
 
 func (j *LookupJoin) Op() string           { return "SplunkLookupJoin" }
 func (j *LookupJoin) Inputs() []rel.Node   { return []rel.Node{j.base} }
 func (j *LookupJoin) RowType() *types.Type { return j.rowType }
-func (j *LookupJoin) Traits() trait.Set    { return trait.NewSet(j.adapter.Conv) }
+func (j *LookupJoin) Traits() trait.Set    { return trait.NewSet(j.conv) }
 func (j *LookupJoin) Attrs() string {
 	return fmt.Sprintf("lookup=[%s], key=[%s=%s]", j.RemoteTable, j.RemoteKey, j.LocalField)
 }
 func (j *LookupJoin) WithNewInputs(inputs []rel.Node) rel.Node {
-	return NewLookupJoin(j.adapter, inputs[0], j.rowType, j.RemoteTable, j.RemoteKey, j.LocalField, j.RemoteCols)
+	return NewLookupJoin(j.conv, inputs[0], j.rowType, j.RemoteTable, j.RemoteKey, j.LocalField, j.RemoteCols)
 }
 
-// Rules implements core.Adapter.
+// Rules implements core.Adapter: the contract's rules, then the Figure 2
+// rule, which pushes an inner equi-join between a splunk-side input and a
+// remote SQL table through the converter, turning it into an in-engine
+// lookup join.
 func (a *Adapter) Rules() []plan.Rule {
-	ts := trait.NewSet(a.Conv)
-	return []plan.Rule{
-		// Scan conversion.
-		&plan.FuncRule{
-			Name: "SplunkScanRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				s, ok := n.(*rel.TableScan)
-				if !ok || !isLogical(n) {
-					return false
-				}
-				st, mine := s.Table.(*splunkTable)
-				return mine && st.engine == a.Engine
-			}),
-			Fire: func(call *plan.Call) {
-				s := call.Rel(0).(*rel.TableScan)
-				call.Transform(rel.NewTableScan(a.Conv, s.Table, []string{s.Table.Name()}))
-			},
-		},
-		// Filter pushdown: "an adapter which can perform filtering on the
-		// backend can implement a rule which matches a LogicalFilter and
-		// converts it to the adapter's calling convention" (§5).
-		&plan.FuncRule{
-			Name: "SplunkFilterRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				_, ok := n.(*rel.Filter)
-				return ok && isLogical(n)
-			}, plan.MatchNode(a.inConv)),
-			Fire: func(call *plan.Call) {
-				f := call.Rel(0).(*rel.Filter)
-				child := call.Rel(1)
-				var pushable, residual []rex.Node
-				for _, term := range rex.Conjuncts(f.Condition) {
-					if splCondition(term, child.RowType().Fields) != "" {
-						pushable = append(pushable, term)
-					} else {
-						residual = append(residual, term)
-					}
-				}
-				if len(pushable) == 0 {
-					return
-				}
-				var node rel.Node = rel.NewFilterTraits("SplunkFilter", ts, child, rex.And(pushable...))
-				if len(residual) > 0 {
-					node = rel.NewFilter(node, rex.And(residual...))
-				}
-				call.Transform(node)
-			},
-		},
-		// Projection pushdown ("| fields ...").
-		&plan.FuncRule{
-			Name: "SplunkProjectRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				_, ok := n.(*rel.Project)
-				return ok && isLogical(n)
-			}, plan.MatchNode(a.inConv)),
-			Fire: func(call *plan.Call) {
-				p := call.Rel(0).(*rel.Project)
-				for _, e := range p.Exprs {
-					if _, ok := e.(*rex.InputRef); !ok {
-						return // SPL fields stage projects columns only
-					}
-				}
-				call.Transform(rel.NewProjectTraits("SplunkProject", ts, call.Rel(1), p.Exprs, p.FieldNames()))
-			},
-		},
-		// Limit pushdown ("| head N").
-		&plan.FuncRule{
-			Name: "SplunkLimitRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				s, ok := n.(*rel.Sort)
-				return ok && isLogical(n) && len(s.Collation) == 0 && s.Fetch >= 0 && s.Offset == 0
-			}, plan.MatchNode(a.inConv)),
-			Fire: func(call *plan.Call) {
-				s := call.Rel(0).(*rel.Sort)
-				call.Transform(rel.NewSortTraits("SplunkLimit", ts, call.Rel(1), nil, 0, s.Fetch))
-			},
-		},
-		// The Figure 2 rule: push an inner equi-join between a splunk-side
-		// input and a remote SQL table through the converter, turning it
-		// into an in-engine lookup join.
-		&plan.FuncRule{
-			Name: "SplunkLookupJoinRule",
-			Op: plan.MatchNode(func(n rel.Node) bool {
-				j, ok := n.(*rel.Join)
-				return ok && isLogical(n) && j.Kind == rel.InnerJoin
-			}, plan.MatchNode(a.inConv), plan.MatchNode(func(n rel.Node) bool {
-				s, ok := n.(*rel.TableScan)
-				return ok && s.Traits().Convention != nil &&
-					strings.HasPrefix(s.Traits().Convention.ConventionName(), "jdbc-")
+	return append(a.Adapter.Rules(), &plan.FuncRule{
+		Name: a.RuleName("LookupJoin"),
+		Op: plan.MatchNode(adapter.Logical(func(j *rel.Join) bool { return j.Kind == rel.InnerJoin }),
+			plan.MatchNode(a.InConv), plan.MatchNode(func(n rel.Node) bool {
+				_, ok := n.(*rel.TableScan)
+				return ok && n.Traits().Convention != nil &&
+					strings.HasPrefix(n.Traits().Convention.ConventionName(), "jdbc-")
 			})),
-			Fire: func(call *plan.Call) {
-				j := call.Rel(0).(*rel.Join)
-				left := call.Rel(1)
-				right := call.Rel(2).(*rel.TableScan)
-				nLeft := rel.FieldCount(left)
-				info := exec.AnalyzeJoin(j.Condition, nLeft)
-				if len(info.LeftKeys) != 1 || info.Residual != nil {
-					return
-				}
-				localField := left.RowType().Fields[info.LeftKeys[0]].Name
-				remoteKey := right.RowType().Fields[info.RightKeys[0]].Name
-				remoteCols := right.RowType().FieldNames()
-				call.Transform(NewLookupJoin(a, left, j.RowType(),
-					right.Table.Name(), remoteKey, localField, remoteCols))
-			},
-		},
-	}
-}
-
-// Converters implements core.Adapter.
-func (a *Adapter) Converters() []core.ConverterReg {
-	return []core.ConverterReg{{
-		From: a.Conv,
-		To:   trait.Enumerable,
-		Factory: func(input rel.Node) rel.Node {
-			return &toEnumerable{
-				Converter: rel.NewConverter("SplunkToEnumerable", trait.Enumerable, input),
-				adapter:   a,
+		Fire: func(call *plan.Call) {
+			j := call.Rel(0).(*rel.Join)
+			left := call.Rel(1)
+			right := call.Rel(2).(*rel.TableScan)
+			nLeft := rel.FieldCount(left)
+			info := exec.AnalyzeJoin(j.Condition, nLeft)
+			if len(info.LeftKeys) != 1 || info.Residual != nil {
+				return
 			}
+			localField := left.RowType().Fields[info.LeftKeys[0]].Name
+			remoteKey := right.RowType().Fields[info.RightKeys[0]].Name
+			remoteCols := right.RowType().FieldNames()
+			call.Transform(NewLookupJoin(a.Conv, left, j.RowType(),
+				right.Table.Name(), remoteKey, localField, remoteCols))
 		},
-	}}
+	})
 }
 
 // MetaProviders implements core.MetaAdapter: a lookup join produces about
@@ -272,40 +143,6 @@ func (a *Adapter) MetaProviders() []meta.Provider {
 		},
 	}}
 }
-
-// toEnumerable executes a splunk-convention subtree by generating SPL.
-type toEnumerable struct {
-	*rel.Converter
-	adapter *Adapter
-}
-
-func (c *toEnumerable) WithNewInputs(inputs []rel.Node) rel.Node {
-	return &toEnumerable{
-		Converter: rel.NewConverter("SplunkToEnumerable", trait.Enumerable, inputs[0]),
-		adapter:   c.adapter,
-	}
-}
-
-func (c *toEnumerable) Unwrap() rel.Node { return c.Converter }
-
-func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	bound, err := exec.BindPlanParams(ctx, c.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	spl, err := ToSPL(bound)
-	if err != nil {
-		return nil, err
-	}
-	_, rows, err := c.adapter.Engine.Search(spl)
-	if err != nil {
-		return nil, err
-	}
-	return schema.NewSliceCursor(rows), nil
-}
-
-// SPL returns the search string for the subtree (for EXPLAIN/tests).
-func (c *toEnumerable) SPL() (string, error) { return ToSPL(c.Inputs()[0]) }
 
 // ToSPL renders a splunk-convention subtree as a search pipeline — the
 // adapter's query-language translator (Table 2: "Splunk → SPL").
@@ -366,50 +203,30 @@ func ToSPL(n rel.Node) (string, error) {
 	return "", fmt.Errorf("splunk: cannot translate %s to SPL", n.Op())
 }
 
+// splOps are the comparison operators a search term carries.
+var splOps = map[*rex.Operator]string{
+	rex.OpEquals: "=", rex.OpNotEquals: "!=",
+	rex.OpGreater: ">", rex.OpGreaterEqual: ">=",
+	rex.OpLess: "<", rex.OpLessEqual: "<=",
+}
+
+// isSearchTerm reports whether a conjunct is a search term: a field
+// compared with a value.
+func isSearchTerm(term rex.Node) bool {
+	_, _, _, ok := adapter.ColumnComparison(term, splOps)
+	return ok
+}
+
 // splCondition renders one conjunct as an SPL search term, or "" when the
 // condition cannot be pushed.
 func splCondition(term rex.Node, fields []types.Field) string {
-	c, ok := term.(*rex.Call)
-	if !ok || len(c.Operands) != 2 {
+	col, op, v, ok := adapter.ColumnComparison(term, splOps)
+	if !ok {
 		return ""
 	}
-	op := map[*rex.Operator]string{
-		rex.OpEquals: "=", rex.OpNotEquals: "!=",
-		rex.OpGreater: ">", rex.OpGreaterEqual: ">=",
-		rex.OpLess: "<", rex.OpLessEqual: "<=",
-	}[c.Op]
-	if op == "" {
-		return ""
+	rendered := types.FormatValue(v.Value)
+	if s, ok := v.Value.(string); ok {
+		rendered = `"` + s + `"`
 	}
-	ref, rok := c.Operands[0].(*rex.InputRef)
-	lit, lok := c.Operands[1].(*rex.Literal)
-	if !rok || !lok {
-		// Try the mirrored form: literal OP ref.
-		lit, lok = c.Operands[0].(*rex.Literal)
-		ref, rok = c.Operands[1].(*rex.InputRef)
-		if !rok || !lok {
-			return ""
-		}
-		if m := rex.Mirror(c.Op); m != nil {
-			op = map[*rex.Operator]string{
-				rex.OpEquals: "=", rex.OpNotEquals: "!=",
-				rex.OpGreater: ">", rex.OpGreaterEqual: ">=",
-				rex.OpLess: "<", rex.OpLessEqual: "<=",
-			}[m]
-		}
-	}
-	if ref.Index >= len(fields) {
-		return ""
-	}
-	val := lit.Value
-	var rendered string
-	switch v := val.(type) {
-	case string:
-		rendered = `"` + v + `"`
-	case nil:
-		return ""
-	default:
-		rendered = types.FormatValue(v)
-	}
-	return fields[ref.Index].Name + op + rendered
+	return fields[col].Name + op + rendered
 }
