@@ -307,6 +307,63 @@ func TestAdaptersMatchLocalTwin(t *testing.T) {
 	}
 }
 
+// TestTwoAdaptersOfOneKind: beside the fixture's four adapters, a second
+// adapter of each kind registers under its own schema. Each schema's
+// statements reach only its own backend (with one convention per kind, the
+// first adapter's converter ran the second adapter's subtree and failed with
+// an unknown table).
+func TestTwoAdaptersOfOneKind(t *testing.T) {
+	conn := newFedData().federated(t)
+	id := []types.Field{bigint("id")}
+	db := sqldb.NewServer("db2")
+	db.CreateTable("ev", types.Row(id...), [][]any{{int64(7)}})
+	ev := splunk.NewEngine()
+	ev.AddIndex(&splunk.Index{Name: "ev", Fields: id, Events: [][]any{{int64(7)}}})
+	cass := cassandra.NewStore()
+	cass.CreateTable(cassandra.TableDef{Name: "ev", Fields: id, PartitionKeys: []int{0}}, [][]any{{int64(7)}})
+	docs := mongo.NewStore()
+	docs.AddCollection("ev", []map[string]any{{"id": float64(7)}})
+	jdbc, err := sqldb.New("db2", db, rel2sql.MySQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.RegisterAdapter(jdbc)
+	conn.RegisterAdapter(splunk.New("splunk2", ev))
+	conn.RegisterAdapter(cassandra.New("c2", cass))
+	conn.RegisterAdapter(mongo.New("mongo2", docs))
+
+	logs := map[string][2]*[]string{ // each kind's backends: the fixture's, then the second
+		"sqldb": {&conn.db.Queries, &db.Queries}, "splunk": {&conn.splunk.Queries, &ev.Queries},
+		"cassandra": {&conn.cass.Queries, &cass.Queries}, "mongo": {&conn.mongo.Queries, &docs.Queries},
+	}
+	for _, c := range []struct {
+		sql  string
+		kind string
+		own  int // which of the kind's two backends the schema is
+	}{
+		{"SELECT id FROM db2.ev WHERE id = 7", "sqldb", 1},
+		{"SELECT id FROM splunk2.ev WHERE id = 7", "splunk", 1},
+		{"SELECT id FROM c2.ev WHERE id = 7", "cassandra", 1},
+		{"SELECT CAST(_MAP['id'] AS BIGINT) FROM mongo2.ev WHERE CAST(_MAP['id'] AS BIGINT) = 7", "mongo", 1},
+		{"SELECT name FROM db.products WHERE id = 2", "sqldb", 0},
+		{"SELECT units FROM splunk.orders WHERE units > 45", "splunk", 0},
+		{"SELECT payload FROM cass.events WHERE tenant = 'globex'", "cassandra", 0},
+		{"SELECT city FROM zips WHERE city = 'UTRECHT'", "mongo", 0},
+	} {
+		own, other := logs[c.kind][c.own], logs[c.kind][1-c.own]
+		ownBefore, otherBefore := len(*own), len(*other)
+		res, err := conn.Query(c.sql)
+		if err != nil || len(res.Rows) != 1 {
+			t.Errorf("%s: rows %v, err %v", c.sql, res, err)
+			continue
+		}
+		if len(*own) != ownBefore+1 || len(*other) != otherBefore {
+			t.Errorf("%s: %d requests to its own %s backend and %d to the other, want 1 and 0",
+				c.sql, len(*own)-ownBefore, c.kind, len(*other)-otherBefore)
+		}
+	}
+}
+
 // TestParametersCrossTheFederationBoundary: a prepared statement whose
 // predicate is pushed into a backend reaches it with the bound value in the
 // backend's own language (sqldb used to send "?" and be refused); where the

@@ -8,13 +8,15 @@
 // bound subtree of its convention in the backend's own language and executes
 // it. New registers the declaration under a schema and derives the rest:
 //
+//   - one calling convention per schema, <kind>-<schema>, so two backends of
+//     one kind never run each other's subtrees;
 //   - a table type whose scan enters the backend's convention and whose
 //     fallback full scan is Run over that bare scan, the path a pushed query
 //     takes;
-//   - one rule set, named <Prefix><Op>Rule: a scan rule for the schema's
-//     tables first, then filter (split into the conjuncts the backend takes
-//     and an engine-side residual), project, sort, limit, aggregate and join
-//     rules for the capabilities declared, in that order;
+//   - one rule set, named <Prefix><Op>Rule(<schema>): a scan rule for the
+//     schema's tables first, then filter (split into the conjuncts the
+//     backend takes and an engine-side residual), project, sort, limit,
+//     aggregate and join rules for the capabilities declared, in that order;
 //   - one converter, <Prefix>ToEnumerable, which binds the statement's
 //     parameters into its subtree and calls Run.
 //
@@ -36,8 +38,8 @@ import (
 // Backend declares what one backend accepts and how it runs a pushed
 // subtree. A nil capability is not pushed.
 type Backend struct {
-	// Kind names the convention ("jdbc"); Prefix names the operators
-	// ("Jdbc": JdbcFilter, JdbcToEnumerable).
+	// Kind names the convention ("jdbc": "jdbc-<schema>"); Prefix names
+	// the operators ("Jdbc": JdbcFilter, JdbcToEnumerable).
 	Kind, Prefix string
 	// Filter splits a filter condition over an input already in the backend
 	// into the conjuncts the backend evaluates and the residual the engine
@@ -64,18 +66,12 @@ type Adapter struct {
 	Conv       trait.Convention
 
 	schema *schema.BaseSchema
-	scope  string // rule-name suffix
 }
 
 // New registers b under schemaName; AddTable fills the schema.
 func New(schemaName string, b Backend) *Adapter {
-	a := &Adapter{Backend: b, SchemaName: schemaName, Conv: trait.NewConvention(b.Kind),
+	return &Adapter{Backend: b, SchemaName: schemaName, Conv: trait.NewConvention(b.Kind + "-" + schemaName),
 		schema: schema.NewBaseSchema(schemaName)}
-	if b.Kind == "jdbc" {
-		a.Conv = trait.NewConvention(b.Kind + "-" + schemaName)
-		a.scope = "(" + schemaName + ")"
-	}
-	return a
 }
 
 // AddTable exposes one backend table in the adapter's schema.
@@ -90,7 +86,7 @@ func (a *Adapter) AdapterSchema() schema.Schema { return a.schema }
 func (a *Adapter) InConv(n rel.Node) bool { return trait.SameConvention(n.Traits().Convention, a.Conv) }
 
 // RuleName names one of the adapter's rules by the operator it pushes.
-func (a *Adapter) RuleName(op string) string { return a.Prefix + op + "Rule" + a.scope }
+func (a *Adapter) RuleName(op string) string { return a.Prefix + op + "Rule(" + a.SchemaName + ")" }
 
 // Logical matches a logical node of type T that accept (when non-nil) takes.
 func Logical[T rel.Node](accept func(T) bool) func(rel.Node) bool {
