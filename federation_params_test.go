@@ -78,6 +78,8 @@ func newFedData() *fedData {
 		{name: "orders", fields: []types.Field{{Name: "rowtime", Type: types.Timestamp}, bigint("product_id"), bigint("units")},
 			rows: [][]any{{int64(1000), int64(1), int64(10)}, {int64(2000), int64(2), int64(30)}, {int64(3000), int64(3), int64(40)},
 				{int64(4000), int64(1), int64(50)}, {int64(5000), int64(2), int64(5)}}},
+		{name: "roles", fields: []types.Field{bigint("id"), varchar("role")},
+			rows: [][]any{{int64(1), "actor"}, {int64(2), "lead actor"}, {int64(3), "x|y"}, {int64(4), `say "hi"`}, {int64(5), "a>=b"}}},
 	}
 
 	movieInfo := fedTable{name: "movie_info", fields: []types.Field{bigint("movie_id"), bigint("seq"), varchar("info_type"), bigint("score")}}
@@ -90,6 +92,8 @@ func newFedData() *fedData {
 	d.cass = []fedTable{movieInfo,
 		{name: "events", fields: []types.Field{varchar("tenant"), bigint("ts"), varchar("payload")},
 			rows: [][]any{{"acme", int64(1), "a"}, {"acme", int64(2), "b"}, {"acme", int64(3), "c"}, {"globex", int64(1), "x"}}},
+		{name: "notes", fields: []types.Field{varchar("author"), bigint("ts"), varchar("body")},
+			rows: [][]any{{"o", int64(1), "x"}, {"o'brien", int64(1), "it's"}}},
 	}
 
 	for i := 0; i < 60; i++ {
@@ -229,7 +233,8 @@ type fedStatement struct {
 // project, sort, aggregate and join; cassandra project, sort with its
 // preconditions met and unmet, and limit; splunk project, limit and the
 // Figure 2 lookup join), then the statements of the adapter packages' tests
-// and of TestParametersCrossTheFederationBoundary.
+// and of TestParametersCrossTheFederationBoundary, then literals and shapes
+// the backends' languages used to mis-read.
 var fedCorpus = []fedStatement{
 	{sql: `SELECT k.kind AS kind, COUNT(*) AS n, MAX(t.rating) AS best FROM db.title t JOIN kind_type k ON t.kind_id = k.id
 		WHERE t.year > 1992 GROUP BY k.kind`},
@@ -283,6 +288,15 @@ var fedCorpus = []fedStatement{
 	{sql: "SELECT ts, payload FROM cass.events WHERE tenant = ?", params: []any{"acme"}},
 	{sql: "SELECT CAST(_MAP['city'] AS VARCHAR(20)) AS city FROM mongo_raw.zips WHERE CAST(_MAP['pop'] AS DOUBLE) > ?", params: []any{400000.0}},
 	{sql: "SELECT units FROM splunk.orders WHERE units > ?", params: []any{int64(25)}},
+
+	{sql: "SELECT * FROM cass.events LIMIT 0"},
+	{sql: "SELECT ts, body FROM cass.notes WHERE author = 'o''brien'"},
+	{sql: "SELECT ts FROM cass.events WHERE tenant = 'acme' ORDER BY ts LIMIT 1 OFFSET 1"},
+	{sql: "SELECT id FROM splunk.roles WHERE role = 'lead actor'"},
+	{sql: "SELECT id FROM splunk.roles WHERE role = 'x|y'"},
+	{sql: `SELECT id FROM splunk.roles WHERE role = 'say "hi"'`},
+	{sql: "SELECT id FROM splunk.roles WHERE role = 'a>=b'"},
+	{sql: "SELECT * FROM (SELECT * FROM splunk.orders LIMIT 2) t WHERE units > 5"},
 }
 
 // TestAdaptersMatchLocalTwin: every statement of the federated corpus returns

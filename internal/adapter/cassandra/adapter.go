@@ -68,10 +68,11 @@ func (a *Adapter) keyFilter(cond rex.Node, input rel.Node) (pushed, residual []r
 
 // clusteringSort is the §6 sort rule's two preconditions: (1) the sort's
 // input is a CassandraFilter restricting a scan to a single partition, and
-// (2) the required order shares a prefix with the clustering order.
+// (2) the required order shares a prefix with the clustering order. CQL has
+// no OFFSET, so a sort with one stays engine-side.
 func (a *Adapter) clusteringSort(s *rel.Sort, input rel.Node) bool {
 	f, ok := input.(*rel.Filter)
-	if !ok || len(s.Collation) == 0 {
+	if !ok || len(s.Collation) == 0 || s.Offset != 0 {
 		return false
 	}
 	scan, ok := f.Inputs()[0].(*rel.TableScan)

@@ -205,7 +205,7 @@ func (s *Store) Execute(cql string) ([]string, [][]any, error) {
 			}
 		}
 	}
-	if q.limit > 0 && q.limit < len(out) {
+	if q.limit >= 0 && q.limit < len(out) {
 		out = out[:q.limit]
 	}
 	// Projection.
@@ -243,7 +243,7 @@ type cqlQuery struct {
 	table   string
 	where   []cqlCond
 	orderBy []cqlOrder
-	limit   int
+	limit   int // -1: no LIMIT
 }
 
 type cqlCond struct {
@@ -292,7 +292,7 @@ func (p *cqlParser) ident() string {
 }
 
 func (p *cqlParser) parse() (*cqlQuery, error) {
-	q := &cqlQuery{}
+	q := &cqlQuery{limit: -1}
 	if !p.keyword("SELECT") {
 		return nil, fmt.Errorf("cassandra: expected SELECT in %q", p.src)
 	}
@@ -369,13 +369,21 @@ func (p *cqlParser) parse() (*cqlQuery, error) {
 func (p *cqlParser) value() (any, error) {
 	p.ws()
 	if p.pos < len(p.src) && p.src[p.pos] == '\'' {
-		end := strings.IndexByte(p.src[p.pos+1:], '\'')
-		if end < 0 {
-			return nil, fmt.Errorf("cassandra: unterminated string in %q", p.src)
+		// A quote inside a string is written twice.
+		var b strings.Builder
+		for i := p.pos + 1; i < len(p.src); i++ {
+			switch {
+			case p.src[i] != '\'':
+				b.WriteByte(p.src[i])
+			case i+1 < len(p.src) && p.src[i+1] == '\'':
+				b.WriteByte('\'')
+				i++
+			default:
+				p.pos = i + 1
+				return b.String(), nil
+			}
 		}
-		v := p.src[p.pos+1 : p.pos+1+end]
-		p.pos += end + 2
-		return v, nil
+		return nil, fmt.Errorf("cassandra: unterminated string in %q", p.src)
 	}
 	start := p.pos
 	for p.pos < len(p.src) && (p.src[p.pos] == '.' || p.src[p.pos] == '-' || p.src[p.pos] >= '0' && p.src[p.pos] <= '9') {

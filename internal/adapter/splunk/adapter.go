@@ -2,6 +2,7 @@ package splunk
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"calcite/internal/adapter"
@@ -30,8 +31,12 @@ func New(schemaName string, engine *Engine) *Adapter {
 		Prefix: "Splunk",
 		// "An adapter which can perform filtering on the backend can
 		// implement a rule which matches a LogicalFilter and converts it to
-		// the adapter's calling convention" (§5).
-		Filter: func(cond rex.Node, _ rel.Node) ([]rex.Node, []rex.Node) {
+		// the adapter's calling convention" (§5). Search terms precede every
+		// pipeline stage.
+		Filter: func(cond rex.Node, input rel.Node) ([]rex.Node, []rex.Node) {
+			if !searchable(input) {
+				return nil, nil
+			}
 			return adapter.Split(cond, isSearchTerm)
 		},
 		Project: adapter.ColumnsOnly,
@@ -151,12 +156,12 @@ func ToSPL(n rel.Node) (string, error) {
 	case *rel.TableScan:
 		return "search index=" + x.Table.Name(), nil
 	case *rel.Filter:
+		if !searchable(x.Inputs()[0]) {
+			return "", fmt.Errorf("splunk: filter must precede pipeline stages")
+		}
 		child, err := ToSPL(x.Inputs()[0])
 		if err != nil {
 			return "", err
-		}
-		if strings.Contains(child, "|") {
-			return "", fmt.Errorf("splunk: filter must precede pipeline stages")
 		}
 		var conds []string
 		for _, term := range rex.Conjuncts(x.Condition) {
@@ -210,6 +215,16 @@ var splOps = map[*rex.Operator]string{
 	rex.OpLess: "<", rex.OpLessEqual: "<=",
 }
 
+// searchable reports whether n is a search with no pipeline stage, which
+// more search terms can extend.
+func searchable(n rel.Node) bool {
+	switch n.(type) {
+	case *rel.TableScan, *rel.Filter:
+		return true
+	}
+	return false
+}
+
 // isSearchTerm reports whether a conjunct is a search term: a field
 // compared with a value.
 func isSearchTerm(term rex.Node) bool {
@@ -226,7 +241,7 @@ func splCondition(term rex.Node, fields []types.Field) string {
 	}
 	rendered := types.FormatValue(v.Value)
 	if s, ok := v.Value.(string); ok {
-		rendered = `"` + s + `"`
+		rendered = strconv.Quote(s)
 	}
 	return fields[col].Name + op + rendered
 }

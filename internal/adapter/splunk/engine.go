@@ -8,10 +8,13 @@
 //
 // The search language (a faithful miniature of SPL):
 //
-//	search index=orders units>25 product_id=3
+//	search index=orders units>25 product_id=3 region="north east"
 //	    | fields product_id, units
 //	    | lookup products id=product_id output name
 //	    | head 10
+//
+// A string value is double-quoted, with Go's escapes, so it may hold blanks,
+// pipes and comparison signs.
 package splunk
 
 import (
@@ -120,12 +123,11 @@ func (e *Engine) Search(spl string) ([]string, [][]any, error) {
 	lookup := e.lookup
 	e.mu.Unlock()
 
-	stages := strings.Split(spl, "|")
-	head := strings.TrimSpace(stages[0])
-	if !strings.HasPrefix(head, "search ") {
+	stages := splitUnquoted(spl, func(c byte) bool { return c == '|' })
+	if len(stages) == 0 || !strings.HasPrefix(strings.TrimSpace(stages[0]), "search ") {
 		return nil, nil, fmt.Errorf("splunk: query must start with 'search': %q", spl)
 	}
-	cols, rows, err := e.runSearch(strings.TrimSpace(head[len("search "):]))
+	cols, rows, err := e.runSearch(strings.TrimSpace(stages[0])[len("search "):])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -160,7 +162,7 @@ func (e *Engine) Search(spl string) ([]string, [][]any, error) {
 
 // runSearch evaluates "index=NAME [cond ...]".
 func (e *Engine) runSearch(clause string) ([]string, [][]any, error) {
-	terms := strings.Fields(clause)
+	terms := splitUnquoted(clause, func(c byte) bool { return c == ' ' || c == '\t' || c == '\n' })
 	if len(terms) == 0 || !strings.HasPrefix(terms[0], "index=") {
 		return nil, nil, fmt.Errorf("splunk: search must name an index, got %q", clause)
 	}
@@ -224,21 +226,46 @@ func (e *Engine) runSearch(clause string) ([]string, [][]any, error) {
 	return cols, out, nil
 }
 
-// splitCond splits "field>=value" into parts.
+// splitUnquoted splits s at each byte sep accepts outside a double-quoted
+// string, dropping empty parts.
+func splitUnquoted(s string, sep func(byte) bool) []string {
+	var parts []string
+	start, quoted := 0, false
+	for i := 0; i <= len(s); i++ {
+		switch {
+		case i == len(s) || !quoted && sep(s[i]):
+			if strings.TrimSpace(s[start:i]) != "" {
+				parts = append(parts, s[start:i])
+			}
+			start = i + 1
+		case s[i] == '"':
+			quoted = !quoted
+		case quoted && s[i] == '\\':
+			i++ // the escaped byte
+		}
+	}
+	return parts
+}
+
+// splitCond splits "field>=value" into parts: the operator is the first
+// comparison sign, since a field name holds none.
 func splitCond(term string) (string, string, any, error) {
-	for _, op := range []string{">=", "<=", "!=", "=", ">", "<"} {
-		if i := strings.Index(term, op); i > 0 {
-			field := term[:i]
-			raw := term[i+len(op):]
-			return field, op, parseSPLValue(raw), nil
+	i := strings.IndexAny(term, "<>!=")
+	if i > 0 {
+		op := term[i : i+1]
+		if i+1 < len(term) && term[i+1] == '=' && op != "=" {
+			op += "="
+		}
+		if op != "!" {
+			return term[:i], op, parseSPLValue(term[i+len(op):]), nil
 		}
 	}
 	return "", "", nil, fmt.Errorf("splunk: cannot parse condition %q", term)
 }
 
 func parseSPLValue(raw string) any {
-	if strings.HasPrefix(raw, `"`) && strings.HasSuffix(raw, `"`) && len(raw) >= 2 {
-		return raw[1 : len(raw)-1]
+	if s, err := strconv.Unquote(raw); err == nil && strings.HasPrefix(raw, `"`) {
+		return s
 	}
 	if i, err := strconv.ParseInt(raw, 10, 64); err == nil {
 		return i
