@@ -378,11 +378,12 @@ func TestTwoAdaptersOfOneKind(t *testing.T) {
 	}
 }
 
-// TestParametersCrossTheFederationBoundary: a prepared statement whose
-// predicate is pushed into a backend reaches it with the bound value in the
-// backend's own language (sqldb used to send "?" and be refused); where the
-// adapter keeps the predicate engine-side, the statement still returns what
-// its literal twin returns. Embedded and over the wire.
+// TestParametersCrossTheFederationBoundary: a prepared statement is pushed
+// into a backend exactly as its literal twin is — the same operators in the
+// plan, the same request text with the bound value in the backend's own
+// language (sqldb used to send "?" and be refused; the other three kept "?"
+// predicates engine-side) and the same rows. A parameter bound to NULL
+// returns no rows and sends no request. Embedded and over the wire.
 func TestParametersCrossTheFederationBoundary(t *testing.T) {
 	conn := newFedData().federated(t)
 	srv := avatica.NewServer(conn.Framework)
@@ -397,54 +398,77 @@ func TestParametersCrossTheFederationBoundary(t *testing.T) {
 		prepared string
 		param    any
 		literal  string
+		sent     func() string // the backend's last request
 	}{
 		{"SELECT name FROM db.products WHERE id = ?", int64(2),
-			"SELECT name FROM db.products WHERE id = 2"},
-		{"SELECT ts, payload FROM cass.events WHERE tenant = ?", "acme",
-			"SELECT ts, payload FROM cass.events WHERE tenant = 'acme'"},
+			"SELECT name FROM db.products WHERE id = 2", conn.db.LastQuery},
+		{"SELECT ts, payload FROM cass.events WHERE tenant = ? ORDER BY ts", "acme",
+			"SELECT ts, payload FROM cass.events WHERE tenant = 'acme' ORDER BY ts", conn.cass.LastQuery},
 		{"SELECT CAST(_MAP['city'] AS VARCHAR(20)) AS city FROM mongo_raw.zips WHERE CAST(_MAP['pop'] AS DOUBLE) > ?", 400000.0,
-			"SELECT CAST(_MAP['city'] AS VARCHAR(20)) AS city FROM mongo_raw.zips WHERE CAST(_MAP['pop'] AS DOUBLE) > 400000"},
+			"SELECT CAST(_MAP['city'] AS VARCHAR(20)) AS city FROM mongo_raw.zips WHERE CAST(_MAP['pop'] AS DOUBLE) > 400000", conn.mongo.LastQuery},
 		{"SELECT units FROM splunk.orders WHERE units > ?", int64(25),
-			"SELECT units FROM splunk.orders WHERE units > 25"},
+			"SELECT units FROM splunk.orders WHERE units > 25", conn.splunk.LastQuery},
+		{"SELECT id FROM splunk.roles WHERE role = ?", "lead actor",
+			"SELECT id FROM splunk.roles WHERE role = 'lead actor'", conn.splunk.LastQuery},
 	} {
 		want, err := conn.Query(c.literal)
 		if err != nil || len(want.Rows) == 0 {
 			t.Fatalf("%s: %v, rows %v", c.literal, err, want)
 		}
-		got, err := conn.Query(c.prepared, c.param)
-		if err != nil {
-			t.Errorf("%s: %v", c.prepared, err)
-			continue
-		}
-		if !reflect.DeepEqual(renderRows(got.Rows), renderRows(want.Rows)) {
-			t.Errorf("%s [%v]\n  got  %v\n  want %v", c.prepared, c.param, got.Rows, want.Rows)
+		sent := c.sent()
+		wantPlan, _ := conn.Explain(c.literal)
+		gotPlan, err := conn.Explain(c.prepared)
+		if err != nil || operators(gotPlan) != operators(wantPlan) {
+			t.Errorf("%s: plan %v\n%s\nits literal twin's:\n%s", c.prepared, err, gotPlan, wantPlan)
 		}
 		id, err := client.Prepare(c.prepared)
 		if err != nil {
 			t.Fatalf("prepare %s: %v", c.prepared, err)
 		}
-		resp, err := client.Execute(id, c.param)
-		if err != nil {
-			t.Errorf("wire %s: %v", c.prepared, err)
-			continue
+		for _, wire := range []bool{false, true} {
+			var cols []string
+			var rows, nulls [][]any
+			var err, nullErr error
+			if wire {
+				var resp, nullResp *avatica.ExecuteResponse
+				if resp, err = client.Execute(id, c.param); err == nil {
+					cols, rows = resp.Columns, resp.Rows
+				}
+				if nullResp, nullErr = client.Execute(id, nil); nullErr == nil {
+					nulls = nullResp.Rows
+				}
+			} else {
+				var res, nullRes *calcite.Result
+				if res, err = conn.Query(c.prepared, c.param); err == nil {
+					cols, rows = res.Columns, res.Rows
+				}
+				if nullRes, nullErr = conn.Query(c.prepared, nil); nullErr == nil {
+					nulls = nullRes.Rows
+				}
+			}
+			if err != nil {
+				t.Errorf("%s (wire %v): %v", c.prepared, wire, err)
+				continue
+			}
+			compareWire(t, c.prepared, want, cols, rows)
+			if nullErr != nil || len(nulls) != 0 {
+				t.Errorf("%s (wire %v) bound to NULL: rows %v, err %v; want none", c.prepared, wire, nulls, nullErr)
+			}
+			if q := c.sent(); q != sent {
+				t.Errorf("%s (wire %v): backend's last request %q, the literal twin's %q", c.prepared, wire, q, sent)
+			}
 		}
-		compareWire(t, c.prepared, want, resp.Columns, resp.Rows)
 	}
+}
 
-	id, err := client.Prepare("SELECT name FROM db.products WHERE id = ?")
-	if err != nil {
-		t.Fatal(err)
+// operators lists the operators of an EXPLAIN text, top down.
+func operators(plan string) string {
+	var ops []string
+	for _, line := range strings.Split(strings.TrimSpace(plan), "\n") {
+		op, _, _ := strings.Cut(strings.TrimSpace(line), "(")
+		ops = append(ops, op)
 	}
-	resp, err := client.Execute(id, int64(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Rows) != 1 || resp.Rows[0][0] != "Gadget" {
-		t.Errorf("wire rows %v, want [[Gadget]]", resp.Rows)
-	}
-	if q := conn.db.LastQuery(); !strings.Contains(q, "= 2") || strings.Contains(q, "?") {
-		t.Errorf("pushed SQL %q should carry the bound value as a literal", q)
-	}
+	return strings.Join(ops, " ")
 }
 
 // sortedKeys returns a map's keys in order.

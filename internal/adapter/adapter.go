@@ -25,6 +25,8 @@
 package adapter
 
 import (
+	"slices"
+
 	"calcite/internal/core"
 	"calcite/internal/exec"
 	"calcite/internal/plan"
@@ -192,13 +194,42 @@ func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
 	return c.adapter.run(bound)
 }
 
-// run executes a bound subtree of the backend's convention.
+// run executes a bound subtree of the backend's convention. A subtree that
+// compares with NULL returns no rows and is not sent: no backend language
+// here renders NULL with SQL's meaning.
 func (a *Adapter) run(n rel.Node) (schema.Cursor, error) {
+	if comparesWithNull(n) {
+		return schema.NewSliceCursor(nil), nil
+	}
 	rows, err := a.Run(n)
 	if err != nil {
 		return nil, err
 	}
 	return schema.NewSliceCursor(rows), nil
+}
+
+// comparesWithNull reports whether a filter in n compares with NULL (a
+// parameter bound to NULL) below only operators that return no rows for no
+// input.
+func comparesWithNull(n rel.Node) bool {
+	switch x := n.(type) {
+	case *rel.Filter:
+		for _, term := range rex.Conjuncts(x.Condition) {
+			if c, ok := term.(*rex.Call); ok && rex.Mirror(c.Op) != nil && slices.ContainsFunc(c.Operands, isNull) {
+				return true
+			}
+		}
+	case *rel.Aggregate:
+		if len(x.GroupKeys) == 0 {
+			return false // one row for no input
+		}
+	}
+	return len(n.Inputs()) == 1 && comparesWithNull(n.Inputs()[0])
+}
+
+func isNull(e rex.Node) bool {
+	l, ok := e.(*rex.Literal)
+	return ok && l.Value == nil
 }
 
 // Table is a backend table.
@@ -236,22 +267,32 @@ func Split(cond rex.Node, accept func(rex.Node) bool) (pushed, residual []rex.No
 }
 
 // Comparison is the one comparison matcher: it decomposes a conjunct
-// "x OP v" or "v OP x", where v is a non-null literal and OP, as seen from x,
-// has a name in ops, into x, that name and v.
+// "x OP v" or "v OP x", where OP, as seen from x, has a name in ops and v is a
+// literal or a statement parameter, into x, that name and v. v is nil for a
+// parameter; the converter binds it to a literal before Run renders it.
 func Comparison(term rex.Node, ops map[*rex.Operator]string) (x rex.Node, op string, v *rex.Literal, ok bool) {
 	c, isCall := term.(*rex.Call)
 	if !isCall || len(c.Operands) != 2 {
 		return nil, "", nil, false
 	}
 	x, y, o := c.Operands[0], c.Operands[1], c.Op
-	if _, lit := x.(*rex.Literal); lit {
+	if isValue(x) {
 		x, y, o = y, x, rex.Mirror(o)
 	}
-	v, ok = y.(*rex.Literal)
-	if !ok || v.Value == nil || ops[o] == "" {
+	if !isValue(y) || ops[o] == "" {
 		return nil, "", nil, false
 	}
+	v, _ = y.(*rex.Literal)
 	return x, ops[o], v, true
+}
+
+// isValue reports whether e is a literal or a statement parameter.
+func isValue(e rex.Node) bool {
+	switch e.(type) {
+	case *rex.Literal, *rex.DynamicParam:
+		return true
+	}
+	return false
 }
 
 // ColumnComparison is Comparison where x is an input column.
