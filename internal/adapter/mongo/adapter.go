@@ -66,7 +66,7 @@ var findOps = map[*rex.Operator]string{
 }
 
 // mapFieldComparison decomposes a pushable condition of the form
-// [CAST](_MAP['field']) OP literal.
+// [CAST](_MAP['field']) OP value, either way round.
 func mapFieldComparison(term rex.Node) (field string, op string, v *rex.Literal, ok bool) {
 	x, op, v, ok := adapter.Comparison(term, findOps)
 	if ok {
