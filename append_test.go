@@ -84,6 +84,7 @@ func TestAppendBuiltTablesAgree(t *testing.T) {
 			for _, tb := range tables {
 				conn.AddTable(tb.name, tb.cols, tb.rows[:len(tb.rows)/2])
 			}
+			diffViews(conn)
 			cfg.configure(conn)
 			run := embeddedRunner(conn)
 			if cfg.wire {

@@ -420,7 +420,7 @@ func (f *Framework) substitutionRules(mq *meta.Query) []plan.Rule {
 	session := mv.NewRegistry()
 	for _, v := range views {
 		ordered, _ := f.reorderJoins(v.Plan, mq)
-		session.Register(&mv.MaterializedView{Name: v.Name, Plan: ordered, Table: v.Table})
+		session.Register(&mv.MaterializedView{Name: v.Name, Plan: ordered, Table: v.Table, Bases: v.Bases})
 	}
 	for _, l := range lattices {
 		session.RegisterLattice(l)
@@ -524,7 +524,8 @@ func cacheableStmt(stmt parser.Statement) bool {
 // run executes a prepared plan. For DML it is also where data growth reaches
 // the invalidation funnel: a target whose statistics turned over under the
 // statement (a MemTable drops them once it has doubled) gets its plans
-// invalidated; any other insert invalidates nothing.
+// invalidated, and so does every materialization computed from the target,
+// which the insert left stale; any other insert invalidates nothing.
 func (f *Framework) run(ctx *exec.Context, prepared rel.Node, target schema.Table) ([][]any, error) {
 	if target == nil {
 		return exec.Execute(ctx, prepared)
@@ -533,6 +534,9 @@ func (f *Framework) run(ctx *exec.Context, prepared rel.Node, target schema.Tabl
 	rows, err := exec.Execute(ctx, prepared)
 	if target.Stats().Version != before {
 		f.InvalidateTable(target)
+	}
+	for _, t := range f.Views.Materializations(target) {
+		f.InvalidateTable(t)
 	}
 	return rows, err
 }
@@ -797,6 +801,7 @@ func (f *Framework) createView(s *parser.CreateViewStmt, originalSQL string) (*R
 	if err != nil {
 		return nil, err
 	}
+	bases := mv.TakeSnapshot(logical)
 	mvCtx := f.newExecContext(ExecOptions{})
 	defer mvCtx.Alloc.Close()
 	rows, err := exec.Execute(mvCtx, f.prepareForExecution(physical))
@@ -814,6 +819,7 @@ func (f *Framework) createView(s *parser.CreateViewStmt, originalSQL string) (*R
 		Name:  name,
 		Plan:  f.logicalOptimize(logical, f.NewMetaQuery()),
 		Table: table,
+		Bases: bases,
 	})
 	return &Result{Columns: []string{"RESULT"}, Rows: [][]any{{fmt.Sprintf("materialized view created (%d rows)", len(rows))}}}, nil
 }

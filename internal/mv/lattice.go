@@ -40,6 +40,8 @@ type Tile struct {
 	Table schema.Table
 	// Name is the tile's table name.
 	Name string
+	// Bases are the row counts the tile was computed from.
+	Bases Snapshot
 }
 
 // covers reports whether the tile's dimensions include all of dims, and
@@ -73,6 +75,9 @@ func (l *Lattice) Rule() plan.Rule {
 				return
 			}
 			for _, tile := range l.Tiles {
+				if !tile.Bases.Fresh() {
+					continue
+				}
 				if rewritten := l.rewriteWithTile(agg, tile); rewritten != nil {
 					call.Transform(rewritten)
 					return
@@ -129,12 +134,13 @@ func (l *Lattice) rewriteWithTile(agg *rel.Aggregate, tile *Tile) rel.Node {
 func BuildTile(fact schema.ScannableTable, factName []string, dims []int, measures []rex.AggCall, name string) (*Tile, error) {
 	scan := rel.NewTableScan(trait.Logical, fact, factName)
 	agg := rel.NewAggregate(scan, dims, measures)
+	bases := TakeSnapshot(scan)
 	rows, err := executeSimpleAggregate(fact, dims, measures)
 	if err != nil {
 		return nil, err
 	}
 	table := schema.NewMemTable(name, agg.RowType(), rows)
-	return &Tile{Dims: dims, Measures: measures, Table: table, Name: name}, nil
+	return &Tile{Dims: dims, Measures: measures, Table: table, Name: name, Bases: bases}, nil
 }
 
 // executeSimpleAggregate computes a grouped aggregate directly over a

@@ -27,6 +27,32 @@ type MaterializedView struct {
 	Name  string
 	Plan  rel.Node
 	Table schema.Table
+	// Bases are the row counts the materialization was computed from.
+	Bases Snapshot
+}
+
+// Snapshot holds the row count (Statistics.RowCount) of each table a
+// materialization is computed from, read before computing it. Tables only
+// grow: one that reports another count has rows the materialization lacks.
+type Snapshot map[schema.Table]float64
+
+// TakeSnapshot records the row count of every table n scans.
+func TakeSnapshot(n rel.Node) Snapshot {
+	s := Snapshot{}
+	for _, t := range rel.ScannedTables(n) {
+		s[t] = t.Stats().RowCount
+	}
+	return s
+}
+
+// Fresh reports whether every recorded table still has its recorded count.
+func (s Snapshot) Fresh() bool {
+	for t, rows := range s {
+		if t.Stats().RowCount != rows {
+			return false
+		}
+	}
+	return true
 }
 
 // Registry holds materialized views and lattices known to the planner.
@@ -67,6 +93,27 @@ func (r *Registry) Lattices() []*Lattice {
 	return append([]*Lattice(nil), r.lattices...)
 }
 
+// Materializations returns the tables of the views and tiles computed from
+// t: a write to t leaves them stale, and plans that read them must go.
+func (r *Registry) Materializations(t schema.Table) []schema.Table {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var out []schema.Table
+	for _, v := range r.views {
+		if _, ok := v.Bases[t]; ok {
+			out = append(out, v.Table)
+		}
+	}
+	for _, l := range r.lattices {
+		for _, tile := range l.Tiles {
+			if _, ok := tile.Bases[t]; ok {
+				out = append(out, tile.Table)
+			}
+		}
+	}
+	return out
+}
+
 // SubstitutionRules returns the planner rules for all registered views and
 // lattices. Per §6, "the scan operator over the materialized view and the
 // materialized view definition plan are registered with the planner, and
@@ -95,6 +142,9 @@ func (r *Registry) substitutionRule() plan.Rule {
 		Fire: func(call *plan.Call) {
 			node := call.Rel(0)
 			for _, v := range r.Views() {
+				if !v.Bases.Fresh() {
+					continue
+				}
 				if sub := r.unify(node, v); sub != nil {
 					call.Transform(sub)
 				}

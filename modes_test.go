@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"calcite"
+	"calcite/internal/mv"
+	"calcite/internal/rex"
+	"calcite/internal/schema"
 )
 
 // diffTable is one table of the differential-test catalog.
@@ -104,7 +107,25 @@ func diffConn() *calcite.Connection {
 	for _, tb := range diffTables() {
 		conn.AddTable(tb.name, tb.cols, tb.rows)
 	}
+	diffViews(conn)
 	return conn
+}
+
+// diffViews materializes a view over emps and a lattice tile over sales, so
+// the corpus answers two of its statements by substitution. In the append
+// suites the INSERTs that follow leave both stale, and from then on those
+// statements must read the base tables, cached plans included.
+func diffViews(conn *calcite.Connection) {
+	if _, err := conn.Exec("CREATE MATERIALIZED VIEW emp_sal AS SELECT deptno, SUM(sal) AS s FROM emps GROUP BY deptno"); err != nil {
+		panic(err)
+	}
+	fact, _ := conn.Framework.Catalog.Table("sales")
+	count := []rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")}
+	tile, err := mv.BuildTile(fact.(schema.ScannableTable), []string{"sales"}, []int{0}, count, "sales_by_product")
+	if err != nil {
+		panic(err)
+	}
+	conn.RegisterLattice(&mv.Lattice{Name: "sales", Fact: fact, FactName: []string{"sales"}, Tiles: []*mv.Tile{tile}})
 }
 
 // diffQueries is the SQL suite both execution modes must agree on. It covers
@@ -208,6 +229,10 @@ var diffQueries = []struct {
 	{sql: "SELECT 1 FROM emps"},
 	{sql: "SELECT COUNT(*) FROM (SELECT 1 AS one FROM mixed) t"},
 	{sql: "SELECT sal FROM emps UNION ALL SELECT v FROM mixed WHERE k < 320"},
+	// Answered from the materialized view and the lattice tile diffViews
+	// declares, until an INSERT into emps or sales leaves them stale.
+	{sql: "SELECT deptno, SUM(sal) AS s FROM emps GROUP BY deptno ORDER BY deptno"},
+	{sql: "SELECT productId, COUNT(*) AS c FROM sales GROUP BY productId ORDER BY productId"},
 }
 
 // TestRowAndBatchModesAgree runs every suite query through the vectorized
