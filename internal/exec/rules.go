@@ -32,7 +32,7 @@ func Rules() []plan.Rule {
 	return []plan.Rule{
 		ScanRule(), FilterRule(), ProjectRule(), SortRule(), AggregateRule(),
 		StreamAggregateRule(), HashJoinRule(), NestedLoopJoinRule(),
-		SetOpRule(), ValuesRule(), WindowRule(), TableModifyRule(),
+		SetOpRule(), ValuesRule(), WindowRule(), TableModifyRule(), IndexScanRule(),
 	}
 }
 
@@ -203,8 +203,28 @@ func TableModifyRule() plan.Rule {
 func MetadataProvider() meta.Provider {
 	return meta.Provider{
 		Name: "enumerable",
+		// An index lookup returns rows / NDV of its column: one on a declared
+		// key, the filter's estimate on a column without statistics.
+		RowCount: func(q *meta.Query, n rel.Node) (float64, bool) {
+			x, ok := n.(*IndexScan)
+			if !ok {
+				return 0, false
+			}
+			st := x.Table.Stats()
+			switch cs := st.ColStats(x.Col); {
+			case st.IsKey([]int{x.Col}):
+				return 1, true
+			case cs != nil && cs.NDV > 0:
+				return st.RowCount / cs.NDV, true
+			}
+			return q.RowCount(x.proto), true
+		},
 		NonCumulativeCost: func(q *meta.Query, n rel.Node) (cost.Cost, bool) {
 			switch x := n.(type) {
+			case *IndexScan:
+				// A lookup reads the rows it returns and no others.
+				rc := q.RowCount(x)
+				return cost.New(rc, rc, 0, 0), true
 			case *Scan:
 				// A full scan of a remote table ships every row across the
 				// engine boundary; charging that transfer is what makes

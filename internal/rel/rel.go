@@ -256,17 +256,21 @@ func Walk(n Node, visit func(Node) bool) {
 }
 
 // ScannedTables returns the distinct tables the plan rooted at n scans, in
-// whatever convention (physical scans are unwrapped to their logical
-// prototype) — the index table-keyed plan invalidation is built on.
+// whatever convention (physical leaves are unwrapped to their logical
+// prototype: a scan, or the filtered scan an index lookup stands for) — the
+// index table-keyed plan invalidation is built on.
 func ScannedTables(n Node) []schema.Table {
 	var out []schema.Table
 	Walk(n, func(n Node) bool {
 		if len(n.Inputs()) > 0 {
 			return true
 		}
-		if scan, ok := Unwrap(n).(*TableScan); ok && !slices.Contains(out, scan.Table) {
-			out = append(out, scan.Table)
-		}
+		Walk(Unwrap(n), func(u Node) bool {
+			if scan, ok := u.(*TableScan); ok && !slices.Contains(out, scan.Table) {
+				out = append(out, scan.Table)
+			}
+			return true
+		})
 		return true
 	})
 	return out

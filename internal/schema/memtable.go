@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +22,10 @@ import (
 // only indices below n of the arrays it pinned. A writer only ever writes
 // indices at or above n of a shared array, or moves the column to a fresh
 // one, so a cursor opened at n rows yields exactly those n rows however many
-// inserts follow, with no copy-on-write and no snapshot to rebuild.
+// inserts follow, with no copy-on-write and no snapshot to rebuild. Beside
+// the vectors it keeps a hash index on each column its statistics name
+// (Statistics.Indexes), built by the column's first Lookup and extended by
+// Insert under the lock it already holds.
 type MemTable struct {
 	name    string
 	rowType *types.Type
@@ -34,6 +38,31 @@ type MemTable struct {
 	// they describe (see Insert).
 	stats     Statistics
 	statsRows int
+	// indexes holds the hash index of each indexed column, nil until built.
+	indexes map[int]*hashIndex
+}
+
+// hashIndex maps the canonical key (Vector.AppendKey) of each non-NULL value
+// of a column to one past the last position holding it, so a missing key
+// reads as position -1; prev[p] is the position before p with the same key,
+// or -1.
+type hashIndex struct {
+	last map[string]int32
+	prev []int32
+}
+
+// add indexes rows [len(x.prev), v.Len()) of v.
+func (x *hashIndex) add(v *Vector) {
+	var buf []byte
+	for r := len(x.prev); r < v.Len(); r++ {
+		p := int32(-1)
+		if !v.IsNull(r) {
+			buf = v.AppendKey(buf[:0], r)
+			p = x.last[string(buf)] - 1
+			x.last[string(buf)] = int32(r) + 1
+		}
+		x.prev = append(x.prev, p)
+	}
 }
 
 // checkWidth reports the first row that does not have one value per field.
@@ -72,6 +101,13 @@ func (t *MemTable) SetStats(s Statistics) {
 	s.Version = t.stats.Version + 1
 	t.stats = s
 	t.statsRows = t.n
+	indexes := map[int]*hashIndex{}
+	for c := range t.vecs {
+		if s.Indexes(c) {
+			indexes[c] = t.indexes[c] // nil until the first lookup builds it
+		}
+	}
+	t.indexes = indexes
 }
 
 func (t *MemTable) Name() string         { return t.name }
@@ -92,13 +128,59 @@ func (t *MemTable) Stats() Statistics {
 func (t *MemTable) pin(batchSize int) *VectorCursor {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return NewVectorCursor(t.headersLocked(), t.n, batchSize)
+}
+
+// headersLocked copies the vector headers; the caller holds the lock.
+func (t *MemTable) headersLocked() []*Vector {
 	headers := make([]Vector, len(t.vecs))
 	vecs := make([]*Vector, len(t.vecs))
 	for i, v := range t.vecs {
 		headers[i] = *v
 		vecs[i] = &headers[i]
 	}
-	return NewVectorCursor(vecs, t.n, batchSize)
+	return vecs
+}
+
+// Indexed implements IndexedTable.
+func (t *MemTable) Indexed(col int) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, ok := t.indexes[col]
+	return ok
+}
+
+// Lookup implements IndexedTable. It pins the vectors and the row count n and
+// walks the key's chain under one read lock, so every position it finds is
+// below n whatever is appended later; its batch is zero-copy, a selection
+// (Sel) over the pinned vectors.
+func (t *MemTable) Lookup(col int, key any) (BatchCursor, error) {
+	t.mu.RLock()
+	x, ok := t.indexes[col]
+	if x != nil {
+		defer t.mu.RUnlock()
+	} else { // the column's first lookup builds its index
+		t.mu.RUnlock()
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if x, ok = t.indexes[col]; ok && x == nil {
+			x = &hashIndex{last: make(map[string]int32, t.n), prev: make([]int32, 0, t.n)}
+			x.add(t.vecs[col])
+			t.indexes[col] = x
+		}
+	}
+	if !ok {
+		return nil, fmt.Errorf("schema: table %s has no index on column %d", t.name, col)
+	}
+	var sel []int32
+	for p := x.last[types.HashKey(key)] - 1; p >= 0; p = x.prev[p] {
+		sel = append(sel, p)
+	}
+	if len(sel) == 0 {
+		return NewSliceBatchCursor(nil), nil
+	}
+	slices.Reverse(sel)
+	return NewSliceBatchCursor([]*Batch{{Len: t.n, Vecs: t.headersLocked(), Sel: sel}}), nil
 }
 
 // ScanBatches implements BatchScannableTable: batches are zero-copy windows
@@ -140,7 +222,8 @@ func MemTableRowsAppended() int64 { return memTableRowsAppended.Load() }
 // table has doubled since they were taken they are dropped (a histogram of
 // half the table is worse than the estimator's fallback; re-run ANALYZE) and
 // Statistics.Version advances, so statistics turn over O(log n) times in a
-// table's life.
+// table's life. Built indexes take the new rows (and outlive the statistics
+// that chose their columns until the next SetStats).
 func (t *MemTable) Insert(rows [][]any) error {
 	if err := checkWidth(t.name, len(t.rowType.Fields), rows); err != nil {
 		return err
@@ -159,6 +242,11 @@ func (t *MemTable) Insert(rows [][]any) error {
 		}
 	}
 	t.n += len(rows)
+	for c, x := range t.indexes {
+		if x != nil {
+			x.add(t.vecs[c])
+		}
+	}
 	memTableRowsAppended.Add(int64(len(rows)))
 	if t.stats.RowCount > 0 {
 		t.stats.RowCount += float64(len(rows))

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"calcite/internal/stats"
 	"calcite/internal/types"
 )
 
@@ -294,5 +295,55 @@ func scanPrefix(cur BatchCursor) (int, error) {
 				return 0, fmt.Errorf("row %d column b holds %v", i, bv)
 			}
 		}
+	}
+}
+
+// TestMemTableLookup: the indexed columns are the declared single-column keys
+// and the analyzed near-keys; a lookup returns the key's rows in table order
+// as of the call, whatever Insert appends or
+// demotes afterwards; NULL is never found.
+func TestMemTableLookup(t *testing.T) {
+	mt := twoColTable([][]any{{int64(1), 1.0}, {int64(2), 2.0}, {int64(1), 3.0}})
+	if mt.Indexed(0) || mt.Indexed(1) {
+		t.Fatal("indexed before any statistics named a column")
+	}
+	near := &stats.ColumnStats{NDV: 9}
+	mt.SetStats(Statistics{RowCount: 10, UniqueColumns: [][]int{{1}, {0, 1}},
+		Columns: []*stats.ColumnStats{near, {NDV: 8}}})
+	if !mt.Indexed(0) || !mt.Indexed(1) {
+		t.Fatal("want the near-key (NDV 9 of 10) and the declared key indexed")
+	}
+	near.NullCount = 1
+	mt.SetStats(Statistics{RowCount: 10, Columns: []*stats.ColumnStats{near, {NDV: 8}}})
+	if mt.Indexed(0) || mt.Indexed(1) {
+		t.Fatal("a column with NULLs or NDV 8 of 10 is indexed")
+	}
+
+	mt.SetStats(Statistics{RowCount: 3, UniqueColumns: [][]int{{0}}})
+	lookup := func(key any) BatchCursor {
+		cur, err := mt.Lookup(0, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur
+	}
+	pinned := lookup(int64(1))
+	if err := mt.Insert([][]any{{int64(1), 4.0}, {nil, 5.0}, {"demotes", 6.0}, {1.0, 7.0}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := drainBatches(t, pinned), [][]any{{int64(1), 1.0}, {int64(1), 3.0}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pinned lookup = %v, want %v", got, want)
+	}
+	want := [][]any{{int64(1), 1.0}, {int64(1), 3.0}, {int64(1), 4.0}, {1.0, 7.0}}
+	if got := drainBatches(t, lookup(1.0)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lookup after the appends = %v, want %v", got, want)
+	}
+	for key, n := range map[any]int{nil: 0, "demotes": 1, int64(3): 0} {
+		if got := drainBatches(t, lookup(key)); len(got) != n {
+			t.Errorf("lookup of %v = %v, want %d rows", key, got, n)
+		}
+	}
+	if _, err := mt.Lookup(1, 1.0); err == nil {
+		t.Error("lookup on a column without an index succeeded")
 	}
 }

@@ -105,6 +105,19 @@ func (s Statistics) IsKey(cols []int) bool {
 	return false
 }
 
+// nearKeyShare is how close to one distinct value per row an analyzed column
+// must come to be indexed: a lookup then returns about one row, and the index
+// (NULLs are never indexed) holds at most one entry per row.
+const nearKeyShare = 0.9
+
+// Indexes reports whether an IndexedTable keeps a hash index on column col: a
+// declared single-column key, or an analyzed column with no NULLs whose
+// distinct count is at least nearKeyShare of the rows.
+func (s Statistics) Indexes(col int) bool {
+	cs := s.ColStats(col)
+	return s.IsKey([]int{col}) || cs != nil && cs.NullCount == 0 && s.RowCount > 0 && cs.NDV >= nearKeyShare*s.RowCount
+}
+
 // Table is the definition of the data found in a data source. The minimal
 // contract is name, row type and statistics; a table that can be executed
 // client-side also implements ScannableTable.
@@ -120,6 +133,18 @@ type Table interface {
 type ScannableTable interface {
 	Table
 	Scan() (Cursor, error)
+}
+
+// IndexedTable is a scannable table with an access path to the rows whose
+// column equals a key that reads no others (§6: the planner picks it by cost).
+type IndexedTable interface {
+	ScannableTable
+	// Indexed reports whether column col has an index.
+	Indexed(col int) bool
+	// Lookup returns the rows present now whose column col equals key, in
+	// table order. Keys compare on their canonical encoding (types.HashKey),
+	// as in a hash join: 2.0 finds 2; NULL finds nothing.
+	Lookup(col int, key any) (BatchCursor, error)
 }
 
 // ModifiableTable is a table accepting inserts (DDL/DML support, §9).
