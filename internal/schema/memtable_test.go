@@ -300,8 +300,8 @@ func scanPrefix(cur BatchCursor) (int, error) {
 
 // TestMemTableLookup: the indexed columns are the declared single-column keys
 // and the analyzed near-keys; a lookup returns the key's rows in table order
-// as of the call, whatever Insert appends or
-// demotes afterwards; NULL is never found.
+// as of the call, whatever Insert appends or demotes afterwards; NULL is
+// never found.
 func TestMemTableLookup(t *testing.T) {
 	mt := twoColTable([][]any{{int64(1), 1.0}, {int64(2), 2.0}, {int64(1), 3.0}})
 	if mt.Indexed(0) || mt.Indexed(1) {
