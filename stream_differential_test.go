@@ -3,8 +3,8 @@ package calcite_test
 // Differential suite for continuous queries (§7.2): the incremental
 // streaming engine (StreamAggregate) must produce exactly the windows of
 // the row-mode batch oracle (internal/stream), for every window kind ×
-// grouping × arrival order × parallelism — and under a memory budget small
-// enough to force window state to spill.
+// aggregate shape × arrival order × parallelism — and under a memory budget
+// small enough to force window state to spill.
 
 import (
 	"fmt"
@@ -19,8 +19,13 @@ import (
 	"calcite/internal/types"
 )
 
+// streamTags are the values of the VARCHAR column s.
+var streamTags = []string{"amber", "blue", "coral"}
+
 // genStreamEvents builds a deterministic in-order event log
-// [rowtime, k, v] with nKeys distinct keys and ~400ms mean spacing.
+// [rowtime, k, v, d, s] with nKeys distinct keys k and ~200ms mean spacing.
+// d is a DOUBLE in quarter steps (so sums are exact in any order) that is
+// NULL on about one event in seven; s is a three-valued VARCHAR.
 func genStreamEvents(n int, nKeys int64) [][]any {
 	rows := make([][]any, 0, n)
 	rng := uint64(0x9E3779B97F4A7C15)
@@ -31,7 +36,12 @@ func genStreamEvents(n int, nKeys int64) [][]any {
 	ts := int64(0)
 	for i := 0; i < n; i++ {
 		ts += next(400)
-		rows = append(rows, []any{ts, next(nKeys), next(1000)})
+		k, v := next(nKeys), next(1000)
+		var d any
+		if x := next(40); x%7 != 0 {
+			d = float64(x) / 4
+		}
+		rows = append(rows, []any{ts, k, v, d, streamTags[next(int64(len(streamTags)))]})
 	}
 	return rows
 }
@@ -44,6 +54,8 @@ func streamFixture(t *testing.T, rows [][]any, skewMs int64) (*calcite.Connectio
 		types.Field{Name: "rowtime", Type: types.Timestamp},
 		types.Field{Name: "k", Type: types.BigInt},
 		types.Field{Name: "v", Type: types.BigInt},
+		types.Field{Name: "d", Type: types.Double.WithNullable(true)},
+		types.Field{Name: "s", Type: types.Varchar},
 	), 0)
 	for _, r := range rows {
 		if err := tb.Append(r); err != nil {
@@ -60,8 +72,14 @@ func streamFixture(t *testing.T, rows [][]any, skewMs int64) (*calcite.Connectio
 	return conn, tb
 }
 
+// countSum is COUNT(*), SUM(v): the aggregate list of the soak queries.
+var countSum = []rex.AggCall{
+	rex.NewAggCall(rex.AggCount, nil, false, "c"),
+	rex.NewAggCall(rex.AggSum, []int{2}, false, "s"),
+}
+
 // oracleWindows recomputes the expected windows with the row-mode oracle.
-func oracleWindows(t *testing.T, tb *streamtab.Table, kind string, a, b int64, keyed bool) [][]any {
+func oracleWindows(t *testing.T, tb *streamtab.Table, kind string, a, b int64, keyCols []int, calls []rex.AggCall) [][]any {
 	t.Helper()
 	cur, err := tb.StreamScan()
 	if err != nil {
@@ -70,14 +88,6 @@ func oracleWindows(t *testing.T, tb *streamtab.Table, kind string, a, b int64, k
 	events, err := stream.EventsFromCursor(cur, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var keyCols []int
-	if keyed {
-		keyCols = []int{1}
-	}
-	calls := []rex.AggCall{
-		rex.NewAggCall(rex.AggCount, nil, false, "c"),
-		rex.NewAggCall(rex.AggSum, []int{2}, false, "s"),
 	}
 	var wins []stream.Window
 	switch kind {
@@ -125,69 +135,93 @@ func diffRows(t *testing.T, label string, got, want [][]any) {
 	}
 }
 
-// streamDiffCases enumerates the SQL surface of each window kind. Lateness
-// (the trailing interval) always covers the replay skew, so no event is
-// dropped and the incremental result must equal the full recompute.
-var streamDiffCases = []struct {
+// streamWindowSpec is one group-window function of the SQL surface.
+type streamWindowSpec struct {
 	kind string
-	a, b int64 // TUMBLE: size; HOP: slide, size; SESSION: gap (ms)
-	sql  map[bool]string
-}{
-	{
-		kind: "TUMBLE", a: 1000,
-		sql: map[bool]string{
-			true: `SELECT STREAM TUMBLE_START(rowtime, INTERVAL '1' SECOND) AS ws,
-				TUMBLE_END(rowtime, INTERVAL '1' SECOND) AS we, k, COUNT(*) AS c, SUM(v) AS s
-				FROM s.events GROUP BY TUMBLE(rowtime, INTERVAL '1' SECOND, INTERVAL '2' SECOND), k`,
-			false: `SELECT STREAM TUMBLE_START(rowtime, INTERVAL '1' SECOND) AS ws,
-				TUMBLE_END(rowtime, INTERVAL '1' SECOND) AS we, COUNT(*) AS c, SUM(v) AS s
-				FROM s.events GROUP BY TUMBLE(rowtime, INTERVAL '1' SECOND, INTERVAL '2' SECOND)`,
-		},
-	},
-	{
-		kind: "HOP", a: 1000, b: 3000,
-		sql: map[bool]string{
-			true: `SELECT STREAM HOP_START(rowtime, INTERVAL '1' SECOND, INTERVAL '3' SECOND) AS ws,
-				HOP_END(rowtime, INTERVAL '1' SECOND, INTERVAL '3' SECOND) AS we, k, COUNT(*) AS c, SUM(v) AS s
-				FROM s.events GROUP BY HOP(rowtime, INTERVAL '1' SECOND, INTERVAL '3' SECOND, INTERVAL '2' SECOND), k`,
-			false: `SELECT STREAM HOP_START(rowtime, INTERVAL '1' SECOND, INTERVAL '3' SECOND) AS ws,
-				HOP_END(rowtime, INTERVAL '1' SECOND, INTERVAL '3' SECOND) AS we, COUNT(*) AS c, SUM(v) AS s
-				FROM s.events GROUP BY HOP(rowtime, INTERVAL '1' SECOND, INTERVAL '3' SECOND, INTERVAL '2' SECOND)`,
-		},
-	},
-	{
-		kind: "SESSION", a: 2000,
-		sql: map[bool]string{
-			true: `SELECT STREAM SESSION_START(rowtime, INTERVAL '2' SECOND) AS ws,
-				SESSION_END(rowtime, INTERVAL '2' SECOND) AS we, k, COUNT(*) AS c, SUM(v) AS s
-				FROM s.events GROUP BY SESSION(rowtime, INTERVAL '2' SECOND, INTERVAL '2' SECOND), k`,
-			false: `SELECT STREAM SESSION_START(rowtime, INTERVAL '2' SECOND) AS ws,
-				SESSION_END(rowtime, INTERVAL '2' SECOND) AS we, COUNT(*) AS c, SUM(v) AS s
-				FROM s.events GROUP BY SESSION(rowtime, INTERVAL '2' SECOND, INTERVAL '2' SECOND)`,
-		},
-	},
+	a, b int64  // TUMBLE: size; HOP: slide, size; SESSION: gap (ms)
+	args string // the window's arguments after rowtime, lateness excluded
+}
+
+var streamWindows = []streamWindowSpec{
+	{kind: "TUMBLE", a: 1000, args: "INTERVAL '1' SECOND"},
+	{kind: "HOP", a: 1000, b: 3000, args: "INTERVAL '1' SECOND, INTERVAL '3' SECOND"},
+	{kind: "SESSION", a: 2000, args: "INTERVAL '2' SECOND"},
+}
+
+// streamShape is one grouping and aggregate list, in SQL and as the oracle's
+// calls over the input ordinals [rowtime, k, v, d, s].
+type streamShape struct {
+	name    string
+	keys    []string
+	keyCols []int
+	aggs    string
+	calls   []rex.AggCall
+}
+
+func aggCall(f rex.AggFuncKind, arg int, distinct bool) rex.AggCall {
+	var args []int
+	if arg >= 0 {
+		args = []int{arg}
+	}
+	return rex.NewAggCall(f, args, distinct, "")
+}
+
+// streamShapes cover every aggregate the typed engine adds unboxed (COUNT,
+// SUM, MIN, MAX, AVG over BIGINT and a DOUBLE holding NULLs), a retaining
+// call that takes the boxed path (COUNT(DISTINCT v)), and BIGINT, VARCHAR and
+// two-column keys.
+var streamShapes = []streamShape{
+	{name: "count-sum", aggs: "COUNT(*), SUM(v)", calls: countSum},
+	{name: "count-sum/k", keys: []string{"k"}, keyCols: []int{1}, aggs: "COUNT(*), SUM(v)", calls: countSum},
+	{name: "min-max-avg-count-distinct/k", keys: []string{"k"}, keyCols: []int{1},
+		aggs: "MIN(v), MAX(v), AVG(v), COUNT(v), COUNT(DISTINCT v)",
+		calls: []rex.AggCall{aggCall(rex.AggMin, 2, false), aggCall(rex.AggMax, 2, false),
+			aggCall(rex.AggAvg, 2, false), aggCall(rex.AggCount, 2, false), aggCall(rex.AggCount, 2, true)}},
+	{name: "double/s", keys: []string{"s"}, keyCols: []int{4},
+		aggs: "SUM(d), MIN(d), MAX(d), AVG(d), COUNT(d)",
+		calls: []rex.AggCall{aggCall(rex.AggSum, 3, false), aggCall(rex.AggMin, 3, false),
+			aggCall(rex.AggMax, 3, false), aggCall(rex.AggAvg, 3, false), aggCall(rex.AggCount, 3, false)}},
+	{name: "two-keys/k,s", keys: []string{"k", "s"}, keyCols: []int{1, 4},
+		aggs:  "COUNT(*), SUM(v), MAX(d)",
+		calls: []rex.AggCall{aggCall(rex.AggCount, -1, false), aggCall(rex.AggSum, 2, false), aggCall(rex.AggMax, 3, false)}},
+	{name: "double-distinct", aggs: "MIN(d), AVG(d), COUNT(DISTINCT v)",
+		calls: []rex.AggCall{aggCall(rex.AggMin, 3, false), aggCall(rex.AggAvg, 3, false), aggCall(rex.AggCount, 2, true)}},
+}
+
+// sql renders the continuous query of shape sh over window w with the given
+// allowed lateness (seconds): [window_start, window_end, keys…, aggregates…].
+func (w streamWindowSpec) sql(sh streamShape, latenessSec int) string {
+	cols := []string{
+		fmt.Sprintf("%s_START(rowtime, %s) AS ws", w.kind, w.args),
+		fmt.Sprintf("%s_END(rowtime, %s) AS we", w.kind, w.args),
+	}
+	cols = append(append(cols, sh.keys...), sh.aggs)
+	group := append([]string{fmt.Sprintf("%s(rowtime, %s, INTERVAL '%d' SECOND)", w.kind, w.args, latenessSec)}, sh.keys...)
+	return fmt.Sprintf("SELECT STREAM %s FROM s.events GROUP BY %s", strings.Join(cols, ", "), strings.Join(group, ", "))
 }
 
 // TestStreamDifferentialOracle: streaming incremental ≡ batch recompute for
-// TUMBLE/HOP/SESSION × (global, keyed) × (in-order, bounded out-of-order
-// arrival) × parallelism 1 and 4.
+// TUMBLE/HOP/SESSION × every aggregate shape × (in-order, bounded
+// out-of-order arrival) × parallelism 1 and 4. Lateness covers the replay
+// skew, so no event is dropped and the incremental result must equal the
+// full recompute.
 func TestStreamDifferentialOracle(t *testing.T) {
 	rows := genStreamEvents(1200, 3)
 	for _, skew := range []int64{0, 2000} {
 		conn, tb := streamFixture(t, rows, skew)
 		for _, par := range []int{1, 4} {
 			conn.SetParallelism(par)
-			for _, tc := range streamDiffCases {
-				for _, keyed := range []bool{false, true} {
-					label := fmt.Sprintf("%s/keyed=%v/skew=%d/par=%d", tc.kind, keyed, skew, par)
-					res, err := conn.Query(tc.sql[keyed])
+			for _, w := range streamWindows {
+				for _, sh := range streamShapes {
+					label := fmt.Sprintf("%s/%s/skew=%d/par=%d", w.kind, sh.name, skew, par)
+					res, err := conn.Query(w.sql(sh, 2))
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					want := oracleWindows(t, tb, tc.kind, tc.a, tc.b, keyed)
+					want := oracleWindows(t, tb, w.kind, w.a, w.b, sh.keyCols, sh.calls)
 					diffRows(t, label, res.Rows, want)
-					if tc.kind != "SESSION" {
-						assertEmissionOrder(t, label, res.Rows, keyed)
+					if w.kind != "SESSION" {
+						assertEmissionOrder(t, label, res.Rows, len(sh.keys))
 					}
 				}
 			}
@@ -197,13 +231,10 @@ func TestStreamDifferentialOracle(t *testing.T) {
 
 // assertEmissionOrder checks the deterministic merged emission order of
 // tumbling/hopping windows: (window_start, key…, window_end) ascending.
-func assertEmissionOrder(t *testing.T, label string, rows [][]any, keyed bool) {
+func assertEmissionOrder(t *testing.T, label string, rows [][]any, nKeys int) {
 	t.Helper()
 	key := func(r []any) []any {
-		if keyed {
-			return []any{r[0], r[2], r[1]}
-		}
-		return []any{r[0], r[1]}
+		return append(append([]any{r[0]}, r[2:2+nKeys]...), r[1])
 	}
 	for i := 1; i < len(rows); i++ {
 		a, b := key(rows[i-1]), key(rows[i])
@@ -255,25 +286,42 @@ func TestStreamWindowValidation(t *testing.T) {
 	}
 }
 
-// TestStreamDifferentialUnderMemoryLimit forces the standing window state
-// past a quarter-working-set budget: the operator must spill (not error)
-// and still match the oracle exactly.
+// TestStreamDifferentialUnderMemoryLimit forces the standing window state of
+// every window kind, global and keyed, serial and at parallelism 4, past a
+// 128KiB budget: the operator must spill (not error) and still match the
+// oracle exactly. A long lateness holds every window live until the final
+// drain, so the standing state is the whole working set, and the retaining
+// COUNT(DISTINCT v) makes even a single global session outgrow the budget.
 func TestStreamDifferentialUnderMemoryLimit(t *testing.T) {
 	rows := genStreamEvents(6000, 40)
 	conn, tb := streamFixture(t, rows, 2000)
-	conn.SetMemoryLimit(256 << 10)
-	// A long lateness holds every pane live until the final drain, so the
-	// standing state is the whole working set.
-	sql := `SELECT STREAM HOP_START(rowtime, INTERVAL '1' SECOND, INTERVAL '8' SECOND) AS ws,
-		HOP_END(rowtime, INTERVAL '1' SECOND, INTERVAL '8' SECOND) AS we, k, COUNT(*) AS c, SUM(v) AS s
-		FROM s.events GROUP BY HOP(rowtime, INTERVAL '1' SECOND, INTERVAL '8' SECOND, INTERVAL '600' SECOND), k`
-	res, err := conn.Query(sql)
-	if err != nil {
-		t.Fatal(err)
+	conn.SetMemoryLimit(128 << 10)
+	aggs := "COUNT(*), SUM(v), COUNT(DISTINCT v)"
+	calls := append(append([]rex.AggCall(nil), countSum...), aggCall(rex.AggCount, 2, true))
+	shapes := []streamShape{
+		{name: "global", aggs: aggs, calls: calls},
+		{name: "keyed", keys: []string{"k"}, keyCols: []int{1}, aggs: aggs, calls: calls},
 	}
-	want := oracleWindows(t, tb, "HOP", 1000, 8000, true)
-	diffRows(t, "HOP/spill", res.Rows, want)
-	if n := conn.Framework.MemoryPool().Counters().SpillEvents; n == 0 {
-		t.Error("expected streaming state to spill under the 256KB budget")
+	wins := []streamWindowSpec{
+		streamWindows[0],
+		{kind: "HOP", a: 1000, b: 8000, args: "INTERVAL '1' SECOND, INTERVAL '8' SECOND"},
+		streamWindows[2],
+	}
+	for _, par := range []int{1, 4} {
+		conn.SetParallelism(par)
+		for _, w := range wins {
+			for _, sh := range shapes {
+				label := fmt.Sprintf("%s/%s/par=%d/spill", w.kind, sh.name, par)
+				before := conn.Framework.MemoryPool().Counters().SpillEvents
+				res, err := conn.Query(w.sql(sh, 600))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				diffRows(t, label, res.Rows, oracleWindows(t, tb, w.kind, w.a, w.b, sh.keyCols, sh.calls))
+				if after := conn.Framework.MemoryPool().Counters().SpillEvents; after <= before {
+					t.Errorf("%s: standing state did not spill under the 128KiB budget", label)
+				}
+			}
+		}
 	}
 }

@@ -67,7 +67,7 @@ func TestStreamingSoak(t *testing.T) {
 	defer srv.Stop()
 	client := calcite.Dial(addr)
 
-	want := oracleWindows(t, tb, "HOP", 1000, 8000, true)
+	want := oracleWindows(t, tb, "HOP", 1000, 8000, []int{1}, countSum)
 	if len(want) == 0 {
 		t.Fatal("oracle produced no windows")
 	}
