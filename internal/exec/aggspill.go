@@ -149,12 +149,8 @@ func (g *GroupedAgg) Finish() (schema.BatchCursor, error) {
 // flushed, at the given spill depth, into this engine's output; it shares the
 // reservation.
 func (g *GroupedAgg) remerge(depth int) *GroupedAgg {
-	m := &GroupedAgg{
-		ctx: g.ctx, op: g.op, calls: g.calls, keys: g.ident, ident: g.ident,
-		fromStates: true, emitStates: g.emitStates, pos: g.pos, depth: depth,
-		res: g.res, retains: g.retains,
-	}
-	m.resetTable()
+	m := newStateAgg(g.ctx, g.op, len(g.ident), g.calls)
+	m.emitStates, m.pos, m.depth, m.res = g.emitStates, g.pos, depth, g.res
 	return m
 }
 

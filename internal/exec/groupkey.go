@@ -200,6 +200,10 @@ type GroupedAgg struct {
 	res       *memory.Reservation
 	unbounded bool // denied at max depth: stop charging, finish in memory
 	flushW    *partitionWriter
+	// evict, when set, replaces the flush to disk on a denied grant and must
+	// empty the table: the streaming operator moves all of its state into
+	// one spill engine.
+	evict func() error
 
 	index    *keyIndex        // single-column keys
 	multiKey map[string]int32 // zero- or multi-column keys, HashRowKey-encoded
@@ -216,24 +220,30 @@ type GroupedAgg struct {
 // NewGroupedAgg opens an aggregation engine for a in the given mode, charging
 // the context's allocator under the operator tag op.
 func NewGroupedAgg(ctx *Context, op string, a *Aggregate, mode AggMode) *GroupedAgg {
-	g := &GroupedAgg{
-		ctx: ctx, op: op, calls: a.Calls, keys: a.GroupKeys,
-		res:        memory.Reserve(ctx.Alloc, op),
-		fromStates: mode == AggFinal,
-		emitStates: mode == AggPartial,
-		pos:        mode == AggPartial || (mode == AggFinal && len(a.GroupKeys) > 0),
+	g := newStateAgg(ctx, op, len(a.GroupKeys), a.Calls)
+	g.res = memory.Reserve(ctx.Alloc, op)
+	g.fromStates = mode == AggFinal
+	g.emitStates = mode == AggPartial
+	g.pos = mode == AggPartial || (mode == AggFinal && len(a.GroupKeys) > 0)
+	if !g.fromStates {
+		g.keys = a.GroupKeys
+		g.scratch = make([]any, rel.FieldCount(a.Inputs()[0]))
 	}
-	g.ident = make([]int, len(g.keys))
+	return g
+}
+
+// newStateAgg opens an uncharged engine that folds partial states keyed on
+// their first nKeys values and emits partial states, without first-seen
+// positions: the spill re-merge, and the streaming operator's window merges
+// and spill.
+func newStateAgg(ctx *Context, op string, nKeys int, calls []rex.AggCall) *GroupedAgg {
+	g := &GroupedAgg{ctx: ctx, op: op, calls: calls, ident: make([]int, nKeys), fromStates: true, emitStates: true}
 	for i := range g.ident {
 		g.ident[i] = i
 	}
-	if g.fromStates {
-		g.keys = g.ident
-	} else {
-		g.scratch = make([]any, rel.FieldCount(a.Inputs()[0]))
-	}
-	g.callTyped = make([]bool, len(g.calls))
-	for i, c := range g.calls {
+	g.keys = g.ident
+	g.callTyped = make([]bool, len(calls))
+	for i, c := range calls {
 		g.callTyped[i] = rex.AsTyped(rex.NewAccumulator(c)) != nil
 		g.anyTyped = g.anyTyped || g.callTyped[i]
 		g.retains = g.retains || c.Distinct || c.Func == rex.AggCollect || c.Func == rex.AggSingleValue
@@ -281,7 +291,13 @@ func (g *GroupedAgg) charge(n int64) (flushed bool, err error) {
 		g.unbounded = true
 		return false, nil
 	}
-	if len(g.groups) > 0 {
+	switch {
+	case g.evict != nil:
+		if err := g.evict(); err != nil {
+			return false, err
+		}
+		flushed = true
+	case len(g.groups) > 0:
 		if err := g.flush(); err != nil {
 			return false, err
 		}
@@ -300,21 +316,35 @@ func (g *GroupedAgg) admit(key []any, accs []rex.Accumulator, extra int64) (*agg
 		return nil, err
 	}
 	if flushed {
-		g.reindex(key) // the flush emptied the index the key was entered in
+		g.lookupKey(key) // the flush emptied the index the key was entered in
 	}
 	return g.newGroup(key, accs), nil
 }
 
-// reindex enters key into the (freshly reset) table at the next ordinal.
-func (g *GroupedAgg) reindex(key []any) {
+// lookupKey returns the group ordinal of a boxed key, entering a new key at
+// the next ordinal (the caller then creates its group).
+func (g *GroupedAgg) lookupKey(key []any) (ord int32, isNew bool) {
 	if g.index != nil {
-		g.index.ordVal(key[0])
-	} else {
-		g.multiKey[types.HashRowKey(key, g.ident)] = int32(len(g.groups))
+		return g.index.ordVal(key[0])
 	}
+	k := types.HashRowKey(key, g.ident)
+	if ord, ok := g.multiKey[k]; ok {
+		return ord, false
+	}
+	ord = int32(len(g.groups))
+	g.multiKey[k] = ord
+	return ord, true
 }
 
 func (g *GroupedAgg) newGroup(key []any, accs []rex.Accumulator) *aggGroup {
+	gr := g.group(key, accs)
+	g.groups = append(g.groups, gr)
+	return gr
+}
+
+// group builds a group over accs, or over fresh accumulators (with their
+// typed handles) when accs is nil, without entering it into the table.
+func (g *GroupedAgg) group(key []any, accs []rex.Accumulator) *aggGroup {
 	gr := &aggGroup{key: key, accs: accs}
 	if accs == nil {
 		gr.accs = make([]rex.Accumulator, len(g.calls))
@@ -328,7 +358,6 @@ func (g *GroupedAgg) newGroup(key []any, accs []rex.Accumulator) *aggGroup {
 			}
 		}
 	}
-	g.groups = append(g.groups, gr)
 	return gr
 }
 
@@ -393,33 +422,42 @@ func (g *GroupedAgg) AddBatch(b *schema.Batch) error {
 				return err
 			}
 			if flushed {
-				g.reindex(gr.key)
+				g.lookupKey(gr.key)
 				gr = g.newGroup(gr.key, nil)
 				gr.fsSeq, gr.fsIdx = b.Seq, int64(r)
 			}
 		}
-		for i, m := range modes {
-			switch m {
-			case modeCountStar:
-				gr.typed[i].AddCountStar(1)
-			case modeI64:
-				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
-					gr.typed[i].AddNonNullInt64(v.I64[r])
-				}
-			case modeF64:
-				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
-					gr.typed[i].AddNonNullFloat64(v.F64[r])
-				}
-			case modeStr:
-				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
-					if err := gr.typed[i].AddNonNullString(v.S[r]); err != nil {
-						return err
-					}
-				}
-			default:
-				if err := gr.accs[i].Add(g.scratch); err != nil {
+		if err := g.addRow(gr, modes, argVec, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// addRow feeds row r of a batch planned by planBatch (its boxed columns in
+// the scratch row when needed) to the accumulators of gr.
+func (g *GroupedAgg) addRow(gr *aggGroup, modes []callMode, argVec []*schema.Vector, r int) error {
+	for i, m := range modes {
+		switch m {
+		case modeCountStar:
+			gr.typed[i].AddCountStar(1)
+		case modeI64:
+			if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
+				gr.typed[i].AddNonNullInt64(v.I64[r])
+			}
+		case modeF64:
+			if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
+				gr.typed[i].AddNonNullFloat64(v.F64[r])
+			}
+		case modeStr:
+			if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
+				if err := gr.typed[i].AddNonNullString(v.S[r]); err != nil {
 					return err
 				}
+			}
+		default:
+			if err := gr.accs[i].Add(g.scratch); err != nil {
+				return err
 			}
 		}
 	}
@@ -486,49 +524,75 @@ func (g *GroupedAgg) addStates(b *schema.Batch, sel []int32) error {
 			fsIdx, _ = b.Vecs[nKeys+nCalls+1].Get(r).(int64)
 		}
 		accs := make([]rex.Accumulator, nCalls)
-		var retained int64
 		for ci, call := range g.calls {
 			acc, err := stateAcc(call, b.Vecs[nKeys+ci].Get(r))
 			if err != nil {
 				return err
 			}
 			accs[ci] = acc
-			if g.retains && g.res != nil {
-				retained += rex.AccumulatorMemSize(acc)
-			}
 		}
 		ord, isNew := g.lookup(b, r)
+		var key []any
 		if isNew {
-			gr, err := g.admit(g.keyAt(b, r), accs, retained)
-			if err != nil {
-				return err
-			}
+			key = g.keyAt(b, r)
+		}
+		if err := g.foldState(ord, key, accs, fsSeq, fsIdx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mergeGroup folds one group's partial state into the group of its boxed
+// key, adopting accs when the key is new.
+func (g *GroupedAgg) mergeGroup(key []any, accs []rex.Accumulator) error {
+	ord, isNew := g.lookupKey(key)
+	if !isNew {
+		key = nil
+	}
+	return g.foldState(ord, key, accs, 0, 0)
+}
+
+// foldState merges the owned partial state accs into group ord, or admits it
+// as the group of key when key is non-nil (the key was just entered), keeping
+// each group's smallest first-seen position.
+func (g *GroupedAgg) foldState(ord int32, key []any, accs []rex.Accumulator, fsSeq, fsIdx int64) error {
+	var retained int64
+	if g.retains && g.res != nil {
+		for _, acc := range accs {
+			retained += rex.AccumulatorMemSize(acc)
+		}
+	}
+	if key != nil {
+		gr, err := g.admit(key, accs, retained)
+		if err != nil {
+			return err
+		}
+		gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
+		return nil
+	}
+	gr := g.groups[ord]
+	if retained > 0 {
+		// Merging grows the group by what the incoming states retain; a
+		// flush here moved the group to disk, so the states restart it.
+		flushed, err := g.charge(retained)
+		if err != nil {
+			return err
+		}
+		if flushed {
+			g.lookupKey(gr.key)
+			gr = g.newGroup(gr.key, accs)
 			gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
-			continue
+			return nil
 		}
-		gr := g.groups[ord]
-		if retained > 0 {
-			// Merging grows the group by what the incoming states retain; a
-			// flush here moved the group to disk, so the states restart it.
-			flushed, err := g.charge(retained)
-			if err != nil {
-				return err
-			}
-			if flushed {
-				g.reindex(gr.key)
-				gr = g.newGroup(gr.key, accs)
-				gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
-				continue
-			}
+	}
+	for ci := range accs {
+		if err := rex.MergeAccumulators(gr.accs[ci], accs[ci]); err != nil {
+			return err
 		}
-		for ci := range accs {
-			if err := rex.MergeAccumulators(gr.accs[ci], accs[ci]); err != nil {
-				return err
-			}
-		}
-		if fsSeq < gr.fsSeq || (fsSeq == gr.fsSeq && fsIdx < gr.fsIdx) {
-			gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
-		}
+	}
+	if fsSeq < gr.fsSeq || (fsSeq == gr.fsSeq && fsIdx < gr.fsIdx) {
+		gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
 	}
 	return nil
 }

@@ -1,32 +1,32 @@
 package exec
 
 // Vectorized streaming aggregation (§7.2): the physical operator behind
-// SELECT STREAM … GROUP BY TUMBLE/HOP/SESSION. Input batches arrive tagged
-// with a rowtime column; the operator maintains per-(window, key)
-// incremental state on rex.Accumulator, advances a watermark bounded by the
-// window's lateness policy, and emits a window's rows exactly once — when
-// the watermark passes the window's end (or at end-of-stream).
+// SELECT STREAM … GROUP BY TUMBLE/HOP/SESSION. It keeps per-(window, key)
+// incremental state, advances a watermark bounded by the window's lateness
+// policy, and emits a window's rows exactly once — when the watermark passes
+// the window's end (or at end-of-stream) — as typed vectors.
 //
-// TUMBLE and HOP share a pane-based design: each row is added to exactly
-// one pane (pane length = the hop slide, = the window size for TUMBLE), and
-// an emitted HOP window merges its k covering panes into fresh accumulators
-// while the panes stay live for the later windows they still cover. A pane
-// is retracted — its state dropped and its memory returned — once its last
-// covering window has been emitted, so a row is held once, not k times.
-// SESSION keeps per-key interval state and coalesces sessions whenever a
-// row (or a spilled fragment) bridges two intervals.
+// TUMBLE/HOP pane state is a GroupedAgg per pane (pane length = the hop
+// slide, = the size for TUMBLE) keyed on the group keys: rowtimes are read as
+// int64, a batch's non-late rows reach their pane's engine through a
+// selection vector, and the engine groups and adds them unboxed, as for any
+// Aggregate. A TUMBLE window reads its pane's accumulators; a HOP window
+// folds its covering panes into a window table while the panes stay live for
+// the later windows they cover, until the last one is emitted. SESSION keeps
+// per-key interval state, reads keys and arguments through the same key
+// index and typed adds, and coalesces sessions a row bridges.
 //
-// Standing state is charged to the memory governor: when a grant fails and
-// spilling is allowed, every live pane/session is dehydrated
-// (rex.DehydrateAccumulator) into a spill run and the tables restart empty;
-// spilled state is folded back (rex.MergeAccumulators) during the final
+// State is charged to the memory governor. A denied grant (spilling allowed)
+// moves every pane or session into one spill engine — a GroupedAgg keyed on
+// (pane | session interval, keys…) with the engine's hash-partitioned spill —
+// and the tables restart empty; the spilled state folds back at the final
 // drain, trading emission latency for bounded memory.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -117,32 +117,30 @@ func (a *StreamAgg) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 // BindStreamAggOver runs the streaming aggregation over an already-bound
 // input; the parallel rewrite uses it to wrap each hash partition.
 func BindStreamAggOver(ctx *Context, sa *rel.StreamAggregate, in schema.BatchCursor) (schema.BatchCursor, error) {
-	// The state reads a row's rowtime, group keys and call arguments; only
-	// those columns are boxed out of each input batch.
-	need := append([]int{sa.Window.RowtimeCol}, sa.GroupKeys...)
-	for _, call := range sa.Calls {
-		need = append(need, call.Args...)
-		if call.FilterArg >= 0 {
-			need = append(need, call.FilterArg)
-		}
-	}
-	slices.Sort(need)
 	return &streamAggCursor{
 		st:        newStreamState(ctx, sa),
 		in:        in,
-		width:     rel.FieldCount(sa.Inputs()[0]),
-		need:      slices.Compact(need),
-		batch:     ctx.batchSize(),
 		interrupt: ctx.Interrupt,
 	}, nil
 }
 
-// rowtimeMillis coerces a rowtime value to epoch milliseconds.
-func rowtimeMillis(v any) (int64, bool) {
-	if t, ok := v.(time.Time); ok {
+// rowtimeAt reads row r of the rowtime column as epoch milliseconds: int64
+// (what stream tables store) and time.Time vectors unboxed, anything else
+// coerced.
+func rowtimeAt(v *schema.Vector, r int) (int64, bool) {
+	switch {
+	case v.Nulls != nil && v.Nulls[r]:
+		return 0, false
+	case v.Kind == schema.VecInt64:
+		return v.I64[r], true
+	case v.Kind == schema.VecTime:
+		return v.T[r].UnixMilli(), true
+	}
+	x := v.Get(r)
+	if t, ok := x.(time.Time); ok {
 		return t.UnixMilli(), true
 	}
-	return types.AsInt(v)
+	return types.AsInt(x)
 }
 
 // floorTo rounds ts down to a multiple of step (toward -inf).
@@ -156,15 +154,12 @@ func floorTo(ts, step int64) int64 {
 
 // ---- standing state ----
 
-type streamGroup struct {
-	key  []any
-	accs []rex.Accumulator
-}
+// streamOp tags the operator's reservations and spill runs.
+const streamOp = "StreamAggregate"
 
 type sessionGroup struct {
-	key         []any
+	*aggGroup
 	start, last int64
-	accs        []rex.Accumulator
 	charge      int64
 }
 
@@ -172,44 +167,57 @@ type sessionGroup struct {
 // top of the shared per-group charge.
 const sessionOverhead = 32
 
-type streamState struct {
-	sa       *rel.StreamAggregate
-	res      *memory.Reservation
-	alloc    *memory.Allocator
-	paneMs   int64
-	nKeys    int
-	outWidth int
+// paneRows is the selection of one batch's rows that fall in one pane.
+type paneRows struct {
+	pane int64
+	sel  []int32
+}
 
-	// TUMBLE/HOP: pane start -> group key -> incremental state.
-	panes      map[int64]map[string]*streamGroup
-	paneCharge map[int64]int64
-	// SESSION: group key -> open sessions.
-	sessions map[string][]*sessionGroup
+type streamState struct {
+	ctx    *Context
+	sa     *rel.StreamAggregate
+	shape  *Aggregate // the group keys and calls over the stream's rows
+	paneMs int64
+	nKeys  int
+
+	// TUMBLE/HOP: pane start -> the pane's partial aggregation.
+	panes  map[int64]*GroupedAgg
+	routed []paneRows // per-batch routing scratch
+	// HOP: the window table the covering panes fold into, and the window
+	// each of its groups last served.
+	hop   *GroupedAgg
+	hopAt []int64
+	// The emission round being built: one window's (or the sessions') rows,
+	// and the output columns.
+	rows []emitted
+	out  []*schema.Vector
+	// SESSION: the key table (key index, add plan, scratch row and the
+	// sessions' reservation; its groups hold keys only) and the open
+	// sessions of each key ordinal.
+	keys     *GroupedAgg
+	sessions [][]*sessionGroup
+
+	// spill holds evicted state keyed on (pane | start, last, keys…); nil
+	// until the first eviction, and emission waits for the final drain
+	// while it is set.
+	spill *GroupedAgg
 
 	hasTs       bool
 	maxTs       int64
 	emittedUpTo int64 // windows ending at or before this are closed
-	spilled     bool
-	runs        []*memory.Run
 }
 
 func newStreamState(ctx *Context, sa *rel.StreamAggregate) *streamState {
-	paneMs := sa.Window.SizeMs
-	if sa.Window.Kind == rel.HopWindow {
-		paneMs = sa.Window.SlideMs
+	s := &streamState{ctx: ctx, sa: sa, shape: NewAggregate(sa.Inputs()[0], sa.GroupKeys, sa.Calls),
+		nKeys: len(sa.GroupKeys), paneMs: sa.Window.SizeMs, panes: map[int64]*GroupedAgg{}, emittedUpTo: math.MinInt64}
+	switch sa.Window.Kind {
+	case rel.HopWindow:
+		s.paneMs = sa.Window.SlideMs
+	case rel.SessionWindow:
+		s.keys = NewGroupedAgg(ctx, streamOp, s.shape, AggPartial)
+		s.keys.evict = s.evict
 	}
-	return &streamState{
-		sa:          sa,
-		res:         memory.Reserve(ctx.Alloc, "StreamAggregate"),
-		alloc:       ctx.Alloc,
-		paneMs:      paneMs,
-		nKeys:       len(sa.GroupKeys),
-		outWidth:    2 + len(sa.GroupKeys) + len(sa.Calls),
-		panes:       map[int64]map[string]*streamGroup{},
-		paneCharge:  map[int64]int64{},
-		sessions:    map[string][]*sessionGroup{},
-		emittedUpTo: math.MinInt64,
-	}
+	return s
 }
 
 func (s *streamState) watermark() int64 { return s.maxTs - s.sa.LatenessMs }
@@ -224,98 +232,130 @@ func (s *streamState) isLate(ts int64) bool {
 	return floorTo(ts, s.paneMs)+s.sa.Window.SizeMs <= s.emittedUpTo
 }
 
-// add folds one input row into its window state.
-func (s *streamState) add(row []any) error {
-	tv := row[s.sa.Window.RowtimeCol]
-	ts, ok := rowtimeMillis(tv)
+// observe reads row r's rowtime, advances the freshest rowtime seen and
+// reports whether the row is late.
+func (s *streamState) observe(rt *schema.Vector, r int) (ts int64, late bool, err error) {
+	ts, ok := rowtimeAt(rt, r)
 	if !ok {
-		return fmt.Errorf("exec: stream rowtime column %d holds %T, want a timestamp", s.sa.Window.RowtimeCol, tv)
+		return 0, false, fmt.Errorf("exec: stream rowtime column %d holds %T, want a timestamp", s.sa.Window.RowtimeCol, rt.Get(r))
 	}
-	streamRowsIn.Add(1)
 	if !s.hasTs || ts > s.maxTs {
 		s.maxTs, s.hasTs = ts, true
 	}
-	if s.isLate(ts) {
-		streamLateDropped.Add(1)
-		return nil
-	}
-	if s.sa.Window.Kind == rel.SessionWindow {
-		return s.addSession(ts, row)
-	}
-	return s.addPane(ts, row)
+	return ts, s.isLate(ts), nil
 }
 
-// growOrFlush charges n bytes, dehydrating all standing state to disk when
-// the governor refuses and spilling is allowed (post-flush charges are best
-// effort — flushing already freed the memory). Reports whether a flush
-// happened, so callers re-create whatever group pointer they held.
-func (s *streamState) growOrFlush(n int64) (flushed bool, err error) {
-	if err := s.res.Grow(n); err != nil {
-		if !s.res.SpillAllowed() {
-			return false, err
-		}
-		if err := s.flushAll(); err != nil {
-			return false, err
-		}
-		_ = s.res.Grow(n) // post-flush best effort
-		return true, nil
+// addBatch folds the live rows sel of b into their windows' state; the
+// stream counters move once per batch.
+func (s *streamState) addBatch(b *schema.Batch, sel []int32) error {
+	add := s.addPanes
+	if s.keys != nil {
+		add = s.addSessions
 	}
-	return false, nil
-}
-
-func (s *streamState) newPaneGroup(p int64, k string, row []any) *streamGroup {
-	keyed := s.panes[p]
-	if keyed == nil {
-		keyed = map[string]*streamGroup{}
-		s.panes[p] = keyed
+	late, err := add(b, sel)
+	if err != nil {
+		return err
 	}
-	key := make([]any, s.nKeys)
-	for i, gk := range s.sa.GroupKeys {
-		key[i] = row[gk]
-	}
-	accs := make([]rex.Accumulator, len(s.sa.Calls))
-	for i, c := range s.sa.Calls {
-		accs[i] = rex.NewAccumulator(c)
-	}
-	g := &streamGroup{key: key, accs: accs}
-	keyed[k] = g
-	return g
-}
-
-func (s *streamState) addPane(ts int64, row []any) error {
-	p := floorTo(ts, s.paneMs)
-	k := types.HashRowKey(row, s.sa.GroupKeys)
-	g := s.panes[p][k]
-	if g == nil {
-		charge := aggGroupCharge(s.sa.GroupKeys, s.sa.Calls, row, len(k))
-		if _, err := s.growOrFlush(charge); err != nil {
-			return err
-		}
-		g = s.newPaneGroup(p, k, row)
-		s.paneCharge[p] += charge
-	}
-	if retained := aggRetainedBytes(s.sa.Calls, row); retained > 0 {
-		flushed, err := s.growOrFlush(retained)
-		if err != nil {
-			return err
-		}
-		if flushed {
-			g = s.newPaneGroup(p, k, row)
-		}
-		s.paneCharge[p] += retained
-	}
-	for _, acc := range g.accs {
-		if err := acc.Add(row); err != nil {
-			return err
-		}
-	}
+	streamRowsIn.Add(int64(len(sel)))
+	streamLateDropped.Add(int64(late))
 	return nil
 }
 
-// findSession returns the open session of key k whose interval is within
-// the gap of ts.
-func (s *streamState) findSession(k string, ts, gap int64) *sessionGroup {
-	for _, g := range s.sessions[k] {
+// addPanes routes each non-late row to its pane and feeds every pane its
+// rows as one selection over the batch.
+func (s *streamState) addPanes(b *schema.Batch, sel []int32) (late int, err error) {
+	rt := b.Vecs[s.sa.Window.RowtimeCol]
+	routed, at := s.routed[:0], -1
+	for _, ri := range sel {
+		ts, isLate, err := s.observe(rt, int(ri))
+		if err != nil {
+			return 0, err
+		}
+		if isLate {
+			late++
+			continue
+		}
+		p := floorTo(ts, s.paneMs)
+		if at < 0 || routed[at].pane != p {
+			if at = slices.IndexFunc(routed, func(pr paneRows) bool { return pr.pane == p }); at < 0 {
+				at, routed = len(routed), append(routed, paneRows{pane: p})
+			}
+		}
+		routed[at].sel = append(routed[at].sel, ri)
+	}
+	s.routed = routed
+	for _, pr := range routed {
+		e := s.panes[pr.pane]
+		if e == nil {
+			e = NewGroupedAgg(s.ctx, streamOp, s.shape, AggPartial)
+			e.evict = s.evict
+			s.panes[pr.pane] = e
+		}
+		if err := e.AddBatch(&schema.Batch{Len: b.Len, Vecs: b.Vecs, Sel: pr.sel, Seq: b.Seq}); err != nil {
+			return 0, err
+		}
+	}
+	return late, nil
+}
+
+// addSessions extends, opens and coalesces sessions row by row. Sessions
+// charge the key table's reservation, whose denied grants evict every
+// session to the spill engine.
+func (s *streamState) addSessions(b *schema.Batch, sel []int32) (late int, err error) {
+	rt := b.Vecs[s.sa.Window.RowtimeCol]
+	k := s.keys
+	modes, argVec, needScratch := k.planBatch(b)
+	gap := s.sa.Window.GapMs
+	for _, ri := range sel {
+		r := int(ri)
+		ts, isLate, err := s.observe(rt, r)
+		if err != nil {
+			return 0, err
+		}
+		if isLate {
+			late++
+			continue
+		}
+		ord, isNew := k.lookup(b, r)
+		if isNew {
+			k.groups = append(k.groups, &aggGroup{key: k.keyAt(b, r)})
+			s.sessions = append(s.sessions, nil)
+		}
+		if needScratch {
+			for c := range k.scratch {
+				k.scratch[c] = b.Vecs[c].Get(r)
+			}
+		}
+		g := s.findSession(ord, ts, gap)
+		charge := aggRetainedBytes(k.calls, k.scratch)
+		if g == nil {
+			key := k.groups[ord].key
+			charge += aggGroupCharge(k.ident, k.calls, key, 16*len(key)) + sessionOverhead
+		}
+		if evicted, err := k.charge(charge); err != nil {
+			return 0, err
+		} else if evicted || g == nil {
+			// A fresh session, or one that replaces the session the eviction
+			// just moved to the spill engine.
+			g = &sessionGroup{aggGroup: k.group(k.groups[ord].key, nil), start: ts, last: ts}
+			s.sessions[ord] = append(s.sessions[ord], g)
+		}
+		g.charge += charge
+		g.start, g.last = min(g.start, ts), max(g.last, ts)
+		if err := k.addRow(g.aggGroup, modes, argVec, r); err != nil {
+			return 0, err
+		}
+		if err := s.coalesceSessions(ord, g, gap); err != nil {
+			return 0, err
+		}
+	}
+	return late, nil
+}
+
+// findSession returns the open session of key ordinal ord whose interval is
+// within the gap of ts.
+func (s *streamState) findSession(ord int32, ts, gap int64) *sessionGroup {
+	for _, g := range s.sessions[ord] {
 		if ts > g.start-gap && ts < g.last+gap {
 			return g
 		}
@@ -323,59 +363,10 @@ func (s *streamState) findSession(k string, ts, gap int64) *sessionGroup {
 	return nil
 }
 
-func (s *streamState) newSession(k string, ts int64, row []any, charge int64) *sessionGroup {
-	key := make([]any, s.nKeys)
-	for i, gk := range s.sa.GroupKeys {
-		key[i] = row[gk]
-	}
-	accs := make([]rex.Accumulator, len(s.sa.Calls))
-	for i, c := range s.sa.Calls {
-		accs[i] = rex.NewAccumulator(c)
-	}
-	g := &sessionGroup{key: key, start: ts, last: ts, accs: accs, charge: charge}
-	s.sessions[k] = append(s.sessions[k], g)
-	return g
-}
-
-func (s *streamState) addSession(ts int64, row []any) error {
-	k := types.HashRowKey(row, s.sa.GroupKeys)
-	gap := s.sa.Window.GapMs
-	g := s.findSession(k, ts, gap)
-	if g == nil {
-		charge := aggGroupCharge(s.sa.GroupKeys, s.sa.Calls, row, len(k)) + sessionOverhead
-		if _, err := s.growOrFlush(charge); err != nil {
-			return err
-		}
-		g = s.newSession(k, ts, row, charge)
-	}
-	if retained := aggRetainedBytes(s.sa.Calls, row); retained > 0 {
-		flushed, err := s.growOrFlush(retained)
-		if err != nil {
-			return err
-		}
-		if flushed {
-			g = s.newSession(k, ts, row, 0)
-		}
-		g.charge += retained
-	}
-	if ts < g.start {
-		g.start = ts
-	}
-	if ts > g.last {
-		g.last = ts
-	}
-	for _, acc := range g.accs {
-		if err := acc.Add(row); err != nil {
-			return err
-		}
-	}
-	return s.coalesceSessions(k, g, gap)
-}
-
 // coalesceSessions folds sessions the freshly-extended interval now bridges
 // into target.
-func (s *streamState) coalesceSessions(k string, target *sessionGroup, gap int64) error {
-	list := s.sessions[k]
+func (s *streamState) coalesceSessions(ord int32, target *sessionGroup, gap int64) error {
+	list := s.sessions[ord]
 	keep := list[:0]
 	for _, g := range list {
 		if g == target || g.start >= target.last+gap || target.start >= g.last+gap {
@@ -387,223 +378,133 @@ func (s *streamState) coalesceSessions(k string, target *sessionGroup, gap int64
 				return err
 			}
 		}
-		if g.start < target.start {
-			target.start = g.start
-		}
-		if g.last > target.last {
-			target.last = g.last
-		}
+		target.start, target.last = min(target.start, g.start), max(target.last, g.last)
 		target.charge += g.charge
 	}
-	s.sessions[k] = keep
+	clear(list[len(keep):])
+	s.sessions[ord] = keep
 	return nil
 }
 
-// spillWidth is the flattened row width of dehydrated state.
-func (s *streamState) spillWidth() int {
-	if s.sa.Window.Kind == rel.SessionWindow {
-		return 2 + s.nKeys + len(s.sa.Calls) // [start, last, key…, state…]
+// evict moves every pane's groups (or every open session) into the spill
+// engine, keyed on (pane | start, last, keys…), and flushes it to disk: the
+// tables restart empty and emission waits for the final drain.
+func (s *streamState) evict() error {
+	if s.spill == nil {
+		prefix := 1
+		if s.keys != nil {
+			prefix = 2
+		}
+		s.spill = newStateAgg(s.ctx, streamOp, prefix+s.nKeys, s.sa.Calls)
+		s.spill.res = memory.Reserve(s.ctx.Alloc, streamOp)
 	}
-	return 1 + s.nKeys + len(s.sa.Calls) // [pane, key…, state…]
+	move := func(g *aggGroup, prefix ...any) error {
+		return s.spill.mergeGroup(append(prefix, g.key...), g.accs)
+	}
+	for ord, list := range s.sessions {
+		for _, g := range list {
+			if err := move(g.aggGroup, g.start, g.last); err != nil {
+				return err
+			}
+		}
+		clear(list)
+		s.sessions[ord] = list[:0]
+	}
+	for p, e := range s.panes {
+		groups := e.groups
+		e.groups = nil
+		e.resetTable()
+		for _, g := range groups {
+			if err := move(g, p); err != nil {
+				return err
+			}
+		}
+	}
+	for _, e := range s.engines() {
+		if e != s.spill {
+			e.res.Shrink(e.res.Held())
+		}
+	}
+	if len(s.spill.groups) == 0 {
+		return nil
+	}
+	return s.spill.flush()
 }
 
-// flushAll dehydrates every pane/session into one spill run and restarts
-// the standing state empty; spilled runs fold back during the final drain.
-func (s *streamState) flushAll() error {
-	w, err := s.alloc.NewRun("StreamAggregate")
+// unspill folds the spilled state back into the tables (final drain only):
+// everything still in memory is evicted too, the spill engine merges its
+// partitions, and panes and sessions are rebuilt uncharged — the merged
+// state already fit on disk, and failing here would lose a query that
+// honored its budget all along.
+func (s *streamState) unspill() error {
+	session, prefix := s.keys != nil, len(s.spill.ident)-s.nKeys
+	if err := s.evict(); err != nil {
+		return err
+	}
+	s.panes = map[int64]*GroupedAgg{} // the evicted engines are empty
+	out, err := s.spill.Finish()
+	s.spill = nil
 	if err != nil {
 		return err
 	}
-	s.res.NoteSpillEvent()
-	width := s.spillWidth()
-	var buf [][]any
-	write := func() error {
-		if len(buf) == 0 {
+	defer out.Close()
+	calls := s.sa.Calls
+	for {
+		b, err := out.NextBatch()
+		if err == schema.Done {
 			return nil
 		}
-		if err := w.WriteRows(buf, width); err != nil {
-			return err
-		}
-		buf = buf[:0]
-		return nil
-	}
-	stage := func(row []any) error {
-		buf = append(buf, row)
-		if len(buf) >= spillWriteChunk {
-			return write()
-		}
-		return nil
-	}
-	dehydrate := func(prefix []any, key []any, accs []rex.Accumulator) error {
-		row := make([]any, 0, width)
-		row = append(row, prefix...)
-		row = append(row, key...)
-		for _, acc := range accs {
-			st, err := rex.DehydrateAccumulator(acc)
-			if err != nil {
-				return err
-			}
-			row = append(row, st)
-		}
-		return stage(row)
-	}
-	fail := func(err error) error {
-		w.Abandon()
-		return err
-	}
-	if s.sa.Window.Kind == rel.SessionWindow {
-		for _, list := range s.sessions {
-			for _, g := range list {
-				if err := dehydrate([]any{g.start, g.last}, g.key, g.accs); err != nil {
-					return fail(err)
-				}
-			}
-		}
-		s.sessions = map[string][]*sessionGroup{}
-	} else {
-		for p, keyed := range s.panes {
-			for _, g := range keyed {
-				if err := dehydrate([]any{p}, g.key, g.accs); err != nil {
-					return fail(err)
-				}
-			}
-		}
-		s.panes = map[int64]map[string]*streamGroup{}
-		s.paneCharge = map[int64]int64{}
-	}
-	if err := write(); err != nil {
-		return fail(err)
-	}
-	run, err := w.Finish()
-	if err != nil {
-		return err
-	}
-	s.runs = append(s.runs, run)
-	s.spilled = true
-	s.res.Shrink(s.res.Held())
-	return nil
-}
-
-// rehydrate folds every spilled run back into the in-memory state (final
-// drain only). Charges are best effort: the merged result set already fit
-// on disk, and erroring here would lose the query after it honored its
-// budget all along.
-func (s *streamState) rehydrate() error {
-	runs := s.runs
-	s.runs = nil
-	fail := func(err error) error {
-		for _, r := range runs {
-			r.Remove()
-		}
-		return err
-	}
-	for len(runs) > 0 {
-		run := runs[0]
-		runs = runs[1:]
-		rr, err := run.Open()
-		if err != nil {
-			run.Remove()
-			return fail(err)
-		}
-		for {
-			b, err := rr.NextBatch()
-			if err == schema.Done {
-				break
-			}
-			if err != nil {
-				rr.Close()
-				run.Remove()
-				return fail(err)
-			}
-			n := b.NumRows()
-			for i := 0; i < n; i++ {
-				if err := s.foldSpilled(b.Row(i)); err != nil {
-					rr.Close()
-					run.Remove()
-					return fail(err)
-				}
-			}
-		}
-		rr.Close()
-		run.Remove()
-	}
-	return nil
-}
-
-// foldSpilled merges one dehydrated state row back into the live tables.
-func (s *streamState) foldSpilled(row []any) error {
-	if s.sa.Window.Kind == rel.SessionWindow {
-		start, _ := types.AsInt(row[0])
-		last, _ := types.AsInt(row[1])
-		key := append([]any(nil), row[2:2+s.nKeys]...)
-		accs := make([]rex.Accumulator, len(s.sa.Calls))
-		for i, c := range s.sa.Calls {
-			acc, err := rex.HydrateAccumulator(c, row[2+s.nKeys+i])
-			if err != nil {
-				return err
-			}
-			accs[i] = acc
-		}
-		keyOrds := make([]int, s.nKeys)
-		for i := range keyOrds {
-			keyOrds[i] = i
-		}
-		k := types.HashRowKey(key, keyOrds)
-		g := &sessionGroup{key: key, start: start, last: last, accs: accs}
-		_ = s.res.Grow(sessionOverhead + types.SizeOfRow(row))
-		s.sessions[k] = append(s.sessions[k], g)
-		// Fragments of one logical session are always within a gap of each
-		// other (the bridging event lives in one of them) — coalescing
-		// restores the full session.
-		return s.coalesceSessions(k, g, s.sa.Window.GapMs)
-	}
-	p, _ := types.AsInt(row[0])
-	keyOrds := make([]int, s.nKeys)
-	for i := range keyOrds {
-		keyOrds[i] = i + 1
-	}
-	k := types.HashRowKey(row, keyOrds)
-	g := s.panes[p][k]
-	if g == nil {
-		key := append([]any(nil), row[1:1+s.nKeys]...)
-		accs := make([]rex.Accumulator, len(s.sa.Calls))
-		for i, c := range s.sa.Calls {
-			acc, err := rex.HydrateAccumulator(c, row[1+s.nKeys+i])
-			if err != nil {
-				return err
-			}
-			accs[i] = acc
-		}
-		keyed := s.panes[p]
-		if keyed == nil {
-			keyed = map[string]*streamGroup{}
-			s.panes[p] = keyed
-		}
-		keyed[k] = &streamGroup{key: key, accs: accs}
-		charge := aggGroupOverhead + int64(len(k)) + types.SizeOfRow(row)
-		_ = s.res.Grow(charge)
-		s.paneCharge[p] += charge
-		return nil
-	}
-	for i, c := range s.sa.Calls {
-		src, err := rex.HydrateAccumulator(c, row[1+s.nKeys+i])
 		if err != nil {
 			return err
 		}
-		if err := rex.MergeAccumulators(g.accs[i], src); err != nil {
-			return err
+		for i, n := 0, b.NumRows(); i < n; i++ {
+			row := b.Row(i)
+			key := row[prefix : prefix+s.nKeys]
+			accs := make([]rex.Accumulator, len(calls))
+			for ci, c := range calls {
+				if accs[ci], err = stateAcc(c, row[prefix+s.nKeys+ci]); err != nil {
+					return err
+				}
+			}
+			if session {
+				start, _ := types.AsInt(row[0])
+				last, _ := types.AsInt(row[1])
+				ord, _ := s.keys.lookupKey(key) // evictions keep the key table
+				g := &sessionGroup{aggGroup: &aggGroup{key: key, accs: accs}, start: start, last: last}
+				s.sessions[ord] = append(s.sessions[ord], g)
+				// Fragments of one logical session are always within a gap of
+				// each other (the bridging event lives in one of them) —
+				// coalescing restores the full session.
+				err = s.coalesceSessions(ord, g, s.sa.Window.GapMs)
+			} else {
+				p, _ := types.AsInt(row[0])
+				e := s.panes[p]
+				if e == nil {
+					e = newStateAgg(s.ctx, streamOp, s.nKeys, calls)
+					s.panes[p] = e
+				}
+				err = e.mergeGroup(key, accs)
+			}
+			if err != nil {
+				return err
+			}
 		}
 	}
-	return nil
 }
 
-// emitReady returns the rows of every window the watermark has closed (all
-// remaining windows when final), in deterministic (window_start, key,
-// window_end) order. Once state has spilled, emission defers to the final
-// drain where disk and memory state merge — correctness over latency under
-// memory pressure.
-func (s *streamState) emitReady(final bool) ([][]any, error) {
-	if s.spilled && !final {
+// emitted is one finished window of one group.
+type emitted struct {
+	start, end int64
+	g          *aggGroup
+}
+
+// emitReady returns every window the watermark has closed (all remaining
+// windows when final) as one batch in (window_start, key…, window_end)
+// order, or nil. Once state has spilled, emission defers to the final drain
+// where disk and memory state merge — correctness over latency under memory
+// pressure.
+func (s *streamState) emitReady(final bool) (*schema.Batch, error) {
+	if s.spill != nil && !final {
 		return nil, nil
 	}
 	wm := int64(math.MaxInt64)
@@ -613,151 +514,211 @@ func (s *streamState) emitReady(final bool) ([][]any, error) {
 		}
 		wm = s.watermark()
 	}
-	if s.spilled && final {
-		if err := s.rehydrate(); err != nil {
+	if s.spill != nil {
+		if err := s.unspill(); err != nil {
 			return nil, err
 		}
 	}
-	var rows [][]any
-	var err error
-	if s.sa.Window.Kind == rel.SessionWindow {
-		rows = s.emitSessions(wm)
-	} else {
-		rows, err = s.emitWindows(wm)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(rows) > 0 {
-		sortEmitted(rows, s.nKeys)
-		streamWindowsEmitted.Add(int64(len(rows)))
+	s.out = nil
+	if s.keys != nil {
+		s.emitSessions(wm)
+	} else if err := s.emitWindows(wm); err != nil {
+		return nil, err
 	}
 	if wm > s.emittedUpTo {
 		s.emittedUpTo = wm
 	}
-	return rows, nil
+	if s.out == nil {
+		return nil, nil
+	}
+	b := &schema.Batch{Len: s.out[0].Len(), Vecs: s.out}
+	streamWindowsEmitted.Add(int64(b.Len))
+	return b, nil
 }
 
-// emitWindows closes TUMBLE/HOP windows ending at or before wm.
-func (s *streamState) emitWindows(wm int64) ([][]any, error) {
+// emitWindows closes TUMBLE/HOP windows ending at or before wm and retires
+// the panes no open window covers.
+func (s *streamState) emitWindows(wm int64) error {
 	size, slide := s.sa.Window.SizeMs, s.paneMs
 	// Candidate window starts come from the live panes: a window with no
 	// pane in range has no rows and is never emitted (matching the batch
 	// oracle).
-	seen := map[int64]bool{}
 	var starts []int64
 	for p := range s.panes {
 		for w := p - size + slide; w <= p; w += slide {
-			if w+size <= wm && w+size > s.emittedUpTo && !seen[w] {
-				seen[w] = true
+			if w+size <= wm && w+size > s.emittedUpTo {
 				starts = append(starts, w)
 			}
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	var rows [][]any
-	emitGroup := func(w int64, key []any, accs []rex.Accumulator) {
-		row := make([]any, 0, s.outWidth)
-		row = append(row, w, w+size)
-		row = append(row, key...)
-		for _, acc := range accs {
-			row = append(row, acc.Result())
-		}
-		rows = append(rows, row)
-	}
-	for _, w := range starts {
+	slices.Sort(starts)
+	starts = slices.Compact(starts)
+	for i, w := range starts {
+		rows := s.rows[:0]
 		if slide == size {
-			// TUMBLE: the single covering pane retires with its window —
-			// read results straight off the live accumulators.
-			for _, g := range s.panes[w] {
-				emitGroup(w, g.key, g.accs)
+			for _, g := range s.panes[w].groups { // TUMBLE: the window's one pane
+				rows = append(rows, emitted{w, w + size, g})
 			}
+		} else if err := s.mergeHop(w, &rows); err != nil {
+			return err
+		}
+		s.rows = rows
+		s.appendRows(rows, len(rows)*(len(starts)-i))
+	}
+	// Retire expired panes: every window covering them has been emitted.
+	for p, e := range s.panes {
+		if p+size <= wm {
+			e.res.Free()
+			delete(s.panes, p)
+		}
+	}
+	return nil
+}
+
+// mergeHop folds the panes covering HOP window [w, w+size) into the window
+// table and appends its groups to rows; the panes keep their state for the
+// later windows they cover. The table outlives the window — a key's
+// accumulators are reset when it first reappears in a later window — so
+// windows allocate no state for the keys they share.
+func (s *streamState) mergeHop(w int64, rows *[]emitted) error {
+	if s.hop == nil {
+		s.hop, s.hopAt = newStateAgg(s.ctx, streamOp, s.nKeys, s.sa.Calls), nil
+	}
+	m, size := s.hop, s.sa.Window.SizeMs
+	for p := w; p < w+size; p += s.paneMs {
+		e := s.panes[p]
+		if e == nil {
 			continue
 		}
-		// HOP: merge the covering panes [w, w+size) into fresh accumulators;
-		// the panes keep their state for the later windows they still cover.
-		merged := map[string]*streamGroup{}
-		var order []string
-		for p := w; p < w+size; p += slide {
-			for k, src := range s.panes[p] {
-				dst, ok := merged[k]
-				if !ok {
-					accs := make([]rex.Accumulator, len(s.sa.Calls))
-					for i, c := range s.sa.Calls {
-						accs[i] = rex.NewAccumulator(c)
-					}
-					dst = &streamGroup{key: src.key, accs: accs}
-					merged[k] = dst
-					order = append(order, k)
+		for _, g := range e.groups {
+			ord, isNew := m.lookupKey(g.key)
+			if isNew {
+				m.newGroup(g.key, nil)
+				s.hopAt = append(s.hopAt, math.MinInt64)
+			}
+			dst := m.groups[ord]
+			if s.hopAt[ord] != w {
+				s.hopAt[ord] = w
+				for _, acc := range dst.accs {
+					rex.ResetAccumulator(acc)
 				}
-				for i := range dst.accs {
-					if err := rex.MergeAccumulators(dst.accs[i], src.accs[i]); err != nil {
-						return nil, err
-					}
+				*rows = append(*rows, emitted{w, w + size, dst})
+			}
+			for i, acc := range dst.accs {
+				if err := rex.MergeAccumulators(acc, g.accs[i]); err != nil {
+					return err
 				}
 			}
 		}
-		for _, k := range order {
-			g := merged[k]
-			emitGroup(w, g.key, g.accs)
-		}
 	}
-	// Retract expired panes: every window covering them has been emitted.
-	for p := range s.panes {
-		if p+size <= wm {
-			delete(s.panes, p)
-			s.res.Shrink(s.paneCharge[p])
-			delete(s.paneCharge, p)
-		}
+	if len(m.groups) > 4*len(*rows)+1024 {
+		s.hop = nil // keys long gone from the stream: start a smaller table
 	}
-	return rows, nil
+	return nil
 }
 
 // emitSessions closes sessions whose quiet period has passed the watermark:
 // no future row at ts ≥ wm can extend a session with last+gap ≤ wm.
-func (s *streamState) emitSessions(wm int64) [][]any {
+func (s *streamState) emitSessions(wm int64) {
 	gap := s.sa.Window.GapMs
-	var rows [][]any
-	for k, list := range s.sessions {
+	rows := s.rows[:0]
+	for ord, list := range s.sessions {
 		keep := list[:0]
 		for _, g := range list {
 			if g.last+gap > wm {
 				keep = append(keep, g)
 				continue
 			}
-			row := make([]any, 0, s.outWidth)
-			row = append(row, g.start, g.last+gap)
-			row = append(row, g.key...)
-			for _, acc := range g.accs {
-				row = append(row, acc.Result())
-			}
-			rows = append(rows, row)
-			s.res.Shrink(g.charge)
+			rows = append(rows, emitted{g.start, g.last + gap, g.aggGroup})
+			s.keys.res.Shrink(g.charge)
 		}
-		if len(keep) == 0 {
-			delete(s.sessions, k)
-		} else {
-			s.sessions[k] = keep
-		}
+		clear(list[len(keep):])
+		s.sessions[ord] = keep
 	}
-	return rows
+	s.rows = rows
+	s.appendRows(rows, len(rows))
 }
 
-// sortEmitted orders one emission round by (window_start, key…,
-// window_end) so the output is deterministic at any parallelism.
-func sortEmitted(rows [][]any, nKeys int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if c := types.Compare(a[0], b[0]); c != 0 {
-			return c < 0
+// appendRows orders rows by (window_start, key…, window_end), so the output
+// is deterministic at any parallelism, and appends them to the round's
+// output columns in the vector kinds of the output row type; the first call
+// of a round sizes the columns for about hint rows.
+func (s *streamState) appendRows(rows []emitted, hint int) {
+	if len(rows) == 0 {
+		return
+	}
+	slices.SortFunc(rows, func(a, b emitted) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		for k := 0; k < nKeys; k++ {
-			if c := types.Compare(a[2+k], b[2+k]); c != 0 {
-				return c < 0
+		for i := range a.g.key {
+			if c := compareKeyValue(a.g.key[i], b.g.key[i]); c != 0 {
+				return c
 			}
 		}
-		return types.Compare(a[1], b[1]) < 0
+		return cmp.Compare(a.end, b.end)
 	})
+	if s.out == nil {
+		for _, f := range s.sa.RowType().Fields {
+			v := &schema.Vector{Kind: schema.VecKindForType(f.Type)}
+			v.Grow(hint)
+			s.out = append(s.out, v)
+		}
+	}
+	for _, e := range rows {
+		s.out[0].I64 = append(s.out[0].I64, e.start) // window bounds are TIMESTAMPs: int64
+		s.out[1].I64 = append(s.out[1].I64, e.end)
+	}
+	for c, v := range s.out[2:] {
+		for _, e := range rows {
+			var x any
+			if c < s.nKeys {
+				x = e.g.key[c]
+			} else {
+				x = e.g.accs[c-s.nKeys].Result()
+			}
+			if !v.AppendValue(x) {
+				v.Demote()
+				v.AppendValue(x)
+			}
+		}
+	}
+}
+
+// compareKeyValue orders two group-key values: int64 pairs directly,
+// anything else by types.Compare.
+func compareKeyValue(a, b any) int {
+	if x, ok := a.(int64); ok {
+		if y, ok := b.(int64); ok {
+			return cmp.Compare(x, y)
+		}
+	}
+	return types.Compare(a, b)
+}
+
+// engines returns every engine that holds standing state.
+func (s *streamState) engines() []*GroupedAgg {
+	all := []*GroupedAgg{s.keys, s.spill}
+	for _, e := range s.panes {
+		all = append(all, e)
+	}
+	return slices.DeleteFunc(all, func(e *GroupedAgg) bool { return e == nil })
+}
+
+// held is the standing state currently charged.
+func (s *streamState) held() (n int64) {
+	for _, e := range s.engines() {
+		n += e.res.Held()
+	}
+	return n
+}
+
+// free returns every reservation and removes the spill runs.
+func (s *streamState) free() {
+	for _, e := range s.engines() {
+		e.Abandon()
+	}
+	s.panes, s.spill = nil, nil
 }
 
 // ---- pull cursor ----
@@ -765,122 +726,100 @@ func sortEmitted(rows [][]any, nKeys int) {
 type streamAggCursor struct {
 	st        *streamState
 	in        schema.BatchCursor
-	width     int
-	need      []int // input columns the state reads
-	batch     int
-	pending   [][]any
-	pos       int
 	seq       int64
-	scratch   []any
 	dense     []int32
-	inputDone bool
 	closed    bool
 	reported  int64 // current contribution to the state-bytes gauge
 	interrupt *atomic.Bool
 }
 
+func (c *streamAggCursor) interrupted() bool { return c.interrupt != nil && c.interrupt.Load() }
+
+// fail releases the state and reports err — as the cancellation when the
+// query was interrupted, since a canceled sibling partition tears down the
+// exchange this one reads from. The input stays open until Close: the caller
+// records err first, so a sibling partition reading the same exchange can
+// never report its teardown ahead of the error that caused it.
+func (c *streamAggCursor) fail(err error) (*schema.Batch, error) {
+	c.release()
+	if c.interrupted() {
+		return nil, ErrCanceled
+	}
+	return nil, err
+}
+
+// NextBatch folds input batches until one closes a window, and returns that
+// emission round; end-of-input drains every remaining window.
 func (c *streamAggCursor) NextBatch() (*schema.Batch, error) {
-	for {
-		if c.interrupt != nil && c.interrupt.Load() {
+	for !c.closed {
+		if c.interrupted() {
 			// A canceled continuous query releases its standing state at
 			// once rather than waiting for the stream to end.
-			c.release()
-			return nil, ErrCanceled
-		}
-		if c.pos < len(c.pending) {
-			end := c.pos + c.batch
-			if end > len(c.pending) {
-				end = len(c.pending)
-			}
-			b := schema.BatchFromRows(c.pending[c.pos:end], c.st.outWidth)
-			b.Seq = c.seq
-			c.seq++
-			c.pos = end
-			return b, nil
-		}
-		c.pending, c.pos = nil, 0
-		if c.inputDone || c.closed {
-			c.release()
-			return nil, schema.Done
+			return c.fail(ErrCanceled)
 		}
 		b, err := c.in.NextBatch()
-		if err == schema.Done {
-			c.inputDone = true
-			rows, err := c.emit(true)
-			if err != nil {
-				c.release()
-				return nil, err
-			}
-			if len(rows) == 0 {
-				c.release()
-				return nil, schema.Done
-			}
-			c.pending = rows
-			continue
+		final := err == schema.Done
+		if err != nil && !final {
+			return c.fail(err)
 		}
+		if !final {
+			var sel []int32
+			sel, c.dense = liveSel(b, c.dense)
+			if err := c.st.addBatch(b, sel); err != nil {
+				return c.fail(err)
+			}
+		}
+		out, err := c.emit(final)
 		if err != nil {
+			return c.fail(err)
+		}
+		if final {
 			c.release()
-			return nil, err
 		}
-		if c.scratch == nil {
-			c.scratch = make([]any, c.width)
+		if out != nil {
+			out.Seq = c.seq
+			c.seq++
+			return out, nil
 		}
-		var sel []int32
-		sel, c.dense = liveSel(b, c.dense)
-		for _, ri := range sel {
-			r := int(ri)
-			for _, col := range c.need {
-				c.scratch[col] = b.Vecs[col].Get(r)
-			}
-			if err := c.st.add(c.scratch); err != nil {
-				c.release()
-				return nil, err
-			}
-		}
-		rows, err := c.emit(false)
-		if err != nil {
-			c.release()
-			return nil, err
-		}
-		c.pending = rows
 	}
+	return nil, schema.Done
 }
 
 // emit runs one emission round and refreshes the stream gauges.
-func (c *streamAggCursor) emit(final bool) ([][]any, error) {
+func (c *streamAggCursor) emit(final bool) (*schema.Batch, error) {
 	start := time.Now()
-	rows, err := c.st.emitReady(final)
+	b, err := c.st.emitReady(final)
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) > 0 {
+	if b != nil {
 		observeStreamEmit(time.Since(start))
 	}
 	if c.st.hasTs {
 		streamWatermarkLag.Store(c.st.maxTs - c.st.watermark())
 	}
-	held := c.st.res.Held()
+	held := c.st.held()
 	streamStateBytes.Add(held - c.reported)
 	c.reported = held
-	return rows, nil
+	return b, nil
 }
 
+// release returns the standing state; the input is closed by Close.
 func (c *streamAggCursor) release() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	c.in.Close()
 	streamStateBytes.Add(-c.reported)
 	c.reported = 0
-	for _, run := range c.st.runs {
-		run.Remove()
-	}
-	c.st.runs = nil
-	c.st.res.Free()
+	c.st.free()
 }
 
 func (c *streamAggCursor) Close() error {
 	c.release()
+	if c.in != nil {
+		c.in.Close()
+		c.in = nil
+	}
 	return nil
 }

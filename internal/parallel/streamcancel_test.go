@@ -104,7 +104,8 @@ func TestStreamAggCancelReleasesState(t *testing.T) {
 			}
 			ctx := exec.NewContext()
 			ctx.BatchSize = batchSize
-			ctx.Alloc = memory.NewAllocator(memory.NewPool(tc.budget), 0, true)
+			pool := memory.NewPool(tc.budget)
+			ctx.Alloc = memory.NewAllocator(pool, 0, true)
 			ctx.Interrupt = flag
 			_, err := exec.Execute(ctx, plan)
 			returned := time.Now()
@@ -114,7 +115,7 @@ func TestStreamAggCancelReleasesState(t *testing.T) {
 			if wait := returned.Sub(time.Unix(0, tbl.raised.Load())); wait > 2*time.Second {
 				t.Errorf("%s: returned %v after the cancel", name, wait)
 			}
-			spilled := ctx.Alloc.Spilled() > 0
+			spilled := pool.Counters().SpillEvents > 0
 			if want := tc.budget < 1<<20; spilled != want {
 				t.Errorf("%s (cancel at batch %d): spilled = %v, want %v", name, tbl.at, spilled, want)
 			}

@@ -216,6 +216,20 @@ func MergeAccumulators(dst, src Accumulator) error {
 	return fmt.Errorf("rex: accumulator %T does not support merging", dst)
 }
 
+// ResetAccumulator empties a for reuse, as if freshly created for its call:
+// the streaming operator's HOP windows fold their panes into one set of
+// accumulators window after window.
+func ResetAccumulator(a Accumulator) {
+	switch s := a.(type) {
+	case *aggState:
+		*s = aggState{call: s.call}
+	case *distinctState:
+		ResetAccumulator(s.inner)
+		clear(s.seen)
+		s.vals = nil
+	}
+}
+
 // NewAccumulator creates the accumulator for an aggregate call.
 func NewAccumulator(a AggCall) Accumulator {
 	base := &aggState{call: a}
@@ -240,7 +254,6 @@ type aggState struct {
 	minV    any
 	maxV    any
 	values  []any
-	err     error
 }
 
 func (s *aggState) Add(row []any) error {
