@@ -41,9 +41,6 @@ func newKeyIndex() *keyIndex {
 	}
 }
 
-// Len returns the number of distinct keys seen.
-func (ki *keyIndex) Len() int { return int(ki.n) }
-
 // ordInt returns the ordinal of int64 key k, inserting it if new.
 func (ki *keyIndex) ordInt(k int64) (int32, bool) {
 	if ord, ok := ki.byInt[k]; ok {
@@ -55,24 +52,14 @@ func (ki *keyIndex) ordInt(k int64) (int32, bool) {
 	return ord, true
 }
 
-// ordStr returns the ordinal of string key k, inserting it if new.
-func (ki *keyIndex) ordStr(k string) (int32, bool) {
-	if ord, ok := ki.byStr[k]; ok {
+// ordStr returns the ordinal of key k in the string tier m — byStr, or the
+// HashKey fallback tier byKey — inserting it if new.
+func (ki *keyIndex) ordStr(m map[string]int32, k string) (int32, bool) {
+	if ord, ok := m[k]; ok {
 		return ord, false
 	}
 	ord := ki.n
-	ki.byStr[k] = ord
-	ki.n++
-	return ord, true
-}
-
-// ordKey returns the ordinal of a fallback HashKey-encoded key.
-func (ki *keyIndex) ordKey(k string) (int32, bool) {
-	if ord, ok := ki.byKey[k]; ok {
-		return ord, false
-	}
-	ord := ki.n
-	ki.byKey[k] = ord
+	m[k] = ord
 	ki.n++
 	return ord, true
 }
@@ -96,9 +83,9 @@ func (ki *keyIndex) ordVal(v any) (int32, bool) {
 			return ki.ordInt(i)
 		}
 	case string:
-		return ki.ordStr(x)
+		return ki.ordStr(ki.byStr, x)
 	}
-	return ki.ordKey(types.HashKey(v))
+	return ki.ordStr(ki.byKey, types.HashKey(v))
 }
 
 // ordVec returns the ordinal of row r of key column kv, inserting it if new,
@@ -106,45 +93,36 @@ func (ki *keyIndex) ordVal(v any) (int32, bool) {
 func (ki *keyIndex) ordVec(kv *schema.Vector, r int) (int32, bool) {
 	switch {
 	case kv.Nulls != nil && kv.Nulls[r]:
-		return ki.ordKey(types.HashKey(nil))
+		return ki.ordStr(ki.byKey, types.HashKey(nil))
 	case kv.Kind == schema.VecInt64:
 		return ki.ordInt(kv.I64[r])
 	case kv.Kind == schema.VecFloat64:
 		if i, ok := intKeyOfFloat(kv.F64[r]); ok {
 			return ki.ordInt(i)
 		}
-		return ki.ordKey(types.HashKey(kv.F64[r]))
+		return ki.ordStr(ki.byKey, types.HashKey(kv.F64[r]))
 	case kv.Kind == schema.VecString:
-		return ki.ordStr(kv.S[r])
+		return ki.ordStr(ki.byStr, kv.S[r])
 	}
 	return ki.ordVal(kv.Get(r))
 }
 
-// findInt looks an int64 key up without inserting.
-func (ki *keyIndex) findInt(k int64) (int32, bool) {
-	ord, ok := ki.byInt[k]
-	return ord, ok
-}
-
-// findStr looks a string key up without inserting.
-func (ki *keyIndex) findStr(k string) (int32, bool) {
-	ord, ok := ki.byStr[k]
-	return ord, ok
-}
-
 // findVal looks a boxed key value up without inserting.
-func (ki *keyIndex) findVal(v any) (int32, bool) {
+func (ki *keyIndex) findVal(v any) (ord int32, ok bool) {
 	switch x := v.(type) {
 	case int64:
-		return ki.findInt(x)
+		ord, ok = ki.byInt[x]
 	case float64:
-		if i, ok := intKeyOfFloat(x); ok {
-			return ki.findInt(i)
+		if i, isInt := intKeyOfFloat(x); isInt {
+			ord, ok = ki.byInt[i]
+		} else {
+			ord, ok = ki.byKey[types.HashKey(v)]
 		}
 	case string:
-		return ki.findStr(x)
+		ord, ok = ki.byStr[x]
+	default:
+		ord, ok = ki.byKey[types.HashKey(v)]
 	}
-	ord, ok := ki.byKey[types.HashKey(v)]
 	return ord, ok
 }
 
@@ -200,10 +178,15 @@ type GroupedAgg struct {
 	res       *memory.Reservation
 	unbounded bool // denied at max depth: stop charging, finish in memory
 	flushW    *partitionWriter
-	// evict, when set, replaces the flush to disk on a denied grant and must
-	// empty the table: the streaming operator moves all of its state into
-	// one spill engine.
+	// evict, when set, replaces the flush on a denied grant and must leave the
+	// table empty and the reservation shrunk, as a flush does: a contract with
+	// the streaming operator, which moves all its state into one spill engine.
 	evict func() error
+	// keyLen is the length of the key string the table stored for the key
+	// last entered: the encoded row key for zero or several columns, none
+	// for one (the typed tiers store the value itself; the fallback tier's
+	// short HashKey string falls in aggGroupOverhead).
+	keyLen int
 
 	index    *keyIndex        // single-column keys
 	multiKey map[string]int32 // zero- or multi-column keys, HashRowKey-encoded
@@ -311,7 +294,7 @@ func (g *GroupedAgg) charge(n int64) (flushed bool, err error) {
 // its footprint (plus extra, what adopted accumulators already retain) first.
 // accs is nil for a fresh group.
 func (g *GroupedAgg) admit(key []any, accs []rex.Accumulator, extra int64) (*aggGroup, error) {
-	flushed, err := g.charge(aggGroupCharge(g.ident, g.calls, key, 16*len(key)) + extra)
+	flushed, err := g.charge(aggGroupCharge(g.ident, g.calls, key, g.keyLen) + extra)
 	if err != nil {
 		return nil, err
 	}
@@ -333,6 +316,7 @@ func (g *GroupedAgg) lookupKey(key []any) (ord int32, isNew bool) {
 	}
 	ord = int32(len(g.groups))
 	g.multiKey[k] = ord
+	g.keyLen = len(k)
 	return ord, true
 }
 
@@ -374,6 +358,7 @@ func (g *GroupedAgg) lookup(b *schema.Batch, r int) (ord int32, isNew bool) {
 	}
 	ord = int32(len(g.groups))
 	g.multiKey[string(g.keyBuf)] = ord
+	g.keyLen = len(g.keyBuf)
 	return ord, true
 }
 
@@ -427,16 +412,46 @@ func (g *GroupedAgg) AddBatch(b *schema.Batch) error {
 				gr.fsSeq, gr.fsIdx = b.Seq, int64(r)
 			}
 		}
-		if err := g.addRow(gr, modes, argVec, r); err != nil {
-			return err
+		// The adds stay inline (addRow is their copy for SESSION windows):
+		// a call per row costs the serial aggregate about a tenth.
+		for i, m := range modes {
+			switch m {
+			case modeCountStar:
+				gr.typed[i].AddCountStar(1)
+			case modeI64:
+				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
+					gr.typed[i].AddNonNullInt64(v.I64[r])
+				}
+			case modeF64:
+				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
+					gr.typed[i].AddNonNullFloat64(v.F64[r])
+				}
+			case modeStr:
+				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
+					if err := gr.typed[i].AddNonNullString(v.S[r]); err != nil {
+						return err
+					}
+				}
+			default:
+				if err := gr.accs[i].Add(g.scratch); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
 }
 
-// addRow feeds row r of a batch planned by planBatch (its boxed columns in
-// the scratch row when needed) to the accumulators of gr.
-func (g *GroupedAgg) addRow(gr *aggGroup, modes []callMode, argVec []*schema.Vector, r int) error {
+// addRow feeds row r of a batch b planned by planBatch to the accumulators of
+// gr, as AddBatch's loop does, and returns the bytes the row added to calls
+// that retain their arguments (which always take the boxed path).
+func (g *GroupedAgg) addRow(gr *aggGroup, b *schema.Batch, r int, modes []callMode, argVec []*schema.Vector, needScratch bool) (retained int64, err error) {
+	if needScratch {
+		for c := range g.scratch {
+			g.scratch[c] = b.Vecs[c].Get(r)
+		}
+		retained = aggRetainedBytes(g.calls, g.scratch)
+	}
 	for i, m := range modes {
 		switch m {
 		case modeCountStar:
@@ -452,16 +467,16 @@ func (g *GroupedAgg) addRow(gr *aggGroup, modes []callMode, argVec []*schema.Vec
 		case modeStr:
 			if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
 				if err := gr.typed[i].AddNonNullString(v.S[r]); err != nil {
-					return err
+					return 0, err
 				}
 			}
 		default:
 			if err := gr.accs[i].Add(g.scratch); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
-	return nil
+	return retained, nil
 }
 
 // Per-batch add plan of one call.
@@ -630,12 +645,6 @@ func (g *GroupedAgg) rows() [][]any {
 	return out
 }
 
-// findKey looks a fallback HashKey-encoded key up without inserting.
-func (ki *keyIndex) findKey(k string) (int32, bool) {
-	ord, ok := ki.byKey[k]
-	return ord, ok
-}
-
 // joinTable is the build-side index of a hash join. Single-column equi-keys
 // index native maps through a keyIndex (no HashKey string per row); composite
 // keys keep the HashRowKey-encoded map. NULL build keys are never inserted
@@ -685,18 +694,18 @@ func (t *joinTable) probeVec(kv *schema.Vector, r int) []int32 {
 	}
 	var ord int32
 	var ok bool
-	switch kv.Kind {
+	switch ki := t.single; kv.Kind {
 	case schema.VecInt64:
-		ord, ok = t.single.findInt(kv.I64[r])
+		ord, ok = ki.byInt[kv.I64[r]]
 	case schema.VecFloat64:
 		f := kv.F64[r]
 		if i, isInt := intKeyOfFloat(f); isInt {
-			ord, ok = t.single.findInt(i)
+			ord, ok = ki.byInt[i]
 		} else {
-			ord, ok = t.single.findKey(types.HashKey(f))
+			ord, ok = ki.byKey[types.HashKey(f)]
 		}
 	case schema.VecString:
-		ord, ok = t.single.findStr(kv.S[r])
+		ord, ok = ki.byStr[kv.S[r]]
 	default:
 		v := kv.Get(r)
 		if v == nil {

@@ -11,10 +11,10 @@ package exec
 // int64, a batch's non-late rows reach their pane's engine through a
 // selection vector, and the engine groups and adds them unboxed, as for any
 // Aggregate. A TUMBLE window reads its pane's accumulators; a HOP window
-// folds its covering panes into a window table while the panes stay live for
-// the later windows they cover, until the last one is emitted. SESSION keeps
-// per-key interval state, reads keys and arguments through the same key
-// index and typed adds, and coalesces sessions a row bridges.
+// folds its covering panes into a window table. SESSION keeps each key's open
+// sessions under the key's encoding (schema.RowKey), adds through the
+// engine's typed adds, coalesces sessions a row bridges, and drops a key with
+// its last session.
 //
 // State is charged to the memory governor. A denied grant (spilling allowed)
 // moves every pane or session into one spill engine — a GroupedAgg keyed on
@@ -191,11 +191,12 @@ type streamState struct {
 	// and the output columns.
 	rows []emitted
 	out  []*schema.Vector
-	// SESSION: the key table (key index, add plan, scratch row and the
-	// sessions' reservation; its groups hold keys only) and the open
-	// sessions of each key ordinal.
-	keys     *GroupedAgg
-	sessions [][]*sessionGroup
+	// SESSION: the engine whose add plan, typed adds and reservation the
+	// sessions use (it holds no groups), and each present key's open
+	// sessions by its encoding (schema.RowKey).
+	adds     *GroupedAgg
+	sessions map[string][]*sessionGroup
+	keyBuf   []byte
 
 	// spill holds evicted state keyed on (pane | start, last, keys…); nil
 	// until the first eviction, and emission waits for the final drain
@@ -214,8 +215,9 @@ func newStreamState(ctx *Context, sa *rel.StreamAggregate) *streamState {
 	case rel.HopWindow:
 		s.paneMs = sa.Window.SlideMs
 	case rel.SessionWindow:
-		s.keys = NewGroupedAgg(ctx, streamOp, s.shape, AggPartial)
-		s.keys.evict = s.evict
+		s.adds = NewGroupedAgg(ctx, streamOp, s.shape, AggPartial)
+		s.adds.evict = s.evict
+		s.sessions = map[string][]*sessionGroup{}
 	}
 	return s
 }
@@ -249,7 +251,7 @@ func (s *streamState) observe(rt *schema.Vector, r int) (ts int64, late bool, er
 // stream counters move once per batch.
 func (s *streamState) addBatch(b *schema.Batch, sel []int32) error {
 	add := s.addPanes
-	if s.keys != nil {
+	if s.adds != nil {
 		add = s.addSessions
 	}
 	late, err := add(b, sel)
@@ -298,13 +300,13 @@ func (s *streamState) addPanes(b *schema.Batch, sel []int32) (late int, err erro
 	return late, nil
 }
 
-// addSessions extends, opens and coalesces sessions row by row. Sessions
-// charge the key table's reservation, whose denied grants evict every
-// session to the spill engine.
+// addSessions extends, opens and coalesces sessions row by row; map reads on
+// string(keyBuf) do not allocate, writes only when a key's list changes length.
+// Sessions charge the adds engine, whose denied grants evict them all.
 func (s *streamState) addSessions(b *schema.Batch, sel []int32) (late int, err error) {
 	rt := b.Vecs[s.sa.Window.RowtimeCol]
-	k := s.keys
-	modes, argVec, needScratch := k.planBatch(b)
+	e := s.adds
+	modes, argVec, needScratch := e.planBatch(b)
 	gap := s.sa.Window.GapMs
 	for _, ri := range sel {
 		r := int(ri)
@@ -316,46 +318,41 @@ func (s *streamState) addSessions(b *schema.Batch, sel []int32) (late int, err e
 			late++
 			continue
 		}
-		ord, isNew := k.lookup(b, r)
-		if isNew {
-			k.groups = append(k.groups, &aggGroup{key: k.keyAt(b, r)})
-			s.sessions = append(s.sessions, nil)
-		}
-		if needScratch {
-			for c := range k.scratch {
-				k.scratch[c] = b.Vecs[c].Get(r)
-			}
-		}
-		g := s.findSession(ord, ts, gap)
-		charge := aggRetainedBytes(k.calls, k.scratch)
+		s.keyBuf = schema.RowKey(s.keyBuf[:0], b.Vecs, r, s.sa.GroupKeys)
+		list := s.sessions[string(s.keyBuf)]
+		g := findSession(list, ts, gap)
+		var charge int64
 		if g == nil {
-			key := k.groups[ord].key
-			charge += aggGroupCharge(k.ident, k.calls, key, 16*len(key)) + sessionOverhead
+			key := e.keyAt(b, r)
+			charge = aggGroupCharge(e.ident, s.sa.Calls, key, len(s.keyBuf)) + sessionOverhead
+			g = &sessionGroup{aggGroup: e.group(key, nil), start: ts, last: ts}
+			list = append(list, g)
+			s.sessions[string(s.keyBuf)] = list
 		}
-		if evicted, err := k.charge(charge); err != nil {
-			return 0, err
-		} else if evicted || g == nil {
-			// A fresh session, or one that replaces the session the eviction
-			// just moved to the spill engine.
-			g = &sessionGroup{aggGroup: k.group(k.groups[ord].key, nil), start: ts, last: ts}
-			s.sessions[ord] = append(s.sessions[ord], g)
-		}
-		g.charge += charge
 		g.start, g.last = min(g.start, ts), max(g.last, ts)
-		if err := k.addRow(g.aggGroup, modes, argVec, r); err != nil {
+		retained, err := e.addRow(g.aggGroup, b, r, modes, argVec, needScratch)
+		if err != nil {
 			return 0, err
 		}
-		if err := s.coalesceSessions(ord, g, gap); err != nil {
+		g.charge += charge + retained
+		if kept, err := coalesceSessions(list, g, gap); err != nil {
+			return 0, err
+		} else if len(kept) < len(list) {
+			s.sessions[string(s.keyBuf)] = kept
+		}
+		// Charged once the row is in: an eviction moves it to disk with its
+		// session.
+		if _, err := e.charge(charge + retained); err != nil {
 			return 0, err
 		}
 	}
 	return late, nil
 }
 
-// findSession returns the open session of key ordinal ord whose interval is
-// within the gap of ts.
-func (s *streamState) findSession(ord int32, ts, gap int64) *sessionGroup {
-	for _, g := range s.sessions[ord] {
+// findSession returns the session of list whose interval is within the gap
+// of ts.
+func findSession(list []*sessionGroup, ts, gap int64) *sessionGroup {
+	for _, g := range list {
 		if ts > g.start-gap && ts < g.last+gap {
 			return g
 		}
@@ -363,10 +360,10 @@ func (s *streamState) findSession(ord int32, ts, gap int64) *sessionGroup {
 	return nil
 }
 
-// coalesceSessions folds sessions the freshly-extended interval now bridges
-// into target.
-func (s *streamState) coalesceSessions(ord int32, target *sessionGroup, gap int64) error {
-	list := s.sessions[ord]
+// coalesceSessions folds the sessions of one key's list that the
+// freshly-extended interval of target now bridges into target, in place,
+// and returns the sessions kept.
+func coalesceSessions(list []*sessionGroup, target *sessionGroup, gap int64) ([]*sessionGroup, error) {
 	keep := list[:0]
 	for _, g := range list {
 		if g == target || g.start >= target.last+gap || target.start >= g.last+gap {
@@ -375,15 +372,14 @@ func (s *streamState) coalesceSessions(ord int32, target *sessionGroup, gap int6
 		}
 		for i := range target.accs {
 			if err := rex.MergeAccumulators(target.accs[i], g.accs[i]); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		target.start, target.last = min(target.start, g.start), max(target.last, g.last)
 		target.charge += g.charge
 	}
 	clear(list[len(keep):])
-	s.sessions[ord] = keep
-	return nil
+	return keep, nil
 }
 
 // evict moves every pane's groups (or every open session) into the spill
@@ -392,7 +388,7 @@ func (s *streamState) coalesceSessions(ord int32, target *sessionGroup, gap int6
 func (s *streamState) evict() error {
 	if s.spill == nil {
 		prefix := 1
-		if s.keys != nil {
+		if s.adds != nil {
 			prefix = 2
 		}
 		s.spill = newStateAgg(s.ctx, streamOp, prefix+s.nKeys, s.sa.Calls)
@@ -401,15 +397,14 @@ func (s *streamState) evict() error {
 	move := func(g *aggGroup, prefix ...any) error {
 		return s.spill.mergeGroup(append(prefix, g.key...), g.accs)
 	}
-	for ord, list := range s.sessions {
+	for _, list := range s.sessions {
 		for _, g := range list {
 			if err := move(g.aggGroup, g.start, g.last); err != nil {
 				return err
 			}
 		}
-		clear(list)
-		s.sessions[ord] = list[:0]
 	}
+	clear(s.sessions)
 	for p, e := range s.panes {
 		groups := e.groups
 		e.groups = nil
@@ -437,7 +432,8 @@ func (s *streamState) evict() error {
 // state already fit on disk, and failing here would lose a query that
 // honored its budget all along.
 func (s *streamState) unspill() error {
-	session, prefix := s.keys != nil, len(s.spill.ident)-s.nKeys
+	session, prefix := s.adds != nil, len(s.spill.ident)-s.nKeys
+	keyCols := s.spill.ident[prefix:]
 	if err := s.evict(); err != nil {
 		return err
 	}
@@ -469,13 +465,12 @@ func (s *streamState) unspill() error {
 			if session {
 				start, _ := types.AsInt(row[0])
 				last, _ := types.AsInt(row[1])
-				ord, _ := s.keys.lookupKey(key) // evictions keep the key table
+				k := types.HashRowKey(row, keyCols) // schema.RowKey's encoding
 				g := &sessionGroup{aggGroup: &aggGroup{key: key, accs: accs}, start: start, last: last}
-				s.sessions[ord] = append(s.sessions[ord], g)
 				// Fragments of one logical session are always within a gap of
 				// each other (the bridging event lives in one of them) —
 				// coalescing restores the full session.
-				err = s.coalesceSessions(ord, g, s.sa.Window.GapMs)
+				s.sessions[k], err = coalesceSessions(append(s.sessions[k], g), g, s.sa.Window.GapMs)
 			} else {
 				p, _ := types.AsInt(row[0])
 				e := s.panes[p]
@@ -520,7 +515,7 @@ func (s *streamState) emitReady(final bool) (*schema.Batch, error) {
 		}
 	}
 	s.out = nil
-	if s.keys != nil {
+	if s.adds != nil {
 		s.emitSessions(wm)
 	} else if err := s.emitWindows(wm); err != nil {
 		return nil, err
@@ -611,18 +606,22 @@ func (s *streamState) mergeHop(w int64, rows *[]emitted) error {
 			}
 		}
 	}
-	if len(m.groups) > 4*len(*rows)+1024 {
-		s.hop = nil // keys long gone from the stream: start a smaller table
+	// The table is uncharged, like the rows being emitted: keep it no larger
+	// than twice this window's keys, so keys that left the stream go once
+	// they outnumber the live ones.
+	if 2*len(*rows) < len(m.groups) {
+		s.hop = nil
 	}
 	return nil
 }
 
-// emitSessions closes sessions whose quiet period has passed the watermark:
-// no future row at ts ≥ wm can extend a session with last+gap ≤ wm.
+// emitSessions closes sessions whose quiet period has passed the watermark
+// (no future row at ts ≥ wm can extend a session with last+gap ≤ wm) and
+// drops the keys left with no open session.
 func (s *streamState) emitSessions(wm int64) {
 	gap := s.sa.Window.GapMs
 	rows := s.rows[:0]
-	for ord, list := range s.sessions {
+	for k, list := range s.sessions {
 		keep := list[:0]
 		for _, g := range list {
 			if g.last+gap > wm {
@@ -630,10 +629,14 @@ func (s *streamState) emitSessions(wm int64) {
 				continue
 			}
 			rows = append(rows, emitted{g.start, g.last + gap, g.aggGroup})
-			s.keys.res.Shrink(g.charge)
+			s.adds.res.Shrink(g.charge)
 		}
 		clear(list[len(keep):])
-		s.sessions[ord] = keep
+		if len(keep) == 0 {
+			delete(s.sessions, k)
+		} else {
+			s.sessions[k] = keep
+		}
 	}
 	s.rows = rows
 	s.appendRows(rows, len(rows))
@@ -652,7 +655,7 @@ func (s *streamState) appendRows(rows []emitted, hint int) {
 			return c
 		}
 		for i := range a.g.key {
-			if c := compareKeyValue(a.g.key[i], b.g.key[i]); c != 0 {
+			if c := types.Compare(a.g.key[i], b.g.key[i]); c != 0 {
 				return c
 			}
 		}
@@ -685,20 +688,9 @@ func (s *streamState) appendRows(rows []emitted, hint int) {
 	}
 }
 
-// compareKeyValue orders two group-key values: int64 pairs directly,
-// anything else by types.Compare.
-func compareKeyValue(a, b any) int {
-	if x, ok := a.(int64); ok {
-		if y, ok := b.(int64); ok {
-			return cmp.Compare(x, y)
-		}
-	}
-	return types.Compare(a, b)
-}
-
 // engines returns every engine that holds standing state.
 func (s *streamState) engines() []*GroupedAgg {
-	all := []*GroupedAgg{s.keys, s.spill}
+	all := []*GroupedAgg{s.adds, s.spill}
 	for _, e := range s.panes {
 		all = append(all, e)
 	}
