@@ -406,14 +406,12 @@ func (s *streamState) evict() error {
 	}
 	clear(s.sessions)
 	for p, e := range s.panes {
-		groups := e.groups
-		e.groups = nil
-		e.resetTable()
-		for _, g := range groups {
+		for _, g := range e.groups {
 			if err := move(g, p); err != nil {
 				return err
 			}
 		}
+		e.resetTable()
 	}
 	for _, e := range s.engines() {
 		if e != s.spill {
