@@ -621,7 +621,10 @@ func (f *Framework) runTraced(tr *obs.QueryTrace, stmt parser.Statement, opts Ex
 		return nil, nil, nil, err
 	}
 	tr.Rows = int64(len(rows))
-	return &Result{Columns: physical.RowType().FieldNames(), Rows: rows}, physical, est, nil
+	// The columns are named by the statement, not by the plan: rewrites that
+	// drop an identity projection (over an aggregate, say) leave the
+	// optimized root with its input's field names.
+	return &Result{Columns: logical.RowType().FieldNames(), Rows: rows}, physical, est, nil
 }
 
 // EffectiveParallelism resolves the configured worker count.

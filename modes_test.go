@@ -233,6 +233,10 @@ var diffQueries = []struct {
 	// declares, until an INSERT into emps or sales leaves them stale.
 	{sql: "SELECT deptno, SUM(sal) AS s FROM emps GROUP BY deptno ORDER BY deptno"},
 	{sql: "SELECT productId, COUNT(*) AS c FROM sales GROUP BY productId ORDER BY productId"},
+	// Found by the generated-statement oracle: an aggregate's output columns
+	// took the plan's field names, so these came back as (deptno, SUM, COUNT)
+	// and the aliases were lost wherever the final projection was an identity.
+	{sql: "SELECT deptno AS d, SUM(sal) AS total, COUNT(*) FROM emps GROUP BY deptno"},
 }
 
 // TestRowAndBatchModesAgree runs every suite query through the vectorized
