@@ -4,13 +4,12 @@ package calcite_test
 // by INSERTs instead of by NewMemTable, and read-your-writes through the
 // wire. A MemTable keeps one column-major store that Insert appends to in
 // place and a cached plan survives the writes, so every engine configuration
-// must return, after the appends, exactly what the row-mode reference returns
-// over the same rows loaded up front.
+// must return, after the appends, exactly the answers results.golden pins for
+// the same rows loaded up front.
 
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -42,29 +41,12 @@ func wireRunner(client *avatica.Client) sqlRunner {
 	}
 }
 
-// runCorpus renders every corpus query's result (nil for an error), sorted
-// unless the query orders its output.
-func runCorpus(run sqlRunner) [][]string {
-	out := make([][]string, len(diffQueries))
-	for i, q := range diffQueries {
-		rows, err := run(q.sql, q.params...)
-		if err != nil {
-			continue
-		}
-		out[i] = renderRows(rows)
-		if !strings.Contains(strings.ToUpper(q.sql), "ORDER BY") {
-			sort.Strings(out[i])
-		}
-	}
-	return out
-}
-
-// TestAppendBuiltTablesAgree: serial, parallel 4, a 64 KB budget, row mode
-// and the wire all agree with the reference on tables built by appends.
+// TestAppendBuiltTablesAgree: serial, parallel 4, a 64 KB budget and the wire
+// return the pinned answers of testdata/results.golden on tables built by
+// appends.
 func TestAppendBuiltTablesAgree(t *testing.T) {
-	ref := diffConn()
-	ref.ForceRowMode(true)
-	want := runCorpus(embeddedRunner(ref))
+	want := readResultsGolden(t)
+	corpus := goldenCorpora()[0].statements // diffQueries
 
 	for _, cfg := range []struct {
 		name      string
@@ -74,7 +56,6 @@ func TestAppendBuiltTablesAgree(t *testing.T) {
 		{name: "serial", configure: func(c *calcite.Connection) { c.SetParallelism(1) }},
 		{name: "parallel4", configure: func(c *calcite.Connection) { c.SetParallelism(4) }},
 		{name: "mem64k", configure: func(c *calcite.Connection) { c.SetMemoryLimit(64 << 10) }},
-		{name: "rowmode", configure: func(c *calcite.Connection) { c.ForceRowMode(true) }},
 		{name: "wire", configure: func(*calcite.Connection) {}, wire: true},
 	} {
 		cfg := cfg
@@ -86,15 +67,9 @@ func TestAppendBuiltTablesAgree(t *testing.T) {
 			}
 			diffViews(conn)
 			cfg.configure(conn)
-			run := embeddedRunner(conn)
+			query := embeddedQuery(conn)
 			if cfg.wire {
-				srv := avatica.NewServer(conn.Framework)
-				addr, err := srv.Start("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer srv.Stop()
-				run = wireRunner(avatica.NewClient(addr))
+				query = wireQuery(t, conn)
 			}
 
 			// Three rounds: run the corpus (plans get cached, harvested and
@@ -107,7 +82,9 @@ func TestAppendBuiltTablesAgree(t *testing.T) {
 				next[i] = len(tb.rows) / 2
 			}
 			for r := 1; r <= rounds; r++ {
-				runCorpus(run)
+				for _, s := range corpus {
+					_, _ = query(s.sql, s.params...)
+				}
 				for more := true; more; {
 					more = false
 					for i, tb := range tables {
@@ -118,7 +95,7 @@ func TestAppendBuiltTablesAgree(t *testing.T) {
 						more = true
 						marks := strings.TrimSuffix(strings.Repeat("?, ", len(tb.cols)), ", ")
 						insert := fmt.Sprintf("INSERT INTO %s VALUES (%s)", tb.name, marks)
-						if _, err := run(insert, tb.rows[next[i]]...); err != nil {
+						if _, err := query(insert, tb.rows[next[i]]...); err != nil {
 							t.Fatalf("%s row %d: %v", tb.name, next[i], err)
 						}
 						next[i]++
@@ -126,11 +103,8 @@ func TestAppendBuiltTablesAgree(t *testing.T) {
 				}
 			}
 
-			got := runCorpus(run)
-			for i, q := range diffQueries {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("%s\n  appended:  %v\n  reference: %v", q.sql, got[i], want[i])
-				}
+			for _, s := range corpus {
+				checkGoldenBlock(t, want, s, goldenBlock(s, query), cfg.wire)
 			}
 			c := conn.Framework.PlanCache().Counters()
 			if c.Invalidations != 0 {

@@ -59,10 +59,12 @@ func TestParameterizedExpressionsRunVectorKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		literal := plan(rex.NewLiteral(params[0], types.Any), rex.NewLiteral(params[1], types.Any))
-		want, err := Execute(NewRowContext(), literal)
-		if err != nil {
-			t.Fatal(err)
+		lo, k := params[0].(int64), params[1].(float64)
+		var want [][]any
+		for _, r := range tb.Rows() {
+			if id := r[0].(int64); id >= lo {
+				want = append(want, []any{id, r[1].(float64) * k, k})
+			}
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("params %v: got %v, want %v", params, got, want)

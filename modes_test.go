@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"calcite"
@@ -128,10 +127,11 @@ func diffViews(conn *calcite.Connection) {
 	conn.RegisterLattice(&mv.Lattice{Name: "sales", Fact: fact, FactName: []string{"sales"}, Tiles: []*mv.Tile{tile}})
 }
 
-// diffQueries is the SQL suite both execution modes must agree on. It covers
-// every operator with a batch implementation (scan, filter, project, hash
-// join, aggregate, sort/limit) and the row-fallback operators (set ops,
-// window, values, nested-loop join) behind the shims.
+// diffQueries is the differential corpus: every engine configuration must
+// return the answers testdata/results.golden pins for it (TestResultsGolden).
+// It covers every operator with a batch implementation (scan, filter,
+// project, hash join, aggregate, sort/limit, window) and the row-only
+// operators (set ops, values, nested-loop join) behind the shims.
 var diffQueries = []struct {
 	sql    string
 	params []any
@@ -169,8 +169,8 @@ var diffQueries = []struct {
 	{sql: "SELECT productId, COUNT(discount) OVER (PARTITION BY productId ORDER BY discount DESC ROWS BETWEEN 3 PRECEDING AND 1 PRECEDING) AS c FROM sales WHERE productId < 6"},
 	{sql: "SELECT productId, ROW_NUMBER() OVER (PARTITION BY productId ORDER BY discount DESC) AS rn, LAG(discount) OVER (PARTITION BY productId ORDER BY discount DESC) AS lg FROM sales WHERE productId < 4"},
 	// Blocking operators at scale — the inputs the one-engine-per-operator
-	// kernels must agree on across row/batch, serial/parallel (group and join
-	// output order included) and unlimited/spilling: near one group per row,
+	// kernels must agree on across serial/parallel (group and join output
+	// order included), tiny batches and unlimited/spilling: near one group per row,
 	// value-retaining aggregates (every COLLECT element of a group is equal,
 	// so the multiset order caveat does not apply), a global aggregate over
 	// empty input, composite and int/float-folding join keys, and an outer
@@ -237,70 +237,6 @@ var diffQueries = []struct {
 	// took the plan's field names, so these came back as (deptno, SUM, COUNT)
 	// and the aliases were lost wherever the final projection was an identity.
 	{sql: "SELECT deptno AS d, SUM(sal) AS total, COUNT(*) FROM emps GROUP BY deptno"},
-}
-
-// TestRowAndBatchModesAgree runs every suite query through the vectorized
-// batch path and the row-at-a-time path and requires identical results.
-func TestRowAndBatchModesAgree(t *testing.T) {
-	batchConn := diffConn()
-	rowConn := diffConn()
-	rowConn.ForceRowMode(true)
-	for _, q := range diffQueries {
-		br, berr := batchConn.Query(q.sql, q.params...)
-		rr, rerr := rowConn.Query(q.sql, q.params...)
-		if (berr == nil) != (rerr == nil) {
-			t.Errorf("%s\n  batch err=%v row err=%v", q.sql, berr, rerr)
-			continue
-		}
-		if (berr != nil) != q.wantErr {
-			t.Errorf("%s\n  both modes: err=%v, want an error: %v", q.sql, berr, q.wantErr)
-		}
-		if berr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(br.Columns, rr.Columns) {
-			t.Errorf("%s\n  columns differ: %v vs %v", q.sql, br.Columns, rr.Columns)
-			continue
-		}
-		bRows := renderRows(br.Rows)
-		rRows := renderRows(rr.Rows)
-		// ORDER BY output must match in order; unordered results as multisets.
-		if !strings.Contains(strings.ToUpper(q.sql), "ORDER BY") {
-			sort.Strings(bRows)
-			sort.Strings(rRows)
-		}
-		if !reflect.DeepEqual(bRows, rRows) {
-			t.Errorf("%s\n  batch: %v\n  row:   %v", q.sql, bRows, rRows)
-		}
-	}
-}
-
-// TestBatchModeSmallBatches shakes out batch-boundary bugs by forcing a tiny
-// batch size (every operator sees many partial batches).
-func TestBatchModeSmallBatches(t *testing.T) {
-	tiny := diffConn()
-	tiny.SetBatchSize(3)
-	ref := diffConn()
-	ref.ForceRowMode(true)
-	for _, q := range diffQueries {
-		tr, terr := tiny.Query(q.sql, q.params...)
-		rr, rerr := ref.Query(q.sql, q.params...)
-		if (terr == nil) != (rerr == nil) {
-			t.Errorf("%s\n  tiny-batch err=%v row err=%v", q.sql, terr, rerr)
-			continue
-		}
-		if terr != nil {
-			continue
-		}
-		a, b := renderRows(tr.Rows), renderRows(rr.Rows)
-		if !strings.Contains(strings.ToUpper(q.sql), "ORDER BY") {
-			sort.Strings(a)
-			sort.Strings(b)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s (batchSize=3)\n  tiny: %v\n  row:  %v", q.sql, a, b)
-		}
-	}
 }
 
 // TestParallelModesAgree runs the SQL suite at parallelism 1, 4 and 8 and

@@ -231,23 +231,61 @@ func metricValue(exposition, prefix string) (float64, bool) {
 	return 0, false
 }
 
-// TestRowModeTracing: the row-at-a-time path counts rows through the shim
-// wrapper (no per-row clock reads, but totals must still be exact).
-func TestRowModeTracing(t *testing.T) {
+// TestRowOnlyRootTracing: an operator without a batch form (UNION ALL, a
+// non-equi join, VALUES) runs behind the row shim and counts its rows through
+// the row wrapper, which reads no clock per row; at the root of a plan its
+// span must still count exactly the rows the statement returned, and a union
+// exactly the rows its inputs delivered.
+func TestRowOnlyRootTracing(t *testing.T) {
 	conn := obsConn(t, 1500, 0)
-	conn.ForceRowMode(true)
-	res, err := conn.Query("SELECT id FROM shuf WHERE grp < 50")
-	if err != nil {
-		t.Fatal(err)
+	grp := func(id int) int { return int(uint64(id) * 0x9e3779b97f4a7c15 % 97) } // as obsConn
+	union, join := 300, 0
+	for id := 0; id < 1500; id++ {
+		if grp(id) < 50 {
+			union++
+		}
 	}
-	traces := conn.LastTraces(1)
-	if len(traces) == 0 || traces[0].Spans == nil {
-		t.Fatal("row-mode query left no trace")
+	for a := 0; a < 40; a++ {
+		for b := 0; b < 30; b++ {
+			if a < grp(b) {
+				join++
+			}
+		}
 	}
-	root := traces[0].Spans
-	if root.Rows != int64(len(res.Rows)) {
-		t.Fatalf("row-mode root span rows = %d, result rows = %d\n%s",
-			root.Rows, len(res.Rows), obs.RenderSpans(root))
+	for _, c := range []struct {
+		sql, root string
+		rows      int
+	}{
+		{"SELECT id FROM shuf WHERE grp < 50 UNION ALL SELECT grp FROM shuf WHERE id < 300", "EnumerableUnion", union},
+		{"SELECT * FROM (SELECT id FROM shuf WHERE id < 40) a JOIN (SELECT grp FROM shuf WHERE id < 30) b ON a.id < b.grp",
+			"EnumerableNestedLoopJoin", join},
+		{"VALUES (1, 'a'), (2, 'b'), (3, 'c')", "EnumerableValues", 3},
+	} {
+		res, err := conn.Query(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces := conn.LastTraces(1)
+		if len(traces) == 0 || traces[0].Spans == nil {
+			t.Fatalf("%s: no trace", c.sql)
+		}
+		root := traces[0].Spans
+		if !strings.HasPrefix(root.Name, c.root) {
+			t.Fatalf("%s: root span %s, want %s\n%s", c.sql, root.Name, c.root, obs.RenderSpans(root))
+		}
+		if root.Rows != int64(c.rows) || len(res.Rows) != c.rows {
+			t.Errorf("%s: root span rows = %d, result rows = %d, want %d\n%s",
+				c.sql, root.Rows, len(res.Rows), c.rows, obs.RenderSpans(root))
+		}
+		if c.root == "EnumerableUnion" {
+			var in int64
+			for _, ch := range root.Children {
+				in += ch.Rows
+			}
+			if in != root.Rows {
+				t.Errorf("%s: inputs delivered %d rows, union %d\n%s", c.sql, in, root.Rows, obs.RenderSpans(root))
+			}
+		}
 	}
 }
 

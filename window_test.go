@@ -12,7 +12,7 @@ import (
 // windowConn builds the window-suite fixture: device event rows with NULLs
 // in both the partition and order columns, a timestamp column for RANGE
 // interval frames, and binary-exact float values (quarter steps) so every
-// execution mode — including incremental vs recompute — agrees bit-for-bit.
+// execution mode agrees bit-for-bit.
 func windowConn(n int) *calcite.Connection {
 	conn := calcite.Open()
 	rows := make([][]any, n)
@@ -72,9 +72,9 @@ var windowQueries = []string{
 }
 
 // TestWindowDifferential runs the window suite through every execution mode
-// — row, batch, tiny batches, parallelism 1/4, recompute baseline, and a
-// quarter-budget governed run — and requires results identical to the serial
-// batch engine, order included.
+// — tiny batches, parallelism 1/4, and a quarter-budget governed run — and
+// requires results identical to the serial engine, order included, whose
+// answers must be the ones testdata/results.golden pins.
 func TestWindowDifferential(t *testing.T) {
 	base := windowConn(260)
 	base.SetParallelism(1)
@@ -82,19 +82,12 @@ func TestWindowDifferential(t *testing.T) {
 		name string
 		conn *calcite.Connection
 	}{
-		{"row", func() *calcite.Connection { c := windowConn(260); c.ForceRowMode(true); return c }()},
 		{"batchSize=3", func() *calcite.Connection { c := windowConn(260); c.SetParallelism(1); c.SetBatchSize(3); return c }()},
 		{"parallel=4", func() *calcite.Connection { c := windowConn(260); c.SetParallelism(4); return c }()},
 		{"parallel=4,batchSize=3", func() *calcite.Connection {
 			c := windowConn(260)
 			c.SetParallelism(4)
 			c.SetBatchSize(3)
-			return c
-		}()},
-		{"recompute", func() *calcite.Connection {
-			c := windowConn(260)
-			c.SetParallelism(1)
-			c.ForceWindowRecompute(true)
 			return c
 		}()},
 		{"governed=32KB", func() *calcite.Connection {
@@ -110,20 +103,22 @@ func TestWindowDifferential(t *testing.T) {
 			return c
 		}()},
 	}
-	for _, sql := range windowQueries {
-		want, err := base.Query(sql)
+	golden := readResultsGolden(t)
+	for _, s := range goldenCorpora()[1].statements { // windowQueries
+		checkGoldenBlock(t, golden, s, goldenBlock(s, embeddedQuery(base)), false)
+		want, err := base.Query(s.sql)
 		if err != nil {
-			t.Fatalf("%s\n  baseline: %v", sql, err)
+			t.Fatalf("%s\n  baseline: %v", s.sql, err)
 		}
 		wantRows := renderRows(want.Rows)
 		for _, v := range variants {
-			got, err := v.conn.Query(sql)
+			got, err := v.conn.Query(s.sql)
 			if err != nil {
-				t.Errorf("%s\n  %s: %v", sql, v.name, err)
+				t.Errorf("%s\n  %s: %v", s.sql, v.name, err)
 				continue
 			}
 			if !reflect.DeepEqual(renderRows(got.Rows), wantRows) {
-				t.Errorf("%s\n  %s differs from serial baseline", sql, v.name)
+				t.Errorf("%s\n  %s differs from serial baseline", s.sql, v.name)
 			}
 		}
 	}
