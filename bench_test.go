@@ -401,10 +401,10 @@ func BenchmarkSQL_WindowAggregate(b *testing.B) {
 	}
 }
 
-// --- vectorized batch execution vs row-at-a-time interpretation ---
+// --- morsel-driven parallel execution scaling ---
 
-// vecConn builds a 3-column table of nRows rows for the row/batch A-B
-// benches (ints, nullable floats, short strings).
+// vecConn builds a 3-column table of nRows rows (ints, nullable floats, short
+// strings).
 func vecConn(nRows int) *calcite.Connection {
 	conn := calcite.Open()
 	rows := make([][]any, nRows)
@@ -422,57 +422,6 @@ func vecConn(nRows int) *calcite.Connection {
 	}, rows)
 	return conn
 }
-
-// benchRowVsBatch plans sql once and then measures pure execution of the
-// same physical plan under the row and batch conventions (b.Run sub-benches
-// "Row" and "Batch"), so the comparison isolates the execution layer.
-func benchRowVsBatch(b *testing.B, conn *calcite.Connection, sql string, wantRows int) {
-	_, optimized, err := conn.Plan(sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runMode := func(b *testing.B, batch bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ctx := exec.NewContext()
-			ctx.BatchMode = batch
-			rows, err := exec.Execute(ctx, optimized)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if wantRows >= 0 && len(rows) != wantRows {
-				b.Fatalf("got %d rows, want %d", len(rows), wantRows)
-			}
-		}
-	}
-	b.Run("Row", func(b *testing.B) { runMode(b, false) })
-	b.Run("Batch", func(b *testing.B) { runMode(b, true) })
-}
-
-// BenchmarkExec_RowVsBatch_Filter: selective predicate over 200k rows.
-func BenchmarkExec_RowVsBatch_Filter(b *testing.B) {
-	conn := vecConn(200000)
-	benchRowVsBatch(b, conn,
-		"SELECT id FROM big WHERE id > 150000 AND score IS NOT NULL", -1)
-}
-
-// BenchmarkExec_RowVsBatch_Project: arithmetic + comparison projection over
-// every row of 200k.
-func BenchmarkExec_RowVsBatch_Project(b *testing.B) {
-	conn := vecConn(200000)
-	benchRowVsBatch(b, conn,
-		"SELECT id + 1, score * 2, id > 1000 FROM big", 200000)
-}
-
-// BenchmarkExec_RowVsBatch_HashJoin: 100k-row probe side against a 100-row
-// build side, emitting the joined rows.
-func BenchmarkExec_RowVsBatch_HashJoin(b *testing.B) {
-	conn := figure4Conn(100000, 100)
-	benchRowVsBatch(b, conn,
-		"SELECT products.name FROM sales JOIN products USING (productId)", 100000)
-}
-
-// --- morsel-driven parallel execution scaling ---
 
 // benchSerialVsParallel plans sql once, then measures pure execution of the
 // same physical plan at 1, 2, 4 and 8 workers (sub-benches "P1".."P8"). P1
@@ -702,7 +651,7 @@ func benchSpillVsInMemory(b *testing.B, mk func() *calcite.Connection, sql strin
 	}
 }
 
-// --- window execution: recompute vs incremental vs parallel ---
+// --- window execution: serial vs parallel ---
 
 // windowBenchConn is the window fixture: 100k time-series rows in 8
 // partitions, so a 1000-row sliding frame genuinely slides.
@@ -722,10 +671,9 @@ func windowBenchConn() *calcite.Connection {
 
 const windowBenchSQL = `SELECT grp, SUM(score) OVER (PARTITION BY grp ORDER BY seq ROWS 1000 PRECEDING) AS s FROM wseries`
 
-func benchWindow(b *testing.B, parallelism int, recompute bool) {
+func benchWindow(b *testing.B, parallelism int) {
 	conn := windowBenchConn()
 	conn.SetParallelism(parallelism)
-	conn.ForceWindowRecompute(recompute)
 	_, optimized, err := conn.Plan(windowBenchSQL)
 	if err != nil {
 		b.Fatal(err)
@@ -743,17 +691,13 @@ func benchWindow(b *testing.B, parallelism int, recompute bool) {
 	}
 }
 
-// BenchmarkExec_Window_Recompute is the seed's O(n·frame) baseline: every
-// 1000-row frame re-accumulated from scratch.
-func BenchmarkExec_Window_Recompute(b *testing.B) { benchWindow(b, 1, true) }
-
-// BenchmarkExec_Window_Incremental is the default path: retractable
+// BenchmarkExec_Window_Incremental is the serial path: retractable
 // accumulators slide each frame in O(1) amortized.
-func BenchmarkExec_Window_Incremental(b *testing.B) { benchWindow(b, 1, false) }
+func BenchmarkExec_Window_Incremental(b *testing.B) { benchWindow(b, 1) }
 
 // BenchmarkExec_Window_Parallel adds partition-parallel execution across 4
 // workers on top of the incremental path.
-func BenchmarkExec_Window_Parallel(b *testing.B) { benchWindow(b, 4, false) }
+func BenchmarkExec_Window_Parallel(b *testing.B) { benchWindow(b, 4) }
 
 // spillBenchConn is a 100k-row single-table fixture (~8MB working set as
 // materialized rows).

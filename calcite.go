@@ -158,7 +158,7 @@ func (c *Connection) Builder() *builder.Builder {
 }
 
 // ExecutePlan optimizes and runs a hand-built relational expression under
-// the connection's execution configuration (batch mode, parallelism).
+// the connection's execution configuration (batch size, parallelism).
 func (c *Connection) ExecutePlan(node rel.Node) (*Result, error) {
 	optimized, err := c.Framework.Optimize(node)
 	if err != nil {
@@ -206,22 +206,12 @@ func (c *Connection) FeedbackReport() []feedback.PlanReport {
 	return c.Framework.Feedback().Report()
 }
 
-// ForceRowMode toggles the row-at-a-time execution path. By default queries
-// execute through the vectorized batch convention (column-major batches,
-// compiled expressions); forcing row mode restores the interpreted
-// row-at-a-time iterators for debugging and A/B measurement.
-func (c *Connection) ForceRowMode(on bool) { c.Framework.RowMode = on }
-
-// SetBatchSize overrides the vectorized path's rows-per-batch granularity
-// (<= 0 restores the default).
+// SetBatchSize overrides the rows-per-batch granularity of execution (<= 0
+// restores the default). Queries execute as column-major batches through
+// compiled expressions; the operators without a batch form (VALUES, set
+// operations, non-equi joins, INSERT, adapter results) run row at a time
+// behind shims, and the batch size applies where their rows re-enter batches.
 func (c *Connection) SetBatchSize(n int) { c.Framework.BatchSize = n }
-
-// ForceWindowRecompute toggles the window operator's O(n·frame) per-frame
-// recompute path in place of the default incremental frame maintenance
-// (retractable SUM/COUNT/AVG, deque-based MIN/MAX). Results are identical up
-// to floating-point summation order; the toggle exists for debugging and A/B
-// measurement.
-func (c *Connection) ForceWindowRecompute(on bool) { c.Framework.WindowRecompute = on }
 
 // SetMemoryLimit sets the connection-wide execution-memory budget in bytes,
 // shared by all concurrent queries of this connection (0 = unlimited).

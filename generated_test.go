@@ -102,7 +102,6 @@ var oracleConfigs = []oracleConfig{
 	{name: "prepared", open: configured(func(c *calcite.Connection) { c.SetParallelism(1) }), prepared: true},
 	{name: "wire", open: func(t testing.TB) queryFunc { return wireQuery(t, diffConn()) }},
 	{name: "appended", open: func(t testing.TB) queryFunc { return appendBuiltConn(t).Query }},
-	{name: "rowmode", open: configured(func(c *calcite.Connection) { c.ForceRowMode(true) })},
 }
 
 // TestGeneratedQueriesMatchOracle runs a fixed seed's statements in every

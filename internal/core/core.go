@@ -94,11 +94,7 @@ type Framework struct {
 	DisableJoinReorder bool
 	// MetadataCache toggles the metadata memo cache (experiment E8).
 	MetadataCache bool
-	// RowMode forces the row-at-a-time execution path, disabling the default
-	// vectorized batch convention (debugging and A/B measurement). It also
-	// disables morsel-driven parallelism.
-	RowMode bool
-	// BatchSize overrides the vectorized path's rows-per-batch; <= 0 uses
+	// BatchSize overrides the execution engine's rows-per-batch; <= 0 uses
 	// schema.DefaultBatchSize.
 	BatchSize int
 	// Parallelism is the worker count for morsel-driven parallel execution:
@@ -114,10 +110,6 @@ type Framework struct {
 	// DisableSpill turns off overflow-to-disk: a query exceeding its budget
 	// fails with a "memory budget exceeded" error instead of spilling.
 	DisableSpill bool
-	// WindowRecompute forces the window operator's per-frame recompute path
-	// instead of incremental frame maintenance (the A/B baseline of the
-	// window benchmarks).
-	WindowRecompute bool
 
 	// SlowQueryThreshold marks queries whose end-to-end latency meets or
 	// exceeds it as slow: they are retained in the observability engine's
@@ -648,14 +640,10 @@ func (f *Framework) WorkerPool() *parallel.Pool {
 }
 
 // prepareForExecution applies the morsel-driven parallel rewrite when the
-// configuration calls for it (batch mode, parallelism > 1). The plan shape
-// does not depend on memory governance: every worker charges the shared
-// query budget through the same spill-capable operators the serial plan
-// uses.
+// configuration calls for it (parallelism > 1). The plan shape does not
+// depend on memory governance: every worker charges the shared query budget
+// through the same spill-capable operators the serial plan uses.
 func (f *Framework) prepareForExecution(physical rel.Node) rel.Node {
-	if f.RowMode {
-		return physical
-	}
 	if p := f.EffectiveParallelism(); p > 1 {
 		return parallel.Parallelize(physical, f.WorkerPool(), p)
 	}
@@ -663,8 +651,8 @@ func (f *Framework) prepareForExecution(physical rel.Node) rel.Node {
 }
 
 // ExecutePhysical runs an already-optimized physical plan under the
-// framework's execution configuration (batch mode, batch size, parallelism,
-// memory budget).
+// framework's execution configuration (batch size, parallelism, memory
+// budget).
 func (f *Framework) ExecutePhysical(physical rel.Node) ([][]any, error) {
 	ctx := f.newExecContext(ExecOptions{})
 	defer ctx.Alloc.Close()
@@ -832,15 +820,13 @@ func validateType(ts parser.TypeSpec) (*types.Type, error) {
 }
 
 // newExecContext builds an execution context honoring the framework's
-// execution-mode configuration and the per-execution options (tenant pool).
+// execution configuration and the per-execution options (tenant pool).
 // Callers own the allocator: defer ctx.Alloc.Close() (nil-safe) so grants
 // and spill files are reclaimed on every exit path.
 func (f *Framework) newExecContext(opts ExecOptions) *exec.Context {
 	ctx := exec.NewContext()
-	ctx.BatchMode = !f.RowMode
 	ctx.BatchSize = f.BatchSize
 	ctx.Alloc = f.newAllocator(opts.Pool, false)
-	ctx.WindowRecompute = f.WindowRecompute
 	ctx.Interrupt = opts.Interrupt
 	return ctx
 }

@@ -185,11 +185,7 @@ func (f *Framework) registerSubsystemMetrics(r *obs.Registry) {
 func (f *Framework) attachTrace(ctx *exec.Context, tr *obs.QueryTrace, physical rel.Node, est *feedback.PlanEstimates) rel.Node {
 	prepared := f.prepareForExecution(physical)
 	if tr != nil {
-		if f.RowMode {
-			tr.Parallelism = 1
-		} else {
-			tr.Parallelism = f.EffectiveParallelism()
-		}
+		tr.Parallelism = f.EffectiveParallelism()
 		ctx.Trace = tr
 		ctx.Spans = exec.BuildSpans(tr, prepared, est.PathRows())
 		if fb := f.feedbackIfEnabled(); fb != nil && est != nil {

@@ -1,14 +1,13 @@
 package exec
 
-// Batch-mode binding: the vectorized execution path of the enumerable
-// convention. Scan, Filter, Project, HashJoin, Aggregate and Sort process
+// Batch binding: the execution engine of the enumerable convention. Scan,
+// Filter, Project, HashJoin, Aggregate, Sort, Window and StreamAgg process
 // column-major schema.Batch values — filters narrow selection vectors,
 // projections evaluate typed vector kernels or compiled closures per column,
-// and the hash join probes a batch at a time. Operators without a batch
-// implementation (window, set ops, nested-loop join, adapters' backend
+// and the hash join probes a batch at a time. The operators without a batch
+// form (Values, set ops, nested-loop join, TableModify, adapters' backend
 // cursors) keep their row contract and are bridged through the batch/row
-// shims in package schema, so any plan executes end-to-end in either mode
-// with identical results.
+// shims in package schema; each is the only implementation of its shapes.
 //
 // Expressions reach the kernel matcher and the compiler with the statement's
 // parameters already substituted as literals (Context.bindParams), so a batch
@@ -17,6 +16,7 @@ package exec
 // fallback; an expression that does not compile fails the bind.
 
 import (
+	"fmt"
 	"time"
 
 	"calcite/internal/rel"
@@ -24,10 +24,10 @@ import (
 	"calcite/internal/schema"
 )
 
-// BatchBound is a Bound operator that can additionally produce its output as
-// column-major batches.
+// BatchBound is an operator that produces its output as column-major
+// batches.
 type BatchBound interface {
-	Bound
+	rel.Node
 	BindBatch(ctx *Context) (schema.BatchCursor, error)
 }
 
@@ -120,7 +120,11 @@ func (s *Scan) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	if bt, ok := s.Table.(schema.BatchScannableTable); ok {
 		return bt.ScanBatches(ctx.batchSize())
 	}
-	cur, err := s.Bind(ctx)
+	st, ok := s.Table.(schema.ScannableTable)
+	if !ok {
+		return nil, fmt.Errorf("exec: table %s is not scannable", s.Table.Name())
+	}
+	cur, err := st.Scan()
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,50 @@
+package exec_test
+
+import (
+	"go/importer"
+	"go/token"
+	"go/types"
+	"testing"
+)
+
+// TestEveryNodeHasOneExecutionContract type-checks the packages that define
+// executable plan nodes and requires every node type (a type whose pointer is
+// a rel.Node) to implement exactly one of Bound and BatchBound: an operator
+// has one implementation, batch or row, never both and never neither.
+func TestEveryNodeHasOneExecutionContract(t *testing.T) {
+	imp := importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+	load := func(path string) *types.Package {
+		pkg, err := imp.ImportFrom(path, ".", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkg
+	}
+	iface := func(pkg *types.Package, name string) *types.Interface {
+		return pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+	}
+	exec := load("calcite/internal/exec")
+	node := iface(load("calcite/internal/rel"), "Node")
+	bound, batch := iface(exec, "Bound"), iface(exec, "BatchBound")
+
+	nodes := 0
+	for _, pkg := range []*types.Package{exec, load("calcite/internal/parallel"), load("calcite/internal/adapter")} {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || types.IsInterface(tn.Type()) {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			if !types.Implements(ptr, node) {
+				continue
+			}
+			nodes++
+			if r, b := types.Implements(ptr, bound), types.Implements(ptr, batch); r == b {
+				t.Errorf("%s.%s: implements Bound=%v, BatchBound=%v; want exactly one", pkg.Name(), name, r, b)
+			}
+		}
+	}
+	if nodes < 20 {
+		t.Errorf("found only %d node types; the scan is not seeing the packages", nodes)
+	}
+}

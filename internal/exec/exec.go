@@ -6,7 +6,9 @@
 // target of the framework.
 //
 // Every operator here is a rel.Node in the trait.Enumerable convention that
-// additionally implements Bound: it can produce a cursor over its rows.
+// additionally implements exactly one of BatchBound (it produces column-major
+// batches: the vectorized engine) or Bound (it produces rows: the operators
+// without a batch form, which run behind the row/batch shims).
 package exec
 
 import (
@@ -30,12 +32,6 @@ type Context struct {
 	// Evaluator evaluates row expressions (holds prepared-statement
 	// parameters).
 	Evaluator *rex.Evaluator
-	// BatchMode routes execution through the vectorized batch convention:
-	// operators that implement BatchBound exchange column-major batches and
-	// evaluate compiled expressions; the rest run row-at-a-time behind the
-	// batch/row shims. Disable to force the row-at-a-time interpreter path
-	// (debugging, and the baseline of the row-vs-batch benchmarks).
-	BatchMode bool
 	// BatchSize overrides the rows-per-batch granularity; <= 0 uses
 	// schema.DefaultBatchSize.
 	BatchSize int
@@ -46,10 +42,6 @@ type Context struct {
 	// is ungoverned: grants always succeed, nothing is tracked, nothing
 	// spills.
 	Alloc *memory.Allocator
-	// WindowRecompute forces the window operator's O(n·frame) per-frame
-	// recompute path instead of incremental frame maintenance — the A/B
-	// baseline of the window benchmarks.
-	WindowRecompute bool
 	// Trace is the query's trace (nil when untraced); Spans indexes its
 	// per-operator spans by plan node, built by BuildSpans. The central
 	// binders consult Spans to wrap cursors with counting wrappers; both
@@ -74,12 +66,8 @@ func (ctx *Context) Interrupted() bool {
 	return ctx != nil && ctx.Interrupt != nil && ctx.Interrupt.Load()
 }
 
-// NewContext returns an execution context with no parameters. Batch mode is
-// the default execution path.
-func NewContext() *Context { return &Context{Evaluator: &rex.Evaluator{}, BatchMode: true} }
-
-// NewRowContext returns a context that forces the row-at-a-time path.
-func NewRowContext() *Context { return &Context{Evaluator: &rex.Evaluator{}} }
+// NewContext returns an execution context with no parameters.
+func NewContext() *Context { return &Context{Evaluator: &rex.Evaluator{}} }
 
 // bindParams substitutes the statement's parameter values into e as literals.
 // Batch operators call it on every expression before matching a kernel or
@@ -135,8 +123,8 @@ func (ctx *Context) batchSize() int {
 	return schema.DefaultBatchSize
 }
 
-// Bound is a relational expression that can be executed: binding it yields a
-// cursor over its output rows.
+// Bound is an operator without a batch form: binding it yields a cursor over
+// its output rows.
 type Bound interface {
 	rel.Node
 	Bind(ctx *Context) (schema.Cursor, error)
@@ -147,7 +135,7 @@ func Execute(ctx *Context, root rel.Node) ([][]any, error) {
 	// A batch-capable root drains column-major; a row-only root drains its
 	// row cursor directly (its batch-capable subtree still binds vectorized
 	// through BindNode), avoiding a pointless rows→batches→rows roundtrip.
-	if _, ok := root.(BatchBound); ok && ctx.BatchMode {
+	if _, ok := root.(BatchBound); ok {
 		bc, err := BindBatch(ctx, root)
 		if err != nil {
 			return nil, err
@@ -195,18 +183,16 @@ func drainBatchesCtx(ctx *Context, bc schema.BatchCursor) ([][]any, error) {
 }
 
 // BindNode binds a plan node as a row cursor, reporting a clear error for
-// unexecutable (non-enumerable) nodes. In batch mode, batch-capable nodes
-// bind vectorized and are flattened through the row shim, so row-only
-// consumers (window, set ops, adapters) still sit on a vectorized subtree.
+// unexecutable (non-enumerable) nodes. Batch-capable nodes bind vectorized
+// and are flattened through the row shim, so row-only consumers (set ops,
+// nested-loop join, adapters) still sit on a vectorized subtree.
 func BindNode(ctx *Context, n rel.Node) (schema.Cursor, error) {
-	if ctx.BatchMode {
-		if _, ok := n.(BatchBound); ok {
-			bc, err := BindBatch(ctx, n)
-			if err != nil {
-				return nil, err
-			}
-			return schema.RowCursorFromBatches(bc), nil
+	if _, ok := n.(BatchBound); ok {
+		bc, err := BindBatch(ctx, n)
+		if err != nil {
+			return nil, err
 		}
+		return schema.RowCursorFromBatches(bc), nil
 	}
 	cur, err := bindRow(ctx, n)
 	if err != nil {
@@ -223,20 +209,6 @@ func bindRow(ctx *Context, n rel.Node) (schema.Cursor, error) {
 			n.Op(), n.Traits().String())
 	}
 	return b.Bind(ctx)
-}
-
-// funcCursor adapts functions to schema.Cursor.
-type funcCursor struct {
-	next  func() ([]any, error)
-	close func() error
-}
-
-func (c *funcCursor) Next() ([]any, error) { return c.next() }
-func (c *funcCursor) Close() error {
-	if c.close != nil {
-		return c.close()
-	}
-	return nil
 }
 
 // drain materializes all rows of a cursor and closes it.

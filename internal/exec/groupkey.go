@@ -1,15 +1,15 @@
 package exec
 
-// Typed key index for hash aggregation and hash joins. Row mode identifies
-// grouping/join keys by formatting every value into a types.HashKey string —
-// one strconv call plus one string allocation per row probed. For
-// single-column keys of the core runtime types the index instead keys native
-// maps on the machine value, assigning each distinct key a dense ordinal
-// (insertion order) that callers use to address per-group state.
+// Typed key index for hash aggregation and hash joins. The boxed path
+// identifies grouping/join keys by formatting every value into a
+// types.HashKey string — one strconv call plus one string allocation per row
+// probed. For single-column keys of the core runtime types the index instead
+// keys native maps on the machine value, assigning each distinct key a dense
+// ordinal (insertion order) that callers use to address per-group state.
 //
-// Equivalence must match types.HashKey exactly or batch and row execution
-// would group differently: HashKey folds integral float64s onto the int64
-// key space, so the index normalizes them the same way, and everything
+// Equivalence must match types.HashKey exactly or the typed and the boxed
+// tiers would group differently: HashKey folds integral float64s onto the
+// int64 key space, so the index normalizes them the same way, and everything
 // outside int64/float64/string (bools, NULLs, composites) drops to the
 // HashKey-string fallback tier. A column that arrives as VecInt64 in one
 // batch and VecAny in the next therefore still lands in the same map.

@@ -38,11 +38,6 @@ func (s *IndexScan) Attrs() string {
 func (s *IndexScan) WithNewInputs([]rel.Node) rel.Node { return s }
 func (s *IndexScan) Unwrap() rel.Node                  { return s.proto }
 
-func (s *IndexScan) Bind(ctx *Context) (schema.Cursor, error) {
-	bc, err := s.BindBatch(ctx)
-	return schema.RowCursorFromBatches(bc), err
-}
-
 // BindBatch looks the bound key up. A key the canonical encoding does not
 // compare with the column's type (a string for a BIGINT), or a column whose
 // index newer statistics dropped, filters a scan instead: the lookup never

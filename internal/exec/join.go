@@ -4,7 +4,6 @@ import (
 	"calcite/internal/rel"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
-	"calcite/internal/types"
 )
 
 // JoinInfo splits a join condition into equi-join key pairs and a residual
@@ -74,10 +73,6 @@ func (j *HashJoin) Unwrap() rel.Node {
 	return rel.NewJoin(j.Kind, j.Left(), j.Right(), j.Condition)
 }
 
-func (j *HashJoin) Bind(ctx *Context) (schema.Cursor, error) {
-	return bindJoin(ctx, j.Join, j.Info, true)
-}
-
 // NestedLoopJoin is the enumerable general-condition join.
 type NestedLoopJoin struct {
 	*rel.Join
@@ -97,13 +92,9 @@ func (j *NestedLoopJoin) Unwrap() rel.Node {
 	return rel.NewJoin(j.Kind, j.Left(), j.Right(), j.Condition)
 }
 
+// Bind materializes both inputs and tests the condition on every pair of
+// rows, padding or filtering by the join kind.
 func (j *NestedLoopJoin) Bind(ctx *Context) (schema.Cursor, error) {
-	return bindJoin(ctx, j.Join, JoinInfo{Residual: j.Condition}, false)
-}
-
-// bindJoin executes a join by materializing the right input (hashed when
-// hash=true) and streaming the left.
-func bindJoin(ctx *Context, j *rel.Join, info JoinInfo, hash bool) (schema.Cursor, error) {
 	leftCur, err := BindNode(ctx, j.Left())
 	if err != nil {
 		return nil, err
@@ -123,34 +114,6 @@ func bindJoin(ctx *Context, j *rel.Join, info JoinInfo, hash bool) (schema.Curso
 
 	leftWidth := rel.FieldCount(j.Left())
 	rightWidth := rel.FieldCount(j.Right())
-
-	var table map[string][]int // hash: right key -> right row indices
-	if hash {
-		table = make(map[string][]int, len(rightRows))
-		for i, row := range rightRows {
-			// SQL equi-join: NULL keys never match.
-			if hasNullAt(row, info.RightKeys) {
-				continue
-			}
-			k := types.HashRowKey(row, info.RightKeys)
-			table[k] = append(table[k], i)
-		}
-	}
-
-	matchRight := func(lrow []any) ([]int, error) {
-		if hash {
-			if hasNullAt(lrow, info.LeftKeys) {
-				return nil, nil
-			}
-			return table[types.HashRowKey(lrow, info.LeftKeys)], nil
-		}
-		idx := make([]int, 0, 4)
-		for i := range rightRows {
-			idx = append(idx, i)
-		}
-		return idx, nil
-	}
-
 	concat := func(l, r []any) []any {
 		out := make([]any, 0, leftWidth+rightWidth)
 		out = append(out, l...)
@@ -163,15 +126,10 @@ func bindJoin(ctx *Context, j *rel.Join, info JoinInfo, hash bool) (schema.Curso
 	var out [][]any
 	rightMatched := make([]bool, len(rightRows))
 	for _, lrow := range leftRows {
-		candidates, err := matchRight(lrow)
-		if err != nil {
-			return nil, err
-		}
 		matched := false
-		for _, ri := range candidates {
-			rrow := rightRows[ri]
-			if info.Residual != nil {
-				ok, err := ctx.Evaluator.EvalBool(info.Residual, concat(lrow, rrow))
+		for ri, rrow := range rightRows {
+			if j.Condition != nil {
+				ok, err := ctx.Evaluator.EvalBool(j.Condition, concat(lrow, rrow))
 				if err != nil {
 					return nil, err
 				}
@@ -181,17 +139,10 @@ func bindJoin(ctx *Context, j *rel.Join, info JoinInfo, hash bool) (schema.Curso
 			}
 			matched = true
 			rightMatched[ri] = true
-			switch j.Kind {
-			case rel.SemiJoin:
-				// Emit left once and stop probing.
-			case rel.AntiJoin:
-				// Matches disqualify; handled below.
-			default:
-				out = append(out, concat(lrow, rrow))
-			}
 			if j.Kind == rel.SemiJoin || j.Kind == rel.AntiJoin {
-				break
+				break // one match decides; the left row is emitted below
 			}
+			out = append(out, concat(lrow, rrow))
 		}
 		switch j.Kind {
 		case rel.SemiJoin:
@@ -225,100 +176,4 @@ func hasNullAt(row []any, cols []int) bool {
 		}
 	}
 	return false
-}
-
-// MergeJoin is the enumerable sort-merge equi-join: both inputs must be
-// sorted on the join keys (the planner produces it only when collations are
-// satisfied, exploiting the trait framework of §4).
-type MergeJoin struct {
-	*rel.Join
-	Info JoinInfo
-}
-
-// NewMergeJoin creates a merge join (inner only).
-func NewMergeJoin(left, right rel.Node, condition rex.Node) *MergeJoin {
-	j := rel.NewJoinTraits("EnumerableMergeJoin", enumerableTraits(), rel.InnerJoin, left, right, condition)
-	return &MergeJoin{Join: j, Info: AnalyzeJoin(condition, rel.FieldCount(left))}
-}
-
-func (j *MergeJoin) WithNewInputs(inputs []rel.Node) rel.Node {
-	return NewMergeJoin(inputs[0], inputs[1], j.Condition)
-}
-
-func (j *MergeJoin) Unwrap() rel.Node {
-	return rel.NewJoin(j.Kind, j.Left(), j.Right(), j.Condition)
-}
-
-func (j *MergeJoin) Bind(ctx *Context) (schema.Cursor, error) {
-	leftCur, err := BindNode(ctx, j.Left())
-	if err != nil {
-		return nil, err
-	}
-	leftRows, err := drain(leftCur)
-	if err != nil {
-		return nil, err
-	}
-	rightCur, err := BindNode(ctx, j.Right())
-	if err != nil {
-		return nil, err
-	}
-	rightRows, err := drain(rightCur)
-	if err != nil {
-		return nil, err
-	}
-
-	cmpKeys := func(l, r []any) int {
-		for i := range j.Info.LeftKeys {
-			if c := types.Compare(l[j.Info.LeftKeys[i]], r[j.Info.RightKeys[i]]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	var out [][]any
-	li, ri := 0, 0
-	for li < len(leftRows) && ri < len(rightRows) {
-		if hasNullAt(leftRows[li], j.Info.LeftKeys) {
-			li++
-			continue
-		}
-		if hasNullAt(rightRows[ri], j.Info.RightKeys) {
-			ri++
-			continue
-		}
-		c := cmpKeys(leftRows[li], rightRows[ri])
-		switch {
-		case c < 0:
-			li++
-		case c > 0:
-			ri++
-		default:
-			// Emit the cross product of the equal-key runs.
-			le := li
-			for le < len(leftRows) && cmpKeys(leftRows[le], rightRows[ri]) == 0 {
-				le++
-			}
-			re := ri
-			for re < len(rightRows) && cmpKeys(leftRows[li], rightRows[re]) == 0 {
-				re++
-			}
-			for a := li; a < le; a++ {
-				for b := ri; b < re; b++ {
-					merged := append(append([]any{}, leftRows[a]...), rightRows[b]...)
-					if j.Info.Residual != nil {
-						ok, err := ctx.Evaluator.EvalBool(j.Info.Residual, merged)
-						if err != nil {
-							return nil, err
-						}
-						if !ok {
-							continue
-						}
-					}
-					out = append(out, merged)
-				}
-			}
-			li, ri = le, re
-		}
-	}
-	return schema.NewSliceCursor(out), nil
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"calcite/internal/rel"
 	"calcite/internal/rex"
@@ -25,14 +24,6 @@ func NewScan(table schema.ScannableTable, qualifiedName []string) *Scan {
 
 func (s *Scan) WithNewInputs(inputs []rel.Node) rel.Node { return s }
 
-func (s *Scan) Bind(ctx *Context) (schema.Cursor, error) {
-	st, ok := s.Table.(schema.ScannableTable)
-	if !ok {
-		return nil, fmt.Errorf("exec: table %s is not scannable", s.Table.Name())
-	}
-	return st.Scan()
-}
-
 func (s *Scan) Unwrap() rel.Node {
 	return rel.NewTableScan(trait.Logical, s.Table, s.QualifiedName)
 }
@@ -53,31 +44,6 @@ func (f *Filter) WithNewInputs(inputs []rel.Node) rel.Node {
 
 func (f *Filter) Unwrap() rel.Node { return rel.NewFilter(f.Inputs()[0], f.Condition) }
 
-func (f *Filter) Bind(ctx *Context) (schema.Cursor, error) {
-	in, err := BindNode(ctx, f.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	return &funcCursor{
-		next: func() ([]any, error) {
-			for {
-				row, err := in.Next()
-				if err != nil {
-					return nil, err
-				}
-				keep, err := ctx.Evaluator.EvalBool(f.Condition, row)
-				if err != nil {
-					return nil, err
-				}
-				if keep {
-					return row, nil
-				}
-			}
-		},
-		close: in.Close,
-	}, nil
-}
-
 // Project is the enumerable projection.
 type Project struct {
 	*rel.Project
@@ -94,31 +60,6 @@ func (p *Project) WithNewInputs(inputs []rel.Node) rel.Node {
 
 func (p *Project) Unwrap() rel.Node {
 	return rel.NewProject(p.Inputs()[0], p.Exprs, p.FieldNames())
-}
-
-func (p *Project) Bind(ctx *Context) (schema.Cursor, error) {
-	in, err := BindNode(ctx, p.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	return &funcCursor{
-		next: func() ([]any, error) {
-			row, err := in.Next()
-			if err != nil {
-				return nil, err
-			}
-			out := make([]any, len(p.Exprs))
-			for i, e := range p.Exprs {
-				v, err := ctx.Evaluator.Eval(e, row)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			return out, nil
-		},
-		close: in.Close,
-	}, nil
 }
 
 // Values is the enumerable constant-rows operator.
@@ -191,56 +132,6 @@ func CompareRows(a, b []any, collation trait.Collation) int {
 	return 0
 }
 
-func (s *Sort) Bind(ctx *Context) (schema.Cursor, error) {
-	in, err := BindNode(ctx, s.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	if len(s.Collation) == 0 {
-		// Pure limit: stream.
-		skipped := int64(0)
-		returned := int64(0)
-		return &funcCursor{
-			next: func() ([]any, error) {
-				for skipped < s.Offset {
-					if _, err := in.Next(); err != nil {
-						return nil, err
-					}
-					skipped++
-				}
-				if s.Fetch >= 0 && returned >= s.Fetch {
-					return nil, schema.Done
-				}
-				row, err := in.Next()
-				if err != nil {
-					return nil, err
-				}
-				returned++
-				return row, nil
-			},
-			close: in.Close,
-		}, nil
-	}
-	rows, err := drain(in)
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return CompareRows(rows[i], rows[j], s.Collation) < 0
-	})
-	if s.Offset > 0 {
-		if s.Offset >= int64(len(rows)) {
-			rows = nil
-		} else {
-			rows = rows[s.Offset:]
-		}
-	}
-	if s.Fetch >= 0 && s.Fetch < int64(len(rows)) {
-		rows = rows[:s.Fetch]
-	}
-	return schema.NewSliceCursor(rows), nil
-}
-
 // Aggregate is the enumerable hash aggregate.
 type Aggregate struct {
 	*rel.Aggregate
@@ -257,65 +148,6 @@ func (a *Aggregate) WithNewInputs(inputs []rel.Node) rel.Node {
 
 func (a *Aggregate) Unwrap() rel.Node {
 	return rel.NewAggregate(a.Inputs()[0], a.GroupKeys, a.Calls)
-}
-
-func (a *Aggregate) Bind(ctx *Context) (schema.Cursor, error) {
-	in, err := BindNode(ctx, a.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	rows, err := drain(in)
-	if err != nil {
-		return nil, err
-	}
-	type group struct {
-		key  []any
-		accs []rex.Accumulator
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, row := range rows {
-		k := types.HashRowKey(row, a.GroupKeys)
-		g, ok := groups[k]
-		if !ok {
-			key := make([]any, len(a.GroupKeys))
-			for i, gk := range a.GroupKeys {
-				key[i] = row[gk]
-			}
-			accs := make([]rex.Accumulator, len(a.Calls))
-			for i, c := range a.Calls {
-				accs[i] = rex.NewAccumulator(c)
-			}
-			g = &group{key: key, accs: accs}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for _, acc := range g.accs {
-			if err := acc.Add(row); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Global aggregate over empty input still yields one row.
-	if len(a.GroupKeys) == 0 && len(order) == 0 {
-		accs := make([]rex.Accumulator, len(a.Calls))
-		for i, c := range a.Calls {
-			accs[i] = rex.NewAccumulator(c)
-		}
-		groups[""] = &group{accs: accs}
-		order = append(order, "")
-	}
-	out := make([][]any, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
-		row := make([]any, 0, len(g.key)+len(g.accs))
-		row = append(row, g.key...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		out = append(out, row)
-	}
-	return schema.NewSliceCursor(out), nil
 }
 
 // SetOp is the enumerable UNION / INTERSECT / MINUS.

@@ -198,7 +198,7 @@ func TableModifyRule() plan.Rule {
 }
 
 // MetadataProvider returns cost metadata for the enumerable physical
-// operators: it differentiates hash, merge and nested-loop joins so the
+// operators: it differentiates hash and nested-loop joins so the
 // cost-based planner can choose between them.
 func MetadataProvider() meta.Provider {
 	return meta.Provider{
@@ -237,9 +237,6 @@ func MetadataProvider() meta.Provider {
 			case *HashJoin:
 				left, right := q.RowCount(x.Left()), q.RowCount(x.Right())
 				return cost.New(left+right, left+right*2, 0, right*q.AverageRowSize(x.Right())), true
-			case *MergeJoin:
-				left, right := q.RowCount(x.Left()), q.RowCount(x.Right())
-				return cost.New(left+right, left+right, 0, 0), true
 			case *NestedLoopJoin:
 				left, right := q.RowCount(x.Left()), q.RowCount(x.Right())
 				return cost.New(left+right, left*right, 0, right*q.AverageRowSize(x.Right())), true

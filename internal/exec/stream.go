@@ -98,14 +98,6 @@ func (a *StreamAgg) Unwrap() rel.Node {
 	return rel.NewStreamAggregate(a.Inputs()[0], a.Window, a.LatenessMs, a.GroupKeys, a.Calls)
 }
 
-func (a *StreamAgg) Bind(ctx *Context) (schema.Cursor, error) {
-	bc, err := a.BindBatch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return schema.RowCursorFromBatches(bc), nil
-}
-
 func (a *StreamAgg) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	in, err := BindBatch(ctx, a.Inputs()[0])
 	if err != nil {

@@ -24,7 +24,7 @@ import (
 // order keys and calls read; every other column travels as the typed vector
 // it arrived in, and the results come back as new vectors beside them. A last
 // sort on the position restores the input row order, so the operator's output
-// order is identical across the row, batch and parallel engines.
+// order is identical serial and parallel.
 type Window struct {
 	*rel.Window
 }
@@ -39,19 +39,6 @@ func (w *Window) WithNewInputs(inputs []rel.Node) rel.Node {
 }
 
 func (w *Window) Unwrap() rel.Node { return rel.NewWindow(w.Inputs()[0], w.Groups) }
-
-func (w *Window) Bind(ctx *Context) (schema.Cursor, error) {
-	in, err := BindNode(ctx, w.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	width := rel.FieldCount(w.Inputs()[0])
-	bc, err := w.pipe(ctx, schema.BatchCursorFromCursor(in, width, ctx.batchSize()), false)
-	if err != nil {
-		return nil, err
-	}
-	return schema.RowCursorFromBatches(bc), nil
-}
 
 // BindBatch is the vectorized path: the input subtree stays columnar and the
 // window emits columnar batches.
@@ -194,14 +181,13 @@ type partPiece struct {
 // batch is emitted — input vectors untouched, result vectors inserted before
 // the position tail — once all its rows have results.
 type windowEval struct {
-	in        schema.BatchCursor
-	partKeys  trait.Collation
-	g         rel.WindowGroup // order keys and calls re-addressed onto the boxed rows
-	need      []int           // input column behind each boxed-row slot
-	kinds     []schema.VecKind
-	tail      int
-	recompute bool
-	res       *memory.Reservation
+	in       schema.BatchCursor
+	partKeys trait.Collation
+	g        rel.WindowGroup // order keys and calls re-addressed onto the boxed rows
+	need     []int           // input column behind each boxed-row slot
+	kinds    []schema.VecKind
+	tail     int
+	res      *memory.Reservation
 
 	queue  []*evalBatch // oldest first; results incomplete from queue[0] on
 	open   []partPiece
@@ -214,7 +200,7 @@ type windowEval struct {
 func newWindowEval(ctx *Context, sorted schema.BatchCursor, g rel.WindowGroup,
 	resFields []types.Field, tail int) *windowEval {
 	e := &windowEval{in: sorted, partKeys: ascending(g.PartitionKeys...), g: g, tail: tail,
-		recompute: ctx.WindowRecompute, res: memory.Reserve(ctx.Alloc, "Window")}
+		res: memory.Reserve(ctx.Alloc, "Window")}
 	slots := map[int]int{}
 	slot := func(c int) int {
 		if _, ok := slots[c]; !ok {
@@ -343,7 +329,7 @@ func (e *windowEval) closePartition() error {
 	for i := range part {
 		part[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
-	results, err := evalPartition(part, e.g, e.recompute)
+	results, err := evalPartition(part, e.g)
 	if err != nil {
 		return err
 	}
@@ -375,7 +361,7 @@ func (e *windowEval) Close() error {
 
 // evalPartition computes every call of one window group over one ordered
 // partition, returning one value per row for each call.
-func evalPartition(part [][]any, g rel.WindowGroup, recompute bool) ([][]any, error) {
+func evalPartition(part [][]any, g rel.WindowGroup) ([][]any, error) {
 	needBounds := false
 	for _, call := range g.Calls {
 		if !call.Func.WindowOnly() {
@@ -392,7 +378,7 @@ func evalPartition(part [][]any, g rel.WindowGroup, recompute bool) ([][]any, er
 	}
 	results := make([][]any, len(g.Calls))
 	for ci, call := range g.Calls {
-		vals, err := evalCall(part, g, call, lo, hi, recompute)
+		vals, err := evalCall(part, g, call, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -402,7 +388,7 @@ func evalPartition(part [][]any, g rel.WindowGroup, recompute bool) ([][]any, er
 }
 
 // evalCall computes one call's value for every row of the partition.
-func evalCall(part [][]any, g rel.WindowGroup, call rex.AggCall, lo, hi []int, recompute bool) ([]any, error) {
+func evalCall(part [][]any, g rel.WindowGroup, call rex.AggCall, lo, hi []int) ([]any, error) {
 	n := len(part)
 	vals := make([]any, n)
 	switch call.Func {
@@ -429,17 +415,21 @@ func evalCall(part [][]any, g rel.WindowGroup, call rex.AggCall, lo, hi []int, r
 		return evalNavigation(part, call)
 	}
 	// Frame aggregates: incremental when the call supports it.
-	if !recompute {
-		if rex.CanRetract(call) {
-			return slideRetract(part, call, lo, hi)
-		}
-		if !call.Distinct && (call.Func == rex.AggMin || call.Func == rex.AggMax) {
-			return slideDeque(part, call, lo, hi), nil
-		}
+	if rex.CanRetract(call) {
+		return slideRetract(part, call, lo, hi)
 	}
-	// Per-frame recompute: COLLECT, DISTINCT, SINGLE_VALUE, and the
-	// benchmarks' A/B baseline.
-	for i := 0; i < n; i++ {
+	if !call.Distinct && (call.Func == rex.AggMin || call.Func == rex.AggMax) {
+		return slideDeque(part, call, lo, hi), nil
+	}
+	return recomputeFrames(part, call, lo, hi)
+}
+
+// recomputeFrames aggregates every row's frame from scratch, O(n·frame): the
+// path of the calls that neither retract nor slide (COLLECT, DISTINCT,
+// SINGLE_VALUE).
+func recomputeFrames(part [][]any, call rex.AggCall, lo, hi []int) ([]any, error) {
+	vals := make([]any, len(part))
+	for i := range part {
 		acc := rex.NewAccumulator(call)
 		for p := lo[i]; p <= hi[i]; p++ {
 			if err := acc.Add(part[p]); err != nil {

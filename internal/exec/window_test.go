@@ -142,57 +142,70 @@ func TestFrameBoundsEmptyRows(t *testing.T) {
 	}
 }
 
-// The incremental evaluators must agree exactly with per-frame recompute
-// over randomized partitions, frames and directions.
+// TestSlidingMatchesRecompute: the incremental frame evaluators evalCall
+// picks (slideRetract for SUM/COUNT/AVG, slideDeque for MIN/MAX) must agree
+// exactly with aggregating every frame from scratch (recomputeFrames). The
+// partitions are seeded: BIGINT and binary-exact DOUBLE arguments with NULLs
+// and ties, sizes from one row up, ROWS and RANGE frames in both directions,
+// and frames that are empty at a partition's edges.
 func TestSlidingMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	frames := []rel.WindowFrame{
 		{Rows: true, Lo: -3},
 		{Rows: true, Lo: -5, Hi: 2},
-		{Rows: true, Lo: -4, Hi: -2},
+		{Rows: true, Lo: -4, Hi: -2}, // empty for the first rows
+		{Rows: true, Lo: 2, Hi: 4},   // empty for the last rows
 		{Rows: true, LoUnbounded: true},
 		{Rows: true, HiUnbounded: true},
+		{Rows: true, LoUnbounded: true, Hi: -1},
 		{Lo: -7},
 		{Lo: -3, Hi: 3},
+		{Lo: 1, Hi: 4}, // RANGE, empty wherever no larger peer is near
 		{LoUnbounded: true},
 	}
 	calls := []rex.AggCall{
 		rex.NewAggCall(rex.AggSum, []int{0}, false, "s"),
 		rex.NewAggCall(rex.AggCount, []int{0}, false, "c"),
+		rex.NewAggCall(rex.AggCount, nil, false, "cs"),
 		rex.NewAggCall(rex.AggAvg, []int{0}, false, "a"),
 		rex.NewAggCall(rex.AggMin, []int{0}, false, "mn"),
 		rex.NewAggCall(rex.AggMax, []int{0}, false, "mx"),
 	}
-	for _, dir := range []trait.Direction{trait.Ascending, trait.Descending} {
-		for _, frame := range frames {
-			n := 40
-			vals := make([]any, n)
-			for i := range vals {
-				if rng.Intn(6) == 0 {
-					vals[i] = nil
-				} else {
-					vals[i] = int64(rng.Intn(20))
+	for round := 0; round < 4; round++ {
+		for _, dir := range []trait.Direction{trait.Ascending, trait.Descending} {
+			for _, frame := range frames {
+				n := 1 + rng.Intn(40)
+				vals := make([]any, n)
+				for i := range vals {
+					switch v := rng.Intn(12); {
+					case v < 2:
+						vals[i] = nil
+					case round%2 == 1:
+						vals[i] = float64(v) / 4 // ties, exact in binary
+					default:
+						vals[i] = int64(v)
+					}
 				}
-			}
-			rows := taggedRows(vals...)
-			g := rel.WindowGroup{OrderKeys: orderOn(dir), Frame: frame, Calls: calls}
-			sortPartition(rows, g)
-			lo, hi, err := frameBoundsAll(rows, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, call := range calls {
-				inc, err := evalCall(rows, g, call, lo, hi, false)
+				rows := taggedRows(vals...)
+				g := rel.WindowGroup{OrderKeys: orderOn(dir), Frame: frame, Calls: calls}
+				sortPartition(rows, g)
+				lo, hi, err := frameBoundsAll(rows, g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec, err := evalCall(rows, g, call, lo, hi, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(inc, rec) {
-					t.Errorf("%s dir=%v frame=%s:\n incremental %v\n recompute   %v",
-						call.Func, dir, frame, inc, rec)
+				for _, call := range calls {
+					inc, err := evalCall(rows, g, call, lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec, err := recomputeFrames(rows, call, lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(inc, rec) {
+						t.Errorf("%s dir=%v frame=%s n=%d:\n incremental %v\n recompute   %v",
+							call.Func, dir, frame, n, inc, rec)
+					}
 				}
 			}
 		}

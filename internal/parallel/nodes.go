@@ -116,10 +116,6 @@ func (l *leafSource) Traits() trait.Set                        { return trait.Ne
 func (l *leafSource) Attrs() string                            { return "" }
 func (l *leafSource) WithNewInputs(inputs []rel.Node) rel.Node { return l }
 
-func (l *leafSource) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	return schema.RowCursorFromBatches(l.cur), nil
-}
-
 func (l *leafSource) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	return l.cur, nil
 }
@@ -150,10 +146,6 @@ func (s *MorselScan) Attrs() string {
 	return fmt.Sprintf("%s, workers=%d", s.Inner.Attrs(), s.p)
 }
 func (s *MorselScan) WithNewInputs(inputs []rel.Node) rel.Node { return s }
-
-func (s *MorselScan) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	return s.Inner.(exec.Bound).Bind(ctx)
-}
 
 // BindBatch is the serial fallback: a plain scan.
 func (s *MorselScan) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
@@ -283,14 +275,6 @@ func (e *Exchange) WithNewInputs(inputs []rel.Node) rel.Node {
 	c := *e
 	c.input = inputs[0]
 	return &c
-}
-
-func (e *Exchange) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	bc, err := e.BindBatch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return schema.RowCursorFromBatches(bc), nil
 }
 
 // BindBatch binds the gathering exchanges as single cursors; for the
@@ -479,14 +463,6 @@ func (a *PartialAgg) WithNewInputs(inputs []rel.Node) rel.Node {
 	return NewPartialAgg(a.inner.WithNewInputs(inputs).(*exec.Aggregate), a.pool, a.p)
 }
 
-func (a *PartialAgg) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	bc, err := a.BindBatch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return schema.RowCursorFromBatches(bc), nil
-}
-
 // BindBatch is the serial fallback: partial rows from a single partition.
 func (a *PartialAgg) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	parts, err := a.BindPartitions(ctx)
@@ -579,14 +555,6 @@ func (a *FinalAgg) Traits() trait.Set {
 
 func (a *FinalAgg) WithNewInputs(inputs []rel.Node) rel.Node {
 	return NewFinalAgg(a.inner, inputs[0], a.pool, a.p)
-}
-
-func (a *FinalAgg) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	bc, err := a.BindBatch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return schema.RowCursorFromBatches(bc), nil
 }
 
 func (a *FinalAgg) engine(ctx *exec.Context) *exec.GroupedAgg {
@@ -713,14 +681,6 @@ func (s *SortPar) MergeCollation() trait.Collation {
 		trait.FieldCollation{Field: w, Direction: trait.Ascending},
 		trait.FieldCollation{Field: w + 1, Direction: trait.Ascending})
 	return coll
-}
-
-func (s *SortPar) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	bc, err := s.BindBatch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return schema.RowCursorFromBatches(bc), nil
 }
 
 // BindBatch is the serial fallback: one gathered sorted run.

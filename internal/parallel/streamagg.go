@@ -48,14 +48,6 @@ func (a *StreamAggPar) WithNewInputs(inputs []rel.Node) rel.Node {
 	return NewStreamAggPar(a.inner.WithNewInputs(inputs).(*exec.StreamAgg), a.pool, a.p)
 }
 
-func (a *StreamAggPar) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	bc, err := a.BindBatch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return schema.RowCursorFromBatches(bc), nil
-}
-
 // BindBatch is the serial fallback: the whole input streams through one
 // window-state machine.
 func (a *StreamAggPar) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {

@@ -64,14 +64,6 @@ func (w *WindowPar) WithNewInputs(inputs []rel.Node) rel.Node {
 	return NewWindowPar(w.inner.WithNewInputs(inputs).(*exec.Window), w.pool, w.p)
 }
 
-func (w *WindowPar) Bind(ctx *exec.Context) (schema.Cursor, error) {
-	bc, err := w.BindBatch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return schema.RowCursorFromBatches(bc), nil
-}
-
 // BindBatch is the serial fallback: the whole (gathered) input windows as
 // one tagged partition stream.
 func (w *WindowPar) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {

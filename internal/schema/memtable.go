@@ -190,7 +190,7 @@ func (t *MemTable) ScanBatches(batchSize int) (BatchCursor, error) {
 }
 
 // Scan enumerates the rows present now, materializing them from the vectors
-// one batch at a time (the row-mode reference path).
+// one batch at a time (the ScannableTable contract: lattice builds, Rows).
 func (t *MemTable) Scan() (Cursor, error) {
 	return RowCursorFromBatches(t.pin(0)), nil
 }

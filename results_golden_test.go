@@ -106,8 +106,6 @@ var goldenConfigs = []goldenConfig{
 		c.SetMemoryLimit(256 << 10)
 	}},
 	{name: "wire", configure: func(*calcite.Connection) {}, wire: true},
-	{name: "rowmode", configure: func(c *calcite.Connection) { c.ForceRowMode(true) }},
-	{name: "serial/windowrecompute", configure: func(c *calcite.Connection) { c.SetParallelism(1); c.ForceWindowRecompute(true) }},
 }
 
 // TestResultsGolden runs both corpora in every configuration and requires
