@@ -3,10 +3,11 @@ package calcite_test
 // A seeded query generator whose statements evaluate themselves. Every
 // generated statement is a spec that renders SQL text (with literals, or with
 // "?" placeholders and their bind values) and computes its own answer in
-// plain Go over the catalog's rows: 1–3-way inner equi-joins, conjuncts of
-// = <> < <= > >= BETWEEN IN IS [NOT] NULL, + - * projections, GROUP BY with
-// COUNT(*)/COUNT/SUM/MIN/MAX/AVG, ORDER BY over a total order with LIMIT, and
-// UNION ALL. The evaluator is the reference the engine is checked against, so
+// plain Go over the catalog's rows: 1–3-way inner and left equi-joins,
+// conjuncts of = <> < <= > >= BETWEEN IN IS [NOT] NULL (some under NOT or
+// OR), + - * projections with CASE and COALESCE, GROUP BY with
+// COUNT(*)/COUNT/SUM/MIN/MAX/AVG and HAVING, DISTINCT, ORDER BY over a total
+// order with LIMIT and OFFSET, and UNION ALL. The evaluator is the reference the engine is checked against, so
 // it shares no code with it: this file imports only the standard library, and
 // SQL's NULL logic, comparison, arithmetic, grouping and ordering are written
 // out here.
@@ -63,23 +64,68 @@ type oExpr struct {
 	eval   func(t oTuple) any
 }
 
+// oTri is a truth value of SQL's three-valued logic.
+type oTri int8
+
+const (
+	oFalse oTri = iota
+	oTrue
+	oUnknown
+)
+
+func oTriOf(b bool) oTri {
+	if b {
+		return oTrue
+	}
+	return oFalse
+}
+
+func oNot(x oTri) oTri {
+	switch x {
+	case oTrue:
+		return oFalse
+	case oFalse:
+		return oTrue
+	}
+	return oUnknown
+}
+
+func oOr(a, b oTri) oTri {
+	switch {
+	case a == oTrue || b == oTrue:
+		return oTrue
+	case a == oUnknown || b == oUnknown:
+		return oUnknown
+	}
+	return oFalse
+}
+
 // oPred is one WHERE conjunct over the single FROM item src. render writes
-// its text, passing each literal through lit (which renders it or binds it).
+// its text, passing each literal through lit (which renders it or binds it);
+// eval reads the item's row (all NULL where a left join padded it).
 type oPred struct {
 	src    int
 	render func(lit func(any) string) string
-	holds  func(row []any) bool // true only when the conjunct is TRUE
+	eval   func(row []any) oTri
 }
 
 // oJoin attaches FROM item right to the items before it by equi-keys.
 type oJoin struct {
 	leftSrc, leftCol []int // per key: earlier FROM item and its column
 	rightCol         []int
+	outer            bool // LEFT JOIN: an unmatched tuple gets a NULL row
 }
 
 type oAgg struct {
 	fn  string // COUNT, SUM, MIN, MAX, AVG
 	arg *oExpr // nil for COUNT(*)
+}
+
+// oHaving is a HAVING clause: one aggregate compared with a literal.
+type oHaving struct {
+	agg oAgg
+	op  string
+	v   any
 }
 
 func (a oAgg) sql() string {
@@ -97,12 +143,14 @@ func (a oAgg) inexact() bool {
 
 // oSelect is one SELECT block.
 type oSelect struct {
-	from    []*oTable
-	joins   []oJoin // joins[i-1] attaches from[i]
-	where   []oPred
-	items   []oExpr // the projection, or the group keys when grouped
-	grouped bool
-	aggs    []oAgg
+	from     []*oTable
+	joins    []oJoin // joins[i-1] attaches from[i]
+	where    []oPred
+	distinct bool
+	items    []oExpr // the projection, or the group keys when grouped
+	grouped  bool
+	aggs     []oAgg
+	having   *oHaving
 }
 
 type oOrder struct {
@@ -112,9 +160,9 @@ type oOrder struct {
 
 // oQuery is a generated statement: one block, or several under UNION ALL.
 type oQuery struct {
-	blocks  []*oSelect
-	orderBy []oOrder
-	limit   int
+	blocks        []*oSelect
+	orderBy       []oOrder
+	limit, offset int
 }
 
 func (q *oQuery) width() int { return len(q.blocks[0].items) + len(q.blocks[0].aggs) }
@@ -133,9 +181,6 @@ func (q *oQuery) ordered() bool { return len(q.orderBy) > 0 }
 // shapes names the generated shapes the statement exercises.
 func (q *oQuery) shapes() []string {
 	var out []string
-	if len(q.blocks) > 1 {
-		out = append(out, "union all")
-	}
 	for _, b := range q.blocks {
 		out = append(out, fmt.Sprintf("%d-way", len(b.from)))
 		switch {
@@ -145,11 +190,15 @@ func (q *oQuery) shapes() []string {
 			out = append(out, "global aggregate")
 		}
 	}
-	if q.ordered() {
-		out = append(out, "order by")
-	}
-	if q.limit > 0 {
-		out = append(out, "limit")
+	sql, _ := q.SQL(false)
+	for _, s := range []struct{ name, text string }{
+		{"union all", " UNION ALL "}, {"left join", " LEFT JOIN "}, {"or", " OR "}, {"not", "NOT ("},
+		{"case", "CASE WHEN "}, {"coalesce", "COALESCE("}, {"having", " HAVING "},
+		{"distinct", "SELECT DISTINCT "}, {"order by", " ORDER BY "}, {"limit", " LIMIT "}, {"offset", " OFFSET "},
+	} {
+		if strings.Contains(sql, s.text) {
+			out = append(out, s.name)
+		}
 	}
 	return out
 }
@@ -186,12 +235,18 @@ func (q *oQuery) SQL(prepared bool) (string, []any) {
 	if q.limit > 0 {
 		fmt.Fprintf(&sb, " LIMIT %d", q.limit)
 	}
+	if q.offset > 0 {
+		fmt.Fprintf(&sb, " OFFSET %d", q.offset)
+	}
 	return sb.String(), params
 }
 
 func (b *oSelect) sql(lit func(any) string) string {
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
+	if b.distinct {
+		sb.WriteString("DISTINCT ")
+	}
 	n := 0
 	item := func(text string) {
 		if n > 0 {
@@ -209,7 +264,11 @@ func (b *oSelect) sql(lit func(any) string) string {
 	fmt.Fprintf(&sb, " FROM %s t0", b.from[0].name)
 	for i, j := range b.joins {
 		r := b.from[i+1]
-		fmt.Fprintf(&sb, " JOIN %s t%d ON ", r.name, i+1)
+		kind := "JOIN"
+		if j.outer {
+			kind = "LEFT JOIN"
+		}
+		fmt.Fprintf(&sb, " %s %s t%d ON ", kind, r.name, i+1)
 		for k := range j.rightCol {
 			if k > 0 {
 				sb.WriteString(" AND ")
@@ -233,6 +292,9 @@ func (b *oSelect) sql(lit func(any) string) string {
 			}
 			sb.WriteString(e.sql)
 		}
+	}
+	if h := b.having; h != nil {
+		fmt.Fprintf(&sb, " HAVING %s %s %s", h.agg.sql(), h.op, oLiteral(h.v))
 	}
 	return sb.String()
 }
@@ -385,19 +447,35 @@ func (q *oQuery) eval(maxRows int) ([][]any, error) {
 			return false
 		})
 	}
+	out = out[min(q.offset, len(out)):]
 	if q.limit > 0 && len(out) > q.limit {
 		out = out[:q.limit]
 	}
 	return out, nil
 }
 
+// outer reports whether FROM item src is attached by a LEFT JOIN.
+func (b *oSelect) outer(src int) bool { return src > 0 && b.joins[src-1].outer }
+
+// row returns FROM item src's row of t, or a row of NULLs where a left join
+// padded it.
+func (b *oSelect) row(t oTuple, src int) []any {
+	if t[src] == nil {
+		return make([]any, len(b.from[src].cols))
+	}
+	return t[src]
+}
+
 func (b *oSelect) eval(maxRows int) ([][]any, error) {
+	// A conjunct over an inner item filters its rows before the joins; one
+	// over a left-joined item filters the joined tuples, padded rows
+	// included.
 	filtered := func(src int) [][]any {
 		var out [][]any
 	next:
 		for _, r := range b.from[src].rows {
 			for _, p := range b.where {
-				if p.src == src && !p.holds(r) {
+				if p.src == src && !b.outer(src) && p.eval(r) != oTrue {
 					continue next
 				}
 			}
@@ -422,16 +500,19 @@ func (b *oSelect) eval(maxRows int) ([][]any, error) {
 		for _, t := range tuples {
 			left := make([]any, len(j.leftCol))
 			for k := range j.leftCol {
-				left[k] = t[j.leftSrc[k]][j.leftCol[k]]
+				left[k] = b.row(t, j.leftSrc[k])[j.leftCol[k]]
 			}
-			k, ok := joinKeyOf(left, nil)
-			if !ok {
-				continue
+			var matches [][]any
+			if k, ok := joinKeyOf(left, nil); ok {
+				matches = build[k]
 			}
-			for _, r := range build[k] {
+			for _, r := range matches {
 				nt := append(oTuple(nil), t...)
 				nt[i+1] = r
 				next = append(next, nt)
+			}
+			if len(matches) == 0 && j.outer {
+				next = append(next, append(oTuple(nil), t...)) // t[i+1] stays nil
 			}
 			if len(next) > maxRows {
 				return nil, errTooLarge
@@ -439,14 +520,44 @@ func (b *oSelect) eval(maxRows int) ([][]any, error) {
 		}
 		tuples = next
 	}
+	kept := tuples[:0]
+next:
+	for _, t := range tuples {
+		for _, p := range b.where {
+			if b.outer(p.src) && p.eval(b.row(t, p.src)) != oTrue {
+				continue next
+			}
+		}
+		kept = append(kept, t)
+	}
+	tuples = kept
 	if b.grouped {
 		return b.aggregate(tuples), nil
 	}
-	out := make([][]any, len(tuples))
-	for i, t := range tuples {
-		out[i] = b.project(t)
+	out := make([][]any, 0, len(tuples))
+	seen := map[string]bool{}
+	for _, t := range tuples {
+		row := b.project(t)
+		if b.distinct {
+			k := oRowKey(row)
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+		}
+		out = append(out, row)
 	}
 	return out, nil
+}
+
+// oRowKey is the equality class of a row (DISTINCT, GROUP BY).
+func oRowKey(row []any) string {
+	var sb strings.Builder
+	for _, v := range row {
+		sb.WriteString(oKey(v))
+		sb.WriteByte(0)
+	}
+	return sb.String()
 }
 
 // joinKeyOf renders the key columns of a row (all columns when cols is nil);
@@ -540,20 +651,20 @@ func (b *oSelect) aggregate(tuples []oTuple) [][]any {
 	}
 	groups := map[string]*group{}
 	var order []*group
+	aggs := b.aggs
+	if b.having != nil {
+		aggs = append(aggs[:len(aggs):len(aggs)], b.having.agg)
+	}
 	for _, t := range tuples {
 		key := b.project(t)
-		var id strings.Builder
-		for _, v := range key {
-			id.WriteString(oKey(v))
-			id.WriteByte(0)
-		}
-		g := groups[id.String()]
+		id := oRowKey(key)
+		g := groups[id]
 		if g == nil {
-			g = &group{key: key, accs: make([]oAcc, len(b.aggs))}
-			groups[id.String()] = g
+			g = &group{key: key, accs: make([]oAcc, len(aggs))}
+			groups[id] = g
 			order = append(order, g)
 		}
-		for i, a := range b.aggs {
+		for i, a := range aggs {
 			var v any = true // COUNT(*) counts every row
 			if a.arg != nil {
 				v = a.arg.eval(t)
@@ -563,15 +674,21 @@ func (b *oSelect) aggregate(tuples []oTuple) [][]any {
 	}
 	if len(order) == 0 && len(b.items) == 0 {
 		// A global aggregate over no rows still returns one row.
-		order = append(order, &group{accs: make([]oAcc, len(b.aggs))})
+		order = append(order, &group{accs: make([]oAcc, len(aggs))})
 	}
-	out := make([][]any, len(order))
-	for i, g := range order {
+	out := make([][]any, 0, len(order))
+	for _, g := range order {
+		if h := b.having; h != nil {
+			v := g.accs[len(aggs)-1].result(h.agg.fn)
+			if v == nil || !oHolds(h.op, oCompare(v, h.v)) {
+				continue
+			}
+		}
 		row := append([]any(nil), g.key...)
 		for j, a := range b.aggs {
 			row = append(row, g.accs[j].result(a.fn))
 		}
-		out[i] = row
+		out = append(out, row)
 	}
 	return out
 }
@@ -747,10 +864,16 @@ func (g *oGen) query() *oQuery {
 		return g.union()
 	}
 	q := &oQuery{blocks: []*oSelect{g.block(1+g.pick(3), g.chance(0.45))}}
+	if b := q.blocks[0]; !b.grouped && g.chance(0.15) {
+		b.distinct = true
+	}
 	if g.chance(0.5) {
 		g.orderBy(q)
 		if g.chance(0.6) {
 			q.limit = 1 + g.pick(25)
+			if g.chance(0.3) {
+				q.offset = 1 + g.pick(8)
+			}
 		}
 	}
 	return q
@@ -817,7 +940,8 @@ func (g *oGen) joined(n int) *oSelect {
 				srcs = append(srcs, i)
 			}
 		}
-		j := oJoin{leftSrc: []int{srcs[g.pick(len(srcs))]}, leftCol: []int{e.aCol}, rightCol: []int{e.bCol}}
+		j := oJoin{leftSrc: []int{srcs[g.pick(len(srcs))]}, leftCol: []int{e.aCol}, rightCol: []int{e.bCol},
+			outer: g.chance(0.25)}
 		if g.chance(0.15) {
 			// A second key between the same two items.
 			l, r := b.from[j.leftSrc[0]], e.b
@@ -868,6 +992,16 @@ func (g *oGen) block(n int, grouped bool) *oSelect {
 		}
 		b.aggs = append(b.aggs, a)
 	}
+	if g.chance(0.25) {
+		h := &oHaving{agg: oAgg{fn: "COUNT"}, op: []string{"=", "<>", "<", "<=", ">", ">="}[g.pick(6)]}
+		h.v = int64(g.pick(4))
+		if g.chance(0.5) {
+			e := g.numeric(b, 1)
+			h.agg = oAgg{fn: []string{"SUM", "MIN", "MAX"}[g.pick(3)], arg: &e}
+			h.v = g.numLit().eval(nil)
+		}
+		b.having = h
+	}
 	return b
 }
 
@@ -895,7 +1029,12 @@ func colExpr(b *oSelect, src, col int) oExpr {
 		sql:    fmt.Sprintf("t%d.%s", src, b.from[src].cols[col]),
 		kind:   b.from[src].kinds[col],
 		hasCol: true,
-		eval:   func(t oTuple) any { return t[src][col] },
+		eval: func(t oTuple) any {
+			if t[src] == nil { // padded by a left join
+				return nil
+			}
+			return t[src][col]
+		},
 	}
 }
 
@@ -905,7 +1044,29 @@ func (g *oGen) expr(b *oSelect) oExpr {
 		return g.numeric(b, 2)
 	}
 	e, _ := g.column(b, 0, true)
+	if e.kind == oString && g.chance(0.1) {
+		return oCoalesce(e, "zz")
+	}
 	return e
+}
+
+// oCoalesce is COALESCE(e, v).
+func oCoalesce(e oExpr, v any) oExpr {
+	kind := e.kind
+	if _, ok := v.(float64); ok {
+		kind = oDouble
+	}
+	return oExpr{
+		sql:    "COALESCE(" + e.sql + ", " + oLiteral(v) + ")",
+		kind:   kind,
+		hasCol: e.hasCol,
+		eval: func(t oTuple) any {
+			if x := e.eval(t); x != nil {
+				return x
+			}
+			return v
+		},
+	}
 }
 
 // numeric draws a numeric expression of at most depth arithmetic levels.
@@ -915,9 +1076,33 @@ func (g *oGen) numeric(b *oSelect, depth int) oExpr {
 			return g.numLit()
 		}
 		if e, ok := g.column(b, oDouble, false); ok {
+			if g.chance(0.08) {
+				return oCoalesce(e, g.numLit().eval(nil))
+			}
 			return e
 		}
 		return g.numLit()
+	}
+	if g.chance(0.1) {
+		// CASE WHEN <comparison over one FROM item> THEN x ELSE y END
+		src := g.pick(len(b.from))
+		p := g.pred(b, src)
+		x, y := g.numeric(b, depth-1), g.numeric(b, depth-1)
+		kind := oInt
+		if x.kind == oDouble || y.kind == oDouble {
+			kind = oDouble
+		}
+		return oExpr{
+			sql:    "CASE WHEN " + p.render(oLiteral) + " THEN " + x.sql + " ELSE " + y.sql + " END",
+			kind:   kind,
+			hasCol: true,
+			eval: func(t oTuple) any {
+				if p.eval(b.row(t, src)) == oTrue {
+					return x.eval(t)
+				}
+				return y.eval(t)
+			},
+		}
 	}
 	x, y := g.numeric(b, depth-1), g.numeric(b, depth-1)
 	op := "+-*"[g.pick(3)]
@@ -1001,12 +1186,32 @@ func (g *oGen) value(t *oTable, c int) any {
 	return f
 }
 
-// pred draws a conjunct over FROM item src.
+// pred draws a conjunct over FROM item src: a comparison, or one under NOT
+// or OR.
 func (g *oGen) pred(b *oSelect, src int) oPred {
+	switch x := g.atom(b, src); {
+	case g.chance(0.1):
+		return oPred{src: src,
+			render: func(lit func(any) string) string { return "NOT (" + x.render(lit) + ")" },
+			eval:   func(row []any) oTri { return oNot(x.eval(row)) }}
+	case g.chance(0.12):
+		y := g.atom(b, src)
+		return oPred{src: src,
+			render: func(lit func(any) string) string {
+				l := x.render(lit) // placeholders bind left to right
+				return "(" + l + " OR " + y.render(lit) + ")"
+			},
+			eval: func(row []any) oTri { return oOr(x.eval(row), y.eval(row)) }}
+	default:
+		return x
+	}
+}
+
+// atom draws one comparison over a column of FROM item src.
+func (g *oGen) atom(b *oSelect, src int) oPred {
 	t := b.from[src]
 	c := g.pick(len(t.cols))
 	name := fmt.Sprintf("t%d.%s", src, t.cols[c])
-	col := func(row []any) any { return row[c] }
 	switch g.pick(6) {
 	case 0:
 		not := g.chance(0.7)
@@ -1015,7 +1220,7 @@ func (g *oGen) pred(b *oSelect, src int) oPred {
 			text = name + " IS NOT NULL"
 		}
 		return oPred{src: src, render: func(func(any) string) string { return text },
-			holds: func(row []any) bool { return (row[c] == nil) != not }}
+			eval: func(row []any) oTri { return oTriOf((row[c] == nil) != not) }}
 	case 1:
 		lo, hi := g.value(t, c), g.value(t, c)
 		if g.chance(0.8) && oCompare(lo, hi) > 0 {
@@ -1023,11 +1228,14 @@ func (g *oGen) pred(b *oSelect, src int) oPred {
 		}
 		return oPred{src: src,
 			render: func(lit func(any) string) string {
-				return name + " BETWEEN " + lit(lo) + " AND " + lit(hi)
+				l := lit(lo)
+				return name + " BETWEEN " + l + " AND " + lit(hi)
 			},
-			holds: func(row []any) bool {
-				v := col(row)
-				return v != nil && oCompare(v, lo) >= 0 && oCompare(v, hi) <= 0
+			eval: func(row []any) oTri {
+				if row[c] == nil {
+					return oUnknown
+				}
+				return oTriOf(oCompare(row[c], lo) >= 0 && oCompare(row[c], hi) <= 0)
 			}}
 	case 2:
 		vals := make([]any, 1+g.pick(4))
@@ -1042,17 +1250,16 @@ func (g *oGen) pred(b *oSelect, src int) oPred {
 				}
 				return name + " IN (" + strings.Join(parts, ", ") + ")"
 			},
-			holds: func(row []any) bool {
-				v := col(row)
-				if v == nil {
-					return false
+			eval: func(row []any) oTri {
+				if row[c] == nil {
+					return oUnknown
 				}
 				for _, x := range vals {
-					if oCompare(v, x) == 0 {
-						return true
+					if oCompare(row[c], x) == 0 {
+						return oTrue
 					}
 				}
-				return false
+				return oFalse
 			}}
 	case 3:
 		if t.kinds[c] != oString {
@@ -1064,9 +1271,12 @@ func (g *oGen) pred(b *oSelect, src int) oPred {
 			v := g.value(t, c)
 			return oPred{src: src,
 				render: func(lit func(any) string) string { return text + " " + op + " " + oLiteral(v) },
-				holds: func(row []any) bool {
+				eval: func(row []any) oTri {
 					x := e.eval(oTuple{row})
-					return x != nil && oHolds(op, oCompare(x, v))
+					if x == nil {
+						return oUnknown
+					}
+					return oTriOf(oHolds(op, oCompare(x, v)))
 				}}
 		}
 	}
@@ -1074,9 +1284,11 @@ func (g *oGen) pred(b *oSelect, src int) oPred {
 	v := g.value(t, c)
 	return oPred{src: src,
 		render: func(lit func(any) string) string { return name + " " + op + " " + lit(v) },
-		holds: func(row []any) bool {
-			x := col(row)
-			return x != nil && oHolds(op, oCompare(x, v))
+		eval: func(row []any) oTri {
+			if row[c] == nil {
+				return oUnknown
+			}
+			return oTriOf(oHolds(op, oCompare(row[c], v)))
 		}}
 }
 
