@@ -18,29 +18,6 @@ import (
 	"calcite/internal/schema"
 )
 
-// sqlRunner executes one statement, embedded or over the wire.
-type sqlRunner func(sql string, params ...any) ([][]any, error)
-
-func embeddedRunner(conn *calcite.Connection) sqlRunner {
-	return func(sql string, params ...any) ([][]any, error) {
-		res, err := conn.Query(sql, params...)
-		if err != nil {
-			return nil, err
-		}
-		return res.Rows, nil
-	}
-}
-
-func wireRunner(client *avatica.Client) sqlRunner {
-	return func(sql string, params ...any) ([][]any, error) {
-		resp, err := client.Query(sql, params...)
-		if err != nil {
-			return nil, err
-		}
-		return resp.Rows, nil
-	}
-}
-
 // TestAppendBuiltTablesAgree: serial, parallel 4, a 64 KB budget and the wire
 // return the pinned answers of testdata/results.golden on tables built by
 // appends.
@@ -67,7 +44,7 @@ func TestAppendBuiltTablesAgree(t *testing.T) {
 			}
 			diffViews(conn)
 			cfg.configure(conn)
-			query := embeddedQuery(conn)
+			query := queryFunc(conn.Query)
 			if cfg.wire {
 				query = wireQuery(t, conn)
 			}
@@ -187,15 +164,9 @@ func TestInsertAssignsDeclaredTypes(t *testing.T) {
 				{Name: "k", Type: calcite.BigIntType},
 				{Name: "v", Type: calcite.DoubleType},
 			}, [][]any{{int64(1), 1.5}})
-			run := embeddedRunner(conn)
+			run := queryFunc(conn.Query)
 			if wire {
-				srv := avatica.NewServer(conn.Framework)
-				addr, err := srv.Start("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer srv.Stop()
-				run = wireRunner(avatica.NewClient(addr))
+				run = wireQuery(t, conn)
 			}
 			kinds := func() [2]schema.VecKind {
 				cur, _ := tb.ScanBatches(0)

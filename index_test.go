@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"calcite"
-	"calcite/internal/avatica"
 	"calcite/internal/obs"
 )
 
@@ -112,7 +111,7 @@ func TestIndexScanMatchesScan(t *testing.T) {
 		{name: "appended", configure: func(*calcite.Connection) {}, appended: true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			runners := make([]sqlRunner, 2)
+			runners := make([]queryFunc, 2)
 			for i, analyze := range []bool{true, false} {
 				conn := keysConn(t, analyze, cfg.appended)
 				cfg.configure(conn)
@@ -125,15 +124,9 @@ func TestIndexScanMatchesScan(t *testing.T) {
 						t.Errorf("analyzed=%v: %s\n%s", analyze, in.sql, plan)
 					}
 				}
-				runners[i] = embeddedRunner(conn)
+				runners[i] = conn.Query
 				if cfg.wire {
-					srv := avatica.NewServer(conn.Framework)
-					addr, err := srv.Start("127.0.0.1:0")
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer srv.Stop()
-					runners[i] = wireRunner(avatica.NewClient(addr))
+					runners[i] = wireQuery(t, conn)
 				}
 			}
 			for round := 0; round < 2; round++ { // the second round hits the plan cache
@@ -146,8 +139,8 @@ func TestIndexScanMatchesScan(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v: %v", in.sql, in.params, err)
 					}
-					if !reflect.DeepEqual(renderRows(got), renderRows(want)) {
-						t.Errorf("%s %v\n  index: %v\n  scan:  %v", in.sql, in.params, got, want)
+					if !reflect.DeepEqual(renderRows(got.Rows), renderRows(want.Rows)) {
+						t.Errorf("%s %v\n  index: %v\n  scan:  %v", in.sql, in.params, got.Rows, want.Rows)
 					}
 				}
 			}

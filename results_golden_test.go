@@ -28,11 +28,9 @@ import (
 
 const resultsGoldenPath = "testdata/results.golden"
 
-// queryFunc runs one statement and returns its columns and rows, embedded or
-// over the wire.
+// queryFunc runs one statement and returns its columns and rows, embedded
+// (Connection.Query) or over the wire.
 type queryFunc func(sql string, params ...any) (*calcite.Result, error)
-
-func embeddedQuery(conn *calcite.Connection) queryFunc { return conn.Query }
 
 // wireQuery serves conn over a local avatica server for the rest of the test
 // and returns a client's query function.
@@ -118,7 +116,7 @@ func TestResultsGolden(t *testing.T) {
 			conn := c.open()
 			conn.SetParallelism(1)
 			for _, s := range c.statements {
-				b.WriteString(goldenBlock(s, embeddedQuery(conn)))
+				b.WriteString(goldenBlock(s, conn.Query))
 			}
 		}
 		if err := os.WriteFile(resultsGoldenPath, []byte(b.String()), 0o644); err != nil {
@@ -132,7 +130,7 @@ func TestResultsGolden(t *testing.T) {
 			for _, c := range corpora {
 				conn := c.open()
 				cfg.configure(conn)
-				query := embeddedQuery(conn)
+				query := queryFunc(conn.Query)
 				if cfg.wire {
 					query = wireQuery(t, conn)
 				}

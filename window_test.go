@@ -105,7 +105,7 @@ func TestWindowDifferential(t *testing.T) {
 	}
 	golden := readResultsGolden(t)
 	for _, s := range goldenCorpora()[1].statements { // windowQueries
-		checkGoldenBlock(t, golden, s, goldenBlock(s, embeddedQuery(base)), false)
+		checkGoldenBlock(t, golden, s, goldenBlock(s, base.Query), false)
 		want, err := base.Query(s.sql)
 		if err != nil {
 			t.Fatalf("%s\n  baseline: %v", s.sql, err)
