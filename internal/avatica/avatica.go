@@ -643,43 +643,37 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]bool{"closed": true})
 }
 
-// columnTypes derives the wire type tags the client restores values by from
-// JSON: the Go type every non-nil value of the column shares, "float64" when
-// BIGINT and DOUBLE values mix (a DOUBLE column may hold BIGINT values;
-// tagging it by its first value would truncate every fraction after it), and
-// no tag for any other mix.
+// columnTypes derives the wire type tags from the first non-nil value of
+// each column (scanning past leading NULLs, so a NULL in row 0 does not
+// untype the column). A column that starts with a BIGINT but also holds a
+// DOUBLE is tagged float64: a DOUBLE column may hold BIGINT values, and
+// tagged int64 the client would truncate every fraction after the first.
 func columnTypes(columns []string, rows [][]any) []string {
 	colTypes := make([]string, len(columns))
 	for i := range colTypes {
-		for _, row := range rows {
-			if i >= len(row) || row[i] == nil {
-				continue
+		for r, row := range rows {
+			if i < len(row) && row[i] != nil {
+				colTypes[i] = fmt.Sprintf("%T", row[i])
+				if colTypes[i] == "int64" && holdsFloat(rows[r:], i) {
+					colTypes[i] = "float64"
+				}
+				break
 			}
-			var t string
-			switch row[i].(type) {
-			case int64:
-				t = "int64"
-			case float64:
-				t = "float64"
-			case string:
-				t = "string"
-			default:
-				t = fmt.Sprintf("%T", row[i])
-			}
-			switch prev := colTypes[i]; {
-			case prev == "" || prev == t:
-				colTypes[i] = t
-			case (prev == "int64" && t == "float64") || (prev == "float64" && t == "int64"):
-				colTypes[i] = "float64"
-			default:
-				colTypes[i] = "mixed"
-			}
-		}
-		if colTypes[i] == "mixed" {
-			colTypes[i] = ""
 		}
 	}
 	return colTypes
+}
+
+// holdsFloat reports whether column col of rows holds a float64.
+func holdsFloat(rows [][]any, col int) bool {
+	for _, row := range rows {
+		if col < len(row) {
+			if _, ok := row[col].(float64); ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // normalizeJSON converts decoded JSON values to engine runtime values
