@@ -49,34 +49,41 @@ func aggGroupCharge(keys []int, calls []rex.AggCall, row []any, keyLen int) int6
 	return charge
 }
 
-// flush dehydrates every in-memory group into the spill partitions and
-// resets the table.
+// flush dehydrates every in-memory group into the spill partitions, handing
+// the group rows over as one batch, and resets the table.
 func (g *GroupedAgg) flush() error {
 	width := g.outWidth()
 	if g.flushW == nil {
-		w, err := newPartitionWriter(g.ctx.Alloc, g.op, g.ident, g.depth, width)
+		w, err := newPartitionWriter(g.ctx.Alloc, g.op, g.ident, g.depth)
 		if err != nil {
 			return err
 		}
 		g.flushW = w
 		g.res.NoteSpillEvent()
 	}
-	for _, gr := range g.groups {
-		row := make([]any, 0, width)
-		row = append(row, gr.key...)
-		for _, acc := range gr.accs {
+	n := len(g.groups)
+	b := &schema.Batch{Len: n, Vecs: make([]*schema.Vector, width)}
+	for c := range b.Vecs {
+		b.Vecs[c] = &schema.Vector{Kind: schema.VecAny, A: make([]any, n)}
+	}
+	nKeys := len(g.ident)
+	for i, gr := range g.groups {
+		for k, v := range gr.key {
+			b.Vecs[k].A[i] = v
+		}
+		for ci, acc := range gr.accs {
 			st, err := rex.DehydrateAccumulator(acc)
 			if err != nil {
 				return err
 			}
-			row = append(row, st)
+			b.Vecs[nKeys+ci].A[i] = st
 		}
 		if g.pos {
-			row = append(row, gr.fsSeq, gr.fsIdx)
+			b.Vecs[width-2].A[i], b.Vecs[width-1].A[i] = gr.fsSeq, gr.fsIdx
 		}
-		if err := g.flushW.add(row); err != nil {
-			return err
-		}
+	}
+	if err := g.flushW.add(b); err != nil {
+		return err
 	}
 	g.resetTable()
 	g.res.Shrink(g.res.Held())

@@ -25,12 +25,15 @@ import (
 	"calcite/internal/types"
 )
 
-// keyIndex maps single-column key values to dense ordinals 0..n-1.
+// keyIndex maps single-column key values to dense ordinals 0..n-1. A frozen
+// index enters no new keys: it reports them absent (ordinal -1), so readers
+// on several goroutines can share it.
 type keyIndex struct {
-	byInt map[int64]int32
-	byStr map[string]int32
-	byKey map[string]int32 // types.HashKey fallback tier
-	n     int32
+	byInt  map[int64]int32
+	byStr  map[string]int32
+	byKey  map[string]int32 // types.HashKey fallback tier
+	n      int32
+	frozen bool
 }
 
 func newKeyIndex() *keyIndex {
@@ -45,6 +48,8 @@ func newKeyIndex() *keyIndex {
 func (ki *keyIndex) ordInt(k int64) (int32, bool) {
 	if ord, ok := ki.byInt[k]; ok {
 		return ord, false
+	} else if ki.frozen {
+		return -1, false
 	}
 	ord := ki.n
 	ki.byInt[k] = ord
@@ -57,6 +62,8 @@ func (ki *keyIndex) ordInt(k int64) (int32, bool) {
 func (ki *keyIndex) ordStr(m map[string]int32, k string) (int32, bool) {
 	if ord, ok := m[k]; ok {
 		return ord, false
+	} else if ki.frozen {
+		return -1, false
 	}
 	ord := ki.n
 	m[k] = ord
@@ -105,25 +112,6 @@ func (ki *keyIndex) ordVec(kv *schema.Vector, r int) (int32, bool) {
 		return ki.ordStr(ki.byStr, kv.S[r])
 	}
 	return ki.ordVal(kv.Get(r))
-}
-
-// findVal looks a boxed key value up without inserting.
-func (ki *keyIndex) findVal(v any) (ord int32, ok bool) {
-	switch x := v.(type) {
-	case int64:
-		ord, ok = ki.byInt[x]
-	case float64:
-		if i, isInt := intKeyOfFloat(x); isInt {
-			ord, ok = ki.byInt[i]
-		} else {
-			ord, ok = ki.byKey[types.HashKey(v)]
-		}
-	case string:
-		ord, ok = ki.byStr[x]
-	default:
-		ord, ok = ki.byKey[types.HashKey(v)]
-	}
-	return ord, ok
 }
 
 // AggMode selects what a GroupedAgg consumes and what it emits.
@@ -647,89 +635,68 @@ func (g *GroupedAgg) rows() [][]any {
 
 // joinTable is the build-side index of a hash join. Single-column equi-keys
 // index native maps through a keyIndex (no HashKey string per row); composite
-// keys keep the HashRowKey-encoded map. NULL build keys are never inserted
-// (SQL equi-join: NULL matches nothing).
+// keys map their schema.RowKey encoding. Both are the encodings the probe
+// reads. NULL build keys are never inserted (SQL equi-join: NULL matches
+// nothing).
 type joinTable struct {
 	single *keyIndex // single-column keys, else nil
 	byOrd  [][]int32 // candidate build rows per keyIndex ordinal
 	multi  map[string][]int32
-	keys   []int
 }
 
-// buildJoinTable indexes the build rows by the given key columns.
-func buildJoinTable(rows [][]any, keys []int) *joinTable {
-	t := &joinTable{keys: keys}
+// newJoinTable indexes the n build rows of vecs by the given key columns.
+func newJoinTable(vecs []*schema.Vector, n int, keys []int) *joinTable {
+	t := &joinTable{}
 	if len(keys) == 1 {
 		t.single = newKeyIndex()
-		k := keys[0]
-		for i, row := range rows {
-			v := row[k]
-			if v == nil {
+		kv := vecs[keys[0]]
+		for r := 0; r < n; r++ {
+			if kv.IsNull(r) {
 				continue
 			}
-			ord, _ := t.single.ordVal(v)
+			ord, _ := t.single.ordVec(kv, r)
 			if int(ord) == len(t.byOrd) {
 				t.byOrd = append(t.byOrd, nil)
 			}
-			t.byOrd[ord] = append(t.byOrd[ord], int32(i))
+			t.byOrd[ord] = append(t.byOrd[ord], int32(r))
 		}
+		t.single.frozen = true
 		return t
 	}
-	t.multi = make(map[string][]int32, len(rows))
-	for i, row := range rows {
-		if hasNullAt(row, keys) {
+	t.multi = make(map[string][]int32, n)
+	var buf []byte
+	for r := 0; r < n; r++ {
+		if keyIsNull(vecs, r, keys) {
 			continue
 		}
-		hk := types.HashRowKey(row, keys)
-		t.multi[hk] = append(t.multi[hk], int32(i))
+		buf = schema.RowKey(buf[:0], vecs, r, keys)
+		t.multi[string(buf)] = append(t.multi[string(buf)], int32(r))
 	}
 	return t
 }
 
-// probeVec returns the candidate build rows matching probe row r of the
-// single key column kv, reading the key in typed form.
-func (t *joinTable) probeVec(kv *schema.Vector, r int) []int32 {
-	if kv.Nulls != nil && kv.Nulls[r] {
-		return nil
-	}
-	var ord int32
-	var ok bool
-	switch ki := t.single; kv.Kind {
-	case schema.VecInt64:
-		ord, ok = ki.byInt[kv.I64[r]]
-	case schema.VecFloat64:
-		f := kv.F64[r]
-		if i, isInt := intKeyOfFloat(f); isInt {
-			ord, ok = ki.byInt[i]
-		} else {
-			ord, ok = ki.byKey[types.HashKey(f)]
+// keyIsNull reports whether any key column of row r is NULL.
+func keyIsNull(vecs []*schema.Vector, r int, keys []int) bool {
+	for _, k := range keys {
+		if vecs[k].IsNull(r) {
+			return true
 		}
-	case schema.VecString:
-		ord, ok = ki.byStr[kv.S[r]]
-	default:
-		v := kv.Get(r)
-		if v == nil {
-			return nil
-		}
-		ord, ok = t.single.findVal(v)
 	}
-	if !ok {
-		return nil
-	}
-	return t.byOrd[ord]
+	return false
 }
 
 // probe returns the candidate build rows matching row r of the probe vectors
 // on key columns keys — none when a key is NULL. buf is key-encoding scratch,
 // returned for reuse.
 func (t *joinTable) probe(vecs []*schema.Vector, r int, keys []int, buf []byte) ([]int32, []byte) {
-	if t.single != nil {
-		return t.probeVec(vecs[keys[0]], r), buf
+	if keyIsNull(vecs, r, keys) {
+		return nil, buf
 	}
-	for _, k := range keys {
-		if vecs[k].IsNull(r) {
-			return nil, buf
+	if t.single != nil {
+		if ord, _ := t.single.ordVec(vecs[keys[0]], r); ord >= 0 {
+			return t.byOrd[ord], buf
 		}
+		return nil, buf
 	}
 	buf = schema.RowKey(buf[:0], vecs, r, keys)
 	return t.multi[string(buf)], buf

@@ -168,12 +168,3 @@ func (j *NestedLoopJoin) Bind(ctx *Context) (schema.Cursor, error) {
 	}
 	return schema.NewSliceCursor(out), nil
 }
-
-func hasNullAt(row []any, cols []int) bool {
-	for _, c := range cols {
-		if row[c] == nil {
-			return true
-		}
-	}
-	return false
-}

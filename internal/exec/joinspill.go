@@ -1,11 +1,11 @@
 package exec
 
 // Grace/hybrid hash join: the memory-governed join path. The build side is
-// drained under a reservation; while it fits, the join degenerates to the
-// classic in-memory hash join with a streaming probe. When the build grant
-// is exhausted mid-drain, the join switches to Grace mode: both sides are
-// hash-partitioned to disk (the rows already in memory are flushed first),
-// and each partition is then joined independently — recursively
+// drained as typed vectors under a reservation; while it fits, the join is
+// the classic in-memory hash join with a streaming probe. When the build
+// grant is exhausted mid-drain, the join switches to Grace mode: both sides
+// are hash-partitioned to disk as typed pages (the vectors already in memory
+// first), and each partition is then joined independently — recursively
 // re-partitioned with a different hash seed if it still does not fit.
 // Every join kind is supported: unmatched-build tracking (right/full) is
 // per partition, which is sound because partitioning covers every build row
@@ -20,7 +20,6 @@ import (
 	"calcite/internal/rel"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
-	"calcite/internal/types"
 )
 
 const (
@@ -34,7 +33,8 @@ const (
 	// was meant to save.
 	spillMaxDepth = 3
 	// joinRowOverhead approximates the hash-table cost of one build row
-	// beyond the row itself (map entry, candidate-list slot, key string).
+	// beyond what its vectors hold (map entry, candidate-list slot, key
+	// string): a build is charged vecsBytes plus this per row.
 	joinRowOverhead = 64
 )
 
@@ -45,37 +45,8 @@ type joinSpec struct {
 	info       JoinInfo
 	leftWidth  int
 	rightWidth int
-	rightType  *types.Type // build-side row type: the kinds its output vectors are built in
 	emitRight  bool
-	residual   func(row []any) (bool, error)
-}
-
-func newJoinSpec(ctx *Context, j *HashJoin) (*joinSpec, error) {
-	spec := &joinSpec{
-		kind:       j.Kind,
-		info:       j.Info,
-		leftWidth:  rel.FieldCount(j.Left()),
-		rightWidth: rel.FieldCount(j.Right()),
-		rightType:  j.Right().RowType(),
-		emitRight:  j.Kind != rel.SemiJoin && j.Kind != rel.AntiJoin,
-	}
-	if j.Info.Residual != nil {
-		cond, err := ctx.bindParams(j.Info.Residual)
-		if err != nil {
-			return nil, err
-		}
-		if spec.residual, err = rex.CompileBool(cond); err != nil {
-			return nil, err
-		}
-	}
-	return spec, nil
-}
-
-func (s *joinSpec) outWidth() int {
-	if s.emitRight {
-		return s.leftWidth + s.rightWidth
-	}
-	return s.leftWidth
+	residual   func(vecs []*schema.Vector, r int) (bool, error)
 }
 
 // BindBatch executes the hash join with a streaming probe: the build
@@ -121,8 +92,9 @@ func (j *HashJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 // JoinBuild is the build phase of one hash join execution, shared by the
 // serial join (one build partition, one probe) and the parallel one (a Drain
 // per build partition on its own worker, a probe cursor per probe partition).
-// Build rows are charged batch-wise to one reservation; the first denied
-// grant halts every Drain and the join finishes on the Grace path.
+// Build batches are kept as compacted, typed vectors (the intake of sort and
+// window) and charged to one reservation; the first denied grant halts every
+// Drain and the join finishes on the Grace path.
 type JoinBuild struct {
 	ctx  *Context
 	op   string // reservation and spill-run tag
@@ -137,20 +109,31 @@ type JoinBuild struct {
 	open atomic.Int32 // probe cursors still reading the table
 }
 
-// buildChunk is the materialized rows of one build batch, tagged with the
-// position a gather of the build partitions would have delivered it at.
+// buildChunk is one build batch's live rows, compacted and typed; its Seq and
+// source partition order the chunks as a gather of the partitions would.
 type buildChunk struct {
-	seq  int64
+	*schema.Batch
 	part int
-	rows [][]any
 }
 
 // NewJoinBuild opens the build phase of j, charging the context's allocator
 // under the operator tag op.
 func NewJoinBuild(ctx *Context, j *HashJoin, op string) (*JoinBuild, error) {
-	spec, err := newJoinSpec(ctx, j)
-	if err != nil {
-		return nil, err
+	spec := &joinSpec{
+		kind:       j.Kind,
+		info:       j.Info,
+		leftWidth:  rel.FieldCount(j.Left()),
+		rightWidth: rel.FieldCount(j.Right()),
+		emitRight:  j.Kind != rel.SemiJoin && j.Kind != rel.AntiJoin,
+	}
+	if j.Info.Residual != nil {
+		cond, err := ctx.bindParams(j.Info.Residual)
+		if err == nil {
+			spec.residual, err = rex.CompileColsBool(cond)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return &JoinBuild{ctx: ctx, op: op, spec: spec, res: memory.Reserve(ctx.Alloc, op)}, nil
 }
@@ -169,18 +152,16 @@ func (b *JoinBuild) Drain(part schema.BatchCursor, idx int) (exhausted bool, err
 			b.halt.Store(true)
 			return false, err
 		}
-		rows := batch.AppendRows(make([][]any, 0, batch.NumRows()))
-		var size int64
-		if b.res != nil {
-			for _, row := range rows {
-				size += types.SizeOfRow(row) + joinRowOverhead
-			}
+		live := batch.Compact()
+		if live.Len == 0 {
+			continue
 		}
+		c := buildChunk{&schema.Batch{Len: live.Len, Vecs: batchVecs(live), Seq: batch.Seq}, idx}
 		b.mu.Lock()
-		err = b.res.Grow(size)
+		err = b.res.Grow(vecsBytes(c.Vecs, nil, c.Len) + joinRowOverhead*int64(c.Len))
 		// A denied batch stays buffered: the Grace path takes over from the
 		// next batch of the build cursor.
-		b.chunks = append(b.chunks, buildChunk{seq: batch.Seq, part: idx, rows: rows})
+		b.chunks = append(b.chunks, c)
 		b.mu.Unlock()
 		if err != nil {
 			b.halt.Store(true)
@@ -192,34 +173,27 @@ func (b *JoinBuild) Drain(part schema.BatchCursor, idx int) (exhausted bool, err
 	return false, nil
 }
 
-// buildRows returns the buffered rows in the order a gather of the build
+// takeChunks returns the buffered chunks in the order a gather of the build
 // partitions would have delivered them — batch Seq, ties to the lower
 // partition, then arrival — so candidate lists match a serial build exactly.
 // (A single partition arrives in Seq order already: the sort is the identity.)
-func (b *JoinBuild) buildRows() [][]any {
-	sort.SliceStable(b.chunks, func(i, k int) bool {
-		if b.chunks[i].seq != b.chunks[k].seq {
-			return b.chunks[i].seq < b.chunks[k].seq
-		}
-		return b.chunks[i].part < b.chunks[k].part
-	})
-	n := 0
-	for _, c := range b.chunks {
-		n += len(c.rows)
-	}
-	rows := make([][]any, 0, n)
-	for _, c := range b.chunks {
-		rows = append(rows, c.rows...)
-	}
+func (b *JoinBuild) takeChunks() []buildChunk {
+	chunks := b.chunks
 	b.chunks = nil
-	return rows
+	sort.SliceStable(chunks, func(i, k int) bool {
+		if chunks[i].Seq != chunks[k].Seq {
+			return chunks[i].Seq < chunks[k].Seq
+		}
+		return chunks[i].part < chunks[k].part
+	})
+	return chunks
 }
 
 // Probes completes the in-memory build and returns one cursor per probe
 // partition over the shared, read-only table. The build's memory is released
 // when the last of them finishes.
 func (b *JoinBuild) Probes(probes []schema.BatchCursor) []schema.BatchCursor {
-	side := newBuildSide(b.spec, b.buildRows())
+	side := newBuildSide(b.spec, b.res, b.takeChunks())
 	b.open.Store(int32(len(probes)))
 	release := func() {
 		if b.open.Add(-1) == 0 {
@@ -260,20 +234,35 @@ func (j *HashJoin) noteBuildOvershoot(ctx *Context) {
 
 // --- in-memory probe ---
 
-// buildSide is a completed hash-join build: the rows, their key index and
-// their columnar transpose for gather-based output. It is read-only, so any
-// number of probe cursors share one.
+// buildSide is a completed hash-join build: the build rows, one vector per
+// column, and their key index. It is read-only, so any number of probe
+// cursors share one.
 type buildSide struct {
-	rows  [][]any
+	vecs  []*schema.Vector
+	n     int
 	table *joinTable
-	vecs  []*schema.Vector // transpose of rows; nil when the join emits no build columns
 }
 
-func newBuildSide(spec *joinSpec, rows [][]any) *buildSide {
-	s := &buildSide{rows: rows, table: buildJoinTable(rows, spec.info.RightKeys)}
-	if spec.emitRight {
-		s.vecs = schema.VectorsFromRows(rows, spec.rightType.Fields)
+// newBuildSide concatenates the chunks into the build's vectors, settles res
+// on what they hold, and indexes them.
+func newBuildSide(spec *joinSpec, res *memory.Reservation, chunks []buildChunk) *buildSide {
+	s := &buildSide{vecs: make([]*schema.Vector, spec.rightWidth)}
+	for _, c := range chunks {
+		s.n += c.Len
 	}
+	for col := range s.vecs {
+		v := &schema.Vector{}
+		for i, c := range chunks {
+			if i == 0 {
+				v.Kind = c.Vecs[col].Kind
+				v.Grow(s.n)
+			}
+			v.Append(c.Vecs[col], nil)
+		}
+		s.vecs[col] = v
+	}
+	settle(res, vecsBytes(s.vecs, nil, s.n)+joinRowOverhead*int64(s.n))
+	s.table = newJoinTable(s.vecs, s.n, spec.info.RightKeys)
 	return s
 }
 
@@ -285,11 +274,13 @@ type hashProbeCursor struct {
 	matched  []bool // build rows matched so far (right/full)
 	probe    schema.BatchCursor
 	dense    []int32
-	gatherL  []int32 // scratch: probe row per output row
-	gatherR  []int32 // scratch: build ordinal per output row (-1 = NULL pad)
-	combined []any
-	keyBuf   []byte // composite probe-key encoding scratch
-	seq      int64  // sequence number of the unmatched-build tail batch
+	cands    [][]int32 // scratch: candidate build rows per live probe row
+	pairL    []int32   // scratch: probe row per candidate pair (residual)
+	pairR    []int32   // scratch: build row per candidate pair (residual)
+	gatherL  []int32   // scratch: probe row per output row
+	gatherR  []int32   // scratch: build ordinal per output row (-1 = NULL pad)
+	keyBuf   []byte    // composite probe-key encoding scratch
+	seq      int64     // sequence number of the unmatched-build tail batch
 	tailSent bool
 	closed   bool
 	done     func()
@@ -298,7 +289,7 @@ type hashProbeCursor struct {
 func newHashProbeCursor(spec *joinSpec, build *buildSide, probe schema.BatchCursor, done func()) *hashProbeCursor {
 	c := &hashProbeCursor{spec: spec, build: build, probe: probe, done: done}
 	if spec.kind == rel.RightJoin || spec.kind == rel.FullJoin {
-		c.matched = make([]bool, len(build.rows))
+		c.matched = make([]bool, build.n)
 	}
 	return c
 }
@@ -319,7 +310,6 @@ func (c *hashProbeCursor) NextBatch() (*schema.Batch, error) {
 	if c.closed {
 		return nil, schema.Done
 	}
-	spec := c.spec
 	for {
 		b, err := c.probe.NextBatch()
 		if err == schema.Done {
@@ -349,14 +339,7 @@ func (c *hashProbeCursor) NextBatch() (*schema.Batch, error) {
 			}
 		}
 		if len(ords) > 0 {
-			vecs := make([]*schema.Vector, spec.outWidth())
-			for col := 0; col < spec.leftWidth; col++ {
-				vecs[col] = &schema.Vector{Kind: schema.VecAny, A: make([]any, len(ords))}
-			}
-			for col := 0; col < spec.rightWidth; col++ {
-				vecs[spec.leftWidth+col] = c.build.vecs[col].Gather(ords)
-			}
-			return &schema.Batch{Len: len(ords), Vecs: vecs, Seq: c.seq}, nil
+			return &schema.Batch{Len: len(ords), Vecs: c.columns(nil, nil, ords, true), Seq: c.seq}, nil
 		}
 	}
 	c.finish()
@@ -364,31 +347,35 @@ func (c *hashProbeCursor) NextBatch() (*schema.Batch, error) {
 }
 
 // probeBatch joins one probe batch against the table; a nil batch means no
-// output rows (caller keeps pulling).
+// output rows (caller keeps pulling). The output is recorded as (probe row,
+// build ordinal) pairs — a build ordinal of -1 is the outer-join NULL pad —
+// and then gathered.
 func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 	spec := c.spec
-	// Pass 1 records the output as (probe row, build ordinal) pairs — a
-	// build ordinal of -1 is the outer-join NULL pad — so pass 2 can gather
-	// whole columns at once instead of appending boxed values row by row.
-	gl := c.gatherL[:0]
-	gr := c.gatherR[:0]
-	if c.combined == nil {
-		c.combined = make([]any, spec.leftWidth+spec.rightWidth)
-	}
 	var sel []int32
 	sel, c.dense = liveSel(b, c.dense)
+	c.cands, c.pairL, c.pairR = c.cands[:0], c.pairL[:0], c.pairR[:0]
 	for _, li := range sel {
-		l := int(li)
-		var candidates []int32
-		candidates, c.keyBuf = c.build.table.probe(b.Vecs, l, spec.info.LeftKeys, c.keyBuf)
+		var cands []int32
+		cands, c.keyBuf = c.build.table.probe(b.Vecs, int(li), spec.info.LeftKeys, c.keyBuf)
+		c.cands = append(c.cands, cands)
+		if spec.residual != nil {
+			for _, ri := range cands {
+				c.pairL, c.pairR = append(c.pairL, li), append(c.pairR, ri)
+			}
+		}
+	}
+	var pairs []*schema.Vector // the candidate pairs as the residual's input rows
+	if spec.residual != nil {
+		pairs = c.columns(b, c.pairL, c.pairR, true)
+	}
+	gl, gr := c.gatherL[:0], c.gatherR[:0]
+	p := 0 // the pair of the current probe row's first candidate
+	for i, li := range sel {
 		matched := false
-		for _, ri := range candidates {
+		for k, ri := range c.cands[i] {
 			if spec.residual != nil {
-				for col := 0; col < spec.leftWidth; col++ {
-					c.combined[col] = b.Vecs[col].Get(l)
-				}
-				copy(c.combined[spec.leftWidth:], c.build.rows[ri])
-				ok, err := spec.residual(c.combined)
+				ok, err := spec.residual(pairs, p+k)
 				if err != nil {
 					return nil, err
 				}
@@ -403,49 +390,45 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 			if spec.kind == rel.SemiJoin || spec.kind == rel.AntiJoin {
 				break
 			}
-			gl = append(gl, li)
-			gr = append(gr, ri)
+			gl, gr = append(gl, li), append(gr, ri)
 		}
-		switch spec.kind {
-		case rel.SemiJoin:
-			if matched {
-				gl = append(gl, li)
-				gr = append(gr, -1)
-			}
-		case rel.AntiJoin:
-			if !matched {
-				gl = append(gl, li)
-				gr = append(gr, -1)
-			}
-		case rel.LeftJoin, rel.FullJoin:
-			if !matched {
-				gl = append(gl, li)
-				gr = append(gr, -1)
-			}
+		p += len(c.cands[i])
+		// A semi join emits a matched probe row once; anti, left and full
+		// joins an unmatched one.
+		switch k := spec.kind; {
+		case k == rel.SemiJoin && matched, !matched && (k == rel.AntiJoin || k == rel.LeftJoin || k == rel.FullJoin):
+			gl, gr = append(gl, li), append(gr, -1)
 		}
 	}
 	c.gatherL, c.gatherR = gl, gr
-	nRows := len(gl)
-	if nRows == 0 {
+	if len(gl) == 0 {
 		return nil, nil
 	}
 	// The output keeps the probe batch's sequence number (a streaming probe
 	// is a per-batch operator), which is what lets a gather over partitioned
 	// probes restore the serial output order.
-	out := &schema.Batch{Len: nRows, Seq: b.Seq}
 	c.seq = b.Seq + 1
-	// Pass 2: gather whole columns, each in the kind its source vector has.
-	vecs := make([]*schema.Vector, spec.outWidth())
-	for col := 0; col < spec.leftWidth; col++ {
-		vecs[col] = b.Vecs[col].Gather(gl)
-	}
-	if spec.emitRight {
-		for col := 0; col < spec.rightWidth; col++ {
-			vecs[spec.leftWidth+col] = c.build.vecs[col].GatherOrd(gr)
+	return &schema.Batch{Len: len(gl), Vecs: c.columns(b, gl, gr, spec.emitRight), Seq: b.Seq}, nil
+}
+
+// columns gathers rows whole columns at a time, each in the kind its source
+// vector has: probe row gl[i] of b (NULL when b is nil) and, with build, build
+// row gr[i] (NULL where gr[i] is -1).
+func (c *hashProbeCursor) columns(b *schema.Batch, gl, gr []int32, build bool) []*schema.Vector {
+	vecs := make([]*schema.Vector, 0, c.spec.leftWidth+c.spec.rightWidth)
+	for col := 0; col < c.spec.leftWidth; col++ {
+		if b == nil {
+			vecs = append(vecs, &schema.Vector{Kind: schema.VecAny, A: make([]any, len(gr))})
+		} else {
+			vecs = append(vecs, b.Vecs[col].Gather(gl))
 		}
 	}
-	out.Vecs = vecs
-	return out, nil
+	for _, v := range c.build.vecs {
+		if build {
+			vecs = append(vecs, v.GatherOrd(gr))
+		}
+	}
+	return vecs
 }
 
 func (c *hashProbeCursor) Close() error {
@@ -455,23 +438,26 @@ func (c *hashProbeCursor) Close() error {
 
 // --- Grace partitioning ---
 
-// partitionWriter spreads rows across the spill partitions of one pass,
-// buffering a small chunk per partition between codec writes.
+// partitionWriter spreads the live rows of batches across the spill
+// partitions of one pass, buffering a page per partition between codec
+// writes.
 type partitionWriter struct {
 	writers []*memory.RunWriter
-	bufs    [][][]any
+	pages   []*schema.Batch // per partition: the page being filled, or nil
 	keys    []int
 	seed    int
-	width   int
+	sels    [][]int32 // scratch: the rows of the current batch per partition
+	dense   []int32
+	keyBuf  []byte
 }
 
-func newPartitionWriter(alloc *memory.Allocator, op string, keys []int, seed, width int) (*partitionWriter, error) {
+func newPartitionWriter(alloc *memory.Allocator, op string, keys []int, seed int) (*partitionWriter, error) {
 	pw := &partitionWriter{
 		writers: make([]*memory.RunWriter, spillFanOut),
-		bufs:    make([][][]any, spillFanOut),
+		pages:   make([]*schema.Batch, spillFanOut),
 		keys:    keys,
 		seed:    seed,
-		width:   width,
+		sels:    make([][]int32, spillFanOut),
 	}
 	for i := range pw.writers {
 		w, err := alloc.NewRun(op)
@@ -484,23 +470,51 @@ func newPartitionWriter(alloc *memory.Allocator, op string, keys []int, seed, wi
 	return pw, nil
 }
 
-func (pw *partitionWriter) add(row []any) error {
-	// NULL-inclusive routing: unlike a join's match key, partitioning must
-	// place NULL-key rows too (they are emitted by outer joins).
-	p := memory.Partition(types.HashRowKey(row, pw.keys), spillFanOut, pw.seed)
-	pw.bufs[p] = append(pw.bufs[p], row)
-	if len(pw.bufs[p]) >= spillWriteChunk {
-		return pw.flush(p)
+// add routes every live row of b to the partition of its key encoding, and
+// writes each page that fills up. Routing is NULL-inclusive: unlike a join's
+// match key, partitioning must place NULL-key rows too (outer joins emit
+// them).
+func (pw *partitionWriter) add(b *schema.Batch) error {
+	var sel []int32
+	sel, pw.dense = liveSel(b, pw.dense)
+	for _, r := range sel {
+		pw.keyBuf = schema.RowKey(pw.keyBuf[:0], b.Vecs, int(r), pw.keys)
+		p := memory.Partition(string(pw.keyBuf), spillFanOut, pw.seed)
+		pw.sels[p] = append(pw.sels[p], r)
+	}
+	for p, rows := range pw.sels {
+		pw.sels[p] = rows[:0]
+		for len(rows) > 0 {
+			page := pw.pages[p]
+			if page == nil {
+				page = &schema.Batch{Vecs: make([]*schema.Vector, len(b.Vecs))}
+				for c := range page.Vecs {
+					page.Vecs[c] = &schema.Vector{}
+				}
+				pw.pages[p] = page
+			}
+			take := rows[:min(len(rows), spillWriteChunk-page.Len)]
+			for c, v := range b.Vecs {
+				page.Vecs[c].Append(v, take)
+			}
+			page.Len += len(take)
+			rows = rows[len(take):]
+			if page.Len == spillWriteChunk {
+				if err := pw.flush(p); err != nil {
+					return err
+				}
+			}
+		}
 	}
 	return nil
 }
 
 func (pw *partitionWriter) flush(p int) error {
-	if len(pw.bufs[p]) == 0 {
+	if pw.pages[p] == nil {
 		return nil
 	}
-	err := pw.writers[p].WriteRows(pw.bufs[p], pw.width)
-	pw.bufs[p] = pw.bufs[p][:0]
+	err := pw.writers[p].WriteBatch(pw.pages[p])
+	pw.pages[p] = nil
 	return err
 }
 
@@ -535,22 +549,17 @@ func (pw *partitionWriter) abandon() {
 // into pw and finishes its runs; on error the writer is abandoned.
 func drainToPartitions(pw *partitionWriter, bc schema.BatchCursor) ([]*memory.Run, error) {
 	defer bc.Close()
-	var rows [][]any // per-batch staging, reused
 	for {
 		b, err := bc.NextBatch()
 		if err == schema.Done {
 			return pw.finish()
 		}
+		if err == nil {
+			err = pw.add(b)
+		}
 		if err != nil {
 			pw.abandon()
 			return nil, err
-		}
-		rows = b.AppendRows(rows[:0])
-		for _, row := range rows {
-			if err := pw.add(row); err != nil {
-				pw.abandon()
-				return nil, err
-			}
 		}
 	}
 }
@@ -562,54 +571,65 @@ type joinPartition struct {
 	depth        int
 }
 
-// Grace finishes a halted build on the Grace path: the buffered rows, then
+// Grace finishes a halted build on the Grace path: the buffered chunks, then
 // rest — the remainder of the build stream — are partitioned to disk, then
 // the probe side, and the returned cursor joins the partitions one at a time.
-func (b *JoinBuild) Grace(rest schema.BatchCursor, bindProbe func() (schema.BatchCursor, error)) (schema.BatchCursor, error) {
+func (b *JoinBuild) Grace(rest schema.BatchCursor, bindProbe func() (schema.BatchCursor, error)) (_ schema.BatchCursor, err error) {
 	ctx, spec, res := b.ctx, b.spec, b.res
+	defer func() {
+		if err != nil {
+			res.Free()
+		}
+	}()
 	res.NoteSpillEvent()
-	buildPW, err := newPartitionWriter(ctx.Alloc, b.op, spec.info.RightKeys, 0, spec.rightWidth)
+	chunks := b.takeChunks()
+	buildPW, err := newPartitionWriter(ctx.Alloc, b.op, spec.info.RightKeys, 0)
 	if err != nil {
 		rest.Close()
-		b.Abandon()
 		return nil, err
 	}
-	for _, row := range b.buildRows() {
-		if err := buildPW.add(row); err != nil {
+	for _, c := range chunks {
+		if err = buildPW.add(c.Batch); err != nil {
 			buildPW.abandon()
 			rest.Close()
-			res.Free()
 			return nil, err
 		}
 	}
 	res.Shrink(res.Held())
 	buildRuns, err := drainToPartitions(buildPW, rest)
 	if err != nil {
-		res.Free()
 		return nil, err
 	}
 	// Probe side: fully partitioned to disk before any partition is joined.
 	probeBC, err := bindProbe()
 	if err != nil {
-		res.Free()
 		return nil, err
 	}
-	probePW, err := newPartitionWriter(ctx.Alloc, b.op, spec.info.LeftKeys, 0, spec.leftWidth)
+	probeRuns, err := partitionRuns(ctx.Alloc, b.op, probeBC, spec.info.LeftKeys, 0)
 	if err != nil {
-		probeBC.Close()
-		res.Free()
 		return nil, err
 	}
-	probeRuns, err := drainToPartitions(probePW, probeBC)
+	return &graceJoinCursor{ctx: ctx, op: b.op, spec: spec, res: res, parts: joinParts(buildRuns, probeRuns, 1)}, nil
+}
+
+// partitionRuns routes every row of bc (closing it) into the runs of one
+// partitioning pass.
+func partitionRuns(alloc *memory.Allocator, op string, bc schema.BatchCursor, keys []int, seed int) ([]*memory.Run, error) {
+	pw, err := newPartitionWriter(alloc, op, keys, seed)
 	if err != nil {
-		res.Free()
+		bc.Close()
 		return nil, err
 	}
-	parts := make([]joinPartition, 0, spillFanOut)
-	for p := 0; p < spillFanOut; p++ {
-		parts = append(parts, joinPartition{build: buildRuns[p], probe: probeRuns[p], depth: 1})
+	return drainToPartitions(pw, bc)
+}
+
+// joinParts pairs the build and probe runs of one partitioning pass.
+func joinParts(build, probe []*memory.Run, depth int) []joinPartition {
+	parts := make([]joinPartition, len(build))
+	for p := range parts {
+		parts[p] = joinPartition{build: build[p], probe: probe[p], depth: depth}
 	}
-	return &graceJoinCursor{ctx: ctx, op: b.op, spec: spec, res: res, parts: parts}, nil
+	return parts
 }
 
 // graceJoinCursor joins spilled partitions one at a time, re-partitioning
@@ -667,43 +687,32 @@ func (g *graceJoinCursor) startPartition(part joinPartition) error {
 	if err != nil {
 		return err
 	}
-	var rows [][]any
-	overflowed := false
-	for {
-		b, err := rr.NextBatch()
-		if err == schema.Done {
-			break
-		}
-		if err != nil {
+	build := &JoinBuild{spec: g.spec, res: g.res}
+	exhausted, err := build.Drain(rr, 0)
+	if err == nil && !exhausted {
+		if part.depth < spillMaxDepth {
 			rr.Close()
-			return err
+			return g.repartition(part)
 		}
-		n := b.NumRows()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if !overflowed {
-				if gerr := g.res.Grow(types.SizeOfRow(row) + joinRowOverhead); gerr != nil {
-					if part.depth < spillMaxDepth {
-						rr.Close()
-						return g.repartition(part)
-					}
-					// Max depth: this key range will not subdivide (skewed
-					// keys). Proceed in memory; the planner's budget becomes
-					// best-effort for this partition.
-					overflowed = true
-				}
-			}
-			rows = append(rows, row)
-		}
+		// Max depth: this key range will not subdivide (skewed keys).
+		// Proceed in memory; the planner's budget becomes best-effort for
+		// this partition.
+		build.res = nil
+		build.halt.Store(false)
+		_, err = build.Drain(rr, 0)
 	}
-	rr.Close()
+	if err != nil {
+		rr.Close()
+		return err
+	}
 	probeReader, err := part.probe.Open()
 	if err != nil {
 		return err
 	}
+	side := newBuildSide(g.spec, g.res, build.takeChunks())
 	held := g.res.Held()
 	res := g.res
-	g.cur = newHashProbeCursor(g.spec, newBuildSide(g.spec, rows), probeReader, func() {
+	g.cur = newHashProbeCursor(g.spec, side, probeReader, func() {
 		res.Shrink(held)
 		part.build.Remove()
 		part.probe.Remove()
@@ -717,32 +726,23 @@ func (g *graceJoinCursor) startPartition(part joinPartition) error {
 func (g *graceJoinCursor) repartition(part joinPartition) error {
 	g.res.Shrink(g.res.Held())
 	g.res.NoteSpillEvent()
-	split := func(run *memory.Run, keys []int, width int) ([]*memory.Run, error) {
-		pw, err := newPartitionWriter(g.ctx.Alloc, g.op, keys, part.depth, width)
-		if err != nil {
-			return nil, err
-		}
+	split := func(run *memory.Run, keys []int) ([]*memory.Run, error) {
 		rr, err := run.Open()
 		if err != nil {
-			pw.abandon()
 			return nil, err
 		}
-		return drainToPartitions(pw, rr)
+		return partitionRuns(g.ctx.Alloc, g.op, rr, keys, part.depth)
 	}
-	buildRuns, err := split(part.build, g.spec.info.RightKeys, g.spec.rightWidth)
+	buildRuns, err := split(part.build, g.spec.info.RightKeys)
 	if err != nil {
 		return err
 	}
-	probeRuns, err := split(part.probe, g.spec.info.LeftKeys, g.spec.leftWidth)
+	probeRuns, err := split(part.probe, g.spec.info.LeftKeys)
 	if err != nil {
 		return err
 	}
 	g.removePart(part)
-	sub := make([]joinPartition, 0, spillFanOut)
-	for p := 0; p < spillFanOut; p++ {
-		sub = append(sub, joinPartition{build: buildRuns[p], probe: probeRuns[p], depth: part.depth + 1})
-	}
-	g.parts = append(sub, g.parts...)
+	g.parts = append(joinParts(buildRuns, probeRuns, part.depth+1), g.parts...)
 	return nil
 }
 

@@ -102,6 +102,16 @@ func vecsBytes(vecs []*schema.Vector, sel []int32, n int) int64 {
 	return sz
 }
 
+// settle moves res's charge to n bytes: down always, up as far as the budget
+// grants.
+func settle(res *memory.Reservation, n int64) {
+	if over := res.Held() - n; over > 0 {
+		res.Shrink(over)
+	} else {
+		_ = res.Grow(-over)
+	}
+}
+
 // compareAt orders row i of a against row j of b, NULLs lowest: a typed fast
 // path when both vectors have the same kind, types.Compare on the boxed values
 // otherwise (VecAny, and int against float keys).
@@ -424,11 +434,7 @@ func (s *ExternalSorter) truncate() {
 	if s.res != nil {
 		// Settle the charge on what is left; a batch that was accepted
 		// untracked is tracked from here on if the budget now allows.
-		if over := s.res.Held() - vecsBytes(s.cols, nil, s.n) - 4*int64(s.n); over > 0 {
-			s.res.Shrink(over)
-		} else {
-			_ = s.res.Grow(-over)
-		}
+		settle(s.res, vecsBytes(s.cols, nil, s.n)+4*int64(s.n))
 	}
 }
 

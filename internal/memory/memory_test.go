@@ -5,6 +5,8 @@ import (
 	"os"
 	"sync"
 	"testing"
+
+	"calcite/internal/schema"
 )
 
 func TestPoolReserveRelease(t *testing.T) {
@@ -108,7 +110,7 @@ func TestAllocatorCloseReturnsGrantsAndRemovesSpillDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRows([][]any{{int64(1), "x"}}, 2); err != nil {
+	if err := w.WriteBatch(schema.BatchFromRows([][]any{{int64(1), "x"}}, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Finish(); err != nil {

@@ -88,14 +88,6 @@ func (w *RunWriter) WriteBatch(b *schema.Batch) error {
 	return EncodeBatch(w.w, b)
 }
 
-// WriteRows appends materialized rows as one dense batch.
-func (w *RunWriter) WriteRows(rows [][]any, width int) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	return w.WriteBatch(schema.BatchFromRows(rows, width))
-}
-
 // Rows returns the number of rows written so far.
 func (w *RunWriter) Rows() int64 { return w.rows }
 

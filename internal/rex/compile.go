@@ -3,13 +3,13 @@ package rex
 // Expression compilation: the reproduction of linq4j code generation (§5 of
 // the paper: expressions are compiled, not interpreted, which is a large part
 // of why the enumerable convention is fast). Go has no runtime codegen, so
-// Compile lowers an expression tree once into nested closures: literals are
+// CompileCols lowers an expression tree once into nested closures: literals are
 // hoisted, input references are bound to ordinals, operator dispatch and the
 // per-node type switch of the tree-walking Evaluator disappear from the
 // per-row path. Strict NULL propagation and three-valued logic are preserved
 // exactly.
 //
-// Compile never sees a placeholder: the batch operators substitute the
+// The compiler never sees a placeholder: the batch operators substitute the
 // statement's parameters as literals (BindParams) before they match a kernel
 // or compile, so a prepared statement runs the same closures as its literal
 // twin. An expression that still fails to compile is a bind-time error.
@@ -21,68 +21,34 @@ import (
 	"calcite/internal/types"
 )
 
-// RowFn is a compiled expression evaluated against a row-major row.
-type RowFn func(row []any) (any, error)
-
 // ColFn is a compiled expression evaluated against a batch's vectors at
-// physical row r (the form batch operators use: no row assembly needed).
+// physical row r (no row assembly needed).
 type ColFn func(vecs []*schema.Vector, r int) (any, error)
 
-// evalFn is the internal compiled form, usable against either layout: when
-// cols is non-nil it reads row r of cols[i], otherwise row[i].
-type evalFn func(row []any, cols []*schema.Vector, r int) (any, error)
+// evalFn is the internal compiled form.
+type evalFn func(cols []*schema.Vector, r int) (any, error)
 
-// Compile lowers n into a closure over row-major rows. It returns an error
-// if n contains an unbound dynamic parameter or an operator with no
+// CompileCols lowers n into a closure over a batch's vectors. It returns an
+// error if n contains an unbound dynamic parameter or an operator with no
 // implementation.
-func Compile(n Node) (RowFn, error) {
-	f, err := lower(n)
-	if err != nil {
-		return nil, err
-	}
-	return func(row []any) (any, error) { return f(row, nil, 0) }, nil
-}
-
-// CompileCols lowers n into a closure over a batch's vectors.
 func CompileCols(n Node) (ColFn, error) {
 	f, err := lower(n)
 	if err != nil {
 		return nil, err
 	}
-	return func(vecs []*schema.Vector, r int) (any, error) { return f(nil, vecs, r) }, nil
+	return ColFn(f), nil
 }
 
-// CompileBool lowers a predicate with filter semantics: NULL and non-boolean
-// results map to false (rows whose condition is UNKNOWN are dropped).
-func CompileBool(n Node) (func(row []any) (bool, error), error) {
-	f, err := lower(n)
-	if err != nil {
-		return nil, err
-	}
-	return func(row []any) (bool, error) {
-		v, err := f(row, nil, 0)
-		if err != nil {
-			return false, err
-		}
-		if v == nil {
-			return false, nil
-		}
-		b, ok := v.(bool)
-		if !ok {
-			return false, fmt.Errorf("rex: predicate evaluated to %T", v)
-		}
-		return b, nil
-	}, nil
-}
-
-// CompileColsBool is CompileBool over a batch's vectors.
+// CompileColsBool lowers a predicate with filter semantics: NULL and
+// non-boolean results map to false (rows whose condition is UNKNOWN are
+// dropped).
 func CompileColsBool(n Node) (func(vecs []*schema.Vector, r int) (bool, error), error) {
 	f, err := lower(n)
 	if err != nil {
 		return nil, err
 	}
 	return func(vecs []*schema.Vector, r int) (bool, error) {
-		v, err := f(nil, vecs, r)
+		v, err := f(vecs, r)
 		if err != nil {
 			return false, err
 		}
@@ -102,24 +68,18 @@ func lower(n Node) (evalFn, error) {
 	switch x := n.(type) {
 	case *Literal:
 		v := x.Value
-		return func([]any, []*schema.Vector, int) (any, error) { return v, nil }, nil
+		return func([]*schema.Vector, int) (any, error) { return v, nil }, nil
 	case *InputRef:
 		i := x.Index
-		return func(row []any, cols []*schema.Vector, r int) (any, error) {
-			if cols != nil {
-				if i < 0 || i >= len(cols) {
-					return nil, fmt.Errorf("rex: input reference $%d out of range (width %d)", i, len(cols))
-				}
-				v := cols[i]
-				if v.Kind == schema.VecAny {
-					return v.A[r], nil
-				}
-				return v.Get(r), nil
+		return func(cols []*schema.Vector, r int) (any, error) {
+			if i < 0 || i >= len(cols) {
+				return nil, fmt.Errorf("rex: input reference $%d out of range (width %d)", i, len(cols))
 			}
-			if i < 0 || i >= len(row) {
-				return nil, fmt.Errorf("rex: input reference $%d out of range (row width %d)", i, len(row))
+			v := cols[i]
+			if v.Kind == schema.VecAny {
+				return v.A[r], nil
 			}
-			return row[i], nil
+			return v.Get(r), nil
 		}, nil
 	case *DynamicParam:
 		return nil, fmt.Errorf("rex: unbound parameter ?%d", x.Index)
@@ -148,10 +108,10 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols []*schema.Vector, r int) (any, error) {
+		return func(cols []*schema.Vector, r int) (any, error) {
 			sawNull := false
 			for _, f := range fns {
-				v, err := f(row, cols, r)
+				v, err := f(cols, r)
 				if err != nil {
 					return nil, err
 				}
@@ -177,10 +137,10 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols []*schema.Vector, r int) (any, error) {
+		return func(cols []*schema.Vector, r int) (any, error) {
 			sawNull := false
 			for _, f := range fns {
-				v, err := f(row, cols, r)
+				v, err := f(cols, r)
 				if err != nil {
 					return nil, err
 				}
@@ -206,19 +166,19 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols []*schema.Vector, r int) (any, error) {
+		return func(cols []*schema.Vector, r int) (any, error) {
 			n := len(fns)
 			for i := 0; i+1 < n; i += 2 {
-				cond, err := fns[i](row, cols, r)
+				cond, err := fns[i](cols, r)
 				if err != nil {
 					return nil, err
 				}
 				if b, ok := cond.(bool); ok && b {
-					return fns[i+1](row, cols, r)
+					return fns[i+1](cols, r)
 				}
 			}
 			if n%2 == 1 {
-				return fns[n-1](row, cols, r)
+				return fns[n-1](cols, r)
 			}
 			return nil, nil
 		}, nil
@@ -227,9 +187,9 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols []*schema.Vector, r int) (any, error) {
+		return func(cols []*schema.Vector, r int) (any, error) {
 			for _, f := range fns {
-				v, err := f(row, cols, r)
+				v, err := f(cols, r)
 				if err != nil {
 					return nil, err
 				}
@@ -245,8 +205,8 @@ func lowerCall(c *Call) (evalFn, error) {
 			return nil, err
 		}
 		t := c.T
-		return func(row []any, cols []*schema.Vector, r int) (any, error) {
-			v, err := f(row, cols, r)
+		return func(cols []*schema.Vector, r int) (any, error) {
+			v, err := f(cols, r)
 			if err != nil {
 				return nil, err
 			}
@@ -257,8 +217,8 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols []*schema.Vector, r int) (any, error) {
-			v, err := f(row, cols, r)
+		return func(cols []*schema.Vector, r int) (any, error) {
+			v, err := f(cols, r)
 			if err != nil {
 				return nil, err
 			}
@@ -276,8 +236,8 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols []*schema.Vector, r int) (any, error) {
-			v, err := f(row, cols, r)
+		return func(cols []*schema.Vector, r int) (any, error) {
+			v, err := f(cols, r)
 			if err != nil {
 				return nil, err
 			}
@@ -288,8 +248,8 @@ func lowerCall(c *Call) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []any, cols []*schema.Vector, r int) (any, error) {
-			v, err := f(row, cols, r)
+		return func(cols []*schema.Vector, r int) (any, error) {
+			v, err := f(cols, r)
 			if err != nil {
 				return nil, err
 			}
@@ -317,10 +277,10 @@ func lowerCall(c *Call) (evalFn, error) {
 		return nil, fmt.Errorf("rex: operator %s has no implementation", c.Op.Name)
 	}
 	op := c.Op
-	return func(row []any, cols []*schema.Vector, r int) (any, error) {
+	return func(cols []*schema.Vector, r int) (any, error) {
 		args := make([]any, len(fns))
 		for i, f := range fns {
-			v, err := f(row, cols, r)
+			v, err := f(cols, r)
 			if err != nil {
 				return nil, err
 			}
@@ -362,15 +322,15 @@ func lowerCompare(c *Call, pred func(int) bool) (evalFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(row []any, cols []*schema.Vector, r int) (any, error) {
-		av, err := a(row, cols, r)
+	return func(cols []*schema.Vector, r int) (any, error) {
+		av, err := a(cols, r)
 		if err != nil {
 			return nil, err
 		}
 		if av == nil {
 			return nil, nil
 		}
-		bv, err := b(row, cols, r)
+		bv, err := b(cols, r)
 		if err != nil {
 			return nil, err
 		}
@@ -414,15 +374,15 @@ func lowerArith(c *Call) (evalFn, error) {
 	case OpDivide:
 		sym = '/'
 	}
-	return func(row []any, cols []*schema.Vector, r int) (any, error) {
-		av, err := a(row, cols, r)
+	return func(cols []*schema.Vector, r int) (any, error) {
+		av, err := a(cols, r)
 		if err != nil {
 			return nil, err
 		}
 		if av == nil {
 			return nil, nil
 		}
-		bv, err := b(row, cols, r)
+		bv, err := b(cols, r)
 		if err != nil {
 			return nil, err
 		}

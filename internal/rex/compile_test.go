@@ -53,8 +53,8 @@ func compileFixtureExprs() []Node {
 }
 
 // TestCompileMatchesEvaluator: the compiled closures must agree with the
-// tree-walking interpreter on every expression/row pair, in both the
-// row-major and column-major forms.
+// tree-walking interpreter on every expression/row pair, over boxed and typed
+// vectors alike.
 func TestCompileMatchesEvaluator(t *testing.T) {
 	rows := compileFixtureRows()
 	// Column-major twice: as lifted from rows (all VecAny) and as a typed
@@ -66,24 +66,16 @@ func TestCompileMatchesEvaluator(t *testing.T) {
 	}
 	ev := &Evaluator{}
 	for _, e := range compileFixtureExprs() {
-		rowFn, err := Compile(e)
-		if err != nil {
-			t.Fatalf("Compile(%s): %v", e, err)
-		}
 		colFn, err := CompileCols(e)
 		if err != nil {
 			t.Fatalf("CompileCols(%s): %v", e, err)
 		}
 		for r, row := range rows {
 			want, werr := ev.Eval(e, row)
-			got, gerr := rowFn(row)
-			if (werr == nil) != (gerr == nil) || !reflect.DeepEqual(want, got) {
-				t.Errorf("%s row %d: interp (%v, %v) vs compiled (%v, %v)", e, r, want, werr, got, gerr)
-			}
 			for _, cols := range [][]*schema.Vector{lifted, typed} {
 				cgot, cerr := colFn(cols, r)
 				if (werr == nil) != (cerr == nil) || !reflect.DeepEqual(want, cgot) {
-					t.Errorf("%s row %d: interp (%v, %v) vs col-compiled (%v, %v)", e, r, want, werr, cgot, cerr)
+					t.Errorf("%s row %d: interp (%v, %v) vs compiled (%v, %v)", e, r, want, werr, cgot, cerr)
 				}
 			}
 		}
@@ -94,7 +86,7 @@ func TestCompileMatchesEvaluator(t *testing.T) {
 // does, and binding leaves the shared expression untouched.
 func TestBindParamsThenCompile(t *testing.T) {
 	e := NewCall(OpGreater, NewInputRef(0, types.BigInt), &DynamicParam{Index: 0, T: types.Any})
-	if _, err := Compile(e); err == nil {
+	if _, err := CompileCols(e); err == nil {
 		t.Error("an unbound parameter should not compile")
 	}
 	if _, err := BindParams(e, nil); err == nil {
@@ -106,11 +98,12 @@ func TestBindParamsThenCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, err := CompileBool(bound)
+		fn, err := CompileColsBool(bound)
 		if err != nil {
-			t.Fatalf("Compile(%s): %v", bound, err)
+			t.Fatalf("CompileColsBool(%s): %v", bound, err)
 		}
-		if keep, err := fn([]any{int64(3)}); err != nil || keep != (3 > k) {
+		three := []*schema.Vector{{Kind: schema.VecInt64, I64: []int64{3}}}
+		if keep, err := fn(three, 0); err != nil || keep != (3 > k) {
 			t.Errorf("%s on 3: got (%v, %v)", bound, keep, err)
 		}
 	}
