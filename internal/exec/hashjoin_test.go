@@ -217,6 +217,18 @@ func TestHashJoinMatchesGo(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				if mode == "ungoverned" {
+					// A completed in-memory build is its vectors, charged once.
+					probe, ok := bc.(*hashProbeCursor)
+					if !ok {
+						t.Fatalf("%s: an ungoverned join returned %T", name, bc)
+					}
+					side := probe.build
+					want := vecsBytes(side.vecs, nil, side.n) + joinRowOverhead*int64(side.n)
+					if used := ctx.Alloc.Used(); used != want || side.n != len(rrows) {
+						t.Fatalf("%s: build of %d rows (want %d) holds %d bytes, want %d", name, side.n, len(rrows), used, want)
+					}
+				}
 				got, err := drainBatches(bc)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
