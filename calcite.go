@@ -178,17 +178,6 @@ func (c *Connection) RegisterLattice(l *mv.Lattice) {
 	c.Framework.InvalidatePlans()
 }
 
-// EnablePlanCache toggles the prepared-plan cache (default on): repeated
-// byte-identical statements reuse their optimized physical plan and skip
-// parse+optimize. DDL and adapter/table/lattice registration flush it;
-// ANALYZE of a table (or the table doubling under INSERTs) evicts only the
-// plans that scan that table; an INSERT evicts nothing.
-func (c *Connection) EnablePlanCache(on bool) { c.Framework.DisablePlanCache = !on }
-
-// SetPlanCacheSize bounds the prepared-plan cache's entry count (<= 0
-// restores the default).
-func (c *Connection) SetPlanCacheSize(n int) { c.Framework.PlanCacheSize = n }
-
 // EnableFeedback toggles the cardinality-feedback loop (default on): every
 // traced execution's actual per-operator row counts are harvested against
 // the optimizer's estimates, repeated executions of a statement whose

@@ -88,12 +88,6 @@ type Framework struct {
 	Delta float64
 	// DisableLogicalPhase skips logical rewrites (for ablations).
 	DisableLogicalPhase bool
-	// DisableJoinReorder skips the cost-based join-order enumeration phase
-	// (MultiJoin collapse + LoptOptimizeJoinRule) that follows the logical
-	// rewrites.
-	DisableJoinReorder bool
-	// MetadataCache toggles the metadata memo cache (experiment E8).
-	MetadataCache bool
 	// BatchSize overrides the execution engine's rows-per-batch; <= 0 uses
 	// schema.DefaultBatchSize.
 	BatchSize int
@@ -186,7 +180,6 @@ func NewChecked() (*Framework, error) {
 		LogicalRules:  rules.DefaultLogicalRules(),
 		PhysicalRules: exec.Rules(),
 		Providers:     []meta.Provider{exec.MetadataProvider()},
-		MetadataCache: true,
 		Views:         mv.NewRegistry(),
 	}
 	if s := os.Getenv("CALCITE_MEM_LIMIT"); s != "" {
@@ -323,7 +316,6 @@ func (f *Framework) planState() (*PlanCache, *feedback.Store) {
 // provider: an observed row count beats any estimate.
 func (f *Framework) NewMetaQuery() *meta.Query {
 	q := meta.NewQuery(f.Providers...)
-	q.CacheEnabled = f.MetadataCache
 	if fb := f.feedbackIfEnabled(); fb != nil {
 		q.Prepend(fb.MetaProvider())
 	}
@@ -428,9 +420,6 @@ func (f *Framework) substitutionRules(mq *meta.Query) []plan.Rule {
 // not re-trigger the collapse. It also returns how many binary joins the
 // enumeration costed.
 func (f *Framework) reorderJoins(node rel.Node, mq *meta.Query) (rel.Node, int64) {
-	if f.DisableJoinReorder {
-		return node, 0
-	}
 	collapse, order, candidates := rules.JoinOrderRules()
 	hepCollapse := plan.NewHepPlanner(collapse...)
 	hepCollapse.Meta = mq
