@@ -1,12 +1,13 @@
 package calcite_test
 
-// Streaming soak: the CI streaming-soak job replays a bounded-skew event
-// stream through the avatica serving tier — repeatedly, concurrently, with
-// pagination, under a state budget small enough to spill standing window
-// state — and holds the three industrial contracts of a continuous query:
+// Streaming soak: replays a bounded-skew event stream through the avatica
+// serving tier — repeatedly, concurrently, with pagination, under a state
+// budget small enough to spill standing window state — and holds the three
+// industrial contracts of a continuous query:
 //
-//  1. every result set served over the wire matches the row-mode batch
-//     oracle exactly (lateness covers the replay skew, so nothing drops);
+//  1. every result set served over the wire matches the row-mode streaming
+//     oracle (internal/stream) exactly (lateness covers the replay skew, so
+//     nothing drops);
 //  2. the watermark-lag series on /metrics is live and nonzero while
 //     emission is governed by an allowed lateness;
 //  3. canceling an in-flight continuous query leaks nothing: no prepared
