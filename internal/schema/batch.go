@@ -133,7 +133,8 @@ func (b *Batch) Compact() *Batch {
 // BatchFromRows transposes row-major rows into a dense batch of the given
 // width (width matters when rows is empty or rows are zero-width). The
 // columns are VecAny: nothing inspects the values here; consumers that want
-// typed storage (sort intake, spill codec, join build) detect it themselves.
+// typed storage (the sort, window and join intake, the spill codec) detect it
+// themselves.
 func BatchFromRows(rows [][]any, width int) *Batch {
 	vecs := make([]*Vector, width)
 	for c := range vecs {
