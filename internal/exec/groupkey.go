@@ -689,13 +689,14 @@ func keyIsNull(vecs []*schema.Vector, r int, keys []int) bool {
 // on key columns keys — none when a key is NULL. buf is key-encoding scratch,
 // returned for reuse.
 func (t *joinTable) probe(vecs []*schema.Vector, r int, keys []int, buf []byte) ([]int32, []byte) {
-	if keyIsNull(vecs, r, keys) {
-		return nil, buf
-	}
 	if t.single != nil {
+		// A NULL key finds nothing: NULL build keys were never entered.
 		if ord, _ := t.single.ordVec(vecs[keys[0]], r); ord >= 0 {
 			return t.byOrd[ord], buf
 		}
+		return nil, buf
+	}
+	if keyIsNull(vecs, r, keys) {
 		return nil, buf
 	}
 	buf = schema.RowKey(buf[:0], vecs, r, keys)

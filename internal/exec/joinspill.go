@@ -274,13 +274,12 @@ type hashProbeCursor struct {
 	matched  []bool // build rows matched so far (right/full)
 	probe    schema.BatchCursor
 	dense    []int32
-	cands    [][]int32 // scratch: candidate build rows per live probe row
-	pairL    []int32   // scratch: probe row per candidate pair (residual)
-	pairR    []int32   // scratch: build row per candidate pair (residual)
-	gatherL  []int32   // scratch: probe row per output row
-	gatherR  []int32   // scratch: build ordinal per output row (-1 = NULL pad)
-	keyBuf   []byte    // composite probe-key encoding scratch
-	seq      int64     // sequence number of the unmatched-build tail batch
+	pairL    []int32 // scratch: probe row per candidate pair (residual)
+	pairR    []int32 // scratch: build row per candidate pair (residual)
+	gatherL  []int32 // scratch: probe row per output row
+	gatherR  []int32 // scratch: build ordinal per output row (-1 = NULL pad)
+	keyBuf   []byte  // composite probe-key encoding scratch
+	seq      int64   // sequence number of the unmatched-build tail batch
 	tailSent bool
 	closed   bool
 	done     func()
@@ -354,26 +353,25 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 	spec := c.spec
 	var sel []int32
 	sel, c.dense = liveSel(b, c.dense)
-	c.cands, c.pairL, c.pairR = c.cands[:0], c.pairL[:0], c.pairR[:0]
-	for _, li := range sel {
-		var cands []int32
-		cands, c.keyBuf = c.build.table.probe(b.Vecs, int(li), spec.info.LeftKeys, c.keyBuf)
-		c.cands = append(c.cands, cands)
-		if spec.residual != nil {
+	var pairs []*schema.Vector // the candidate pairs as the residual's input rows
+	if spec.residual != nil {
+		c.pairL, c.pairR = c.pairL[:0], c.pairR[:0]
+		for _, li := range sel {
+			var cands []int32
+			cands, c.keyBuf = c.build.table.probe(b.Vecs, int(li), spec.info.LeftKeys, c.keyBuf)
 			for _, ri := range cands {
 				c.pairL, c.pairR = append(c.pairL, li), append(c.pairR, ri)
 			}
 		}
-	}
-	var pairs []*schema.Vector // the candidate pairs as the residual's input rows
-	if spec.residual != nil {
 		pairs = c.columns(b, c.pairL, c.pairR, true)
 	}
 	gl, gr := c.gatherL[:0], c.gatherR[:0]
 	p := 0 // the pair of the current probe row's first candidate
-	for i, li := range sel {
+	for _, li := range sel {
+		var cands []int32
+		cands, c.keyBuf = c.build.table.probe(b.Vecs, int(li), spec.info.LeftKeys, c.keyBuf)
 		matched := false
-		for k, ri := range c.cands[i] {
+		for k, ri := range cands {
 			if spec.residual != nil {
 				ok, err := spec.residual(pairs, p+k)
 				if err != nil {
@@ -392,7 +390,7 @@ func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 			}
 			gl, gr = append(gl, li), append(gr, ri)
 		}
-		p += len(c.cands[i])
+		p += len(cands)
 		// A semi join emits a matched probe row once; anti, left and full
 		// joins an unmatched one.
 		switch k := spec.kind; {
