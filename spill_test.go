@@ -23,8 +23,9 @@ import (
 
 // spillBudget is far below the diffConn working set (the sales table alone
 // materializes at a few hundred KiB), so sorts, joins and aggregates over
-// it must spill.
-const spillBudget = 64 << 10
+// it must spill. A join build is charged what its vectors hold, which
+// TestSpillAndInMemoryAgree checks still exceeds this budget.
+const spillBudget = 40 << 10
 
 // TestSpillAndInMemoryAgree runs the shared SQL corpus limited vs unlimited
 // at parallelism 1 and 4. ORDER BY queries must match in order (the suite's
@@ -35,11 +36,12 @@ func TestSpillAndInMemoryAgree(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		ref := diffConn()
 		ref.SetParallelism(par)
-		// A quarter of the working set, and the CI low-memory job's 256 KB.
+		// Far below the working set, and the CI low-memory job's 256 KB.
 		for _, budget := range []int64{spillBudget, 256 << 10} {
 			limited := diffConn()
 			limited.SetParallelism(par)
 			limited.SetMemoryLimit(budget)
+			joinSpills := 0
 			for _, q := range diffQueries {
 				rr, rerr := ref.Query(q.sql, q.params...)
 				lr, lerr := limited.Query(q.sql, q.params...)
@@ -50,6 +52,7 @@ func TestSpillAndInMemoryAgree(t *testing.T) {
 				if rerr != nil {
 					continue
 				}
+				joinSpills += hashJoinSpills(limited.LastTraces(1)[0].Spans)
 				a, b := renderRows(lr.Rows), renderRows(rr.Rows)
 				if !strings.Contains(strings.ToUpper(q.sql), "ORDER BY") {
 					sort.Strings(a)
@@ -58,6 +61,9 @@ func TestSpillAndInMemoryAgree(t *testing.T) {
 				if !reflect.DeepEqual(a, b) {
 					t.Errorf("p=%d (budget=%d) %s\n  limited:   %v\n  unlimited: %v", par, budget, q.sql, a, b)
 				}
+			}
+			if budget == spillBudget && joinSpills == 0 {
+				t.Errorf("p=%d: no hash join of the corpus spilled under %d bytes", par, budget)
 			}
 		}
 	}
@@ -458,6 +464,21 @@ func spillEvents(s *obs.SpanStats) int {
 	n := s.SpillEvents
 	for _, c := range s.Children {
 		n += spillEvents(c)
+	}
+	return n
+}
+
+// hashJoinSpills counts the hash-join spans of a span tree that spilled.
+func hashJoinSpills(s *obs.SpanStats) int {
+	if s == nil {
+		return 0
+	}
+	n := 0
+	if strings.Contains(s.Name, "HashJoin") && s.SpillEvents > 0 {
+		n++
+	}
+	for _, c := range s.Children {
+		n += hashJoinSpills(c)
 	}
 	return n
 }
