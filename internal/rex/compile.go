@@ -25,18 +25,11 @@ import (
 // physical row r (no row assembly needed).
 type ColFn func(vecs []*schema.Vector, r int) (any, error)
 
-// evalFn is the internal compiled form.
-type evalFn func(cols []*schema.Vector, r int) (any, error)
-
 // CompileCols lowers n into a closure over a batch's vectors. It returns an
 // error if n contains an unbound dynamic parameter or an operator with no
 // implementation.
 func CompileCols(n Node) (ColFn, error) {
-	f, err := lower(n)
-	if err != nil {
-		return nil, err
-	}
-	return ColFn(f), nil
+	return lower(n)
 }
 
 // CompileColsBool lowers a predicate with filter semantics: NULL and
@@ -64,7 +57,7 @@ func CompileColsBool(n Node) (func(vecs []*schema.Vector, r int) (bool, error), 
 }
 
 // lower compiles one node into its closure form.
-func lower(n Node) (evalFn, error) {
+func lower(n Node) (ColFn, error) {
 	switch x := n.(type) {
 	case *Literal:
 		v := x.Value
@@ -89,8 +82,8 @@ func lower(n Node) (evalFn, error) {
 	return nil, fmt.Errorf("rex: cannot compile %T", n)
 }
 
-func lowerOperands(c *Call) ([]evalFn, error) {
-	fns := make([]evalFn, len(c.Operands))
+func lowerOperands(c *Call) ([]ColFn, error) {
+	fns := make([]ColFn, len(c.Operands))
 	for i, o := range c.Operands {
 		f, err := lower(o)
 		if err != nil {
@@ -101,7 +94,7 @@ func lowerOperands(c *Call) ([]evalFn, error) {
 	return fns, nil
 }
 
-func lowerCall(c *Call) (evalFn, error) {
+func lowerCall(c *Call) (ColFn, error) {
 	switch c.Op {
 	case OpAnd:
 		fns, err := lowerOperands(c)
@@ -313,7 +306,7 @@ func cmpPred(op *Operator) func(c int) bool {
 	return nil
 }
 
-func lowerCompare(c *Call, pred func(int) bool) (evalFn, error) {
+func lowerCompare(c *Call, pred func(int) bool) (ColFn, error) {
 	a, err := lower(c.Operands[0])
 	if err != nil {
 		return nil, err
@@ -354,7 +347,7 @@ func lowerCompare(c *Call, pred func(int) bool) (evalFn, error) {
 	}, nil
 }
 
-func lowerArith(c *Call) (evalFn, error) {
+func lowerArith(c *Call) (ColFn, error) {
 	a, err := lower(c.Operands[0])
 	if err != nil {
 		return nil, err
