@@ -241,6 +241,29 @@ var diffQueries = []struct {
 	// the Go type of its first value, so a DOUBLE column whose first value
 	// is a BIGINT came back with every later fraction truncated (0.5 as 0).
 	{sql: "SELECT k, v FROM mixed WHERE k >= 300 ORDER BY k"},
+	// The operators that once ran row at a time. Set ops: the ALL variants
+	// with duplicates and NULLs on both sides, an int meeting its integral
+	// float, empty sides. Joins without equi keys: a `<` condition of every
+	// outer kind whose 500-row build side exceeds the 32 KB budgets, a cross
+	// join, and an equi-join the planner runs as a nested loop. VALUES with
+	// expressions, NULLs and more rows than a 3-row batch.
+	{sql: "SELECT deptno FROM emps INTERSECT ALL SELECT deptno FROM emps WHERE empid <> 3"},
+	{sql: "SELECT deptno FROM emps EXCEPT ALL SELECT deptno FROM emps WHERE empid IN (1, 5)"},
+	{sql: "SELECT v FROM mixed WHERE k BETWEEN 300 AND 345 INTERSECT ALL SELECT v FROM mixed WHERE k BETWEEN 320 AND 420"},
+	{sql: "SELECT v FROM mixed WHERE k BETWEEN 300 AND 420 EXCEPT ALL SELECT v FROM mixed WHERE k BETWEEN 330 AND 360"},
+	{sql: "SELECT sal FROM emps INTERSECT SELECT v * 50 FROM mixed WHERE k IN (302, 303, 306, 312, 315)"},
+	{sql: "SELECT v FROM mixed WHERE k IN (300, 302, 303, 306, 309) EXCEPT SELECT sal / 50 FROM emps"},
+	{sql: "SELECT deptno FROM depts EXCEPT SELECT deptno FROM emps WHERE empid < 0"},
+	{sql: "SELECT deptno FROM emps WHERE empid < 0 UNION SELECT deptno FROM depts"},
+	{sql: "SELECT deptno FROM depts INTERSECT ALL SELECT deptno FROM emps WHERE empid < 0"},
+	{sql: "SELECT a.id, b.id, b.tag FROM (SELECT id FROM events WHERE id < 12) a JOIN (SELECT id, tag, grp FROM events WHERE id < 500) b ON b.id < a.id"},
+	{sql: "SELECT a.id, b.id, b.tag FROM (SELECT id FROM events WHERE id < 12) a LEFT JOIN (SELECT id, tag, grp FROM events WHERE id < 500) b ON b.id < a.id"},
+	{sql: "SELECT b.grp, COUNT(*), COUNT(a.id), SUM(a.id), SUM(b.id), MAX(b.tag) FROM (SELECT id FROM events WHERE id < 12) a RIGHT JOIN (SELECT id, tag, grp FROM events WHERE id < 500) b ON b.id < a.id GROUP BY b.grp"},
+	{sql: "SELECT b.grp, COUNT(*), COUNT(a.id), SUM(a.id), SUM(b.id), MAX(b.tag) FROM (SELECT id FROM events WHERE id < 12) a FULL JOIN (SELECT id, tag, grp FROM events WHERE id < 500) b ON b.id < a.id GROUP BY b.grp"},
+	{sql: "SELECT e.name, d.dname FROM emps e CROSS JOIN depts d"},
+	{sql: "SELECT e.name, d.dname FROM emps e JOIN depts d ON e.deptno = d.deptno WHERE e.empid = 2"},
+	{sql: "VALUES (1, 'a', 1.5), (2 + 3, NULL, 2.0), (3, 'c', NULL), (4 * 2, 'd', 4.5), (5, UPPER('e'), -1.0)"},
+	{sql: "VALUES (?, 'p'), (? + 1, NULL), (3, 'r'), (4, 's')", params: []any{int64(7), int64(7)}},
 }
 
 // TestParallelModesAgree runs the SQL suite at parallelism 1, 4 and 8 and
