@@ -186,12 +186,18 @@ func (c *toEnumerable) WithNewInputs(inputs []rel.Node) rel.Node { return c.adap
 // convention converter (serialization IO at the engine boundary).
 func (c *toEnumerable) Unwrap() rel.Node { return c.Converter }
 
-func (c *toEnumerable) Bind(ctx *exec.Context) (schema.Cursor, error) {
+// BindBatch runs the subtree, parameters bound, in the backend and lifts the
+// rows it returns into batches.
+func (c *toEnumerable) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	bound, err := exec.BindPlanParams(ctx, c.Inputs()[0])
 	if err != nil {
 		return nil, err
 	}
-	return c.adapter.run(bound)
+	cur, err := c.adapter.run(bound)
+	if err != nil {
+		return nil, err
+	}
+	return schema.BatchCursorFromCursor(cur, rel.FieldCount(c), ctx.BatchSize), nil
 }
 
 // run executes a bound subtree of the backend's convention. A subtree that

@@ -551,7 +551,7 @@ func (f *Framework) executeCachedPlan(sql string, ent *planEntry, opts ExecOptio
 	tr.Cached = true
 	ctx := f.newExecContext(opts)
 	defer ctx.Alloc.Close()
-	ctx.Evaluator.Params = opts.Params
+	ctx.Params = opts.Params
 	prepared := f.attachTrace(ctx, tr, ent.plan, ent.est)
 	t := time.Now()
 	rows, err := f.run(ctx, prepared, modifyTarget(ent.plan))
@@ -592,7 +592,7 @@ func (f *Framework) runTraced(tr *obs.QueryTrace, stmt parser.Statement, opts Ex
 	// the query's grants return to the pool and its spill directory is
 	// removed.
 	defer ctx.Alloc.Close()
-	ctx.Evaluator.Params = opts.Params
+	ctx.Params = opts.Params
 	prepared := f.attachTrace(ctx, tr, physical, est)
 	t2 := time.Now()
 	rows, err := f.run(ctx, prepared, modifyTarget(physical))

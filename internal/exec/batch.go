@@ -1,13 +1,11 @@
 package exec
 
-// Batch binding: the execution engine of the enumerable convention. Scan,
-// Filter, Project, HashJoin, Aggregate, Sort, Window and StreamAgg process
-// column-major schema.Batch values — filters narrow selection vectors,
-// projections evaluate typed vector kernels or compiled closures per column,
-// and the hash join probes a batch at a time. The operators without a batch
-// form (Values, set ops, nested-loop join, TableModify, adapters' backend
-// cursors) keep their row contract and are bridged through the batch/row
-// shims in package schema; each is the only implementation of its shapes.
+// Batch binding: the execution engine of the enumerable convention. Every
+// operator processes column-major schema.Batch values — filters and set ops
+// narrow selection vectors, projections evaluate typed vector kernels or
+// compiled closures per column, and both joins probe a batch at a time. Rows
+// are lifted into batches only where a table or an adapter's backend yields
+// rows (the shims in package schema), and boxed only where they leave.
 //
 // Expressions reach the kernel matcher and the compiler with the statement's
 // parameters already substituted as literals (Context.bindParams), so a batch
@@ -31,46 +29,26 @@ type BatchBound interface {
 	BindBatch(ctx *Context) (schema.BatchCursor, error)
 }
 
-// BindBatch binds a plan node as a batch cursor, lifting row-only nodes
-// through the row→batch shim.
+// BindBatch binds a plan node as a batch cursor, reporting a clear error for
+// unexecutable (non-enumerable) nodes.
 func BindBatch(ctx *Context, n rel.Node) (schema.BatchCursor, error) {
+	bb, ok := n.(BatchBound)
+	if !ok {
+		return nil, fmt.Errorf("exec: plan node %s is not executable (convention %s); optimize to the enumerable convention first",
+			n.Op(), n.Traits().String())
+	}
 	// Span elapsed is inclusive of the subtree (a pull through the wrapper
 	// times everything below it), so bind time — where materializing
 	// operators like sort and aggregate do their work — is charged the same
 	// inclusive way.
 	sp := ctx.SpanFor(n)
 	start := time.Now()
-	if bb, ok := n.(BatchBound); ok {
-		bc, err := bb.BindBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		sp.AddElapsed(time.Since(start))
-		return TraceBatch(sp, bc), nil
-	}
-	cur, err := bindRow(ctx, n)
+	bc, err := bb.BindBatch(ctx)
 	if err != nil {
 		return nil, err
 	}
-	bc := schema.BatchCursorFromCursor(cur, rel.FieldCount(n), ctx.batchSize())
 	sp.AddElapsed(time.Since(start))
 	return TraceBatch(sp, bc), nil
-}
-
-// drainBatches materializes every live row of a batch cursor and closes it.
-func drainBatches(bc schema.BatchCursor) ([][]any, error) {
-	defer bc.Close()
-	var rows [][]any
-	for {
-		b, err := bc.NextBatch()
-		if err == schema.Done {
-			return rows, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		rows = b.AppendRows(rows)
-	}
 }
 
 // batchesFromRows re-batches materialized rows (sort output, aggregates).
@@ -378,5 +356,6 @@ func (a *Aggregate) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	return NewGroupedAgg(ctx, "Aggregate", a, AggComplete).Drain(in, nil)
 }
 
-// HashJoin.BindBatch lives in joinspill.go: the streaming probe plus the
-// Grace/hybrid spill path of the memory governor.
+// HashJoin.BindBatch and NestedLoopJoin.BindBatch run the join kernel of
+// joinspill.go: the streaming probe plus the Grace/hybrid spill path of the
+// memory governor.

@@ -6,14 +6,13 @@
 // target of the framework.
 //
 // Every operator here is a rel.Node in the trait.Enumerable convention that
-// additionally implements exactly one of BatchBound (it produces column-major
-// batches: the vectorized engine) or Bound (it produces rows: the operators
-// without a batch form, which run behind the row/batch shims).
+// additionally implements BatchBound: it produces column-major batches. Rows
+// exist only where they leave the engine (Execute's drain, INSERT's write)
+// or enter it from a table or backend that yields them.
 package exec
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"calcite/internal/memory"
@@ -29,9 +28,9 @@ var ErrCanceled = errors.New("exec: query canceled")
 
 // Context carries per-query execution state.
 type Context struct {
-	// Evaluator evaluates row expressions (holds prepared-statement
-	// parameters).
-	Evaluator *rex.Evaluator
+	// Params holds the prepared statement's parameter values, substituted
+	// into expressions as literals before they compile (bindParams).
+	Params []any
 	// BatchSize overrides the rows-per-batch granularity; <= 0 uses
 	// schema.DefaultBatchSize.
 	BatchSize int
@@ -67,13 +66,13 @@ func (ctx *Context) Interrupted() bool {
 }
 
 // NewContext returns an execution context with no parameters.
-func NewContext() *Context { return &Context{Evaluator: &rex.Evaluator{}} }
+func NewContext() *Context { return &Context{} }
 
 // bindParams substitutes the statement's parameter values into e as literals.
 // Batch operators call it on every expression before matching a kernel or
 // compiling, so a prepared statement takes the same path as its literal twin.
 func (ctx *Context) bindParams(e rex.Node) (rex.Node, error) {
-	return rex.BindParams(e, ctx.Evaluator.Params)
+	return rex.BindParams(e, ctx.Params)
 }
 
 // BindPlanParams returns the subtree an adapter is about to render into its
@@ -123,48 +122,18 @@ func (ctx *Context) batchSize() int {
 	return schema.DefaultBatchSize
 }
 
-// Bound is an operator without a batch form: binding it yields a cursor over
-// its output rows.
-type Bound interface {
-	rel.Node
-	Bind(ctx *Context) (schema.Cursor, error)
-}
-
 // Execute binds root and drains it into a row slice.
 func Execute(ctx *Context, root rel.Node) ([][]any, error) {
-	// A batch-capable root drains column-major; a row-only root drains its
-	// row cursor directly (its batch-capable subtree still binds vectorized
-	// through BindNode), avoiding a pointless rows→batches→rows roundtrip.
-	if _, ok := root.(BatchBound); ok {
-		bc, err := BindBatch(ctx, root)
-		if err != nil {
-			return nil, err
-		}
-		return drainBatchesCtx(ctx, bc)
-	}
-	cur, err := BindNode(ctx, root)
+	bc, err := BindBatch(ctx, root)
 	if err != nil {
 		return nil, err
 	}
-	defer cur.Close()
-	var out [][]any
-	for {
-		if ctx.Interrupted() {
-			return nil, ErrCanceled
-		}
-		row, err := cur.Next()
-		if err == schema.Done {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
+	return drainBatches(ctx, bc)
 }
 
-// drainBatchesCtx is drainBatches with a per-batch interrupt check.
-func drainBatchesCtx(ctx *Context, bc schema.BatchCursor) ([][]any, error) {
+// drainBatches materializes every live row of a batch cursor and closes it,
+// checking ctx's interrupt flag between batches (a nil ctx never interrupts).
+func drainBatches(ctx *Context, bc schema.BatchCursor) ([][]any, error) {
 	defer bc.Close()
 	var rows [][]any
 	for {
@@ -179,50 +148,5 @@ func drainBatchesCtx(ctx *Context, bc schema.BatchCursor) ([][]any, error) {
 			return nil, err
 		}
 		rows = b.AppendRows(rows)
-	}
-}
-
-// BindNode binds a plan node as a row cursor, reporting a clear error for
-// unexecutable (non-enumerable) nodes. Batch-capable nodes bind vectorized
-// and are flattened through the row shim, so row-only consumers (set ops,
-// nested-loop join, adapters) still sit on a vectorized subtree.
-func BindNode(ctx *Context, n rel.Node) (schema.Cursor, error) {
-	if _, ok := n.(BatchBound); ok {
-		bc, err := BindBatch(ctx, n)
-		if err != nil {
-			return nil, err
-		}
-		return schema.RowCursorFromBatches(bc), nil
-	}
-	cur, err := bindRow(ctx, n)
-	if err != nil {
-		return nil, err
-	}
-	return traceRow(ctx.SpanFor(n), cur), nil
-}
-
-// bindRow binds a node strictly through its row-cursor contract.
-func bindRow(ctx *Context, n rel.Node) (schema.Cursor, error) {
-	b, ok := n.(Bound)
-	if !ok {
-		return nil, fmt.Errorf("exec: plan node %s is not executable (convention %s); optimize to the enumerable convention first",
-			n.Op(), n.Traits().String())
-	}
-	return b.Bind(ctx)
-}
-
-// drain materializes all rows of a cursor and closes it.
-func drain(cur schema.Cursor) ([][]any, error) {
-	defer cur.Close()
-	var rows [][]any
-	for {
-		row, err := cur.Next()
-		if err == schema.Done {
-			return rows, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
 	}
 }

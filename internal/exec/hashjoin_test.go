@@ -1,10 +1,12 @@
 package exec
 
-// TestHashJoinMatchesGo: the hash join against a nested loop in plain Go, in
+// TestHashJoinMatchesGo: the join kernel against a nested loop in plain Go, in
 // memory, on the Grace path and under a skewed key that repartitions down to
-// spillMaxDepth.
+// spillMaxDepth; and, as the nested-loop join with no equi keys, past a
+// denied grant in memory.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -177,9 +179,15 @@ func TestHashJoinMatchesGo(t *testing.T) {
 	}
 	keyShapes := [][][2]int{{{0, 0}}, {{1, 1}}, {{0, 0}, {1, 1}}}
 	kinds := []rel.JoinKind{rel.InnerJoin, rel.LeftJoin, rel.RightJoin, rel.FullJoin, rel.SemiJoin, rel.AntiJoin}
-	const budget = 16 << 10
-	for trial := 0; trial < 8; trial++ {
-		keys := keyShapes[trial%len(keyShapes)]
+	for trial := 0; trial < 12; trial++ {
+		// Trials 8-11 have no equi key: the nested-loop join, whose every
+		// build row is a candidate, over at most 30 x 150 rows and a budget
+		// the build outgrows.
+		keyless := trial >= 8
+		keys, budget := keyShapes[trial%len(keyShapes)], int64(16<<10)
+		if keyless {
+			keys, budget = nil, 4<<10
+		}
 		residual := trial%2 == 1
 		var conds []rex.Node
 		for _, k := range keys {
@@ -190,10 +198,12 @@ func TestHashJoinMatchesGo(t *testing.T) {
 		}
 		cond := rex.And(conds...)
 		nLeft, nRight := 1+rng.Intn(300), 400+rng.Intn(300)
-		switch trial {
-		case 6:
+		switch {
+		case keyless:
+			nLeft, nRight = 1+rng.Intn(30), 100+rng.Intn(51)
+		case trial == 6:
 			nLeft = 0
-		case 7:
+		case trial == 7:
 			nRight = 0
 		}
 		batch := []int{5, 64, 1024}[rng.Intn(3)]
@@ -209,27 +219,41 @@ func TestHashJoinMatchesGo(t *testing.T) {
 			if mode != "ungoverned" {
 				ctx.Alloc = memory.NewAllocator(nil, budget, true)
 			}
+			join := func(kind rel.JoinKind) BatchBound {
+				l, r := newBatchSource("l", lb), newBatchSource("r", rb)
+				if keyless {
+					return NewNestedLoopJoin(kind, l, r, cond)
+				}
+				return NewHashJoin(kind, l, r, cond)
+			}
 			for _, kind := range kinds {
 				name := fmt.Sprintf("trial %d %s %v keys=%v residual=%v left=%d right=%d batch=%d",
 					trial, mode, kind, keys, residual, len(lrows), len(rrows), batch)
-				j := NewHashJoin(kind, newBatchSource("l", lb), newBatchSource("r", rb), cond)
-				bc, err := j.BindBatch(ctx)
+				bc, err := join(kind).BindBatch(ctx)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if mode == "ungoverned" {
-					// A completed in-memory build is its vectors, charged once.
+				if mode == "ungoverned" || keyless {
+					// A completed in-memory build is its vectors, charged once
+					// when the budget allows; a keyless build that outgrows it
+					// is joined in memory anyway.
 					probe, ok := bc.(*hashProbeCursor)
 					if !ok {
-						t.Fatalf("%s: an ungoverned join returned %T", name, bc)
+						t.Fatalf("%s: an in-memory join returned %T", name, bc)
 					}
 					side := probe.build
 					want := vecsBytes(side.vecs, nil, side.n) + joinRowOverhead*int64(side.n)
-					if used := ctx.Alloc.Used(); used != want || side.n != len(rrows) {
-						t.Fatalf("%s: build of %d rows (want %d) holds %d bytes, want %d", name, side.n, len(rrows), used, want)
+					if side.n != len(rrows) {
+						t.Fatalf("%s: build of %d rows, want %d", name, side.n, len(rrows))
+					}
+					switch used := ctx.Alloc.Used(); {
+					case mode == "ungoverned" && used != want:
+						t.Fatalf("%s: build holds %d bytes, want %d", name, used, want)
+					case mode != "ungoverned" && want <= budget:
+						t.Fatalf("%s: a %d-byte build fits the %d-byte budget; no grant was denied", name, want, budget)
 					}
 				}
-				got, err := drainBatches(bc)
+				got, err := drainBatches(ctx, bc)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -244,14 +268,24 @@ func TestHashJoinMatchesGo(t *testing.T) {
 				if used := ctx.Alloc.Used(); used != 0 {
 					t.Fatalf("%s: %d bytes still reserved", name, used)
 				}
+				if keyless && mode != "ungoverned" {
+					// Without spilling, the denied grant is the answer.
+					strict := NewContext()
+					strict.Alloc = memory.NewAllocator(nil, budget, false)
+					if _, err := join(kind).BindBatch(strict); !errors.Is(err, memory.ErrBudgetExceeded) {
+						t.Fatalf("%s: with spill disabled, bind returned %v, want the budget error", name, err)
+					}
+					checkReleased(t, name+" spill disabled", strict.Alloc)
+				}
 			}
-			st := ctx.Alloc.Snapshot()
-			events := 0
-			for _, s := range st {
-				events += s.SpillEvents
+			events, files := 0, 0
+			for _, s := range ctx.Alloc.Snapshot() {
+				events, files = events+s.SpillEvents, files+s.SpillFiles
 			}
 			switch {
-			case nRight == 0:
+			case keyless && (events != 0 || files != 0):
+				t.Errorf("trial %d %s: a join without equi keys spilled (%d events, %d run files)", trial, mode, events, files)
+			case keyless, nRight == 0:
 			case mode == "grace" && events == 0:
 				t.Errorf("trial %d: a %d-byte budget did not force Grace over %d build rows", trial, budget, len(rrows))
 			case mode == "skewed" && events < len(kinds)*spillMaxDepth:

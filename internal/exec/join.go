@@ -73,7 +73,10 @@ func (j *HashJoin) Unwrap() rel.Node {
 	return rel.NewJoin(j.Kind, j.Left(), j.Right(), j.Condition)
 }
 
-// NestedLoopJoin is the enumerable general-condition join.
+// NestedLoopJoin is the enumerable general-condition join: the join the
+// planner costs as comparing every pair of rows. It executes on the hash
+// join's kernel — equi conjuncts of its condition, if any, are hashed and
+// the rest is the compiled residual over candidate pairs.
 type NestedLoopJoin struct {
 	*rel.Join
 }
@@ -92,79 +95,9 @@ func (j *NestedLoopJoin) Unwrap() rel.Node {
 	return rel.NewJoin(j.Kind, j.Left(), j.Right(), j.Condition)
 }
 
-// Bind materializes both inputs and tests the condition on every pair of
-// rows, padding or filtering by the join kind.
-func (j *NestedLoopJoin) Bind(ctx *Context) (schema.Cursor, error) {
-	leftCur, err := BindNode(ctx, j.Left())
-	if err != nil {
-		return nil, err
-	}
-	leftRows, err := drain(leftCur)
-	if err != nil {
-		return nil, err
-	}
-	rightCur, err := BindNode(ctx, j.Right())
-	if err != nil {
-		return nil, err
-	}
-	rightRows, err := drain(rightCur)
-	if err != nil {
-		return nil, err
-	}
-
-	leftWidth := rel.FieldCount(j.Left())
-	rightWidth := rel.FieldCount(j.Right())
-	concat := func(l, r []any) []any {
-		out := make([]any, 0, leftWidth+rightWidth)
-		out = append(out, l...)
-		out = append(out, r...)
-		return out
-	}
-	nullRight := make([]any, rightWidth)
-	nullLeft := make([]any, leftWidth)
-
-	var out [][]any
-	rightMatched := make([]bool, len(rightRows))
-	for _, lrow := range leftRows {
-		matched := false
-		for ri, rrow := range rightRows {
-			if j.Condition != nil {
-				ok, err := ctx.Evaluator.EvalBool(j.Condition, concat(lrow, rrow))
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			matched = true
-			rightMatched[ri] = true
-			if j.Kind == rel.SemiJoin || j.Kind == rel.AntiJoin {
-				break // one match decides; the left row is emitted below
-			}
-			out = append(out, concat(lrow, rrow))
-		}
-		switch j.Kind {
-		case rel.SemiJoin:
-			if matched {
-				out = append(out, append([]any(nil), lrow...))
-			}
-		case rel.AntiJoin:
-			if !matched {
-				out = append(out, append([]any(nil), lrow...))
-			}
-		case rel.LeftJoin, rel.FullJoin:
-			if !matched {
-				out = append(out, concat(lrow, nullRight))
-			}
-		}
-	}
-	if j.Kind == rel.RightJoin || j.Kind == rel.FullJoin {
-		for ri, rrow := range rightRows {
-			if !rightMatched[ri] {
-				out = append(out, concat(nullLeft, rrow))
-			}
-		}
-	}
-	return schema.NewSliceCursor(out), nil
+// BindBatch runs the join on the join kernel (bindJoin). Without an equi
+// conjunct every build row is a candidate; such a build cannot be split into
+// Grace partitions, so past a denied grant it finishes in memory.
+func (j *NestedLoopJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
+	return bindJoin(ctx, j.Join, AnalyzeJoin(j.Condition, rel.FieldCount(j.Left())), "NestedLoopJoin", nil)
 }

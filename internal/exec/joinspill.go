@@ -36,6 +36,9 @@ const (
 	// beyond what its vectors hold (map entry, candidate-list slot, key
 	// string): a build is charged vecsBytes plus this per row.
 	joinRowOverhead = 64
+	// residualChunk bounds the candidate pairs a probe gathers for one
+	// evaluation of the residual (one probe row's candidates may exceed it).
+	residualChunk = 4096
 )
 
 // joinSpec carries the static shape of a hash join shared by the in-memory
@@ -49,17 +52,24 @@ type joinSpec struct {
 	residual   func(vecs []*schema.Vector, r int) (bool, error)
 }
 
-// BindBatch executes the hash join with a streaming probe: the build
-// (right) side is drained into a hash table — spilling to Grace partitions
-// when the memory grant runs out — then probe batches stream through,
-// emitting one output batch per probe batch. Unmatched build rows
-// (right/full joins) follow after the probe is exhausted.
+// BindBatch executes the hash join on the join kernel (bindJoin).
 func (j *HashJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
+	return bindJoin(ctx, j.Join, j.Info, "HashJoin", func() { j.noteBuildOvershoot(ctx) })
+}
+
+// bindJoin runs j with a streaming probe: the build (right) side is drained
+// into a hash table on info's equi keys — with none, every build row is a
+// candidate of every probe row — spilling to Grace partitions when the memory
+// grant runs out; then probe batches stream through, emitting one output
+// batch per probe batch. Unmatched build rows (right/full joins) follow after
+// the probe is exhausted. built, when non-nil, runs once the build stream has
+// been drained.
+func bindJoin(ctx *Context, j *rel.Join, info JoinInfo, op string, built func()) (schema.BatchCursor, error) {
 	buildBC, err := BindBatch(ctx, j.Right())
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewJoinBuild(ctx, j, "HashJoin")
+	b, err := NewJoinBuild(ctx, j, info, op)
 	if err != nil {
 		buildBC.Close()
 		return nil, err
@@ -73,14 +83,16 @@ func (j *HashJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	bindProbe := func() (schema.BatchCursor, error) { return BindBatch(ctx, j.Left()) }
 	if !exhausted {
 		cur, err := b.Grace(buildBC, bindProbe)
-		if err == nil {
+		if err == nil && built != nil {
 			// The Grace path drains the rest of the build stream into partitions
 			// at bind time, so the build child's span rows are complete here too.
-			j.noteBuildOvershoot(ctx)
+			built()
 		}
 		return cur, err
 	}
-	j.noteBuildOvershoot(ctx)
+	if built != nil {
+		built()
+	}
 	probeBC, err := bindProbe()
 	if err != nil {
 		b.Abandon()
@@ -94,17 +106,25 @@ func (j *HashJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 // per build partition on its own worker, a probe cursor per probe partition).
 // Build batches are kept as compacted, typed vectors (the intake of sort and
 // window) and charged to one reservation; the first denied grant halts every
-// Drain and the join finishes on the Grace path.
+// Drain and the join finishes on the Grace path — unless the build is
+// inMemory.
 type JoinBuild struct {
 	ctx  *Context
 	op   string // reservation and spill-run tag
 	spec *joinSpec
 
+	// inMemory builds cannot be split further: a join without equi keys
+	// (Grace partitions by key) and a Grace partition at the maximum depth.
+	// A denied grant does not halt them; they finish in memory, uncharged
+	// from then on, and write no run.
+	inMemory bool
+
 	halt atomic.Bool // a grant was denied or a Drain failed: stop draining
 
-	mu     sync.Mutex // guards res and chunks across concurrent Drains
-	res    *memory.Reservation
-	chunks []buildChunk
+	mu        sync.Mutex // guards res, uncharged and chunks across concurrent Drains
+	res       *memory.Reservation
+	uncharged bool // an inMemory build was denied a grant: charge nothing more
+	chunks    []buildChunk
 
 	open atomic.Int32 // probe cursors still reading the table
 }
@@ -116,18 +136,18 @@ type buildChunk struct {
 	part int
 }
 
-// NewJoinBuild opens the build phase of j, charging the context's allocator
-// under the operator tag op.
-func NewJoinBuild(ctx *Context, j *HashJoin, op string) (*JoinBuild, error) {
+// NewJoinBuild opens the build phase of j, split by info into equi keys and
+// residual, charging the context's allocator under the operator tag op.
+func NewJoinBuild(ctx *Context, j *rel.Join, info JoinInfo, op string) (*JoinBuild, error) {
 	spec := &joinSpec{
 		kind:       j.Kind,
-		info:       j.Info,
+		info:       info,
 		leftWidth:  rel.FieldCount(j.Left()),
 		rightWidth: rel.FieldCount(j.Right()),
 		emitRight:  j.Kind != rel.SemiJoin && j.Kind != rel.AntiJoin,
 	}
-	if j.Info.Residual != nil {
-		cond, err := ctx.bindParams(j.Info.Residual)
+	if info.Residual != nil {
+		cond, err := ctx.bindParams(info.Residual)
 		if err == nil {
 			spec.residual, err = rex.CompileColsBool(cond)
 		}
@@ -135,13 +155,15 @@ func NewJoinBuild(ctx *Context, j *HashJoin, op string) (*JoinBuild, error) {
 			return nil, err
 		}
 	}
-	return &JoinBuild{ctx: ctx, op: op, spec: spec, res: memory.Reserve(ctx.Alloc, op)}, nil
+	return &JoinBuild{ctx: ctx, op: op, spec: spec, res: memory.Reserve(ctx.Alloc, op),
+		inMemory: len(info.RightKeys) == 0}, nil
 }
 
 // Drain buffers the batches of build partition idx until it is exhausted —
 // the only case in which Drain closes it — or the build halts: a denied grant
-// or an error, here or in a concurrent Drain. A halted partition stays open
-// for the Grace path (or the caller's cleanup).
+// (of a build that is not inMemory) or an error, here or in a concurrent
+// Drain. A halted partition stays open for the Grace path (or the caller's
+// cleanup).
 func (b *JoinBuild) Drain(part schema.BatchCursor, idx int) (exhausted bool, err error) {
 	for !b.halt.Load() {
 		batch, err := part.NextBatch()
@@ -158,7 +180,12 @@ func (b *JoinBuild) Drain(part schema.BatchCursor, idx int) (exhausted bool, err
 		}
 		c := buildChunk{&schema.Batch{Len: live.Len, Vecs: batchVecs(live), Seq: batch.Seq}, idx}
 		b.mu.Lock()
-		err = b.res.Grow(vecsBytes(c.Vecs, nil, c.Len) + joinRowOverhead*int64(c.Len))
+		if !b.uncharged {
+			err = b.res.Grow(vecsBytes(c.Vecs, nil, c.Len) + joinRowOverhead*int64(c.Len))
+			if err != nil && b.inMemory && b.res.SpillAllowed() {
+				b.uncharged, err = true, nil
+			}
+		}
 		// A denied batch stays buffered: the Grace path takes over from the
 		// next batch of the build cursor.
 		b.chunks = append(b.chunks, c)
@@ -348,54 +375,65 @@ func (c *hashProbeCursor) NextBatch() (*schema.Batch, error) {
 // probeBatch joins one probe batch against the table; a nil batch means no
 // output rows (caller keeps pulling). The output is recorded as (probe row,
 // build ordinal) pairs — a build ordinal of -1 is the outer-join NULL pad —
-// and then gathered.
+// and then gathered. A residual is evaluated over the candidate pairs of a
+// run of probe rows at a time, gathered as its input rows: a run ends once it
+// holds residualChunk pairs, so a join without equi keys, where every build
+// row is a candidate, never gathers a whole batch's cross product.
 func (c *hashProbeCursor) probeBatch(b *schema.Batch) (*schema.Batch, error) {
 	spec := c.spec
 	var sel []int32
 	sel, c.dense = liveSel(b, c.dense)
-	var pairs []*schema.Vector // the candidate pairs as the residual's input rows
-	if spec.residual != nil {
-		c.pairL, c.pairR = c.pairL[:0], c.pairR[:0]
-		for _, li := range sel {
+	gl, gr := c.gatherL[:0], c.gatherR[:0]
+	for len(sel) > 0 {
+		run := sel
+		var pairs []*schema.Vector // the run's candidate pairs (residual only)
+		if spec.residual != nil {
+			c.pairL, c.pairR = c.pairL[:0], c.pairR[:0]
+			for k, li := range sel {
+				if len(c.pairL) >= residualChunk {
+					run = sel[:k]
+					break
+				}
+				var cands []int32
+				cands, c.keyBuf = c.build.table.probe(b.Vecs, int(li), spec.info.LeftKeys, c.keyBuf)
+				for _, ri := range cands {
+					c.pairL, c.pairR = append(c.pairL, li), append(c.pairR, ri)
+				}
+			}
+			pairs = c.columns(b, c.pairL, c.pairR, true)
+		}
+		sel = sel[len(run):]
+		p := 0 // the pair of the current probe row's first candidate
+		for _, li := range run {
 			var cands []int32
 			cands, c.keyBuf = c.build.table.probe(b.Vecs, int(li), spec.info.LeftKeys, c.keyBuf)
-			for _, ri := range cands {
-				c.pairL, c.pairR = append(c.pairL, li), append(c.pairR, ri)
-			}
-		}
-		pairs = c.columns(b, c.pairL, c.pairR, true)
-	}
-	gl, gr := c.gatherL[:0], c.gatherR[:0]
-	p := 0 // the pair of the current probe row's first candidate
-	for _, li := range sel {
-		var cands []int32
-		cands, c.keyBuf = c.build.table.probe(b.Vecs, int(li), spec.info.LeftKeys, c.keyBuf)
-		matched := false
-		for k, ri := range cands {
-			if spec.residual != nil {
-				ok, err := spec.residual(pairs, p+k)
-				if err != nil {
-					return nil, err
+			matched := false
+			for k, ri := range cands {
+				if spec.residual != nil {
+					ok, err := spec.residual(pairs, p+k)
+					if err != nil {
+						return nil, err
+					}
+					if !ok {
+						continue
+					}
 				}
-				if !ok {
-					continue
+				matched = true
+				if c.matched != nil {
+					c.matched[ri] = true
 				}
+				if spec.kind == rel.SemiJoin || spec.kind == rel.AntiJoin {
+					break
+				}
+				gl, gr = append(gl, li), append(gr, ri)
 			}
-			matched = true
-			if c.matched != nil {
-				c.matched[ri] = true
+			p += len(cands)
+			// A semi join emits a matched probe row once; anti, left and full
+			// joins an unmatched one.
+			switch k := spec.kind; {
+			case k == rel.SemiJoin && matched, !matched && (k == rel.AntiJoin || k == rel.LeftJoin || k == rel.FullJoin):
+				gl, gr = append(gl, li), append(gr, -1)
 			}
-			if spec.kind == rel.SemiJoin || spec.kind == rel.AntiJoin {
-				break
-			}
-			gl, gr = append(gl, li), append(gr, ri)
-		}
-		p += len(cands)
-		// A semi join emits a matched probe row once; anti, left and full
-		// joins an unmatched one.
-		switch k := spec.kind; {
-		case k == rel.SemiJoin && matched, !matched && (k == rel.AntiJoin || k == rel.LeftJoin || k == rel.FullJoin):
-			gl, gr = append(gl, li), append(gr, -1)
 		}
 	}
 	c.gatherL, c.gatherR = gl, gr
@@ -685,19 +723,13 @@ func (g *graceJoinCursor) startPartition(part joinPartition) error {
 	if err != nil {
 		return err
 	}
-	build := &JoinBuild{spec: g.spec, res: g.res}
+	// At max depth this key range will not subdivide (skewed keys): it is
+	// joined in memory, and the budget becomes best-effort for it.
+	build := &JoinBuild{spec: g.spec, res: g.res, inMemory: part.depth >= spillMaxDepth}
 	exhausted, err := build.Drain(rr, 0)
 	if err == nil && !exhausted {
-		if part.depth < spillMaxDepth {
-			rr.Close()
-			return g.repartition(part)
-		}
-		// Max depth: this key range will not subdivide (skewed keys).
-		// Proceed in memory; the planner's budget becomes best-effort for
-		// this partition.
-		build.res = nil
-		build.halt.Store(false)
-		_, err = build.Drain(rr, 0)
+		rr.Close()
+		return g.repartition(part)
 	}
 	if err != nil {
 		rr.Close()

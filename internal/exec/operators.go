@@ -76,20 +76,22 @@ func (v *Values) WithNewInputs(inputs []rel.Node) rel.Node { return v }
 
 func (v *Values) Unwrap() rel.Node { return rel.NewValues(v.RowType(), v.Tuples) }
 
-func (v *Values) Bind(ctx *Context) (schema.Cursor, error) {
+// BindBatch evaluates every tuple, parameters bound, as constants.
+func (v *Values) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	rows := make([][]any, len(v.Tuples))
 	for i, t := range v.Tuples {
-		row := make([]any, len(t))
+		rows[i] = make([]any, len(t))
 		for j, e := range t {
-			val, err := ctx.Evaluator.Eval(e, nil)
+			e, err := ctx.bindParams(e)
+			if err == nil {
+				rows[i][j], err = rex.EvalConstant(e)
+			}
 			if err != nil {
 				return nil, err
 			}
-			row[j] = val
 		}
-		rows[i] = row
 	}
-	return schema.NewSliceCursor(rows), nil
+	return batchesFromRows(rows, rel.FieldCount(v), ctx.batchSize()), nil
 }
 
 // Sort is the enumerable sort with optional OFFSET/FETCH; with an empty
@@ -171,84 +173,142 @@ func (s *SetOp) WithNewInputs(inputs []rel.Node) rel.Node {
 
 func (s *SetOp) Unwrap() rel.Node { return rel.NewSetOp(s.Kind, s.All, s.Inputs()...) }
 
-func (s *SetOp) Bind(ctx *Context) (schema.Cursor, error) {
-	var inputs [][][]any
-	for _, in := range s.Inputs() {
-		cur, err := BindNode(ctx, in)
+// BindBatch streams the first input's batches — every input's, for UNION —
+// narrowing each batch's selection vector to the rows the operation keeps.
+// Rows are equal when their schema.RowKey over all columns is: NULL equals
+// NULL and 2 equals 2.0. INTERSECT and EXCEPT first count the second input's
+// rows; one count map then decides every variant, and UNION ALL passes
+// batches through.
+func (s *SetOp) BindBatch(ctx *Context) (schema.BatchCursor, error) {
+	c := &setOpCursor{kind: s.Kind, all: s.All, cols: make([]int, rel.FieldCount(s))}
+	for i := range c.cols {
+		c.cols[i] = i
+	}
+	inputs := s.Inputs()
+	if s.Kind != rel.UnionOp || !s.All {
+		c.counts = map[string]int{}
+	}
+	if s.Kind != rel.UnionOp {
+		bc, err := BindBatch(ctx, inputs[1])
 		if err != nil {
 			return nil, err
 		}
-		rows, err := drain(cur)
+		if err := c.count(bc); err != nil {
+			return nil, err
+		}
+		inputs = inputs[:1]
+	}
+	for _, in := range inputs {
+		bc, err := BindBatch(ctx, in)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.ins = append(c.ins, bc)
+	}
+	return c, nil
+}
+
+type setOpCursor struct {
+	kind   rel.SetOpKind
+	all    bool
+	cols   []int          // every column: a row's key spans them all
+	counts map[string]int // nil for UNION ALL
+	ins    []schema.BatchCursor
+	seq    int64 // the inputs' batches are renumbered as one source
+	key    []byte
+	dense  []int32
+	selBuf []int32
+}
+
+// count adds the rows of bc (closing it) to the count map.
+func (c *setOpCursor) count(bc schema.BatchCursor) error {
+	defer bc.Close()
+	for {
+		b, err := bc.NextBatch()
+		if err == schema.Done {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		var sel []int32
+		sel, c.dense = liveSel(b, c.dense)
+		for _, r := range sel {
+			c.key = schema.RowKey(c.key[:0], b.Vecs, int(r), c.cols)
+			c.counts[string(c.key)]++
+		}
+	}
+}
+
+// keep decides whether row r of vecs is emitted. For INTERSECT the count is
+// what the second input still has to match; for EXCEPT ALL, what it still
+// has to cancel; for UNION and EXCEPT a key is emitted at its first
+// occurrence unless counted, and counted from then on.
+func (c *setOpCursor) keep(vecs []*schema.Vector, r int32) bool {
+	c.key = schema.RowKey(c.key[:0], vecs, int(r), c.cols)
+	n := c.counts[string(c.key)]
+	switch {
+	case c.kind == rel.IntersectOp:
+		if n > 0 {
+			if c.all {
+				c.counts[string(c.key)] = n - 1
+			} else {
+				c.counts[string(c.key)] = 0
+			}
+		}
+		return n > 0
+	case c.all:
+		if n > 0 {
+			c.counts[string(c.key)] = n - 1
+		}
+		return n == 0
+	default:
+		if n == 0 {
+			c.counts[string(c.key)] = 1
+		}
+		return n == 0
+	}
+}
+
+func (c *setOpCursor) NextBatch() (*schema.Batch, error) {
+	for len(c.ins) > 0 {
+		b, err := c.ins[0].NextBatch()
+		if err == schema.Done {
+			c.ins[0].Close()
+			c.ins = c.ins[1:]
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
-		inputs = append(inputs, rows)
-	}
-	key := func(row []any) string {
-		cols := make([]int, len(row))
-		for i := range cols {
-			cols[i] = i
-		}
-		return types.HashRowKey(row, cols)
-	}
-	var out [][]any
-	switch s.Kind {
-	case rel.UnionOp:
-		seen := map[string]bool{}
-		for _, rows := range inputs {
-			for _, row := range rows {
-				if s.All {
-					out = append(out, row)
-					continue
-				}
-				k := key(row)
-				if !seen[k] {
-					seen[k] = true
-					out = append(out, row)
+		sel := b.Sel
+		if c.counts != nil {
+			var live []int32
+			live, c.dense = liveSel(b, c.dense)
+			sel = c.selBuf[:0]
+			for _, r := range live {
+				if c.keep(b.Vecs, r) {
+					sel = append(sel, r)
 				}
 			}
-		}
-	case rel.IntersectOp:
-		counts := map[string]int{}
-		for _, row := range inputs[1] {
-			counts[key(row)]++
-		}
-		emitted := map[string]bool{}
-		for _, row := range inputs[0] {
-			k := key(row)
-			if counts[k] > 0 {
-				if s.All {
-					counts[k]--
-					out = append(out, row)
-				} else if !emitted[k] {
-					emitted[k] = true
-					out = append(out, row)
-				}
-			}
-		}
-	case rel.MinusOp:
-		counts := map[string]int{}
-		for _, row := range inputs[1] {
-			counts[key(row)]++
-		}
-		emitted := map[string]bool{}
-		for _, row := range inputs[0] {
-			k := key(row)
-			if counts[k] > 0 {
-				if s.All {
-					counts[k]--
-				}
+			c.selBuf = sel
+			if len(sel) == 0 {
 				continue
 			}
-			if s.All {
-				out = append(out, row)
-			} else if !emitted[k] {
-				emitted[k] = true
-				out = append(out, row)
-			}
 		}
+		c.seq++
+		return &schema.Batch{Len: b.Len, Vecs: b.Vecs, Sel: sel, Seq: c.seq - 1}, nil
 	}
-	return schema.NewSliceCursor(out), nil
+	return nil, schema.Done
+}
+
+func (c *setOpCursor) Close() error {
+	for _, in := range c.ins {
+		in.Close()
+	}
+	c.ins = nil
+	return nil
 }
 
 // TableModify is the enumerable INSERT executor.
@@ -270,18 +330,19 @@ func (m *TableModify) Op() string { return "EnumerableTableModify" }
 
 func (m *TableModify) Traits() trait.Set { return enumerableTraits() }
 
-// Bind is the one place SQL writes enter a table: every value is assigned to
-// its column's declared type with CAST semantics (an integer widens into a
-// DOUBLE column, every integral Go kind becomes int64, NULL passes), so a
-// typed column stays typed however the statement spelled the value. A value
-// with no such conversion fails the statement and nothing is inserted. The
-// input rows may belong to a cached plan and are not written to.
-func (m *TableModify) Bind(ctx *Context) (schema.Cursor, error) {
-	in, err := BindNode(ctx, m.Inputs()[0])
+// BindBatch is the one place SQL writes enter a table: the input is drained
+// to rows, every value is assigned to its column's declared type with CAST
+// semantics (an integer widens into a DOUBLE column, every integral Go kind
+// becomes int64, NULL passes), so a typed column stays typed however the
+// statement spelled the value, and the rows are inserted. A value with no
+// such conversion fails the statement and nothing is inserted. The output is
+// one row: the inserted count.
+func (m *TableModify) BindBatch(ctx *Context) (schema.BatchCursor, error) {
+	in, err := BindBatch(ctx, m.Inputs()[0])
 	if err != nil {
 		return nil, err
 	}
-	rows, err := drain(in)
+	rows, err := drainBatches(ctx, in)
 	if err != nil {
 		return nil, err
 	}
@@ -290,17 +351,15 @@ func (m *TableModify) Bind(ctx *Context) (schema.Cursor, error) {
 		if len(row) != len(fields) {
 			continue // Insert reports the width
 		}
-		assigned := make([]any, len(row))
-		for c, v := range row {
-			if assigned[c], err = types.CoerceTo(v, fields[c].Type); err != nil {
+		for c, v := range row { // drained rows are this statement's own copies
+			if row[c], err = types.CoerceTo(v, fields[c].Type); err != nil {
 				return nil, fmt.Errorf("exec: INSERT INTO %s: row %d, column %s: %w",
 					m.Table.Name(), i, fields[c].Name, err)
 			}
 		}
-		rows[i] = assigned
 	}
 	if err := m.Table.Insert(rows); err != nil {
 		return nil, err
 	}
-	return schema.NewSliceCursor([][]any{{int64(len(rows))}}), nil
+	return batchesFromRows([][]any{{int64(len(rows))}}, 1, ctx.batchSize()), nil
 }

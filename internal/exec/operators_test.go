@@ -95,6 +95,9 @@ func TestSetOpsAllSemantics(t *testing.T) {
 	if got := len(run(t, exec.NewSetOp(rel.IntersectOp, false, scanOf(a), scanOf(b)))); got != 1 {
 		t.Errorf("INTERSECT: %d", got)
 	}
+	if got := len(run(t, exec.NewSetOp(rel.IntersectOp, true, scanOf(a), scanOf(b)))); got != 1 {
+		t.Errorf("INTERSECT ALL: %d", got)
+	}
 	if got := len(run(t, exec.NewSetOp(rel.MinusOp, false, scanOf(a), scanOf(b)))); got != 1 {
 		t.Errorf("EXCEPT: %d", got)
 	}

@@ -39,7 +39,7 @@ func TestParameterizedExpressionsRunVectorKernels(t *testing.T) {
 	prepared := plan(p0, p1)
 	for _, params := range [][]any{{int64(36), 2.0}, {int64(38), 0.5}} {
 		ctx := NewContext()
-		ctx.Evaluator.Params = params
+		ctx.Params = params
 		bc, err := prepared.BindBatch(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestParameterizedExpressionsRunVectorKernels(t *testing.T) {
 			t.Error("filter closure ran over a typed batch")
 			return false, nil
 		}
-		got, err := drainBatches(bc)
+		got, err := drainBatches(ctx, bc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestBindPlanParams(t *testing.T) {
 	before := rel.Digest(project)
 
 	ctx := NewContext()
-	ctx.Evaluator.Params = []any{int64(2), "x"}
+	ctx.Params = []any{int64(2), "x"}
 	bound, err := BindPlanParams(ctx, project)
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func genInput(rng *rand.Rand, kinds []string, n, batch, domain int, nullP float6
 // renderSorted boxes a cursor's output; NaN renders equal to itself.
 func renderSorted(t *testing.T, bc schema.BatchCursor) []string {
 	t.Helper()
-	rows, err := drainBatches(bc)
+	rows, err := drainBatches(nil, bc)
 	if err != nil {
 		t.Fatal(err)
 	}

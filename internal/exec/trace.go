@@ -1,12 +1,12 @@
 package exec
 
 // Operator tracing: when a query runs with a trace attached, BuildSpans
-// creates one obs.Span per plan node and the central binders (BindBatch /
-// BindNode) wrap each node's cursor so the span accumulates rows, batches
-// and elapsed time. Wrapping happens only in the central dispatchers —
-// operators that bind their children through direct method calls (exchange
-// internals, morsel views) stay unwrapped, so every delivered row is counted
-// exactly once per operator. Worker partitions of a parallel plan share the
+// creates one obs.Span per plan node and the central binder (BindBatch)
+// wraps each node's cursor so the span accumulates rows, batches and elapsed
+// time. Wrapping happens only in the central dispatcher — operators that
+// bind their children through direct method calls (exchange internals,
+// morsel views) stay unwrapped, so every delivered row is counted exactly
+// once per operator. Worker partitions of a parallel plan share the
 // node's single span; its counters are atomic.
 
 import (
@@ -104,41 +104,3 @@ func (t *tracedBatchCursor) NextBatch() (*schema.Batch, error) {
 }
 
 func (t *tracedBatchCursor) Close() error { return t.in.Close() }
-
-// traceRow wraps a row cursor so sp accumulates delivered rows. The row
-// path skips per-row clock reads (they would dominate the per-row work);
-// rows are counted locally and flushed to the span's atomic on Done/Close.
-func traceRow(sp *obs.Span, cur schema.Cursor) schema.Cursor {
-	if sp == nil {
-		return cur
-	}
-	return &tracedRowCursor{in: cur, sp: sp}
-}
-
-type tracedRowCursor struct {
-	in      schema.Cursor
-	sp      *obs.Span
-	pending int64
-}
-
-func (t *tracedRowCursor) Next() ([]any, error) {
-	row, err := t.in.Next()
-	if err != nil {
-		t.flush()
-		return row, err
-	}
-	t.pending++
-	return row, nil
-}
-
-func (t *tracedRowCursor) flush() {
-	if t.pending > 0 {
-		t.sp.AddRows(t.pending)
-		t.pending = 0
-	}
-}
-
-func (t *tracedRowCursor) Close() error {
-	t.flush()
-	return t.in.Close()
-}

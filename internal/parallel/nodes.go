@@ -369,7 +369,7 @@ func (j *HashJoinPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, e
 	if err != nil {
 		return nil, err
 	}
-	build, err := exec.NewJoinBuild(ctx, j.HashJoin, "ParallelHashJoin")
+	build, err := exec.NewJoinBuild(ctx, j.Join, j.Info, "ParallelHashJoin")
 	if err != nil {
 		closeAll(buildParts)
 		return nil, err

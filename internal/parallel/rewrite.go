@@ -203,8 +203,8 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 			x.Offset, x.Fetch, r.pool, r.p), trait.Singleton()
 
 	default:
-		// Every other operator keeps its row/batch contract over singleton
-		// inputs; partitioned children gather in front of it.
+		// Every other operator runs serially over singleton inputs;
+		// partitioned children gather in front of it.
 		ins := n.Inputs()
 		if len(ins) == 0 {
 			return n, trait.Singleton()

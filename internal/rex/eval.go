@@ -6,13 +6,11 @@ import (
 	"calcite/internal/types"
 )
 
-// Evaluator evaluates row expressions against input rows. A single Evaluator
-// may be shared by operators of one query; it carries the dynamic parameter
-// values of a prepared statement.
-type Evaluator struct {
-	// Params holds values for DynamicParam references.
-	Params []any
-}
+// Evaluator evaluates row expressions against input rows by walking the
+// expression tree. The engine evaluates only constants with it
+// (EvalConstant, parameters already bound as literals); it is the reference
+// the compiled closures and vector kernels are tested against.
+type Evaluator struct{}
 
 // Eval evaluates expression n against row. NULL propagates per SQL
 // semantics: strict operators return NULL when any operand is NULL.
@@ -26,10 +24,7 @@ func (ev *Evaluator) Eval(n Node, row []any) (any, error) {
 		}
 		return row[x.Index], nil
 	case *DynamicParam:
-		if ev == nil || x.Index >= len(ev.Params) {
-			return nil, fmt.Errorf("rex: unbound parameter ?%d", x.Index)
-		}
-		return ev.Params[x.Index], nil
+		return nil, fmt.Errorf("rex: unbound parameter ?%d", x.Index)
 	case *Call:
 		return ev.evalCall(x, row)
 	}

@@ -19,10 +19,11 @@ package schema
 // boxed only where rows leave the batch convention (Row, AppendRows,
 // RowCursorFromBatches) or enter a VecAny payload.
 //
-// Both conventions interoperate: BatchCursorFromCursor lifts any row cursor
-// into batches of VecAny columns, and RowCursorFromBatches flattens batches
-// back into rows, so every adapter written against Cursor keeps working
-// unmodified while the engine's hot path runs vectorized.
+// The two conventions meet only at the table/backend boundary:
+// BatchCursorFromCursor lifts the row cursor of a table or backend that
+// yields rows into batches of VecAny columns, and RowCursorFromBatches
+// flattens a batch-scannable table back into rows for row-at-a-time readers.
+// Every operator of the engine consumes and produces batches.
 
 // DefaultBatchSize is the number of rows an operator processes per batch. It
 // is chosen so a batch of a few wide columns stays comfortably inside L2.
@@ -238,8 +239,8 @@ type rowBatchCursor struct {
 
 // BatchCursorFromCursor lifts a row cursor into a batch cursor producing
 // dense batches of up to batchSize rows of the given width, each column a
-// VecAny vector. It is the shim that lets unconverted operators and adapters
-// feed the vectorized path.
+// VecAny vector. It is the shim that lets tables and backends that yield
+// rows feed the vectorized engine.
 func BatchCursorFromCursor(cur Cursor, width, batchSize int) BatchCursor {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize

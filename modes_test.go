@@ -129,9 +129,8 @@ func diffViews(conn *calcite.Connection) {
 
 // diffQueries is the differential corpus: every engine configuration must
 // return the answers testdata/results.golden pins for it (TestResultsGolden).
-// It covers every operator with a batch implementation (scan, filter,
-// project, hash join, aggregate, sort/limit, window) and the row-only
-// operators (set ops, values, nested-loop join) behind the shims.
+// It covers every enumerable operator (scan, filter, project, hash and
+// nested-loop join, aggregate, sort/limit, window, set ops, values).
 var diffQueries = []struct {
 	sql    string
 	params []any

@@ -231,11 +231,11 @@ func metricValue(exposition, prefix string) (float64, bool) {
 	return 0, false
 }
 
-// TestRowOnlyRootTracing: an operator without a batch form (UNION ALL, a
-// non-equi join, VALUES) runs behind the row shim and counts its rows through
-// the row wrapper, which reads no clock per row; at the root of a plan its
-// span must still count exactly the rows the statement returned, and a union
-// exactly the rows its inputs delivered.
+// TestRowOnlyRootTracing: the operators that once ran row at a time (UNION
+// ALL, a non-equi join, VALUES) bind batches like every other operator; at
+// the root of a plan each span must count exactly the rows the statement
+// returned in at least one batch, and a union exactly the rows its inputs
+// delivered.
 func TestRowOnlyRootTracing(t *testing.T) {
 	conn := obsConn(t, 1500, 0)
 	grp := func(id int) int { return int(uint64(id) * 0x9e3779b97f4a7c15 % 97) } // as obsConn
@@ -276,6 +276,9 @@ func TestRowOnlyRootTracing(t *testing.T) {
 		if root.Rows != int64(c.rows) || len(res.Rows) != c.rows {
 			t.Errorf("%s: root span rows = %d, result rows = %d, want %d\n%s",
 				c.sql, root.Rows, len(res.Rows), c.rows, obs.RenderSpans(root))
+		}
+		if root.Batches < 1 {
+			t.Errorf("%s: root span counted %d batches\n%s", c.sql, root.Batches, obs.RenderSpans(root))
 		}
 		if c.root == "EnumerableUnion" {
 			var in int64
