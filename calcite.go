@@ -196,10 +196,9 @@ func (c *Connection) FeedbackReport() []feedback.PlanReport {
 }
 
 // SetBatchSize overrides the rows-per-batch granularity of execution (<= 0
-// restores the default). Queries execute as column-major batches through
-// compiled expressions; the operators without a batch form (VALUES, set
-// operations, non-equi joins, INSERT, adapter results) run row at a time
-// behind shims, and the batch size applies where their rows re-enter batches.
+// restores the default). Every operator executes column-major batches of up
+// to n rows through compiled expressions, including where the rows of a
+// table or backend that yields them are lifted into batches.
 func (c *Connection) SetBatchSize(n int) { c.Framework.BatchSize = n }
 
 // SetMemoryLimit sets the connection-wide execution-memory budget in bytes,

@@ -60,15 +60,6 @@ func (s *Span) Record(n int64, d time.Duration) {
 	s.elapsedNs.Add(int64(d))
 }
 
-// AddRows accumulates n rows without batch/elapsed accounting (the
-// row-at-a-time shim path, where per-row clock reads would dominate).
-func (s *Span) AddRows(n int64) {
-	if s == nil {
-		return
-	}
-	s.rows.Add(n)
-}
-
 // AddElapsed accumulates time spent inside the operator without a batch
 // (the final Done-returning pull still does work worth attributing).
 func (s *Span) AddElapsed(d time.Duration) {

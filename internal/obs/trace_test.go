@@ -46,7 +46,7 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 	root.Record(10, 2*time.Millisecond)
 	root.Record(5, time.Millisecond)
 	root.AddElapsed(time.Millisecond)
-	child.AddRows(15)
+	child.Record(15, 0)
 	tr.AttachMemStats("Sort", 1<<20, 3<<20, 3, 2)
 
 	snap := tr.Snapshot()
@@ -60,7 +60,7 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 	if s.PeakBytes != 1<<20 || s.SpilledBytes != 3<<20 || s.SpillFiles != 3 || s.SpillEvents != 2 {
 		t.Fatalf("mem stats not attached: %+v", s)
 	}
-	if c := s.Children[0]; c.Rows != 15 || c.Batches != 0 {
+	if c := s.Children[0]; c.Rows != 15 || c.Batches != 1 {
 		t.Fatalf("child stats = %+v", c)
 	}
 }
@@ -306,9 +306,9 @@ func TestSnapshotMaxQError(t *testing.T) {
 	root.SetEstimate("0", 100)
 	left.SetEstimate("0.0", 10)
 	right.SetEstimate("0.1", 1000)
-	root.AddRows(100)  // q = 1
-	left.AddRows(80)   // q = 8 (worst)
-	right.AddRows(500) // q = 2
+	root.Record(100, 0)  // q = 1
+	left.Record(80, 0)   // q = 8 (worst)
+	right.Record(500, 0) // q = 2
 
 	snap := tr.Snapshot()
 	if snap.MaxQError != 8 {
@@ -356,7 +356,7 @@ func TestSlowLogMaxQError(t *testing.T) {
 	tr := e.Begin("SELECT * FROM t")
 	sp := tr.NewSpan(nil, "EnumerableTableScan", "", "")
 	sp.SetEstimate("0", 10)
-	sp.AddRows(250) // q = 25
+	sp.Record(250, 0) // q = 25
 	e.End(tr)
 
 	var entry map[string]any

@@ -240,7 +240,7 @@ var diffQueries = []struct {
 	// the Go type of its first value, so a DOUBLE column whose first value
 	// is a BIGINT came back with every later fraction truncated (0.5 as 0).
 	{sql: "SELECT k, v FROM mixed WHERE k >= 300 ORDER BY k"},
-	// The operators that once ran row at a time. Set ops: the ALL variants
+	// Set ops, joins without equi keys and VALUES. Set ops: the ALL variants
 	// with duplicates and NULLs on both sides, an int meeting its integral
 	// float, empty sides. Joins without equi keys: a `<` condition of every
 	// outer kind whose 500-row build side exceeds the 32 KB budgets, a cross

@@ -231,10 +231,9 @@ func metricValue(exposition, prefix string) (float64, bool) {
 	return 0, false
 }
 
-// TestRowOnlyRootTracing: the operators that once ran row at a time (UNION
-// ALL, a non-equi join, VALUES) bind batches like every other operator; at
-// the root of a plan each span must count exactly the rows the statement
-// returned in at least one batch, and a union exactly the rows its inputs
+// TestRowOnlyRootTracing: UNION ALL, a non-equi join and VALUES at the root
+// of a plan; each root span must count exactly the rows the statement
+// returned, in at least one batch, and a union exactly the rows its inputs
 // delivered.
 func TestRowOnlyRootTracing(t *testing.T) {
 	conn := obsConn(t, 1500, 0)
