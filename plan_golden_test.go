@@ -90,6 +90,9 @@ func TestPlanGolden(t *testing.T) {
 	for i, sql := range snowflakeStatements(rand.New(rand.NewSource(23)), 200) {
 		snow.record(fmt.Sprintf("snowflake/%d", i), sql)
 	}
+	for i, sql := range wideJoinStatements {
+		snow.record(fmt.Sprintf("wide/%d", i), sql)
+	}
 	out.WriteString(snow.b.String())
 
 	checkGolden(t, "testdata/plans.golden", out.String())
@@ -294,4 +297,53 @@ func snowflakeStatements(rng *rand.Rand, n int) []string {
 		}
 	}
 	return out
+}
+
+// wideJoinStatements are the joins the generated snowflake corpus does not
+// reach: 7 to 10 factors (exact dynamic programming up to its factor limit)
+// and 11 and 12 factors (the greedy builder). Among their factors are filtered
+// ones that return a single row, so candidate costs tie, and components with
+// no join condition between them, which only a cross product can combine.
+var wideJoinStatements = []string{
+	// 7 factors: the whole snowflake, two dimensions filtered to one row.
+	"SELECT COUNT(*) AS n, SUM(t0.qty) AS q FROM fact t0 JOIN cust t1 ON t0.cust = t1.id " +
+		"JOIN prod t2 ON t0.prod = t2.id JOIN store t3 ON t0.store = t3.id JOIN day t4 ON t0.day = t4.id " +
+		"JOIN region t5 ON t1.region = t5.id JOIN cat t6 ON t2.cat = t6.id " +
+		"WHERE t5.id = 3 AND t6.id = 4 AND t4.month < 6",
+	// 8 factors: both regions, tied one-row filters on each.
+	"SELECT t3.sqft AS g, COUNT(*) AS n, MAX(t0.amt) AS m FROM fact t0 JOIN cust t1 ON t0.cust = t1.id " +
+		"JOIN prod t2 ON t0.prod = t2.id JOIN store t3 ON t0.store = t3.id JOIN day t4 ON t0.day = t4.id " +
+		"JOIN region t5 ON t1.region = t5.id JOIN cat t6 ON t2.cat = t6.id JOIN region t7 ON t3.region = t7.id " +
+		"WHERE t5.id = 2 AND t7.id = 2 AND t4.dow = 1 GROUP BY t3.sqft ORDER BY g",
+	// 9 factors: a one-row day joined to nothing, so only a cross product
+	// brings it in.
+	"SELECT COUNT(*) AS n, SUM(t0.qty) AS q FROM fact t0 JOIN cust t1 ON t0.cust = t1.id " +
+		"JOIN prod t2 ON t0.prod = t2.id JOIN store t3 ON t0.store = t3.id JOIN day t4 ON t0.day = t4.id " +
+		"JOIN region t5 ON t1.region = t5.id JOIN cat t6 ON t2.cat = t6.id JOIN region t7 ON t3.region = t7.id " +
+		"JOIN day t8 ON t8.id = 5 WHERE t6.dept = 2 AND t1.age > 30",
+	// 10 factors: a self-join of the fact table by key, and two one-row
+	// dimensions whose costs tie.
+	"SELECT t0.id, t0.amt, t9.seg AS x FROM fact t0 JOIN cust t1 ON t0.cust = t1.id " +
+		"JOIN prod t2 ON t0.prod = t2.id JOIN store t3 ON t0.store = t3.id JOIN day t4 ON t0.day = t4.id " +
+		"JOIN region t5 ON t1.region = t5.id JOIN cat t6 ON t2.cat = t6.id JOIN fact t7 ON t7.id = t0.id " +
+		"JOIN store t8 ON t7.store = t8.id JOIN cust t9 ON t7.cust = t9.id " +
+		"WHERE t5.id = 1 AND t6.id = 1 AND t8.sqft < 40 ORDER BY t0.amt DESC, t0.id LIMIT 7",
+	// 10 factors in two components, {fact, dimensions} and {region, cat},
+	// with no condition between them: the last join is a cross product.
+	"SELECT COUNT(*) AS n, SUM(t0.qty) AS q FROM fact t0 JOIN cust t1 ON t0.cust = t1.id " +
+		"JOIN prod t2 ON t0.prod = t2.id JOIN store t3 ON t0.store = t3.id JOIN day t4 ON t0.day = t4.id " +
+		"JOIN region t5 ON t1.region = t5.id JOIN cat t6 ON t2.cat = t6.id JOIN region t7 ON t3.region = t7.id " +
+		"JOIN region t8 ON t8.zone = 1 JOIN cat t9 ON t9.dept = t8.id WHERE t4.month = 2 AND t0.qty < 5",
+	// 11 factors: greedy, with a one-row cross-product factor.
+	"SELECT t4.month AS g, COUNT(*) AS n, MAX(t0.amt) AS m FROM fact t0 JOIN cust t1 ON t0.cust = t1.id " +
+		"JOIN prod t2 ON t0.prod = t2.id JOIN store t3 ON t0.store = t3.id JOIN day t4 ON t0.day = t4.id " +
+		"JOIN region t5 ON t1.region = t5.id JOIN cat t6 ON t2.cat = t6.id JOIN region t7 ON t3.region = t7.id " +
+		"JOIN fact t8 ON t8.id = t0.id JOIN prod t9 ON t8.prod = t9.id JOIN region t10 ON t10.id = 6 " +
+		"WHERE t5.id = 4 AND t7.id = 4 AND t9.price < 150 GROUP BY t4.month ORDER BY g",
+	// 12 factors: greedy over two components joined by a cross product.
+	"SELECT COUNT(*) AS n, SUM(t0.qty) AS q FROM fact t0 JOIN cust t1 ON t0.cust = t1.id " +
+		"JOIN prod t2 ON t0.prod = t2.id JOIN store t3 ON t0.store = t3.id JOIN day t4 ON t0.day = t4.id " +
+		"JOIN region t5 ON t1.region = t5.id JOIN cat t6 ON t2.cat = t6.id JOIN region t7 ON t3.region = t7.id " +
+		"JOIN fact t8 ON t8.id = t0.id JOIN cust t9 ON t8.cust = t9.id " +
+		"JOIN region t10 ON t10.zone = 2 JOIN cat t11 ON t11.dept = t10.id WHERE t6.id = 3 AND t9.seg = 1",
 }
