@@ -352,7 +352,9 @@ func (f *Framework) optimize(logical rel.Node, ph *obs.OptimizerPhases) (rel.Nod
 		node = f.logicalOptimize(node, mq)
 		mq.InvalidateCache()
 		ph.RewriteNs = int64(time.Since(start))
-		node, ph.JoinCandidates = f.reorderJoins(node, mq)
+		var counts rules.JoinOrderCounts
+		node, counts = f.reorderJoins(node, mq)
+		ph.JoinCandidates, ph.JoinCosted = int64(counts.Considered), int64(counts.Costed)
 		ph.JoinOrderNs = int64(time.Since(start)) - ph.RewriteNs
 	}
 
@@ -417,10 +419,10 @@ func (f *Framework) substitutionRules(mq *meta.Query) []plan.Rule {
 // expands into binary join trees ordered by the cardinality estimates of the
 // metadata providers (histogram/NDV-driven once tables are ANALYZEd). The
 // phases are separate Hep passes because the expansion's output joins must
-// not re-trigger the collapse. It also returns how many binary joins the
-// enumeration costed.
-func (f *Framework) reorderJoins(node rel.Node, mq *meta.Query) (rel.Node, int64) {
-	collapse, order, candidates := rules.JoinOrderRules()
+// not re-trigger the collapse. It also returns how many pairs the
+// enumeration considered and how many it costed.
+func (f *Framework) reorderJoins(node rel.Node, mq *meta.Query) (rel.Node, rules.JoinOrderCounts) {
+	collapse, order, counts := rules.JoinOrderRules()
 	hepCollapse := plan.NewHepPlanner(collapse...)
 	hepCollapse.Meta = mq
 	node = hepCollapse.Optimize(node)
@@ -428,7 +430,7 @@ func (f *Framework) reorderJoins(node rel.Node, mq *meta.Query) (rel.Node, int64
 	hepOrder.Meta = mq
 	node = hepOrder.Optimize(node)
 	mq.InvalidateCache()
-	return node, int64(*candidates)
+	return node, *counts
 }
 
 // Result is the outcome of executing a statement.
@@ -728,8 +730,8 @@ func (f *Framework) explainAnalyze(physical rel.Node, sql string, mq *meta.Query
 	fmt.Fprintf(&b, "memory: budget=%s, peak=%s, spilled=%s\n",
 		budget, memory.FormatBytes(snap.PeakBytes), memory.FormatBytes(snap.Spilled))
 	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
-	fmt.Fprintf(&b, "optimize: rewrite=%s, join-order=%s (%d candidates), physical=%s\n", us(phases.RewriteNs),
-		us(phases.JoinOrderNs), phases.JoinCandidates, us(phases.PhysicalNs))
+	fmt.Fprintf(&b, "optimize: rewrite=%s, join-order=%s (%d candidates, %d costed), physical=%s\n", us(phases.RewriteNs),
+		us(phases.JoinOrderNs), phases.JoinCandidates, phases.JoinCosted, us(phases.PhysicalNs))
 	b.WriteString(obs.RenderSpans(snap.Spans))
 	return b.String(), nil
 }

@@ -107,7 +107,7 @@ type OpEstimate struct {
 	Op      string
 	Key     uint64
 	Rows    float64
-	JoinSig string
+	JoinSig uint64
 	Bound   bool
 }
 
@@ -130,7 +130,7 @@ func EstimatePlan(fingerprint string, root rel.Node, rowCount func(rel.Node) flo
 	var walk func(n rel.Node, path string)
 	walk = func(n rel.Node, path string) {
 		e := OpEstimate{Path: path, Op: n.Op(), Rows: rowCount(n)}
-		k := keys.of(n, nil)
+		k := keys.of(n, nil, false)
 		e.Key, e.Bound = k.key, k.bound
 		if j, ok := rel.Unwrap(n).(*rel.Join); ok {
 			e.JoinSig = conditionSignature(n, j.Condition)
@@ -165,7 +165,7 @@ func (pe *PlanEstimates) PathRows() map[string]float64 {
 // and the enumerable hash join that executed it hash alike. A node's key
 // hashes its operator and attributes with its inputs' keys.
 func NodeKey(n rel.Node) uint64 {
-	return keyMemo{}.of(n, nil).key
+	return keyMemo{}.of(n, nil, false).key
 }
 
 // opKey is a subtree's NodeKey and whether the subtree references a dynamic
@@ -181,19 +181,27 @@ type opKey struct {
 type keyMemo map[rel.Node]opKey
 
 // of returns n's key. d, when not nil, is the session's digest memo: it
-// renders the attributes, and a key over a rel.Digests.Volatile subtree is
-// not stored.
-func (m keyMemo) of(n rel.Node, d *rel.Digests) opKey {
-	if k, ok := m[n]; ok {
-		return k
+// renders the attributes of nodes other than joins, and a key over a
+// rel.Digests.Volatile subtree is not stored. A join's attributes are
+// rendered into a stack buffer, the bytes of its Attrs string. A candidate's
+// key (meta.Query.Candidate) is computed, not looked up or stored.
+func (m keyMemo) of(n rel.Node, d *rel.Digests, candidate bool) opKey {
+	if !candidate {
+		if k, ok := m[n]; ok {
+			return k
+		}
 	}
-	u, a := rel.Unwrap(n), ""
-	if u == n && d != nil {
-		a = d.Attrs(n)
+	u := rel.Unwrap(n)
+	var buf [128]byte
+	a := buf[:0]
+	if j, ok := u.(*rel.Join); ok {
+		a = rel.AppendJoinAttrs(a, j)
+	} else if u == n && d != nil {
+		a = append(a, d.Attrs(n)...)
 	} else {
-		a = u.Attrs()
+		a = append(a, u.Attrs()...)
 	}
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	hashString(&h, strings.TrimPrefix(strings.TrimPrefix(u.Op(), "Logical"), "Enumerable"))
 	hashString(&h, "{")
 	hashString(&h, a)
@@ -201,15 +209,13 @@ func (m keyMemo) of(n rel.Node, d *rel.Digests) opKey {
 	// Children come from the original node: Unwrap preserves inputs, and the
 	// wrappers' own input lists are authoritative for the executed tree.
 	for _, in := range n.Inputs() {
-		ck := m.of(in, d)
+		ck := m.of(in, d, false)
 		hashString(&h, "(")
-		for i := 0; i < 64; i += 8 {
-			h = (h ^ ck.key>>i&0xff) * 1099511628211
-		}
+		hashUint64(&h, ck.key)
 		k.bound = k.bound || ck.bound
 	}
 	k.key = h
-	if d == nil || !d.Volatile(n) {
+	if !candidate && (d == nil || !d.Volatile(n)) {
 		m[n] = k
 	}
 	return k
@@ -217,7 +223,7 @@ func (m keyMemo) of(n rel.Node, d *rel.Digests) opKey {
 
 // refersToParam reports whether an operator's attribute text contains a
 // dynamic parameter ("?n" outside a quoted literal).
-func refersToParam(attrs string) bool {
+func refersToParam(attrs []byte) bool {
 	quoted := false
 	for i := 0; i+1 < len(attrs); i++ {
 		switch c := attrs[i]; {
@@ -230,88 +236,91 @@ func refersToParam(attrs string) bool {
 	return false
 }
 
-func hashString(h *uint64, s string) {
+const fnvOffset = 14695981039346656037 // FNV-64a offset basis
+
+// hashString folds s into the FNV-64a hash h.
+func hashString[T string | []byte](h *uint64, s T) {
 	for i := 0; i < len(s); i++ {
 		*h ^= uint64(s[i])
 		*h *= 1099511628211
 	}
 }
 
-// columnOriginName resolves output column col of n to "table#ordinal" of the
-// base table it originates from, tracing through filters, sorts, converters,
-// physical wrappers, identity projections and join input concatenation — the
-// feedback twin of the metadata layer's column-origin walk, producing a name
-// instead of a statistics handle.
-func columnOriginName(n rel.Node, col int) (string, bool) {
-	for {
-		n = rel.Unwrap(n)
-		switch x := n.(type) {
-		case *rel.TableScan:
-			return strings.Join(x.QualifiedName, ".") + "#" + strconv.Itoa(col), true
-		case *rel.Filter, *rel.Sort, *rel.Converter:
-			n = x.Inputs()[0]
-		case *rel.Project:
-			if col >= len(x.Exprs) {
-				return "", false
-			}
-			ref, ok := x.Exprs[col].(*rex.InputRef)
-			if !ok {
-				return "", false
-			}
-			n, col = x.Inputs()[0], ref.Index
-		case *rel.Join:
-			nLeft := rel.FieldCount(x.Left())
-			if col < nLeft {
-				n = x.Left()
-			} else if x.Kind.ProjectsRight() {
-				n, col = x.Right(), col-nLeft
-			} else {
-				return "", false
-			}
-		default:
-			return "", false
-		}
+// hashUint64 folds v's eight bytes, low first, into h.
+func hashUint64(h *uint64, v uint64) {
+	for i := 0; i < 64; i += 8 {
+		*h = (*h ^ v>>i&0xff) * 1099511628211
 	}
 }
 
-// conditionSignature canonicalizes a join condition into a plan-shape-
-// independent name: every conjunct must be an equality of two column refs
-// that both resolve to base-table columns; each is rendered with its sides
-// ordered and the conjuncts sorted. "sales.fk2 = d2.k2" keeps the same
-// signature in every join order, which is what lets a selectivity observed
-// under one order price the orders the optimizer has not executed yet.
-// Returns "" when any conjunct fails to resolve.
-func conditionSignature(n rel.Node, condition rex.Node) string {
-	if condition == nil || rex.IsAlwaysTrue(condition) {
-		return ""
+// columnOrigin hashes "schema.table#ordinal", the base-table column that
+// output column col of n originates from (meta.ColumnOrigin), as the name
+// would be written, without building it.
+func columnOrigin(n rel.Node, col int) (uint64, bool) {
+	scan, col, ok := meta.ColumnOrigin(n, col)
+	if !ok {
+		return 0, false
 	}
-	conjuncts := rex.Conjuncts(condition)
-	parts := make([]string, 0, len(conjuncts))
-	for _, term := range conjuncts {
+	h := uint64(fnvOffset)
+	for i, part := range scan.QualifiedName {
+		if i > 0 {
+			hashString(&h, ".")
+		}
+		hashString(&h, part)
+	}
+	var digits [20]byte
+	hashString(&h, strconv.AppendInt(append(digits[:0], '#'), int64(col), 10))
+	return h, true
+}
+
+// conditionSignature canonicalizes a join condition into a plan-shape-
+// independent hash: every conjunct must be an equality of two column refs
+// that both resolve to base-table columns (columnOrigin); each conjunct
+// hashes its two sides in order of their hashes, and the signature hashes
+// the sorted conjunct hashes. So two conditions share a signature when they
+// equate the same multiset of base-column pairs — "sales.fk2 = d2.k2" keeps
+// it in every join order, which is what lets a selectivity observed under
+// one order price the orders the optimizer has not executed yet. Returns 0
+// when any conjunct fails to resolve.
+func conditionSignature(n rel.Node, condition rex.Node) uint64 {
+	if condition == nil || rex.IsAlwaysTrue(condition) {
+		return 0
+	}
+	var buf [8]uint64
+	var terms [4]rex.Node
+	parts := buf[:0]
+	for _, term := range rex.AppendConjuncts(terms[:0], condition) {
 		c, ok := term.(*rex.Call)
 		if !ok || c.Op != rex.OpEquals || len(c.Operands) != 2 {
-			return ""
+			return 0
 		}
 		a, aok := c.Operands[0].(*rex.InputRef)
 		b, bok := c.Operands[1].(*rex.InputRef)
 		if !aok || !bok {
-			return ""
+			return 0
 		}
-		an, ok := columnOriginName(n, a.Index)
+		ah, ok := columnOrigin(n, a.Index)
 		if !ok {
-			return ""
+			return 0
 		}
-		bn, ok := columnOriginName(n, b.Index)
+		bh, ok := columnOrigin(n, b.Index)
 		if !ok {
-			return ""
+			return 0
 		}
-		if bn < an {
-			an, bn = bn, an
+		if bh < ah {
+			ah, bh = bh, ah
 		}
-		parts = append(parts, an+"="+bn)
+		p := uint64(fnvOffset)
+		hashUint64(&p, ah)
+		hashUint64(&p, bh)
+		parts = append(parts, p)
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "&")
+	slices.Sort(parts)
+	h := uint64(fnvOffset)
+	for _, p := range parts {
+		hashUint64(&h, p)
+	}
+	return h
 }
 
 // correction is the smoothed observation history of one operator shape.
@@ -375,7 +384,7 @@ type Store struct {
 	corrections map[uint64]*correction    // by NodeKey, at most CorrectionCap
 	plans       map[string]*planState     // by fingerprint, at most StatementCap
 	swaps       map[uint64]*swapState     // by join NodeKey
-	sels        map[string]*selCorrection // by join condition signature
+	sels        map[uint64]*selCorrection // by join condition signature
 	worstQ      float64
 	clock       uint64 // advances on every touch of a bounded entry
 
@@ -426,7 +435,7 @@ func (s *Store) reset() {
 	s.corrections = map[uint64]*correction{}
 	s.plans = map[string]*planState{}
 	s.swaps = map[uint64]*swapState{}
-	s.sels = map[string]*selCorrection{}
+	s.sels = map[uint64]*selCorrection{}
 	s.correctionCount.Store(0)
 	s.swapCount.Store(0)
 	s.selCount.Store(0)
@@ -551,7 +560,7 @@ func (s *Store) learn(e OpEstimate, sp *obs.SpanStats, actual, q float64) {
 	// observed output over the product of the observed inputs. The
 	// signature survives reordering, so this is the correction that
 	// prices join orders the optimizer has never executed.
-	if e.JoinSig != "" && len(sp.Children) == 2 {
+	if e.JoinSig != 0 && len(sp.Children) == 2 {
 		aL := math.Max(float64(sp.Children[0].Rows), 1)
 		aR := math.Max(float64(sp.Children[1].Rows), 1)
 		implied := math.Min(math.Max(actual, 1)/(aL*aR), 1)
@@ -570,14 +579,14 @@ func (s *Store) learn(e OpEstimate, sp *obs.SpanStats, actual, q float64) {
 // an operator with the same canonical shape has been observed, bounded to
 // within MaxRatio of the optimizer's own estimate at last harvest.
 func (s *Store) CorrectedRowCount(n rel.Node) (float64, bool) {
-	return s.correctedRowCount(n, keyMemo{}, nil)
+	return s.correctedRowCount(n, keyMemo{}, nil, false)
 }
 
-func (s *Store) correctedRowCount(n rel.Node, keys keyMemo, d *rel.Digests) (float64, bool) {
+func (s *Store) correctedRowCount(n rel.Node, keys keyMemo, d *rel.Digests, candidate bool) (float64, bool) {
 	if s.correctionCount.Load() == 0 {
 		return 0, false
 	}
-	key := keys.of(n, d).key
+	key := keys.of(n, d, candidate).key
 	s.mu.RLock()
 	c, ok := s.corrections[key]
 	if !ok {
@@ -600,7 +609,7 @@ func (s *Store) CorrectedSelectivity(n rel.Node, predicate rex.Node) (float64, b
 		return 0, false
 	}
 	sig := conditionSignature(n, predicate)
-	if sig == "" {
+	if sig == 0 {
 		return 0, false
 	}
 	s.mu.RLock()
@@ -624,7 +633,7 @@ func (s *Store) MetaProvider() meta.Provider {
 	return meta.Provider{
 		Name: "feedback",
 		RowCount: func(q *meta.Query, n rel.Node) (float64, bool) {
-			return s.correctedRowCount(n, keys, q.Digests())
+			return s.correctedRowCount(n, keys, q.Digests(), q.Candidate(n))
 		},
 		Selectivity: func(q *meta.Query, n rel.Node, predicate rex.Node) (float64, bool) {
 			return s.CorrectedSelectivity(n, predicate)

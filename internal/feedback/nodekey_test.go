@@ -100,9 +100,9 @@ func TestNodeKeyMemoProperties(t *testing.T) {
 			session, digests := keyMemo{}, rel.NewDigests()
 			var walk func(x, y twin)
 			walk = func(x, y twin) {
-				kx := session.of(x.logical, digests)
+				kx := session.of(x.logical, digests, false)
 				switch {
-				case kx != keyMemo{}.of(x.logical, nil):
+				case kx != keyMemo{}.of(x.logical, nil, false):
 					t.Fatalf("seed %d: session key differs from scratch for %s", seed, x.logical.Op())
 				case kx.key != NodeKey(y.logical):
 					t.Fatalf("seed %d: equal structure, different keys at %s", seed, x.logical.Op())
@@ -138,9 +138,9 @@ func TestNodeKeyOverUnstableNotMemoized(t *testing.T) {
 	ref := &movable{Node: rel.NewTableScan(trait.Logical, testTable("t", 10), []string{"t"}), set: &set}
 	f := rel.NewFilter(ref, rex.NewCall(rex.OpGreater, rex.NewInputRef(0, types.BigInt), rex.Int(1)))
 	session, digests := keyMemo{}, rel.NewDigests()
-	before := session.of(f, digests).key
+	before := session.of(f, digests, false).key
 	set = 2
-	if after := session.of(f, digests).key; after == before || after != NodeKey(f) {
+	if after := session.of(f, digests, false).key; after == before || after != NodeKey(f) {
 		t.Fatalf("key over a moved set: before %x, after %x, from scratch %x", before, after, NodeKey(f))
 	}
 }

@@ -105,7 +105,8 @@ func defaultSelectivity(q *Query, n rel.Node, predicate rex.Node) (float64, bool
 		return 0.0001, true
 	}
 	sel := 1.0
-	for _, term := range rex.Conjuncts(predicate) {
+	var terms [4]rex.Node
+	for _, term := range rex.AppendConjuncts(terms[:0], predicate) {
 		if s, ok := statsTermSelectivity(q, n, term); ok {
 			sel *= s
 		} else {

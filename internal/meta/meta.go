@@ -19,8 +19,8 @@
 // cache can be disabled to measure its effect (experiment E8).
 // The key holds the digest's interned id, from a rel.Digests memo the Query
 // owns for its whole session and that every planner phase shares: a node's
-// digest is built from its own attributes and its inputs' digests, once, so
-// a join-order candidate over known subtrees costs its own condition. A
+// digest is built from its own attributes and its inputs' digests, once; a
+// join-order candidate is not memoized at all (CandidateRowCount). A
 // subtree over a Volcano set reference (rel.Unstable) is never memoized; its
 // digest changes when sets merge.
 package meta
@@ -66,6 +66,7 @@ type Query struct {
 	providers []Provider
 	cache     map[cacheKey]any
 	digests   *rel.Digests
+	candidate rel.Node // the node CandidateRowCount is estimating
 	// CacheEnabled toggles memoization (for experiment E8).
 	CacheEnabled bool
 	// Calls counts provider invocations (cache misses), exposed for tests
@@ -105,7 +106,7 @@ type cacheKey struct {
 }
 
 func lookup[T any](q *Query, metric string, n rel.Node, extra string, compute func() T) T {
-	if q.CacheEnabled {
+	if q.CacheEnabled && !q.Candidate(n) {
 		key := cacheKey{metric, q.digests.ID(n), extra}
 		if v, ok := q.cache[key]; ok {
 			return v.(T)
@@ -132,10 +133,32 @@ func (q *Query) RowCount(n rel.Node) float64 {
 	})
 }
 
+// CandidateRowCount is RowCount for a node estimated once and most likely
+// dropped, a join-order candidate: no metric on n is digested or cached (its
+// inputs' are, as usual). A kept candidate is memoized by KeepRowCount.
+func (q *Query) CandidateRowCount(n rel.Node) float64 {
+	q.candidate = n
+	v := q.RowCount(n)
+	q.candidate = nil
+	return v
+}
+
+// KeepRowCount memoizes rows, the number CandidateRowCount returned, as n's
+// row count: the trees built over n read what n was chosen at.
+func (q *Query) KeepRowCount(n rel.Node, rows float64) {
+	if q.CacheEnabled {
+		q.cache[cacheKey{"rowCount", q.digests.ID(n), ""}] = rows
+	}
+}
+
+// Candidate reports whether n is the node CandidateRowCount is estimating;
+// providers that memoize per node store nothing for it.
+func (q *Query) Candidate(n rel.Node) bool { return n == q.candidate }
+
 // Selectivity estimates the fraction of n's rows satisfying predicate.
 func (q *Query) Selectivity(n rel.Node, predicate rex.Node) float64 {
 	extra := ""
-	if predicate != nil {
+	if predicate != nil && q.CacheEnabled && !q.Candidate(n) {
 		extra = q.digests.Expr(predicate)
 	}
 	return lookup(q, "selectivity", n, extra, func() float64 {

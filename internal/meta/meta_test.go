@@ -5,6 +5,7 @@ import (
 
 	"calcite/internal/cost"
 	"calcite/internal/rel"
+	"calcite/internal/rex"
 	"calcite/internal/schema"
 	"calcite/internal/trait"
 	"calcite/internal/types"
@@ -123,5 +124,34 @@ func TestDefaultsAreSane(t *testing.T) {
 	}
 	if p := q.MaxParallelism(n); p < 1 {
 		t.Fatalf("parallelism: %v", p)
+	}
+}
+
+// TestJoinOrderCandidateOutsideMemo: a join-order candidate is estimated as
+// RowCount estimates it, without entering the memo — neither its row count
+// nor its condition's selectivity — while its inputs are answered from the
+// memo; a kept candidate's row count is memoized as given.
+func TestJoinOrderCandidateOutsideMemo(t *testing.T) {
+	a, b := scanNode("a", 100), scanNode("b", 900)
+	cond := rex.Eq(rex.NewInputRef(0, types.BigInt), rex.NewInputRef(2, types.BigInt))
+	want := NewQuery().RowCount(rel.NewJoin(rel.InnerJoin, a, b, cond))
+
+	q := NewQuery()
+	q.CandidateRowCount(rel.NewJoin(rel.InnerJoin, a, b, cond)) // memoizes the inputs' metrics
+	entries, calls := len(q.cache), q.Calls
+	j := rel.NewJoin(rel.InnerJoin, a, b, cond)
+	if got := q.CandidateRowCount(j); got != want {
+		t.Fatalf("candidate rows %v, RowCount %v", got, want)
+	}
+	if len(q.cache) != entries || q.Candidate(j) {
+		t.Fatalf("candidate left %d memo entries behind", len(q.cache)-entries)
+	}
+	if q.Calls <= calls {
+		t.Fatal("candidate was not estimated")
+	}
+	q.KeepRowCount(j, 7)
+	calls = q.Calls
+	if got := q.RowCount(j); got != 7 || q.Calls != calls {
+		t.Fatalf("kept candidate: RowCount %v after %d provider calls, want 7 from the memo", got, q.Calls-calls)
 	}
 }

@@ -17,24 +17,24 @@ import (
 // (0, false) when no statistics are available, so unanalyzed tables keep
 // the exact pre-statistics behaviour.
 
-// columnOrigin resolves output column col of n to the base-table statistics
-// it originates from, tracing through filters, sorts, converters, physical
-// wrappers, identity projections and join input concatenation.
-func columnOrigin(n rel.Node, col int) (schema.Statistics, int, bool) {
+// ColumnOrigin resolves output column col of n to the base-table scan and
+// column it originates from, tracing through filters, sorts, converters,
+// physical wrappers, identity projections and join input concatenation.
+func ColumnOrigin(n rel.Node, col int) (*rel.TableScan, int, bool) {
 	for {
 		n = rel.Unwrap(n)
 		switch x := n.(type) {
 		case *rel.TableScan:
-			return x.Table.Stats(), col, true
+			return x, col, true
 		case *rel.Filter, *rel.Sort, *rel.Converter:
 			n = x.Inputs()[0]
 		case *rel.Project:
 			if col >= len(x.Exprs) {
-				return schema.Statistics{}, 0, false
+				return nil, 0, false
 			}
 			ref, ok := x.Exprs[col].(*rex.InputRef)
 			if !ok {
-				return schema.Statistics{}, 0, false
+				return nil, 0, false
 			}
 			n, col = x.Inputs()[0], ref.Index
 		case *rel.Join:
@@ -44,10 +44,10 @@ func columnOrigin(n rel.Node, col int) (schema.Statistics, int, bool) {
 			} else if x.Kind.ProjectsRight() {
 				n, col = x.Right(), col-nLeft
 			} else {
-				return schema.Statistics{}, 0, false
+				return nil, 0, false
 			}
 		default:
-			return schema.Statistics{}, 0, false
+			return nil, 0, false
 		}
 	}
 }
@@ -55,10 +55,11 @@ func columnOrigin(n rel.Node, col int) (schema.Statistics, int, bool) {
 // colStats returns the collected statistics of n's output column col, plus
 // the row count of the originating table, when the column has been analyzed.
 func colStats(n rel.Node, col int) (*stats.ColumnStats, float64, bool) {
-	ts, origin, ok := columnOrigin(n, col)
+	scan, origin, ok := ColumnOrigin(n, col)
 	if !ok {
 		return nil, 0, false
 	}
+	ts := scan.Table.Stats()
 	cs := ts.ColStats(origin)
 	if cs == nil {
 		return nil, 0, false

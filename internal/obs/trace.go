@@ -124,12 +124,14 @@ type QueryTrace struct {
 // OptimizerPhases splits the optimize stage into the optimizer's phases —
 // logical rewrite, join-order enumeration, physical planning — which run
 // inside it, so they sum to at most OptimizeNs; JoinCandidates counts the
-// binary joins the enumeration costed.
+// pairs of partial join trees the enumeration considered, JoinCosted those it
+// had to estimate because they could still beat the best pair so far.
 type OptimizerPhases struct {
 	RewriteNs      int64 `json:"rewrite_ns"`
 	JoinOrderNs    int64 `json:"join_order_ns"`
 	PhysicalNs     int64 `json:"physical_ns"`
 	JoinCandidates int64 `json:"join_candidates"`
+	JoinCosted     int64 `json:"join_costed"`
 }
 
 // NewSpan creates a span under parent (nil parent makes it the root).

@@ -232,10 +232,12 @@ func NewJoinTraits(op string, ts trait.Set, kind JoinKind, left, right Node, con
 	}
 }
 
-func (j *Join) Attrs() string { return joinAttrs(j.Condition.String(), j.Kind) }
+func (j *Join) Attrs() string { return string(AppendJoinAttrs(nil, j)) }
 
-func joinAttrs(condition string, kind JoinKind) string {
-	return "condition=[" + condition + "], joinType=[" + kind.String() + "]"
+// AppendJoinAttrs appends j.Attrs() to dst without building strings.
+func AppendJoinAttrs(dst []byte, j *Join) []byte {
+	dst = rex.AppendDigest(append(dst, "condition=["...), j.Condition)
+	return append(append(append(dst, "], joinType=["...), j.Kind.String()...), ']')
 }
 
 func (j *Join) Left() Node  { return j.inputs[0] }

@@ -115,8 +115,8 @@ func (d *Digests) Expr(e rex.Node) string {
 	return s
 }
 
-// Attrs returns n.Attrs(), rendering a join's or filter's condition through
-// Expr: the digest and the metadata keys naming it share one rendering.
+// Attrs returns n.Attrs(), rendering a filter's condition through Expr: the
+// digest and the metadata keys naming it share one rendering.
 func (d *Digests) Attrs(n Node) string { return d.entry(n).attrs }
 
 // Volatile reports whether n's subtree holds an Unstable node.
@@ -127,12 +127,9 @@ func (d *Digests) entry(n Node) nodeDigest {
 	if ok {
 		return e
 	}
-	switch x := n.(type) {
-	case *Join:
-		e.attrs = joinAttrs(d.Expr(x.Condition), x.Kind)
-	case *Filter:
-		e.attrs = filterAttrs(d.Expr(x.Condition))
-	default:
+	if f, ok := n.(*Filter); ok {
+		e.attrs = filterAttrs(d.Expr(f.Condition))
+	} else {
 		e.attrs = n.Attrs()
 	}
 	e.self = selfDigest(n, e.attrs)
@@ -304,7 +301,12 @@ func TransformUp(n Node, fn func(Node) Node) Node {
 }
 
 // FieldCount returns the number of output fields of n.
-func FieldCount(n Node) int { return len(n.RowType().Fields) }
+func FieldCount(n Node) int {
+	if j, ok := n.(*Join); ok && j.Kind.ProjectsRight() { // without building the row type
+		return FieldCount(j.Left()) + FieldCount(j.Right())
+	}
+	return len(n.RowType().Fields)
+}
 
 // base carries the pieces every operator shares.
 type base struct {

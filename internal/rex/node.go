@@ -7,6 +7,7 @@ package rex
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"calcite/internal/types"
@@ -33,7 +34,7 @@ func NewInputRef(index int, t *types.Type) *InputRef {
 }
 
 func (r *InputRef) Type() *types.Type { return r.T }
-func (r *InputRef) String() string    { return fmt.Sprintf("$%d", r.Index) }
+func (r *InputRef) String() string    { return string(AppendDigest(nil, r)) }
 
 // Literal is a constant value.
 type Literal struct {
@@ -89,19 +90,32 @@ func NewCallTyped(op *Operator, t *types.Type, operands ...Node) *Call {
 
 func (c *Call) Type() *types.Type { return c.T }
 
-func (c *Call) String() string {
-	args := make([]string, len(c.Operands))
-	for i, o := range c.Operands {
-		args[i] = o.String()
+func (c *Call) String() string { return string(AppendDigest(nil, c)) }
+
+// AppendDigest appends n.String() to dst. It renders references, parameters
+// and calls without fmt or intermediate strings, so a caller that only
+// hashes or compares the text can render into a reused buffer.
+func AppendDigest(dst []byte, n Node) []byte {
+	switch x := n.(type) {
+	case *InputRef:
+		return strconv.AppendInt(append(dst, '$'), int64(x.Index), 10)
+	case *DynamicParam:
+		return strconv.AppendInt(append(dst, '?'), int64(x.Index), 10)
+	case *Call:
+		if x.Op == OpCast {
+			dst = AppendDigest(append(dst, "CAST("...), x.Operands[0])
+			return append(append(append(dst, " AS "...), x.T.String()...), ')')
+		}
+		dst = append(append(dst, x.Op.Name...), '(')
+		for i, o := range x.Operands {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = AppendDigest(dst, o)
+		}
+		return append(dst, ')')
 	}
-	switch {
-	case c.Op == OpCast:
-		return fmt.Sprintf("CAST(%s AS %s)", args[0], c.T)
-	case c.Op.Kind == KindBinary && len(args) == 2:
-		return fmt.Sprintf("%s(%s, %s)", c.Op.Name, args[0], args[1])
-	default:
-		return fmt.Sprintf("%s(%s)", c.Op.Name, strings.Join(args, ", "))
-	}
+	return append(dst, n.String()...)
 }
 
 // DynamicParam is a prepared-statement placeholder ("?"), printed as "?n".
@@ -111,7 +125,7 @@ type DynamicParam struct {
 }
 
 func (p *DynamicParam) Type() *types.Type { return p.T }
-func (p *DynamicParam) String() string    { return fmt.Sprintf("?%d", p.Index) }
+func (p *DynamicParam) String() string    { return string(AppendDigest(nil, p)) }
 
 // BindParams returns n with every DynamicParam replaced by a Literal carrying
 // the bound value unchanged; n itself is not modified, so a cached plan stays
@@ -224,34 +238,35 @@ func Substitute(n Node, exprs []Node) Node {
 }
 
 // Conjuncts flattens a boolean expression into its top-level AND terms.
-func Conjuncts(n Node) []Node {
+func Conjuncts(n Node) []Node { return AppendConjuncts(nil, n) }
+
+// AppendConjuncts appends n's top-level AND terms to dst, so a caller that
+// only reads them can collect them in a stack buffer.
+func AppendConjuncts(dst []Node, n Node) []Node {
 	if n == nil {
-		return nil
+		return dst
 	}
 	if c, ok := n.(*Call); ok && c.Op == OpAnd {
-		var out []Node
 		for _, o := range c.Operands {
-			out = append(out, Conjuncts(o)...)
+			dst = AppendConjuncts(dst, o)
 		}
-		return out
+		return dst
 	}
 	if l, ok := n.(*Literal); ok {
 		if b, ok := l.Value.(bool); ok && b {
-			return nil // TRUE contributes nothing
+			return dst // TRUE contributes nothing
 		}
 	}
-	return []Node{n}
+	return append(dst, n)
 }
 
 // And builds the conjunction of the given terms (TRUE for none, the sole
 // term for one).
 func And(terms ...Node) Node {
-	var flat []Node
+	var buf [8]Node
+	flat := buf[:0]
 	for _, t := range terms {
-		if t == nil {
-			continue
-		}
-		flat = append(flat, Conjuncts(t)...)
+		flat = AppendConjuncts(flat, t)
 	}
 	switch len(flat) {
 	case 0:
@@ -259,7 +274,7 @@ func And(terms ...Node) Node {
 	case 1:
 		return flat[0]
 	}
-	return NewCall(OpAnd, flat...)
+	return NewCall(OpAnd, append([]Node(nil), flat...)...)
 }
 
 // Or builds the disjunction of the given terms.

@@ -24,6 +24,16 @@ import (
 //     over connected subsets up to dpFactorLimit factors, a greedy
 //     cheapest-pair construction beyond.
 //
+// Both cost only the pairs that can win: a pair whose bound — pairCost with
+// its row count at 1 — is >= the incumbent's cost is skipped unbuilt. That
+// leaves the chosen tree the same, bit for bit, given meta.Query.RowCount ≥ 1
+// (the bound is the same sum in the same order, and float addition is
+// monotone) and the incumbent's replacement on a strict < (a skipped pair
+// could only have tied the first minimum). A costed pair is estimated once,
+// outside the metadata memo (meta.Query.CandidateRowCount), and only each
+// subset's chosen tree is memoized. On plan_adhoc half the pairs are costed,
+// at about half the time each.
+//
 // Because the second phase rewrites every MultiJoin, the flat form never
 // reaches physical planning or execution.
 
@@ -107,20 +117,24 @@ func flattenable(n rel.Node) bool {
 // LoptOptimizeJoinRule. Conjuncts referencing a single factor are pushed
 // onto that factor as filters before enumeration; factor-free conjuncts end
 // up in a filter above the tree; a projection restores the original column
-// order when the chosen factor order differs from the input order. Each
-// binary join the enumeration costs adds one to *candidates.
-func LoptOptimizeJoinRule(candidates *int) plan.Rule {
+// order when the chosen factor order differs from the input order. The
+// enumeration adds the pairs it considers and those it costs to counts.
+func LoptOptimizeJoinRule(counts *JoinOrderCounts) plan.Rule {
 	return &plan.FuncRule{
 		Name: "LoptOptimizeJoinRule",
 		Op:   plan.MatchType[*rel.MultiJoin](),
 		Fire: func(call *plan.Call) {
 			mj := call.Rel(0).(*rel.MultiJoin)
-			if ordered := orderMultiJoin(call.Meta, mj, candidates); ordered != nil {
+			if ordered := orderMultiJoin(call.Meta, mj, counts); ordered != nil {
 				call.Transform(ordered)
 			}
 		},
 	}
 }
+
+// JoinOrderCounts counts the pairs of partial trees the enumeration
+// considers, and those of them it costs: the pairs that could still win.
+type JoinOrderCounts struct{ Considered, Costed int }
 
 // joinVertex is one factor of the enumeration, with its global column
 // offset in the MultiJoin's concatenated coordinate space.
@@ -142,7 +156,7 @@ type joinTree struct {
 
 // orderMultiJoin plans a binary join tree for the MultiJoin, or returns nil
 // when no reordering is possible (e.g. too many factors for the bitmask).
-func orderMultiJoin(mq *meta.Query, mj *rel.MultiJoin, candidates *int) rel.Node {
+func orderMultiJoin(mq *meta.Query, mj *rel.MultiJoin, counts *JoinOrderCounts) rel.Node {
 	factors := mj.Inputs()
 	k := len(factors)
 	if k < 2 || k > 63 {
@@ -215,7 +229,8 @@ func orderMultiJoin(mq *meta.Query, mj *rel.MultiJoin, candidates *int) rel.Node
 	}
 
 	// combine joins L and R (L as the streamed/probe side, R as the build
-	// side), applying every not-yet-applied conjunct contained in the union.
+	// side), applying every not-yet-applied conjunct contained in the union —
+	// unless the pair cannot beat incumbent, when it returns nil unbuilt.
 	layoutOffset := make([]int, k) // factor → column offset in the tree placed last
 	place := func(order []int) {
 		at := 0
@@ -231,31 +246,34 @@ func orderMultiJoin(mq *meta.Query, mj *rel.MultiJoin, candidates *int) rel.Node
 		}
 		return x
 	}
-	combine := func(l, r *joinTree) *joinTree {
-		*candidates++
+	combine := func(l, r, incumbent *joinTree) *joinTree {
+		counts.Considered++
+		if incumbent != nil && pairCost(l, r, 1) >= incumbent.cost {
+			return nil
+		}
+		counts.Costed++
 		union := l.mask | r.mask
 		layout := append(append(make([]int, 0, len(l.order)+len(r.order)), l.order...), r.order...)
 		place(layout)
-		var conds []rex.Node
+		conds := make([]rex.Node, 0, 4)
 		for _, e := range edges {
 			if e.support&^union == 0 && e.support&l.mask != 0 && e.support&r.mask != 0 {
 				conds = append(conds, rex.Transform(e.cond, moveRef))
 			}
 		}
 		node := rel.NewJoin(rel.InnerJoin, l.node, r.node, rex.And(conds...))
-		rows := mq.RowCount(node)
-		// Cost mirrors the physical hash join (probe left once, build the
-		// right side at double weight) plus the intermediate result size.
-		cost := l.cost + r.cost + rows + l.rows + 2*r.rows
-		return &joinTree{node: node, mask: union, order: layout, rows: rows, cost: cost}
+		rows := mq.CandidateRowCount(node)
+		return &joinTree{node: node, mask: union, order: layout, rows: rows, cost: pairCost(l, r, rows)}
 	}
+	// keep memoizes a chosen tree's row count for the pairs built over it.
+	keep := func(t *joinTree) { mq.KeepRowCount(t.node, t.rows) }
 
 	full := uint64(1)<<uint(k) - 1
 	var result *joinTree
 	if k <= dpFactorLimit {
-		result = dpOrder(k, base, connected, combine)
+		result = dpOrder(k, base, connected, combine, keep)
 	} else {
-		result = greedyOrder(k, base, connected, combine)
+		result = greedyOrder(k, base, connected, combine, keep)
 	}
 	if result == nil {
 		return nil
@@ -293,11 +311,18 @@ func orderMultiJoin(mq *meta.Query, mj *rel.MultiJoin, candidates *int) rel.Node
 	return out
 }
 
+// pairCost is the cost of L ⋈ R producing rows: it mirrors the physical hash
+// join (probe left once, build the right side at double weight) plus the
+// intermediate result size. pairCost(l, r, 1) is the pair's lower bound.
+func pairCost(l, r *joinTree, rows float64) float64 {
+	return l.cost + r.cost + rows + l.rows + 2*r.rows
+}
+
 // dpOrder runs Selinger-style dynamic programming over factor subsets,
 // considering bushy shapes. Cross products are admitted only for subsets
-// with no connected split.
+// with no connected split. Each subset's chosen tree is kept.
 func dpOrder(k int, base func(int) *joinTree, connected func(a, b uint64) bool,
-	combine func(l, r *joinTree) *joinTree) *joinTree {
+	combine func(l, r, incumbent *joinTree) *joinTree, keep func(*joinTree)) *joinTree {
 	best := make([]*joinTree, 1<<uint(k))
 	for i := 0; i < k; i++ {
 		best[1<<uint(i)] = base(i)
@@ -317,20 +342,22 @@ func dpOrder(k int, base func(int) *joinTree, connected func(a, b uint64) bool,
 				if !allowCross && !connected(sub, other) {
 					continue
 				}
-				cand := combine(l, r)
-				if best[mask] == nil || cand.cost < best[mask].cost {
+				if cand := combine(l, r, best[mask]); cand != nil &&
+					(best[mask] == nil || cand.cost < best[mask].cost) {
 					best[mask] = cand
 				}
 			}
 		}
+		keep(best[mask])
 	}
 	return best[(uint64(1)<<uint(k))-1]
 }
 
 // greedyOrder builds the tree by repeatedly merging the pair of partial
-// trees with the cheapest combined cost, preferring connected pairs.
+// trees with the cheapest combined cost, preferring connected pairs. Each
+// merged tree is kept.
 func greedyOrder(k int, base func(int) *joinTree, connected func(a, b uint64) bool,
-	combine func(l, r *joinTree) *joinTree) *joinTree {
+	combine func(l, r, incumbent *joinTree) *joinTree, keep func(*joinTree)) *joinTree {
 	parts := make([]*joinTree, k)
 	for i := range parts {
 		parts[i] = base(i)
@@ -349,8 +376,8 @@ func greedyOrder(k int, base func(int) *joinTree, connected func(a, b uint64) bo
 					if !allowCross && !connected(parts[i].mask, parts[j].mask) {
 						continue
 					}
-					cand := combine(parts[i], parts[j])
-					if cand.cost < bestCost {
+					cand := combine(parts[i], parts[j], bestTree)
+					if cand != nil && cand.cost < bestCost {
 						bestCost, bestTree, bestI, bestJ = cand.cost, cand, i, j
 					}
 				}
@@ -359,6 +386,7 @@ func greedyOrder(k int, base func(int) *joinTree, connected func(a, b uint64) bo
 		if bestTree == nil {
 			return nil
 		}
+		keep(bestTree)
 		lo, hi := bestI, bestJ
 		if lo > hi {
 			lo, hi = hi, lo
@@ -373,8 +401,8 @@ func greedyOrder(k int, base func(int) *joinTree, connected func(a, b uint64) bo
 // phase one collapses inner-join trees into MultiJoins, phase two expands
 // them into cardinality-ordered binary join trees. The phases must run in
 // separate Hep passes (the expansion's output would otherwise re-trigger
-// the collapse). candidates counts the binary joins phase two costs.
-func JoinOrderRules() (collapse, order []plan.Rule, candidates *int) {
-	candidates = new(int)
-	return []plan.Rule{JoinToMultiJoinRule()}, []plan.Rule{LoptOptimizeJoinRule(candidates)}, candidates
+// the collapse). counts accumulates phase two's considered and costed pairs.
+func JoinOrderRules() (collapse, order []plan.Rule, counts *JoinOrderCounts) {
+	counts = &JoinOrderCounts{}
+	return []plan.Rule{JoinToMultiJoinRule()}, []plan.Rule{LoptOptimizeJoinRule(counts)}, counts
 }

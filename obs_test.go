@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -346,9 +347,10 @@ func TestPreparedAndLiteralFormsExecuteAlike(t *testing.T) {
 
 // TestOptimizerPhasesOnTrace: a plan-cache miss carries the optimizer's
 // phase split on its own trace — the phases fit inside the optimize stage,
-// and a 3-factor chain costs exactly 12 join-order candidates (2 per pair of
-// factors, the cross product of the unconnected pair included, and 6 splits
-// of the full set) — and EXPLAIN ANALYZE and the /debug/queries JSON show it.
+// and a 3-factor chain considers exactly 12 join-order candidates (2 per pair
+// of factors, the cross product of the unconnected pair included, and 6
+// splits of the full set), of which the bound leaves some but not all to cost
+// — and EXPLAIN ANALYZE and the /debug/queries JSON show both.
 func TestOptimizerPhasesOnTrace(t *testing.T) {
 	conn := diffConn()
 	const chain = "SELECT e.name, m.name FROM emps e JOIN depts d ON e.deptno = d.deptno JOIN emps m ON m.deptno = d.deptno"
@@ -360,6 +362,9 @@ func TestOptimizerPhasesOnTrace(t *testing.T) {
 	if ph.JoinCandidates != 12 {
 		t.Fatalf("3-factor chain: %d join-order candidates, want 12", ph.JoinCandidates)
 	}
+	if ph.JoinCosted <= 0 || ph.JoinCosted >= ph.JoinCandidates {
+		t.Fatalf("3-factor chain: %d of %d candidates costed, want some but not all", ph.JoinCosted, ph.JoinCandidates)
+	}
 	if ph.RewriteNs <= 0 || ph.JoinOrderNs <= 0 || ph.PhysicalNs <= 0 ||
 		ph.RewriteNs+ph.JoinOrderNs+ph.PhysicalNs > snap.OptimizeNs {
 		t.Fatalf("phases %+v do not fit in optimize=%d", ph, snap.OptimizeNs)
@@ -368,14 +373,19 @@ func TestOptimizerPhasesOnTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"join_candidates":12`) {
+	if !strings.Contains(string(raw), `"join_candidates":12`) ||
+		!strings.Contains(string(raw), fmt.Sprintf(`"join_costed":%d`, ph.JoinCosted)) {
 		t.Fatalf("/debug/queries JSON lacks the phases: %s", raw)
 	}
 	res, err := conn.Query("EXPLAIN ANALYZE " + chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan, "join-order=") || !strings.Contains(res.Plan, "(12 candidates)") {
+	m := regexp.MustCompile(`join-order=\S+ \(12 candidates, (\d+) costed\)`).FindStringSubmatch(res.Plan)
+	if m == nil {
 		t.Fatalf("EXPLAIN ANALYZE lacks the optimizer phases:\n%s", res.Plan)
+	}
+	if costed, _ := strconv.Atoi(m[1]); costed <= 0 || costed >= 12 {
+		t.Fatalf("EXPLAIN ANALYZE: %d of 12 candidates costed, want some but not all", costed)
 	}
 }
