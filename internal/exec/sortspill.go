@@ -12,10 +12,11 @@ package exec
 // boxed rows — with the arrival ordinal as the last key. That makes the order
 // total: the output is the stable sort of the input whatever algorithm runs.
 //
-// With a row limit (OFFSET+FETCH) the buffer is cut back to the limit through
-// the same sort whenever it has doubled, and the limit'th row becomes a cutoff
-// that later rows must beat to be buffered at all; the buffer, and so the
-// reservation, stays O(limit + one batch) and a top-N does not spill rows it
+// With a row limit (OFFSET+FETCH) only a batch's first limit rows in sort
+// order are buffered, the buffer is cut back to the limit through the same
+// sort whenever it has doubled, and the limit'th row becomes a cutoff that
+// later rows must beat to be buffered at all; the buffer, and so the
+// reservation, stays under 3 × limit rows and a top-N does not spill rows it
 // will discard. When a grant is denied the sorted buffer is written out as one
 // run of typed pages, and Finish merges the runs and the in-memory tail batch
 // to batch on the key vectors (MergeCursor; ties go to the lowest source, and
@@ -239,7 +240,41 @@ func (s *ExternalSorter) AddBatch(b *schema.Batch) error {
 	if s.limit == 0 {
 		return nil
 	}
+	vecs, sel = s.keepable(vecs, sel, b.Len)
 	return s.add(vecs, sel, b.Len)
+}
+
+// keepable narrows a batch's live rows to those a top-N can still keep. Of
+// more than limit rows only the batch's first limit in sort order can reach
+// the output, since each other row has limit rows of the same batch before
+// it. Only those are charged and held, so a sorter's reservation stays under
+// 3 × limit rows (the buffer is cut back at 2 × limit) rather than limit plus
+// a whole batch. The limit'th of them becomes the cutoff for later rows.
+func (s *ExternalSorter) keepable(vecs []*schema.Vector, sel []int32, n int) ([]*schema.Vector, []int32) {
+	if sel != nil {
+		n = len(sel)
+	}
+	if s.limit <= 0 || int64(n) <= s.limit {
+		return vecs, sel
+	}
+	// A selection ascends, so row indices break ties in arrival order.
+	keys := make([]sortKey, n)
+	for i := range keys {
+		keys[i].ord = int32(i)
+		if sel != nil {
+			keys[i].ord = sel[i]
+		}
+	}
+	sortKeys(vecs, keys, s.coll)
+	top := make([]int32, s.limit)
+	for i := range top {
+		top[i] = keys[i].ord
+	}
+	s.cutoff = make([]*schema.Vector, len(vecs))
+	for c, v := range vecs {
+		s.cutoff[c] = v.Gather(top[len(top)-1:])
+	}
+	return vecs, top
 }
 
 // add appends the rows of vecs at sel (all n when nil), charging what they
@@ -352,19 +387,19 @@ func imageKeys(keys []sortKey, v *schema.Vector, desc bool) bool {
 	return true
 }
 
-// sortKeys orders keys — row ordinals, ascending on entry — by coll and then
-// ordinal, one key column at a time: where the leading column has an int64
-// image the range is sorted on (image, ordinal) pairs — sequential memory, an
-// inlined comparison — and each run of equal images by the remaining columns;
-// at any other column the range is sorted by comparing rows on everything
-// that remains.
-func (s *ExternalSorter) sortKeys(keys []sortKey, coll trait.Collation) {
+// sortKeys orders keys — ordinals of rows of cols, ascending on entry — by
+// coll and then ordinal, one key column at a time: where the leading column
+// has an int64 image the range is sorted on (image, ordinal) pairs —
+// sequential memory, an inlined comparison — and each run of equal images by
+// the remaining columns; at any other column the range is sorted by comparing
+// rows on everything that remains.
+func sortKeys(cols []*schema.Vector, keys []sortKey, coll trait.Collation) {
 	if len(keys) < 2 || len(coll) == 0 {
 		return
 	}
-	if !imageKeys(keys, s.cols[coll[0].Field], coll[0].Direction == trait.Descending) {
+	if !imageKeys(keys, cols[coll[0].Field], coll[0].Direction == trait.Descending) {
 		slices.SortFunc(keys, func(a, b sortKey) int {
-			if c := compareKeys(coll, s.cols, int(a.ord), s.cols, int(b.ord)); c != 0 {
+			if c := compareKeys(coll, cols, int(a.ord), cols, int(b.ord)); c != 0 {
 				return c
 			}
 			return cmp.Compare(a.ord, b.ord)
@@ -380,7 +415,7 @@ func (s *ExternalSorter) sortKeys(keys []sortKey, coll trait.Collation) {
 	for lo, hi := 0, 0; lo < len(keys); lo = hi {
 		for hi = lo + 1; hi < len(keys) && keys[hi].k == keys[lo].k; hi++ {
 		}
-		s.sortKeys(keys[lo:hi], coll[1:])
+		sortKeys(cols, keys[lo:hi], coll[1:])
 	}
 }
 
@@ -404,7 +439,7 @@ func (s *ExternalSorter) sorted() []int32 {
 	for i := range keys {
 		keys[i].ord = int32(i)
 	}
-	s.sortKeys(keys, s.coll)
+	sortKeys(s.cols, keys, s.coll)
 	if s.limit >= 0 && int64(len(keys)) > s.limit {
 		keys = keys[:s.limit]
 	}
