@@ -51,7 +51,7 @@ func main() {
 	maxQueue := flag.Int("maxqueue", 0, "admission wait-queue depth (0 = 4 x maxconcurrent, -1 = no queue)")
 	queueTimeout := flag.Duration("queuetimeout", 0, "max wait for an execution slot (0 = 5s)")
 	pprofOn := flag.Bool("pprof", false, "mount Go profiling endpoints under /debug/pprof/")
-	demoRows := flag.Int("demorows", 2, "rows in the built-in demo table (large values make governed queries spill); also sizes the star-schema fact table")
+	demoRows := flag.Int("demorows", 2, "rows in the built-in demo table (large values make governed queries spill)")
 	fbOn := flag.Bool("feedback", true, "harvest actual row counts from each execution and re-plan drifted statements with corrected cardinalities (see /debug/plans)")
 	flag.Parse()
 
@@ -148,46 +148,5 @@ func loadDemo(conn *calcite.Connection, n int) {
 		{Name: "grp", Type: calcite.BigIntType},
 		{Name: "val", Type: calcite.DoubleType},
 		{Name: "msg", Type: calcite.VarcharType},
-	}, rows)
-	loadStarSchema(conn, n)
-}
-
-// loadStarSchema registers a small star schema — a fact table with four
-// dimension tables — sized from the demo row count. The load generator's
-// star-join query class drives it; the data is deterministic so repeated
-// runs are comparable.
-func loadStarSchema(conn *calcite.Connection, factRows int) {
-	const dimRows = 50
-	dims := [...]string{"d_cust", "d_prod", "d_geo", "d_time"}
-	for di, name := range dims {
-		rows := make([][]any, dimRows)
-		for i := 0; i < dimRows; i++ {
-			rows[i] = []any{int64(i), fmt.Sprintf("%s-%03d", name, i), int64((i * (di + 3)) % 17)}
-		}
-		conn.AddTable(name, calcite.Columns{
-			{Name: "id", Type: calcite.BigIntType},
-			{Name: "label", Type: calcite.VarcharType},
-			{Name: "attr", Type: calcite.BigIntType},
-		}, rows)
-	}
-	rows := make([][]any, factRows)
-	for i := 0; i < factRows; i++ {
-		h := uint64(i)*0x9e3779b97f4a7c15 + 0x1234
-		rows[i] = []any{
-			int64(i),
-			int64(h % dimRows),
-			int64((h >> 8) % dimRows),
-			int64((h >> 16) % dimRows),
-			int64((h >> 24) % dimRows),
-			float64(h%100000) / 100,
-		}
-	}
-	conn.AddTable("fact", calcite.Columns{
-		{Name: "id", Type: calcite.BigIntType},
-		{Name: "cust_id", Type: calcite.BigIntType},
-		{Name: "prod_id", Type: calcite.BigIntType},
-		{Name: "geo_id", Type: calcite.BigIntType},
-		{Name: "time_id", Type: calcite.BigIntType},
-		{Name: "amount", Type: calcite.DoubleType},
 	}, rows)
 }

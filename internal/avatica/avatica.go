@@ -767,7 +767,7 @@ func respError(resp *ExecuteResponse) error {
 }
 
 // Do executes an arbitrary ExecuteRequest (the general form behind Query and
-// Execute; loadgen and the differential suites drive pagination through it).
+// Execute; the soak and the differential suites drive pagination through it).
 func (c *Client) Do(req ExecuteRequest) (*ExecuteResponse, error) {
 	var resp ExecuteResponse
 	if err := c.post("/execute", req, &resp); err != nil {

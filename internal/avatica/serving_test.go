@@ -6,7 +6,9 @@ package avatica
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -166,32 +168,70 @@ func TestEvictionReleasesCursorMemory(t *testing.T) {
 	}
 }
 
+// TestExecuteServerBusy checks the saturation contract: with the only
+// execution slot taken and no wait queue, /execute answers at once with HTTP
+// 503 and code SERVER_BUSY, through the handler and over the wire, where the
+// client's error wraps ErrServerBusy. Every rejection is a full-queue one: a
+// request that queued and timed out would carry the same code, later.
 func TestExecuteServerBusy(t *testing.T) {
 	fw := servingFramework(5)
 	srv := NewServer(fw)
 	srv.MaxConcurrent = 1
 	srv.MaxQueue = -1 // no queue: saturation answers immediately
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	const query = `{"sql":"SELECT id FROM t"}`
 
 	// Claim the only slot, as a long query would.
 	if err := srv.admission().acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp, status := post(t, srv.handleExecute, "/execute", `{"sql":"SELECT id FROM t"}`)
+	resp, status := post(t, srv.handleExecute, "/execute", query)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", status)
 	}
 	if resp.Code != CodeServerBusy || resp.Error == "" {
 		t.Fatalf("busy response = %+v, want code SERVER_BUSY", resp)
 	}
+
+	// Over the wire: the client surfaces ErrServerBusy, and the raw
+	// response is a 503 carrying SERVER_BUSY.
+	client := NewClient(addr)
+	if _, err := client.Query("SELECT id FROM t"); !errors.Is(err, ErrServerBusy) {
+		t.Fatalf("client error = %v, want one wrapping ErrServerBusy", err)
+	}
+	raw, err := http.Post("http://"+addr+"/execute", "application/json", strings.NewReader(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(raw.Body)
+	raw.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire ExecuteResponse
+	decode(t, body, &wire)
+	if raw.StatusCode != http.StatusServiceUnavailable || wire.Code != CodeServerBusy {
+		t.Fatalf("wire busy response: status %d, code %q, want 503 SERVER_BUSY", raw.StatusCode, wire.Code)
+	}
+	if full, timedOut := srv.admission().rejectedFull.Load(), srv.admission().rejectedTimeout.Load(); full != 3 || timedOut != 0 {
+		t.Fatalf("rejections: %d queue full, %d timed out; want 3 and 0", full, timedOut)
+	}
 	srv.admission().release()
 
-	// With the slot free the same request succeeds.
-	resp, status = post(t, srv.handleExecute, "/execute", `{"sql":"SELECT id FROM t"}`)
+	// With the slot free the same request succeeds, over the wire too.
+	resp, status = post(t, srv.handleExecute, "/execute", query)
 	if status != http.StatusOK || resp.Error != "" {
 		t.Fatalf("after release: status=%d err=%q", status, resp.Error)
 	}
 	if len(resp.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(resp.Rows))
+	}
+	if got, err := client.Query("SELECT id FROM t"); err != nil || len(got.Rows) != 5 {
+		t.Fatalf("wire query after release: %v", err)
 	}
 }
 

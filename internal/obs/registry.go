@@ -186,49 +186,6 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// within the bucket holding the target rank — the standard Prometheus
-// histogram_quantile estimate. Observations beyond the last finite bound
-// clamp to that bound. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		prev := cum
-		cum += c
-		if float64(cum) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			if c == 0 {
-				return hi
-			}
-			return lo + (hi-lo)*(rank-float64(prev))/float64(c)
-		}
-	}
-	// Target rank lands in the +Inf bucket: clamp to the last finite bound.
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return 0
-}
-
 func (h *Histogram) sampleValue() float64 { return float64(h.Count()) }
 
 // family is one metric name with its help text, type and children (one per

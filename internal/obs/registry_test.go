@@ -203,90 +203,3 @@ func TestNilInstrumentsSafe(t *testing.T) {
 		t.Fatal("nil instruments should read as zero")
 	}
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q", "h", []float64{1, 2, 4, 8})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
-	}
-	// 100 observations uniformly in (0, 1]: every bucket boundary is exact.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) / 100)
-	}
-	if got := h.Quantile(0.5); got != 0.5 {
-		t.Fatalf("p50 = %v, want 0.5 (interpolated within [0,1))", got)
-	}
-	if got := h.Quantile(1); got != 1 {
-		t.Fatalf("p100 = %v, want 1", got)
-	}
-	// Observations beyond the last bound clamp to it.
-	for i := 0; i < 1000; i++ {
-		h.Observe(100)
-	}
-	if got := h.Quantile(0.99); got != 8 {
-		t.Fatalf("p99 with +Inf mass = %v, want clamp to 8", got)
-	}
-	// Interpolation lands inside the right bucket.
-	h2 := r.Histogram("q2", "h", []float64{10, 20})
-	for i := 0; i < 10; i++ {
-		h2.Observe(15)
-	}
-	p50 := h2.Quantile(0.5)
-	if p50 <= 10 || p50 > 20 {
-		t.Fatalf("p50 = %v, want within (10, 20]", p50)
-	}
-}
-
-// TestHistogramQuantileEdgeCases complements TestHistogramQuantile with the
-// degenerate shapes: nil receiver, a histogram with no finite bounds (all
-// mass necessarily in +Inf), a single-bucket histogram, and out-of-range q.
-func TestHistogramQuantileEdgeCases(t *testing.T) {
-	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
-		t.Fatalf("nil histogram quantile = %v, want 0", got)
-	}
-
-	r := NewRegistry()
-
-	// No finite bounds (nil falls back to the default latency buckets, so an
-	// explicitly empty slice is needed): every observation lands in +Inf and
-	// there is no bound to clamp to — the estimate degrades to 0 rather than
-	// inventing a value.
-	unbounded := r.Histogram("edge_unbounded", "h", []float64{})
-	unbounded.Observe(7)
-	unbounded.Observe(9)
-	if got := unbounded.Quantile(0.5); got != 0 {
-		t.Fatalf("boundless histogram quantile = %v, want 0", got)
-	}
-	if unbounded.Count() != 2 || unbounded.Sum() != 16 {
-		t.Fatalf("count/sum = %d/%v", unbounded.Count(), unbounded.Sum())
-	}
-
-	// Single bucket: interpolation spans [0, bound].
-	single := r.Histogram("edge_single", "h", []float64{10})
-	for i := 0; i < 4; i++ {
-		single.Observe(5)
-	}
-	if got := single.Quantile(0.5); got != 5 {
-		t.Fatalf("single-bucket p50 = %v, want 5 (midpoint of [0,10])", got)
-	}
-	if got := single.Quantile(1); got != 10 {
-		t.Fatalf("single-bucket p100 = %v, want 10", got)
-	}
-
-	// Single bucket with all mass beyond the bound clamps to it.
-	over := r.Histogram("edge_over", "h", []float64{10})
-	over.Observe(1e9)
-	if got := over.Quantile(0.5); got != 10 {
-		t.Fatalf("overflow-only p50 = %v, want clamp to 10", got)
-	}
-
-	// q outside [0, 1] clamps instead of extrapolating.
-	if got := single.Quantile(-3); got != 0 {
-		t.Fatalf("q=-3 -> %v, want 0", got)
-	}
-	if got := single.Quantile(42); got != 10 {
-		t.Fatalf("q=42 -> %v, want 10", got)
-	}
-}
