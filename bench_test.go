@@ -13,18 +13,15 @@ import (
 	"calcite"
 	"calcite/internal/adapter/splunk"
 	"calcite/internal/adapter/sqldb"
-	"calcite/internal/adapter/streamtab"
 	"calcite/internal/core"
 	"calcite/internal/exec"
 	"calcite/internal/meta"
-	"calcite/internal/parallel"
 	"calcite/internal/plan"
 	"calcite/internal/rel"
 	"calcite/internal/rel2sql"
 	"calcite/internal/rex"
 	"calcite/internal/rules"
 	"calcite/internal/schema"
-	"calcite/internal/stream"
 	"calcite/internal/trait"
 	"calcite/internal/types"
 )
@@ -401,84 +398,6 @@ func BenchmarkSQL_WindowAggregate(b *testing.B) {
 	}
 }
 
-// --- morsel-driven parallel execution scaling ---
-
-// vecConn builds a 3-column table of nRows rows (ints, nullable floats, short
-// strings).
-func vecConn(nRows int) *calcite.Connection {
-	conn := calcite.Open()
-	rows := make([][]any, nRows)
-	for i := range rows {
-		var score any
-		if i%5 != 0 {
-			score = float64(i%1000) / 4
-		}
-		rows[i] = []any{int64(i), score, fmt.Sprintf("n%03d", i%500)}
-	}
-	conn.AddTable("big", calcite.Columns{
-		{Name: "id", Type: calcite.BigIntType},
-		{Name: "score", Type: calcite.DoubleType},
-		{Name: "name", Type: calcite.VarcharType},
-	}, rows)
-	return conn
-}
-
-// benchSerialVsParallel plans sql once, then measures pure execution of the
-// same physical plan at 1, 2, 4 and 8 workers (sub-benches "P1".."P8"). P1
-// is the untouched serial plan; the others run the parallel rewrite
-// (morsels, exchanges, partitioned operators) over a shared worker pool.
-// Scaling is only visible on a multi-core runner: at GOMAXPROCS=1 the
-// parallel variants measure pure orchestration overhead.
-func benchSerialVsParallel(b *testing.B, conn *calcite.Connection, sql string, wantRows int) {
-	_, optimized, err := conn.Plan(sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := conn.Framework.WorkerPool()
-	for _, p := range []int{1, 2, 4, 8} {
-		plan := optimized
-		if p > 1 {
-			plan = parallel.Parallelize(optimized, pool, p)
-		}
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rows, err := exec.Execute(exec.NewContext(), plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if wantRows >= 0 && len(rows) != wantRows {
-					b.Fatalf("got %d rows, want %d", len(rows), wantRows)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExec_SerialVsParallel_Filter: selective predicate over 400k rows,
-// no pipeline breaker — pure scan/filter scaling.
-func BenchmarkExec_SerialVsParallel_Filter(b *testing.B) {
-	conn := vecConn(400000)
-	benchSerialVsParallel(b, conn,
-		"SELECT id FROM big WHERE id > 300000 AND score IS NOT NULL", -1)
-}
-
-// BenchmarkExec_SerialVsParallel_HashJoin: 200k-row probe side against a
-// 100-row build side (partitioned build + probe).
-func BenchmarkExec_SerialVsParallel_HashJoin(b *testing.B) {
-	conn := figure4Conn(200000, 100)
-	benchSerialVsParallel(b, conn,
-		"SELECT products.name FROM sales JOIN products USING (productId)", 200000)
-}
-
-// BenchmarkExec_SerialVsParallel_Aggregate: grouped aggregate over 400k rows
-// (thread-local pre-aggregation + hash exchange + final merge).
-func BenchmarkExec_SerialVsParallel_Aggregate(b *testing.B) {
-	conn := figure4Conn(400000, 50)
-	benchSerialVsParallel(b, conn,
-		"SELECT productId, COUNT(*), SUM(discount) FROM sales GROUP BY productId", 50)
-}
-
 // --- parse/plan micro benches (framework overhead) ---
 
 func BenchmarkParseOnly(b *testing.B) {
@@ -608,256 +527,5 @@ func BenchmarkOptimize_JoinOrder(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- memory governance: spill vs in-memory throughput ---
-
-// benchSpillVsInMemory plans sql once and measures execution at three
-// budgets: unlimited (nothing tracked), tracked-unlimited (the governance
-// accounting overhead in isolation), and a budget of roughly a quarter of
-// the query's working set (the spill path: external sort runs, Grace join
-// partitions, flushed aggregation states hit the disk every iteration).
-func benchSpillVsInMemory(b *testing.B, mk func() *calcite.Connection, sql string, quarterBudget int64, wantRows int) {
-	cases := []struct {
-		name   string
-		budget int64
-	}{
-		{"Unlimited", 0},
-		{"QuarterBudget", quarterBudget},
-	}
-	for _, c := range cases {
-		conn := mk()
-		conn.SetParallelism(1)
-		if c.budget > 0 {
-			conn.SetMemoryLimit(c.budget)
-		}
-		_, optimized, err := conn.Plan(sql)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rows, err := conn.Framework.ExecutePhysical(optimized)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if wantRows >= 0 && len(rows) != wantRows {
-					b.Fatalf("got %d rows, want %d", len(rows), wantRows)
-				}
-			}
-		})
-	}
-}
-
-// --- window execution: serial vs parallel ---
-
-// windowBenchConn is the window fixture: 100k time-series rows in 8
-// partitions, so a 1000-row sliding frame genuinely slides.
-func windowBenchConn() *calcite.Connection {
-	conn := calcite.Open()
-	rows := make([][]any, 100000)
-	for i := range rows {
-		rows[i] = []any{int64(i % 8), int64(i), float64(i%1000) / 4}
-	}
-	conn.AddTable("wseries", calcite.Columns{
-		{Name: "grp", Type: calcite.BigIntType},
-		{Name: "seq", Type: calcite.BigIntType},
-		{Name: "score", Type: calcite.DoubleType},
-	}, rows)
-	return conn
-}
-
-const windowBenchSQL = `SELECT grp, SUM(score) OVER (PARTITION BY grp ORDER BY seq ROWS 1000 PRECEDING) AS s FROM wseries`
-
-func benchWindow(b *testing.B, parallelism int) {
-	conn := windowBenchConn()
-	conn.SetParallelism(parallelism)
-	_, optimized, err := conn.Plan(windowBenchSQL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := conn.Framework.ExecutePhysical(optimized)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 100000 {
-			b.Fatalf("got %d rows", len(rows))
-		}
-	}
-}
-
-// BenchmarkExec_Window_Incremental is the serial path: retractable
-// accumulators slide each frame in O(1) amortized.
-func BenchmarkExec_Window_Incremental(b *testing.B) { benchWindow(b, 1) }
-
-// BenchmarkExec_Window_Parallel adds partition-parallel execution across 4
-// workers on top of the incremental path.
-func BenchmarkExec_Window_Parallel(b *testing.B) { benchWindow(b, 4) }
-
-// spillBenchConn is a 100k-row single-table fixture (~8MB working set as
-// materialized rows).
-func spillBenchConn() *calcite.Connection {
-	conn := calcite.Open()
-	rows := make([][]any, 100000)
-	for i := range rows {
-		rows[i] = []any{int64(i), int64((i * 7919) % 100000), float64(i%1000) / 4, int64(i % 500)}
-	}
-	conn.AddTable("big", calcite.Columns{
-		{Name: "id", Type: calcite.BigIntType},
-		{Name: "shuffled", Type: calcite.BigIntType},
-		{Name: "score", Type: calcite.DoubleType},
-		{Name: "grp", Type: calcite.BigIntType},
-	}, rows)
-	return conn
-}
-
-// BenchmarkExec_SpillVsInMemory_Sort: full 100k-row sort; the quarter
-// budget forces several external runs plus the k-way merge from disk.
-func BenchmarkExec_SpillVsInMemory_Sort(b *testing.B) {
-	benchSpillVsInMemory(b, spillBenchConn,
-		"SELECT shuffled, id FROM big ORDER BY shuffled", 2<<20, 100000)
-}
-
-// BenchmarkExec_SpillVsInMemory_HashJoin: self-join with a 100k-row build
-// side; the quarter budget forces Grace partitioning of both sides.
-func BenchmarkExec_SpillVsInMemory_HashJoin(b *testing.B) {
-	benchSpillVsInMemory(b, spillBenchConn,
-		"SELECT a.id FROM big a JOIN big b ON a.id = b.shuffled", 4<<20, 100000)
-}
-
-// BenchmarkExec_SpillVsInMemory_Aggregate: 100k rows into 500 groups with
-// value-retaining aggregates; the quarter budget flushes accumulator states
-// to partitions and re-merges them.
-func BenchmarkExec_SpillVsInMemory_Aggregate(b *testing.B) {
-	benchSpillVsInMemory(b, spillBenchConn,
-		"SELECT grp, COUNT(*), SUM(score), MIN(shuffled), MAX(shuffled) FROM big GROUP BY grp", 64<<10, 500)
-}
-
-// --- streaming: incremental window maintenance vs per-window recompute ---
-
-// streamBenchConn is the continuous-query fixture: a 100k-event stream in
-// 8 keys with ~200ms mean spacing behind a stream table, so an 16s/1s HOP
-// keeps 16 panes of standing state per key and each event overlaps 16
-// windows.
-func streamBenchConn(b *testing.B) (*calcite.Connection, *streamtab.Table) {
-	b.Helper()
-	tb := streamtab.NewTable("events", types.Row(
-		types.Field{Name: "rowtime", Type: types.Timestamp},
-		types.Field{Name: "k", Type: types.BigInt},
-		types.Field{Name: "v", Type: types.BigInt},
-	), 0)
-	rng := uint64(0x9E3779B97F4A7C15)
-	next := func(mod int64) int64 {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int64(rng>>33) % mod
-	}
-	ts := int64(0)
-	for i := 0; i < 100000; i++ {
-		ts += next(400)
-		if err := tb.Append([]any{ts, next(8), next(1000)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	conn := calcite.Open()
-	sa := streamtab.New("s")
-	sa.AddTable(tb)
-	conn.RegisterAdapter(sa)
-	return conn, tb
-}
-
-const streamBenchSQL = `SELECT STREAM HOP_START(rowtime, INTERVAL '1' SECOND, INTERVAL '16' SECOND) AS ws, HOP_END(rowtime, INTERVAL '1' SECOND, INTERVAL '16' SECOND) AS we, k, COUNT(*) AS c, SUM(v) AS s FROM s.events GROUP BY HOP(rowtime, INTERVAL '1' SECOND, INTERVAL '16' SECOND), k`
-
-// BenchmarkExec_Stream_IncrementalVsRecompute contrasts the continuous
-// HOP query on the vectorized incremental path (one pane accumulation per
-// event, windows assembled by merging pane states at emission) against the
-// row-mode oracle, which re-materializes every event into each of the 16
-// windows it overlaps and recomputes each window's aggregates from
-// scratch — the §7.2 "re-executing the query per window" strawman.
-func BenchmarkExec_Stream_IncrementalVsRecompute(b *testing.B) {
-	conn, tb := streamBenchConn(b)
-	conn.SetParallelism(1)
-	_, optimized, err := conn.Plan(streamBenchSQL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	first, err := conn.Framework.ExecutePhysical(optimized)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wantRows := len(first)
-	if wantRows == 0 {
-		b.Fatal("stream query emitted no windows")
-	}
-	b.Run("Incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, err := conn.Framework.ExecutePhysical(optimized)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rows) != wantRows {
-				b.Fatalf("got %d windows, want %d", len(rows), wantRows)
-			}
-		}
-	})
-	b.Run("Recompute", func(b *testing.B) {
-		cur, err := tb.StreamScan()
-		if err != nil {
-			b.Fatal(err)
-		}
-		events, err := stream.EventsFromCursor(cur, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		calls := []rex.AggCall{
-			rex.NewAggCall(rex.AggCount, nil, false, "c"),
-			rex.NewAggCall(rex.AggSum, []int{2}, false, "s"),
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wins, err := stream.Hop(events, 1000, 16000, []int{1}, calls)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(wins) != wantRows {
-				b.Fatalf("oracle got %d windows, incremental emitted %d", len(wins), wantRows)
-			}
-		}
-	})
-}
-
-// BenchmarkExec_Stream_Parallel runs the same continuous HOP query with the
-// stream hash-exchanged across 4 workers on the group keys, each worker
-// maintaining the panes of its key range, merged back into deterministic
-// emission order.
-func BenchmarkExec_Stream_Parallel(b *testing.B) {
-	conn, _ := streamBenchConn(b)
-	conn.SetParallelism(4)
-	_, optimized, err := conn.Plan(streamBenchSQL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wantRows int
-	for i := 0; i < b.N; i++ {
-		rows, err := conn.Framework.ExecutePhysical(optimized)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			wantRows = len(rows)
-			if wantRows == 0 {
-				b.Fatal("stream query emitted no windows")
-			}
-		} else if len(rows) != wantRows {
-			b.Fatalf("got %d windows, want %d", len(rows), wantRows)
-		}
 	}
 }
