@@ -230,43 +230,54 @@ func TestServingSoak(t *testing.T) {
 	}
 	wg.Wait()
 	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 
+	// Each check below is one gate the serving tier must hold after
+	// concurrent mixed traffic; each runs as its own subtest so a failure
+	// names the gate.
+	t.Run("no_request_failed", func(t *testing.T) {
+		for err := range errs {
+			t.Error(err)
+		}
+	})
 	// Everything explicit was closed: the live-statement gauge is back to 0
 	// and no cursor memory is retained.
-	if got := srv.StatementCount(); got != 0 {
-		t.Errorf("statements live after soak: %d, want 0", got)
-	}
-	if got := srv.CursorBytes(); got != 0 {
-		t.Errorf("cursor bytes after soak: %d, want 0", got)
-	}
+	t.Run("statements_released", func(t *testing.T) {
+		if got := srv.StatementCount(); got != 0 {
+			t.Errorf("statements live after soak: %d, want 0", got)
+		}
+		if got := srv.CursorBytes(); got != 0 {
+			t.Errorf("cursor bytes after soak: %d, want 0", got)
+		}
+	})
 	// Nothing is reserved anywhere, read over the wire as a scraper would:
 	// not in the global pool, and not in any tenant's pool (each of which
 	// must exist — the load really ran on carved budgets).
-	_, exposition := get(t, "http://"+addr+"/metrics")
-	if got := metricValue(t, exposition, "calcite_memory_pool_used_bytes"); got != 0 {
-		t.Errorf("calcite_memory_pool_used_bytes = %v after soak, want 0", got)
-	}
-	for i := 0; i < tenants; i++ {
-		series := fmt.Sprintf("calcite_tenant_pool_used_bytes{tenant=%q}", tenantName(i))
-		if got := metricValue(t, exposition, series); got != 0 {
-			t.Errorf("%s = %v after soak, want 0", series, got)
+	t.Run("pools_released", func(t *testing.T) {
+		_, exposition := get(t, "http://"+addr+"/metrics")
+		if got := metricValue(t, exposition, "calcite_memory_pool_used_bytes"); got != 0 {
+			t.Errorf("calcite_memory_pool_used_bytes = %v after soak, want 0", got)
 		}
-	}
-
+		for i := 0; i < tenants; i++ {
+			series := fmt.Sprintf("calcite_tenant_pool_used_bytes{tenant=%q}", tenantName(i))
+			if got := metricValue(t, exposition, series); got != 0 {
+				t.Errorf("%s = %v after soak, want 0", series, got)
+			}
+		}
+	})
 	// The repeated statements were served from the plan cache.
-	cacheAfter := conn.Framework.PlanCache().Counters()
-	hits, misses := cacheAfter.Hits-cacheBefore.Hits, cacheAfter.Misses-cacheBefore.Misses
-	if share := float64(hits) / float64(hits+misses); hits+misses == 0 || share < 0.9 {
-		t.Errorf("plan-cache hit share %.3f over the soak (%d hits, %d misses), want >= 0.9", share, hits, misses)
-	}
-
+	t.Run("plan_cache_hit_share", func(t *testing.T) {
+		cacheAfter := conn.Framework.PlanCache().Counters()
+		hits, misses := cacheAfter.Hits-cacheBefore.Hits, cacheAfter.Misses-cacheBefore.Misses
+		if share := float64(hits) / float64(hits+misses); hits+misses == 0 || share < 0.9 {
+			t.Errorf("plan-cache hit share %.3f over the soak (%d hits, %d misses), want >= 0.9", share, hits, misses)
+		}
+	})
 	// Goroutine-leak canary under load: with the clients' idle connections
 	// closed, the serving goroutines settle back near their pre-load count
 	// while the server is still up.
-	waitGoroutines(t, "after load", loadBaseline+10)
+	t.Run("goroutines_settle_after_load", func(t *testing.T) {
+		waitGoroutines(t, "after load", loadBaseline+10)
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -276,7 +287,9 @@ func TestServingSoak(t *testing.T) {
 
 	// After shutdown the count settles back to the pre-server baseline (plus
 	// slack for runtime/netpoll helpers that linger).
-	waitGoroutines(t, "after shutdown", baseline+3)
+	t.Run("goroutines_settle_after_shutdown", func(t *testing.T) {
+		waitGoroutines(t, "after shutdown", baseline+3)
+	})
 }
 
 // waitGoroutines waits up to five seconds for the goroutine count to drop to
