@@ -356,6 +356,5 @@ func (a *Aggregate) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	return NewGroupedAgg(ctx, "Aggregate", a, AggComplete).Drain(in, nil)
 }
 
-// HashJoin.BindBatch and NestedLoopJoin.BindBatch run the join kernel of
-// joinspill.go: the streaming probe plus the Grace/hybrid spill path of the
-// memory governor.
+// HashJoin.BindBatch runs the join kernel of joinspill.go: the streaming
+// probe plus the Grace/hybrid spill path of the memory governor.

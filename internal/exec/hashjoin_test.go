@@ -2,8 +2,7 @@ package exec
 
 // TestHashJoinMatchesGo: the join kernel against a nested loop in plain Go, in
 // memory, on the Grace path and under a skewed key that repartitions down to
-// spillMaxDepth; and, as the nested-loop join with no equi keys, past a
-// denied grant in memory.
+// spillMaxDepth; and, with no equi keys, past a denied grant in memory.
 
 import (
 	"errors"
@@ -180,9 +179,8 @@ func TestHashJoinMatchesGo(t *testing.T) {
 	keyShapes := [][][2]int{{{0, 0}}, {{1, 1}}, {{0, 0}, {1, 1}}}
 	kinds := []rel.JoinKind{rel.InnerJoin, rel.LeftJoin, rel.RightJoin, rel.FullJoin, rel.SemiJoin, rel.AntiJoin}
 	for trial := 0; trial < 12; trial++ {
-		// Trials 8-11 have no equi key: the nested-loop join, whose every
-		// build row is a candidate, over at most 30 x 150 rows and a budget
-		// the build outgrows.
+		// Trials 8-11 have no equi key: every build row is a candidate, over
+		// at most 30 x 150 rows and a budget the build outgrows.
 		keyless := trial >= 8
 		keys, budget := keyShapes[trial%len(keyShapes)], int64(16<<10)
 		if keyless {
@@ -219,12 +217,8 @@ func TestHashJoinMatchesGo(t *testing.T) {
 			if mode != "ungoverned" {
 				ctx.Alloc = memory.NewAllocator(nil, budget, true)
 			}
-			join := func(kind rel.JoinKind) BatchBound {
-				l, r := newBatchSource("l", lb), newBatchSource("r", rb)
-				if keyless {
-					return NewNestedLoopJoin(kind, l, r, cond)
-				}
-				return NewHashJoin(kind, l, r, cond)
+			join := func(kind rel.JoinKind) *HashJoin {
+				return NewHashJoin(kind, newBatchSource("l", lb), newBatchSource("r", rb), cond)
 			}
 			for _, kind := range kinds {
 				name := fmt.Sprintf("trial %d %s %v keys=%v residual=%v left=%d right=%d batch=%d",

@@ -3,7 +3,6 @@ package exec
 import (
 	"calcite/internal/rel"
 	"calcite/internal/rex"
-	"calcite/internal/schema"
 )
 
 // JoinInfo splits a join condition into equi-join key pairs and a residual
@@ -49,17 +48,20 @@ func AnalyzeJoin(condition rex.Node, leftWidth int) JoinInfo {
 	return info
 }
 
-// HashJoin is the enumerable equi-join: it collects the right ("build")
-// input into a hash table and probes it with left rows — the paper's
-// EnumerableJoin, which "implements joins by collecting rows from its child
-// nodes and joining on the desired attributes" (§5).
+// HashJoin is the enumerable join: it collects the right ("build") input
+// into a hash table on the equi keys of its condition and probes it with
+// left rows — the paper's EnumerableJoin, which "implements joins by
+// collecting rows from its child nodes and joining on the desired
+// attributes" (§5). A condition without equi keys makes every build row a
+// candidate of every probe row; the rest of the condition is the compiled
+// residual over candidate pairs.
 type HashJoin struct {
 	*rel.Join
 	Info JoinInfo
 }
 
-// NewHashJoin creates a hash join; the condition must contain at least one
-// equi-key pair (callers should check AnalyzeJoin first).
+// NewHashJoin creates a hash join for an arbitrary condition, split into
+// equi keys and residual by AnalyzeJoin.
 func NewHashJoin(kind rel.JoinKind, left, right rel.Node, condition rex.Node) *HashJoin {
 	j := rel.NewJoinTraits("EnumerableHashJoin", enumerableTraits(), kind, left, right, condition)
 	return &HashJoin{Join: j, Info: AnalyzeJoin(condition, rel.FieldCount(left))}
@@ -71,33 +73,4 @@ func (j *HashJoin) WithNewInputs(inputs []rel.Node) rel.Node {
 
 func (j *HashJoin) Unwrap() rel.Node {
 	return rel.NewJoin(j.Kind, j.Left(), j.Right(), j.Condition)
-}
-
-// NestedLoopJoin is the enumerable general-condition join: the join the
-// planner costs as comparing every pair of rows. It executes on the hash
-// join's kernel — equi conjuncts of its condition, if any, are hashed and
-// the rest is the compiled residual over candidate pairs.
-type NestedLoopJoin struct {
-	*rel.Join
-}
-
-// NewNestedLoopJoin creates a nested-loop join for arbitrary conditions.
-func NewNestedLoopJoin(kind rel.JoinKind, left, right rel.Node, condition rex.Node) *NestedLoopJoin {
-	j := rel.NewJoinTraits("EnumerableNestedLoopJoin", enumerableTraits(), kind, left, right, condition)
-	return &NestedLoopJoin{Join: j}
-}
-
-func (j *NestedLoopJoin) WithNewInputs(inputs []rel.Node) rel.Node {
-	return NewNestedLoopJoin(j.Kind, inputs[0], inputs[1], j.Condition)
-}
-
-func (j *NestedLoopJoin) Unwrap() rel.Node {
-	return rel.NewJoin(j.Kind, j.Left(), j.Right(), j.Condition)
-}
-
-// BindBatch runs the join on the join kernel (bindJoin). Without an equi
-// conjunct every build row is a candidate; such a build cannot be split into
-// Grace partitions, so past a denied grant it finishes in memory.
-func (j *NestedLoopJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
-	return bindJoin(ctx, j.Join, AnalyzeJoin(j.Condition, rel.FieldCount(j.Left())), "NestedLoopJoin", nil)
 }

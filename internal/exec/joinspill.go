@@ -52,24 +52,18 @@ type joinSpec struct {
 	residual   func(vecs []*schema.Vector, r int) (bool, error)
 }
 
-// BindBatch executes the hash join on the join kernel (bindJoin).
+// BindBatch runs the join with a streaming probe: the build (right) side is
+// drained into a hash table on the equi keys — with none, every build row is
+// a candidate of every probe row — spilling to Grace partitions when the
+// memory grant runs out; then probe batches stream through, emitting one
+// output batch per probe batch. Unmatched build rows (right/full joins)
+// follow after the probe is exhausted.
 func (j *HashJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
-	return bindJoin(ctx, j.Join, j.Info, "HashJoin", func() { j.noteBuildOvershoot(ctx) })
-}
-
-// bindJoin runs j with a streaming probe: the build (right) side is drained
-// into a hash table on info's equi keys — with none, every build row is a
-// candidate of every probe row — spilling to Grace partitions when the memory
-// grant runs out; then probe batches stream through, emitting one output
-// batch per probe batch. Unmatched build rows (right/full joins) follow after
-// the probe is exhausted. built, when non-nil, runs once the build stream has
-// been drained.
-func bindJoin(ctx *Context, j *rel.Join, info JoinInfo, op string, built func()) (schema.BatchCursor, error) {
 	buildBC, err := BindBatch(ctx, j.Right())
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewJoinBuild(ctx, j, info, op)
+	b, err := NewJoinBuild(ctx, j.Join, j.Info, "HashJoin")
 	if err != nil {
 		buildBC.Close()
 		return nil, err
@@ -83,16 +77,14 @@ func bindJoin(ctx *Context, j *rel.Join, info JoinInfo, op string, built func())
 	bindProbe := func() (schema.BatchCursor, error) { return BindBatch(ctx, j.Left()) }
 	if !exhausted {
 		cur, err := b.Grace(buildBC, bindProbe)
-		if err == nil && built != nil {
+		if err == nil {
 			// The Grace path drains the rest of the build stream into partitions
 			// at bind time, so the build child's span rows are complete here too.
-			built()
+			j.noteBuildOvershoot(ctx)
 		}
 		return cur, err
 	}
-	if built != nil {
-		built()
-	}
+	j.noteBuildOvershoot(ctx)
 	probeBC, err := bindProbe()
 	if err != nil {
 		b.Abandon()
@@ -515,7 +507,7 @@ func (pw *partitionWriter) add(b *schema.Batch) error {
 	sel, pw.dense = liveSel(b, pw.dense)
 	for _, r := range sel {
 		pw.keyBuf = schema.RowKey(pw.keyBuf[:0], b.Vecs, int(r), pw.keys)
-		p := memory.Partition(string(pw.keyBuf), spillFanOut, pw.seed)
+		p := memory.Partition(pw.keyBuf, spillFanOut, pw.seed)
 		pw.sels[p] = append(pw.sels[p], r)
 	}
 	for p, rows := range pw.sels {

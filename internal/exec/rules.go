@@ -31,7 +31,7 @@ func logicalOp[T rel.Node]() *plan.Operand {
 func Rules() []plan.Rule {
 	return []plan.Rule{
 		ScanRule(), FilterRule(), ProjectRule(), SortRule(), AggregateRule(),
-		StreamAggregateRule(), HashJoinRule(), NestedLoopJoinRule(),
+		StreamAggregateRule(), HashJoinRule(),
 		SetOpRule(), ValuesRule(), WindowRule(), TableModifyRule(), IndexScanRule(),
 	}
 }
@@ -111,33 +111,14 @@ func StreamAggregateRule() plan.Rule {
 	}
 }
 
-// HashJoinRule converts equi-joins to hash joins.
+// HashJoinRule converts every logical join to a hash join.
 func HashJoinRule() plan.Rule {
 	return &plan.FuncRule{
 		Name: "EnumerableHashJoinRule",
 		Op:   logicalOp[*rel.Join](),
 		Fire: func(call *plan.Call) {
 			j := call.Rel(0).(*rel.Join)
-			info := AnalyzeJoin(j.Condition, rel.FieldCount(j.Left()))
-			if len(info.LeftKeys) == 0 {
-				return // no equi keys: hash join not applicable
-			}
 			call.Transform(NewHashJoin(j.Kind,
-				call.Convert(j.Left(), trait.Enumerable),
-				call.Convert(j.Right(), trait.Enumerable),
-				j.Condition))
-		},
-	}
-}
-
-// NestedLoopJoinRule converts any join to a nested-loop join.
-func NestedLoopJoinRule() plan.Rule {
-	return &plan.FuncRule{
-		Name: "EnumerableNestedLoopJoinRule",
-		Op:   logicalOp[*rel.Join](),
-		Fire: func(call *plan.Call) {
-			j := call.Rel(0).(*rel.Join)
-			call.Transform(NewNestedLoopJoin(j.Kind,
 				call.Convert(j.Left(), trait.Enumerable),
 				call.Convert(j.Right(), trait.Enumerable),
 				j.Condition))
@@ -198,8 +179,7 @@ func TableModifyRule() plan.Rule {
 }
 
 // MetadataProvider returns cost metadata for the enumerable physical
-// operators: it differentiates hash and nested-loop joins so the
-// cost-based planner can choose between them.
+// operators: index and remote scans, the hash join and the sort.
 func MetadataProvider() meta.Provider {
 	return meta.Provider{
 		Name: "enumerable",
@@ -235,11 +215,13 @@ func MetadataProvider() meta.Provider {
 				}
 				return cost.Zero, false
 			case *HashJoin:
+				// Without an equi key every probe row meets every build row.
 				left, right := q.RowCount(x.Left()), q.RowCount(x.Right())
-				return cost.New(left+right, left+right*2, 0, right*q.AverageRowSize(x.Right())), true
-			case *NestedLoopJoin:
-				left, right := q.RowCount(x.Left()), q.RowCount(x.Right())
-				return cost.New(left+right, left*right, 0, right*q.AverageRowSize(x.Right())), true
+				cpu := left + right*2
+				if len(x.Info.LeftKeys) == 0 {
+					cpu = left * right
+				}
+				return cost.New(left+right, cpu, 0, right*q.AverageRowSize(x.Right())), true
 			case *Sort:
 				in := q.RowCount(x.Inputs()[0])
 				cpu := in

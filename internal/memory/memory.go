@@ -464,10 +464,11 @@ func (r *Reservation) Alloc() *Allocator {
 	return r.a
 }
 
-// Partition routes a canonical key string to one of p spill partitions.
-// seed varies the hash between Grace-join/aggregation recursion levels so a
-// partition that would not subdivide under one hash splits under the next.
-func Partition(key string, p, seed int) int {
+// Partition routes a canonical key encoding to one of p partitions (FNV-1a):
+// exchange routing uses seed 0, and spill partitioning varies the seed
+// between Grace-join/aggregation recursion levels so a partition that would
+// not subdivide under one hash splits under the next.
+func Partition(key []byte, p, seed int) int {
 	h := uint32(2166136261) ^ uint32(seed)*0x9e3779b9
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])

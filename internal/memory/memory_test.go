@@ -221,10 +221,10 @@ func TestParseBytes(t *testing.T) {
 func TestPartitionDeterministicAndSeedSensitive(t *testing.T) {
 	keys := []string{"a", "bb", "ccc", "dddd", "\x00i42|"}
 	for _, k := range keys {
-		if Partition(k, 8, 1) != Partition(k, 8, 1) {
+		if Partition([]byte(k), 8, 1) != Partition([]byte(k), 8, 1) {
 			t.Fatalf("partition of %q not deterministic", k)
 		}
-		if p := Partition(k, 8, 0); p < 0 || p >= 8 {
+		if p := Partition([]byte(k), 8, 0); p < 0 || p >= 8 {
 			t.Fatalf("partition out of range: %d", p)
 		}
 	}
@@ -232,7 +232,7 @@ func TestPartitionDeterministicAndSeedSensitive(t *testing.T) {
 	// contract).
 	moved := false
 	for _, k := range keys {
-		if Partition(k, 8, 0) != Partition(k, 8, 1) {
+		if Partition([]byte(k), 8, 0) != Partition([]byte(k), 8, 1) {
 			moved = true
 		}
 	}

@@ -12,9 +12,11 @@
 //
 //   - batch-scannable scans become MorselScan (random distribution);
 //   - filters and projections run partition-local, preserving distribution;
-//   - hash joins drain their build partitions in parallel and probe each
-//     partition against the shared table (right/full joins gather to a
-//     single stream and run serially);
+//   - every join with a partitioned input drains its build partitions in
+//     parallel and probes each probe partition against the shared table,
+//     a serial input being one partition and a join without equi keys one
+//     in-memory build (right/full joins gather to a single stream and run
+//     serially);
 //   - aggregates split into thread-local partial aggregation, a hash
 //     exchange on the group keys, and a partitioned merge of accumulator
 //     states (rex.MergeAccumulators);

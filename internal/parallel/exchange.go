@@ -10,9 +10,8 @@ package parallel
 //   - merge-gather: p sorted partition streams → one sorted stream (k-way
 //     merge on the collation's key vectors), the back end of the parallel
 //     sort and of the parallel aggregate's deterministic group ordering;
-//   - scatter: input partitions → p output partitions, either hash-by-key
-//     (partitioned aggregation/join builds) or round-robin (parallelizing a
-//     serial source).
+//   - scatter: input partitions → p output partitions by a hash of key
+//     columns (partitioned aggregates, windows and streaming aggregates).
 //
 // Every exchange is context-driven: the first error (or a Close from a
 // consumer that has not drained its partition) cancels the exchange context,
@@ -28,6 +27,7 @@ import (
 	"sync"
 
 	"calcite/internal/exec"
+	"calcite/internal/memory"
 	"calcite/internal/schema"
 	"calcite/internal/trait"
 )
@@ -270,26 +270,13 @@ func (c *chanCursor) Close() error {
 	return nil
 }
 
-// shardOfKey maps an exchange routing key — the shared canonical encoding
-// (schema.RowKey), NULL-inclusive: unlike a join's match key, routing must
-// place NULL keys too, so all NULLs of a key land in one partition like any
-// other group — to one of p partitions.
-func shardOfKey(key []byte, p int) int {
-	// FNV-1a inlined over the canonical key encoding.
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % uint32(p))
-}
-
-// Scatter repartitions the input partitions into p output partitions.
-// keys == nil scatters whole batches round-robin (parallelizing a serial
-// stream); otherwise rows are split by a hash of the key columns, zero-copy
-// via selection vectors. Producers run on dedicated goroutines — they only
-// move data, so the pool's workers stay available for the compute-heavy
-// consumers downstream.
+// Scatter repartitions the input partitions into p output partitions: rows
+// are split by a hash of the key columns, zero-copy via selection vectors.
+// The routing key is the shared canonical encoding (schema.RowKey),
+// NULL-inclusive: unlike a join's match key, routing must place NULL keys
+// too, so all NULLs of a key land in one partition like any other group.
+// Producers run on dedicated goroutines — they only move data, so the pool's
+// workers stay available for the compute-heavy consumers downstream.
 func Scatter(inParts []schema.BatchCursor, p int, keys []int) []schema.BatchCursor {
 	st := newExchState(p)
 	outs := make([]chan *schema.Batch, p)
@@ -297,8 +284,6 @@ func Scatter(inParts []schema.BatchCursor, p int, keys []int) []schema.BatchCurs
 		outs[i] = make(chan *schema.Batch, exchChanBuf)
 	}
 	var wg sync.WaitGroup
-	var rr int64
-	var rrMu sync.Mutex
 	for _, part := range inParts {
 		part := part
 		wg.Add(1)
@@ -315,22 +300,12 @@ func Scatter(inParts []schema.BatchCursor, p int, keys []int) []schema.BatchCurs
 					st.fail(err)
 					return
 				}
-				if keys == nil {
-					rrMu.Lock()
-					i := int(rr % int64(p))
-					rr++
-					rrMu.Unlock()
-					if !send(st, outs[i], b.Detach()) {
-						return
-					}
-					continue
-				}
-				// Hash split: one selection vector per target partition
-				// over the shared columns.
+				// One selection vector per target partition over the
+				// shared columns.
 				sels := make([][]int32, p)
 				route := func(r int32) {
 					key = schema.RowKey(key[:0], b.Vecs, int(r), keys)
-					k := shardOfKey(key, p)
+					k := memory.Partition(key, p, 0)
 					sels[k] = append(sels[k], r)
 				}
 				if b.Sel != nil {

@@ -172,8 +172,6 @@ const (
 	MergeGatherKind
 	// HashKind repartitions rows by a hash of key columns.
 	HashKind
-	// RoundRobinKind scatters batches round-robin across p partitions.
-	RoundRobinKind
 )
 
 func (k ExchangeKind) String() string {
@@ -182,10 +180,8 @@ func (k ExchangeKind) String() string {
 		return "GatherExchange"
 	case MergeGatherKind:
 		return "MergeGatherExchange"
-	case HashKind:
-		return "HashExchange"
 	}
-	return "RoundRobinExchange"
+	return "HashExchange"
 }
 
 // Exchange is the explicit data-movement operator the parallel planner
@@ -229,13 +225,6 @@ func NewHashExchange(input rel.Node, keys []int, pool *Pool, p int) *Exchange {
 		dist: trait.Hashed(keys...), pool: pool, p: p}
 }
 
-// NewRoundRobinExchange scatters a (typically serial) input across p
-// partitions so the operators above it can run in parallel.
-func NewRoundRobinExchange(input rel.Node, pool *Pool, p int) *Exchange {
-	return &Exchange{input: input, Kind: RoundRobinKind, Fetch: -1,
-		dist: trait.RandomDist(), pool: pool, p: p}
-}
-
 func (e *Exchange) Op() string         { return e.Kind.String() }
 func (e *Exchange) Inputs() []rel.Node { return []rel.Node{e.input} }
 
@@ -277,8 +266,8 @@ func (e *Exchange) WithNewInputs(inputs []rel.Node) rel.Node {
 	return &c
 }
 
-// BindBatch binds the gathering exchanges as single cursors; for the
-// scattering kinds it is the serial fallback (a pass-through).
+// BindBatch binds the gathering exchanges as single cursors; for the hash
+// exchange it is the serial fallback (a pass-through).
 func (e *Exchange) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	switch e.Kind {
 	case GatherKind:
@@ -297,22 +286,15 @@ func (e *Exchange) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	return exec.BindBatch(ctx, e.input)
 }
 
-// BindPartitions implements the scattering exchanges (hash, round-robin).
-// The gathering kinds present their single stream as one partition.
+// BindPartitions implements the hash exchange, the one scattering kind. The
+// gathering kinds present their single stream as one partition.
 func (e *Exchange) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
-	switch e.Kind {
-	case HashKind:
+	if e.Kind == HashKind {
 		parts, err := BindPartitions(ctx, e.input)
 		if err != nil {
 			return nil, err
 		}
 		return Scatter(parts, e.p, e.Keys), nil
-	case RoundRobinKind:
-		parts, err := BindPartitions(ctx, e.input)
-		if err != nil {
-			return nil, err
-		}
-		return Scatter(parts, e.p, nil), nil
 	}
 	bc, err := e.BindBatch(ctx)
 	if err != nil {

@@ -342,40 +342,6 @@ func TestScatterHashRoutingReadsKeyVectorsOnly(t *testing.T) {
 	}
 }
 
-func TestScatterRoundRobinDeliversAll(t *testing.T) {
-	const p = 4
-	in := schema.NewSliceBatchCursor(seqBatches(10))
-	outs := Scatter([]schema.BatchCursor{in}, p, nil)
-	var mu sync.Mutex
-	count := 0
-	var wg sync.WaitGroup
-	for _, out := range outs {
-		out := out
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer out.Close()
-			for {
-				b, err := out.NextBatch()
-				if err == schema.Done {
-					return
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				count += b.NumRows()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if count != 10 {
-		t.Fatalf("round-robin delivered %d rows, want 10", count)
-	}
-}
-
 func TestMergeGatherOrdersAndLimits(t *testing.T) {
 	pool := NewPool(2)
 	// Two sorted runs of (value, hiddenPos); merge ascending by value,
@@ -464,6 +430,37 @@ func TestParallelizeKeepsRightJoinSerial(t *testing.T) {
 	}
 	if !strings.Contains(text, "GatherExchange") {
 		t.Errorf("right join inputs should gather:\n%s", text)
+	}
+}
+
+// TestParallelizeJoins pins the one join rewrite: a join with a partitioned
+// input becomes ParallelHashJoin over its inputs as they are — a serial probe
+// is one probe partition, with no exchange in front of it — and a join
+// without equi keys parallelizes like any other, over one in-memory build.
+func TestParallelizeJoins(t *testing.T) {
+	tuples := make([][]rex.Node, 40)
+	for i := range tuples {
+		tuples[i] = []rex.Node{rex.NewLiteral(int64(i), types.BigInt), rex.NewLiteral(int64(i%5), types.BigInt)}
+	}
+	values := exec.NewValues(memScan(t, "v", 0).RowType(), tuples)
+	less := rex.NewCall(rex.OpLess, rex.NewInputRef(0, types.BigInt), rex.NewInputRef(2, types.BigInt))
+	cases := []struct {
+		name string
+		join *exec.HashJoin
+	}{
+		{"serial probe", exec.NewHashJoin(rel.InnerJoin, values, memScan(t, "r", 300), joinConds()[0])},
+		{"keyless", exec.NewHashJoin(rel.InnerJoin, memScan(t, "l", 200), memScan(t, "r", 50), less)},
+	}
+	for _, c := range cases {
+		plan := Parallelize(c.join, NewPool(4), 4)
+		par, ok := plan.Inputs()[0].(*HashJoinPar)
+		if !ok {
+			t.Fatalf("%s: want a gathered ParallelHashJoin:\n%s", c.name, rel.Explain(plan))
+		}
+		if _, ok := par.Left().(*Exchange); ok {
+			t.Errorf("%s: an exchange feeds the probe:\n%s", c.name, rel.Explain(plan))
+		}
+		checkAgainstSerial(t, c.join)
 	}
 }
 

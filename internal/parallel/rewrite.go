@@ -8,9 +8,10 @@ package parallel
 //
 //   - batch-scannable scans become MorselScan (random distribution);
 //   - filters and projections execute in place, preserving distribution;
-//   - hash joins with a partitioned side become partitioned build + probe
-//     (right/full joins, which need cross-partition unmatched tracking,
-//     gather to a single stream and run serially);
+//   - joins with a partitioned input become partitioned build + probe over
+//     their inputs as they are, a serial input being one partition (right/
+//     full joins, which need cross-partition unmatched tracking, gather to a
+//     single stream and run serially);
 //   - aggregates split into thread-local partial aggregation, a hash
 //     exchange on the group keys, and a partitioned final merge;
 //   - sorts split into per-worker sorts and a merge-gather;
@@ -101,20 +102,16 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 	case *exec.HashJoin:
 		probe, pd := r.rewrite(x.Left())
 		build, bd := r.rewrite(x.Right())
-		parallelizable := x.Kind == rel.InnerJoin || x.Kind == rel.LeftJoin ||
-			x.Kind == rel.SemiJoin || x.Kind == rel.AntiJoin
-		if !parallelizable {
+		serial := x.Kind == rel.RightJoin || x.Kind == rel.FullJoin ||
+			!pd.Partitioned() && !bd.Partitioned()
+		if serial {
 			return x.WithNewInputs([]rel.Node{
 				r.singleton(probe, pd), r.singleton(build, bd),
 			}), trait.Singleton()
 		}
-		if !pd.Partitioned() && !bd.Partitioned() {
-			return x.WithNewInputs([]rel.Node{probe, build}), trait.Singleton()
-		}
+		// A serial input is simply one partition: one build partition, or
+		// one probe partition over the shared table.
 		if !pd.Partitioned() {
-			// The build side parallelized but the probe stream is serial:
-			// scatter it round-robin so the probe phase scales too.
-			probe = NewRoundRobinExchange(probe, r.pool, r.p)
 			pd = trait.RandomDist()
 		}
 		inner := x.WithNewInputs([]rel.Node{probe, build}).(*exec.HashJoin)

@@ -141,7 +141,7 @@ const (
 	// equal on the keys are in the same partition.
 	DistHashed
 	// DistRandom means rows are partitioned with no placement guarantee
-	// (morsel-driven scans, round-robin exchanges).
+	// (morsel-driven scans and the operators above them).
 	DistRandom
 )
 
@@ -165,7 +165,7 @@ func Singleton() Distribution { return Distribution{Kind: DistSingleton} }
 // Hashed returns a hash distribution over the given key ordinals.
 func Hashed(keys ...int) Distribution { return Distribution{Kind: DistHashed, Keys: keys} }
 
-// RandomDist returns the arbitrary (round-robin / morsel) distribution.
+// RandomDist returns the arbitrary (morsel) distribution.
 func RandomDist() Distribution { return Distribution{Kind: DistRandom} }
 
 // Partitioned reports whether rows are spread over more than one stream.

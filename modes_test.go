@@ -129,8 +129,8 @@ func diffViews(conn *calcite.Connection) {
 
 // diffQueries is the differential corpus: every engine configuration must
 // return the answers testdata/results.golden pins for it (TestResultsGolden).
-// It covers every enumerable operator (scan, filter, project, hash and
-// nested-loop join, aggregate, sort/limit, window, set ops, values).
+// It covers every enumerable operator (scan, filter, project, hash join with
+// and without equi keys, aggregate, sort/limit, window, set ops, values).
 var diffQueries = []struct {
 	sql    string
 	params []any
@@ -244,7 +244,7 @@ var diffQueries = []struct {
 	// with duplicates and NULLs on both sides, an int meeting its integral
 	// float, empty sides. Joins without equi keys: a `<` condition of every
 	// outer kind whose 500-row build side exceeds the 32 KB budgets, a cross
-	// join, and an equi-join the planner runs as a nested loop. VALUES with
+	// join, and an equi-join with a one-row side. VALUES with
 	// expressions, NULLs and more rows than a 3-row batch.
 	{sql: "SELECT deptno FROM emps INTERSECT ALL SELECT deptno FROM emps WHERE empid <> 3"},
 	{sql: "SELECT deptno FROM emps EXCEPT ALL SELECT deptno FROM emps WHERE empid IN (1, 5)"},

@@ -232,10 +232,10 @@ func metricValue(exposition, prefix string) (float64, bool) {
 	return 0, false
 }
 
-// TestRowOnlyRootTracing: UNION ALL, a non-equi join and VALUES at the root
-// of a plan; each root span must count exactly the rows the statement
-// returned, in at least one batch, and a union exactly the rows its inputs
-// delivered.
+// TestRowOnlyRootTracing: UNION ALL, a non-equi join (serial, so that no
+// gather sits above it) and VALUES at the root of a plan; each root span must
+// count exactly the rows the statement returned, in at least one batch, and a
+// union exactly the rows its inputs delivered.
 func TestRowOnlyRootTracing(t *testing.T) {
 	conn := obsConn(t, 1500, 0)
 	grp := func(id int) int { return int(uint64(id) * 0x9e3779b97f4a7c15 % 97) } // as obsConn
@@ -253,14 +253,16 @@ func TestRowOnlyRootTracing(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		sql, root string
-		rows      int
+		sql, root   string
+		rows        int
+		parallelism int // 0: the connection's default
 	}{
-		{"SELECT id FROM shuf WHERE grp < 50 UNION ALL SELECT grp FROM shuf WHERE id < 300", "EnumerableUnion", union},
+		{"SELECT id FROM shuf WHERE grp < 50 UNION ALL SELECT grp FROM shuf WHERE id < 300", "EnumerableUnion", union, 0},
 		{"SELECT * FROM (SELECT id FROM shuf WHERE id < 40) a JOIN (SELECT grp FROM shuf WHERE id < 30) b ON a.id < b.grp",
-			"EnumerableNestedLoopJoin", join},
-		{"VALUES (1, 'a'), (2, 'b'), (3, 'c')", "EnumerableValues", 3},
+			"EnumerableHashJoin", join, 1},
+		{"VALUES (1, 'a'), (2, 'b'), (3, 'c')", "EnumerableValues", 3, 0},
 	} {
+		conn.SetParallelism(c.parallelism)
 		res, err := conn.Query(c.sql)
 		if err != nil {
 			t.Fatal(err)
