@@ -24,7 +24,9 @@ import (
 
 // genValue draws one value of a column kind from a domain of the given size
 // (small domains make duplicates); "any" mixes int64 and float64, whose
-// cross-kind comparison is a consistent order.
+// cross-kind comparison is a consistent order. Numeric kinds also draw the
+// values an int64 image or a radix pass over it can misorder: the int64
+// extremes and their neighbours, -1, ±Inf, -0 beside +0, and NaN.
 func genValue(rng *rand.Rand, kind string, domain int, nullP float64) any {
 	if rng.Float64() < nullP {
 		return nil
@@ -32,8 +34,14 @@ func genValue(rng *rand.Rand, kind string, domain int, nullP float64) any {
 	d := rng.Intn(domain)
 	switch kind {
 	case "int64":
+		if rng.Intn(8) == 0 {
+			return []int64{math.MinInt64, math.MinInt64 + 1, -1, math.MaxInt64 - 1, math.MaxInt64}[rng.Intn(5)]
+		}
 		return int64(d - domain/2)
 	case "float64":
+		if rng.Intn(8) == 0 {
+			return []float64{math.Inf(-1), math.Inf(1), 0, -math.MaxFloat64}[rng.Intn(4)]
+		}
 		switch d % 7 {
 		case 5:
 			return math.NaN()
@@ -129,7 +137,19 @@ func TestSortKernelMatchesBoxedReference(t *testing.T) {
 			// Only numeric kinds order consistently against each other.
 			kinds[0] = "int64"
 		}
-		batches, rows := genInput(rng, kinds, n, batch, domain, nullP, rng.Intn(2) == 0, kindChange)
+		withSel := rng.Intn(2) == 0
+		switch trial % 4 {
+		case 1:
+			// radixMin-1, radixMin or radixMin+1 rows: the sort range just
+			// below, at and above the radix threshold.
+			n, batch, withSel = radixMin-1+rng.Intn(3), 1024, false
+		case 3:
+			// Three key values (and the odd extreme) over 3.5 × radixMin
+			// rows: runs of equal leading keys around the threshold, each
+			// sorted on the next key.
+			n, batch, domain, withSel = 7*radixMin/2-8+rng.Intn(17), 1024, 3, false
+		}
+		batches, rows := genInput(rng, kinds, n, batch, domain, nullP, withSel, kindChange)
 		coll := make(trait.Collation, 1+rng.Intn(3))
 		for i := range coll {
 			coll[i] = trait.FieldCollation{Field: rng.Intn(len(kinds)), Direction: trait.Direction(rng.Intn(2))}

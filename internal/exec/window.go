@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"calcite/internal/memory"
 	"calcite/internal/rel"
@@ -13,18 +14,21 @@ import (
 )
 
 // Window is the enumerable window operator (§4's window operator: partition,
-// order, frame bounds, and the functions to execute on each window). It runs
-// columnar, as a chain of sorts through the sort kernel (sortspill.go), so
-// oversized inputs spill instead of blowing the query budget: batches are
-// tagged with their rows' input position, then for each window group sorted
-// on (partition keys, order keys, position) and evaluated one partition at a
-// time with incremental frame maintenance (retractable accumulators for
-// SUM/COUNT/AVG, a monotonic deque for MIN/MAX, O(n·frame) recompute only for
-// the rest). The evaluator sees boxed rows of just the columns the group's
-// order keys and calls read; every other column travels as the typed vector
-// it arrived in, and the results come back as new vectors beside them. A last
-// sort on the position restores the input row order, so the operator's output
-// order is identical serial and parallel.
+// order, frame bounds, and the functions to execute on each window). Each
+// window group is sorted once, narrow: the input batches are held in arrival
+// order, and the sort kernel (sortspill.go) orders only the columns the group
+// reads plus each row's arrival ordinal, on (partition keys, order keys,
+// ordinal). Each partition of that sorted stream is boxed into rows of the
+// columns its order keys and calls read and evaluated with incremental frame
+// maintenance (retractable accumulators for SUM/COUNT/AVG, a monotonic deque
+// for MIN/MAX, O(n·frame) recompute only for the rest); the values land in
+// typed result vectors at the rows' arrival ordinals. The output is the held
+// batches, in arrival order, each with its slice of the result vectors
+// appended: no pass-through column is gathered and no second sort restores
+// the input order. Held batches are charged; from the first denied grant on
+// they go, in order, to one spill run that emission reads back in order, and
+// the sort kernel spills its narrow rows on its own. Parallel plans gather in
+// front of the window.
 type Window struct {
 	*rel.Window
 }
@@ -40,74 +44,35 @@ func (w *Window) WithNewInputs(inputs []rel.Node) rel.Node {
 
 func (w *Window) Unwrap() rel.Node { return rel.NewWindow(w.Inputs()[0], w.Groups) }
 
-// BindBatch is the vectorized path: the input subtree stays columnar and the
-// window emits columnar batches.
+// BindBatch drains the input, sorts and evaluates every group, and returns
+// the held batches with their results appended.
 func (w *Window) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	in, err := BindBatch(ctx, w.Inputs()[0])
 	if err != nil {
 		return nil, err
 	}
-	return w.pipe(ctx, in, false)
-}
-
-// BindOverPartition runs the window pipeline over one worker's partition
-// stream, tagging each row with its global input position (batch Seq,
-// physical in-batch index). The output keeps the two hidden position
-// columns — the parallel merge-gather above interleaves the workers'
-// position-sorted streams on them and strips them itself.
-func (w *Window) BindOverPartition(ctx *Context, in schema.BatchCursor) (schema.BatchCursor, error) {
-	return w.pipe(ctx, in, true)
-}
-
-// withColumns returns b with extra (physically indexed) columns appended.
-func withColumns(b *schema.Batch, extra ...*schema.Vector) *schema.Batch {
-	vecs := batchVecs(b)
-	return &schema.Batch{Len: b.Len, Vecs: append(vecs[:len(vecs):len(vecs)], extra...), Sel: b.Sel, Seq: b.Seq}
-}
-
-// WithPositions returns b with its rows' global input position appended as
-// two int64 columns, (batch Seq, physical row index): Seqs are globally unique
-// and ordered by the serial drain order, and a selection vector's entries are
-// the physical indices of the surviving rows, so the pair sorts back to
-// exactly the serial row order even after hash exchanges split batches across
-// workers.
-func WithPositions(b *schema.Batch) *schema.Batch {
-	seq, idx := make([]int64, b.Len), make([]int64, b.Len)
-	for r := range idx {
-		seq[r], idx[r] = b.Seq, int64(r)
+	out := &windowOutput{res: memory.Reserve(ctx.Alloc, "Window")}
+	resFields := w.RowType().Fields[rel.FieldCount(w.Inputs()[0]):]
+	groups := make([]*windowGroup, len(w.Groups))
+	for i, g := range w.Groups {
+		groups[i] = newWindowGroup(ctx, g, resFields[:len(g.Calls)])
+		resFields = resFields[len(g.Calls):]
 	}
-	return withColumns(b, &schema.Vector{Kind: schema.VecInt64, I64: seq}, &schema.Vector{Kind: schema.VecInt64, I64: idx})
-}
-
-// tagCursor appends the position columns to each input batch: WithPositions
-// under a parallel worker, else one running row counter (a serial stream's
-// batches need not carry distinct Seqs).
-type tagCursor struct {
-	in      schema.BatchCursor
-	bySeq   bool
-	counter int64
-	dense   []int32
-}
-
-func (c *tagCursor) NextBatch() (*schema.Batch, error) {
-	b, err := c.in.NextBatch()
+	err = out.drain(ctx, in, groups)
+	in.Close()
+	for _, g := range groups {
+		if err == nil {
+			err = g.eval(ctx, out)
+		} else {
+			g.sorter.Abandon()
+		}
+	}
 	if err != nil {
+		out.Close()
 		return nil, err
 	}
-	if c.bySeq {
-		return WithPositions(b), nil
-	}
-	var live []int32
-	live, c.dense = liveSel(b, c.dense)
-	ord := make([]int64, b.Len)
-	for _, r := range live {
-		ord[r] = c.counter
-		c.counter++
-	}
-	return withColumns(b, &schema.Vector{Kind: schema.VecInt64, I64: ord}), nil
+	return out, nil
 }
-
-func (c *tagCursor) Close() error { return c.in.Close() }
 
 // ascending is the collation sorting the given columns in ascending order.
 func ascending(fields ...int) trait.Collation {
@@ -118,102 +83,188 @@ func ascending(fields ...int) trait.Collation {
 	return coll
 }
 
-// positionOrder sorts on the npos trailing position columns of width columns.
-func positionOrder(width, npos int) trait.Collation {
-	if npos == 1 {
-		return ascending(width - 1)
-	}
-	return ascending(width-2, width-1)
-}
-
-// pipe chains the per-group sort+evaluate stages and the final position
-// sort, every sort through the memory-governed kernel. The final sort
-// restores position order; a worker's partitions hold position ranges that
-// interleave with other workers', so the parallel path needs it too — the
-// merge-gather above can only interleave streams that are each
-// position-sorted — and keeps the position columns in its output.
-func (w *Window) pipe(ctx *Context, in schema.BatchCursor, parallel bool) (schema.BatchCursor, error) {
-	npos, dropTail := 1, 1
-	if parallel {
-		npos, dropTail = 2, 0
-	}
-	width := rel.FieldCount(w.Inputs()[0]) + npos
-	var cur schema.BatchCursor = &tagCursor{in: in, bySeq: parallel}
-	fields := w.RowType().Fields
-	for _, g := range w.Groups {
-		sorted, err := SortCursor(ctx, "Window", cur, groupCollation(g, width, npos), -1, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		cur = newWindowEval(ctx, sorted, g, fields[width-npos:], npos)
-		width += len(g.Calls)
-	}
-	return SortCursor(ctx, "Window", cur, positionOrder(width, npos), -1, 0, dropTail)
-}
-
 // groupCollation orders rows for one window group: partition keys, then the
-// group's collation, then the npos trailing position columns — a total order
-// on the input, so spilled runs merge back deterministically.
+// group's collation, then the npos trailing position columns of width — a
+// total order on the input, so spilled runs merge back deterministically.
 func groupCollation(g rel.WindowGroup, width, npos int) trait.Collation {
 	coll := append(ascending(g.PartitionKeys...), g.OrderKeys...)
-	return append(coll, positionOrder(width, npos)...)
+	for f := width - npos; f < width; f++ {
+		coll = append(coll, trait.FieldCollation{Field: f, Direction: trait.Ascending})
+	}
+	return coll
 }
 
-// evalBatch is one sorted input batch waiting for its call results.
-type evalBatch struct {
-	vecs    []*schema.Vector
-	n       int
-	results []*schema.Vector // one per call, grown to n as partitions close
-	done    int
-	bytes   int64
+// windowOutput holds the window's input batches in arrival order — in memory
+// up to the first denied grant, in one spill run from there on — and emits
+// each with its slice of the result vectors appended.
+type windowOutput struct {
+	res     *memory.Reservation
+	held    []heldBatch // the in-memory head of the arrival order
+	spill   *memory.RunWriter
+	run     *memory.Run
+	reader  *memory.RunReader
+	n       int              // rows held, in memory and spilled
+	results []*schema.Vector // one per call, n rows at their arrival ordinals
+	at      int              // rows emitted
+	seq     int64
 }
 
-// partPiece is a row range of a queued batch belonging to the open partition.
+type heldBatch struct {
+	*schema.Batch
+	bytes int64
+}
+
+// drain holds every input batch and hands each group's sorter the batch's
+// narrow columns and arrival ordinals.
+func (o *windowOutput) drain(ctx *Context, in schema.BatchCursor, groups []*windowGroup) error {
+	for {
+		b, err := in.NextBatch()
+		if err == schema.Done {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if b = b.Compact(); b.Len == 0 {
+			continue
+		}
+		vecs := batchVecs(b)
+		ord := &schema.Vector{Kind: schema.VecInt64, I64: make([]int64, b.Len)}
+		for r := range ord.I64 {
+			ord.I64[r] = int64(o.n + r)
+		}
+		for _, g := range groups {
+			if err := g.add(vecs, ord, b.Len); err != nil {
+				return err
+			}
+		}
+		if err := o.hold(ctx, &schema.Batch{Len: b.Len, Vecs: vecs}); err != nil {
+			return err
+		}
+	}
+	if o.spill == nil {
+		return nil
+	}
+	run, err := o.spill.Finish()
+	o.spill, o.run = nil, run
+	return err
+}
+
+// hold keeps a batch while the budget grants it; from the first denied grant
+// on, it and every later batch are written to the spill run, so the run holds
+// the tail of the arrival order and the sort kernel the rest of the budget.
+func (o *windowOutput) hold(ctx *Context, b *schema.Batch) error {
+	o.n += b.Len
+	if o.spill == nil {
+		bytes := vecsBytes(b.Vecs, nil, b.Len)
+		err := o.res.Grow(bytes)
+		if err == nil {
+			o.held = append(o.held, heldBatch{b, bytes})
+			return nil
+		}
+		if !o.res.SpillAllowed() {
+			return err
+		}
+		if o.spill, err = ctx.Alloc.NewRun("Window"); err != nil {
+			return err
+		}
+		o.res.NoteSpillEvent()
+	}
+	return o.spill.WriteBatch(b)
+}
+
+// charge grows the reservation by n bytes for what cannot be spilled (result
+// vectors, the open partition): a denied grant fails only when spilling is
+// forbidden, and otherwise the bytes are used untracked (0 is returned).
+func (o *windowOutput) charge(n int64) (int64, error) {
+	if err := o.res.Grow(n); err != nil {
+		if !o.res.SpillAllowed() {
+			return 0, err
+		}
+		return 0, nil
+	}
+	return n, nil
+}
+
+func (o *windowOutput) NextBatch() (*schema.Batch, error) {
+	var b *schema.Batch
+	switch {
+	case len(o.held) > 0:
+		b = o.held[0].Batch
+		o.res.Shrink(o.held[0].bytes)
+		o.held = o.held[1:]
+	case o.run != nil:
+		var err error
+		if o.reader == nil {
+			if o.reader, err = o.run.Open(); err != nil {
+				return nil, err
+			}
+		}
+		if b, err = o.reader.NextBatch(); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, schema.Done
+	}
+	vecs := slices.Clip(b.Vecs)
+	for _, r := range o.results {
+		vecs = append(vecs, r.Slice(o.at, o.at+b.Len))
+	}
+	o.at += b.Len
+	o.seq++
+	return &schema.Batch{Len: b.Len, Vecs: vecs, Seq: o.seq - 1}, nil
+}
+
+func (o *windowOutput) Close() error {
+	o.held, o.results = nil, nil
+	if o.reader != nil {
+		o.reader.Close()
+	}
+	if o.spill != nil {
+		o.spill.Abandon()
+	}
+	if o.run != nil {
+		o.run.Remove()
+	}
+	o.res.Free()
+	return nil
+}
+
+// windowGroup sorts and evaluates one window group. Its sorter holds narrow
+// rows: the input columns behind cols, then the arrival ordinal.
+type windowGroup struct {
+	g      rel.WindowGroup // keys and calls re-addressed onto the narrow columns
+	cols   []int
+	nbox   int // leading narrow columns the evaluator reads
+	kinds  []schema.VecKind
+	sorter *ExternalSorter
+	open   []partPiece
+}
+
+// partPiece is a row range of a sorted batch belonging to the open partition.
 type partPiece struct {
-	eb     *evalBatch
+	vecs   []*schema.Vector
 	lo, hi int
 }
 
-// windowEval evaluates one window group over a stream sorted on the group's
-// collation. Partitions are found on the key vectors; a closing partition is
-// boxed into rows of only the columns its order keys and calls read, evaluated,
-// and its results appended to the result vectors of the batches it spans. A
-// batch is emitted — input vectors untouched, result vectors inserted before
-// the position tail — once all its rows have results.
-type windowEval struct {
-	in       schema.BatchCursor
-	partKeys trait.Collation
-	g        rel.WindowGroup // order keys and calls re-addressed onto the boxed rows
-	need     []int           // input column behind each boxed-row slot
-	kinds    []schema.VecKind
-	tail     int
-	res      *memory.Reservation
-
-	queue  []*evalBatch // oldest first; results incomplete from queue[0] on
-	open   []partPiece
-	inDone bool
-	seq    int64
-}
-
-// newWindowEval wraps the sorted stream; resFields are the output fields of
-// the group's calls and tail the number of trailing position columns.
-func newWindowEval(ctx *Context, sorted schema.BatchCursor, g rel.WindowGroup,
-	resFields []types.Field, tail int) *windowEval {
-	e := &windowEval{in: sorted, partKeys: ascending(g.PartitionKeys...), g: g, tail: tail,
-		res: memory.Reserve(ctx.Alloc, "Window")}
+// newWindowGroup lays out the group's narrow columns — those its order keys
+// and calls read first, then its other partition keys — and opens its sorter;
+// resFields are the output fields of the group's calls.
+func newWindowGroup(ctx *Context, g rel.WindowGroup, resFields []types.Field) *windowGroup {
+	wg := &windowGroup{g: g}
 	slots := map[int]int{}
 	slot := func(c int) int {
 		if _, ok := slots[c]; !ok {
-			slots[c] = len(e.need)
-			e.need = append(e.need, c)
+			slots[c] = len(wg.cols)
+			wg.cols = append(wg.cols, c)
 		}
 		return slots[c]
 	}
-	e.g.OrderKeys = make(trait.Collation, len(g.OrderKeys))
+	wg.g.OrderKeys = make(trait.Collation, len(g.OrderKeys))
 	for i, fc := range g.OrderKeys {
-		e.g.OrderKeys[i] = trait.FieldCollation{Field: slot(fc.Field), Direction: fc.Direction}
+		wg.g.OrderKeys[i] = trait.FieldCollation{Field: slot(fc.Field), Direction: fc.Direction}
 	}
-	e.g.Calls = make([]rex.AggCall, len(g.Calls))
+	wg.g.Calls = make([]rex.AggCall, len(g.Calls))
 	for i, call := range g.Calls {
 		args := make([]int, len(call.Args))
 		for j, a := range call.Args {
@@ -223,103 +274,100 @@ func newWindowEval(ctx *Context, sorted schema.BatchCursor, g rel.WindowGroup,
 		if call.FilterArg >= 0 {
 			call.FilterArg = slot(call.FilterArg)
 		}
-		e.g.Calls[i] = call
-		e.kinds = append(e.kinds, schema.VecKindForType(resFields[i].Type))
+		wg.g.Calls[i] = call
+		wg.kinds = append(wg.kinds, schema.VecKindForType(resFields[i].Type))
 	}
-	return e
+	wg.nbox = len(wg.cols)
+	wg.g.PartitionKeys = make([]int, len(g.PartitionKeys))
+	for i, k := range g.PartitionKeys {
+		wg.g.PartitionKeys[i] = slot(k)
+	}
+	wg.sorter = NewExternalSorter(ctx, "Window", groupCollation(wg.g, len(wg.cols)+1, 1), -1)
+	return wg
 }
 
-func (e *windowEval) NextBatch() (*schema.Batch, error) {
+// add hands the sorter a batch's narrow columns and their arrival ordinals.
+func (wg *windowGroup) add(vecs []*schema.Vector, ord *schema.Vector, n int) error {
+	narrow := make([]*schema.Vector, len(wg.cols)+1)
+	for i, c := range wg.cols {
+		narrow[i] = vecs[c]
+	}
+	narrow[len(wg.cols)] = ord
+	return wg.sorter.AddBatch(&schema.Batch{Len: n, Vecs: narrow})
+}
+
+// eval reads the sorted narrow rows, cuts them into partitions on the key
+// vectors and evaluates each as it closes, appending the group's result
+// vectors to out. The sorted batches a partition spans are charged while it
+// is open.
+func (wg *windowGroup) eval(ctx *Context, out *windowOutput) error {
+	sorted, err := wg.sorter.Finish(0, 0, ctx.batchSize())
+	if err != nil {
+		return err
+	}
+	defer sorted.Close()
+	res := make([]*schema.Vector, len(wg.kinds))
+	for i, k := range wg.kinds {
+		res[i] = schema.MakeVector(k, out.n)
+	}
+	if _, err := out.charge(vecsBytes(res, nil, out.n)); err != nil {
+		return err
+	}
+	out.results = append(out.results, res...)
+	parts := ascending(wg.g.PartitionKeys...)
+	var prev []*schema.Vector // the last row read is prev's row prow
+	prow := 0
+	var pinned int64 // charged for the batches of the open partition
+	defer func() { out.res.Shrink(pinned) }()
 	for {
-		if len(e.queue) > 0 && e.queue[0].done == e.queue[0].n {
-			eb := e.queue[0]
-			e.queue = e.queue[1:]
-			e.res.Shrink(eb.bytes)
-			split := len(eb.vecs) - e.tail
-			vecs := append(append(eb.vecs[:split:split], eb.results...), eb.vecs[split:]...)
-			e.seq++
-			return &schema.Batch{Len: eb.n, Vecs: vecs, Seq: e.seq - 1}, nil
-		}
-		if e.inDone {
-			if len(e.open) == 0 {
-				return nil, schema.Done
-			}
-			if err := e.closePartition(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		b, err := e.in.NextBatch()
+		b, err := sorted.NextBatch()
 		if err == schema.Done {
-			e.inDone = true
-			continue
+			break
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := e.enqueue(b.Compact()); err != nil {
-			return nil, err
+		bytes, err := out.charge(vecsBytes(b.Vecs, nil, b.Len))
+		if err != nil {
+			return err
 		}
+		start := 0
+		for r := 0; r < b.Len; r++ {
+			if prev != nil && compareKeys(parts, prev, prow, b.Vecs, r) != 0 {
+				if r > start {
+					wg.open = append(wg.open, partPiece{b.Vecs, start, r})
+				}
+				if err := wg.closePartition(res); err != nil {
+					return err
+				}
+				start = r
+			}
+			prev, prow = b.Vecs, r
+		}
+		if len(wg.open) == 0 {
+			out.res.Shrink(pinned)
+			pinned = 0
+		}
+		wg.open = append(wg.open, partPiece{b.Vecs, start, b.Len})
+		pinned += bytes
 	}
+	return wg.closePartition(res) // the last partition, empty on an empty input
 }
 
-// enqueue queues a sorted batch and cuts it into partitions.
-func (e *windowEval) enqueue(b *schema.Batch) error {
-	eb := &evalBatch{vecs: batchVecs(b), n: b.Len, results: make([]*schema.Vector, len(e.kinds))}
-	for i, k := range e.kinds {
-		eb.results[i] = &schema.Vector{Kind: k}
-	}
-	if e.res != nil {
-		// The batches a partition spans are its irreducible working set: a
-		// partition cannot be evaluated piecewise (frames may span it
-		// entirely), so a failing grant only errors when spilling is
-		// forbidden; otherwise the batch is accepted untracked.
-		eb.bytes = vecsBytes(eb.vecs, nil, eb.n)
-		if err := e.res.Grow(eb.bytes); err != nil {
-			if !e.res.SpillAllowed() {
-				return err
-			}
-			eb.bytes = 0
-		}
-	}
-	e.queue = append(e.queue, eb)
-	start := 0
-	for r := 0; r < eb.n; r++ {
-		prev, prow := eb.vecs, r-1
-		if r == 0 {
-			if len(e.open) == 0 {
-				continue
-			}
-			last := e.open[len(e.open)-1]
-			prev, prow = last.eb.vecs, last.hi-1
-		}
-		if compareKeys(e.partKeys, prev, prow, eb.vecs, r) != 0 {
-			if r > start {
-				e.open = append(e.open, partPiece{eb, start, r})
-			}
-			if err := e.closePartition(); err != nil {
-				return err
-			}
-			start = r
-		}
-	}
-	e.open = append(e.open, partPiece{eb, start, eb.n})
-	return nil
-}
-
-// closePartition evaluates the open partition and hands each piece's results
-// to its batch.
-func (e *windowEval) closePartition() error {
-	n, w := 0, len(e.need)
-	for _, p := range e.open {
+// closePartition boxes the open partition into rows of the columns the
+// evaluator reads, evaluates it, and stores each row's results at its
+// arrival ordinal.
+func (wg *windowGroup) closePartition(res []*schema.Vector) error {
+	n, w := 0, wg.nbox
+	for _, p := range wg.open {
 		n += p.hi - p.lo
 	}
 	flat := make([]any, n*w)
 	part := make([][]any, n)
 	at := 0
-	for _, p := range e.open {
-		for k, c := range e.need {
-			v := p.eb.vecs[c]
+	for _, p := range wg.open {
+		for k := 0; k < w; k++ {
+			v := p.vecs[k]
 			for r := p.lo; r < p.hi; r++ {
 				flat[(at+r-p.lo)*w+k] = v.Get(r)
 			}
@@ -329,32 +377,22 @@ func (e *windowEval) closePartition() error {
 	for i := range part {
 		part[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
-	results, err := evalPartition(part, e.g)
+	results, err := evalPartition(part, wg.g)
 	if err != nil {
 		return err
 	}
 	at = 0
-	for _, p := range e.open {
-		for ci, vals := range results {
-			v := p.eb.results[ci]
-			for _, x := range vals[at : at+p.hi-p.lo] {
-				if !v.AppendValue(x) {
-					v.Demote()
-					v.AppendValue(x)
-				}
+	for _, p := range wg.open {
+		ords := p.vecs[len(wg.cols)].I64
+		for r := p.lo; r < p.hi; r++ {
+			for ci, vals := range results {
+				res[ci].Set(int(ords[r]), vals[at])
 			}
+			at++
 		}
-		p.eb.done += p.hi - p.lo
-		at += p.hi - p.lo
 	}
-	e.open = e.open[:0]
+	wg.open = wg.open[:0]
 	return nil
-}
-
-func (e *windowEval) Close() error {
-	e.queue, e.open = nil, nil
-	e.res.Free()
-	return e.in.Close()
 }
 
 // --- partition evaluation ---

@@ -21,19 +21,18 @@
 //     exchange on the group keys, and a partitioned merge of accumulator
 //     states (rex.MergeAccumulators);
 //   - sorts run per-partition and merge-gather into one ordered stream;
-//   - single-group windows with PARTITION BY hash-exchange on the partition
-//     keys, window per worker and merge-gather on the input position.
+//   - windows, like every other operator, run serially over a gather.
 //
 // # Division of labour with package exec
 //
 // This package moves batches; tables, charging and spill live in exec. The
 // blocking operators here own no group table, build table or sort buffer:
 // HashJoinPar drains into an exec.JoinBuild, PartialAgg and FinalAgg run one
-// exec.GroupedAgg per partition (partial-state modes), SortPar runs the sort
-// kernel (exec.SortCursor) once per partition and WindowPar the window
-// pipeline — the engines the serial operators use. Memory governance
-// therefore never changes the plan shape: every worker charges the query's
-// allocator through the same spill-capable code.
+// exec.GroupedAgg per partition (partial-state modes) and SortPar runs the
+// sort kernel (exec.SortCursor) once per partition — the engines the serial
+// operators use. Memory governance therefore never changes the plan shape:
+// every worker charges the query's allocator through the same spill-capable
+// code.
 //
 // SortPar returns, per partition, typed batches sorted on (the sort's keys,
 // batch Seq, row index) — the two position columns appended by

@@ -11,7 +11,7 @@ package parallel
 //     merge on the collation's key vectors), the back end of the parallel
 //     sort and of the parallel aggregate's deterministic group ordering;
 //   - scatter: input partitions → p output partitions by a hash of key
-//     columns (partitioned aggregates, windows and streaming aggregates).
+//     columns (partitioned aggregates and streaming aggregates).
 //
 // Every exchange is context-driven: the first error (or a Close from a
 // consumer that has not drained its partition) cancels the exchange context,

@@ -624,6 +624,35 @@ func TestParallelStableSortTies(t *testing.T) {
 	}
 }
 
+// TestParallelizeWindowIsSerial pins the window's parallel shape: a
+// PARTITION BY window runs serially over a gather of the morsel scan — no
+// hash exchange, no per-worker window, no merge-gather — and returns the
+// serial run's rows in the serial order (checkAgainstSerial).
+func TestParallelizeWindowIsSerial(t *testing.T) {
+	win := exec.NewWindow(memScan(t, "t", 3000), []rel.WindowGroup{{
+		PartitionKeys: []int{1},
+		OrderKeys:     trait.Collation{{Field: 0, Direction: trait.Descending}},
+		Frame:         rel.WindowFrame{Rows: true, Lo: -3},
+		Calls: []rex.AggCall{
+			rex.NewAggCall(rex.AggSum, []int{0}, false, "s"),
+			rex.NewAggCall(rex.AggRowNumber, nil, false, "rn"),
+		},
+	}})
+	for _, p := range []int{2, 4} {
+		var ops []string
+		for n := Parallelize(win, NewPool(p), p); ; n = n.Inputs()[0] {
+			ops = append(ops, n.Op())
+			if len(n.Inputs()) == 0 {
+				break
+			}
+		}
+		if got := strings.Join(ops, " > "); got != "EnumerableWindow > GatherExchange > MorselScan" {
+			t.Errorf("p=%d: plan %s, want EnumerableWindow > GatherExchange > MorselScan", p, got)
+		}
+	}
+	checkAgainstSerial(t, win)
+}
+
 // TestAccumulatorMerge exercises the partial/final split directly.
 func TestAccumulatorMerge(t *testing.T) {
 	call := rex.NewAggCall(rex.AggSum, []int{0}, false, "s")

@@ -15,12 +15,10 @@ package parallel
 //   - aggregates split into thread-local partial aggregation, a hash
 //     exchange on the group keys, and a partitioned final merge;
 //   - sorts split into per-worker sorts and a merge-gather;
-//   - single-group windows with PARTITION BY hash-exchange on the partition
-//     keys so each worker windows its partitions independently, merging back
-//     to the serial row order on hidden position columns (windows without
-//     PARTITION BY have one global partition and stay serial);
-//   - every other operator (set ops, adapters, DML) requires the singleton
-//     distribution, so partitioned inputs gather in front of it.
+//   - every other operator (windows, set ops, adapters, DML) requires the
+//     singleton distribution, so partitioned inputs gather in front of it: a
+//     window sorts once, narrow, and a hash exchange plus a merge-gather on
+//     position columns cost more than the sort they would split.
 //
 // The rewrite runs at execution time (core.Framework), not inside the
 // Volcano search: plans stay backend-agnostic until the host system decides
@@ -166,23 +164,6 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 		}
 		coll = append(coll, trait.FieldCollation{Field: 1, Direction: trait.Ascending})
 		return NewMergeGatherExchange(sp, coll, 0, 0, -1, r.pool, r.p), trait.Singleton()
-
-	case *exec.Window:
-		in, d := r.rewrite(x.Inputs()[0])
-		// Partition-parallel only when one group with PARTITION BY keys owns
-		// the whole operator: each worker then sees entire partitions.
-		// Multi-group or unpartitioned windows run serially over a gather.
-		if !d.Partitioned() || len(x.Groups) != 1 || len(x.Groups[0].PartitionKeys) == 0 {
-			return x.WithNewInputs([]rel.Node{r.singleton(in, d)}), trait.Singleton()
-		}
-		ex := NewHashExchange(in, x.Groups[0].PartitionKeys, r.pool, r.p)
-		wp := NewWindowPar(x.WithNewInputs([]rel.Node{ex}).(*exec.Window), r.pool, r.p)
-		w := len(x.RowType().Fields)
-		coll := trait.Collation{
-			{Field: w, Direction: trait.Ascending},
-			{Field: w + 1, Direction: trait.Ascending},
-		}
-		return NewMergeGatherExchange(wp, coll, 2, 0, -1, r.pool, r.p), trait.Singleton()
 
 	case *exec.Sort:
 		in, d := r.rewrite(x.Inputs()[0])

@@ -272,11 +272,12 @@ func settled(t *testing.T, name string, alloc *memory.Allocator, baseline int) {
 }
 
 // TestParallelSortAndWindowTeardown: the failure paths of the sort kernel
-// under SortPar and WindowPar. A denied grant with spilling disabled, a source
-// that fails while the other partitions are mid-sort (the pool cancels them
-// between batches), and a consumer that closes the merge-gather after its
-// first batch of a spilled run each return promptly, with a clean error or
-// nothing, and leave no reservation, no run file and no goroutine.
+// under SortPar and under a window, which runs serially over a gather. A
+// denied grant with spilling disabled, a source that fails while the other
+// partitions are mid-sort (the pool cancels them between batches), and a
+// consumer that closes the plan after its first batch of a spilled run each
+// return promptly, with a clean error or nothing, and leave no reservation,
+// no run file and no goroutine.
 func TestParallelSortAndWindowTeardown(t *testing.T) {
 	boom := errors.New("backend failed mid-query")
 	rowType := types.Row(
@@ -308,8 +309,16 @@ func TestParallelSortAndWindowTeardown(t *testing.T) {
 	}
 	for op, plan := range plans(memScan(t, "t", 6000)) {
 		par := Parallelize(plan, NewPool(4), 4)
-		if text := rel.Explain(par); !strings.Contains(text, "Parallel") || !strings.Contains(text, "MergeGatherExchange") {
-			t.Fatalf("%s did not parallelize:\n%s", op, text)
+		text := rel.Explain(par)
+		switch op {
+		case "sort":
+			if !strings.Contains(text, "Parallel") || !strings.Contains(text, "MergeGatherExchange") {
+				t.Fatalf("sort did not parallelize:\n%s", text)
+			}
+		case "window":
+			if g, ok := par.Inputs()[0].(*Exchange); !ok || par.Op() != "EnumerableWindow" || g.Kind != GatherKind {
+				t.Fatalf("window is not an EnumerableWindow over a GatherExchange:\n%s", text)
+			}
 		}
 
 		ctx := exec.NewContext()

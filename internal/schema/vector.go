@@ -562,6 +562,58 @@ func (v *Vector) AppendValue(x any) bool {
 	return true
 }
 
+// MakeVector returns a vector of n zero-valued rows of the given kind, to be
+// filled by Set.
+func MakeVector(kind VecKind, n int) *Vector {
+	v := &Vector{Kind: kind}
+	switch kind {
+	case VecInt64:
+		v.I64 = make([]int64, n)
+	case VecFloat64:
+		v.F64 = make([]float64, n)
+	case VecBool:
+		v.B = make([]bool, n)
+	case VecString:
+		v.S = make([]string, n)
+	case VecTime:
+		v.T = make([]time.Time, n)
+	default:
+		v.A = make([]any, n)
+	}
+	return v
+}
+
+// Set stores x (nil for NULL) at row r, allocating the null mask at the first
+// NULL; a value not of the vector's kind demotes it to VecAny first.
+func (v *Vector) Set(r int, x any) {
+	if x == nil && v.Kind != VecAny {
+		if v.Nulls == nil {
+			v.Nulls = make([]bool, v.Len())
+		}
+		v.Nulls[r] = true
+		return
+	}
+	ok := false
+	switch v.Kind {
+	case VecInt64:
+		v.I64[r], ok = x.(int64)
+	case VecFloat64:
+		v.F64[r], ok = x.(float64)
+	case VecBool:
+		v.B[r], ok = x.(bool)
+	case VecString:
+		v.S[r], ok = x.(string)
+	case VecTime:
+		v.T[r], ok = x.(time.Time)
+	}
+	if !ok {
+		v.Demote()
+		v.A[r] = x
+	} else if v.Nulls != nil {
+		v.Nulls[r] = false
+	}
+}
+
 // Demote re-kinds the vector to VecAny in place, boxing the values it holds:
 // what a column does when a value of another kind arrives (MemTable.Insert,
 // Append).
