@@ -339,7 +339,7 @@ func (s *Sort) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	if s.Fetch >= 0 && s.Offset+s.Fetch >= 0 {
 		limit = s.Offset + s.Fetch
 	}
-	return SortCursor(ctx, "Sort", in, s.Collation, limit, s.Offset, 0)
+	return SortCursor(ctx, "Sort", in, s.Collation, limit, s.Offset)
 }
 
 // --- Aggregate ---

@@ -1,8 +1,8 @@
 package exec
 
 // The sort kernel: one columnar external merge sort under ORDER BY, top-N, the
-// window's narrow per-group sort and the parallel engine's per-partition sorts
-// and merges.
+// window's narrow per-group sort and its spilled rows' results, and the
+// parallel engine's per-partition sorts and merges.
 //
 // Input batches are appended to typed column vectors (a column whose kind
 // changes between batches demotes to VecAny, as MemTable does) and charged
@@ -219,16 +219,15 @@ func NewExternalSorter(ctx *Context, op string, coll trait.Collation, limit int6
 }
 
 // SortCursor drains in through an ExternalSorter on coll and returns the
-// sorted rows [offset, limit) without their last dropTail columns; in is
-// closed.
+// sorted rows [offset, limit); in is closed.
 func SortCursor(ctx *Context, op string, in schema.BatchCursor, coll trait.Collation,
-	limit, offset int64, dropTail int) (schema.BatchCursor, error) {
+	limit, offset int64) (schema.BatchCursor, error) {
 	defer in.Close()
 	sorter := NewExternalSorter(ctx, op, coll, limit)
 	for {
 		b, err := in.NextBatch()
 		if err == schema.Done {
-			return sorter.Finish(offset, dropTail, ctx.batchSize())
+			return sorter.Finish(offset, ctx.batchSize())
 		}
 		if err != nil {
 			sorter.Abandon()
@@ -435,15 +434,12 @@ func sortKeys(cols []*schema.Vector, keys []sortKey, coll trait.Collation, buf [
 		})
 		return
 	}
-	if len(keys) >= radixMin && len(buf) < len(keys) {
-		buf = make([]sortKey, len(keys))
-	}
-	switch {
-	case slices.IsSortedFunc(keys, func(a, b sortKey) int { return cmp.Compare(a.k, b.k) }):
-		// Already in order: ordinals ascend on entry.
-	case len(keys) >= radixMin:
+	if len(keys) >= radixMin {
+		if len(buf) < len(keys) {
+			buf = make([]sortKey, len(keys))
+		}
 		radixKeys(keys, buf[:len(keys)])
-	default:
+	} else {
 		slices.SortFunc(keys, func(a, b sortKey) int {
 			if c := cmp.Compare(a.k, b.k); c != 0 {
 				return c
@@ -660,15 +656,14 @@ func (s *ExternalSorter) cascadeRuns() error {
 	return nil
 }
 
-// Finish returns the sorted output from row offset up to the limit, without
-// the last dropTail columns. Closing the cursor releases the reservation and
-// removes any runs. On error the sorter is abandoned.
-func (s *ExternalSorter) Finish(offset int64, dropTail, batchSize int) (schema.BatchCursor, error) {
+// Finish returns the sorted output from row offset up to the limit. Closing
+// the cursor releases the reservation and removes any runs. On error the
+// sorter is abandoned.
+func (s *ExternalSorter) Finish(offset int64, batchSize int) (schema.BatchCursor, error) {
 	perm := s.sorted() // concatenates s.cols first
 	tail := &sortedCursor{perm: perm, cols: s.cols, batchSize: batchSize}
 	if len(s.runs) == 0 {
 		tail.perm = tail.perm[min(offset, int64(len(tail.perm))):]
-		tail.cols = tail.cols[:max(len(tail.cols)-dropTail, 0)]
 		return &closingBatchCursor{BatchCursor: tail, close: s.res.Free}, nil
 	}
 	err := s.cascadeRuns()
@@ -685,7 +680,7 @@ func (s *ExternalSorter) Finish(offset int64, dropTail, batchSize int) (schema.B
 		fetch = max(fetch-offset, 0)
 	}
 	// The in-memory tail arrived last: it is the highest-numbered source.
-	return NewMergeCursor(append(srcs, tail), s.coll, offset, fetch, dropTail, batchSize, s.Abandon), nil
+	return NewMergeCursor(append(srcs, tail), s.coll, offset, fetch, 0, batchSize, s.Abandon), nil
 }
 
 // sortedCursor emits buffered columns in permutation order.

@@ -120,7 +120,8 @@ func renderBoxed(rows [][]any) []string {
 func TestSortKernelMatchesBoxedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	allKinds := []string{"int64", "float64", "string", "bool", "any"}
-	for trial := 0; trial < 120; trial++ {
+	// Trials 120 to 179 draw run lengths around radixMin.
+	for trial := 0; trial < 180; trial++ {
 		kinds := make([]string, 2+rng.Intn(3))
 		for c := range kinds {
 			kinds[c] = allKinds[rng.Intn(len(allKinds))]
@@ -138,16 +139,21 @@ func TestSortKernelMatchesBoxedReference(t *testing.T) {
 			kinds[0] = "int64"
 		}
 		withSel := rng.Intn(2) == 0
-		switch trial % 4 {
-		case 1:
-			// radixMin-1, radixMin or radixMin+1 rows: the sort range just
-			// below, at and above the radix threshold.
-			n, batch, withSel = radixMin-1+rng.Intn(3), 1024, false
-		case 3:
+		switch {
+		case trial < 120:
+		case trial%2 == 0:
+			// radixMin-1, radixMin or radixMin+1 live rows: the sort range
+			// just below, at and above the radix threshold.
+			n, withSel = radixMin-1+rng.Intn(3), false
+		default:
 			// Three key values (and the odd extreme) over 3.5 × radixMin
-			// rows: runs of equal leading keys around the threshold, each
+			// live rows, a third of them cut by the selection when there is
+			// one: runs of equal leading keys around the threshold, each
 			// sorted on the next key.
-			n, batch, domain, withSel = 7*radixMin/2-8+rng.Intn(17), 1024, 3, false
+			n, domain = 7*radixMin/2-8+rng.Intn(17), 3
+			if withSel {
+				n = n * 3 / 2
+			}
 		}
 		batches, rows := genInput(rng, kinds, n, batch, domain, nullP, withSel, kindChange)
 		coll := make(trait.Collation, 1+rng.Intn(3))
@@ -179,7 +185,7 @@ func TestSortKernelMatchesBoxedReference(t *testing.T) {
 			if fetch >= 0 {
 				limit = offset + fetch
 			}
-			out, err := SortCursor(ctx, "Sort", schema.NewSliceBatchCursor(batches), coll, limit, offset, 0)
+			out, err := SortCursor(ctx, "Sort", schema.NewSliceBatchCursor(batches), coll, limit, offset)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -311,6 +317,71 @@ func TestSortAndWindowKeepVectorKinds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWindowGovernedCountsResults: a window charges its results with the rows
+// they belong to. Unlimited, it holds the input and the results' bytes once
+// bound. Under a budget half the results short of that run's peak, the input
+// and the narrow sort would fit; the window must spill to make room for the
+// results, return the unlimited answer and leave nothing behind.
+func TestWindowGovernedCountsResults(t *testing.T) {
+	scan := NewScan(typedSales(5000), []string{"sales"})
+	win := NewWindow(scan, []rel.WindowGroup{{
+		PartitionKeys: []int{1},
+		OrderKeys:     trait.Collation{{Field: 0}},
+		Frame:         rel.WindowFrame{Rows: true, Lo: -3},
+		Calls: []rex.AggCall{
+			rex.NewAggCall(rex.AggSum, []int{2}, false, "s"),
+			rex.NewAggCall(rex.AggRowNumber, nil, false, "rn"),
+			rex.NewAggCall(rex.AggLag, []int{3}, false, "lg"),
+		},
+	}})
+	results := int64(5000 * (9 + 9 + 17)) // SUM, ROW_NUMBER, LAG of a string
+	ctx := NewContext()
+	ctx.BatchSize = 64 // what an open partition pins stays well under the results
+	in, err := scan.BindBatch(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var input int64 // what the window's held batches are charged
+	for b, err := in.NextBatch(); err != schema.Done; b, err = in.NextBatch() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		input += vecsBytes(batchVecs(b), nil, b.Len)
+	}
+	in.Close()
+	run := func(budget int64) ([]string, *memory.Allocator) {
+		ctx := NewContext()
+		ctx.Alloc = memory.NewAllocator(nil, budget, true)
+		ctx.BatchSize = 64
+		bc, err := win.BindBatch(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used := ctx.Alloc.Used(); budget == 1<<30 && used < input+results {
+			t.Errorf("the bound window holds %d bytes, want the input's %d and the results' %d", used, input, results)
+		}
+		rows, err := drainBatches(ctx, bc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderBoxed(rows), ctx.Alloc
+	}
+	want, free := run(1 << 30)
+	if free.Spilled() != 0 {
+		t.Fatalf("the unlimited run spilled %d bytes", free.Spilled())
+	}
+	budget := free.Peak() - results/2
+	checkReleased(t, "unlimited", free)
+	got, a := run(budget)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("budget %d: the window's answer differs from the unlimited run", budget)
+	}
+	if a.Spilled() == 0 {
+		t.Errorf("budget %d, half the results under the unlimited peak, did not spill: the results are not charged", budget)
+	}
+	checkReleased(t, "governed", a)
 }
 
 // TestSortKernelFailurePaths: a denied grant with spilling disabled is a

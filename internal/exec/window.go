@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"calcite/internal/memory"
 	"calcite/internal/rel"
@@ -25,10 +24,11 @@ import (
 // typed result vectors at the rows' arrival ordinals. The output is the held
 // batches, in arrival order, each with its slice of the result vectors
 // appended: no pass-through column is gathered and no second sort restores
-// the input order. Held batches are charged; from the first denied grant on
-// they go, in order, to one spill run that emission reads back in order, and
-// the sort kernel spills its narrow rows on its own. Parallel plans gather in
-// front of the window.
+// the input order. Held batches are charged with the bytes their results
+// will take; from the first denied grant on, input batches go, in order, to a
+// spill run and their rows' results to a sorter on the arrival ordinal
+// (windowOutput), and the sort kernel spills its narrow rows on its own.
+// Parallel plans gather in front of the window.
 type Window struct {
 	*rel.Window
 }
@@ -52,11 +52,17 @@ func (w *Window) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 		return nil, err
 	}
 	out := &windowOutput{res: memory.Reserve(ctx.Alloc, "Window")}
+	out.srcs = []*windowSource{{next: out.nextInput}}
 	resFields := w.RowType().Fields[rel.FieldCount(w.Inputs()[0]):]
 	groups := make([]*windowGroup, len(w.Groups))
 	for i, g := range w.Groups {
 		groups[i] = newWindowGroup(ctx, g, resFields[:len(g.Calls)])
 		resFields = resFields[len(g.Calls):]
+		for _, k := range groups[i].kinds {
+			v := schema.MakeVector(k, 1) // a string or boxed value by its header
+			v.Nulls = []bool{false}
+			out.resWidth += vecsBytes([]*schema.Vector{v}, nil, 1)
+		}
 	}
 	err = out.drain(ctx, in, groups)
 	in.Close()
@@ -84,34 +90,45 @@ func ascending(fields ...int) trait.Collation {
 }
 
 // groupCollation orders rows for one window group: partition keys, then the
-// group's collation, then the npos trailing position columns of width — a
+// group's collation, then the last of width columns, the arrival ordinal — a
 // total order on the input, so spilled runs merge back deterministically.
-func groupCollation(g rel.WindowGroup, width, npos int) trait.Collation {
+func groupCollation(g rel.WindowGroup, width int) trait.Collation {
 	coll := append(ascending(g.PartitionKeys...), g.OrderKeys...)
-	for f := width - npos; f < width; f++ {
-		coll = append(coll, trait.FieldCollation{Field: f, Direction: trait.Ascending})
-	}
-	return coll
+	return append(coll, trait.FieldCollation{Field: width - 1, Direction: trait.Ascending})
 }
 
-// windowOutput holds the window's input batches in arrival order — in memory
-// up to the first denied grant, in one spill run from there on — and emits
-// each with its slice of the result vectors appended.
+// windowOutput holds the window's input batches in arrival order and emits
+// each with its slice of the results appended. Each held batch is charged
+// with the bytes its results will take. Up to the first denied grant the
+// batches stay in memory and their results go to typed result vectors at the
+// rows' arrival ordinals; from then on every batch goes, in order, to one
+// spill run, and the results of its rows go, with their ordinals, to a sorter
+// per group that restores arrival order, so they are counted and spill too.
 type windowOutput struct {
-	res     *memory.Reservation
-	held    []heldBatch // the in-memory head of the arrival order
-	spill   *memory.RunWriter
-	run     *memory.Run
-	reader  *memory.RunReader
-	n       int              // rows held, in memory and spilled
-	results []*schema.Vector // one per call, n rows at their arrival ordinals
-	at      int              // rows emitted
-	seq     int64
+	res      *memory.Reservation
+	resWidth int64 // bytes a row's results take
+	held     []heldBatch
+	m, n     int // rows held in memory; rows in all
+	spill    *memory.RunWriter
+	run      *memory.Run
+	reader   *memory.RunReader
+	srcs     []*windowSource // the input, then each group's results
+	over     []schema.BatchCursor
+	seq      int64
 }
 
 type heldBatch struct {
 	*schema.Batch
 	bytes int64
+}
+
+// windowSource is a stream of batches emitted a row range at a time, without
+// its first skip columns.
+type windowSource struct {
+	next func() (*schema.Batch, error)
+	skip int
+	b    *schema.Batch
+	at   int
 }
 
 // drain holds every input batch and hands each group's sorter the batch's
@@ -150,16 +167,17 @@ func (o *windowOutput) drain(ctx *Context, in schema.BatchCursor, groups []*wind
 	return err
 }
 
-// hold keeps a batch while the budget grants it; from the first denied grant
-// on, it and every later batch are written to the spill run, so the run holds
-// the tail of the arrival order and the sort kernel the rest of the budget.
+// hold keeps a batch while the budget grants it and its results; from the
+// first denied grant on, it and every later batch are written to the spill
+// run, which leaves the rest of the budget to the sorters.
 func (o *windowOutput) hold(ctx *Context, b *schema.Batch) error {
 	o.n += b.Len
 	if o.spill == nil {
 		bytes := vecsBytes(b.Vecs, nil, b.Len)
-		err := o.res.Grow(bytes)
+		err := o.res.Grow(bytes + int64(b.Len)*o.resWidth)
 		if err == nil {
 			o.held = append(o.held, heldBatch{b, bytes})
+			o.m = o.n
 			return nil
 		}
 		if !o.res.SpillAllowed() {
@@ -173,50 +191,56 @@ func (o *windowOutput) hold(ctx *Context, b *schema.Batch) error {
 	return o.spill.WriteBatch(b)
 }
 
-// charge grows the reservation by n bytes for what cannot be spilled (result
-// vectors, the open partition): a denied grant fails only when spilling is
-// forbidden, and otherwise the bytes are used untracked (0 is returned).
-func (o *windowOutput) charge(n int64) (int64, error) {
-	if err := o.res.Grow(n); err != nil {
-		if !o.res.SpillAllowed() {
-			return 0, err
-		}
-		return 0, nil
-	}
-	return n, nil
-}
-
+// NextBatch emits the next rows of the input with their results, cut where
+// any source's batch ends.
 func (o *windowOutput) NextBatch() (*schema.Batch, error) {
-	var b *schema.Batch
-	switch {
-	case len(o.held) > 0:
-		b = o.held[0].Batch
-		o.res.Shrink(o.held[0].bytes)
-		o.held = o.held[1:]
-	case o.run != nil:
-		var err error
-		if o.reader == nil {
-			if o.reader, err = o.run.Open(); err != nil {
+	k := math.MaxInt
+	for _, s := range o.srcs {
+		if s.b == nil || s.at == s.b.Len {
+			b, err := s.next()
+			if err != nil {
 				return nil, err
 			}
+			s.b, s.at = b, 0
 		}
-		if b, err = o.reader.NextBatch(); err != nil {
-			return nil, err
+		k = min(k, s.b.Len-s.at)
+	}
+	var vecs []*schema.Vector
+	for _, s := range o.srcs {
+		for _, v := range s.b.Vecs[s.skip:] {
+			vecs = append(vecs, v.Slice(s.at, s.at+k))
 		}
-	default:
+		s.at += k
+	}
+	o.seq++
+	return &schema.Batch{Len: k, Vecs: vecs, Seq: o.seq - 1}, nil
+}
+
+// nextInput returns the next input batch: the held ones, then the spilled.
+func (o *windowOutput) nextInput() (*schema.Batch, error) {
+	if len(o.held) > 0 {
+		b := o.held[0]
+		o.res.Shrink(b.bytes)
+		o.held = o.held[1:]
+		return b.Batch, nil
+	}
+	if o.run == nil {
 		return nil, schema.Done
 	}
-	vecs := slices.Clip(b.Vecs)
-	for _, r := range o.results {
-		vecs = append(vecs, r.Slice(o.at, o.at+b.Len))
+	if o.reader == nil {
+		var err error
+		if o.reader, err = o.run.Open(); err != nil {
+			return nil, err
+		}
 	}
-	o.at += b.Len
-	o.seq++
-	return &schema.Batch{Len: b.Len, Vecs: vecs, Seq: o.seq - 1}, nil
+	return o.reader.NextBatch()
 }
 
 func (o *windowOutput) Close() error {
-	o.held, o.results = nil, nil
+	o.held, o.srcs = nil, nil
+	for _, c := range o.over {
+		c.Close()
+	}
 	if o.reader != nil {
 		o.reader.Close()
 	}
@@ -239,6 +263,9 @@ type windowGroup struct {
 	kinds  []schema.VecKind
 	sorter *ExternalSorter
 	open   []partPiece
+	over   *ExternalSorter  // spilled rows' results on their ordinals
+	ovf    []*schema.Vector // over's next batch: ordinals, then the calls
+	novf   int
 }
 
 // partPiece is a row range of a sorted batch belonging to the open partition.
@@ -282,7 +309,7 @@ func newWindowGroup(ctx *Context, g rel.WindowGroup, resFields []types.Field) *w
 	for i, k := range g.PartitionKeys {
 		wg.g.PartitionKeys[i] = slot(k)
 	}
-	wg.sorter = NewExternalSorter(ctx, "Window", groupCollation(wg.g, len(wg.cols)+1, 1), -1)
+	wg.sorter = NewExternalSorter(ctx, "Window", groupCollation(wg.g, len(wg.cols)+1), -1)
 	return wg
 }
 
@@ -298,22 +325,29 @@ func (wg *windowGroup) add(vecs []*schema.Vector, ord *schema.Vector, n int) err
 
 // eval reads the sorted narrow rows, cuts them into partitions on the key
 // vectors and evaluates each as it closes, appending the group's result
-// vectors to out. The sorted batches a partition spans are charged while it
-// is open.
-func (wg *windowGroup) eval(ctx *Context, out *windowOutput) error {
-	sorted, err := wg.sorter.Finish(0, 0, ctx.batchSize())
+// vectors, and its overflow when rows were spilled, to out. The sorted
+// batches a partition spans are charged while it is open.
+func (wg *windowGroup) eval(ctx *Context, out *windowOutput) (err error) {
+	sorted, err := wg.sorter.Finish(0, ctx.batchSize())
 	if err != nil {
 		return err
 	}
 	defer sorted.Close()
-	res := make([]*schema.Vector, len(wg.kinds))
+	if out.m < out.n {
+		wg.over = NewExternalSorter(ctx, "Window", ascending(0), -1)
+		defer func() {
+			if err != nil {
+				wg.over.Abandon()
+			}
+		}()
+	}
+	res := make([]*schema.Vector, len(wg.kinds)+1) // res[0]: no ordinals
 	for i, k := range wg.kinds {
-		res[i] = schema.MakeVector(k, out.n)
+		res[i+1] = schema.MakeVector(k, out.m) // charged as its rows were held
 	}
-	if _, err := out.charge(vecsBytes(res, nil, out.n)); err != nil {
-		return err
-	}
-	out.results = append(out.results, res...)
+	src := &windowSource{skip: 1, b: &schema.Batch{Len: out.m, Vecs: res},
+		next: schema.NewSliceBatchCursor(nil).NextBatch}
+	out.srcs = append(out.srcs, src)
 	parts := ascending(wg.g.PartitionKeys...)
 	var prev []*schema.Vector // the last row read is prev's row prow
 	prow := 0
@@ -327,9 +361,12 @@ func (wg *windowGroup) eval(ctx *Context, out *windowOutput) error {
 		if err != nil {
 			return err
 		}
-		bytes, err := out.charge(vecsBytes(b.Vecs, nil, b.Len))
-		if err != nil {
-			return err
+		bytes := vecsBytes(b.Vecs, nil, b.Len)
+		if err := out.res.Grow(bytes); err != nil {
+			if !out.res.SpillAllowed() {
+				return err
+			}
+			bytes = 0 // used untracked: the open partition cannot spill
 		}
 		start := 0
 		for r := 0; r < b.Len; r++ {
@@ -337,7 +374,7 @@ func (wg *windowGroup) eval(ctx *Context, out *windowOutput) error {
 				if r > start {
 					wg.open = append(wg.open, partPiece{b.Vecs, start, r})
 				}
-				if err := wg.closePartition(res); err != nil {
+				if err := wg.closePartition(res, out.m, ctx.batchSize()); err != nil {
 					return err
 				}
 				start = r
@@ -351,13 +388,25 @@ func (wg *windowGroup) eval(ctx *Context, out *windowOutput) error {
 		wg.open = append(wg.open, partPiece{b.Vecs, start, b.Len})
 		pinned += bytes
 	}
-	return wg.closePartition(res) // the last partition, empty on an empty input
+	// The last partition, empty on an empty input.
+	if err := wg.closePartition(res, out.m, ctx.batchSize()); err != nil || wg.over == nil {
+		return err
+	}
+	if err := wg.flushOverflow(); err != nil {
+		return err
+	}
+	in, err := wg.over.Finish(0, ctx.batchSize())
+	if err == nil {
+		out.over, src.next = append(out.over, in), in.NextBatch
+	}
+	return err
 }
 
 // closePartition boxes the open partition into rows of the columns the
-// evaluator reads, evaluates it, and stores each row's results at its
-// arrival ordinal.
-func (wg *windowGroup) closePartition(res []*schema.Vector) error {
+// evaluator reads and evaluates it. A row held in memory (ordinal below m)
+// gets its results at its ordinal in res; a spilled one's go to the overflow
+// sorter in batches of up to batch rows.
+func (wg *windowGroup) closePartition(res []*schema.Vector, m, batch int) error {
 	n, w := 0, wg.nbox
 	for _, p := range wg.open {
 		n += p.hi - p.lo
@@ -383,16 +432,45 @@ func (wg *windowGroup) closePartition(res []*schema.Vector) error {
 	}
 	at = 0
 	for _, p := range wg.open {
-		ords := p.vecs[len(wg.cols)].I64
-		for r := p.lo; r < p.hi; r++ {
+		for _, ord := range p.vecs[len(wg.cols)].I64[p.lo:p.hi] {
+			row, to := int(ord), res[1:]
+			if row >= m {
+				if wg.ovf == nil {
+					wg.ovf = []*schema.Vector{schema.MakeVector(schema.VecInt64, batch)}
+					for _, k := range wg.kinds {
+						wg.ovf = append(wg.ovf, schema.MakeVector(k, batch))
+					}
+				}
+				wg.ovf[0].I64[wg.novf] = ord
+				row, to = wg.novf, wg.ovf[1:]
+				wg.novf++
+			}
 			for ci, vals := range results {
-				res[ci].Set(int(ords[r]), vals[at])
+				to[ci].Set(row, vals[at])
 			}
 			at++
+			if wg.novf == batch {
+				if err := wg.flushOverflow(); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	wg.open = wg.open[:0]
 	return nil
+}
+
+// flushOverflow hands the overflow sorter the rows gathered so far.
+func (wg *windowGroup) flushOverflow() error {
+	if wg.novf == 0 {
+		return nil
+	}
+	for i, v := range wg.ovf {
+		wg.ovf[i] = v.Slice(0, wg.novf)
+	}
+	b := &schema.Batch{Len: wg.novf, Vecs: wg.ovf}
+	wg.ovf, wg.novf = nil, 0
+	return wg.over.AddBatch(b)
 }
 
 // --- partition evaluation ---

@@ -214,7 +214,7 @@ func TestSlidingMatchesRecompute(t *testing.T) {
 
 // sortPartition orders test rows the way the window pipeline would.
 func sortPartition(rows [][]any, g rel.WindowGroup) {
-	coll := groupCollation(g, len(rows[0]), 2)
+	coll := groupCollation(g, len(rows[0]))
 	for i := 1; i < len(rows); i++ {
 		for j := i; j > 0 && CompareRows(rows[j], rows[j-1], coll) < 0; j-- {
 			rows[j], rows[j-1] = rows[j-1], rows[j]

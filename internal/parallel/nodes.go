@@ -694,7 +694,7 @@ func (s *SortPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error
 	}
 	coll := s.MergeCollation()
 	return eachPartition(s.pool, parts, func(rctx ctxT, part schema.BatchCursor) (schema.BatchCursor, error) {
-		return exec.SortCursor(ctx, "ParallelSort", &positionedCursor{in: part, rctx: rctx}, coll, keep, 0, 0)
+		return exec.SortCursor(ctx, "ParallelSort", &positionedCursor{in: part, rctx: rctx}, coll, keep, 0)
 	})
 }
 
