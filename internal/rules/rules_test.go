@@ -229,3 +229,49 @@ func TestSortRemove(t *testing.T) {
 		t.Fatalf("expected one sort to remain, got %d:\n%s", count, rel.Explain(out))
 	}
 }
+
+// TestAggregateRemoveOnUniqueKey: a GROUP BY without aggregate calls over a
+// declared unique key becomes a projection of the key — the only rule that
+// needs a declared key, which ANALYZE never infers — and returns the rows
+// the aggregate would. Without the rule the aggregate stays.
+func TestAggregateRemoveOnUniqueKey(t *testing.T) {
+	data := make([][]any, 10)
+	for i := range data {
+		data[i] = []any{int64(i), int64(i % 3)}
+	}
+	tbl := schema.NewMemTable("t", types.Row(
+		types.Field{Name: "k", Type: types.BigInt},
+		types.Field{Name: "v", Type: types.BigInt},
+	), data)
+	tbl.SetStats(schema.Statistics{RowCount: 10, UniqueColumns: [][]int{{0}}})
+	scan := rel.NewTableScan(trait.Logical, tbl, []string{"t"})
+	agg := rel.NewAggregate(scan, []int{0}, nil)
+	aggregates := func(rules []plan.Rule) int {
+		hp := plan.NewHepPlanner(rules...)
+		hp.Meta = meta.NewQuery()
+		count := 0
+		rel.Walk(hp.Optimize(agg), func(n rel.Node) bool {
+			if _, ok := n.(*rel.Aggregate); ok {
+				count++
+			}
+			return true
+		})
+		return count
+	}
+	if n := aggregates(rules.DefaultLogicalRules()); n != 0 {
+		t.Fatalf("aggregate on a unique key survived the default rules (%d left)", n)
+	}
+	var without []plan.Rule
+	for _, r := range rules.DefaultLogicalRules() {
+		if r.RuleName() != "AggregateRemoveRule" {
+			without = append(without, r)
+		}
+	}
+	if n := aggregates(without); n != 1 {
+		t.Fatalf("without AggregateRemoveRule %d aggregates are left, want 1", n)
+	}
+	plain := execute(t, agg, nil)
+	if optimized := execute(t, agg, rules.DefaultLogicalRules()); strings.Join(plain, "\n") != strings.Join(optimized, "\n") {
+		t.Fatalf("removing the aggregate changed results: %v vs %v", plain, optimized)
+	}
+}

@@ -263,6 +263,24 @@ var diffQueries = []struct {
 	{sql: "SELECT e.name, d.dname FROM emps e JOIN depts d ON e.deptno = d.deptno WHERE e.empid = 2"},
 	{sql: "VALUES (1, 'a', 1.5), (2 + 3, NULL, 2.0), (3, 'c', NULL), (4 * 2, 'd', 4.5), (5, UPPER('e'), -1.0)"},
 	{sql: "VALUES (?, 'p'), (? + 1, NULL), (3, 'r'), (4, 's')", params: []any{int64(7), int64(7)}},
+	// One input per logical rule that no other statement exercises: each
+	// plans differently when its rule alone is left out of the rule set.
+	// Filter/aggregate and filter/set-op transposes, union merge, limit over
+	// sort, sort removal, the empty-input prunes, and constant reduction in a
+	// join condition and a projection.
+	{sql: "SELECT * FROM (SELECT deptno, COUNT(*) AS c FROM emps GROUP BY deptno) t WHERE deptno = 10"},
+	{sql: "SELECT * FROM (SELECT deptno FROM emps UNION ALL SELECT deptno FROM depts) t WHERE deptno = 10"},
+	{sql: "SELECT deptno FROM emps UNION ALL SELECT deptno FROM depts UNION ALL SELECT empid FROM emps"},
+	{sql: "SELECT * FROM (SELECT * FROM emps ORDER BY empid) t LIMIT 3"},
+	{sql: "SELECT * FROM (SELECT * FROM emps ORDER BY empid) t ORDER BY empid"},
+	{sql: "SELECT name FROM emps WHERE 1 = 0"},
+	{sql: "SELECT * FROM (SELECT * FROM emps WHERE 1 = 0) t WHERE sal > 5"},
+	{sql: "SELECT name, sal FROM emps WHERE 1 = 0 ORDER BY sal"},
+	{sql: "SELECT deptno, COUNT(*) FROM emps WHERE 1 = 0 GROUP BY deptno"},
+	{sql: "SELECT deptno FROM emps WHERE 1 = 0 UNION ALL SELECT deptno FROM depts"},
+	{sql: "SELECT e.name FROM emps e JOIN (SELECT * FROM depts WHERE 1 = 0) d ON e.deptno = d.deptno"},
+	{sql: "SELECT e.name FROM emps e JOIN depts d ON e.deptno = d.deptno AND 1 = 1"},
+	{sql: "SELECT sal + (1 + 2) FROM emps"},
 }
 
 // TestParallelModesAgree runs the SQL suite at parallelism 1, 4 and 8 and
