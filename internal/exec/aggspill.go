@@ -52,7 +52,7 @@ func aggGroupCharge(keys []int, calls []rex.AggCall, row []any, keyLen int) int6
 // flush dehydrates every in-memory group into the spill partitions, handing
 // the group rows over as one batch, and resets the table.
 func (g *GroupedAgg) flush() error {
-	width := g.outWidth()
+	width := g.stateWidth()
 	if g.flushW == nil {
 		w, err := newPartitionWriter(g.ctx.Alloc, g.op, g.ident, g.depth)
 		if err != nil {

@@ -125,10 +125,9 @@ const (
 	// states…, first-seen seq, first-seen idx]: one engine per worker of the
 	// parallel aggregate.
 	AggPartial
-	// AggFinal merges partial rows into [keys…, results…]. A keyed aggregate
-	// appends each group's smallest first-seen position and sorts on it, so a
-	// merge-gather over the workers restores the serial group order; a global
-	// aggregate has one group and no order to restore.
+	// AggFinal merges the gathered partial rows of every worker into
+	// [keys…, results…], ordered by each group's smallest first-seen position:
+	// the serial group order.
 	AggFinal
 )
 
@@ -160,7 +159,7 @@ type GroupedAgg struct {
 
 	fromStates bool // input rows are [keys…, states…, (position)], not raw rows
 	emitStates bool // output rows carry the accumulators, not their results
-	pos        bool // groups carry their first-seen position
+	pos        bool // groups carry their first-seen position (emitted with states)
 	depth      int  // spill recursion depth; doubles as the flush hash seed
 
 	res       *memory.Reservation
@@ -195,7 +194,7 @@ func NewGroupedAgg(ctx *Context, op string, a *Aggregate, mode AggMode) *Grouped
 	g.res = memory.Reserve(ctx.Alloc, op)
 	g.fromStates = mode == AggFinal
 	g.emitStates = mode == AggPartial
-	g.pos = mode == AggPartial || (mode == AggFinal && len(a.GroupKeys) > 0)
+	g.pos = mode != AggComplete
 	if !g.fromStates {
 		g.keys = a.GroupKeys
 		g.scratch = make([]any, rel.FieldCount(a.Inputs()[0]))
@@ -236,6 +235,15 @@ func (g *GroupedAgg) resetTable() {
 
 // outWidth is the width of the rows the engine emits.
 func (g *GroupedAgg) outWidth() int {
+	if g.emitStates {
+		return g.stateWidth()
+	}
+	return len(g.keys) + len(g.calls)
+}
+
+// stateWidth is the width of a partial row: what a partial stage emits and
+// what a flush writes.
+func (g *GroupedAgg) stateWidth() int {
 	w := len(g.keys) + len(g.calls)
 	if g.pos {
 		w += 2
@@ -625,7 +633,7 @@ func (g *GroupedAgg) rows() [][]any {
 				flat = append(flat, acc.Result())
 			}
 		}
-		if g.pos {
+		if g.pos && g.emitStates {
 			flat = append(flat, gr.fsSeq, gr.fsIdx)
 		}
 		out[i] = flat[start:len(flat):len(flat)]

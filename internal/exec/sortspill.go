@@ -1,8 +1,10 @@
 package exec
 
-// The sort kernel: one columnar external merge sort under ORDER BY, top-N, the
-// window's narrow per-group sort and its spilled rows' results, and the
-// parallel engine's per-partition sorts and merges.
+// The sort kernel: one columnar external merge sort under ORDER BY and top-N
+// (serial at every parallelism, over a gather of the partitions), the
+// window's narrow per-group sort and its spilled rows' results. Its merge,
+// MergeCursor, also backs the merge-gather exchange of the parallel stream
+// aggregate.
 //
 // Input batches are appended to typed column vectors (a column whose kind
 // changes between batches demotes to VecAny, as MemTable does) and charged
@@ -167,23 +169,10 @@ func compareKeys(coll trait.Collation, av []*schema.Vector, i int, bv []*schema.
 	return 0
 }
 
-// WithPositions returns b with its rows' global input position appended as
-// two int64 columns, (batch Seq, physical row index): Seqs are globally unique
-// and ordered by the serial drain order, and a selection vector's entries are
-// the physical indices of the surviving rows, so the pair sorts back to
-// exactly the serial row order even after a parallel sort split the batches
-// across workers.
-func WithPositions(b *schema.Batch) *schema.Batch {
-	seq, idx := make([]int64, b.Len), make([]int64, b.Len)
-	for r := range idx {
-		seq[r], idx[r] = b.Seq, int64(r)
-	}
-	vecs := append(slices.Clip(batchVecs(b)), &schema.Vector{Kind: schema.VecInt64, I64: seq}, &schema.Vector{Kind: schema.VecInt64, I64: idx})
-	return &schema.Batch{Len: b.Len, Vecs: vecs, Sel: b.Sel, Seq: b.Seq}
-}
-
 // ExternalSorter buffers batches column-wise within a memory reservation,
-// overflowing to sorted runs on disk.
+// overflowing to sorted runs on disk. A sort runs one of it at every
+// parallelism: a partitioned input is gathered in Seq order first, so the
+// stable sort needs no position columns to reproduce the serial order.
 type ExternalSorter struct {
 	ctx  *Context
 	op   string
@@ -603,7 +592,7 @@ func (s *ExternalSorter) mergeRunsToRun(runs []*memory.Run) (*memory.Run, error)
 	if err != nil {
 		return nil, err
 	}
-	m := NewMergeCursor(srcs, s.coll, 0, s.limit, 0, spillWriteChunk, nil)
+	m := NewMergeCursor(srcs, s.coll, 0, s.limit, spillWriteChunk, nil)
 	defer m.Close()
 	w, err := s.ctx.Alloc.NewRun(s.op)
 	if err != nil {
@@ -680,7 +669,7 @@ func (s *ExternalSorter) Finish(offset int64, batchSize int) (schema.BatchCursor
 		fetch = max(fetch-offset, 0)
 	}
 	// The in-memory tail arrived last: it is the highest-numbered source.
-	return NewMergeCursor(append(srcs, tail), s.coll, offset, fetch, 0, batchSize, s.Abandon), nil
+	return NewMergeCursor(append(srcs, tail), s.coll, offset, fetch, batchSize, s.Abandon), nil
 }
 
 // sortedCursor emits buffered columns in permutation order.
@@ -730,7 +719,9 @@ func (h *mergeHead) row() int {
 // MergeCursor k-way-merges sorted batch streams on their key vectors, batch
 // to batch: a heap of the sources' head rows picks the next output row (ties
 // to the lowest source index), and each output column is gathered from the
-// source batches' vectors, so typed columns stay typed.
+// source batches' vectors, so typed columns stay typed. ExternalSorter merges
+// its spilled runs through it, applying the sort's OFFSET/FETCH; the parallel
+// stream aggregate's merge-gather merges its partitions through it unlimited.
 type MergeCursor struct {
 	srcs  []schema.BatchCursor
 	coll  trait.Collation
@@ -741,23 +732,22 @@ type MergeCursor struct {
 	offset, fetch int64 // fetch < 0 = unlimited
 	skipped       int64
 	emitted       int64
-	dropTail      int
 	batchSize     int
 	seq           int64
 	primed, done  bool
 	onClose       func()
 }
 
-// NewMergeCursor merges srcs, each sorted on coll, skipping offset rows,
-// emitting at most fetch (negative = all) and dropping the last dropTail
-// columns. Close closes every source and then runs onClose.
+// NewMergeCursor merges srcs, each sorted on coll, skipping offset rows and
+// emitting at most fetch (negative = all). Close closes every source and then
+// runs onClose.
 func NewMergeCursor(srcs []schema.BatchCursor, coll trait.Collation, offset, fetch int64,
-	dropTail, batchSize int, onClose func()) *MergeCursor {
+	batchSize int, onClose func()) *MergeCursor {
 	if batchSize <= 0 {
 		batchSize = schema.DefaultBatchSize
 	}
 	return &MergeCursor{srcs: srcs, coll: coll, heads: make([]mergeHead, len(srcs)),
-		offset: offset, fetch: fetch, dropTail: dropTail, batchSize: batchSize, onClose: onClose}
+		offset: offset, fetch: fetch, batchSize: batchSize, onClose: onClose}
 }
 
 // load makes source i's head its next row, pulling batches as needed; false
@@ -860,7 +850,7 @@ func (m *MergeCursor) next() (*schema.Batch, error) {
 	for i := range m.heads {
 		m.heads[i].ref = -1
 	}
-	vecs := make([]*schema.Vector, len(refs[0])-m.dropTail)
+	vecs := make([]*schema.Vector, len(refs[0]))
 	col := make([]*schema.Vector, len(refs))
 	for c := range vecs {
 		for i, r := range refs {

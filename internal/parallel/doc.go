@@ -17,28 +17,29 @@
 //     a serial input being one partition and a join without equi keys one
 //     in-memory build (right/full joins gather to a single stream and run
 //     serially);
-//   - aggregates split into thread-local partial aggregation, a hash
-//     exchange on the group keys, and a partitioned merge of accumulator
-//     states (rex.MergeAccumulators);
-//   - sorts run per-partition and merge-gather into one ordered stream;
-//   - windows, like every other operator, run serially over a gather.
+//   - aggregates split into thread-local partial aggregation, a gather, and
+//     one merge of the partial states (rex.MergeAccumulators) that orders
+//     the groups by first-seen position;
+//   - keyed TUMBLE/HOP stream aggregates scatter their serial input by group
+//     key and merge-gather the windows — the only hash exchange and the only
+//     merge-gather a plan holds;
+//   - sorts, windows and every other operator run serially over a gather.
+//
+// A sort over a gather beats per-worker sorts merged on position columns:
+// the radix sort of the whole input costs less than the k-way merge, and
+// the Seq-ordered gather hands the stable sort the serial input order, so
+// no position columns are needed.
 //
 // # Division of labour with package exec
 //
 // This package moves batches; tables, charging and spill live in exec. The
 // blocking operators here own no group table, build table or sort buffer:
-// HashJoinPar drains into an exec.JoinBuild, PartialAgg and FinalAgg run one
-// exec.GroupedAgg per partition (partial-state modes) and SortPar runs the
-// sort kernel (exec.SortCursor) once per partition — the engines the serial
-// operators use. Memory governance therefore never changes the plan shape:
-// every worker charges the query's allocator through the same spill-capable
-// code.
-//
-// SortPar returns, per partition, typed batches sorted on (the sort's keys,
-// batch Seq, row index) — the two position columns appended by
-// exec.WithPositions — already cut to the OFFSET+FETCH rows a LIMIT could
-// emit; MergeGather merges the partitions with exec.MergeCursor, the merge
-// that also reads back spilled runs, and strips the position columns.
+// HashJoinPar drains into an exec.JoinBuild, PartialAgg runs one
+// exec.GroupedAgg per partition and FinalAgg one over the gathered partials
+// (partial-state modes), and StreamAggPar one exec.StreamAgg per hash
+// partition — the engines the serial operators use. Memory governance
+// therefore never changes the plan shape: every worker charges the query's
+// allocator through the same spill-capable code.
 //
 // # Batch ownership at exchange boundaries
 //

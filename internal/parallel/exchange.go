@@ -6,12 +6,14 @@ package parallel
 //
 //   - gather: p partition streams → one stream, merged back into morsel
 //     (Seq) order, so a parallel pipeline drains into exactly the row order
-//     the serial engine would have produced;
-//   - merge-gather: p sorted partition streams → one sorted stream (k-way
-//     merge on the collation's key vectors), the back end of the parallel
-//     sort and of the parallel aggregate's deterministic group ordering;
-//   - scatter: input partitions → p output partitions by a hash of key
-//     columns (partitioned aggregates and streaming aggregates).
+//     the serial engine would have produced. Every pipeline breaker but one
+//     finishes serially above a gather: sorts, windows, set operations and
+//     the final merge of a parallel aggregate's partial states;
+//   - scatter and merge-gather, used only by the keyed TUMBLE/HOP stream
+//     aggregate: scatter splits one input into p output partitions by a
+//     hash of key columns, and merge-gather merges the p window streams,
+//     each sorted on (window start, keys, window end), into one (k-way merge
+//     on the collation's key vectors).
 //
 // Every exchange is context-driven: the first error (or a Close from a
 // consumer that has not drained its partition) cancels the exchange context,
@@ -224,12 +226,9 @@ func (g *gatherCursor) Close() error {
 // MergeGather drains p partitions, each sorted on coll, concurrently and
 // merges them into one sorted stream with the engine's one merge
 // (exec.MergeCursor: batch to batch on the key vectors, ties to the lowest
-// partition, typed columns stay typed). dropTail trailing columns (hidden
-// ordering keys) are stripped from the output; offset/fetch apply after the
-// merge. The merge owns each received batch until the output batch that
-// gathers from it has been built.
-func MergeGather(pool *Pool, parts []schema.BatchCursor, coll trait.Collation,
-	offset, fetch int64, dropTail, batchSize int) schema.BatchCursor {
+// partition, typed columns stay typed). The merge owns each received batch
+// until the output batch that gathers from it has been built.
+func MergeGather(pool *Pool, parts []schema.BatchCursor, coll trait.Collation, batchSize int) schema.BatchCursor {
 	st := newExchState(len(parts))
 	srcs := make([]schema.BatchCursor, len(parts))
 	for i, part := range parts {
@@ -237,7 +236,7 @@ func MergeGather(pool *Pool, parts []schema.BatchCursor, coll trait.Collation,
 		srcs[i] = &chanCursor{st: st, ch: ch}
 		pool.Go(func() { pump(st, ch, part) })
 	}
-	return exec.NewMergeCursor(srcs, coll, offset, fetch, dropTail, batchSize, nil)
+	return exec.NewMergeCursor(srcs, coll, 0, -1, batchSize, nil)
 }
 
 // --- scatter ---

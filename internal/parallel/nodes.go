@@ -16,6 +16,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"calcite/internal/exec"
@@ -192,53 +193,38 @@ type Exchange struct {
 	Kind  ExchangeKind
 	// Keys are the hash partitioning columns (HashKind).
 	Keys []int
-	// Collation is the merge order (MergeGatherKind); it may reference
-	// hidden trailing columns that DropTail strips from the output.
+	// Collation is the merge order (MergeGatherKind).
 	Collation trait.Collation
-	// DropTail hidden ordering columns are removed after the merge.
-	DropTail int
-	// Offset/Fetch apply after a merge-gather (parallel sort's limit).
-	Offset, Fetch int64
-	dist          trait.Distribution
-	pool          *Pool
-	p             int
+	dist      trait.Distribution
+	pool      *Pool
+	p         int
 }
 
 // NewGatherExchange merges the partitions of input into a single stream.
 func NewGatherExchange(input rel.Node, pool *Pool, p int) *Exchange {
-	return &Exchange{input: input, Kind: GatherKind, Fetch: -1,
-		dist: trait.Singleton(), pool: pool, p: p}
+	return &Exchange{input: input, Kind: GatherKind, dist: trait.Singleton(), pool: pool, p: p}
 }
 
-// NewMergeGatherExchange merges sorted partitions by collation, stripping
-// dropTail hidden columns and applying offset/fetch.
-func NewMergeGatherExchange(input rel.Node, collation trait.Collation, dropTail int,
-	offset, fetch int64, pool *Pool, p int) *Exchange {
+// NewMergeGatherExchange merges partitions sorted on collation into one
+// sorted stream.
+func NewMergeGatherExchange(input rel.Node, collation trait.Collation, pool *Pool, p int) *Exchange {
 	return &Exchange{input: input, Kind: MergeGatherKind, Collation: collation,
-		DropTail: dropTail, Offset: offset, Fetch: fetch,
 		dist: trait.Singleton(), pool: pool, p: p}
 }
 
 // NewHashExchange repartitions input rows by a hash of the key columns.
 func NewHashExchange(input rel.Node, keys []int, pool *Pool, p int) *Exchange {
-	return &Exchange{input: input, Kind: HashKind, Keys: keys, Fetch: -1,
+	return &Exchange{input: input, Kind: HashKind, Keys: keys,
 		dist: trait.Hashed(keys...), pool: pool, p: p}
 }
 
-func (e *Exchange) Op() string         { return e.Kind.String() }
-func (e *Exchange) Inputs() []rel.Node { return []rel.Node{e.input} }
+func (e *Exchange) Op() string           { return e.Kind.String() }
+func (e *Exchange) Inputs() []rel.Node   { return []rel.Node{e.input} }
+func (e *Exchange) RowType() *types.Type { return e.input.RowType() }
 
 // SyntheticNode marks exchanges as post-optimization artifacts
 // (rel.Synthetic): they carry no optimizer estimate of their own.
 func (e *Exchange) SyntheticNode() {}
-
-func (e *Exchange) RowType() *types.Type {
-	t := e.input.RowType()
-	if e.DropTail > 0 {
-		return types.Row(t.Fields[:len(t.Fields)-e.DropTail]...)
-	}
-	return t
-}
 
 func (e *Exchange) Traits() trait.Set {
 	return trait.NewSet(trait.Enumerable).WithDistribution(e.dist)
@@ -281,7 +267,7 @@ func (e *Exchange) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return MergeGather(e.pool, parts, e.Collation, e.Offset, e.Fetch, e.DropTail, batchSize(ctx)), nil
+		return MergeGather(e.pool, parts, e.Collation, batchSize(ctx)), nil
 	}
 	return exec.BindBatch(ctx, e.input)
 }
@@ -396,15 +382,6 @@ func (j *HashJoinPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, e
 
 // --- partitioned aggregate ---
 
-// aggHiddenFields are the trailing first-seen position columns the parallel
-// aggregate threads through its stages to reproduce the serial group order.
-func aggHiddenFields() []types.Field {
-	return []types.Field{
-		{Name: "$fs_seq", Type: types.BigInt},
-		{Name: "$fs_idx", Type: types.BigInt},
-	}
-}
-
 // PartialAgg is the thread-local pre-aggregation stage: each worker drains
 // its partition into private groups and emits one batch of partial rows
 // [group keys…, accumulator states…, first-seen position]. The accumulator
@@ -429,11 +406,12 @@ func (a *PartialAgg) Attrs() string      { return a.inner.Attrs() }
 // stage above it.
 func (a *PartialAgg) SyntheticNode() {}
 
+// RowType appends the first-seen position columns the final stage orders
+// its groups by.
 func (a *PartialAgg) RowType() *types.Type {
-	innerT := a.inner.RowType()
-	fields := make([]types.Field, 0, len(innerT.Fields)+2)
-	fields = append(fields, innerT.Fields...)
-	fields = append(fields, aggHiddenFields()...)
+	fields := append(slices.Clip(a.inner.RowType().Fields),
+		types.Field{Name: "$fs_seq", Type: types.BigInt},
+		types.Field{Name: "$fs_idx", Type: types.BigInt})
 	return types.Row(fields...)
 }
 
@@ -464,256 +442,52 @@ func (a *PartialAgg) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, er
 	if err != nil {
 		return nil, err
 	}
-	return eachPartition(a.pool, parts, func(rctx ctxT, part schema.BatchCursor) (schema.BatchCursor, error) {
-		agg := exec.NewGroupedAgg(ctx, "ParallelPartialAggregate", a.inner, exec.AggPartial)
-		return agg.Drain(part, rctx.Err)
-	})
-}
-
-// eachPartition runs fn over every partition on the pool — the eager half of
-// a pipeline-breaking operator — and returns the per-partition outputs. fn
-// owns its input partition; if any worker fails, the outputs already produced
-// are closed.
-func eachPartition(pool *Pool, parts []schema.BatchCursor,
-	fn func(rctx ctxT, part schema.BatchCursor) (schema.BatchCursor, error)) ([]schema.BatchCursor, error) {
-	results := make([]schema.BatchCursor, len(parts))
-	err := pool.Run(nil, len(parts), func(rctx ctxT, w int) error {
+	out := make([]schema.BatchCursor, len(parts))
+	err = a.pool.Run(nil, len(parts), func(rctx ctxT, w int) error {
 		var err error
-		results[w], err = fn(rctx, parts[w])
+		agg := exec.NewGroupedAgg(ctx, "ParallelPartialAggregate", a.inner, exec.AggPartial)
+		out[w], err = agg.Drain(parts[w], rctx.Err)
 		return err
 	})
 	if err != nil {
-		closeAll(results)
+		closeAll(out)
 		return nil, err
 	}
-	return results, nil
+	return out, nil
 }
 
-// FinalAgg merges partial rows into final groups. With group keys it is
-// partitioned — each worker merges the (hash-exchanged) partials of its key
-// range and emits value rows still carrying the first-seen position, which
-// the merge-gather above uses to restore the serial group order. Without
-// keys it is a singleton merge of the per-worker global states.
+// FinalAgg merges the gathered partial rows of every worker into the final
+// groups, once, on the singleton path. The partials carry each group's
+// first-seen position, so the merge emits the groups in the serial order.
 type FinalAgg struct {
 	inner *exec.Aggregate
 	input rel.Node
-	pool  *Pool
-	p     int
 }
 
-// NewFinalAgg builds the final stage over the (exchanged) partial stream.
-func NewFinalAgg(inner *exec.Aggregate, input rel.Node, pool *Pool, p int) *FinalAgg {
-	return &FinalAgg{inner: inner, input: input, pool: pool, p: p}
+// NewFinalAgg builds the final stage over the gathered partial stream.
+func NewFinalAgg(inner *exec.Aggregate, input rel.Node) *FinalAgg {
+	return &FinalAgg{inner: inner, input: input}
 }
 
-func (a *FinalAgg) global() bool       { return len(a.inner.GroupKeys) == 0 }
-func (a *FinalAgg) Op() string         { return "ParallelFinalAggregate" }
-func (a *FinalAgg) Inputs() []rel.Node { return []rel.Node{a.input} }
-func (a *FinalAgg) Attrs() string      { return a.inner.Attrs() }
-
-func (a *FinalAgg) RowType() *types.Type {
-	if a.global() {
-		return a.inner.RowType()
-	}
-	innerT := a.inner.RowType()
-	fields := make([]types.Field, 0, len(innerT.Fields)+2)
-	fields = append(fields, innerT.Fields...)
-	fields = append(fields, aggHiddenFields()...)
-	return types.Row(fields...)
-}
+func (a *FinalAgg) Op() string           { return "ParallelFinalAggregate" }
+func (a *FinalAgg) Inputs() []rel.Node   { return []rel.Node{a.input} }
+func (a *FinalAgg) Attrs() string        { return a.inner.Attrs() }
+func (a *FinalAgg) RowType() *types.Type { return a.inner.RowType() }
 
 func (a *FinalAgg) Traits() trait.Set {
-	if a.global() {
-		return trait.NewSet(trait.Enumerable).WithDistribution(trait.Singleton())
-	}
-	// Output rows lead with the group key columns, so the hash keys are the
-	// first len(GroupKeys) output ordinals (not the input ordinals).
-	keys := make([]int, len(a.inner.GroupKeys))
-	for i := range keys {
-		keys[i] = i
-	}
-	return trait.NewSet(trait.Enumerable).WithDistribution(trait.Hashed(keys...))
+	return trait.NewSet(trait.Enumerable).WithDistribution(trait.Singleton())
 }
 
 func (a *FinalAgg) WithNewInputs(inputs []rel.Node) rel.Node {
-	return NewFinalAgg(a.inner, inputs[0], a.pool, a.p)
+	return NewFinalAgg(a.inner, inputs[0])
 }
 
-func (a *FinalAgg) engine(ctx *exec.Context) *exec.GroupedAgg {
-	return exec.NewGroupedAgg(ctx, "ParallelFinalAggregate", a.inner, exec.AggFinal)
-}
-
-// BindBatch is the singleton path: merge every partial row of the gathered
-// input into the final groups (the global-aggregate back end and the serial
-// fallback).
+// BindBatch merges every partial row of the gathered input into the final
+// groups.
 func (a *FinalAgg) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	in, err := exec.BindBatch(ctx, a.input)
 	if err != nil {
 		return nil, err
 	}
-	return a.engine(ctx).Drain(in, nil)
+	return exec.NewGroupedAgg(ctx, "ParallelFinalAggregate", a.inner, exec.AggFinal).Drain(in, nil)
 }
-
-// BindPartitions merges each hash-exchanged partition independently.
-func (a *FinalAgg) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
-	if a.global() {
-		bc, err := a.BindBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return []schema.BatchCursor{bc}, nil
-	}
-	parts, err := BindPartitions(ctx, a.input)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]schema.BatchCursor, len(parts))
-	for i, part := range parts {
-		out[i] = &finalAggCursor{agg: a.engine(ctx), in: part}
-	}
-	return out, nil
-}
-
-// finalAggCursor lazily merges one partition's partials when first pulled,
-// so the merge work runs on whichever worker drives this partition.
-type finalAggCursor struct {
-	agg *exec.GroupedAgg
-	in  schema.BatchCursor // nil once drained into out
-	out schema.BatchCursor
-}
-
-func (c *finalAggCursor) NextBatch() (*schema.Batch, error) {
-	if c.in != nil {
-		in := c.in
-		c.in = nil
-		out, err := c.agg.Drain(in, nil)
-		if err != nil {
-			return nil, err
-		}
-		c.out = out
-	}
-	if c.out == nil {
-		return nil, schema.Done
-	}
-	return c.out.NextBatch()
-}
-
-func (c *finalAggCursor) Close() error {
-	if c.in != nil {
-		return c.in.Close()
-	}
-	if c.out != nil {
-		return c.out.Close()
-	}
-	return nil
-}
-
-// --- partitioned sort ---
-
-// sortHiddenFields are the trailing global-position columns the parallel
-// sort appends so the merge-gather can reproduce the serial stable order.
-func sortHiddenFields() []types.Field {
-	return []types.Field{
-		{Name: "$pos_seq", Type: types.BigInt},
-		{Name: "$pos_idx", Type: types.BigInt},
-	}
-}
-
-// SortPar sorts each partition locally (worker-private sort of its morsels,
-// truncated to OFFSET+FETCH when a limit applies) and emits sorted runs
-// tagged with each row's global input position; the merge-gather above
-// k-way-merges the runs into the exact order of the serial stable sort.
-type SortPar struct {
-	inner *exec.Sort
-	pool  *Pool
-	p     int
-}
-
-// NewSortPar wraps an enumerable sort as its partition-local stage.
-func NewSortPar(inner *exec.Sort, pool *Pool, p int) *SortPar {
-	return &SortPar{inner: inner, pool: pool, p: p}
-}
-
-func (s *SortPar) Op() string         { return "ParallelSort" }
-func (s *SortPar) Inputs() []rel.Node { return s.inner.Inputs() }
-func (s *SortPar) Attrs() string      { return s.inner.Attrs() }
-
-func (s *SortPar) RowType() *types.Type {
-	innerT := s.inner.RowType()
-	fields := make([]types.Field, 0, len(innerT.Fields)+2)
-	fields = append(fields, innerT.Fields...)
-	fields = append(fields, sortHiddenFields()...)
-	return types.Row(fields...)
-}
-
-func (s *SortPar) Traits() trait.Set {
-	return trait.NewSet(trait.Enumerable).WithDistribution(trait.RandomDist())
-}
-
-func (s *SortPar) WithNewInputs(inputs []rel.Node) rel.Node {
-	return NewSortPar(s.inner.WithNewInputs(inputs).(*exec.Sort), s.pool, s.p)
-}
-
-// MergeCollation returns the collation the gathering merge must use: the
-// sort's collation extended by the hidden position columns.
-func (s *SortPar) MergeCollation() trait.Collation {
-	w := len(s.inner.RowType().Fields)
-	coll := append(trait.Collation(nil), s.inner.Collation...)
-	coll = append(coll,
-		trait.FieldCollation{Field: w, Direction: trait.Ascending},
-		trait.FieldCollation{Field: w + 1, Direction: trait.Ascending})
-	return coll
-}
-
-// BindBatch is the serial fallback: one gathered sorted run.
-func (s *SortPar) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
-	parts, err := s.BindPartitions(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return MergeGather(s.pool, parts, s.MergeCollation(), 0, -1, 0, batchSize(ctx)), nil
-}
-
-// BindPartitions sorts every partition eagerly across the pool (sort is a
-// pipeline breaker) and returns the sorted runs. Each worker tags its batches
-// with their rows' global input position and feeds the sort kernel
-// (exec.SortCursor) on the merge collation — the sort's keys, then position,
-// a total order over all partitions — keeping only the OFFSET+FETCH rows the
-// merge could emit; its rows accumulate against the shared query budget and
-// overflow to sorted on-disk runs that the returned cursor merges back (the
-// per-worker half of the parallel external sort; the merge-gather above
-// combines the workers).
-func (s *SortPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
-	parts, err := BindPartitions(ctx, s.inner.Inputs()[0])
-	if err != nil {
-		return nil, err
-	}
-	keep := int64(-1)
-	if s.inner.Fetch >= 0 && s.inner.Offset+s.inner.Fetch >= 0 {
-		keep = s.inner.Offset + s.inner.Fetch
-	}
-	coll := s.MergeCollation()
-	return eachPartition(s.pool, parts, func(rctx ctxT, part schema.BatchCursor) (schema.BatchCursor, error) {
-		return exec.SortCursor(ctx, "ParallelSort", &positionedCursor{in: part, rctx: rctx}, coll, keep, 0)
-	})
-}
-
-// positionedCursor tags a partition's batches with their rows' global input
-// position and stops at the first batch after the run was cancelled.
-type positionedCursor struct {
-	in   schema.BatchCursor
-	rctx ctxT
-}
-
-func (c *positionedCursor) NextBatch() (*schema.Batch, error) {
-	if err := c.rctx.Err(); err != nil {
-		return nil, err
-	}
-	b, err := c.in.NextBatch()
-	if err != nil {
-		return nil, err
-	}
-	return exec.WithPositions(b), nil
-}
-
-func (c *positionedCursor) Close() error { return c.in.Close() }

@@ -217,7 +217,7 @@ func TestFailingGatherPartitionCancelsScatter(t *testing.T) {
 		var g schema.BatchCursor
 		if merge {
 			coll := trait.Collation{{Field: 0, Direction: trait.Ascending}}
-			g = MergeGather(NewPool(4), parts, coll, 0, -1, 0, 16)
+			g = MergeGather(NewPool(4), parts, coll, 16)
 		} else {
 			g = Gather(NewPool(4), parts)
 		}
@@ -342,22 +342,22 @@ func TestScatterHashRoutingReadsKeyVectorsOnly(t *testing.T) {
 	}
 }
 
-func TestMergeGatherOrdersAndLimits(t *testing.T) {
+// TestMergeGatherOrders: the merge-gather interleaves sorted partitions into
+// one sorted stream, ties to the lowest partition, every column kept.
+func TestMergeGatherOrders(t *testing.T) {
 	pool := NewPool(2)
-	// Two sorted runs of (value, hiddenPos); merge ascending by value,
-	// strip the hidden column, skip 2, fetch 3.
-	run := func(vals ...int64) schema.BatchCursor {
+	// Two sorted runs of (value, source); merge ascending by value.
+	run := func(src int64, vals ...int64) schema.BatchCursor {
 		rows := make([][]any, len(vals))
 		for i, v := range vals {
-			rows[i] = []any{v, int64(i)}
+			rows[i] = []any{v, src}
 		}
 		return schema.NewSliceBatchCursor([]*schema.Batch{schema.BatchFromRows(rows, 2)})
 	}
-	coll := trait.Collation{{Field: 0, Direction: trait.Ascending}, {Field: 1, Direction: trait.Ascending}}
-	m := MergeGather(pool, []schema.BatchCursor{run(1, 3, 5, 7), run(2, 4, 6)},
-		coll, 2, 3, 1, 0)
+	coll := trait.Collation{{Field: 0, Direction: trait.Ascending}}
+	m := MergeGather(pool, []schema.BatchCursor{run(0, 1, 3, 5, 5, 7), run(1, 2, 4, 5, 6)}, coll, 0)
 	defer m.Close()
-	var got []int64
+	var got []string
 	for {
 		b, err := m.NextBatch()
 		if err == schema.Done {
@@ -366,21 +366,13 @@ func TestMergeGatherOrdersAndLimits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Width() != 1 {
-			t.Fatalf("hidden column not stripped: width %d", b.Width())
-		}
 		for i := 0; i < b.NumRows(); i++ {
-			got = append(got, b.Row(i)[0].(int64))
+			got = append(got, fmt.Sprint(b.Row(i)))
 		}
 	}
-	want := []int64{3, 4, 5} // 1..7 merged, offset 2, fetch 3
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
+	want := "[1 0] [2 1] [3 0] [4 1] [5 0] [5 0] [5 1] [6 1] [7 0]"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("got %s, want %s", strings.Join(got, " "), want)
 	}
 }
 
@@ -399,21 +391,38 @@ func memScan(t *testing.T, name string, nRows int) *exec.Scan {
 	return exec.NewScan(tbl, []string{name})
 }
 
-func TestParallelizeInsertsExchanges(t *testing.T) {
-	pool := NewPool(4)
-	scan := memScan(t, "t", 100)
-	filter := exec.NewFilter(scan, rex.NewCall(rex.OpGreater,
-		rex.NewInputRef(0, types.BigInt), rex.NewLiteral(int64(10), types.BigInt)))
-	agg := exec.NewAggregate(filter, []int{1}, []rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")})
-	plan := Parallelize(agg, pool, 4)
-	text := rel.Explain(plan)
-	for _, want := range []string{"MorselScan", "ParallelPartialAggregate", "HashExchange", "ParallelFinalAggregate", "MergeGatherExchange"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("parallel plan missing %s:\n%s", want, text)
+// planOps renders a plan whose every node has at most one input as its
+// operators from the root down.
+func planOps(n rel.Node) string {
+	var ops []string
+	for ; ; n = n.Inputs()[0] {
+		ops = append(ops, n.Op())
+		if len(n.Inputs()) == 0 {
+			return strings.Join(ops, " > ")
 		}
 	}
-	if dist := plan.Traits().Distribution; dist.Kind != trait.DistSingleton {
-		t.Errorf("root distribution = %s, want singleton", dist)
+}
+
+// TestParallelizeInsertsExchanges pins the aggregate's parallel shape, keyed
+// and global: per-worker partial states over the morsels, gathered into one
+// final merge — no hash exchange, no merge-gather.
+func TestParallelizeInsertsExchanges(t *testing.T) {
+	pool := NewPool(4)
+	filter := exec.NewFilter(memScan(t, "t", 100), rex.NewCall(rex.OpGreater,
+		rex.NewInputRef(0, types.BigInt), rex.NewLiteral(int64(10), types.BigInt)))
+	for _, keys := range [][]int{{1}, nil} {
+		agg := exec.NewAggregate(filter, keys, []rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")})
+		plan := Parallelize(agg, pool, 4)
+		want := "ParallelFinalAggregate > GatherExchange > ParallelPartialAggregate > EnumerableFilter > MorselScan"
+		if got := planOps(plan); got != want {
+			t.Errorf("keys %v: plan %s, want %s", keys, got, want)
+		}
+		if dist := plan.Traits().Distribution; dist.Kind != trait.DistSingleton {
+			t.Errorf("keys %v: root distribution = %s, want singleton", keys, dist)
+		}
+		if got, want := plan.RowType().String(), agg.RowType().String(); got != want {
+			t.Errorf("keys %v: final row type %s, want the aggregate's %s", keys, got, want)
+		}
 	}
 }
 
@@ -639,14 +648,7 @@ func TestParallelizeWindowIsSerial(t *testing.T) {
 		},
 	}})
 	for _, p := range []int{2, 4} {
-		var ops []string
-		for n := Parallelize(win, NewPool(p), p); ; n = n.Inputs()[0] {
-			ops = append(ops, n.Op())
-			if len(n.Inputs()) == 0 {
-				break
-			}
-		}
-		if got := strings.Join(ops, " > "); got != "EnumerableWindow > GatherExchange > MorselScan" {
+		if got := planOps(Parallelize(win, NewPool(p), p)); got != "EnumerableWindow > GatherExchange > MorselScan" {
 			t.Errorf("p=%d: plan %s, want EnumerableWindow > GatherExchange > MorselScan", p, got)
 		}
 	}

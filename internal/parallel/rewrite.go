@@ -12,13 +12,16 @@ package parallel
 //     their inputs as they are, a serial input being one partition (right/
 //     full joins, which need cross-partition unmatched tracking, gather to a
 //     single stream and run serially);
-//   - aggregates split into thread-local partial aggregation, a hash
-//     exchange on the group keys, and a partitioned final merge;
-//   - sorts split into per-worker sorts and a merge-gather;
-//   - every other operator (windows, set ops, adapters, DML) requires the
-//     singleton distribution, so partitioned inputs gather in front of it: a
-//     window sorts once, narrow, and a hash exchange plus a merge-gather on
-//     position columns cost more than the sort they would split.
+//   - aggregates split into thread-local partial aggregation, a gather, and
+//     one final merge of the partial states, in first-seen group order;
+//   - keyed TUMBLE/HOP stream aggregates scatter their serial input by group
+//     key and merge-gather the windows: the one use of those two exchanges;
+//   - every other operator (sorts, windows, set ops, adapters, DML) requires
+//     the singleton distribution, so partitioned inputs gather in front of
+//     it. A sort or a window sorts once over the Seq-ordered gather: per-
+//     worker runs merged on position columns cost more than the radix sort
+//     they would split, and the stable sort needs no positions to keep the
+//     serial order.
 //
 // The rewrite runs at execution time (core.Framework), not inside the
 // Volcano search: plans stay backend-agnostic until the host system decides
@@ -27,9 +30,9 @@ package parallel
 //
 // Division of labour: parallel moves batches; tables, charging and spill live
 // in exec. The blocking operators placed here (HashJoinPar, PartialAgg,
-// FinalAgg, SortPar) only schedule exec's JoinBuild, GroupedAgg and
-// ExternalSorter across partitions, so a memory-governed plan has the same
-// shape as an ungoverned one.
+// FinalAgg, StreamAggPar) only schedule exec's JoinBuild, GroupedAgg and
+// StreamAgg across partitions, so a memory-governed plan has the same shape
+// as an ungoverned one.
 
 import (
 	"calcite/internal/exec"
@@ -84,18 +87,11 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 		}
 		return n, trait.Singleton()
 
-	case *exec.Filter:
-		in, d := r.rewrite(x.Inputs()[0])
-		return x.WithNewInputs([]rel.Node{in}), d
-
-	case *exec.Project:
-		in, d := r.rewrite(x.Inputs()[0])
-		if d.Kind == trait.DistHashed {
-			// The projection remaps columns; without tracking the mapping,
-			// downgrade to "partitioned, keys unknown".
-			d = trait.RandomDist()
-		}
-		return x.WithNewInputs([]rel.Node{in}), d
+	case *exec.Filter, *exec.Project:
+		// No rewrite returns a hash distribution, so a projection's column
+		// remapping leaves the distribution as it is.
+		in, d := r.rewrite(n.Inputs()[0])
+		return n.WithNewInputs([]rel.Node{in}), d
 
 	case *exec.HashJoin:
 		probe, pd := r.rewrite(x.Left())
@@ -120,28 +116,11 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 		if !d.Partitioned() {
 			return x.WithNewInputs([]rel.Node{in}), trait.Singleton()
 		}
+		// The workers' partial states gather into one merge, which orders
+		// the groups by first-seen position, as the serial aggregate does.
 		inner := x.WithNewInputs([]rel.Node{in}).(*exec.Aggregate)
-		partial := NewPartialAgg(inner, r.pool, r.p)
-		if len(x.GroupKeys) == 0 {
-			// Global aggregate: gather the per-worker states and merge once.
-			gathered := NewGatherExchange(partial, r.pool, r.p)
-			return NewFinalAgg(inner, gathered, r.pool, r.p), trait.Singleton()
-		}
-		// Keyed aggregate: repartition partial groups by the group key so
-		// each worker owns a disjoint key range, then merge the group order
-		// back to first-seen (serial) order.
-		keyOrds := make([]int, len(x.GroupKeys))
-		for i := range keyOrds {
-			keyOrds[i] = i
-		}
-		ex := NewHashExchange(partial, keyOrds, r.pool, r.p)
-		final := NewFinalAgg(inner, ex, r.pool, r.p)
-		w := len(x.RowType().Fields)
-		coll := trait.Collation{
-			{Field: w, Direction: trait.Ascending},
-			{Field: w + 1, Direction: trait.Ascending},
-		}
-		return NewMergeGatherExchange(final, coll, 2, 0, -1, r.pool, r.p), trait.Singleton()
+		gathered := NewGatherExchange(NewPartialAgg(inner, r.pool, r.p), r.pool, r.p)
+		return NewFinalAgg(inner, gathered), trait.Singleton()
 
 	case *exec.StreamAgg:
 		// Keyed tumble/hop windows scatter by group key; the input below the
@@ -163,22 +142,7 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 			coll = append(coll, trait.FieldCollation{Field: 2 + i, Direction: trait.Ascending})
 		}
 		coll = append(coll, trait.FieldCollation{Field: 1, Direction: trait.Ascending})
-		return NewMergeGatherExchange(sp, coll, 0, 0, -1, r.pool, r.p), trait.Singleton()
-
-	case *exec.Sort:
-		in, d := r.rewrite(x.Inputs()[0])
-		if !d.Partitioned() {
-			return x.WithNewInputs([]rel.Node{in}), trait.Singleton()
-		}
-		if len(x.Collation) == 0 {
-			// Pure limit: gather (in morsel order) and limit serially.
-			gathered := NewGatherExchange(in, r.pool, r.p)
-			return x.WithNewInputs([]rel.Node{gathered}), trait.Singleton()
-		}
-		inner := x.WithNewInputs([]rel.Node{in}).(*exec.Sort)
-		sp := NewSortPar(inner, r.pool, r.p)
-		return NewMergeGatherExchange(sp, sp.MergeCollation(), 2,
-			x.Offset, x.Fetch, r.pool, r.p), trait.Singleton()
+		return NewMergeGatherExchange(sp, coll, r.pool, r.p), trait.Singleton()
 
 	default:
 		// Every other operator runs serially over singleton inputs;

@@ -75,8 +75,8 @@ func TestSpillFilesCleanedUpOnMidSpillError(t *testing.T) {
 	pool := NewPool(4)
 	plan := Parallelize(sortNode, pool, 4)
 
-	// A budget small enough that the per-worker sorts spill several runs
-	// before the source fails.
+	// A budget small enough that the sort above the gather spills several
+	// runs before the source fails.
 	alloc := memory.NewAllocator(memory.NewPool(32<<10), 0, true)
 	ctx := exec.NewContext()
 	ctx.Alloc = alloc
@@ -106,8 +106,9 @@ func TestSpillFilesCleanedUpOnMidSpillError(t *testing.T) {
 	}
 }
 
-// TestSpillParallelSortMatchesSerial: the governed parallel sort (external
-// per-worker runs + merge gather) must reproduce the serial order exactly.
+// TestSpillParallelSortMatchesSerial: the governed sort over a gather of the
+// morsels (one external sort, its runs merged back) must reproduce the serial
+// order exactly.
 func TestSpillParallelSortMatchesSerial(t *testing.T) {
 	scan := memScan(t, "t", 5000)
 	sortNode := exec.NewSort(scan, trait.Collation{{Field: 1}, {Field: 0, Direction: trait.Descending}}, 0, -1)
@@ -181,7 +182,7 @@ func TestSpillParallelJoinAndAggregateMatchSerial(t *testing.T) {
 // TestGovernedParallelAggregateTeardown is the plan-level regression test for
 // the governed parallel aggregate that used to hang: 20 000 groups under a
 // 300 KiB budget at 4 workers. With spilling enabled every stage (partial
-// workers, hash exchange, final merge) must complete; with spilling disabled
+// workers, gather, final merge) must complete; with spilling disabled
 // the budget error must surface at the root. Either way the query returns
 // within the deadline, and afterwards no goroutine and no spill file is left
 // behind. (TestFailingGatherPartitionCancelsScatter pins the exchange
@@ -272,7 +273,7 @@ func settled(t *testing.T, name string, alloc *memory.Allocator, baseline int) {
 }
 
 // TestParallelSortAndWindowTeardown: the failure paths of the sort kernel
-// under SortPar and under a window, which runs serially over a gather. A
+// under a sort and under a window, which both run serially over a gather. A
 // denied grant with spilling disabled, a source that fails while the other
 // partitions are mid-sort (the pool cancels them between batches), and a
 // consumer that closes the plan after its first batch of a spilled run each
@@ -310,15 +311,9 @@ func TestParallelSortAndWindowTeardown(t *testing.T) {
 	for op, plan := range plans(memScan(t, "t", 6000)) {
 		par := Parallelize(plan, NewPool(4), 4)
 		text := rel.Explain(par)
-		switch op {
-		case "sort":
-			if !strings.Contains(text, "Parallel") || !strings.Contains(text, "MergeGatherExchange") {
-				t.Fatalf("sort did not parallelize:\n%s", text)
-			}
-		case "window":
-			if g, ok := par.Inputs()[0].(*Exchange); !ok || par.Op() != "EnumerableWindow" || g.Kind != GatherKind {
-				t.Fatalf("window is not an EnumerableWindow over a GatherExchange:\n%s", text)
-			}
+		want := map[string]string{"sort": "EnumerableSort", "window": "EnumerableWindow"}[op]
+		if g, ok := par.Inputs()[0].(*Exchange); !ok || par.Op() != want || g.Kind != GatherKind {
+			t.Fatalf("%s is not an %s over a GatherExchange:\n%s", op, want, text)
 		}
 
 		ctx := exec.NewContext()

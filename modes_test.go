@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"calcite"
 	"calcite/internal/mv"
+	"calcite/internal/obs"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
 )
@@ -286,7 +288,7 @@ var diffQueries = []struct {
 // TestParallelModesAgree runs the SQL suite at parallelism 1, 4 and 8 and
 // requires rows identical to the serial engine IN THE SAME ORDER — the
 // parallel engine's determinism contract (Seq-ordered gathers, first-seen
-// group ordering, position-tagged merge sorts). The suite contains no
+// group ordering, stable sorts over a gather). The suite contains no
 // COLLECT calls and only binary-exact float aggregations, so the documented
 // value-level caveats do not apply here.
 func TestParallelModesAgree(t *testing.T) {
@@ -360,6 +362,32 @@ func TestParallelSmallBatches(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s (parallel=4, batchSize=3)\n  parallel: %v\n  serial:   %v", q.sql, a, b)
 		}
+	}
+}
+
+// TestParallelizedPlansGatherOnly pins the exchange map of the batch engine: at
+// parallelism 4 every statement of the corpus runs over gathers only — sorts
+// and final aggregates finish once above a GatherExchange — so no executed
+// plan holds a hash exchange, a merge-gather or a per-worker sort. (Only a
+// keyed TUMBLE/HOP stream aggregate scatters and merge-gathers.)
+func TestParallelizedPlansGatherOnly(t *testing.T) {
+	conn := diffConn()
+	conn.SetParallelism(4)
+	partials := 0
+	for _, q := range diffQueries {
+		if _, err := conn.Query(q.sql, q.params...); err != nil {
+			continue
+		}
+		plan := obs.RenderSpans(conn.LastTraces(1)[0].Spans)
+		for _, op := range []string{"HashExchange", "MergeGatherExchange", "ParallelSort"} {
+			if strings.Contains(plan, op) {
+				t.Errorf("%s\n  parallel plan holds %s:\n%s", q.sql, op, plan)
+			}
+		}
+		partials += strings.Count(plan, "ParallelPartialAggregate")
+	}
+	if partials == 0 {
+		t.Fatal("no statement ran a parallel aggregate: the corpus did not run in parallel")
 	}
 }
 

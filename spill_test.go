@@ -338,9 +338,9 @@ func queryWithin(t *testing.T, conn *calcite.Connection, d time.Duration, sql st
 // exchange-teardown hang: 20 000 distinct VARCHAR groups at parallelism 4
 // under a 300 KiB query budget. Every stage of the parallel aggregate must
 // spill and the rows must match the serial unlimited run; with spilling
-// disabled the partitions that fail their grant must tear the hash exchange
-// below them down, so the clean budget error surfaces instead of the
-// surviving partitions waiting forever on senders parked on a dead channel.
+// disabled the workers that fail their grant must tear the stages around
+// them down, so the clean budget error surfaces instead of a survivor
+// waiting forever on a partition parked on a dead channel.
 func TestGovernedParallelAggregateReturns(t *testing.T) {
 	const sql = "SELECT k, SUM(v), COUNT(*) FROM f GROUP BY k"
 	open := func() *calcite.Connection {
