@@ -226,8 +226,9 @@ func (g *gatherCursor) Close() error {
 // MergeGather drains p partitions, each sorted on coll, concurrently and
 // merges them into one sorted stream with the engine's one merge
 // (exec.MergeCursor: batch to batch on the key vectors, ties to the lowest
-// partition, typed columns stay typed). The merge owns each received batch
-// until the output batch that gathers from it has been built.
+// partition, typed columns stay typed; batchSize <= 0 is the default size).
+// The merge owns each received batch until the output batch that gathers from
+// it has been built.
 func MergeGather(pool *Pool, parts []schema.BatchCursor, coll trait.Collation, batchSize int) schema.BatchCursor {
 	st := newExchState(len(parts))
 	srcs := make([]schema.BatchCursor, len(parts))

@@ -267,7 +267,7 @@ func (e *Exchange) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return MergeGather(e.pool, parts, e.Collation, batchSize(ctx)), nil
+		return MergeGather(e.pool, parts, e.Collation, ctx.BatchSize), nil
 	}
 	return exec.BindBatch(ctx, e.input)
 }
@@ -287,13 +287,6 @@ func (e *Exchange) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, erro
 		return nil, err
 	}
 	return []schema.BatchCursor{bc}, nil
-}
-
-func batchSize(ctx *exec.Context) int {
-	if ctx.BatchSize > 0 {
-		return ctx.BatchSize
-	}
-	return schema.DefaultBatchSize
 }
 
 // --- partitioned hash join ---
