@@ -275,10 +275,10 @@ func settled(t *testing.T, name string, alloc *memory.Allocator, baseline int) {
 // TestParallelSortAndWindowTeardown: the failure paths of the sort kernel
 // under a sort and under a window, which both run serially over a gather. A
 // denied grant with spilling disabled, a source that fails while the other
-// partitions are mid-sort (the pool cancels them between batches), and a
-// consumer that closes the plan after its first batch of a spilled run each
-// return promptly, with a clean error or nothing, and leave no reservation,
-// no run file and no goroutine.
+// partitions are still feeding the gather, and a consumer that closes the
+// plan after its first batch of a spilled run each return promptly, with a
+// clean error or nothing, and leave no reservation, no run file and no
+// goroutine.
 func TestParallelSortAndWindowTeardown(t *testing.T) {
 	boom := errors.New("backend failed mid-query")
 	rowType := types.Row(
