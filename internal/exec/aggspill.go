@@ -1,58 +1,25 @@
 package exec
 
 // Spilling for the hash aggregation engine (GroupedAgg, groupkey.go). When a
-// grant fails, every group's accumulators are dehydrated
-// (rex.DehydrateAccumulator) into plain value rows [key…, state…, (position)]
-// and flushed to hash-partitioned spill runs, and the table restarts empty.
-// After the input is drained, an engine that never flushed emits straight
-// from memory (same first-seen group order as an ungoverned run); one that
-// flushed also flushes its tail and then re-reads one partition at a time,
-// folding duplicate groups with rex.MergeAccumulators through a nested engine
-// in partial-row mode. Partitions that still exceed the grant flush again
-// under the next hash seed, mirroring the Grace join.
+// grant fails, the table — one state batch [key…, state columns…,
+// (position)] — is written to hash-partitioned spill runs through the spill
+// codec's typed pages, the boxed calls' columns as the value lists their
+// accumulators hold, and the table restarts empty. After the input is
+// drained, an engine that never flushed emits straight from memory (same
+// first-seen group order as an ungoverned run); one that flushed also flushes
+// its tail and then re-reads one partition at a time, folding duplicate
+// groups with the merge kernels of a nested engine. Partitions that still
+// exceed the grant flush again under the next hash seed, mirroring the Grace
+// join.
 
 import (
 	"calcite/internal/memory"
-	"calcite/internal/rex"
 	"calcite/internal/schema"
-	"calcite/internal/types"
 )
 
-// aggGroupOverhead approximates the fixed footprint of one group: map entry,
-// key string, accumulator headers.
-const aggGroupOverhead = 96
-
-// aggRetainedBytes estimates the bytes a row permanently adds to its
-// group's accumulators: value-retaining aggregates (COLLECT, SINGLE_VALUE,
-// DISTINCT) hold their argument, everything else only mutates fixed state.
-func aggRetainedBytes(calls []rex.AggCall, row []any) int64 {
-	var n int64
-	for _, c := range calls {
-		if len(c.Args) == 0 {
-			continue
-		}
-		if c.Distinct || c.Func == rex.AggCollect || c.Func == rex.AggSingleValue {
-			n += types.SizeOfValue(row[c.Args[0]]) + 16
-		}
-	}
-	return n
-}
-
-// aggGroupCharge estimates the fixed footprint of creating one group for
-// the given row: map entry, canonical key string (keyLen), key values and
-// accumulator headers.
-func aggGroupCharge(keys []int, calls []rex.AggCall, row []any, keyLen int) int64 {
-	charge := aggGroupOverhead + int64(keyLen) + int64(96*len(calls))
-	for _, gk := range keys {
-		charge += types.SizeOfValue(row[gk])
-	}
-	return charge
-}
-
-// flush dehydrates every in-memory group into the spill partitions, handing
-// the group rows over as one batch, and resets the table.
+// flush writes the table to the spill partitions as one state batch and
+// resets it.
 func (g *GroupedAgg) flush() error {
-	width := g.stateWidth()
 	if g.flushW == nil {
 		w, err := newPartitionWriter(g.ctx.Alloc, g.op, g.ident, g.depth)
 		if err != nil {
@@ -61,28 +28,7 @@ func (g *GroupedAgg) flush() error {
 		g.flushW = w
 		g.res.NoteSpillEvent()
 	}
-	n := len(g.groups)
-	b := &schema.Batch{Len: n, Vecs: make([]*schema.Vector, width)}
-	for c := range b.Vecs {
-		b.Vecs[c] = &schema.Vector{Kind: schema.VecAny, A: make([]any, n)}
-	}
-	nKeys := len(g.ident)
-	for i, gr := range g.groups {
-		for k, v := range gr.key {
-			b.Vecs[k].A[i] = v
-		}
-		for ci, acc := range gr.accs {
-			st, err := rex.DehydrateAccumulator(acc)
-			if err != nil {
-				return err
-			}
-			b.Vecs[nKeys+ci].A[i] = st
-		}
-		if g.pos {
-			b.Vecs[width-2].A[i], b.Vecs[width-1].A[i] = gr.fsSeq, gr.fsIdx
-		}
-	}
-	if err := g.flushW.add(b); err != nil {
+	if err := g.flushW.add(g.stateBatch()); err != nil {
 		return err
 	}
 	g.resetTable()
@@ -132,13 +78,17 @@ func (g *GroupedAgg) Drain(in schema.BatchCursor, stop func() error) (schema.Bat
 // One that flushed spills its tail too and merges partition by partition.
 func (g *GroupedAgg) Finish() (schema.BatchCursor, error) {
 	if g.flushW == nil {
-		if len(g.keys) == 0 && len(g.groups) == 0 {
-			g.newGroup(nil, nil)
+		if len(g.keys) == 0 && g.n == 0 {
+			g.grow(nil, nil, []int32{0})
+			if g.pos {
+				w := len(g.state)
+				g.state[w-2].I64, g.state[w-1].I64 = []int64{0}, []int64{0}
+			}
 		}
-		out := batchesFromRows(g.rows(), g.outWidth(), g.ctx.batchSize())
+		out := g.output()
 		if g.emitStates {
-			// The rows carry the live accumulators: stay charged until the
-			// next stage has taken them over.
+			// The batches are the table's columns: stay charged until the
+			// next stage has folded them.
 			return &closingBatchCursor{BatchCursor: out, close: g.res.Free}, nil
 		}
 		g.res.Free()
@@ -152,12 +102,13 @@ func (g *GroupedAgg) Finish() (schema.BatchCursor, error) {
 	return &spillAggCursor{agg: g, parts: parts}, nil
 }
 
-// remerge returns a nested engine that folds the partial rows this engine
+// remerge returns a nested engine that folds the state rows this engine
 // flushed, at the given spill depth, into this engine's output; it shares the
 // reservation.
 func (g *GroupedAgg) remerge(depth int) *GroupedAgg {
-	m := newStateAgg(g.ctx, g.op, len(g.ident), g.calls)
-	m.emitStates, m.pos, m.depth, m.res = g.emitStates, g.pos, depth, g.res
+	m := &GroupedAgg{ctx: g.ctx, op: g.op, calls: g.calls, ident: make([]int, len(g.ident)), fromStates: true,
+		emitStates: g.emitStates, pos: g.pos, depth: depth, res: g.res}
+	m.init()
 	return m
 }
 
@@ -186,7 +137,7 @@ type aggPartition struct {
 }
 
 // spillAggCursor re-reads the partitions a flushed engine spilled, one at a
-// time, merging duplicate groups and emitting the engine's output rows.
+// time, merging duplicate groups and emitting the engine's output.
 type spillAggCursor struct {
 	agg   *GroupedAgg // the flushed engine: configuration and reservation
 	parts []aggPartition
@@ -221,8 +172,8 @@ func (c *spillAggCursor) NextBatch() (*schema.Batch, error) {
 	return nil, schema.Done
 }
 
-// mergePartition folds one partition's partial rows through a nested engine
-// and stages the finished rows; a partition that outgrows the grant is
+// mergePartition folds one partition's state rows through a nested engine
+// and stages its output; a partition that outgrows the grant is
 // re-split under the next seed and queued ahead of the remaining work.
 func (c *spillAggCursor) mergePartition(part aggPartition) error {
 	defer part.run.Remove()
@@ -249,7 +200,7 @@ func (c *spillAggCursor) mergePartition(part aggPartition) error {
 		}
 	}
 	if merge.flushW == nil {
-		c.out = batchesFromRows(merge.rows(), merge.outWidth(), c.agg.ctx.batchSize())
+		c.out = merge.output()
 		return nil
 	}
 	sub, err := merge.finishFlush()

@@ -1,11 +1,17 @@
 package exec
 
-// Typed key index for hash aggregation and hash joins. The boxed path
-// identifies grouping/join keys by formatting every value into a
-// types.HashKey string — one strconv call plus one string allocation per row
-// probed. For single-column keys of the core runtime types the index instead
-// keys native maps on the machine value, assigning each distinct key a dense
-// ordinal (insertion order) that callers use to address per-group state.
+// The hash aggregation engine (GroupedAgg) and the typed key index it shares
+// with the hash join. The index keys native maps on the machine value of a
+// single-column key, assigning each distinct key a dense ordinal (insertion
+// order); composite keys map their schema.RowKey encoding. The engine keeps
+// its groups as one state batch indexed by that ordinal: typed key columns,
+// then each call's state in typed columns — COUNT an int64 count; SUM and AVG
+// a count, an int64 and a float64 sum and a count of float contributions;
+// MIN and MAX a vector of the argument's kind, NULL until started — and only
+// COLLECT, SINGLE_VALUE and DISTINCT calls a column of boxed accumulators,
+// which leaves the engine as the values they hold. Partial stages emit that
+// batch, final stages and re-merges fold it with one merge kernel per call,
+// and a flush writes it through the spill codec's typed pages.
 //
 // Equivalence must match types.HashKey exactly or the typed and the boxed
 // tiers would group differently: HashKey folds integral float64s onto the
@@ -15,11 +21,12 @@ package exec
 // batch and VecAny in the next therefore still lands in the same map.
 
 import (
+	"cmp"
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"calcite/internal/memory"
-	"calcite/internal/rel"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
 	"calcite/internal/types"
@@ -121,44 +128,81 @@ const (
 	// AggComplete folds input rows into result rows [keys…, results…]: the
 	// serial Aggregate.
 	AggComplete AggMode = iota
-	// AggPartial folds input rows into partial rows [keys…, accumulator
-	// states…, first-seen seq, first-seen idx]: one engine per worker of the
-	// parallel aggregate.
+	// AggPartial folds input rows into a state batch [keys…, state columns…,
+	// first-seen seq, first-seen idx]: one engine per worker of the parallel
+	// aggregate.
 	AggPartial
-	// AggFinal merges the gathered partial rows of every worker into
-	// [keys…, results…], ordered by each group's smallest first-seen position:
-	// the serial group order.
+	// AggFinal merges the gathered state batches of every worker into [keys…,
+	// results…], ordered by each group's smallest first-seen position: the
+	// serial group order.
 	AggFinal
 )
 
-type aggGroup struct {
-	key  []any
-	accs []rex.Accumulator
-	// typed holds the fast-path handle of each accumulator eligible for
-	// pre-unboxed adds (nil entry otherwise).
-	typed []rex.TypedAccumulator
-	// fsSeq/fsIdx are the batch Seq and in-batch row of the group's first
-	// row (position-tracking modes only).
-	fsSeq, fsIdx int64
+// stateKind is how one call's running state is laid out in the state batch.
+type stateKind uint8
+
+const (
+	stateCount stateKind = iota // COUNT: [count]
+	stateSum                    // SUM, AVG: [count, int sum, float sum, float count]
+	stateExt                    // MIN, MAX: [extremum], NULL until a value arrives
+	stateBoxed                  // COLLECT, SINGLE_VALUE, DISTINCT: [values held]
+)
+
+func stateKindOf(c rex.AggCall) stateKind {
+	switch {
+	case c.Distinct && len(c.Args) > 0, c.Func == rex.AggCollect, c.Func == rex.AggSingleValue:
+		return stateBoxed
+	case c.Func == rex.AggSum, c.Func == rex.AggAvg:
+		return stateSum
+	case c.Func == rex.AggMin, c.Func == rex.AggMax:
+		return stateExt
+	}
+	return stateCount
 }
 
+// aggCol is one call's state in the table.
+type aggCol struct {
+	call rex.AggCall
+	kind stateKind
+	at   int // its first column in the state batch
+	// accs holds a stateBoxed call's accumulators, one per group ordinal; its
+	// column is filled with what they hold when the batch leaves the engine.
+	accs []rex.Accumulator
+	// open marks a stateExt column that holds no value yet, so it may still
+	// take the kind of the argument vector.
+	open bool
+}
+
+// Per-entry footprints of the key index, on top of what its keys hold.
+const (
+	intEntryBytes = 40 // map[int64]int32
+	strEntryBytes = 64 // map[string]int32
+	// boxedGroupBytes is one accumulator of a stateBoxed call.
+	boxedGroupBytes = 128
+)
+
 // GroupedAgg is the hash aggregation engine behind every aggregate operator:
-// the serial Aggregate and the per-worker partial and final stages of the
-// parallel one. Grouping goes through a typed keyIndex for single-column
-// keys, accumulators take pre-unboxed adds from vectors of a native kind, and
-// everything else runs the boxed scratch-row path.
-// Groups are kept in first-seen order. The table is charged to a nil-safe
-// reservation; when a grant is denied every group is dehydrated into hash
-// partitions on disk (aggspill.go) and the table restarts empty.
+// the serial Aggregate, the partial and final stages of the parallel one, the
+// spill re-merge and the streaming operator's panes, windows and sessions.
+//
+// The table is a state batch indexed by group ordinal, the ordinal the key
+// index assigns in first-seen order: the key columns, each call's typed state
+// columns (stateKind), then, when positions are tracked, the first-seen batch
+// Seq and row. A batch folds in two steps: its rows' ordinals, then one
+// scatter kernel per call (raw rows) or one merge kernel per call (state
+// rows). A partial stage emits the table itself; a flush writes it to hash
+// partitions on disk (aggspill.go), and the table restarts empty. The table
+// is charged to a nil-safe reservation with what its columns and key index
+// grow by.
 type GroupedAgg struct {
 	ctx   *Context
 	op    string // reservation and spill-run tag
 	calls []rex.AggCall
 	keys  []int // key ordinals in the input rows
-	ident []int // 0..len(keys)-1: key ordinals in group keys and state rows
+	ident []int // 0..len(keys)-1: key ordinals in state batches
 
-	fromStates bool // input rows are [keys…, states…, (position)], not raw rows
-	emitStates bool // output rows carry the accumulators, not their results
+	fromStates bool // input rows are state rows, not raw rows
+	emitStates bool // output is the state batch, not the results
 	pos        bool // groups carry their first-seen position (emitted with states)
 	depth      int  // spill recursion depth; doubles as the flush hash seed
 
@@ -169,267 +213,329 @@ type GroupedAgg struct {
 	// table empty and the reservation shrunk, as a flush does: a contract with
 	// the streaming operator, which moves all its state into one spill engine.
 	evict func() error
-	// keyLen is the length of the key string the table stored for the key
-	// last entered: the encoded row key for zero or several columns, none
-	// for one (the typed tiers store the value itself; the fallback tier's
-	// short HashKey string falls in aggGroupOverhead).
-	keyLen int
 
 	index    *keyIndex        // single-column keys
-	multiKey map[string]int32 // zero- or multi-column keys, HashRowKey-encoded
-	groups   []*aggGroup
+	multiKey map[string]int32 // multi-column keys, schema.RowKey-encoded
+	n        int              // groups
+	state    []*schema.Vector
+	cols     []aggCol
+	// extra is what the table holds beyond its columns' capacity: key
+	// payloads, composite key strings, boxed accumulators and their values.
+	extra int64
 
-	callTyped []bool // calls[i] is eligible for typed adds
-	anyTyped  bool
-	retains   bool // some call holds on to its argument values
-	scratch   []any
-	keyBuf    []byte // composite key encoding, reused row over row
-	dense     []int32
+	row                []any // scratch row of the boxed calls
+	keyBuf             []byte
+	dense, ords, fresh []int32
+	fsel, ford         []int32 // a FILTER call's narrowed rows
 }
 
 // NewGroupedAgg opens an aggregation engine for a in the given mode, charging
 // the context's allocator under the operator tag op.
 func NewGroupedAgg(ctx *Context, op string, a *Aggregate, mode AggMode) *GroupedAgg {
-	g := newStateAgg(ctx, op, len(a.GroupKeys), a.Calls)
+	g := &GroupedAgg{ctx: ctx, op: op, calls: a.Calls, ident: make([]int, len(a.GroupKeys)), keys: a.GroupKeys,
+		fromStates: mode == AggFinal, emitStates: mode == AggPartial, pos: mode != AggComplete}
 	g.res = memory.Reserve(ctx.Alloc, op)
-	g.fromStates = mode == AggFinal
-	g.emitStates = mode == AggPartial
-	g.pos = mode != AggComplete
-	if !g.fromStates {
-		g.keys = a.GroupKeys
-		g.scratch = make([]any, rel.FieldCount(a.Inputs()[0]))
-	}
+	g.init()
 	return g
 }
 
-// newStateAgg opens an uncharged engine that folds partial states keyed on
-// their first nKeys values and emits partial states, without first-seen
-// positions: the spill re-merge, and the streaming operator's window merges
-// and spill.
+// newStateAgg opens an uncharged engine that folds state rows keyed on their
+// first nKeys columns and emits state batches, without first-seen positions:
+// the spill re-merge, and the streaming operator's window merges and spill.
 func newStateAgg(ctx *Context, op string, nKeys int, calls []rex.AggCall) *GroupedAgg {
 	g := &GroupedAgg{ctx: ctx, op: op, calls: calls, ident: make([]int, nKeys), fromStates: true, emitStates: true}
+	g.init()
+	return g
+}
+
+func (g *GroupedAgg) init() {
 	for i := range g.ident {
 		g.ident[i] = i
 	}
-	g.keys = g.ident
-	g.callTyped = make([]bool, len(calls))
-	for i, c := range calls {
-		g.callTyped[i] = rex.AsTyped(rex.NewAccumulator(c)) != nil
-		g.anyTyped = g.anyTyped || g.callTyped[i]
-		g.retains = g.retains || c.Distinct || c.Func == rex.AggCollect || c.Func == rex.AggSingleValue
+	if g.fromStates {
+		g.keys = g.ident
+	}
+	at := len(g.keys)
+	for _, c := range g.calls {
+		g.cols = append(g.cols, aggCol{call: c, kind: stateKindOf(c), at: at})
+		if stateKindOf(c) == stateSum {
+			at += 4
+		} else {
+			at++
+		}
+		width := c.FilterArg + 1
+		for _, a := range c.Args {
+			width = max(width, a+1)
+		}
+		g.row = extend(g.row, max(0, width-len(g.row)))
+	}
+	g.state = make([]*schema.Vector, at)
+	if g.pos {
+		g.state = append(g.state, nil, nil)
 	}
 	g.resetTable()
-	return g
 }
 
+// resetTable empties the table, dropping its columns and key index.
 func (g *GroupedAgg) resetTable() {
 	g.index, g.multiKey = nil, nil
 	if len(g.keys) == 1 {
 		g.index = newKeyIndex()
-	} else {
+	} else if len(g.keys) > 1 {
 		g.multiKey = map[string]int32{}
 	}
-	clear(g.groups) // flushed groups must not stay reachable through the backing array
-	g.groups = g.groups[:0]
-}
-
-// outWidth is the width of the rows the engine emits.
-func (g *GroupedAgg) outWidth() int {
-	if g.emitStates {
-		return g.stateWidth()
+	g.n, g.extra = 0, 0
+	for i := range g.keys {
+		g.state[i] = &schema.Vector{} // takes the kind of the first keys appended
 	}
-	return len(g.keys) + len(g.calls)
-}
-
-// stateWidth is the width of a partial row: what a partial stage emits and
-// what a flush writes.
-func (g *GroupedAgg) stateWidth() int {
-	w := len(g.keys) + len(g.calls)
+	for i := range g.cols {
+		c := &g.cols[i]
+		c.accs, c.open = nil, c.kind == stateExt
+		g.state[c.at] = &schema.Vector{Kind: schema.VecInt64}
+		switch c.kind {
+		case stateSum:
+			g.state[c.at+1] = &schema.Vector{Kind: schema.VecInt64}
+			g.state[c.at+2] = &schema.Vector{Kind: schema.VecFloat64}
+			g.state[c.at+3] = &schema.Vector{Kind: schema.VecInt64}
+		case stateExt, stateBoxed:
+			g.state[c.at] = &schema.Vector{}
+		}
+	}
 	if g.pos {
-		w += 2
+		w := len(g.state)
+		g.state[w-2], g.state[w-1] = &schema.Vector{Kind: schema.VecInt64}, &schema.Vector{Kind: schema.VecInt64}
 	}
-	return w
 }
 
-// charge grows the reservation by n. A denied grant flushes the table to
-// disk and proceeds best-effort: flushing always makes progress — the states
-// restart empty — and concurrent workers may hold the rest of the budget, so
-// starving this one would deadlock progress, not save memory. At the maximum
-// spill depth (a key range that will not subdivide) the engine finishes in
-// memory uncharged.
-func (g *GroupedAgg) charge(n int64) (flushed bool, err error) {
-	if g.res == nil || g.unbounded {
-		return false, nil
-	}
-	if err := g.res.Grow(n); err == nil {
-		return false, nil
-	} else if !g.res.SpillAllowed() {
-		return false, err
-	}
-	if g.depth >= spillMaxDepth {
-		g.unbounded = true
-		return false, nil
-	}
-	switch {
-	case g.evict != nil:
-		if err := g.evict(); err != nil {
-			return false, err
-		}
-		flushed = true
-	case len(g.groups) > 0:
-		if err := g.flush(); err != nil {
-			return false, err
-		}
-		flushed = true
-	}
-	_ = g.res.Grow(n) // post-flush best effort
-	return flushed, nil
+// extend grows s by k zero values.
+func extend[T any](s []T, k int) []T {
+	n := len(s)
+	s = slices.Grow(s, k)[:n+k]
+	clear(s[n:])
+	return s
 }
 
-// admit registers the group of a key the index just reported new, charging
-// its footprint (plus extra, what adopted accumulators already retain) first.
-// accs is nil for a fresh group.
-func (g *GroupedAgg) admit(key []any, accs []rex.Accumulator, extra int64) (*aggGroup, error) {
-	flushed, err := g.charge(aggGroupCharge(g.ident, g.calls, key, g.keyLen) + extra)
-	if err != nil {
-		return nil, err
+// extendNull grows v by k NULL rows.
+func extendNull(v *schema.Vector, k int) {
+	if v.Kind == schema.VecAny {
+		v.A = extend(v.A, k)
+		return
 	}
-	if flushed {
-		g.lookupKey(key) // the flush emptied the index the key was entered in
+	n := v.Len()
+	if v.Nulls == nil {
+		v.Nulls = make([]bool, n, n+k)
 	}
-	return g.newGroup(key, accs), nil
+	v.Nulls = extend(v.Nulls, k)
+	for i := n; i < n+k; i++ {
+		v.Nulls[i] = true
+	}
+	switch v.Kind {
+	case schema.VecInt64:
+		v.I64 = extend(v.I64, k)
+	case schema.VecFloat64:
+		v.F64 = extend(v.F64, k)
+	case schema.VecBool:
+		v.B = extend(v.B, k)
+	case schema.VecString:
+		v.S = extend(v.S, k)
+	case schema.VecTime:
+		v.T = extend(v.T, k)
+	}
 }
 
-// lookupKey returns the group ordinal of a boxed key, entering a new key at
-// the next ordinal (the caller then creates its group).
-func (g *GroupedAgg) lookupKey(key []any) (ord int32, isNew bool) {
-	if g.index != nil {
-		return g.index.ordVal(key[0])
-	}
-	k := types.HashRowKey(key, g.ident)
-	if ord, ok := g.multiKey[k]; ok {
-		return ord, false
-	}
-	ord = int32(len(g.groups))
-	g.multiKey[k] = ord
-	g.keyLen = len(k)
-	return ord, true
-}
-
-func (g *GroupedAgg) newGroup(key []any, accs []rex.Accumulator) *aggGroup {
-	gr := g.group(key, accs)
-	g.groups = append(g.groups, gr)
-	return gr
-}
-
-// group builds a group over accs, or over fresh accumulators (with their
-// typed handles) when accs is nil, without entering it into the table.
-func (g *GroupedAgg) group(key []any, accs []rex.Accumulator) *aggGroup {
-	gr := &aggGroup{key: key, accs: accs}
-	if accs == nil {
-		gr.accs = make([]rex.Accumulator, len(g.calls))
-		if g.anyTyped {
-			gr.typed = make([]rex.TypedAccumulator, len(g.calls))
-		}
-		for i, c := range g.calls {
-			gr.accs[i] = rex.NewAccumulator(c)
-			if g.callTyped[i] {
-				gr.typed[i] = rex.AsTyped(gr.accs[i])
+// grow enters a group for each row fresh of the key columns cols of vecs, at
+// the next ordinals, with empty state.
+func (g *GroupedAgg) grow(vecs []*schema.Vector, cols []int, fresh []int32) {
+	k := len(fresh)
+	for i, kc := range cols {
+		g.state[i].Append(vecs[kc], fresh)
+		if kv := vecs[kc]; kv.Kind == schema.VecString || kv.Kind == schema.VecAny {
+			for _, r := range fresh {
+				if kv.Kind == schema.VecString {
+					g.extra += int64(len(kv.S[r]))
+				} else {
+					g.extra += types.SizeOfValue(kv.A[r])
+				}
 			}
 		}
 	}
-	return gr
+	for i := range g.cols {
+		c := &g.cols[i]
+		switch c.kind {
+		case stateExt:
+			extendNull(g.state[c.at], k)
+		case stateBoxed:
+			for j := 0; j < k; j++ {
+				c.accs = append(c.accs, rex.NewAccumulator(c.call))
+			}
+			g.extra += boxedGroupBytes * int64(k)
+		case stateSum:
+			g.state[c.at+2].F64 = extend(g.state[c.at+2].F64, k)
+			g.state[c.at+1].I64 = extend(g.state[c.at+1].I64, k)
+			g.state[c.at+3].I64 = extend(g.state[c.at+3].I64, k)
+			fallthrough
+		default:
+			g.state[c.at].I64 = extend(g.state[c.at].I64, k)
+		}
+	}
+	g.n += k
 }
 
-// lookup returns the group ordinal of row r of b. A key seen for the first
-// time is entered at ordinal len(groups) and reported new; the caller admits
-// its group.
-func (g *GroupedAgg) lookup(b *schema.Batch, r int) (ord int32, isNew bool) {
-	if g.index != nil {
-		return g.index.ordVec(b.Vecs[g.keys[0]], r)
+// resetRow empties the state of group o, keeping its key.
+func (g *GroupedAgg) resetRow(o int32) {
+	for i := range g.cols {
+		c := &g.cols[i]
+		switch c.kind {
+		case stateExt:
+			g.state[c.at].Set(int(o), nil)
+		case stateBoxed:
+			c.accs[o] = rex.NewAccumulator(c.call)
+		case stateSum:
+			g.state[c.at+1].I64[o], g.state[c.at+2].F64[o], g.state[c.at+3].I64[o] = 0, 0, 0
+			fallthrough
+		default:
+			g.state[c.at].I64[o] = 0
+		}
 	}
-	g.keyBuf = schema.RowKey(g.keyBuf[:0], b.Vecs, r, g.keys)
-	if ord, ok := g.multiKey[string(g.keyBuf)]; ok {
-		return ord, false
-	}
-	ord = int32(len(g.groups))
-	g.multiKey[string(g.keyBuf)] = ord
-	g.keyLen = len(g.keyBuf)
-	return ord, true
 }
 
-// keyAt boxes the group key of row r.
-func (g *GroupedAgg) keyAt(b *schema.Batch, r int) []any {
-	key := make([]any, len(g.keys))
-	for i, gk := range g.keys {
-		key[i] = b.Vecs[gk].Get(r)
+// ordinals returns the group ordinal of each row sel of b, entering the keys
+// seen for the first time.
+func (g *GroupedAgg) ordinals(b *schema.Batch, sel []int32) []int32 {
+	ords, fresh := g.ords[:0], g.fresh[:0]
+	switch {
+	case g.index != nil:
+		ords, fresh = g.index.ordsVec(b.Vecs[g.keys[0]], sel, ords, fresh)
+	case g.multiKey != nil:
+		next := int32(g.n)
+		for _, r := range sel {
+			g.keyBuf = schema.RowKey(g.keyBuf[:0], b.Vecs, int(r), g.keys)
+			ord, ok := g.multiKey[string(g.keyBuf)]
+			if !ok {
+				ord = next
+				next++
+				g.multiKey[string(g.keyBuf)] = ord
+				g.extra += int64(len(g.keyBuf))
+				fresh = append(fresh, r)
+			}
+			ords = append(ords, ord)
+		}
+	default:
+		if g.n == 0 {
+			fresh = append(fresh, sel[0])
+		}
+		ords = extend(ords, len(sel))
 	}
-	return key
+	g.ords, g.fresh = ords, fresh
+	if len(fresh) > 0 {
+		g.grow(b.Vecs, g.keys, fresh)
+		if g.pos {
+			w := len(g.state)
+			if g.fromStates {
+				g.state[w-2].Append(b.Vecs[w-2], fresh)
+				g.state[w-1].Append(b.Vecs[w-1], fresh)
+			} else {
+				for _, r := range fresh {
+					g.state[w-2].I64 = append(g.state[w-2].I64, b.Seq)
+					g.state[w-1].I64 = append(g.state[w-1].I64, int64(r))
+				}
+			}
+		}
+	}
+	return ords
 }
 
-// AddBatch folds the live rows of one batch into the group table.
+// ordsVec appends the ordinal of each row sel of key column kv to ords,
+// entering new keys and appending their rows to fresh.
+func (ki *keyIndex) ordsVec(kv *schema.Vector, sel, ords, fresh []int32) ([]int32, []int32) {
+	if kv.Kind == schema.VecInt64 && kv.Nulls == nil {
+		for _, r := range sel {
+			ord, isNew := ki.ordInt(kv.I64[r])
+			if isNew {
+				fresh = append(fresh, r)
+			}
+			ords = append(ords, ord)
+		}
+		return ords, fresh
+	}
+	for _, r := range sel {
+		ord, isNew := ki.ordVec(kv, int(r))
+		if isNew {
+			fresh = append(fresh, r)
+		}
+		ords = append(ords, ord)
+	}
+	return ords, fresh
+}
+
+// AddBatch folds the live rows of one batch into the table and charges what
+// the table grew by.
 func (g *GroupedAgg) AddBatch(b *schema.Batch) error {
 	var sel []int32
 	sel, g.dense = liveSel(b, g.dense)
-	if g.fromStates {
-		return g.addStates(b, sel)
+	if len(sel) == 0 {
+		return nil
 	}
-	modes, argVec, needScratch := g.planBatch(b)
-	for _, ri := range sel {
-		r := int(ri)
-		ord, isNew := g.lookup(b, r)
-		if needScratch {
-			for c := range g.scratch {
-				g.scratch[c] = b.Vecs[c].Get(r)
-			}
+	ords := g.ordinals(b, sel)
+	var err error
+	if g.fromStates {
+		err = g.merge(b.Vecs, sel, ords)
+	} else {
+		err = g.scatter(b, sel, ords)
+	}
+	if err != nil {
+		return err
+	}
+	return g.settle()
+}
+
+// filtered narrows rows sel (groups ords) to those whose FILTER column is TRUE.
+func (g *GroupedAgg) filtered(b *schema.Batch, c rex.AggCall, sel, ords []int32) ([]int32, []int32) {
+	if c.FilterArg < 0 {
+		return sel, ords
+	}
+	fv := b.Vecs[c.FilterArg]
+	g.fsel, g.ford = g.fsel[:0], g.ford[:0]
+	for i, r := range sel {
+		keep := fv.Kind == schema.VecBool && (fv.Nulls == nil || !fv.Nulls[r]) && fv.B[r]
+		if fv.Kind != schema.VecBool {
+			keep, _ = fv.Get(int(r)).(bool)
 		}
-		var gr *aggGroup
-		if isNew {
-			var err error
-			if gr, err = g.admit(g.keyAt(b, r), nil, 0); err != nil {
+		if keep {
+			g.fsel, g.ford = append(g.fsel, r), append(g.ford, ords[i])
+		}
+	}
+	return g.fsel, g.ford
+}
+
+// scatter adds the raw rows sel of b to their groups ords: one kernel per
+// call.
+func (g *GroupedAgg) scatter(b *schema.Batch, sel, ords []int32) error {
+	for i := range g.cols {
+		c := &g.cols[i]
+		sel, ords := g.filtered(b, c.call, sel, ords)
+		var arg *schema.Vector
+		if len(c.call.Args) > 0 {
+			arg = b.Vecs[c.call.Args[0]]
+		}
+		switch c.kind {
+		case stateCount:
+			countRows(g.state[c.at].I64, arg, sel, ords)
+		case stateSum:
+			if err := sumRows(c.call, g.state[c.at:c.at+4], arg, sel, ords); err != nil {
 				return err
 			}
-			gr.fsSeq, gr.fsIdx = b.Seq, int64(r)
-		} else {
-			gr = g.groups[ord]
-		}
-		if g.retains && g.res != nil {
-			// The flush moves every group's retained values (this row's group
-			// included) to disk, so memory genuinely drops even when no new
-			// group will ever be created again (a global COLLECT); the group
-			// restarts empty.
-			flushed, err := g.charge(aggRetainedBytes(g.calls, g.scratch))
-			if err != nil {
-				return err
-			}
-			if flushed {
-				g.lookupKey(gr.key)
-				gr = g.newGroup(gr.key, nil)
-				gr.fsSeq, gr.fsIdx = b.Seq, int64(r)
-			}
-		}
-		// The adds stay inline, not a call to addRow (their copy for SESSION
-		// windows): this is the per-row loop of every GROUP BY.
-		for i, m := range modes {
-			switch m {
-			case modeCountStar:
-				gr.typed[i].AddCountStar(1)
-			case modeI64:
-				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
-					gr.typed[i].AddNonNullInt64(v.I64[r])
+		case stateExt:
+			foldExt(c, g.state[c.at], arg, sel, ords)
+		case stateBoxed:
+			for j, r := range sel {
+				for _, a := range c.call.Args {
+					g.row[a] = b.Vecs[a].Get(int(r))
 				}
-			case modeF64:
-				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
-					gr.typed[i].AddNonNullFloat64(v.F64[r])
+				if f := c.call.FilterArg; f >= 0 {
+					g.row[f] = true // sel is narrowed to the rows that pass
 				}
-			case modeStr:
-				if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
-					if err := gr.typed[i].AddNonNullString(v.S[r]); err != nil {
-						return err
-					}
-				}
-			default:
-				if err := gr.accs[i].Add(g.scratch); err != nil {
+				if err := g.keep(c, ords[j], g.row); err != nil {
 					return err
 				}
 			}
@@ -438,207 +544,380 @@ func (g *GroupedAgg) AddBatch(b *schema.Batch) error {
 	return nil
 }
 
-// addRow feeds row r of a batch b planned by planBatch to the accumulators of
-// gr, as AddBatch's loop does, and returns the bytes the row added to calls
-// that retain their arguments (which always take the boxed path).
-func (g *GroupedAgg) addRow(gr *aggGroup, b *schema.Batch, r int, modes []callMode, argVec []*schema.Vector, needScratch bool) (retained int64, err error) {
-	if needScratch {
-		for c := range g.scratch {
-			g.scratch[c] = b.Vecs[c].Get(r)
-		}
-		retained = aggRetainedBytes(g.calls, g.scratch)
+// keep adds row to the accumulator of group o, charging the argument value
+// only when the accumulator retains it (a DISTINCT value seen before is not).
+func (g *GroupedAgg) keep(c *aggCol, o int32, row []any) error {
+	acc := c.accs[o]
+	held := len(rex.HeldValues(acc))
+	if err := acc.Add(row); err != nil {
+		return err
 	}
-	for i, m := range modes {
-		switch m {
-		case modeCountStar:
-			gr.typed[i].AddCountStar(1)
-		case modeI64:
-			if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
-				gr.typed[i].AddNonNullInt64(v.I64[r])
-			}
-		case modeF64:
-			if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
-				gr.typed[i].AddNonNullFloat64(v.F64[r])
-			}
-		case modeStr:
-			if v := argVec[i]; v.Nulls == nil || !v.Nulls[r] {
-				if err := gr.typed[i].AddNonNullString(v.S[r]); err != nil {
-					return 0, err
-				}
-			}
-		default:
-			if err := gr.accs[i].Add(g.scratch); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return retained, nil
-}
-
-// Per-batch add plan of one call.
-type callMode uint8
-
-const (
-	modeBoxed callMode = iota // assemble scratch row, Accumulator.Add
-	modeCountStar
-	modeI64
-	modeF64
-	modeStr
-)
-
-// planBatch resolves each call against this batch's vector kinds: typed adds
-// where the argument vector is of a native kind, boxed otherwise.
-func (g *GroupedAgg) planBatch(b *schema.Batch) (modes []callMode, argVec []*schema.Vector, needScratch bool) {
-	modes = make([]callMode, len(g.calls))
-	argVec = make([]*schema.Vector, len(g.calls))
-	for i, c := range g.calls {
-		if g.callTyped[i] {
-			if len(c.Args) == 0 {
-				modes[i] = modeCountStar
-			} else {
-				v := b.Vecs[c.Args[0]]
-				argVec[i] = v
-				switch v.Kind {
-				case schema.VecInt64:
-					modes[i] = modeI64
-				case schema.VecFloat64:
-					modes[i] = modeF64
-				case schema.VecString:
-					modes[i] = modeStr
-				}
-			}
-		}
-		needScratch = needScratch || modes[i] == modeBoxed
-	}
-	return modes, argVec, needScratch
-}
-
-// stateAcc reads one accumulator column of a partial row: the live
-// accumulator an in-memory partial stage handed over, or the dehydrated
-// state a spill run carried.
-func stateAcc(call rex.AggCall, v any) (rex.Accumulator, error) {
-	if acc, ok := v.(rex.Accumulator); ok {
-		return acc, nil
-	}
-	return rex.HydrateAccumulator(call, v)
-}
-
-// addStates merges the live partial rows [keys…, states…, (position)] of b
-// into the table, keeping each group's smallest first-seen position.
-func (g *GroupedAgg) addStates(b *schema.Batch, sel []int32) error {
-	nKeys, nCalls := len(g.keys), len(g.calls)
-	for _, ri := range sel {
-		r := int(ri)
-		var fsSeq, fsIdx int64
-		if g.pos {
-			fsSeq, _ = b.Vecs[nKeys+nCalls].Get(r).(int64)
-			fsIdx, _ = b.Vecs[nKeys+nCalls+1].Get(r).(int64)
-		}
-		accs := make([]rex.Accumulator, nCalls)
-		for ci, call := range g.calls {
-			acc, err := stateAcc(call, b.Vecs[nKeys+ci].Get(r))
-			if err != nil {
-				return err
-			}
-			accs[ci] = acc
-		}
-		ord, isNew := g.lookup(b, r)
-		var key []any
-		if isNew {
-			key = g.keyAt(b, r)
-		}
-		if err := g.foldState(ord, key, accs, fsSeq, fsIdx); err != nil {
-			return err
+	if len(rex.HeldValues(acc)) > held {
+		v := types.SizeOfValue(row[c.call.Args[0]])
+		g.extra += v + 16 // the value, and its slice's room to grow
+		if c.call.Distinct {
+			g.extra += v + strEntryBytes // its key in the seen set
 		}
 	}
 	return nil
 }
 
-// mergeGroup folds one group's partial state into the group of its boxed
-// key, adopting accs when the key is new.
-func (g *GroupedAgg) mergeGroup(key []any, accs []rex.Accumulator) error {
-	ord, isNew := g.lookupKey(key)
-	if !isNew {
-		key = nil
+func countRows(cnt []int64, arg *schema.Vector, sel, ords []int32) {
+	if arg == nil || (arg.Kind != schema.VecAny && arg.Nulls == nil) {
+		for _, o := range ords {
+			cnt[o]++
+		}
+		return
 	}
-	return g.foldState(ord, key, accs, 0, 0)
+	for i, r := range sel {
+		if !arg.IsNull(int(r)) {
+			cnt[ords[i]]++
+		}
+	}
 }
 
-// foldState merges the owned partial state accs into group ord, or admits it
-// as the group of key when key is non-nil (the key was just entered), keeping
-// each group's smallest first-seen position.
-func (g *GroupedAgg) foldState(ord int32, key []any, accs []rex.Accumulator, fsSeq, fsIdx int64) error {
-	var retained int64
-	if g.retains && g.res != nil {
-		for _, acc := range accs {
-			retained += rex.AccumulatorMemSize(acc)
+// sumRows adds the rows sel of arg to the sums st [count, int sum, float sum,
+// float count] of groups ords. Integers feed both sums, so SUM stays an exact
+// integer until a float contributes.
+func sumRows(call rex.AggCall, st []*schema.Vector, arg *schema.Vector, sel, ords []int32) error {
+	cnt, si, sf, fl := st[0].I64, st[1].I64, st[2].F64, st[3].I64
+	switch arg.Kind {
+	case schema.VecInt64:
+		for i, r := range sel {
+			if arg.Nulls == nil || !arg.Nulls[r] {
+				o, x := ords[i], arg.I64[r]
+				cnt[o]++
+				si[o] += x
+				sf[o] += float64(x)
+			}
+		}
+	case schema.VecFloat64:
+		for i, r := range sel {
+			if arg.Nulls == nil || !arg.Nulls[r] {
+				o := ords[i]
+				cnt[o]++
+				fl[o]++
+				sf[o] += arg.F64[r]
+			}
+		}
+	default:
+		for i, r := range sel {
+			x, o := arg.Get(int(r)), ords[i]
+			if x == nil {
+				continue
+			}
+			if v, ok := x.(int64); ok {
+				cnt[o]++
+				si[o] += v
+				sf[o] += float64(v)
+				continue
+			}
+			f, ok := types.AsFloat(x)
+			if !ok {
+				return fmt.Errorf("rex: %s over non-numeric %T", call.Func, x)
+			}
+			cnt[o]++
+			fl[o]++
+			sf[o] += f
 		}
 	}
-	if key != nil {
-		gr, err := g.admit(key, accs, retained)
-		if err != nil {
-			return err
+	return nil
+}
+
+// foldExt folds the rows sel of src into the extrema dst of groups ords: the
+// smaller (MIN) or larger (MAX) value wins, the earlier one a tie.
+func foldExt(c *aggCol, dst, src *schema.Vector, sel, ords []int32) {
+	if c.open && src.Kind != schema.VecAny {
+		n := dst.Len()
+		*dst = schema.Vector{Kind: src.Kind}
+		extendNull(dst, n)
+		c.open = false
+	}
+	isMin := c.call.Func == rex.AggMin
+	switch k := dst.Kind; {
+	case k == schema.VecInt64 && src.Kind == k:
+		for i, r := range sel {
+			if src.Nulls == nil || !src.Nulls[r] {
+				x, o := src.I64[r], ords[i]
+				if dst.Nulls[o] || (isMin && x < dst.I64[o]) || (!isMin && x > dst.I64[o]) {
+					dst.I64[o], dst.Nulls[o] = x, false
+				}
+			}
 		}
-		gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
+	case k == schema.VecFloat64 && src.Kind == k:
+		for i, r := range sel {
+			if src.Nulls == nil || !src.Nulls[r] {
+				x, o := src.F64[r], ords[i]
+				if dst.Nulls[o] || (isMin && x < dst.F64[o]) || (!isMin && x > dst.F64[o]) {
+					dst.F64[o], dst.Nulls[o] = x, false
+				}
+			}
+		}
+	case k == schema.VecString && src.Kind == k:
+		for i, r := range sel {
+			if src.Nulls == nil || !src.Nulls[r] {
+				x, o := src.S[r], ords[i]
+				if dst.Nulls[o] || (isMin && x < dst.S[o]) || (!isMin && x > dst.S[o]) {
+					dst.S[o], dst.Nulls[o] = x, false
+				}
+			}
+		}
+	default:
+		for i, r := range sel {
+			x := src.Get(int(r))
+			if x == nil {
+				continue
+			}
+			o := int(ords[i])
+			if cur := dst.Get(o); cur == nil || (isMin && types.Compare(x, cur) < 0) || (!isMin && types.Compare(x, cur) > 0) {
+				dst.Set(o, x)
+				c.open = false
+			}
+		}
+	}
+}
+
+// merge folds the state rows sel of vecs, laid out as the table is, into
+// their groups ords: one kernel per call, and the smallest first-seen
+// position.
+func (g *GroupedAgg) merge(vecs []*schema.Vector, sel, ords []int32) error {
+	for i := range g.cols {
+		c := &g.cols[i]
+		switch c.kind {
+		case stateExt:
+			foldExt(c, g.state[c.at], vecs[c.at], sel, ords)
+		case stateBoxed:
+			for j, r := range sel {
+				held, _ := vecs[c.at].Get(int(r)).([]any)
+				for _, v := range held {
+					if err := g.readd(c, ords[j], v); err != nil {
+						return err
+					}
+				}
+			}
+		case stateSum:
+			addStates(g.state[c.at+1], vecs[c.at+1], sel, ords)
+			addStates(g.state[c.at+2], vecs[c.at+2], sel, ords)
+			addStates(g.state[c.at+3], vecs[c.at+3], sel, ords)
+			fallthrough
+		default:
+			addStates(g.state[c.at], vecs[c.at], sel, ords)
+		}
+	}
+	if g.pos {
+		w := len(g.state)
+		seq, idx, fs, fi := g.state[w-2].I64, g.state[w-1].I64, vecs[w-2].I64, vecs[w-1].I64
+		for i, r := range sel {
+			if o := ords[i]; fs[r] < seq[o] || (fs[r] == seq[o] && fi[r] < idx[o]) {
+				seq[o], idx[o] = fs[r], fi[r]
+			}
+		}
+	}
+	return nil
+}
+
+// readd feeds one value a boxed state held back to the accumulator of group
+// o: it already passed the call's filter.
+func (g *GroupedAgg) readd(c *aggCol, o int32, v any) error {
+	g.row[c.call.Args[0]] = v
+	if c.call.FilterArg >= 0 {
+		g.row[c.call.FilterArg] = true
+	}
+	return g.keep(c, o, g.row)
+}
+
+// addStates adds the counts or sums at rows sel of src to dst at ords.
+func addStates(dst, src *schema.Vector, sel, ords []int32) {
+	if dst.Kind == schema.VecFloat64 {
+		for i, r := range sel {
+			dst.F64[ords[i]] += src.F64[r]
+		}
+		return
+	}
+	for i, r := range sel {
+		dst.I64[ords[i]] += src.I64[r]
+	}
+}
+
+// mergeRow folds the state of group src into group dst.
+func (g *GroupedAgg) mergeRow(dst, src int32) error {
+	vecs := make([]*schema.Vector, len(g.state))
+	for i, v := range g.state {
+		if v.Len() > int(src) {
+			vecs[i] = v.Slice(int(src), int(src)+1)
+		}
+	}
+	for _, c := range g.cols {
+		if c.kind == stateBoxed {
+			vecs[c.at] = &schema.Vector{A: []any{rex.HeldValues(c.accs[src])}}
+		}
+	}
+	return g.merge(vecs, []int32{0}, []int32{dst})
+}
+
+// footprint is what the table holds: its columns' capacity, the key index,
+// and the extra payloads.
+func (g *GroupedAgg) footprint() int64 {
+	n := g.extra
+	for _, v := range g.state {
+		n += int64(cap(v.Nulls) + 8*cap(v.I64) + 8*cap(v.F64) + cap(v.B) + 16*cap(v.S) + 24*cap(v.T) + 16*cap(v.A))
+	}
+	for _, c := range g.cols {
+		n += 16 * int64(cap(c.accs))
+	}
+	if g.index != nil {
+		n += intEntryBytes*int64(len(g.index.byInt)) + strEntryBytes*int64(len(g.index.byStr)+len(g.index.byKey))
+	}
+	return n + strEntryBytes*int64(len(g.multiKey))
+}
+
+// settle charges the reservation with what the table grew by.
+func (g *GroupedAgg) settle() error {
+	if g.res == nil || g.unbounded {
 		return nil
 	}
-	gr := g.groups[ord]
-	if retained > 0 {
-		// Merging grows the group by what the incoming states retain; a
-		// flush here moved the group to disk, so the states restart it.
-		flushed, err := g.charge(retained)
-		if err != nil {
-			return err
-		}
-		if flushed {
-			g.lookupKey(gr.key)
-			gr = g.newGroup(gr.key, accs)
-			gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
-			return nil
-		}
-	}
-	for ci := range accs {
-		if err := rex.MergeAccumulators(gr.accs[ci], accs[ci]); err != nil {
-			return err
-		}
-	}
-	if fsSeq < gr.fsSeq || (fsSeq == gr.fsSeq && fsIdx < gr.fsIdx) {
-		gr.fsSeq, gr.fsIdx = fsSeq, fsIdx
+	if grow := g.footprint() - g.res.Held(); grow > 0 {
+		return g.charge(grow)
 	}
 	return nil
 }
 
-// rows materializes the table as output rows: first-seen order, or sorted on
-// the tracked position when the rows carry results (the final stage).
-func (g *GroupedAgg) rows() [][]any {
-	if g.pos && !g.emitStates {
-		sort.SliceStable(g.groups, func(i, j int) bool {
-			a, b := g.groups[i], g.groups[j]
-			if a.fsSeq != b.fsSeq {
-				return a.fsSeq < b.fsSeq
-			}
-			return a.fsIdx < b.fsIdx
-		})
+// charge grows the reservation by n. A denied grant flushes the table to
+// disk (or evicts it) and proceeds: flushing always makes progress — the
+// table restarts empty — and concurrent workers may hold the rest of the
+// budget, so starving this one would deadlock progress, not save memory. At
+// the maximum spill depth (a key range that will not subdivide) the engine
+// finishes in memory uncharged.
+func (g *GroupedAgg) charge(n int64) error {
+	if g.res == nil || g.unbounded {
+		return nil
 	}
-	w := g.outWidth()
-	flat := make([]any, 0, len(g.groups)*w)
-	out := make([][]any, len(g.groups))
-	for i, gr := range g.groups {
-		start := len(flat)
-		flat = append(flat, gr.key...)
-		for _, acc := range gr.accs {
-			if g.emitStates {
-				flat = append(flat, acc)
-			} else {
-				flat = append(flat, acc.Result())
+	if err := g.res.Grow(n); err == nil {
+		return nil
+	} else if !g.res.SpillAllowed() {
+		return err
+	}
+	switch {
+	case g.depth >= spillMaxDepth:
+		g.unbounded = true
+	case g.evict != nil:
+		return g.evict()
+	case g.n > 0:
+		return g.flush()
+	}
+	return nil
+}
+
+// stateBatch returns the table as a state batch, filling each boxed call's
+// column with the values its accumulators hold.
+func (g *GroupedAgg) stateBatch() *schema.Batch {
+	for _, c := range g.cols {
+		if c.kind == stateBoxed {
+			held := make([]any, g.n)
+			for o, acc := range c.accs {
+				held[o] = rex.HeldValues(acc)
+			}
+			g.state[c.at] = &schema.Vector{A: held}
+		}
+	}
+	return &schema.Batch{Len: g.n, Vecs: g.state}
+}
+
+// resultAt is the result of call i for group o.
+func (g *GroupedAgg) resultAt(i int, o int32) any {
+	c := &g.cols[i]
+	st := g.state[c.at:]
+	switch {
+	case c.kind == stateBoxed:
+		return c.accs[o].Result()
+	case c.kind != stateSum:
+		return st[0].Get(int(o))
+	case st[0].I64[o] == 0:
+		return nil
+	case c.call.Func == rex.AggAvg:
+		return st[2].F64[o] / float64(st[0].I64[o])
+	case st[3].I64[o] == 0:
+		return st[1].I64[o]
+	}
+	return st[2].F64[o]
+}
+
+// result is the result column of call i over every group.
+func (g *GroupedAgg) result(i int) *schema.Vector {
+	c := &g.cols[i]
+	st := g.state[c.at:]
+	if c.kind == stateCount || c.kind == stateExt {
+		return st[0]
+	}
+	kind := schema.VecAny
+	if c.kind == stateSum {
+		// SUM is an int64 per group until a float contributes to it.
+		ints, floats := false, c.call.Func == rex.AggAvg
+		for o, n := range st[0].I64 {
+			if n > 0 && st[3].I64[o] == 0 && c.call.Func == rex.AggSum {
+				ints = true
+			} else if n > 0 {
+				floats = true
 			}
 		}
-		if g.pos && g.emitStates {
-			flat = append(flat, gr.fsSeq, gr.fsIdx)
+		switch {
+		case !floats:
+			kind = schema.VecInt64
+		case !ints:
+			kind = schema.VecFloat64
 		}
-		out[i] = flat[start:len(flat):len(flat)]
 	}
-	return out
+	v := schema.MakeVector(kind, g.n)
+	for o := range g.n {
+		v.Set(o, g.resultAt(i, int32(o)))
+	}
+	if c.kind == stateBoxed {
+		return schema.BuildVector(v.A)
+	}
+	return v
+}
+
+// output returns the table as batches: the state batch, or the key and
+// result columns — in first-seen order, or sorted on the tracked position
+// (the final stage).
+func (g *GroupedAgg) output() schema.BatchCursor {
+	var vecs []*schema.Vector
+	if g.emitStates {
+		vecs = g.stateBatch().Vecs
+	} else {
+		vecs = append(vecs, g.state[:len(g.keys)]...)
+		for i := range g.cols {
+			vecs = append(vecs, g.result(i))
+		}
+		if g.pos {
+			w := len(g.state)
+			seq, idx := g.state[w-2].I64, g.state[w-1].I64
+			perm := make([]int32, g.n)
+			for i := range perm {
+				perm[i] = int32(i)
+			}
+			slices.SortStableFunc(perm, func(a, b int32) int {
+				if c := cmp.Compare(seq[a], seq[b]); c != 0 {
+					return c
+				}
+				return cmp.Compare(idx[a], idx[b])
+			})
+			for c, v := range vecs {
+				vecs[c] = v.Gather(perm)
+			}
+		}
+	}
+	size := g.ctx.batchSize()
+	batches := make([]*schema.Batch, 0, (g.n+size-1)/size)
+	for lo := 0; lo < g.n; lo += size {
+		hi := min(lo+size, g.n)
+		b := &schema.Batch{Len: hi - lo, Seq: int64(len(batches)), Vecs: make([]*schema.Vector, len(vecs))}
+		for c, v := range vecs {
+			b.Vecs[c] = v.Slice(lo, hi)
+		}
+		batches = append(batches, b)
+	}
+	return schema.NewSliceBatchCursor(batches)
 }
 
 // joinTable is the build-side index of a hash join. Single-column equi-keys

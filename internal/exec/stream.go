@@ -9,18 +9,20 @@ package exec
 // TUMBLE/HOP pane state is a GroupedAgg per pane (pane length = the hop
 // slide, = the size for TUMBLE) keyed on the group keys: rowtimes are read as
 // int64, a batch's non-late rows reach their pane's engine through a
-// selection vector, and the engine groups and adds them unboxed, as for any
-// Aggregate. A TUMBLE window reads its pane's accumulators; a HOP window
-// folds its covering panes into a window table. SESSION keeps each key's open
-// sessions under the key's encoding (schema.RowKey), adds through the
-// engine's typed adds, coalesces sessions a row bridges, and drops a key with
-// its last session.
+// selection vector, and the engine groups and scatters them into its typed
+// state columns, as for any Aggregate. A TUMBLE window reads its pane's
+// state; a HOP window folds its covering panes' state batches into a window
+// table with the merge kernels. SESSION keeps each key's open sessions under
+// the key's encoding (schema.RowKey), each session a group ordinal of one
+// engine that its rows scatter into; a row that bridges sessions merges their
+// state rows, and a closed session's ordinal is reused by the next one.
 //
 // State is charged to the memory governor. A denied grant (spilling allowed)
-// moves every pane or session into one spill engine — a GroupedAgg keyed on
-// (pane | session interval, keys…) with the engine's hash-partitioned spill —
-// and the tables restart empty; the spilled state folds back at the final
-// drain, trading emission latency for bounded memory.
+// moves every pane's or session's state rows into one spill engine — a
+// GroupedAgg keyed on (pane | session interval, keys…) with the engine's
+// hash-partitioned spill — and the tables restart empty; the spilled state
+// batches fold back at the final drain, trading emission latency for bounded
+// memory.
 
 import (
 	"cmp"
@@ -149,14 +151,15 @@ func floorTo(ts, step int64) int64 {
 // streamOp tags the operator's reservations and spill runs.
 const streamOp = "StreamAggregate"
 
-type sessionGroup struct {
-	*aggGroup
+// session is one open session of a key: group ord of the sessions' engine.
+type session struct {
+	ord         int32
 	start, last int64
 	charge      int64
 }
 
 // sessionOverhead approximates the interval bookkeeping of one session on
-// top of the shared per-group charge.
+// top of its state row.
 const sessionOverhead = 32
 
 // paneRows is the selection of one batch's rows that fall in one pane.
@@ -179,16 +182,20 @@ type streamState struct {
 	// each of its groups last served.
 	hop   *GroupedAgg
 	hopAt []int64
+	hopSel []int32
 	// The emission round being built: one window's (or the sessions') rows,
 	// and the output columns.
 	rows []emitted
 	out  []*schema.Vector
-	// SESSION: the engine whose add plan, typed adds and reservation the
-	// sessions use (it holds no groups), and each present key's open
-	// sessions by its encoding (schema.RowKey).
-	adds     *GroupedAgg
-	sessions map[string][]*sessionGroup
-	keyBuf   []byte
+	// SESSION: the engine whose groups are the sessions (it keeps no key
+	// index) and whose reservation they charge, the ordinals of closed
+	// sessions, and each present key's open sessions by its encoding
+	// (schema.RowKey).
+	adds       *GroupedAgg
+	closed     []int32
+	sessions   map[string][]*session
+	keyBuf     []byte
+	sel1, ord1 [1]int32
 
 	// spill holds evicted state keyed on (pane | start, last, keys…); nil
 	// until the first eviction, and emission waits for the final drain
@@ -207,9 +214,9 @@ func newStreamState(ctx *Context, sa *rel.StreamAggregate) *streamState {
 	case rel.HopWindow:
 		s.paneMs = sa.Window.SlideMs
 	case rel.SessionWindow:
-		s.adds = NewGroupedAgg(ctx, streamOp, s.shape, AggPartial)
+		s.adds = NewGroupedAgg(ctx, streamOp, s.shape, AggComplete)
 		s.adds.evict = s.evict
-		s.sessions = map[string][]*sessionGroup{}
+		s.sessions = map[string][]*session{}
 	}
 	return s
 }
@@ -281,7 +288,7 @@ func (s *streamState) addPanes(b *schema.Batch, sel []int32) (late int, err erro
 	for _, pr := range routed {
 		e := s.panes[pr.pane]
 		if e == nil {
-			e = NewGroupedAgg(s.ctx, streamOp, s.shape, AggPartial)
+			e = NewGroupedAgg(s.ctx, streamOp, s.shape, AggComplete)
 			e.evict = s.evict
 			s.panes[pr.pane] = e
 		}
@@ -292,13 +299,13 @@ func (s *streamState) addPanes(b *schema.Batch, sel []int32) (late int, err erro
 	return late, nil
 }
 
-// addSessions extends, opens and coalesces sessions row by row; map reads on
-// string(keyBuf) do not allocate, writes only when a key's list changes length.
-// Sessions charge the adds engine, whose denied grants evict them all.
+// addSessions extends, opens and coalesces sessions row by row, scattering
+// each row into its session's state; map reads on string(keyBuf) do not
+// allocate, writes only when a key's list changes length. Sessions charge the
+// adds engine, whose denied grants evict them all.
 func (s *streamState) addSessions(b *schema.Batch, sel []int32) (late int, err error) {
 	rt := b.Vecs[s.sa.Window.RowtimeCol]
 	e := s.adds
-	modes, argVec, needScratch := e.planBatch(b)
 	gap := s.sa.Window.GapMs
 	for _, ri := range sel {
 		r := int(ri)
@@ -315,35 +322,53 @@ func (s *streamState) addSessions(b *schema.Batch, sel []int32) (late int, err e
 		g := findSession(list, ts, gap)
 		var charge int64
 		if g == nil {
-			key := e.keyAt(b, r)
-			charge = aggGroupCharge(e.ident, s.sa.Calls, key, len(s.keyBuf)) + sessionOverhead
-			g = &sessionGroup{aggGroup: e.group(key, nil), start: ts, last: ts}
+			charge = int64(16*len(e.state)+len(s.keyBuf)) + sessionOverhead
+			g = &session{ord: s.openSession(b.Vecs, s.sa.GroupKeys, r), start: ts, last: ts}
 			list = append(list, g)
 			s.sessions[string(s.keyBuf)] = list
 		}
 		g.start, g.last = min(g.start, ts), max(g.last, ts)
-		retained, err := e.addRow(g.aggGroup, b, r, modes, argVec, needScratch)
-		if err != nil {
+		held := e.extra
+		s.sel1[0], s.ord1[0] = ri, g.ord
+		if err := e.scatter(b, s.sel1[:], s.ord1[:]); err != nil {
 			return 0, err
 		}
-		g.charge += charge + retained
-		if kept, err := coalesceSessions(list, g, gap); err != nil {
+		charge += e.extra - held
+		g.charge += charge
+		if kept, err := s.coalesce(list, g); err != nil {
 			return 0, err
 		} else if len(kept) < len(list) {
 			s.sessions[string(s.keyBuf)] = kept
 		}
 		// Charged once the row is in: an eviction moves it to disk with its
 		// session.
-		if _, err := e.charge(charge + retained); err != nil {
+		if err := e.charge(charge); err != nil {
 			return 0, err
 		}
 	}
 	return late, nil
 }
 
+// openSession enters a session keyed on row r of the key columns cols of
+// vecs: a closed session's ordinal, emptied, or a new one.
+func (s *streamState) openSession(vecs []*schema.Vector, cols []int, r int) int32 {
+	e := s.adds
+	if n := len(s.closed); n > 0 {
+		o := s.closed[n-1]
+		s.closed = s.closed[:n-1]
+		for k, c := range cols {
+			e.state[k].Set(int(o), vecs[c].Get(r))
+		}
+		e.resetRow(o)
+		return o
+	}
+	e.grow(vecs, cols, []int32{int32(r)})
+	return int32(e.n - 1)
+}
+
 // findSession returns the session of list whose interval is within the gap
 // of ts.
-func findSession(list []*sessionGroup, ts, gap int64) *sessionGroup {
+func findSession(list []*session, ts, gap int64) *session {
 	for _, g := range list {
 		if ts > g.start-gap && ts < g.last+gap {
 			return g
@@ -352,21 +377,21 @@ func findSession(list []*sessionGroup, ts, gap int64) *sessionGroup {
 	return nil
 }
 
-// coalesceSessions folds the sessions of one key's list that the
-// freshly-extended interval of target now bridges into target, in place,
-// and returns the sessions kept.
-func coalesceSessions(list []*sessionGroup, target *sessionGroup, gap int64) ([]*sessionGroup, error) {
+// coalesce folds the sessions of one key's list that the freshly-extended
+// interval of target now bridges into target, in place, and returns the
+// sessions kept.
+func (s *streamState) coalesce(list []*session, target *session) ([]*session, error) {
+	gap := s.sa.Window.GapMs
 	keep := list[:0]
 	for _, g := range list {
 		if g == target || g.start >= target.last+gap || target.start >= g.last+gap {
 			keep = append(keep, g)
 			continue
 		}
-		for i := range target.accs {
-			if err := rex.MergeAccumulators(target.accs[i], g.accs[i]); err != nil {
-				return nil, err
-			}
+		if err := s.adds.mergeRow(target.ord, g.ord); err != nil {
+			return nil, err
 		}
+		s.closed = append(s.closed, g.ord)
 		target.start, target.last = min(target.start, g.start), max(target.last, g.last)
 		target.charge += g.charge
 	}
@@ -374,9 +399,9 @@ func coalesceSessions(list []*sessionGroup, target *sessionGroup, gap int64) ([]
 	return keep, nil
 }
 
-// evict moves every pane's groups (or every open session) into the spill
-// engine, keyed on (pane | start, last, keys…), and flushes it to disk: the
-// tables restart empty and emission waits for the final drain.
+// evict moves every pane's state rows (or every open session's) into the
+// spill engine, keyed on (pane | start, last, keys…), and flushes it to disk:
+// the tables restart empty and emission waits for the final drain.
 func (s *streamState) evict() error {
 	if s.spill == nil {
 		prefix := 1
@@ -386,20 +411,30 @@ func (s *streamState) evict() error {
 		s.spill = newStateAgg(s.ctx, streamOp, prefix+s.nKeys, s.sa.Calls)
 		s.spill.res = memory.Reserve(s.ctx.Alloc, streamOp)
 	}
-	move := func(g *aggGroup, prefix ...any) error {
-		return s.spill.mergeGroup(append(prefix, g.key...), g.accs)
-	}
-	for _, list := range s.sessions {
-		for _, g := range list {
-			if err := move(g.aggGroup, g.start, g.last); err != nil {
-				return err
+	if e := s.adds; e != nil && e.n > 0 {
+		start, last := make([]int64, e.n), make([]int64, e.n)
+		var live []int32
+		for _, list := range s.sessions {
+			for _, g := range list {
+				start[g.ord], last[g.ord] = g.start, g.last
+				live = append(live, g.ord)
 			}
 		}
+		vecs := append([]*schema.Vector{{Kind: schema.VecInt64, I64: start}, {Kind: schema.VecInt64, I64: last}}, e.stateBatch().Vecs...)
+		if err := s.spill.AddBatch(&schema.Batch{Len: e.n, Vecs: vecs, Sel: live}); err != nil {
+			return err
+		}
+		clear(s.sessions)
+		e.resetTable()
+		s.closed = s.closed[:0]
 	}
-	clear(s.sessions)
 	for p, e := range s.panes {
-		for _, g := range e.groups {
-			if err := move(g, p); err != nil {
+		if e.n > 0 {
+			pane := &schema.Vector{Kind: schema.VecInt64, I64: make([]int64, e.n)}
+			for i := range pane.I64 {
+				pane.I64[i] = p
+			}
+			if err := s.spill.AddBatch(&schema.Batch{Len: e.n, Vecs: append([]*schema.Vector{pane}, e.stateBatch().Vecs...)}); err != nil {
 				return err
 			}
 		}
@@ -410,7 +445,7 @@ func (s *streamState) evict() error {
 			e.res.Shrink(e.res.Held())
 		}
 	}
-	if len(s.spill.groups) == 0 {
+	if s.spill.n == 0 {
 		return nil
 	}
 	return s.spill.flush()
@@ -422,7 +457,7 @@ func (s *streamState) evict() error {
 // state already fit on disk, and failing here would lose a query that
 // honored its budget all along.
 func (s *streamState) unspill() error {
-	session, prefix := s.adds != nil, len(s.spill.ident)-s.nKeys
+	bySession, prefix := s.adds != nil, len(s.spill.ident)-s.nKeys
 	keyCols := s.spill.ident[prefix:]
 	if err := s.evict(); err != nil {
 		return err
@@ -434,7 +469,6 @@ func (s *streamState) unspill() error {
 		return err
 	}
 	defer out.Close()
-	calls := s.sa.Calls
 	for {
 		b, err := out.NextBatch()
 		if err == schema.Done {
@@ -443,34 +477,34 @@ func (s *streamState) unspill() error {
 		if err != nil {
 			return err
 		}
-		for i, n := 0, b.NumRows(); i < n; i++ {
-			row := b.Row(i)
-			key := row[prefix : prefix+s.nKeys]
-			accs := make([]rex.Accumulator, len(calls))
-			for ci, c := range calls {
-				if accs[ci], err = stateAcc(c, row[prefix+s.nKeys+ci]); err != nil {
+		if !bySession {
+			panes := map[int64][]int32{}
+			for i, p := range b.Vecs[0].I64 {
+				panes[p] = append(panes[p], int32(i))
+			}
+			for p, sel := range panes {
+				e := s.panes[p]
+				if e == nil {
+					e = newStateAgg(s.ctx, streamOp, s.nKeys, s.sa.Calls)
+					s.panes[p] = e
+				}
+				if err := e.AddBatch(&schema.Batch{Len: b.Len, Vecs: b.Vecs[1:], Sel: sel}); err != nil {
 					return err
 				}
 			}
-			if session {
-				start, _ := types.AsInt(row[0])
-				last, _ := types.AsInt(row[1])
-				k := types.HashRowKey(row, keyCols) // schema.RowKey's encoding
-				g := &sessionGroup{aggGroup: &aggGroup{key: key, accs: accs}, start: start, last: last}
-				// Fragments of one logical session are always within a gap of
-				// each other (the bridging event lives in one of them) —
-				// coalescing restores the full session.
-				s.sessions[k], err = coalesceSessions(append(s.sessions[k], g), g, s.sa.Window.GapMs)
-			} else {
-				p, _ := types.AsInt(row[0])
-				e := s.panes[p]
-				if e == nil {
-					e = newStateAgg(s.ctx, streamOp, s.nKeys, calls)
-					s.panes[p] = e
-				}
-				err = e.mergeGroup(key, accs)
+			continue
+		}
+		for i := 0; i < b.Len; i++ {
+			g := &session{ord: s.openSession(b.Vecs, keyCols, i), start: b.Vecs[0].I64[i], last: b.Vecs[1].I64[i]}
+			s.sel1[0], s.ord1[0] = int32(i), g.ord
+			if err := s.adds.merge(b.Vecs[prefix:], s.sel1[:], s.ord1[:]); err != nil {
+				return err
 			}
-			if err != nil {
+			// Fragments of one logical session are always within a gap of
+			// each other (the bridging event lives in one of them) —
+			// coalescing restores the full session.
+			k := string(schema.RowKey(s.keyBuf[:0], b.Vecs, i, keyCols))
+			if s.sessions[k], err = s.coalesce(append(s.sessions[k], g), g); err != nil {
 				return err
 			}
 		}
@@ -480,7 +514,8 @@ func (s *streamState) unspill() error {
 // emitted is one finished window of one group.
 type emitted struct {
 	start, end int64
-	g          *aggGroup
+	e          *GroupedAgg
+	o          int32
 }
 
 // emitReady returns every window the watermark has closed (all remaining
@@ -541,8 +576,9 @@ func (s *streamState) emitWindows(wm int64) error {
 	for i, w := range starts {
 		rows := s.rows[:0]
 		if slide == size {
-			for _, g := range s.panes[w].groups { // TUMBLE: the window's one pane
-				rows = append(rows, emitted{w, w + size, g})
+			e := s.panes[w] // TUMBLE: the window's one pane
+			for o := range e.n {
+				rows = append(rows, emitted{w, w + size, e, int32(o)})
 			}
 		} else if err := s.mergeHop(w, &rows); err != nil {
 			return err
@@ -560,11 +596,11 @@ func (s *streamState) emitWindows(wm int64) error {
 	return nil
 }
 
-// mergeHop folds the panes covering HOP window [w, w+size) into the window
-// table and appends its groups to rows; the panes keep their state for the
-// later windows they cover. The table outlives the window — a key's
-// accumulators are reset when it first reappears in a later window — so
-// windows allocate no state for the keys they share.
+// mergeHop folds the state batches of the panes covering HOP window [w,
+// w+size) into the window table and appends its groups to rows; the panes
+// keep their state for the later windows they cover. The table outlives the
+// window — a key's state row is emptied when it first reappears in a later
+// window — so windows allocate no state for the keys they share.
 func (s *streamState) mergeHop(w int64, rows *[]emitted) error {
 	if s.hop == nil {
 		s.hop, s.hopAt = newStateAgg(s.ctx, streamOp, s.nKeys, s.sa.Calls), nil
@@ -572,34 +608,30 @@ func (s *streamState) mergeHop(w int64, rows *[]emitted) error {
 	m, size := s.hop, s.sa.Window.SizeMs
 	for p := w; p < w+size; p += s.paneMs {
 		e := s.panes[p]
-		if e == nil {
+		if e == nil || e.n == 0 {
 			continue
 		}
-		for _, g := range e.groups {
-			ord, isNew := m.lookupKey(g.key)
-			if isNew {
-				m.newGroup(g.key, nil)
-				s.hopAt = append(s.hopAt, math.MinInt64)
+		states := e.stateBatch()
+		s.hopSel = iotaSel(s.hopSel, e.n)
+		ords := m.ordinals(states, s.hopSel)
+		for len(s.hopAt) < m.n {
+			s.hopAt = append(s.hopAt, math.MinInt64)
+		}
+		for _, o := range ords {
+			if s.hopAt[o] != w {
+				s.hopAt[o] = w
+				m.resetRow(o)
+				*rows = append(*rows, emitted{w, w + size, m, o})
 			}
-			dst := m.groups[ord]
-			if s.hopAt[ord] != w {
-				s.hopAt[ord] = w
-				for _, acc := range dst.accs {
-					rex.ResetAccumulator(acc)
-				}
-				*rows = append(*rows, emitted{w, w + size, dst})
-			}
-			for i, acc := range dst.accs {
-				if err := rex.MergeAccumulators(acc, g.accs[i]); err != nil {
-					return err
-				}
-			}
+		}
+		if err := m.merge(states.Vecs, s.hopSel, ords); err != nil {
+			return err
 		}
 	}
 	// The table is uncharged, like the rows being emitted: keep it no larger
 	// than twice this window's keys, so keys that left the stream go once
 	// they outnumber the live ones.
-	if 2*len(*rows) < len(m.groups) {
+	if 2*len(*rows) < m.n {
 		s.hop = nil
 	}
 	return nil
@@ -618,8 +650,9 @@ func (s *streamState) emitSessions(wm int64) {
 				keep = append(keep, g)
 				continue
 			}
-			rows = append(rows, emitted{g.start, g.last + gap, g.aggGroup})
+			rows = append(rows, emitted{g.start, g.last + gap, s.adds, g.ord})
 			s.adds.res.Shrink(g.charge)
+			s.closed = append(s.closed, g.ord) // reused once the round is out
 		}
 		clear(list[len(keep):])
 		if len(keep) == 0 {
@@ -644,8 +677,8 @@ func (s *streamState) appendRows(rows []emitted, hint int) {
 		if c := cmp.Compare(a.start, b.start); c != 0 {
 			return c
 		}
-		for i := range a.g.key {
-			if c := types.Compare(a.g.key[i], b.g.key[i]); c != 0 {
+		for k := range s.nKeys {
+			if c := types.Compare(a.e.state[k].Get(int(a.o)), b.e.state[k].Get(int(b.o))); c != 0 {
 				return c
 			}
 		}
@@ -666,9 +699,9 @@ func (s *streamState) appendRows(rows []emitted, hint int) {
 		for _, e := range rows {
 			var x any
 			if c < s.nKeys {
-				x = e.g.key[c]
+				x = e.e.state[c].Get(int(e.o))
 			} else {
-				x = e.g.accs[c-s.nKeys].Result()
+				x = e.e.resultAt(c-s.nKeys, e.o)
 			}
 			if !v.AppendValue(x) {
 				v.Demote()

@@ -216,18 +216,18 @@ func MergeAccumulators(dst, src Accumulator) error {
 	return fmt.Errorf("rex: accumulator %T does not support merging", dst)
 }
 
-// ResetAccumulator empties a for reuse, as if freshly created for its call:
-// the streaming operator's HOP windows fold their panes into one set of
-// accumulators window after window.
-func ResetAccumulator(a Accumulator) {
+// HeldValues returns the argument values a value-retaining accumulator
+// (COLLECT, SINGLE_VALUE, any DISTINCT call) holds, in the order it took
+// them: its whole state, which adding them again rebuilds. Other
+// accumulators hold none.
+func HeldValues(a Accumulator) []any {
 	switch s := a.(type) {
 	case *aggState:
-		*s = aggState{call: s.call}
+		return s.values
 	case *distinctState:
-		ResetAccumulator(s.inner)
-		clear(s.seen)
-		s.vals = nil
+		return s.vals
 	}
+	return nil
 }
 
 // NewAccumulator creates the accumulator for an aggregate call.

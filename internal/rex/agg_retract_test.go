@@ -2,6 +2,16 @@ package rex
 
 import "testing"
 
+// feedRows drives an accumulator with single-column rows.
+func feedRows(t *testing.T, acc Accumulator, vals ...any) {
+	t.Helper()
+	for _, v := range vals {
+		if err := acc.Add([]any{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRetractSum(t *testing.T) {
 	acc := NewAccumulator(NewAggCall(AggSum, []int{0}, false, "s")).(Retractable)
 	feedRows(t, acc, int64(3), int64(5), nil, int64(7))

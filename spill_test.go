@@ -281,6 +281,38 @@ func TestRetainedAggregateLargerThanBudgetCompletes(t *testing.T) {
 	}
 }
 
+// TestGovernedDistinctChargesWhatItKeeps: COUNT(DISTINCT v) charges a value
+// only when its group keeps it. 200 000 rows hold 4 groups of 2 values each,
+// so under a 256 KiB limit the aggregate neither fills the budget nor spills;
+// charging every row's argument filled it and wrote 8 run files.
+func TestGovernedDistinctChargesWhatItKeeps(t *testing.T) {
+	conn := calcite.Open()
+	rows := make([][]any, 200000)
+	for i := range rows {
+		rows[i] = []any{int64(i % 4), int64(i % 8)}
+	}
+	conn.AddTable("dv", calcite.Columns{
+		{Name: "grp", Type: calcite.BigIntType},
+		{Name: "v", Type: calcite.BigIntType},
+	}, rows)
+	conn.SetParallelism(1)
+	conn.SetQueryMemoryLimit(256 << 10)
+	res, err := conn.Query("SELECT grp, COUNT(DISTINCT v) FROM dv GROUP BY grp ORDER BY grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[0 2] [1 2] [2 2] [3 2]]" {
+		t.Fatalf("rows = %v", got)
+	}
+	tr := conn.LastTraces(1)[0]
+	if ev := spillEvents(tr.Spans); ev != 0 || tr.Spilled != 0 {
+		t.Errorf("8 distinct values spilled (%d events, %d bytes)", ev, tr.Spilled)
+	}
+	if tr.PeakBytes >= 16<<10 {
+		t.Errorf("peak reservation %d bytes for 8 distinct values, want under 16 KiB", tr.PeakBytes)
+	}
+}
+
 // TestManySpillRunsCascade is the regression test for the merge fan-in:
 // a budget small enough to cut hundreds of runs must cascade-merge them
 // instead of opening every run at once, and still produce the exact sorted
