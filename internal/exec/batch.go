@@ -345,9 +345,9 @@ func (s *Sort) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 // --- Aggregate ---
 
 // BindBatch aggregates the batched input through the GroupedAgg engine
-// (groupkey.go): typed grouping and pre-unboxed accumulator adds on vectors of
-// a native kind, the boxed scratch-row path otherwise, spilling partial
-// accumulator states to hash partitions when a memory grant is denied.
+// (groupkey.go): typed grouping and one scatter kernel per call into typed
+// state columns, spilling the state batch to hash partitions when a memory
+// grant is denied.
 func (a *Aggregate) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	in, err := BindBatch(ctx, a.Inputs()[0])
 	if err != nil {

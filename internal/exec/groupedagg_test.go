@@ -6,10 +6,13 @@ package exec
 // under one that re-partitions down to spillMaxDepth.
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -389,5 +392,198 @@ func TestGroupedAggMatchesReference(t *testing.T) {
 				checkReleased(t, name+" "+budget.name, alloc)
 			}
 		}
+	}
+}
+
+// TestGroupedAggChargesWhatItHolds: the reservation of an engine at its peak
+// covers the heap its table holds — the state columns, the key vectors and
+// the key index — for one int key, two int keys, a string and an int key,
+// and one string key, each with 20 000 groups.
+func TestGroupedAggChargesWhatItHolds(t *testing.T) {
+	const groups, batch = 20000, 1024
+	calls := []rex.AggCall{
+		rex.NewAggCall(rex.AggCount, nil, false, "n"),
+		rex.NewAggCall(rex.AggSum, []int{refVI}, false, "s"),
+		rex.NewAggCall(rex.AggMin, []int{refVF}, false, "m"),
+	}
+	for _, keyKinds := range [][]string{{"int64"}, {"int64", "int64"}, {"string", "int64"}, {"string"}} {
+		var batches []*schema.Batch
+		for lo := 0; lo < 2*groups; lo += batch {
+			b := &schema.Batch{Len: batch, Seq: int64(len(batches)), Vecs: make([]*schema.Vector, refWidth)}
+			for c := range b.Vecs {
+				col := make([]any, batch)
+				for r := range col {
+					i := (lo + r) % groups
+					switch {
+					case c < len(keyKinds) && keyKinds[c] == "string":
+						col[r] = fmt.Sprintf("key-%06d-%d", i, c)
+					case c < len(keyKinds):
+						col[r] = int64(i * (c + 1))
+					case c == refVI:
+						col[r] = int64(r)
+					case c == refVF:
+						col[r] = float64(r) / 2
+					}
+				}
+				b.Vecs[c] = schema.BuildVector(col)
+			}
+			batches = append(batches, b)
+		}
+		keyCols := []int{0, 1}[:len(keyKinds)]
+		agg := NewAggregate(&batchSource{Scan: NewScan(schema.NewMemTable("t", refAggType, nil), []string{"t"}), batches: batches}, keyCols, calls)
+		ctx := NewContext()
+		ctx.Alloc = memory.NewAllocator(nil, 0, true)
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		g := NewGroupedAgg(ctx, "Aggregate", agg, AggComplete)
+		for _, b := range batches {
+			if err := g.AddBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		held := int64(ms.HeapAlloc) - int64(before)
+		runtime.KeepAlive(batches) // the keys the table shares with its input are not its own
+		if g.n != groups {
+			t.Fatalf("keys %v: %d groups, want %d", keyKinds, g.n, groups)
+		}
+		if peak := ctx.Alloc.Peak(); peak < held {
+			t.Errorf("keys %v: peak reservation %d bytes, but the table holds %d", keyKinds, peak, held)
+		}
+		g.Abandon()
+		checkReleased(t, fmt.Sprint(keyKinds), ctx.Alloc)
+	}
+}
+
+// renderBits renders rows with their runtime types, floats by their bits.
+func renderBits(rows [][]any) []string {
+	var val func(v any) string
+	val = func(v any) string {
+		switch x := v.(type) {
+		case float64:
+			return fmt.Sprintf("float64:%#016x", math.Float64bits(x))
+		case []any:
+			s := "["
+			for _, e := range x {
+				s += val(e) + " "
+			}
+			return s + "]"
+		}
+		return fmt.Sprintf("%T:%v", v, v)
+	}
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		for _, v := range row {
+			out[i] += val(v) + " "
+		}
+	}
+	return out
+}
+
+// TestAggStateSpillRoundTrip: partial state batches written with
+// memory.EncodeBatch and read back with DecodeBatch merge to the results,
+// bit for bit, of merging them in memory and of one engine over every row:
+// float sums holding NaN, -0 and ±Inf, int64 extremes, NULL and empty-string
+// MIN/MAX, and DISTINCT values seen on both sides of the write.
+func TestAggStateSpillRoundTrip(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	// [k1, vi, vf, vs] per half; every group has rows on both sides.
+	halves := [2][][4]any{{
+		{int64(0), int64(math.MaxInt64), nan, ""},
+		{int64(1), int64(math.MinInt64), inf, nil},
+		{int64(2), int64(math.MinInt64), negZero, ""},
+		{int64(3), nil, inf, "a"},
+		{int64(0), int64(7), 1.5, "b"},
+	}, {
+		{int64(0), int64(1), 1.5, "b"},
+		{int64(1), int64(-1), -inf, nil},
+		{int64(2), int64(math.MaxInt64), negZero, ""},
+		{int64(3), nil, 2.0, ""},
+		{int64(0), int64(7), nan, "b"},
+	}}
+	distinct := func(f rex.AggFuncKind, arg int, name string) rex.AggCall {
+		return rex.NewAggCall(f, []int{arg}, true, name)
+	}
+	plain := func(f rex.AggFuncKind, arg int, name string) rex.AggCall {
+		return rex.NewAggCall(f, []int{arg}, false, name)
+	}
+	calls := []rex.AggCall{
+		rex.NewAggCall(rex.AggCount, nil, false, "n"),
+		plain(rex.AggSum, refVI, "sum_vi"), plain(rex.AggSum, refVF, "sum_vf"), plain(rex.AggAvg, refVF, "avg_vf"),
+		plain(rex.AggMin, refVI, "min_vi"), plain(rex.AggMax, refVI, "max_vi"),
+		plain(rex.AggMin, refVF, "min_vf"), plain(rex.AggMax, refVF, "max_vf"),
+		plain(rex.AggMin, refVS, "min_vs"), plain(rex.AggMax, refVS, "max_vs"),
+		distinct(rex.AggCount, refVI, "distinct_vi"), distinct(rex.AggSum, refVF, "distinct_vf"),
+		plain(rex.AggCollect, refVS, "collect_vs"),
+	}
+	var batches []*schema.Batch
+	for h, rows := range halves {
+		b := &schema.Batch{Len: len(rows), Seq: int64(h), Vecs: make([]*schema.Vector, refWidth)}
+		for c := range b.Vecs {
+			col := make([]any, len(rows))
+			for r, row := range rows {
+				switch c {
+				case refK1:
+					col[r] = row[0]
+				case refVI, refVF, refVS:
+					col[r] = row[c-refVI+1]
+				}
+			}
+			b.Vecs[c] = schema.BuildVector(col)
+		}
+		batches = append(batches, b)
+	}
+	agg := NewAggregate(&batchSource{Scan: NewScan(schema.NewMemTable("t", refAggType, nil), []string{"t"}), batches: batches}, []int{refK1}, calls)
+	ctx := NewContext()
+	run := func(g *GroupedAgg, in []*schema.Batch) []string {
+		t.Helper()
+		out, err := g.Drain(schema.NewSliceBatchCursor(in), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := drainBatches(ctx, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderBits(rows)
+	}
+	var states, written []*schema.Batch
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	for _, b := range batches {
+		p := NewGroupedAgg(ctx, "ParallelPartialAggregate", agg, AggPartial)
+		if err := p.AddBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, p.stateBatch())
+		if err := memory.EncodeBatch(w, p.stateBatch()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(&buf)
+	for {
+		b, err := memory.DecodeBatch(r)
+		if err == schema.Done {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		written = append(written, b)
+	}
+	want := run(NewGroupedAgg(ctx, "Aggregate", agg, AggComplete), batches)
+	inMemory := run(NewGroupedAgg(ctx, "ParallelFinalAggregate", agg, AggFinal), states)
+	readBack := run(NewGroupedAgg(ctx, "ParallelFinalAggregate", agg, AggFinal), written)
+	if !reflect.DeepEqual(inMemory, want) {
+		t.Fatalf("merged in memory:\ngot:  %v\nwant: %v", inMemory, want)
+	}
+	if !reflect.DeepEqual(readBack, want) {
+		t.Fatalf("merged after the codec:\ngot:  %v\nwant: %v", readBack, want)
 	}
 }

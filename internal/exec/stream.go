@@ -180,8 +180,8 @@ type streamState struct {
 	routed []paneRows // per-batch routing scratch
 	// HOP: the window table the covering panes fold into, and the window
 	// each of its groups last served.
-	hop   *GroupedAgg
-	hopAt []int64
+	hop    *GroupedAgg
+	hopAt  []int64
 	hopSel []int32
 	// The emission round being built: one window's (or the sessions') rows,
 	// and the output columns.

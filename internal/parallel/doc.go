@@ -17,9 +17,10 @@
 //     a serial input being one partition and a join without equi keys one
 //     in-memory build (right/full joins gather to a single stream and run
 //     serially);
-//   - aggregates split into thread-local partial aggregation, a gather, and
-//     one merge of the partial states (rex.MergeAccumulators) that orders
-//     the groups by first-seen position;
+//   - aggregates split into thread-local partial aggregation, a gather of
+//     the partials' state batches (typed state columns), and one merge of
+//     them, a kernel per call, that orders the groups by first-seen
+//     position;
 //   - keyed TUMBLE/HOP stream aggregates scatter their serial input by group
 //     key and merge-gather the windows — the only hash exchange and the only
 //     merge-gather a plan holds;
@@ -36,7 +37,7 @@
 // blocking operators here own no group table, build table or sort buffer:
 // HashJoinPar drains into an exec.JoinBuild, PartialAgg runs one
 // exec.GroupedAgg per partition and FinalAgg one over the gathered partials
-// (partial-state modes), and StreamAggPar one exec.StreamAgg per hash
+// (state-batch modes), and StreamAggPar one exec.StreamAgg per hash
 // partition — the engines the serial operators use. Memory governance
 // therefore never changes the plan shape: every worker charges the query's
 // allocator through the same spill-capable code.

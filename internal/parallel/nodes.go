@@ -376,9 +376,8 @@ func (j *HashJoinPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, e
 // --- partitioned aggregate ---
 
 // PartialAgg is the thread-local pre-aggregation stage: each worker drains
-// its partition into private groups and emits one batch of partial rows
-// [group keys…, accumulator states…, first-seen position]. The accumulator
-// objects travel as ordinary column values to the final stage.
+// its partition into private groups and emits its state batch [group keys…,
+// typed state columns…, first-seen position] to the final stage.
 type PartialAgg struct {
 	inner *exec.Aggregate
 	pool  *Pool
@@ -427,9 +426,9 @@ func (a *PartialAgg) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 
 // BindPartitions runs the pre-aggregation eagerly across the pool (the
 // aggregate is a pipeline breaker): one exec.GroupedAgg per worker, each
-// charging its group table against the shared query budget and spilling
-// dehydrated partial states when a grant fails. The final stage's merge folds
-// the duplicate groups the workers (and their flushes) produce.
+// charging its group table against the shared query budget and spilling its
+// state batch when a grant fails. The final stage's merge folds the duplicate
+// groups the workers (and their flushes) produce.
 func (a *PartialAgg) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
 	parts, err := BindPartitions(ctx, a.inner.Inputs()[0])
 	if err != nil {

@@ -654,46 +654,3 @@ func TestParallelizeWindowIsSerial(t *testing.T) {
 	}
 	checkAgainstSerial(t, win)
 }
-
-// TestAccumulatorMerge exercises the partial/final split directly.
-func TestAccumulatorMerge(t *testing.T) {
-	call := rex.NewAggCall(rex.AggSum, []int{0}, false, "s")
-	a, b := rex.NewAccumulator(call), rex.NewAccumulator(call)
-	for i := 0; i < 10; i++ {
-		if err := a.Add([]any{int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 10; i < 20; i++ {
-		if err := b.Add([]any{int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rex.MergeAccumulators(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Result(); got != int64(190) {
-		t.Fatalf("merged SUM = %v, want 190", got)
-	}
-}
-
-func TestDistinctAccumulatorMergeDeduplicates(t *testing.T) {
-	call := rex.NewAggCall(rex.AggCount, []int{0}, true, "c")
-	a, b := rex.NewAccumulator(call), rex.NewAccumulator(call)
-	for _, v := range []int64{1, 2, 3} {
-		if err := a.Add([]any{v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, v := range []int64{2, 3, 4} {
-		if err := b.Add([]any{v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rex.MergeAccumulators(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Result(); got != int64(4) {
-		t.Fatalf("merged COUNT(DISTINCT) = %v, want 4", got)
-	}
-}

@@ -195,27 +195,6 @@ func CanRetract(a AggCall) bool {
 	return false
 }
 
-// MergeAccumulators folds src into dst — the partial→final combine step of
-// parallel aggregation: workers pre-aggregate thread-locally, then the final
-// stage merges the per-worker states of each group.
-func MergeAccumulators(dst, src Accumulator) error {
-	switch d := dst.(type) {
-	case *aggState:
-		s, ok := src.(*aggState)
-		if !ok {
-			return fmt.Errorf("rex: cannot merge %T into %T", src, dst)
-		}
-		return d.merge(s)
-	case *distinctState:
-		s, ok := src.(*distinctState)
-		if !ok {
-			return fmt.Errorf("rex: cannot merge %T into %T", src, dst)
-		}
-		return d.merge(s)
-	}
-	return fmt.Errorf("rex: accumulator %T does not support merging", dst)
-}
-
 // HeldValues returns the argument values a value-retaining accumulator
 // (COLLECT, SINGLE_VALUE, any DISTINCT call) holds, in the order it took
 // them: its whole state, which adding them again rebuilds. Other
@@ -389,56 +368,12 @@ func (s *aggState) Retract(row []any) error {
 	return nil
 }
 
-// merge folds another partial aggState of the same call into s.
-func (s *aggState) merge(o *aggState) error {
-	if o.call.Func != s.call.Func {
-		return fmt.Errorf("rex: cannot merge %s into %s", o.call.Func, s.call.Func)
-	}
-	s.count += o.count
-	if !o.started {
-		return nil
-	}
-	if !s.started {
-		s.started = true
-		s.floats = o.floats
-		s.sumI, s.sumF = o.sumI, o.sumF
-		s.minV, s.maxV = o.minV, o.maxV
-		s.values = append(s.values, o.values...)
-		if s.call.Func == AggSingleValue && len(s.values) > 1 {
-			return fmt.Errorf("rex: subquery returned more than one value")
-		}
-		return nil
-	}
-	switch s.call.Func {
-	case AggSum, AggAvg:
-		s.floats += o.floats
-		s.sumI += o.sumI
-		s.sumF += o.sumF
-	case AggMin:
-		if types.Compare(o.minV, s.minV) < 0 {
-			s.minV = o.minV
-		}
-	case AggMax:
-		if types.Compare(o.maxV, s.maxV) > 0 {
-			s.maxV = o.maxV
-		}
-	case AggCollect:
-		s.values = append(s.values, o.values...)
-	case AggSingleValue:
-		s.values = append(s.values, o.values...)
-		if len(s.values) > 1 {
-			return fmt.Errorf("rex: subquery returned more than one value")
-		}
-	}
-	return nil
-}
-
 type distinctState struct {
 	inner Accumulator
-	call  AggCall
 	seen  map[string]bool
-	// vals retains the distinct values in first-seen order so partial
-	// accumulators can be merged (cross-worker duplicates deduplicated).
+	// vals retains the distinct values in first-seen order: the state that
+	// leaves the engine (HeldValues) and, added again, deduplicates the
+	// values other workers or flushes saw too.
 	vals []any
 }
 
@@ -465,39 +400,6 @@ func (d *distinctState) Add(row []any) error {
 		d.vals = append(d.vals, v)
 	}
 	return d.inner.Add(row)
-}
-
-// merge folds another partial distinct accumulator into d: values unseen so
-// far are replayed through the inner accumulator, so duplicates that landed
-// in different worker partitions are counted once.
-func (d *distinctState) merge(o *distinctState) error {
-	s := d.inner.(*aggState)
-	if len(s.call.Args) == 0 {
-		os := o.inner.(*aggState)
-		return s.merge(os)
-	}
-	width := s.call.Args[0] + 1
-	if s.call.FilterArg >= width {
-		width = s.call.FilterArg + 1
-	}
-	row := make([]any, width)
-	if s.call.FilterArg >= 0 {
-		// The value already passed the partial side's filter; re-admit it.
-		row[s.call.FilterArg] = true
-	}
-	for _, v := range o.vals {
-		k := types.HashKey(v)
-		if d.seen[k] {
-			continue
-		}
-		d.seen[k] = true
-		d.vals = append(d.vals, v)
-		row[s.call.Args[0]] = v
-		if err := d.inner.Add(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (d *distinctState) Result() any { return d.inner.Result() }
