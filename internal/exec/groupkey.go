@@ -682,32 +682,11 @@ func foldExt(c *aggCol, dst, src *schema.Vector, sel, ords []int32) {
 	isMin := c.call.Func == rex.AggMin
 	switch k := dst.Kind; {
 	case k == schema.VecInt64 && src.Kind == k:
-		for i, r := range sel {
-			if src.Nulls == nil || !src.Nulls[r] {
-				x, o := src.I64[r], ords[i]
-				if dst.Nulls[o] || (isMin && x < dst.I64[o]) || (!isMin && x > dst.I64[o]) {
-					dst.I64[o], dst.Nulls[o] = x, false
-				}
-			}
-		}
+		foldOrdered(dst.I64, dst.Nulls, src.I64, src.Nulls, sel, ords, isMin)
 	case k == schema.VecFloat64 && src.Kind == k:
-		for i, r := range sel {
-			if src.Nulls == nil || !src.Nulls[r] {
-				x, o := src.F64[r], ords[i]
-				if dst.Nulls[o] || (isMin && x < dst.F64[o]) || (!isMin && x > dst.F64[o]) {
-					dst.F64[o], dst.Nulls[o] = x, false
-				}
-			}
-		}
+		foldOrdered(dst.F64, dst.Nulls, src.F64, src.Nulls, sel, ords, isMin)
 	case k == schema.VecString && src.Kind == k:
-		for i, r := range sel {
-			if src.Nulls == nil || !src.Nulls[r] {
-				x, o := src.S[r], ords[i]
-				if dst.Nulls[o] || (isMin && x < dst.S[o]) || (!isMin && x > dst.S[o]) {
-					dst.S[o], dst.Nulls[o] = x, false
-				}
-			}
-		}
+		foldOrdered(dst.S, dst.Nulls, src.S, src.Nulls, sel, ords, isMin)
 	default:
 		for i, r := range sel {
 			x := src.Get(int(r))
@@ -718,6 +697,19 @@ func foldExt(c *aggCol, dst, src *schema.Vector, sel, ords []int32) {
 			if cur := dst.Get(o); cur == nil || (isMin && types.Compare(x, cur) < 0) || (!isMin && types.Compare(x, cur) > 0) {
 				dst.Set(o, x)
 				c.open = false
+			}
+		}
+	}
+}
+
+// foldOrdered is foldExt over typed payloads; dst's NULL mask marks the
+// groups no value reached yet.
+func foldOrdered[T cmp.Ordered](dst []T, dnull []bool, src []T, snull []bool, sel, ords []int32, isMin bool) {
+	for i, r := range sel {
+		if snull == nil || !snull[r] {
+			x, o := src[r], ords[i]
+			if dnull[o] || (isMin && x < dst[o]) || (!isMin && x > dst[o]) {
+				dst[o], dnull[o] = x, false
 			}
 		}
 	}
@@ -775,13 +767,15 @@ func (g *GroupedAgg) readd(c *aggCol, o int32, v any) error {
 // addStates adds the counts or sums at rows sel of src to dst at ords.
 func addStates(dst, src *schema.Vector, sel, ords []int32) {
 	if dst.Kind == schema.VecFloat64 {
-		for i, r := range sel {
-			dst.F64[ords[i]] += src.F64[r]
-		}
-		return
+		addAt(dst.F64, src.F64, sel, ords)
+	} else {
+		addAt(dst.I64, src.I64, sel, ords)
 	}
+}
+
+func addAt[T int64 | float64](dst, src []T, sel, ords []int32) {
 	for i, r := range sel {
-		dst.I64[ords[i]] += src.I64[r]
+		dst[ords[i]] += src[r]
 	}
 }
 
@@ -915,7 +909,18 @@ func (g *GroupedAgg) result(i int) *schema.Vector {
 	}
 	v := schema.MakeVector(kind, g.n)
 	for o := range g.n {
-		v.Set(o, g.resultAt(i, int32(o)))
+		switch {
+		case kind == schema.VecAny:
+			v.Set(o, g.resultAt(i, int32(o)))
+		case st[0].I64[o] == 0:
+			v.Set(o, nil)
+		case kind == schema.VecInt64:
+			v.I64[o] = st[1].I64[o]
+		case c.call.Func == rex.AggAvg:
+			v.F64[o] = st[2].F64[o] / float64(st[0].I64[o])
+		default:
+			v.F64[o] = st[2].F64[o]
+		}
 	}
 	if c.kind == stateBoxed {
 		return schema.BuildVector(v.A)
