@@ -362,7 +362,8 @@ func (s *streamState) openSession(vecs []*schema.Vector, cols []int, r int) int3
 		e.resetRow(o)
 		return o
 	}
-	e.grow(vecs, cols, []int32{int32(r)})
+	s.sel1[0] = int32(r)
+	e.grow(vecs, cols, s.sel1[:])
 	return int32(e.n - 1)
 }
 
@@ -678,7 +679,7 @@ func (s *streamState) appendRows(rows []emitted, hint int) {
 			return c
 		}
 		for k := range s.nKeys {
-			if c := types.Compare(a.e.state[k].Get(int(a.o)), b.e.state[k].Get(int(b.o))); c != 0 {
+			if c := compareKeyAt(a.e.state[k], int(a.o), b.e.state[k], int(b.o)); c != 0 {
 				return c
 			}
 		}
@@ -709,6 +710,20 @@ func (s *streamState) appendRows(rows []emitted, hint int) {
 			}
 		}
 	}
+}
+
+// compareKeyAt compares row i of va with row j of vb as types.Compare does
+// their values, without boxing int64 and string keys.
+func compareKeyAt(va *schema.Vector, i int, vb *schema.Vector, j int) int {
+	if va.Kind == vb.Kind && !va.IsNull(i) && !vb.IsNull(j) {
+		switch va.Kind {
+		case schema.VecInt64:
+			return cmp.Compare(va.I64[i], vb.I64[j])
+		case schema.VecString:
+			return cmp.Compare(va.S[i], vb.S[j])
+		}
+	}
+	return types.Compare(va.Get(i), vb.Get(j))
 }
 
 // engines returns every engine that holds standing state.
