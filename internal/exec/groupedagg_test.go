@@ -587,3 +587,95 @@ func TestAggStateSpillRoundTrip(t *testing.T) {
 		t.Fatalf("merged after the codec:\ngot:  %v\nwant: %v", readBack, want)
 	}
 }
+
+// TestAggStateRoundTripPerKind: for every aggregate kind, one global
+// partial's state batch, written with memory.EncodeBatch and read back with
+// DecodeBatch, finishes to the result of one engine over the same rows, and
+// the read-back state keeps accepting input: merged with a later partial that
+// repeats the first value, it finishes to one engine over every row. DISTINCT
+// counts the repeated value once across the write.
+func TestAggStateRoundTripPerKind(t *testing.T) {
+	cases := []struct {
+		name string
+		call rex.AggCall
+		vals []any
+	}{
+		{"count", rex.NewAggCall(rex.AggCount, nil, false, "c"), []any{int64(1), int64(2), int64(3)}},
+		{"sum-int", rex.NewAggCall(rex.AggSum, []int{0}, false, "s"), []any{int64(4), int64(5)}},
+		{"sum-float", rex.NewAggCall(rex.AggSum, []int{0}, false, "s"), []any{1.25, nil, 2.5}},
+		{"avg", rex.NewAggCall(rex.AggAvg, []int{0}, false, "a"), []any{2.0, 4.0, nil}},
+		{"min", rex.NewAggCall(rex.AggMin, []int{0}, false, "m"), []any{"b", "a", "c"}},
+		{"max", rex.NewAggCall(rex.AggMax, []int{0}, false, "m"), []any{int64(3), int64(9), int64(1)}},
+		{"collect", rex.NewAggCall(rex.AggCollect, []int{0}, false, "col"), []any{int64(1), int64(1), int64(2)}},
+		{"single", rex.NewAggCall(rex.AggSingleValue, []int{0}, false, "sv"), []any{"only"}},
+		{"count-distinct", rex.NewAggCall(rex.AggCount, []int{0}, true, "cd"), []any{int64(1), int64(1), int64(2), nil}},
+		{"sum-distinct", rex.NewAggCall(rex.AggSum, []int{0}, true, "sd"), []any{2.5, 2.5, 1.25}},
+		{"empty", rex.NewAggCall(rex.AggSum, []int{0}, false, "s"), nil},
+	}
+	rowType := types.Row(types.Field{Name: "v", Type: types.Any})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			batchOf := func(seq int64, vals []any) []*schema.Batch {
+				if len(vals) == 0 {
+					return nil
+				}
+				return []*schema.Batch{{Len: len(vals), Seq: seq, Vecs: []*schema.Vector{schema.BuildVector(vals)}}}
+			}
+			agg := NewAggregate(NewScan(schema.NewMemTable("t", rowType, nil), []string{"t"}), nil, []rex.AggCall{c.call})
+			ctx := NewContext()
+			run := func(mode AggMode, in []*schema.Batch) []string {
+				t.Helper()
+				out, err := NewGroupedAgg(ctx, "Aggregate", agg, mode).Drain(schema.NewSliceBatchCursor(in), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := drainBatches(ctx, out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return renderBits(rows)
+			}
+			// partial folds vals in one partial engine and returns its state
+			// batch after a trip through the spill codec.
+			partial := func(seq int64, vals []any) []*schema.Batch {
+				t.Helper()
+				p := NewGroupedAgg(ctx, "ParallelPartialAggregate", agg, AggPartial)
+				for _, b := range batchOf(seq, vals) {
+					if err := p.AddBatch(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var buf bytes.Buffer
+				w := bufio.NewWriter(&buf)
+				if err := memory.EncodeBatch(w, p.stateBatch()); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				b, err := memory.DecodeBatch(bufio.NewReader(&buf))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return []*schema.Batch{b}
+			}
+			want := run(AggComplete, batchOf(0, c.vals))
+			if len(want) != 1 {
+				t.Fatalf("a global aggregate returned %d rows, want 1", len(want))
+			}
+			readBack := partial(0, c.vals)
+			if got := run(AggFinal, readBack); !reflect.DeepEqual(got, want) {
+				t.Fatalf("result after round-trip = %v, want %v", got, want)
+			}
+			// SINGLE_VALUE rightly errors on a second value, so it is exempt.
+			if len(c.vals) == 0 || c.call.Func == rex.AggSingleValue {
+				return
+			}
+			merged := run(AggFinal, append(readBack, partial(1, c.vals[:1])...))
+			all := append(append([]any(nil), c.vals...), c.vals[0])
+			if want := run(AggComplete, batchOf(0, all)); !reflect.DeepEqual(merged, want) {
+				t.Fatalf("post-merge result = %v, want %v", merged, want)
+			}
+		})
+	}
+}

@@ -654,3 +654,74 @@ func TestParallelizeWindowIsSerial(t *testing.T) {
 	}
 	checkAgainstSerial(t, win)
 }
+
+// mergePartials folds each slice of vals in its own partial aggregate engine,
+// as one worker of the parallel aggregate does, and merges the gathered
+// state batches in a final engine: the partial/final split, driven directly.
+func mergePartials(t *testing.T, call rex.AggCall, parts ...[]int64) [][]any {
+	t.Helper()
+	rowType := types.Row(types.Field{Name: "v", Type: types.BigInt})
+	agg := exec.NewAggregate(exec.NewScan(schema.NewMemTable("t", rowType, nil), []string{"t"}), nil, []rex.AggCall{call})
+	ctx := exec.NewContext()
+	var states []*schema.Batch
+	for w, vals := range parts {
+		col := make([]any, len(vals))
+		for i, v := range vals {
+			col[i] = v
+		}
+		in := []*schema.Batch{{Len: len(col), Seq: int64(w), Vecs: []*schema.Vector{schema.BuildVector(col)}}}
+		out, err := exec.NewGroupedAgg(ctx, "ParallelPartialAggregate", agg, exec.AggPartial).Drain(schema.NewSliceBatchCursor(in), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			b, err := out.NextBatch()
+			if err == schema.Done {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, b)
+		}
+		out.Close()
+	}
+	final, err := exec.NewGroupedAgg(ctx, "ParallelFinalAggregate", agg, exec.AggFinal).Drain(schema.NewSliceBatchCursor(states), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := schema.RowCursorFromBatches(final)
+	defer cur.Close()
+	var rows [][]any
+	for {
+		row, err := cur.Next()
+		if err == schema.Done {
+			return rows
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, append([]any(nil), row...))
+	}
+}
+
+// TestPartialStatesMergeSum exercises the partial/final split of SUM.
+func TestPartialStatesMergeSum(t *testing.T) {
+	var lo, hi []int64
+	for i := int64(0); i < 10; i++ {
+		lo, hi = append(lo, i), append(hi, i+10)
+	}
+	rows := mergePartials(t, rex.NewAggCall(rex.AggSum, []int{0}, false, "s"), lo, hi)
+	if len(rows) != 1 || rows[0][0] != int64(190) {
+		t.Fatalf("merged SUM = %v, want [[190]]", rows)
+	}
+}
+
+// TestPartialStatesMergeDistinctDeduplicates: a value two partials both saw
+// counts once in the merged COUNT(DISTINCT).
+func TestPartialStatesMergeDistinctDeduplicates(t *testing.T) {
+	rows := mergePartials(t, rex.NewAggCall(rex.AggCount, []int{0}, true, "c"), []int64{1, 2, 3}, []int64{2, 3, 4})
+	if len(rows) != 1 || rows[0][0] != int64(4) {
+		t.Fatalf("merged COUNT(DISTINCT) = %v, want [[4]]", rows)
+	}
+}
