@@ -58,6 +58,8 @@ func refAggCalls() []rex.AggCall {
 		rex.NewAggCall(rex.AggAvg, []int{refVF}, false, "avg_vf"),
 		rex.NewAggCall(rex.AggMin, []int{refVI}, false, "min_vi"),
 		rex.NewAggCall(rex.AggMax, []int{refVS}, false, "max_vs"),
+		rex.NewAggCall(rex.AggMin, []int{refVF}, false, "min_vf"),
+		rex.NewAggCall(rex.AggMax, []int{refVF}, false, "max_vf"),
 		rex.NewAggCall(rex.AggCount, []int{refVI}, true, "distinct_vi"),
 		rex.NewAggCall(rex.AggCollect, []int{refVS}, false, "collect_vs"),
 		rex.NewAggCall(rex.AggSingleValue, []int{refSV}, false, "single_sv"),
@@ -233,10 +235,19 @@ func refAggregate(rows [][]any, keyCols []int) [][]any {
 			}
 			return s
 		}
-		var avg, minVI, maxVS, single any
+		var avg, minVI, maxVS, minVF, maxVF, single any
 		vf := nonNull(refVF, nil)
 		if len(vf) > 0 {
 			avg = sumFloats(vf).(float64) / float64(len(vf))
+		}
+		for _, v := range vf {
+			// SQL's float order ranks NaN below every other value.
+			if minVF == nil || types.Compare(v, minVF) < 0 {
+				minVF = v
+			}
+			if maxVF == nil || types.Compare(v, maxVF) > 0 {
+				maxVF = v
+			}
 		}
 		vi := nonNull(refVI, nil)
 		distinct := map[int64]bool{}
@@ -257,7 +268,7 @@ func refAggregate(rows [][]any, keyCols []int) [][]any {
 		}
 		flt := nonNull(refVF, func(row []any) bool { return row[refFlt] == true })
 		res = append(res, int64(len(g)), int64(len(vf)), sumInts(vi), sumFloats(vf), avg,
-			minVI, maxVS, int64(len(distinct)), vs, single, sumFloats(flt))
+			minVI, maxVS, minVF, maxVF, int64(len(distinct)), vs, single, sumFloats(flt))
 		out = append(out, res)
 	}
 	return out

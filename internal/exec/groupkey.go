@@ -703,12 +703,13 @@ func foldExt(c *aggCol, dst, src *schema.Vector, sel, ords []int32) {
 }
 
 // foldOrdered is foldExt over typed payloads; dst's NULL mask marks the
-// groups no value reached yet.
+// groups no value reached yet. cmp.Less ranks NaN below every other float,
+// as types.Compare does, so the extremum does not depend on arrival order.
 func foldOrdered[T cmp.Ordered](dst []T, dnull []bool, src []T, snull []bool, sel, ords []int32, isMin bool) {
 	for i, r := range sel {
 		if snull == nil || !snull[r] {
 			x, o := src[r], ords[i]
-			if dnull[o] || (isMin && x < dst[o]) || (!isMin && x > dst[o]) {
+			if dnull[o] || (isMin && cmp.Less(x, dst[o])) || (!isMin && cmp.Less(dst[o], x)) {
 				dst[o], dnull[o] = x, false
 			}
 		}
