@@ -426,6 +426,32 @@ func (g *GroupedAgg) resetRow(o int32) {
 	}
 }
 
+// dropRow lets go of what group o holds, its key included: the accumulators
+// of its boxed calls and its string or boxed keys and extrema. The row is
+// left for reuse by resetRow once a new key is set.
+func (g *GroupedAgg) dropRow(o int32) {
+	for i := range g.cols {
+		if c := &g.cols[i]; c.kind == stateBoxed {
+			c.accs[o] = nil
+		} else if c.kind == stateExt {
+			dropValue(g.state[c.at], o)
+		}
+	}
+	for k := range g.keys {
+		dropValue(g.state[k], o)
+	}
+}
+
+// dropValue empties row o of v if it can point at the heap.
+func dropValue(v *schema.Vector, o int32) {
+	switch v.Kind {
+	case schema.VecString:
+		v.S[o] = ""
+	case schema.VecAny:
+		v.A[o] = nil
+	}
+}
+
 // ordinals returns the group ordinal of each row sel of b, entering the keys
 // seen for the first time.
 func (g *GroupedAgg) ordinals(b *schema.Batch, sel []int32) []int32 {

@@ -392,6 +392,7 @@ func (s *streamState) coalesce(list []*session, target *session) ([]*session, er
 		if err := s.adds.mergeRow(target.ord, g.ord); err != nil {
 			return nil, err
 		}
+		s.adds.dropRow(g.ord)
 		s.closed = append(s.closed, g.ord)
 		target.start, target.last = min(target.start, g.start), max(target.last, g.last)
 		target.charge += g.charge
@@ -653,7 +654,7 @@ func (s *streamState) emitSessions(wm int64) {
 			}
 			rows = append(rows, emitted{g.start, g.last + gap, s.adds, g.ord})
 			s.adds.res.Shrink(g.charge)
-			s.closed = append(s.closed, g.ord) // reused once the round is out
+			s.closed = append(s.closed, g.ord)
 		}
 		clear(list[len(keep):])
 		if len(keep) == 0 {
@@ -664,6 +665,9 @@ func (s *streamState) emitSessions(wm int64) {
 	}
 	s.rows = rows
 	s.appendRows(rows, len(rows))
+	for _, e := range rows {
+		s.adds.dropRow(e.o) // emitted: the row keeps nothing until reused
+	}
 }
 
 // appendRows orders rows by (window_start, key…, window_end), so the output

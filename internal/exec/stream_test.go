@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"calcite/internal/memory"
@@ -81,5 +84,66 @@ func TestStreamSessionStateStaysBounded(t *testing.T) {
 	}
 	if n, held := len(s.sessions), s.held(); n != 0 || held != 0 {
 		t.Errorf("after the final drain: %d keys, %d bytes held; want none", n, held)
+	}
+}
+
+// An emitted session lets go of its state: the values a COUNT(DISTINCT) and
+// a MAX over strings retained, and its string key, are garbage once the
+// session is out, though its row waits in the engine for the next session.
+func TestStreamSessionReleasesEmittedState(t *testing.T) {
+	const keys, perKey, gapMs = 64, 200, 100
+	rowType := types.Row(
+		types.Field{Name: "rowtime", Type: types.Timestamp},
+		types.Field{Name: "k", Type: types.Varchar},
+		types.Field{Name: "v", Type: types.Varchar},
+	)
+	sa := NewStreamAgg(NewScan(schema.NewMemTable("events", rowType, nil), []string{"events"}),
+		rel.StreamWindow{Kind: rel.SessionWindow, RowtimeCol: 0, GapMs: gapMs}, 0, []int{1},
+		[]rex.AggCall{
+			rex.NewAggCall(rex.AggCount, []int{2}, true, "d"),
+			rex.NewAggCall(rex.AggMax, []int{2}, false, "m"),
+		})
+	ctx := NewContext()
+	ctx.Alloc = memory.NewAllocator(memory.NewPool(64<<20), 0, true)
+	s := newStreamState(ctx, sa.StreamAggregate)
+	add := func(ts int64, n int, key, val func(i int) string) {
+		vecs := []*schema.Vector{
+			{Kind: schema.VecInt64, I64: make([]int64, n)},
+			{Kind: schema.VecString, S: make([]string, n)},
+			{Kind: schema.VecString, S: make([]string, n)},
+		}
+		sel := make([]int32, n)
+		for i := range n {
+			vecs[0].I64[i], vecs[1].S[i], vecs[2].S[i], sel[i] = ts, key(i), val(i), int32(i)
+		}
+		if err := s.addBatch(&schema.Batch{Len: n, Vecs: vecs}, sel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	add(0, keys*perKey,
+		func(i int) string { return fmt.Sprintf("key-%04d-%s", i%keys, strings.Repeat("k", 48)) },
+		func(i int) string { return fmt.Sprintf("value-%06d-%s", i, strings.Repeat("v", 48)) })
+	open := heap() - before
+	// One late-arriving key moves the watermark past every session's gap.
+	add(10*gapMs, 1, func(int) string { return "next" }, func(int) string { return "x" })
+	out, err := s.emitReady(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out == nil || out.Len != keys {
+		t.Fatalf("emitted %v, want the %d sessions", out, keys)
+	}
+	out = nil
+	left := heap() - before
+	runtime.KeepAlive(s)
+	if left > open/8 {
+		t.Errorf("the %d emitted sessions held %d bytes open; %d are still reachable after emission", keys, open, left)
 	}
 }
