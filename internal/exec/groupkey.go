@@ -87,30 +87,6 @@ func intKeyOfFloat(f float64) (int64, bool) {
 	return 0, false
 }
 
-// intKeyAt reads row r of kv on the int64 key space, as types.HashKey keys
-// it, reporting false for any other key.
-func intKeyAt(kv *schema.Vector, r int) (int64, bool) {
-	if kv.Nulls != nil && kv.Nulls[r] {
-		return 0, false
-	}
-	switch kv.Kind {
-	case schema.VecInt64:
-		return kv.I64[r], true
-	case schema.VecFloat64:
-		return intKeyOfFloat(kv.F64[r])
-	case schema.VecAny:
-		switch x := kv.A[r].(type) {
-		case int64:
-			return x, true
-		case int:
-			return int64(x), true
-		case float64:
-			return intKeyOfFloat(x)
-		}
-	}
-	return 0, false
-}
-
 // ordVal routes one boxed key value to its tier, inserting if new.
 func (ki *keyIndex) ordVal(v any) (int32, bool) {
 	switch x := v.(type) {
@@ -240,12 +216,9 @@ type GroupedAgg struct {
 
 	index    *keyIndex        // single-column keys
 	multiKey map[string]int32 // multi-column keys, schema.RowKey-encoded
-	// pairs keys two-column keys that are both on the int64 key space, sharing
-	// multiKey's ordinals: such a key never has a string encoding there.
-	pairs map[[2]int64]int32
-	n     int // groups
-	state []*schema.Vector
-	cols  []aggCol
+	n        int              // groups
+	state    []*schema.Vector
+	cols     []aggCol
 	// extra is what the table holds beyond its columns' capacity: key
 	// payloads, composite key strings, boxed accumulators and their values.
 	extra int64
@@ -305,14 +278,11 @@ func (g *GroupedAgg) init() {
 
 // resetTable empties the table, dropping its columns and key index.
 func (g *GroupedAgg) resetTable() {
-	g.index, g.multiKey, g.pairs = nil, nil, nil
+	g.index, g.multiKey = nil, nil
 	if len(g.keys) == 1 {
 		g.index = newKeyIndex()
 	} else if len(g.keys) > 1 {
 		g.multiKey = map[string]int32{}
-	}
-	if len(g.keys) == 2 {
-		g.pairs = map[[2]int64]int32{}
 	}
 	g.n, g.extra = 0, 0
 	for i := range g.keys {
@@ -462,20 +432,11 @@ func (g *GroupedAgg) ordinals(b *schema.Batch, sel []int32) []int32 {
 	case g.multiKey != nil:
 		next := int32(g.n)
 		for _, r := range sel {
-			var ord int32
-			var ok bool
-			if pair, paired := g.pairAt(b.Vecs, int(r)); paired {
-				if ord, ok = g.pairs[pair]; !ok {
-					g.pairs[pair] = next
-				}
-			} else {
-				g.keyBuf = schema.RowKey(g.keyBuf[:0], b.Vecs, int(r), g.keys)
-				if ord, ok = g.multiKey[string(g.keyBuf)]; !ok {
-					g.multiKey[string(g.keyBuf)] = next
-					g.extra += int64(len(g.keyBuf))
-				}
-			}
+			g.keyBuf = schema.RowKey(g.keyBuf[:0], b.Vecs, int(r), g.keys)
+			ord, ok := g.multiKey[string(g.keyBuf)]
 			if !ok {
+				g.multiKey[string(g.keyBuf)] = next
+				g.extra += int64(len(g.keyBuf))
 				ord = next
 				next++
 				fresh = append(fresh, r)
@@ -505,16 +466,6 @@ func (g *GroupedAgg) ordinals(b *schema.Batch, sel []int32) []int32 {
 		}
 	}
 	return ords
-}
-
-// pairAt reads the two-column key of row r on the int64 key space.
-func (g *GroupedAgg) pairAt(vecs []*schema.Vector, r int) (pair [2]int64, ok bool) {
-	if g.pairs == nil {
-		return pair, false
-	}
-	a, okA := intKeyAt(vecs[g.keys[0]], r)
-	b, okB := intKeyAt(vecs[g.keys[1]], r)
-	return [2]int64{a, b}, okA && okB
 }
 
 // ordsVec appends the ordinal of each row sel of key column kv to ords,
@@ -835,7 +786,7 @@ func (g *GroupedAgg) footprint() int64 {
 	if g.index != nil {
 		n += intEntryBytes*int64(len(g.index.byInt)) + strEntryBytes*int64(len(g.index.byStr)+len(g.index.byKey))
 	}
-	return n + strEntryBytes*int64(len(g.multiKey)+len(g.pairs))
+	return n + strEntryBytes*int64(len(g.multiKey))
 }
 
 // settle charges the reservation with what the table grew by.

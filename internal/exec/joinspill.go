@@ -506,7 +506,8 @@ func (pw *partitionWriter) add(b *schema.Batch) error {
 	var sel []int32
 	sel, pw.dense = liveSel(b, pw.dense)
 	for _, r := range sel {
-		p := pw.partitionOf(b.Vecs, int(r))
+		pw.keyBuf = schema.RowKey(pw.keyBuf[:0], b.Vecs, int(r), pw.keys)
+		p := memory.Partition(pw.keyBuf, spillFanOut, pw.seed)
 		pw.sels[p] = append(pw.sels[p], r)
 	}
 	for p, rows := range pw.sels {
@@ -534,27 +535,6 @@ func (pw *partitionWriter) add(b *schema.Batch) error {
 		}
 	}
 	return nil
-}
-
-// partitionOf routes row r of vecs on its key columns. A key wholly on the
-// int64 key space (types.HashKey's) hashes its machine values, any other key
-// its canonical encoding: equal keys take the same path, so they meet in one
-// partition.
-func (pw *partitionWriter) partitionOf(vecs []*schema.Vector, r int) int {
-	h := uint64(pw.seed)
-	for _, k := range pw.keys {
-		x, ok := intKeyAt(vecs[k], r)
-		if !ok {
-			pw.keyBuf = schema.RowKey(pw.keyBuf[:0], vecs, r, pw.keys)
-			return memory.Partition(pw.keyBuf, spillFanOut, pw.seed)
-		}
-		// The splitmix64 finalizer over the running hash and the key.
-		h = (h ^ uint64(x)) + 0x9e3779b97f4a7c15
-		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
-		h = (h ^ h>>27) * 0x94d049bb133111eb
-		h ^= h >> 31
-	}
-	return int(h % spillFanOut)
 }
 
 func (pw *partitionWriter) flush(p int) error {
