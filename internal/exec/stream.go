@@ -15,7 +15,8 @@ package exec
 // table with the merge kernels. SESSION keeps each key's open sessions under
 // the key's encoding (schema.RowKey), each session a group ordinal of one
 // engine that its rows scatter into; a row that bridges sessions merges their
-// state rows, and a closed session's ordinal is reused by the next one.
+// state rows, and a closed session's row is emptied and its ordinal reused
+// by the next one.
 //
 // State is charged to the memory governor. A denied grant (spilling allowed)
 // moves every pane's or session's state rows into one spill engine — a
