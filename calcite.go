@@ -224,12 +224,14 @@ func (c *Connection) EnableSpill(on bool) { c.Framework.DisableSpill = !on }
 // SetParallelism sets the worker count for morsel-driven parallel execution.
 // The default (0) uses runtime.GOMAXPROCS(0); 1 forces the serial execution
 // paths; n > 1 splits scans into morsels that n workers claim dynamically,
-// with exchange operators repartitioning and gathering batches between
-// pipeline stages. Results are deterministic: a parallel run produces the
-// same rows in the same order as the serial engine, with two value-level
-// caveats — floating-point aggregates may differ in the last bit (partial
-// sums reassociate), and COLLECT multiset element order follows partial-
-// merge order rather than input order.
+// with gather exchanges merging the partitions back into one stream, and
+// splits a keyed TUMBLE/HOP stream aggregate's keys over n pane machines.
+// Results are deterministic: a parallel run produces the same rows in the
+// same order as the serial engine, with two value-level caveats —
+// floating-point aggregates may differ in the last bit (partial sums
+// reassociate), and COLLECT multiset element order follows partial-merge
+// order rather than input order — and one of order: a stream aggregate
+// whose state spilled emits the spilled machines' windows at end of input.
 func (c *Connection) SetParallelism(n int) { c.Framework.Parallelism = n }
 
 // SetSlowQueryThreshold marks queries at or over threshold as slow: they

@@ -3,8 +3,8 @@ package exec
 // The sort kernel: one columnar external merge sort under ORDER BY and top-N
 // (serial at every parallelism, over a gather of the partitions), the
 // window's narrow per-group sort and its spilled rows' results. Its merge,
-// MergeCursor, also backs the merge-gather exchange of the parallel stream
-// aggregate.
+// MergeCursor, also merges the emission rounds of a stream aggregate's pane
+// machines.
 //
 // Input batches are appended to typed column vectors (a column whose kind
 // changes between batches demotes to VecAny, as MemTable does) and charged
@@ -720,8 +720,9 @@ func (h *mergeHead) row() int {
 // to batch: a heap of the sources' head rows picks the next output row (ties
 // to the lowest source index), and each output column is gathered from the
 // source batches' vectors, so typed columns stay typed. ExternalSorter merges
-// its spilled runs through it, applying the sort's OFFSET/FETCH; the parallel
-// stream aggregate's merge-gather merges its partitions through it unlimited.
+// its spilled runs through it, applying the sort's OFFSET/FETCH; a stream
+// aggregate with several pane machines merges each emission round's outputs
+// through it, unlimited, into one batch.
 type MergeCursor struct {
 	srcs  []schema.BatchCursor
 	coll  trait.Collation
@@ -747,7 +748,7 @@ func NewMergeCursor(srcs []schema.BatchCursor, coll trait.Collation, offset, fet
 		batchSize = schema.DefaultBatchSize
 	}
 	return &MergeCursor{srcs: srcs, coll: coll, heads: make([]mergeHead, len(srcs)),
-		offset: offset, fetch: fetch, batchSize: batchSize, onClose: onClose}
+		picks: make([]schema.Pick, 0, batchSize), offset: offset, fetch: fetch, batchSize: batchSize, onClose: onClose}
 }
 
 // load makes source i's head its next row, pulling batches as needed; false

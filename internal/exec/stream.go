@@ -18,12 +18,20 @@ package exec
 // state rows, and a closed session's row is emptied and its ordinal reused
 // by the next one.
 //
+// A keyed TUMBLE/HOP window may split its keys over p pane machines (each a
+// streamState) that share one clock: every input batch is routed by key
+// (schema.RowKey, memory.Partition) into p selections, the batch's freshest
+// rowtime moves the one watermark for every machine, the machines fold and
+// emit concurrently, and each round's sorted outputs merge once
+// (MergeCursor on window_start, key…, window_end) into the serial emission
+// order. p = 1 is the serial operator.
+//
 // State is charged to the memory governor. A denied grant (spilling allowed)
-// moves every pane's or session's state rows into one spill engine — a
-// GroupedAgg keyed on (pane | session interval, keys…) with the engine's
-// hash-partitioned spill — and the tables restart empty; the spilled state
-// batches fold back at the final drain, trading emission latency for bounded
-// memory.
+// moves every pane's or session's state rows of the machine that asked into
+// one spill engine — a GroupedAgg keyed on (pane | session interval, keys…)
+// with the engine's hash-partitioned spill — and its tables restart empty;
+// the spilled state batches fold back at the final drain, to which that
+// machine defers its windows, trading emission latency for bounded memory.
 
 import (
 	"cmp"
@@ -37,6 +45,7 @@ import (
 	"calcite/internal/rel"
 	"calcite/internal/rex"
 	"calcite/internal/schema"
+	"calcite/internal/trait"
 	"calcite/internal/types"
 )
 
@@ -106,17 +115,28 @@ func (a *StreamAgg) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BindStreamAggOver(ctx, a.StreamAggregate, in)
+	return BindStreamAggOver(ctx, a.StreamAggregate, in, 1, nil), nil
 }
 
 // BindStreamAggOver runs the streaming aggregation over an already-bound
-// input; the parallel rewrite uses it to wrap each hash partition.
-func BindStreamAggOver(ctx *Context, sa *rel.StreamAggregate, in schema.BatchCursor) (schema.BatchCursor, error) {
-	return &streamAggCursor{
-		st:        newStreamState(ctx, sa),
-		in:        in,
-		interrupt: ctx.Interrupt,
-	}, nil
+// input with p pane machines sharing one clock; run steps the p machines
+// through a round concurrently (ParallelStreamAggregate supplies its pool).
+// p = 1 is the serial operator, and run is then unused.
+func BindStreamAggOver(ctx *Context, sa *rel.StreamAggregate, in schema.BatchCursor, p int, run func(n int, step func(i int) error) error) schema.BatchCursor {
+	p = max(p, 1)
+	c := &streamAggCursor{sa: sa, in: in, run: run, interrupt: ctx.Interrupt,
+		sels: make([][]int32, p), outs: make([]*schema.Batch, p)}
+	for range p {
+		c.machines = append(c.machines, newStreamState(ctx, sa))
+	}
+	if p > 1 {
+		c.coll = trait.Collation{{Field: 0}}
+		for k := range sa.GroupKeys {
+			c.coll = append(c.coll, trait.FieldCollation{Field: 2 + k})
+		}
+		c.coll = append(c.coll, trait.FieldCollation{Field: 1})
+	}
+	return c
 }
 
 // rowtimeAt reads row r of the rowtime column as epoch milliseconds: int64
@@ -203,8 +223,6 @@ type streamState struct {
 	// while it is set.
 	spill *GroupedAgg
 
-	hasTs       bool
-	maxTs       int64
 	emittedUpTo int64 // windows ending at or before this are closed
 }
 
@@ -222,8 +240,6 @@ func newStreamState(ctx *Context, sa *rel.StreamAggregate) *streamState {
 	return s
 }
 
-func (s *streamState) watermark() int64 { return s.maxTs - s.sa.LatenessMs }
-
 // isLate reports whether every window containing a row at ts has already
 // been emitted.
 func (s *streamState) isLate(ts int64) bool {
@@ -234,15 +250,11 @@ func (s *streamState) isLate(ts int64) bool {
 	return floorTo(ts, s.paneMs)+s.sa.Window.SizeMs <= s.emittedUpTo
 }
 
-// observe reads row r's rowtime, advances the freshest rowtime seen and
-// reports whether the row is late.
+// observe reads row r's rowtime and reports whether the row is late.
 func (s *streamState) observe(rt *schema.Vector, r int) (ts int64, late bool, err error) {
 	ts, ok := rowtimeAt(rt, r)
 	if !ok {
 		return 0, false, fmt.Errorf("exec: stream rowtime column %d holds %T, want a timestamp", s.sa.Window.RowtimeCol, rt.Get(r))
-	}
-	if !s.hasTs || ts > s.maxTs {
-		s.maxTs, s.hasTs = ts, true
 	}
 	return ts, s.isLate(ts), nil
 }
@@ -521,22 +533,10 @@ type emitted struct {
 	o          int32
 }
 
-// emitReady returns every window the watermark has closed (all remaining
-// windows when final) as one batch in (window_start, key…, window_end)
-// order, or nil. Once state has spilled, emission defers to the final drain
-// where disk and memory state merge — correctness over latency under memory
-// pressure.
-func (s *streamState) emitReady(final bool) (*schema.Batch, error) {
-	if s.spill != nil && !final {
-		return nil, nil
-	}
-	wm := int64(math.MaxInt64)
-	if !final {
-		if !s.hasTs {
-			return nil, nil
-		}
-		wm = s.watermark()
-	}
+// emitReady returns every window of this machine that ends at or before wm
+// as one batch in (window_start, key…, window_end) order, or nil; spilled
+// state (final drain only) folds back in first.
+func (s *streamState) emitReady(wm int64) (*schema.Batch, error) {
 	if s.spill != nil {
 		if err := s.unspill(); err != nil {
 			return nil, err
@@ -548,15 +548,11 @@ func (s *streamState) emitReady(final bool) (*schema.Batch, error) {
 	} else if err := s.emitWindows(wm); err != nil {
 		return nil, err
 	}
-	if wm > s.emittedUpTo {
-		s.emittedUpTo = wm
-	}
+	s.emittedUpTo = max(s.emittedUpTo, wm)
 	if s.out == nil {
 		return nil, nil
 	}
-	b := &schema.Batch{Len: s.out[0].Len(), Vecs: s.out}
-	streamWindowsEmitted.Add(int64(b.Len))
-	return b, nil
+	return &schema.Batch{Len: s.out[0].Len(), Vecs: s.out}, nil
 }
 
 // emitWindows closes TUMBLE/HOP windows ending at or before wm and retires
@@ -758,8 +754,22 @@ func (s *streamState) free() {
 
 // ---- pull cursor ----
 
+// streamAggCursor is the streaming aggregation: its pane machines, the clock
+// they share, and the routing of input rows to them by key.
 type streamAggCursor struct {
-	st        *streamState
+	sa       *rel.StreamAggregate
+	machines []*streamState
+	// The clock: the freshest rowtime of the input, whose watermark every
+	// machine emits by. (Each machine keeps its own emittedUpTo: one whose
+	// state spilled defers its windows to the final drain.)
+	hasTs bool
+	maxTs int64
+	run   func(n int, step func(i int) error) error
+	sels  [][]int32       // each machine's rows of the current batch
+	outs  []*schema.Batch // each machine's windows of the current round
+	key   []byte          // routing-key scratch
+	coll  trait.Collation // the emission order rounds merge on (p > 1)
+
 	in        schema.BatchCursor
 	seq       int64
 	dense     []int32
@@ -770,11 +780,9 @@ type streamAggCursor struct {
 
 func (c *streamAggCursor) interrupted() bool { return c.interrupt != nil && c.interrupt.Load() }
 
-// fail releases the state and reports err — as the cancellation when the
-// query was interrupted, since a canceled sibling partition tears down the
-// exchange this one reads from. The input stays open until Close: the caller
-// records err first, so a sibling partition reading the same exchange can
-// never report its teardown ahead of the error that caused it.
+// fail releases the state and reports err, as the cancellation when the
+// query was interrupted (whatever error the interrupt caused below). The
+// input stays open until Close.
 func (c *streamAggCursor) fail(err error) (*schema.Batch, error) {
 	c.release()
 	if c.interrupted() {
@@ -800,11 +808,10 @@ func (c *streamAggCursor) NextBatch() (*schema.Batch, error) {
 		if !final {
 			var sel []int32
 			sel, c.dense = liveSel(b, c.dense)
-			if err := c.st.addBatch(b, sel); err != nil {
-				return c.fail(err)
-			}
+			c.advance(b, sel)
+			c.route(b, sel)
 		}
-		out, err := c.emit(final)
+		out, err := c.round(b, final)
 		if err != nil {
 			return c.fail(err)
 		}
@@ -820,23 +827,105 @@ func (c *streamAggCursor) NextBatch() (*schema.Batch, error) {
 	return nil, schema.Done
 }
 
-// emit runs one emission round and refreshes the stream gauges.
-func (c *streamAggCursor) emit(final bool) (*schema.Batch, error) {
+// advance moves the clock to the freshest rowtime among the rows sel of b. A
+// rowtime that is not a timestamp is left to the machine that folds its row,
+// which fails.
+func (c *streamAggCursor) advance(b *schema.Batch, sel []int32) {
+	rt := b.Vecs[c.sa.Window.RowtimeCol]
+	for _, r := range sel {
+		if ts, ok := rowtimeAt(rt, int(r)); ok && (!c.hasTs || ts > c.maxTs) {
+			c.maxTs, c.hasTs = ts, true
+		}
+	}
+}
+
+// route splits sel over the machines by the partition of each row's group
+// key: only the key vectors are read.
+func (c *streamAggCursor) route(b *schema.Batch, sel []int32) {
+	if len(c.sels) == 1 {
+		c.sels[0] = sel
+		return
+	}
+	for i := range c.sels {
+		c.sels[i] = c.sels[i][:0]
+	}
+	for _, r := range sel {
+		c.key = schema.RowKey(c.key[:0], b.Vecs, int(r), c.sa.GroupKeys)
+		i := memory.Partition(c.key, len(c.sels), 0)
+		c.sels[i] = append(c.sels[i], r)
+	}
+}
+
+// round steps every machine through one round — fold its rows of b, if
+// final is false, then emit the windows the watermark has closed (every
+// remaining window when final) — concurrently through run, and merges their
+// outputs, each in (window_start, key…, window_end) order, into one batch in
+// that order, or nil. A machine whose state has spilled defers its windows to
+// the final drain, where disk and memory state merge — correctness over
+// latency under memory pressure.
+func (c *streamAggCursor) round(b *schema.Batch, final bool) (*schema.Batch, error) {
 	start := time.Now()
-	b, err := c.st.emitReady(final)
+	wm := int64(math.MaxInt64)
+	if !final {
+		wm = c.maxTs - c.sa.LatenessMs
+	}
+	step := func(i int) (err error) {
+		m := c.machines[i]
+		c.outs[i] = nil
+		if !final {
+			if err := m.addBatch(b, c.sels[i]); err != nil {
+				return err
+			}
+		}
+		if final || c.hasTs && m.spill == nil {
+			c.outs[i], err = m.emitReady(wm)
+		}
+		return err
+	}
+	var err error
+	if len(c.machines) == 1 {
+		err = step(0)
+	} else {
+		err = c.run(len(c.machines), step)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if b != nil {
+	var out *schema.Batch
+	var srcs []schema.BatchCursor
+	rows := 0
+	for _, o := range c.outs {
+		if o != nil {
+			out, rows = o, rows+o.Len
+			srcs = append(srcs, schema.NewSliceBatchCursor([]*schema.Batch{o}))
+		}
+	}
+	if len(srcs) > 1 {
+		merged := NewMergeCursor(srcs, c.coll, 0, -1, rows, nil)
+		if out, err = merged.NextBatch(); err != nil {
+			return nil, err
+		}
+		merged.Close()
+	}
+	if out != nil {
+		streamWindowsEmitted.Add(int64(out.Len))
 		observeStreamEmit(time.Since(start))
 	}
-	if c.st.hasTs {
-		streamWatermarkLag.Store(c.st.maxTs - c.st.watermark())
+	if c.hasTs {
+		streamWatermarkLag.Store(c.sa.LatenessMs)
 	}
-	held := c.st.held()
+	held := c.held()
 	streamStateBytes.Add(held - c.reported)
 	c.reported = held
-	return b, nil
+	return out, nil
+}
+
+// held is the standing state currently charged.
+func (c *streamAggCursor) held() (n int64) {
+	for _, m := range c.machines {
+		n += m.held()
+	}
+	return n
 }
 
 // release returns the standing state; the input is closed by Close.
@@ -847,7 +936,9 @@ func (c *streamAggCursor) release() {
 	c.closed = true
 	streamStateBytes.Add(-c.reported)
 	c.reported = 0
-	c.st.free()
+	for _, m := range c.machines {
+		m.free()
+	}
 }
 
 func (c *streamAggCursor) Close() error {

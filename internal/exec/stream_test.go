@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -57,7 +58,8 @@ func TestStreamSessionStateStaysBounded(t *testing.T) {
 			firstHeld = s.held()
 		}
 		maxKeys, maxHeld = max(maxKeys, len(s.sessions)), max(maxHeld, s.held())
-		out, err := s.emitReady(false)
+		// The watermark (lateness 0) is the batch's last rowtime.
+		out, err := s.emitReady(vecs[0].I64[batchSize-1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +67,7 @@ func TestStreamSessionStateStaysBounded(t *testing.T) {
 			emitted += out.Len
 		}
 	}
-	out, err := s.emitReady(true)
+	out, err := s.emitReady(math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestStreamSessionReleasesEmittedState(t *testing.T) {
 	open := heap() - before
 	// One late-arriving key moves the watermark past every session's gap.
 	add(10*gapMs, 1, func(int) string { return "next" }, func(int) string { return "x" })
-	out, err := s.emitReady(false)
+	out, err := s.emitReady(10 * gapMs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,5 +147,50 @@ func TestStreamSessionReleasesEmittedState(t *testing.T) {
 	runtime.KeepAlive(s)
 	if left > open/8 {
 		t.Errorf("the %d emitted sessions held %d bytes open; %d are still reachable after emission", keys, open, left)
+	}
+}
+
+// Routing a batch over the pane machines puts every row of a key in one
+// machine's selection, reads the key vectors only — a typed batch is routed
+// without boxing a value — and reuses its selections and key scratch, so a
+// routed batch allocates nothing.
+func TestStreamAggRoutingColocatesKeysFromKeyVectors(t *testing.T) {
+	const n, width, p = 1024, 10, 4
+	rowType := types.Row(types.Field{Name: "rowtime", Type: types.Timestamp})
+	for c := 1; c < width; c++ {
+		rowType.Fields = append(rowType.Fields, types.Field{Name: fmt.Sprintf("c%d", c), Type: types.BigInt})
+	}
+	sa := NewStreamAgg(NewScan(schema.NewMemTable("events", rowType, nil), []string{"events"}),
+		rel.StreamWindow{Kind: rel.TumbleWindow, RowtimeCol: 0, SizeMs: 1000}, 0, []int{3},
+		[]rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")})
+	vecs := make([]*schema.Vector, width)
+	for c := range vecs {
+		d := make([]int64, n)
+		for r := range d {
+			d[r] = int64(1_000_000 + r%97*width + c) // beyond the runtime's small-int boxes
+		}
+		vecs[c] = &schema.Vector{Kind: schema.VecInt64, I64: d}
+	}
+	b := &schema.Batch{Len: n, Vecs: vecs}
+	sel := iotaSel(nil, n)
+	c := BindStreamAggOver(NewContext(), sa.StreamAggregate, nil, p, nil).(*streamAggCursor)
+	c.route(b, sel)
+	home := map[int64]int{}
+	routed := 0
+	for m, s := range c.sels {
+		for _, r := range s {
+			k := vecs[3].I64[r]
+			if h, ok := home[k]; ok && h != m {
+				t.Fatalf("key %d routed to machines %d and %d", k, h, m)
+			}
+			home[k] = m
+			routed++
+		}
+	}
+	if routed != n || len(home) != 97 {
+		t.Fatalf("routed %d rows of %d keys, want %d of 97", routed, len(home), n)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { c.route(b, sel) }); allocs != 0 {
+		t.Fatalf("routing one typed %d×%d batch allocated %.0f objects", n, width, allocs)
 	}
 }

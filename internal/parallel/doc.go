@@ -1,14 +1,15 @@
 // Package parallel implements morsel-driven parallel execution for the
 // vectorized batch convention: scans split into morsels that a pool of
-// resident workers claim dynamically, and exchange operators move batches
-// between the partitions of a pipeline over channels.
+// resident workers claim dynamically, and one exchange operator, the
+// gather, moves batches from the partitions of a pipeline into one stream
+// over channels.
 //
 // # Architecture
 //
 // Parallelize rewrites an optimized enumerable plan bottom-up, propagating
-// the trait.Distribution of each operator and inserting exchanges exactly
-// where a node's required input distribution is not satisfied (the same
-// reasoning the trait framework applies to collations):
+// the trait.Distribution of each operator and inserting a gather exactly
+// where a serial operator would read a partitioned input (the same reasoning
+// the trait framework applies to collations):
 //
 //   - batch-scannable scans become MorselScan (random distribution);
 //   - filters and projections run partition-local, preserving distribution;
@@ -21,9 +22,10 @@
 //     the partials' state batches (typed state columns), and one merge of
 //     them, a kernel per call, that orders the groups by first-seen
 //     position;
-//   - keyed TUMBLE/HOP stream aggregates scatter their serial input by group
-//     key and merge-gather the windows — the only hash exchange and the only
-//     merge-gather a plan holds;
+//   - keyed TUMBLE/HOP stream aggregates run p pane machines that share one
+//     clock: the operator routes each batch of its serial input by group key,
+//     the machines fold and emit on the pool, and each round's outputs merge
+//     once, inside the operator, into the serial emission order;
 //   - sorts, windows and every other operator run serially over a gather.
 //
 // A sort over a gather beats per-worker sorts merged on position columns:
@@ -37,10 +39,11 @@
 // blocking operators here own no group table, build table or sort buffer:
 // HashJoinPar drains into an exec.JoinBuild, PartialAgg runs one
 // exec.GroupedAgg per partition and FinalAgg one over the gathered partials
-// (state-batch modes), and StreamAggPar one exec.StreamAgg per hash
-// partition — the engines the serial operators use. Memory governance
-// therefore never changes the plan shape: every worker charges the query's
-// allocator through the same spill-capable code.
+// (state-batch modes), and StreamAggPar supplies its pool to the serial
+// stream aggregate's pane machines (exec.BindStreamAggOver) — the engines
+// the serial operators use. Memory governance therefore never changes the
+// plan shape: every worker charges the query's allocator through the same
+// spill-capable code.
 //
 // # Batch ownership at exchange boundaries
 //
@@ -51,10 +54,7 @@
 // boundary is therefore Detach()ed first: the selection vector (the one
 // buffer operators recycle) is copied, while column storage — immutable
 // once emitted — stays shared. Downstream of an exchange, a batch is owned
-// by the receiving partition until it is itself emitted or dropped. At a
-// MergeGather the merge holds each received batch until the output batch
-// that gathers rows from it has been built; its output batches are fresh
-// vectors owned by the consumer.
+// by the receiving partition until it is itself emitted or dropped.
 //
 // # Determinism
 //
@@ -69,9 +69,8 @@
 // # Cancellation
 //
 // Pipelines run under a context; the first error cancels it, tearing down
-// every exchange (producers unblock on channel sends, consumers on receives,
-// via ctx.Done) so no goroutine leaks. A consumer handle closed before its
-// partition was drained cancels the exchange it reads from as well, which is
-// how a failure above a scatter reaches the producers parked below it. Workers are shared per Framework through Pool, which
-// keeps them resident across queries and sheds them after an idle timeout.
+// every gather (producers unblock on channel sends, consumers on receives,
+// via ctx.Done) so no goroutine leaks, and so does the consumer's Close.
+// Workers are shared per Framework through Pool, which keeps them resident
+// across queries and sheds them after an idle timeout.
 package parallel

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 
 	"calcite/internal/exec"
 	"calcite/internal/rel"
@@ -163,62 +162,20 @@ func (s *MorselScan) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, er
 
 // --- exchange ---
 
-// ExchangeKind selects the data movement pattern of an Exchange node.
-type ExchangeKind int
-
-const (
-	// GatherKind merges p partitions into one stream in morsel order.
-	GatherKind ExchangeKind = iota
-	// MergeGatherKind merges p sorted partitions into one sorted stream.
-	MergeGatherKind
-	// HashKind repartitions rows by a hash of key columns.
-	HashKind
-)
-
-func (k ExchangeKind) String() string {
-	switch k {
-	case GatherKind:
-		return "GatherExchange"
-	case MergeGatherKind:
-		return "MergeGatherExchange"
-	}
-	return "HashExchange"
-}
-
-// Exchange is the explicit data-movement operator the parallel planner
-// inserts wherever a node's required distribution is not satisfied by its
-// input's distribution.
+// Exchange is the gather the parallel planner inserts wherever a serial
+// operator reads a partitioned input: it merges the input's partitions into
+// one stream in morsel (Seq) order.
 type Exchange struct {
 	input rel.Node
-	Kind  ExchangeKind
-	// Keys are the hash partitioning columns (HashKind).
-	Keys []int
-	// Collation is the merge order (MergeGatherKind).
-	Collation trait.Collation
-	dist      trait.Distribution
-	pool      *Pool
-	p         int
+	pool  *Pool
 }
 
 // NewGatherExchange merges the partitions of input into a single stream.
-func NewGatherExchange(input rel.Node, pool *Pool, p int) *Exchange {
-	return &Exchange{input: input, Kind: GatherKind, dist: trait.Singleton(), pool: pool, p: p}
+func NewGatherExchange(input rel.Node, pool *Pool) *Exchange {
+	return &Exchange{input: input, pool: pool}
 }
 
-// NewMergeGatherExchange merges partitions sorted on collation into one
-// sorted stream.
-func NewMergeGatherExchange(input rel.Node, collation trait.Collation, pool *Pool, p int) *Exchange {
-	return &Exchange{input: input, Kind: MergeGatherKind, Collation: collation,
-		dist: trait.Singleton(), pool: pool, p: p}
-}
-
-// NewHashExchange repartitions input rows by a hash of the key columns.
-func NewHashExchange(input rel.Node, keys []int, pool *Pool, p int) *Exchange {
-	return &Exchange{input: input, Kind: HashKind, Keys: keys,
-		dist: trait.Hashed(keys...), pool: pool, p: p}
-}
-
-func (e *Exchange) Op() string           { return e.Kind.String() }
+func (e *Exchange) Op() string           { return "GatherExchange" }
 func (e *Exchange) Inputs() []rel.Node   { return []rel.Node{e.input} }
 func (e *Exchange) RowType() *types.Type { return e.input.RowType() }
 
@@ -227,66 +184,21 @@ func (e *Exchange) RowType() *types.Type { return e.input.RowType() }
 func (e *Exchange) SyntheticNode() {}
 
 func (e *Exchange) Traits() trait.Set {
-	return trait.NewSet(trait.Enumerable).WithDistribution(e.dist)
+	return trait.NewSet(trait.Enumerable).WithDistribution(trait.Singleton())
 }
 
-func (e *Exchange) Attrs() string {
-	var parts []string
-	parts = append(parts, "dist="+e.dist.String())
-	if e.Kind == HashKind {
-		keys := make([]string, len(e.Keys))
-		for i, k := range e.Keys {
-			keys[i] = fmt.Sprintf("$%d", k)
-		}
-		parts = append(parts, "keys=["+strings.Join(keys, ", ")+"]")
-	}
-	if e.Kind == MergeGatherKind && len(e.Collation) > 0 {
-		parts = append(parts, "order="+e.Collation.String())
-	}
-	return strings.Join(parts, ", ")
-}
+func (e *Exchange) Attrs() string { return "dist=" + trait.Singleton().String() }
 
 func (e *Exchange) WithNewInputs(inputs []rel.Node) rel.Node {
-	c := *e
-	c.input = inputs[0]
-	return &c
+	return NewGatherExchange(inputs[0], e.pool)
 }
 
-// BindBatch binds the gathering exchanges as single cursors; for the hash
-// exchange it is the serial fallback (a pass-through).
 func (e *Exchange) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
-	switch e.Kind {
-	case GatherKind:
-		parts, err := BindPartitions(ctx, e.input)
-		if err != nil {
-			return nil, err
-		}
-		return Gather(e.pool, parts), nil
-	case MergeGatherKind:
-		parts, err := BindPartitions(ctx, e.input)
-		if err != nil {
-			return nil, err
-		}
-		return MergeGather(e.pool, parts, e.Collation, ctx.BatchSize), nil
-	}
-	return exec.BindBatch(ctx, e.input)
-}
-
-// BindPartitions implements the hash exchange, the one scattering kind. The
-// gathering kinds present their single stream as one partition.
-func (e *Exchange) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
-	if e.Kind == HashKind {
-		parts, err := BindPartitions(ctx, e.input)
-		if err != nil {
-			return nil, err
-		}
-		return Scatter(parts, e.p, e.Keys), nil
-	}
-	bc, err := e.BindBatch(ctx)
+	parts, err := BindPartitions(ctx, e.input)
 	if err != nil {
 		return nil, err
 	}
-	return []schema.BatchCursor{bc}, nil
+	return Gather(e.pool, parts), nil
 }
 
 // --- partitioned hash join ---

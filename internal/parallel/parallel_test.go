@@ -204,175 +204,61 @@ func (c *failAfterCursor) NextBatch() (*schema.Batch, error) {
 
 func (c *failAfterCursor) Close() error { return c.in.Close() }
 
-// TestFailingGatherPartitionCancelsScatter: when one partition between a
-// scatter and a gather dies, the gather's producer closes it undrained. That
-// must cancel the scatter — its senders would otherwise park forever on the
-// dead partition's channel and starve the surviving partitions — and the
-// gather must report the failure without waiting for the other partitions.
-func TestFailingGatherPartitionCancelsScatter(t *testing.T) {
+// endlessCursor produces batches until it is closed, counting its Close.
+type endlessCursor struct {
+	seq    int64
+	closed *atomic.Int32
+}
+
+func (c *endlessCursor) NextBatch() (*schema.Batch, error) {
+	b := schema.BatchFromRows([][]any{{c.seq}}, 1)
+	b.Seq = c.seq
+	c.seq++
+	return b, nil
+}
+
+func (c *endlessCursor) Close() error {
+	c.closed.Add(1)
+	return nil
+}
+
+// TestFailingGatherPartitionTearsDownSiblings: when one partition of a
+// gather fails, the gather reports that error without waiting for its
+// siblings — which never end on their own here — and its Close unblocks the
+// producers parked on full channels, which close every partition.
+func TestFailingGatherPartitionTearsDownSiblings(t *testing.T) {
 	boom := errors.New("partition failed")
-	for _, merge := range []bool{false, true} {
-		parts := Scatter([]schema.BatchCursor{schema.NewSliceBatchCursor(seqBatches(400))}, 4, []int{0})
-		parts[2] = &failAfterCursor{in: parts[2], n: 1, err: boom}
-		var g schema.BatchCursor
-		if merge {
-			coll := trait.Collation{{Field: 0, Direction: trait.Ascending}}
-			g = MergeGather(NewPool(4), parts, coll, 16)
-		} else {
-			g = Gather(NewPool(4), parts)
-		}
-		done := make(chan error, 1)
-		go func() {
-			for {
-				if _, err := g.NextBatch(); err != nil {
-					done <- err
-					return
-				}
-			}
-		}()
-		select {
-		case err := <-done:
-			if err != boom {
-				t.Fatalf("merge=%v: gather error = %v, want %v", merge, err, boom)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("merge=%v: gather over a dead partition never returned", merge)
-		}
-		g.Close()
+	var closed atomic.Int32
+	parts := make([]schema.BatchCursor, 4)
+	for i := range parts {
+		parts[i] = &endlessCursor{closed: &closed}
 	}
-}
-
-// TestEarlyClosedScatterPartitionIsNotEndOfStream: a scatter consumer that
-// closes undrained without an error of its own tears the exchange down; its
-// siblings' truncated streams must end in an error, never in Done.
-func TestEarlyClosedScatterPartitionIsNotEndOfStream(t *testing.T) {
-	parts := Scatter([]schema.BatchCursor{schema.NewSliceBatchCursor(seqBatches(400))}, 4, []int{0})
-	if _, err := parts[1].NextBatch(); err != nil {
-		t.Fatal(err)
-	}
-	parts[1].Close()
-	for {
-		_, err := parts[0].NextBatch()
-		if err == schema.Done {
-			t.Fatal("truncated sibling partition reported end-of-stream")
-		}
-		if err != nil {
-			break
-		}
-	}
-	for _, i := range []int{0, 2, 3} {
-		parts[i].Close()
-	}
-}
-
-func TestScatterHashColocatesKeys(t *testing.T) {
-	const p = 3
-	rows := make([][]any, 30)
-	for i := range rows {
-		rows[i] = []any{int64(i % 7), int64(i)}
-	}
-	in := schema.NewSliceBatchCursor([]*schema.Batch{schema.BatchFromRows(rows, 2)})
-	outs := Scatter([]schema.BatchCursor{in}, p, []int{0})
-	keyHome := map[string]int{}
-	seen := 0
-	for pi, out := range outs {
+	parts[2] = &failAfterCursor{in: parts[2], n: 1, err: boom}
+	g := Gather(NewPool(4), parts)
+	done := make(chan error, 1)
+	go func() {
 		for {
-			b, err := out.NextBatch()
-			if err == schema.Done {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < b.NumRows(); i++ {
-				row := b.Row(i)
-				k := types.HashRowKey(row, []int{0})
-				if home, ok := keyHome[k]; ok && home != pi {
-					t.Fatalf("key %q split across partitions %d and %d", k, home, pi)
-				}
-				keyHome[k] = pi
-				seen++
+			if _, err := g.NextBatch(); err != nil {
+				done <- err
+				return
 			}
 		}
-		out.Close()
-	}
-	if seen != len(rows) {
-		t.Fatalf("scattered %d rows, want %d", seen, len(rows))
-	}
-	if len(keyHome) != 7 {
-		t.Fatalf("saw %d keys, want 7", len(keyHome))
-	}
-}
-
-// TestScatterHashRoutingReadsKeyVectorsOnly: routing a typed batch encodes
-// the key from its key vector alone — no column is boxed to hash a row. A
-// boxed copy of this batch would be ten slices and ten thousand boxed int64s;
-// the whole exchange (channels, goroutines, four selection vectors) stays two
-// orders of magnitude under that.
-func TestScatterHashRoutingReadsKeyVectorsOnly(t *testing.T) {
-	const n, width, p = 1024, 10, 4
-	vecs := make([]*schema.Vector, width)
-	for c := range vecs {
-		d := make([]int64, n)
-		for r := range d {
-			d[r] = int64(1_000_000 + r*width + c) // beyond the runtime's small-int boxes
+	}()
+	select {
+	case err := <-done:
+		if err != boom {
+			t.Fatalf("gather error = %v, want %v", err, boom)
 		}
-		vecs[c] = &schema.Vector{Kind: schema.VecInt64, I64: d}
+	case <-time.After(30 * time.Second):
+		t.Fatal("gather over a failed partition never returned")
 	}
-	batch := &schema.Batch{Len: n, Vecs: vecs}
-	rows := 0
-	allocs := testing.AllocsPerRun(10, func() {
-		in := schema.NewSliceBatchCursor([]*schema.Batch{batch})
-		for _, out := range Scatter([]schema.BatchCursor{in}, p, []int{3}) {
-			for {
-				b, err := out.NextBatch()
-				if err != nil {
-					break
-				}
-				rows += b.NumRows()
-			}
-			out.Close()
-		}
-	})
-	if rows != 11*n {
-		t.Fatalf("scattered %d rows over 11 runs, want %d", rows, 11*n)
+	g.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for closed.Load() < int32(len(parts)) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
 	}
-	if allocs > 100 {
-		t.Fatalf("hash-routing one typed %d×%d batch allocated %.0f objects", n, width, allocs)
-	}
-}
-
-// TestMergeGatherOrders: the merge-gather interleaves sorted partitions into
-// one sorted stream, ties to the lowest partition, every column kept.
-func TestMergeGatherOrders(t *testing.T) {
-	pool := NewPool(2)
-	// Two sorted runs of (value, source); merge ascending by value.
-	run := func(src int64, vals ...int64) schema.BatchCursor {
-		rows := make([][]any, len(vals))
-		for i, v := range vals {
-			rows[i] = []any{v, src}
-		}
-		return schema.NewSliceBatchCursor([]*schema.Batch{schema.BatchFromRows(rows, 2)})
-	}
-	coll := trait.Collation{{Field: 0, Direction: trait.Ascending}}
-	m := MergeGather(pool, []schema.BatchCursor{run(0, 1, 3, 5, 5, 7), run(1, 2, 4, 5, 6)}, coll, 0)
-	defer m.Close()
-	var got []string
-	for {
-		b, err := m.NextBatch()
-		if err == schema.Done {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < b.NumRows(); i++ {
-			got = append(got, fmt.Sprint(b.Row(i)))
-		}
-	}
-	want := "[1 0] [2 1] [3 0] [4 1] [5 0] [5 0] [5 1] [6 1] [7 0]"
-	if strings.Join(got, " ") != want {
-		t.Fatalf("got %s, want %s", strings.Join(got, " "), want)
+	if n := closed.Load(); n != int32(len(parts)) {
+		t.Fatalf("%d of %d partitions closed after teardown", n, len(parts))
 	}
 }
 
@@ -405,7 +291,7 @@ func planOps(n rel.Node) string {
 
 // TestParallelizeInsertsExchanges pins the aggregate's parallel shape, keyed
 // and global: per-worker partial states over the morsels, gathered into one
-// final merge — no hash exchange, no merge-gather.
+// final merge.
 func TestParallelizeInsertsExchanges(t *testing.T) {
 	pool := NewPool(4)
 	filter := exec.NewFilter(memScan(t, "t", 100), rex.NewCall(rex.OpGreater,
@@ -422,6 +308,37 @@ func TestParallelizeInsertsExchanges(t *testing.T) {
 		}
 		if got, want := plan.RowType().String(), agg.RowType().String(); got != want {
 			t.Errorf("keys %v: final row type %s, want the aggregate's %s", keys, got, want)
+		}
+	}
+}
+
+// TestParallelizeStreamAggregate pins the stream aggregate's parallel shape:
+// a keyed TUMBLE or HOP window becomes one ParallelStreamAggregate straight
+// over its serial stream scan, one stream with no exchange; a SESSION or a
+// global window stays the serial operator.
+func TestParallelizeStreamAggregate(t *testing.T) {
+	tbl := &cancelingStream{MemTable: schema.NewMemTable("events", types.Row(
+		types.Field{Name: "rowtime", Type: types.Timestamp},
+		types.Field{Name: "k", Type: types.BigInt},
+	), nil)}
+	scan := exec.NewScan(tbl, []string{"events"})
+	count := []rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")}
+	for _, tc := range []struct {
+		win  rel.StreamWindow
+		keys []int
+		want string
+	}{
+		{rel.StreamWindow{Kind: rel.TumbleWindow, SizeMs: 1000}, []int{1}, "ParallelStreamAggregate > EnumerableTableScan"},
+		{rel.StreamWindow{Kind: rel.HopWindow, SizeMs: 3000, SlideMs: 1000}, []int{1}, "ParallelStreamAggregate > EnumerableTableScan"},
+		{rel.StreamWindow{Kind: rel.TumbleWindow, SizeMs: 1000}, nil, "EnumerableStreamAggregate > EnumerableTableScan"},
+		{rel.StreamWindow{Kind: rel.SessionWindow, GapMs: 1000}, []int{1}, "EnumerableStreamAggregate > EnumerableTableScan"},
+	} {
+		plan := Parallelize(exec.NewStreamAgg(scan, tc.win, 0, tc.keys, count), NewPool(4), 4)
+		if got := planOps(plan); got != tc.want {
+			t.Errorf("%v keys %v: plan %s, want %s", tc.win.Kind, tc.keys, got, tc.want)
+		}
+		if dist := plan.Traits().Distribution; dist.Partitioned() {
+			t.Errorf("%v keys %v: root distribution = %s, want one stream", tc.win.Kind, tc.keys, dist)
 		}
 	}
 }
@@ -635,8 +552,8 @@ func TestParallelStableSortTies(t *testing.T) {
 
 // TestParallelizeWindowIsSerial pins the window's parallel shape: a
 // PARTITION BY window runs serially over a gather of the morsel scan — no
-// hash exchange, no per-worker window, no merge-gather — and returns the
-// serial run's rows in the serial order (checkAgainstSerial).
+// per-worker window — and returns the serial run's rows in the serial order
+// (checkAgainstSerial).
 func TestParallelizeWindowIsSerial(t *testing.T) {
 	win := exec.NewWindow(memScan(t, "t", 3000), []rel.WindowGroup{{
 		PartitionKeys: []int{1},

@@ -2,9 +2,9 @@ package parallel
 
 // The parallel planner: a physical rewrite phase that turns an optimized
 // enumerable plan into a morsel-driven parallel plan. It propagates the
-// distribution trait bottom-up and inserts exchange operators exactly where
-// a node's required input distribution is not satisfied (trait.Distribution
-// .Satisfies), the same reasoning the trait framework applies to collations:
+// distribution trait bottom-up and inserts a gather exactly where a serial
+// operator would read a partitioned input (trait.Distribution.Partitioned),
+// the same reasoning the trait framework applies to collations:
 //
 //   - batch-scannable scans become MorselScan (random distribution);
 //   - filters and projections execute in place, preserving distribution;
@@ -14,8 +14,8 @@ package parallel
 //     single stream and run serially);
 //   - aggregates split into thread-local partial aggregation, a gather, and
 //     one final merge of the partial states, in first-seen group order;
-//   - keyed TUMBLE/HOP stream aggregates scatter their serial input by group
-//     key and merge-gather the windows: the one use of those two exchanges;
+//   - keyed TUMBLE/HOP stream aggregates become one ParallelStreamAggregate
+//     over their serial input, its pane machines folding on the pool;
 //   - every other operator (sorts, windows, set ops, adapters, DML) requires
 //     the singleton distribution, so partitioned inputs gather in front of
 //     it. A sort or a window sorts once over the Seq-ordered gather: per-
@@ -31,8 +31,8 @@ package parallel
 // Division of labour: parallel moves batches; tables, charging and spill live
 // in exec. The blocking operators placed here (HashJoinPar, PartialAgg,
 // FinalAgg, StreamAggPar) only schedule exec's JoinBuild, GroupedAgg and
-// StreamAgg across partitions, so a memory-governed plan has the same shape
-// as an ungoverned one.
+// stream aggregate across workers, so a memory-governed plan has the same
+// shape as an ungoverned one.
 
 import (
 	"calcite/internal/exec"
@@ -51,7 +51,7 @@ func Parallelize(root rel.Node, pool *Pool, p int) rel.Node {
 	r := &rewriter{pool: pool, p: p}
 	n, dist := r.rewrite(root)
 	if dist.Partitioned() {
-		n = NewGatherExchange(n, pool, p)
+		n = NewGatherExchange(n, pool)
 	}
 	return n
 }
@@ -64,7 +64,7 @@ type rewriter struct {
 // singleton wraps n with a gather exchange when it is partitioned.
 func (r *rewriter) singleton(n rel.Node, d trait.Distribution) rel.Node {
 	if d.Partitioned() {
-		return NewGatherExchange(n, r.pool, r.p)
+		return NewGatherExchange(n, r.pool)
 	}
 	return n
 }
@@ -119,30 +119,19 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 		// The workers' partial states gather into one merge, which orders
 		// the groups by first-seen position, as the serial aggregate does.
 		inner := x.WithNewInputs([]rel.Node{in}).(*exec.Aggregate)
-		gathered := NewGatherExchange(NewPartialAgg(inner, r.pool, r.p), r.pool, r.p)
+		gathered := NewGatherExchange(NewPartialAgg(inner, r.pool, r.p), r.pool)
 		return NewFinalAgg(inner, gathered), trait.Singleton()
 
 	case *exec.StreamAgg:
-		// Keyed tumble/hop windows scatter by group key; the input below the
-		// exchange deliberately stays serial (no recursive rewrite): morsel
-		// scans interleave arbitrarily, which would break each partition's
-		// bounded out-of-orderness, while Scatter preserves the single
-		// producer's arrival order per partition. Global windows have no key
-		// to scatter on, and session windows close in data-dependent order
-		// (a long-lived session outlasts later-starting ones), so neither
-		// has a mergeable per-partition collation — they run serially.
+		// Keyed tumble/hop windows split their keys over pane machines that
+		// fold on the pool. Global windows have no key to split on, and
+		// session windows stay serial: they run one pane machine.
+		in, d := r.rewrite(x.Inputs()[0])
+		agg := x.WithNewInputs([]rel.Node{r.singleton(in, d)}).(*exec.StreamAgg)
 		if len(x.GroupKeys) == 0 || x.Window.Kind == rel.SessionWindow {
-			in, d := r.rewrite(x.Inputs()[0])
-			return x.WithNewInputs([]rel.Node{r.singleton(in, d)}), trait.Singleton()
+			return agg, trait.Singleton()
 		}
-		ex := NewHashExchange(x.Inputs()[0], x.GroupKeys, r.pool, r.p)
-		sp := NewStreamAggPar(x.WithNewInputs([]rel.Node{ex}).(*exec.StreamAgg), r.pool, r.p)
-		coll := trait.Collation{{Field: 0, Direction: trait.Ascending}}
-		for i := range x.GroupKeys {
-			coll = append(coll, trait.FieldCollation{Field: 2 + i, Direction: trait.Ascending})
-		}
-		coll = append(coll, trait.FieldCollation{Field: 1, Direction: trait.Ascending})
-		return NewMergeGatherExchange(sp, coll, r.pool, r.p), trait.Singleton()
+		return NewStreamAggPar(agg, r.pool, r.p), trait.Singleton()
 
 	default:
 		// Every other operator runs serially over singleton inputs;

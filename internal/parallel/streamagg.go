@@ -1,86 +1,55 @@
 package parallel
 
-// Partitioned streaming aggregation. A keyed StreamAggregate hash-exchanges
-// its input on the group keys: each worker owns a disjoint key range and
-// maintains its window state (panes, watermarks, spill) independently,
-// charging the shared query budget. Event-time order is load-bearing here —
-// the watermark of each partition trails the maximum rowtime *it* has seen —
-// so the input below the exchange stays a single serial stream (no morsel
-// scan): Scatter preserves the producer's arrival order per partition, and
-// every partition's bounded out-of-orderness matches the serial engine's.
-// Each partition emits its windows in (window_start, key…, window_end)
-// order — window ends only move forward with the watermark — so a merge-
-// gather over that collation restores one deterministic global emission
-// order with no hidden columns.
+// Parallel streaming aggregation. A keyed TUMBLE/HOP window runs as one
+// operator whose p pane machines share one event-time clock
+// (exec.BindStreamAggOver): each input batch is routed by group key into p
+// selections that the pool folds concurrently, and each emission round's p
+// sorted outputs merge once, inside the operator, into the serial emission
+// order. Event-time order is load-bearing — the watermark trails the maximum
+// rowtime seen — so the input stays one serial stream, read in arrival
+// order.
 
 import (
 	"calcite/internal/exec"
 	"calcite/internal/rel"
 	"calcite/internal/schema"
 	"calcite/internal/trait"
-	"calcite/internal/types"
 )
 
-// StreamAggPar runs a keyed streaming aggregation partition-parallel over a
-// hash exchange on the group keys.
+// StreamAggPar is a keyed streaming aggregation whose pane machines fold on
+// the pool. It is a singleton node: one stream in, one stream out.
 type StreamAggPar struct {
-	inner *exec.StreamAgg
-	pool  *Pool
-	p     int
+	*exec.StreamAgg
+	pool *Pool
+	p    int
 }
 
-// NewStreamAggPar wraps an enumerable streaming aggregation (whose input
-// must already be distributed on the group keys) for partitioned execution.
+// NewStreamAggPar wraps an enumerable streaming aggregation to run p pane
+// machines on pool.
 func NewStreamAggPar(inner *exec.StreamAgg, pool *Pool, p int) *StreamAggPar {
-	return &StreamAggPar{inner: inner, pool: pool, p: p}
+	return &StreamAggPar{StreamAgg: inner, pool: pool, p: p}
 }
 
-func (a *StreamAggPar) Op() string           { return "ParallelStreamAggregate" }
-func (a *StreamAggPar) Inputs() []rel.Node   { return a.inner.Inputs() }
-func (a *StreamAggPar) Attrs() string        { return a.inner.Attrs() }
-func (a *StreamAggPar) RowType() *types.Type { return a.inner.RowType() }
+func (a *StreamAggPar) Op() string { return "ParallelStreamAggregate" }
 
 func (a *StreamAggPar) Traits() trait.Set {
-	return trait.NewSet(trait.Enumerable).WithDistribution(trait.RandomDist())
+	return a.StreamAgg.Traits().WithDistribution(trait.Singleton())
 }
 
 func (a *StreamAggPar) WithNewInputs(inputs []rel.Node) rel.Node {
-	return NewStreamAggPar(a.inner.WithNewInputs(inputs).(*exec.StreamAgg), a.pool, a.p)
+	return NewStreamAggPar(a.StreamAgg.WithNewInputs(inputs).(*exec.StreamAgg), a.pool, a.p)
 }
 
-// BindBatch is the serial fallback: the whole input streams through one
-// window-state machine.
+// BindBatch reads the input and hands on the output each through a
+// one-partition Gather, so the scan, the folds and the consumer overlap.
 func (a *StreamAggPar) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
-	in, err := exec.BindBatch(ctx, a.inner.Inputs()[0])
+	in, err := exec.BindBatch(ctx, a.Inputs()[0])
 	if err != nil {
 		return nil, err
 	}
-	return exec.BindStreamAggOver(ctx, a.inner.StreamAggregate, in)
-}
-
-// BindPartitions gives every hash-exchanged partition its own window-state
-// machine; the cursors are lazy, so the per-partition work happens in the
-// workers driving the gathering merge above.
-func (a *StreamAggPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, error) {
-	parts, err := BindPartitions(ctx, a.inner.Inputs()[0])
-	if err != nil {
-		return nil, err
+	run := func(n int, fold func(i int) error) error {
+		return a.pool.Run(nil, n, func(_ ctxT, i int) error { return fold(i) })
 	}
-	results := make([]schema.BatchCursor, len(parts))
-	for i, part := range parts {
-		bc, err := exec.BindStreamAggOver(ctx, a.inner.StreamAggregate, part)
-		if err != nil {
-			for _, done := range results {
-				if done != nil {
-					done.Close()
-				}
-			}
-			for _, rest := range parts[i:] {
-				rest.Close()
-			}
-			return nil, err
-		}
-		results[i] = bc
-	}
-	return results, nil
+	agg := exec.BindStreamAggOver(ctx, a.StreamAggregate, Gather(a.pool, []schema.BatchCursor{in}), a.p, run)
+	return Gather(a.pool, []schema.BatchCursor{agg}), nil
 }

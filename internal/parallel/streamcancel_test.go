@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,5 +125,52 @@ func TestStreamAggCancelReleasesState(t *testing.T) {
 				t.Errorf("%s: state-bytes gauge reads %d after the cancel", name, n)
 			}
 		}
+	}
+}
+
+// TestStreamAggFoldErrorReleasesState: a fold that fails in one pane machine
+// — a rowtime that is not a timestamp, on a row whose key only that machine
+// owns, after the standing state has spilled — fails a parallel keyed HOP
+// query with that machine's error, and the query gives everything back: no
+// reserved bytes, no spill file, no goroutine.
+func TestStreamAggFoldErrorReleasesState(t *testing.T) {
+	const n, badAt = 6000, 4000
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = []any{int64(i * 50), int64(i % 37), int64(i % 1009)}
+	}
+	rows[badAt][0] = "not a time"
+	rowType := types.Row(
+		types.Field{Name: "rowtime", Type: types.Timestamp},
+		types.Field{Name: "k", Type: types.BigInt},
+		types.Field{Name: "v", Type: types.BigInt},
+	)
+	// A stream table (so the scan stays serial) that never cancels.
+	tbl := &cancelingStream{MemTable: schema.NewMemTable("events", rowType, rows), at: -1, flag: &atomic.Bool{}}
+	agg := exec.NewStreamAgg(exec.NewScan(tbl, []string{"events"}),
+		rel.StreamWindow{Kind: rel.HopWindow, RowtimeCol: 0, SizeMs: 8000, SlideMs: 1000},
+		600_000, []int{1}, []rex.AggCall{
+			rex.NewAggCall(rex.AggCount, nil, false, "c"),
+			rex.NewAggCall(rex.AggCount, []int{2}, true, "d"),
+		})
+	plan := Parallelize(agg, NewPool(4), 4)
+	if plan.Op() != "ParallelStreamAggregate" {
+		t.Fatalf("plan %s, want a ParallelStreamAggregate", planOps(plan))
+	}
+	baseline := runtime.NumGoroutine()
+	ctx := exec.NewContext()
+	ctx.BatchSize = 128
+	pool := memory.NewPool(16 << 10)
+	ctx.Alloc = memory.NewAllocator(pool, 0, true)
+	_, err := exec.Execute(ctx, plan)
+	if err == nil || !strings.Contains(err.Error(), "holds string, want a timestamp") {
+		t.Fatalf("err = %v, want the failing machine's rowtime error", err)
+	}
+	if pool.Counters().SpillEvents == 0 {
+		t.Error("the state never spilled before the failure; the spill teardown was not exercised")
+	}
+	settled(t, "fold error", ctx.Alloc, baseline)
+	if n := exec.StreamStateBytes(); n != 0 {
+		t.Errorf("state-bytes gauge reads %d after the failure", n)
 	}
 }

@@ -3,17 +3,14 @@
 // a relational expression without changing its logical semantics. Three
 // traits are implemented: the calling convention (which engine executes the
 // expression), collation (sort order) — both as in Calcite — and
-// distribution (how rows spread across the partitions of a parallel plan:
-// singleton, hash-partitioned on a key set, or random).
+// distribution (whether rows flow through one stream or spread over the
+// partitions of a parallel plan).
 //
 // The planner reasons about traits to remove redundant work and to place
 // operators correctly: a Sort whose input already satisfies its collation is
 // removed, an adapter absorbs operators by converting conventions (Figure 2
-// of the paper), and the parallel rewriter inserts exchange operators
-// exactly where a node's required input distribution is not Satisfied by its
-// child's. Satisfies is deliberately directional: a singleton stream
-// satisfies any required distribution's ordering needs differently than a
-// hashed one, and conversions between them are what exchanges implement.
+// of the paper), and the parallel rewriter inserts a gather exactly where a
+// serial operator would read a partitioned input.
 package trait
 
 import (
@@ -133,13 +130,10 @@ type DistributionKind int
 
 const (
 	// DistAny is the zero value: the distribution is unknown or
-	// unconstrained (every distribution satisfies it).
+	// unconstrained.
 	DistAny DistributionKind = iota
 	// DistSingleton means all rows flow through a single stream.
 	DistSingleton
-	// DistHashed means rows are partitioned by a hash of key columns: rows
-	// equal on the keys are in the same partition.
-	DistHashed
 	// DistRandom means rows are partitioned with no placement guarantee
 	// (morsel-driven scans and the operators above them).
 	DistRandom
@@ -147,13 +141,10 @@ const (
 
 // Distribution is the physical trait describing data placement across the
 // partitions of a parallel plan. It plays the same role for exchange
-// placement that Collation plays for sort elimination: an operator states
-// the distribution it requires and the planner inserts an exchange whenever
-// the input's distribution does not satisfy it.
+// placement that Collation plays for sort elimination: a serial operator
+// over a partitioned input needs a gather in between.
 type Distribution struct {
 	Kind DistributionKind
-	// Keys are the partitioning column ordinals (DistHashed only).
-	Keys []int
 }
 
 // AnyDist is the unconstrained distribution (the zero value).
@@ -162,78 +153,16 @@ var AnyDist = Distribution{}
 // Singleton returns the single-stream distribution.
 func Singleton() Distribution { return Distribution{Kind: DistSingleton} }
 
-// Hashed returns a hash distribution over the given key ordinals.
-func Hashed(keys ...int) Distribution { return Distribution{Kind: DistHashed, Keys: keys} }
-
 // RandomDist returns the arbitrary (morsel) distribution.
 func RandomDist() Distribution { return Distribution{Kind: DistRandom} }
 
 // Partitioned reports whether rows are spread over more than one stream.
-func (d Distribution) Partitioned() bool {
-	return d.Kind == DistHashed || d.Kind == DistRandom
-}
-
-// Satisfies reports whether data distributed as d can be consumed by an
-// operator requiring req without an exchange in between:
-//
-//   - anything satisfies DistAny;
-//   - DistSingleton satisfies everything (all rows are colocated);
-//   - DistHashed(K) satisfies DistHashed(R) when K ⊆ R — rows equal on a
-//     superset of the hash keys are necessarily equal on the keys, hence
-//     already colocated;
-//   - DistRandom satisfies only DistRandom (and DistAny).
-func (d Distribution) Satisfies(req Distribution) bool {
-	if req.Kind == DistAny {
-		return true
-	}
-	if d.Kind == DistSingleton {
-		return true
-	}
-	if d.Kind != req.Kind {
-		return false
-	}
-	if d.Kind == DistHashed {
-		// Every one of d's keys must appear in req's keys.
-		for _, k := range d.Keys {
-			found := false
-			for _, r := range req.Keys {
-				if k == r {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return len(d.Keys) > 0
-	}
-	return true
-}
-
-// Equal reports whether two distributions are identical.
-func (d Distribution) Equal(o Distribution) bool {
-	if d.Kind != o.Kind || len(d.Keys) != len(o.Keys) {
-		return false
-	}
-	for i := range d.Keys {
-		if d.Keys[i] != o.Keys[i] {
-			return false
-		}
-	}
-	return true
-}
+func (d Distribution) Partitioned() bool { return d.Kind == DistRandom }
 
 func (d Distribution) String() string {
 	switch d.Kind {
 	case DistSingleton:
 		return "singleton"
-	case DistHashed:
-		parts := make([]string, len(d.Keys))
-		for i, k := range d.Keys {
-			parts[i] = fmt.Sprintf("$%d", k)
-		}
-		return "hashed[" + strings.Join(parts, ", ") + "]"
 	case DistRandom:
 		return "random"
 	}

@@ -53,102 +53,29 @@ func TestCollationEqualAndString(t *testing.T) {
 	}
 }
 
-func TestDistributionSatisfies(t *testing.T) {
-	cases := []struct {
-		have, need Distribution
-		want       bool
-	}{
-		// Anything satisfies the unconstrained requirement.
-		{AnyDist, AnyDist, true},
-		{Singleton(), AnyDist, true},
-		{Hashed(1), AnyDist, true},
-		{RandomDist(), AnyDist, true},
-		// A singleton stream satisfies every requirement (all rows are
-		// colocated by definition).
-		{Singleton(), Singleton(), true},
-		{Singleton(), Hashed(0, 1), true},
-		{Singleton(), RandomDist(), true},
-		// Hash distributions: rows hashed on a subset of the required keys
-		// are already colocated for the superset grouping.
-		{Hashed(0), Hashed(0), true},
-		{Hashed(0), Hashed(0, 1), true},
-		{Hashed(1, 0), Hashed(0, 1), true}, // key order irrelevant
-		{Hashed(0, 1), Hashed(0), false},   // superset does not satisfy subset
-		{Hashed(2), Hashed(0, 1), false},
-		// Random placement guarantees nothing.
-		{RandomDist(), Singleton(), false},
-		{RandomDist(), Hashed(0), false},
-		{RandomDist(), RandomDist(), true},
-		// Partitioned data never satisfies singleton.
-		{Hashed(0), Singleton(), false},
-		// The unknown distribution satisfies only "any".
-		{AnyDist, Singleton(), false},
-		{AnyDist, Hashed(0), false},
-	}
-	for i, c := range cases {
-		if got := c.have.Satisfies(c.need); got != c.want {
-			t.Errorf("case %d: %s.Satisfies(%s) = %v, want %v", i, c.have, c.need, got, c.want)
-		}
-	}
-}
-
-// TestDistributionConversion checks the planner's exchange-placement logic
-// at the trait level: which exchange kind converts one distribution into
-// another, mirroring how collation conversion implies a sort.
-func TestDistributionConversion(t *testing.T) {
-	// A gather produces a singleton from any partitioned input, and a
-	// singleton result then satisfies every downstream requirement.
-	for _, from := range []Distribution{RandomDist(), Hashed(0), Hashed(2, 3)} {
-		if from.Satisfies(Singleton()) {
-			t.Errorf("%s must need a gather before a singleton consumer", from)
-		}
-		if !Singleton().Satisfies(Hashed(0)) || !Singleton().Satisfies(RandomDist()) {
-			t.Error("gather output must satisfy any downstream distribution")
-		}
-	}
-	// A hash exchange on keys K produces Hashed(K), which satisfies any
-	// requirement over a superset of K but not over disjoint keys.
-	out := Hashed(0, 1)
-	if !out.Satisfies(Hashed(0, 1, 2)) {
-		t.Error("hash exchange output must satisfy superset-key grouping")
-	}
-	if out.Satisfies(Hashed(2)) {
-		t.Error("hash exchange output must not satisfy disjoint keys")
-	}
-}
-
-func TestDistributionEqualAndString(t *testing.T) {
-	if !Hashed(0, 1).Equal(Hashed(0, 1)) || Hashed(0, 1).Equal(Hashed(1, 0)) {
-		t.Error("Equal is positional")
-	}
-	if Hashed(0).Equal(RandomDist()) || !AnyDist.Equal(Distribution{}) {
-		t.Error("Equal kind handling broken")
-	}
-	if got := Hashed(0, 2).String(); got != "hashed[$0, $2]" {
-		t.Errorf("String: %s", got)
-	}
+func TestDistributionStringAndPartitioned(t *testing.T) {
 	if Singleton().String() != "singleton" || RandomDist().String() != "random" || AnyDist.String() != "any" {
 		t.Error("distribution String broken")
 	}
-	if Singleton().Partitioned() || AnyDist.Partitioned() || !Hashed(0).Partitioned() || !RandomDist().Partitioned() {
+	if Singleton().Partitioned() || AnyDist.Partitioned() || !RandomDist().Partitioned() {
 		t.Error("Partitioned classification broken")
 	}
 }
 
 func TestSetWithDistribution(t *testing.T) {
 	s := NewSet(Enumerable)
-	s2 := s.WithDistribution(Hashed(1))
-	if !s2.Distribution.Equal(Hashed(1)) {
+	s2 := s.WithDistribution(RandomDist())
+	if s2.Distribution != RandomDist() {
 		t.Errorf("distribution not set: %s", s2)
 	}
-	if !s.Distribution.Equal(AnyDist) {
+	if s.Distribution != AnyDist {
 		t.Errorf("original mutated: %s", s)
 	}
-	if s2.String() != "enumerable.hashed[$1]" {
+	if s2.String() != "enumerable.random" {
 		t.Errorf("String: %s", s2.String())
 	}
 	full := s2.WithCollation(Collation{{0, Ascending}})
-	if full.String() != "enumerable.[$0 ASC].hashed[$1]" {
+	if full.String() != "enumerable.[$0 ASC].random" {
 		t.Errorf("String: %s", full.String())
 	}
 }

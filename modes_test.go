@@ -3,6 +3,7 @@ package calcite_test
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -365,12 +366,26 @@ func TestParallelSmallBatches(t *testing.T) {
 	}
 }
 
-// TestParallelizedPlansGatherOnly pins the exchange map of the batch engine: at
-// parallelism 4 every statement of the corpus runs over gathers only — sorts
-// and final aggregates finish once above a GatherExchange — so no executed
-// plan holds a hash exchange, a merge-gather or a per-worker sort. (Only a
-// keyed TUMBLE/HOP stream aggregate scatters and merge-gathers.)
+// TestParallelizedPlansGatherOnly pins the exchange map of the engine: at
+// parallelism 4 every statement of the diff corpus and of the stream corpus
+// runs over gathers only — sorts and final aggregates finish once above a
+// GatherExchange — so no executed plan holds another exchange or a
+// per-worker sort. Keyed TUMBLE/HOP windows run ParallelStreamAggregate
+// (pane machines folding on the pool, with no exchange in the plan), not a
+// silently serial operator; SESSION and global windows run serially.
 func TestParallelizedPlansGatherOnly(t *testing.T) {
+	exchange := regexp.MustCompile(`\w*Exchange`)
+	check := func(sql, plan string) {
+		t.Helper()
+		for _, op := range exchange.FindAllString(plan, -1) {
+			if op != "GatherExchange" {
+				t.Errorf("%s\n  parallel plan holds %s:\n%s", sql, op, plan)
+			}
+		}
+		if strings.Contains(plan, "ParallelSort") {
+			t.Errorf("%s\n  parallel plan holds ParallelSort:\n%s", sql, plan)
+		}
+	}
 	conn := diffConn()
 	conn.SetParallelism(4)
 	partials := 0
@@ -379,15 +394,28 @@ func TestParallelizedPlansGatherOnly(t *testing.T) {
 			continue
 		}
 		plan := obs.RenderSpans(conn.LastTraces(1)[0].Spans)
-		for _, op := range []string{"HashExchange", "MergeGatherExchange", "ParallelSort"} {
-			if strings.Contains(plan, op) {
-				t.Errorf("%s\n  parallel plan holds %s:\n%s", q.sql, op, plan)
-			}
-		}
+		check(q.sql, plan)
 		partials += strings.Count(plan, "ParallelPartialAggregate")
 	}
 	if partials == 0 {
 		t.Fatal("no statement ran a parallel aggregate: the corpus did not run in parallel")
+	}
+
+	conn, _ = streamFixture(t, genStreamEvents(200, 3), 0)
+	conn.SetParallelism(4)
+	for _, w := range streamWindows {
+		for _, sh := range streamShapes {
+			sql := w.sql(sh, 2)
+			if _, err := conn.Query(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			plan := obs.RenderSpans(conn.LastTraces(1)[0].Spans)
+			check(sql, plan)
+			want := len(sh.keys) > 0 && w.kind != "SESSION"
+			if got := strings.Contains(plan, "ParallelStreamAggregate"); got != want {
+				t.Errorf("%s/%s: runs ParallelStreamAggregate = %v, want %v:\n%s", w.kind, sh.name, got, want, plan)
+			}
+		}
 	}
 }
 

@@ -8,9 +8,11 @@ package calcite_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"calcite"
 	"calcite/internal/adapter/streamtab"
@@ -124,7 +126,12 @@ func canonRows(rows [][]any) []string {
 
 func diffRows(t *testing.T, label string, got, want [][]any) {
 	t.Helper()
-	g, w := canonRows(got), canonRows(want)
+	diffCanon(t, label, canonRows(got), canonRows(want))
+}
+
+// diffCanon compares two canonical row multisets (see canonRows).
+func diffCanon(t *testing.T, label string, g, w []string) {
+	t.Helper()
 	if len(g) != len(w) {
 		t.Fatalf("%s: %d windows, oracle has %d\n got: %v\nwant: %v", label, len(g), len(w), g, w)
 	}
@@ -201,33 +208,78 @@ func (w streamWindowSpec) sql(sh streamShape, latenessSec int) string {
 }
 
 // TestStreamDifferentialOracle: streaming incremental ≡ batch recompute for
-// TUMBLE/HOP/SESSION × every aggregate shape × (in-order, bounded
-// out-of-order arrival) × parallelism 1 and 4. Lateness covers the replay
-// skew, so no event is dropped and the incremental result must equal the
-// full recompute.
+// TUMBLE/HOP/SESSION × every aggregate shape × parallelism 1, 2 and 4 ×
+// (in-order arrival at batch size 7, 64 and 1 024, bounded out-of-order
+// arrival at 1 024). Lateness covers the replay skew, so no event is
+// dropped and the incremental result must equal the full recompute. Every
+// statement must
+// answer within streamDeadline, and keyed TUMBLE/HOP rows at parallelism 2
+// and 4 must equal the parallelism-1 rows in the same order: each key stays
+// in one pane machine, and each round's merge restores the serial emission
+// order, (window_start, key…, window_end), which does not depend on the
+// batch size. SESSION and global windows run the serial plan at every
+// parallelism (TestParallelizedPlansGatherOnly), so they run at parallelism
+// 1 only.
 func TestStreamDifferentialOracle(t *testing.T) {
 	rows := genStreamEvents(1200, 3)
 	for _, skew := range []int64{0, 2000} {
 		conn, tb := streamFixture(t, rows, skew)
-		for _, par := range []int{1, 4} {
-			conn.SetParallelism(par)
-			for _, w := range streamWindows {
-				for _, sh := range streamShapes {
-					label := fmt.Sprintf("%s/%s/skew=%d/par=%d", w.kind, sh.name, skew, par)
-					res, err := conn.Query(w.sql(sh, 2))
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					want := oracleWindows(t, tb, w.kind, w.a, w.b, sh.keyCols, sh.calls)
-					diffRows(t, label, res.Rows, want)
-					if w.kind != "SESSION" {
-						assertEmissionOrder(t, label, res.Rows, len(sh.keys))
+		oracle := map[string][]string{}
+		serial := map[string][][]any{}
+		batchSizes := []int{7, 64, 1024}
+		if skew > 0 {
+			// Out-of-order arrival runs at the default batch size only, so
+			// that ten race-detector runs of the sweep on two cores stay
+			// inside the default test timeout.
+			batchSizes = batchSizes[2:]
+		}
+		for _, batchSize := range batchSizes {
+			conn.SetBatchSize(batchSize)
+			for _, par := range []int{1, 2, 4} {
+				conn.SetParallelism(par)
+				for _, w := range streamWindows {
+					for _, sh := range streamShapes {
+						keyedWindow := w.kind != "SESSION" && len(sh.keys) > 0
+						if par > 1 && !keyedWindow {
+							continue
+						}
+						query := w.kind + "/" + sh.name
+						label := fmt.Sprintf("%s/skew=%d/batch=%d/par=%d", query, skew, batchSize, par)
+						res, err := queryWithin(t, conn, streamDeadline, w.sql(sh, 2))
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						// A TUMBLE/HOP result is in emission order at every
+						// batch size, so after its first run it must repeat
+						// that run's rows in order; a SESSION result, whose
+						// rounds interleave differently, matches the oracle.
+						first, ran := serial[query]
+						if ran && w.kind != "SESSION" {
+							if !slices.EqualFunc(res.Rows, first, slices.Equal[[]any]) {
+								t.Fatalf("%s: rows differ from the batch=7/par=1 run in content or order\n got: %v\nwant: %v", label, res.Rows, first)
+							}
+							continue
+						}
+						want, ok := oracle[query]
+						if !ok {
+							want = canonRows(oracleWindows(t, tb, w.kind, w.a, w.b, sh.keyCols, sh.calls))
+							oracle[query] = want
+						}
+						diffCanon(t, label, canonRows(res.Rows), want)
+						if w.kind != "SESSION" {
+							assertEmissionOrder(t, label, res.Rows, len(sh.keys))
+						}
+						serial[query] = res.Rows
 					}
 				}
 			}
 		}
 	}
 }
+
+// streamDeadline bounds one continuous query of the differential sweep: a
+// stalled operator fails the test instead of hanging the suite.
+const streamDeadline = 10 * time.Second
 
 // assertEmissionOrder checks the deterministic merged emission order of
 // tumbling/hopping windows: (window_start, key…, window_end) ascending.
