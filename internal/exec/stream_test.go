@@ -194,3 +194,59 @@ func TestStreamAggRoutingColocatesKeysFromKeyVectors(t *testing.T) {
 		t.Fatalf("routing one typed %d×%d batch allocated %.0f objects", n, width, allocs)
 	}
 }
+
+// A key's rows reach the one pane machine that owns its state whatever
+// vector carries them: a typed key vector in one batch and a boxed (VecAny)
+// one in the next — a column demoted by a value of another kind — route each
+// key, NULL included, to the same machine, and every machine's share of a
+// two-column key is colocated as types.HashRowKey groups it.
+func TestStreamAggRoutingColocatesBoxedKeys(t *testing.T) {
+	const n, p = 60, 3
+	rowType := types.Row(
+		types.Field{Name: "rowtime", Type: types.Timestamp},
+		types.Field{Name: "k", Type: types.BigInt},
+		types.Field{Name: "g", Type: types.Varchar},
+	)
+	sa := NewStreamAgg(NewScan(schema.NewMemTable("events", rowType, nil), []string{"events"}),
+		rel.StreamWindow{Kind: rel.TumbleWindow, RowtimeCol: 0, SizeMs: 1000}, 0, []int{1, 2},
+		[]rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")})
+	c := BindStreamAggOver(NewContext(), sa.StreamAggregate, nil, p, nil).(*streamAggCursor)
+	home := map[string]int{}
+	check := func(name string, b *schema.Batch) {
+		t.Helper()
+		c.route(b, iotaSel(nil, b.Len))
+		routed := 0
+		for m, s := range c.sels {
+			for _, r := range s {
+				k := types.HashRowKey(b.Row(int(r)), []int{1, 2})
+				if h, ok := home[k]; ok && h != m {
+					t.Fatalf("%s: key %q routed to machine %d, earlier to %d", name, k, m, h)
+				}
+				home[k] = m
+				routed++
+			}
+		}
+		if routed != b.Len {
+			t.Fatalf("%s: routed %d rows of %d", name, routed, b.Len)
+		}
+	}
+	typed := make([]int64, n)
+	groups := make([]string, n)
+	boxed := make([]any, n)
+	for r := range typed {
+		typed[r] = int64(r % 7)
+		groups[r] = string(rune('a' + r%3))
+		boxed[r] = int64(r % 7)
+	}
+	boxed[5], boxed[11] = nil, "x" // a NULL key and a value of another kind
+	ts := &schema.Vector{Kind: schema.VecInt64, I64: make([]int64, n)}
+	g := &schema.Vector{Kind: schema.VecString, S: groups}
+	check("typed", &schema.Batch{Len: n, Vecs: []*schema.Vector{ts, {Kind: schema.VecInt64, I64: typed}, g}})
+	check("boxed", &schema.Batch{Len: n, Vecs: []*schema.Vector{ts, {Kind: schema.VecAny, A: boxed}, g}})
+	nulls := make([]bool, n)
+	nulls[0], nulls[5] = true, true // row 5's key is also NULL in the boxed batch
+	check("typed with NULLs", &schema.Batch{Len: n, Vecs: []*schema.Vector{ts, {Kind: schema.VecInt64, I64: typed, Nulls: nulls}, g}})
+	if len(home) != 7*3+3 {
+		t.Fatalf("saw %d keys, want %d", len(home), 7*3+3)
+	}
+}

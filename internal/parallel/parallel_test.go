@@ -289,6 +289,35 @@ func planOps(n rel.Node) string {
 	}
 }
 
+// TestGatherClosedEarlyTearsDownPartitions: a consumer that stops reading
+// (a LIMIT satisfied) closes the gather without an error; the producers
+// parked on full channels unwind and close every partition — which would
+// never end on their own — and the closed gather reports end of stream.
+func TestGatherClosedEarlyTearsDownPartitions(t *testing.T) {
+	var closed atomic.Int32
+	parts := make([]schema.BatchCursor, 4)
+	for i := range parts {
+		parts[i] = &endlessCursor{closed: &closed}
+	}
+	g := Gather(NewPool(4), parts)
+	for i := 0; i < 3; i++ {
+		if _, err := g.NextBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for closed.Load() < int32(len(parts)) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := closed.Load(); n != int32(len(parts)) {
+		t.Fatalf("%d of %d partitions closed after the consumer's Close", n, len(parts))
+	}
+	if _, err := g.NextBatch(); err != schema.Done {
+		t.Fatalf("NextBatch after Close = %v, want end of stream", err)
+	}
+}
+
 // TestParallelizeInsertsExchanges pins the aggregate's parallel shape, keyed
 // and global: per-worker partial states over the morsels, gathered into one
 // final merge.
