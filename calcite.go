@@ -76,18 +76,17 @@ func (c *Connection) Exec(sql string, params ...any) (*Result, error) {
 	return c.Framework.Execute(sql, params...)
 }
 
-// Explain returns the optimized plan of a query as indented text.
-func (c *Connection) Explain(sql string) (string, error) {
-	res, err := c.Framework.Execute("EXPLAIN " + sql)
-	if err != nil {
-		return "", err
-	}
-	return res.Plan, nil
-}
+// Explain returns the plan a query runs, annotated with its estimates.
+func (c *Connection) Explain(sql string) (string, error) { return c.explain("EXPLAIN " + sql) }
 
 // ExplainLogical returns the logical (pre-optimization) plan text.
 func (c *Connection) ExplainLogical(sql string) (string, error) {
-	res, err := c.Framework.Execute("EXPLAIN LOGICAL " + sql)
+	return c.explain("EXPLAIN LOGICAL " + sql)
+}
+
+// explain runs an EXPLAIN statement and returns its plan text.
+func (c *Connection) explain(stmt string) (string, error) {
+	res, err := c.Framework.Execute(stmt)
 	if err != nil {
 		return "", err
 	}
@@ -221,17 +220,17 @@ func (c *Connection) SetQueryMemoryLimit(n int64) { c.Framework.QueryMemoryLimit
 // error instead — the admission-control mode.
 func (c *Connection) EnableSpill(on bool) { c.Framework.DisableSpill = !on }
 
-// SetParallelism sets the worker count for morsel-driven parallel execution.
-// The default (0) uses runtime.GOMAXPROCS(0); 1 forces the serial execution
-// paths; n > 1 splits scans into morsels that n workers claim dynamically,
-// with gather exchanges merging the partitions back into one stream, and
-// splits a keyed TUMBLE/HOP stream aggregate's keys over n pane machines.
-// Results are deterministic: a parallel run produces the same rows in the
-// same order as the serial engine, with two value-level caveats —
-// floating-point aggregates may differ in the last bit (partial sums
-// reassociate), and COLLECT multiset element order follows partial-merge
-// order rather than input order — and one of order: a stream aggregate
-// whose state spilled emits the spilled machines' windows at end of input.
+// SetParallelism sets the worker count for morsel-driven parallel execution
+// (0, the default, uses runtime.GOMAXPROCS(0)). Statements are prepared,
+// cached and shown by EXPLAIN for the worker count they run at: n > 1 splits
+// scans into morsels that n workers claim, gathers the partitions back into
+// one stream, and splits a keyed TUMBLE/HOP stream aggregate's keys over n
+// pane machines. A parallel run returns the serial plan's rows in the same
+// order, with two value-level caveats — floating-point aggregates may differ
+// in the last bit (partial sums reassociate), and COLLECT multiset element
+// order follows partial-merge order rather than input order — and one of
+// order: a stream aggregate whose state spilled emits the spilled machines'
+// windows at end of input.
 func (c *Connection) SetParallelism(n int) { c.Framework.Parallelism = n }
 
 // SetSlowQueryThreshold marks queries at or over threshold as slow: they

@@ -39,6 +39,8 @@ func TestFigure1Lifecycle(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows: %v", res.Rows)
 	}
+	// EXPLAIN shows the plan that runs: at parallelism 1, the serial scan.
+	conn.SetParallelism(1)
 	plan, err := conn.Explain("SELECT * FROM emps")
 	if err != nil || !strings.Contains(plan, "EnumerableTableScan") {
 		t.Fatalf("explain: %v %q", err, plan)

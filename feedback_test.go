@@ -1,13 +1,12 @@
 // Acceptance tests for the cardinality-feedback loop: shared plan-cache /
 // feedback-store invalidation, EXPLAIN ANALYZE estimate rendering, adaptive
 // build/probe swapping after a hash-join build overshoot, and convergence of
-// a stale-statistics workload toward the analyzed plan's runtime.
+// a stale-statistics workload toward the analyzed plan's work.
 package calcite_test
 
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"calcite"
 	"calcite/internal/obs"
@@ -199,35 +198,43 @@ func spanSubtreeHasTable(s *obs.SpanStats, table string) bool {
 	return false
 }
 
-// bestOf runs sql n times and returns the fastest wall-clock execution.
-func bestOf(t *testing.T, conn *calcite.Connection, sql string, n int) time.Duration {
+// workOf runs sql once and returns the rows its plan's operators above the
+// scans produced, summed over the trace's spans: the work the join order
+// decides, which load on the host does not move. Scans are left out because
+// every plan reads every table once.
+func workOf(t *testing.T, conn *calcite.Connection, sql string) int64 {
 	t.Helper()
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		if _, err := conn.Query(sql); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
+	if _, err := conn.Query(sql); err != nil {
+		t.Fatal(err)
 	}
-	return best
+	var sum func(s *obs.SpanStats) int64
+	sum = func(s *obs.SpanStats) int64 {
+		var n int64
+		for _, c := range s.Children {
+			n += sum(c)
+		}
+		if len(s.Children) > 0 {
+			n += s.Rows
+		}
+		return n
+	}
+	return sum(conn.LastTraces(1)[0].Spans)
 }
 
 // TestFeedbackConvergence is the acceptance test for the feedback loop: a
 // star-join workload planned with stale (never-ANALYZEd) statistics must,
-// after at most 5 executions, run within 2x of the fully-ANALYZEd plan's
-// runtime — the harvested cardinalities steer the join-order enumeration to
-// the same neighborhood the real statistics would.
+// after at most 5 executions, do within 2x of the fully-ANALYZEd plan's work
+// (rows produced by the operators above the scans) — the harvested
+// cardinalities steer the join-order enumeration to the same neighborhood
+// the real statistics would.
 func TestFeedbackConvergence(t *testing.T) {
 	const factRows = 20000
 
 	analyzed := starConn(factRows)
 	analyzed.SetParallelism(1)
 	analyzeStar(t, analyzed)
-	bestOf(t, analyzed, starQuery, 1) // warm the plan cache
-	baseline := bestOf(t, analyzed, starQuery, 3)
+	workOf(t, analyzed, starQuery) // warm the plan cache
+	baseline := workOf(t, analyzed, starQuery)
 
 	stale := starConn(factRows)
 	stale.SetParallelism(1)
@@ -244,9 +251,8 @@ func TestFeedbackConvergence(t *testing.T) {
 		t.Fatalf("stale-stats workload never requested a replan: %+v", c)
 	}
 
-	converged := bestOf(t, stale, starQuery, 3)
-	if converged > 2*baseline {
-		t.Fatalf("not converged after 5 executions: %v vs analyzed %v (limit 2x)",
+	if converged := workOf(t, stale, starQuery); converged > 2*baseline {
+		t.Fatalf("not converged after 5 executions: %d rows produced vs analyzed %d (limit 2x)",
 			converged, baseline)
 	}
 }

@@ -216,26 +216,6 @@ func (f *Framework) MemoryPool() *memory.Pool {
 	return f.memPool
 }
 
-// memoryGoverned reports whether queries run under a memory budget.
-func (f *Framework) memoryGoverned() bool {
-	return f.MemoryLimit > 0 || f.QueryMemoryLimit > 0
-}
-
-// newAllocator opens a per-query memory account, or nil when ungoverned.
-// forceTracking creates an unlimited tracking allocator even without limits
-// (EXPLAIN ANALYZE wants peak counters either way). A non-nil pool override
-// (per-tenant budget) always yields a tracking allocator drawing from that
-// pool instead of the framework pool.
-func (f *Framework) newAllocator(pool *memory.Pool, forceTracking bool) *memory.Allocator {
-	if pool == nil {
-		if !f.memoryGoverned() && !forceTracking {
-			return nil
-		}
-		pool = f.MemoryPool()
-	}
-	return memory.NewAllocator(pool, f.QueryMemoryLimit, !f.DisableSpill)
-}
-
 // RegisterAdapter plugs an adapter into the framework.
 func (f *Framework) RegisterAdapter(a Adapter) {
 	f.Catalog.AddSchema(a.AdapterSchema())
@@ -454,6 +434,9 @@ type ExecOptions struct {
 	// it makes the engine's drain loops and streaming operators fail with
 	// exec.ErrCanceled. The serving tier arms it per statement.
 	Interrupt *atomic.Bool
+	// track opens a tracking allocator even when no budget applies (EXPLAIN
+	// ANALYZE reports peaks either way).
+	track bool
 }
 
 // Execute parses, plans and runs a SQL statement (including DDL). Query and
@@ -466,11 +449,14 @@ func (f *Framework) Execute(sql string, params ...any) (*Result, error) {
 
 // ExecuteOpts is Execute with per-execution options (parameters, a tenant
 // memory pool). Repeated statements hit the prepared-plan cache and skip
-// parse+optimize entirely.
+// parse, optimize and the parallel rewrite entirely.
 func (f *Framework) ExecuteOpts(sql string, opts ExecOptions) (*Result, error) {
 	if cache := f.planCacheIfEnabled(); cache != nil {
-		if ent, ok := cache.Get(sql); ok {
-			return f.executeCachedPlan(sql, ent, opts)
+		if ent, ok := cache.Get(sql, f.EffectiveParallelism()); ok {
+			tr := f.Obs().Begin(sql)
+			tr.Cached = true
+			res, _, err := f.execute(tr, ent, opts, nil)
+			return res, err
 		}
 	}
 	stmt, err := parser.Parse(sql)
@@ -479,7 +465,7 @@ func (f *Framework) ExecuteOpts(sql string, opts ExecOptions) (*Result, error) {
 	}
 	switch s := stmt.(type) {
 	case *parser.ExplainStmt:
-		return f.explain(s, sql)
+		return f.explain(s, sql, opts)
 	case *parser.CreateTableStmt:
 		f.InvalidatePlans()
 		return f.createTable(s)
@@ -524,90 +510,120 @@ func (f *Framework) run(ctx *exec.Context, prepared rel.Node, target schema.Tabl
 	return rows, err
 }
 
-// executeQuery runs a converted query/DML statement under tracing and, on
-// success, caches the optimized plan for reuse by identical statements.
+// executeQuery prepares a query/DML statement and runs it under tracing; on
+// success the prepared entry is cached for reuse by identical statements.
 func (f *Framework) executeQuery(sql string, stmt parser.Statement, opts ExecOptions) (*Result, error) {
-	eng := f.Obs()
-	tr := eng.Begin(sql)
-	res, physical, est, err := f.runTraced(tr, stmt, opts)
+	tr := f.Obs().Begin(sql)
+	p, err := f.prepare(stmt, tr)
 	if err != nil {
 		tr.Error = err.Error()
+		f.Obs().End(tr)
+		return nil, err
 	}
-	snap := eng.End(tr)
-	if err == nil && physical != nil && cacheableStmt(stmt) {
-		if cache := f.planCacheIfEnabled(); cache != nil {
-			cache.Put(sql, physical, res.Columns, est)
-		}
+	p.sql = sql
+	var cache *PlanCache
+	if cacheableStmt(stmt) {
+		cache = f.planCacheIfEnabled()
 	}
-	// Harvest after the Put: a replan request evicts the entry just cached,
-	// so the next execution plans against the corrections recorded here.
-	f.harvestFeedback(snap, est)
+	res, _, err := f.execute(tr, p.planEntry, opts, cache)
 	return res, err
 }
 
-// executeCachedPlan runs a plan-cache hit: no parse, no optimize — straight
-// to execution of the cached physical plan under a fresh context.
-func (f *Framework) executeCachedPlan(sql string, ent *planEntry, opts ExecOptions) (*Result, error) {
-	eng := f.Obs()
-	tr := eng.Begin(sql)
-	tr.Cached = true
-	ctx := f.newExecContext(opts)
-	defer ctx.Alloc.Close()
-	ctx.Params = opts.Params
-	prepared := f.attachTrace(ctx, tr, ent.plan, ent.est)
-	t := time.Now()
-	rows, err := f.run(ctx, prepared, modifyTarget(ent.plan))
-	tr.ExecNs = int64(time.Since(t))
-	f.mergeMemStats(tr, ctx)
-	if err != nil {
-		tr.Error = err.Error()
-		eng.End(tr)
-		return nil, err
-	}
-	tr.Rows = int64(len(rows))
-	f.harvestFeedback(eng.End(tr), ent.est)
-	return &Result{Columns: ent.columns, Rows: rows}, nil
-}
-
-func (f *Framework) runTraced(tr *obs.QueryTrace, stmt parser.Statement, opts ExecOptions) (*Result, rel.Node, *feedback.PlanEstimates, error) {
-	t0 := time.Now()
-	logical, err := sql2rel.New(f.Catalog).Convert(stmt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tr.PlanNs = int64(time.Since(t0))
-	t1 := time.Now()
-	physical, err := f.optimize(logical, &tr.Phases)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// The adaptive post-pass and the estimate table share one metadata
-	// session (feedback corrections included), so the estimates stamped on
-	// the spans are exactly what the plan was judged by.
-	mq := f.NewMetaQuery()
-	physical = f.applyAdaptiveTactics(physical, mq)
-	est := f.planEstimates(tr.Fingerprint, physical, mq)
-	tr.OptimizeNs = int64(time.Since(t1))
+// execute runs a prepared entry under tr and ends tr: a fresh execution
+// context, one span per node of the entry's plan stamped with the
+// optimizer's estimates, the query's memory counters folded into the trace,
+// and the finished trace harvested for feedback. On success a non-nil cache
+// stores the entry before the harvest, so a replan request evicts it again
+// and the next execution plans against the corrections recorded here.
+func (f *Framework) execute(tr *obs.QueryTrace, ent *planEntry, opts ExecOptions, cache *PlanCache) (*Result, *obs.TraceSnapshot, error) {
 	ctx := f.newExecContext(opts)
 	// The allocator cleanup is the spill-file guarantee: whatever path
 	// execution takes out of this function — rows, error, worker teardown —
 	// the query's grants return to the pool and its spill directory is
 	// removed.
 	defer ctx.Alloc.Close()
-	ctx.Params = opts.Params
-	prepared := f.attachTrace(ctx, tr, physical, est)
-	t2 := time.Now()
-	rows, err := f.run(ctx, prepared, modifyTarget(physical))
-	tr.ExecNs = int64(time.Since(t2))
-	f.mergeMemStats(tr, ctx)
+	tr.Parallelism = ent.workers
+	ctx.Trace = tr
+	ctx.Spans = exec.BuildSpans(tr, ent.plan, ent.est.PathRows())
+	if fb := f.feedbackIfEnabled(); fb != nil && ent.est != nil {
+		fp := tr.Fingerprint
+		ctx.BuildOvershoot = func(join rel.Node, estRows, actualRows float64) {
+			fb.RecordBuildOvershoot(fp, feedback.NodeKey(join), estRows, actualRows)
+		}
+	}
+	start := time.Now()
+	rows, err := f.run(ctx, ent.plan, modifyTarget(ent.plan))
+	tr.ExecNs = int64(time.Since(start))
+	if ctx.Alloc != nil {
+		tr.PeakBytes, tr.SpilledBytes = ctx.Alloc.Peak(), ctx.Alloc.Spilled()
+		for _, op := range ctx.Alloc.Snapshot() {
+			tr.AttachMemStats(op.Name, op.PeakBytes, op.SpilledBytes, op.SpillFiles, op.SpillEvents)
+		}
+	}
 	if err != nil {
-		return nil, nil, nil, err
+		tr.Error = err.Error()
+		f.Obs().End(tr)
+		return nil, nil, err
 	}
 	tr.Rows = int64(len(rows))
+	snap := f.Obs().End(tr)
+	if cache != nil {
+		cache.Put(ent)
+	}
+	f.harvestFeedback(snap, ent.est)
+	return &Result{Columns: ent.columns, Rows: rows}, snap, nil
+}
+
+// preparation is a statement on its way to the plan cache: the entry, and
+// the plans and metadata session it was prepared from, which EXPLAIN
+// annotates and CREATE MATERIALIZED VIEW registers.
+type preparation struct {
+	*planEntry
+	logical, optimized rel.Node
+	mq                 *meta.Query
+}
+
+// prepare is the one path from a statement to the plan that runs: convert →
+// optimize → adaptive tactics → estimates → the parallel rewrite for the
+// configured worker count. The plan cache stores its entry, EXPLAIN shows
+// it and traces mirror it, so the plan shown is the plan that runs. tr
+// receives the stage times and the optimizer's phases.
+func (f *Framework) prepare(stmt parser.Statement, tr *obs.QueryTrace) (*preparation, error) {
+	start := time.Now()
+	logical, err := sql2rel.New(f.Catalog).Convert(stmt)
+	if err != nil {
+		return nil, err
+	}
+	tr.PlanNs = int64(time.Since(start))
+	start = time.Now()
+	physical, err := f.optimize(logical, &tr.Phases)
+	if err != nil {
+		return nil, err
+	}
+	p := f.preparePhysical(physical, tr.Fingerprint)
+	p.logical = logical
 	// The columns are named by the statement, not by the plan: rewrites that
 	// drop an identity projection (over an aggregate, say) leave the
 	// optimized root with its input's field names.
-	return &Result{Columns: logical.RowType().FieldNames(), Rows: rows}, physical, est, nil
+	p.columns = logical.RowType().FieldNames()
+	tr.OptimizeNs = int64(time.Since(start))
+	return p, nil
+}
+
+// preparePhysical is prepare from an optimized plan on, for the callers that
+// optimized it themselves; the entry it returns has no SQL and no columns.
+// The plan shape does not depend on memory governance: every worker charges
+// the shared query budget through the same spill-capable operators the
+// serial plan uses.
+func (f *Framework) preparePhysical(physical rel.Node, fingerprint string) *preparation {
+	// The adaptive post-pass, the estimate table and EXPLAIN share one
+	// metadata session (feedback corrections included), so the estimates
+	// stamped on the spans are exactly what the plan was judged by.
+	mq := f.NewMetaQuery()
+	physical = f.applyAdaptiveTactics(physical, mq)
+	ent := &planEntry{est: f.planEstimates(fingerprint, physical, mq), workers: f.EffectiveParallelism()}
+	ent.plan = parallel.Parallelize(physical, f.WorkerPool(), ent.workers)
+	return &preparation{planEntry: ent, optimized: physical, mq: mq}
 }
 
 // EffectiveParallelism resolves the configured worker count.
@@ -630,55 +646,45 @@ func (f *Framework) WorkerPool() *parallel.Pool {
 	return f.pool
 }
 
-// prepareForExecution applies the morsel-driven parallel rewrite when the
-// configuration calls for it (parallelism > 1). The plan shape does not
-// depend on memory governance: every worker charges the shared query budget
-// through the same spill-capable operators the serial plan uses.
-func (f *Framework) prepareForExecution(physical rel.Node) rel.Node {
-	if p := f.EffectiveParallelism(); p > 1 {
-		return parallel.Parallelize(physical, f.WorkerPool(), p)
-	}
-	return physical
-}
-
-// ExecutePhysical runs an already-optimized physical plan under the
-// framework's execution configuration (batch size, parallelism, memory
-// budget).
+// ExecutePhysical prepares an already-optimized physical plan and runs it,
+// untraced, under the framework's execution configuration (batch size,
+// parallelism, memory budget).
 func (f *Framework) ExecutePhysical(physical rel.Node) ([][]any, error) {
 	ctx := f.newExecContext(ExecOptions{})
 	defer ctx.Alloc.Close()
-	return exec.Execute(ctx, f.prepareForExecution(physical))
+	return exec.Execute(ctx, f.preparePhysical(physical, "").plan)
 }
 
-func (f *Framework) explain(s *parser.ExplainStmt, sql string) (*Result, error) {
-	logical, err := sql2rel.New(f.Catalog).Convert(s.Target)
-	if err != nil {
-		return nil, err
-	}
-	node := logical
-	// One metadata session serves the adaptive pass and the annotations, so
-	// EXPLAIN shows the estimates (feedback corrections included) the plan
-	// was actually judged by.
-	mq := f.NewMetaQuery()
-	var phases obs.OptimizerPhases
-	if !s.Logical {
-		physical, err := f.optimize(logical, &phases)
+func (f *Framework) explain(s *parser.ExplainStmt, sql string, opts ExecOptions) (*Result, error) {
+	var text string
+	if s.Logical {
+		logical, err := sql2rel.New(f.Catalog).Convert(s.Target)
 		if err != nil {
 			return nil, err
 		}
-		node = f.applyAdaptiveTactics(physical, mq)
-	}
-	// Annotate each operator with the metadata providers' estimates so
-	// EXPLAIN shows what the cost-based decisions were based on.
-	text := rel.ExplainAnnotated(node, func(n rel.Node) string {
-		return fmt.Sprintf("rows=%.4g, cost=%.4g", mq.RowCount(n), mq.CumulativeCost(n).Scalar())
-	})
-	if s.Analyze {
-		statsText, err := f.explainAnalyze(node, sql, mq, phases)
+		mq := f.NewMetaQuery()
+		text = rel.ExplainAnnotated(logical, func(n rel.Node) string { return estimate(mq, n) })
+	} else {
+		tr := &obs.QueryTrace{}
+		if s.Analyze {
+			tr = f.Obs().Begin(sql)
+		}
+		p, err := f.prepare(s.Target, tr)
 		if err != nil {
+			if s.Analyze {
+				tr.Error = err.Error()
+				f.Obs().End(tr)
+			}
 			return nil, err
 		}
-		text += statsText
+		text = p.explain()
+		if s.Analyze {
+			statsText, err := f.explainAnalyze(tr, p.planEntry, opts)
+			if err != nil {
+				return nil, err
+			}
+			text += statsText
+		}
 	}
 	var rows [][]any
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
@@ -687,35 +693,37 @@ func (f *Framework) explain(s *parser.ExplainStmt, sql string) (*Result, error) 
 	return &Result{Columns: []string{"PLAN"}, Rows: rows, Plan: text}, nil
 }
 
-// explainAnalyze executes the explained plan under tracing (and a tracking
-// allocator) and renders the run statistics from the finished trace
+// explain renders the prepared plan, each operator annotated with the
+// estimates of the optimized operator at its path (rel.WalkPaths), so
+// EXPLAIN shows what the cost-based decisions were based on. The synthetic
+// nodes of the parallel rewrite carry no estimate.
+func (p *preparation) explain() string {
+	byPath := map[string]string{}
+	rel.WalkPaths(p.optimized, func(n, _ rel.Node, path string) { byPath[path] = estimate(p.mq, n) })
+	byNode := map[rel.Node]string{}
+	rel.WalkPaths(p.plan, func(n, _ rel.Node, path string) {
+		if _, synthetic := n.(rel.Synthetic); !synthetic {
+			byNode[n] = byPath[path]
+		}
+	})
+	return rel.ExplainAnnotated(p.plan, func(n rel.Node) string { return byNode[n] })
+}
+
+// estimate renders the metadata providers' estimates for n.
+func estimate(mq *meta.Query, n rel.Node) string {
+	return fmt.Sprintf("rows=%.4g, cost=%.4g", mq.RowCount(n), mq.CumulativeCost(n).Scalar())
+}
+
+// explainAnalyze runs the explained entry under tr with the statement's
+// options and a tracking allocator, and renders the run statistics from the finished trace
 // snapshot — the same span tree /debug/queries serves as JSON, so the text
 // and the JSON can never disagree.
-func (f *Framework) explainAnalyze(physical rel.Node, sql string, mq *meta.Query, phases obs.OptimizerPhases) (string, error) {
-	eng := f.Obs()
-	tr := eng.Begin(sql)
-	tr.Phases = phases
-	est := f.planEstimates(tr.Fingerprint, physical, mq)
-	ctx := f.newExecContext(ExecOptions{})
-	if ctx.Alloc == nil {
-		// No budget configured: track anyway so peaks are still reported.
-		ctx.Alloc = f.newAllocator(nil, true)
-	}
-	defer ctx.Alloc.Close()
-	prepared := f.attachTrace(ctx, tr, physical, est)
-	start := time.Now()
-	rows, err := exec.Execute(ctx, prepared)
-	tr.ExecNs = int64(time.Since(start))
-	f.mergeMemStats(tr, ctx)
+func (f *Framework) explainAnalyze(tr *obs.QueryTrace, ent *planEntry, opts ExecOptions) (string, error) {
+	opts.track = true
+	_, snap, err := f.execute(tr, ent, opts, nil)
 	if err != nil {
-		tr.Error = err.Error()
-		eng.End(tr)
 		return "", err
 	}
-	tr.Rows = int64(len(rows))
-	snap := eng.End(tr)
-	f.harvestFeedback(snap, est)
-
 	var b strings.Builder
 	fmt.Fprintf(&b, "--- run stats ---\n")
 	fmt.Fprintf(&b, "rows: %d, elapsed: %s\n", snap.Rows,
@@ -730,8 +738,9 @@ func (f *Framework) explainAnalyze(physical rel.Node, sql string, mq *meta.Query
 	fmt.Fprintf(&b, "memory: budget=%s, peak=%s, spilled=%s\n",
 		budget, memory.FormatBytes(snap.PeakBytes), memory.FormatBytes(snap.Spilled))
 	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
-	fmt.Fprintf(&b, "optimize: rewrite=%s, join-order=%s (%d candidates, %d costed), physical=%s\n", us(phases.RewriteNs),
-		us(phases.JoinOrderNs), phases.JoinCandidates, phases.JoinCosted, us(phases.PhysicalNs))
+	ph := tr.Phases
+	fmt.Fprintf(&b, "optimize: rewrite=%s, join-order=%s (%d candidates, %d costed), physical=%s\n", us(ph.RewriteNs),
+		us(ph.JoinOrderNs), ph.JoinCandidates, ph.JoinCosted, us(ph.PhysicalNs))
 	b.WriteString(obs.RenderSpans(snap.Spans))
 	return b.String(), nil
 }
@@ -764,11 +773,11 @@ func (f *Framework) createTable(s *parser.CreateTableStmt) (*Result, error) {
 
 func (f *Framework) createView(s *parser.CreateViewStmt, originalSQL string) (*Result, error) {
 	name := s.Name[len(s.Name)-1]
-	logical, err := sql2rel.New(f.Catalog).Convert(s.Query)
-	if err != nil {
-		return nil, err
-	}
 	if !s.Materialized {
+		logical, err := sql2rel.New(f.Catalog).Convert(s.Query)
+		if err != nil {
+			return nil, err
+		}
 		f.Catalog.AddTable(&schema.ViewTable{
 			ViewName: name,
 			SQL:      s.SQL,
@@ -779,18 +788,18 @@ func (f *Framework) createView(s *parser.CreateViewStmt, originalSQL string) (*R
 	// Materialized view: execute the definition now, store the rows, and
 	// register the (definition plan, storage table) pair with the rewriting
 	// registry (§6 "materialized views").
-	physical, err := f.Optimize(logical)
+	p, err := f.prepare(s.Query, &obs.QueryTrace{})
 	if err != nil {
 		return nil, err
 	}
-	bases := mv.TakeSnapshot(logical)
+	bases := mv.TakeSnapshot(p.logical)
 	mvCtx := f.newExecContext(ExecOptions{})
 	defer mvCtx.Alloc.Close()
-	rows, err := exec.Execute(mvCtx, f.prepareForExecution(physical))
+	rows, err := exec.Execute(mvCtx, p.plan)
 	if err != nil {
 		return nil, err
 	}
-	table := schema.NewMemTable(name, logical.RowType(), rows)
+	table := schema.NewMemTable(name, p.logical.RowType(), rows)
 	f.Catalog.AddTable(table)
 	// Register the definition plan in its logically optimized form — the
 	// statistics-independent canonicalization. The join-order enumeration,
@@ -799,7 +808,7 @@ func (f *Framework) createView(s *parser.CreateViewStmt, originalSQL string) (*R
 	// normalized with the same estimates.
 	f.Views.Register(&mv.MaterializedView{
 		Name:  name,
-		Plan:  f.logicalOptimize(logical, f.NewMetaQuery()),
+		Plan:  f.logicalOptimize(p.logical, f.NewMetaQuery()),
 		Table: table,
 		Bases: bases,
 	})
@@ -811,13 +820,22 @@ func validateType(ts parser.TypeSpec) (*types.Type, error) {
 }
 
 // newExecContext builds an execution context honoring the framework's
-// execution configuration and the per-execution options (tenant pool).
-// Callers own the allocator: defer ctx.Alloc.Close() (nil-safe) so grants
-// and spill files are reclaimed on every exit path.
+// execution configuration and the per-execution options. The query's memory
+// account is nil when no budget governs it and nothing asks to track it; a
+// tenant pool override always yields a spill-capable account drawing from
+// that pool. Callers own the allocator: defer ctx.Alloc.Close() (nil-safe)
+// so grants and spill files are reclaimed on every exit path.
 func (f *Framework) newExecContext(opts ExecOptions) *exec.Context {
 	ctx := exec.NewContext()
 	ctx.BatchSize = f.BatchSize
-	ctx.Alloc = f.newAllocator(opts.Pool, false)
 	ctx.Interrupt = opts.Interrupt
+	ctx.Params = opts.Params
+	pool := opts.Pool
+	if pool == nil && (f.MemoryLimit > 0 || f.QueryMemoryLimit > 0 || opts.track) {
+		pool = f.MemoryPool()
+	}
+	if pool != nil {
+		ctx.Alloc = memory.NewAllocator(pool, f.QueryMemoryLimit, !f.DisableSpill)
+	}
 	return ctx
 }

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"calcite/internal/exec"
-	"calcite/internal/feedback"
 	"calcite/internal/obs"
-	"calcite/internal/rel"
 	"calcite/internal/schema"
 )
 
@@ -166,48 +164,10 @@ func (f *Framework) registerSubsystemMetrics(r *obs.Registry) {
 	r.CounterFunc("calcite_stream_late_events_total",
 		"Events dropped because they arrived behind the watermark.",
 		exec.StreamLateDropped)
-	r.GaugeFunc("calcite_stream_watermark_lag_ms",
-		"Gap between the newest rowtime seen and the current watermark.",
-		func() float64 { return float64(exec.StreamWatermarkLagMs()) })
 	r.GaugeFunc("calcite_stream_state_bytes",
 		"Bytes of standing window state held by live streaming queries.",
 		func() float64 { return float64(exec.StreamStateBytes()) })
 	exec.SetStreamEmitObserver(r.Histogram("calcite_stream_emit_seconds",
 		"Latency of watermark-driven window emission rounds.",
 		[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1}).Observe)
-}
-
-// attachTrace prepares physical for execution and attaches the trace's span
-// tree to the execution context, one span per node of the prepared
-// (post-parallel-rewrite) plan. When the plan carries an estimate table,
-// spans are stamped with their path ids and estimated row counts and the
-// hash-join build-overshoot hook is armed, feeding the adaptive re-planner.
-func (f *Framework) attachTrace(ctx *exec.Context, tr *obs.QueryTrace, physical rel.Node, est *feedback.PlanEstimates) rel.Node {
-	prepared := f.prepareForExecution(physical)
-	if tr != nil {
-		tr.Parallelism = f.EffectiveParallelism()
-		ctx.Trace = tr
-		ctx.Spans = exec.BuildSpans(tr, prepared, est.PathRows())
-		if fb := f.feedbackIfEnabled(); fb != nil && est != nil {
-			fp := tr.Fingerprint
-			ctx.BuildOvershoot = func(join rel.Node, estRows, actualRows float64) {
-				fb.RecordBuildOvershoot(fp, feedback.NodeKey(join), estRows, actualRows)
-			}
-		}
-	}
-	return prepared
-}
-
-// mergeMemStats folds the query allocator's counters into the trace: the
-// query-level peak/spilled totals and the per-operator reservation stats,
-// matched to spans by the governor's operator names.
-func (f *Framework) mergeMemStats(tr *obs.QueryTrace, ctx *exec.Context) {
-	if tr == nil || ctx.Alloc == nil {
-		return
-	}
-	tr.PeakBytes = ctx.Alloc.Peak()
-	tr.SpilledBytes = ctx.Alloc.Spilled()
-	for _, op := range ctx.Alloc.Snapshot() {
-		tr.AttachMemStats(op.Name, op.PeakBytes, op.SpilledBytes, op.SpillFiles, op.SpillEvents)
-	}
 }

@@ -1,8 +1,8 @@
 package core
 
 // The prepared-plan cache: repeated statements skip the parse → validate →
-// optimize pipeline and jump straight to execution of the cached physical
-// plan. Entries are keyed on the normalized-SQL fingerprint (obs.Fingerprint:
+// optimize → parallelize pipeline and jump straight to execution of the
+// cached prepared plan (Framework.prepare), the tree EXPLAIN shows. Entries are keyed on the normalized-SQL fingerprint (obs.Fingerprint:
 // literals and whitespace canonicalized), with the exact statement text kept
 // as a guard — two statements that normalize identically but differ in
 // literals plan differently, so only a byte-identical statement may reuse a
@@ -10,10 +10,10 @@ package core
 // executions, which is exactly the repeated-statement class the cache is for:
 // parameters bind at execution time, never at plan time.
 //
-// Physical plan trees are immutable after optimization — operators compile
-// expressions and allocate cursor state at bind time, and the parallel
-// rewrite wraps (never mutates) the tree per execution — so one cached plan
-// may execute on any number of concurrent queries.
+// Prepared plan trees are immutable — operators compile expressions and
+// allocate cursor state at bind time — so one cached plan may execute on any
+// number of concurrent queries. An entry is prepared for one worker count: a
+// lookup at another parallelism misses and re-prepares in its place.
 //
 // Invalidation says which table and why. A cached plan reads its tables when
 // it executes, so rows inserted after it was optimized never make it wrong,
@@ -42,15 +42,17 @@ import (
 // store keeps records of as many statements.
 const DefaultPlanCacheSize = feedback.StatementCap
 
-// planEntry is one cached statement: the exact SQL (collision/literal guard),
-// the optimized physical plan, its output column names, and the plan's
-// per-operator estimate table (so cache hits stamp spans and harvest
-// feedback without re-planning).
+// planEntry is one prepared statement: the exact SQL (collision/literal
+// guard), the plan that runs (optimized, then parallelized for workers),
+// its output column names, and the optimized plan's per-operator estimate
+// table (so cache hits stamp spans and harvest feedback without
+// re-planning).
 type planEntry struct {
 	sql     string
 	plan    rel.Node
 	columns []string
 	est     *feedback.PlanEstimates
+	workers int
 }
 
 // modifyTarget returns the table a DML plan writes, nil for a query.
@@ -93,29 +95,29 @@ func NewPlanCache(max int) *PlanCache {
 }
 
 // Get returns the cached plan for sql, if the fingerprint maps to an entry
-// whose statement text matches byte-for-byte.
-func (c *PlanCache) Get(sql string) (*planEntry, bool) {
+// whose statement text matches byte-for-byte and that was prepared for
+// workers.
+func (c *PlanCache) Get(sql string, workers int) (*planEntry, bool) {
 	key := obs.Fingerprint(sql)
 	c.mu.Lock()
-	el, ok := c.byKey[key]
-	if ok && el.Value.(*planElem).ent.sql == sql {
-		c.order.MoveToFront(el)
-		ent := el.Value.(*planElem).ent
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return ent, true
+	if el, ok := c.byKey[key]; ok {
+		if ent := el.Value.(*planElem).ent; ent.sql == sql && ent.workers == workers {
+			c.order.MoveToFront(el)
+			c.mu.Unlock()
+			c.hits.Add(1)
+			return ent, true
+		}
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)
 	return nil, false
 }
 
-// Put stores an optimized plan for sql, evicting the least recently used
-// entry beyond capacity. A fingerprint collision (same key, different text)
-// is resolved in favor of the newest statement.
-func (c *PlanCache) Put(sql string, plan rel.Node, columns []string, est *feedback.PlanEstimates) {
-	key := obs.Fingerprint(sql)
-	ent := &planEntry{sql: sql, plan: plan, columns: columns, est: est}
+// Put stores a prepared plan, evicting the least recently used entry beyond
+// capacity. A fingerprint collision (same key, different text or worker
+// count) is resolved in favor of the newest entry.
+func (c *PlanCache) Put(ent *planEntry) {
+	key := obs.Fingerprint(ent.sql)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {

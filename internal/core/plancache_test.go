@@ -3,9 +3,12 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"calcite/internal/obs"
+	"calcite/internal/rel"
 	"calcite/internal/schema"
 	"calcite/internal/types"
 )
@@ -111,9 +114,18 @@ func countRows(t *testing.T, f *Framework, q string) int64 {
 }
 
 // TestPlanCacheInvalidation pins what invalidates what: INSERT nothing,
-// ANALYZE the plans that scan the analyzed table, DDL everything.
+// ANALYZE the plans that scan the analyzed table, DDL everything. It runs
+// over serial plans and over parallel ones, which read their tables
+// through MorselScans.
 func TestPlanCacheInvalidation(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) { testPlanCacheInvalidation(t, p) })
+	}
+}
+
+func testPlanCacheInvalidation(t *testing.T, parallelism int) {
 	f := cacheTestFramework(t)
+	f.Parallelism = parallelism
 	f.Catalog.AddTable(schema.NewMemTable("u",
 		types.Row(types.Field{Name: "id", Type: types.BigInt.WithNullable(true)}),
 		[][]any{{int64(1)}, {int64(2)}}))
@@ -124,6 +136,9 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	)
 	for _, q := range []string{onT, onU, onTU} {
 		countRows(t, f, q)
+		if ent := cachedEntry(f, q); parallelism > 1 && (ent == nil || !strings.Contains(planTree(ent.plan), "MorselScan")) {
+			t.Fatalf("%s: no parallel plan cached", q)
+		}
 	}
 	if f.PlanCache().Len() != 3 {
 		t.Fatalf("plans not cached: %d entries", f.PlanCache().Len())
@@ -293,9 +308,11 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 
 // TestPlanCacheConcurrentReuse executes one cached plan from many goroutines
 // at once — the sharing contract the serving tier depends on (run under
-// -race in CI).
+// -race in CI). The plan is a parallel one, so its morsel scan and gather
+// are bound by every goroutine.
 func TestPlanCacheConcurrentReuse(t *testing.T) {
 	f := cacheTestFramework(t)
+	f.Parallelism = 4
 	const q = "SELECT id, v FROM t WHERE v > ? ORDER BY id"
 	want, err := f.Execute(q, 0.0)
 	if err != nil {
@@ -340,5 +357,100 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 	if c := f.PlanCache().Counters(); c.Hits != 0 || c.Misses != 0 {
 		t.Fatalf("disabled cache was consulted: %+v", c)
+	}
+}
+
+// cachedEntry returns the entry cached for sql without counting a lookup.
+func cachedEntry(f *Framework, sql string) *planEntry {
+	c := f.PlanCache()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[obs.Fingerprint(sql)]; ok {
+		return el.Value.(*planElem).ent
+	}
+	return nil
+}
+
+// planTree renders a plan's operators and attributes, one indented line each.
+func planTree(n rel.Node) string {
+	var b strings.Builder
+	var walk func(n rel.Node, depth int)
+	walk = func(n rel.Node, depth int) {
+		fmt.Fprintf(&b, "%*s%s(%s)\n", 2*depth, "", n.Op(), n.Attrs())
+		for _, in := range n.Inputs() {
+			walk(in, depth+1)
+		}
+	}
+	walk(n, 0)
+	return b.String()
+}
+
+// spanTree renders a trace's span tree like planTree.
+func spanTree(s *obs.SpanStats) string {
+	var b strings.Builder
+	var walk func(s *obs.SpanStats, depth int)
+	walk = func(s *obs.SpanStats, depth int) {
+		fmt.Fprintf(&b, "%*s%s(%s)\n", 2*depth, "", s.Name, s.Attrs)
+		for _, c := range s.Children {
+			walk(c, depth+1)
+		}
+	}
+	walk(s, 0)
+	return b.String()
+}
+
+// TestPlanCacheHoldsPreparedPlan: the cache stores the plan that runs,
+// parallelized for the worker count it was prepared for. A hit binds the
+// cached tree as it is — its trace records no planning and its span tree is
+// the cached tree, node for node — and a later switch to one worker misses,
+// runs the serial plan and replaces the entry without flushing the cache.
+func TestPlanCacheHoldsPreparedPlan(t *testing.T) {
+	f := cacheTestFramework(t)
+	f.Parallelism = 4
+	const q = "SELECT id, COUNT(*) FROM t WHERE v > 2 GROUP BY id"
+	run := func() ([][]any, *obs.TraceSnapshot) {
+		t.Helper()
+		res, err := f.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows, f.Obs().Recent.Snapshot()[0]
+	}
+	want, _ := run()
+	ent := cachedEntry(f, q)
+	if ent == nil || ent.workers != 4 || !strings.Contains(planTree(ent.plan), "MorselScan") {
+		t.Fatalf("cache does not hold the parallel plan: %+v", ent)
+	}
+
+	rows, snap := run()
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("cached run differs: %v vs %v", rows, want)
+	}
+	if !snap.Cached || snap.PlanNs != 0 || snap.OptimizeNs != 0 || snap.Parallelism != 4 {
+		t.Fatalf("hit trace: cached=%v plan=%d optimize=%d parallelism=%d",
+			snap.Cached, snap.PlanNs, snap.OptimizeNs, snap.Parallelism)
+	}
+	if got, want := spanTree(snap.Spans), planTree(ent.plan); got != want {
+		t.Fatalf("a hit ran another tree than the cached one:\n%s\nwant:\n%s", got, want)
+	}
+	if cachedEntry(f, q) != ent {
+		t.Fatal("a hit replaced the cached entry")
+	}
+
+	f.Parallelism = 1
+	rows, snap = run()
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("serial run differs: %v vs %v", rows, want)
+	}
+	if tree := spanTree(snap.Spans); snap.Cached || snap.Parallelism != 1 ||
+		strings.Contains(tree, "MorselScan") || strings.Contains(tree, "Exchange") {
+		t.Fatalf("parallelism 1 after a parallel run (cached=%v, parallelism=%d) ran:\n%s",
+			snap.Cached, snap.Parallelism, tree)
+	}
+	if serial := cachedEntry(f, q); serial == ent || serial.workers != 1 || f.PlanCache().Len() != 1 {
+		t.Fatalf("serial entry not prepared in place of the parallel one: %+v", serial)
+	}
+	if c := f.PlanCache().Counters(); c.Invalidations != 0 || c.Hits != 1 || c.Misses != 2 {
+		t.Fatalf("counters = %+v, want 1 hit, 2 misses, no flush", c)
 	}
 }

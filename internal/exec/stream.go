@@ -55,7 +55,6 @@ var (
 	streamRowsIn         atomic.Int64
 	streamWindowsEmitted atomic.Int64
 	streamLateDropped    atomic.Int64
-	streamWatermarkLag   atomic.Int64
 	streamStateBytes     atomic.Int64
 	streamEmitObserver   atomic.Value // func(seconds float64)
 )
@@ -70,11 +69,6 @@ func StreamWindowsEmitted() int64 { return streamWindowsEmitted.Load() }
 // StreamLateDropped returns the number of rows dropped because every window
 // containing them had already been emitted.
 func StreamLateDropped() int64 { return streamLateDropped.Load() }
-
-// StreamWatermarkLagMs returns how far (ms) the watermark trails the
-// freshest observed rowtime — the bounded out-of-orderness currently applied
-// by the most recently active streaming aggregation.
-func StreamWatermarkLagMs() int64 { return streamWatermarkLag.Load() }
 
 // StreamStateBytes returns the bytes of standing window state currently
 // held by live streaming aggregations.
@@ -910,9 +904,6 @@ func (c *streamAggCursor) round(b *schema.Batch, final bool) (*schema.Batch, err
 	if out != nil {
 		streamWindowsEmitted.Add(int64(out.Len))
 		observeStreamEmit(time.Since(start))
-	}
-	if c.hasTs {
-		streamWatermarkLag.Store(c.sa.LatenessMs)
 	}
 	held := c.held()
 	streamStateBytes.Add(held - c.reported)

@@ -10,7 +10,6 @@ package exec
 // node's single span; its counters are atomic.
 
 import (
-	"strconv"
 	"strings"
 	"time"
 
@@ -24,47 +23,24 @@ import (
 // MemKey ties the span to the memory governor's per-operator reservation
 // name (reservations drop the "Enumerable" convention prefix).
 //
-// Each span is also stamped with a stable operator path id mirroring the
-// optimized plan's shape — "0" for the root, parent+"."+childIndex below —
-// with rel.Synthetic nodes (exchanges, partial-aggregation stages inserted
-// by the parallel rewrite) passing their position through to their single
-// input, so a path computed on the optimized tree lands on the matching
-// operator of the prepared tree. est (optional) maps path ids to the
-// optimizer's row estimates; matching spans carry the estimate for EXPLAIN
-// ANALYZE and the cardinality-feedback harvest.
+// Each span is also stamped with its operator's stable path id
+// (rel.WalkPaths), so a path computed on the optimized tree lands on the
+// matching operator of the prepared tree. est (optional) maps path ids to
+// the optimizer's row estimates; matching spans carry the estimate for
+// EXPLAIN ANALYZE and the cardinality-feedback harvest. Synthetic nodes
+// (exchanges, partial-aggregation stages) carry none.
 func BuildSpans(tr *obs.QueryTrace, root rel.Node, est map[string]float64) map[rel.Node]*obs.Span {
 	if tr == nil || root == nil {
 		return nil
 	}
 	spans := make(map[rel.Node]*obs.Span)
-	var build func(n rel.Node, parent *obs.Span, path string)
-	build = func(n rel.Node, parent *obs.Span, path string) {
-		sp := tr.NewSpan(parent, n.Op(), n.Attrs(), strings.TrimPrefix(n.Op(), "Enumerable"))
+	rel.WalkPaths(root, func(n, parent rel.Node, path string) {
+		sp := tr.NewSpan(spans[parent], n.Op(), n.Attrs(), strings.TrimPrefix(n.Op(), "Enumerable"))
 		spans[n] = sp
-		if _, synthetic := n.(rel.Synthetic); synthetic {
-			// A staging operator inherits no path of its own; its (single)
-			// input occupies the position the synthetic node took over.
-			for i, in := range n.Inputs() {
-				p := ""
-				if i == 0 {
-					p = path
-				}
-				build(in, sp, p)
-			}
-			return
-		}
-		if path != "" {
+		if _, synthetic := n.(rel.Synthetic); !synthetic && path != "" {
 			sp.SetEstimate(path, est[path])
 		}
-		for i, in := range n.Inputs() {
-			p := ""
-			if path != "" {
-				p = path + "." + strconv.Itoa(i)
-			}
-			build(in, sp, p)
-		}
-	}
-	build(root, nil, "0")
+	})
 	return spans
 }
 

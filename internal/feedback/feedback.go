@@ -127,8 +127,10 @@ type PlanEstimates struct {
 func EstimatePlan(fingerprint string, root rel.Node, rowCount func(rel.Node) float64) *PlanEstimates {
 	pe := &PlanEstimates{Fingerprint: fingerprint, ByPath: map[string]OpEstimate{}, Tables: rel.ScannedTables(root)}
 	keys := keyMemo{}
-	var walk func(n rel.Node, path string)
-	walk = func(n rel.Node, path string) {
+	if root == nil {
+		return pe
+	}
+	rel.WalkPaths(root, func(n, _ rel.Node, path string) {
 		e := OpEstimate{Path: path, Op: n.Op(), Rows: rowCount(n)}
 		k := keys.of(n, nil, false)
 		e.Key, e.Bound = k.key, k.bound
@@ -136,13 +138,7 @@ func EstimatePlan(fingerprint string, root rel.Node, rowCount func(rel.Node) flo
 			e.JoinSig = conditionSignature(n, j.Condition)
 		}
 		pe.ByPath[path] = e
-		for i, in := range n.Inputs() {
-			walk(in, path+"."+strconv.Itoa(i))
-		}
-	}
-	if root != nil {
-		walk(root, "0")
-	}
+	})
 	return pe
 }
 

@@ -6,10 +6,11 @@
 //
 // # Architecture
 //
-// Parallelize rewrites an optimized enumerable plan bottom-up, propagating
-// the trait.Distribution of each operator and inserting a gather exactly
-// where a serial operator would read a partitioned input (the same reasoning
-// the trait framework applies to collations):
+// Parallelize rewrites an optimized enumerable plan once, when the plan is
+// prepared for the worker count it will run at; the plan cache, EXPLAIN and
+// the trace hold the rewritten tree. It works bottom-up, propagating the
+// trait.Distribution of each operator and inserting a gather exactly where a
+// serial operator would read a partitioned input:
 //
 //   - batch-scannable scans become MorselScan (random distribution);
 //   - filters and projections run partition-local, preserving distribution;

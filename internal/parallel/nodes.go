@@ -147,6 +147,11 @@ func (s *MorselScan) Attrs() string {
 }
 func (s *MorselScan) WithNewInputs(inputs []rel.Node) rel.Node { return s }
 
+// Unwrap makes the morsel scan a rel.Wrapped over the scan it splits, so
+// what reads a plan's tables (rel.ScannedTables, per-table plan eviction)
+// sees through it.
+func (s *MorselScan) Unwrap() rel.Node { return s.Inner }
+
 // BindBatch is the serial fallback: a plain scan.
 func (s *MorselScan) BindBatch(ctx *exec.Context) (schema.BatchCursor, error) {
 	return s.Inner.(exec.BatchBound).BindBatch(ctx)

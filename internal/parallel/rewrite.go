@@ -23,10 +23,12 @@ package parallel
 //     they would split, and the stable sort needs no positions to keep the
 //     serial order.
 //
-// The rewrite runs at execution time (core.Framework), not inside the
-// Volcano search: plans stay backend-agnostic until the host system decides
-// how many workers to spend, which is the paper's "execution left to the
-// host" stance applied to parallelism.
+// The rewrite runs once per prepared plan (core.Framework.prepare), after
+// the Volcano search: the optimized plan stays backend-agnostic and the host
+// system decides how many workers to spend, the paper's "execution left to
+// the host" stance applied to parallelism. The plan cache, EXPLAIN and the
+// trace all hold the rewritten tree, so distribution is a trait of the plan
+// that runs.
 //
 // Division of labour: parallel moves batches; tables, charging and spill live
 // in exec. The blocking operators placed here (HashJoinPar, PartialAgg,

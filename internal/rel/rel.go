@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"calcite/internal/rex"
@@ -250,6 +251,31 @@ func Walk(n Node, visit func(Node) bool) {
 	for _, in := range n.Inputs() {
 		Walk(in, visit)
 	}
+}
+
+// WalkPaths visits the plan rooted at root pre-order, with each node's parent
+// and its stable path id: "0" for the root, parent+"."+inputIndex below. A
+// Synthetic node takes the position of the operator it stands in front of
+// and passes it through to its first input, so a path computed on the
+// optimized plan names the same operator in the prepared (parallelized)
+// plan; a synthetic node's other inputs, and everything below them, get the
+// empty path.
+func WalkPaths(root Node, visit func(n, parent Node, path string)) {
+	var walk func(n, parent Node, path string)
+	walk = func(n, parent Node, path string) {
+		visit(n, parent, path)
+		_, synthetic := n.(Synthetic)
+		for i, in := range n.Inputs() {
+			p := ""
+			if synthetic && i == 0 {
+				p = path
+			} else if !synthetic && path != "" {
+				p = path + "." + strconv.Itoa(i)
+			}
+			walk(in, n, p)
+		}
+	}
+	walk(root, nil, "0")
 }
 
 // ScannedTables returns the distinct tables the plan rooted at n scans, in

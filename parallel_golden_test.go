@@ -11,25 +11,28 @@ package calcite_test
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
 	"calcite"
-	"calcite/internal/parallel"
-	"calcite/internal/rel"
+	"calcite/internal/obs"
 )
 
 // goldenParallelism is the worker count the parallel golden file is taken at.
 const goldenParallelism = 4
 
-// parallelTree renders the operator tree sql runs at goldenParallelism.
+// estimates matches the rows=/cost= annotation EXPLAIN appends to a line.
+var estimates = regexp.MustCompile(`: rows=.*`)
+
+// parallelTree renders the operator tree sql runs at goldenParallelism: its
+// plain EXPLAIN, without the estimates.
 func parallelTree(conn *calcite.Connection, sql string) string {
-	_, optimized, err := conn.Plan(sql)
+	plan, err := conn.Explain(sql)
 	if err != nil {
 		return "error: " + err.Error() + "\n"
 	}
-	pool := conn.Framework.WorkerPool()
-	return rel.Explain(parallel.Parallelize(optimized, pool, goldenParallelism))
+	return estimates.ReplaceAllString(plan, "")
 }
 
 func TestParallelPlanGolden(t *testing.T) {
@@ -65,4 +68,47 @@ func TestParallelPlanGolden(t *testing.T) {
 	}
 
 	checkGolden(t, "testdata/parallel.golden", b.String())
+}
+
+// TestExplainAnalyzeRunsExplainedTree: at parallelism 4, the span tree
+// EXPLAIN ANALYZE executes is the tree plain EXPLAIN shows, operator for
+// operator, so morsel scans and exchanges are listed exactly where they run.
+func TestExplainAnalyzeRunsExplainedTree(t *testing.T) {
+	conn := diffConn()
+	conn.SetParallelism(goldenParallelism)
+	gathers := 0
+	for i, q := range diffQueries {
+		plan, err := conn.Explain(q.sql)
+		if err != nil {
+			t.Fatalf("diff/%d: %v", i, err)
+		}
+		// A statement that fails at run time (the corpus has some) still
+		// leaves its trace.
+		_, _ = conn.Query("EXPLAIN ANALYZE "+q.sql, q.params...)
+		var spans []string
+		var walk func(s *obs.SpanStats, depth int)
+		walk = func(s *obs.SpanStats, depth int) {
+			line := strings.Repeat("  ", depth) + s.Name + "("
+			if s.Attrs != "" {
+				line += s.Attrs + ", "
+			}
+			spans = append(spans, line+"convention=")
+			for _, c := range s.Children {
+				walk(c, depth+1)
+			}
+		}
+		walk(conn.LastTraces(1)[0].Spans, 0)
+		lines := strings.Split(strings.TrimRight(plan, "\n"), "\n")
+		same := len(lines) == len(spans)
+		for k := 0; same && k < len(lines); k++ {
+			same = strings.HasPrefix(lines[k], spans[k])
+		}
+		if !same {
+			t.Fatalf("diff/%d: EXPLAIN ANALYZE ran\n%s\nEXPLAIN shows\n%s", i, strings.Join(spans, "\n"), plan)
+		}
+		gathers += strings.Count(plan, "GatherExchange")
+	}
+	if gathers == 0 {
+		t.Fatal("no corpus plan gathers at parallelism 4")
+	}
 }
