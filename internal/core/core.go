@@ -677,7 +677,7 @@ func (f *Framework) explain(s *parser.ExplainStmt, sql string, opts ExecOptions)
 			}
 			return nil, err
 		}
-		text = p.explain()
+		text = p.explainText()
 		if s.Analyze {
 			statsText, err := f.explainAnalyze(tr, p.planEntry, opts)
 			if err != nil {
@@ -693,19 +693,15 @@ func (f *Framework) explain(s *parser.ExplainStmt, sql string, opts ExecOptions)
 	return &Result{Columns: []string{"PLAN"}, Rows: rows, Plan: text}, nil
 }
 
-// explain renders the prepared plan, each operator annotated with the
+// explainText renders the prepared plan, each operator annotated with the
 // estimates of the optimized operator at its path (rel.WalkPaths), so
 // EXPLAIN shows what the cost-based decisions were based on. The synthetic
-// nodes of the parallel rewrite carry no estimate.
-func (p *preparation) explain() string {
+// nodes of the parallel rewrite have no path and carry no estimate.
+func (p *preparation) explainText() string {
 	byPath := map[string]string{}
 	rel.WalkPaths(p.optimized, func(n, _ rel.Node, path string) { byPath[path] = estimate(p.mq, n) })
 	byNode := map[rel.Node]string{}
-	rel.WalkPaths(p.plan, func(n, _ rel.Node, path string) {
-		if _, synthetic := n.(rel.Synthetic); !synthetic {
-			byNode[n] = byPath[path]
-		}
-	})
+	rel.WalkPaths(p.plan, func(n, _ rel.Node, path string) { byNode[n] = byPath[path] })
 	return rel.ExplainAnnotated(p.plan, func(n rel.Node) string { return byNode[n] })
 }
 
@@ -714,10 +710,10 @@ func estimate(mq *meta.Query, n rel.Node) string {
 	return fmt.Sprintf("rows=%.4g, cost=%.4g", mq.RowCount(n), mq.CumulativeCost(n).Scalar())
 }
 
-// explainAnalyze runs the explained entry under tr with the statement's
-// options and a tracking allocator, and renders the run statistics from the finished trace
-// snapshot — the same span tree /debug/queries serves as JSON, so the text
-// and the JSON can never disagree.
+// explainAnalyze runs the explained entry under tr, with the statement's
+// options and a tracking allocator, and renders the run statistics from the
+// finished trace snapshot — the same span tree /debug/queries serves as
+// JSON, so the text and the JSON can never disagree.
 func (f *Framework) explainAnalyze(tr *obs.QueryTrace, ent *planEntry, opts ExecOptions) (string, error) {
 	opts.track = true
 	_, snap, err := f.execute(tr, ent, opts, nil)

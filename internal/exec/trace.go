@@ -27,8 +27,8 @@ import (
 // (rel.WalkPaths), so a path computed on the optimized tree lands on the
 // matching operator of the prepared tree. est (optional) maps path ids to
 // the optimizer's row estimates; matching spans carry the estimate for
-// EXPLAIN ANALYZE and the cardinality-feedback harvest. Synthetic nodes
-// (exchanges, partial-aggregation stages) carry none.
+// EXPLAIN ANALYZE and the cardinality-feedback harvest; synthetic nodes
+// (exchanges, partial-aggregation stages) have no path and carry none.
 func BuildSpans(tr *obs.QueryTrace, root rel.Node, est map[string]float64) map[rel.Node]*obs.Span {
 	if tr == nil || root == nil {
 		return nil
@@ -37,7 +37,7 @@ func BuildSpans(tr *obs.QueryTrace, root rel.Node, est map[string]float64) map[r
 	rel.WalkPaths(root, func(n, parent rel.Node, path string) {
 		sp := tr.NewSpan(spans[parent], n.Op(), n.Attrs(), strings.TrimPrefix(n.Op(), "Enumerable"))
 		spans[n] = sp
-		if _, synthetic := n.(rel.Synthetic); !synthetic && path != "" {
+		if path != "" {
 			sp.SetEstimate(path, est[path])
 		}
 	})

@@ -255,22 +255,26 @@ func Walk(n Node, visit func(Node) bool) {
 
 // WalkPaths visits the plan rooted at root pre-order, with each node's parent
 // and its stable path id: "0" for the root, parent+"."+inputIndex below. A
-// Synthetic node takes the position of the operator it stands in front of
-// and passes it through to its first input, so a path computed on the
-// optimized plan names the same operator in the prepared (parallelized)
-// plan; a synthetic node's other inputs, and everything below them, get the
-// empty path.
+// Synthetic node has the empty path: it passes the position of the operator
+// it stands in front of through to its first input, so a path computed on
+// the optimized plan names the same operator in the prepared (parallelized)
+// plan. A synthetic node's other inputs, and everything below them, get the
+// empty path too.
 func WalkPaths(root Node, visit func(n, parent Node, path string)) {
 	var walk func(n, parent Node, path string)
 	walk = func(n, parent Node, path string) {
-		visit(n, parent, path)
 		_, synthetic := n.(Synthetic)
+		own := path
+		if synthetic {
+			own = ""
+		}
+		visit(n, parent, own)
 		for i, in := range n.Inputs() {
 			p := ""
 			if synthetic && i == 0 {
 				p = path
-			} else if !synthetic && path != "" {
-				p = path + "." + strconv.Itoa(i)
+			} else if own != "" {
+				p = own + "." + strconv.Itoa(i)
 			}
 			walk(in, n, p)
 		}
