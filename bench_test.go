@@ -81,12 +81,12 @@ func BenchmarkFig4_FilterIntoJoin(b *testing.B) {
 }
 
 // BenchmarkAblation_Rules_NoFilterPushdown is the A1 ablation: the same
-// query with the logical rewrite phase disabled, so the join processes
-// every sales row (the paper: pushing the filter "can significantly reduce
-// query execution time").
+// query with no logical rewrite rules, so the join processes every sales row
+// (the paper: pushing the filter "can significantly reduce query execution
+// time").
 func BenchmarkAblation_Rules_NoFilterPushdown(b *testing.B) {
 	conn := figure4Conn(20000, 50)
-	conn.Framework.DisableLogicalPhase = true
+	conn.Framework.LogicalRules = nil
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := conn.Query(figure4SQL); err != nil {

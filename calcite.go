@@ -66,7 +66,8 @@ type Result = core.Result
 type Adapter = core.Adapter
 
 // Query parses, validates, optimizes and executes a SQL statement.
-// Dynamic parameters ("?") bind positionally from params.
+// Dynamic parameters ("?") bind positionally from params, normalized like
+// AddTable's values.
 func (c *Connection) Query(sql string, params ...any) (*Result, error) {
 	return c.Framework.Execute(sql, params...)
 }
@@ -138,6 +139,11 @@ func ArrayType(elem *types.Type) *types.Type { return types.Array(elem) }
 // The rows are copied into the table's columns; more may be appended later
 // via INSERT or the returned handle's Insert, without disturbing concurrent
 // readers or cached plans. Registration itself flushes the plan cache.
+//
+// Values are normalized as they are copied, and so come back from queries in
+// the engine's representation: Go ints (and the other integer kinds) as
+// int64, float32 as float64, and time.Time as epoch-millis int64, the value a
+// TIMESTAMP literal has. The rows themselves are not modified.
 func (c *Connection) AddTable(name string, cols Columns, rows [][]any) *schema.MemTable {
 	fields := make([]types.Field, len(cols))
 	for i, col := range cols {

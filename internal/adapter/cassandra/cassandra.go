@@ -42,12 +42,16 @@ type table struct {
 // NewStore creates an empty store.
 func NewStore() *Store { return &Store{tables: map[string]*table{}} }
 
-// CreateTable defines a table and loads rows (stored sorted by partition,
-// then clustering columns — the storage order Cassandra maintains).
+// CreateTable defines a table and loads rows, normalized (types.Normalize)
+// and stored sorted by partition, then clustering columns — the storage order
+// Cassandra maintains.
 func (s *Store) CreateTable(def TableDef, rows [][]any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := &table{def: def, rows: append([][]any(nil), rows...)}
+	t := &table{def: def, rows: make([][]any, len(rows))}
+	for i, row := range rows {
+		t.rows[i] = types.NormalizeRow(row)
+	}
 	keyCols := append(append([]int{}, def.PartitionKeys...), def.ClusteringKeys...)
 	sort.SliceStable(t.rows, func(i, j int) bool {
 		for _, c := range keyCols {

@@ -1,6 +1,7 @@
 package cassandra_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -146,5 +147,24 @@ func TestDescendingReversal(t *testing.T) {
 	}
 	if !strings.Contains(store.LastQuery(), "DESC") {
 		t.Errorf("CQL: %q", store.LastQuery())
+	}
+}
+
+// TestCreateTableNormalizes: rows loaded with Go ints are stored as int64,
+// so the storage order and a pushed range condition compare numerically.
+func TestCreateTableNormalizes(t *testing.T) {
+	store := cassandra.NewStore()
+	store.CreateTable(cassandra.TableDef{
+		Name:           "ev",
+		Fields:         []types.Field{{Name: "tenant", Type: types.Varchar}, {Name: "ts", Type: types.BigInt}},
+		PartitionKeys:  []int{0},
+		ClusteringKeys: []int{1},
+	}, [][]any{{"a", 10}, {"a", 9}, {"a", 100}, {"a", 2}})
+	_, rows, err := store.Execute("SELECT ts FROM ev WHERE tenant = 'a' AND ts > 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]any{{int64(9)}, {int64(10)}, {int64(100)}}; !reflect.DeepEqual(rows, want) {
+		t.Errorf("rows %#v, want %#v", rows, want)
 	}
 }

@@ -93,7 +93,7 @@ func matches(doc map[string]any, filter map[string]any) (bool, error) {
 		val, present := doc[field]
 		ops, isOps := cond.(map[string]any)
 		if !isOps {
-			if !present || types.Compare(normalize(val), normalize(cond)) != 0 {
+			if !present || types.Compare(types.Normalize(val), types.Normalize(cond)) != 0 {
 				return false, nil
 			}
 			continue
@@ -102,7 +102,7 @@ func matches(doc map[string]any, filter map[string]any) (bool, error) {
 			if !present {
 				return false, nil
 			}
-			cmp := types.Compare(normalize(val), normalize(want))
+			cmp := types.Compare(types.Normalize(val), types.Normalize(want))
 			okCmp := false
 			switch op {
 			case "$eq":
@@ -126,17 +126,4 @@ func matches(doc map[string]any, filter map[string]any) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// normalize converts json.Unmarshal values to the engine's runtime types.
-func normalize(v any) any {
-	switch x := v.(type) {
-	case float64:
-		return x
-	case int:
-		return int64(x)
-	case []any:
-		return x
-	}
-	return v
 }

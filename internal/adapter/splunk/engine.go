@@ -69,11 +69,16 @@ func (c NetworkCost) Charge(rows int) {
 // NewEngine creates an empty engine.
 func NewEngine() *Engine { return &Engine{indexes: map[string]*Index{}} }
 
-// AddIndex registers an event index.
+// AddIndex registers an event index, holding its events normalized
+// (types.Normalize) in a copy of idx.
 func (e *Engine) AddIndex(idx *Index) {
+	events := make([][]any, len(idx.Events))
+	for i, ev := range idx.Events {
+		events[i] = types.NormalizeRow(ev)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.indexes[strings.ToLower(idx.Name)] = idx
+	e.indexes[strings.ToLower(idx.Name)] = &Index{Name: idx.Name, Fields: idx.Fields, Events: events}
 }
 
 // SetLookup wires the external lookup facility (the ODBC connection of

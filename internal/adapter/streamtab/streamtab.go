@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"calcite/internal/core"
 	"calcite/internal/plan"
@@ -82,32 +81,21 @@ func (t *Table) SetReplaySkew(seed, ms int64) {
 	t.vecs, t.vecsN = nil, 0
 }
 
-// rowtimeMillis coerces a rowtime value to epoch milliseconds.
-func rowtimeMillis(v any) (int64, bool) {
-	if ts, ok := v.(time.Time); ok {
-		return ts.UnixMilli(), true
-	}
-	return types.AsInt(v)
-}
-
-// Append adds events. Rowtimes may be time.Time or any integer type and are
-// stored normalized to int64 millis; each must be within the configured max
-// skew of the largest rowtime seen so far.
+// Append adds events, each normalized (types.Normalize, which copies a row
+// it changes): rowtimes may be time.Time or any integer type and are stored
+// as int64 millis; each must be within the configured max skew of the
+// largest rowtime seen so far.
 func (t *Table) Append(rows ...[]any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, row := range rows {
-		ts, ok := rowtimeMillis(row[t.rowtimeCol])
+		row = types.NormalizeRow(row)
+		ts, ok := row[t.rowtimeCol].(int64)
 		if !ok {
 			return fmt.Errorf("streamtab: rowtime column must be a timestamp (time.Time or integer millis), got %T", row[t.rowtimeCol])
 		}
 		if t.hasEvents && ts < t.maxTs-t.maxSkew {
 			return fmt.Errorf("streamtab: out-of-order event (rowtime %d < %d - max skew %d); streams are time-ordered sets of records", ts, t.maxTs, t.maxSkew)
-		}
-		if _, isInt := row[t.rowtimeCol].(int64); !isInt {
-			// Normalize in a copy; the caller keeps its slice.
-			row = append([]any(nil), row...)
-			row[t.rowtimeCol] = ts
 		}
 		if !t.hasEvents || ts > t.maxTs {
 			t.maxTs, t.hasEvents = ts, true
@@ -141,7 +129,7 @@ func (t *Table) history() [][]any {
 	rows := t.arrivalLocked()
 	out := make([][]any, 0, len(rows))
 	for _, row := range rows {
-		if ts, _ := rowtimeMillis(row[t.rowtimeCol]); ts <= t.watermark {
+		if row[t.rowtimeCol].(int64) <= t.watermark {
 			out = append(out, row)
 		}
 	}
@@ -172,8 +160,7 @@ func (t *Table) arrivalLocked() [][]any {
 		if jitter < 0 {
 			jitter += t.replaySkew + 1
 		}
-		ts, _ := rowtimeMillis(row[t.rowtimeCol])
-		perturbed[i] = keyed{key: ts + jitter, row: row}
+		perturbed[i] = keyed{key: row[t.rowtimeCol].(int64) + jitter, row: row}
 	}
 	sort.SliceStable(perturbed, func(i, j int) bool { return perturbed[i].key < perturbed[j].key })
 	out := make([][]any, len(perturbed))

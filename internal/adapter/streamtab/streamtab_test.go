@@ -1,7 +1,9 @@
 package streamtab
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"calcite/internal/schema"
 	"calcite/internal/types"
@@ -81,5 +83,42 @@ func TestRowtimeColumnAndStats(t *testing.T) {
 	a.AddTable(tb)
 	if _, ok := a.AdapterSchema().Table("orders"); !ok {
 		t.Error("adapter schema missing table")
+	}
+}
+
+// TestAppendNormalizes: events arriving with time.Time rowtimes and Go ints
+// are stored as epoch-millis int64 and int64, in a copy of the caller's row.
+func TestAppendNormalizes(t *testing.T) {
+	tb := NewTable("orders", types.Row(
+		types.Field{Name: "rowtime", Type: types.Timestamp},
+		types.Field{Name: "units", Type: types.BigInt},
+	), 0)
+	row := []any{time.UnixMilli(5000), 7}
+	if err := tb.Append(row, []any{int32(6000), uint8(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Append([]any{time.UnixMilli(5500), 2}); err == nil {
+		t.Error("out-of-order time.Time rowtime accepted")
+	}
+	cur, err := tb.StreamScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]any
+	for {
+		r, err := cur.Next()
+		if err == schema.Done {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, r)
+	}
+	if want := [][]any{{int64(5000), int64(7)}, {int64(6000), int64(1)}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stored %#v, want %#v", got, want)
+	}
+	if _, ok := row[0].(time.Time); !ok || row[1] != 7 {
+		t.Errorf("caller's row changed to %#v", row)
 	}
 }

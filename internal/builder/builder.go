@@ -110,11 +110,11 @@ func (b *Builder) FieldAt(i int) rex.Node {
 	return rex.NewInputRef(i, top.RowType().Fields[i].Type)
 }
 
-// Literal builds a literal expression.
+// Literal builds a literal expression of v, normalized into the runtime
+// value set (types.Normalize).
 func (b *Builder) Literal(v any) rex.Node {
+	v = types.Normalize(v)
 	switch x := v.(type) {
-	case int:
-		return rex.Int(int64(x))
 	case int64:
 		return rex.Int(x)
 	case float64:

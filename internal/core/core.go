@@ -86,8 +86,6 @@ type Framework struct {
 	FixPoint plan.FixPointMode
 	// Delta is the Heuristic-mode improvement threshold.
 	Delta float64
-	// DisableLogicalPhase skips logical rewrites (for ablations).
-	DisableLogicalPhase bool
 	// BatchSize overrides the execution engine's rows-per-batch; <= 0 uses
 	// schema.DefaultBatchSize.
 	BatchSize int
@@ -120,12 +118,6 @@ type Framework struct {
 	// memPoolMu guards the lazily created shared memory pool.
 	memPoolMu sync.Mutex
 	memPool   *memory.Pool
-
-	// PlanCacheSize bounds the prepared-plan cache's entry count (<= 0 uses
-	// DefaultPlanCacheSize); DisablePlanCache turns the cache off entirely
-	// (every statement re-plans — the A/B baseline).
-	PlanCacheSize    int
-	DisablePlanCache bool
 
 	// planCacheMu guards the lazily created prepared-plan cache.
 	planCacheMu sync.Mutex
@@ -233,17 +225,9 @@ func (f *Framework) PlanCache() *PlanCache {
 	f.planCacheMu.Lock()
 	defer f.planCacheMu.Unlock()
 	if f.planCache == nil {
-		f.planCache = NewPlanCache(f.PlanCacheSize)
+		f.planCache = NewPlanCache(DefaultPlanCacheSize)
 	}
 	return f.planCache
-}
-
-// planCacheIfEnabled returns the cache, or nil when caching is disabled.
-func (f *Framework) planCacheIfEnabled() *PlanCache {
-	if f.DisablePlanCache {
-		return nil
-	}
-	return f.PlanCache()
 }
 
 // InvalidatePlans flushes the prepared-plan cache and the cardinality-
@@ -327,16 +311,12 @@ func (f *Framework) optimize(logical rel.Node, ph *obs.OptimizerPhases) (rel.Nod
 	start := time.Now()
 	defer func() { ph.PhysicalNs = int64(time.Since(start)) - ph.RewriteNs - ph.JoinOrderNs }()
 
-	node := logical
-	if !f.DisableLogicalPhase {
-		node = f.logicalOptimize(node, mq)
-		mq.InvalidateCache()
-		ph.RewriteNs = int64(time.Since(start))
-		var counts rules.JoinOrderCounts
-		node, counts = f.reorderJoins(node, mq)
-		ph.JoinCandidates, ph.JoinCosted = int64(counts.Considered), int64(counts.Costed)
-		ph.JoinOrderNs = int64(time.Since(start)) - ph.RewriteNs
-	}
+	node := f.logicalOptimize(logical, mq)
+	mq.InvalidateCache()
+	ph.RewriteNs = int64(time.Since(start))
+	node, counts := f.reorderJoins(node, mq)
+	ph.JoinCandidates, ph.JoinCosted = int64(counts.Considered), int64(counts.Costed)
+	ph.JoinOrderNs = int64(time.Since(start)) - ph.RewriteNs
 
 	physRules := append([]plan.Rule(nil), f.PhysicalRules...)
 	physRules = append(physRules, f.substitutionRules(mq)...)
@@ -451,13 +431,11 @@ func (f *Framework) Execute(sql string, params ...any) (*Result, error) {
 // memory pool). Repeated statements hit the prepared-plan cache and skip
 // parse, optimize and the parallel rewrite entirely.
 func (f *Framework) ExecuteOpts(sql string, opts ExecOptions) (*Result, error) {
-	if cache := f.planCacheIfEnabled(); cache != nil {
-		if ent, ok := cache.Get(sql, f.EffectiveParallelism()); ok {
-			tr := f.Obs().Begin(sql)
-			tr.Cached = true
-			res, _, err := f.execute(tr, ent, opts, nil)
-			return res, err
-		}
+	if ent, ok := f.PlanCache().Get(sql, f.EffectiveParallelism()); ok {
+		tr := f.Obs().Begin(sql)
+		tr.Cached = true
+		res, _, err := f.execute(tr, ent, opts, nil)
+		return res, err
 	}
 	stmt, err := parser.Parse(sql)
 	if err != nil {
@@ -523,7 +501,7 @@ func (f *Framework) executeQuery(sql string, stmt parser.Statement, opts ExecOpt
 	p.sql = sql
 	var cache *PlanCache
 	if cacheableStmt(stmt) {
-		cache = f.planCacheIfEnabled()
+		cache = f.PlanCache()
 	}
 	res, _, err := f.execute(tr, p.planEntry, opts, cache)
 	return res, err

@@ -26,7 +26,7 @@ func (f *Framework) Feedback() *feedback.Store {
 	f.fbMu.Lock()
 	defer f.fbMu.Unlock()
 	if f.fbStore == nil {
-		f.fbStore = feedback.NewStore(feedback.Options{})
+		f.fbStore = feedback.NewStore()
 	}
 	return f.fbStore
 }
@@ -60,9 +60,7 @@ func (f *Framework) harvestFeedback(snap *obs.TraceSnapshot, est *feedback.PlanE
 		return
 	}
 	if fb.Harvest(snap, est) {
-		if cache := f.planCacheIfEnabled(); cache != nil {
-			cache.EvictFingerprint(snap.Fingerprint)
-		}
+		f.PlanCache().EvictFingerprint(snap.Fingerprint)
 	}
 }
 

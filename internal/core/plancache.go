@@ -85,12 +85,8 @@ type planElem struct {
 	ent *planEntry
 }
 
-// NewPlanCache builds a cache bounded to max entries (<= 0 uses
-// DefaultPlanCacheSize).
+// NewPlanCache builds a cache bounded to max entries.
 func NewPlanCache(max int) *PlanCache {
-	if max <= 0 {
-		max = DefaultPlanCacheSize
-	}
 	return &PlanCache{max: max, order: list.New(), byKey: map[string]*list.Element{}}
 }
 

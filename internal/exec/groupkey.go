@@ -335,8 +335,6 @@ func extendNull(v *schema.Vector, k int) {
 		v.B = extend(v.B, k)
 	case schema.VecString:
 		v.S = extend(v.S, k)
-	case schema.VecTime:
-		v.T = extend(v.T, k)
 	}
 }
 
@@ -778,7 +776,7 @@ func (g *GroupedAgg) mergeRow(dst, src int32) error {
 func (g *GroupedAgg) footprint() int64 {
 	n := g.extra
 	for _, v := range g.state {
-		n += int64(cap(v.Nulls) + 8*cap(v.I64) + 8*cap(v.F64) + cap(v.B) + 16*cap(v.S) + 24*cap(v.T) + 16*cap(v.A))
+		n += int64(cap(v.Nulls) + 8*cap(v.I64) + 8*cap(v.F64) + cap(v.B) + 16*cap(v.S) + 16*cap(v.A))
 	}
 	for _, c := range g.cols {
 		n += 16 * int64(cap(c.accs))

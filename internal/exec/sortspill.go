@@ -94,8 +94,6 @@ func vecsBytes(vecs []*schema.Vector, sel []int32, n int) int64 {
 			sz += 8 * int64(n)
 		case schema.VecBool:
 			sz += int64(n)
-		case schema.VecTime:
-			sz += 24 * int64(n)
 		case schema.VecString:
 			sz += 16 * int64(n)
 			for i := 0; i < n; i++ {
@@ -144,16 +142,14 @@ func compareAt(a *schema.Vector, i int, b *schema.Vector, j int) int {
 		return cmp.Compare(a.F64[i], b.F64[j])
 	case schema.VecString:
 		return strings.Compare(a.S[i], b.S[j])
-	case schema.VecBool:
-		switch x, y := a.B[i], b.B[j]; {
-		case x == y:
-			return 0
-		case y:
-			return -1
-		}
-		return 1
 	}
-	return a.T[i].Compare(b.T[j])
+	switch x, y := a.B[i], b.B[j]; {
+	case x == y:
+		return 0
+	case y:
+		return -1
+	}
+	return 1
 }
 
 // compareKeys orders row i of av against row j of bv under a collation.

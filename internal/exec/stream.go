@@ -133,23 +133,16 @@ func BindStreamAggOver(ctx *Context, sa *rel.StreamAggregate, in schema.BatchCur
 	return c
 }
 
-// rowtimeAt reads row r of the rowtime column as epoch milliseconds: int64
-// (what stream tables store) and time.Time vectors unboxed, anything else
-// coerced.
+// rowtimeAt reads row r of the rowtime column as epoch milliseconds: an
+// int64 vector (what stream tables store) unboxed, anything else coerced.
 func rowtimeAt(v *schema.Vector, r int) (int64, bool) {
 	switch {
 	case v.Nulls != nil && v.Nulls[r]:
 		return 0, false
 	case v.Kind == schema.VecInt64:
 		return v.I64[r], true
-	case v.Kind == schema.VecTime:
-		return v.T[r].UnixMilli(), true
 	}
-	x := v.Get(r)
-	if t, ok := x.(time.Time); ok {
-		return t.UnixMilli(), true
-	}
-	return types.AsInt(x)
+	return types.AsInt(v.Get(r))
 }
 
 // floorTo rounds ts down to a multiple of step (toward -inf).

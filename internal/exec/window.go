@@ -670,11 +670,11 @@ func slideDeque(part [][]any, call rex.AggCall, lo, hi []int) []any {
 // one ordered partition. RANGE offset bounds are direction-aware — a DESC
 // order key measures the offset toward smaller values — and value
 // comparisons go through types.AsFloat, so temporal order keys (epoch-millis
-// timestamps or time.Time) slide correctly; an order key that is neither
-// numeric nor temporal is a clean error rather than a wrong frame. NULL
-// order keys frame their peer NULLs. Empty frames are canonicalized to
-// lo = hi+1, and both bound sequences are nondecreasing — the invariant the
-// incremental evaluators rely on.
+// timestamps) slide correctly; an order key that is neither numeric nor
+// temporal is a clean error rather than a wrong frame. NULL order keys frame
+// their peer NULLs. Empty frames are canonicalized to lo = hi+1, and both
+// bound sequences are nondecreasing — the invariant the incremental
+// evaluators rely on.
 func frameBoundsAll(part [][]any, g rel.WindowGroup) (lo, hi []int, err error) {
 	n := len(part)
 	lo = make([]int, n)

@@ -57,42 +57,30 @@ const (
 	CorrectionCap = 16 * StatementCap
 )
 
-// Options tune the store's smoothing, bounding and reaction thresholds.
-type Options struct {
-	// Alpha is the EWMA weight of the newest observation (0 < Alpha <= 1).
-	Alpha float64
-	// MaxRatio bounds a correction relative to the optimizer's estimate:
-	// the corrected row count stays within [est/MaxRatio, est*MaxRatio].
-	MaxRatio float64
-	// ReplanQError is the per-operator q-error at which a harvest requests
+// Tuning of the store's smoothing, bounding and reaction thresholds.
+const (
+	// alpha is the EWMA weight of the newest observation (0 < alpha <= 1).
+	alpha = 0.5
+	// maxRatio bounds a correction relative to the optimizer's estimate:
+	// the corrected row count stays within [est/maxRatio, est*maxRatio].
+	maxRatio = 64
+	// replanQError is the per-operator q-error at which a harvest requests
 	// re-planning of the statement (its cached plan is evicted). It is set
 	// well above the drift-marker threshold: a mild drift rarely changes the
 	// plan choice, and parameterized statements legitimately vary between
 	// bindings — evicting them would defeat the prepared-plan cache.
-	ReplanQError float64
-	// MaxReplans bounds re-planning requests per statement fingerprint
+	replanQError = 4
+	// maxReplans bounds re-planning requests per statement fingerprint
 	// (until the next invalidation): a statement whose cardinality genuinely
 	// varies between executions must not evict its cached plan forever.
-	MaxReplans int
-	// OvershootFactor is the build-actual/estimate ratio at which a hash
+	maxReplans = 5
+	// overshootFactor is the build-actual/estimate ratio at which a hash
 	// join's build overshoot is recorded as a swap preference.
-	OvershootFactor float64
-	// OvershootMinRows ignores overshoots below this build size (swapping a
+	overshootFactor = 4
+	// overshootMinRows ignores overshoots below this build size (swapping a
 	// few hundred rows is noise).
-	OvershootMinRows float64
-}
-
-// DefaultOptions are the tuning used by the framework.
-func DefaultOptions() Options {
-	return Options{
-		Alpha:            0.5,
-		MaxRatio:         64,
-		ReplanQError:     4,
-		MaxReplans:       5,
-		OvershootFactor:  4,
-		OvershootMinRows: 256,
-	}
-}
+	overshootMinRows = 256
+)
 
 // OpEstimate is one operator's optimization-time estimate: its stable path
 // id in the plan tree, its operator name, its canonical logical digest (the
@@ -374,8 +362,6 @@ type selCorrection struct {
 // framework; planning sessions read corrections through MetaProvider, the
 // execute path writes through Harvest and RecordBuildOvershoot.
 type Store struct {
-	opts Options
-
 	mu          sync.RWMutex
 	corrections map[uint64]*correction    // by NodeKey, at most CorrectionCap
 	plans       map[string]*planState     // by fingerprint, at most StatementCap
@@ -401,28 +387,9 @@ type Store struct {
 	observeQ atomic.Pointer[func(float64)]
 }
 
-// NewStore builds an empty store; zero-valued options fall back to defaults.
-func NewStore(opts Options) *Store {
-	def := DefaultOptions()
-	if opts.Alpha <= 0 || opts.Alpha > 1 {
-		opts.Alpha = def.Alpha
-	}
-	if opts.MaxRatio <= 1 {
-		opts.MaxRatio = def.MaxRatio
-	}
-	if opts.ReplanQError <= 1 {
-		opts.ReplanQError = def.ReplanQError
-	}
-	if opts.MaxReplans <= 0 {
-		opts.MaxReplans = def.MaxReplans
-	}
-	if opts.OvershootFactor <= 1 {
-		opts.OvershootFactor = def.OvershootFactor
-	}
-	if opts.OvershootMinRows <= 0 {
-		opts.OvershootMinRows = def.OvershootMinRows
-	}
-	s := &Store{opts: opts}
+// NewStore builds an empty store.
+func NewStore() *Store {
+	s := &Store{}
 	s.reset()
 	return s
 }
@@ -451,7 +418,7 @@ func (s *Store) SetObserver(fn func(float64)) {
 // its operator's correction updated — unless the operator is bound to
 // parameter values (OpEstimate.Bound). Returns true when the statement should
 // be re-planned — the worst q-error of an unbound operator reached
-// ReplanQError, or a build overshoot was recorded during this execution.
+// replanQError, or a build overshoot was recorded during this execution.
 func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 	if snap == nil || est == nil || snap.Spans == nil || snap.Error != "" {
 		return false
@@ -519,8 +486,8 @@ func (s *Store) Harvest(snap *obs.TraceSnapshot, est *PlanEstimates) bool {
 	if maxQ > s.worstQ {
 		s.worstQ = maxQ
 	}
-	replan := (driftQ >= s.opts.ReplanQError || ps.pendingReplan) &&
-		ps.replans < int64(s.opts.MaxReplans)
+	replan := (driftQ >= replanQError || ps.pendingReplan) &&
+		ps.replans < maxReplans
 	ps.pendingReplan = false
 	if replan {
 		ps.replans++
@@ -541,7 +508,7 @@ func (s *Store) learn(e OpEstimate, sp *obs.SpanStats, actual, q float64) {
 		c = &correction{op: e.Op, actual: actual}
 		s.corrections[e.Key] = c
 	} else {
-		c.actual = s.opts.Alpha*actual + (1-s.opts.Alpha)*c.actual
+		c.actual = alpha*actual + (1-alpha)*c.actual
 	}
 	s.clock++
 	c.touched = s.clock
@@ -565,7 +532,7 @@ func (s *Store) learn(e OpEstimate, sp *obs.SpanStats, actual, q float64) {
 			s.sels[e.JoinSig] = &selCorrection{sel: implied, samples: 1}
 			s.selCount.Add(1)
 		} else {
-			sc.sel = s.opts.Alpha*implied + (1-s.opts.Alpha)*sc.sel
+			sc.sel = alpha*implied + (1-alpha)*sc.sel
 			sc.samples++
 		}
 	}
@@ -573,7 +540,7 @@ func (s *Store) learn(e OpEstimate, sp *obs.SpanStats, actual, q float64) {
 
 // CorrectedRowCount returns the feedback-corrected row estimate for n when
 // an operator with the same canonical shape has been observed, bounded to
-// within MaxRatio of the optimizer's own estimate at last harvest.
+// within maxRatio of the optimizer's own estimate at last harvest.
 func (s *Store) CorrectedRowCount(n rel.Node) (float64, bool) {
 	return s.correctedRowCount(n, keyMemo{}, nil, false)
 }
@@ -591,7 +558,7 @@ func (s *Store) correctedRowCount(n rel.Node, keys keyMemo, d *rel.Digests, cand
 	}
 	v := c.actual
 	if anchor := c.estRows; anchor > 0 {
-		v = math.Min(math.Max(v, anchor/s.opts.MaxRatio), anchor*s.opts.MaxRatio)
+		v = math.Min(math.Max(v, anchor/maxRatio), anchor*maxRatio)
 	}
 	s.mu.RUnlock()
 	s.applied.Add(1)
@@ -642,7 +609,7 @@ func (s *Store) MetaProvider() meta.Provider {
 // floor) the join shape gains a swap preference and the statement is marked
 // for re-planning at its next harvest.
 func (s *Store) RecordBuildOvershoot(fingerprint string, joinKey uint64, est, actual float64) {
-	if est <= 0 || actual < s.opts.OvershootMinRows || actual <= est*s.opts.OvershootFactor {
+	if est <= 0 || actual < overshootMinRows || actual <= est*overshootFactor {
 		return
 	}
 	s.overshoots.Add(1)

@@ -99,12 +99,12 @@ func scanSnapshot(fp string, actual int64, est float64) *obs.TraceSnapshot {
 }
 
 // TestHarvestCorrectionEWMA drives repeated harvests of one scan and checks
-// the exponential smoothing and the MaxRatio bound.
+// the exponential smoothing and the maxRatio bound.
 func TestHarvestCorrectionEWMA(t *testing.T) {
 	tb := testTable("t", 10)
 	scan := exec.NewScan(tb, []string{"t"})
 	pe := EstimatePlan("fp", scan, func(rel.Node) float64 { return 100 })
-	s := NewStore(Options{})
+	s := NewStore()
 
 	if _, ok := s.CorrectedRowCount(scan); ok {
 		t.Fatal("empty store served a correction")
@@ -126,11 +126,11 @@ func TestHarvestCorrectionEWMA(t *testing.T) {
 		t.Fatalf("EWMA: got %v, want 750", got)
 	}
 
-	// A wild observation stays bounded to est*MaxRatio = 100*64 = 6400.
+	// A wild observation stays bounded to est*maxRatio = 100*64 = 6400.
 	s.Harvest(scanSnapshot("fp", 1_000_000, 100), pe)
 	got, _ = s.CorrectedRowCount(scan)
 	if got != 6400 {
-		t.Fatalf("MaxRatio bound: got %v, want 6400", got)
+		t.Fatalf("maxRatio bound: got %v, want 6400", got)
 	}
 
 	fps, ops := s.Size()
@@ -150,7 +150,7 @@ func TestHarvestSmallErrorNoReplan(t *testing.T) {
 	tb := testTable("t", 10)
 	scan := exec.NewScan(tb, []string{"t"})
 	pe := EstimatePlan("fp", scan, func(rel.Node) float64 { return 100 })
-	s := NewStore(Options{})
+	s := NewStore()
 	if s.Harvest(scanSnapshot("fp", 120, 100), pe) {
 		t.Fatal("q-error 1.2 requested a replan")
 	}
@@ -162,7 +162,7 @@ func TestHarvestSkipsErroredAndUnestimated(t *testing.T) {
 	tb := testTable("t", 10)
 	scan := exec.NewScan(tb, []string{"t"})
 	pe := EstimatePlan("fp", scan, func(rel.Node) float64 { return 100 })
-	s := NewStore(Options{})
+	s := NewStore()
 
 	snap := scanSnapshot("fp", 1000, 100)
 	snap.Error = "boom"
@@ -183,18 +183,18 @@ func TestHarvestSkipsErroredAndUnestimated(t *testing.T) {
 // TestBuildOvershootAndSwap pins the swap-preference thresholds and the
 // pending-replan handoff to the next harvest.
 func TestBuildOvershootAndSwap(t *testing.T) {
-	s := NewStore(Options{})
+	s := NewStore()
 	const key = uint64(0x10c4)
 
 	// Below the noise floor: ignored.
 	s.RecordBuildOvershoot("fp", key, 10, 100)
 	if s.PreferSwap(key) {
-		t.Fatal("overshoot below OvershootMinRows recorded")
+		t.Fatal("overshoot below overshootMinRows recorded")
 	}
 	// Big but within the factor: ignored.
 	s.RecordBuildOvershoot("fp", key, 500, 1000)
 	if s.PreferSwap(key) {
-		t.Fatal("overshoot below OvershootFactor recorded")
+		t.Fatal("overshoot below overshootFactor recorded")
 	}
 	// Past both thresholds: recorded.
 	s.RecordBuildOvershoot("fp", key, 100, 1000)
@@ -221,21 +221,21 @@ func TestBuildOvershootAndSwap(t *testing.T) {
 
 // TestReplanCap: a statement whose actual cardinality genuinely varies
 // between executions (e.g. parameterized predicates) keeps drifting forever;
-// after MaxReplans requests the store stops evicting its plan so the cache
+// after maxReplans requests the store stops evicting its plan so the cache
 // stays useful, while corrections continue to update.
 func TestReplanCap(t *testing.T) {
 	tb := testTable("t", 10)
 	scan := exec.NewScan(tb, []string{"t"})
 	pe := EstimatePlan("fp", scan, func(rel.Node) float64 { return 100 })
-	s := NewStore(Options{MaxReplans: 2})
+	s := NewStore()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxReplans; i++ {
 		if !s.Harvest(scanSnapshot("fp", 1000, 100), pe) {
 			t.Fatalf("replan %d under the cap not requested", i+1)
 		}
 	}
 	if s.Harvest(scanSnapshot("fp", 1000, 100), pe) {
-		t.Fatal("replan past MaxReplans requested")
+		t.Fatal("replan past maxReplans requested")
 	}
 	// Even a pending overshoot no longer evicts past the cap.
 	s.RecordBuildOvershoot("fp", 0x7a, 100, 1000)
@@ -273,7 +273,7 @@ func TestBoundOperatorsTeachNothing(t *testing.T) {
 		t.Fatal("a question mark in a literal counted as a parameter")
 	}
 
-	s := NewStore(Options{})
+	s := NewStore()
 	snap := &obs.TraceSnapshot{Fingerprint: "fp", SQL: "q", Spans: &obs.SpanStats{Path: "0", Rows: 1000,
 		Children: []*obs.SpanStats{{Path: "0.0", Rows: 1000,
 			Children: []*obs.SpanStats{{Path: "0.0.0", Rows: 12}}}}}}
@@ -306,14 +306,16 @@ func TestInvalidateTable(t *testing.T) {
 	peT := EstimatePlan("fpT", scanT, est)
 	peU := EstimatePlan("fpU", scanU, est)
 	peTU := EstimatePlan("fpTU", join, est)
-	s := NewStore(Options{MaxReplans: 1})
+	s := NewStore()
 	for _, pe := range []*PlanEstimates{peT, peU} {
 		fp := pe.Fingerprint
-		if !s.Harvest(scanSnapshot(fp, 1000, 100), pe) {
-			t.Fatalf("%s: first drift not re-planned", fp)
+		for i := 0; i < maxReplans; i++ {
+			if !s.Harvest(scanSnapshot(fp, 1000, 100), pe) {
+				t.Fatalf("%s: drift %d under the cap not re-planned", fp, i+1)
+			}
 		}
 		if s.Harvest(scanSnapshot(fp, 1000, 100), pe) {
-			t.Fatalf("%s: re-planned past MaxReplans", fp)
+			t.Fatalf("%s: re-planned past maxReplans", fp)
 		}
 	}
 	s.Harvest(&obs.TraceSnapshot{Fingerprint: "fpTU", Spans: &obs.SpanStats{Path: "0", Rows: 1000, Children: []*obs.SpanStats{
@@ -345,7 +347,7 @@ func TestInvalidateClears(t *testing.T) {
 	tb := testTable("t", 10)
 	scan := exec.NewScan(tb, []string{"t"})
 	pe := EstimatePlan("fp", scan, func(rel.Node) float64 { return 100 })
-	s := NewStore(Options{})
+	s := NewStore()
 	s.Harvest(scanSnapshot("fp", 1000, 100), pe)
 	s.RecordBuildOvershoot("fp", 0x7a, 100, 1000)
 
@@ -378,7 +380,7 @@ func TestReportShape(t *testing.T) {
 	scan := exec.NewScan(tb, []string{"t"})
 	peA := EstimatePlan("fpA", scan, func(rel.Node) float64 { return 100 })
 	peB := EstimatePlan("fpB", scan, func(rel.Node) float64 { return 100 })
-	s := NewStore(Options{})
+	s := NewStore()
 	s.Harvest(scanSnapshot("fpA", 200, 100), peA)  // q = 2
 	s.Harvest(scanSnapshot("fpB", 5000, 100), peB) // q = 50
 
@@ -404,7 +406,7 @@ func TestObserverSeesEveryQ(t *testing.T) {
 	tb := testTable("t", 10)
 	scan := exec.NewScan(tb, []string{"t"})
 	pe := EstimatePlan("fp", scan, func(rel.Node) float64 { return 100 })
-	s := NewStore(Options{})
+	s := NewStore()
 	var got []float64
 	s.SetObserver(func(q float64) { got = append(got, q) })
 	s.Harvest(scanSnapshot("fp", 200, 100), pe)

@@ -175,7 +175,7 @@ func liveHeap() uint64 {
 // live heap stops growing once they are full, and a statement harvested every
 // round is never evicted.
 func TestFeedbackStoreBounded(t *testing.T) {
-	s := NewStore(Options{})
+	s := NewStore()
 	hot := -1
 	var heap2x uint64
 	for i := 0; i < 10*StatementCap; i++ {

@@ -23,7 +23,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"time"
 
 	"calcite/internal/schema"
 )
@@ -40,8 +39,6 @@ const (
 	tagString
 	tagArray
 	tagMap
-	tagInt
-	tagTime
 )
 
 func writeUvarint(w *bufio.Writer, v uint64) error {
@@ -72,11 +69,6 @@ func encodeValue(w *bufio.Writer, v any) error {
 			return err
 		}
 		return writeVarint(w, x)
-	case int:
-		if err := w.WriteByte(tagInt); err != nil {
-			return err
-		}
-		return writeVarint(w, int64(x))
 	case float64:
 		if err := w.WriteByte(tagFloat64); err != nil {
 			return err
@@ -131,19 +123,6 @@ func encodeValue(w *bufio.Writer, v any) error {
 			}
 		}
 		return nil
-	case time.Time:
-		if err := w.WriteByte(tagTime); err != nil {
-			return err
-		}
-		b, err := x.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		if err := writeUvarint(w, uint64(len(b))); err != nil {
-			return err
-		}
-		_, err = w.Write(b)
-		return err
 	default:
 		return fmt.Errorf("memory: cannot spill value of type %T", v)
 	}
@@ -163,9 +142,6 @@ func decodeValue(r *bufio.Reader) (any, error) {
 		return true, nil
 	case tagInt64:
 		return binary.ReadVarint(r)
-	case tagInt:
-		v, err := binary.ReadVarint(r)
-		return int(v), err
 	case tagFloat64:
 		var buf [8]byte
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
@@ -216,20 +192,6 @@ func decodeValue(r *bufio.Reader) (any, error) {
 			out[string(kb)] = v
 		}
 		return out, nil
-	case tagTime:
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		var t time.Time
-		if err := t.UnmarshalBinary(buf); err != nil {
-			return nil, err
-		}
-		return t, nil
 	default:
 		return nil, fmt.Errorf("memory: corrupt spill stream (tag %d)", tag)
 	}
@@ -292,38 +254,6 @@ func readNullBitmap(r *bufio.Reader, n int) ([]bool, error) {
 	default:
 		return nil, fmt.Errorf("memory: corrupt spill stream (null flag %d)", has)
 	}
-}
-
-// pageKindOf detects the uniform monomorphic kind of a boxed column's live
-// rows, VecAny when mixed or outside the core set.
-func pageKindOf(col []any, n int, sel []int32) schema.VecKind {
-	kind := schema.VecAny
-	for i := 0; i < n; i++ {
-		v := col[rowAt(sel, i)]
-		var k schema.VecKind
-		switch v.(type) {
-		case nil:
-			continue
-		case int64:
-			k = schema.VecInt64
-		case float64:
-			k = schema.VecFloat64
-		case bool:
-			k = schema.VecBool
-		case string:
-			k = schema.VecString
-		case time.Time:
-			k = schema.VecTime
-		default:
-			return schema.VecAny
-		}
-		if kind == schema.VecAny {
-			kind = k
-		} else if kind != k {
-			return schema.VecAny
-		}
-	}
-	return kind
 }
 
 // encodeTypedPage writes one column page of the given kind, reading live row
@@ -393,26 +323,6 @@ func encodeTypedPage(w *bufio.Writer, kind schema.VecKind, n int, get func(i int
 				return err
 			}
 		}
-	case schema.VecTime:
-		for i := 0; i < n; i++ {
-			v := get(i)
-			if v == nil {
-				if err := writeUvarint(w, 0); err != nil {
-					return err
-				}
-				continue
-			}
-			mb, err := v.(time.Time).MarshalBinary()
-			if err != nil {
-				return err
-			}
-			if err := writeUvarint(w, uint64(len(mb))); err != nil {
-				return err
-			}
-			if _, err := w.Write(mb); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -423,7 +333,7 @@ func encodeColumn(w *bufio.Writer, b *schema.Batch, c, n int, sel []int32) error
 	if v.Kind == schema.VecAny {
 		// Detect the page kind over the live rows.
 		col := v.A
-		return encodeTypedPage(w, pageKindOf(col, n, sel), n, func(i int) any { return col[rowAt(sel, i)] })
+		return encodeTypedPage(w, schema.DetectVecKind(col, sel), n, func(i int) any { return col[rowAt(sel, i)] })
 	}
 	// Typed vector: page out the payload slices directly.
 	if err := w.WriteByte(byte(v.Kind)); err != nil {
@@ -471,25 +381,6 @@ func encodeColumn(w *bufio.Writer, b *schema.Batch, c, n int, sel []int32) error
 				return err
 			}
 		}
-	case schema.VecTime:
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				if err := writeUvarint(w, 0); err != nil {
-					return err
-				}
-				continue
-			}
-			mb, err := v.T[rowAt(sel, i)].MarshalBinary()
-			if err != nil {
-				return err
-			}
-			if err := writeUvarint(w, uint64(len(mb))); err != nil {
-				return err
-			}
-			if _, err := w.Write(mb); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -526,7 +417,7 @@ func decodeColumn(r *bufio.Reader, n int) (*schema.Vector, error) {
 		return nil, err
 	}
 	kind := schema.VecKind(kb)
-	if kind > schema.VecTime {
+	if kind > schema.VecString {
 		return nil, fmt.Errorf("memory: corrupt spill stream (column kind %d)", kb)
 	}
 	nulls, err := readNullBitmap(r, n)
@@ -588,25 +479,6 @@ func decodeColumn(r *bufio.Reader, n int) (*schema.Vector, error) {
 			d[i] = string(buf)
 		}
 		v.S = d
-	case schema.VecTime:
-		d := make([]time.Time, n)
-		for i := range d {
-			l, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, err
-			}
-			if l == 0 {
-				continue
-			}
-			buf := make([]byte, l)
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, err
-			}
-			if err := d[i].UnmarshalBinary(buf); err != nil {
-				return nil, err
-			}
-		}
-		v.T = d
 	}
 	return v, nil
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"calcite/internal/schema"
 )
@@ -30,18 +29,17 @@ func roundTrip(t *testing.T, b *schema.Batch) *schema.Batch {
 // TestCodecRoundTripAllTypes spills one batch holding every runtime value
 // kind and requires an exact round-trip.
 func TestCodecRoundTripAllTypes(t *testing.T) {
-	ts := time.Date(2026, 7, 26, 12, 30, 0, 0, time.UTC)
 	rows := [][]any{
-		{nil, true, int64(-42), 3.25, "hello", []any{int64(1), "a", nil}, map[string]any{"k": int64(9), "j": "v"}, int(7), ts},
-		{nil, false, int64(1 << 40), -0.0, "", []any{}, map[string]any{}, int(-3), ts.Add(time.Hour)},
+		{nil, true, int64(-42), 3.25, "hello", []any{int64(1), "a", nil}, map[string]any{"k": int64(9), "j": "v"}},
+		{nil, false, int64(1 << 40), -0.0, "", []any{}, map[string]any{}},
 	}
-	b := schema.BatchFromRows(rows, 9)
+	b := schema.BatchFromRows(rows, 7)
 	b.Seq = 17
 	got := roundTrip(t, b)
 	if got.Seq != 17 {
 		t.Fatalf("seq = %d, want 17", got.Seq)
 	}
-	if got.NumRows() != 2 || got.Width() != 9 {
+	if got.NumRows() != 2 || got.Width() != 7 {
 		t.Fatalf("shape = %dx%d", got.NumRows(), got.Width())
 	}
 	for i := range rows {
@@ -151,13 +149,11 @@ func TestCodecZeroWidthAndEmpty(t *testing.T) {
 // null bitmap.
 func typedPageBatch(t *testing.T) (*schema.Batch, [][]any) {
 	t.Helper()
-	ts := time.Date(2026, 8, 7, 9, 0, 0, 0, time.UTC)
 	cols := [][]any{
 		{int64(-5), nil, int64(1 << 50)},
 		{1.25, -0.5, nil},
 		{nil, true, false},
 		{"alpha", "", nil},
-		{ts, nil, ts.Add(time.Minute)},
 		{[]any{int64(1)}, nil, map[string]any{"k": int64(2)}}, // dynamic → VecAny page
 	}
 	b := &schema.Batch{Len: 3, Vecs: make([]*schema.Vector, len(cols))}
@@ -166,7 +162,7 @@ func typedPageBatch(t *testing.T) (*schema.Batch, [][]any) {
 	}
 	wantKinds := []schema.VecKind{
 		schema.VecInt64, schema.VecFloat64, schema.VecBool,
-		schema.VecString, schema.VecTime, schema.VecAny,
+		schema.VecString, schema.VecAny,
 	}
 	for c, want := range wantKinds {
 		if b.Vecs[c].Kind != want {
@@ -206,7 +202,6 @@ func TestCodecTypedPagesStreamBatchSize3(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want [][]any
-	ts := time.Date(2026, 8, 7, 9, 0, 0, 0, time.UTC)
 	for chunk := 0; chunk < 4; chunk++ {
 		cols := make([][]any, 4)
 		for i := 0; i < 3; i++ {
@@ -215,7 +210,7 @@ func TestCodecTypedPagesStreamBatchSize3(t *testing.T) {
 			if n%3 != 1 {
 				f = float64(n) / 4
 			}
-			row := []any{int64(n), f, "s" + string(rune('a'+n)), ts.Add(time.Duration(n) * time.Second)}
+			row := []any{int64(n), f, "s" + string(rune('a'+n)), n%2 == 0}
 			want = append(want, row)
 			for c, v := range row {
 				cols[c] = append(cols[c], v)
@@ -256,18 +251,17 @@ func TestCodecTypedPagesStreamBatchSize3(t *testing.T) {
 
 // TestCodecAnyPages round-trips the columns that need the per-value
 // encoding — a genuinely mixed numeric column (float64 / int64 / NULL), a
-// time.Time among other kinds, and values of non-core types — plus a VecAny
-// column of nothing but time.Time, which the codec writes as a typed page;
-// dense and under a selection vector.
+// bool among other kinds, and values of non-core types — plus a VecAny
+// column of nothing but int64, which the codec writes as a typed page; dense
+// and under a selection vector.
 func TestCodecAnyPages(t *testing.T) {
-	ts := time.Date(2026, 9, 27, 8, 0, 0, 0, time.UTC)
 	rows := [][]any{
-		{1.5, ts, int(7), ts},
+		{1.5, true, []any{"a"}, int64(1)},
 		{int64(2), int64(3), []any{int64(1), nil}, nil},
-		{nil, nil, map[string]any{"k": 2.5}, ts.Add(time.Second)},
-		{2.5, "x", nil, ts.Add(time.Minute)},
+		{nil, nil, map[string]any{"k": 2.5}, int64(2)},
+		{2.5, "x", nil, int64(3)},
 	}
-	wantKinds := []schema.VecKind{schema.VecAny, schema.VecAny, schema.VecAny, schema.VecTime}
+	wantKinds := []schema.VecKind{schema.VecAny, schema.VecAny, schema.VecAny, schema.VecInt64}
 	for _, sel := range [][]int32{nil, {3, 1, 2}} {
 		b := schema.BatchFromRows(rows, 4)
 		b.Sel = sel

@@ -22,7 +22,6 @@ func DefaultProvider() Provider {
 		Collations:        defaultCollations,
 		NonCumulativeCost: defaultSelfCost,
 		AverageRowSize:    defaultRowSize,
-		MaxParallelism:    defaultParallelism,
 	}
 }
 
@@ -353,9 +352,4 @@ func defaultSelfCost(q *Query, n rel.Node) (cost.Cost, bool) {
 
 func defaultRowSize(q *Query, n rel.Node) (float64, bool) {
 	return float64(8 * len(n.RowType().Fields)), true
-}
-
-func defaultParallelism(q *Query, n rel.Node) (int, bool) {
-	// The enumerable engine is single-threaded; adapters may override.
-	return 1, true
 }

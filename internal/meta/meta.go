@@ -56,8 +56,6 @@ type Provider struct {
 	NonCumulativeCost func(q *Query, n rel.Node) (cost.Cost, bool)
 	// AverageRowSize estimates the bytes per output row of n.
 	AverageRowSize func(q *Query, n rel.Node) (float64, bool)
-	// MaxParallelism is the maximum degree of parallelism for executing n.
-	MaxParallelism func(q *Query, n rel.Node) (int, bool)
 }
 
 // Query is a metadata session: a provider chain plus a memoizing cache. It
@@ -259,22 +257,6 @@ func (q *Query) AverageRowSize(n rel.Node) float64 {
 			}
 		}
 		return float64(8 * len(n.RowType().Fields))
-	})
-}
-
-// MaxParallelism is the maximum degree of parallelism for n (§6 mentions it
-// among the default provider's functions).
-func (q *Query) MaxParallelism(n rel.Node) int {
-	return lookup(q, "parallel", n, "", func() int {
-		q.Calls++
-		for _, p := range q.providers {
-			if p.MaxParallelism != nil {
-				if v, ok := p.MaxParallelism(q, n); ok {
-					return v
-				}
-			}
-		}
-		return 1
 	})
 }
 

@@ -122,9 +122,6 @@ func TestDefaultsAreSane(t *testing.T) {
 	if !q.ColumnsUnique(n, []int{0}) {
 		t.Fatal("declared unique key not detected")
 	}
-	if p := q.MaxParallelism(n); p < 1 {
-		t.Fatalf("parallelism: %v", p)
-	}
 }
 
 // TestJoinOrderCandidateOutsideMemo: a join-order candidate is estimated as

@@ -128,9 +128,10 @@ func (p *DynamicParam) Type() *types.Type { return p.T }
 func (p *DynamicParam) String() string    { return string(AppendDigest(nil, p)) }
 
 // BindParams returns n with every DynamicParam replaced by a Literal carrying
-// the bound value unchanged; n itself is not modified, so a cached plan stays
-// shareable across executions. Kernel matching, compilation and the adapters'
-// query renderers all run on the result and never see a placeholder.
+// the bound value, normalized into the runtime value set (types.Normalize);
+// n itself is not modified, so a cached plan stays shareable across
+// executions. Kernel matching, compilation and the adapters' query renderers
+// all run on the result and never see a placeholder.
 func BindParams(n Node, params []any) (Node, error) {
 	var err error
 	bound := Transform(n, func(x Node) Node {
@@ -142,7 +143,7 @@ func BindParams(n Node, params []any) (Node, error) {
 			err = fmt.Errorf("rex: unbound parameter ?%d", p.Index)
 			return x
 		}
-		return NewLiteral(params[p.Index], p.T)
+		return NewLiteral(types.Normalize(params[p.Index]), p.T)
 	})
 	return bound, err
 }

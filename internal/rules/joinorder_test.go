@@ -39,7 +39,7 @@ func TestJoinOrderMatchesExhaustive(t *testing.T) {
 		mq := meta.NewQuery()
 		var store *feedback.Store
 		if withFeedback {
-			store = feedback.NewStore(feedback.Options{})
+			store = feedback.NewStore()
 			teachOrientations(t, rng, store, mj)
 			mq.Prepend(store.MetaProvider())
 		}

@@ -25,6 +25,8 @@ package schema
 // flattens a batch-scannable table back into rows for row-at-a-time readers.
 // Every operator of the engine consumes and produces batches.
 
+import "calcite/internal/types"
+
 // DefaultBatchSize is the number of rows an operator processes per batch. It
 // is chosen so a batch of a few wide columns stays comfortably inside L2.
 const DefaultBatchSize = 1024
@@ -239,8 +241,8 @@ type rowBatchCursor struct {
 
 // BatchCursorFromCursor lifts a row cursor into a batch cursor producing
 // dense batches of up to batchSize rows of the given width, each column a
-// VecAny vector. It is the shim that lets tables and backends that yield
-// rows feed the vectorized engine.
+// VecAny vector of normalized values (types.Normalize). It is the shim that
+// lets tables and backends that yield rows feed the vectorized engine.
 func BatchCursorFromCursor(cur Cursor, width, batchSize int) BatchCursor {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
@@ -267,7 +269,7 @@ func (c *rowBatchCursor) NextBatch() (*Batch, error) {
 			return nil, err
 		}
 		for i, v := range vecs {
-			v.A = append(v.A, row[i])
+			v.A = append(v.A, types.Normalize(row[i]))
 		}
 		n++
 	}

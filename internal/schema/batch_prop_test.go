@@ -16,10 +16,12 @@ import (
 
 	"calcite/internal/memory"
 	"calcite/internal/schema"
+	"calcite/internal/types"
 )
 
-// propValue draws one non-NULL value of the given column flavour; flavour 5
-// mixes runtime types (and so is VecAny however it is built).
+// propValue draws one non-NULL value of the runtime value set for the given
+// column flavour (flavour 4 is a timestamp, epoch millis as Normalize makes
+// it); flavour 5 mixes runtime types (and so is VecAny however it is built).
 func propValue(rng *rand.Rand, flavour int) any {
 	switch flavour {
 	case 0:
@@ -31,7 +33,7 @@ func propValue(rng *rand.Rand, flavour int) any {
 	case 3:
 		return fmt.Sprintf("s%d", rng.Intn(50))
 	case 4:
-		return time.Unix(int64(rng.Intn(1_000_000)), 0).UTC()
+		return types.Normalize(time.Unix(int64(rng.Intn(1_000_000)), 0))
 	}
 	switch rng.Intn(5) {
 	case 0:

@@ -211,10 +211,11 @@ func MemTableRowsAppended() int64 { return memTableRowsAppended.Load() }
 
 // Insert appends rows, all or none: a row whose width differs from the row
 // type is an error and leaves the table and its statistics untouched. Each
-// value is appended to its vector; a value that does not fit the vector's
-// kind demotes that one column to VecAny, re-boxing what it holds (as
-// BuildVector would have stored it; readers that pinned the typed arrays keep
-// them), and a column's first NULL allocates its mask.
+// value is normalized (types.Normalize) and appended to its vector; a value
+// that does not fit the vector's kind demotes that one column to VecAny,
+// re-boxing what it holds (as BuildVector would have stored it; readers that
+// pinned the typed arrays keep them), and a column's first NULL allocates its
+// mask.
 //
 // Statistics stay live: a declared or collected row count advances by the
 // inserted count, and collected column statistics are kept — they are
@@ -235,9 +236,10 @@ func (t *MemTable) Insert(rows [][]any) error {
 	defer t.mu.Unlock()
 	for c, v := range t.vecs {
 		for _, row := range rows {
-			if !v.AppendValue(row[c]) {
+			x := types.Normalize(row[c])
+			if !v.AppendValue(x) {
 				v.Demote()
-				v.AppendValue(row[c])
+				v.AppendValue(x)
 			}
 		}
 	}

@@ -5,10 +5,11 @@ package schema
 // engines can process data "in columnar and compressed form"; boxed []any
 // columns pay an interface header per value, a type assertion per use and an
 // allocation per produced value. A Vector stores one column of one of the
-// engine's core runtime types (int64, float64, bool, string, time.Time) in a
-// flat Go slice plus a null mask, so kernels compile to tight loops over
-// machine types. Everything outside the core set rides the VecAny fallback, a
-// plain []any with identical semantics.
+// engine's core runtime types (int64, float64, bool, string) in a flat Go
+// slice plus a null mask, so kernels compile to tight loops over machine
+// types; temporal values are epoch-millis int64, normalized where they enter
+// the engine (types.Normalize). Everything outside the core set rides the
+// VecAny fallback, a plain []any with identical semantics.
 //
 // Null representation: in memory the mask is one bool per row (Nulls), which
 // slices zero-copy at any offset and reads in one byte load; the spill codec
@@ -20,7 +21,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"time"
 
 	"calcite/internal/types"
 )
@@ -35,10 +35,9 @@ const (
 	VecFloat64
 	VecBool
 	VecString
-	VecTime
 )
 
-var vecKindNames = [...]string{"any", "int64", "float64", "bool", "string", "time"}
+var vecKindNames = [...]string{"any", "int64", "float64", "bool", "string"}
 
 func (k VecKind) String() string {
 	if int(k) < len(vecKindNames) {
@@ -48,8 +47,7 @@ func (k VecKind) String() string {
 }
 
 // VecKindForType maps a declared SQL type to the vector kind holding its
-// native runtime representation (temporal kinds are epoch-millis int64 in
-// this engine; time.Time vectors arise from adapter values, not declarations).
+// native runtime representation (temporal kinds are epoch-millis int64).
 func VecKindForType(t *types.Type) VecKind {
 	if t == nil {
 		return VecAny
@@ -82,7 +80,6 @@ type Vector struct {
 	F64 []float64
 	B   []bool
 	S   []string
-	T   []time.Time
 	A   []any
 }
 
@@ -97,8 +94,6 @@ func (v *Vector) Len() int {
 		return len(v.B)
 	case VecString:
 		return len(v.S)
-	case VecTime:
-		return len(v.T)
 	}
 	return len(v.A)
 }
@@ -129,8 +124,6 @@ func (v *Vector) Get(r int) any {
 		return v.B[r]
 	case VecString:
 		return v.S[r]
-	case VecTime:
-		return v.T[r]
 	}
 	return v.A[r]
 }
@@ -150,8 +143,6 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 		out.B = v.B[lo:hi]
 	case VecString:
 		out.S = v.S[lo:hi]
-	case VecTime:
-		out.T = v.T[lo:hi]
 	default:
 		out.A = v.A[lo:hi]
 	}
@@ -200,12 +191,6 @@ func (v *Vector) Gather(sel []int32) *Vector {
 			d[i] = v.S[r]
 		}
 		out.S = d
-	case VecTime:
-		d := make([]time.Time, n)
-		for i, r := range sel {
-			d[i] = v.T[r]
-		}
-		out.T = d
 	default:
 		d := make([]any, n)
 		for i, r := range sel {
@@ -267,14 +252,6 @@ func (v *Vector) GatherOrd(ords []int32) *Vector {
 			}
 		}
 		out.S = d
-	case VecTime:
-		d := make([]time.Time, n)
-		for i, r := range ords {
-			if r >= 0 {
-				d[i] = v.T[r]
-			}
-		}
-		out.T = d
 	default:
 		d := make([]any, n)
 		for i, r := range ords {
@@ -314,10 +291,6 @@ func (v *Vector) boxInto(dst []any, stride int, sel []int32, n int) {
 	case VecString:
 		for i := 0; i < n; i++ {
 			dst[i*stride] = v.S[at(i)]
-		}
-	case VecTime:
-		for i := 0; i < n; i++ {
-			dst[i*stride] = v.T[at(i)]
 		}
 	default:
 		for i := 0; i < n; i++ {
@@ -377,12 +350,20 @@ func RowKey(dst []byte, vecs []*Vector, r int, cols []int) []byte {
 	return dst
 }
 
-// detectVecKind returns the uniform monomorphic kind of the non-NULL values,
-// or VecAny when the column mixes dynamic types or uses a type outside the
-// core set.
-func detectVecKind(vals []any) VecKind {
+// DetectVecKind returns the uniform monomorphic kind of the non-NULL values
+// at sel (all of vals when sel is nil), or VecAny when they mix dynamic types
+// or use a type outside the core set.
+func DetectVecKind(vals []any, sel []int32) VecKind {
 	kind := VecAny
-	for _, x := range vals {
+	n := len(vals)
+	if sel != nil {
+		n = len(sel)
+	}
+	for i := 0; i < n; i++ {
+		x := vals[i]
+		if sel != nil {
+			x = vals[sel[i]]
+		}
 		var k VecKind
 		switch x.(type) {
 		case nil:
@@ -395,8 +376,6 @@ func detectVecKind(vals []any) VecKind {
 			k = VecBool
 		case string:
 			k = VecString
-		case time.Time:
-			k = VecTime
 		default:
 			return VecAny
 		}
@@ -409,11 +388,11 @@ func detectVecKind(vals []any) VecKind {
 	return kind
 }
 
-// VectorsFromRows transposes row-major rows into one vector per field. A
-// column whose values are all of its declared type's runtime kind (or NULL)
-// is stored directly in that kind; any other column — no typed kind declared,
-// a value of another kind — is transposed boxed and left to BuildVector's
-// detection.
+// VectorsFromRows transposes row-major rows from outside the engine into one
+// vector per field, normalizing each value (types.Normalize). A column whose
+// values are all of its declared type's runtime kind (or NULL) is stored
+// directly in that kind; any other column — no typed kind declared, a value
+// of another kind — is transposed boxed and left to BuildVector's detection.
 func VectorsFromRows(rows [][]any, fields []types.Field) []*Vector {
 	vecs := make([]*Vector, len(fields))
 	for c, f := range fields {
@@ -422,7 +401,7 @@ func VectorsFromRows(rows [][]any, fields []types.Field) []*Vector {
 			v.Grow(len(rows))
 			conforms := true
 			for _, row := range rows {
-				if conforms = v.AppendValue(row[c]); !conforms {
+				if conforms = v.AppendValue(types.Normalize(row[c])); !conforms {
 					break
 				}
 			}
@@ -433,7 +412,7 @@ func VectorsFromRows(rows [][]any, fields []types.Field) []*Vector {
 		}
 		col := make([]any, len(rows))
 		for r, row := range rows {
-			col[r] = row[c]
+			col[r] = types.Normalize(row[c])
 		}
 		vecs[c] = BuildVector(col)
 	}
@@ -444,7 +423,7 @@ func VectorsFromRows(rows [][]any, fields []types.Field) []*Vector {
 // of its non-NULL values; columns with mixed or non-core runtime types fall
 // back to VecAny, sharing the input slice.
 func BuildVector(vals []any) *Vector {
-	kind := detectVecKind(vals)
+	kind := DetectVecKind(vals, nil)
 	if kind == VecAny {
 		return &Vector{Kind: VecAny, A: vals}
 	}
@@ -498,16 +477,6 @@ func BuildVector(vals []any) *Vector {
 			d[r] = x.(string)
 		}
 		v.S = d
-	case VecTime:
-		d := make([]time.Time, n)
-		for r, x := range vals {
-			if x == nil {
-				setNull(r)
-				continue
-			}
-			d[r] = x.(time.Time)
-		}
-		v.T = d
 	}
 	v.Nulls = nulls
 	return v
@@ -543,12 +512,6 @@ func (v *Vector) AppendValue(x any) bool {
 			return false
 		}
 		v.S = append(v.S, d)
-	case VecTime:
-		d, ok := x.(time.Time)
-		if !ok && x != nil {
-			return false
-		}
-		v.T = append(v.T, d)
 	default:
 		v.A = append(v.A, x)
 		return true
@@ -575,8 +538,6 @@ func MakeVector(kind VecKind, n int) *Vector {
 		v.B = make([]bool, n)
 	case VecString:
 		v.S = make([]string, n)
-	case VecTime:
-		v.T = make([]time.Time, n)
 	default:
 		v.A = make([]any, n)
 	}
@@ -603,8 +564,6 @@ func (v *Vector) Set(r int, x any) {
 		v.B[r], ok = x.(bool)
 	case VecString:
 		v.S[r], ok = x.(string)
-	case VecTime:
-		v.T[r], ok = x.(time.Time)
 	}
 	if !ok {
 		v.Demote()
@@ -646,8 +605,6 @@ func (v *Vector) Grow(n int) {
 		v.B = slices.Grow(v.B, n)
 	case VecString:
 		v.S = slices.Grow(v.S, n)
-	case VecTime:
-		v.T = slices.Grow(v.T, n)
 	default:
 		v.A = slices.Grow(v.A, n)
 	}
@@ -686,8 +643,6 @@ func (v *Vector) Append(src *Vector, sel []int32) {
 		v.B = appendSel(v.B, src.B, sel)
 	case VecString:
 		v.S = appendSel(v.S, src.S, sel)
-	case VecTime:
-		v.T = appendSel(v.T, src.T, sel)
 	default:
 		if src.Kind == VecAny {
 			v.A = appendSel(v.A, src.A, sel)
@@ -743,8 +698,6 @@ func GatherPicks(srcs []*Vector, picks []Pick) *Vector {
 		out.B = pickFrom(srcs, picks, func(v *Vector) []bool { return v.B })
 	case VecString:
 		out.S = pickFrom(srcs, picks, func(v *Vector) []string { return v.S })
-	case VecTime:
-		out.T = pickFrom(srcs, picks, func(v *Vector) []time.Time { return v.T })
 	default:
 		out.A = make([]any, len(picks))
 		for i, p := range picks {

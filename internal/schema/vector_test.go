@@ -3,7 +3,6 @@ package schema
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"calcite/internal/types"
 )
@@ -18,7 +17,6 @@ func TestBuildVectorDetectsKinds(t *testing.T) {
 		{"float64", []any{1.5, nil, 2.5}, VecFloat64},
 		{"bool", []any{true, false, nil}, VecBool},
 		{"string", []any{"a", "b"}, VecString},
-		{"time", []any{time.Unix(0, 0).UTC(), nil}, VecTime},
 		{"all-null", []any{nil, nil}, VecAny},
 		{"mixed", []any{int64(1), "x"}, VecAny},
 		{"non-core", []any{[]any{int64(1)}}, VecAny},

@@ -14,7 +14,6 @@ package stats
 import (
 	"math"
 	"math/bits"
-	"time"
 )
 
 // hllPrecision is the HyperLogLog precision p: 2^p registers. p=12 gives a
@@ -114,8 +113,6 @@ func HashValue(v any) uint64 {
 		h = fnvStep(h, 0)
 	case int64:
 		return hashNumber(float64(x))
-	case int:
-		return hashNumber(float64(x))
 	case float64:
 		return hashNumber(x)
 	case bool:
@@ -127,8 +124,6 @@ func HashValue(v any) uint64 {
 		}
 	case string:
 		hashString(3, x)
-	case time.Time:
-		h = fnvWrite64(fnvStep(h, 4), uint64(x.UnixNano()))
 	default:
 		// Fall back to the formatted form for composite values.
 		hashString(5, formatFallback(x))

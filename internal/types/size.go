@@ -1,7 +1,5 @@
 package types
 
-import "time"
-
 // Memory-footprint estimation for runtime values. The memory governor
 // (internal/memory) charges operators for the data they retain; these
 // estimates only need to be proportional to real usage, not exact, so they
@@ -22,12 +20,10 @@ func SizeOfValue(v any) int64 {
 	switch x := v.(type) {
 	case nil, bool:
 		return ifaceSize
-	case int64, int, float64:
+	case int64, float64:
 		return ifaceSize + 8
 	case string:
 		return ifaceSize + sliceHeaderSize + int64(len(x))
-	case time.Time:
-		return ifaceSize + 24
 	case []any:
 		n := int64(ifaceSize + sliceHeaderSize)
 		for _, e := range x {

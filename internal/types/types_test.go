@@ -1,6 +1,8 @@
 package types
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -214,29 +216,60 @@ func TestStatisticsLikeFieldIndex(t *testing.T) {
 	}
 }
 
-func TestAsFloatTemporal(t *testing.T) {
-	// Adapters may hand back time.Time where the engine's native
-	// representation is epoch-millisecond int64; both must order identically
-	// (RANGE window frames over a rowtime column rely on it).
+func TestNormalize(t *testing.T) {
 	at := time.Date(2018, 6, 10, 12, 0, 0, 0, time.UTC)
-	f, ok := AsFloat(at)
-	if !ok || f != float64(at.UnixMilli()) {
-		t.Errorf("AsFloat(time.Time) = %v, %v", f, ok)
+	cases := []struct{ in, want any }{
+		{nil, nil},
+		{true, true},
+		{int64(-3), int64(-3)},
+		{2.5, 2.5},
+		{"s", "s"},
+		{int(9), int64(9)},
+		{int8(-8), int64(-8)},
+		{int16(16), int64(16)},
+		{int32(-32), int64(-32)},
+		{uint(7), int64(7)},
+		{uint8(8), int64(8)},
+		{uint16(16), int64(16)},
+		{uint32(32), int64(32)},
+		{uint64(64), int64(64)},
+		{uint64(math.MaxUint64), float64(math.MaxUint64)},
+		{float32(0.5), 0.5},
+		{at, at.UnixMilli()},
+		{[]any{int(1), "a", []any{at}}, []any{int64(1), "a", []any{at.UnixMilli()}}},
+		{map[string]any{"n": int(2), "s": "x"}, map[string]any{"n": int64(2), "s": "x"}},
 	}
-	g, ok := AsFloat(at.UnixMilli())
-	if !ok || g != f {
-		t.Errorf("epoch millis and time.Time diverge: %v vs %v", g, f)
+	for _, tc := range cases {
+		if got := Normalize(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Normalize(%#v) = %#v, want %#v", tc.in, got, tc.want)
+		}
 	}
-	if _, ok := AsFloat("2018-06-10"); ok {
-		t.Error("strings must not coerce to float")
+	// A normalized instant orders and hashes as the epoch-millis value it
+	// became, which is what RANGE frames and equi-joins over it rely on.
+	if ms := at.UnixMilli(); Compare(Normalize(at), ms) != 0 || HashKey(Normalize(at)) != HashKey(ms) {
+		t.Error("a normalized time.Time must equal its epoch millis")
 	}
-	// Compare must be antisymmetric across the two representations, or
-	// sorting a mixed column becomes comparator-order dependent.
-	ms := at.UnixMilli()
-	if Compare(ms-1, at) != -1 || Compare(at, ms-1) != 1 {
-		t.Errorf("mixed compare asymmetric: %d vs %d", Compare(ms-1, at), Compare(at, ms-1))
+}
+
+// TestNormalizeCopyOnWrite: containers that need no change come back as is,
+// and ones that do are copied, leaving the caller's untouched.
+func TestNormalizeCopyOnWrite(t *testing.T) {
+	arr := []any{int64(1), "a"}
+	if got := NormalizeRow(arr); &got[0] != &arr[0] {
+		t.Error("a row already in the value set was copied")
 	}
-	if Compare(at, ms) != 0 || Compare(ms, at) != 0 {
-		t.Error("equal instants should compare equal both ways")
+	m := map[string]any{"k": int64(1)}
+	Normalize(m).(map[string]any)["k"] = "x"
+	if m["k"] != "x" {
+		t.Error("a map already in the value set was copied")
+	}
+	arr = []any{"a", int(1)}
+	if got := Normalize(arr).([]any); got[1] != int64(1) || arr[1] != int(1) {
+		t.Errorf("array: got %#v, input now %#v", got, arr)
+	}
+	m = map[string]any{"k": int(1), "nested": []any{int(2)}}
+	got := Normalize(m).(map[string]any)
+	if got["k"] != int64(1) || m["k"] != int(1) || m["nested"].([]any)[0] != int(2) {
+		t.Errorf("map: got %#v, input now %#v", got, m)
 	}
 }

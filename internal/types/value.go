@@ -2,7 +2,9 @@ package types
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,7 +14,7 @@ import (
 // Runtime value representation
 //
 // Rows flowing through the engine are []any. Scalar values use a small,
-// closed set of Go types:
+// closed set of Go types, enforced where values enter the engine (Normalize):
 //
 //	BOOLEAN            bool
 //	TINYINT..BIGINT    int64
@@ -25,17 +27,115 @@ import (
 //	ROW                []any
 //	GEOMETRY           geo.Geometry (opaque here; implements fmt.Stringer)
 //	NULL               nil
+//
+// Everything past the entry points — operators, vectors, the spill codec,
+// hashing and comparison — handles only this set.
 
-// AsFloat coerces a numeric or temporal runtime value to float64. Temporal
-// values (adapters may hand back time.Time instead of the engine's epoch-
-// millisecond int64) map to epoch milliseconds, so value-based ordering —
-// RANGE window frames over a rowtime column, histogram bucketing — treats
-// both representations identically.
+// Normalize maps a Go value arriving from outside the engine (a table's rows,
+// a backend's results, a statement parameter, a builder literal) into the
+// runtime value set: Go's other signed and unsigned integer kinds become
+// int64 (an unsigned value above math.MaxInt64 becomes float64, keeping its
+// magnitude), float32 becomes float64, and time.Time becomes epoch-millis
+// int64, the TIMESTAMP/DATE representation. Arrays and maps are walked
+// copy-on-write: a container none of whose elements changes is returned as
+// is, and one that does is copied, never modified, since it may belong to the
+// caller or a backend. Every other value passes through unchanged.
+func Normalize(v any) any {
+	switch v.(type) {
+	case nil, int64, float64, string:
+		// Most values: answered inline, without normalize's full switch.
+		return v
+	}
+	n, _ := normalize(v)
+	return n
+}
+
+// NormalizeRow is Normalize over a row without boxing the slice: row itself
+// when no value changes, else a normalized copy.
+func NormalizeRow(row []any) []any {
+	out, _ := normalizeSlice(row)
+	return out
+}
+
+// normalize is Normalize, also reporting whether the value changed.
+func normalize(v any) (any, bool) {
+	switch x := v.(type) {
+	case nil, bool, int64, float64, string:
+		return v, false
+	case int:
+		return int64(x), true
+	case int8:
+		return int64(x), true
+	case int16:
+		return int64(x), true
+	case int32:
+		return int64(x), true
+	case uint:
+		return normalizeUint(uint64(x)), true
+	case uint8:
+		return int64(x), true
+	case uint16:
+		return int64(x), true
+	case uint32:
+		return int64(x), true
+	case uint64:
+		return normalizeUint(x), true
+	case float32:
+		return float64(x), true
+	case time.Time:
+		return x.UnixMilli(), true
+	case []any:
+		if out, changed := normalizeSlice(x); changed {
+			return out, true
+		}
+		return v, false
+	case map[string]any:
+		var out map[string]any
+		for k, e := range x {
+			if n, changed := normalize(e); changed {
+				if out == nil {
+					out = maps.Clone(x)
+				}
+				out[k] = n
+			}
+		}
+		if out == nil {
+			return v, false
+		}
+		return out, true
+	}
+	return v, false
+}
+
+// normalizeSlice normalizes the elements of s copy-on-write.
+func normalizeSlice(s []any) ([]any, bool) {
+	var out []any
+	for i, e := range s {
+		n, changed := normalize(e)
+		if changed && out == nil {
+			out = slices.Clone(s)
+		}
+		if out != nil {
+			out[i] = n
+		}
+	}
+	if out == nil {
+		return s, false
+	}
+	return out, true
+}
+
+func normalizeUint(x uint64) any {
+	if x > math.MaxInt64 {
+		return float64(x)
+	}
+	return int64(x)
+}
+
+// AsFloat coerces a numeric runtime value to float64.
 func AsFloat(v any) (float64, bool) {
 	switch x := v.(type) {
 	case int64:
-		return float64(x), true
-	case int:
 		return float64(x), true
 	case float64:
 		return x, true
@@ -44,8 +144,6 @@ func AsFloat(v any) (float64, bool) {
 			return 1, true
 		}
 		return 0, true
-	case time.Time:
-		return float64(x.UnixMilli()), true
 	}
 	return 0, false
 }
@@ -55,8 +153,6 @@ func AsInt(v any) (int64, bool) {
 	switch x := v.(type) {
 	case int64:
 		return x, true
-	case int:
-		return int64(x), true
 	case float64:
 		return int64(x), true
 	}
@@ -116,23 +212,6 @@ func Compare(a, b any) int {
 			}
 			return 0
 		}
-	case time.Time:
-		if y, ok := b.(time.Time); ok {
-			switch {
-			case x.Before(y):
-				return -1
-			case x.After(y):
-				return 1
-			}
-			return 0
-		}
-		// Mixed representations (adapters hand back time.Time, the engine's
-		// native form is epoch-millis int64) compare numerically — and must
-		// do so from BOTH sides, or the comparator turns asymmetric and
-		// sorting/partitioning over such a column becomes arbitrary.
-		if y, ok := AsFloat(b); ok {
-			return compareFloat(float64(x.UnixMilli()), y)
-		}
 	case []any:
 		if y, ok := b.([]any); ok {
 			for i := 0; i < len(x) && i < len(y); i++ {
@@ -183,8 +262,6 @@ func HashKey(v any) string {
 		return "\x00F"
 	case int64:
 		return "\x00i" + strconv.FormatInt(x, 10)
-	case int:
-		return "\x00i" + strconv.FormatInt(int64(x), 10)
 	case float64:
 		if x == math.Trunc(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e15 {
 			return "\x00i" + strconv.FormatInt(int64(x), 10)
