@@ -229,14 +229,12 @@ func (c *Connection) EnableSpill(on bool) { c.Framework.DisableSpill = !on }
 // SetParallelism sets the worker count for morsel-driven parallel execution
 // (0, the default, uses runtime.GOMAXPROCS(0)). Statements are prepared,
 // cached and shown by EXPLAIN for the worker count they run at: n > 1 splits
-// scans into morsels that n workers claim, gathers the partitions back into
-// one stream, and splits a keyed TUMBLE/HOP stream aggregate's keys over n
-// pane machines. A parallel run returns the serial plan's rows in the same
-// order, with two value-level caveats — floating-point aggregates may differ
-// in the last bit (partial sums reassociate), and COLLECT multiset element
-// order follows partial-merge order rather than input order — and one of
-// order: a stream aggregate whose state spilled emits the spilled machines'
-// windows at end of input.
+// scans into morsels that n workers claim and gathers the partitions back
+// into one stream; a stream aggregate runs serially at every n. A parallel
+// run returns the serial plan's rows in the same order, with two value-level
+// caveats: floating-point aggregates may differ in the last bit (partial
+// sums reassociate), and COLLECT multiset element order follows
+// partial-merge order rather than input order.
 func (c *Connection) SetParallelism(n int) { c.Framework.Parallelism = n }
 
 // SetSlowQueryThreshold marks queries at or over threshold as slow: they

@@ -5,6 +5,7 @@
 package calcite_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -132,10 +133,17 @@ func TestExplainAnalyzeEstimates(t *testing.T) {
 // TestFeedbackBuildOvershootSwap: a hash join whose build side produces far
 // more rows than estimated must (a) record the overshoot, (b) swap build and
 // probe sides at the next planning of the statement, and (c) keep the output
-// identical through the column-restoring projection.
+// identical through the column-restoring projection — serially and at
+// parallelism 4, where the join drains its build partitions in parallel.
 func TestFeedbackBuildOvershootSwap(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) { testBuildOvershootSwap(t, par) })
+	}
+}
+
+func testBuildOvershootSwap(t *testing.T, par int) {
 	conn := starConn(2000)
-	conn.SetParallelism(1)
+	conn.SetParallelism(par)
 	// Written order keeps d1 (50 rows) on the probe side and the filtered d2
 	// on the build side. Unanalyzed, the three always-true range conjuncts
 	// estimate 0.5^3 = 0.125 of d2's 2000 rows (est 250), but all 2000 pass:

@@ -100,17 +100,6 @@ func (e *Engine) IndexNames() []string {
 	return names
 }
 
-// IndexFields returns an index's schema.
-func (e *Engine) IndexFields(name string) ([]types.Field, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	idx, ok := e.indexes[strings.ToLower(name)]
-	if !ok {
-		return nil, false
-	}
-	return idx.Fields, true
-}
-
 // LastQuery returns the most recent SPL text received.
 func (e *Engine) LastQuery() string {
 	e.mu.Lock()

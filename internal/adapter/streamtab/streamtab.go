@@ -7,10 +7,10 @@
 // The table is batch-native: both the history and the stream enumerate as
 // column-major typed batches (schema.BatchScannableTable plus
 // StreamScanBatches), so continuous queries ingest vectors rather than
-// boxed rows. For tests it is also a replay source with controllable
-// event-time skew: SetMaxSkew admits bounded out-of-order appends, and
-// SetReplaySkew deterministically perturbs the arrival order of an
-// in-order event log so the same out-of-order run can be replayed.
+// boxed rows. Appended rowtimes must not decrease. For tests it is also a
+// replay source with controllable event-time skew: SetReplaySkew
+// deterministically perturbs the arrival order of an in-order event log so
+// the same out-of-order run can be replayed.
 package streamtab
 
 import (
@@ -37,7 +37,6 @@ type Table struct {
 	maxTs     int64
 	hasEvents bool
 	watermark int64
-	maxSkew   int64
 
 	// Replay skew: when replaySkew > 0, StreamScan yields the events in a
 	// deterministically perturbed arrival order (seeded, bounded by the
@@ -59,16 +58,6 @@ func NewTable(name string, rowType *types.Type, rowtimeCol int) *Table {
 	return &Table{name: name, rowType: rowType, rowtimeCol: rowtimeCol}
 }
 
-// SetMaxSkew allows appends whose rowtime trails the maximum seen so far by
-// up to ms milliseconds — the source-side counterpart of a consumer's
-// bounded out-of-orderness. Zero (the default) requires non-decreasing
-// rowtimes.
-func (t *Table) SetMaxSkew(ms int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.maxSkew = ms
-}
-
 // SetReplaySkew makes StreamScan replay the events in a deterministic
 // pseudo-random arrival order where each event may arrive up to ms
 // milliseconds of event time late relative to earlier arrivals. The same
@@ -83,8 +72,7 @@ func (t *Table) SetReplaySkew(seed, ms int64) {
 
 // Append adds events, each normalized (types.Normalize, which copies a row
 // it changes): rowtimes may be time.Time or any integer type and are stored
-// as int64 millis; each must be within the configured max skew of the
-// largest rowtime seen so far.
+// as int64 millis; none may be smaller than the largest rowtime seen so far.
 func (t *Table) Append(rows ...[]any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -94,8 +82,8 @@ func (t *Table) Append(rows ...[]any) error {
 		if !ok {
 			return fmt.Errorf("streamtab: rowtime column must be a timestamp (time.Time or integer millis), got %T", row[t.rowtimeCol])
 		}
-		if t.hasEvents && ts < t.maxTs-t.maxSkew {
-			return fmt.Errorf("streamtab: out-of-order event (rowtime %d < %d - max skew %d); streams are time-ordered sets of records", ts, t.maxTs, t.maxSkew)
+		if t.hasEvents && ts < t.maxTs {
+			return fmt.Errorf("streamtab: out-of-order event (rowtime %d < %d); streams are time-ordered sets of records", ts, t.maxTs)
 		}
 		if !t.hasEvents || ts > t.maxTs {
 			t.maxTs, t.hasEvents = ts, true

@@ -168,6 +168,6 @@ func (f *Framework) registerSubsystemMetrics(r *obs.Registry) {
 		"Bytes of standing window state held by live streaming queries.",
 		func() float64 { return float64(exec.StreamStateBytes()) })
 	exec.SetStreamEmitObserver(r.Histogram("calcite_stream_emit_seconds",
-		"Latency of watermark-driven window emission rounds.",
+		"Time to fold a stream batch and emit the windows its watermark closes.",
 		[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1}).Observe)
 }

@@ -30,8 +30,8 @@ func TestEveryNodeHasOneExecutionContract(t *testing.T) {
 	}
 	batch := iface(exec, "BatchBound")
 
-	nodes := 0
 	for _, pkg := range []*types.Package{exec, load("calcite/internal/parallel"), load("calcite/internal/adapter")} {
+		nodes := 0
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
 			if !ok || types.IsInterface(tn.Type()) {
@@ -46,8 +46,8 @@ func TestEveryNodeHasOneExecutionContract(t *testing.T) {
 				t.Errorf("%s.%s: does not implement BatchBound", pkg.Name(), name)
 			}
 		}
-	}
-	if nodes < 20 {
-		t.Errorf("found only %d node types; the scan is not seeing the packages", nodes)
+		if nodes == 0 {
+			t.Errorf("found no node type in %s; the scan is not seeing the package", pkg.Path())
+		}
 	}
 }

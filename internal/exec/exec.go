@@ -47,11 +47,11 @@ type Context struct {
 	// fields nil means tracing adds no per-batch work.
 	Trace *obs.QueryTrace
 	Spans map[rel.Node]*obs.Span
-	// BuildOvershoot, when non-nil, is invoked by the serial hash join after
-	// its build side is fully drained with more actual rows than the build
-	// child's estimate (span EstRows). The framework's feedback layer uses
-	// the signal to record the overshoot and swap build/probe sides on the
-	// next planning of the statement.
+	// BuildOvershoot, when non-nil, is invoked by the hash join, serial or
+	// parallel, once its build side is fully drained with more actual rows
+	// than the build child's estimate (span EstRows). The framework's
+	// feedback layer uses the signal to record the overshoot and swap
+	// build/probe sides on the next planning of the statement.
 	BuildOvershoot func(join rel.Node, estRows, actualRows float64)
 	// Interrupt, when non-nil and set, interrupts execution cooperatively:
 	// the drain loops and long-running operators (streaming aggregation)

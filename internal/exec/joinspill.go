@@ -75,22 +75,19 @@ func (j *HashJoin) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 		return nil, err
 	}
 	bindProbe := func() (schema.BatchCursor, error) { return BindBatch(ctx, j.Left()) }
-	if !exhausted {
-		cur, err := b.Grace(buildBC, bindProbe)
-		if err == nil {
-			// The Grace path drains the rest of the build stream into partitions
-			// at bind time, so the build child's span rows are complete here too.
-			j.noteBuildOvershoot(ctx)
+	var cur schema.BatchCursor
+	if exhausted {
+		probeBC, err := bindProbe()
+		if err != nil {
+			b.Abandon()
+			return nil, err
 		}
-		return cur, err
-	}
-	j.noteBuildOvershoot(ctx)
-	probeBC, err := bindProbe()
-	if err != nil {
-		b.Abandon()
+		cur = b.Probes([]schema.BatchCursor{probeBC})[0]
+	} else if cur, err = b.Grace(buildBC, bindProbe); err != nil {
 		return nil, err
 	}
-	return b.Probes([]schema.BatchCursor{probeBC})[0], nil
+	j.NoteBuildOvershoot(ctx)
+	return cur, nil
 }
 
 // JoinBuild is the build phase of one hash join execution, shared by the
@@ -232,11 +229,14 @@ func (b *JoinBuild) Abandon() {
 	b.res.Free()
 }
 
-// noteBuildOvershoot reports the build side's actual vs estimated rows to
-// the feedback hook once the build is fully drained. The hook (and the
-// estimate, stamped on the build child's span) exists only on traced
-// executions with feedback enabled; thresholds live in the feedback store.
-func (j *HashJoin) noteBuildOvershoot(ctx *Context) {
+// NoteBuildOvershoot reports the build side's actual vs estimated rows to
+// the feedback hook; the serial and the parallel join call it once per
+// execution, after binding, when the build is fully drained (the Grace path
+// drains the rest of the build stream into partitions at bind time). The
+// hook (and the estimate, stamped on the build child's span) exists only on
+// traced executions with feedback enabled; thresholds live in the feedback
+// store.
+func (j *HashJoin) NoteBuildOvershoot(ctx *Context) {
 	if ctx.BuildOvershoot == nil {
 		return
 	}

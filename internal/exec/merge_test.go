@@ -11,8 +11,7 @@ import (
 
 // TestMergeCursorOrders: the merge interleaves sorted sources into one
 // sorted stream, ties to the lowest source, every column kept, and applies
-// OFFSET/FETCH to the merged order. It merges sort spill runs and each
-// emission round of a keyed stream aggregate's pane machines.
+// OFFSET/FETCH to the merged order. It merges sort spill runs.
 func TestMergeCursorOrders(t *testing.T) {
 	// Sorted runs of (value, source), the first split over two batches.
 	runs := func() []schema.BatchCursor {
@@ -40,7 +39,7 @@ func TestMergeCursorOrders(t *testing.T) {
 		{3, 4, 3, "[4 1] [5 0] [5 0] [5 1]"},
 		{8, 5, 0, "[7 0]"},
 	} {
-		m := NewMergeCursor(runs(), coll, tc.offset, tc.fetch, tc.batchSize, nil)
+		m := newMergeCursor(runs(), coll, tc.offset, tc.fetch, tc.batchSize, nil)
 		var got []string
 		for {
 			b, err := m.NextBatch()
@@ -83,7 +82,7 @@ func TestMergeCursorCloseClosesSources(t *testing.T) {
 		srcs[i] = closeCounter{schema.NewSliceBatchCursor([]*schema.Batch{schema.BatchFromRows(rows, 1)}), &closed}
 	}
 	coll := trait.Collation{{Field: 0, Direction: trait.Ascending}}
-	m := NewMergeCursor(srcs, coll, 0, 2, 0, func() {
+	m := newMergeCursor(srcs, coll, 0, 2, 0, func() {
 		if closed != len(srcs) {
 			t.Errorf("onClose ran with %d of %d sources closed", closed, len(srcs))
 		}

@@ -2,9 +2,7 @@ package exec
 
 // The sort kernel: one columnar external merge sort under ORDER BY and top-N
 // (serial at every parallelism, over a gather of the partitions), the
-// window's narrow per-group sort and its spilled rows' results. Its merge,
-// MergeCursor, also merges the emission rounds of a stream aggregate's pane
-// machines.
+// window's narrow per-group sort and its spilled rows' results.
 //
 // Input batches are appended to typed column vectors (a column whose kind
 // changes between batches demotes to VecAny, as MemTable does) and charged
@@ -26,7 +24,7 @@ package exec
 // reservation, stays under 3 × limit rows and a top-N does not spill rows it
 // will discard. When a grant is denied the sorted buffer is written out as one
 // run of typed pages, and Finish merges the runs and the in-memory tail batch
-// to batch on the key vectors (MergeCursor; ties go to the lowest source, and
+// to batch on the key vectors (mergeCursor; ties go to the lowest source, and
 // runs are cut in arrival order, so spilling never changes row order). Output
 // batches carry Vecs of the kinds that came in.
 
@@ -588,7 +586,7 @@ func (s *ExternalSorter) mergeRunsToRun(runs []*memory.Run) (*memory.Run, error)
 	if err != nil {
 		return nil, err
 	}
-	m := NewMergeCursor(srcs, s.coll, 0, s.limit, spillWriteChunk, nil)
+	m := newMergeCursor(srcs, s.coll, 0, s.limit, spillWriteChunk, nil)
 	defer m.Close()
 	w, err := s.ctx.Alloc.NewRun(s.op)
 	if err != nil {
@@ -665,7 +663,7 @@ func (s *ExternalSorter) Finish(offset int64, batchSize int) (schema.BatchCursor
 		fetch = max(fetch-offset, 0)
 	}
 	// The in-memory tail arrived last: it is the highest-numbered source.
-	return NewMergeCursor(append(srcs, tail), s.coll, offset, fetch, batchSize, s.Abandon), nil
+	return newMergeCursor(append(srcs, tail), s.coll, offset, fetch, batchSize, s.Abandon), nil
 }
 
 // sortedCursor emits buffered columns in permutation order.
@@ -712,14 +710,12 @@ func (h *mergeHead) row() int {
 	return h.pos
 }
 
-// MergeCursor k-way-merges sorted batch streams on their key vectors, batch
+// mergeCursor k-way-merges sorted batch streams on their key vectors, batch
 // to batch: a heap of the sources' head rows picks the next output row (ties
 // to the lowest source index), and each output column is gathered from the
 // source batches' vectors, so typed columns stay typed. ExternalSorter merges
-// its spilled runs through it, applying the sort's OFFSET/FETCH; a stream
-// aggregate with several pane machines merges each emission round's outputs
-// through it, unlimited, into one batch.
-type MergeCursor struct {
+// its spilled runs through it, applying the sort's OFFSET/FETCH.
+type mergeCursor struct {
 	srcs  []schema.BatchCursor
 	coll  trait.Collation
 	heads []mergeHead
@@ -735,21 +731,21 @@ type MergeCursor struct {
 	onClose       func()
 }
 
-// NewMergeCursor merges srcs, each sorted on coll, skipping offset rows and
+// newMergeCursor merges srcs, each sorted on coll, skipping offset rows and
 // emitting at most fetch (negative = all). Close closes every source and then
 // runs onClose.
-func NewMergeCursor(srcs []schema.BatchCursor, coll trait.Collation, offset, fetch int64,
-	batchSize int, onClose func()) *MergeCursor {
+func newMergeCursor(srcs []schema.BatchCursor, coll trait.Collation, offset, fetch int64,
+	batchSize int, onClose func()) *mergeCursor {
 	if batchSize <= 0 {
 		batchSize = schema.DefaultBatchSize
 	}
-	return &MergeCursor{srcs: srcs, coll: coll, heads: make([]mergeHead, len(srcs)),
+	return &mergeCursor{srcs: srcs, coll: coll, heads: make([]mergeHead, len(srcs)),
 		picks: make([]schema.Pick, 0, batchSize), offset: offset, fetch: fetch, batchSize: batchSize, onClose: onClose}
 }
 
 // load makes source i's head its next row, pulling batches as needed; false
 // means the source has ended.
-func (m *MergeCursor) load(i int32) (bool, error) {
+func (m *mergeCursor) load(i int32) (bool, error) {
 	h := &m.heads[i]
 	for h.pos >= h.n {
 		b, err := m.srcs[i].NextBatch()
@@ -764,13 +760,13 @@ func (m *MergeCursor) load(i int32) (bool, error) {
 	return true, nil
 }
 
-func (m *MergeCursor) less(a, b int32) bool {
+func (m *mergeCursor) less(a, b int32) bool {
 	ha, hb := &m.heads[a], &m.heads[b]
 	c := compareKeys(m.coll, ha.vecs, ha.row(), hb.vecs, hb.row())
 	return c < 0 || c == 0 && a < b
 }
 
-func (m *MergeCursor) siftDown(i int) {
+func (m *mergeCursor) siftDown(i int) {
 	for {
 		l := 2*i + 1
 		if l >= len(m.heap) {
@@ -787,7 +783,7 @@ func (m *MergeCursor) siftDown(i int) {
 	}
 }
 
-func (m *MergeCursor) NextBatch() (*schema.Batch, error) {
+func (m *mergeCursor) NextBatch() (*schema.Batch, error) {
 	if m.done {
 		return nil, schema.Done
 	}
@@ -798,7 +794,7 @@ func (m *MergeCursor) NextBatch() (*schema.Batch, error) {
 	return b, err
 }
 
-func (m *MergeCursor) next() (*schema.Batch, error) {
+func (m *mergeCursor) next() (*schema.Batch, error) {
 	if !m.primed {
 		m.primed = true
 		for i := range m.srcs {
@@ -859,7 +855,7 @@ func (m *MergeCursor) next() (*schema.Batch, error) {
 	return &schema.Batch{Len: len(m.picks), Vecs: vecs, Seq: m.seq - 1}, nil
 }
 
-func (m *MergeCursor) Close() error {
+func (m *mergeCursor) Close() error {
 	if m.done {
 		return nil
 	}

@@ -18,20 +18,18 @@ package exec
 // state rows, and a closed session's row is emptied and its ordinal reused
 // by the next one.
 //
-// A keyed TUMBLE/HOP window may split its keys over p pane machines (each a
-// streamState) that share one clock: every input batch is routed by key
-// (schema.RowKey, memory.Partition) into p selections, the batch's freshest
-// rowtime moves the one watermark for every machine, the machines fold and
-// emit concurrently, and each round's sorted outputs merge once
-// (MergeCursor on window_start, key…, window_end) into the serial emission
-// order. p = 1 is the serial operator.
+// One streamState holds all of an operator's state and its event-time clock,
+// at every parallelism: the input is one stream read in arrival order (the
+// watermark trails the freshest rowtime seen), and each batch is folded and
+// then closes the windows its watermark has passed, emitted in
+// (window_start, key…, window_end) order.
 //
 // State is charged to the memory governor. A denied grant (spilling allowed)
-// moves every pane's or session's state rows of the machine that asked into
-// one spill engine — a GroupedAgg keyed on (pane | session interval, keys…)
-// with the engine's hash-partitioned spill — and its tables restart empty;
-// the spilled state batches fold back at the final drain, to which that
-// machine defers its windows, trading emission latency for bounded memory.
+// moves every pane's or session's state rows into one spill engine — a
+// GroupedAgg keyed on (pane | session interval, keys…) with the engine's
+// hash-partitioned spill — and the tables restart empty; the spilled state
+// batches fold back at the final drain, to which emission defers, trading
+// emission latency for bounded memory.
 
 import (
 	"cmp"
@@ -74,8 +72,9 @@ func StreamLateDropped() int64 { return streamLateDropped.Load() }
 // held by live streaming aggregations.
 func StreamStateBytes() int64 { return streamStateBytes.Load() }
 
-// SetStreamEmitObserver installs the emission-latency observer (seconds per
-// emission round); used by the obs layer's histogram.
+// SetStreamEmitObserver installs the emission-latency observer (seconds to
+// fold an input batch and emit the windows it closes); used by the obs
+// layer's histogram.
 func SetStreamEmitObserver(fn func(seconds float64)) { streamEmitObserver.Store(fn) }
 
 func observeStreamEmit(d time.Duration) {
@@ -109,28 +108,7 @@ func (a *StreamAgg) BindBatch(ctx *Context) (schema.BatchCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BindStreamAggOver(ctx, a.StreamAggregate, in, 1, nil), nil
-}
-
-// BindStreamAggOver runs the streaming aggregation over an already-bound
-// input with p pane machines sharing one clock; run steps the p machines
-// through a round concurrently (ParallelStreamAggregate supplies its pool).
-// p = 1 is the serial operator, and run is then unused.
-func BindStreamAggOver(ctx *Context, sa *rel.StreamAggregate, in schema.BatchCursor, p int, run func(n int, step func(i int) error) error) schema.BatchCursor {
-	p = max(p, 1)
-	c := &streamAggCursor{sa: sa, in: in, run: run, interrupt: ctx.Interrupt,
-		sels: make([][]int32, p), outs: make([]*schema.Batch, p)}
-	for range p {
-		c.machines = append(c.machines, newStreamState(ctx, sa))
-	}
-	if p > 1 {
-		c.coll = trait.Collation{{Field: 0}}
-		for k := range sa.GroupKeys {
-			c.coll = append(c.coll, trait.FieldCollation{Field: 2 + k})
-		}
-		c.coll = append(c.coll, trait.FieldCollation{Field: 1})
-	}
-	return c
+	return &streamAggCursor{st: newStreamState(ctx, a.StreamAggregate), in: in, interrupt: ctx.Interrupt}, nil
 }
 
 // rowtimeAt reads row r of the rowtime column as epoch milliseconds: an
@@ -182,6 +160,8 @@ type streamState struct {
 	shape  *Aggregate // the group keys and calls over the stream's rows
 	paneMs int64
 	nKeys  int
+	// The group keys ascending: the emission order within a window.
+	keyColl trait.Collation
 
 	// TUMBLE/HOP: pane start -> the pane's partial aggregation.
 	panes  map[int64]*GroupedAgg
@@ -192,9 +172,10 @@ type streamState struct {
 	hopAt  []int64
 	hopSel []int32
 	// The emission round being built: one window's (or the sessions') rows,
-	// and the output columns.
-	rows []emitted
-	out  []*schema.Vector
+	// their sort keys and radix scratch, and the output columns.
+	rows      []emitted
+	ords, buf []sortKey
+	out       []*schema.Vector
 	// SESSION: the engine whose groups are the sessions (it keeps no key
 	// index) and whose reservation they charge, the ordinals of closed
 	// sessions, and each present key's open sessions by its encoding
@@ -210,12 +191,17 @@ type streamState struct {
 	// while it is set.
 	spill *GroupedAgg
 
+	hasTs       bool
+	maxTs       int64 // the freshest rowtime seen: the watermark trails it
 	emittedUpTo int64 // windows ending at or before this are closed
 }
 
 func newStreamState(ctx *Context, sa *rel.StreamAggregate) *streamState {
 	s := &streamState{ctx: ctx, sa: sa, shape: NewAggregate(sa.Inputs()[0], sa.GroupKeys, sa.Calls),
 		nKeys: len(sa.GroupKeys), paneMs: sa.Window.SizeMs, panes: map[int64]*GroupedAgg{}, emittedUpTo: math.MinInt64}
+	for k := range sa.GroupKeys {
+		s.keyColl = append(s.keyColl, trait.FieldCollation{Field: k})
+	}
 	switch sa.Window.Kind {
 	case rel.HopWindow:
 		s.paneMs = sa.Window.SlideMs
@@ -237,11 +223,15 @@ func (s *streamState) isLate(ts int64) bool {
 	return floorTo(ts, s.paneMs)+s.sa.Window.SizeMs <= s.emittedUpTo
 }
 
-// observe reads row r's rowtime and reports whether the row is late.
+// observe reads row r's rowtime, advances the freshest rowtime seen and
+// reports whether the row is late.
 func (s *streamState) observe(rt *schema.Vector, r int) (ts int64, late bool, err error) {
 	ts, ok := rowtimeAt(rt, r)
 	if !ok {
 		return 0, false, fmt.Errorf("exec: stream rowtime column %d holds %T, want a timestamp", s.sa.Window.RowtimeCol, rt.Get(r))
+	}
+	if !s.hasTs || ts > s.maxTs {
+		s.maxTs, s.hasTs = ts, true
 	}
 	return ts, s.isLate(ts), nil
 }
@@ -520,10 +510,19 @@ type emitted struct {
 	o          int32
 }
 
-// emitReady returns every window of this machine that ends at or before wm
-// as one batch in (window_start, key…, window_end) order, or nil; spilled
-// state (final drain only) folds back in first.
-func (s *streamState) emitReady(wm int64) (*schema.Batch, error) {
+// emitReady returns every window the watermark has closed (every remaining
+// window when final) as one batch in (window_start, key…, window_end) order,
+// or nil. Once state has spilled, emission defers to the final drain, where
+// disk and memory state merge — correctness over latency under memory
+// pressure.
+func (s *streamState) emitReady(final bool) (*schema.Batch, error) {
+	wm := int64(math.MaxInt64)
+	if !final {
+		if !s.hasTs || s.spill != nil {
+			return nil, nil
+		}
+		wm = s.maxTs - s.sa.LatenessMs
+	}
 	if s.spill != nil {
 		if err := s.unspill(); err != nil {
 			return nil, err
@@ -570,6 +569,7 @@ func (s *streamState) emitWindows(wm int64) error {
 			return err
 		}
 		s.rows = rows
+		s.orderWindow(rows)
 		s.appendRows(rows, len(rows)*(len(starts)-i))
 	}
 	// Retire expired panes: every window covering them has been emitted.
@@ -648,31 +648,46 @@ func (s *streamState) emitSessions(wm int64) {
 		}
 	}
 	s.rows = rows
+	slices.SortFunc(rows, func(a, b emitted) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		if c := compareKeys(s.keyColl, a.e.state, int(a.o), b.e.state, int(b.o)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.end, b.end)
+	})
 	s.appendRows(rows, len(rows))
 	for _, e := range rows {
 		s.adds.dropRow(e.o) // emitted: the row keeps nothing until reused
 	}
 }
 
-// appendRows orders rows by (window_start, key…, window_end), so the output
-// is deterministic at any parallelism, and appends them to the round's
-// output columns in the vector kinds of the output row type; the first call
-// of a round sizes the columns for about hint rows.
+// orderWindow orders one window's rows, groups of one engine that share the
+// window's bounds, by key with the sort kernel.
+func (s *streamState) orderWindow(rows []emitted) {
+	if len(rows) < 2 {
+		return
+	}
+	s.ords = s.ords[:0]
+	for _, e := range rows {
+		s.ords = append(s.ords, sortKey{ord: e.o})
+	}
+	s.buf = slices.Grow(s.buf[:0], len(rows))[:len(rows)]
+	sortKeys(rows[0].e.state, s.ords, s.keyColl, s.buf)
+	for i, k := range s.ords {
+		rows[i].o = k.ord
+	}
+}
+
+// appendRows appends rows, ordered by (window_start, key…, window_end) so
+// that the output is deterministic, to the round's output columns in the
+// vector kinds of the output row type; the first call of a round sizes the
+// columns for about hint rows.
 func (s *streamState) appendRows(rows []emitted, hint int) {
 	if len(rows) == 0 {
 		return
 	}
-	slices.SortFunc(rows, func(a, b emitted) int {
-		if c := cmp.Compare(a.start, b.start); c != 0 {
-			return c
-		}
-		for k := range s.nKeys {
-			if c := compareKeyAt(a.e.state[k], int(a.o), b.e.state[k], int(b.o)); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(a.end, b.end)
-	})
 	if s.out == nil {
 		for _, f := range s.sa.RowType().Fields {
 			v := &schema.Vector{Kind: schema.VecKindForType(f.Type)}
@@ -698,20 +713,6 @@ func (s *streamState) appendRows(rows []emitted, hint int) {
 			}
 		}
 	}
-}
-
-// compareKeyAt compares row i of va with row j of vb as types.Compare does
-// their values, without boxing int64 and string keys.
-func compareKeyAt(va *schema.Vector, i int, vb *schema.Vector, j int) int {
-	if va.Kind == vb.Kind && !va.IsNull(i) && !vb.IsNull(j) {
-		switch va.Kind {
-		case schema.VecInt64:
-			return cmp.Compare(va.I64[i], vb.I64[j])
-		case schema.VecString:
-			return cmp.Compare(va.S[i], vb.S[j])
-		}
-	}
-	return types.Compare(va.Get(i), vb.Get(j))
 }
 
 // engines returns every engine that holds standing state.
@@ -741,22 +742,9 @@ func (s *streamState) free() {
 
 // ---- pull cursor ----
 
-// streamAggCursor is the streaming aggregation: its pane machines, the clock
-// they share, and the routing of input rows to them by key.
+// streamAggCursor pulls its input through one streamState.
 type streamAggCursor struct {
-	sa       *rel.StreamAggregate
-	machines []*streamState
-	// The clock: the freshest rowtime of the input, whose watermark every
-	// machine emits by. (Each machine keeps its own emittedUpTo: one whose
-	// state spilled defers its windows to the final drain.)
-	hasTs bool
-	maxTs int64
-	run   func(n int, step func(i int) error) error
-	sels  [][]int32       // each machine's rows of the current batch
-	outs  []*schema.Batch // each machine's windows of the current round
-	key   []byte          // routing-key scratch
-	coll  trait.Collation // the emission order rounds merge on (p > 1)
-
+	st        *streamState
 	in        schema.BatchCursor
 	seq       int64
 	dense     []int32
@@ -792,12 +780,6 @@ func (c *streamAggCursor) NextBatch() (*schema.Batch, error) {
 		if err != nil && !final {
 			return c.fail(err)
 		}
-		if !final {
-			var sel []int32
-			sel, c.dense = liveSel(b, c.dense)
-			c.advance(b, sel)
-			c.route(b, sel)
-		}
 		out, err := c.round(b, final)
 		if err != nil {
 			return c.fail(err)
@@ -814,102 +796,30 @@ func (c *streamAggCursor) NextBatch() (*schema.Batch, error) {
 	return nil, schema.Done
 }
 
-// advance moves the clock to the freshest rowtime among the rows sel of b. A
-// rowtime that is not a timestamp is left to the machine that folds its row,
-// which fails.
-func (c *streamAggCursor) advance(b *schema.Batch, sel []int32) {
-	rt := b.Vecs[c.sa.Window.RowtimeCol]
-	for _, r := range sel {
-		if ts, ok := rowtimeAt(rt, int(r)); ok && (!c.hasTs || ts > c.maxTs) {
-			c.maxTs, c.hasTs = ts, true
-		}
-	}
-}
-
-// route splits sel over the machines by the partition of each row's group
-// key: only the key vectors are read.
-func (c *streamAggCursor) route(b *schema.Batch, sel []int32) {
-	if len(c.sels) == 1 {
-		c.sels[0] = sel
-		return
-	}
-	for i := range c.sels {
-		c.sels[i] = c.sels[i][:0]
-	}
-	for _, r := range sel {
-		c.key = schema.RowKey(c.key[:0], b.Vecs, int(r), c.sa.GroupKeys)
-		i := memory.Partition(c.key, len(c.sels), 0)
-		c.sels[i] = append(c.sels[i], r)
-	}
-}
-
-// round steps every machine through one round — fold its rows of b, if
-// final is false, then emit the windows the watermark has closed (every
-// remaining window when final) — concurrently through run, and merges their
-// outputs, each in (window_start, key…, window_end) order, into one batch in
-// that order, or nil. A machine whose state has spilled defers its windows to
-// the final drain, where disk and memory state merge — correctness over
-// latency under memory pressure.
+// round folds the live rows of b, unless final, emits the windows the
+// watermark has closed (every remaining window when final) and refreshes the
+// stream gauges.
 func (c *streamAggCursor) round(b *schema.Batch, final bool) (*schema.Batch, error) {
 	start := time.Now()
-	wm := int64(math.MaxInt64)
 	if !final {
-		wm = c.maxTs - c.sa.LatenessMs
-	}
-	step := func(i int) (err error) {
-		m := c.machines[i]
-		c.outs[i] = nil
-		if !final {
-			if err := m.addBatch(b, c.sels[i]); err != nil {
-				return err
-			}
-		}
-		if final || c.hasTs && m.spill == nil {
-			c.outs[i], err = m.emitReady(wm)
-		}
-		return err
-	}
-	var err error
-	if len(c.machines) == 1 {
-		err = step(0)
-	} else {
-		err = c.run(len(c.machines), step)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out *schema.Batch
-	var srcs []schema.BatchCursor
-	rows := 0
-	for _, o := range c.outs {
-		if o != nil {
-			out, rows = o, rows+o.Len
-			srcs = append(srcs, schema.NewSliceBatchCursor([]*schema.Batch{o}))
-		}
-	}
-	if len(srcs) > 1 {
-		merged := NewMergeCursor(srcs, c.coll, 0, -1, rows, nil)
-		if out, err = merged.NextBatch(); err != nil {
+		var sel []int32
+		sel, c.dense = liveSel(b, c.dense)
+		if err := c.st.addBatch(b, sel); err != nil {
 			return nil, err
 		}
-		merged.Close()
+	}
+	out, err := c.st.emitReady(final)
+	if err != nil {
+		return nil, err
 	}
 	if out != nil {
 		streamWindowsEmitted.Add(int64(out.Len))
 		observeStreamEmit(time.Since(start))
 	}
-	held := c.held()
+	held := c.st.held()
 	streamStateBytes.Add(held - c.reported)
 	c.reported = held
 	return out, nil
-}
-
-// held is the standing state currently charged.
-func (c *streamAggCursor) held() (n int64) {
-	for _, m := range c.machines {
-		n += m.held()
-	}
-	return n
 }
 
 // release returns the standing state; the input is closed by Close.
@@ -920,9 +830,7 @@ func (c *streamAggCursor) release() {
 	c.closed = true
 	streamStateBytes.Add(-c.reported)
 	c.reported = 0
-	for _, m := range c.machines {
-		m.free()
-	}
+	c.st.free()
 }
 
 func (c *streamAggCursor) Close() error {

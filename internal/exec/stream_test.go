@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -59,7 +58,7 @@ func TestStreamSessionStateStaysBounded(t *testing.T) {
 		}
 		maxKeys, maxHeld = max(maxKeys, len(s.sessions)), max(maxHeld, s.held())
 		// The watermark (lateness 0) is the batch's last rowtime.
-		out, err := s.emitReady(vecs[0].I64[batchSize-1])
+		out, err := s.emitReady(false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +66,7 @@ func TestStreamSessionStateStaysBounded(t *testing.T) {
 			emitted += out.Len
 		}
 	}
-	out, err := s.emitReady(math.MaxInt64)
+	out, err := s.emitReady(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func TestStreamSessionReleasesEmittedState(t *testing.T) {
 	open := heap() - before
 	// One late-arriving key moves the watermark past every session's gap.
 	add(10*gapMs, 1, func(int) string { return "next" }, func(int) string { return "x" })
-	out, err := s.emitReady(10 * gapMs)
+	out, err := s.emitReady(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,106 +146,5 @@ func TestStreamSessionReleasesEmittedState(t *testing.T) {
 	runtime.KeepAlive(s)
 	if left > open/8 {
 		t.Errorf("the %d emitted sessions held %d bytes open; %d are still reachable after emission", keys, open, left)
-	}
-}
-
-// Routing a batch over the pane machines puts every row of a key in one
-// machine's selection, reads the key vectors only — a typed batch is routed
-// without boxing a value — and reuses its selections and key scratch, so a
-// routed batch allocates nothing.
-func TestStreamAggRoutingColocatesKeysFromKeyVectors(t *testing.T) {
-	const n, width, p = 1024, 10, 4
-	rowType := types.Row(types.Field{Name: "rowtime", Type: types.Timestamp})
-	for c := 1; c < width; c++ {
-		rowType.Fields = append(rowType.Fields, types.Field{Name: fmt.Sprintf("c%d", c), Type: types.BigInt})
-	}
-	sa := NewStreamAgg(NewScan(schema.NewMemTable("events", rowType, nil), []string{"events"}),
-		rel.StreamWindow{Kind: rel.TumbleWindow, RowtimeCol: 0, SizeMs: 1000}, 0, []int{3},
-		[]rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")})
-	vecs := make([]*schema.Vector, width)
-	for c := range vecs {
-		d := make([]int64, n)
-		for r := range d {
-			d[r] = int64(1_000_000 + r%97*width + c) // beyond the runtime's small-int boxes
-		}
-		vecs[c] = &schema.Vector{Kind: schema.VecInt64, I64: d}
-	}
-	b := &schema.Batch{Len: n, Vecs: vecs}
-	sel := iotaSel(nil, n)
-	c := BindStreamAggOver(NewContext(), sa.StreamAggregate, nil, p, nil).(*streamAggCursor)
-	c.route(b, sel)
-	home := map[int64]int{}
-	routed := 0
-	for m, s := range c.sels {
-		for _, r := range s {
-			k := vecs[3].I64[r]
-			if h, ok := home[k]; ok && h != m {
-				t.Fatalf("key %d routed to machines %d and %d", k, h, m)
-			}
-			home[k] = m
-			routed++
-		}
-	}
-	if routed != n || len(home) != 97 {
-		t.Fatalf("routed %d rows of %d keys, want %d of 97", routed, len(home), n)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { c.route(b, sel) }); allocs != 0 {
-		t.Fatalf("routing one typed %d×%d batch allocated %.0f objects", n, width, allocs)
-	}
-}
-
-// A key's rows reach the one pane machine that owns its state whatever
-// vector carries them: a typed key vector in one batch and a boxed (VecAny)
-// one in the next — a column demoted by a value of another kind — route each
-// key, NULL included, to the same machine, and every machine's share of a
-// two-column key is colocated as types.HashRowKey groups it.
-func TestStreamAggRoutingColocatesBoxedKeys(t *testing.T) {
-	const n, p = 60, 3
-	rowType := types.Row(
-		types.Field{Name: "rowtime", Type: types.Timestamp},
-		types.Field{Name: "k", Type: types.BigInt},
-		types.Field{Name: "g", Type: types.Varchar},
-	)
-	sa := NewStreamAgg(NewScan(schema.NewMemTable("events", rowType, nil), []string{"events"}),
-		rel.StreamWindow{Kind: rel.TumbleWindow, RowtimeCol: 0, SizeMs: 1000}, 0, []int{1, 2},
-		[]rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")})
-	c := BindStreamAggOver(NewContext(), sa.StreamAggregate, nil, p, nil).(*streamAggCursor)
-	home := map[string]int{}
-	check := func(name string, b *schema.Batch) {
-		t.Helper()
-		c.route(b, iotaSel(nil, b.Len))
-		routed := 0
-		for m, s := range c.sels {
-			for _, r := range s {
-				k := types.HashRowKey(b.Row(int(r)), []int{1, 2})
-				if h, ok := home[k]; ok && h != m {
-					t.Fatalf("%s: key %q routed to machine %d, earlier to %d", name, k, m, h)
-				}
-				home[k] = m
-				routed++
-			}
-		}
-		if routed != b.Len {
-			t.Fatalf("%s: routed %d rows of %d", name, routed, b.Len)
-		}
-	}
-	typed := make([]int64, n)
-	groups := make([]string, n)
-	boxed := make([]any, n)
-	for r := range typed {
-		typed[r] = int64(r % 7)
-		groups[r] = string(rune('a' + r%3))
-		boxed[r] = int64(r % 7)
-	}
-	boxed[5], boxed[11] = nil, "x" // a NULL key and a value of another kind
-	ts := &schema.Vector{Kind: schema.VecInt64, I64: make([]int64, n)}
-	g := &schema.Vector{Kind: schema.VecString, S: groups}
-	check("typed", &schema.Batch{Len: n, Vecs: []*schema.Vector{ts, {Kind: schema.VecInt64, I64: typed}, g}})
-	check("boxed", &schema.Batch{Len: n, Vecs: []*schema.Vector{ts, {Kind: schema.VecAny, A: boxed}, g}})
-	nulls := make([]bool, n)
-	nulls[0], nulls[5] = true, true // row 5's key is also NULL in the boxed batch
-	check("typed with NULLs", &schema.Batch{Len: n, Vecs: []*schema.Vector{ts, {Kind: schema.VecInt64, I64: typed, Nulls: nulls}, g}})
-	if len(home) != 7*3+3 {
-		t.Fatalf("saw %d keys, want %d", len(home), 7*3+3)
 	}
 }

@@ -1,14 +1,13 @@
-package parallel
+package exec
 
 // Failure paths of a continuous query: a client cancel landing at a random
 // batch of the stream, before the standing window state first spills and
-// after it has, serial and partition-parallel. Each must fail with
-// exec.ErrCanceled promptly and give everything back: no reserved bytes, no
-// spill file, a zero state-bytes gauge, no goroutine.
+// after it has, and a fold that fails after the state has spilled. Each must
+// fail promptly and give everything back: no reserved bytes, no spill file,
+// a zero state-bytes gauge, no goroutine.
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -16,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"calcite/internal/exec"
 	"calcite/internal/memory"
 	"calcite/internal/rel"
 	"calcite/internal/rex"
@@ -61,6 +59,19 @@ func (c *cancelingCursor) NextBatch() (*schema.Batch, error) {
 
 func (c *cancelingCursor) Close() error { return c.in.Close() }
 
+// checkStreamReleased asserts what checkReleased does, that the state-bytes
+// gauge reads zero, and that no goroutine outlives the query.
+func checkStreamReleased(t *testing.T, name string, a *memory.Allocator, baseline int) {
+	t.Helper()
+	checkReleased(t, name, a)
+	if n := StreamStateBytes(); n != 0 {
+		t.Errorf("%s: state-bytes gauge reads %d after teardown", name, n)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%s: %d goroutines alive after teardown, baseline %d", name, n, baseline)
+	}
+}
+
 func TestStreamAggCancelReleasesState(t *testing.T) {
 	const batches, batchSize = 60, 128
 	rows := make([][]any, batches*batchSize)
@@ -88,50 +99,40 @@ func TestStreamAggCancelReleasesState(t *testing.T) {
 		{"before the first spill", 64 << 20, 1, batches / 2},
 		{"after the first spill", 16 << 10, batches / 2, batches - 1},
 	} {
-		for _, par := range []int{1, 4} {
-			name := fmt.Sprintf("%s/par=%d", tc.name, par)
-			flag := &atomic.Bool{}
-			tbl := &cancelingStream{MemTable: schema.NewMemTable("events", rowType, rows),
-				at: tc.lo + rng.Intn(tc.hi-tc.lo), flag: flag}
-			var plan rel.Node = exec.NewStreamAgg(exec.NewScan(tbl, []string{"events"}),
-				rel.StreamWindow{Kind: rel.HopWindow, RowtimeCol: 0, SizeMs: 8000, SlideMs: 1000},
-				600_000, []int{1}, []rex.AggCall{
-					rex.NewAggCall(rex.AggCount, nil, false, "c"),
-					rex.NewAggCall(rex.AggSum, []int{2}, false, "s"),
-					rex.NewAggCall(rex.AggCount, []int{2}, true, "d"),
-				})
-			if par > 1 {
-				plan = Parallelize(plan, NewPool(par), par)
-			}
-			ctx := exec.NewContext()
-			ctx.BatchSize = batchSize
-			pool := memory.NewPool(tc.budget)
-			ctx.Alloc = memory.NewAllocator(pool, 0, true)
-			ctx.Interrupt = flag
-			_, err := exec.Execute(ctx, plan)
-			returned := time.Now()
-			if !errors.Is(err, exec.ErrCanceled) {
-				t.Fatalf("%s (cancel at batch %d): err = %v, want %v", name, tbl.at, err, exec.ErrCanceled)
-			}
-			if wait := returned.Sub(time.Unix(0, tbl.raised.Load())); wait > 2*time.Second {
-				t.Errorf("%s: returned %v after the cancel", name, wait)
-			}
-			spilled := pool.Counters().SpillEvents > 0
-			if want := tc.budget < 1<<20; spilled != want {
-				t.Errorf("%s (cancel at batch %d): spilled = %v, want %v", name, tbl.at, spilled, want)
-			}
-			settled(t, name, ctx.Alloc, baseline)
-			if n := exec.StreamStateBytes(); n != 0 {
-				t.Errorf("%s: state-bytes gauge reads %d after the cancel", name, n)
-			}
+		flag := &atomic.Bool{}
+		tbl := &cancelingStream{MemTable: schema.NewMemTable("events", rowType, rows),
+			at: tc.lo + rng.Intn(tc.hi-tc.lo), flag: flag}
+		plan := NewStreamAgg(NewScan(tbl, []string{"events"}),
+			rel.StreamWindow{Kind: rel.HopWindow, RowtimeCol: 0, SizeMs: 8000, SlideMs: 1000},
+			600_000, []int{1}, []rex.AggCall{
+				rex.NewAggCall(rex.AggCount, nil, false, "c"),
+				rex.NewAggCall(rex.AggSum, []int{2}, false, "s"),
+				rex.NewAggCall(rex.AggCount, []int{2}, true, "d"),
+			})
+		ctx := NewContext()
+		ctx.BatchSize = batchSize
+		pool := memory.NewPool(tc.budget)
+		ctx.Alloc = memory.NewAllocator(pool, 0, true)
+		ctx.Interrupt = flag
+		_, err := Execute(ctx, plan)
+		returned := time.Now()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s (cancel at batch %d): err = %v, want %v", tc.name, tbl.at, err, ErrCanceled)
 		}
+		if wait := returned.Sub(time.Unix(0, tbl.raised.Load())); wait > 2*time.Second {
+			t.Errorf("%s: returned %v after the cancel", tc.name, wait)
+		}
+		spilled := pool.Counters().SpillEvents > 0
+		if want := tc.budget < 1<<20; spilled != want {
+			t.Errorf("%s (cancel at batch %d): spilled = %v, want %v", tc.name, tbl.at, spilled, want)
+		}
+		checkStreamReleased(t, tc.name, ctx.Alloc, baseline)
 	}
 }
 
-// TestStreamAggFoldErrorReleasesState: a fold that fails in one pane machine
-// — a rowtime that is not a timestamp, on a row whose key only that machine
-// owns, after the standing state has spilled — fails a parallel keyed HOP
-// query with that machine's error, and the query gives everything back: no
+// TestStreamAggFoldErrorReleasesState: a fold that fails — a rowtime that is
+// not a timestamp, after the standing state has spilled — fails a keyed HOP
+// query with the rowtime error, and the query gives everything back: no
 // reserved bytes, no spill file, no goroutine.
 func TestStreamAggFoldErrorReleasesState(t *testing.T) {
 	const n, badAt = 6000, 4000
@@ -145,32 +146,25 @@ func TestStreamAggFoldErrorReleasesState(t *testing.T) {
 		types.Field{Name: "k", Type: types.BigInt},
 		types.Field{Name: "v", Type: types.BigInt},
 	)
-	// A stream table (so the scan stays serial) that never cancels.
+	// A stream table that never cancels.
 	tbl := &cancelingStream{MemTable: schema.NewMemTable("events", rowType, rows), at: -1, flag: &atomic.Bool{}}
-	agg := exec.NewStreamAgg(exec.NewScan(tbl, []string{"events"}),
+	plan := NewStreamAgg(NewScan(tbl, []string{"events"}),
 		rel.StreamWindow{Kind: rel.HopWindow, RowtimeCol: 0, SizeMs: 8000, SlideMs: 1000},
 		600_000, []int{1}, []rex.AggCall{
 			rex.NewAggCall(rex.AggCount, nil, false, "c"),
 			rex.NewAggCall(rex.AggCount, []int{2}, true, "d"),
 		})
-	plan := Parallelize(agg, NewPool(4), 4)
-	if plan.Op() != "ParallelStreamAggregate" {
-		t.Fatalf("plan %s, want a ParallelStreamAggregate", planOps(plan))
-	}
 	baseline := runtime.NumGoroutine()
-	ctx := exec.NewContext()
+	ctx := NewContext()
 	ctx.BatchSize = 128
 	pool := memory.NewPool(16 << 10)
 	ctx.Alloc = memory.NewAllocator(pool, 0, true)
-	_, err := exec.Execute(ctx, plan)
+	_, err := Execute(ctx, plan)
 	if err == nil || !strings.Contains(err.Error(), "holds string, want a timestamp") {
-		t.Fatalf("err = %v, want the failing machine's rowtime error", err)
+		t.Fatalf("err = %v, want the rowtime error", err)
 	}
 	if pool.Counters().SpillEvents == 0 {
 		t.Error("the state never spilled before the failure; the spill teardown was not exercised")
 	}
-	settled(t, "fold error", ctx.Alloc, baseline)
-	if n := exec.StreamStateBytes(); n != 0 {
-		t.Errorf("state-bytes gauge reads %d after the failure", n)
-	}
+	checkStreamReleased(t, "fold error", ctx.Alloc, baseline)
 }

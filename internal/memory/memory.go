@@ -252,14 +252,6 @@ func (a *Allocator) Peak() int64 {
 	return a.peak
 }
 
-// QueryLimit returns the per-query cap (<= 0: bounded by the pool only).
-func (a *Allocator) QueryLimit() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.queryLimit
-}
-
 func (a *Allocator) op(name string) *OpStats {
 	st, ok := a.ops[name]
 	if !ok {

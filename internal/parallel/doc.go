@@ -23,11 +23,9 @@
 //     the partials' state batches (typed state columns), and one merge of
 //     them, a kernel per call, that orders the groups by first-seen
 //     position;
-//   - keyed TUMBLE/HOP stream aggregates run p pane machines that share one
-//     clock: the operator routes each batch of its serial input by group key,
-//     the machines fold and emit on the pool, and each round's outputs merge
-//     once, inside the operator, into the serial emission order;
-//   - sorts, windows and every other operator run serially over a gather.
+//   - sorts, windows and every other operator run serially over a gather;
+//     a stream aggregate runs serially over its stream scan, which is never
+//     split (arrival order carries the watermark).
 //
 // A sort over a gather beats per-worker sorts merged on position columns:
 // the radix sort of the whole input costs less than the k-way merge, and
@@ -38,13 +36,11 @@
 //
 // This package moves batches; tables, charging and spill live in exec. The
 // blocking operators here own no group table, build table or sort buffer:
-// HashJoinPar drains into an exec.JoinBuild, PartialAgg runs one
+// HashJoinPar drains into an exec.JoinBuild, and PartialAgg runs one
 // exec.GroupedAgg per partition and FinalAgg one over the gathered partials
-// (state-batch modes), and StreamAggPar supplies its pool to the serial
-// stream aggregate's pane machines (exec.BindStreamAggOver) — the engines
-// the serial operators use. Memory governance therefore never changes the
-// plan shape: every worker charges the query's allocator through the same
-// spill-capable code.
+// (state-batch modes) — the engines the serial operators use. Memory
+// governance therefore never changes the plan shape: every worker charges
+// the query's allocator through the same spill-capable code.
 //
 // # Batch ownership at exchange boundaries
 //

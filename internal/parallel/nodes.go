@@ -269,6 +269,7 @@ func (j *HashJoinPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, e
 		build.Abandon()
 		return nil, err
 	}
+	var parts []schema.BatchCursor
 	if len(rest) > 0 {
 		cur, err := build.Grace(Gather(j.pool, rest), func() (schema.BatchCursor, error) {
 			probeParts, err := BindPartitions(ctx, j.Left())
@@ -280,14 +281,17 @@ func (j *HashJoinPar) BindPartitions(ctx *exec.Context) ([]schema.BatchCursor, e
 		if err != nil {
 			return nil, err
 		}
-		return []schema.BatchCursor{cur}, nil
+		parts = []schema.BatchCursor{cur}
+	} else {
+		probeParts, err := BindPartitions(ctx, j.Left())
+		if err != nil {
+			build.Abandon()
+			return nil, err
+		}
+		parts = build.Probes(probeParts)
 	}
-	probeParts, err := BindPartitions(ctx, j.Left())
-	if err != nil {
-		build.Abandon()
-		return nil, err
-	}
-	return build.Probes(probeParts), nil
+	j.NoteBuildOvershoot(ctx)
+	return parts, nil
 }
 
 // --- partitioned aggregate ---

@@ -14,14 +14,15 @@ package parallel
 //     single stream and run serially);
 //   - aggregates split into thread-local partial aggregation, a gather, and
 //     one final merge of the partial states, in first-seen group order;
-//   - keyed TUMBLE/HOP stream aggregates become one ParallelStreamAggregate
-//     over their serial input, its pane machines folding on the pool;
-//   - every other operator (sorts, windows, set ops, adapters, DML) requires
-//     the singleton distribution, so partitioned inputs gather in front of
-//     it. A sort or a window sorts once over the Seq-ordered gather: per-
-//     worker runs merged on position columns cost more than the radix sort
-//     they would split, and the stable sort needs no positions to keep the
-//     serial order.
+//   - every other operator (sorts, windows, stream aggregates, set ops,
+//     adapters, DML) requires the singleton distribution, so partitioned
+//     inputs gather in front of it. A sort or a window sorts once over the
+//     Seq-ordered gather: per-worker runs merged on position columns cost
+//     more than the radix sort they would split, and the stable sort needs
+//     no positions to keep the serial order. A stream aggregate stays over
+//     its serial stream scan: splitting its keys over workers and merging
+//     each emission round back measured slower on stream_window than the
+//     serial operator.
 //
 // The rewrite runs once per prepared plan (core.Framework.prepare), after
 // the Volcano search: the optimized plan stays backend-agnostic and the host
@@ -32,9 +33,8 @@ package parallel
 //
 // Division of labour: parallel moves batches; tables, charging and spill live
 // in exec. The blocking operators placed here (HashJoinPar, PartialAgg,
-// FinalAgg, StreamAggPar) only schedule exec's JoinBuild, GroupedAgg and
-// stream aggregate across workers, so a memory-governed plan has the same
-// shape as an ungoverned one.
+// FinalAgg) only schedule exec's JoinBuild and GroupedAgg across workers, so
+// a memory-governed plan has the same shape as an ungoverned one.
 
 import (
 	"calcite/internal/exec"
@@ -123,17 +123,6 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 		inner := x.WithNewInputs([]rel.Node{in}).(*exec.Aggregate)
 		gathered := NewGatherExchange(NewPartialAgg(inner, r.pool, r.p), r.pool)
 		return NewFinalAgg(inner, gathered), trait.Singleton()
-
-	case *exec.StreamAgg:
-		// Keyed tumble/hop windows split their keys over pane machines that
-		// fold on the pool. Global windows have no key to split on, and
-		// session windows stay serial: they run one pane machine.
-		in, d := r.rewrite(x.Inputs()[0])
-		agg := x.WithNewInputs([]rel.Node{r.singleton(in, d)}).(*exec.StreamAgg)
-		if len(x.GroupKeys) == 0 || x.Window.Kind == rel.SessionWindow {
-			return agg, trait.Singleton()
-		}
-		return NewStreamAggPar(agg, r.pool, r.p), trait.Singleton()
 
 	default:
 		// Every other operator runs serially over singleton inputs;

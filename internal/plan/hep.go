@@ -29,9 +29,6 @@ func NewHepPlanner(rules ...Rule) *HepPlanner {
 	return &HepPlanner{rules: rules}
 }
 
-// AddRule appends a rule.
-func (p *HepPlanner) AddRule(r Rule) { p.rules = append(p.rules, r) }
-
 // hepSink collects the first transformation of a rule firing. The Hep
 // planner performs destructive substitution: only the first equivalent
 // expression is kept.

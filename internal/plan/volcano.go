@@ -87,9 +87,6 @@ func NewVolcanoPlanner(rules ...Rule) *VolcanoPlanner {
 	}
 }
 
-// AddRule appends a rule.
-func (p *VolcanoPlanner) AddRule(r Rule) { p.rules = append(p.rules, r) }
-
 // AddConverter registers a convention converter: whenever an expression in
 // convention `from` is registered, factory(subset) is added to its
 // equivalence set in convention `to`. This is how adapters teach the planner

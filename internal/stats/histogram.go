@@ -116,15 +116,3 @@ func (h *Histogram) FracEq(x float64) float64 {
 	}
 	return 0
 }
-
-// FracBetween estimates the fraction of rows with lo <= key <= hi.
-func (h *Histogram) FracBetween(lo, hi float64) float64 {
-	if h == nil || h.Rows == 0 {
-		return 0.25
-	}
-	f := h.FracLess(hi, true) - h.FracLess(lo, false)
-	if f < 0 {
-		return 0
-	}
-	return f
-}

@@ -261,13 +261,6 @@ func typeEqualPtr(a, b *Type) bool {
 	return a.Equal(b)
 }
 
-// SameKindIgnoringNullability reports whether the two types describe the same
-// structure, disregarding nullability at every level.
-func (t *Type) SameKindIgnoringNullability(o *Type) bool {
-	return t.WithNullable(false).Equal(o.WithNullable(false)) ||
-		(t.Kind == o.Kind && t.Kind != RowKind && t.Kind != ArrayKind && t.Kind != MapKind && t.Kind != MultisetKind)
-}
-
 // FieldIndex returns the index of the named field of a ROW type, or -1.
 // Matching is case-insensitive, per SQL identifier semantics.
 func (t *Type) FieldIndex(name string) int {

@@ -367,12 +367,11 @@ func TestParallelSmallBatches(t *testing.T) {
 }
 
 // TestParallelizedPlansGatherOnly pins the exchange map of the engine: at
-// parallelism 4 every statement of the diff corpus and of the stream corpus
-// runs over gathers only — sorts and final aggregates finish once above a
-// GatherExchange — so no executed plan holds another exchange or a
-// per-worker sort. Keyed TUMBLE/HOP windows run ParallelStreamAggregate
-// (pane machines folding on the pool, with no exchange in the plan), not a
-// silently serial operator; SESSION and global windows run serially.
+// parallelism 4 every statement of the diff corpus runs over gathers only —
+// sorts and final aggregates finish once above a GatherExchange — so no
+// executed plan holds another exchange or a per-worker sort. Every statement
+// of the stream corpus, keyed or not, runs the serial stream aggregate over
+// its serial stream scan: no exchange and no Parallel* operator.
 func TestParallelizedPlansGatherOnly(t *testing.T) {
 	exchange := regexp.MustCompile(`\w*Exchange`)
 	check := func(sql, plan string) {
@@ -410,10 +409,9 @@ func TestParallelizedPlansGatherOnly(t *testing.T) {
 				t.Fatalf("%s: %v", sql, err)
 			}
 			plan := obs.RenderSpans(conn.LastTraces(1)[0].Spans)
-			check(sql, plan)
-			want := len(sh.keys) > 0 && w.kind != "SESSION"
-			if got := strings.Contains(plan, "ParallelStreamAggregate"); got != want {
-				t.Errorf("%s/%s: runs ParallelStreamAggregate = %v, want %v:\n%s", w.kind, sh.name, got, want, plan)
+			if strings.Contains(plan, "Exchange") || strings.Contains(plan, "Parallel") ||
+				!strings.Contains(plan, "EnumerableStreamAggregate") {
+				t.Errorf("%s/%s: want the serial stream aggregate with no exchange and no parallel operator:\n%s", w.kind, sh.name, plan)
 			}
 		}
 	}

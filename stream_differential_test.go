@@ -212,14 +212,13 @@ func (w streamWindowSpec) sql(sh streamShape, latenessSec int) string {
 // (in-order arrival at batch size 7, 64 and 1 024, bounded out-of-order
 // arrival at 1 024). Lateness covers the replay skew, so no event is
 // dropped and the incremental result must equal the full recompute. Every
-// statement must
-// answer within streamDeadline, and keyed TUMBLE/HOP rows at parallelism 2
-// and 4 must equal the parallelism-1 rows in the same order: each key stays
-// in one pane machine, and each round's merge restores the serial emission
-// order, (window_start, key…, window_end), which does not depend on the
-// batch size. SESSION and global windows run the serial plan at every
-// parallelism (TestParallelizedPlansGatherOnly), so they run at parallelism
-// 1 only.
+// statement must answer within streamDeadline, and keyed TUMBLE/HOP rows at
+// parallelism 2 and 4 must equal the parallelism-1 rows in the same order,
+// (window_start, key…, window_end), which depends neither on the batch size
+// nor on the parallelism setting: every window runs the one serial operator
+// over its serial stream scan (TestParallelizedPlansGatherOnly), and these
+// passes pin that the setting leaves its rows alone. SESSION and global
+// windows run at parallelism 1 only.
 func TestStreamDifferentialOracle(t *testing.T) {
 	rows := genStreamEvents(1200, 3)
 	for _, skew := range []int64{0, 2000} {
@@ -281,7 +280,7 @@ func TestStreamDifferentialOracle(t *testing.T) {
 // stalled operator fails the test instead of hanging the suite.
 const streamDeadline = 10 * time.Second
 
-// assertEmissionOrder checks the deterministic merged emission order of
+// assertEmissionOrder checks the deterministic emission order of
 // tumbling/hopping windows: (window_start, key…, window_end) ascending.
 func assertEmissionOrder(t *testing.T, label string, rows [][]any, nKeys int) {
 	t.Helper()
