@@ -600,7 +600,11 @@ func (f *Framework) preparePhysical(physical rel.Node, fingerprint string) *prep
 	mq := f.NewMetaQuery()
 	physical = f.applyAdaptiveTactics(physical, mq)
 	ent := &planEntry{est: f.planEstimates(fingerprint, physical, mq), workers: f.EffectiveParallelism()}
-	ent.plan = parallel.Parallelize(physical, f.WorkerPool(), ent.workers)
+	morsel := f.BatchSize
+	if morsel <= 0 {
+		morsel = schema.DefaultBatchSize
+	}
+	ent.plan = parallel.Parallelize(physical, f.WorkerPool(), ent.workers, morsel)
 	return &preparation{planEntry: ent, optimized: physical, mq: mq}
 }
 

@@ -116,7 +116,8 @@ func countRows(t *testing.T, f *Framework, q string) int64 {
 // TestPlanCacheInvalidation pins what invalidates what: INSERT nothing,
 // ANALYZE the plans that scan the analyzed table, DDL everything. It runs
 // over serial plans and over parallel ones, which read their tables
-// through MorselScans.
+// through MorselScans (in one-row morsels, so that the three-row tables span
+// several).
 func TestPlanCacheInvalidation(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", p), func(t *testing.T) { testPlanCacheInvalidation(t, p) })
@@ -126,6 +127,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 func testPlanCacheInvalidation(t *testing.T, parallelism int) {
 	f := cacheTestFramework(t)
 	f.Parallelism = parallelism
+	f.BatchSize = 1
 	f.Catalog.AddTable(schema.NewMemTable("u",
 		types.Row(types.Field{Name: "id", Type: types.BigInt.WithNullable(true)}),
 		[][]any{{int64(1)}, {int64(2)}}))
@@ -388,9 +390,11 @@ func spanTree(s *obs.SpanStats) string {
 // cached tree as it is — its trace records no planning and its span tree is
 // the cached tree, node for node — and a later switch to one worker misses,
 // runs the serial plan and replaces the entry without flushing the cache.
+// One-row morsels make the three-row table span several.
 func TestPlanCacheHoldsPreparedPlan(t *testing.T) {
 	f := cacheTestFramework(t)
 	f.Parallelism = 4
+	f.BatchSize = 1
 	const q = "SELECT id, COUNT(*) FROM t WHERE v > 2 GROUP BY id"
 	run := func() ([][]any, *obs.TraceSnapshot) {
 		t.Helper()

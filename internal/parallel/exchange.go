@@ -5,9 +5,8 @@ package parallel
 // merged back into morsel (Seq) order, so a parallel pipeline drains into
 // exactly the row order the serial engine would have produced. Every
 // pipeline breaker finishes serially above a gather: sorts, windows, set
-// operations and the final merge of a parallel aggregate's partial states;
-// the parallel stream aggregate reads its input and hands on its output
-// through a one-partition gather, so scan, folds and consumer overlap.
+// operations and the final merge of a parallel aggregate's partial states.
+// A stream window needs none: it is the serial operator over its stream scan.
 //
 // A gather is context-driven: the first error, or the consumer's Close,
 // cancels its context; the producers observe it on their next send and

@@ -61,15 +61,10 @@ type dispenserView struct{ d *dispenser }
 func (v dispenserView) NextBatch() (*schema.Batch, error) { return v.d.next() }
 func (v dispenserView) Close() error                      { return v.d.closeView() }
 
-// Morsels splits a batch cursor into p cursors that collectively consume it:
-// each NextBatch atomically claims the next morsel. The p views together own
-// the underlying cursor; it is closed when the last view closes.
-func Morsels(cur schema.BatchCursor, p int) []schema.BatchCursor {
-	return MorselsOn(nil, cur, p)
-}
-
-// MorselsOn is Morsels with the owning worker pool attached, so each morsel
-// claim is counted in the pool's dispatch statistics.
+// MorselsOn splits a batch cursor into p cursors that collectively consume
+// it: each NextBatch atomically claims the next morsel, counted in pool's
+// dispatch statistics (pool may be nil). The p views together own the
+// underlying cursor; it is closed when the last view closes.
 func MorselsOn(pool *Pool, cur schema.BatchCursor, p int) []schema.BatchCursor {
 	d := &dispenser{cur: cur, views: p, pool: pool}
 	out := make([]schema.BatchCursor, p)

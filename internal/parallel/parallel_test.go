@@ -50,7 +50,7 @@ func TestPoolReusesResidentWorkers(t *testing.T) {
 		done := make(chan struct{})
 		p.Go(func() { close(done) })
 		<-done
-		for p.Idle() == 0 {
+		for p.idle.Load() == 0 {
 			runtime.Gosched()
 		}
 	}
@@ -71,7 +71,7 @@ func seqBatches(n int) []*schema.Batch {
 
 func TestMorselsCoverInputExactlyOnce(t *testing.T) {
 	const n, p = 20, 4
-	parts := Morsels(schema.NewSliceBatchCursor(seqBatches(n)), p)
+	parts := MorselsOn(nil, schema.NewSliceBatchCursor(seqBatches(n)), p)
 	var mu sync.Mutex
 	got := map[int64]bool{}
 	var wg sync.WaitGroup
@@ -323,11 +323,11 @@ func TestGatherClosedEarlyTearsDownPartitions(t *testing.T) {
 // final merge.
 func TestParallelizeInsertsExchanges(t *testing.T) {
 	pool := NewPool(4)
-	filter := exec.NewFilter(memScan(t, "t", 100), rex.NewCall(rex.OpGreater,
+	filter := exec.NewFilter(memScan(t, "t", 2000), rex.NewCall(rex.OpGreater,
 		rex.NewInputRef(0, types.BigInt), rex.NewLiteral(int64(10), types.BigInt)))
 	for _, keys := range [][]int{{1}, nil} {
 		agg := exec.NewAggregate(filter, keys, []rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")})
-		plan := Parallelize(agg, pool, 4)
+		plan := Parallelize(agg, pool, 4, schema.DefaultBatchSize)
 		want := "ParallelFinalAggregate > GatherExchange > ParallelPartialAggregate > EnumerableFilter > MorselScan"
 		if got := planOps(plan); got != want {
 			t.Errorf("keys %v: plan %s, want %s", keys, got, want)
@@ -367,7 +367,7 @@ func TestParallelizeStreamAggregate(t *testing.T) {
 		{rel.StreamWindow{Kind: rel.TumbleWindow, SizeMs: 1000}, nil},
 		{rel.StreamWindow{Kind: rel.SessionWindow, GapMs: 1000}, []int{1}},
 	} {
-		plan := Parallelize(exec.NewStreamAgg(scan, tc.win, 0, tc.keys, count), NewPool(4), 4)
+		plan := Parallelize(exec.NewStreamAgg(scan, tc.win, 0, tc.keys, count), NewPool(4), 4, schema.DefaultBatchSize)
 		if got := planOps(plan); got != want {
 			t.Errorf("%v keys %v: plan %s, want %s", tc.win.Kind, tc.keys, got, want)
 		}
@@ -379,11 +379,11 @@ func TestParallelizeStreamAggregate(t *testing.T) {
 
 func TestParallelizeKeepsRightJoinSerial(t *testing.T) {
 	pool := NewPool(4)
-	l := memScan(t, "l", 50)
-	rscan := memScan(t, "r", 50)
+	l := memScan(t, "l", 2000)
+	rscan := memScan(t, "r", 2000)
 	cond := rex.Eq(rex.NewInputRef(0, types.BigInt), rex.NewInputRef(2, types.BigInt))
 	join := exec.NewHashJoin(rel.RightJoin, l, rscan, cond)
-	plan := Parallelize(join, pool, 4)
+	plan := Parallelize(join, pool, 4, schema.DefaultBatchSize)
 	text := rel.Explain(plan)
 	if strings.Contains(text, "ParallelHashJoin") {
 		t.Errorf("right join must stay serial:\n%s", text)
@@ -408,11 +408,11 @@ func TestParallelizeJoins(t *testing.T) {
 		name string
 		join *exec.HashJoin
 	}{
-		{"serial probe", exec.NewHashJoin(rel.InnerJoin, values, memScan(t, "r", 300), joinConds()[0])},
-		{"keyless", exec.NewHashJoin(rel.InnerJoin, memScan(t, "l", 200), memScan(t, "r", 50), less)},
+		{"serial probe", exec.NewHashJoin(rel.InnerJoin, values, memScan(t, "r", 2000), joinConds()[0])},
+		{"keyless", exec.NewHashJoin(rel.InnerJoin, memScan(t, "l", 2000), memScan(t, "r", 50), less)},
 	}
 	for _, c := range cases {
-		plan := Parallelize(c.join, NewPool(4), 4)
+		plan := Parallelize(c.join, NewPool(4), 4, schema.DefaultBatchSize)
 		par, ok := plan.Inputs()[0].(*HashJoinPar)
 		if !ok {
 			t.Fatalf("%s: want a gathered ParallelHashJoin:\n%s", c.name, rel.Explain(plan))
@@ -424,9 +424,54 @@ func TestParallelizeJoins(t *testing.T) {
 	}
 }
 
+// TestParallelizeOneMorselScanStaysSerial: a scan whose table reports at most
+// one morsel of rows stays serial, so operators over only such inputs run
+// with no exchange, while a larger (or unknown) table still splits into
+// morsels — a one-morsel build under a multi-morsel probe included.
+func TestParallelizeOneMorselScanStaysSerial(t *testing.T) {
+	pool := NewPool(4)
+	for _, tc := range []struct {
+		rows, morsel int
+		want         string
+	}{
+		{1024, schema.DefaultBatchSize, "EnumerableTableScan"},
+		{1025, schema.DefaultBatchSize, "GatherExchange > MorselScan"},
+		{10, 3, "GatherExchange > MorselScan"},
+		{0, schema.DefaultBatchSize, "GatherExchange > MorselScan"}, // unknown row count
+	} {
+		if got := planOps(Parallelize(memScan(t, "t", tc.rows), pool, 4, tc.morsel)); got != tc.want {
+			t.Errorf("%d rows, morsel %d: plan %s, want %s", tc.rows, tc.morsel, got, tc.want)
+		}
+	}
+
+	// A join, an aggregate and a sort over one-morsel scans: the serial plan.
+	join := exec.NewHashJoin(rel.InnerJoin, memScan(t, "l", 100), memScan(t, "r", 10), joinConds()[0])
+	agg := exec.NewAggregate(join, []int{1}, []rex.AggCall{rex.NewAggCall(rex.AggCount, nil, false, "c")})
+	small := exec.NewSort(agg, trait.Collation{{Field: 0}}, 0, -1)
+	text := rel.Explain(Parallelize(small, pool, 4, schema.DefaultBatchSize))
+	if strings.Contains(text, "GatherExchange") || strings.Contains(text, "Parallel") || text != rel.Explain(small) {
+		t.Errorf("one-morsel scans: want the serial plan, got\n%s", text)
+	}
+
+	// A multi-morsel probe over a one-morsel build: one build partition.
+	big := exec.NewHashJoin(rel.InnerJoin, memScan(t, "l", 3000), memScan(t, "r", 100), joinConds()[0])
+	plan := Parallelize(big, pool, 4, schema.DefaultBatchSize)
+	par, ok := plan.Inputs()[0].(*HashJoinPar)
+	if !ok {
+		t.Fatalf("want a gathered ParallelHashJoin:\n%s", rel.Explain(plan))
+	}
+	if _, ok := par.Right().(*exec.Scan); !ok {
+		t.Errorf("the one-morsel build should be a serial scan:\n%s", rel.Explain(plan))
+	}
+	if text := rel.Explain(plan); !strings.Contains(text, "MorselScan(table=[l]") {
+		t.Errorf("the multi-morsel probe should be a MorselScan:\n%s", text)
+	}
+	checkAgainstSerial(t, big)
+}
+
 func TestParallelizeSerialWhenPIsOne(t *testing.T) {
 	scan := memScan(t, "t", 10)
-	if got := Parallelize(scan, NewPool(1), 1); got != scan {
+	if got := Parallelize(scan, NewPool(1), 1, schema.DefaultBatchSize); got != scan {
 		t.Error("p=1 must return the plan unchanged")
 	}
 }
@@ -458,7 +503,7 @@ func checkAgainstSerial(t *testing.T, plan rel.Node) {
 	want := renderRows(runPlan(t, plan))
 	for _, p := range []int{2, 4, 7} {
 		pool := NewPool(p)
-		got := renderRows(runPlan(t, Parallelize(plan, pool, p)))
+		got := renderRows(runPlan(t, Parallelize(plan, pool, p, schema.DefaultBatchSize)))
 		if len(got) != len(want) {
 			t.Fatalf("p=%d: %d rows, want %d", p, len(got), len(want))
 		}
@@ -573,7 +618,7 @@ func TestParallelStableSortTies(t *testing.T) {
 	sortNode := exec.NewSort(scan, trait.Collation{{Field: 1, Direction: trait.Ascending}}, 0, -1)
 	want := runPlan(t, sortNode)
 	pool := NewPool(4)
-	got := runPlan(t, Parallelize(sortNode, pool, 4))
+	got := runPlan(t, Parallelize(sortNode, pool, 4, schema.DefaultBatchSize))
 	if len(got) != len(want) {
 		t.Fatalf("%d rows, want %d", len(got), len(want))
 	}
@@ -599,7 +644,7 @@ func TestParallelizeWindowIsSerial(t *testing.T) {
 		},
 	}})
 	for _, p := range []int{2, 4} {
-		if got := planOps(Parallelize(win, NewPool(p), p)); got != "EnumerableWindow > GatherExchange > MorselScan" {
+		if got := planOps(Parallelize(win, NewPool(p), p, schema.DefaultBatchSize)); got != "EnumerableWindow > GatherExchange > MorselScan" {
 			t.Errorf("p=%d: plan %s, want EnumerableWindow > GatherExchange > MorselScan", p, got)
 		}
 	}

@@ -98,9 +98,6 @@ func (p *Pool) noteMorsel() {
 	p.morsels.Add(1)
 }
 
-// Idle returns the number of resident workers waiting for a task.
-func (p *Pool) Idle() int64 { return p.idle.Load() }
-
 // claimIdle takes one idle worker's count, reporting false when there is none.
 func (p *Pool) claimIdle() bool {
 	for n := p.idle.Load(); n > 0; n = p.idle.Load() {

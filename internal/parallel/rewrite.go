@@ -6,7 +6,10 @@ package parallel
 // operator would read a partitioned input (trait.Distribution.Partitioned),
 // the same reasoning the trait framework applies to collations:
 //
-//   - batch-scannable scans become MorselScan (random distribution);
+//   - batch-scannable scans become MorselScan (random distribution), except
+//     a scan whose table reports a known row count of at most one morsel:
+//     one worker would get all of it, so it stays serial and the operators
+//     over only such inputs run with no exchange;
 //   - filters and projections execute in place, preserving distribution;
 //   - joins with a partitioned input become partitioned build + probe over
 //     their inputs as they are, a serial input being one partition (right/
@@ -44,13 +47,14 @@ import (
 )
 
 // Parallelize rewrites an optimized physical plan for execution across p
-// workers sharing pool. p <= 1 returns the plan unchanged. The returned root
-// always produces a single (singleton-distribution) stream.
-func Parallelize(root rel.Node, pool *Pool, p int) rel.Node {
+// workers sharing pool, in morsels of morsel rows (the batch size the plan
+// runs at). p <= 1 returns the plan unchanged. The returned root always
+// produces a single (singleton-distribution) stream.
+func Parallelize(root rel.Node, pool *Pool, p, morsel int) rel.Node {
 	if p <= 1 || pool == nil {
 		return root
 	}
-	r := &rewriter{pool: pool, p: p}
+	r := &rewriter{pool: pool, p: p, morsel: float64(morsel)}
 	n, dist := r.rewrite(root)
 	if dist.Partitioned() {
 		n = NewGatherExchange(n, pool)
@@ -59,8 +63,9 @@ func Parallelize(root rel.Node, pool *Pool, p int) rel.Node {
 }
 
 type rewriter struct {
-	pool *Pool
-	p    int
+	pool   *Pool
+	p      int
+	morsel float64
 }
 
 // singleton wraps n with a gather exchange when it is partitioned.
@@ -82,8 +87,10 @@ func (r *rewriter) rewrite(n rel.Node) (rel.Node, trait.Distribution) {
 		if _, ok := x.Table.(schema.BatchScannableTable); ok {
 			// Stream tables enumerate in arrival order and downstream
 			// operators lean on its bounded out-of-orderness; morsels would
-			// interleave arbitrarily, so stream scans stay serial.
-			if _, stream := x.Table.(schema.StreamableTable); !stream {
+			// interleave arbitrarily, so stream scans stay serial. So does a
+			// table known to fit one morsel: no second worker could help.
+			_, stream := x.Table.(schema.StreamableTable)
+			if rows := x.Table.Stats().RowCount; !stream && (rows <= 0 || rows > r.morsel) {
 				return NewMorselScan(x, r.pool, r.p), trait.RandomDist()
 			}
 		}

@@ -73,7 +73,7 @@ func TestSpillFilesCleanedUpOnMidSpillError(t *testing.T) {
 	scan := exec.NewScan(tbl, []string{"t"})
 	sortNode := exec.NewSort(scan, trait.Collation{{Field: 1}, {Field: 0}}, 0, -1)
 	pool := NewPool(4)
-	plan := Parallelize(sortNode, pool, 4)
+	plan := Parallelize(sortNode, pool, 4, schema.DefaultBatchSize)
 
 	// A budget small enough that the sort above the gather spills several
 	// runs before the source fails.
@@ -115,7 +115,7 @@ func TestSpillParallelSortMatchesSerial(t *testing.T) {
 	want := renderRows(runPlan(t, sortNode))
 	for _, p := range []int{2, 4} {
 		pool := NewPool(p)
-		plan := Parallelize(sortNode, pool, p)
+		plan := Parallelize(sortNode, pool, p, schema.DefaultBatchSize)
 		ctx := exec.NewContext()
 		alloc := memory.NewAllocator(memory.NewPool(24<<10), 0, true)
 		ctx.Alloc = alloc
@@ -163,7 +163,7 @@ func TestSpillParallelJoinAndAggregateMatchSerial(t *testing.T) {
 		alloc := memory.NewAllocator(memory.NewPool(48<<10), 0, true)
 		ctx := exec.NewContext()
 		ctx.Alloc = alloc
-		rows, err := exec.Execute(ctx, Parallelize(plan, NewPool(4), 4))
+		rows, err := exec.Execute(ctx, Parallelize(plan, NewPool(4), 4, schema.DefaultBatchSize))
 		if err != nil {
 			t.Fatalf("%v\n%s", err, rel.Explain(plan))
 		}
@@ -212,7 +212,7 @@ func TestGovernedParallelAggregateTeardown(t *testing.T) {
 		}
 		done := make(chan outcome, 1)
 		go func() {
-			rows, err := exec.Execute(ctx, Parallelize(agg, pool, 4))
+			rows, err := exec.Execute(ctx, Parallelize(agg, pool, 4, schema.DefaultBatchSize))
 			done <- outcome{rows, err}
 		}()
 		var out outcome
@@ -309,7 +309,7 @@ func TestParallelSortAndWindowTeardown(t *testing.T) {
 		}
 	}
 	for op, plan := range plans(memScan(t, "t", 6000)) {
-		par := Parallelize(plan, NewPool(4), 4)
+		par := Parallelize(plan, NewPool(4), 4, schema.DefaultBatchSize)
 		text := rel.Explain(par)
 		want := map[string]string{"sort": "EnumerableSort", "window": "EnumerableWindow"}[op]
 		if _, ok := par.Inputs()[0].(*Exchange); !ok || par.Op() != want {
@@ -347,7 +347,7 @@ func TestParallelSortAndWindowTeardown(t *testing.T) {
 		ctx := exec.NewContext()
 		ctx.Alloc = memory.NewAllocator(memory.NewPool(32<<10), 0, true)
 		within(op+" over a failing source", func() {
-			if _, err := exec.Execute(ctx, Parallelize(plan, NewPool(4), 4)); !errors.Is(err, boom) {
+			if _, err := exec.Execute(ctx, Parallelize(plan, NewPool(4), 4, schema.DefaultBatchSize)); !errors.Is(err, boom) {
 				t.Errorf("%s over a failing source: err = %v, want %v", op, err, boom)
 			}
 		})

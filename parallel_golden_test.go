@@ -67,6 +67,14 @@ func TestParallelPlanGolden(t *testing.T) {
 		record(snow, fmt.Sprintf("wide/%d", i), sql)
 	}
 
+	// Scans of one morsel run serial; the multi-morsel tables (the 3 000-row
+	// sales, the 2 000-row events, the star fact) keep every parallel
+	// operator under the golden file's watch.
+	for _, op := range []string{"MorselScan", "GatherExchange", "ParallelHashJoin", "ParallelPartialAggregate", "ParallelFinalAggregate"} {
+		if !strings.Contains(b.String(), op+"(") {
+			t.Errorf("no golden tree holds a %s", op)
+		}
+	}
 	checkGolden(t, "testdata/parallel.golden", b.String())
 }
 
@@ -110,5 +118,66 @@ func TestExplainAnalyzeRunsExplainedTree(t *testing.T) {
 	}
 	if gathers == 0 {
 		t.Fatal("no corpus plan gathers at parallelism 4")
+	}
+}
+
+// TestParallelizeSmallTablesUntilTheyGrow: at parallelism 4, a plan_adhoc-
+// shaped join and GROUP BY over tables of at most 100 rows, one morsel each,
+// runs the serial plan, with no exchange in plain EXPLAIN. Once INSERTs grow
+// the fact table past twice its rows and past one morsel, its statistics
+// turn over, its cached plans are evicted and the same statement re-prepares
+// with a MorselScan.
+func TestParallelizeSmallTablesUntilTheyGrow(t *testing.T) {
+	fact := make([][]any, 100)
+	for i := range fact {
+		fact[i] = []any{int64(i), int64(i % 40), int64(i % 10)}
+	}
+	dim := make([][]any, 40)
+	for i := range dim {
+		dim[i] = []any{int64(i), fmt.Sprintf("seg-%d", i%4)}
+	}
+	conn := calcite.Open()
+	conn.SetParallelism(goldenParallelism)
+	conn.AddTable("sales", calcite.Columns{
+		{Name: "id", Type: calcite.BigIntType},
+		{Name: "cust_id", Type: calcite.BigIntType},
+		{Name: "qty", Type: calcite.BigIntType},
+	}, fact)
+	conn.AddTable("customers", calcite.Columns{
+		{Name: "id", Type: calcite.BigIntType},
+		{Name: "segment", Type: calcite.VarcharType},
+	}, dim)
+	const sql = `SELECT c.segment, SUM(s.qty) AS q FROM sales s JOIN customers c ON s.cust_id = c.id
+		WHERE s.qty > 2 GROUP BY c.segment ORDER BY c.segment`
+	run := func() (plan string, cached bool) {
+		t.Helper()
+		if _, err := conn.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+		tr := conn.LastTraces(1)[0]
+		return obs.RenderSpans(tr.Spans), tr.Cached
+	}
+
+	if plan := parallelTree(conn, sql); strings.Contains(plan, "Exchange") || strings.Contains(plan, "Morsel") || strings.Contains(plan, "Parallel") {
+		t.Fatalf("one-morsel tables: want the serial plan, EXPLAIN shows\n%s", plan)
+	}
+	run()
+	if plan, cached := run(); !cached || strings.Contains(plan, "Exchange") {
+		t.Fatalf("want the cached serial plan (cached=%v):\n%s", cached, plan)
+	}
+
+	var values []string
+	for i := 100; i < 1100; i++ {
+		values = append(values, fmt.Sprintf("(%d, %d, %d)", i, i%40, i%10))
+	}
+	if _, err := conn.Exec("INSERT INTO sales VALUES " + strings.Join(values, ", ")); err != nil {
+		t.Fatal(err)
+	}
+	plan, cached := run()
+	if cached || !strings.Contains(plan, "MorselScan") {
+		t.Fatalf("after growing sales to 1 100 rows: want a re-prepared plan over a MorselScan (cached=%v):\n%s", cached, plan)
+	}
+	if plan := parallelTree(conn, sql); !strings.Contains(plan, "MorselScan(table=[sales]") {
+		t.Fatalf("EXPLAIN after the growth shows no MorselScan:\n%s", plan)
 	}
 }
