@@ -431,7 +431,7 @@ func (f *Framework) Execute(sql string, params ...any) (*Result, error) {
 // memory pool). Repeated statements hit the prepared-plan cache and skip
 // parse, optimize and the parallel rewrite entirely.
 func (f *Framework) ExecuteOpts(sql string, opts ExecOptions) (*Result, error) {
-	if ent, ok := f.PlanCache().Get(sql, f.EffectiveParallelism()); ok {
+	if ent, ok := f.PlanCache().Get(sql, f.EffectiveParallelism(), f.morselSize()); ok {
 		tr := f.Obs().Begin(sql)
 		tr.Cached = true
 		res, _, err := f.execute(tr, ent, opts, nil)
@@ -599,13 +599,18 @@ func (f *Framework) preparePhysical(physical rel.Node, fingerprint string) *prep
 	// stamped on the spans are exactly what the plan was judged by.
 	mq := f.NewMetaQuery()
 	physical = f.applyAdaptiveTactics(physical, mq)
-	ent := &planEntry{est: f.planEstimates(fingerprint, physical, mq), workers: f.EffectiveParallelism()}
-	morsel := f.BatchSize
-	if morsel <= 0 {
-		morsel = schema.DefaultBatchSize
-	}
-	ent.plan = parallel.Parallelize(physical, f.WorkerPool(), ent.workers, morsel)
+	ent := &planEntry{est: f.planEstimates(fingerprint, physical, mq), workers: f.EffectiveParallelism(), morsel: f.morselSize()}
+	ent.plan = parallel.Parallelize(physical, f.WorkerPool(), ent.workers, ent.morsel)
 	return &preparation{planEntry: ent, optimized: physical, mq: mq}
+}
+
+// morselSize is the rows per batch plans run at, the unit the parallel
+// rewrite splits scans into.
+func (f *Framework) morselSize() int {
+	if f.BatchSize > 0 {
+		return f.BatchSize
+	}
+	return schema.DefaultBatchSize
 }
 
 // EffectiveParallelism resolves the configured worker count.

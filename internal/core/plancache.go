@@ -12,8 +12,9 @@ package core
 //
 // Prepared plan trees are immutable — operators compile expressions and
 // allocate cursor state at bind time — so one cached plan may execute on any
-// number of concurrent queries. An entry is prepared for one worker count: a
-// lookup at another parallelism misses and re-prepares in its place.
+// number of concurrent queries. An entry is prepared for one worker count
+// and morsel size (the batch size, which decides the scans that stay
+// serial): a lookup at another misses and re-prepares in its place.
 //
 // Invalidation says which table and why. A cached plan reads its tables when
 // it executes, so rows inserted after it was optimized never make it wrong,
@@ -53,6 +54,7 @@ type planEntry struct {
 	columns []string
 	est     *feedback.PlanEstimates
 	workers int
+	morsel  int
 }
 
 // modifyTarget returns the table a DML plan writes, nil for a query.
@@ -92,12 +94,12 @@ func NewPlanCache(max int) *PlanCache {
 
 // Get returns the cached plan for sql, if the fingerprint maps to an entry
 // whose statement text matches byte-for-byte and that was prepared for
-// workers.
-func (c *PlanCache) Get(sql string, workers int) (*planEntry, bool) {
+// workers and morsel.
+func (c *PlanCache) Get(sql string, workers, morsel int) (*planEntry, bool) {
 	key := obs.Fingerprint(sql)
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
-		if ent := el.Value.(*planElem).ent; ent.sql == sql && ent.workers == workers {
+		if ent := el.Value.(*planElem).ent; ent.sql == sql && ent.workers == workers && ent.morsel == morsel {
 			c.order.MoveToFront(el)
 			c.mu.Unlock()
 			c.hits.Add(1)
@@ -110,8 +112,8 @@ func (c *PlanCache) Get(sql string, workers int) (*planEntry, bool) {
 }
 
 // Put stores a prepared plan, evicting the least recently used entry beyond
-// capacity. A fingerprint collision (same key, different text or worker
-// count) is resolved in favor of the newest entry.
+// capacity. A fingerprint collision (same key, different text, worker count
+// or morsel size) is resolved in favor of the newest entry.
 func (c *PlanCache) Put(ent *planEntry) {
 	key := obs.Fingerprint(ent.sql)
 	c.mu.Lock()

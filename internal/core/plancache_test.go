@@ -389,8 +389,9 @@ func spanTree(s *obs.SpanStats) string {
 // parallelized for the worker count it was prepared for. A hit binds the
 // cached tree as it is — its trace records no planning and its span tree is
 // the cached tree, node for node — and a later switch to one worker misses,
-// runs the serial plan and replaces the entry without flushing the cache.
-// One-row morsels make the three-row table span several.
+// runs the serial plan and replaces the entry without flushing the cache,
+// and so does a switch of morsel size. One-row morsels make the three-row
+// table span several.
 func TestPlanCacheHoldsPreparedPlan(t *testing.T) {
 	f := cacheTestFramework(t)
 	f.Parallelism = 4
@@ -440,5 +441,16 @@ func TestPlanCacheHoldsPreparedPlan(t *testing.T) {
 	}
 	if c := f.PlanCache().Counters(); c.Invalidations != 0 || c.Hits != 1 || c.Misses != 2 {
 		t.Fatalf("counters = %+v, want 1 hit, 2 misses, no flush", c)
+	}
+
+	// An entry is prepared for its morsel size too: back at four workers, a
+	// switch to default-size morsels misses, and the three-row table, now
+	// one morsel, runs the serial plan.
+	f.Parallelism = 4
+	run()
+	f.BatchSize = 0
+	_, snap = run()
+	if tree := spanTree(snap.Spans); snap.Cached || strings.Contains(tree, "MorselScan") || strings.Contains(tree, "Exchange") {
+		t.Fatalf("default-size morsels after one-row morsels (cached=%v) ran:\n%s", snap.Cached, tree)
 	}
 }

@@ -463,7 +463,7 @@ func TestParallelizeOneMorselScanStaysSerial(t *testing.T) {
 	if _, ok := par.Right().(*exec.Scan); !ok {
 		t.Errorf("the one-morsel build should be a serial scan:\n%s", rel.Explain(plan))
 	}
-	if text := rel.Explain(plan); !strings.Contains(text, "MorselScan(table=[l]") {
+	if text = rel.Explain(plan); !strings.Contains(text, "MorselScan(table=[l]") {
 		t.Errorf("the multi-morsel probe should be a MorselScan:\n%s", text)
 	}
 	checkAgainstSerial(t, big)
