@@ -12,7 +12,9 @@
 // trait.Distribution of each operator and inserting a gather exactly where a
 // serial operator would read a partitioned input:
 //
-//   - batch-scannable scans become MorselScan (random distribution);
+//   - batch-scannable scans become MorselScan (random distribution); a
+//     table known to hold at most one morsel (Stats().RowCount) is scanned
+//     serially, since one worker would read it all;
 //   - filters and projections run partition-local, preserving distribution;
 //   - every join with a partitioned input drains its build partitions in
 //     parallel and probes each probe partition against the shared table,

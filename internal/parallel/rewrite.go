@@ -6,10 +6,9 @@ package parallel
 // operator would read a partitioned input (trait.Distribution.Partitioned),
 // the same reasoning the trait framework applies to collations:
 //
-//   - batch-scannable scans become MorselScan (random distribution), except
-//     a scan whose table reports a known row count of at most one morsel:
-//     one worker would get all of it, so it stays serial and the operators
-//     over only such inputs run with no exchange;
+//   - batch-scannable scans become MorselScan (random distribution), but a
+//     table known to hold at most one morsel stays serial: one worker would
+//     read it all, so operators over only such scans get no exchange;
 //   - filters and projections execute in place, preserving distribution;
 //   - joins with a partitioned input become partitioned build + probe over
 //     their inputs as they are, a serial input being one partition (right/
